@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -355,49 +356,58 @@ func BenchmarkAblationAlltoallAlgorithm(b *testing.B) {
 // scheduler throughput and the energy/makespan frontier. The reported
 // metrics are virtual: makespan seconds, completed jobs per virtual
 // second, and mean energy per completed job. The backfill variant adds
-// the tail-wait metric EASY reservations exist to bound.
+// the tail-wait metric EASY reservations exist to bound. The jobs1k and
+// jobs4k tiers stretch the same burst trace: their host-side ns/job and
+// B/job against the 64-job rows are the scheduler's scaling slope.
 func BenchmarkSchedule(b *testing.B) {
-	trace := sched.SyntheticTrace(sched.TraceConfig{Jobs: 64, Seed: 1})
-	for _, cap := range []units.Watts{2000, 2500, 3000} {
-		for _, mk := range []struct {
-			name string
-			pol  func() sched.Policy
-		}{
-			{"fifo", sched.FIFO},
-			{"ee-max", sched.EEMax},
-			{"bf-ee-max", func() sched.Policy { return sched.Backfill(sched.EEMax()) }},
-		} {
-			b.Run(fmt.Sprintf("cap%dW/%s", int(cap), mk.name), func(b *testing.B) {
-				var res sched.Result
-				for i := 0; i < b.N; i++ {
-					s, err := sched.New(sched.Config{
-						Platform: machine.Homogeneous(machine.SystemG()),
-						Ranks:    64,
-						Cap:      cap,
-						Policy:   mk.pol(),
-						Seed:     1,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					res, err = s.Run(trace)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.CapViolations != 0 {
-						b.Fatalf("cap violated %d times", res.CapViolations)
-					}
+	bfEEMax := func() sched.Policy { return sched.Backfill(sched.EEMax()) }
+	run := func(name string, jobs int, cap units.Watts, pol func() sched.Policy) {
+		b.Run(name, func(b *testing.B) {
+			trace := sched.SyntheticTrace(sched.TraceConfig{Jobs: jobs, Seed: 1})
+			var res sched.Result
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s, err := sched.New(sched.Config{
+					Platform: machine.Homogeneous(machine.SystemG()),
+					Ranks:    64,
+					Cap:      cap,
+					Policy:   pol(),
+					Seed:     1,
+				})
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(res.Makespan), "vmakespan-s")
-				b.ReportMetric(res.Throughput, "jobs/vs")
-				b.ReportMetric(float64(res.EnergyPerJob), "J/job")
-				b.ReportMetric(float64(res.MaxWait), "maxwait-vs")
-				// Rejections matter at tight caps: FIFO's rigid full-width
-				// points can be unrunnable where moldable policies fit.
-				b.ReportMetric(float64(res.Completed), "done")
-			})
-		}
+				res, err = s.Run(trace)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.CapViolations != 0 {
+					b.Fatalf("cap violated %d times", res.CapViolations)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			perJob := float64(b.N * jobs)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perJob, "ns/job")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/perJob, "B/job")
+			b.ReportMetric(float64(res.Makespan), "vmakespan-s")
+			b.ReportMetric(res.Throughput, "jobs/vs")
+			b.ReportMetric(float64(res.EnergyPerJob), "J/job")
+			b.ReportMetric(float64(res.MaxWait), "maxwait-vs")
+			// Rejections matter at tight caps: FIFO's rigid full-width
+			// points can be unrunnable where moldable policies fit.
+			b.ReportMetric(float64(res.Completed), "done")
+		})
 	}
+	for _, cap := range []units.Watts{2000, 2500, 3000} {
+		run(fmt.Sprintf("cap%dW/fifo", int(cap)), 64, cap, sched.FIFO)
+		run(fmt.Sprintf("cap%dW/ee-max", int(cap)), 64, cap, sched.EEMax)
+		run(fmt.Sprintf("cap%dW/bf-ee-max", int(cap)), 64, cap, bfEEMax)
+	}
+	run("jobs1k/bf-ee-max", 1024, 2500, bfEEMax)
+	run("jobs4k/bf-ee-max", 4096, 2500, bfEEMax)
 }
 
 // BenchmarkScheduleTelemetry pins the observability cost model: the

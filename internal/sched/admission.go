@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/analysis"
 	"repro/internal/opcache"
@@ -49,35 +50,44 @@ func (s *Scheduler) marginalCost(pool int, draw units.Watts, p int) units.Watts 
 	return m
 }
 
-// candidateAt prices one explicit (pool, p, f) point for a job — a
-// single op-cache lookup after the first evaluation.
-func (s *Scheduler) candidateAt(j Job, pool, p int, f units.Hertz) (Candidate, bool) {
-	ps := &s.pools[pool]
-	fi := ps.cache.LadderIndex(f)
-	if fi < 0 {
+// The gates a candidate meets in the grid search, in order; a search's
+// stage is the last gate any of its candidates cleared.
+const (
+	stageModel    = iota - 1 // a grid row failed to evaluate
+	stageNone                // no candidate width fits the free ranks
+	stageWidth               // a width fits
+	stageSlack               // … within the performance slack
+	stageBudget              // … at a ladder point the budget affords
+	stagePlan                // … over the job's whole predicted lifetime
+	stageFeasible            // … without delaying a reserved start
+)
+
+// Best returns the job's best operating point under obj whose marginal
+// power cost fits budget, by the rules of search; ok is false when the
+// job should wait. Most searches of a deep queue end in "no width fits
+// the free ranks": the job's admissibility floor (belowFloor) answers
+// those without touching the grid.
+func (c *AdmitContext) Best(e *entry, budget units.Watts, obj analysis.Objective) (Candidate, bool) {
+	if budget <= 0 {
 		return Candidate{}, false
 	}
-	row, err := ps.cache.Row(j.ID, j.Vector, j.N, p)
-	if err != nil {
+	refTp, ok := c.s.referenceTp(e)
+	if !ok || (!c.relaxed && c.s.belowFloor(e, c.free, budget)) {
 		return Candidate{}, false
 	}
-	pred := row.Pred[fi]
-	pred.Tp = s.predTp(j.ID, row, fi)
-	return Candidate{
-		Pool:  pool,
-		Point: analysis.Point{Pool: ps.name, P: p, Freq: f, N: j.N, Prediction: pred},
-		Cost:  s.marginalCost(pool, row.Draw[fi], p),
-	}, true
+	cand, stage := c.search(e, refTp, budget, obj)
+	return cand, stage == stageFeasible
 }
 
-// bestCandidate searches the per-pool grids of the job's candidate
-// widths × each pool's DVFS ladder for the best point under the
-// objective whose marginal cost fits the power budget. The grid is the
-// same per-pool enumeration analysis.ForEachOperatingPoint scans
-// offline, but served from the op-cache: every (pool, n, p) row is
-// evaluated once per job lifetime and every later scheduling edge —
-// including the backfill shadow walk, which re-prices the head at each
-// hypothetical future state — is pure lookups.
+// search walks the per-pool grids of the job's candidate widths × each
+// pool's DVFS ladder for the best point under the objective whose
+// marginal cost fits the power budget, and reports the stage the walk
+// reached. The grid is the same per-pool enumeration
+// analysis.ForEachOperatingPoint scans offline, but served from the
+// op-cache: every (pool, n, p) row is evaluated once per job lifetime
+// and every later scheduling edge — including the backfill shadow walk,
+// which re-prices the head at each hypothetical future state — is pure
+// lookups.
 //
 // Pools are scanned in platform order, so equal points keep the earlier
 // pool (for an ee-max policy the winner is the EE-best pool; strictly
@@ -116,168 +126,96 @@ func (s *Scheduler) candidateAt(j Job, pool, p int, f units.Hertz) (Candidate, b
 // Under a cap timeline (Config.Plan) a fifth rule binds: the
 // candidate's conservative draw must fit the *minimum* cap over its
 // predicted lifetime, not just the budget at now — expressed as a
-// per-candidate narrowing of the budget (budgetOverLifetime). A job is
+// per-candidate narrowing of the budget (narrowToLifetime). A job is
 // never started into a budget window it cannot fit.
-func (s *Scheduler) bestCandidate(j Job, free []int, budget units.Watts, obj analysis.Objective, now units.Seconds, relaxed bool, rsvs []*reservation) (Candidate, bool) {
-	if budget <= 0 {
-		return Candidate{}, false
-	}
-	refTp, ok := s.referenceTp(j)
-	if !ok {
-		return Candidate{}, false
-	}
+func (c *AdmitContext) search(e *entry, refTp units.Seconds, budget units.Watts, obj analysis.Objective) (Candidate, int) {
+	s, j, now := c.s, &e.job, c.now
 	maxTp := units.Seconds(float64(refTp) * s.perfSlack())
-	// Under a plan, the control cap at now is loop-invariant: hoist it
-	// so each candidate pays only its own lifetime-window walk.
-	var ctrl units.Watts
-	if s.effPlan != nil {
-		ctrl = s.controlCap(now)
-	}
 	var best, bestDL Candidate
-	found, foundDL := false, false
-	anyWidth := false
+	stage, foundDL := stageNone, false
+	var wbuf [maxWidths]int
 	for pi := range s.pools {
 		ps := &s.pools[pi]
-		ws := j.widths(free[pi])
-		if len(ws) == 0 {
-			continue
-		}
-		anyWidth = true
-		for _, p := range ws {
+		for _, p := range j.widths(wbuf[:0], c.free[pi]) {
+			stage = max(stage, stageWidth)
 			row, err := ps.cache.Row(j.ID, j.Vector, j.N, p)
 			if err != nil {
 				// Match the offline enumeration: a model failure anywhere in
 				// the grid voids the whole search rather than silently
 				// shrinking it.
-				return Candidate{}, false
+				return Candidate{}, stageModel
 			}
-			if !relaxed && fastestTp(row) > maxTp {
+			if !c.relaxed && fastestTp(row) > maxTp {
 				continue
 			}
-			for fi := range ps.ladder {
-				cost := s.marginalCost(pi, row.Draw[fi], p)
-				// Restarted jobs are priced at their remaining work plus
-				// the restart surcharge; predTp is the full Tp otherwise.
-				tp := s.predTp(j.ID, row, fi)
-				allowed := budget
-				if s.effPlan != nil {
-					allowed = s.narrowToLifetime(ctrl, now, budget, tp)
-				}
-				if cost > allowed {
-					continue
-				}
-				pred := row.Pred[fi]
-				pred.Tp = tp
-				c := Candidate{
-					Pool:  pi,
-					Point: analysis.Point{Pool: ps.name, P: p, Freq: ps.ladder[fi], N: j.N, Prediction: pred},
-					Cost:  cost,
-				}
-				if !permitted(rsvs, j.ID, now, c) {
-					continue
-				}
-				if !found || obj.Better(c.Point, best.Point) {
-					best, found = c, true
-				}
-				if j.Deadline > 0 && now+c.Tp <= j.Arrival+j.Deadline {
-					if !foundDL || obj.Better(c.Point, bestDL.Point) {
-						bestDL, foundDL = c, true
-					}
-				}
-			}
-		}
-	}
-	if !anyWidth {
-		return Candidate{}, false
-	}
-	if foundDL {
-		return bestDL, true
-	}
-	return best, found
-}
-
-// blockReason classifies why a queued job was not admitted at the edge
-// that just settled: it replays bestCandidate's grid walk against the
-// live cluster state, recording which rule eliminated the last
-// surviving candidates. Telemetry-only (the admission path never calls
-// it), so the extra grid walk costs nothing when tracing is off; the
-// rows are op-cache hits either way.
-func (s *Scheduler) blockReason(j Job) string {
-	free := s.freeByPool()
-	budget := s.headroom()
-	now := s.cl.Kernel().Now()
-	refTp, ok := s.referenceTp(j)
-	if !ok {
-		return "model: no width of any pool evaluates"
-	}
-	maxTp := units.Seconds(float64(refTp) * s.perfSlack())
-	var ctrl units.Watts
-	if s.effPlan != nil {
-		ctrl = s.controlCap(now)
-	}
-	anyWidth, anyEligible, fitsBudget, fitsPlan := false, false, false, false
-	for pi := range s.pools {
-		ps := &s.pools[pi]
-		ws := j.widths(free[pi])
-		if len(ws) == 0 {
-			continue
-		}
-		anyWidth = true
-		for _, p := range ws {
-			row, err := ps.cache.Row(j.ID, j.Vector, j.N, p)
-			if err != nil {
-				return "model: a grid row fails to evaluate"
-			}
-			if fastestTp(row) > maxTp {
-				continue
-			}
-			anyEligible = true
+			stage = max(stage, stageSlack)
 			for fi := range ps.ladder {
 				cost := s.marginalCost(pi, row.Draw[fi], p)
 				if cost > budget {
 					continue
 				}
-				fitsBudget = true
-				tp := s.predTp(j.ID, row, fi)
-				if s.effPlan != nil && cost > s.narrowToLifetime(ctrl, now, budget, tp) {
+				stage = max(stage, stageBudget)
+				// Restarted jobs are priced at their remaining work plus
+				// the restart surcharge; predTp is the full Tp otherwise.
+				tp := s.predTp(e, row, fi)
+				if cost > s.narrowToLifetime(c.ctrl, now, budget, tp) {
 					continue
 				}
-				fitsPlan = true
+				stage = max(stage, stagePlan)
 				pred := row.Pred[fi]
 				pred.Tp = tp
-				c := Candidate{
+				cand := Candidate{
 					Pool:  pi,
 					Point: analysis.Point{Pool: ps.name, P: p, Freq: ps.ladder[fi], N: j.N, Prediction: pred},
 					Cost:  cost,
 				}
-				if !permitted(s.rsvs, j.ID, now, c) {
+				if !permitted(c.rsvs, e, now, cand) {
 					continue
 				}
-				return "policy: a feasible point exists but the policy declined it"
+				if stage < stageFeasible || obj.Better(cand.Point, best.Point) {
+					best, stage = cand, stageFeasible
+				}
+				if j.Deadline > 0 && now+cand.Tp <= j.Arrival+j.Deadline {
+					if !foundDL || obj.Better(cand.Point, bestDL.Point) {
+						bestDL, foundDL = cand, true
+					}
+				}
 			}
 		}
 	}
-	switch {
-	case !anyWidth:
-		return fmt.Sprintf("ranks: no candidate width fits the %d free ranks", sum(free))
-	case !anyEligible:
-		return fmt.Sprintf("perf-slack: every width that fits free ranks runs over %.1fx the job's fastest time", s.perfSlack())
-	case !fitsBudget:
-		return fmt.Sprintf("watts: no eligible point fits the %.1f W headroom", float64(budget))
-	case !fitsPlan:
-		return "plan-min-cap: fits the current window but not the minimum cap over its predicted lifetime"
-	default:
-		return "reservation: every affordable point would delay a reserved start"
+	if foundDL {
+		return bestDL, stageFeasible
 	}
+	return best, stage
 }
 
-// sum totals an int slice.
-func sum(xs []int) int {
-	n := 0
-	for _, x := range xs {
-		n += x
+// blockReason classifies why a queued job was not admitted at the edge
+// that just settled: it repeats the search, unfiltered, against the
+// context's cluster state and whole headroom, and names the rule that
+// eliminated the last surviving candidates. Telemetry-only (the
+// admission path never calls it), so the extra grid walk costs nothing
+// when tracing is off; the rows are op-cache hits either way.
+func (c *AdmitContext) blockReason(e *entry) string {
+	refTp, ok := c.s.referenceTp(e)
+	if !ok {
+		return "model: no width of any pool evaluates"
 	}
-	return n
+	switch _, stage := c.search(e, refTp, c.headroom, analysis.MaxEE); stage {
+	case stageModel:
+		return "model: a grid row fails to evaluate"
+	case stageNone:
+		return fmt.Sprintf("ranks: no candidate width fits the %d free ranks", c.FreeRanks())
+	case stageWidth:
+		return fmt.Sprintf("perf-slack: every width that fits free ranks runs over %.1fx the job's fastest time", c.s.perfSlack())
+	case stageSlack:
+		return fmt.Sprintf("watts: no eligible point fits the %.1f W headroom", float64(c.headroom))
+	case stageBudget:
+		return "plan-min-cap: fits the current window but not the minimum cap over its predicted lifetime"
+	case stagePlan:
+		return "reservation: every affordable point would delay a reserved start"
+	default:
+		return "policy: a feasible point exists but the policy declined it"
+	}
 }
 
 // fastestTp returns a row's best runtime over the ladder.
@@ -291,35 +229,93 @@ func fastestTp(row *opcache.Row) units.Seconds {
 	return min
 }
 
-// referenceTp returns (caching per job) the unconstrained fastest
-// runtime over every pool's full provisioned width range — the
+// poolFloor is one pool's share of a job's admissibility floor: what
+// any slack-eligible point of the job in that pool needs at least.
+type poolFloor struct {
+	p    int         // narrowest slack-eligible width; math.MaxInt when none is
+	cost units.Watts // cheapest marginal draw over the eligible (p, f) points
+}
+
+// referenceTp returns (pricing the job on first use) the unconstrained
+// fastest runtime over every pool's full provisioned width range — the
 // service-quality yardstick the width-slack rule measures against. A
 // model failure anywhere voids the job's search, exactly like the
-// per-candidate rule in bestCandidate.
-func (s *Scheduler) referenceTp(j Job) (units.Seconds, bool) {
-	if tp, ok := s.refFastest[j.ID]; ok {
-		return tp, tp > 0
+// per-candidate rule in Best.
+//
+// The same rows fix the job's admissibility floor for its lifetime:
+// slack eligibility compares a row to the reference, and a point's cost
+// is a property of the row — neither moves with cluster state, restarts
+// or the cap timeline.
+func (s *Scheduler) referenceTp(e *entry) (units.Seconds, bool) {
+	if e.refTp != 0 {
+		return e.refTp, e.refTp > 0
 	}
-	min := units.Seconds(0)
+	j := &e.job
+	e.refTp = -1
+	type pricedRow struct {
+		pool, p int
+		row     *opcache.Row
+	}
+	var grid []pricedRow
+	var wbuf [maxWidths]int
+	ref := units.Seconds(0)
 	for pi := range s.pools {
 		ps := &s.pools[pi]
-		for _, p := range j.widths(ps.size) {
+		for _, p := range j.widths(wbuf[:0], ps.size) {
 			row, err := ps.cache.Row(j.ID, j.Vector, j.N, p)
 			if err != nil {
-				s.refFastest[j.ID] = -1
 				return 0, false
 			}
-			if tp := fastestTp(row); min == 0 || tp < min {
-				min = tp
+			if tp := fastestTp(row); ref == 0 || tp < ref {
+				ref = tp
 			}
+			grid = append(grid, pricedRow{pi, p, row})
 		}
 	}
-	if min <= 0 {
-		s.refFastest[j.ID] = -1
+	if ref <= 0 {
 		return 0, false
 	}
-	s.refFastest[j.ID] = min
-	return min, true
+	e.refTp = ref
+	maxTp := units.Seconds(float64(ref) * s.perfSlack())
+	e.floor = make([]poolFloor, len(s.pools))
+	for pi := range e.floor {
+		e.floor[pi] = poolFloor{p: math.MaxInt, cost: units.Watts(math.Inf(1))}
+	}
+	for _, g := range grid {
+		if fastestTp(g.row) > maxTp {
+			continue
+		}
+		fl := &e.floor[g.pool]
+		fl.p = min(fl.p, g.p)
+		for _, draw := range g.row.Draw {
+			fl.cost = min(fl.cost, s.marginalCost(g.pool, draw, g.p))
+		}
+	}
+	return ref, true
+}
+
+// belowFloor reports that no slack-eligible point of a priced job can
+// fit the given free ranks and budget — a necessary condition read off
+// the cached floor in O(pools), never a verdict the grid walk would
+// contradict. Only the widths referenceTp priced are covered: free ranks
+// that cap the range at an unpriced width (neither a power of two nor a
+// bound of the job's range) send the search to the grid.
+func (s *Scheduler) belowFloor(e *entry, free []int, budget units.Watts) bool {
+	lo := e.job.minWidth()
+	for pi, fl := range e.floor {
+		top := min(e.job.MaxWidth, s.pools[pi].size)
+		hi := min(top, free[pi])
+		if hi < lo {
+			continue
+		}
+		if hi != lo && hi != top && hi&(hi-1) != 0 {
+			return false
+		}
+		if hi >= fl.p && budget >= fl.cost {
+			return false
+		}
+	}
+	return true
 }
 
 // profileLadder returns the job's cached ladder row at width p on the

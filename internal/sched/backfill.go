@@ -49,26 +49,26 @@ import (
 // work that outlives the reserved start; admissions and governor boosts
 // draw them down.
 type reservation struct {
-	jobID int
-	at    units.Seconds // reserved (shadow) start time
-	dur   units.Seconds // predicted runtime of the reserved candidate
-	pool  int           // reserved pool
-	p     int           // reserved width
-	cost  units.Watts   // reserved marginal draw
+	e    *entry        // the blocked job holding the promise
+	at   units.Seconds // reserved (shadow) start time
+	dur  units.Seconds // predicted runtime of the reserved candidate
+	pool int           // reserved pool
+	p    int           // reserved width
+	cost units.Watts   // reserved marginal draw
 
 	extraRanks []int // per pool, indexed like Scheduler.pools
 	extraWatts units.Watts
 }
 
-// permits reports whether admitting jobID at candidate c now would keep
+// permits reports whether admitting job e at candidate c now would keep
 // the reservation intact: the reserved job itself is exempt, jobs whose
 // predicted run does not overlap the reserved occupancy [at, at+dur)
 // never touch it — completion before the reserved start, or (in a
 // shadow probe at a future state) a start after the reserved job has
 // drained — and anything else must fit the spare capacity of its own
 // pool. A nil reservation permits everything.
-func (r *reservation) permits(jobID int, now units.Seconds, c Candidate) bool {
-	if r == nil || jobID == r.jobID {
+func (r *reservation) permits(e *entry, now units.Seconds, c Candidate) bool {
+	if r == nil || e == r.e {
 		return true
 	}
 	if now+c.Tp <= r.at || now >= r.at+r.dur {
@@ -80,9 +80,9 @@ func (r *reservation) permits(jobID int, now units.Seconds, c Candidate) bool {
 // permitted reports whether every active reservation permits the
 // candidate — the conservative multi-reservation contract: an admission
 // may delay none of the reserved starts.
-func permitted(rsvs []*reservation, jobID int, now units.Seconds, c Candidate) bool {
+func permitted(rsvs []*reservation, e *entry, now units.Seconds, c Candidate) bool {
 	for _, r := range rsvs {
-		if !r.permits(jobID, now, c) {
+		if !r.permits(e, now, c) {
 			return false
 		}
 	}
@@ -135,12 +135,12 @@ func (b backfillPolicy) Admit(ctx *AdmitContext) {
 	// head in turn gets an exclusive pass over the whole remaining
 	// capacity — nothing bypasses it while it is startable.
 	for {
-		head, ok := ctx.head()
-		if !ok {
+		head := ctx.head()
+		if head == nil {
 			return // queue drained into admissions
 		}
 		before := len(ctx.admitted)
-		ctx.only = &head.ID
+		ctx.only = head
 		b.inner.Admit(ctx)
 		ctx.only = nil
 		if len(ctx.admitted) == before {
@@ -154,26 +154,26 @@ func (b backfillPolicy) Admit(ctx *AdmitContext) {
 	// jobs, each shadow walk replaying the earlier reservations. A job
 	// that can start right now under the reservations so far is simply
 	// started — it needs no promise.
-	head, _ := ctx.head()
+	head := ctx.head()
 	var rsvs []*reservation
 	if rsv := ctx.s.computeReservation(head, b.inner, ctx, nil); rsv != nil {
 		rsvs = append(rsvs, rsv)
-		for _, j := range ctx.Pending() {
+		for e := range ctx.Queued() {
 			if len(rsvs) >= b.k {
 				break
 			}
-			if j.ID == head.ID {
+			if e == head {
 				continue
 			}
 			ctx.rsvs = rsvs
 			before := len(ctx.admitted)
-			ctx.only = &j.ID
+			ctx.only = e
 			b.inner.Admit(ctx)
 			ctx.only = nil
 			if len(ctx.admitted) > before {
 				continue // startable now; no reservation needed
 			}
-			if rsv := ctx.s.computeReservation(j, b.inner, ctx, rsvs); rsv != nil {
+			if rsv := ctx.s.computeReservation(e, b.inner, ctx, rsvs); rsv != nil {
 				rsvs = append(rsvs, rsv)
 			}
 		}
@@ -208,7 +208,7 @@ func (b backfillPolicy) Admit(ctx *AdmitContext) {
 // is guaranteed a reservation, which is the liveness bound. Returns nil
 // when there is nothing running to wait for or the job is infeasible
 // even on the drained cluster.
-func (s *Scheduler) computeReservation(head Job, inner Policy, ctx *AdmitContext, prior []*reservation) *reservation {
+func (s *Scheduler) computeReservation(head *entry, inner Policy, ctx *AdmitContext, prior []*reservation) *reservation {
 	var t0 int64
 	if s.hst != nil {
 		t0 = s.hst.Begin()
@@ -222,7 +222,7 @@ func (s *Scheduler) computeReservation(head Job, inner Policy, ctx *AdmitContext
 
 // shadowWalk is computeReservation's body, split out so the host phase
 // timer wraps every return path.
-func (s *Scheduler) shadowWalk(head Job, inner Policy, ctx *AdmitContext, prior []*reservation) *reservation {
+func (s *Scheduler) shadowWalk(head *entry, inner Policy, ctx *AdmitContext, prior []*reservation) *reservation {
 	type event struct {
 		t     units.Seconds
 		id    int
@@ -241,13 +241,13 @@ func (s *Scheduler) shadowWalk(head Job, inner Policy, ctx *AdmitContext, prior 
 		})
 	}
 	for _, adm := range ctx.admitted {
-		evs = append(evs, event{t: ctx.now + adm.cand.Tp, id: adm.jobID, pool: adm.cand.Pool, ranks: adm.cand.P, watts: adm.cand.Cost})
+		evs = append(evs, event{t: ctx.now + adm.cand.Tp, id: adm.e.job.ID, pool: adm.cand.Pool, ranks: adm.cand.P, watts: adm.cand.Cost})
 	}
 	for _, r := range prior {
 		// An earlier reservation occupies its promised capacity between
 		// its reserved start and its predicted completion.
-		evs = append(evs, event{t: r.at, id: r.jobID, pool: r.pool, ranks: -r.p, watts: -r.cost})
-		evs = append(evs, event{t: r.at + r.dur, id: r.jobID, pool: r.pool, ranks: r.p, watts: r.cost})
+		evs = append(evs, event{t: r.at, id: r.e.job.ID, pool: r.pool, ranks: -r.p, watts: -r.cost})
+		evs = append(evs, event{t: r.at + r.dur, id: r.e.job.ID, pool: r.pool, ranks: r.p, watts: r.cost})
 	}
 	if len(evs) == 0 {
 		return nil
@@ -279,7 +279,7 @@ func (s *Scheduler) shadowWalk(head Job, inner Policy, ctx *AdmitContext, prior 
 			extra := append([]int(nil), free...)
 			extra[cand.Pool] -= cand.P
 			return &reservation{
-				jobID:      head.ID,
+				e:          head,
 				at:         e.t,
 				dur:        cand.Tp,
 				pool:       cand.Pool,
@@ -293,19 +293,21 @@ func (s *Scheduler) shadowWalk(head Job, inner Policy, ctx *AdmitContext, prior 
 	return nil
 }
 
-// shadowCandidate asks the inner policy whether it would start job j on
+// shadowCandidate asks the inner policy whether it would start job e on
 // a hypothetical cluster with the given per-pool free ranks and power
 // headroom at virtual time at, and with which candidate. Earlier
 // reservations constrain the probe exactly as they constrain real
 // admissions. The probe context never mutates scheduler state.
-func (s *Scheduler) shadowCandidate(inner Policy, j Job, free []int, watts units.Watts, at units.Seconds, relaxed bool, prior []*reservation) (Candidate, bool) {
+func (s *Scheduler) shadowCandidate(inner Policy, e *entry, free []int, watts units.Watts, at units.Seconds, relaxed bool, prior []*reservation) (Candidate, bool) {
+	one := []*entry{e}
 	sctx := &AdmitContext{
 		s:        s,
 		now:      at,
+		ctrl:     s.controlCap(at),
 		free:     append([]int(nil), free...),
 		headroom: watts,
-		queue:    []Job{j},
-		taken:    make(map[int]bool),
+		queue:    one,
+		prio:     one,
 		relaxed:  relaxed,
 		shadow:   true,
 		rsvs:     prior,

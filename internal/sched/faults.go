@@ -304,7 +304,7 @@ func (s *Scheduler) killJob(rj *runningJob) {
 	e.res.Restarts++
 	e.res.State = Queued
 	e.res.Backfilled = false
-	s.queue = append(s.queue, e)
+	s.enqueue(e)
 }
 
 // lose finalises a job as permanently lost to failures.
@@ -416,18 +416,14 @@ func (s *Scheduler) armCheckpoint(rj *runningJob) {
 	})
 }
 
-// predTp is the admission-side predicted runtime of job id at ladder
+// predTp is the admission-side predicted runtime of job e at ladder
 // index fi of row: the full model runtime, or — for a job resuming
 // from a kill — its unfinished fraction plus the restart surcharge.
 // Admission, backfill's shadow walk and the deadline rule all price
 // restarted jobs through this one hook.
-func (s *Scheduler) predTp(id int, row *opcache.Row, fi int) units.Seconds {
+func (s *Scheduler) predTp(e *entry, row *opcache.Row, fi int) units.Seconds {
 	tp := row.Pred[fi].Tp
-	if s.flt == nil {
-		return tp
-	}
-	e, ok := s.entries[id]
-	if !ok || (e.saved == 0 && e.res.Restarts == 0) {
+	if s.flt == nil || (e.saved == 0 && e.res.Restarts == 0) {
 		return tp
 	}
 	return row.PartialTp(fi, 1-e.saved) + s.flt.plan.RestartCost

@@ -90,7 +90,7 @@ func (j Job) validate() error {
 }
 
 // minWidth returns the effective lower width bound.
-func (j Job) minWidth() int {
+func (j *Job) minWidth() int {
 	if j.MinWidth < 1 {
 		return 1
 	}
@@ -98,35 +98,33 @@ func (j Job) minWidth() int {
 }
 
 // priority returns the effective priority weight.
-func (j Job) priority() int {
+func (j *Job) priority() int {
 	if j.Priority < 1 {
 		return 1
 	}
 	return j.Priority
 }
 
-// widths enumerates the candidate rank counts for the job on a cluster
-// with the given free capacity: powers of two within [MinWidth,
-// min(MaxWidth, free)], plus the exact bounds when they are not powers
-// of two themselves.
-func (j Job) widths(free int) []int {
-	lo, hi := j.minWidth(), j.MaxWidth
-	if hi > free {
-		hi = free
-	}
+// maxWidths sizes the stack buffers grid searches enumerate widths into:
+// pools up to 2^14 ranks fit, a longer enumeration merely allocates.
+const maxWidths = 16
+
+// widths appends to ws the candidate rank counts for the job on a
+// cluster with the given free capacity, ascending: powers of two within
+// [MinWidth, min(MaxWidth, free)], plus the exact bounds when they are
+// not powers of two themselves.
+func (j *Job) widths(ws []int, free int) []int {
+	lo, hi := j.minWidth(), min(j.MaxWidth, free)
 	if hi < lo {
-		return nil
+		return ws
 	}
-	var ws []int
-	for w := 1; w <= hi; w *= 2 {
-		if w >= lo {
+	ws = append(ws, lo)
+	for w := 1; w < hi; w *= 2 {
+		if w > lo {
 			ws = append(ws, w)
 		}
 	}
-	if len(ws) == 0 || ws[0] != lo {
-		ws = append([]int{lo}, ws...)
-	}
-	if ws[len(ws)-1] != hi {
+	if hi > lo {
 		ws = append(ws, hi)
 	}
 	return ws

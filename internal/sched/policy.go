@@ -1,7 +1,7 @@
 package sched
 
 import (
-	"sort"
+	"iter"
 
 	"repro/internal/analysis"
 	"repro/internal/machine"
@@ -10,36 +10,44 @@ import (
 
 // Policy decides which queued jobs start, and at which (pool, p, f)
 // operating points, whenever cluster capacity changes. Policies are
-// stateless; everything they may inspect or do flows through the
-// AdmitContext.
+// stateless and live in this package; everything they may inspect or do
+// flows through the AdmitContext.
 type Policy interface {
 	// Name labels the policy in reports.
 	Name() string
 	// DVFS reports whether the runtime governor may retune this
 	// policy's jobs after admission.
 	DVFS() bool
-	// Admit inspects ctx.Pending() and calls ctx.Admit for every job to
-	// start now. The context tracks remaining per-pool ranks and
-	// headroom as admissions accumulate.
+	// Admit ranges over ctx.Queued() or ctx.Prioritized() and calls
+	// ctx.Admit for every job to start now. The context tracks
+	// remaining per-pool ranks and headroom as admissions accumulate.
 	Admit(ctx *AdmitContext)
 }
 
 // AdmitContext is the view of the cluster a Policy decides against, plus
-// the mutation point (Admit) through which decisions are returned.
+// the mutation point (Admit) through which decisions are returned. A
+// live context reads the scheduler's queue and priority view in place
+// and marks admissions on the entries themselves: nothing is copied.
 type AdmitContext struct {
 	s   *Scheduler
 	now units.Seconds
+	// ctrl is the control cap at now, the reference the
+	// min-over-lifetime rule narrows budgets against.
+	ctrl units.Watts
 
-	free     []int // per-pool free ranks, indexed like Pools()
+	free     []int // per-pool free ranks, indexed like Scheduler.pools
 	headroom units.Watts
-	queue    []Job
-	admitted []admission
-	taken    map[int]bool
-	relaxed  bool
+	// queue and prio are the waiting jobs in insertion and in priority
+	// order: the scheduler's own slices on a live pass, the single
+	// probed entry on a shadow one.
+	queue, prio []*entry
+	admitted    []admission
+	relaxed     bool
 
-	// only restricts Pending to one job ID — how the Backfill wrapper
-	// gives the queue head an exclusive, unconstrained admission shot.
-	only *int
+	// only restricts Queued and Prioritized to one job — how the
+	// Backfill wrapper gives the queue head an exclusive, unconstrained
+	// admission shot.
+	only *entry
 	// rsvs constrain admissions to ones that neither delay the reserved
 	// start of any blocked, reserved job nor eat its reserved per-pool
 	// ranks or watts.
@@ -54,14 +62,27 @@ type AdmitContext struct {
 }
 
 type admission struct {
-	jobID      int
+	e          *entry
 	cand       Candidate
 	backfilled bool
 }
 
-// Pools returns the platform's node pools in rank order — the pool
-// indices every Candidate and per-pool accessor refer to.
-func (c *AdmitContext) Pools() []machine.NodePool { return c.s.cfg.Platform.Pools }
+// liveContext opens a context on the cluster's current state, for an
+// admission pass or the telemetry edge's block-reason replay. Its free
+// ranks are the scheduler's one scratch slice: one live context at a time.
+func (s *Scheduler) liveContext(relaxed bool) *AdmitContext {
+	now := s.cl.Kernel().Now()
+	return &AdmitContext{
+		s:        s,
+		now:      now,
+		ctrl:     s.controlCap(now),
+		free:     s.freeByPool(),
+		headroom: s.headroom(),
+		queue:    s.queue,
+		prio:     s.prio,
+		relaxed:  relaxed,
+	}
+}
 
 // NumPools returns how many node pools the platform has.
 func (c *AdmitContext) NumPools() int { return len(c.s.pools) }
@@ -71,19 +92,6 @@ func (c *AdmitContext) PoolSpec(i int) machine.Spec { return c.s.pools[i].spec }
 
 // PoolSize returns the provisioned rank count of pool i.
 func (c *AdmitContext) PoolSize(i int) int { return c.s.pools[i].size }
-
-// SpecOf returns the node-type spec hosting a global rank.
-func (c *AdmitContext) SpecOf(rank int) machine.Spec { return c.s.cl.SpecOf(rank) }
-
-// Now returns the current virtual time.
-func (c *AdmitContext) Now() units.Seconds { return c.now }
-
-// Cap returns the cluster power budget in force at the context's time
-// (constant, or the plan window containing Now).
-func (c *AdmitContext) Cap() units.Watts { return c.s.capAt(c.now) }
-
-// TotalRanks returns the provisioned cluster size over all pools.
-func (c *AdmitContext) TotalRanks() int { return c.s.cl.Ranks() }
 
 // FreeRanks returns the ranks not yet claimed in any pool, including by
 // admissions already made through this context.
@@ -103,59 +111,79 @@ func (c *AdmitContext) FreeRanksIn(i int) int { return c.free[i] }
 // draws of running jobs and of admissions already made here.
 func (c *AdmitContext) Headroom() units.Watts { return c.headroom }
 
-// Pending returns the arrived, waiting jobs in arrival order, minus
+// Queued yields the waiting jobs in queue (insertion) order, skipping
 // those already admitted through this context.
-func (c *AdmitContext) Pending() []Job {
-	out := make([]Job, 0, len(c.queue))
-	for _, j := range c.queue {
-		if c.taken[j.ID] {
-			continue
-		}
-		if c.only != nil && *c.only != j.ID {
-			continue
-		}
-		out = append(out, j)
-	}
-	return out
-}
+func (c *AdmitContext) Queued() iter.Seq[*entry] { return c.pending(c.queue) }
 
-// head returns the oldest pending job (arrival order; same-time
-// arrivals keep submission order) — the job EASY-style backfill
-// protects with a reservation.
-func (c *AdmitContext) head() (Job, bool) {
-	for _, j := range c.queue {
-		if !c.taken[j.ID] {
-			return j, true
+// Prioritized yields the same jobs in the EE-aware policies' order:
+// priority descending, then arrival, then ID.
+func (c *AdmitContext) Prioritized() iter.Seq[*entry] { return c.pending(c.prio) }
+
+func (c *AdmitContext) pending(view []*entry) iter.Seq[*entry] {
+	return func(yield func(*entry) bool) {
+		if c.only != nil {
+			if !c.taken(c.only) {
+				yield(c.only)
+			}
+			return
+		}
+		for _, e := range view {
+			if !c.taken(e) && !yield(e) {
+				return
+			}
 		}
 	}
-	return Job{}, false
 }
 
-// Best searches every pool's width range × DVFS ladder for the best
-// operating point under obj whose marginal power cost fits budget
-// (admission.go documents the cost model, the performance-slack rule,
-// deadline preference, the min-over-lifetime rule under a cap
-// timeline, and the pool scan order). While backfill reservations are
-// active, only points they all permit are considered. ok is false when
-// the job should wait.
-func (c *AdmitContext) Best(j Job, budget units.Watts, obj analysis.Objective) (Candidate, bool) {
-	return c.s.bestCandidate(j, c.free, budget, obj, c.now, c.relaxed, c.rsvs)
+// taken reports whether e was already admitted through this context. A
+// live pass marks the entry itself; a shadow probe, whose single entry
+// belongs to the pass that spawned it, counts its one possible admission.
+func (c *AdmitContext) taken(e *entry) bool {
+	if c.shadow {
+		return len(c.admitted) > 0
+	}
+	return e.taken
 }
 
-// At prices one explicit (pool, p, f) point for the job; ok is false
-// when the point is invalid, needs more ranks than the pool has free,
-// exceeds the context's remaining headroom (narrowed, under a cap
-// timeline, to the minimum budget window the job would live through),
-// or would eat an active backfill reservation.
-func (c *AdmitContext) At(j Job, pool, p int, f units.Hertz) (Candidate, bool) {
+// head returns the first pending job in queue order — insertion order,
+// so a requeued job stands behind everything already waiting, whatever
+// its arrival time. It is the job EASY-style backfill protects with a
+// reservation.
+func (c *AdmitContext) head() *entry {
+	for e := range c.Queued() {
+		return e
+	}
+	return nil
+}
+
+// At prices one explicit (pool, p, f) point for the job — a single
+// op-cache lookup after the first evaluation; ok is false when the
+// point is invalid, needs more ranks than the pool has free, exceeds
+// the context's remaining headroom (narrowed, under a cap timeline, to
+// the minimum budget window the job would live through), or would eat
+// an active backfill reservation.
+func (c *AdmitContext) At(e *entry, pool, p int, f units.Hertz) (Candidate, bool) {
 	if pool < 0 || pool >= len(c.free) || p < 1 || p > c.free[pool] {
 		return Candidate{}, false
 	}
-	cand, ok := c.s.candidateAt(j, pool, p, f)
-	if !ok || cand.Cost > c.s.budgetOverLifetime(c.now, c.headroom, cand.Tp) {
+	j, ps := &e.job, &c.s.pools[pool]
+	fi := ps.cache.LadderIndex(f)
+	if fi < 0 {
 		return Candidate{}, false
 	}
-	if !permitted(c.rsvs, j.ID, c.now, cand) {
+	row, err := ps.cache.Row(j.ID, j.Vector, j.N, p)
+	if err != nil {
+		return Candidate{}, false
+	}
+	pred := row.Pred[fi]
+	pred.Tp = c.s.predTp(e, row, fi)
+	cand := Candidate{
+		Pool:  pool,
+		Point: analysis.Point{Pool: ps.name, P: p, Freq: f, N: j.N, Prediction: pred},
+		Cost:  c.s.marginalCost(pool, row.Draw[fi], p),
+	}
+	if cand.Cost > c.s.narrowToLifetime(c.ctrl, c.now, c.headroom, cand.Tp) ||
+		!permitted(c.rsvs, e, c.now, cand) {
 		return Candidate{}, false
 	}
 	return cand, true
@@ -167,8 +195,8 @@ func (c *AdmitContext) At(j Job, pool, p int, f units.Hertz) (Candidate, bool) {
 // reservation's spare capacity). Admitting a job twice, or beyond the
 // free capacity, panics: policies are in-package and this is a logic
 // error.
-func (c *AdmitContext) Admit(j Job, cand Candidate) {
-	if c.taken[j.ID] {
+func (c *AdmitContext) Admit(e *entry, cand Candidate) {
+	if c.taken(e) {
 		panic("sched: job admitted twice in one pass")
 	}
 	if cand.P > c.free[cand.Pool] || cand.Cost > c.headroom {
@@ -176,7 +204,7 @@ func (c *AdmitContext) Admit(j Job, cand Candidate) {
 	}
 	backfilled := false
 	for _, rsv := range c.rsvs {
-		if j.ID == rsv.jobID {
+		if e == rsv.e {
 			continue
 		}
 		backfilled = true
@@ -193,35 +221,19 @@ func (c *AdmitContext) Admit(j Job, cand Candidate) {
 		}
 	}
 	if !c.shadow {
+		j := &e.job
 		for _, q := range c.queue {
-			if !c.taken[q.ID] && q.ID != j.ID &&
-				(q.Arrival < j.Arrival || (q.Arrival == j.Arrival && q.ID < j.ID)) {
+			if !q.taken && q != e &&
+				(q.job.Arrival < j.Arrival || (q.job.Arrival == j.Arrival && q.job.ID < j.ID)) {
 				c.bypasses++
 				break
 			}
 		}
+		e.taken = true
 	}
-	c.taken[j.ID] = true
 	c.free[cand.Pool] -= cand.P
 	c.headroom -= cand.Cost
-	c.admitted = append(c.admitted, admission{jobID: j.ID, cand: cand, backfilled: backfilled})
-}
-
-// byPriority orders jobs for the EE-aware policies: priority descending,
-// then arrival, then ID — deterministic for any input permutation.
-func byPriority(jobs []Job) []Job {
-	out := append([]Job(nil), jobs...)
-	sort.SliceStable(out, func(a, b int) bool {
-		ja, jb := out[a], out[b]
-		if ja.priority() != jb.priority() {
-			return ja.priority() > jb.priority()
-		}
-		if ja.Arrival != jb.Arrival {
-			return ja.Arrival < jb.Arrival
-		}
-		return ja.ID < jb.ID
-	})
-	return out
+	c.admitted = append(c.admitted, admission{e: e, cand: cand, backfilled: backfilled})
 }
 
 // --- FIFO + uniform frequency (baseline) ---
@@ -240,17 +252,14 @@ func (fifoPolicy) Name() string { return "fifo" }
 func (fifoPolicy) DVFS() bool   { return false }
 
 func (fifoPolicy) Admit(ctx *AdmitContext) {
-	for _, j := range ctx.Pending() {
+	for e := range ctx.Queued() {
 		for pi := 0; pi < ctx.NumPools(); pi++ {
-			p := j.MaxWidth
-			if sz := ctx.PoolSize(pi); p > sz {
-				p = sz
-			}
-			if p < j.minWidth() || p > ctx.FreeRanksIn(pi) {
+			p := min(e.job.MaxWidth, ctx.PoolSize(pi))
+			if p < e.job.minWidth() || p > ctx.FreeRanksIn(pi) {
 				continue
 			}
-			if cand, ok := ctx.At(j, pi, p, ctx.PoolSpec(pi).BaseFreq); ok {
-				ctx.Admit(j, cand)
+			if cand, ok := ctx.At(e, pi, p, ctx.PoolSpec(pi).BaseFreq); ok {
+				ctx.Admit(e, cand)
 				break
 			}
 		}
@@ -272,9 +281,9 @@ func (eeMaxPolicy) Name() string { return "ee-max" }
 func (eeMaxPolicy) DVFS() bool   { return true }
 
 func (eeMaxPolicy) Admit(ctx *AdmitContext) {
-	for _, j := range byPriority(ctx.Pending()) {
-		if cand, ok := ctx.Best(j, ctx.Headroom(), analysis.MaxEE); ok {
-			ctx.Admit(j, cand)
+	for e := range ctx.Prioritized() {
+		if cand, ok := ctx.Best(e, ctx.Headroom(), analysis.MaxEE); ok {
+			ctx.Admit(e, cand)
 		}
 	}
 }
@@ -295,30 +304,29 @@ func (fairSharePolicy) Name() string { return "fair-share" }
 func (fairSharePolicy) DVFS() bool   { return true }
 
 func (fairSharePolicy) Admit(ctx *AdmitContext) {
-	pending := byPriority(ctx.Pending())
 	total := 0
-	for _, j := range pending {
-		total += j.priority()
+	for e := range ctx.Prioritized() {
+		total += e.job.priority()
 	}
 	if total == 0 {
 		return
 	}
 	whole := ctx.Headroom()
-	for _, j := range pending {
-		share := units.Watts(float64(whole) * float64(j.priority()) / float64(total))
+	for e := range ctx.Prioritized() {
+		share := units.Watts(float64(whole) * float64(e.job.priority()) / float64(total))
 		if share > ctx.Headroom() {
 			share = ctx.Headroom()
 		}
-		if cand, ok := ctx.Best(j, share, analysis.MaxEE); ok {
-			ctx.Admit(j, cand)
+		if cand, ok := ctx.Best(e, share, analysis.MaxEE); ok {
+			ctx.Admit(e, cand)
 		}
 	}
 	// Work conservation: if the shares stranded everything, start the
 	// best single job the full remaining headroom can carry.
 	if len(ctx.admitted) == 0 {
-		for _, j := range pending {
-			if cand, ok := ctx.Best(j, ctx.Headroom(), analysis.MaxEE); ok {
-				ctx.Admit(j, cand)
+		for e := range ctx.Prioritized() {
+			if cand, ok := ctx.Best(e, ctx.Headroom(), analysis.MaxEE); ok {
+				ctx.Admit(e, cand)
 				return
 			}
 		}

@@ -60,7 +60,7 @@ func TestMultiReservationWhiteBox(t *testing.T) {
 			j := Job{ID: id, Vector: app.EP(), N: 1e7, MinWidth: 8, MaxWidth: 8}
 			e := &entry{job: j, res: JobResult{Job: j, State: Queued}}
 			s.entries[id] = e
-			s.queue = append(s.queue, e)
+			s.enqueue(e)
 		}
 		s.tryAdmit()
 		want := k
@@ -72,8 +72,8 @@ func TestMultiReservationWhiteBox(t *testing.T) {
 		}
 		prevAt := units.Seconds(-1)
 		for i, rsv := range s.rsvs {
-			if rsv.jobID != i {
-				t.Fatalf("k=%d: reservation %d is for job %d, want arrival order", k, i, rsv.jobID)
+			if rsv.e.job.ID != i {
+				t.Fatalf("k=%d: reservation %d is for job %d, want arrival order", k, i, rsv.e.job.ID)
 			}
 			if rsv.at <= prevAt {
 				t.Fatalf("k=%d: reservation %d start %v does not ascend past %v", k, i, rsv.at, prevAt)

@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/capplan"
@@ -156,11 +158,16 @@ type Scheduler struct {
 	owner  []*runningJob
 	meters []rankMeter
 
-	entries    map[int]*entry
-	refFastest map[int]units.Seconds // job ID → unconstrained fastest Tp (-1: model failure)
-	queue      []*entry              // arrived, waiting, arrival order
-	running    []*runningJob
-	remaining  int // jobs not yet Done/Rejected
+	entries map[int]*entry
+	// queue holds the arrived, waiting jobs in insertion order; requeues
+	// re-enter at the tail. prio, the priority view, holds the same
+	// entries ordered (priority desc, Arrival, ID): fully keyed, so
+	// insertion-independent. enqueue and prune are their only writers;
+	// admission passes iterate both in place.
+	queue, prio []*entry
+	running     []*runningJob
+	remaining   int   // jobs not yet Done/Rejected
+	freeBuf     []int // backs freeByPool's snapshot
 
 	// blocked records that the latest admission pass left jobs queued:
 	// until the next arrival or completion no admission can succeed, so
@@ -198,6 +205,14 @@ type entry struct {
 	// saved is the checkpointed progress fraction a killed job resumes
 	// from at its next dispatch (0 without checkpointing: start over).
 	saved float64
+	// taken marks the job admitted by the admission pass under way;
+	// admitPass clears it before the pass returns.
+	taken bool
+	// refTp and floor are the job's pricing, set at its first grid search
+	// (referenceTp): the unconstrained fastest runtime — 0 until priced,
+	// negative on a model failure — and the per-pool admissibility floor.
+	refTp units.Seconds
+	floor []poolFloor
 }
 
 // runningJob is the execution state of one dispatched job.
@@ -324,15 +339,15 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 
 	s := &Scheduler{
-		cfg:        cfg,
-		cl:         cl,
-		hst:        cfg.Obs,
-		cache:      cache,
-		lockstep:   cfg.Noise.ComputeJitter == 0 && cfg.Noise.MemoryJitter == 0,
-		owner:      make([]*runningJob, cfg.Ranks),
-		meters:     make([]rankMeter, cfg.Ranks),
-		entries:    make(map[int]*entry),
-		refFastest: make(map[int]units.Seconds),
+		cfg:      cfg,
+		cl:       cl,
+		hst:      cfg.Obs,
+		cache:    cache,
+		lockstep: cfg.Noise.ComputeJitter == 0 && cfg.Noise.MemoryJitter == 0,
+		owner:    make([]*runningJob, cfg.Ranks),
+		meters:   make([]rankMeter, cfg.Ranks),
+		entries:  make(map[int]*entry),
+		freeBuf:  make([]int, len(cfg.Platform.Pools)),
 	}
 	s.pools = make([]poolState, len(cfg.Platform.Pools))
 	for i, np := range cfg.Platform.Pools {
@@ -410,48 +425,32 @@ func (s *Scheduler) controlCap(t units.Seconds) units.Watts {
 	return s.effPlan.MinOver(t, t+s.cfg.Interval)
 }
 
-// lifetimeCap is the admission reference for a job predicted to run for
-// tp starting at t: the minimum cap over its residence plus one
-// trailing sampling window (the last window containing its draw ends up
-// to one interval after it completes). Charging the job's conservative
-// envelope against this minimum is what lets a schedule cross downward
-// budget steps with zero violations even for policies the governor
-// cannot retune (fifo has no DVFS to throttle at the step).
-func (s *Scheduler) lifetimeCap(t units.Seconds, tp units.Seconds) units.Watts {
-	if s.effPlan == nil {
-		return s.cfg.Cap
-	}
-	return s.effPlan.MinOver(t, t+tp+s.cfg.Interval)
-}
-
-// budgetOverLifetime narrows an admission budget (measured against the
-// control cap at now) by however much the cap timeline dips below that
-// control cap during a candidate's predicted residence. With no plan
-// the budget is returned unchanged.
-func (s *Scheduler) budgetOverLifetime(now units.Seconds, budget units.Watts, tp units.Seconds) units.Watts {
+// narrowToLifetime is the min-over-lifetime admission rule: a budget
+// measured against ctrl, the control cap at now, shrinks by however much
+// the cap timeline dips below ctrl while a job predicted to run for tp
+// is resident, plus one trailing sampling window (the last window
+// containing its draw ends up to one interval after it completes).
+// Charging the job's conservative envelope against that minimum is what
+// lets a schedule cross downward budget steps with zero violations even
+// for policies the governor cannot retune (fifo has no DVFS to throttle
+// at the step). With no plan the budget is returned unchanged.
+func (s *Scheduler) narrowToLifetime(ctrl units.Watts, now units.Seconds, budget units.Watts, tp units.Seconds) units.Watts {
 	if s.effPlan == nil {
 		return budget
 	}
-	return s.narrowToLifetime(s.controlCap(now), now, budget, tp)
-}
-
-// narrowToLifetime is the authoritative min-over-lifetime narrowing
-// rule, taking an already computed control cap so grid scans can hoist
-// the loop-invariant term (bestCandidate). Plan runs only.
-func (s *Scheduler) narrowToLifetime(ctrl units.Watts, now units.Seconds, budget units.Watts, tp units.Seconds) units.Watts {
-	if red := ctrl - s.lifetimeCap(now, tp); red > 0 {
+	if red := ctrl - s.effPlan.MinOver(now, now+tp+s.cfg.Interval); red > 0 {
 		return budget - red
 	}
 	return budget
 }
 
-// freeByPool snapshots each pool's free-rank count.
+// freeByPool snapshots each pool's free-rank count into the scheduler's
+// one scratch slice, valid until the next call (liveContext).
 func (s *Scheduler) freeByPool() []int {
-	out := make([]int, len(s.pools))
 	for i := range s.pools {
-		out[i] = len(s.pools[i].free)
+		s.freeBuf[i] = len(s.pools[i].free)
 	}
-	return out
+	return s.freeBuf
 }
 
 // largestPool returns the biggest provisioned pool size — the widest any
@@ -638,11 +637,32 @@ func (s *Scheduler) arrive(e *entry) {
 		s.reject(e, fmt.Sprintf("needs %d ranks, largest pool has %d", e.job.minWidth(), s.largestPool()))
 		return
 	}
-	s.queue = append(s.queue, e)
+	s.enqueue(e)
 	if s.tel != nil {
 		s.tel.emitArrive(e)
 	}
 	s.tryAdmit()
+}
+
+// enqueue appends a waiting job to the queue and files it in the
+// priority view.
+func (s *Scheduler) enqueue(e *entry) {
+	s.queue = append(s.queue, e)
+	i, _ := slices.BinarySearchFunc(s.prio, e, func(a, b *entry) int {
+		return cmp.Or(
+			cmp.Compare(b.job.priority(), a.job.priority()),
+			cmp.Compare(a.job.Arrival, b.job.Arrival),
+			cmp.Compare(a.job.ID, b.job.ID))
+	})
+	s.prio = slices.Insert(s.prio, i, e)
+}
+
+// prune drops every job that stopped waiting — started, rejected or
+// lost — from the queue and the priority view.
+func (s *Scheduler) prune() {
+	left := func(e *entry) bool { return e.res.State != Queued }
+	s.queue = slices.DeleteFunc(s.queue, left)
+	s.prio = slices.DeleteFunc(s.prio, left)
 }
 
 // reject finalises a job that can never run.
@@ -703,33 +723,26 @@ func (s *Scheduler) tryAdmit() {
 			admitted = s.admitPass(true)
 		}
 		if admitted == 0 {
+			// A time-varying budget makes an idle cluster a waiting room,
+			// not a dead end — but only for jobs some future window could
+			// actually admit. The same holds for lost capacity a pending
+			// repair will restore. Rejecting the rest now (rather than at
+			// the final breakpoint) keeps a short trace from idling the
+			// sampler across a long timeline.
 			planAhead := s.effPlan != nil && now < s.effPlan.End()
-			if planAhead || s.repairAhead(now) {
-				// A time-varying budget makes an idle cluster a waiting
-				// room, not a dead end — but only for jobs some future
-				// window could actually admit. The same holds for lost
-				// capacity a pending repair will restore. Rejecting the
-				// rest now (rather than at the final breakpoint) keeps a
-				// short trace from idling the sampler across a long
-				// timeline.
-				kept := s.queue[:0]
-				for _, e := range s.queue {
-					switch {
-					case s.feasibleEver(e.job, now):
-						kept = append(kept, e)
-					case planAhead:
-						s.finalize(e, "no operating point fits any budget window, even on an idle cluster")
-					default:
-						s.finalize(e, "no operating point fits the surviving capacity, even after every pending repair")
-					}
-				}
-				s.queue = kept
-				return
-			}
+			repairAhead := s.repairAhead(now)
 			for _, e := range s.queue {
-				s.finalize(e, fmt.Sprintf("no operating point fits cap %v even on an idle cluster", s.capAt(now)))
+				switch {
+				case (planAhead || repairAhead) && s.feasibleEver(e, now):
+				case planAhead:
+					s.finalize(e, "no operating point fits any budget window, even on an idle cluster")
+				case repairAhead:
+					s.finalize(e, "no operating point fits the surviving capacity, even after every pending repair")
+				default:
+					s.finalize(e, fmt.Sprintf("no operating point fits cap %v even on an idle cluster", s.capAt(now)))
+				}
 			}
-			s.queue = nil
+			s.prune()
 		}
 	}
 }
@@ -744,7 +757,7 @@ func (s *Scheduler) tryAdmit() {
 // repair will ever bring them back) but keeps ranks a repair will
 // restore, so a job wide enough only for the healed cluster parks
 // instead of dying.
-func (s *Scheduler) feasibleEver(j Job, now units.Seconds) bool {
+func (s *Scheduler) feasibleEver(e *entry, now units.Seconds) bool {
 	free := make([]int, len(s.pools))
 	for i := range s.pools {
 		free[i] = s.pools[i].size
@@ -757,11 +770,11 @@ func (s *Scheduler) feasibleEver(j Job, now units.Seconds) bool {
 		}
 	}
 	if s.effPlan == nil {
-		_, ok := s.shadowCandidate(s.cfg.Policy, j, free, s.controlCap(now)-s.idleFloor, now, true, nil)
+		_, ok := s.shadowCandidate(s.cfg.Policy, e, free, s.controlCap(now)-s.idleFloor, now, true, nil)
 		return ok
 	}
 	for t := now; ; {
-		if _, ok := s.shadowCandidate(s.cfg.Policy, j, free, s.controlCap(t)-s.idleFloor, t, true, nil); ok {
+		if _, ok := s.shadowCandidate(s.cfg.Policy, e, free, s.controlCap(t)-s.idleFloor, t, true, nil); ok {
 			return true
 		}
 		next, _, ok := s.effPlan.Next(t)
@@ -877,17 +890,7 @@ func (s *Scheduler) admitPass(relaxed bool) int {
 	if s.hst != nil {
 		t0 = s.hst.Begin()
 	}
-	ctx := &AdmitContext{
-		s:        s,
-		now:      s.cl.Kernel().Now(),
-		free:     s.freeByPool(),
-		headroom: s.headroom(),
-		taken:    make(map[int]bool),
-		relaxed:  relaxed,
-	}
-	for _, e := range s.queue {
-		ctx.queue = append(ctx.queue, e.job)
-	}
+	ctx := s.liveContext(relaxed)
 	s.cfg.Policy.Admit(ctx)
 	s.headBypasses += ctx.bypasses
 	if s.tel != nil {
@@ -897,16 +900,11 @@ func (s *Scheduler) admitPass(relaxed bool) int {
 	for i, adm := range ctx.admitted {
 		// Admitted jobs stay in s.queue until the prune below, so the
 		// post-admission depth subtracts the starts already dispatched.
-		s.start(s.entries[adm.jobID], adm.cand, adm.backfilled, len(s.queue)-(i+1))
+		adm.e.taken = false
+		s.start(adm.e, adm.cand, adm.backfilled, len(s.queue)-(i+1))
 	}
 	if len(ctx.admitted) > 0 {
-		kept := s.queue[:0]
-		for _, e := range s.queue {
-			if !ctx.taken[e.job.ID] {
-				kept = append(kept, e)
-			}
-		}
-		s.queue = kept
+		s.prune()
 	}
 	if s.hst != nil {
 		s.hst.End(obs.PhaseAdmission, t0)

@@ -112,22 +112,25 @@ func (t *schedTelemetry) onSample(sm power.Sample) {
 // point. Runs after edgeRetune so the snapshot reflects the settled
 // state.
 func (t *schedTelemetry) edge() {
-	now := t.s.cl.Kernel().Now()
+	// One snapshot of the settled state serves every blocked job's
+	// replay and the gauges.
+	view := t.s.liveContext(false)
+	view.rsvs = t.s.rsvs
 	for i, e := range t.s.queue {
 		t.rec.Emit(telemetry.Event{
 			Kind:   telemetry.EvAttempt,
 			Job:    e.job.ID,
 			App:    e.job.Vector.Name,
-			Reason: t.s.blockReason(e.job),
+			Reason: view.blockReason(e),
 			Queue:  len(t.s.queue) - i, // jobs at or behind this one
 		})
 	}
 	t.queueDepth.Set(float64(len(t.s.queue)))
-	t.headroomW.Set(float64(t.s.headroom()))
-	for i := range t.s.pools {
-		t.freeRanks[i].Set(float64(len(t.s.pools[i].free)))
+	t.headroomW.Set(float64(view.headroom))
+	for i, free := range view.free {
+		t.freeRanks[i].Set(float64(free))
 	}
-	t.rec.Metrics().Sample(now)
+	t.rec.Metrics().Sample(view.now)
 }
 
 // emitArrive records a job entering the queue.
@@ -200,14 +203,10 @@ func (t *schedTelemetry) emitFinish(rj *runningJob) {
 
 // emitReserve records a backfill promise.
 func (t *schedTelemetry) emitReserve(rsv *reservation) {
-	app := ""
-	if e, ok := t.s.entries[rsv.jobID]; ok {
-		app = e.job.Vector.Name
-	}
 	t.rec.Emit(telemetry.Event{
 		Kind:  telemetry.EvReserve,
-		Job:   rsv.jobID,
-		App:   app,
+		Job:   rsv.e.job.ID,
+		App:   rsv.e.job.Vector.Name,
 		Pool:  t.s.pools[rsv.pool].name,
 		P:     rsv.p,
 		Watts: rsv.cost,
