@@ -11,6 +11,7 @@ package repro_test
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"runtime"
@@ -410,59 +411,83 @@ func BenchmarkSchedule(b *testing.B) {
 	run("jobs4k/bf-ee-max", 4096, 2500, bfEEMax)
 }
 
-// BenchmarkScheduleTelemetry pins the observability cost model: the
-// "off" variant is the scheduler's normal disabled-telemetry path
-// (every emit site short-circuits on one nil test; see DESIGN.md §9 —
-// its allocs/op are the scheduler's own, with zero telemetry delta, a
-// claim the goldens pin byte-for-byte and the per-push BENCH artifacts
-// track across revisions), and the "memory" variant prices full
-// event-stream retention. Both report allocations so a regression in
-// either path shows up in the bench history.
+// BenchmarkScheduleTelemetry prices the observers per sink (ROADMAP 5d)
+// at the 1k-job tier of BenchmarkSchedule: "off" is the scheduler's
+// normal disabled-telemetry path (every emit site short-circuits on one
+// nil test; DESIGN.md §9), each other variant the same schedule with
+// that exporter streaming to io.Discard. ns/job, B/job and allocs/job
+// against the "off" row are what a schedrun -events/-rollup/-trace user
+// pays for looking; the events metric is the stream's length.
 func BenchmarkScheduleTelemetry(b *testing.B) {
-	trace := sched.SyntheticTrace(TraceConfig64())
-	run := func(b *testing.B, rec *telemetry.Recorder) sched.Result {
-		s, err := sched.New(sched.Config{
-			Platform:  machine.Homogeneous(machine.SystemG()),
-			Ranks:     64,
-			Cap:       2500,
-			Policy:    sched.Backfill(sched.EEMax()),
-			Seed:      1,
-			Telemetry: rec,
-		})
+	const jobs = 1024
+	trace := sched.SyntheticTrace(sched.TraceConfig{Jobs: jobs, Seed: 1})
+	ndjson := func() telemetry.Sink { return telemetry.NewNDJSONSink(io.Discard) }
+	rollup := func() telemetry.Sink {
+		s, err := telemetry.NewRollupSink(io.Discard, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := s.Run(trace)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res
+		return s
 	}
-	b.Run("off", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			run(b, nil)
-		}
-	})
-	b.Run("memory", func(b *testing.B) {
-		b.ReportAllocs()
-		events := 0
-		for i := 0; i < b.N; i++ {
-			mem := telemetry.NewMemorySink()
-			rec := telemetry.New(mem)
-			run(b, rec)
-			if err := rec.Err(); err != nil {
-				b.Fatal(err)
+	chrometrace := func() telemetry.Sink { return telemetry.NewChromeTraceSink(io.Discard) }
+	for _, v := range []struct {
+		name  string
+		sinks []func() telemetry.Sink
+	}{
+		{"off", nil},
+		{"ndjson", []func() telemetry.Sink{ndjson}},
+		{"rollup", []func() telemetry.Sink{rollup}},
+		{"chrometrace", []func() telemetry.Sink{chrometrace}},
+		{"ndjson+rollup", []func() telemetry.Sink{ndjson, rollup}},
+	} {
+		b.Run(v.name, func(b *testing.B) {
+			var events eventTally
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var rec *telemetry.Recorder
+				if v.sinks != nil {
+					events = 0
+					rec = telemetry.New(&events)
+					for _, mk := range v.sinks {
+						rec.AddSink(mk())
+					}
+				}
+				s, err := sched.New(sched.Config{
+					Platform:  machine.Homogeneous(machine.SystemG()),
+					Ranks:     64,
+					Cap:       2500,
+					Policy:    sched.Backfill(sched.EEMax()),
+					Seed:      1,
+					Telemetry: rec,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := s.Run(trace); err != nil {
+					b.Fatal(err)
+				}
+				if err := rec.Close(); err != nil {
+					b.Fatal(err)
+				}
 			}
-			events = len(mem.Events())
-		}
-		b.ReportMetric(float64(events), "events")
-	})
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			perJob := float64(b.N * jobs)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perJob, "ns/job")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/perJob, "B/job")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/perJob, "allocs/job")
+			b.ReportMetric(float64(events), "events")
+		})
+	}
 }
 
-// TraceConfig64 is the BenchmarkSchedule workload shape, shared so the
-// telemetry variant prices the same trace.
-func TraceConfig64() sched.TraceConfig { return sched.TraceConfig{Jobs: 64, Seed: 1} }
+// eventTally counts the events of a run; it costs one increment each.
+type eventTally int
+
+func (n *eventTally) Write(telemetry.Event) error { *n++; return nil }
+func (n *eventTally) Close() error                { return nil }
 
 // --- substrate micro-benchmarks ---
 

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/analysis"
@@ -53,7 +52,8 @@ func (s *Scheduler) marginalCost(pool int, draw units.Watts, p int) units.Watts 
 // The gates a candidate meets in the grid search, in order; a search's
 // stage is the last gate any of its candidates cleared.
 const (
-	stageModel    = iota - 1 // a grid row failed to evaluate
+	stageUnpriced = iota - 2 // no width of any pool evaluates (blockStage only)
+	stageModel               // a grid row failed to evaluate
 	stageNone                // no candidate width fits the free ranks
 	stageWidth               // a width fits
 	stageSlack               // … within the performance slack
@@ -189,33 +189,20 @@ func (c *AdmitContext) search(e *entry, refTp units.Seconds, budget units.Watts,
 	return best, stage
 }
 
-// blockReason classifies why a queued job was not admitted at the edge
+// blockStage classifies why a queued job was not admitted at the edge
 // that just settled: it repeats the search, unfiltered, against the
-// context's cluster state and whole headroom, and names the rule that
-// eliminated the last surviving candidates. Telemetry-only (the
-// admission path never calls it), so the extra grid walk costs nothing
-// when tracing is off; the rows are op-cache hits either way.
-func (c *AdmitContext) blockReason(e *entry) string {
+// context's cluster state and whole headroom, and returns the last gate
+// any candidate cleared (stageFeasible: a point exists and the policy
+// declined it). Telemetry-only — schedTelemetry.blockReason words the
+// result — so the extra grid walk costs nothing when tracing is off;
+// the rows are op-cache hits either way.
+func (c *AdmitContext) blockStage(e *entry) int {
 	refTp, ok := c.s.referenceTp(e)
 	if !ok {
-		return "model: no width of any pool evaluates"
+		return stageUnpriced
 	}
-	switch _, stage := c.search(e, refTp, c.headroom, analysis.MaxEE); stage {
-	case stageModel:
-		return "model: a grid row fails to evaluate"
-	case stageNone:
-		return fmt.Sprintf("ranks: no candidate width fits the %d free ranks", c.FreeRanks())
-	case stageWidth:
-		return fmt.Sprintf("perf-slack: every width that fits free ranks runs over %.1fx the job's fastest time", c.s.perfSlack())
-	case stageSlack:
-		return fmt.Sprintf("watts: no eligible point fits the %.1f W headroom", float64(c.headroom))
-	case stageBudget:
-		return "plan-min-cap: fits the current window but not the minimum cap over its predicted lifetime"
-	case stagePlan:
-		return "reservation: every affordable point would delay a reserved start"
-	default:
-		return "policy: a feasible point exists but the policy declined it"
-	}
+	_, stage := c.search(e, refTp, c.headroom, analysis.MaxEE)
+	return stage
 }
 
 // fastestTp returns a row's best runtime over the ladder.

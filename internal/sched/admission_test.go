@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"strings"
 	"testing"
 
 	"repro/internal/analysis"
@@ -122,7 +121,7 @@ func TestPriorityViewMatchesSortedQueue(t *testing.T) {
 }
 
 // The admissibility floor is a necessary condition only: whenever the
-// unfiltered grid walk (blockReason's replay) finds a feasible point,
+// unfiltered grid walk (blockStage's replay) finds a feasible point,
 // Best — floor included — must find one too, and vice versa. Random
 // free-rank and budget states, fresh and restarted jobs (scaled
 // predTp), under a cap timeline whose dip narrows the budget.
@@ -162,10 +161,10 @@ func TestFloorNeverRejectsAnAdmissibleJob(t *testing.T) {
 				}
 				ctx.headroom = units.Watts(1 + rng.Float64()*1200)
 				_, ok := ctx.Best(e, ctx.headroom, analysis.MaxEE)
-				reason := ctx.blockReason(e)
-				if feasible := strings.HasPrefix(reason, "policy:"); ok != feasible {
-					t.Fatalf("job %d free=%v budget=%v now=%v: Best=%t but the unfiltered walk says %q",
-						j.ID, ctx.free, ctx.headroom, ctx.now, ok, reason)
+				stage := ctx.blockStage(e)
+				if feasible := stage == stageFeasible; ok != feasible {
+					t.Fatalf("job %d free=%v budget=%v now=%v: Best=%t but the unfiltered walk ends at stage %d",
+						j.ID, ctx.free, ctx.headroom, ctx.now, ok, stage)
 				}
 				if ok {
 					admitted++

@@ -1,0 +1,118 @@
+package sched
+
+import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"repro/internal/capplan"
+	"repro/internal/telemetry"
+	"repro/internal/units"
+)
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata/golden_* stream files from this run")
+
+// goldenStreams runs the one scenario the stream goldens are cut from —
+// 96 jobs on systemg:16,dori:16 under a two-window plan, scripted and
+// MTBF faults with checkpoints and an emergency, backfill+ee-max with
+// edge retunes, seed 1 — with every exporter attached, and returns each
+// stream's bytes plus the retained events.
+func goldenStreams(t *testing.T) (streams map[string]*bytes.Buffer, events []telemetry.Event) {
+	t.Helper()
+	streams = map[string]*bytes.Buffer{
+		"golden_events.ndjson": {},
+		"golden_trace.json":    {},
+		"golden_metrics.csv":   {},
+		"golden_rollup.csv":    {},
+	}
+	rollup, err := telemetry.NewRollupSink(streams["golden_rollup.csv"], 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := telemetry.NewMemorySink()
+	rec := telemetry.New(
+		telemetry.NewNDJSONSink(streams["golden_events.ndjson"]),
+		telemetry.NewChromeTraceSink(streams["golden_trace.json"]),
+		rollup,
+		mem,
+	)
+	rec.Metrics().StreamCSV(streams["golden_metrics.csv"])
+
+	cfg := Config{
+		Platform: mustPlatform(t, "systemg:16,dori:16"),
+		Plan: mustSteps(t,
+			capplan.Segment{Start: 0, Cap: 1400},
+			capplan.Segment{Start: 1.5, Cap: 1150},
+		),
+		Faults: mustFaultPlan(t,
+			"fail=3@0.2,repair=3@0.6,mtbf=*:30,mttr=*:0.3,emer=0.8-1.1:1050,retries=3,ckpt=0.1,restart=0.02"),
+		Policy:     Backfill(EEMax()),
+		EdgeRetune: true,
+		Seed:       1,
+		Telemetry:  rec,
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(SyntheticTrace(TraceConfig{Jobs: 96, Seed: 1, MaxWidth: 16, MeanInterarrival: 80 * units.Millisecond})); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Metrics().Err(); err != nil {
+		t.Fatal(err)
+	}
+	return streams, mem.Events()
+}
+
+// The four exporter streams are pinned byte for byte: the goldens were
+// cut from the encoding/json + fmt encoders, so any encoder change must
+// reproduce every escape, float form and omitted field exactly.
+func TestStreamGoldens(t *testing.T) {
+	streams, events := goldenStreams(t)
+
+	// The scenario is only a pin if it reaches every kind a single-site
+	// scheduler emits on a noise-free run (EvRoute is the federation
+	// frontend's, EvViolation needs a noisy meter).
+	seen := map[telemetry.Kind]bool{}
+	for _, ev := range events {
+		seen[ev.Kind] = true
+	}
+	for k := telemetry.EvArrive; k <= telemetry.EvEmergency; k++ {
+		if !seen[k] && k != telemetry.EvViolation && k != telemetry.EvReject {
+			t.Errorf("golden scenario emits no %s event", k)
+		}
+	}
+
+	for name, got := range streams {
+		path := filepath.Join("testdata", name)
+		if *updateGolden {
+			if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s: stream differs from golden (%d vs %d bytes; first difference at byte %d)",
+				name, got.Len(), len(want), firstDiff(got.Bytes(), want))
+		}
+	}
+}
+
+func firstDiff(a, b []byte) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return n
+}

@@ -37,6 +37,50 @@ type schedTelemetry struct {
 	restarts    *telemetry.Counter
 	checkpoints *telemetry.Counter
 	lost        *telemetry.Counter
+
+	// The block reasons that carry a number, each keeping its last
+	// rendering: an edge replays every blocked job against one free-rank
+	// count, slack and headroom, so nearly every call repeats the
+	// previous one's argument.
+	ranksReason              reasonMemo[int]
+	slackReason, wattsReason reasonMemo[float64]
+}
+
+// reasonMemo formats a one-argument reason once per distinct run of
+// its argument.
+type reasonMemo[K comparable] struct {
+	key  K
+	text string
+}
+
+func (m *reasonMemo[K]) get(format string, key K) string {
+	if m.text == "" || m.key != key {
+		m.key, m.text = key, fmt.Sprintf(format, key)
+	}
+	return m.text
+}
+
+// blockReason words view.blockStage's verdict on a still-queued job:
+// the rule that eliminated its last surviving candidates.
+func (t *schedTelemetry) blockReason(view *AdmitContext, e *entry) string {
+	switch view.blockStage(e) {
+	case stageUnpriced:
+		return "model: no width of any pool evaluates"
+	case stageModel:
+		return "model: a grid row fails to evaluate"
+	case stageNone:
+		return t.ranksReason.get("ranks: no candidate width fits the %d free ranks", view.FreeRanks())
+	case stageWidth:
+		return t.slackReason.get("perf-slack: every width that fits free ranks runs over %.1fx the job's fastest time", t.s.perfSlack())
+	case stageSlack:
+		return t.wattsReason.get("watts: no eligible point fits the %.1f W headroom", float64(view.headroom))
+	case stageBudget:
+		return "plan-min-cap: fits the current window but not the minimum cap over its predicted lifetime"
+	case stagePlan:
+		return "reservation: every affordable point would delay a reserved start"
+	default:
+		return "policy: a feasible point exists but the policy declined it"
+	}
 }
 
 // newSchedTelemetry wires the recorder into a run: sim-time clock,
@@ -121,7 +165,7 @@ func (t *schedTelemetry) edge() {
 			Kind:   telemetry.EvAttempt,
 			Job:    e.job.ID,
 			App:    e.job.Vector.Name,
-			Reason: view.blockReason(e),
+			Reason: t.blockReason(view, e),
 			Queue:  len(t.s.queue) - i, // jobs at or behind this one
 		})
 	}

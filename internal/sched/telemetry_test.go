@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -209,5 +210,30 @@ func TestTelemetryAttemptReasons(t *testing.T) {
 	}
 	if attempts == 0 {
 		t.Fatal("squeeze run produced no blocked attempts")
+	}
+}
+
+// A memoised block reason is the string fmt would format for the same
+// argument, whether the argument repeats, changes, or returns — the
+// stream golden pins the watts and perf-slack wordings in situ, this
+// pins the memo itself (and the ranks wording the golden scenario never
+// reaches: its two pools are never both full).
+func TestReasonMemoMatchesSprintf(t *testing.T) {
+	const ranksFmt = "ranks: no candidate width fits the %d free ranks"
+	var ranks reasonMemo[int]
+	for _, n := range []int{0, 0, 3, 3, 0, 17} {
+		if got, want := ranks.get(ranksFmt, n), fmt.Sprintf(ranksFmt, n); got != want {
+			t.Fatalf("ranks reason for %d = %q, want %q", n, got, want)
+		}
+	}
+	const wattsFmt = "watts: no eligible point fits the %.1f W headroom"
+	var watts reasonMemo[float64]
+	for _, w := range []float64{0, 0, 12.34, 12.34, 12.36, 0, -0.04} {
+		if got, want := watts.get(wattsFmt, w), fmt.Sprintf(wattsFmt, w); got != want {
+			t.Fatalf("watts reason for %v = %q, want %q", w, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { ranks.get(ranksFmt, 17) }); allocs != 0 {
+		t.Fatalf("a repeated argument allocates %v times, want 0", allocs)
 	}
 }

@@ -2,8 +2,6 @@ package telemetry
 
 import (
 	"bufio"
-	"encoding/json"
-	"fmt"
 	"io"
 
 	"repro/internal/units"
@@ -45,6 +43,10 @@ type ChromeTraceSink struct {
 	first bool
 	err   error
 
+	// ev is the trace event being rendered, args its "args" object: an
+	// args value is built first, then spliced into one or more events.
+	ev, args jbuf
+
 	// procNamed / threadNamed track lazily-emitted "M" metadata events
 	// so every track is labelled exactly once, on first use.
 	procNamed   map[int]bool
@@ -70,232 +72,292 @@ func NewChromeTraceSink(w io.Writer) *ChromeTraceSink {
 	return s
 }
 
+var procNames = [...]string{pidRanks: "ranks", pidJobs: "jobs", pidScheduler: "scheduler"}
+
 // us converts sim seconds to trace microseconds.
 func us(t units.Seconds) float64 { return float64(t) * 1e6 }
 
-// jstr JSON-quotes a string (names and args may carry arbitrary reason
-// text). The trace sink is enabled-path only, so the allocation is
-// acceptable.
-func jstr(s string) string {
-	b, err := json.Marshal(s)
-	if err != nil {
-		return `"?"`
-	}
-	return string(b)
+// label is a track or event name in parts, so composing one costs no
+// string: text, then n when num is set, then sep+tail+end when tail is
+// non-empty — "rank 3", "blocked j12 CG", "plan edge (pre-drop)".
+type label struct {
+	text           string
+	n              int
+	num            bool
+	sep, tail, end string
 }
 
-// raw appends one pre-rendered JSON object to the traceEvents array.
-func (s *ChromeTraceSink) raw(obj string) {
-	if s.err != nil {
-		return
+func text(s string) label { return label{text: s} }
+
+// numbered is prefix followed by n: "rank 3", "fail rank 3".
+func numbered(prefix string, n int) label { return label{text: prefix, n: n, num: true} }
+
+// jobLabel is prefix (which ends in the "j" of the job tag) followed by
+// the job's ID and, when known, its application: "j12 CG",
+// "blocked j12 CG".
+func jobLabel(prefix string, ev *Event) label {
+	return label{text: prefix, n: ev.Job, num: true, sep: " ", tail: ev.App}
+}
+
+// quoted appends the label as a JSON string.
+func (l label) quoted(b *jbuf) *jbuf {
+	b.raw(`"`).esc(l.text)
+	if l.num {
+		b.int(int64(l.n))
 	}
+	if l.tail != "" {
+		b.raw(l.sep).esc(l.tail).raw(l.end)
+	}
+	return b.raw(`"`)
+}
+
+// begin starts the next trace event in s.ev, array separator included.
+func (s *ChromeTraceSink) begin(head string, pid int) *jbuf {
+	b := s.ev.reset()
 	if !s.first {
-		if _, s.err = s.w.WriteString(",\n"); s.err != nil {
-			return
-		}
+		b.raw(",\n")
 	}
 	s.first = false
-	_, s.err = s.w.WriteString(obj)
+	return b.raw(head).int(int64(pid))
+}
+
+// emit writes the event rendered in s.ev.
+func (s *ChromeTraceSink) emit() {
+	if s.err == nil {
+		_, s.err = s.w.Write(s.ev.b)
+	}
 }
 
 // meta emits the process/thread name metadata for (pid, tid) once.
-func (s *ChromeTraceSink) meta(pid, tid int, thread string) {
+func (s *ChromeTraceSink) meta(pid, tid int, thread label) {
 	if !s.procNamed[pid] {
 		s.procNamed[pid] = true
-		name := map[int]string{pidRanks: "ranks", pidJobs: "jobs", pidScheduler: "scheduler"}[pid]
-		s.raw(fmt.Sprintf(`{"ph":"M","pid":%d,"name":"process_name","args":{"name":%s}}`, pid, jstr(name)))
+		s.begin(`{"ph":"M","pid":`, pid).raw(`,"name":"process_name","args":{"name":`).str(procNames[pid]).raw(`}}`)
+		s.emit()
 		// Order the processes ranks → jobs → scheduler in the UI.
-		s.raw(fmt.Sprintf(`{"ph":"M","pid":%d,"name":"process_sort_index","args":{"sort_index":%d}}`, pid, pid))
+		s.begin(`{"ph":"M","pid":`, pid).raw(`,"name":"process_sort_index","args":{"sort_index":`).int(int64(pid)).raw(`}}`)
+		s.emit()
 	}
 	key := [2]int{pid, tid}
-	if thread != "" && !s.threadNamed[key] {
+	if !s.threadNamed[key] {
 		s.threadNamed[key] = true
-		s.raw(fmt.Sprintf(`{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":%s}}`, pid, tid, jstr(thread)))
+		b := s.begin(`{"ph":"M","pid":`, pid).raw(`,"tid":`).int(int64(tid)).raw(`,"name":"thread_name","args":{"name":`)
+		thread.quoted(b).raw(`}}`)
+		s.emit()
 	}
 }
 
-// span emits a duration-begin or duration-end event.
-func (s *ChromeTraceSink) span(ph string, pid, tid int, name string, t units.Seconds, args string) {
-	if args != "" {
-		args = `,"args":` + args
+// tail closes the event in s.ev after its name — timestamp, then args
+// if any — and writes it.
+func (s *ChromeTraceSink) tail(t units.Seconds, args []byte) {
+	b := s.ev.raw(`,"ts":`).fixed(us(t), 3)
+	if len(args) > 0 {
+		b.raw(`,"args":`).bytes(args)
 	}
-	nm := ""
-	if name != "" {
-		nm = `,"name":` + jstr(name)
-	}
-	s.raw(fmt.Sprintf(`{"ph":%q,"pid":%d,"tid":%d%s,"ts":%.3f%s}`, ph, pid, tid, nm, us(t), args))
+	b.raw("}")
+	s.emit()
+}
+
+// spanBegin opens a named duration span on (pid, tid).
+func (s *ChromeTraceSink) spanBegin(pid, tid int, name label, t units.Seconds, args []byte) {
+	b := s.begin(`{"ph":"B","pid":`, pid).raw(`,"tid":`).int(int64(tid))
+	name.quoted(b.raw(`,"name":`))
+	s.tail(t, args)
+}
+
+// spanEnd closes the span open on (pid, tid).
+func (s *ChromeTraceSink) spanEnd(pid, tid int, t units.Seconds, args []byte) {
+	s.begin(`{"ph":"E","pid":`, pid).raw(`,"tid":`).int(int64(tid))
+	s.tail(t, args)
 }
 
 // instant emits a thread-scoped instant event.
-func (s *ChromeTraceSink) instant(pid, tid int, name string, t units.Seconds, args string) {
-	if args != "" {
-		args = `,"args":` + args
-	}
-	s.raw(fmt.Sprintf(`{"ph":"i","s":"t","pid":%d,"tid":%d,"name":%s,"ts":%.3f%s}`, pid, tid, jstr(name), us(t), args))
+func (s *ChromeTraceSink) instant(pid, tid int, name label, t units.Seconds, args []byte) {
+	b := s.begin(`{"ph":"i","s":"t","pid":`, pid).raw(`,"tid":`).int(int64(tid))
+	name.quoted(b.raw(`,"name":`))
+	s.tail(t, args)
 }
 
 // counter emits a counter sample; series is the inner args object.
-func (s *ChromeTraceSink) counter(name string, t units.Seconds, series string) {
-	s.raw(fmt.Sprintf(`{"ph":"C","pid":%d,"name":%s,"ts":%.3f,"args":%s}`, pidScheduler, jstr(name), us(t), series))
+func (s *ChromeTraceSink) counter(name label, t units.Seconds, series []byte) {
+	name.quoted(s.begin(`{"ph":"C","pid":`, pidScheduler).raw(`,"name":`))
+	s.tail(t, series)
 }
 
-func jobLabel(ev Event) string {
-	if ev.App != "" {
-		return fmt.Sprintf("j%d %s", ev.Job, ev.App)
-	}
-	return fmt.Sprintf("j%d", ev.Job)
+// count emits an integer counter sample {key: v}.
+func (s *ChromeTraceSink) count(name label, t units.Seconds, key string, v int) {
+	s.counter(name, t, s.args.reset().raw(key).int(int64(v)).raw("}").b)
 }
+
+// watts emits a {"watts": v} counter sample at prec decimals.
+func (s *ChromeTraceSink) watts(name string, t units.Seconds, v units.Watts, prec int) {
+	s.counter(text(name), t, s.args.reset().raw(`{"watts":`).fixed(float64(v), prec).raw("}").b)
+}
+
+// inGHz converts a frequency to the GHz the trace args carry.
+func inGHz(f units.Hertz) float64 { return float64(f) / 1e9 }
 
 // Write maps one telemetry event onto trace events.
 func (s *ChromeTraceSink) Write(ev Event) error {
+	job := jobLabel("j", &ev)
+	a := s.args.reset()
 	switch ev.Kind {
 	case EvArrive:
-		s.meta(pidJobs, ev.Job, jobLabel(ev))
-		s.span("B", pidJobs, ev.Job, "wait", ev.T,
-			fmt.Sprintf(`{"app":%s,"p_req":%d}`, jstr(ev.App), ev.P))
+		s.meta(pidJobs, ev.Job, job)
+		a.raw(`{"app":`).str(ev.App).raw(`,"p_req":`).int(int64(ev.P)).raw("}")
+		s.spanBegin(pidJobs, ev.Job, text("wait"), ev.T, a.b)
 		s.waiting[ev.Job] = true
-		s.counter("queue_depth", ev.T, fmt.Sprintf(`{"jobs":%d}`, ev.Queue))
+		s.count(text("queue_depth"), ev.T, `{"jobs":`, ev.Queue)
 
 	case EvAttempt:
-		s.meta(pidScheduler, tidAdmission, "admission")
-		s.instant(pidScheduler, tidAdmission, "blocked "+jobLabel(ev), ev.T,
-			fmt.Sprintf(`{"reason":%s,"queue":%d}`, jstr(ev.Reason), ev.Queue))
-		s.counter("queue_depth", ev.T, fmt.Sprintf(`{"jobs":%d}`, ev.Queue))
+		s.meta(pidScheduler, tidAdmission, text("admission"))
+		a.raw(`{"reason":`).str(ev.Reason).raw(`,"queue":`).int(int64(ev.Queue)).raw("}")
+		s.instant(pidScheduler, tidAdmission, jobLabel("blocked j", &ev), ev.T, a.b)
+		s.count(text("queue_depth"), ev.T, `{"jobs":`, ev.Queue)
 
 	case EvAdmit:
-		s.meta(pidJobs, ev.Job, jobLabel(ev))
-		if s.waiting[ev.Job] {
-			delete(s.waiting, ev.Job)
-			s.span("E", pidJobs, ev.Job, "", ev.T, "")
-		}
-		args := fmt.Sprintf(`{"pool":%s,"p":%d,"f_ghz":%.3f,"w":%.1f,"ee":%.4f,"wait_s":%.3f,"backfilled":%t}`,
-			jstr(ev.Pool), ev.P, float64(ev.Freq)/1e9, float64(ev.Watts), ev.EE, float64(ev.Wait), ev.Backfilled)
-		s.span("B", pidJobs, ev.Job, "run", ev.T, args)
+		s.meta(pidJobs, ev.Job, job)
+		s.endWait(&ev)
+		a.raw(`{"pool":`).str(ev.Pool).raw(`,"p":`).int(int64(ev.P)).
+			raw(`,"f_ghz":`).fixed(inGHz(ev.Freq), 3).raw(`,"w":`).fixed(float64(ev.Watts), 1).
+			raw(`,"ee":`).fixed(ev.EE, 4).raw(`,"wait_s":`).fixed(float64(ev.Wait), 3).
+			raw(`,"backfilled":`).bool(ev.Backfilled).raw("}")
+		s.spanBegin(pidJobs, ev.Job, text("run"), ev.T, a.b)
 		s.running[ev.Job] = true
 		for _, r := range ev.Ranks {
-			s.meta(pidRanks, r, fmt.Sprintf("rank %d", r))
-			s.span("B", pidRanks, r, jobLabel(ev), ev.T, args)
+			s.meta(pidRanks, r, numbered("rank ", r))
+			s.spanBegin(pidRanks, r, job, ev.T, a.b)
 		}
-		s.counter("headroom_w", ev.T, fmt.Sprintf(`{"watts":%.2f}`, float64(ev.Headroom)))
+		s.watts("headroom_w", ev.T, ev.Headroom, 2)
 		if ev.Pool != "" {
-			s.counter("free_"+ev.Pool, ev.T, fmt.Sprintf(`{"ranks":%d}`, ev.Free))
+			s.count(label{text: "free_", tail: ev.Pool}, ev.T, `{"ranks":`, ev.Free)
 		}
-		s.counter("queue_depth", ev.T, fmt.Sprintf(`{"jobs":%d}`, ev.Queue))
+		s.count(text("queue_depth"), ev.T, `{"jobs":`, ev.Queue)
 
 	case EvReject:
-		s.meta(pidJobs, ev.Job, jobLabel(ev))
-		if s.waiting[ev.Job] {
-			delete(s.waiting, ev.Job)
-			s.span("E", pidJobs, ev.Job, "", ev.T, "")
-		}
-		s.instant(pidJobs, ev.Job, "reject", ev.T, fmt.Sprintf(`{"reason":%s}`, jstr(ev.Reason)))
-		s.meta(pidScheduler, tidAdmission, "admission")
-		s.instant(pidScheduler, tidAdmission, "reject "+jobLabel(ev), ev.T,
-			fmt.Sprintf(`{"reason":%s}`, jstr(ev.Reason)))
+		s.meta(pidJobs, ev.Job, job)
+		s.endWait(&ev)
+		a.raw(`{"reason":`).str(ev.Reason).raw("}")
+		s.instant(pidJobs, ev.Job, text("reject"), ev.T, a.b)
+		s.meta(pidScheduler, tidAdmission, text("admission"))
+		s.instant(pidScheduler, tidAdmission, jobLabel("reject j", &ev), ev.T, a.b)
 
 	case EvFinish:
-		s.meta(pidJobs, ev.Job, jobLabel(ev))
-		if s.running[ev.Job] {
-			delete(s.running, ev.Job)
-			s.span("E", pidJobs, ev.Job, "", ev.T,
-				fmt.Sprintf(`{"energy_j":%.1f,"retunes":%d,"dur_s":%.3f}`, float64(ev.Energy), ev.P, float64(ev.Dur)))
-		}
-		for _, r := range ev.Ranks {
-			s.meta(pidRanks, r, fmt.Sprintf("rank %d", r))
-			s.span("E", pidRanks, r, "", ev.T, "")
-		}
-		s.counter("headroom_w", ev.T, fmt.Sprintf(`{"watts":%.2f}`, float64(ev.Headroom)))
+		s.meta(pidJobs, ev.Job, job)
+		a.raw(`{"energy_j":`).fixed(float64(ev.Energy), 1).raw(`,"retunes":`).int(int64(ev.P)).
+			raw(`,"dur_s":`).fixed(float64(ev.Dur), 3).raw("}")
+		s.endRun(&ev, a.b)
+		s.watts("headroom_w", ev.T, ev.Headroom, 2)
 		if ev.Pool != "" {
-			s.counter("free_"+ev.Pool, ev.T, fmt.Sprintf(`{"ranks":%d}`, ev.Free))
+			s.count(label{text: "free_", tail: ev.Pool}, ev.T, `{"ranks":`, ev.Free)
 		}
 
 	case EvReserve:
-		s.meta(pidJobs, ev.Job, jobLabel(ev))
-		s.raw(fmt.Sprintf(`{"ph":"X","pid":%d,"tid":%d,"name":%s,"ts":%.3f,"dur":%.3f,"args":{"pool":%s,"p":%d,"w":%.1f}}`,
-			pidJobs, ev.Job, jstr("reserved"), us(ev.At), us(ev.Dur), jstr(ev.Pool), ev.P, float64(ev.Watts)))
+		s.meta(pidJobs, ev.Job, job)
+		s.begin(`{"ph":"X","pid":`, pidJobs).raw(`,"tid":`).int(int64(ev.Job)).
+			raw(`,"name":"reserved","ts":`).fixed(us(ev.At), 3).raw(`,"dur":`).fixed(us(ev.Dur), 3).
+			raw(`,"args":{"pool":`).str(ev.Pool).raw(`,"p":`).int(int64(ev.P)).
+			raw(`,"w":`).fixed(float64(ev.Watts), 1).raw("}}")
+		s.emit()
 
 	case EvThrottle, EvBoost:
-		name := "throttle"
+		name, governed := "throttle", "throttle j"
 		if ev.Kind == EvBoost {
-			name = "boost"
+			name, governed = "boost", "boost j"
 		}
-		args := fmt.Sprintf(`{"f_from_ghz":%.3f,"f_ghz":%.3f,"w_from":%.1f,"w":%.1f,"reason":%s}`,
-			float64(ev.FreqFrom)/1e9, float64(ev.Freq)/1e9, float64(ev.WattsFrom), float64(ev.Watts), jstr(ev.Reason))
-		s.meta(pidJobs, ev.Job, jobLabel(ev))
-		s.instant(pidJobs, ev.Job, name, ev.T, args)
-		s.meta(pidScheduler, tidGovernor, "governor")
-		s.instant(pidScheduler, tidGovernor, name+" "+jobLabel(ev), ev.T, args)
+		a.raw(`{"f_from_ghz":`).fixed(inGHz(ev.FreqFrom), 3).raw(`,"f_ghz":`).fixed(inGHz(ev.Freq), 3).
+			raw(`,"w_from":`).fixed(float64(ev.WattsFrom), 1).raw(`,"w":`).fixed(float64(ev.Watts), 1).
+			raw(`,"reason":`).str(ev.Reason).raw("}")
+		s.meta(pidJobs, ev.Job, job)
+		s.instant(pidJobs, ev.Job, text(name), ev.T, a.b)
+		s.meta(pidScheduler, tidGovernor, text("governor"))
+		s.instant(pidScheduler, tidGovernor, jobLabel(governed, &ev), ev.T, a.b)
 
 	case EvRankRetune:
-		s.meta(pidRanks, ev.Rank, fmt.Sprintf("rank %d", ev.Rank))
-		s.instant(pidRanks, ev.Rank, "retune", ev.T,
-			fmt.Sprintf(`{"f_from_ghz":%.3f,"f_ghz":%.3f}`, float64(ev.FreqFrom)/1e9, float64(ev.Freq)/1e9))
+		s.meta(pidRanks, ev.Rank, numbered("rank ", ev.Rank))
+		a.raw(`{"f_from_ghz":`).fixed(inGHz(ev.FreqFrom), 3).raw(`,"f_ghz":`).fixed(inGHz(ev.Freq), 3).raw("}")
+		s.instant(pidRanks, ev.Rank, text("retune"), ev.T, a.b)
 
 	case EvPlanEdge:
-		s.meta(pidScheduler, tidPlan, "plan")
-		label := "plan edge"
-		if ev.Reason != "" {
-			label = "plan edge (" + ev.Reason + ")"
-		}
-		s.instant(pidScheduler, tidPlan, label, ev.T, fmt.Sprintf(`{"cap_w":%.1f}`, float64(ev.Cap)))
-		s.counter("cap_w", ev.T, fmt.Sprintf(`{"watts":%.1f}`, float64(ev.Cap)))
+		s.meta(pidScheduler, tidPlan, text("plan"))
+		a.raw(`{"cap_w":`).fixed(float64(ev.Cap), 1).raw("}")
+		s.instant(pidScheduler, tidPlan, label{text: "plan edge", sep: " (", tail: ev.Reason, end: ")"}, ev.T, a.b)
+		s.watts("cap_w", ev.T, ev.Cap, 1)
 
 	case EvSample:
-		s.counter("power_w", ev.T, fmt.Sprintf(`{"watts":%.2f}`, float64(ev.Power)))
-		s.counter("cap_w", ev.T, fmt.Sprintf(`{"watts":%.1f}`, float64(ev.Cap)))
+		s.watts("power_w", ev.T, ev.Power, 2)
+		s.watts("cap_w", ev.T, ev.Cap, 1)
 
 	case EvViolation:
-		s.meta(pidScheduler, tidGovernor, "governor")
-		s.instant(pidScheduler, tidGovernor, "cap violation", ev.T,
-			fmt.Sprintf(`{"power_w":%.2f,"cap_w":%.1f}`, float64(ev.Power), float64(ev.Cap)))
+		s.meta(pidScheduler, tidGovernor, text("governor"))
+		a.raw(`{"power_w":`).fixed(float64(ev.Power), 2).raw(`,"cap_w":`).fixed(float64(ev.Cap), 1).raw("}")
+		s.instant(pidScheduler, tidGovernor, text("cap violation"), ev.T, a.b)
 
 	case EvFail:
-		s.meta(pidRanks, ev.Rank, fmt.Sprintf("rank %d", ev.Rank))
-		s.instant(pidRanks, ev.Rank, "FAIL", ev.T, fmt.Sprintf(`{"reason":%s}`, jstr(ev.Reason)))
-		s.meta(pidScheduler, tidFaults, "faults")
-		s.instant(pidScheduler, tidFaults, fmt.Sprintf("fail rank %d", ev.Rank), ev.T,
-			fmt.Sprintf(`{"pool":%s,"reason":%s}`, jstr(ev.Pool), jstr(ev.Reason)))
+		s.meta(pidRanks, ev.Rank, numbered("rank ", ev.Rank))
+		a.raw(`{"reason":`).str(ev.Reason).raw("}")
+		s.instant(pidRanks, ev.Rank, text("FAIL"), ev.T, a.b)
+		s.meta(pidScheduler, tidFaults, text("faults"))
+		a.reset().raw(`{"pool":`).str(ev.Pool).raw(`,"reason":`).str(ev.Reason).raw("}")
+		s.instant(pidScheduler, tidFaults, numbered("fail rank ", ev.Rank), ev.T, a.b)
 
 	case EvRepair:
-		s.meta(pidRanks, ev.Rank, fmt.Sprintf("rank %d", ev.Rank))
-		s.instant(pidRanks, ev.Rank, "repair", ev.T, fmt.Sprintf(`{"down_s":%.3f}`, float64(ev.Dur)))
-		s.meta(pidScheduler, tidFaults, "faults")
-		s.instant(pidScheduler, tidFaults, fmt.Sprintf("repair rank %d", ev.Rank), ev.T,
-			fmt.Sprintf(`{"pool":%s,"down_s":%.3f}`, jstr(ev.Pool), float64(ev.Dur)))
+		s.meta(pidRanks, ev.Rank, numbered("rank ", ev.Rank))
+		a.raw(`{"down_s":`).fixed(float64(ev.Dur), 3).raw("}")
+		s.instant(pidRanks, ev.Rank, text("repair"), ev.T, a.b)
+		s.meta(pidScheduler, tidFaults, text("faults"))
+		a.reset().raw(`{"pool":`).str(ev.Pool).raw(`,"down_s":`).fixed(float64(ev.Dur), 3).raw("}")
+		s.instant(pidScheduler, tidFaults, numbered("repair rank ", ev.Rank), ev.T, a.b)
 
 	case EvKill:
 		// A kill ends the job's run span exactly like a finish, but the
 		// span closes into an instant that tells the loss story.
-		s.meta(pidJobs, ev.Job, jobLabel(ev))
-		if s.running[ev.Job] {
-			delete(s.running, ev.Job)
-			s.span("E", pidJobs, ev.Job, "", ev.T,
-				fmt.Sprintf(`{"killed":true,"lost_work_s":%.3f,"wasted_j":%.1f}`, float64(ev.Dur), float64(ev.Energy)))
-		}
-		for _, r := range ev.Ranks {
-			s.meta(pidRanks, r, fmt.Sprintf("rank %d", r))
-			s.span("E", pidRanks, r, "", ev.T, "")
-		}
-		s.instant(pidJobs, ev.Job, "killed", ev.T,
-			fmt.Sprintf(`{"lost_work_s":%.3f,"wasted_j":%.1f,"reason":%s}`,
-				float64(ev.Dur), float64(ev.Energy), jstr(ev.Reason)))
+		s.meta(pidJobs, ev.Job, job)
+		a.raw(`{"killed":true,"lost_work_s":`).fixed(float64(ev.Dur), 3).
+			raw(`,"wasted_j":`).fixed(float64(ev.Energy), 1).raw("}")
+		s.endRun(&ev, a.b)
+		a.reset().raw(`{"lost_work_s":`).fixed(float64(ev.Dur), 3).raw(`,"wasted_j":`).fixed(float64(ev.Energy), 1).
+			raw(`,"reason":`).str(ev.Reason).raw("}")
+		s.instant(pidJobs, ev.Job, text("killed"), ev.T, a.b)
 
 	case EvCheckpoint:
-		s.meta(pidJobs, ev.Job, jobLabel(ev))
-		s.instant(pidJobs, ev.Job, "checkpoint", ev.T, fmt.Sprintf(`{"progress":%.4f}`, ev.EE))
+		s.meta(pidJobs, ev.Job, job)
+		a.raw(`{"progress":`).fixed(ev.EE, 4).raw("}")
+		s.instant(pidJobs, ev.Job, text("checkpoint"), ev.T, a.b)
 
 	case EvRestart:
-		s.meta(pidJobs, ev.Job, jobLabel(ev))
-		s.instant(pidJobs, ev.Job, "restart", ev.T,
-			fmt.Sprintf(`{"attempt":%d,"resume_from":%.4f}`, ev.P, ev.EE))
+		s.meta(pidJobs, ev.Job, job)
+		a.raw(`{"attempt":`).int(int64(ev.P)).raw(`,"resume_from":`).fixed(ev.EE, 4).raw("}")
+		s.instant(pidJobs, ev.Job, text("restart"), ev.T, a.b)
 
 	case EvEmergency:
-		s.meta(pidScheduler, tidFaults, "faults")
-		s.instant(pidScheduler, tidFaults, "emergency "+ev.Reason, ev.T,
-			fmt.Sprintf(`{"cap_w":%.1f}`, float64(ev.Cap)))
-		s.counter("cap_w", ev.T, fmt.Sprintf(`{"watts":%.1f}`, float64(ev.Cap)))
+		s.meta(pidScheduler, tidFaults, text("faults"))
+		a.raw(`{"cap_w":`).fixed(float64(ev.Cap), 1).raw("}")
+		s.instant(pidScheduler, tidFaults, label{text: "emergency ", tail: ev.Reason}, ev.T, a.b)
+		s.watts("cap_w", ev.T, ev.Cap, 1)
 	}
 	return s.err
+}
+
+// endWait closes the job's "wait" span if one is open.
+func (s *ChromeTraceSink) endWait(ev *Event) {
+	if s.waiting[ev.Job] {
+		delete(s.waiting, ev.Job)
+		s.spanEnd(pidJobs, ev.Job, ev.T, nil)
+	}
+}
+
+// endRun closes the job's "run" span, if open, with args, and the
+// occupancy span of each of its ranks.
+func (s *ChromeTraceSink) endRun(ev *Event, args []byte) {
+	if s.running[ev.Job] {
+		delete(s.running, ev.Job)
+		s.spanEnd(pidJobs, ev.Job, ev.T, args)
+	}
+	for _, r := range ev.Ranks {
+		s.meta(pidRanks, r, numbered("rank ", r))
+		s.spanEnd(pidRanks, r, ev.T, nil)
+	}
 }
 
 // Close writes the closing bracket and flushes. Spans still open at sim

@@ -24,6 +24,7 @@ type Metrics struct {
 	hists    []*Histogram
 
 	w          io.Writer
+	row        jbuf
 	headerDone bool
 	err        error
 	lastT      units.Seconds
@@ -265,33 +266,32 @@ func (m *Metrics) Sample(t units.Seconds) {
 	}
 	dt := float64(t - m.lastT)
 	if m.w != nil && m.err == nil {
-		var b strings.Builder
+		b := m.row.reset()
 		if !m.headerDone {
-			b.WriteString(m.header())
-			b.WriteByte('\n')
+			b.raw(m.header()).raw("\n")
 		}
-		fmt.Fprintf(&b, "%.6f", float64(t))
+		b.fixed(float64(t), 6)
 		for _, c := range m.counters {
-			fmt.Fprintf(&b, ",%g", c.v)
+			b.raw(",").g(c.v)
 			if c.rate {
 				rate := 0.0
 				if dt > 0 {
 					rate = (c.v - c.prevV) / dt
 				}
-				fmt.Fprintf(&b, ",%g", rate)
+				b.raw(",").g(rate)
 			}
 		}
 		for _, g := range m.gauges {
-			fmt.Fprintf(&b, ",%g", g.v)
+			b.raw(",").g(g.v)
 		}
 		for _, h := range m.hists {
 			for _, c := range h.counts {
-				fmt.Fprintf(&b, ",%g", c)
+				b.raw(",").g(c)
 			}
-			fmt.Fprintf(&b, ",%g,%g", h.inf, h.sum)
+			b.raw(",").g(h.inf).raw(",").g(h.sum)
 		}
-		b.WriteByte('\n')
-		if _, err := io.WriteString(m.w, b.String()); err != nil {
+		b.raw("\n")
+		if _, err := m.w.Write(b.b); err != nil {
 			m.err = err
 		}
 	}

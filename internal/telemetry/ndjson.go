@@ -16,22 +16,26 @@ import (
 // and needs no finalisation, so a crashed run's log is still valid up
 // to its last line.
 type NDJSONSink struct {
-	w   *bufio.Writer
-	enc *json.Encoder
-	n   int
-	err error
+	w    *bufio.Writer
+	line jbuf
+	// One sim instant stamps several events and one governor retune
+	// emits a line per rank at the same frequencies, so the last
+	// rendering of each is kept.
+	t, freqFrom, freq floatMemo
+	n                 int
+	err               error
 }
 
 // NewNDJSONSink wraps w in a buffered NDJSON event writer.
 func NewNDJSONSink(w io.Writer) *NDJSONSink {
-	s := &NDJSONSink{w: bufio.NewWriter(w)}
-	s.enc = json.NewEncoder(s.w)
-	return s
+	return &NDJSONSink{w: bufio.NewWriter(w)}
 }
 
-// jsonEvent is the NDJSON projection of an Event: stable field order
-// (encoding/json emits struct fields in declaration order), zero-value
-// noise elided.
+// jsonEvent is the NDJSON projection of an Event — the format's
+// definition: field names, their order, and which are elided when
+// empty. DecodeNDJSON parses lines through it; Write renders the same
+// projection by hand (render), and the tests hold the two equal
+// against encoding/json's rendering of this struct.
 type jsonEvent struct {
 	T          float64       `json:"t"`
 	Kind       string        `json:"ev"`
@@ -60,47 +64,74 @@ type jsonEvent struct {
 	Reason     string        `json:"reason,omitempty"`
 }
 
-// Write emits one JSON line.
+// hasRank reports whether the kind carries a rank, so "rank":0 is
+// written rather than elided.
+func hasRank(k Kind) bool { return k == EvRankRetune || k == EvFail || k == EvRepair }
+
+// render fills s.line with ev's jsonEvent projection plus the newline,
+// byte for byte what encoding/json writes for that struct. A NaN or
+// ±Inf field leaves s.line.err set, where Marshal would fail.
+func (s *NDJSONSink) render(ev *Event) {
+	l := s.line.reset()
+	l.raw(`{"t":`).memoFloat(&s.t, float64(ev.T)).raw(`,"ev":`).str(ev.Kind.String())
+	if ev.Job != NoJob {
+		l.raw(`,"job":`).int(int64(ev.Job))
+	}
+	l.optStr(`,"app":`, ev.App)
+	l.optStr(`,"pool":`, ev.Pool)
+	l.optStr(`,"site":`, ev.Site)
+	l.optInt(`,"p":`, ev.P)
+	if hasRank(ev.Kind) {
+		l.raw(`,"rank":`).int(int64(ev.Rank))
+	}
+	for i, r := range ev.Ranks {
+		if i == 0 {
+			l.raw(`,"ranks":[`)
+		} else {
+			l.raw(",")
+		}
+		l.int(int64(r))
+	}
+	if len(ev.Ranks) > 0 {
+		l.raw("]")
+	}
+	if ev.FreqFrom != 0 {
+		l.raw(`,"f_from_hz":`).memoFloat(&s.freqFrom, float64(ev.FreqFrom))
+	}
+	if ev.Freq != 0 {
+		l.raw(`,"f_hz":`).memoFloat(&s.freq, float64(ev.Freq))
+	}
+	l.optFloat(`,"w_from":`, float64(ev.WattsFrom))
+	l.optFloat(`,"w":`, float64(ev.Watts))
+	l.optFloat(`,"cap_w":`, float64(ev.Cap))
+	l.optFloat(`,"power_w":`, float64(ev.Power))
+	l.optFloat(`,"headroom_w":`, float64(ev.Headroom))
+	l.optFloat(`,"wait_s":`, float64(ev.Wait))
+	l.optFloat(`,"dur_s":`, float64(ev.Dur))
+	l.optFloat(`,"at_s":`, float64(ev.At))
+	l.optFloat(`,"energy_j":`, float64(ev.Energy))
+	l.optFloat(`,"ee":`, ev.EE)
+	l.optInt(`,"queue":`, ev.Queue)
+	l.optInt(`,"free":`, ev.Free)
+	if ev.Backfilled {
+		l.raw(`,"backfilled":true`)
+	}
+	l.optStr(`,"reason":`, ev.Reason)
+	l.raw("}\n")
+}
+
+// Write emits one JSON line. An event JSON cannot carry (a NaN or ±Inf
+// field) writes nothing and leaves the sink in a sticky error state.
 func (s *NDJSONSink) Write(ev Event) error {
 	if s.err != nil {
 		return s.err
 	}
-	je := jsonEvent{
-		T:          float64(ev.T),
-		Kind:       ev.Kind.String(),
-		App:        ev.App,
-		Pool:       ev.Pool,
-		Site:       ev.Site,
-		P:          ev.P,
-		Ranks:      ev.Ranks,
-		FreqFrom:   ev.FreqFrom,
-		Freq:       ev.Freq,
-		WattsFrom:  ev.WattsFrom,
-		Watts:      ev.Watts,
-		Cap:        ev.Cap,
-		Power:      ev.Power,
-		Headroom:   ev.Headroom,
-		Wait:       ev.Wait,
-		Dur:        ev.Dur,
-		At:         ev.At,
-		Energy:     ev.Energy,
-		EE:         ev.EE,
-		Queue:      ev.Queue,
-		Free:       ev.Free,
-		Backfilled: ev.Backfilled,
-		Reason:     ev.Reason,
+	s.render(&ev)
+	if s.err = s.line.err; s.err != nil {
+		return s.err
 	}
-	if ev.Job != NoJob {
-		job := ev.Job
-		je.Job = &job
-	}
-	if ev.Kind == EvRankRetune || ev.Kind == EvFail || ev.Kind == EvRepair {
-		rank := ev.Rank
-		je.Rank = &rank
-	}
-	if err := s.enc.Encode(&je); err != nil {
-		s.err = err
-		return err
+	if _, s.err = s.w.Write(s.line.b); s.err != nil {
+		return s.err
 	}
 	s.n++
 	return nil
@@ -125,19 +156,23 @@ func (s *NDJSONSink) Close() error {
 	return s.Flush()
 }
 
-// Count returns the number of events written.
+// Count returns the number of events successfully encoded.
 func (s *NDJSONSink) Count() int { return s.n }
 
 // KindByName resolves an NDJSON "ev" string back to its Kind; ok is
 // false for unknown names.
 func KindByName(name string) (Kind, bool) {
-	for k, n := range kindNames {
-		if n == name {
-			return Kind(k), true
-		}
-	}
-	return 0, false
+	k, ok := kindByName[name]
+	return k, ok
 }
+
+var kindByName = func() map[string]Kind {
+	m := make(map[string]Kind, len(kindNames))
+	for k, n := range kindNames {
+		m[n] = Kind(k)
+	}
+	return m
+}()
 
 // DecodeNDJSON parses a stream produced by NDJSONSink back into
 // events — the offline half of the format contract cmd/traceq is

@@ -40,6 +40,7 @@ const numKinds = len(kindNames)
 type RollupSink struct {
 	bucket float64
 	w      io.Writer
+	row    jbuf
 	err    error
 	header bool
 
@@ -128,21 +129,21 @@ func (s *RollupSink) Write(ev Event) error {
 
 // flushBucket writes the open bucket's row and resets its state.
 func (s *RollupSink) flushBucket() {
-	var b strings.Builder
+	b := s.row.reset()
 	if !s.header {
-		b.WriteString("t0_s")
+		b.raw("t0_s")
 		for _, n := range kindNames {
-			b.WriteString("," + strings.ReplaceAll(n, "-", "_"))
+			b.raw(",").raw(strings.ReplaceAll(n, "-", "_"))
 		}
-		b.WriteString(",wait_max_s,energy_j,power_max_w\n")
+		b.raw(",wait_max_s,energy_j,power_max_w\n")
 		s.header = true
 	}
-	fmt.Fprintf(&b, "%.6f", float64(s.idx)*s.bucket)
+	b.fixed(float64(s.idx)*s.bucket, 6)
 	for _, c := range s.counts {
-		fmt.Fprintf(&b, ",%d", c)
+		b.raw(",").int(c)
 	}
-	fmt.Fprintf(&b, ",%g,%g,%g\n", float64(s.waitMax), float64(s.energy), float64(s.powerMax))
-	if _, err := io.WriteString(s.w, b.String()); err != nil && s.err == nil {
+	b.raw(",").g(float64(s.waitMax)).raw(",").g(float64(s.energy)).raw(",").g(float64(s.powerMax)).raw("\n")
+	if _, err := s.w.Write(b.b); err != nil && s.err == nil {
 		s.err = err
 	}
 	s.open = false

@@ -15,7 +15,12 @@
 //
 // Events are flat value structs: one Event type with a Kind
 // discriminator and a superset of fields, so emitting never allocates
-// (no per-kind boxing) and sinks stream them without reflection.
+// (no per-kind boxing) and sinks stream them without reflection: every
+// exporter renders through the one append-style writer in writer.go
+// (jbuf), whose output is held byte-identical to encoding/json and fmt
+// by the stream goldens in internal/sched/testdata and by fuzzing.
+// encoding/json remains only where NDJSON is read back (DecodeNDJSON)
+// and as that test oracle.
 // Sinks receive events synchronously in kernel context; the Ranks
 // slice aliases live scheduler state and is only valid during the
 // Write call — sinks that retain events must copy it (MemorySink
