@@ -23,6 +23,13 @@
 // Optional execution noise (jitter on operation durations) and measurement
 // noise (jitter on power readings) make model-validation errors non-zero,
 // as on real hardware.
+//
+// Everything per rank is a dense array indexed by rank, and every pool's
+// DVFS ladder is evaluated once into a table (machine.Spec.LadderParams):
+// an operation half reads the rank's vector in place, a retune is a table
+// lookup (Spec.AtFrequency only for an off-ladder frequency), and every
+// meter — the DVFS energy banks, EnergySince, ReadMeter — derives from
+// one busy-time reader, so the meter is cheap enough to leave on.
 package cluster
 
 import (
@@ -132,9 +139,10 @@ type Config struct {
 type Cluster struct {
 	cfg      Config
 	platform machine.Platform
-	rankPool []int // rank → pool index
+	rankPool []int              // rank → pool index
+	ladders  [][]machine.Params // pool → its Spec's evaluated DVFS ladder
 	kernel   *sim.Kernel
-	params   []machine.Params
+	params   []machine.Params // rank → current vector
 	alpha    float64
 	net      netmodel.Model
 	counters *perfctr.Set
@@ -213,9 +221,16 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: Pack placement supports only one-pool platforms (ranks map to nodes per pool under Scatter)")
 	}
 
-	// One evaluated vector per pool at its initial operating point.
+	// Each pool's ladder is evaluated once; the initial operating point
+	// and every later retune index into it (see paramsAt).
+	ladders := make([][]machine.Params, len(platform.Pools))
 	poolParams := make([]machine.Params, len(platform.Pools))
 	for i, np := range platform.Pools {
+		ladder, err := np.Spec.LadderParams()
+		if err != nil {
+			return nil, err
+		}
+		ladders[i] = ladder
 		f := np.Spec.BaseFreq
 		switch {
 		case cfg.Freq != 0:
@@ -223,11 +238,11 @@ func New(cfg Config) (*Cluster, error) {
 		case cfg.PoolFreqs != nil && cfg.PoolFreqs[i] != 0:
 			f = cfg.PoolFreqs[i]
 		}
-		mp, err := np.Spec.AtFrequency(f)
+		mp, err := paramsAt(&np.Spec, ladders[i], f)
 		if err != nil {
 			return nil, err
 		}
-		poolParams[i] = mp
+		poolParams[i] = *mp
 	}
 
 	capacity := platform.TotalRanks()
@@ -262,6 +277,7 @@ func New(cfg Config) (*Cluster, error) {
 		cfg:      cfg,
 		platform: platform,
 		rankPool: rankPool,
+		ladders:  ladders,
 		kernel:   sim.NewKernel(cfg.Seed),
 		params:   params,
 		alpha:    cfg.Alpha,
@@ -300,25 +316,41 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// SetRankFrequency re-evaluates one rank's machine vector at DVFS
-// frequency f against the rank's own pool Spec, effective from the
-// current virtual time: operations already in flight keep the durations
-// they were issued with, later operations use the new vector. Energy
-// dissipated so far is banked at the outgoing parameters so
-// TrueEnergy/MeasuredEnergy stay exact across the change — the banking
-// is pool-agnostic, so heterogeneous retunes account exactly too.
+// paramsAt returns spec's machine vector at frequency f: the entry of the
+// spec's evaluated ladder when f is one of its operating points, else a
+// fresh Spec.AtFrequency(f) — the table is a cache of exactly those
+// values, not a restriction to the ladder.
+func paramsAt(spec *machine.Spec, ladder []machine.Params, f units.Hertz) (*machine.Params, error) {
+	for i := range ladder {
+		if ladder[i].Freq == f {
+			return &ladder[i], nil
+		}
+	}
+	mp, err := spec.AtFrequency(f)
+	return &mp, err
+}
+
+// SetRankFrequency switches one rank to its own pool's machine vector at
+// DVFS frequency f (a ladder-table lookup; an off-ladder f is evaluated
+// against the pool Spec), effective from the current virtual time:
+// operations already in flight keep the durations they were issued with,
+// later operations use the new vector. Energy dissipated so far is banked
+// at the outgoing parameters so TrueEnergy/MeasuredEnergy stay exact
+// across the change — the banking is pool-agnostic, so heterogeneous
+// retunes account exactly too.
 func (c *Cluster) SetRankFrequency(rank int, f units.Hertz) error {
 	r := c.checkRank(rank)
 	from := c.params[r].Freq
 	if from == f {
 		return nil
 	}
-	mp, err := c.platform.Pools[c.rankPool[r]].Spec.AtFrequency(f)
+	pi := c.rankPool[r]
+	mp, err := paramsAt(&c.platform.Pools[pi].Spec, c.ladders[pi], f)
 	if err != nil {
 		return err
 	}
 	c.bankRank(r)
-	c.params[r] = mp
+	c.params[r] = *mp
 	c.retunes[r]++
 	for _, fn := range c.onRetune {
 		fn(r, from, f)
@@ -336,9 +368,9 @@ func (c *Cluster) OnRetune(fn func(rank int, from, to units.Hertz)) {
 
 // bankRank integrates rank r's energy since its last banking point at the
 // rank's current parameters and advances the banking point to now. The
-// busy baseline uses BusySnapshot, which attributes in-flight operations
-// pro rata, so the portion of an in-flight operation executed before a
-// frequency change is priced at the outgoing power deltas.
+// busy baseline attributes in-flight operations pro rata (rankBusy), so
+// the portion of an in-flight operation executed before a frequency
+// change is priced at the outgoing power deltas.
 func (c *Cluster) bankRank(r int) {
 	bk := &c.banks[r]
 	idle, cpu, mem, io, cur := c.componentEnergySince(r, bk.tBase, bk.busyBase)
@@ -395,11 +427,18 @@ func (c *Cluster) TxNIC(rank int) *sim.Resource { return c.txNICs[c.NodeOf(rank)
 // RxNIC returns the receive channel of a rank's node NIC.
 func (c *Cluster) RxNIC(rank int) *sim.Resource { return c.rxNICs[c.NodeOf(rank)] }
 
+// checkRank is on every operation's path; the panic lives in badRank so
+// the check itself inlines.
 func (c *Cluster) checkRank(rank int) int {
 	if rank < 0 || rank >= len(c.params) {
-		panic(fmt.Sprintf("cluster: rank %d out of range [0,%d)", rank, len(c.params)))
+		c.badRank(rank)
 	}
 	return rank
+}
+
+//go:noinline
+func (c *Cluster) badRank(rank int) {
+	panic(fmt.Sprintf("cluster: rank %d out of range [0,%d)", rank, len(c.params)))
 }
 
 // jitter returns d perturbed by a multiplicative Gaussian factor with the
@@ -458,7 +497,7 @@ func (c *Cluster) StartCompute(rank int, onChip, offChip, alpha float64) units.S
 	if c.opActive[r] {
 		panic(fmt.Sprintf("cluster: rank %d already has an operation in flight", r))
 	}
-	mp := c.params[r]
+	mp := &c.params[r]
 	dc := c.jitter(units.Seconds(onChip*float64(mp.Tc)), c.cfg.Noise.ComputeJitter)
 	dm := c.jitter(units.Seconds(offChip*float64(mp.Tm)), c.cfg.Noise.MemoryJitter)
 

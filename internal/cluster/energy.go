@@ -33,13 +33,14 @@ func (e EnergyReport) String() string {
 // componentEnergySince integrates one rank's dissipation from a past
 // banking point (time plus busy snapshot) to now, priced at the rank's
 // current machine vector, and returns the current snapshot for the
-// caller's next baseline. Busy deltas come from BusySnapshot, which
+// caller's next baseline. Busy deltas come from rankBusy, which
 // attributes in-flight operations pro rata, so the deltas are monotone
-// even across a mid-operation banking point. Shared by the cluster's own
-// DVFS energy banks and external per-rank meters (EnergySince).
+// even across a mid-operation banking point. Every per-rank meter sits on
+// this one reader: the cluster's own DVFS energy banks (bankRank),
+// external per-rank meters (EnergySince) and the profiler's ReadMeter.
 func (c *Cluster) componentEnergySince(r int, since units.Seconds, base ComponentBusy) (idle, cpu, mem, io units.Joules, cur ComponentBusy) {
-	cur = c.BusySnapshot(r)
-	mp := c.params[r]
+	cur = c.rankBusy(r)
+	mp := &c.params[r]
 	idle = units.Energy(mp.PsysIdle, c.kernel.Now()-since)
 	cpu = units.Energy(mp.DeltaPc, cur.Compute-base.Compute)
 	mem = units.Energy(mp.DeltaPm, cur.Memory-base.Memory)
@@ -48,7 +49,7 @@ func (c *Cluster) componentEnergySince(r int, since units.Seconds, base Componen
 }
 
 // EnergySince returns the total energy rank r dissipated since a banking
-// point the caller recorded (a time and the BusySnapshot taken then),
+// point the caller recorded (a time and the busy snapshot taken then),
 // priced at the rank's current machine vector, plus the snapshot to use
 // as the next baseline. Callers tracking piecewise energy across DVFS
 // retunes (the sched package's per-job meters) bank with this before
@@ -58,24 +59,43 @@ func (c *Cluster) EnergySince(rank int, since units.Seconds, base ComponentBusy)
 	return idle + cpu + mem + io, cur
 }
 
-// ComponentEnergyTotals returns rank r's cumulative energy decomposition
-// from provisioning to now, piecewise-exact across DVFS retunes: the
-// banked segments priced at their own operating points plus the tail at
-// the current vector. Differencing consecutive readings gives exact
-// window energies no matter how many retunes the window spans — the
-// power profiler's correction path rests on this (idle is the lumped
-// Psys-idle integral; the active components are per category).
-func (c *Cluster) ComponentEnergyTotals(rank int) (idle, cpu, mem, io units.Joules) {
-	r := c.checkRank(rank)
-	bk := c.banks[r]
-	ti, tc, tm, tio, _ := c.componentEnergySince(r, bk.tBase, bk.busyBase)
-	return bk.idle + ti, bk.cpu + tc, bk.mem + tm, bk.io + tio
+// MeterReading is one reading of a rank's meter, everything derived from
+// a single busy snapshot taken at the current virtual time.
+type MeterReading struct {
+	// Busy is the rank's cumulative per-component busy time, in-flight
+	// work attributed pro rata (BusySnapshot of the one rank).
+	Busy ComponentBusy
+	// Retunes counts the effective SetRankFrequency changes the rank has
+	// absorbed; samplers compare counts to detect windows that span an
+	// operating-point change.
+	Retunes int64
+	// Idle, CPU, Memory and IO are the rank's cumulative energy
+	// decomposition from provisioning to now, piecewise-exact across DVFS
+	// retunes: the banked segments priced at their own operating points
+	// plus the tail at the current vector. Differencing consecutive
+	// readings gives exact window energies no matter how many retunes the
+	// window spans — the power profiler's correction path rests on this
+	// (Idle is the lumped Psys-idle integral; the rest are per category).
+	Idle, CPU, Memory, IO units.Joules
 }
 
-// RetuneCount returns how many effective SetRankFrequency changes rank r
-// has absorbed; samplers compare counts to detect windows that span an
-// operating-point change.
-func (c *Cluster) RetuneCount(rank int) int64 { return c.retunes[c.checkRank(rank)] }
+// ReadMeter reads rank r's meter. The busy snapshot is a pure function of
+// the rank's counters, its in-flight operation and the clock, so deriving
+// the energies from the same snapshot Busy reports is bit-identical to
+// taking one snapshot per quantity — and a third of the work.
+func (c *Cluster) ReadMeter(rank int) MeterReading {
+	r := c.checkRank(rank)
+	bk := &c.banks[r]
+	idle, cpu, mem, io, cur := c.componentEnergySince(r, bk.tBase, bk.busyBase)
+	return MeterReading{
+		Busy:    cur,
+		Retunes: c.retunes[r],
+		Idle:    bk.idle + idle,
+		CPU:     bk.cpu + cpu,
+		Memory:  bk.mem + mem,
+		IO:      bk.io + io,
+	}
+}
 
 // energy computes the exact (noise-free) energy decomposition. Each rank
 // contributes its banked energy from earlier DVFS operating points plus
@@ -84,14 +104,14 @@ func (c *Cluster) RetuneCount(rank int) int64 { return c.retunes[c.checkRank(ran
 // to the single-operating-point decomposition of Eq. 7–9. Idle power is
 // integrated to the makespan, or to the last frequency change if that
 // came later (a rank switched while the cluster idles still draws power).
-// Busy tails use BusySnapshot so a mid-operation query stays monotone
+// Busy tails use rankBusy so a mid-operation query stays monotone
 // (in-flight work counts pro rata, never negatively).
 func (c *Cluster) energy() EnergyReport {
 	rep := EnergyReport{Wall: c.wallEnd, Ranks: c.Ranks()}
 	for r := 0; r < c.Ranks(); r++ {
-		mp := c.params[r]
-		busy := c.BusySnapshot(r)
-		bk := c.banks[r]
+		mp := &c.params[r]
+		busy := c.rankBusy(r)
+		bk := &c.banks[r]
 		idleTail := rep.Wall - bk.tBase
 		if idleTail < 0 {
 			idleTail = 0
@@ -157,46 +177,58 @@ func (b ComponentBusy) BusySince(prev ComponentBusy) ComponentBusy {
 // in-progress operations pro rata so power sampling sees sustained load
 // rather than spikes at operation boundaries.
 func (c *Cluster) BusySnapshot(ranks ...int) ComponentBusy {
-	if len(ranks) == 0 {
-		ranks = make([]int, c.Ranks())
-		for i := range ranks {
-			ranks[i] = i
-		}
-	}
 	now := c.kernel.Now()
 	var b ComponentBusy
-	for _, r := range ranks {
-		ctr := c.counters.Rank(c.checkRank(r))
-		b.Compute += ctr.ComputeTime
-		b.Memory += ctr.MemoryTime
-		b.IO += ctr.IOTime
-		b.Network += ctr.NetworkTime
-		if fl := c.inflight[r]; fl.end > fl.start {
-			frac := float64(now-fl.start) / float64(fl.end-fl.start)
-			if frac < 0 {
-				frac = 0
-			}
-			if frac > 1 {
-				frac = 1
-			}
-			b.Compute += units.Seconds(frac * float64(fl.dc))
-			b.Memory += units.Seconds(frac * float64(fl.dm))
-			b.IO += units.Seconds(frac * float64(fl.dio))
-			b.Network += units.Seconds(frac * float64(fl.dnet))
+	if len(ranks) == 0 {
+		for r := range c.params {
+			c.addBusy(&b, r, now)
 		}
+	}
+	for _, r := range ranks {
+		c.addBusy(&b, c.checkRank(r), now)
 	}
 	return b
 }
 
+// rankBusy is BusySnapshot for one (already checked) rank — the reader
+// under every per-rank meter.
+func (c *Cluster) rankBusy(r int) ComponentBusy {
+	var b ComponentBusy
+	c.addBusy(&b, r, c.kernel.Now())
+	return b
+}
+
+// addBusy adds rank r's cumulative busy times as of now to b: the
+// counters of retired operations, then the in-flight operation pro rata.
+func (c *Cluster) addBusy(b *ComponentBusy, r int, now units.Seconds) {
+	ctr := c.counters.Rank(r)
+	b.Compute += ctr.ComputeTime
+	b.Memory += ctr.MemoryTime
+	b.IO += ctr.IOTime
+	b.Network += ctr.NetworkTime
+	if fl := &c.inflight[r]; fl.end > fl.start {
+		frac := float64(now-fl.start) / float64(fl.end-fl.start)
+		if frac < 0 {
+			frac = 0
+		}
+		if frac > 1 {
+			frac = 1
+		}
+		b.Compute += units.Seconds(frac * float64(fl.dc))
+		b.Memory += units.Seconds(frac * float64(fl.dm))
+		b.IO += units.Seconds(frac * float64(fl.dio))
+		b.Network += units.Seconds(frac * float64(fl.dnet))
+	}
+}
+
 // IdlePower sums Psys-idle over the given ranks (all if none specified).
 func (c *Cluster) IdlePower(ranks ...int) units.Watts {
+	var w units.Watts
 	if len(ranks) == 0 {
-		ranks = make([]int, c.Ranks())
-		for i := range ranks {
-			ranks[i] = i
+		for r := range c.params {
+			w += c.params[r].PsysIdle
 		}
 	}
-	var w units.Watts
 	for _, r := range ranks {
 		w += c.params[c.checkRank(r)].PsysIdle
 	}

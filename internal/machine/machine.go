@@ -241,6 +241,30 @@ func (s Spec) AtFrequency(f units.Hertz) (Params, error) {
 	if err := s.Validate(); err != nil {
 		return Params{}, err
 	}
+	return s.at(f)
+}
+
+// LadderParams evaluates the whole DVFS ladder: element i is exactly
+// AtFrequency(Frequencies[i]), with the spec validated once instead of
+// per point. Consumers that retune or price against ladder positions
+// (cluster, opcache) build this table once and index it afterwards.
+func (s Spec) LadderParams() ([]Params, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	out := make([]Params, len(s.Frequencies))
+	for i, f := range s.Frequencies {
+		mp, err := s.at(f)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = mp
+	}
+	return out, nil
+}
+
+// at is AtFrequency on a spec already known to be valid.
+func (s Spec) at(f units.Hertz) (Params, error) {
 	if f <= 0 {
 		return Params{}, fmt.Errorf("machine: %s: frequency %v must be positive", s.Name, f)
 	}
@@ -264,14 +288,7 @@ func (s Spec) AtFrequency(f units.Hertz) (Params, error) {
 		CacheBytes: s.CacheBytes,
 	}
 	p.PsysIdle = p.PcIdle + p.PmIdle + p.PioIdle + p.Pother
-	return p, validateOrZero(p)
-}
-
-func validateOrZero(p Params) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	return nil
+	return p, p.Validate()
 }
 
 // Base evaluates the vector at the nominal frequency.

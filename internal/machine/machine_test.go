@@ -86,6 +86,39 @@ func TestPsysIdleIsComponentSum(t *testing.T) {
 	}
 }
 
+// LadderParams is AtFrequency over the whole ladder, validated once:
+// element for element the same vectors, and the same refusals.
+func TestLadderParamsMatchesAtFrequency(t *testing.T) {
+	for _, spec := range []Spec{SystemG(), Dori()} {
+		ladder, err := spec.LadderParams()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ladder) != len(spec.Frequencies) {
+			t.Fatalf("%s: %d vectors for %d ladder steps", spec.Name, len(ladder), len(spec.Frequencies))
+		}
+		for i, f := range spec.Frequencies {
+			want, err := spec.AtFrequency(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ladder[i] != want {
+				t.Errorf("%s step %d (%v): %+v, AtFrequency %+v", spec.Name, i, f, ladder[i], want)
+			}
+		}
+	}
+	bad := SystemG()
+	bad.Gamma = 0.5
+	if _, err := bad.LadderParams(); err == nil {
+		t.Error("an invalid spec must be rejected")
+	}
+	bad = SystemG()
+	bad.PcIdle, bad.PmIdle, bad.PioIdle, bad.Pother = 0, 0, 0, 0 // a valid spec, Psys-idle = 0 vectors
+	if _, err := bad.LadderParams(); err == nil {
+		t.Error("a spec whose vectors do not validate must be rejected")
+	}
+}
+
 func TestAtFrequencyRejectsNonPositive(t *testing.T) {
 	s := SystemG()
 	if _, err := s.AtFrequency(0); err == nil {

@@ -112,25 +112,18 @@ func (s Stats) HitRate() float64 {
 
 // New validates the spec and prepares a cache over its DVFS ladder.
 func New(spec machine.Spec) (*Cache, error) {
-	if err := spec.Validate(); err != nil {
+	params, err := spec.LadderParams()
+	if err != nil {
 		return nil, err
 	}
-	c := &Cache{
+	return &Cache{
 		spec:   spec,
 		ladder: append([]units.Hertz(nil), spec.Frequencies...),
-		params: make([]machine.Params, len(spec.Frequencies)),
+		params: params,
 		rows:   make(map[any]map[rowKey]*Row),
 		errs:   make(map[any]map[rowKey]error),
 		points: make(map[any]map[pointKey]core.Prediction),
-	}
-	for i, f := range c.ladder {
-		mp, err := spec.AtFrequency(f)
-		if err != nil {
-			return nil, err
-		}
-		c.params[i] = mp
-	}
-	return c, nil
+	}, nil
 }
 
 // Spec returns the machine specification the cache evaluates against.

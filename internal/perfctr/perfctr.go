@@ -6,11 +6,14 @@
 // Won (on-chip computation), Woff (off-chip memory accesses), and the
 // parallel overheads ΔWon, ΔWoff — plus the communication counts M and B
 // otherwise obtained through TAU/PMPI.
+//
+// Like the hardware they stand in for, the counters are meant to stay on
+// for the whole run, so the per-operation lookup (Set.Rank) is kept to an
+// index and a nil check.
 package perfctr
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/units"
@@ -84,30 +87,44 @@ func (c Counters) BusyTime() units.Seconds {
 }
 
 // Set is an indexed collection of per-rank counters, e.g. one per MPI rank.
+// It is dense: rank r's counters live at index r of a slice grown on
+// demand (nil = rank never touched).
 type Set struct {
-	byRank map[int]*Counters
+	byRank []*Counters
 }
 
 // NewSet returns an empty counter set.
-func NewSet() *Set { return &Set{byRank: make(map[int]*Counters)} }
+func NewSet() *Set { return &Set{} }
 
-// Rank returns (allocating if needed) the counters for a rank.
+// Rank returns (allocating if needed) the counters for a rank. Ranks are
+// non-negative; a negative rank panics. The hit path inlines; a first
+// touch goes through add.
 func (s *Set) Rank(rank int) *Counters {
-	c, ok := s.byRank[rank]
-	if !ok {
-		c = &Counters{}
-		s.byRank[rank] = c
+	if uint(rank) >= uint(len(s.byRank)) || s.byRank[rank] == nil {
+		s.add(rank)
 	}
-	return c
+	return s.byRank[rank]
+}
+
+// add grows the set to hold rank and allocates its counters.
+func (s *Set) add(rank int) {
+	if rank < 0 {
+		panic(fmt.Sprintf("perfctr: negative rank %d", rank))
+	}
+	if rank >= len(s.byRank) {
+		s.byRank = append(s.byRank, make([]*Counters, rank+1-len(s.byRank))...)
+	}
+	s.byRank[rank] = &Counters{}
 }
 
 // Ranks returns the rank ids present, ascending.
 func (s *Set) Ranks() []int {
-	out := make([]int, 0, len(s.byRank))
-	for r := range s.byRank {
-		out = append(out, r)
+	var out []int
+	for r, c := range s.byRank {
+		if c != nil {
+			out = append(out, r)
+		}
 	}
-	sort.Ints(out)
 	return out
 }
 
@@ -115,8 +132,10 @@ func (s *Set) Ranks() []int {
 // (Won+ΔWon as the total on-chip workload over all processors, etc.).
 func (s *Set) Total() Counters {
 	var total Counters
-	for _, r := range s.Ranks() {
-		total.Add(*s.byRank[r])
+	for _, c := range s.byRank {
+		if c != nil {
+			total.Add(*c)
+		}
 	}
 	return total
 }
@@ -125,8 +144,10 @@ func (s *Set) Total() Counters {
 func (s *Set) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%6s %14s %14s %10s %14s\n", "rank", "on-chip", "off-chip", "msgs", "bytes")
-	for _, r := range s.Ranks() {
-		c := s.byRank[r]
+	for r, c := range s.byRank {
+		if c == nil {
+			continue
+		}
 		fmt.Fprintf(&b, "%6d %14.4g %14.4g %10d %14.4g\n", r, c.OnChipOps, c.OffChipAccesses, c.Messages, c.BytesSent)
 	}
 	t := s.Total()

@@ -93,3 +93,61 @@ func TestTotalAdditiveProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The set is a dense slice: a negative rank is a caller bug and panics
+// with the package's prefix instead of a bare index error.
+func TestNegativeRankPanics(t *testing.T) {
+	for _, s := range []*Set{NewSet(), {byRank: make([]*Counters, 4)}} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "perfctr: negative rank -1") {
+					t.Errorf("Rank(-1) panicked with %q, want a perfctr: message", msg)
+				}
+			}()
+			s.Rank(-1)
+		}()
+		if got := s.Ranks(); len(got) != 0 {
+			t.Errorf("a rejected rank left entries behind: %v", got)
+		}
+	}
+}
+
+// Sparse use: only touched ranks exist, however far apart they are.
+func TestSparseRanks(t *testing.T) {
+	s := NewSet()
+	if got := s.Ranks(); len(got) != 0 {
+		t.Fatalf("empty set has ranks %v", got)
+	}
+	s.Rank(1000).AddCompute(7)
+	if got := s.Ranks(); len(got) != 1 || got[0] != 1000 {
+		t.Fatalf("ranks = %v, want [1000]", got)
+	}
+	if s.Rank(1000) != s.Rank(1000) {
+		t.Fatal("Rank must return the same counters on every call")
+	}
+	s.Rank(3).AddCompute(1)
+	if got := s.Ranks(); len(got) != 2 || got[0] != 3 || got[1] != 1000 {
+		t.Fatalf("ranks = %v, want [3 1000]", got)
+	}
+	if total := s.Total(); total.OnChipOps != 8 {
+		t.Fatalf("total on-chip = %g, want 8 (two ranks)", total.OnChipOps)
+	}
+	if rows := strings.Count(s.String(), "\n"); rows != 4 {
+		t.Fatalf("table has %d lines, want header + 2 ranks + total:\n%s", rows, s)
+	}
+}
+
+// BenchmarkSetRank is the lookup the cluster does on every operation
+// half: an existing rank of a 64-rank set.
+func BenchmarkSetRank(b *testing.B) {
+	s := NewSet()
+	for r := 0; r < 64; r++ {
+		s.Rank(r)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Rank(i%64).Messages++
+	}
+}

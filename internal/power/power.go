@@ -16,6 +16,11 @@
 // calibration aims for. With overlap α < 1, utilisation can transiently
 // exceed 1 (compressed wall time), mirroring how measured component
 // power can exceed nominal active power during dense phases.
+//
+// A sample costs one cluster.ReadMeter per tracked rank — busy snapshot,
+// retune count and cumulative energies from a single snapshot — against
+// the previous reading kept per rank, and allocates nothing beyond the
+// trace's own growth.
 package power
 
 import (
@@ -24,6 +29,7 @@ import (
 	"strings"
 
 	"repro/internal/cluster"
+	"repro/internal/machine"
 	"repro/internal/units"
 )
 
@@ -52,23 +58,19 @@ type Profiler struct {
 	ranks    []int
 	noisy    bool
 
-	prev    []cluster.ComponentBusy // per tracked rank
+	// prev is each tracked rank's meter reading at the previous sample:
+	// the busy baseline of the utilisation formula, and for the
+	// retune-correction path the cumulative piecewise-exact component
+	// energies and the rank's retune count (see record).
+	prev []cluster.MeterReading
+	// params is each tracked rank's machine vector, refreshed when the
+	// rank's retune count moves — the only way a vector changes.
+	params  []machine.Params
 	prevT   units.Seconds
 	samples []Sample
 
-	// Per-rank baselines for the retune-correction path: cumulative
-	// piecewise-exact component energies and the rank's retune count at
-	// the previous sample (see record).
-	prevRetunes []int64
-	prevEnergy  []componentEnergy
-
 	onSample  []func(Sample)
 	keepAlive func() bool
-}
-
-// componentEnergy is one rank's cumulative energy decomposition.
-type componentEnergy struct {
-	idle, cpu, mem, io units.Joules
 }
 
 // OnSample registers fn to run in kernel context immediately after each
@@ -93,7 +95,8 @@ func (p *Profiler) KeepSampling(alive func() bool) { p.keepAlive = alive }
 // rank — each rank's utilisation scales its own ΔP — so heterogeneous
 // machine vectors profile correctly. If noisy is true, each sample is
 // perturbed like a physical meter reading; energy integration is exact
-// only for noiseless profiles.
+// only for noiseless profiles. Every rank must lie in [0, cl.Ranks()) and
+// appear once — a repeated rank would be counted twice in every sample.
 func Attach(cl *cluster.Cluster, interval units.Seconds, noisy bool, ranks ...int) (*Profiler, error) {
 	if interval <= 0 {
 		return nil, fmt.Errorf("power: sampling interval must be positive, got %v", interval)
@@ -104,16 +107,23 @@ func Attach(cl *cluster.Cluster, interval units.Seconds, noisy bool, ranks ...in
 			ranks[i] = i
 		}
 	}
+	seen := make([]bool, cl.Ranks())
+	for _, r := range ranks {
+		if r < 0 || r >= len(seen) {
+			return nil, fmt.Errorf("power: rank %d out of range [0,%d)", r, len(seen))
+		}
+		if seen[r] {
+			return nil, fmt.Errorf("power: rank %d listed twice", r)
+		}
+		seen[r] = true
+	}
 	p := &Profiler{cl: cl, interval: interval, ranks: ranks, noisy: noisy}
 	p.prevT = cl.Kernel().Now()
-	p.prev = make([]cluster.ComponentBusy, len(ranks))
-	p.prevRetunes = make([]int64, len(ranks))
-	p.prevEnergy = make([]componentEnergy, len(ranks))
+	p.prev = make([]cluster.MeterReading, len(ranks))
+	p.params = make([]machine.Params, len(ranks))
 	for i, r := range ranks {
-		p.prev[i] = cl.BusySnapshot(r)
-		p.prevRetunes[i] = cl.RetuneCount(r)
-		e := &p.prevEnergy[i]
-		e.idle, e.cpu, e.mem, e.io = cl.ComponentEnergyTotals(r)
+		p.prev[i] = cl.ReadMeter(r)
+		p.params[i] = cl.Params(r)
 	}
 	cl.Kernel().After(interval, p.tick)
 	return p, nil
@@ -138,24 +148,13 @@ func (p *Profiler) record() {
 	}
 	s := Sample{T: now}
 	for i, r := range p.ranks {
-		busy := p.cl.BusySnapshot(r)
-		d := busy.BusySince(p.prev[i])
-		p.prev[i] = busy
-
-		retunes := p.cl.RetuneCount(r)
-		idleE, cpuE, memE, ioE := p.cl.ComponentEnergyTotals(r)
-		win := componentEnergy{
-			idle: idleE - p.prevEnergy[i].idle,
-			cpu:  cpuE - p.prevEnergy[i].cpu,
-			mem:  memE - p.prevEnergy[i].mem,
-			io:   ioE - p.prevEnergy[i].io,
-		}
-		p.prevEnergy[i] = componentEnergy{idle: idleE, cpu: cpuE, mem: memE, io: ioE}
-
-		mp := p.cl.Params(r)
-		if retunes == p.prevRetunes[i] {
+		// One reading per rank per sample: busy baseline, retune count
+		// and cumulative energies all come from the same snapshot.
+		cur, prev, mp := p.cl.ReadMeter(r), &p.prev[i], &p.params[i]
+		if cur.Retunes == prev.Retunes {
 			// Steady window: the rank kept one machine vector, so the
 			// classic utilisation formula is exact.
+			d := cur.Busy.BusySince(prev.Busy)
 			s.CPU += mp.PcIdle + units.Watts(float64(mp.DeltaPc)*float64(d.Compute)/float64(dt))
 			s.Memory += mp.PmIdle + units.Watts(float64(mp.DeltaPm)*float64(d.Memory)/float64(dt))
 			s.IO += mp.PioIdle + units.Watts(float64(mp.DeltaPio)*float64(d.IO)/float64(dt))
@@ -171,17 +170,18 @@ func (p *Profiler) record() {
 			// average power. Idle is banked as one Psys-idle integral;
 			// split it across components in the window-end vector's
 			// proportions (the split is cosmetic, the total is exact).
-			p.prevRetunes[i] = retunes
-			idleRate := float64(win.idle) / float64(dt)
+			*mp = p.cl.Params(r)
+			idleRate := float64(cur.Idle-prev.Idle) / float64(dt)
 			share := 1.0
 			if mp.PsysIdle > 0 {
 				share = idleRate / float64(mp.PsysIdle)
 			}
-			s.CPU += units.Watts(float64(mp.PcIdle)*share + float64(win.cpu)/float64(dt))
-			s.Memory += units.Watts(float64(mp.PmIdle)*share + float64(win.mem)/float64(dt))
-			s.IO += units.Watts(float64(mp.PioIdle)*share + float64(win.io)/float64(dt))
+			s.CPU += units.Watts(float64(mp.PcIdle)*share + float64(cur.CPU-prev.CPU)/float64(dt))
+			s.Memory += units.Watts(float64(mp.PmIdle)*share + float64(cur.Memory-prev.Memory)/float64(dt))
+			s.IO += units.Watts(float64(mp.PioIdle)*share + float64(cur.IO-prev.IO)/float64(dt))
 			s.Other += units.Watts(float64(mp.Pother) * share)
 		}
+		*prev = cur
 	}
 	p.prevT = now
 	if p.noisy {

@@ -1,6 +1,7 @@
 package power
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -224,6 +225,36 @@ func TestAttachValidation(t *testing.T) {
 	}
 }
 
+// A rank list comes from the command line (powerpack -rank): a rank the
+// cluster does not have, or one named twice (it would be counted twice
+// in every sample), is an error, never a panic.
+func TestAttachRejectsBadRankLists(t *testing.T) {
+	cl, err := cluster.New(cluster.Config{Spec: testSpec(), Ranks: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		ranks []int
+		want  string // substring of the error; empty = accepted
+	}{
+		{"all ranks", nil, ""},
+		{"subset", []int{3, 0}, ""},
+		{"out of range", []int{9}, "rank 9 out of range [0,4)"},
+		{"one past the end", []int{0, 4}, "rank 4 out of range [0,4)"},
+		{"negative", []int{1, -1}, "rank -1 out of range [0,4)"},
+		{"duplicate", []int{2, 1, 2}, "rank 2 listed twice"},
+	} {
+		_, err := Attach(cl, units.Millisecond, false, tc.ranks...)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestSubsetRanks(t *testing.T) {
 	cl, err := cluster.New(cluster.Config{Spec: testSpec(), Ranks: 2})
 	if err != nil {
@@ -359,5 +390,73 @@ func TestEnergyBetween(t *testing.T) {
 	}
 	if pr.EnergyBetween(2, 2) != 0 {
 		t.Fatal("empty span must integrate to zero")
+	}
+}
+
+// systemGCluster provisions n noise-free SystemG ranks (past the
+// preset's 325 nodes for the scaling tier).
+func systemGCluster(tb testing.TB, n int) *cluster.Cluster {
+	tb.Helper()
+	pl := machine.Platform{Pools: []machine.NodePool{{Spec: machine.SystemG(), Nodes: n}}}
+	cl, err := cluster.New(cluster.Config{Platform: pl, Ranks: n, Alpha: 0.9, Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return cl
+}
+
+// A sample reads each rank's meter in place: with room in the trace, a
+// 64-rank record allocates nothing — steady windows and windows that
+// span a retune alike.
+func TestRecordDoesNotAllocate(t *testing.T) {
+	cl := systemGCluster(t, 64)
+	p, err := Attach(cl, 25*units.Millisecond, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 100
+	p.samples = make([]Sample, 0, 2*runs+2)
+	ladder := machine.SystemG().Frequencies
+	i := 0
+	record := func() {
+		if i%2 == 1 {
+			for r := 0; r < 64; r += 4 {
+				if err := cl.SetRankFrequency(r, ladder[(i/2)%2]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		i++
+		p.prevT -= p.interval // a window without running the kernel
+		p.record()
+	}
+	if got := testing.AllocsPerRun(runs, record); got != 0 {
+		t.Fatalf("record allocates %v per 64-rank sample, want 0", got)
+	}
+	if len(p.samples) != runs+1 {
+		t.Fatalf("%d samples recorded, want %d", len(p.samples), runs+1)
+	}
+}
+
+// BenchmarkSample is one profiler sample over the whole cluster, driven
+// through the kernel as in a run; ns/rank is the per-rank meter cost.
+func BenchmarkSample(b *testing.B) {
+	for _, ranks := range []int{64, 1024} {
+		b.Run(fmt.Sprintf("ranks%d", ranks), func(b *testing.B) {
+			cl := systemGCluster(b, ranks)
+			p, err := Attach(cl, 25*units.Millisecond, false)
+			if err != nil {
+				b.Fatal(err)
+			}
+			n := 0
+			p.OnSample(func(Sample) { n++ })
+			p.KeepSampling(func() bool { return n < b.N })
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := cl.Kernel().RunCallback(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ranks), "ns/rank")
+		})
 	}
 }

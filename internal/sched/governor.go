@@ -1,8 +1,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/power"
@@ -33,6 +34,8 @@ type governor struct {
 	violations int
 	samples    int
 	peak       units.Watts
+
+	order []*runningJob // sorted()'s reused buffer
 }
 
 // capEpsilon absorbs float rounding when auditing samples against the
@@ -212,7 +215,7 @@ func (g *governor) relinquish() {
 
 // retune moves a running job to index idx of its pool's ladder: bank
 // each rank's energy at the outgoing vector, then switch the hardware
-// (SetRankFrequency re-evaluates against the rank's own pool Spec).
+// (SetRankFrequency looks f up in the rank's own pool's ladder table).
 // Work already in flight keeps its issued duration; subsequent slices
 // use the new vector. Model progress is re-priced at the boundary so
 // predicted completions (backfill's shadow clock) stay piecewise-exact.
@@ -241,15 +244,16 @@ func (g *governor) retune(rj *runningJob, idx int, why string) {
 }
 
 // sorted returns the running jobs ordered by priority descending, then
-// job ID — the deterministic traversal order for control decisions.
+// job ID — the deterministic traversal order for control decisions. The
+// slice is the governor's own buffer, overwritten by the next call.
 func (g *governor) sorted() []*runningJob {
-	out := append([]*runningJob(nil), g.s.running...)
-	sort.Slice(out, func(a, b int) bool {
-		ja, jb := out[a].e.job, out[b].e.job
-		if ja.priority() != jb.priority() {
-			return ja.priority() > jb.priority()
+	g.order = append(g.order[:0], g.s.running...)
+	slices.SortFunc(g.order, func(a, b *runningJob) int {
+		ja, jb := &a.e.job, &b.e.job
+		if c := cmp.Compare(jb.priority(), ja.priority()); c != 0 {
+			return c
 		}
-		return ja.ID < jb.ID
+		return cmp.Compare(ja.ID, jb.ID)
 	})
-	return out
+	return g.order
 }
