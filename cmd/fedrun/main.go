@@ -90,21 +90,21 @@ func main() {
 	eventsPrefix := flag.String("events", "", "write per-site decision streams as NDJSON to PREFIX-<site>.ndjson plus the routing stream to PREFIX-route.ndjson (needs a single -split and -route)")
 	statusAddr := flag.String("status", "", "serve live per-site run status over HTTP on this address (e.g. :8080): JSON at /status.json, Prometheus text at /metrics")
 	flag.Parse()
+	if *jobs < 0 {
+		usage(fmt.Sprintf("-jobs %d must not be negative", *jobs))
+	}
 
-	var plan *capplan.Plan
+	plan, err := capplan.Steps(capplan.Segment{Cap: units.Watts(*capW)})
 	if *budget != "" {
 		capSet := false
 		flag.Visit(func(f *flag.Flag) { capSet = capSet || f.Name == "cap" })
 		if capSet {
 			usage("-cap cannot combine with -budget; put the constant in the plan's first window instead")
 		}
-		p, err := capplan.ParsePlan(*budget)
-		if err != nil {
-			usage(err.Error())
-		}
-		plan = p
-	} else {
-		plan = capplan.Constant(units.Watts(*capW))
+		plan, err = capplan.ParsePlan(*budget)
+	}
+	if err != nil {
+		usage(err.Error())
 	}
 
 	sites := parseSites(*sitesSpec)
@@ -125,13 +125,9 @@ func main() {
 		return nil
 	})
 
-	name := strings.ToLower(*policy)
-	pol, ok := sched.Policies()[strings.TrimPrefix(name, "backfill+")]
-	if !ok {
-		usage(fmt.Sprintf("unknown policy %q (have fifo, ee-max, fair-share, backfill+<name>)", *policy))
-	}
-	if strings.HasPrefix(name, "backfill+") {
-		pol = sched.Backfill(pol)
+	pol, err := sched.ParsePolicy(*policy)
+	if err != nil {
+		usage("-policy: " + err.Error())
 	}
 
 	splits := pickPolicies(*split, "-split", splitNames())

@@ -53,14 +53,18 @@
 // -trace writes a Chrome trace-event JSON timeline (open in Perfetto or
 // chrome://tracing), -events the raw decision stream as NDJSON,
 // -metrics the sim-time metrics registry as CSV, and -audit renders the
-// plain-text decision audit ("summary", a job ID, or "all") on stdout.
+// stream as text on stdout through internal/traceq — "summary" for the
+// run's totals, a job ID for that job's `traceq why`, "all" for both.
 // These flags need -policy NAME — a decision stream interleaving
 // several independent schedules would be meaningless — and with
 // -repeat N they record only the final repetition, so profiling runs
 // stay clean. -json dumps the machine-readable results (any policy
 // selection) to a file, or stdout with "-". When any run violated the
 // cap, schedrun exits with status 3 after printing its tables, so CI
-// smoke jobs can assert the zero-violation guarantee.
+// smoke jobs can assert the zero-violation guarantee. A flag value no
+// schedule can be built from — a malformed plan spec, a non-finite or
+// sub-idle-floor cap, a negative job count — exits 2; an unreadable or
+// unwritable file exits 1.
 //
 // Usage:
 //
@@ -83,7 +87,6 @@ import (
 	"runtime/pprof"
 	"sort"
 	"strconv"
-	"strings"
 
 	"repro/internal/capplan"
 	"repro/internal/faults"
@@ -91,6 +94,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
+	"repro/internal/traceq"
 	"repro/internal/units"
 )
 
@@ -131,6 +135,10 @@ func main() {
 	if *repeat < 1 {
 		*repeat = 1
 	}
+	if *jobs < 0 {
+		fmt.Fprintf(os.Stderr, "-jobs %d must not be negative\n", *jobs)
+		os.Exit(2)
+	}
 	if *interval < 0 {
 		fmt.Fprintf(os.Stderr, "-interval %g is negative; pass 0 for the 25 ms default or a positive period\n", *interval)
 		os.Exit(2)
@@ -147,7 +155,7 @@ func main() {
 		os.Exit(2)
 	case *capPlan != "":
 		p, err := capplan.ParsePlan(*capPlan)
-		exitOn(err)
+		usageOn(err)
 		plan = p
 	case *capFile != "":
 		f, err := os.Open(*capFile)
@@ -199,10 +207,7 @@ func main() {
 		os.Exit(2)
 	case *faultSpec != "":
 		p, err := faults.ParsePlan(*faultSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
+		usageOn(err)
 		fplan = p
 	case *faultFile != "":
 		f, err := os.Open(*faultFile)
@@ -240,10 +245,7 @@ func main() {
 		if faultKnobs["restartcost"] {
 			fplan.RestartCost = units.Seconds(*restartCost)
 		}
-		if err := fplan.Validate(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
+		usageOn(fplan.Validate())
 	}
 	if *capDump != "" {
 		if plan == nil {
@@ -264,10 +266,7 @@ func main() {
 	}
 
 	platform, err := machine.ParsePlatform(*clusterName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
+	usageOn(err)
 	// A multi-pool platform defines the cluster exactly (every pool's
 	// node count); the -ranks default only sizes a bare single preset,
 	// whose full node count is far larger than a useful demo cluster.
@@ -298,15 +297,9 @@ func main() {
 			policies = append(policies, all[name])
 		}
 	} else {
-		name := strings.ToLower(*policy)
-		wrap := strings.HasPrefix(name, "backfill+")
-		p, ok := sched.Policies()[strings.TrimPrefix(name, "backfill+")]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown policy %q (have fifo, ee-max, fair-share, backfill+<name>, all)\n", *policy)
-			os.Exit(2)
-		}
-		if wrap {
-			p = sched.Backfill(p)
+		p, err := sched.ParsePolicy(*policy)
+		if err != nil {
+			usageOn(fmt.Errorf("-policy: %v, or all", err))
 		}
 		policies = []sched.Policy{p}
 	}
@@ -452,8 +445,10 @@ func main() {
 			if rec != nil {
 				cfg.Telemetry = rec
 			}
+			// What New rejects is a flag value: the cap, the platform, a
+			// fault plan scripting a rank the cluster does not have.
 			s, err := sched.New(cfg)
-			exitOn(err)
+			usageOn(err)
 			res, err = s.Run(trace)
 			exitOn(err)
 			if rec != nil {
@@ -473,18 +468,17 @@ func main() {
 			fmt.Printf("== %s ==\n%s\n", res.Policy, res.JobTable())
 		}
 		if mem != nil {
-			a := telemetry.NewAudit(mem.Events())
-			switch {
-			case *audit == "all":
-				for _, id := range a.Jobs() {
-					exitOn(a.JobReport(os.Stdout, id))
+			evs := mem.Events()
+			if *audit == "all" {
+				for _, j := range res.Jobs {
+					exitOn(traceq.Why(os.Stdout, evs, j.ID))
 					fmt.Println()
 				}
-				exitOn(a.Summary(os.Stdout))
-			case auditJob >= 0:
-				exitOn(a.JobReport(os.Stdout, auditJob))
-			default: // "summary"
-				exitOn(a.Summary(os.Stdout))
+			}
+			if auditJob >= 0 {
+				exitOn(traceq.Why(os.Stdout, evs, auditJob))
+			} else { // "summary", and the tail of "all"
+				exitOn(traceq.Summary(os.Stdout, evs))
 			}
 			fmt.Println()
 		}
@@ -560,5 +554,13 @@ func exitOn(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
+	}
+}
+
+// usageOn is exitOn for an error a flag's value caused.
+func usageOn(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 }

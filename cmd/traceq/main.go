@@ -5,6 +5,7 @@
 //	traceq why <job> <trace.ndjson>     one job's causal admission chain
 //	traceq critpath <trace.ndjson>      longest dependency chain to makespan
 //	traceq windows <trace.ndjson>       per-cap-window rollup table
+//	traceq summary <trace.ndjson>       events per kind, ranked block reasons, violations
 //	traceq merge [site=]a.ndjson ...    deterministic cross-site merge (NDJSON on stdout)
 //
 // Exit codes: 0 success, 1 I/O or query error, 2 usage.
@@ -12,6 +13,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -30,6 +32,8 @@ commands:
   critpath <trace.ndjson>       the longest wait/run dependency chain
                                 ending at the last completion
   windows <trace.ndjson>        per-cap-window rollup table
+  summary <trace.ndjson>        stream-wide totals: events per kind,
+                                ranked block reasons, cap violations
   merge [site=]a.ndjson [site=]b.ndjson ...
                                 merge traces by sim time into one NDJSON
                                 stream on stdout, stamping Site from the
@@ -74,18 +78,14 @@ func main() {
 		if err := traceq.Why(os.Stdout, load(os.Args[3]), job); err != nil {
 			fail(err)
 		}
-	case "critpath":
+	case "critpath", "windows", "summary":
 		if len(os.Args) != 3 {
 			usage()
 		}
-		if err := traceq.Critpath(os.Stdout, load(os.Args[2])); err != nil {
-			fail(err)
-		}
-	case "windows":
-		if len(os.Args) != 3 {
-			usage()
-		}
-		if err := traceq.Windows(os.Stdout, load(os.Args[2])); err != nil {
+		query := map[string]func(io.Writer, []telemetry.Event) error{
+			"critpath": traceq.Critpath, "windows": traceq.Windows, "summary": traceq.Summary,
+		}[os.Args[1]]
+		if err := query(os.Stdout, load(os.Args[2])); err != nil {
 			fail(err)
 		}
 	case "merge":

@@ -21,7 +21,8 @@
 //   - observability_metrics.csv — the registry sampled in sim time,
 //     ready to plot against the budget windows.
 //
-// plus the plain-text audit, printed below for one job and the fleet.
+// plus the text view — `traceq why` for one job, `traceq summary` for
+// the fleet — printed below.
 //
 // Run it:
 //
@@ -37,6 +38,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
+	"repro/internal/traceq"
 	"repro/internal/units"
 )
 
@@ -115,20 +117,18 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Step 4 — the audit: the retained stream rendered as plain text.
-	// Every job's life is a complete chain — arrive, any blocked
-	// attempts with their reason, admit with the chosen operating
-	// point, governor retunes, finish — so "why did job N wait?" is
+	// Step 4 — the text view: the retained stream through the same
+	// queries `traceq why` and `traceq summary` run offline. Every job's
+	// life is a complete chain — arrive, any blocked attempts ranked by
+	// reason, admit with the chosen operating point, governor retunes,
+	// finish, and what unblocked it — so "why did job N wait?" is
 	// answered by reading, not by re-running under a debugger.
-	audit := telemetry.NewAudit(mem.Events())
 	fmt.Println("one job's decision chain:")
-	if jobs := audit.Jobs(); len(jobs) > 0 {
-		if err := audit.JobReport(os.Stdout, jobs[len(jobs)/2]); err != nil {
-			log.Fatal(err)
-		}
+	if err := traceq.Why(os.Stdout, mem.Events(), res.Jobs[len(res.Jobs)/2].ID); err != nil {
+		log.Fatal(err)
 	}
 	fmt.Println()
-	if err := audit.Summary(os.Stdout); err != nil {
+	if err := traceq.Summary(os.Stdout, mem.Events()); err != nil {
 		log.Fatal(err)
 	}
 

@@ -55,8 +55,8 @@ type Plan struct {
 }
 
 // Steps builds a plan from explicit segments — demand-response windows.
-// Segments must start at t = 0, strictly ascend, and carry positive
-// caps.
+// Segments must start at t = 0, strictly ascend, and carry positive,
+// finite caps.
 func Steps(segs ...Segment) (*Plan, error) {
 	p := &Plan{segs: append([]Segment(nil), segs...)}
 	if err := p.Validate(); err != nil {
@@ -98,8 +98,8 @@ func (p *Plan) SetCaps(from, to units.Seconds, cap units.Watts) error {
 	if !p.IsRevisable() {
 		return errors.New("capplan: SetCaps on a non-revisable plan")
 	}
-	if cap <= 0 {
-		return fmt.Errorf("capplan: SetCaps cap %v must be positive", cap)
+	if !validCap(cap) {
+		return fmt.Errorf("capplan: SetCaps cap %v must be positive and finite", cap)
 	}
 	if to <= from {
 		return fmt.Errorf("capplan: SetCaps window [%v, %v) is empty", from, to)
@@ -241,9 +241,16 @@ func ValidateSignal(signal []Sample) error {
 	return nil
 }
 
+// validCap reports whether w can bound a schedule: positive and finite.
+// NaN fails every comparison an admission or audit would make against
+// it, so a NaN cap would silently run uncapped.
+func validCap(w units.Watts) bool {
+	return w > 0 && !math.IsInf(float64(w), 1)
+}
+
 // Validate checks the timeline invariants every query relies on: at
-// least one segment, the first at t = 0, starts strictly ascending,
-// caps positive.
+// least one segment, the first at t = 0, starts finite and strictly
+// ascending, caps positive and finite.
 func (p *Plan) Validate() error {
 	if p == nil || len(p.segs) == 0 {
 		return errors.New("capplan: plan has no segments")
@@ -252,11 +259,12 @@ func (p *Plan) Validate() error {
 		return fmt.Errorf("capplan: plan must start at t=0, got %v", p.segs[0].Start)
 	}
 	for i, sg := range p.segs {
-		if sg.Cap <= 0 {
-			return fmt.Errorf("capplan: segment %d cap %v must be positive", i, sg.Cap)
+		if !validCap(sg.Cap) {
+			return fmt.Errorf("capplan: segment %d cap %v must be positive and finite", i, sg.Cap)
 		}
-		if i > 0 && sg.Start <= p.segs[i-1].Start {
-			return fmt.Errorf("capplan: segment %d start %v does not ascend past %v", i, sg.Start, p.segs[i-1].Start)
+		// !(a > b), not a <= b, so a NaN start fails too.
+		if i > 0 && (!(sg.Start > p.segs[i-1].Start) || math.IsInf(float64(sg.Start), 1)) {
+			return fmt.Errorf("capplan: segment %d start %v does not ascend past %v to a finite time", i, sg.Start, p.segs[i-1].Start)
 		}
 	}
 	return nil
@@ -265,6 +273,9 @@ func (p *Plan) Validate() error {
 // index returns the segment in force at time t (times before the plan
 // clamp to the first segment).
 func (p *Plan) index(t units.Seconds) int {
+	if len(p.segs) == 1 {
+		return 0 // a constant cap: every scheduler query lands here
+	}
 	// The first segment whose start exceeds t ends the search.
 	i := sort.Search(len(p.segs), func(i int) bool { return p.segs[i].Start > t })
 	if i == 0 {
@@ -293,8 +304,9 @@ func (p *Plan) WindowAt(t units.Seconds) (int, Segment) {
 // its predicted lifetime, so a job never straddles a budget window it
 // cannot fit.
 func (p *Plan) MinOver(t0, t1 units.Seconds) units.Watts {
-	min := p.segs[p.index(t0)].Cap
-	for i := p.index(t0) + 1; i < len(p.segs) && p.segs[i].Start <= t1; i++ {
+	i := p.index(t0)
+	min := p.segs[i].Cap
+	for i++; i < len(p.segs) && p.segs[i].Start <= t1; i++ {
 		if p.segs[i].Cap < min {
 			min = p.segs[i].Cap
 		}

@@ -1,6 +1,7 @@
 package capplan
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -139,11 +140,34 @@ func TestValidation(t *testing.T) {
 		{{Start: 0, Cap: 0}},    // non-positive cap
 		{{Start: 0, Cap: 100}, {Start: 0, Cap: 90}},  // non-ascending
 		{{Start: 0, Cap: 100}, {Start: -1, Cap: 90}}, // descending
+		// Non-finite values: NaN fails every comparison a scheduler would
+		// make against it, so a NaN cap runs uncapped.
+		{{Start: 0, Cap: units.Watts(math.NaN())}},
+		{{Start: 0, Cap: units.Watts(math.Inf(1))}},
+		{{Start: 0, Cap: units.Watts(math.Inf(-1))}},
+		{{Start: 0, Cap: 100}, {Start: 10, Cap: units.Watts(math.NaN())}},
+		{{Start: units.Seconds(math.NaN()), Cap: 100}},
+		{{Start: 0, Cap: 100}, {Start: units.Seconds(math.NaN()), Cap: 90}},
+		{{Start: 0, Cap: 100}, {Start: units.Seconds(math.Inf(1)), Cap: 90}},
 	}
 	for i, segs := range bad {
 		if _, err := Steps(segs...); err == nil {
 			t.Errorf("case %d: invalid plan accepted: %v", i, segs)
 		}
+	}
+	// Every other way in goes through the same check.
+	for _, spec := range []string{"0:NaN", "0:+Inf", "0:100,NaN:90", "0:100,Inf:90"} {
+		if _, err := ParsePlan(spec); err == nil {
+			t.Errorf("ParsePlan(%q) accepted a non-finite plan", spec)
+		}
+		csv := "t_s,cap_w\n" + strings.NewReplacer(":", ",", ",", "\n").Replace(spec) + "\n"
+		if _, err := ReadCSV(strings.NewReader(csv)); err == nil {
+			t.Errorf("ReadCSV(%q) accepted a non-finite plan", csv)
+		}
+	}
+	nanBudget := func(v, lo, hi float64) units.Watts { return units.Watts(math.NaN()) }
+	if _, err := FromSignal([]Sample{{T: 0, Value: 1}}, nanBudget); err == nil {
+		t.Error("FromSignal accepted a budget rule returning NaN")
 	}
 	var nilPlan *Plan
 	if nilPlan.Validate() == nil {
@@ -396,6 +420,8 @@ func TestRevisableSetCaps(t *testing.T) {
 		{"unaligned to", func(p *Plan) error { return p.SetCaps(10, 15, 700) }, "window end"},
 		{"inverted", func(p *Plan) error { return p.SetCaps(20, 10, 700) }, "empty"},
 		{"non-positive cap", func(p *Plan) error { return p.SetCaps(10, 20, 0) }, "cap"},
+		{"NaN cap", func(p *Plan) error { return p.SetCaps(10, 20, units.Watts(math.NaN())) }, "finite"},
+		{"infinite cap", func(p *Plan) error { return p.SetCaps(10, 20, units.Watts(math.Inf(1))) }, "finite"},
 		{"non-revisable", func(*Plan) error { return squeeze(t).SetCaps(3600, 7200, 2000) }, "revisable"},
 	}
 	for _, tc := range cases {

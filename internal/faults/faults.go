@@ -17,6 +17,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -89,14 +90,27 @@ func (p *Plan) RatesFor(pool string) (PoolRates, bool) {
 	return wild, haveWild
 }
 
+// finite reports whether every value is a real number. The range checks
+// in Validate are all false for NaN (a NaN MTBF arms failures at NaN, a
+// NaN emergency cap clamps nothing), and an infinite time or rate is an
+// event that never fires.
+func finite[T ~float64](vs ...T) bool {
+	for _, v := range vs {
+		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // Validate checks the plan's internal consistency.
 func (p *Plan) Validate() error {
 	for _, s := range p.Scripted {
 		if s.Rank < 0 {
 			return fmt.Errorf("faults: scripted event on negative rank %d", s.Rank)
 		}
-		if s.T < 0 {
-			return fmt.Errorf("faults: scripted event at negative time %v", s.T)
+		if s.T < 0 || !finite(s.T) {
+			return fmt.Errorf("faults: scripted event at negative or non-finite time %v", s.T)
 		}
 	}
 	seen := make([]string, 0, len(p.Rates))
@@ -110,14 +124,17 @@ func (p *Plan) Validate() error {
 			}
 		}
 		seen = append(seen, r.Pool)
-		if r.MTBF <= 0 {
-			return fmt.Errorf("faults: pool %q MTBF %v must be positive", r.Pool, r.MTBF)
+		if r.MTBF <= 0 || !finite(r.MTBF) {
+			return fmt.Errorf("faults: pool %q MTBF %v must be positive and finite", r.Pool, r.MTBF)
 		}
-		if r.MTTR <= 0 {
-			return fmt.Errorf("faults: pool %q MTTR %v must be positive", r.Pool, r.MTTR)
+		if r.MTTR <= 0 || !finite(r.MTTR) {
+			return fmt.Errorf("faults: pool %q MTTR %v must be positive and finite", r.Pool, r.MTTR)
 		}
 	}
 	for _, e := range p.Emergencies {
+		if !finite(e.Start, e.End) || !finite(e.Cap) {
+			return fmt.Errorf("faults: emergency [%v,%v) at %v W has a non-finite bound or cap", e.Start, e.End, e.Cap)
+		}
 		if e.Start < 0 {
 			return fmt.Errorf("faults: emergency starting at negative time %v", e.Start)
 		}
@@ -131,11 +148,11 @@ func (p *Plan) Validate() error {
 	if p.MaxRetries < 0 {
 		return fmt.Errorf("faults: negative retry cap %d", p.MaxRetries)
 	}
-	if p.CheckpointEvery < 0 {
-		return fmt.Errorf("faults: negative checkpoint interval %v", p.CheckpointEvery)
+	if p.CheckpointEvery < 0 || !finite(p.CheckpointEvery) {
+		return fmt.Errorf("faults: negative or non-finite checkpoint interval %v", p.CheckpointEvery)
 	}
-	if p.RestartCost < 0 {
-		return fmt.Errorf("faults: negative restart cost %v", p.RestartCost)
+	if p.RestartCost < 0 || !finite(p.RestartCost) {
+		return fmt.Errorf("faults: negative or non-finite restart cost %v", p.RestartCost)
 	}
 	return nil
 }

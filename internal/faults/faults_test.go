@@ -2,6 +2,7 @@ package faults
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -83,6 +84,17 @@ func TestParsePlanErrors(t *testing.T) {
 		"retries=-1",
 		"ckpt=-1",
 		"restart=-1",
+		// Non-finite values parse as floats but are no schedule.
+		"fail=1@NaN",
+		"repair=1@Inf",
+		"mtbf=*:NaN,mttr=*:1",
+		"mtbf=*:1,mttr=*:NaN",
+		"mtbf=*:Inf,mttr=*:1",
+		"emer=0-10:NaN",
+		"emer=0-Inf:600",
+		"emer=NaN-10:600",
+		"ckpt=NaN",
+		"restart=Inf",
 	} {
 		if _, err := ParsePlan(spec); err == nil {
 			t.Errorf("ParsePlan(%q) accepted invalid spec", spec)
@@ -197,6 +209,7 @@ func TestEffectiveCapsEmergencyAboveBaseIsNoop(t *testing.T) {
 }
 
 func TestValidateCatchesBadPlans(t *testing.T) {
+	nan, inf := units.Seconds(math.NaN()), units.Seconds(math.Inf(1))
 	bad := []*Plan{
 		{Scripted: []Scripted{{Rank: -1, T: 0}}},
 		{Scripted: []Scripted{{Rank: 0, T: -1}}},
@@ -210,6 +223,17 @@ func TestValidateCatchesBadPlans(t *testing.T) {
 		{MaxRetries: -1},
 		{CheckpointEvery: -1},
 		{RestartCost: -1},
+		{Scripted: []Scripted{{Rank: 0, T: nan}}},
+		{Scripted: []Scripted{{Rank: 0, T: inf}}},
+		{Rates: []PoolRates{{Pool: "a", MTBF: nan, MTTR: 1}}},
+		{Rates: []PoolRates{{Pool: "a", MTBF: 1, MTTR: nan}}},
+		{Rates: []PoolRates{{Pool: "a", MTBF: inf, MTTR: 1}}},
+		{Emergencies: []Emergency{{Start: nan, End: 1, Cap: 1}}},
+		{Emergencies: []Emergency{{Start: 0, End: inf, Cap: 1}}},
+		{Emergencies: []Emergency{{Start: 0, End: 1, Cap: units.Watts(nan)}}},
+		{Emergencies: []Emergency{{Start: 0, End: 1, Cap: units.Watts(inf)}}},
+		{CheckpointEvery: nan},
+		{RestartCost: inf},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

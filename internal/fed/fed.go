@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"repro/internal/capplan"
-	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/machine"
 	"repro/internal/obs"
@@ -644,15 +643,4 @@ func (f *federation) runSites() {
 		}(sr)
 	}
 	wg.Wait()
-}
-
-// fastestTp returns the quickest runtime on a ladder row.
-func fastestTp(pred []core.Prediction) units.Seconds {
-	min := pred[0].Tp
-	for _, pr := range pred[1:] {
-		if pr.Tp < min {
-			min = pr.Tp
-		}
-	}
-	return min
 }

@@ -270,7 +270,7 @@ func (f *federation) quotes(j sched.Job, work []units.Seconds, now units.Seconds
 				if err != nil {
 					continue
 				}
-				if ft := fastestTp(row.Pred); !found || ft < ref {
+				if ft := row.FastestTp(); !found || ft < ref {
 					ref, found = ft, true
 				}
 			}
@@ -399,11 +399,4 @@ func (f *federation) widestSite() int {
 		}
 	}
 	return best
-}
-
-func maxSeconds(a, b units.Seconds) units.Seconds {
-	if a > b {
-		return a
-	}
-	return b
 }

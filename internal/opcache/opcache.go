@@ -61,6 +61,18 @@ func (r *Row) PartialTp(fi int, frac float64) units.Seconds {
 	return units.Seconds(frac * float64(r.Pred[fi].Tp))
 }
 
+// FastestTp returns the row's best runtime over the ladder — what the
+// width-slack rules (sched admission, fed routing) compare widths by.
+func (r *Row) FastestTp() units.Seconds {
+	min := r.Pred[0].Tp
+	for _, pr := range r.Pred[1:] {
+		if pr.Tp < min {
+			min = pr.Tp
+		}
+	}
+	return min
+}
+
 type rowKey struct {
 	n float64
 	p int

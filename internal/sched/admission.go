@@ -145,7 +145,7 @@ func (c *AdmitContext) search(e *entry, refTp units.Seconds, budget units.Watts,
 				// shrinking it.
 				return Candidate{}, stageModel
 			}
-			if !c.relaxed && fastestTp(row) > maxTp {
+			if !c.relaxed && row.FastestTp() > maxTp {
 				continue
 			}
 			stage = max(stage, stageSlack)
@@ -205,17 +205,6 @@ func (c *AdmitContext) blockStage(e *entry) int {
 	return stage
 }
 
-// fastestTp returns a row's best runtime over the ladder.
-func fastestTp(row *opcache.Row) units.Seconds {
-	min := row.Pred[0].Tp
-	for _, pr := range row.Pred[1:] {
-		if pr.Tp < min {
-			min = pr.Tp
-		}
-	}
-	return min
-}
-
 // poolFloor is one pool's share of a job's admissibility floor: what
 // any slack-eligible point of the job in that pool needs at least.
 type poolFloor struct {
@@ -253,7 +242,7 @@ func (s *Scheduler) referenceTp(e *entry) (units.Seconds, bool) {
 			if err != nil {
 				return 0, false
 			}
-			if tp := fastestTp(row); ref == 0 || tp < ref {
+			if tp := row.FastestTp(); ref == 0 || tp < ref {
 				ref = tp
 			}
 			grid = append(grid, pricedRow{pi, p, row})
@@ -269,7 +258,7 @@ func (s *Scheduler) referenceTp(e *entry) (units.Seconds, bool) {
 		e.floor[pi] = poolFloor{p: math.MaxInt, cost: units.Watts(math.Inf(1))}
 	}
 	for _, g := range grid {
-		if fastestTp(g.row) > maxTp {
+		if g.row.FastestTp() > maxTp {
 			continue
 		}
 		fl := &e.floor[g.pool]

@@ -268,12 +268,9 @@ func (s *Scheduler) shadowWalk(head *entry, inner Policy, ctx *AdmitContext, pri
 		if i+1 < len(evs) && evs[i+1].t == e.t {
 			continue // coalesce simultaneous completions
 		}
-		avail := watts
-		if s.effPlan != nil {
-			// The shadow state's budget lives under the control cap at
-			// the event's own time, not at now.
-			avail += s.controlCap(e.t) - s.controlCap(ctx.now)
-		}
+		// The shadow state's budget lives under the control cap at the
+		// event's own time, not at now.
+		avail := watts + (s.controlCap(e.t) - s.controlCap(ctx.now))
 		relaxed := ctx.relaxed || i == len(evs)-1
 		if cand, ok := s.shadowCandidate(inner, head, free, avail, e.t, relaxed, prior); ok {
 			extra := append([]int(nil), free...)

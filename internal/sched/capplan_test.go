@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -31,6 +33,15 @@ func TestPlanConfigValidation(t *testing.T) {
 	if _, err := New(Config{Platform: pl, Ranks: 2, Plan: &capplan.Plan{}}); err == nil {
 		t.Fatal("zero-value plan must be rejected")
 	}
+	// A bare cap is checked by the plan it becomes; the error still names
+	// the cap. NaN compares false with everything, so it must not get as
+	// far as an admission.
+	for _, bad := range []float64{0, -5, math.NaN(), math.Inf(1)} {
+		if _, err := New(Config{Platform: pl, Ranks: 2, Cap: units.Watts(bad)}); err == nil ||
+			!strings.Contains(err.Error(), "power cap") {
+			t.Fatalf("Cap %v must be rejected naming the cap, got %v", bad, err)
+		}
+	}
 	// 16 parked SystemG ranks idle well above 100 W: a plan window at
 	// 100 W can never be satisfied.
 	dip := mustSteps(t,
@@ -43,32 +54,61 @@ func TestPlanConfigValidation(t *testing.T) {
 	}
 }
 
-// Acceptance: a one-segment plan equal to the constant cap is the
-// constant cap — the schedule must be bit-identical, window accounting
-// aside, for every policy family.
+// Acceptance: a bare Cap and a one-segment Plan are two spellings of one
+// budget — the schedule and its JSON dump must be bit-identical, window
+// accounting aside, for every policy family. With a power emergency on
+// top both spellings report the effective timeline, so nothing is set
+// aside at all.
 func TestOneSegmentPlanMatchesConstantCap(t *testing.T) {
 	trace := SyntheticTrace(TraceConfig{Jobs: 24, Seed: 11, MaxWidth: 8})
-	for _, pol := range []Policy{FIFO(), EEMax(), FairShare(), Backfill(EEMax()), Backfill(FIFO())} {
-		run := func(plan *capplan.Plan, cap units.Watts) Result {
-			s, err := New(Config{
-				Platform: machine.Homogeneous(testSpec()), Ranks: 16,
-				Cap: cap, Plan: plan, Policy: pol, Seed: 11,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := s.Run(trace)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res
+	run := func(cfg Config) Result {
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		a := run(nil, 900)
-		b := run(capplan.Constant(900), 0)
+		res, err := s.Run(trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	sameJSON := func(label string, a, b Result) {
+		t.Helper()
+		ja, erra := json.Marshal(a)
+		jb, errb := json.Marshal(b)
+		if erra != nil || errb != nil {
+			t.Fatalf("%s: marshal: %v / %v", label, erra, errb)
+		}
+		if !bytes.Equal(ja, jb) {
+			t.Fatalf("%s: JSON dumps differ", label)
+		}
+	}
+	for _, pol := range []Policy{FIFO(), EEMax(), FairShare(), Backfill(EEMax()), Backfill(FIFO())} {
+		label := "constant plan vs constant cap (" + pol.Name() + ")"
+		byCap := Config{Platform: machine.Homogeneous(testSpec()), Ranks: 16, Cap: 900, Policy: pol, Seed: 11}
+		byPlan := byCap
+		byPlan.Cap, byPlan.Plan = 0, capplan.Constant(900)
+		a, b := run(byCap), run(byPlan)
+		if a.Plan != "" || a.Windows != nil || a.CapUtilisation != 0 {
+			t.Fatalf("%s: a bare cap reports window accounting (plan %q, %d windows)", label, a.Plan, len(a.Windows))
+		}
+		if b.Plan != "0:900" || len(b.Windows) != 1 {
+			t.Fatalf("%s: plan run reports plan %q and %d windows, want 0:900 and 1", label, b.Plan, len(b.Windows))
+		}
 		// The plan run reports window accounting the constant run does
 		// not; everything else must match bit for bit.
 		b.Plan, b.Windows, b.CapUtilisation = "", nil, 0
-		compareResults(t, "constant plan vs constant cap ("+pol.Name()+")", a, b)
+		compareResults(t, label, a, b)
+		sameJSON(label, a, b)
+
+		byCap.Faults = mustFaultPlan(t, "emer=0.2-0.5:700")
+		byPlan.Faults = byCap.Faults
+		a, b = run(byCap), run(byPlan)
+		if !strings.Contains(a.Plan, "700") || len(a.Windows) < 2 {
+			t.Fatalf("%s: a bare cap under an emergency reports plan %q and %d windows", label, a.Plan, len(a.Windows))
+		}
+		compareResults(t, label+" under an emergency", a, b)
+		sameJSON(label+" under an emergency", a, b)
 	}
 }
 

@@ -48,9 +48,9 @@
 // per-component busy time, the power trace, and the energy
 // decomposition all come from the same substrate the NPB kernels use,
 // and a governor frequency change re-prices the remaining slices
-// automatically. Noise-free runs advance a whole job's rank set with
-// one event per phase; noisy runs drive one event chain per rank
-// (scheduler.go).
+// automatically. A job runs as event chains over spans of its rank set
+// (runChain): one chain over the whole set when execution is noise-free,
+// one per rank when jitter desynchronises them.
 //
 // Three shipped policies bracket the design space: FIFO at uniform base
 // frequency (the baseline every batch system implements), greedy EE-max
@@ -59,12 +59,13 @@
 // waiting jobs in proportion to priority, each share optimised for EE).
 // cmd/schedrun races the policies head to head on one synthetic trace.
 //
-// The budget itself may vary over time: Config.Plan accepts a
-// capplan.Plan cap timeline (demand-response windows, diurnal tariffs,
-// carbon-intensity series). Admission then charges each job's envelope
-// against the minimum cap over its predicted lifetime, the backfill
-// shadow walk reserves against the timeline, every plan breakpoint is a
-// first-class scheduling edge (the governor throttles one sampling
+// The budget is one cap timeline (capplan.Plan): Config.Cap, the paper's
+// fixed constraint, is shorthand for a one-window plan and Config.Plan
+// spells out a time-varying one (demand-response windows, diurnal
+// tariffs, carbon-intensity series). Admission charges each job's
+// envelope against the minimum cap over its predicted lifetime, the
+// backfill shadow walk reserves against the timeline, every breakpoint
+// is a first-class scheduling edge (the governor throttles one sampling
 // interval ahead of each downward step and boosts/re-admits on rises),
 // and the audit judges every sample by the cap in force at its own
 // instant — see DESIGN.md §8 and the per-window accounting in

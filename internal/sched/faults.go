@@ -241,18 +241,13 @@ func (s *Scheduler) repairRank(r int) {
 }
 
 // killJob aborts a running job mid-phase because one of its ranks died:
-// cancel its pending kernel events, abort the in-flight hardware ops
-// pro rata, bank and write off the attempt's energy, release the
-// surviving ranks, and either requeue the job (checkpoint intact) or
-// declare it permanently lost once the retry cap is spent.
+// price the work it loses, take it off the cluster (vacate cancels its
+// pending kernel events and writes off the in-flight ops), and either
+// requeue the job (checkpoint intact) or declare it permanently lost
+// once the retry cap is spent.
 func (s *Scheduler) killJob(rj *runningJob) {
 	now := s.cl.Kernel().Now()
 	rj.killed = true
-	rj.timer.Cancel()
-	for _, t := range rj.rankTimers {
-		t.Cancel()
-	}
-	rj.ckptTimer.Cancel()
 
 	e := rj.e
 	// Work since the last checkpoint is re-executed on restart; price it
@@ -262,29 +257,7 @@ func (s *Scheduler) killJob(rj *runningJob) {
 		lost = rj.prof.PartialTp(rj.admIdx, frac-rj.lastCkpt)
 		e.res.LostWork += lost
 	}
-
-	park := s.ladderOf(rj)[0]
-	// A fresh slice, not an in-place filter: telemetry still reports the
-	// job's full rank set after the release.
-	survivors := make([]int, 0, len(rj.ranks))
-	for _, r := range rj.ranks {
-		s.cl.AbortOp(r)
-		rj.energy += s.bankMeter(r)
-		if err := s.cl.SetRankFrequency(r, park); err != nil {
-			panic(fmt.Sprintf("sched: park rank %d after kill: %v", r, err))
-		}
-		s.owner[r] = nil
-		if !s.flt.dead[r] {
-			survivors = append(survivors, r)
-		}
-	}
-	s.releaseRanks(rj.pool, survivors)
-	for i, other := range s.running {
-		if other == rj {
-			s.running = append(s.running[:i], s.running[i+1:]...)
-			break
-		}
-	}
+	s.vacate(rj, true)
 
 	e.res.Energy += rj.energy
 	e.res.WastedEnergy += rj.energy
@@ -375,14 +348,7 @@ func scaledTp(rj *runningJob, idx int) units.Seconds {
 // interpolates that interval. This is what checkpoints save and kills
 // charge against.
 func (s *Scheduler) absProgress(rj *runningJob, now units.Seconds) float64 {
-	frac := rj.progress
-	if tp := scaledTp(rj, rj.fIdx); tp > 0 {
-		frac += float64(now-rj.pricedAt) / float64(tp)
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	abs := rj.base + frac*(1-rj.base)
+	abs := rj.base + rj.fracAt(now)*(1-rj.base)
 	if abs < rj.base {
 		abs = rj.base
 	}

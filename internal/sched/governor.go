@@ -2,7 +2,6 @@ package sched
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 
 	"repro/internal/obs"
@@ -80,9 +79,9 @@ func (g *governor) onSample(sm power.Sample) {
 }
 
 // throttle steps jobs down the ladder until the predicted draw fits the
-// control cap (the constant cap, or the plan's minimum over the next
-// sampling interval — so an imminent downward step is enforced ahead of
-// the windows judged against it). Victims are picked deterministically:
+// control cap (the timeline's minimum over the next sampling interval —
+// so an imminent downward step is enforced ahead of the windows judged
+// against it). Victims are picked deterministically:
 // lowest priority first, then the job shedding the most power per step,
 // then highest ID. With conservative admission this loop is normally
 // idle; it exists for cap reductions (plan steps), noise, and defence
@@ -215,7 +214,8 @@ func (g *governor) relinquish() {
 
 // retune moves a running job to index idx of its pool's ladder: bank
 // each rank's energy at the outgoing vector, then switch the hardware
-// (SetRankFrequency looks f up in the rank's own pool's ladder table).
+// (retuneRank; the cluster looks f up in the rank's own pool's ladder
+// table).
 // Work already in flight keeps its issued duration; subsequent slices
 // use the new vector. Model progress is re-priced at the boundary so
 // predicted completions (backfill's shadow clock) stay piecewise-exact.
@@ -225,19 +225,10 @@ func (g *governor) retune(rj *runningJob, idx int, why string) {
 		g.s.tel.emitRetune(rj, rj.fIdx, idx, why)
 	}
 	now := g.s.cl.Kernel().Now()
-	if tp := scaledTp(rj, rj.fIdx); tp > 0 {
-		rj.progress += float64(now-rj.pricedAt) / float64(tp)
-		if rj.progress > 1 {
-			rj.progress = 1
-		}
-	}
-	rj.pricedAt = now
+	rj.progress, rj.pricedAt = rj.fracAt(now), now
 	f := g.s.ladderOf(rj)[idx]
 	for _, r := range rj.ranks {
-		rj.energy += g.s.bankMeter(r)
-		if err := g.s.cl.SetRankFrequency(r, f); err != nil {
-			panic(fmt.Sprintf("sched: governor retune rank %d: %v", r, err))
-		}
+		rj.energy += g.s.retuneRank(r, f)
 	}
 	rj.fIdx = idx
 	rj.e.res.FreqChanges++

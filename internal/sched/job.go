@@ -222,7 +222,7 @@ func SyntheticTrace(cfg TraceConfig) []Job {
 		{app.IS(1024, 4), 1 << 16, 1 << 20, true},
 		{app.MG(2), 1 << 15, 1 << 18, true},
 	}
-	jobs := make([]Job, 0, cfg.Jobs)
+	jobs := make([]Job, 0, max(cfg.Jobs, 0)) // a negative count is an empty trace, not a panic
 	var t units.Seconds
 	for i := 0; i < cfg.Jobs; i++ {
 		sh := shapes[rng.Intn(len(shapes))]

@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"fmt"
 	"iter"
+	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/machine"
@@ -331,6 +333,21 @@ func (fairSharePolicy) Admit(ctx *AdmitContext) {
 			}
 		}
 	}
+}
+
+// ParsePolicy resolves a policy name as the command lines spell it,
+// case-insensitively: a shipped policy, or "backfill+<name>" for one
+// wrapped in EASY backfill reservations.
+func ParsePolicy(name string) (Policy, error) {
+	inner, wrapped := strings.CutPrefix(strings.ToLower(name), "backfill+")
+	p, ok := Policies()[inner]
+	if !ok {
+		return nil, fmt.Errorf("unknown policy %q (have fifo, ee-max, fair-share, backfill+<name>)", name)
+	}
+	if wrapped {
+		p = Backfill(p)
+	}
+	return p, nil
 }
 
 // Policies returns the shipped policies keyed by name.

@@ -17,13 +17,13 @@ type Result struct {
 	// spec name for a one-pool platform, "a:N+b:M" for mixed ones).
 	Platform string
 	Ranks    int
-	// Cap is the constant power budget, or the cap timeline's initial
-	// window when the schedule ran under a Plan.
+	// Cap is the power budget in force at t = 0: the constant cap, or
+	// the cap timeline's initial window.
 	Cap units.Watts
-	// Plan labels the cap timeline in ParsePlan form; empty for a
-	// constant cap.
+	// Plan labels the effective cap timeline in ParsePlan form; empty
+	// when the run was given a bare Config.Cap and no power emergency.
 	Plan string
-	// Windows holds per-budget-window accounting when a Plan was set
+	// Windows holds per-budget-window accounting whenever Plan is set
 	// (capped to the sampled makespan): energy, violations, and cap
 	// utilisation per window.
 	Windows []WindowStat
@@ -98,7 +98,7 @@ func (s *Scheduler) collect() Result {
 		Policy:   s.cfg.Policy.Name(),
 		Platform: s.cfg.Platform.String(),
 		Ranks:    s.cl.Ranks(),
-		Cap:      s.cfg.Cap,
+		Cap:      s.effPlan.CapAt(0),
 
 		Makespan:     s.cl.Wall(),
 		ParkedEnergy: s.parkedEnergy,
@@ -149,11 +149,12 @@ func (s *Scheduler) collect() Result {
 			}
 		}
 	}
-	if s.effPlan != nil {
+	// A run whose budget was spelled as a timeline — by the caller, or by
+	// a power emergency clamping a bare cap — carries the window ledger.
+	if s.cfg.Plan != nil || (s.cfg.Faults != nil && len(s.cfg.Faults.Emergencies) > 0) {
 		// The effective timeline (budget plan clamped by any power
 		// emergencies) is what every decision and audit priced against,
 		// so the window accounting slices along it.
-		res.Cap = s.effPlan.CapAt(0)
 		res.Plan = s.effPlan.String()
 		res.Windows, res.CapUtilisation = s.collectWindows()
 	}

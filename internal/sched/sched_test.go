@@ -1,12 +1,14 @@
 package sched
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/app"
+	"repro/internal/capplan"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -174,25 +176,84 @@ func compareResults(t *testing.T, label string, a, b Result) {
 	}
 }
 
-// Tentpole equivalence: the lockstep batch (one kernel event advances a
-// whole job) and the per-rank event chains must produce bit-identical
-// noise-free schedules — the batch is an optimisation, never a semantic
-// change.
+// Execution-shape equivalence: one event chain over a job's whole rank
+// set and one chain per rank must produce bit-identical noise-free
+// schedules — the span is an optimisation, never a semantic change. The
+// churn case puts kills under both shapes: a kill must cancel every
+// chain's pending event and write off every rank's in-flight op, or the
+// books (LostWork, WastedEnergy, restart timing) drift apart.
 func TestLockstepMatchesPerRankChains(t *testing.T) {
 	trace := SyntheticTrace(TraceConfig{Jobs: 24, Seed: 11, MaxWidth: 8})
-	run := func(force bool) Result {
-		s, err := New(Config{Platform: machine.Homogeneous(testSpec()), Ranks: 16, Cap: 900, Policy: Backfill(EEMax()), Seed: 11})
+	base := Config{Platform: machine.Homogeneous(testSpec()), Ranks: 16, Cap: 900, Policy: Backfill(EEMax()), Seed: 11}
+	run := func(cfg Config, lockstep bool) Result {
+		s, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.forceRankChains = force
+		if !s.lockstep {
+			t.Fatal("a noise-free config must select the one-chain shape")
+		}
+		s.lockstep = lockstep
 		res, err := s.Run(trace)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	compareResults(t, "lockstep vs per-rank", run(false), run(true))
+	plain := run(base, true)
+	compareResults(t, "one chain vs per-rank chains", plain, run(base, false))
+
+	// Scripted mid-phase failures of two ranks, each repaired, with
+	// checkpoints, a restart surcharge and an emergency window on top.
+	span := float64(plain.Makespan)
+	churn := base
+	churn.Faults = mustFaultPlan(t, fmt.Sprintf(
+		"fail=0@%g,repair=0@%g,fail=5@%g,repair=5@%g,emer=%g-%g:700,retries=4,ckpt=%g,restart=%g",
+		0.21*span, 0.29*span, 0.47*span, 0.58*span, 0.35*span, 0.55*span, 0.03*span, 0.004*span))
+	one, perRank := run(churn, true), run(churn, false)
+	compareResults(t, "one chain vs per-rank chains under kills", one, perRank)
+	if one.Kills == 0 || one.Restarts == 0 || one.Checkpoints == 0 || one.LostWork <= 0 || one.WastedEnergy <= 0 {
+		t.Fatalf("churn case exercised no kill path: kills=%d restarts=%d ckpts=%d lostwork=%v wasted=%v",
+			one.Kills, one.Restarts, one.Checkpoints, one.LostWork, one.WastedEnergy)
+	}
+	if one.CapViolations != 0 {
+		t.Fatalf("%d cap violations under churn", one.CapViolations)
+	}
+}
+
+// Dispatching a noise-free job costs three objects — the rank set, the
+// runningJob and the first phase's completion closure — as it did when
+// the lockstep path was its own function: the single chain lives inside
+// the runningJob.
+func TestDispatchAllocations(t *testing.T) {
+	s, err := New(Config{Platform: machine.Homogeneous(testSpec()), Ranks: 8, Cap: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := epJob(0, 4)
+	e := &entry{job: j, res: JobResult{Job: j}}
+	cand, ok := s.liveContext(false).At(e, 0, 4, testSpec().BaseFreq)
+	if !ok {
+		t.Fatal("no candidate at the base frequency")
+	}
+	ps := &s.pools[0]
+	free := ps.free
+	dispatch := func() {
+		s.start(e, cand, false, 0)
+		// Undo it by hand, without running the kernel (the armed event
+		// never fires) and without vacate's free-list merge, so the
+		// count is start's alone.
+		for _, r := range s.running[0].ranks {
+			s.cl.CompleteOp(r)
+			s.retuneRank(r, ps.ladder[0])
+			s.owner[r] = nil
+		}
+		ps.free, s.running = free, s.running[:0]
+	}
+	dispatch() // size the running list and price the op-cache row
+	if got := testing.AllocsPerRun(100, dispatch); got != 3 {
+		t.Fatalf("dispatching a noise-free job allocates %v objects, want 3", got)
+	}
 }
 
 // Noisy execution takes the per-rank event path (jitter desynchronises
@@ -208,7 +269,7 @@ func TestNoisyScheduleDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		if s.lockstep {
-			t.Fatal("noisy config must disable the lockstep batch")
+			t.Fatal("noisy config must select one chain per rank")
 		}
 		res, err := s.Run(trace)
 		if err != nil {
@@ -340,21 +401,21 @@ func TestGovernorThrottle(t *testing.T) {
 	}
 	// Lower the cap below the current predicted draw: the governor must
 	// shed power by stepping the job down, never below the floor.
-	s.cfg.Cap = s.predictedTotal() - 1
+	s.effPlan = capplan.Constant(s.predictedTotal() - 1)
 	g := &governor{s: s}
 	g.throttle()
 	if rj.fIdx >= top {
 		t.Fatalf("throttle did not step down: fIdx=%d", rj.fIdx)
 	}
-	if s.predictedTotal() > s.cfg.Cap && rj.fIdx != 0 {
+	if s.predictedTotal() > s.capAt(0) && rj.fIdx != 0 {
 		t.Fatalf("throttle stopped early: predicted %v > cap %v at fIdx=%d",
-			s.predictedTotal(), s.cfg.Cap, rj.fIdx)
+			s.predictedTotal(), s.capAt(0), rj.fIdx)
 	}
 	if e.res.FreqChanges == 0 {
 		t.Fatal("retunes not recorded")
 	}
 	// An impossible cap drains to the ladder floor and stops (no loop).
-	s.cfg.Cap = 1
+	s.effPlan = capplan.Constant(1)
 	g.throttle()
 	if rj.fIdx != 0 {
 		t.Fatalf("throttle should bottom out at the ladder floor, got fIdx=%d", rj.fIdx)
@@ -363,6 +424,11 @@ func TestGovernorThrottle(t *testing.T) {
 
 // The synthetic trace generator is deterministic and well-formed.
 func TestSyntheticTrace(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		if got := SyntheticTrace(TraceConfig{Jobs: n, Seed: 9}); len(got) != 0 {
+			t.Fatalf("Jobs %d: want an empty trace, got %d jobs", n, len(got))
+		}
+	}
 	a := SyntheticTrace(TraceConfig{Jobs: 32, Seed: 9})
 	b := SyntheticTrace(TraceConfig{Jobs: 32, Seed: 9})
 	if len(a) != 32 {
@@ -598,7 +664,7 @@ func TestGovernorThrottleVictimTieBreak(t *testing.T) {
 	a, b := mk(0, []int{0, 1}), mk(1, []int{2, 3})
 	s.running = []*runningJob{a, b}
 	s.pools[0].free = nil
-	s.cfg.Cap = s.predictedTotal() - 1 // one step from either job suffices
+	s.effPlan = capplan.Constant(s.predictedTotal() - 1) // one step from either job suffices
 	g := &governor{s: s}
 	g.throttle()
 	if a.fIdx != top || b.fIdx != top-1 {

@@ -30,19 +30,22 @@ type Config struct {
 	// (one rank per node as in the paper's per-processor energy model);
 	// zero means the whole platform.
 	Ranks int
-	// Cap is the whole-cluster power budget the schedule must respect.
+	// Cap is the whole-cluster power budget the schedule must respect —
+	// the paper's fixed constraint, and shorthand for a one-window Plan:
+	// New builds that plan, so both spellings run the same code and
+	// produce the same schedule.
 	Cap units.Watts
-	// Plan, when set, replaces the constant Cap with a time-varying
-	// budget timeline (demand-response windows, diurnal price curves,
-	// carbon-intensity series — internal/capplan). Admission then
-	// charges each job's power envelope against the minimum cap over
-	// its predicted lifetime, the backfill shadow walk reserves against
-	// the timeline, the governor treats every plan breakpoint as a
-	// scheduling edge (throttling ahead of a drop, boosting and
-	// re-admitting on a rise), and the violation audit compares each
-	// sample to the cap in force at the sample's time. Plan and Cap are
-	// mutually exclusive; nil keeps today's constant-cap behaviour
-	// byte-identical.
+	// Plan spells the budget as a timeline instead (demand-response
+	// windows, diurnal price curves, carbon-intensity series —
+	// internal/capplan). Admission charges each job's power envelope
+	// against the minimum cap over its predicted lifetime, the backfill
+	// shadow walk reserves against the timeline, the governor treats
+	// every breakpoint as a scheduling edge (throttling ahead of a drop,
+	// boosting and re-admitting on a rise), and the violation audit
+	// compares each sample to the cap in force at the sample's time.
+	// Set exactly one of Cap and Plan. A run given a Plan (or whose
+	// fault plan adds a power emergency) also reports Result.Plan,
+	// Windows and CapUtilisation.
 	Plan *capplan.Plan
 	// Faults, when set, injects deterministic node failures, repairs and
 	// power emergencies into the run (internal/faults): scripted
@@ -115,7 +118,9 @@ type poolState struct {
 //
 // Execution is purely event-driven: jobs advance through timer callbacks
 // on the simulation kernel's fast path (sim.Kernel.RunCallback), never
-// through per-rank goroutines — see runJob below for the execution model.
+// through per-rank goroutines — see runChain below for the execution
+// model. Every budget decision prices against one cap timeline (effPlan)
+// and every job, however dispatched, ends through vacate.
 type Scheduler struct {
 	cfg  Config
 	cl   *cluster.Cluster
@@ -130,10 +135,10 @@ type Scheduler struct {
 	hst *obs.Host
 
 	// effPlan is the cap timeline every budget decision prices against:
-	// Config.Plan composed with the fault plan's power emergencies
-	// (faults.Plan.EffectiveCaps). With no emergencies it is Config.Plan
-	// itself — same pointer, so the no-fault paths keep exact object
-	// identity — and nil for a constant cap without emergencies.
+	// Config.Plan, or the one-window plan of a bare Config.Cap, composed
+	// with the fault plan's power emergencies (faults.Plan.EffectiveCaps).
+	// With no emergencies it is Config.Plan itself — same pointer, which
+	// is how a federation's revisions of that plan reach the scheduler.
 	effPlan *capplan.Plan
 	// flt is the fault-injection state, nil when Config.Faults is nil;
 	// every fault site guards on it (internal/sched/faults.go).
@@ -150,9 +155,9 @@ type Scheduler struct {
 	cache *opcache.PlatformCache
 
 	// lockstep is set when execution noise is off: every rank of a job
-	// then has identical slice timing, so one kernel event advances the
-	// whole rank set (runJob). With noise, ranks desynchronise and each
-	// drives its own event chain (runRank).
+	// then has identical slice timing, so one event chain spans the whole
+	// rank set. With noise, ranks desynchronise and each drives its own
+	// one-rank chain (runChain).
 	lockstep bool
 
 	owner  []*runningJob
@@ -193,10 +198,6 @@ type Scheduler struct {
 	// rank at its pool's ladder minimum) — the idle-cluster headroom
 	// reference the future-window feasibility probe prices against.
 	idleFloor units.Watts
-
-	// forceRankChains disables the lockstep batch for tests that verify
-	// the per-rank event chains produce identical noise-free schedules.
-	forceRankChains bool
 }
 
 type entry struct {
@@ -230,15 +231,14 @@ type runningJob struct {
 	sliceOff  float64
 	sliceComm units.Seconds // per-rank per-slice network time, unscaled
 	slices    int
-	left      int // rank event chains still executing
+	left      int // ranks still executing
 	energy    units.Joules
 
-	// Event-driven execution state: in lockstep mode slice/comm track
-	// the whole job's position; in per-rank mode rankState holds one
-	// cursor per rank.
-	slice     int  // next/current slice index
-	inComm    bool // current phase is the comm half of the slice
-	rankState []phaseCursor
+	// chains are the job's event chains, partitioning ranks: one over the
+	// whole rank set in lockstep (backed by one, so the common shape
+	// allocates nothing), else one per rank.
+	chains []chain
+	one    [1]chain
 
 	// progress and pricedAt are the shadow-time bookkeeping backfill
 	// reservations rest on: progress is the model-predicted fraction of
@@ -248,28 +248,41 @@ type runningJob struct {
 	pricedAt units.Seconds
 
 	// Fault-injection state (zero-valued without Config.Faults): killed
-	// marks an attempt a rank failure aborted; timer/rankTimers/ckptTimer
-	// are the pending kernel events a kill must cancel; base is the
-	// absolute progress fraction this attempt resumed from, lastCkpt the
-	// latest checkpointed absolute fraction; workScale stretches the
-	// model runtime of a resumed attempt (remaining work plus restart
-	// surcharge over the full run — 0 or 1 means unscaled).
-	killed     bool
-	timer      sim.Timer
-	rankTimers []sim.Timer
-	ckptTimer  sim.Timer
-	base       float64
-	lastCkpt   float64
-	workScale  float64
+	// marks an attempt a rank failure aborted; the chains' timers and
+	// ckptTimer are the pending kernel events a kill must cancel; base
+	// is the absolute progress fraction this attempt resumed from,
+	// lastCkpt the latest checkpointed absolute fraction; workScale
+	// stretches the model runtime of a resumed attempt (remaining work
+	// plus restart surcharge over the full run — 0 or 1 means unscaled).
+	killed    bool
+	ckptTimer sim.Timer
+	base      float64
+	lastCkpt  float64
+	workScale float64
 }
 
-// phaseCursor is one rank's position in its slice sequence.
-type phaseCursor struct {
-	slice  int
-	inComm bool
+// chain is one event chain of a running job: ranks[lo:hi] step through
+// the slice sequence together, one kernel event per phase.
+type chain struct {
+	rj     *runningJob // back-pointer, so a phase event holds the chain alone
+	lo, hi int
+	slice  int       // next/current slice index
+	inComm bool      // current phase is the comm half of the slice
+	timer  sim.Timer // the pending phase completion
 }
 
 func (rj *runningJob) width() int { return len(rj.ranks) }
+
+// fracAt is the model-predicted fraction of the attempt completed by
+// now: progress plus the stretch since the last repricing, at the
+// current frequency.
+func (rj *runningJob) fracAt(now units.Seconds) float64 {
+	frac := rj.progress
+	if tp := scaledTp(rj, rj.fIdx); tp > 0 {
+		frac += float64(now-rj.pricedAt) / float64(tp)
+	}
+	return min(frac, 1)
+}
 
 // rankMeter is the per-rank piecewise energy integrator that attributes
 // measured energy to jobs (and to the parked pool) across frequency
@@ -302,15 +315,18 @@ func New(cfg Config) (*Scheduler, error) {
 	if cfg.Ranks < 0 {
 		return nil, fmt.Errorf("sched: cluster size %d must be positive", cfg.Ranks)
 	}
-	if cfg.Plan != nil {
-		if cfg.Cap != 0 {
-			return nil, fmt.Errorf("sched: Config.Cap and Config.Plan are mutually exclusive (encode a constant cap as capplan.Constant)")
+	plan := cfg.Plan
+	if plan == nil {
+		// A bare cap is a one-window timeline; capplan checks it is
+		// positive and finite, as it does every plan's caps.
+		var err error
+		if plan, err = capplan.Steps(capplan.Segment{Cap: cfg.Cap}); err != nil {
+			return nil, fmt.Errorf("sched: power cap %v: %w", cfg.Cap, err)
 		}
-		if err := cfg.Plan.Validate(); err != nil {
-			return nil, err
-		}
-	} else if cfg.Cap <= 0 {
-		return nil, fmt.Errorf("sched: power cap %v must be positive", cfg.Cap)
+	} else if cfg.Cap != 0 {
+		return nil, fmt.Errorf("sched: Config.Cap and Config.Plan are mutually exclusive (encode a constant cap as capplan.Constant)")
+	} else if err := plan.Validate(); err != nil {
+		return nil, err
 	}
 	if cfg.Faults != nil {
 		if err := cfg.Faults.Validate(); err != nil {
@@ -371,30 +387,18 @@ func New(cfg Config) (*Scheduler, error) {
 		floor += units.Watts(float64(s.pools[i].size) * float64(s.pools[i].idleMin))
 	}
 	s.idleFloor = floor
-	s.effPlan = cfg.Plan
+	s.effPlan = plan
 	if cfg.Faults != nil {
-		if len(cfg.Faults.Emergencies) > 0 {
-			base := cfg.Plan
-			if base == nil {
-				base = capplan.Constant(cfg.Cap)
-			}
-			eff, err := cfg.Faults.EffectiveCaps(base)
-			if err != nil {
-				return nil, err
-			}
-			s.effPlan = eff
+		if s.effPlan, err = cfg.Faults.EffectiveCaps(plan); err != nil {
+			return nil, err
 		}
 		s.flt = newFaultState(s)
 	}
-	minCap := cfg.Cap
-	if s.effPlan != nil {
-		// The tightest effective window (budget timeline clamped by any
-		// power emergency) is the binding constraint: a budget below the
-		// idle floor anywhere on the timeline guarantees violations while
-		// that window is in force.
-		minCap = s.effPlan.MinCap()
-	}
-	if minCap < floor {
+	// The tightest effective window (budget timeline clamped by any
+	// power emergency) is the binding constraint: a budget below the
+	// idle floor anywhere on the timeline guarantees violations while
+	// that window is in force.
+	if minCap := s.effPlan.MinCap(); minCap < floor {
 		return nil, fmt.Errorf("sched: cap %v is below the cluster idle floor %v (%d ranks parked at each pool's ladder minimum) — no schedule can satisfy it",
 			minCap, floor, cfg.Ranks)
 	}
@@ -404,9 +408,6 @@ func New(cfg Config) (*Scheduler, error) {
 // capAt is the instantaneous power budget at time t — the reference the
 // violation audit compares measured samples against.
 func (s *Scheduler) capAt(t units.Seconds) units.Watts {
-	if s.effPlan == nil {
-		return s.cfg.Cap
-	}
 	return s.effPlan.CapAt(t)
 }
 
@@ -416,12 +417,8 @@ func (s *Scheduler) capAt(t units.Seconds) units.Watts {
 // so a draw admitted legally just before a downward step would smear
 // over the step and read as a violation; enforcing one interval ahead
 // means every instant a measurement window covers was already held
-// under the cap the window is judged against. With no plan this is the
-// constant cap.
+// under the cap the window is judged against.
 func (s *Scheduler) controlCap(t units.Seconds) units.Watts {
-	if s.effPlan == nil {
-		return s.cfg.Cap
-	}
 	return s.effPlan.MinOver(t, t+s.cfg.Interval)
 }
 
@@ -433,11 +430,8 @@ func (s *Scheduler) controlCap(t units.Seconds) units.Watts {
 // Charging the job's conservative envelope against that minimum is what
 // lets a schedule cross downward budget steps with zero violations even
 // for policies the governor cannot retune (fifo has no DVFS to throttle
-// at the step). With no plan the budget is returned unchanged.
+// at the step). A flat timeline never dips, so the budget is unchanged.
 func (s *Scheduler) narrowToLifetime(ctrl units.Watts, now units.Seconds, budget units.Watts, tp units.Seconds) units.Watts {
-	if s.effPlan == nil {
-		return budget
-	}
 	if red := ctrl - s.effPlan.MinOver(now, now+tp+s.cfg.Interval); red > 0 {
 		return budget - red
 	}
@@ -493,27 +487,18 @@ func (s *Scheduler) predictedTotal() units.Watts {
 }
 
 // headroom is the power left under the cap the control plane is
-// enforcing right now (the constant cap, or the plan's control cap at
-// the current instant).
+// enforcing right now.
 func (s *Scheduler) headroom() units.Watts {
 	return s.controlCap(s.cl.Kernel().Now()) - s.predictedTotal()
 }
 
 // predictedEndAt returns the model-predicted completion time of a
 // running job if it executed at ladder index idx from now on: the work
-// fraction done so far (progress plus the stretch since the last
-// repricing, at the current frequency) leaves 1−frac of the ladder-idx
-// runtime. This is the virtual clock backfill reservations walk.
+// fraction done so far leaves 1−frac of the ladder-idx runtime. This is
+// the virtual clock backfill reservations walk.
 func (s *Scheduler) predictedEndAt(rj *runningJob, idx int) units.Seconds {
 	now := s.cl.Kernel().Now()
-	frac := rj.progress
-	if tp := scaledTp(rj, rj.fIdx); tp > 0 {
-		frac += float64(now-rj.pricedAt) / float64(tp)
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	return now + units.Seconds((1-frac)*float64(scaledTp(rj, idx)))
+	return now + units.Seconds((1-rj.fracAt(now))*float64(scaledTp(rj, idx)))
 }
 
 // predictedEnd is predictedEndAt at the job's current frequency.
@@ -590,9 +575,7 @@ func (s *Scheduler) Run(jobs []Job) (Result, error) {
 	// measurement window spanning the step averages above the incoming
 	// cap, and at a rise the freed budget should reach the queue and the
 	// running jobs immediately rather than at the next sample.
-	if s.effPlan != nil {
-		s.schedulePlanEdges()
-	}
+	s.schedulePlanEdges()
 	// Fault events (scripted fail/repair, MTBF chains, emergency
 	// markers) are armed after the plan edges so a fault and an edge at
 	// the same instant fire in a fixed order.
@@ -710,14 +693,14 @@ func (s *Scheduler) tryAdmit() {
 	if admitted == 0 && len(s.running) == 0 {
 		now := s.cl.Kernel().Now()
 		// The relaxed (width-slack-dropped) pass exists because on an
-		// idle constant-cap cluster waiting can never help — but under
-		// a plan with a strictly higher window still ahead it can:
+		// idle cluster under a flat budget waiting can never help — but
+		// with a strictly higher window still ahead it can:
 		// pool and width are locked for a job's lifetime, so crawling
 		// through a temporary squeeze loses to waiting for the rise
 		// (the "waiting beats crawling" rule, admission.go). Skip the
 		// relaxed pass in that case and let the breakpoint edges rerun
 		// this one.
-		betterAhead := s.effPlan != nil && now < s.effPlan.End() &&
+		betterAhead := now < s.effPlan.End() &&
 			s.effPlan.MaxFrom(now) > s.controlCap(now)
 		if !betterAhead {
 			admitted = s.admitPass(true)
@@ -729,7 +712,7 @@ func (s *Scheduler) tryAdmit() {
 			// repair will restore. Rejecting the rest now (rather than at
 			// the final breakpoint) keeps a short trace from idling the
 			// sampler across a long timeline.
-			planAhead := s.effPlan != nil && now < s.effPlan.End()
+			planAhead := now < s.effPlan.End()
 			repairAhead := s.repairAhead(now)
 			for _, e := range s.queue {
 				switch {
@@ -768,10 +751,6 @@ func (s *Scheduler) feasibleEver(e *entry, now units.Seconds) bool {
 				free[s.cl.PoolOf(r)]--
 			}
 		}
-	}
-	if s.effPlan == nil {
-		_, ok := s.shadowCandidate(s.cfg.Policy, e, free, s.controlCap(now)-s.idleFloor, now, true, nil)
-		return ok
 	}
 	for t := now; ; {
 		if _, ok := s.shadowCandidate(s.cfg.Policy, e, free, s.controlCap(t)-s.idleFloor, t, true, nil); ok {
@@ -982,10 +961,7 @@ func (s *Scheduler) start(e *entry, cand Candidate, backfilled bool, queueAfter 
 		workScale: scale,
 	}
 	for _, r := range ranks {
-		s.parkedEnergy += s.bankMeter(r)
-		if err := s.cl.SetRankFrequency(r, cand.Freq); err != nil {
-			panic(fmt.Sprintf("sched: retune rank %d: %v", r, err))
-		}
+		s.parkedEnergy += s.retuneRank(r, cand.Freq)
 		s.owner[r] = rj
 	}
 	s.running = append(s.running, rj)
@@ -1012,118 +988,122 @@ func (s *Scheduler) start(e *entry, cand Candidate, backfilled bool, queueAfter 
 		s.armCheckpoint(rj)
 	}
 
-	if s.lockstep && !s.forceRankChains {
-		s.runJob(rj)
+	if s.lockstep {
+		rj.chains = rj.one[:]
+		rj.chains[0] = chain{rj: rj, hi: len(ranks)}
 	} else {
-		rj.rankState = make([]phaseCursor, len(ranks))
-		rj.rankTimers = make([]sim.Timer, len(ranks))
-		for i := range ranks {
-			s.runRank(rj, i)
+		rj.chains = make([]chain, len(ranks))
+		for i := range rj.chains {
+			rj.chains[i] = chain{rj: rj, lo: i, hi: i + 1}
 		}
+	}
+	for i := range rj.chains {
+		s.runChain(&rj.chains[i])
 	}
 }
 
-// runJob advances a whole job one phase at a time with a single kernel
-// event per phase — the lockstep fast path. Without execution noise every
-// rank's slice has identical wall time, so the rank set stays
-// synchronised by construction and one timer replaces width×2 channel
-// handoffs per slice. Each phase reads the ranks' current machine
-// vectors, so a governor retune between phases re-prices the remaining
-// work automatically, exactly as the per-rank path does.
-func (s *Scheduler) runJob(rj *runningJob) {
+// runChain starts the chain's next phase on every rank of its span and
+// completes it with one kernel event. Ranks that share a chain have
+// identical slice timing — the paper's p processors each doing W/p of a
+// phase in step — so the last rank's wall time is every rank's; a noisy
+// run gives each rank its own chain because jitter desynchronises them.
+// Jitter is drawn when each operation starts, in rank order at every
+// shared instant, so runs stay deterministic for a fixed seed. Each
+// phase reads the ranks' current machine vectors, so a governor retune
+// between phases re-prices the remaining work automatically.
+func (s *Scheduler) runChain(c *chain) {
+	rj := c.rj
 	var wall units.Seconds
-	if !rj.inComm {
-		for _, r := range rj.ranks {
+	for _, r := range rj.ranks[c.lo:c.hi] {
+		if c.inComm {
+			wall = s.cl.StartComm(r, rj.sliceComm, rj.alpha)
+		} else {
 			wall = s.cl.StartCompute(r, rj.sliceOn, rj.sliceOff, rj.alpha)
 		}
-	} else {
-		for _, r := range rj.ranks {
-			wall = s.cl.StartComm(r, rj.sliceComm, rj.alpha)
-		}
 	}
-	rj.timer = s.cl.Kernel().AfterTimer(wall, func() {
+	c.timer = s.cl.Kernel().AfterTimer(wall, func() {
+		rj := c.rj // read through c: the closure captures only s and c
 		if rj.killed {
 			return
 		}
-		for _, r := range rj.ranks {
+		for _, r := range rj.ranks[c.lo:c.hi] {
 			s.cl.CompleteOp(r)
 		}
-		if advancePhase(&rj.slice, &rj.inComm, rj.sliceComm, rj.slices) {
-			s.runJob(rj)
+		if c.advance() {
+			s.runChain(c)
 			return
 		}
 		s.cl.NoteWall(s.cl.Kernel().Now())
-		rj.left = 0
-		s.finish(rj)
-	})
-}
-
-// runRank drives one rank's slice sequence through per-rank timer events
-// — the general path used when execution noise desynchronises ranks (and
-// by tests pinning the lockstep/per-rank equivalence). Jitter is drawn
-// when each operation starts, in rank order at every shared instant, so
-// runs stay deterministic for a fixed seed.
-func (s *Scheduler) runRank(rj *runningJob, i int) {
-	r := rj.ranks[i]
-	st := &rj.rankState[i]
-	var wall units.Seconds
-	if !st.inComm {
-		wall = s.cl.StartCompute(r, rj.sliceOn, rj.sliceOff, rj.alpha)
-	} else {
-		wall = s.cl.StartComm(r, rj.sliceComm, rj.alpha)
-	}
-	rj.rankTimers[i] = s.cl.Kernel().AfterTimer(wall, func() {
-		if rj.killed {
-			return
-		}
-		s.cl.CompleteOp(r)
-		if advancePhase(&st.slice, &st.inComm, rj.sliceComm, rj.slices) {
-			s.runRank(rj, i)
-			return
-		}
-		s.cl.NoteWall(s.cl.Kernel().Now())
-		rj.left--
+		rj.left -= c.hi - c.lo
 		if rj.left == 0 {
 			s.finish(rj)
 		}
 	})
 }
 
-// advancePhase moves a slice cursor past the phase that just completed
-// and reports whether work remains: compute → comm (when the job has a
-// comm share) → next slice's compute.
-func advancePhase(slice *int, inComm *bool, sliceComm units.Seconds, slices int) bool {
-	if !*inComm && sliceComm > 0 {
-		*inComm = true
+// advance moves the chain past the phase that just completed and
+// reports whether work remains: compute → comm (when the job has a comm
+// share) → next slice's compute.
+func (c *chain) advance() bool {
+	if !c.inComm && c.rj.sliceComm > 0 {
+		c.inComm = true
 		return true
 	}
-	*inComm = false
-	*slice++
-	return *slice < slices
+	c.inComm = false
+	c.slice++
+	return c.slice < c.rj.slices
 }
 
-// finish runs in the completion event of a job's last phase: bank its
-// energy, park its ranks at their pool's ladder minimum, and give the
-// policy the freed capacity.
-func (s *Scheduler) finish(rj *runningJob) {
-	now := s.cl.Kernel().Now()
+// retuneRank switches rank r to frequency f and returns the energy it
+// dissipated since its last banking point, priced at the outgoing vector
+// (bank first — see bankMeter). Every frequency change the scheduler
+// makes goes through here.
+func (s *Scheduler) retuneRank(r int, f units.Hertz) units.Joules {
+	e := s.bankMeter(r)
+	if err := s.cl.SetRankFrequency(r, f); err != nil {
+		panic(fmt.Sprintf("sched: retune rank %d: %v", r, err))
+	}
+	return e
+}
+
+// vacate takes a job off the cluster, at completion or — abort — at a
+// kill: bank its energy, park its ranks at their pool's ladder minimum,
+// and return the ones still alive to the free list. An abort also
+// cancels the job's pending phase events and aborts the in-flight
+// hardware ops pro rata.
+func (s *Scheduler) vacate(rj *runningJob, abort bool) {
 	rj.ckptTimer.Cancel()
+	// A kill releases a fresh slice, not an in-place filter: telemetry
+	// still reports the job's full rank set after the release.
+	alive := rj.ranks
+	if abort {
+		for i := range rj.chains {
+			rj.chains[i].timer.Cancel()
+		}
+		alive = make([]int, 0, len(rj.ranks))
+	}
 	park := s.ladderOf(rj)[0]
 	for _, r := range rj.ranks {
-		rj.energy += s.bankMeter(r)
-		if err := s.cl.SetRankFrequency(r, park); err != nil {
-			panic(fmt.Sprintf("sched: park rank %d: %v", r, err))
+		if abort {
+			s.cl.AbortOp(r)
 		}
+		rj.energy += s.retuneRank(r, park)
 		s.owner[r] = nil
-	}
-	s.releaseRanks(rj.pool, rj.ranks)
-
-	for i, other := range s.running {
-		if other == rj {
-			s.running = append(s.running[:i], s.running[i+1:]...)
-			break
+		if abort && !s.flt.dead[r] {
+			alive = append(alive, r)
 		}
 	}
+	s.releaseRanks(rj.pool, alive)
+	i := slices.Index(s.running, rj)
+	s.running = slices.Delete(s.running, i, i+1)
+}
+
+// finish runs in the completion event of a job's last phase: vacate the
+// cluster, close the job's record, and give the policy the freed
+// capacity.
+func (s *Scheduler) finish(rj *runningJob) {
+	now := s.cl.Kernel().Now()
+	s.vacate(rj, false)
 
 	res := &rj.e.res
 	res.State = Done

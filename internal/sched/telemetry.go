@@ -289,7 +289,7 @@ func (t *schedTelemetry) emitPlanEdge(preDrop bool) {
 	reason := ""
 	if preDrop {
 		reason = "pre-drop"
-	} else if t.s.effPlan != nil {
+	} else {
 		i, _ := t.s.effPlan.WindowAt(now)
 		reason = fmt.Sprintf("window %d", i)
 	}

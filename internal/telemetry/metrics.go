@@ -257,8 +257,8 @@ func (m *Metrics) header() string {
 }
 
 // Sample writes one row of the time series at sim time t. Sampling with
-// no writer set still advances rate baselines (the audit can read
-// counters without exporting). Write errors are sticky and returned
+// no writer set still advances rate baselines (counters stay readable
+// without exporting). Write errors are sticky and returned
 // from Err; sampling continues no-op afterwards.
 func (m *Metrics) Sample(t units.Seconds) {
 	if m == nil {

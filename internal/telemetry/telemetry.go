@@ -1,9 +1,9 @@
 // Package telemetry is the scheduler's observability layer (DESIGN.md
 // §9): a structured, sim-time-stamped event stream explaining every
 // scheduling decision, a metrics registry sampled on scheduling edges,
-// and streaming exporters — NDJSON event logs, Chrome trace-event JSON
-// whose tracks open directly in Perfetto, and a plain-text decision
-// audit that reconstructs any job's lifecycle.
+// and streaming exporters — NDJSON event logs and Chrome trace-event
+// JSON whose tracks open directly in Perfetto. The text view of a
+// stream (any job's lifecycle, the run's totals) is internal/traceq's.
 //
 // The contract that keeps it free when unused: a nil *Recorder is a
 // valid recorder whose methods are no-ops, and every emit site in the
@@ -306,8 +306,8 @@ func (s siteSink) Write(ev Event) error {
 
 func (s siteSink) Close() error { return s.inner.Close() }
 
-// MemorySink retains the whole event stream in memory — the audit
-// renderer's and the tests' backing store. Ranks slices are copied so
+// MemorySink retains the whole event stream in memory — the backing
+// store of schedrun -audit's traceq queries and of the tests. Ranks slices are copied so
 // retained events stay valid after the scheduler mutates its free
 // lists.
 type MemorySink struct {

@@ -207,8 +207,8 @@ func TestNDJSONSink(t *testing.T) {
 	}
 }
 
-// lifecycle is a small realistic stream shared by the trace and audit
-// tests: job 0 runs (with a throttle), job 1 gets rejected.
+// lifecycle is a small realistic stream for the exporter tests: job 0
+// runs (with a throttle), job 1 gets rejected.
 func lifecycle() []Event {
 	return []Event{
 		{T: 0, Kind: EvArrive, Job: 0, App: "FT", P: 4, Queue: 1},
@@ -272,48 +272,6 @@ func TestChromeTraceIsValidJSON(t *testing.T) {
 	for _, ph := range []string{"M", "i", "C", "X"} {
 		if kinds[ph] == 0 {
 			t.Fatalf("no %q events in trace", ph)
-		}
-	}
-}
-
-func TestAuditReportAndSummary(t *testing.T) {
-	a := NewAudit(lifecycle())
-	if got := a.Jobs(); len(got) != 3 || got[0] != 0 || got[2] != 2 {
-		t.Fatalf("Jobs = %v", got)
-	}
-	if got := a.Violations(); len(got) != 1 || got[0].Power != 310 {
-		t.Fatalf("Violations = %v", got)
-	}
-	var rep bytes.Buffer
-	if err := a.JobReport(&rep, 0); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"job 0 (FT):", "admit", "pool=cpu", "throttle", "2.40GHz -> 2.00GHz", "finish", "energy=2000J"} {
-		if !strings.Contains(rep.String(), want) {
-			t.Fatalf("job report missing %q:\n%s", want, rep.String())
-		}
-	}
-	var rej bytes.Buffer
-	if err := a.JobReport(&rej, 1); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(rej.String(), "reject     needs 64 ranks") {
-		t.Fatalf("reject report:\n%s", rej.String())
-	}
-	var none bytes.Buffer
-	if err := a.JobReport(&none, 9); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(none.String(), "(no events)") {
-		t.Fatalf("missing-job report:\n%s", none.String())
-	}
-	var sum bytes.Buffer
-	if err := a.Summary(&sum); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"events: 11 total", "admit", "cap violations: 1"} {
-		if !strings.Contains(sum.String(), want) {
-			t.Fatalf("summary missing %q:\n%s", want, sum.String())
 		}
 	}
 }

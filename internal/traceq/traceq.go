@@ -10,6 +10,8 @@
 //     the makespan.
 //   - Windows: a per-cap-window rollup table (admissions, energy,
 //     peak power, violations per budget window).
+//   - Summary: stream-wide totals — events per kind, ranked block
+//     reasons, violations.
 //   - Merge: a deterministic cross-site merge of federated traces
 //     keyed by Event.Site.
 //
@@ -95,9 +97,7 @@ func Why(w io.Writer, evs []telemetry.Event, job int) error {
 	}
 	if attempts > 0 {
 		fmt.Fprintf(&out, "  blocked  %d attempt(s); ranked reasons:\n", attempts)
-		for _, e := range rankReasons(reasons) {
-			fmt.Fprintf(&out, "    %4d× %s\n", e.count, e.key)
-		}
+		writeRanked(&out, reasons)
 	}
 	out.WriteString("causal admission chain:\n")
 	writeChain(&out, evs, job, arriveT)
@@ -381,6 +381,36 @@ func Windows(w io.Writer, evs []telemetry.Event) error {
 	return err
 }
 
+// Summary writes stream-wide totals: event counts per kind, block
+// reasons ranked by frequency, and the violation count — the ten-second
+// answer to "what did this run do".
+func Summary(w io.Writer, evs []telemetry.Event) error {
+	var counts [256]int // indexed by telemetry.Kind (a uint8)
+	reasons := map[string]int{}
+	for i := range evs {
+		counts[evs[i].Kind]++
+		if evs[i].Kind == telemetry.EvAttempt && evs[i].Reason != "" {
+			reasons[evs[i].Reason]++
+		}
+	}
+	var out strings.Builder
+	fmt.Fprintf(&out, "events: %d total\n", len(evs))
+	for k, n := range counts {
+		if n > 0 {
+			fmt.Fprintf(&out, "  %-10s %d\n", telemetry.Kind(k), n)
+		}
+	}
+	if len(reasons) > 0 {
+		out.WriteString("blocked-on (admission attempts):\n")
+		writeRanked(&out, reasons)
+	}
+	if v := counts[telemetry.EvViolation]; v > 0 {
+		fmt.Fprintf(&out, "cap violations: %d\n", v)
+	}
+	_, err := io.WriteString(w, out.String())
+	return err
+}
+
 // NamedTrace is one input to Merge: a site label and its decoded
 // event stream (already in emission order).
 type NamedTrace struct {
@@ -421,25 +451,22 @@ func Merge(w io.Writer, traces []NamedTrace) error {
 	return sink.Close()
 }
 
-// rankReasons sorts a reason histogram by count descending, then
-// lexicographically.
-type reasonEntry struct {
-	key   string
-	count int
-}
-
-func rankReasons(m map[string]int) []reasonEntry {
-	out := make([]reasonEntry, 0, len(m))
-	for k, c := range m {
-		out = append(out, reasonEntry{key: k, count: c})
+// writeRanked renders a reason histogram, one line per reason, by count
+// descending, then lexicographically.
+func writeRanked(out *strings.Builder, m map[string]int) {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].count != out[j].count {
-			return out[i].count > out[j].count
+	sort.Slice(keys, func(i, j int) bool {
+		if m[keys[i]] != m[keys[j]] {
+			return m[keys[i]] > m[keys[j]]
 		}
-		return out[i].key < out[j].key
+		return keys[i] < keys[j]
 	})
-	return out
+	for _, k := range keys {
+		fmt.Fprintf(out, "    %4d× %s\n", m[k], k)
+	}
 }
 
 func pct(num, den float64) float64 {

@@ -47,6 +47,91 @@ func TestWhy(t *testing.T) {
 	}
 }
 
+// lifecycle is a stream with one of everything the text views word: job
+// 0 runs (throttled at a cap step), job 1 is rejected on arrival, job 2
+// holds a reservation and is still blocked when the stream ends.
+func lifecycle() []telemetry.Event {
+	return []telemetry.Event{
+		{T: 0, Kind: telemetry.EvArrive, Job: 0, App: "FT", P: 4, Queue: 1},
+		{T: 0, Kind: telemetry.EvAdmit, Job: 0, App: "FT", Pool: "cpu", P: 4, Freq: 2.4e9, Watts: 400, EE: 0.9},
+		{T: 0.5, Kind: telemetry.EvRankRetune, Job: telemetry.NoJob, Rank: 1, FreqFrom: 2.4e9, Freq: 2.0e9},
+		{T: 1, Kind: telemetry.EvArrive, Job: 1, App: "EP", P: 64, Queue: 1},
+		{T: 1, Kind: telemetry.EvReject, Job: 1, App: "EP", Reason: "needs 64 ranks, platform has 8"},
+		{T: 2, Kind: telemetry.EvPlanEdge, Job: telemetry.NoJob, Cap: 300, Reason: "pre-drop"},
+		{T: 2, Kind: telemetry.EvThrottle, Job: 0, App: "FT", FreqFrom: 2.4e9, Freq: 2.0e9,
+			WattsFrom: 400, Watts: 300, Reason: "cap step to 300W"},
+		{T: 2.5, Kind: telemetry.EvSample, Job: telemetry.NoJob, Power: 290, Cap: 300},
+		{T: 3, Kind: telemetry.EvViolation, Job: telemetry.NoJob, Power: 310, Cap: 300},
+		{T: 3.5, Kind: telemetry.EvArrive, Job: 2, App: "CG", P: 2, Queue: 1},
+		{T: 3.5, Kind: telemetry.EvAttempt, Job: 2, App: "CG", Reason: "watts: over budget"},
+		{T: 4, Kind: telemetry.EvAttempt, Job: 2, App: "CG", Reason: "ranks: full"},
+		{T: 4, Kind: telemetry.EvReserve, Job: 2, At: 6, Dur: 3, Pool: "cpu", P: 2, Watts: 100},
+		{T: 5, Kind: telemetry.EvAttempt, Job: 2, App: "CG", Reason: "watts: over budget"},
+		{T: 6, Kind: telemetry.EvFinish, Job: 0, App: "FT", Pool: "cpu", P: 1, Dur: 6, Energy: 2000},
+	}
+}
+
+// The lifecycle lines of an admitted and a rejected job — what schedrun
+// -audit ID prints.
+func TestWhyLifecycleLines(t *testing.T) {
+	for job, wants := range map[int][]string{
+		0: {"job 0 (FT):", "arrive   t=0.000", "admit    t=0.000 pool=cpu p=4 f=2.40GHz",
+			"throttle t=2.000 2.40→2.00GHz (cap step to 300W)",
+			"finish   t=6.000 dur=6.000s energy=2000.0J retunes=1",
+			"job 0 admitted at t=0.000 on arrival (no wait)"},
+		1: {"job 1 (EP):", "reject   t=1.000 (needs 64 ranks, platform has 8)", "job 1 was never admitted"},
+		2: {"reserve  t=4.000 pool=cpu p=2 at=6.000 w=100.0W", "blocked  3 attempt(s)",
+			"2× watts: over budget", "1× ranks: full"},
+	} {
+		var buf bytes.Buffer
+		if err := Why(&buf, lifecycle(), job); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range wants {
+			if !strings.Contains(buf.String(), want) {
+				t.Errorf("why %d misses %q:\n%s", job, want, buf.String())
+			}
+		}
+	}
+}
+
+func TestSummary(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Summary(&buf, lifecycle()); err != nil {
+		t.Fatal(err)
+	}
+	// Per-kind counts in taxonomy order, absent kinds omitted; reasons
+	// ranked by count, then name; the violation count last.
+	want := `events: 15 total
+  arrive     3
+  attempt    3
+  admit      1
+  reject     1
+  finish     1
+  reserve    1
+  throttle   1
+  retune     1
+  plan-edge  1
+  sample     1
+  violation  1
+blocked-on (admission attempts):
+       2× watts: over budget
+       1× ranks: full
+cap violations: 1
+`
+	if buf.String() != want {
+		t.Fatalf("summary:\n%s\nwant:\n%s", buf.String(), want)
+	}
+
+	buf.Reset()
+	if err := Summary(&buf, synthetic()[:3]); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), "blocked-on") || strings.Contains(buf.String(), "violations") {
+		t.Fatalf("a stream with no attempts or violations must print neither section:\n%s", buf.String())
+	}
+}
+
 func TestWhyUnknownJob(t *testing.T) {
 	if err := Why(&bytes.Buffer{}, synthetic(), 99); err == nil {
 		t.Fatal("unknown job must error")
