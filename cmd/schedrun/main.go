@@ -6,89 +6,43 @@
 // least as fast as the FIFO baseline while spending less energy per job
 // and never exceeding the cap.
 //
-// With -backfill every policy is wrapped in EASY-style reservations
-// (sched.Backfill): a blocked queue head is promised ranks and watts at
-// a model-predicted future start, and later jobs only jump it when they
-// cannot delay that start — bounding the worst-case wait of wide jobs.
-// A specific wrapped policy can also be named directly, e.g.
-// -policy backfill+ee-max.
+// The flag groups shared with fedrun (trace, budget, -json, -status) and
+// the exit contract are internal/cli's; DESIGN.md §14 describes them.
+// What is schedrun's own:
 //
-// Profiling the scheduler hot path needs no test binary: -cpuprofile /
-// -memprofile write pprof files covering the schedule runs, and
-// -repeat N executes each selected policy's schedule N times so short
-// traces accumulate enough samples (the comparison table reports the
-// last repetition; repetitions are independent and identical).
-//
-// The -cluster flag accepts either a bare preset ("systemg", "dori") or
-// a mixed pool list ("systemg:32,dori:32") building a heterogeneous
-// platform: each pool keeps its own machine vector and DVFS ladder, and
-// the policies place every job entirely within one pool (ee-max picks
-// the EE-best pool, fifo the lowest-ranked pool that fits).
-//
-// The cap can be a timeline instead of a constant: -capplan takes
-// "start:watts" windows ("0:2500,2:1500,4:2500" squeezes the budget
-// mid-trace — a demand-response event), -capfile reads the same
-// timeline from a t_s,cap_w CSV (an externally logged tariff or carbon
-// trace), and -capdump writes the active timeline back out as CSV, so
-// an exported plan re-imports to the identical schedule. Plan runs
-// print a per-window table: energy, mean draw, cap utilisation and
-// violations inside every budget window.
-//
-// -reserve K holds EASY reservations for the first K blocked jobs
-// (conservative multi-reservation backfill; K > 1 implies -backfill).
-//
-// Fault injection (internal/faults) threads deterministic failures
-// through the runs: -faults takes a plan spec ("fail=3@10,mtbf=*:900,
-// mttr=*:120,emer=20-40:600,retries=2,ckpt=30,restart=5"), -faultfile
-// reads the same plan from CSV, and -mtbf/-mttr (always together) set a
-// wildcard failure/repair process for every pool from the command line;
-// -retries, -ckpt and -restartcost override the corresponding plan
-// knobs. A plan's power emergencies clamp the effective cap, so
-// -capdump — which exports the budget timeline alone — cannot combine
-// with fault injection. Fault runs print a per-policy fault summary,
-// and when any job is permanently lost (killed past its retry cap)
-// schedrun exits with status 4, mirroring the exit-3 violation gate.
-//
-// Observability (internal/telemetry) attaches to a single named policy:
-// -trace writes a Chrome trace-event JSON timeline (open in Perfetto or
-// chrome://tracing), -events the raw decision stream as NDJSON,
-// -metrics the sim-time metrics registry as CSV, and -audit renders the
-// stream as text on stdout through internal/traceq — "summary" for the
-// run's totals, a job ID for that job's `traceq why`, "all" for both.
-// These flags need -policy NAME — a decision stream interleaving
-// several independent schedules would be meaningless — and with
-// -repeat N they record only the final repetition, so profiling runs
-// stay clean. -json dumps the machine-readable results (any policy
-// selection) to a file, or stdout with "-". When any run violated the
-// cap, schedrun exits with status 3 after printing its tables, so CI
-// smoke jobs can assert the zero-violation guarantee. A flag value no
-// schedule can be built from — a malformed plan spec, a non-finite or
-// sub-idle-floor cap, a negative job count — exits 2; an unreadable or
-// unwritable file exits 1.
-//
-// Usage:
-//
-//	schedrun -jobs 64 -cap 2500 [-ranks 64] [-cluster systemg:32,dori:32]
-//	         [-capplan 0:2500,3600:1500 | -capfile plan.csv] [-capdump out.csv]
-//	         [-faults fail=3@10,retries=2 | -faultfile plan.csv]
-//	         [-mtbf S -mttr S] [-retries N] [-ckpt S] [-restartcost S]
-//	         [-policy all] [-backfill] [-reserve K] [-detail] [-edge]
-//	         [-trace out.json] [-events out.ndjson] [-metrics out.csv]
-//	         [-audit summary|all|ID] [-json out.json]
-//	         [-repeat N] [-cpuprofile cpu.out] [-memprofile mem.out]
+//   - -cluster is a preset ("systemg") sized by -ranks, or a mixed pool
+//     list ("systemg:32,dori:32") that sizes itself.
+//   - -capfile reads the budget timeline from a t_s,cap_w CSV and
+//     -capdump writes the active one back out, so an exported plan
+//     re-imports to the identical schedule. Timeline runs print a
+//     per-window table.
+//   - -backfill wraps every policy in EASY reservations (sched.Backfill);
+//     -reserve K holds them for the first K blocked jobs and implies it.
+//     A wrapped policy can be named directly: -policy backfill+ee-max.
+//   - -faults / -faultfile give a fault plan (internal/faults);
+//     -mtbf/-mttr (always together), -retries, -ckpt and -restartcost
+//     are appended to its record list, so they override the plan's own
+//     values. Power emergencies reshape the effective cap, so -capdump
+//     refuses fault runs.
+//   - -trace (Chrome trace JSON), -events (NDJSON, or a -rollup CSV),
+//     -metrics (CSV) and -audit (internal/traceq text) record one
+//     schedule's decision stream, so they need -policy NAME; with
+//     -repeat N they record the final repetition only.
+//   - -repeat, -cpuprofile and -memprofile profile the scheduler hot
+//     path without a test binary; the table reports the last repetition.
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strconv"
 
-	"repro/internal/capplan"
+	"repro/internal/cli"
 	"repro/internal/faults"
 	"repro/internal/machine"
 	"repro/internal/obs"
@@ -98,208 +52,140 @@ import (
 	"repro/internal/units"
 )
 
-func main() {
-	jobs := flag.Int("jobs", 64, "number of jobs in the synthetic trace")
-	cap := flag.Float64("cap", 2500, "cluster power cap in watts")
-	ranks := flag.Int("ranks", 64, "cluster size in ranks (ignored when -cluster lists explicit pool sizes)")
-	clusterName := flag.String("cluster", "systemg", "platform: a preset (systemg, dori) or mixed pools like systemg:32,dori:32")
-	capPlan := flag.String("capplan", "", "time-varying cap plan as start:watts windows, e.g. 0:2500,3600:1500,7200:2500 (excludes -cap)")
-	capFile := flag.String("capfile", "", "read the cap plan from a t_s,cap_w CSV file (excludes -cap and -capplan)")
-	capDump := flag.String("capdump", "", "write the active cap plan to this CSV file (requires -capplan or -capfile)")
-	faultSpec := flag.String("faults", "", "fault-injection plan spec, e.g. fail=3@10,mtbf=*:900,mttr=*:120,retries=2,ckpt=30 (excludes -faultfile)")
-	faultFile := flag.String("faultfile", "", "read the fault plan from a kind,subject,t0_s,t1_s,value CSV file (excludes -faults)")
-	mtbf := flag.Float64("mtbf", 0, "wildcard mean time between failures in seconds for every pool (needs -mttr)")
-	mttr := flag.Float64("mttr", 0, "wildcard mean time to repair in seconds for every pool (needs -mtbf)")
-	retries := flag.Int("retries", 3, "retry cap: a job killed after this many restarts is permanently lost")
-	ckpt := flag.Float64("ckpt", 0, "checkpoint interval in seconds (0 disables periodic checkpoints)")
-	restartCost := flag.Float64("restartcost", 0, "restart surcharge in seconds added to every resumed attempt")
-	policy := flag.String("policy", "all", "policy to run: fifo, ee-max, fair-share, backfill+<name>, or all")
-	backfill := flag.Bool("backfill", false, "wrap every selected policy in EASY backfill reservations")
-	reserve := flag.Int("reserve", 1, "hold backfill reservations for the first K blocked jobs (K>1 implies -backfill)")
-	seed := flag.Int64("seed", 1, "trace and simulation seed")
-	interval := flag.Float64("interval", 0, "governor sampling interval in seconds (0 = the 25ms default; negative is rejected)")
-	edge := flag.Bool("edge", false, "retune on admission/completion edges in addition to the sampling grid")
-	detail := flag.Bool("detail", false, "print per-job tables")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON timeline (Perfetto) to this file (needs -policy NAME)")
-	eventsPath := flag.String("events", "", "write the decision event stream as NDJSON to this file (needs -policy NAME)")
-	metricsPath := flag.String("metrics", "", "write sim-time metrics as CSV to this file (needs -policy NAME)")
-	audit := flag.String("audit", "", `print a decision audit: "summary", "all", or a job ID (needs -policy NAME)`)
-	jsonPath := flag.String("json", "", `write machine-readable results as JSON to this file ("-" = stdout)`)
-	verbose := flag.Bool("v", false, "print a one-line host-side summary (wall time, events/s, opcache hit rate, allocations) after each policy run")
-	rollup := flag.Float64("rollup", 0, "aggregate -events into sim-time buckets of this width in seconds: a bounded-memory CSV rollup instead of raw NDJSON")
-	statusAddr := flag.String("status", "", "serve live run status over HTTP on this address (e.g. :8080 or 127.0.0.1:0): JSON at /status.json, Prometheus text at /metrics")
-	repeat := flag.Int("repeat", 1, "run each policy's schedule N times (profiling workload)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the schedule runs to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile taken after the schedule runs to this file")
-	flag.Parse()
-	if *repeat < 1 {
-		*repeat = 1
+func main() { cli.Main(run) }
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("schedrun", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	seed, trace := cli.TraceFlags(fs, 64)
+	budget := cli.BudgetFlags(fs, 2500, "cluster power cap in watts",
+		"capplan", "time-varying cap plan as start:watts windows, e.g. 0:2500,3600:1500,7200:2500 (excludes -cap)")
+	budget.FileFlag(fs, "capfile", "read the cap plan from a t_s,cap_w CSV file (excludes -cap and -capplan)")
+	ranks := fs.Int("ranks", 64, "cluster size in ranks (ignored when -cluster lists explicit pool sizes)")
+	clusterName := fs.String("cluster", "systemg", "platform: a preset (systemg, dori) or mixed pools like systemg:32,dori:32")
+	capDump := fs.String("capdump", "", "write the active cap plan to this CSV file (requires -capplan or -capfile)")
+	faultSpec := fs.String("faults", "", "fault-injection plan spec, e.g. fail=3@10,mtbf=*:900,mttr=*:120,retries=2,ckpt=30 (excludes -faultfile)")
+	faultFile := fs.String("faultfile", "", "read the fault plan from a kind,subject,t0_s,t1_s,value CSV file (excludes -faults)")
+	mtbf := fs.Float64("mtbf", 0, "wildcard mean time between failures in seconds for every pool (needs -mttr)")
+	mttr := fs.Float64("mttr", 0, "wildcard mean time to repair in seconds for every pool (needs -mtbf)")
+	retries := fs.Int("retries", 3, "retry cap: a job killed after this many restarts is permanently lost")
+	ckpt := fs.Float64("ckpt", 0, "checkpoint interval in seconds (0 disables periodic checkpoints)")
+	restartCost := fs.Float64("restartcost", 0, "restart surcharge in seconds added to every resumed attempt")
+	policy := fs.String("policy", "all", "policy to run: fifo, ee-max, fair-share, backfill+<name>, or all")
+	backfill := fs.Bool("backfill", false, "wrap every selected policy in EASY backfill reservations")
+	reserve := fs.Int("reserve", 1, "hold backfill reservations for the first K blocked jobs (K>1 implies -backfill)")
+	interval := fs.Float64("interval", 0, "governor sampling interval in seconds (0 = the 25ms default; negative is rejected)")
+	edge := fs.Bool("edge", false, "retune on admission/completion edges in addition to the sampling grid")
+	detail := fs.Bool("detail", false, "print per-job tables")
+	tracePath := fs.String("trace", "", "write a Chrome trace-event JSON timeline (Perfetto) to this file (needs -policy NAME)")
+	eventsPath := fs.String("events", "", "write the decision event stream as NDJSON to this file (needs -policy NAME)")
+	metricsPath := fs.String("metrics", "", "write sim-time metrics as CSV to this file (needs -policy NAME)")
+	audit := fs.String("audit", "", `print a decision audit: "summary", "all", or a job ID (needs -policy NAME)`)
+	jsonPath := cli.JSONFlag(fs)
+	verbose := fs.Bool("v", false, "print a one-line host-side summary (wall time, events/s, opcache hit rate, allocations) after each policy run")
+	rollup := fs.Float64("rollup", 0, "aggregate -events into sim-time buckets of this width in seconds: a bounded-memory CSV rollup instead of raw NDJSON")
+	statusAddr := fs.String("status", "", "serve live run status over HTTP on this address (e.g. :8080 or 127.0.0.1:0): JSON at /status.json, Prometheus text at /metrics")
+	repeat := fs.Int("repeat", 1, "run each policy's schedule N times (profiling workload)")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the schedule runs to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile taken after the schedule runs to this file")
+	given, err := cli.Parse(fs, args)
+	if err != nil {
+		return err
 	}
-	if *jobs < 0 {
-		fmt.Fprintf(os.Stderr, "-jobs %d must not be negative\n", *jobs)
-		os.Exit(2)
-	}
-	if *interval < 0 {
-		fmt.Fprintf(os.Stderr, "-interval %g is negative; pass 0 for the 25 ms default or a positive period\n", *interval)
-		os.Exit(2)
+	jobs, err := trace()
+	if err != nil {
+		return err
 	}
 	if *reserve < 1 {
-		fmt.Fprintf(os.Stderr, "-reserve %d must be at least 1\n", *reserve)
-		os.Exit(2)
+		return cli.Usagef("-reserve %d must be at least 1", *reserve)
+	}
+	plan, timeline, err := budget.Plan(given)
+	if err != nil {
+		return err
 	}
 
-	var plan *capplan.Plan
-	switch {
-	case *capPlan != "" && *capFile != "":
-		fmt.Fprintln(os.Stderr, "-capplan and -capfile are mutually exclusive")
-		os.Exit(2)
-	case *capPlan != "":
-		p, err := capplan.ParsePlan(*capPlan)
-		usageOn(err)
-		plan = p
-	case *capFile != "":
-		f, err := os.Open(*capFile)
-		exitOn(err)
-		p, err := capplan.ReadCSV(f)
-		f.Close()
-		exitOn(err)
-		plan = p
-	}
-	if plan != nil {
-		capSet := false
-		flag.Visit(func(f *flag.Flag) { capSet = capSet || f.Name == "cap" })
-		if capSet {
-			fmt.Fprintln(os.Stderr, "-cap cannot combine with a cap plan; put the constant in the plan's first window instead")
-			os.Exit(2)
-		}
-	}
-	// Fault knobs given on the command line override the corresponding
-	// plan knobs (flag.Visit distinguishes "explicitly set" from the
-	// default), so a CSV plan can be rerun with a different retry cap or
-	// checkpoint cadence without editing the file.
-	faultKnobs := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "mtbf", "mttr", "retries", "ckpt", "restartcost":
-			faultKnobs[f.Name] = true
-		}
-	})
-	if faultKnobs["mtbf"] != faultKnobs["mttr"] {
-		fmt.Fprintln(os.Stderr, "-mtbf and -mttr must be given together: a failure process without a repair rate (or vice versa) is underspecified")
-		os.Exit(2)
-	}
-	if *mtbf < 0 || *mttr < 0 {
-		fmt.Fprintf(os.Stderr, "-mtbf %g / -mttr %g must not be negative\n", *mtbf, *mttr)
-		os.Exit(2)
-	}
-	if *retries < 0 {
-		fmt.Fprintf(os.Stderr, "-retries %d must be at least 0\n", *retries)
-		os.Exit(2)
-	}
-	if *ckpt < 0 || *restartCost < 0 {
-		fmt.Fprintf(os.Stderr, "-ckpt %g / -restartcost %g must not be negative\n", *ckpt, *restartCost)
-		os.Exit(2)
-	}
+	// The fault plan is its spec or file plus one record per knob flag
+	// given; faults' last-wins rule makes the flags override the plan, so
+	// a CSV plan reruns with another retry cap without editing the file.
+	// A plan made of -mtbf/-mttr alone starts from the -retries default.
 	var fplan *faults.Plan
 	switch {
 	case *faultSpec != "" && *faultFile != "":
-		fmt.Fprintln(os.Stderr, "-faults and -faultfile are mutually exclusive")
-		os.Exit(2)
+		return cli.Usagef("-faults and -faultfile are mutually exclusive")
 	case *faultSpec != "":
-		p, err := faults.ParsePlan(*faultSpec)
-		usageOn(err)
-		fplan = p
+		fplan, err = faults.ParsePlan(*faultSpec)
+		err = cli.Usage(err)
 	case *faultFile != "":
-		f, err := os.Open(*faultFile)
-		exitOn(err)
-		p, err := faults.ReadCSV(f)
-		f.Close()
-		exitOn(err)
-		fplan = p
-	}
-	if fplan == nil && faultKnobs["mtbf"] {
+		fplan, err = cli.ReadFile(*faultFile, faults.ReadCSV)
+	case given["mtbf"]:
 		fplan = &faults.Plan{MaxRetries: *retries}
 	}
-	if fplan == nil && len(faultKnobs) > 0 {
-		fmt.Fprintln(os.Stderr, "-retries/-ckpt/-restartcost tune a fault plan; give one with -faults, -faultfile or -mtbf/-mttr")
-		os.Exit(2)
+	if err != nil {
+		return err
+	}
+	if given["mtbf"] != given["mttr"] {
+		return cli.Usagef("-mtbf and -mttr must be given together: a failure process without a repair rate (or vice versa) is underspecified")
+	}
+	var knobs []faults.Item
+	for _, k := range []struct {
+		flag string
+		item faults.Item
+	}{
+		{"mtbf", faults.Item{Kind: "mtbf", Subject: "*", Value: *mtbf}},
+		{"mttr", faults.Item{Kind: "mttr", Subject: "*", Value: *mttr}},
+		{"retries", faults.Item{Kind: "retries", Value: float64(*retries)}},
+		{"ckpt", faults.Item{Kind: "ckpt", Value: *ckpt}},
+		{"restartcost", faults.Item{Kind: "restart", Value: *restartCost}},
+	} {
+		if given[k.flag] {
+			knobs = append(knobs, k.item)
+		}
+	}
+	if fplan == nil && len(knobs) > 0 {
+		return cli.Usagef("-retries/-ckpt/-restartcost tune a fault plan; give one with -faults, -faultfile or -mtbf/-mttr")
 	}
 	if fplan != nil {
-		if faultKnobs["mtbf"] {
-			// The command-line wildcard replaces a plan's wildcard entry;
-			// exact per-pool rates from the plan still win (RatesFor).
-			rates := fplan.Rates[:0:0]
-			for _, r := range fplan.Rates {
-				if r.Pool != "*" {
-					rates = append(rates, r)
-				}
-			}
-			fplan.Rates = append(rates, faults.PoolRates{Pool: "*", MTBF: units.Seconds(*mtbf), MTTR: units.Seconds(*mttr)})
+		if fplan, err = fplan.With(knobs...); err != nil {
+			return cli.Usage(err)
 		}
-		if faultKnobs["retries"] {
-			fplan.MaxRetries = *retries
-		}
-		if faultKnobs["ckpt"] {
-			fplan.CheckpointEvery = units.Seconds(*ckpt)
-		}
-		if faultKnobs["restartcost"] {
-			fplan.RestartCost = units.Seconds(*restartCost)
-		}
-		usageOn(fplan.Validate())
 	}
 	if *capDump != "" {
-		if plan == nil {
-			fmt.Fprintln(os.Stderr, "-capdump needs -capplan or -capfile")
-			os.Exit(2)
+		if !timeline {
+			return cli.Usagef("-capdump needs -capplan or -capfile")
 		}
 		if fplan != nil {
-			fmt.Fprintln(os.Stderr, "-capdump exports the budget timeline alone and cannot combine with fault injection: power emergencies reshape the effective cap")
-			os.Exit(2)
+			return cli.Usagef("-capdump exports the budget timeline alone and cannot combine with fault injection: power emergencies reshape the effective cap")
 		}
-		f, err := os.Create(*capDump)
-		exitOn(err)
-		err = plan.WriteCSV(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
+		var out cli.Outputs
+		if err := errors.Join(plan.WriteCSV(out.Create(*capDump)), out.Close()); err != nil {
+			return err
 		}
-		exitOn(err)
 	}
 
 	platform, err := machine.ParsePlatform(*clusterName)
-	usageOn(err)
+	if err != nil {
+		return cli.Usage(err)
+	}
 	// A multi-pool platform defines the cluster exactly (every pool's
 	// node count); the -ranks default only sizes a bare single preset,
 	// whose full node count is far larger than a useful demo cluster.
 	// Truncating a mixed platform to a rank prefix would silently strip
 	// the later pools, so -ranks and multi-pool are mutually exclusive.
 	clusterRanks := *ranks
-	if len(platform.Pools) > 1 {
-		ranksSet := false
-		flag.Visit(func(f *flag.Flag) { ranksSet = ranksSet || f.Name == "ranks" })
-		if ranksSet {
-			fmt.Fprintf(os.Stderr, "-ranks cannot resize a multi-pool platform; size each pool instead, e.g. -cluster systemg:32,dori:32\n")
-			os.Exit(2)
-		}
-		clusterRanks = 0 // whole platform
+	if len(platform.Pools) > 1 && given["ranks"] {
+		return cli.Usagef("-ranks cannot resize a multi-pool platform; size each pool instead, e.g. -cluster systemg:32,dori:32")
+	}
+	if len(platform.Pools) > 1 || clusterRanks == 0 {
+		clusterRanks = platform.TotalRanks()
 	}
 
 	var policies []sched.Policy
 	if *policy == "all" {
-		all := sched.Policies()
-		names := make([]string, 0, len(all))
-		for name := range all {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		// Baseline first so the table reads as baseline vs. contenders.
-		sort.SliceStable(names, func(a, b int) bool { return names[a] == "fifo" && names[b] != "fifo" })
-		for _, name := range names {
-			policies = append(policies, all[name])
-		}
+		_, policies = cli.Sweep(sched.Policies(), "fifo")
 	} else {
 		p, err := sched.ParsePolicy(*policy)
 		if err != nil {
-			usageOn(fmt.Errorf("-policy: %v, or all", err))
+			return cli.Usagef("-policy: %v, or all", err)
 		}
 		policies = []sched.Policy{p}
 	}
@@ -314,253 +200,218 @@ func main() {
 	// events to the wrong run, so they demand a single named policy.
 	telemetryOn := *tracePath != "" || *eventsPath != "" || *metricsPath != "" || *audit != ""
 	if telemetryOn && len(policies) > 1 {
-		fmt.Fprintln(os.Stderr, "-trace/-events/-metrics/-audit record a single schedule; select one policy with -policy NAME")
-		os.Exit(2)
-	}
-	if *rollup < 0 {
-		fmt.Fprintf(os.Stderr, "-rollup %g must not be negative\n", *rollup)
-		os.Exit(2)
+		return cli.Usagef("-trace/-events/-metrics/-audit record a single schedule; select one policy with -policy NAME")
 	}
 	if *rollup > 0 && *eventsPath == "" {
-		fmt.Fprintln(os.Stderr, "-rollup aggregates the -events stream; give it a destination with -events FILE")
-		os.Exit(2)
+		return cli.Usagef("-rollup aggregates the -events stream; give it a destination with -events FILE")
 	}
 	auditJob := -1
 	if *audit != "" && *audit != "summary" && *audit != "all" {
-		id, err := strconv.Atoi(*audit)
-		if err != nil || id < 0 {
-			fmt.Fprintf(os.Stderr, "-audit %q: want \"summary\", \"all\", or a job ID\n", *audit)
-			os.Exit(2)
+		if auditJob, err = strconv.Atoi(*audit); err != nil || auditJob < 0 {
+			return cli.Usagef("-audit %q: want \"summary\", \"all\", or a job ID", *audit)
 		}
-		auditJob = id
 	}
 
-	trace := sched.SyntheticTrace(sched.TraceConfig{Jobs: *jobs, Seed: *seed})
-
-	shownRanks := clusterRanks
-	if shownRanks == 0 {
-		shownRanks = platform.TotalRanks()
-	}
-	if plan != nil {
-		fmt.Printf("trace: %d jobs on %s/%d ranks under cap plan %s (seed %d)\n",
-			*jobs, platform, shownRanks, plan, *seed)
+	if timeline {
+		fmt.Fprintf(stdout, "trace: %d jobs on %s/%d ranks under cap plan %s (seed %d)\n",
+			len(jobs), platform, clusterRanks, plan, *seed)
 	} else {
-		fmt.Printf("trace: %d jobs on %s/%d ranks under a %.0f W cap (seed %d)\n",
-			*jobs, platform, shownRanks, *cap, *seed)
+		fmt.Fprintf(stdout, "trace: %d jobs on %s/%d ranks under a %.0f W cap (seed %d)\n",
+			len(jobs), platform, clusterRanks, float64(plan.MinCap()), *seed)
 	}
 	if fplan != nil {
-		fmt.Printf("faults: %s\n", fplan)
+		fmt.Fprintf(stdout, "faults: %s\n", fplan)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
-		exitOn(err)
+		if err != nil {
+			return err
+		}
 		defer f.Close()
-		exitOn(pprof.StartCPUProfile(f))
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return err
+		}
 		defer pprof.StopCPUProfile()
 	}
 
 	// The status server outlives individual runs: each policy run
 	// publishes snapshots under its own label, and the final snapshot of
 	// a finished run stays queryable while later policies execute.
-	var srv *obs.StatusServer
-	if *statusAddr != "" {
-		s, err := obs.ListenStatus(*statusAddr)
-		exitOn(err)
-		srv = s
+	srv, err := cli.ListenStatus(*statusAddr, stdout)
+	if err != nil {
+		return err
+	}
+	if srv != nil {
 		defer srv.Close()
-		fmt.Printf("status: http://%s (JSON at /status.json, Prometheus at /metrics)\n\n", srv.Addr())
+	}
+
+	// once runs one repetition of one policy's schedule, leaving its
+	// observers in mem and host. Telemetry records only the final
+	// repetition (record): repetitions are identical, and the earlier
+	// ones exist purely as a profiling workload that should stay free of
+	// sink I/O.
+	var mem *telemetry.MemorySink
+	var host *obs.Host
+	once := func(pol sched.Policy, record bool) (sched.Result, error) {
+		mem, host = nil, nil
+		cfg := sched.Config{
+			Platform:   platform,
+			Ranks:      clusterRanks,
+			Faults:     fplan,
+			Policy:     pol,
+			Interval:   units.Seconds(*interval),
+			EdgeRetune: *edge,
+			Seed:       *seed,
+		}
+		// A Result reports budget windows for a Plan only, so a constant
+		// stays a Cap.
+		if timeline {
+			cfg.Plan = plan
+		} else {
+			cfg.Cap = plan.MinCap()
+		}
+		var out cli.Outputs
+		defer out.Close()
+		if record {
+			cfg.Telemetry = out.Recorder()
+			if *eventsPath != "" && *rollup > 0 {
+				rs, err := telemetry.NewRollupSink(out.Create(*eventsPath), units.Seconds(*rollup))
+				if err != nil {
+					return sched.Result{}, cli.Usage(err)
+				}
+				cfg.Telemetry.AddSink(rs)
+			} else if *eventsPath != "" {
+				cfg.Telemetry.AddSink(telemetry.NewNDJSONSink(out.Create(*eventsPath)))
+			}
+			if *tracePath != "" {
+				cfg.Telemetry.AddSink(telemetry.NewChromeTraceSink(out.Create(*tracePath)))
+			}
+			if *audit != "" {
+				mem = telemetry.NewMemorySink()
+				cfg.Telemetry.AddSink(mem)
+			}
+			if *metricsPath != "" {
+				cfg.Telemetry.Metrics().StreamCSV(out.Create(*metricsPath))
+			}
+			if err := out.Err(); err != nil {
+				return sched.Result{}, err
+			}
+		}
+		// Host-side observability: a fresh collector per repetition so
+		// phase timers and allocation deltas cover exactly one run.
+		if *verbose || srv != nil {
+			host = obs.NewHost()
+			cfg.Obs = host
+		}
+		if srv != nil {
+			// Live publishing needs an event stream to pace it; an
+			// otherwise sink-less run gets a recorder carrying only the
+			// publisher.
+			if cfg.Telemetry == nil {
+				cfg.Telemetry = out.Recorder()
+			}
+			cfg.Telemetry.AddSink(obs.NewPublisher(srv, pol.Name(), host, cfg.Telemetry.Metrics(), 0))
+		}
+		// What New rejects is a flag value: the cap, the platform, a
+		// fault plan scripting a rank the cluster does not have.
+		s, err := sched.New(cfg)
+		if err != nil {
+			return sched.Result{}, cli.Usage(err)
+		}
+		res, err := s.Run(jobs)
+		if err != nil {
+			return sched.Result{}, err
+		}
+		return res, out.Close()
 	}
 
 	var results []sched.Result
 	for _, pol := range policies {
 		var res sched.Result
-		var mem *telemetry.MemorySink
-		var host *obs.Host
-		for r := 0; r < *repeat; r++ {
-			cfg := sched.Config{
-				Platform:   platform,
-				Ranks:      clusterRanks,
-				Policy:     pol,
-				Interval:   units.Seconds(*interval),
-				EdgeRetune: *edge,
-				Seed:       *seed,
-			}
-			if plan != nil {
-				cfg.Plan = plan
-			} else {
-				cfg.Cap = units.Watts(*cap)
-			}
-			cfg.Faults = fplan
-			// Telemetry records only the final repetition: repetitions
-			// are identical, and the earlier ones exist purely as a
-			// profiling workload that should stay free of sink I/O.
-			var rec *telemetry.Recorder
-			var telFiles []*os.File
-			if telemetryOn && r == *repeat-1 {
-				rec = telemetry.New()
-				openSink := func(path string) *os.File {
-					f, err := os.Create(path)
-					exitOn(err)
-					telFiles = append(telFiles, f)
-					return f
-				}
-				if *eventsPath != "" {
-					if *rollup > 0 {
-						rs, err := telemetry.NewRollupSink(openSink(*eventsPath), units.Seconds(*rollup))
-						exitOn(err)
-						rec.AddSink(rs)
-					} else {
-						rec.AddSink(telemetry.NewNDJSONSink(openSink(*eventsPath)))
-					}
-				}
-				if *tracePath != "" {
-					rec.AddSink(telemetry.NewChromeTraceSink(openSink(*tracePath)))
-				}
-				if *audit != "" {
-					mem = telemetry.NewMemorySink()
-					rec.AddSink(mem)
-				}
-				if *metricsPath != "" {
-					rec.Metrics().StreamCSV(openSink(*metricsPath))
-				}
-			}
-			// Host-side observability: a fresh collector per repetition
-			// so phase timers and allocation deltas cover exactly one
-			// run; -v prints the final repetition's summary below.
-			if *verbose || srv != nil {
-				host = obs.NewHost()
-				cfg.Obs = host
-			}
-			if srv != nil {
-				// Live publishing needs an event stream to pace it; an
-				// otherwise sink-less run gets a recorder carrying only
-				// the publisher.
-				if rec == nil {
-					rec = telemetry.New()
-				}
-				rec.AddSink(obs.NewPublisher(srv, pol.Name(), host, rec.Metrics(), 0))
-			}
-			if rec != nil {
-				cfg.Telemetry = rec
-			}
-			// What New rejects is a flag value: the cap, the platform, a
-			// fault plan scripting a rank the cluster does not have.
-			s, err := sched.New(cfg)
-			usageOn(err)
-			res, err = s.Run(trace)
-			exitOn(err)
-			if rec != nil {
-				exitOn(rec.Close())
-				exitOn(rec.Err())
-				exitOn(rec.Metrics().Err())
-				for _, f := range telFiles {
-					exitOn(f.Close())
-				}
+		for r := max(*repeat, 1); r > 0; r-- {
+			if res, err = once(pol, telemetryOn && r == 1); err != nil {
+				return err
 			}
 		}
 		results = append(results, res)
-		if *verbose && host != nil {
-			fmt.Printf("host %s: %s\n", res.Policy, host.Summary())
+		if *verbose {
+			fmt.Fprintf(stdout, "host %s: %s\n", res.Policy, host.Summary())
 		}
 		if *detail {
-			fmt.Printf("== %s ==\n%s\n", res.Policy, res.JobTable())
+			fmt.Fprintf(stdout, "== %s ==\n%s\n", res.Policy, res.JobTable())
 		}
 		if mem != nil {
-			evs := mem.Events()
-			if *audit == "all" {
+			// "all" is every job's why, then the summary; an ID is that
+			// job's why alone.
+			var ids []int
+			if auditJob >= 0 {
+				ids = []int{auditJob}
+			} else if *audit == "all" {
 				for _, j := range res.Jobs {
-					exitOn(traceq.Why(os.Stdout, evs, j.ID))
-					fmt.Println()
+					ids = append(ids, j.ID)
 				}
 			}
-			if auditJob >= 0 {
-				exitOn(traceq.Why(os.Stdout, evs, auditJob))
-			} else { // "summary", and the tail of "all"
-				exitOn(traceq.Summary(os.Stdout, evs))
+			evs := mem.Events()
+			for _, id := range ids {
+				if err := traceq.Why(stdout, evs, id); err != nil {
+					return err
+				}
+				fmt.Fprintln(stdout)
 			}
-			fmt.Println()
+			if auditJob < 0 {
+				if err := traceq.Summary(stdout, evs); err != nil {
+					return err
+				}
+				fmt.Fprintln(stdout)
+			}
 		}
 	}
 
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
-		exitOn(err)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
 		runtime.GC()
-		exitOn(pprof.WriteHeapProfile(f))
-		f.Close()
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			return err
+		}
 	}
 
-	fmt.Print(sched.ComparisonTable(results))
-	if plan != nil || (fplan != nil && len(fplan.Emergencies) > 0) {
+	fmt.Fprint(stdout, sched.ComparisonTable(results))
+	if timeline || (fplan != nil && len(fplan.Emergencies) > 0) {
 		for _, r := range results {
-			fmt.Printf("\nbudget windows — %s (cap utilisation %.1f%%):\n%s",
+			fmt.Fprintf(stdout, "\nbudget windows — %s (cap utilisation %.1f%%):\n%s",
 				r.Policy, r.CapUtilisation*100, r.WindowTable())
 		}
 	}
 	if fplan != nil {
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		for _, r := range results {
-			fmt.Printf("faults — %s: %d failures, %d repairs, %d kills, %d restarts, %d checkpoints, %d jobs lost, lost work %v, wasted energy %v, availability %.4f\n",
+			fmt.Fprintf(stdout, "faults — %s: %d failures, %d repairs, %d kills, %d restarts, %d checkpoints, %d jobs lost, lost work %v, wasted energy %v, availability %.4f\n",
 				r.Policy, r.Failures, r.Repairs, r.Kills, r.Restarts, r.Checkpoints, r.JobsLost,
 				r.LostWork, r.WastedEnergy, r.Availability)
 		}
 	}
-	if *jsonPath != "" {
-		buf, err := json.MarshalIndent(results, "", "  ")
-		exitOn(err)
-		buf = append(buf, '\n')
-		if *jsonPath == "-" {
-			_, err = os.Stdout.Write(buf)
-		} else {
-			err = os.WriteFile(*jsonPath, buf, 0o644)
-		}
-		exitOn(err)
+	if err := cli.WriteJSON(*jsonPath, stdout, results); err != nil {
+		return err
 	}
 
-	violated := false
+	violated, lost := false, false
 	for _, r := range results {
 		if r.CapViolations > 0 {
-			fmt.Printf("\nWARNING: %s exceeded the cap in %d of %d samples\n", r.Policy, r.CapViolations, r.Samples)
+			fmt.Fprintf(stdout, "\nWARNING: %s exceeded the cap in %d of %d samples\n", r.Policy, r.CapViolations, r.Samples)
 			violated = true
 		}
 	}
-	lost := 0
 	for _, r := range results {
 		if r.JobsLost > 0 {
-			fmt.Printf("\nWARNING: %s permanently lost %d of %d jobs to failures\n", r.Policy, r.JobsLost, len(r.Jobs))
-			lost += r.JobsLost
+			fmt.Fprintf(stdout, "\nWARNING: %s permanently lost %d of %d jobs to failures\n", r.Policy, r.JobsLost, len(r.Jobs))
+			lost = true
 		}
 	}
-	if violated || lost > 0 {
-		// Distinct statuses — 3 for cap violations, 4 for jobs lost to
-		// failures (violations take precedence) — alongside the usage (2)
-		// and I/O (1) exits, so CI smoke jobs can assert the
-		// zero-violation and all-jobs-complete guarantees on the status
-		// alone. os.Exit skips the deferred profile flush, so stop it by
-		// hand.
-		if *cpuprofile != "" {
-			pprof.StopCPUProfile()
-		}
-		if violated {
-			os.Exit(3)
-		}
-		os.Exit(4)
-	}
-}
-
-func exitOn(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-}
-
-// usageOn is exitOn for an error a flag's value caused.
-func usageOn(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
+	return cli.Verdict(violated, lost)
 }

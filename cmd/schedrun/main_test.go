@@ -1,0 +1,177 @@
+package main
+
+import (
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/clitest"
+)
+
+// chaosPlan is the chaos-smoke CI job's fault plan.
+const chaosPlan = "fail=0@0.3,repair=0@0.8,emer=1.2-1.8:700,retries=3,ckpt=0.1,restart=0.02"
+
+// TestTranscripts pins stdout and the -json dump ("-json -" appends it
+// to stdout) of the CI smoke invocations, byte for byte, against
+// goldens cut from the parent build.
+func TestTranscripts(t *testing.T) {
+	planCSV := filepath.Join(t.TempDir(), "plan.csv")
+	squeeze := []string{"-jobs", "16", "-ranks", "16", "-reserve", "2"}
+	chaos := []string{"-jobs", "16", "-ranks", "16", "-cap", "900"}
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"squeeze", append(squeeze, "-capplan", "0:900,1:650,2:900", "-capdump", planCSV)},
+		// The dumped plan re-imports to the identical transcript.
+		{"squeeze", append(squeeze, "-capfile", planCSV)},
+		{"constant", []string{"-jobs", "16", "-ranks", "16", "-cap", "900", "-policy", "backfill+ee-max"}},
+		{"chaos-fifo", append(chaos, "-policy", "fifo", "-faults", chaosPlan)},
+		{"chaos-ee-max", append(chaos, "-policy", "ee-max", "-faults", chaosPlan)},
+		{"chaos-backfill", append(chaos, "-policy", "backfill+ee-max", "-faults", chaosPlan)},
+		// The knob flags alone, and overriding a CSV plan's retries=3.
+		{"mtbf-flags", append(chaos, "-policy", "backfill+ee-max", "-mtbf", "3", "-mttr", "0.15", "-retries", "8", "-ckpt", "0.1")},
+		{"faultfile-override", append(chaos, "-policy", "ee-max", "-faultfile", "testdata/faults.csv", "-retries", "1")},
+	} {
+		code, stdout, stderr := clitest.Run(t, run, append(tc.args, "-json", "-")...)
+		if code != 0 || stderr != "" {
+			t.Fatalf("%s: exit %d, stderr %q", tc.golden, code, stderr)
+		}
+		clitest.Golden(t, tc.golden, stdout)
+	}
+}
+
+// TestFlagsGolden pins every flag's name, type, default and usage: the
+// -h text after its "Usage of <argv0>:" line.
+func TestFlagsGolden(t *testing.T) {
+	code, _, stderr := clitest.Run(t, run, "-h")
+	if code != 0 {
+		t.Fatalf("-h exits %d", code)
+	}
+	_, flags, _ := strings.Cut(stderr, "\n")
+	clitest.Golden(t, "flags", flags)
+}
+
+// TestExitContract is the ladder as a table: a flag value no schedule
+// can be built from exits 2 with exactly one stderr line, a file that
+// cannot be read or written exits 1, lost jobs exit 4.
+func TestExitContract(t *testing.T) {
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "missing", "file")
+	planCSV, events := filepath.Join(dir, "plan.csv"), filepath.Join(dir, "e.ndjson")
+	if err := os.WriteFile(planCSV, []byte("t_s,cap_w\n0,2500\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args string
+		code int
+	}{
+		// Contradictory combinations.
+		{"-capplan 0:900 -capfile x.csv", 2},
+		{"-cap 900 -capplan 0:900", 2},
+		{"-cap 900 -capfile " + planCSV, 2},
+		{"-faults retries=1 -faultfile testdata/faults.csv", 2},
+		{"-mtbf 3", 2},
+		{"-mttr 3", 2},
+		{"-retries 2", 2},
+		{"-ckpt 0.1", 2},
+		{"-restartcost 0.1", 2},
+		{"-capdump " + filepath.Join(dir, "p.csv"), 2},
+		{"-capplan 0:2500 -mtbf 3 -mttr 1 -capdump " + filepath.Join(dir, "p.csv"), 2},
+		{"-cluster systemg:32,dori:32 -ranks 16", 2},
+		{"-trace " + filepath.Join(dir, "t.json"), 2},
+		{"-events " + filepath.Join(dir, "e.ndjson"), 2},
+		{"-metrics " + filepath.Join(dir, "m.csv"), 2},
+		{"-audit summary", 2},
+		{"-policy ee-max -rollup 0.25", 2},
+		{"-policy ee-max -audit bogus", 2},
+		{"-policy ee-max -audit -3", 2},
+		// Malformed or out-of-range values.
+		{"-policy bogus", 2},
+		{"-cluster bogus", 2},
+		{"-cluster systemg:0", 2},
+		{"-jobs -1", 2},
+		{"-ranks -4", 2},
+		{"-reserve 0", 2},
+		{"-cap NaN", 2},
+		{"-cap Inf", 2},
+		{"-cap 0", 2},
+		{"-cap -5", 2},
+		{"-cap 5", 2}, // below the idle floor: sched.New's rejection
+		{"-capplan bogus", 2},
+		{"-capplan 0:NaN", 2},
+		{"-capplan 5:900", 2},
+		{"-faults bogus", 2},
+		{"-faults mtbf=*:NaN,mttr=*:1", 2},
+		{"-faults mtbf=*:0,mttr=*:1", 2},
+		{"-faults fail=99@1", 2}, // a rank the cluster does not have
+		{"-mtbf 0 -mttr 1", 2},
+		{"-mtbf -1 -mttr 1", 2},
+		{"-mtbf NaN -mttr 1", 2},
+		{"-mtbf 3 -mttr 1 -retries -1", 2},
+		{"-mtbf 3 -mttr 1 -ckpt -1", 2},
+		{"-mtbf 3 -mttr 1 -ckpt NaN", 2},
+		{"-mtbf 3 -mttr 1 -restartcost Inf", 2},
+		{"-interval -1", 2},
+		{"-interval NaN", 2},
+		{"-interval Inf", 2},
+		{"-policy ee-max -events " + events + " -rollup NaN", 2},
+		{"-policy ee-max -events " + events + " -rollup Inf", 2},
+		{"-policy ee-max -events " + events + " -rollup -1", 2},
+		{"-nosuchflag", 2},
+		{"-jobs many", 2},
+		// Files.
+		{"-capfile " + missing, 1},
+		{"-capfile testdata/faults.csv", 1}, // not a cap plan
+		{"-faultfile " + missing, 1},
+		{"-capplan 0:2500 -capdump " + missing, 1},
+		{"-policy ee-max -events " + missing, 1},
+		{"-policy ee-max -trace " + missing, 1},
+		{"-policy ee-max -metrics " + missing, 1},
+		{"-json " + missing, 1},
+		{"-cpuprofile " + missing, 1},
+		// Verdicts.
+		{"-jobs 16 -ranks 16 -cap 900 -mtbf 0.5 -mttr 0.2 -retries 0", 4},
+		{"-jobs 0", 0},
+	} {
+		code, _, stderr := clitest.Run(t, run, append([]string{"-jobs", "4"}, strings.Fields(tc.args)...)...)
+		if code != tc.code {
+			t.Errorf("schedrun %s: exit %d, want %d (stderr %q)", tc.args, code, tc.code, stderr)
+		}
+		lines := strings.Count(stderr, "\n")
+		switch {
+		case strings.Contains(stderr, "goroutine"):
+			t.Errorf("schedrun %s: stderr carries a goroutine dump:\n%s", tc.args, stderr)
+		case tc.code == 0 || tc.code > 2:
+			if stderr != "" {
+				t.Errorf("schedrun %s: want a silent stderr, got %q", tc.args, stderr)
+			}
+		case lines != 1 && !strings.Contains(stderr, "Usage of"): // the flag package appends its usage text
+			t.Errorf("schedrun %s: want exactly one stderr line, got %d:\n%s", tc.args, lines, stderr)
+		}
+	}
+}
+
+// TestCapSpellingsAgree: -cap W and -capplan 0:W are two spellings of
+// one budget, so the schedules agree job for job (the window tables and
+// headers differ by design).
+func TestCapSpellingsAgree(t *testing.T) {
+	jobsOf := func(budget ...string) string {
+		path := filepath.Join(t.TempDir(), "r.json")
+		args := append([]string{"-jobs", "16", "-ranks", "16", "-policy", "backfill+ee-max", "-json", path}, budget...)
+		if code, _, stderr := clitest.Run(t, run, args...); code != 0 {
+			t.Fatalf("%v: exit %d: %s", budget, code, stderr)
+		}
+		buf, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, jobs, _ := strings.Cut(string(buf), `"Jobs": [`)
+		jobs, _, _ = strings.Cut(jobs, "\n    ]")
+		return jobs
+	}
+	if a, b := jobsOf("-cap", "900"), jobsOf("-capplan", "0:900"); a != b || a == "" {
+		t.Errorf("-cap 900 and -capplan 0:900 schedule differently:\n%s\n---\n%s", a, b)
+	}
+}

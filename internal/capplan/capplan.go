@@ -13,7 +13,8 @@
 // squeeze sampled onto a step grid), and FromSignal (an external price
 // or carbon-intensity series mapped to watts through a budget rule).
 // ParsePlan/String and ReadCSV/WriteCSV round-trip plans through CLI
-// flags and trace files.
+// flags and trace files, and ParseSignal reads an external series; all
+// three readers are one (time, value) pair reader over two tokenizers.
 //
 // The scheduler-facing queries are CapAt (the instantaneous budget, the
 // violation audit's reference), MinOver (the minimum cap across a time
@@ -219,13 +220,19 @@ func FromSignal(signal []Sample, budget BudgetRule) (*Plan, error) {
 	return Steps(segs...)
 }
 
-// ValidateSignal checks the sample-time invariants FromSignal (and any
+// ValidateSignal checks the sample invariants FromSignal (and any
 // other consumer of an external series, such as the federation's
-// carbon-intensity curves) relies on: the first sample at t = 0 and
-// times strictly ascending. Errors name the offending sample index.
+// carbon-intensity curves) relies on: the first sample at t = 0, times
+// strictly ascending, every time and value finite. Errors name the
+// offending sample index.
 func ValidateSignal(signal []Sample) error {
 	if len(signal) == 0 {
 		return errors.New("capplan: empty signal")
+	}
+	for i, s := range signal {
+		if !units.Finite(float64(s.T), s.Value) {
+			return fmt.Errorf("capplan: signal sample %d (%v, %g) is not finite", i, s.T, s.Value)
+		}
 	}
 	if signal[0].T != 0 {
 		return fmt.Errorf("capplan: signal sample 0 at t=%v, must start at t=0", signal[0].T)
@@ -330,26 +337,10 @@ func (p *Plan) MaxFrom(t units.Seconds) units.Watts {
 }
 
 // MinCap returns the lowest cap anywhere on the timeline.
-func (p *Plan) MinCap() units.Watts {
-	min := p.segs[0].Cap
-	for _, sg := range p.segs[1:] {
-		if sg.Cap < min {
-			min = sg.Cap
-		}
-	}
-	return min
-}
+func (p *Plan) MinCap() units.Watts { return p.MinOver(0, units.Seconds(math.Inf(1))) }
 
 // MaxCap returns the highest cap anywhere on the timeline.
-func (p *Plan) MaxCap() units.Watts {
-	max := p.segs[0].Cap
-	for _, sg := range p.segs[1:] {
-		if sg.Cap > max {
-			max = sg.Cap
-		}
-	}
-	return max
-}
+func (p *Plan) MaxCap() units.Watts { return p.MaxFrom(0) }
 
 // End returns the start of the final segment — after it the cap is
 // constant forever, so a scheduler that cannot place a job beyond End
@@ -380,55 +371,80 @@ func (p *Plan) Next(t units.Seconds) (at units.Seconds, cap units.Watts, ok bool
 	return p.segs[i].Start, p.segs[i].Cap, true
 }
 
-// String renders the timeline in the "start:watts,start:watts" form
-// ParsePlan accepts, e.g. "0:2500,3600:1500,7200:2500".
-func (p *Plan) String() string {
+// join renders every segment as start<kv>watts, sep between segments —
+// the one writer under String and WriteCSV.
+func (p *Plan) join(kv, sep string) string {
 	parts := make([]string, len(p.segs))
 	for i, sg := range p.segs {
-		parts[i] = fmt.Sprintf("%g:%g", float64(sg.Start), float64(sg.Cap))
+		parts[i] = fmt.Sprintf("%g%s%g", float64(sg.Start), kv, float64(sg.Cap))
 	}
-	return strings.Join(parts, ",")
+	return strings.Join(parts, sep)
+}
+
+// String renders the timeline in the "start:watts,start:watts" form
+// ParsePlan accepts, e.g. "0:2500,3600:1500,7200:2500".
+func (p *Plan) String() string { return p.join(":", ",") }
+
+// pair reads one (time, value) sample from its two raw fields — the
+// one number reader under ParsePlan, ParseSignal and ReadCSV.
+func pair(t, v string) (Sample, error) {
+	tf, err0 := strconv.ParseFloat(strings.TrimSpace(t), 64)
+	vf, err1 := strconv.ParseFloat(strings.TrimSpace(v), 64)
+	if err0 != nil || err1 != nil {
+		return Sample{}, fmt.Errorf("capplan: bad numbers in sample %q, %q", t, v)
+	}
+	return Sample{T: units.Seconds(tf), Value: vf}, nil
+}
+
+// pairs reads the comma-separated "t:value" list grammar.
+func pairs(s string) ([]Sample, error) {
+	var out []Sample
+	for _, part := range strings.Split(s, ",") {
+		t, v, ok := strings.Cut(part, ":")
+		if !ok {
+			return nil, fmt.Errorf("capplan: %q in %q is not t:value", strings.TrimSpace(part), s)
+		}
+		smp, err := pair(t, v)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, smp)
+	}
+	return out, nil
+}
+
+// fromPairs reads each sample as a (start, watts) window.
+func fromPairs(ps []Sample, err error) (*Plan, error) {
+	if err != nil {
+		return nil, err
+	}
+	segs := make([]Segment, len(ps))
+	for i, s := range ps {
+		segs[i] = Segment{Start: s.T, Cap: units.Watts(s.Value)}
+	}
+	return Steps(segs...)
 }
 
 // ParsePlan builds a plan from a comma-separated "start:watts" list,
 // e.g. "0:2500,3600:1500,7200:2500" — a 2500 W budget squeezed to
 // 1500 W between hours one and two.
-func ParsePlan(s string) (*Plan, error) {
-	var segs []Segment
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			return nil, fmt.Errorf("capplan: empty segment in plan %q", s)
-		}
-		startStr, capStr, ok := strings.Cut(part, ":")
-		if !ok {
-			return nil, fmt.Errorf("capplan: segment %q is not start:watts", part)
-		}
-		start, err := strconv.ParseFloat(strings.TrimSpace(startStr), 64)
-		if err != nil {
-			return nil, fmt.Errorf("capplan: bad start in segment %q: %v", part, err)
-		}
-		w, err := strconv.ParseFloat(strings.TrimSpace(capStr), 64)
-		if err != nil {
-			return nil, fmt.Errorf("capplan: bad watts in segment %q: %v", part, err)
-		}
-		segs = append(segs, Segment{Start: units.Seconds(start), Cap: units.Watts(w)})
+func ParsePlan(s string) (*Plan, error) { return fromPairs(pairs(s)) }
+
+// ParseSignal reads an external series in the same "t:value,…" grammar
+// (a carbon-intensity curve, a price trace) and validates it.
+func ParseSignal(s string) ([]Sample, error) {
+	signal, err := pairs(s)
+	if err != nil {
+		return nil, err
 	}
-	return Steps(segs...)
+	return signal, ValidateSignal(signal)
 }
 
 // WriteCSV emits the timeline as "t_s,cap_w" rows — the external-trace
 // interchange format ReadCSV accepts back.
 func (p *Plan) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "t_s,cap_w"); err != nil {
-		return err
-	}
-	for _, sg := range p.segs {
-		if _, err := fmt.Fprintf(w, "%g,%g\n", float64(sg.Start), float64(sg.Cap)); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := fmt.Fprintf(w, "t_s,cap_w\n%s\n", p.join(",", "\n"))
+	return err
 }
 
 // ReadCSV parses a "t_s,cap_w" trace (header optional) into a plan —
@@ -437,24 +453,22 @@ func ReadCSV(r io.Reader) (*Plan, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = 2
 	cr.TrimLeadingSpace = true
-	var segs []Segment
+	var ps []Sample
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
-			break
+			return fromPairs(ps, nil)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("capplan: reading plan CSV: %w", err)
 		}
-		if len(segs) == 0 && strings.EqualFold(strings.TrimSpace(rec[0]), "t_s") {
+		if len(ps) == 0 && strings.EqualFold(strings.TrimSpace(rec[0]), "t_s") {
 			continue // header row
 		}
-		start, err0 := strconv.ParseFloat(strings.TrimSpace(rec[0]), 64)
-		w, err1 := strconv.ParseFloat(strings.TrimSpace(rec[1]), 64)
-		if err0 != nil || err1 != nil {
-			return nil, fmt.Errorf("capplan: bad plan CSV row %q", strings.Join(rec, ","))
+		smp, err := pair(rec[0], rec[1])
+		if err != nil {
+			return nil, err
 		}
-		segs = append(segs, Segment{Start: units.Seconds(start), Cap: units.Watts(w)})
+		ps = append(ps, smp)
 	}
-	return Steps(segs...)
 }

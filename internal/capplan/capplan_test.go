@@ -2,6 +2,7 @@ package capplan
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -309,6 +310,8 @@ func TestValidateSignal(t *testing.T) {
 			"sample 2 duplicates sample 1"},
 		{"out of order", []Sample{{T: 0, Value: 1}, {T: 20, Value: 2}, {T: 10, Value: 3}},
 			"sample 2 at t=10s is out of order (sample 1 is at t=20s)"},
+		{"NaN value", []Sample{{T: 0, Value: 1}, {T: 10, Value: math.NaN()}}, "sample 1 (10s, NaN) is not finite"},
+		{"Inf time", []Sample{{T: 0, Value: 1}, {T: units.Seconds(math.Inf(1)), Value: 2}}, "sample 1 (+Infs, 2) is not finite"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -437,4 +440,53 @@ func TestRevisableSetCaps(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestParseSignal: the carbon/price series grammar is ParsePlan's
+// "t:value" pair list, checked by ValidateSignal instead of Steps — so
+// zero and negative values are a signal's business, not a cap's.
+func TestParseSignal(t *testing.T) {
+	got, err := ParseSignal(" 0:420 , 2: 120,3.5:0")
+	if want := []Sample{{T: 0, Value: 420}, {T: 2, Value: 120}, {T: 3.5, Value: 0}}; err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("ParseSignal = %v, %v; want %v", got, err, want)
+	}
+	for _, bad := range []string{"", "0", "0:1,", "0:x", "5:1", "0:1,0:2", "0:NaN", "0:1,Inf:2"} {
+		if _, err := ParseSignal(bad); err == nil {
+			t.Errorf("ParseSignal(%q) accepted", bad)
+		}
+	}
+}
+
+func FuzzParsePlan(f *testing.F) {
+	f.Add("0:2500,3600:1500,7200:2500")
+	f.Add(" 0: 900 ,1e-7:650.5")
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParsePlan(spec)
+		if err != nil {
+			return
+		}
+		back, err := ParsePlan(p.String())
+		if err != nil || !reflect.DeepEqual(back, p) {
+			t.Fatalf("ParsePlan(%q) = %q, which reparses to %v, %v", spec, p, back, err)
+		}
+	})
+}
+
+func FuzzReadCSV(f *testing.F) {
+	f.Add("t_s,cap_w\n0,900\n10,650\n")
+	f.Add("0, 900\n 10,650\n")
+	f.Fuzz(func(t *testing.T, data string) {
+		p, err := ReadCSV(strings.NewReader(data))
+		if err != nil {
+			return
+		}
+		var b strings.Builder
+		if err := p.WriteCSV(&b); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadCSV(strings.NewReader(b.String()))
+		if err != nil || !reflect.DeepEqual(back, p) {
+			t.Fatalf("ReadCSV(%q) = %q, which re-reads as %v, %v", data, p, back, err)
+		}
+	})
 }

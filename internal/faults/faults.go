@@ -7,10 +7,15 @@
 // stochastic part (per-pool MTBF/MTTR exponential draws) is sampled by
 // the consumer from an explicit-source RNG seeded by the run, so the
 // same (seed, plan) pair always reproduces the same fault schedule and
-// therefore the same bit-identical simulation. Plans parse from a
-// compact spec string and round-trip through String and a CSV file,
-// mirroring capplan.Plan's surface so schedrun flags, files and CI
-// fixtures treat budget timelines and fault timelines the same way.
+// therefore the same bit-identical simulation.
+//
+// Outside the program a plan is a flat list of (kind, subject, t0, t1,
+// value) records (Item). The spec string ("fail=3@10,mtbf=*:900,…") and
+// the CSV file are two tokenizations of that list over one table of
+// per-kind forms, String and WriteCSV its two renderings, and one
+// builder turns records into a validated Plan — so both spellings accept
+// and reject the same plans, round-trip, and command-line overrides are
+// just more records (With).
 package faults
 
 import (
@@ -90,26 +95,13 @@ func (p *Plan) RatesFor(pool string) (PoolRates, bool) {
 	return wild, haveWild
 }
 
-// finite reports whether every value is a real number. The range checks
-// in Validate are all false for NaN (a NaN MTBF arms failures at NaN, a
-// NaN emergency cap clamps nothing), and an infinite time or rate is an
-// event that never fires.
-func finite[T ~float64](vs ...T) bool {
-	for _, v := range vs {
-		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
-			return false
-		}
-	}
-	return true
-}
-
 // Validate checks the plan's internal consistency.
 func (p *Plan) Validate() error {
 	for _, s := range p.Scripted {
 		if s.Rank < 0 {
 			return fmt.Errorf("faults: scripted event on negative rank %d", s.Rank)
 		}
-		if s.T < 0 || !finite(s.T) {
+		if s.T < 0 || !units.Finite(s.T) {
 			return fmt.Errorf("faults: scripted event at negative or non-finite time %v", s.T)
 		}
 	}
@@ -124,15 +116,15 @@ func (p *Plan) Validate() error {
 			}
 		}
 		seen = append(seen, r.Pool)
-		if r.MTBF <= 0 || !finite(r.MTBF) {
+		if r.MTBF <= 0 || !units.Finite(r.MTBF) {
 			return fmt.Errorf("faults: pool %q MTBF %v must be positive and finite", r.Pool, r.MTBF)
 		}
-		if r.MTTR <= 0 || !finite(r.MTTR) {
+		if r.MTTR <= 0 || !units.Finite(r.MTTR) {
 			return fmt.Errorf("faults: pool %q MTTR %v must be positive and finite", r.Pool, r.MTTR)
 		}
 	}
 	for _, e := range p.Emergencies {
-		if !finite(e.Start, e.End) || !finite(e.Cap) {
+		if !units.Finite(e.Start, e.End) || !units.Finite(e.Cap) {
 			return fmt.Errorf("faults: emergency [%v,%v) at %v W has a non-finite bound or cap", e.Start, e.End, e.Cap)
 		}
 		if e.Start < 0 {
@@ -148,10 +140,10 @@ func (p *Plan) Validate() error {
 	if p.MaxRetries < 0 {
 		return fmt.Errorf("faults: negative retry cap %d", p.MaxRetries)
 	}
-	if p.CheckpointEvery < 0 || !finite(p.CheckpointEvery) {
+	if p.CheckpointEvery < 0 || !units.Finite(p.CheckpointEvery) {
 		return fmt.Errorf("faults: negative or non-finite checkpoint interval %v", p.CheckpointEvery)
 	}
-	if p.RestartCost < 0 || !finite(p.RestartCost) {
+	if p.RestartCost < 0 || !units.Finite(p.RestartCost) {
 		return fmt.Errorf("faults: negative or non-finite restart cost %v", p.RestartCost)
 	}
 	return nil
@@ -175,16 +167,12 @@ func (p *Plan) EffectiveCaps(base *capplan.Plan) (*capplan.Plan, error) {
 		cuts = append(cuts, e.Start, e.End)
 	}
 	sort.Slice(cuts, func(a, b int) bool { return cuts[a] < cuts[b] })
-	type seg struct {
-		start units.Seconds
-		cap   units.Watts
-	}
-	var segs []seg
+	var segs []capplan.Segment
 	for _, t := range cuts {
 		if t < 0 {
 			continue
 		}
-		if len(segs) > 0 && segs[len(segs)-1].start == t {
+		if len(segs) > 0 && segs[len(segs)-1].Start == t {
 			continue // dedup
 		}
 		cap := base.CapAt(t)
@@ -194,47 +182,190 @@ func (p *Plan) EffectiveCaps(base *capplan.Plan) (*capplan.Plan, error) {
 			}
 		}
 		// Merge with the previous segment when the cap is unchanged.
-		if len(segs) > 0 && segs[len(segs)-1].cap == cap {
+		if len(segs) > 0 && segs[len(segs)-1].Cap == cap {
 			continue
 		}
-		segs = append(segs, seg{start: t, cap: cap})
+		segs = append(segs, capplan.Segment{Start: t, Cap: cap})
 	}
-	out := make([]capplan.Segment, len(segs))
-	for i, s := range segs {
-		out[i] = capplan.Segment{Start: s.start, Cap: s.cap}
-	}
-	return capplan.Steps(out...)
+	return capplan.Steps(segs...)
 }
 
-// String renders the plan in the compact spec grammar ParsePlan accepts:
-// comma-separated key=value items, zero-valued knobs omitted, so
-// ParsePlan(p.String()) reproduces p.
-func (p *Plan) String() string {
-	var parts []string
+// Item is one record of a plan, in the shape of a CSV row.
+type Item struct {
+	// Kind is fail, repair, mtbf, mttr, emer, retries, ckpt or restart.
+	Kind string
+	// Subject is the rank (fail, repair) or the pool (mtbf, mttr).
+	Subject string
+	// T0 is the event time (fail, repair); T0 and T1 bound an emer window.
+	T0, T1 float64
+	// Value is seconds (mtbf, mttr, ckpt, restart), watts (emer) or a
+	// count (retries).
+	Value float64
+}
+
+// forms gives each kind's value syntax in the spec grammar: S is the
+// subject, 0 and 1 the times, V the value, any other byte a literal
+// separator. The same letters name the CSV columns a kind's row fills.
+var forms = map[string]string{
+	"fail": "S@0", "repair": "S@0",
+	"mtbf": "S:V", "mttr": "S:V",
+	"emer":    "0-1:V",
+	"retries": "V", "ckpt": "V", "restart": "V",
+}
+
+// csvHeader is the canonical column set of the CSV form; csvCol maps a
+// form letter to its column.
+const csvHeader = "kind,subject,t0_s,t1_s,value"
+
+var csvCol = map[byte]int{'S': 1, '0': 2, '1': 3, 'V': 4}
+
+// csvKind is how the CSV form spells emer.
+const csvKind = "emergency"
+
+// num is the numeric sub-field a form letter names.
+func (it *Item) num(field byte) *float64 {
+	switch field {
+	case '0':
+		return &it.T0
+	case '1':
+		return &it.T1
+	}
+	return &it.Value
+}
+
+// set stores one raw sub-field, trimmed, under its form letter.
+func (it *Item) set(field byte, raw string) (err error) {
+	if raw = strings.TrimSpace(raw); field == 'S' {
+		it.Subject = raw
+	} else if *it.num(field), err = strconv.ParseFloat(raw, 64); err != nil {
+		err = fmt.Errorf("faults: %s item: bad number %q", it.Kind, raw)
+	}
+	return err
+}
+
+// get renders the sub-field under a form letter. A spec never spells a
+// negative exponent or a negative zero: the "-" would read back as an
+// emer window separator.
+func (it Item) get(field byte, spec bool) string {
+	if field == 'S' {
+		return it.Subject
+	}
+	v := *it.num(field) + 0 // -0 + 0 is +0
+	s := strconv.FormatFloat(v, 'g', -1, 64)
+	if spec && strings.Contains(s, "e-") {
+		s = strconv.FormatFloat(v, 'f', -1, 64)
+	}
+	return s
+}
+
+// items enumerates the plan as records, zero-valued knobs omitted — the
+// one list String and WriteCSV render.
+func (p *Plan) items() []Item {
+	var items []Item
 	for _, s := range p.Scripted {
-		key := "fail"
+		kind := "fail"
 		if s.Repair {
-			key = "repair"
+			kind = "repair"
 		}
-		parts = append(parts, fmt.Sprintf("%s=%d@%g", key, s.Rank, float64(s.T)))
+		items = append(items, Item{Kind: kind, Subject: strconv.Itoa(s.Rank), T0: float64(s.T)})
 	}
 	for _, r := range p.Rates {
-		parts = append(parts, fmt.Sprintf("mtbf=%s:%g", r.Pool, float64(r.MTBF)))
-		parts = append(parts, fmt.Sprintf("mttr=%s:%g", r.Pool, float64(r.MTTR)))
+		items = append(items,
+			Item{Kind: "mtbf", Subject: r.Pool, Value: float64(r.MTBF)},
+			Item{Kind: "mttr", Subject: r.Pool, Value: float64(r.MTTR)})
 	}
 	for _, e := range p.Emergencies {
-		parts = append(parts, fmt.Sprintf("emer=%g-%g:%g", float64(e.Start), float64(e.End), float64(e.Cap)))
+		items = append(items, Item{Kind: "emer", T0: float64(e.Start), T1: float64(e.End), Value: float64(e.Cap)})
 	}
-	if p.MaxRetries != 0 {
-		parts = append(parts, fmt.Sprintf("retries=%d", p.MaxRetries))
+	for _, knob := range []Item{{Kind: "retries", Value: float64(p.MaxRetries)},
+		{Kind: "ckpt", Value: float64(p.CheckpointEvery)}, {Kind: "restart", Value: float64(p.RestartCost)}} {
+		if knob.Value != 0 {
+			items = append(items, knob)
+		}
 	}
-	if p.CheckpointEvery != 0 {
-		parts = append(parts, fmt.Sprintf("ckpt=%g", float64(p.CheckpointEvery)))
+	return items
+}
+
+// build is the one constructor behind ParsePlan, ReadCSV and With. A
+// repeated knob or pool half is last-wins; a pool keeps the position of
+// its first mention; presence, not a zero value, marks an mtbf/mttr half.
+func build(items []Item) (*Plan, error) {
+	p := &Plan{}
+	var have [][2]bool // per p.Rates entry: mtbf given, mttr given
+	for _, it := range items {
+		switch it.Kind {
+		case "fail", "repair":
+			rank, err := strconv.Atoi(it.Subject)
+			if err != nil {
+				return nil, fmt.Errorf("faults: %s item: bad rank %q", it.Kind, it.Subject)
+			}
+			p.Scripted = append(p.Scripted, Scripted{Rank: rank, T: units.Seconds(it.T0), Repair: it.Kind == "repair"})
+		case "mtbf", "mttr":
+			i := 0
+			for i < len(p.Rates) && p.Rates[i].Pool != it.Subject {
+				i++
+			}
+			if i == len(p.Rates) {
+				p.Rates = append(p.Rates, PoolRates{Pool: it.Subject})
+				have = append(have, [2]bool{})
+			}
+			if it.Kind == "mtbf" {
+				p.Rates[i].MTBF, have[i][0] = units.Seconds(it.Value), true
+			} else {
+				p.Rates[i].MTTR, have[i][1] = units.Seconds(it.Value), true
+			}
+		case "emer":
+			p.Emergencies = append(p.Emergencies, Emergency{Start: units.Seconds(it.T0), End: units.Seconds(it.T1), Cap: units.Watts(it.Value)})
+		case "retries":
+			if it.Value != math.Trunc(it.Value) || math.Abs(it.Value) > math.MaxInt32 {
+				return nil, fmt.Errorf("faults: retry cap %g is not a whole number", it.Value)
+			}
+			p.MaxRetries = int(it.Value)
+		case "ckpt":
+			p.CheckpointEvery = units.Seconds(it.Value)
+		case "restart":
+			p.RestartCost = units.Seconds(it.Value)
+		default:
+			return nil, fmt.Errorf("faults: unknown item kind %q", it.Kind)
+		}
 	}
-	if p.RestartCost != 0 {
-		parts = append(parts, fmt.Sprintf("restart=%g", float64(p.RestartCost)))
+	for i, r := range p.Rates {
+		if have[i] != [2]bool{true, true} {
+			return nil, fmt.Errorf("faults: pool %q needs both mtbf and mttr", r.Pool)
+		}
 	}
-	return strings.Join(parts, ",")
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// With rebuilds the plan with items appended to its record list, so a
+// knob or pool half named again replaces the plan's own value (build's
+// last-wins rule) — how command-line flags override a plan read from a
+// spec or file.
+func (p *Plan) With(items ...Item) (*Plan, error) {
+	return build(append(p.items(), items...))
+}
+
+// String renders the plan in the spec grammar ParsePlan accepts, so
+// ParsePlan(p.String()) reproduces p.
+func (p *Plan) String() string {
+	var b strings.Builder
+	for i, it := range p.items() {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(it.Kind + "=")
+		for _, c := range []byte(forms[it.Kind]) {
+			if _, field := csvCol[c]; field {
+				b.WriteString(it.get(c, true))
+			} else {
+				b.WriteByte(c)
+			}
+		}
+	}
+	return b.String()
 }
 
 // ParsePlan parses the compact spec grammar:
@@ -249,130 +380,45 @@ func (p *Plan) String() string {
 //	restart=S     restart surcharge of S seconds re-executed work
 //
 // Items are comma-separated, e.g.
-// "fail=3@10,repair=3@60,mtbf=*:900,mttr=*:120,emer=20-40:600,retries=2,ckpt=30,restart=5".
-// A pool that names an MTBF must also name an MTTR (and vice versa).
+// "fail=3@10,repair=3@60,mtbf=*:900,mttr=*:120,emer=20-40:600,retries=2,ckpt=30,restart=5";
+// whitespace around items, keys and sub-fields is ignored. A pool that
+// names an MTBF must also name an MTTR (and vice versa). A knob or pool
+// half given twice is last-wins ("retries=1,retries=2" retries twice).
 func ParsePlan(spec string) (*Plan, error) {
-	p := &Plan{}
-	// mtbf/mttr arrive as separate items; pair them up per pool.
-	type half struct {
-		mtbf, mttr units.Seconds
-	}
-	pools := []string{}
-	halves := map[string]*half{}
-	getHalf := func(pool string) *half {
-		if h, ok := halves[pool]; ok {
-			return h
-		}
-		h := &half{}
-		halves[pool] = h
-		pools = append(pools, pool)
-		return h
-	}
-	for _, item := range strings.Split(spec, ",") {
-		item = strings.TrimSpace(item)
-		if item == "" {
+	items := make([]Item, 0, strings.Count(spec, ",")+1)
+	for _, field := range strings.Split(spec, ",") {
+		if field = strings.TrimSpace(field); field == "" {
 			continue
 		}
-		key, val, ok := strings.Cut(item, "=")
-		if !ok {
-			return nil, fmt.Errorf("faults: item %q is not key=value", item)
+		key, val, ok := strings.Cut(field, "=")
+		it := Item{Kind: strings.TrimSpace(key)}
+		form, known := forms[it.Kind]
+		if !ok || !known {
+			return nil, fmt.Errorf("faults: item %q is not a known key=value", field)
 		}
-		switch key {
-		case "fail", "repair":
-			rs, ts, ok := strings.Cut(val, "@")
-			if !ok {
-				return nil, fmt.Errorf("faults: %s=%q wants RANK@T", key, val)
+		for i := 0; i < len(form); i += 2 {
+			raw := val
+			if i+1 < len(form) {
+				if raw, val, ok = strings.Cut(val, form[i+1:i+2]); !ok {
+					want := strings.NewReplacer("S", "SUBJECT", "0", "T0", "1", "T1", "V", "VALUE").Replace(form)
+					return nil, fmt.Errorf("faults: item %q wants %s=%s", field, it.Kind, want)
+				}
 			}
-			rank, err := strconv.Atoi(rs)
-			if err != nil {
-				return nil, fmt.Errorf("faults: %s=%q: bad rank: %v", key, val, err)
+			if err := it.set(form[i], raw); err != nil {
+				return nil, err
 			}
-			t, err := strconv.ParseFloat(ts, 64)
-			if err != nil {
-				return nil, fmt.Errorf("faults: %s=%q: bad time: %v", key, val, err)
-			}
-			p.Scripted = append(p.Scripted, Scripted{Rank: rank, T: units.Seconds(t), Repair: key == "repair"})
-		case "mtbf", "mttr":
-			pool, ss, ok := strings.Cut(val, ":")
-			if !ok || pool == "" {
-				return nil, fmt.Errorf("faults: %s=%q wants POOL:SECONDS", key, val)
-			}
-			s, err := strconv.ParseFloat(ss, 64)
-			if err != nil {
-				return nil, fmt.Errorf("faults: %s=%q: bad seconds: %v", key, val, err)
-			}
-			h := getHalf(pool)
-			if key == "mtbf" {
-				h.mtbf = units.Seconds(s)
-			} else {
-				h.mttr = units.Seconds(s)
-			}
-		case "emer":
-			win, ws, ok := strings.Cut(val, ":")
-			if !ok {
-				return nil, fmt.Errorf("faults: emer=%q wants T0-T1:WATTS", val)
-			}
-			t0s, t1s, ok := strings.Cut(win, "-")
-			if !ok {
-				return nil, fmt.Errorf("faults: emer=%q wants T0-T1:WATTS", val)
-			}
-			t0, err := strconv.ParseFloat(t0s, 64)
-			if err != nil {
-				return nil, fmt.Errorf("faults: emer=%q: bad start: %v", val, err)
-			}
-			t1, err := strconv.ParseFloat(t1s, 64)
-			if err != nil {
-				return nil, fmt.Errorf("faults: emer=%q: bad end: %v", val, err)
-			}
-			w, err := strconv.ParseFloat(ws, 64)
-			if err != nil {
-				return nil, fmt.Errorf("faults: emer=%q: bad watts: %v", val, err)
-			}
-			p.Emergencies = append(p.Emergencies, Emergency{Start: units.Seconds(t0), End: units.Seconds(t1), Cap: units.Watts(w)})
-		case "retries":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return nil, fmt.Errorf("faults: retries=%q: %v", val, err)
-			}
-			p.MaxRetries = n
-		case "ckpt":
-			s, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return nil, fmt.Errorf("faults: ckpt=%q: %v", val, err)
-			}
-			p.CheckpointEvery = units.Seconds(s)
-		case "restart":
-			s, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return nil, fmt.Errorf("faults: restart=%q: %v", val, err)
-			}
-			p.RestartCost = units.Seconds(s)
-		default:
-			return nil, fmt.Errorf("faults: unknown item key %q", key)
 		}
+		items = append(items, it)
 	}
-	for _, pool := range pools {
-		h := halves[pool]
-		if h.mtbf == 0 || h.mttr == 0 {
-			return nil, fmt.Errorf("faults: pool %q needs both mtbf and mttr", pool)
-		}
-		p.Rates = append(p.Rates, PoolRates{Pool: pool, MTBF: h.mtbf, MTTR: h.mttr})
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return build(items)
 }
-
-// csvHeader is the canonical column set of the CSV form.
-const csvHeader = "kind,subject,t0_s,t1_s,value"
 
 // WriteCSV renders the plan as CSV, one row per item:
 //
 //	kind      subject  t0_s  t1_s  value
 //	fail      rank     t     —     —
 //	repair    rank     t     —     —
-//	rates     pool     —     —     mtbf, then a second mttr row
+//	mtbf      pool     —     —     seconds, then the pool's mttr row
 //	emergency —        t0    t1    watts
 //	retries   —        —     —     n
 //	ckpt      —        —     —     seconds
@@ -380,153 +426,51 @@ const csvHeader = "kind,subject,t0_s,t1_s,value"
 //
 // ReadCSV(WriteCSV(p)) reproduces p.
 func (p *Plan) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	if err := cw.Write(strings.Split(csvHeader, ",")); err != nil {
-		return err
-	}
-	rows := [][]string{}
-	for _, s := range p.Scripted {
-		kind := "fail"
-		if s.Repair {
-			kind = "repair"
+	rows := [][]string{strings.Split(csvHeader, ",")}
+	for _, it := range p.items() {
+		row := make([]string, 5)
+		for _, c := range []byte(forms[it.Kind]) {
+			if col, field := csvCol[c]; field {
+				row[col] = it.get(c, false)
+			}
 		}
-		rows = append(rows, []string{kind, strconv.Itoa(s.Rank), g(float64(s.T)), "", ""})
-	}
-	for _, r := range p.Rates {
-		rows = append(rows, []string{"mtbf", r.Pool, "", "", g(float64(r.MTBF))})
-		rows = append(rows, []string{"mttr", r.Pool, "", "", g(float64(r.MTTR))})
-	}
-	for _, e := range p.Emergencies {
-		rows = append(rows, []string{"emergency", "", g(float64(e.Start)), g(float64(e.End)), g(float64(e.Cap))})
-	}
-	if p.MaxRetries != 0 {
-		rows = append(rows, []string{"retries", "", "", "", strconv.Itoa(p.MaxRetries)})
-	}
-	if p.CheckpointEvery != 0 {
-		rows = append(rows, []string{"ckpt", "", "", "", g(float64(p.CheckpointEvery))})
-	}
-	if p.RestartCost != 0 {
-		rows = append(rows, []string{"restart", "", "", "", g(float64(p.RestartCost))})
-	}
-	for _, row := range rows {
-		if err := cw.Write(row); err != nil {
-			return err
+		if row[0] = it.Kind; it.Kind == "emer" {
+			row[0] = csvKind
 		}
+		rows = append(rows, row)
 	}
-	cw.Flush()
-	return cw.Error()
+	return csv.NewWriter(w).WriteAll(rows) // flushes
 }
 
 // ReadCSV parses the WriteCSV form. The header row is recognised and
-// skipped when present.
+// skipped when present; columns a kind does not use are ignored.
 func ReadCSV(r io.Reader) (*Plan, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = 5
 	cr.TrimLeadingSpace = true
-	p := &Plan{}
-	type half struct {
-		mtbf, mttr units.Seconds
+	recs, err := cr.ReadAll()
+	if err != nil {
+		return nil, fmt.Errorf("faults: csv: %v", err)
 	}
-	pools := []string{}
-	halves := map[string]*half{}
-	first := true
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
+	if len(recs) > 0 && strings.EqualFold(recs[0][0], "kind") {
+		recs = recs[1:]
+	}
+	var items []Item
+	for _, rec := range recs {
+		it := Item{Kind: strings.TrimSpace(rec[0])}
+		if it.Kind == csvKind {
+			it.Kind = "emer"
 		}
-		if err != nil {
-			return nil, fmt.Errorf("faults: csv: %v", err)
-		}
-		if first {
-			first = false
-			if strings.EqualFold(rec[0], "kind") {
-				continue
-			}
-		}
-		num := func(i int, what string) (float64, error) {
-			v, err := strconv.ParseFloat(rec[i], 64)
-			if err != nil {
-				return 0, fmt.Errorf("faults: csv %s row: bad %s %q", rec[0], what, rec[i])
-			}
-			return v, nil
-		}
-		switch rec[0] {
-		case "fail", "repair":
-			rank, err := strconv.Atoi(rec[1])
-			if err != nil {
-				return nil, fmt.Errorf("faults: csv %s row: bad rank %q", rec[0], rec[1])
-			}
-			t, err := num(2, "time")
-			if err != nil {
-				return nil, err
-			}
-			p.Scripted = append(p.Scripted, Scripted{Rank: rank, T: units.Seconds(t), Repair: rec[0] == "repair"})
-		case "mtbf", "mttr":
-			if rec[1] == "" {
-				return nil, fmt.Errorf("faults: csv %s row without a pool", rec[0])
-			}
-			v, err := num(4, "seconds")
-			if err != nil {
-				return nil, err
-			}
-			h, ok := halves[rec[1]]
-			if !ok {
-				h = &half{}
-				halves[rec[1]] = h
-				pools = append(pools, rec[1])
-			}
-			if rec[0] == "mtbf" {
-				h.mtbf = units.Seconds(v)
-			} else {
-				h.mttr = units.Seconds(v)
-			}
-		case "emergency":
-			t0, err := num(2, "start")
-			if err != nil {
-				return nil, err
-			}
-			t1, err := num(3, "end")
-			if err != nil {
-				return nil, err
-			}
-			w, err := num(4, "watts")
-			if err != nil {
-				return nil, err
-			}
-			p.Emergencies = append(p.Emergencies, Emergency{Start: units.Seconds(t0), End: units.Seconds(t1), Cap: units.Watts(w)})
-		case "retries":
-			n, err := strconv.Atoi(rec[4])
-			if err != nil {
-				return nil, fmt.Errorf("faults: csv retries row: bad count %q", rec[4])
-			}
-			p.MaxRetries = n
-		case "ckpt":
-			v, err := num(4, "seconds")
-			if err != nil {
-				return nil, err
-			}
-			p.CheckpointEvery = units.Seconds(v)
-		case "restart":
-			v, err := num(4, "seconds")
-			if err != nil {
-				return nil, err
-			}
-			p.RestartCost = units.Seconds(v)
-		default:
+		form, known := forms[it.Kind]
+		if !known {
 			return nil, fmt.Errorf("faults: csv: unknown kind %q", rec[0])
 		}
-	}
-	for _, pool := range pools {
-		h := halves[pool]
-		if h.mtbf == 0 || h.mttr == 0 {
-			return nil, fmt.Errorf("faults: csv: pool %q needs both mtbf and mttr rows", pool)
+		for i := 0; i < len(form); i += 2 {
+			if err := it.set(form[i], rec[csvCol[form[i]]]); err != nil {
+				return nil, err
+			}
 		}
-		p.Rates = append(p.Rates, PoolRates{Pool: pool, MTBF: h.mtbf, MTTR: h.mttr})
+		items = append(items, it)
 	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return build(items)
 }

@@ -244,3 +244,111 @@ func TestValidateCatchesBadPlans(t *testing.T) {
 		t.Errorf("good plan rejected: %v", err)
 	}
 }
+
+// TestGrammarEdges pins what the single builder decides: presence, not
+// zero, marks an mtbf/mttr half; whitespace around keys, values and
+// sub-fields is ignored; a repeated knob or half is last-wins.
+func TestGrammarEdges(t *testing.T) {
+	if _, err := ParsePlan("mtbf=*:0,mttr=*:1"); err == nil || !strings.Contains(err.Error(), "MTBF 0s must be positive") {
+		t.Errorf("a zero MTBF is a present, invalid half: got %v", err)
+	}
+	if _, err := ReadCSV(strings.NewReader("mtbf,*,,,0\nmttr,*,,,1\n")); err == nil || !strings.Contains(err.Error(), "MTBF 0s must be positive") {
+		t.Errorf("csv: a zero MTBF is a present, invalid half: got %v", err)
+	}
+	spaced, err := ParsePlan(" fail = 3 @ 1 , mtbf= * : 900 ,mttr=*: 120, emer = 2 - 4 : 600 ,retries= 2 ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "fail=3@1,mtbf=*:900,mttr=*:120,emer=2-4:600,retries=2"; spaced.String() != want {
+		t.Errorf("spaced spec = %q, want %q", spaced, want)
+	}
+	last, err := ParsePlan("retries=1,mtbf=*:5,mttr=*:1,ckpt=3,retries=2,mtbf=*:7,ckpt=4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "mtbf=*:7,mttr=*:1,retries=2,ckpt=4"; last.String() != want {
+		t.Errorf("last-wins spec = %q, want %q", last, want)
+	}
+	if _, err := ParsePlan("retries=2.5"); err == nil {
+		t.Error("a fractional retry cap parsed")
+	}
+	// Sub-1e-4 times render without an exponent, whose "-" would read
+	// back as the emer window separator.
+	tiny, err := ParsePlan("emer=0.00001-0.00002:600")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back, err := ParsePlan(tiny.String()); err != nil || !reflect.DeepEqual(back, tiny) {
+		t.Errorf("tiny emergency %q does not round-trip: %v", tiny, err)
+	}
+}
+
+// TestWithOverrides is schedrun's override path: records appended to a
+// plan's own list replace its knobs and wildcard halves, keep its exact
+// per-pool entries, and pass through the same validation.
+func TestWithOverrides(t *testing.T) {
+	p, err := ParsePlan("fail=0@1,mtbf=*:900,mttr=*:120,mtbf=dori:5,mttr=dori:1,retries=3,ckpt=30")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := p.With(
+		Item{Kind: "mtbf", Subject: "*", Value: 3}, Item{Kind: "mttr", Subject: "*", Value: 0.15},
+		Item{Kind: "retries", Value: 8}, Item{Kind: "restart", Value: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "fail=0@1,mtbf=*:3,mttr=*:0.15,mtbf=dori:5,mttr=dori:1,retries=8,ckpt=30,restart=0.5"; got.String() != want {
+		t.Errorf("overridden plan = %q, want %q", got, want)
+	}
+	if same, err := p.With(); err != nil || !reflect.DeepEqual(same, p) {
+		t.Errorf("With() = %v, %v; want the plan unchanged", same, err)
+	}
+	for _, bad := range []Item{
+		{Kind: "retries", Value: -1}, {Kind: "ckpt", Value: math.NaN()},
+		{Kind: "mtbf", Subject: "new", Value: 5}, // a half without its pair
+		{Kind: "bogus"},
+	} {
+		if _, err := p.With(bad); err == nil {
+			t.Errorf("With(%+v) accepted", bad)
+		}
+	}
+}
+
+func FuzzParsePlan(f *testing.F) {
+	f.Add(testPlan().String())
+	f.Add("fail=3@10,repair=3@60,mtbf=*:900,mttr=*:120,emer=20-40:600,retries=2,ckpt=30,restart=5")
+	f.Add(" fail = 3 @ 1 ,retries=1,retries=2,emer=0.00001-1:5,ckpt=-0")
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParsePlan(spec)
+		if err != nil {
+			return
+		}
+		back, err := ParsePlan(p.String())
+		if err != nil || !reflect.DeepEqual(back, p) {
+			t.Fatalf("ParsePlan(%q) = %q, which reparses to %v, %v", spec, p, back, err)
+		}
+	})
+}
+
+func FuzzReadCSV(f *testing.F) {
+	var seed bytes.Buffer
+	if err := testPlan().WriteCSV(&seed); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.String())
+	f.Add("fail, 3 ,1,,\nmtbf,\"a,b\",,,5\nmttr,\"a,b\",,,1\nemergency,,0,1,600\n")
+	f.Fuzz(func(t *testing.T, data string) {
+		p, err := ReadCSV(strings.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := p.WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadCSV(&buf)
+		if err != nil || !reflect.DeepEqual(back, p) {
+			t.Fatalf("ReadCSV(%q) = %q, which re-reads as %v, %v", data, p, back, err)
+		}
+	})
+}

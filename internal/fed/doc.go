@@ -3,11 +3,13 @@
 //
 // Each Site wraps an independent sched.Scheduler with its own
 // machine.Platform, optional site-local cap ceiling, optional
-// carbon-intensity signal, and optional fault plan. Run executes every
-// site concurrently (one goroutine + sim.Kernel per site) and merges
-// the per-site results deterministically: schedules depend only on
-// (seed, sites, plans, jobs), never on goroutine interleaving or
-// GOMAXPROCS.
+// carbon-intensity signal, and optional fault plan (ParseSites reads the
+// command-line spelling). New validates the configuration and builds
+// every site's scheduler — what it rejects is configuration — and Run
+// executes every site concurrently (one goroutine + sim.Kernel per
+// site) and merges the per-site results deterministically: schedules
+// depend only on (seed, sites, plans, jobs), never on goroutine
+// interleaving or GOMAXPROCS.
 //
 // Two policy axes shape a federated run:
 //

@@ -120,8 +120,9 @@ type siteRun struct {
 	err         error
 }
 
-// federation is the assembled run state.
-type federation struct {
+// Federation is one assembled run: a validated configuration with every
+// site's plan carved and scheduler built, ready to Run once.
+type Federation struct {
 	cfg    Config
 	lambda float64
 	slack  float64
@@ -170,16 +171,18 @@ type barrier struct {
 // Run executes the federated schedule: route every job to a site, run
 // all site schedulers concurrently, and merge. The result is
 // bit-identical per (seed, sites, plans, jobs) regardless of goroutine
-// interleaving or GOMAXPROCS.
+// interleaving or GOMAXPROCS. It is the composition New then Run.
 func Run(cfg Config, jobs []sched.Job) (Result, error) {
-	f, err := build(cfg)
+	f, err := New(cfg)
 	if err != nil {
 		return Result{}, err
 	}
+	return f.Run(jobs)
+}
+
+// Run routes the jobs and runs the sites; a Federation runs once.
+func (f *Federation) Run(jobs []sched.Job) (Result, error) {
 	if err := f.route(jobs); err != nil {
-		return Result{}, err
-	}
-	if err := f.buildSchedulers(); err != nil {
 		return Result{}, err
 	}
 	f.runSites()
@@ -194,9 +197,12 @@ func Run(cfg Config, jobs []sched.Job) (Result, error) {
 	return f.merge(), nil
 }
 
-// build validates the configuration and assembles the negotiation grid
-// and the initial per-site plans.
-func build(cfg Config) (*federation, error) {
+// New validates the configuration, assembles the negotiation grid,
+// carves every site's initial cap timeline and builds its scheduler —
+// the same construct-then-run seam sched.New gives a single cluster.
+// Whatever it rejects is configuration; only Run's errors are failures
+// of a running site.
+func New(cfg Config) (*Federation, error) {
 	if len(cfg.Sites) == 0 {
 		return nil, fmt.Errorf("fed: no sites")
 	}
@@ -212,10 +218,14 @@ func build(cfg Config) (*federation, error) {
 	if cfg.Route == nil {
 		cfg.Route = RouteEE()
 	}
-	if cfg.GuaranteeFrac < 0 || cfg.GuaranteeFrac > 1 {
+	if !(cfg.GuaranteeFrac >= 0 && cfg.GuaranteeFrac <= 1) { // NaN fails too
 		return nil, fmt.Errorf("fed: GuaranteeFrac %g outside (0, 1]", cfg.GuaranteeFrac)
 	}
-	f := &federation{cfg: cfg, lambda: cfg.GuaranteeFrac}
+	if !units.Finite(cfg.PerfSlack, float64(cfg.SpillAfter), float64(cfg.BatchEvery)) || cfg.BatchEvery < 0 {
+		return nil, fmt.Errorf("fed: PerfSlack %g, SpillAfter %v and BatchEvery %v must be finite, BatchEvery not negative",
+			cfg.PerfSlack, cfg.SpillAfter, cfg.BatchEvery)
+	}
+	f := &Federation{cfg: cfg, lambda: cfg.GuaranteeFrac}
 	if f.lambda == 0 {
 		f.lambda = defaultGuaranteeFrac
 	}
@@ -300,10 +310,12 @@ func build(cfg Config) (*federation, error) {
 	f.nGlobal = len(cfg.Budget.Segments())
 	f.dynamic = !cfg.Split.Static() && len(f.sites) > 1 && f.nGlobal > 2 && f.lambda < 1
 
-	if err := f.buildPlans(); err != nil {
-		return nil, err
+	for _, step := range []func() error{f.buildPlans, f.checkFloors, f.buildSchedulers} {
+		if err := step(); err != nil {
+			return nil, err
+		}
 	}
-	return f, f.checkFloors()
+	return f, nil
 }
 
 // buildGrid assembles the common segment grid every per-site plan is
@@ -312,7 +324,7 @@ func build(cfg Config) (*federation, error) {
 // one grid segment the global budget, every local ceiling and every
 // intensity are constant, so one share division prices the whole
 // segment.
-func (f *federation) buildGrid() {
+func (f *Federation) buildGrid() {
 	cuts := []units.Seconds{0}
 	cuts = append(cuts, f.cfg.Budget.Breakpoints()...)
 	for _, sr := range f.sites {
@@ -361,7 +373,7 @@ func (f *federation) buildGrid() {
 }
 
 // segEnd returns the exclusive end of grid segment g.
-func (f *federation) segEnd(g int) units.Seconds {
+func (f *Federation) segEnd(g int) units.Seconds {
 	if g+1 < len(f.cuts) {
 		return f.cuts[g+1]
 	}
@@ -370,7 +382,7 @@ func (f *federation) segEnd(g int) units.Seconds {
 
 // localCap returns site i's local ceiling over segment g, or 0 when
 // the site has none.
-func (f *federation) localCap(i, g int) units.Watts {
+func (f *Federation) localCap(i, g int) units.Watts {
 	if f.sites[i].site.Local == nil {
 		return 0
 	}
@@ -381,7 +393,7 @@ func (f *federation) localCap(i, g int) units.Watts {
 // share of the global budget, clamped to any local ceiling. Floors are
 // what un-negotiated windows of a revisable plan carry, so every
 // admission decision against them is conservative.
-func (f *federation) floorFor(i, g int) units.Watts {
+func (f *Federation) floorFor(i, g int) units.Watts {
 	c := units.Watts(float64(f.global[g]) * f.lambda * f.shares[i])
 	if loc := f.localCap(i, g); loc > 0 && loc < c {
 		c = loc
@@ -395,7 +407,7 @@ func (f *federation) floorFor(i, g int) units.Watts {
 // floorFor (the discretionary term is non-negative and float addition
 // of a non-negative term is monotone), which is what makes SetCaps'
 // raise-only rule hold unconditionally.
-func (f *federation) capFor(i, g int, d []float64) units.Watts {
+func (f *Federation) capFor(i, g int, d []float64) units.Watts {
 	c := units.Watts(float64(f.global[g]) * (f.lambda*f.shares[i] + (1-f.lambda)*d[i]))
 	if loc := f.localCap(i, g); loc > 0 && loc < c {
 		c = loc
@@ -406,7 +418,7 @@ func (f *federation) capFor(i, g int, d []float64) units.Watts {
 // discretionary asks the split policy to divide segment g and
 // normalises the answer: negatives clamp to zero, and a degenerate
 // division (wrong length, all-zero) falls back to the static shares.
-func (f *federation) discretionary(g int, states []sched.Snapshot) []float64 {
+func (f *Federation) discretionary(g int, states []sched.Snapshot) []float64 {
 	ctx := SplitContext{
 		T0:     f.cuts[g],
 		T1:     f.segEnd(g),
@@ -454,7 +466,7 @@ func (f *federation) discretionary(g int, states []sched.Snapshot) []float64 {
 // dynamic path the built plan carries the guaranteed floors, so this
 // is exactly the "λ of the static share must cover idle" contract; on
 // the static path it checks the actual negotiated caps.
-func (f *federation) checkFloors() error {
+func (f *Federation) checkFloors() error {
 	for _, sr := range f.sites {
 		for g := range f.cuts {
 			if cap := sr.plan.CapAt(f.cuts[g]); cap < sr.idleFloor {
@@ -472,7 +484,7 @@ func (f *federation) checkFloors() error {
 // lookahead read one window ahead, so window w must be final before
 // any site enters window w−1) and floor the rest, to be raised at the
 // barriers.
-func (f *federation) buildPlans() error {
+func (f *Federation) buildPlans() error {
 	segs := make([][]capplan.Segment, len(f.sites))
 	for i := range f.sites {
 		segs[i] = make([]capplan.Segment, len(f.cuts))
@@ -510,7 +522,7 @@ func (f *federation) buildPlans() error {
 // callbacks are registered before Run arms anything, so at a shared
 // instant the kernel fires the barrier before the site's own plan-edge
 // or arrival events — the revision lands before anyone reads the cap.
-func (f *federation) buildSchedulers() error {
+func (f *Federation) buildSchedulers() error {
 	for _, sr := range f.sites {
 		scfg := sched.Config{
 			Platform:   sr.site.Platform,
@@ -567,7 +579,7 @@ func (f *federation) buildSchedulers() error {
 // this function, so the plan revision races with no reader — and
 // releases the rest. A failed site aborts every pending and future
 // barrier instead of deadlocking the survivors.
-func (f *federation) await(b, site int, snap sched.Snapshot) {
+func (f *Federation) await(b, site int, snap sched.Snapshot) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.failed {
@@ -590,7 +602,7 @@ func (f *federation) await(b, site int, snap sched.Snapshot) {
 // fail marks the federation failed and wakes every waiter. Sites still
 // paused resume against their un-raised floors — harmless, since the
 // run's results are discarded in favour of the error.
-func (f *federation) fail(err error) {
+func (f *Federation) fail(err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.failed = true
@@ -605,7 +617,7 @@ func (f *federation) fail(err error) {
 // the negotiated caps. Runs under f.mu with every site paused; inputs
 // are sim-time state only, so the division is identical no matter
 // which goroutine arrives last.
-func (f *federation) negotiate(bar *barrier) {
+func (f *Federation) negotiate(bar *barrier) {
 	for g := range f.cuts {
 		if f.gwin[g] != bar.window {
 			continue
@@ -627,7 +639,7 @@ func (f *federation) negotiate(bar *barrier) {
 }
 
 // runSites executes every site's schedule concurrently and waits.
-func (f *federation) runSites() {
+func (f *Federation) runSites() {
 	var wg sync.WaitGroup
 	for _, sr := range f.sites {
 		wg.Add(1)

@@ -3,6 +3,7 @@ package fed
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -490,10 +491,22 @@ func TestConfigErrors(t *testing.T) {
 			Budget: capplan.Constant(900),
 		}, "power emergencies"},
 		{"budget below idle floor", Config{Sites: []Site{site()}, Budget: capplan.Constant(100)}, "below its idle floor"},
+		// Non-finite knobs pass every later range comparison.
+		{"NaN lambda", Config{Sites: []Site{site()}, Budget: capplan.Constant(900), GuaranteeFrac: math.NaN()}, "GuaranteeFrac"},
+		{"NaN slack", Config{Sites: []Site{site()}, Budget: capplan.Constant(900), PerfSlack: math.NaN()}, "must be finite"},
+		{"Inf slack", Config{Sites: []Site{site()}, Budget: capplan.Constant(900), PerfSlack: math.Inf(1)}, "must be finite"},
+		{"NaN spill", Config{Sites: []Site{site()}, Budget: capplan.Constant(900), SpillAfter: units.Seconds(math.NaN())}, "must be finite"},
+		{"Inf batch", Config{Sites: []Site{site()}, Budget: capplan.Constant(900), BatchEvery: units.Seconds(math.Inf(1))}, "must be finite"},
+		{"negative batch", Config{Sites: []Site{site()}, Budget: capplan.Constant(900), BatchEvery: -1}, "BatchEvery not negative"},
+		{"NaN carbon", Config{
+			Sites:  []Site{{Name: "east", Platform: mustPlatform(t, "systemg:16"), Carbon: []capplan.Sample{{T: 0, Value: math.NaN()}}}},
+			Budget: capplan.Constant(900),
+		}, "not finite"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Run(tc.cfg, nil)
+			// Every rejection is New's: nothing has run yet.
+			_, err := New(tc.cfg)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("got %v, want error containing %q", err, tc.want)
 			}
@@ -540,4 +553,31 @@ func TestComparisonTable(t *testing.T) {
 		}
 	}
 	_ = fmt.Sprintf("%v", results[0]) // Result must render without panicking
+}
+
+// TestParseSites: the three command-line lists share one "name=spec;…"
+// splitter; carbon and local attach to listed sites by name.
+func TestParseSites(t *testing.T) {
+	sites, err := ParseSites(" east = systemg:16 ; west=dori:8,systemg:4;", "west=0:120,2:420", "east= 0:2000 ;")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sites) != 2 || sites[0].Name != "east" || sites[1].Name != "west" || sites[1].Platform.TotalRanks() != 12 {
+		t.Fatalf("sites = %+v", sites)
+	}
+	if sites[0].Carbon != nil || len(sites[1].Carbon) != 2 || sites[1].Carbon[1].Value != 420 {
+		t.Errorf("carbon attached wrongly: %+v", sites)
+	}
+	if sites[0].Local == nil || sites[0].Local.String() != "0:2000" || sites[1].Local != nil {
+		t.Errorf("local attached wrongly: %+v", sites)
+	}
+	for _, bad := range [][3]string{
+		{"", "", ""}, {";", "", ""}, {"east", "", ""}, {"east=bogus", "", ""},
+		{"east=systemg:16", "east", ""}, {"east=systemg:16", "north=0:1", ""}, {"east=systemg:16", "east=5:1", ""},
+		{"east=systemg:16", "", "north=0:2000"}, {"east=systemg:16", "", "east=bogus"},
+	} {
+		if _, err := ParseSites(bad[0], bad[1], bad[2]); err == nil {
+			t.Errorf("ParseSites(%q) accepted", bad)
+		}
+	}
 }

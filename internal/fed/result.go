@@ -71,7 +71,7 @@ type Result struct {
 }
 
 // merge assembles the federated Result from the finished sites.
-func (f *federation) merge() Result {
+func (f *Federation) merge() Result {
 	r := Result{
 		Split:         f.cfg.Split.Name(),
 		Route:         f.cfg.Route.Name(),

@@ -167,7 +167,7 @@ func okQuotes(quotes []Quote) []Quote {
 // updates the chosen site's backlog estimate. Jobs no site can quote
 // fall back to the site with the widest pool, whose scheduler records
 // the rejection (exactly as a single cluster would have).
-func (f *federation) route(jobs []sched.Job) error {
+func (f *Federation) route(jobs []sched.Job) error {
 	ordered := append([]sched.Job(nil), jobs...)
 	sort.SliceStable(ordered, func(a, b int) bool {
 		if ordered[a].Arrival != ordered[b].Arrival {
@@ -259,7 +259,7 @@ func (f *federation) route(jobs []sched.Job) error {
 // sites, mirroring admission's width-slack rule, so a uniformly slow
 // site is simply not eligible for a latency-critical shape. Returns
 // any=false when no width of any pool evaluates at all.
-func (f *federation) quotes(j sched.Job, work []units.Seconds, now units.Seconds) ([]Quote, bool) {
+func (f *Federation) quotes(j sched.Job, work []units.Seconds, now units.Seconds) ([]Quote, bool) {
 	var ref units.Seconds
 	found := false
 	for _, sr := range f.sites {
@@ -346,7 +346,7 @@ func (f *federation) quotes(j sched.Job, work []units.Seconds, now units.Seconds
 // enormous) backlog. On the dynamic path un-negotiated windows carry
 // their guaranteed floors here — conservative, and identical for every
 // run of the same configuration, so routing stays deterministic.
-func (f *federation) headroom(i int, t units.Seconds) float64 {
+func (f *Federation) headroom(i int, t units.Seconds) float64 {
 	h := float64(f.sites[i].plan.CapAt(t)) - float64(f.sites[i].idleFloor)
 	if h < 1 {
 		h = 1
@@ -356,7 +356,7 @@ func (f *federation) headroom(i int, t units.Seconds) float64 {
 
 // maxHeadroom is the best headroom any site offers at sim time t — the
 // drain-rate reference the per-site factors normalise against.
-func (f *federation) maxHeadroom(t units.Seconds) float64 {
+func (f *Federation) maxHeadroom(t units.Seconds) float64 {
 	best := 1.0
 	for i := range f.sites {
 		if h := f.headroom(i, t); h > best {
@@ -370,7 +370,7 @@ func (f *federation) maxHeadroom(t units.Seconds) float64 {
 // segment — how much routed work the site clears between two routing
 // decisions. Caps (and so drain rates) are constant within a grid
 // segment, which makes the integral exact against the initial plans.
-func (f *federation) drained(i int, t0, t1 units.Seconds) units.Seconds {
+func (f *Federation) drained(i int, t0, t1 units.Seconds) units.Seconds {
 	var total float64
 	for g := range f.cuts {
 		lo, hi := f.cuts[g], f.segEnd(g)
@@ -391,7 +391,7 @@ func (f *federation) drained(i int, t0, t1 units.Seconds) units.Seconds {
 // widestSite returns the site with the largest single pool — the
 // fallback destination for jobs no site can quote, chosen so "too wide
 // everywhere" rejections land where the width deficit is smallest.
-func (f *federation) widestSite() int {
+func (f *Federation) widestSite() int {
 	best, bestPool := 0, 0
 	for i, sr := range f.sites {
 		if sr.largestPool > bestPool {

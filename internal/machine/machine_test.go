@@ -2,6 +2,7 @@ package machine
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -341,4 +342,25 @@ func TestParamsValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("negative ΔPc must be rejected")
 	}
+}
+
+// FuzzParsePlatform: no input panics, and an accepted platform's label
+// names it — String joins pools with "+" where the flag grammar uses
+// ",", otherwise it is the grammar's inverse. Equality is on the label
+// (every pool's name and deployed count): a bare preset in a pool list
+// keeps Nodes 0 ("the preset's size") where its label spells the count.
+func FuzzParsePlatform(f *testing.F) {
+	for _, seed := range []string{"systemg", "dori", "systemg:32,dori:4", " SystemG:8 , dori", "systemg:0", "systemg,systemg"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		pl, err := ParsePlatform(spec)
+		if err != nil {
+			return
+		}
+		back, err := ParsePlatform(strings.ReplaceAll(pl.String(), "+", ","))
+		if err != nil || back.String() != pl.String() || back.TotalRanks() != pl.TotalRanks() {
+			t.Fatalf("ParsePlatform(%q) = %s, which reparses to %v, %v", spec, pl, back, err)
+		}
+	})
 }

@@ -154,8 +154,10 @@ func TestHeterogeneousWideJobFallsToLargerPool(t *testing.T) {
 // Config.Interval: zero still selects the 25 ms default; negative values
 // are a configuration error rather than a silent sentinel.
 func TestNegativeIntervalRejected(t *testing.T) {
-	if _, err := New(Config{Platform: machine.Homogeneous(testSpec()), Ranks: 2, Cap: 500, Interval: -1}); err == nil {
-		t.Fatal("negative interval must be rejected")
+	for _, bad := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := New(Config{Platform: machine.Homogeneous(testSpec()), Ranks: 2, Cap: 500, Interval: units.Seconds(bad)}); err == nil {
+			t.Fatalf("interval %v must be rejected", bad)
+		}
 	}
 	s, err := New(Config{Platform: machine.Homogeneous(testSpec()), Ranks: 2, Cap: 500})
 	if err != nil {

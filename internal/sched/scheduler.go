@@ -300,8 +300,8 @@ func New(cfg Config) (*Scheduler, error) {
 	if cfg.Policy == nil {
 		cfg.Policy = EEMax()
 	}
-	if cfg.Interval < 0 {
-		return nil, fmt.Errorf("sched: sampling interval %v must not be negative", cfg.Interval)
+	if cfg.Interval < 0 || !units.Finite(cfg.Interval) {
+		return nil, fmt.Errorf("sched: sampling interval %v must be finite and not negative", cfg.Interval)
 	}
 	if cfg.Interval == 0 {
 		cfg.Interval = 25 * units.Millisecond

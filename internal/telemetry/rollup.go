@@ -72,8 +72,8 @@ const topKSize = 12
 // NewRollupSink aggregates into buckets of the given sim-time width
 // (must be positive), streaming CSV rows to w.
 func NewRollupSink(w io.Writer, bucket units.Seconds) (*RollupSink, error) {
-	if bucket <= 0 {
-		return nil, fmt.Errorf("telemetry: rollup bucket %v must be positive", bucket)
+	if bucket <= 0 || !units.Finite(bucket) {
+		return nil, fmt.Errorf("telemetry: rollup bucket %v must be positive and finite", bucket)
 	}
 	s := &RollupSink{bucket: float64(bucket), w: w}
 	s.res.init(reservoirSize)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -46,11 +47,10 @@ func TestRollupGolden(t *testing.T) {
 }
 
 func TestRollupRejectsNonpositiveBucket(t *testing.T) {
-	if _, err := NewRollupSink(io.Discard, 0); err == nil {
-		t.Fatal("bucket 0 must be rejected")
-	}
-	if _, err := NewRollupSink(io.Discard, -1); err == nil {
-		t.Fatal("negative bucket must be rejected")
+	for _, bad := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if _, err := NewRollupSink(io.Discard, units.Seconds(bad)); err == nil {
+			t.Fatalf("bucket %v must be rejected", bad)
+		}
 	}
 }
 

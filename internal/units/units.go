@@ -7,7 +7,10 @@
 // another. Conversions are explicit.
 package units
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Seconds is a time duration in seconds of virtual (simulated) or modeled
 // time. The simulator uses float64 seconds rather than time.Duration so
@@ -41,6 +44,19 @@ const (
 	MB Bytes = 1 << 20
 	GB Bytes = 1 << 30
 )
+
+// Finite reports whether every value is a real number — the one check
+// behind every configuration knob. A NaN fails each range comparison a
+// validator or scheduler would make against it (a NaN cap runs uncapped,
+// a NaN MTBF arms failures at NaN), and an infinite time never arrives.
+func Finite[T ~float64](vs ...T) bool {
+	for _, v := range vs {
+		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+			return false
+		}
+	}
+	return true
+}
 
 // Energy returns the energy dissipated by drawing power p for duration t.
 func Energy(p Watts, t Seconds) Joules {
