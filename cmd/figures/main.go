@@ -2,9 +2,9 @@
 // evaluation section against the simulated clusters.
 //
 // Measured sweeps run their points across a worker pool (one simulated
-// cluster per point, seeded per point), and every model-surface figure
-// prices its grid through one shared operating-point cache — the output
-// is byte-identical at any -workers value.
+// cluster per point, seeded per point); the model-surface figures 5–9
+// evaluate the model directly. The output is byte-identical at any
+// -workers value.
 //
 // Usage:
 //
@@ -17,8 +17,6 @@ import (
 	"os"
 
 	"repro/internal/figures"
-	"repro/internal/machine"
-	"repro/internal/opcache"
 )
 
 func main() {
@@ -29,14 +27,7 @@ func main() {
 	workers := flag.Int("workers", 0, "concurrent sweep points per figure (0 = GOMAXPROCS, 1 = sequential)")
 	flag.Parse()
 
-	// One operating-point cache shared by every model-surface figure:
-	// the (p, f) grids of figures 5–9 are priced once across the run.
-	cache, err := opcache.New(machine.SystemG())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	opts := figures.Options{Quick: *quick, Seed: *seed, Workers: *workers, Cache: cache}
+	opts := figures.Options{Quick: *quick, Seed: *seed, Workers: *workers}
 	gens := figures.All()
 	if *figID != "all" {
 		g, err := figures.ByID(*figID)

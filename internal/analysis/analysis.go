@@ -6,19 +6,21 @@
 // optimiser motivating the paper's title, and the baselines the paper
 // compares against (performance isoefficiency; Ge & Cameron power-aware
 // speedup).
+//
+// Everything here is one-off evaluation and calls core.Model.Predict
+// directly; the memoized path (internal/opcache) belongs to clients that
+// re-read a job's ladder — see DESIGN.md §7 "Pricing a point".
 package analysis
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"reflect"
 	"strings"
 
 	"repro/internal/app"
 	"repro/internal/core"
 	"repro/internal/machine"
-	"repro/internal/opcache"
 	"repro/internal/units"
 )
 
@@ -46,94 +48,65 @@ type Surface struct {
 	Points  [][]Point
 }
 
-// SurfacePF evaluates EE over (p, f) at fixed n — Figures 5, 7, 9.
-func SurfacePF(spec machine.Spec, v app.Vector, n float64, ps []int, fs []units.Hertz) (Surface, error) {
-	return SurfacePFWith(nil, nil, spec, v, n, ps, fs)
+// column is one second-axis position of a surface: the machine vector
+// (at the column's frequency) and problem size every cell of that
+// column is priced at.
+type column struct {
+	mp machine.Params
+	n  float64
 }
 
-// SurfacePFWith is SurfacePF priced through a shared operating-point
-// cache: ladder frequencies become cache lookups keyed by the caller's
-// owner token, so sweeps over the same vector grid (or a scheduler that
-// already priced it) evaluate each point once. Off-ladder frequencies,
-// a nil cache, or a cache built for a different machine (compared by
-// full spec equality, not name — a tweaked preset must not be served
-// another machine's predictions) fall back to direct model evaluation.
-func SurfacePFWith(c *opcache.Cache, owner any, spec machine.Spec, v app.Vector, n float64, ps []int, fs []units.Hertz) (Surface, error) {
-	if c != nil && !reflect.DeepEqual(c.Spec(), spec) {
-		c = nil
-	}
+// SurfacePF evaluates EE over (p, f) at fixed n — Figures 5, 7, 9.
+func SurfacePF(spec machine.Spec, v app.Vector, n float64, ps []int, fs []units.Hertz) (Surface, error) {
 	s := Surface{App: v.Name, FixedN: n, Ps: ps, ColKind: "f"}
-	for _, f := range fs {
+	cols := make([]column, len(fs))
+	for j, f := range fs {
+		mp, err := spec.AtFrequency(f)
+		if err != nil {
+			return Surface{}, err
+		}
+		cols[j] = column{mp, n}
 		s.Cols = append(s.Cols, float64(f))
 	}
-	for _, p := range ps {
-		var eeRow []float64
-		var ptRow []Point
-		for _, f := range fs {
-			pr, err := predictAt(c, owner, spec, v, n, p, f)
-			if err != nil {
-				return Surface{}, fmt.Errorf("analysis: %s at p=%d f=%v: %w", v.Name, p, f, err)
-			}
-			eeRow = append(eeRow, pr.EE)
-			ptRow = append(ptRow, Point{P: p, Freq: f, N: n, Prediction: pr})
-		}
-		s.EE = append(s.EE, eeRow)
-		s.Points = append(s.Points, ptRow)
-	}
-	return s, nil
+	return s.fill(v, cols)
 }
 
 // SurfacePN evaluates EE over (p, n) at fixed f — Figures 6 and 8.
 func SurfacePN(spec machine.Spec, v app.Vector, f units.Hertz, ps []int, ns []float64) (Surface, error) {
-	return SurfacePNWith(nil, nil, spec, v, f, ps, ns)
-}
-
-// SurfacePNWith is SurfacePN through a shared operating-point cache; see
-// SurfacePFWith for the caching contract.
-func SurfacePNWith(c *opcache.Cache, owner any, spec machine.Spec, v app.Vector, f units.Hertz, ps []int, ns []float64) (Surface, error) {
-	if c != nil && !reflect.DeepEqual(c.Spec(), spec) {
-		c = nil
-	}
-	if _, err := spec.AtFrequency(f); err != nil {
+	mp, err := spec.AtFrequency(f)
+	if err != nil {
 		return Surface{}, err
 	}
-	s := Surface{App: v.Name, FixedF: f, Ps: ps, Cols: ns, ColKind: "n"}
-	for _, p := range ps {
-		var eeRow []float64
-		var ptRow []Point
-		for _, n := range ns {
-			pr, err := predictAt(c, owner, spec, v, n, p, f)
+	cols := make([]column, len(ns))
+	for j, n := range ns {
+		cols[j] = column{mp, n}
+	}
+	return Surface{App: v.Name, FixedF: f, Ps: ps, Cols: ns, ColKind: "n"}.fill(v, cols)
+}
+
+// fill prices every (p, column) cell of the surface with a direct
+// core.Model.Predict — a figure reads each point once, so there is
+// nothing for a cache to save (DESIGN.md "Pricing a point").
+func (s Surface) fill(v app.Vector, cols []column) (Surface, error) {
+	for _, p := range s.Ps {
+		eeRow := make([]float64, len(cols))
+		ptRow := make([]Point, len(cols))
+		for j, c := range cols {
+			pr, err := core.Model{Machine: c.mp, App: v.At(c.n, p)}.Predict()
 			if err != nil {
-				return Surface{}, fmt.Errorf("analysis: %s at p=%d n=%g: %w", v.Name, p, n, err)
+				at := fmt.Sprintf("f=%v", c.mp.Freq)
+				if s.ColKind == "n" {
+					at = fmt.Sprintf("n=%g", c.n)
+				}
+				return Surface{}, fmt.Errorf("analysis: %s at p=%d %s: %w", v.Name, p, at, err)
 			}
-			eeRow = append(eeRow, pr.EE)
-			ptRow = append(ptRow, Point{P: p, Freq: f, N: n, Prediction: pr})
+			eeRow[j] = pr.EE
+			ptRow[j] = Point{P: p, Freq: c.mp.Freq, N: c.n, Prediction: pr}
 		}
 		s.EE = append(s.EE, eeRow)
 		s.Points = append(s.Points, ptRow)
 	}
 	return s, nil
-}
-
-// predictAt evaluates one model point, through the cache when the
-// frequency sits on the machine's DVFS ladder and directly otherwise.
-// Cached and direct evaluation run the identical core.Model.Predict, so
-// results are bit-for-bit the same either way. The lazy single-point
-// path (opcache.PointAt) is used rather than whole-ladder rows: a
-// fixed-frequency (p, n) sweep reads one frequency per cell, and
-// pricing the other ladder points would cost more Predict calls than
-// the cache saves.
-func predictAt(c *opcache.Cache, owner any, spec machine.Spec, v app.Vector, n float64, p int, f units.Hertz) (core.Prediction, error) {
-	if c != nil {
-		if fi := c.LadderIndex(f); fi >= 0 {
-			return c.PointAt(owner, v, n, p, fi)
-		}
-	}
-	mp, err := spec.AtFrequency(f)
-	if err != nil {
-		return core.Prediction{}, err
-	}
-	return core.Model{Machine: mp, App: v.At(n, p)}.Predict()
 }
 
 // Render draws the surface as a fixed-width table (the textual Figure
@@ -193,8 +166,21 @@ var ErrUnreachable = errors.New("analysis: target efficiency unreachable by scal
 // non-decreasing in n (true for FT/CG-like vectors; ErrUnreachable
 // otherwise) and brackets within [nMin, nMax].
 func IsoEnergyN(spec machine.Spec, v app.Vector, f units.Hertz, p int, target, nMin, nMax float64) (float64, error) {
+	return isoN("EE", func(pr core.Prediction) float64 { return pr.EE }, spec, v, f, p, target, nMin, nMax)
+}
+
+// PerformanceIsoN is the Grama-baseline counterpart of IsoEnergyN: the
+// minimal n at which performance efficiency T1/(p·Tp) reaches the target.
+func PerformanceIsoN(spec machine.Spec, v app.Vector, f units.Hertz, p int, target, nMin, nMax float64) (float64, error) {
+	return isoN("PE", func(pr core.Prediction) float64 { return pr.PE }, spec, v, f, p, target, nMin, nMax)
+}
+
+// isoN is the bisection under both iso functions: the minimal n in
+// [nMin, nMax] at which metric(prediction) reaches target, assuming the
+// metric is non-decreasing in n. name labels the metric in errors.
+func isoN(name string, metric func(core.Prediction) float64, spec machine.Spec, v app.Vector, f units.Hertz, p int, target, nMin, nMax float64) (float64, error) {
 	if target <= 0 || target > 1 {
-		return 0, fmt.Errorf("analysis: target EE %g outside (0,1]", target)
+		return 0, fmt.Errorf("analysis: target %s %g outside (0,1]", name, target)
 	}
 	if nMin <= 0 || nMax <= nMin {
 		return 0, fmt.Errorf("analysis: bad bracket [%g, %g]", nMin, nMax)
@@ -203,35 +189,35 @@ func IsoEnergyN(spec machine.Spec, v app.Vector, f units.Hertz, p int, target, n
 	if err != nil {
 		return 0, err
 	}
-	ee := func(n float64) (float64, error) {
+	at := func(n float64) (float64, error) {
 		pr, err := core.Model{Machine: mp, App: v.At(n, p)}.Predict()
 		if err != nil {
 			return 0, err
 		}
-		return pr.EE, nil
+		return metric(pr), nil
 	}
 	lo, hi := nMin, nMax
-	eeLo, err := ee(lo)
+	atLo, err := at(lo)
 	if err != nil {
 		return 0, err
 	}
-	if eeLo >= target {
+	if atLo >= target {
 		return lo, nil
 	}
-	eeHi, err := ee(hi)
+	atHi, err := at(hi)
 	if err != nil {
 		return 0, err
 	}
-	if eeHi < target {
-		return 0, fmt.Errorf("%w: EE(nMax=%g) = %.4f < %.4f", ErrUnreachable, hi, eeHi, target)
+	if atHi < target {
+		return 0, fmt.Errorf("%w: %s(nMax=%g) = %.4f < %.4f", ErrUnreachable, name, hi, atHi, target)
 	}
 	for i := 0; i < 200 && hi/lo > 1+1e-9; i++ {
 		mid := math.Sqrt(lo * hi) // geometric bisection: n spans decades
-		eeMid, err := ee(mid)
+		atMid, err := at(mid)
 		if err != nil {
 			return 0, err
 		}
-		if eeMid >= target {
+		if atMid >= target {
 			hi = mid
 		} else {
 			lo = mid
@@ -330,19 +316,13 @@ func (o Objective) Better(a, b Point) bool {
 
 // DefaultParallelisms is the power-of-two sweep 1..MaxRanks used when a
 // caller passes no explicit parallelism list.
-func DefaultParallelisms(spec machine.Spec) []int {
-	var ps []int
-	for p := 1; p <= spec.MaxRanks(); p *= 2 {
-		ps = append(ps, p)
-	}
-	return ps
-}
+func DefaultParallelisms(spec machine.Spec) []int { return powersOfTwo(spec.MaxRanks()) }
 
-// poolParallelisms is the per-pool default sweep: powers of two up to
-// the pool's deployed core count.
-func poolParallelisms(np machine.NodePool) []int {
+// powersOfTwo lists 1, 2, 4, … up to max — the default sweep of a
+// machine or of one pool's deployed core count.
+func powersOfTwo(max int) []int {
 	var ps []int
-	for p := 1; p <= np.MaxRanks(); p *= 2 {
+	for p := 1; p <= max; p *= 2 {
 		ps = append(ps, p)
 	}
 	return ps
@@ -351,10 +331,10 @@ func poolParallelisms(np machine.NodePool) []int {
 // ForEachOperatingPoint evaluates the model over the per-pool grids of a
 // platform: for every node pool, the given parallelism list × that
 // pool's full DVFS ladder, invoking visit on every point (Point.Pool
-// names the pool). It is the single enumeration shared by the offline
-// optimiser below and the sched package's admission controller, so both
-// layers agree on which operating points exist — a job runs entirely
-// within one pool, which is why the grid is per pool rather than joint.
+// names the pool). A job runs entirely within one pool, which is why the
+// grid is per pool rather than joint. The sched package's admission
+// controller searches a grid of the same per-pool shape but reads it
+// from opcache rows; this enumeration serves the offline optimiser below.
 // Entries of ps outside [1, pool.MaxRanks()] are skipped per pool; a nil
 // ps means powers of two up to each pool's deployed core count. Use
 // machine.Homogeneous(spec) for the classic single-Spec sweep.
@@ -364,26 +344,26 @@ func ForEachOperatingPoint(pl machine.Platform, v app.Vector, n float64, ps []in
 	}
 	seen := false
 	for _, np := range pl.Pools {
-		spec := np.Spec
+		ladder, err := np.Spec.LadderParams()
+		if err != nil {
+			return err
+		}
 		pps := ps
 		if pps == nil {
-			pps = poolParallelisms(np)
+			pps = powersOfTwo(np.MaxRanks())
 		}
 		for _, p := range pps {
 			if p < 1 || p > np.MaxRanks() {
 				continue
 			}
 			seen = true
-			for _, f := range spec.Frequencies {
-				mp, err := spec.AtFrequency(f)
+			w := v.At(n, p)
+			for _, mp := range ladder {
+				pr, err := core.Model{Machine: mp, App: w}.Predict()
 				if err != nil {
-					return err
+					return fmt.Errorf("analysis: %s at pool %s p=%d f=%v: %w", v.Name, np.PoolName(), p, mp.Freq, err)
 				}
-				pr, err := core.Model{Machine: mp, App: v.At(n, p)}.Predict()
-				if err != nil {
-					return fmt.Errorf("analysis: %s at pool %s p=%d f=%v: %w", v.Name, np.PoolName(), p, f, err)
-				}
-				visit(Point{Pool: np.PoolName(), P: p, Freq: f, N: n, Prediction: pr})
+				visit(Point{Pool: np.PoolName(), P: p, Freq: mp.Freq, N: n, Prediction: pr})
 			}
 		}
 	}
@@ -428,53 +408,6 @@ func OptimizeUnderPowerBudgetBy(pl machine.Platform, v app.Vector, n float64, ps
 // concrete: the fastest operating point that respects the budget.
 func OptimizeUnderPowerBudget(pl machine.Platform, v app.Vector, n float64, ps []int, budget units.Watts) (OperatingPoint, error) {
 	return OptimizeUnderPowerBudgetBy(pl, v, n, ps, budget, MinTime)
-}
-
-// PerformanceIsoN is the Grama-baseline counterpart of IsoEnergyN: the
-// minimal n at which performance efficiency T1/(p·Tp) reaches the target.
-func PerformanceIsoN(spec machine.Spec, v app.Vector, f units.Hertz, p int, target, nMin, nMax float64) (float64, error) {
-	if target <= 0 || target > 1 {
-		return 0, fmt.Errorf("analysis: target PE %g outside (0,1]", target)
-	}
-	mp, err := spec.AtFrequency(f)
-	if err != nil {
-		return 0, err
-	}
-	pe := func(n float64) (float64, error) {
-		pr, err := core.Model{Machine: mp, App: v.At(n, p)}.Predict()
-		if err != nil {
-			return 0, err
-		}
-		return pr.PE, nil
-	}
-	lo, hi := nMin, nMax
-	peLo, err := pe(lo)
-	if err != nil {
-		return 0, err
-	}
-	if peLo >= target {
-		return lo, nil
-	}
-	peHi, err := pe(hi)
-	if err != nil {
-		return 0, err
-	}
-	if peHi < target {
-		return 0, fmt.Errorf("%w: PE(nMax=%g) = %.4f < %.4f", ErrUnreachable, hi, peHi, target)
-	}
-	for i := 0; i < 200 && hi/lo > 1+1e-9; i++ {
-		mid := math.Sqrt(lo * hi)
-		peMid, err := pe(mid)
-		if err != nil {
-			return 0, err
-		}
-		if peMid >= target {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi, nil
 }
 
 // PowerAwareSpeedup is the Ge & Cameron baseline: speedup of the parallel

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -49,6 +50,59 @@ func TestSurfacePFShape(t *testing.T) {
 	csv := s.CSV()
 	if !strings.Contains(csv, "app,p,f") || len(strings.Split(csv, "\n")) < len(ps)*len(fs) {
 		t.Fatalf("csv too short:\n%s", csv)
+	}
+}
+
+// Every cell of a surface is exactly the direct model evaluation at its
+// (n, p, f) — on-ladder and off-ladder frequencies alike — and an invalid
+// frequency is reported before any cell is filled.
+func TestSurfacesMatchDirectPredict(t *testing.T) {
+	direct := func(v app.Vector, n float64, p int, f units.Hertz) core.Prediction {
+		t.Helper()
+		mp, err := sysG.AtFrequency(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr, err := core.Model{Machine: mp, App: v.At(n, p)}.Predict()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pr
+	}
+	v, n := app.CG(11, 15), 75000.0
+	mixed := []units.Hertz{2.0 * units.GHz, 2.3 * units.GHz, 2.8 * units.GHz, 3.1 * units.GHz} // 2.3 and 3.1 are off SystemG's ladder
+	pf, err := SurfacePF(sysG, v, n, ps, mixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range ps {
+		for j, f := range mixed {
+			pt, want := pf.Points[i][j], direct(v, n, p, f)
+			if pt.Prediction != want || pf.EE[i][j] != want.EE || pt.P != p || pt.Freq != f || pt.N != n || pf.Cols[j] != float64(f) {
+				t.Fatalf("PF cell p=%d f=%v: %+v, want %+v", p, f, pt, want)
+			}
+		}
+	}
+	ns := []float64{9380, 75000, 150000}
+	for _, f := range []units.Hertz{2.8 * units.GHz, 2.5 * units.GHz} {
+		pn, err := SurfacePN(sysG, v, f, ps, ns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range ps {
+			for j, n := range ns {
+				pt, want := pn.Points[i][j], direct(v, n, p, f)
+				if pt.Prediction != want || pn.EE[i][j] != want.EE || pt.P != p || pt.Freq != f || pt.N != n {
+					t.Fatalf("PN cell p=%d n=%g f=%v: %+v, want %+v", p, n, f, pt, want)
+				}
+			}
+		}
+	}
+	if s, err := SurfacePF(sysG, v, n, ps, []units.Hertz{2.8 * units.GHz, 0}); err == nil || len(s.Points) != 0 {
+		t.Fatalf("PF with an invalid frequency: %d rows filled, err %v", len(s.Points), err)
+	}
+	if s, err := SurfacePN(sysG, v, -1, ps, ns); err == nil || len(s.Points) != 0 {
+		t.Fatalf("PN at an invalid frequency: %d rows filled, err %v", len(s.Points), err)
 	}
 }
 
@@ -122,6 +176,69 @@ func TestIsoEnergyNValidation(t *testing.T) {
 	}
 	if _, err := IsoEnergyN(sysG, app.FT(20), 2.8*units.GHz, 4, 0.8, 10, 5); err == nil {
 		t.Error("inverted bracket must be rejected")
+	}
+	// Both iso functions reject a non-positive or inverted bracket the
+	// same way (PerformanceIsoN used to bisect it, or panic at n=0).
+	for _, b := range [][2]float64{{10, 5}, {7, 7}, {0, 5}, {-4, 5}} {
+		want := fmt.Sprintf("analysis: bad bracket [%g, %g]", b[0], b[1])
+		if _, err := IsoEnergyN(sysG, app.FT(20), 2.8*units.GHz, 4, 0.8, b[0], b[1]); err == nil || err.Error() != want {
+			t.Errorf("IsoEnergyN bracket %v: got %v, want %q", b, err, want)
+		}
+		if _, err := PerformanceIsoN(sysG, app.FT(20), 2.8*units.GHz, 4, 0.8, b[0], b[1]); err == nil || err.Error() != want {
+			t.Errorf("PerformanceIsoN bracket %v: got %v, want %q", b, err, want)
+		}
+	}
+}
+
+// The folded bisection returns what the two separate ones did: values
+// (==) and error strings cut from the parent commit's binary, before
+// IsoEnergyN and PerformanceIsoN became callers of isoN.
+func TestIsoNMatchesParent(t *testing.T) {
+	cases := []struct {
+		name           string
+		v              app.Vector
+		f              units.Hertz
+		p              int
+		target, lo, hi float64
+		ee, pe         float64
+		eeErr, peErr   string
+	}{
+		{"ft16", app.FT(20), 2.8 * units.GHz, 16, 0.75, 1 << 10, 1 << 30, 58033.890351413604, 111737.50703352148, "", ""},
+		{"ft4", app.FT(20), 2.8 * units.GHz, 4, 0.75, 1 << 10, 1 << 32, 3913.91451181248, 7454.95696273197, "", ""},
+		{"ft16-wide", app.FT(20), 2.8 * units.GHz, 16, 0.75, 1 << 10, 1 << 32, 58033.890365462394, 111737.50700647224, "", ""},
+		{"ft64", app.FT(20), 2.8 * units.GHz, 64, 0.75, 1 << 10, 1 << 32, 758300.7026726403, 1.4324306091024107e+06, "", ""},
+		{"cg16-nmin-meets", app.CG(11, 15), 2.0 * units.GHz, 16, 0.5, 1 << 10, 1 << 32, 1024, 1024, "", ""},
+		{"ep4", app.EP(), 2.8 * units.GHz, 4, 0.5, 1 << 10, 1 << 30, 2284.281194115391, 3736.1379851092706, "", ""},
+		{"unreachable", app.FT(20), 2.8 * units.GHz, 64, 0.999, 100, 200, 0, 0,
+			"analysis: target efficiency unreachable by scaling n: EE(nMax=200) = 0.0134 < 0.9990",
+			"analysis: target efficiency unreachable by scaling n: PE(nMax=200) = 0.0104 < 0.9990"},
+		{"target>1", app.FT(20), 2.8 * units.GHz, 4, 1.5, 1, 10, 0, 0,
+			"analysis: target EE 1.5 outside (0,1]", "analysis: target PE 1.5 outside (0,1]"},
+		{"target0", app.FT(20), 2.8 * units.GHz, 4, 0, 1, 10, 0, 0,
+			"analysis: target EE 0 outside (0,1]", "analysis: target PE 0 outside (0,1]"},
+		{"bad-frequency", app.FT(20), 0, 4, 0.8, 1 << 10, 1 << 30, 0, 0,
+			"machine: SystemG: frequency 0Hz must be positive", "machine: SystemG: frequency 0Hz must be positive"},
+	}
+	check := func(name, fn string, got float64, err error, want float64, wantErr string) {
+		t.Helper()
+		if wantErr != "" {
+			if err == nil || err.Error() != wantErr {
+				t.Errorf("%s %s: error %v, want %q", name, fn, err, wantErr)
+			}
+			return
+		}
+		if err != nil || got != want {
+			t.Errorf("%s %s = %v, %v; want %v", name, fn, got, err, want)
+		}
+	}
+	for _, c := range cases {
+		n, err := IsoEnergyN(sysG, c.v, c.f, c.p, c.target, c.lo, c.hi)
+		check(c.name, "IsoEnergyN", n, err, c.ee, c.eeErr)
+		n, err = PerformanceIsoN(sysG, c.v, c.f, c.p, c.target, c.lo, c.hi)
+		check(c.name, "PerformanceIsoN", n, err, c.pe, c.peErr)
+	}
+	if _, err := IsoEnergyN(sysG, app.FT(20), 2.8*units.GHz, 64, 0.999, 100, 200); !errors.Is(err, ErrUnreachable) {
+		t.Errorf("unreachable target lost its sentinel: %v", err)
 	}
 }
 

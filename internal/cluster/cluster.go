@@ -129,9 +129,6 @@ type Config struct {
 	// Seed drives all randomness (kernel events, execution noise,
 	// measurement noise). Same seed ⇒ identical run.
 	Seed int64
-	// KeepTraceLog retains raw trace events (memory heavy; summaries are
-	// always kept).
-	KeepTraceLog bool
 }
 
 // Cluster is a provisioned simulated machine. Create with New; use one
@@ -283,7 +280,7 @@ func New(cfg Config) (*Cluster, error) {
 		alpha:    cfg.Alpha,
 		net:      net,
 		counters: perfctr.NewSet(),
-		tracer:   trace.New(cfg.KeepTraceLog),
+		tracer:   trace.New(),
 		execRNG:  rand.New(rand.NewSource(cfg.Seed ^ 0x5eed0001)),
 		measRNG:  rand.New(rand.NewSource(cfg.Seed ^ 0x5eed0002)),
 		// Intra-node transfers at shared-memory speed: negligible

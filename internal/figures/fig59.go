@@ -12,14 +12,9 @@ import (
 // Model-surface figures (5–9): these evaluate the closed-form
 // application-dependent vectors (internal/app) against the SystemG
 // machine vector across (p, f) or (p, n) grids — the 3-D plots of the
-// paper rendered as tables.
-//
-// Surfaces are priced through the operating-point cache. Owner tokens
-// name the vector *parameterisation* ("FT20" = app.FT(20)), not the
-// figure, so generators sharing a cache (cmd/figures threads one through
-// the whole set) reuse each other's points — figures 5 and 6 share the
-// FT grid, 8 and 9 the CG grid, 7 and 8 the EP grid. A token must change
-// whenever the vector's constructor arguments do.
+// paper rendered as tables. Every cell is one direct core.Model.Predict
+// (analysis.SurfacePF / SurfacePN); nothing is cached, because each point
+// is read once.
 
 func sweepP(o Options) []int {
 	if o.Quick {
@@ -36,11 +31,7 @@ func sweepF() []units.Hertz {
 // dominates; f has little effect on the communication-bound FT.
 func Fig5(o Options) (Figure, error) {
 	n := float64(1 << 21)
-	c, err := modelCache(o, machine.SystemG())
-	if err != nil {
-		return Figure{}, err
-	}
-	s, err := analysis.SurfacePFWith(c, "FT20", machine.SystemG(), app.FT(20), n, sweepP(o), sweepF())
+	s, err := analysis.SurfacePF(machine.SystemG(), app.FT(20), n, sweepP(o), sweepF())
 	if err != nil {
 		return Figure{}, err
 	}
@@ -60,11 +51,7 @@ func Fig6(o Options) (Figure, error) {
 	if o.Quick {
 		ns = []float64{1 << 14, 1 << 18, 1 << 22}
 	}
-	c, err := modelCache(o, machine.SystemG())
-	if err != nil {
-		return Figure{}, err
-	}
-	s, err := analysis.SurfacePNWith(c, "FT20", machine.SystemG(), app.FT(20), 2.8*units.GHz, sweepP(o), ns)
+	s, err := analysis.SurfacePN(machine.SystemG(), app.FT(20), 2.8*units.GHz, sweepP(o), ns)
 	if err != nil {
 		return Figure{}, err
 	}
@@ -81,11 +68,7 @@ func Fig6(o Options) (Figure, error) {
 // ideal iso-energy-efficiency reference.
 func Fig7(o Options) (Figure, error) {
 	n := 1e8
-	c, err := modelCache(o, machine.SystemG())
-	if err != nil {
-		return Figure{}, err
-	}
-	s, err := analysis.SurfacePFWith(c, "EP", machine.SystemG(), app.EP(), n, sweepP(o), sweepF())
+	s, err := analysis.SurfacePF(machine.SystemG(), app.EP(), n, sweepP(o), sweepF())
 	if err != nil {
 		return Figure{}, err
 	}
@@ -107,11 +90,7 @@ func Fig8(o Options) (Figure, error) {
 	if o.Quick {
 		nsCG = []float64{9380, 75000}
 	}
-	c, err := modelCache(o, machine.SystemG())
-	if err != nil {
-		return Figure{}, err
-	}
-	cgS, err := analysis.SurfacePNWith(c, "CG11-15", machine.SystemG(), app.CG(11, 15), 2.8*units.GHz, sweepP(o), nsCG)
+	cgS, err := analysis.SurfacePN(machine.SystemG(), app.CG(11, 15), 2.8*units.GHz, sweepP(o), nsCG)
 	if err != nil {
 		return Figure{}, err
 	}
@@ -119,7 +98,7 @@ func Fig8(o Options) (Figure, error) {
 	if o.Quick {
 		nsEP = []float64{1e6, 1e8}
 	}
-	epS, err := analysis.SurfacePNWith(c, "EP", machine.SystemG(), app.EP(), 2.8*units.GHz, sweepP(o), nsEP)
+	epS, err := analysis.SurfacePN(machine.SystemG(), app.EP(), 2.8*units.GHz, sweepP(o), nsEP)
 	if err != nil {
 		return Figure{}, err
 	}
@@ -138,11 +117,7 @@ func Fig8(o Options) (Figure, error) {
 // Fig9 reproduces Figure 9: EE_CG(p, f) at n = 75000. Paper finding:
 // unlike FT/EP, higher CPU frequency improves CG's energy efficiency.
 func Fig9(o Options) (Figure, error) {
-	c, err := modelCache(o, machine.SystemG())
-	if err != nil {
-		return Figure{}, err
-	}
-	s, err := analysis.SurfacePFWith(c, "CG11-15", machine.SystemG(), app.CG(11, 15), 75000, sweepP(o), sweepF())
+	s, err := analysis.SurfacePF(machine.SystemG(), app.CG(11, 15), 75000, sweepP(o), sweepF())
 	if err != nil {
 		return Figure{}, err
 	}

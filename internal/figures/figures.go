@@ -3,11 +3,15 @@
 // generator returns a Figure with rendered text and CSV data; cmd/figures
 // prints them and the root bench harness exercises them one per
 // testing.B benchmark (see DESIGN.md §4 for the experiment index).
+//
+// The measured figures (2–4, 10) run one simulated cluster per sweep
+// point across Options.Workers; the model surfaces (5–9) are
+// analysis.SurfacePF/SurfacePN grids, each cell one direct
+// core.Model.Predict — no cache is threaded through the generators.
 package figures
 
 import (
 	"fmt"
-	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -21,7 +25,6 @@ import (
 	"repro/internal/npb/ft"
 	"repro/internal/npb/is"
 	"repro/internal/npb/mg"
-	"repro/internal/opcache"
 )
 
 // Options tunes figure generation.
@@ -38,11 +41,6 @@ type Options struct {
 	// the rendered figures are byte-identical at any worker count — the
 	// workers only change wall-clock time.
 	Workers int
-	// Cache optionally shares one operating-point cache across
-	// generators (cmd/figures threads one through the whole set). A
-	// generator whose machine differs from the cache's spec builds its
-	// own; nil always works.
-	Cache *opcache.Cache
 }
 
 // workers resolves the effective worker count.
@@ -95,17 +93,6 @@ func parEach(o Options, n int, fn func(i int) error) error {
 		}
 	}
 	return nil
-}
-
-// modelCache returns the shared evaluation cache when it was built for
-// exactly this machine (full spec equality — a cache from a same-named
-// but tweaked spec must not leak its predictions), otherwise a fresh
-// one for this generator.
-func modelCache(o Options, spec machine.Spec) (*opcache.Cache, error) {
-	if o.Cache != nil && reflect.DeepEqual(o.Cache.Spec(), spec) {
-		return o.Cache, nil
-	}
-	return opcache.New(spec)
 }
 
 // Figure is one regenerated experiment.

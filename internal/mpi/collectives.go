@@ -39,7 +39,6 @@ func (r *Rank) Barrier() {
 		return
 	}
 	tag := r.nextCollTag(kindBarrier)
-	r.rt.cl.Tracer().Collective(r.Now(), r.rank, "barrier")
 	for dist := 1; dist < p; dist *= 2 {
 		dst := (r.rank + dist) % p
 		src := (r.rank - dist + p) % p
@@ -63,7 +62,6 @@ func (r *Rank) Bcast(root int, payload interface{}, bytes units.Bytes) interface
 		panic(fmt.Sprintf("mpi: bcast root %d out of range", root))
 	}
 	tag := r.nextCollTag(kindBcast)
-	r.rt.cl.Tracer().Collective(r.Now(), r.rank, "bcast")
 
 	// Rotate so the root is virtual rank 0.
 	vrank := (r.rank - root + p) % p
@@ -106,7 +104,6 @@ func bitsLen(v int) int {
 func Reduce[T any](r *Rank, root int, value T, bytes units.Bytes, combine func(dst, src T) T) (T, bool) {
 	p := r.Size()
 	tag := r.nextCollTag(kindReduce)
-	r.rt.cl.Tracer().Collective(r.Now(), r.rank, "reduce")
 	var zero T
 	if p == 1 {
 		return value, true
@@ -138,7 +135,6 @@ func Reduce[T any](r *Rank, root int, value T, bytes units.Bytes, combine func(d
 func Allreduce[T any](r *Rank, value T, bytes units.Bytes, combine func(dst, src T) T) T {
 	p := r.Size()
 	tag := r.nextCollTag(kindAllreduce)
-	r.rt.cl.Tracer().Collective(r.Now(), r.rank, "allreduce")
 	if p == 1 {
 		return value
 	}
@@ -197,7 +193,6 @@ func Allreduce[T any](r *Rank, value T, bytes units.Bytes, combine func(dst, src
 func Allgather[T any](r *Rank, block T, bytes units.Bytes) []T {
 	p := r.Size()
 	tag := r.nextCollTag(kindAllgather)
-	r.rt.cl.Tracer().Collective(r.Now(), r.rank, "allgather")
 	out := make([]T, p)
 	out[r.rank] = block
 	if p == 1 {
@@ -228,7 +223,6 @@ func Alltoall[T any](r *Rank, send []T, blockBytes units.Bytes) []T {
 		panic(fmt.Sprintf("mpi: alltoall needs %d blocks, got %d", p, len(send)))
 	}
 	tag := r.nextCollTag(kindAlltoall)
-	r.rt.cl.Tracer().Collective(r.Now(), r.rank, "alltoall")
 	out := make([]T, p)
 	out[r.rank] = send[r.rank] // self block: local copy, priced below
 	if p == 1 {
@@ -254,7 +248,6 @@ func Alltoallv[T any](r *Rank, send []T, sizes []units.Bytes) []T {
 		panic(fmt.Sprintf("mpi: alltoallv needs %d blocks and sizes, got %d/%d", p, len(send), len(sizes)))
 	}
 	tag := r.nextCollTag(kindAlltoall)
-	r.rt.cl.Tracer().Collective(r.Now(), r.rank, "alltoallv")
 	out := make([]T, p)
 	out[r.rank] = send[r.rank]
 	if p == 1 {
@@ -284,7 +277,6 @@ type gatherItem struct {
 func Gather[T any](r *Rank, root int, block T, bytes units.Bytes) []T {
 	p := r.Size()
 	tag := r.nextCollTag(kindGather)
-	r.rt.cl.Tracer().Collective(r.Now(), r.rank, "gather")
 	if p == 1 {
 		return []T{block}
 	}

@@ -198,7 +198,6 @@ func (r *Rank) asyncSend(dst, tag int, payload interface{}, bytes units.Bytes) u
 // deliver runs in kernel context at the arrival time.
 func (rt *Runtime) deliver(dst int, e envelope) {
 	box := rt.boxes[dst]
-	rt.cl.Tracer().Recv(e.arrival, dst, e.msg.Src, e.msg.Bytes)
 	if box.waiting && match(e, box.waitSrc, box.waitTag) {
 		box.waiting = false
 		box.waitArrival = e.arrival

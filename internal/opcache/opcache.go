@@ -9,22 +9,21 @@
 // hypothetical future cluster states, and the relaxed idle-cluster pass
 // all evaluate identical (vector, n, p, f) tuples. core.Model.Predict is
 // pure, so the second and later evaluations are wasted work; this cache
-// turns them into a map lookup. The figures package threads the same
-// cache through its model-surface sweeps so a sweep grid is priced once
-// no matter how many figures or workers read it.
+// turns them into a map lookup. One-off evaluations — the analysis
+// sweeps and the model-surface figures, which read each point once —
+// call Predict directly instead (DESIGN.md "Pricing a point").
 //
 // Keying: application vectors hold closures, which Go cannot compare, so
 // the caller supplies an identity token (`owner`) that is stable for the
-// lifetime of the vector — the scheduler uses the job ID, the analysis
-// sweeps use the vector name. Rows are evaluated lazily per (owner, n, p)
-// against the machine's whole DVFS ladder in one pass, which matches how
-// every consumer reads them (admission scans ladders, the governor walks
-// them). Invalidation is by owner: the scheduler forgets a job's rows
+// lifetime of the vector — the scheduler and the federation router use
+// the job ID. Rows are evaluated lazily per (owner, n, p) against the
+// machine's whole DVFS ladder in one pass, which matches how every
+// consumer reads them (admission scans ladders, the governor walks them). Invalidation is by owner: the scheduler forgets a job's rows
 // when the job leaves the system, which bounds the cache by the number of
 // in-flight jobs. Nothing else invalidates — machine specs are immutable
 // for the cache's lifetime.
 //
-// A Cache is safe for concurrent use; parallel figure workers share one.
+// A Cache is safe for concurrent use.
 package opcache
 
 import (
@@ -78,23 +77,14 @@ type rowKey struct {
 	p int
 }
 
-// pointKey addresses one lazily-priced operating point (PointAt).
-type pointKey struct {
-	n  float64
-	p  int
-	fi int
-}
-
 // Cache memoizes Rows for one machine specification.
 type Cache struct {
-	spec   machine.Spec
 	ladder []units.Hertz
 	params []machine.Params // per ladder index
 
 	mu      sync.Mutex
 	rows    map[any]map[rowKey]*Row
 	errs    map[any]map[rowKey]error
-	points  map[any]map[pointKey]core.Prediction
 	hits    uint64
 	misses  uint64
 	forgets uint64
@@ -129,17 +119,12 @@ func New(spec machine.Spec) (*Cache, error) {
 		return nil, err
 	}
 	return &Cache{
-		spec:   spec,
 		ladder: append([]units.Hertz(nil), spec.Frequencies...),
 		params: params,
 		rows:   make(map[any]map[rowKey]*Row),
 		errs:   make(map[any]map[rowKey]error),
-		points: make(map[any]map[pointKey]core.Prediction),
 	}, nil
 }
-
-// Spec returns the machine specification the cache evaluates against.
-func (c *Cache) Spec() machine.Spec { return c.spec }
 
 // Ladder returns the DVFS frequencies rows are indexed by (ascending, as
 // declared by the spec). Callers must not mutate it.
@@ -179,8 +164,8 @@ func (c *Cache) Row(owner any, v app.Vector, n float64, p int) (*Row, error) {
 	c.mu.Unlock()
 
 	// Evaluate outside the lock: Predict is pure, and recomputing a row
-	// that raced is cheaper than serialising every parallel sweep worker
-	// behind one model evaluation.
+	// that raced is cheaper than serialising every reader behind one
+	// model evaluation.
 	r, err := c.evaluate(v, n, p)
 
 	c.mu.Lock()
@@ -215,46 +200,6 @@ func (c *Cache) Point(owner any, v app.Vector, n float64, p, fIdx int) (core.Pre
 	return r.Pred[fIdx], r.Draw[fIdx], nil
 }
 
-// PointAt prices one (n, p, ladder-index) point lazily: it is served
-// from an already-evaluated Row when one exists, and otherwise memoizes
-// just that single prediction — never the whole ladder. Sweeps that read
-// one frequency per cell (the fixed-f (p, n) surfaces) use this so the
-// cache cannot cost more Predict calls than direct evaluation would.
-// Errors are not memoized on this path; single-point consumers abort on
-// first failure.
-func (c *Cache) PointAt(owner any, v app.Vector, n float64, p, fIdx int) (core.Prediction, error) {
-	if fIdx < 0 || fIdx >= len(c.ladder) {
-		return core.Prediction{}, fmt.Errorf("opcache: ladder index %d outside [0,%d)", fIdx, len(c.ladder))
-	}
-	rk := rowKey{n: n, p: p}
-	pk := pointKey{n: n, p: p, fi: fIdx}
-	c.mu.Lock()
-	if r, ok := c.rows[owner][rk]; ok {
-		c.hits++
-		c.mu.Unlock()
-		return r.Pred[fIdx], nil
-	}
-	if pr, ok := c.points[owner][pk]; ok {
-		c.hits++
-		c.mu.Unlock()
-		return pr, nil
-	}
-	c.misses++
-	c.mu.Unlock()
-
-	pr, err := (core.Model{Machine: c.params[fIdx], App: v.At(n, p)}).Predict()
-	if err != nil {
-		return core.Prediction{}, fmt.Errorf("opcache: %s at n=%g p=%d f=%v: %w", v.Name, n, p, c.ladder[fIdx], err)
-	}
-	c.mu.Lock()
-	if c.points[owner] == nil {
-		c.points[owner] = make(map[pointKey]core.Prediction)
-	}
-	c.points[owner][pk] = pr
-	c.mu.Unlock()
-	return pr, nil
-}
-
 // Forget drops every row owned by the given identity — the scheduler
 // calls it when a job completes or is rejected so the cache stays
 // bounded by the jobs still in the system.
@@ -263,7 +208,6 @@ func (c *Cache) Forget(owner any) {
 	c.forgets++
 	delete(c.rows, owner)
 	delete(c.errs, owner)
-	delete(c.points, owner)
 	c.mu.Unlock()
 }
 
@@ -285,9 +229,6 @@ func (c *Cache) Size() int {
 		n += len(m)
 	}
 	for _, m := range c.errs {
-		n += len(m)
-	}
-	for _, m := range c.points {
 		n += len(m)
 	}
 	return n

@@ -124,41 +124,6 @@ func TestForget(t *testing.T) {
 	}
 }
 
-// PointAt prices exactly one point per miss (never the whole ladder),
-// and serves from a full Row when one already exists.
-func TestPointAtLazy(t *testing.T) {
-	c := testCache(t)
-	v := app.FT(20)
-	pr, err := c.PointAt("o", v, 1<<18, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := c.Stats(); st.Hits != 0 || st.Misses != 1 {
-		t.Fatalf("stats = %d/%d, want 0 hits 1 miss", st.Hits, st.Misses)
-	}
-	if n := c.Size(); n != 1 {
-		t.Fatalf("size = %d after one point, want 1 (whole-ladder row would be wasteful)", n)
-	}
-	if again, err := c.PointAt("o", v, 1<<18, 4, 2); err != nil || again != pr {
-		t.Fatalf("second PointAt not a hit: %v %v", again, err)
-	}
-	// A full Row for the same (n, p) serves later PointAt reads.
-	row, err := c.Row("o2", v, 1<<18, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromRow, err := c.PointAt("o2", v, 1<<18, 4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fromRow != row.Pred[3] {
-		t.Fatal("PointAt did not serve from the existing row")
-	}
-	if pr != row.Pred[2] {
-		t.Fatal("lazy point disagrees with row evaluation")
-	}
-}
-
 // LadderIndex round-trips the spec's frequencies and rejects strangers.
 func TestLadderIndex(t *testing.T) {
 	c := testCache(t)

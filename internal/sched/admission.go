@@ -24,6 +24,10 @@ type Candidate struct {
 	// paper Eq. 8–9 derivation and why the bound guarantees zero cap
 	// violations.
 	Cost units.Watts
+	// row is the ladder row the point was priced from; dispatch runs the
+	// job from this same row, so control and admission can never
+	// disagree about a job's operating points.
+	row *opcache.Row
 }
 
 // perfSlack returns the effective admission width-slack factor.
@@ -168,6 +172,7 @@ func (c *AdmitContext) search(e *entry, refTp units.Seconds, budget units.Watts,
 					Pool:  pi,
 					Point: analysis.Point{Pool: ps.name, P: p, Freq: ps.ladder[fi], N: j.N, Prediction: pred},
 					Cost:  cost,
+					row:   row,
 				}
 				if !permitted(c.rsvs, e, now, cand) {
 					continue
@@ -292,17 +297,4 @@ func (s *Scheduler) belowFloor(e *entry, free []int, budget units.Watts) bool {
 		}
 	}
 	return true
-}
-
-// profileLadder returns the job's cached ladder row at width p on the
-// given pool: model EE/energy/runtime and the conservative draw at every
-// ladder frequency. The governor consults it on every retune decision;
-// it is the same row admission priced the job from, so control and
-// admission can never disagree about a job's operating points.
-func (s *Scheduler) profileLadder(j Job, pool, p int) (*opcache.Row, bool) {
-	row, err := s.pools[pool].cache.Row(j.ID, j.Vector, j.N, p)
-	if err != nil {
-		return nil, false
-	}
-	return row, true
 }

@@ -224,9 +224,9 @@ func blockedScheduler(tb testing.TB, depth int) *Scheduler {
 		tb.Fatal(err)
 	}
 	holder := epJob(-1, 64)
-	prof, ok := s.profileLadder(holder, 0, 64)
-	if !ok {
-		tb.Fatal("profileLadder failed")
+	prof, err := s.pools[0].cache.Row(holder.ID, holder.Vector, holder.N, 64)
+	if err != nil {
+		tb.Fatal(err)
 	}
 	ranks := s.pools[0].free
 	s.pools[0].free = nil

@@ -22,9 +22,12 @@ import (
 //     RNG seeded (Seed ^ faultSeedMix), consumed in kernel event order
 //     — rank order at every shared instant — so the same (seed, plan)
 //     pair reproduces the same fault schedule bit for bit.
-//   - Byte-identity without faults. Every fault hook guards on
-//     Scheduler.flt (nil when Config.Faults is nil); the golden tests
-//     pin that a nil fault plan leaves schedules byte-identical.
+//   - Byte-identity without faults. A nil Config.Faults is normalised
+//     to the empty plan at New, under which no hook finds work (nothing
+//     scripted, no rates to draw from, no emergencies, no checkpoint
+//     interval); TestEmptyFaultPlanMatchesNil and the fault-free goldens
+//     pin it. What is reported stays keyed on the caller's config: the
+//     fault metrics are registered only when a plan was given.
 //   - Zero violations. Power emergencies are folded into the effective
 //     cap timeline at construction (Scheduler.effPlan), so admission,
 //     the governor and the violation audit all price against the
@@ -59,12 +62,13 @@ type faultState struct {
 	nFail, nRepair, nKill, nRestart, nCheckpoint, nLost int
 }
 
-// newFaultState sizes the bookkeeping for the run. Called from New
-// after the pools are provisioned.
-func newFaultState(s *Scheduler) *faultState {
+// newFaultState sizes the bookkeeping for the run under the normalised
+// plan (Config.Faults, or the empty plan). Called from New after the
+// pools are provisioned.
+func newFaultState(s *Scheduler, plan *faults.Plan) *faultState {
 	n := s.cfg.Ranks
 	f := &faultState{
-		plan:            s.cfg.Faults,
+		plan:            plan,
 		rng:             rand.New(rand.NewSource(s.cfg.Seed ^ faultSeedMix)),
 		dead:            make([]bool, n),
 		deadSince:       make([]units.Seconds, n),
@@ -72,7 +76,7 @@ func newFaultState(s *Scheduler) *faultState {
 		scriptedRepairs: make([][]units.Seconds, n),
 		deadByPool:      make([]int, len(s.pools)),
 	}
-	for _, ev := range s.cfg.Faults.Scripted {
+	for _, ev := range plan.Scripted {
 		if ev.Repair {
 			f.scriptedRepairs[ev.Rank] = append(f.scriptedRepairs[ev.Rank], ev.T)
 		}
@@ -98,9 +102,6 @@ func (f *faultState) repairComing(r int, now units.Seconds) bool {
 // still coming — the fault-side reason an idle, blocked queue should
 // park instead of finalising.
 func (s *Scheduler) repairAhead(now units.Seconds) bool {
-	if s.flt == nil {
-		return false
-	}
 	for r := range s.flt.dead {
 		if s.flt.dead[r] && s.flt.repairComing(r, now) {
 			return true
@@ -115,8 +116,8 @@ func (s *Scheduler) repairAhead(now units.Seconds) bool {
 // boundary (the cap clamp itself lives in the effective timeline).
 // Chains guard on s.remaining so a drained trace stops drawing.
 func (s *Scheduler) scheduleFaults() {
-	k := s.cl.Kernel()
-	for _, ev := range s.cfg.Faults.Scripted {
+	k, plan := s.cl.Kernel(), s.flt.plan
+	for _, ev := range plan.Scripted {
 		ev := ev
 		k.Schedule(ev.T, func() {
 			if s.remaining <= 0 {
@@ -130,13 +131,13 @@ func (s *Scheduler) scheduleFaults() {
 		})
 	}
 	for r := 0; r < s.cl.Ranks(); r++ {
-		rates, ok := s.cfg.Faults.RatesFor(s.pools[s.cl.PoolOf(r)].name)
+		rates, ok := plan.RatesFor(s.pools[s.cl.PoolOf(r)].name)
 		if !ok {
 			continue
 		}
 		s.armFailure(r, rates)
 	}
-	for _, e := range s.cfg.Faults.Emergencies {
+	for _, e := range plan.Emergencies {
 		e := e
 		k.Schedule(e.Start, func() {
 			if s.remaining > 0 && s.tel != nil {
@@ -297,7 +298,7 @@ func (s *Scheduler) lose(e *entry, reason string) {
 // when the job already ran and was killed — it consumed cluster time
 // and energy, which "rejected" would misreport.
 func (s *Scheduler) finalize(e *entry, reason string) {
-	if s.flt != nil && (e.res.Restarts > 0 || e.saved > 0) {
+	if e.res.Restarts > 0 || e.saved > 0 {
 		if s.tel != nil {
 			s.tel.emitLost(e, reason)
 		}
@@ -389,7 +390,7 @@ func (s *Scheduler) armCheckpoint(rj *runningJob) {
 // restarted jobs through this one hook.
 func (s *Scheduler) predTp(e *entry, row *opcache.Row, fi int) units.Seconds {
 	tp := row.Pred[fi].Tp
-	if s.flt == nil || (e.saved == 0 && e.res.Restarts == 0) {
+	if e.saved == 0 && e.res.Restarts == 0 {
 		return tp
 	}
 	return row.PartialTp(fi, 1-e.saved) + s.flt.plan.RestartCost

@@ -179,35 +179,26 @@ type TraceConfig struct {
 	MeanInterarrival units.Seconds
 	// MaxWidth caps job widths; zero means 32.
 	MaxWidth int
-	// DeadlineEvery gives every k-th job (jobs k−1, 2k−1, …) a
-	// deadline; zero means 4 (the historical trace shape), negative
-	// disables deadlines entirely.
-	DeadlineEvery int
-	// Deadline is the relative deadline those jobs carry; zero means
-	// the historical 30 s, and a negative value disables deadlines
-	// exactly like a negative DeadlineEvery.
-	Deadline units.Seconds
 }
+
+// Every traceDeadlineEvery-th job of a synthetic trace (jobs 3, 7, …)
+// carries the relative deadline traceDeadline — generous, so a miss
+// indicates pathological queueing.
+const (
+	traceDeadlineEvery               = 4
+	traceDeadline      units.Seconds = 30
+)
 
 // SyntheticTrace generates a deterministic mixed workload: the five
 // NPB-style vectors at randomised problem sizes, power-of-two widths,
-// priorities 1–4, exponential arrivals, and a deadline on every
-// DeadlineEvery-th job. The same config always yields the same trace;
-// the zero knobs reproduce the historical traces byte for byte.
+// priorities 1–4, exponential arrivals, and a deadline on every fourth
+// job. The same config always yields the same trace.
 func SyntheticTrace(cfg TraceConfig) []Job {
 	if cfg.MeanInterarrival <= 0 {
 		cfg.MeanInterarrival = 5 * units.Millisecond
 	}
 	if cfg.MaxWidth <= 0 {
 		cfg.MaxWidth = 32
-	}
-	if cfg.DeadlineEvery == 0 {
-		cfg.DeadlineEvery = 4
-	}
-	if cfg.Deadline < 0 {
-		cfg.DeadlineEvery = -1 // both knobs disable the same way
-	} else if cfg.Deadline == 0 {
-		cfg.Deadline = 30
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	type shape struct {
@@ -239,8 +230,8 @@ func SyntheticTrace(cfg TraceConfig) []Job {
 			Priority: 1 + rng.Intn(4),
 			Arrival:  t,
 		}
-		if cfg.DeadlineEvery > 0 && i%cfg.DeadlineEvery == cfg.DeadlineEvery-1 {
-			j.Deadline = cfg.Deadline // generous by default; misses indicate pathological queueing
+		if i%traceDeadlineEvery == traceDeadlineEvery-1 {
+			j.Deadline = traceDeadline
 		}
 		t += units.Seconds(rng.ExpFloat64() * float64(cfg.MeanInterarrival))
 		jobs = append(jobs, j)

@@ -183,6 +183,7 @@ func (c *AdmitContext) At(e *entry, pool, p int, f units.Hertz) (Candidate, bool
 		Pool:  pool,
 		Point: analysis.Point{Pool: ps.name, P: p, Freq: f, N: j.N, Prediction: pred},
 		Cost:  c.s.marginalCost(pool, row.Draw[fi], p),
+		row:   row,
 	}
 	if cand.Cost > c.s.narrowToLifetime(c.ctrl, c.now, c.headroom, cand.Tp) ||
 		!permitted(c.rsvs, e, c.now, cand) {

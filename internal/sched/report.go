@@ -151,7 +151,7 @@ func (s *Scheduler) collect() Result {
 	}
 	// A run whose budget was spelled as a timeline — by the caller, or by
 	// a power emergency clamping a bare cap — carries the window ledger.
-	if s.cfg.Plan != nil || (s.cfg.Faults != nil && len(s.cfg.Faults.Emergencies) > 0) {
+	if s.cfg.Plan != nil || len(s.flt.plan.Emergencies) > 0 {
 		// The effective timeline (budget plan clamped by any power
 		// emergencies) is what every decision and audit priced against,
 		// so the window accounting slices along it.
@@ -160,23 +160,21 @@ func (s *Scheduler) collect() Result {
 	}
 	res.HeadBypasses = s.headBypasses
 	res.Availability = 1
-	if s.flt != nil {
-		res.Failures = s.flt.nFail
-		res.Repairs = s.flt.nRepair
-		res.Kills = s.flt.nKill
-		res.Restarts = s.flt.nRestart
-		res.Checkpoints = s.flt.nCheckpoint
-		down := float64(s.flt.downTime)
-		for r := range s.flt.dead {
-			// Failures still open when the trace drained are clamped at
-			// the makespan.
-			if s.flt.dead[r] && s.flt.deadSince[r] < res.Makespan {
-				down += float64(res.Makespan - s.flt.deadSince[r])
-			}
+	res.Failures = s.flt.nFail
+	res.Repairs = s.flt.nRepair
+	res.Kills = s.flt.nKill
+	res.Restarts = s.flt.nRestart
+	res.Checkpoints = s.flt.nCheckpoint
+	down := float64(s.flt.downTime)
+	for r := range s.flt.dead {
+		// Failures still open when the trace drained are clamped at
+		// the makespan.
+		if s.flt.dead[r] && s.flt.deadSince[r] < res.Makespan {
+			down += float64(res.Makespan - s.flt.deadSince[r])
 		}
-		if res.Makespan > 0 && s.cl.Ranks() > 0 {
-			res.Availability = 1 - down/(float64(res.Makespan)*float64(s.cl.Ranks()))
-		}
+	}
+	if res.Makespan > 0 && s.cl.Ranks() > 0 {
+		res.Availability = 1 - down/(float64(res.Makespan)*float64(s.cl.Ranks()))
 	}
 	if res.Completed > 0 {
 		res.EnergyPerJob = units.Joules(float64(energy) / float64(res.Completed))

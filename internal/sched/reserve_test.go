@@ -47,9 +47,9 @@ func TestMultiReservationWhiteBox(t *testing.T) {
 		// All eight ranks busy with one running job.
 		lj := epJob(100, 8)
 		le := &entry{job: lj, res: JobResult{Job: lj, State: Running}}
-		prof, ok := s.profileLadder(lj, 0, 8)
-		if !ok {
-			t.Fatal("profileLadder failed")
+		prof, err := s.pools[0].cache.Row(lj.ID, lj.Vector, lj.N, 8)
+		if err != nil {
+			t.Fatal(err)
 		}
 		rj := &runningJob{e: le, ranks: []int{0, 1, 2, 3, 4, 5, 6, 7}, fIdx: 0, admIdx: 0, prof: prof}
 		s.running = []*runningJob{rj}

@@ -237,7 +237,7 @@ func TestDispatchAllocations(t *testing.T) {
 		t.Fatal("no candidate at the base frequency")
 	}
 	ps := &s.pools[0]
-	free := ps.free
+	free := append([]int(nil), ps.free...)
 	dispatch := func() {
 		s.start(e, cand, false, 0)
 		// Undo it by hand, without running the kernel (the armed event
@@ -248,7 +248,7 @@ func TestDispatchAllocations(t *testing.T) {
 			s.retuneRank(r, ps.ladder[0])
 			s.owner[r] = nil
 		}
-		ps.free, s.running = free, s.running[:0]
+		ps.free, s.running = append(ps.free[:0], free...), s.running[:0]
 	}
 	dispatch() // size the running list and price the op-cache row
 	if got := testing.AllocsPerRun(100, dispatch); got != 3 {
@@ -386,9 +386,9 @@ func TestGovernorThrottle(t *testing.T) {
 	}
 	j := epJob(0, 2)
 	e := &entry{job: j, res: JobResult{Job: j, State: Running}}
-	prof, ok := s.profileLadder(j, 0, 2)
-	if !ok {
-		t.Fatal("profileLadder failed")
+	prof, err := s.pools[0].cache.Row(j.ID, j.Vector, j.N, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
 	top := len(s.pools[0].ladder) - 1
 	rj := &runningJob{e: e, ranks: []int{0, 1}, fIdx: top, admIdx: top, prof: prof}
@@ -649,9 +649,9 @@ func TestGovernorThrottleVictimTieBreak(t *testing.T) {
 	mk := func(id int, ranks []int) *runningJob {
 		j := epJob(id, 2)
 		e := &entry{job: j, res: JobResult{Job: j, State: Running}}
-		prof, ok := s.profileLadder(j, 0, 2)
-		if !ok {
-			t.Fatal("profileLadder failed")
+		prof, err := s.pools[0].cache.Row(j.ID, j.Vector, j.N, 2)
+		if err != nil {
+			t.Fatal(err)
 		}
 		rj := &runningJob{e: e, ranks: ranks, fIdx: top, admIdx: top, prof: prof}
 		for _, r := range ranks {

@@ -140,14 +140,16 @@ type Scheduler struct {
 	// With no emergencies it is Config.Plan itself — same pointer, which
 	// is how a federation's revisions of that plan reach the scheduler.
 	effPlan *capplan.Plan
-	// flt is the fault-injection state, nil when Config.Faults is nil;
-	// every fault site guards on it (internal/sched/faults.go).
+	// flt is the fault-injection state of Config.Faults, or of the empty
+	// plan when that is nil — never nil (internal/sched/faults.go).
 	flt *faultState
 
 	// pools mirror Config.Platform.Pools; every candidate names the pool
 	// that priced it and rank assignment draws from that pool's free
-	// list.
-	pools []poolState
+	// list. largestPool is the biggest provisioned pool size — the widest
+	// any single job can ever run, since rank sets never span pools.
+	pools       []poolState
+	largestPool int
 
 	// cache memoizes every model evaluation keyed (pool, job ID, n, p,
 	// f): admission pricing, ladder profiles, the backfill shadow walk
@@ -328,14 +330,18 @@ func New(cfg Config) (*Scheduler, error) {
 	} else if err := plan.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Faults != nil {
-		if err := cfg.Faults.Validate(); err != nil {
-			return nil, err
-		}
-		for _, ev := range cfg.Faults.Scripted {
-			if ev.Rank >= cfg.Ranks {
-				return nil, fmt.Errorf("sched: fault plan scripts rank %d but only %d ranks are provisioned", ev.Rank, cfg.Ranks)
-			}
+	fplan := cfg.Faults
+	if fplan == nil {
+		// No fault plan is the empty one: nothing scripted, no rates,
+		// no emergencies — every fault hook then finds nothing to do.
+		fplan = &faults.Plan{}
+	}
+	if err := fplan.Validate(); err != nil {
+		return nil, err
+	}
+	for _, ev := range fplan.Scripted {
+		if ev.Rank >= cfg.Ranks {
+			return nil, fmt.Errorf("sched: fault plan scripts rank %d but only %d ranks are provisioned", ev.Rank, cfg.Ranks)
 		}
 	}
 
@@ -385,15 +391,13 @@ func New(cfg Config) (*Scheduler, error) {
 	for i := range s.pools {
 		s.pools[i].scratch = make([]int, 0, s.pools[i].size)
 		floor += units.Watts(float64(s.pools[i].size) * float64(s.pools[i].idleMin))
+		s.largestPool = max(s.largestPool, s.pools[i].size)
 	}
 	s.idleFloor = floor
-	s.effPlan = plan
-	if cfg.Faults != nil {
-		if s.effPlan, err = cfg.Faults.EffectiveCaps(plan); err != nil {
-			return nil, err
-		}
-		s.flt = newFaultState(s)
+	if s.effPlan, err = fplan.EffectiveCaps(plan); err != nil {
+		return nil, err
 	}
+	s.flt = newFaultState(s, fplan)
 	// The tightest effective window (budget timeline clamped by any
 	// power emergency) is the binding constraint: a budget below the
 	// idle floor anywhere on the timeline guarantees violations while
@@ -447,18 +451,6 @@ func (s *Scheduler) freeByPool() []int {
 	return s.freeBuf
 }
 
-// largestPool returns the biggest provisioned pool size — the widest any
-// single job can ever run, since rank sets never span pools.
-func (s *Scheduler) largestPool() int {
-	max := 0
-	for i := range s.pools {
-		if s.pools[i].size > max {
-			max = s.pools[i].size
-		}
-	}
-	return max
-}
-
 // ladderOf returns the DVFS ladder of the pool hosting a running job.
 func (s *Scheduler) ladderOf(rj *runningJob) []units.Hertz {
 	return s.pools[rj.pool].ladder
@@ -472,12 +464,9 @@ func (s *Scheduler) ladderOf(rj *runningJob) []units.Hertz {
 func (s *Scheduler) predictedTotal() units.Watts {
 	var total units.Watts
 	for i := range s.pools {
-		idle := len(s.pools[i].free)
-		if s.flt != nil {
-			// Dead ranks are fenced off the free list but their hardware
-			// still draws parked idle power until repaired.
-			idle += s.flt.deadByPool[i]
-		}
+		// Dead ranks are fenced off the free list but their hardware
+		// still draws parked idle power until repaired.
+		idle := len(s.pools[i].free) + s.flt.deadByPool[i]
 		total += units.Watts(float64(idle) * float64(s.pools[i].idleMin))
 	}
 	for _, rj := range s.running {
@@ -579,9 +568,7 @@ func (s *Scheduler) Run(jobs []Job) (Result, error) {
 	// Fault events (scripted fail/repair, MTBF chains, emergency
 	// markers) are armed after the plan edges so a fault and an edge at
 	// the same instant fire in a fixed order.
-	if s.flt != nil {
-		s.scheduleFaults()
-	}
+	s.scheduleFaults()
 
 	// Arrival events are scheduled in submission order so that same-time
 	// arrivals enqueue deterministically (the kernel fires equal-time
@@ -616,8 +603,8 @@ func (s *Scheduler) Run(jobs []Job) (Result, error) {
 
 // arrive runs in kernel context at a job's arrival time.
 func (s *Scheduler) arrive(e *entry) {
-	if e.job.minWidth() > s.largestPool() {
-		s.reject(e, fmt.Sprintf("needs %d ranks, largest pool has %d", e.job.minWidth(), s.largestPool()))
+	if e.job.minWidth() > s.largestPool {
+		s.reject(e, fmt.Sprintf("needs %d ranks, largest pool has %d", e.job.minWidth(), s.largestPool))
 		return
 	}
 	s.enqueue(e)
@@ -745,11 +732,9 @@ func (s *Scheduler) feasibleEver(e *entry, now units.Seconds) bool {
 	for i := range s.pools {
 		free[i] = s.pools[i].size
 	}
-	if s.flt != nil {
-		for r := range s.flt.dead {
-			if s.flt.dead[r] && !s.flt.repairComing(r, now) {
-				free[s.cl.PoolOf(r)]--
-			}
+	for r := range s.flt.dead {
+		if s.flt.dead[r] && !s.flt.repairComing(r, now) {
+			free[s.cl.PoolOf(r)]--
 		}
 	}
 	for t := now; ; {
@@ -899,13 +884,12 @@ func (s *Scheduler) start(e *entry, cand Candidate, backfilled bool, queueAfter 
 	now := s.cl.Kernel().Now()
 	j := e.job
 	ps := &s.pools[cand.Pool]
-	prof, ok := s.profileLadder(j, cand.Pool, cand.P)
-	if !ok {
-		s.reject(e, "model evaluation failed at admission")
-		return
-	}
+	prof := cand.row
 	ranks := append([]int(nil), ps.free[:cand.P]...)
-	ps.free = ps.free[cand.P:]
+	// Shift down rather than reslice past the prefix: the free list keeps
+	// its base, so the buffer releaseRanks later swaps into scratch still
+	// has the pool's full capacity and the merge never reallocates.
+	ps.free = ps.free[:copy(ps.free, ps.free[cand.P:])]
 
 	fi := ps.cache.LadderIndex(cand.Freq)
 	w := prof.W
@@ -918,7 +902,7 @@ func (s *Scheduler) start(e *entry, cand Candidate, backfilled bool, queueAfter 
 	// restart surcharge: cand.Tp already carries that scaled runtime
 	// (predTp), so the issued slice workloads shrink by the same factor.
 	scale := 1.0
-	if s.flt != nil && (e.saved > 0 || e.res.Restarts > 0) {
+	if e.saved > 0 || e.res.Restarts > 0 {
 		if full := prof.Pred[fi].Tp; full > 0 {
 			scale = float64(cand.Tp) / float64(full)
 		}
@@ -978,15 +962,13 @@ func (s *Scheduler) start(e *entry, cand Candidate, backfilled bool, queueAfter 
 	if s.tel != nil {
 		s.tel.emitAdmit(rj, cand, backfilled, queueAfter)
 	}
-	if s.flt != nil {
-		if e.res.Restarts > 0 {
-			s.flt.nRestart++
-			if s.tel != nil {
-				s.tel.emitRestart(rj)
-			}
+	if e.res.Restarts > 0 {
+		s.flt.nRestart++
+		if s.tel != nil {
+			s.tel.emitRestart(rj)
 		}
-		s.armCheckpoint(rj)
 	}
+	s.armCheckpoint(rj)
 
 	if s.lockstep {
 		rj.chains = rj.one[:]

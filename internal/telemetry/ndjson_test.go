@@ -3,6 +3,8 @@ package telemetry
 import (
 	"bytes"
 	"errors"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -170,4 +172,52 @@ func TestKindByName(t *testing.T) {
 	if _, ok := KindByName("bogus"); ok {
 		t.Fatal("bogus kind resolved")
 	}
+}
+
+// FuzzDecodeNDJSON feeds the decoder arbitrary bytes: it never panics,
+// and a stream it accepts re-encodes through NDJSONSink to bytes that
+// decode to the same events (modulo what the format cannot carry — see
+// decoded). Seeded with the first line of every kind in the scheduler's
+// golden event stream, plus its opening lines as one multi-line input.
+func FuzzDecodeNDJSON(f *testing.F) {
+	golden, err := os.ReadFile("../sched/testdata/golden_events.ndjson")
+	if err != nil {
+		f.Fatal(err)
+	}
+	lines := bytes.SplitAfter(golden, []byte("\n"))
+	f.Add(bytes.Join(lines[:8], nil))
+	seen := map[string]bool{}
+	for _, line := range lines {
+		if evs, err := DecodeNDJSON(bytes.NewReader(line)); err == nil && len(evs) == 1 && !seen[evs[0].Kind.String()] {
+			seen[evs[0].Kind.String()] = true
+			f.Add(line)
+		}
+	}
+	f.Add([]byte(`{"t":-0,"ev":"arrive","rank":3,"ranks":[],"job":-1,"w":-0,"app":"\ud800"}` + "\r\n\n"))
+	f.Add([]byte("{\"t\":0,\"ev\":\"arrive\"}\nnot json"))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		evs, err := DecodeNDJSON(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		s := NewNDJSONSink(&buf)
+		for _, ev := range evs {
+			if err := s.Write(ev); err != nil {
+				t.Fatalf("decoded event %+v does not re-encode: %v", ev, err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		again, err := DecodeNDJSON(&buf)
+		if err != nil || len(again) != len(evs) {
+			t.Fatalf("re-encoded stream decodes to %d events, %v; want %d", len(again), err, len(evs))
+		}
+		for i := range evs {
+			if want := decoded(evs[i]); !reflect.DeepEqual(again[i], want) {
+				t.Fatalf("event %d changed across a re-encode:\n got %+v\nwant %+v", i, again[i], want)
+			}
+		}
+	})
 }

@@ -1,5 +1,5 @@
 // Package trace provides TAU-style application tracing for the simulated
-// runtime: phase (region) timers and a communication event log.
+// runtime: phase (region) timers and communication totals.
 //
 // The paper obtains the communication parameters M (total messages) and B
 // (total bytes) with TAU/PMPI; here the mpi package records every send
@@ -16,51 +16,10 @@ import (
 	"repro/internal/units"
 )
 
-// Kind classifies trace events.
-type Kind int
-
-// Event kinds.
-const (
-	KindPhaseEnter Kind = iota
-	KindPhaseExit
-	KindSend
-	KindRecv
-	KindCollective
-)
-
-func (k Kind) String() string {
-	switch k {
-	case KindPhaseEnter:
-		return "enter"
-	case KindPhaseExit:
-		return "exit"
-	case KindSend:
-		return "send"
-	case KindRecv:
-		return "recv"
-	case KindCollective:
-		return "coll"
-	default:
-		return fmt.Sprintf("kind(%d)", int(k))
-	}
-}
-
-// Event is one trace record.
-type Event struct {
-	T     units.Seconds
-	Rank  int
-	Kind  Kind
-	Name  string // phase name or collective name
-	Peer  int    // destination (send) / source (recv); -1 otherwise
-	Bytes units.Bytes
-}
-
 // Tracer collects events and aggregates phase times. The zero value is a
 // disabled tracer that drops everything; use New for a recording one.
 type Tracer struct {
 	enabled   bool
-	keepLog   bool
-	events    []Event
 	phaseTime map[string]units.Seconds
 	phaseHits map[string]int64
 	open      map[string][]units.Seconds // per phase stack of enter times (keyed by rank+name)
@@ -68,12 +27,11 @@ type Tracer struct {
 	bytes     float64
 }
 
-// New returns a recording tracer. If keepLog is false, only aggregates
-// (phase times, M, B) are kept, which is what long simulations want.
-func New(keepLog bool) *Tracer {
+// New returns a recording tracer. Only aggregates (phase times, M, B)
+// are kept, never a per-event log.
+func New() *Tracer {
 	return &Tracer{
 		enabled:   true,
-		keepLog:   keepLog,
 		phaseTime: make(map[string]units.Seconds),
 		phaseHits: make(map[string]int64),
 		open:      make(map[string][]units.Seconds),
@@ -82,12 +40,6 @@ func New(keepLog bool) *Tracer {
 
 // Enabled reports whether the tracer records anything.
 func (t *Tracer) Enabled() bool { return t != nil && t.enabled }
-
-func (t *Tracer) log(e Event) {
-	if t.keepLog {
-		t.events = append(t.events, e)
-	}
-}
 
 func phaseKey(rank int, name string) string { return fmt.Sprintf("%d\x00%s", rank, name) }
 
@@ -98,7 +50,6 @@ func (t *Tracer) PhaseEnter(now units.Seconds, rank int, name string) {
 	}
 	key := phaseKey(rank, name)
 	t.open[key] = append(t.open[key], now)
-	t.log(Event{T: now, Rank: rank, Kind: KindPhaseEnter, Name: name, Peer: -1})
 }
 
 // PhaseExit marks a rank leaving a named region; the enclosing PhaseEnter
@@ -116,7 +67,6 @@ func (t *Tracer) PhaseExit(now units.Seconds, rank int, name string) {
 	t.open[key] = stack[:len(stack)-1]
 	t.phaseTime[name] += now - enter
 	t.phaseHits[name]++
-	t.log(Event{T: now, Rank: rank, Kind: KindPhaseExit, Name: name, Peer: -1})
 }
 
 // Send records a point-to-point payload leaving a rank.
@@ -126,23 +76,6 @@ func (t *Tracer) Send(now units.Seconds, rank, dst int, bytes units.Bytes) {
 	}
 	t.msgs++
 	t.bytes += float64(bytes)
-	t.log(Event{T: now, Rank: rank, Kind: KindSend, Peer: dst, Bytes: bytes})
-}
-
-// Recv records a receive completion.
-func (t *Tracer) Recv(now units.Seconds, rank, src int, bytes units.Bytes) {
-	if !t.Enabled() {
-		return
-	}
-	t.log(Event{T: now, Rank: rank, Kind: KindRecv, Peer: src, Bytes: bytes})
-}
-
-// Collective records participation in a named collective.
-func (t *Tracer) Collective(now units.Seconds, rank int, name string) {
-	if !t.Enabled() {
-		return
-	}
-	t.log(Event{T: now, Rank: rank, Kind: KindCollective, Name: name, Peer: -1})
 }
 
 // Messages returns M, the total messages recorded.
@@ -180,14 +113,6 @@ func (t *Tracer) Phases() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Events returns the raw log (empty unless keepLog was set).
-func (t *Tracer) Events() []Event {
-	if t == nil {
-		return nil
-	}
-	return t.events
 }
 
 // Summary renders the per-phase aggregate table.

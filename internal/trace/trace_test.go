@@ -6,7 +6,7 @@ import (
 )
 
 func TestPhaseAccumulation(t *testing.T) {
-	tr := New(false)
+	tr := New()
 	tr.PhaseEnter(0, 0, "compute")
 	tr.PhaseExit(10, 0, "compute")
 	tr.PhaseEnter(5, 1, "compute")
@@ -20,7 +20,7 @@ func TestPhaseAccumulation(t *testing.T) {
 }
 
 func TestNestedPhases(t *testing.T) {
-	tr := New(false)
+	tr := New()
 	tr.PhaseEnter(0, 0, "outer")
 	tr.PhaseEnter(2, 0, "outer") // recursive re-entry of the same phase
 	tr.PhaseExit(3, 0, "outer")
@@ -36,11 +36,11 @@ func TestPhaseExitWithoutEnterPanics(t *testing.T) {
 			t.Fatal("exit without enter must panic")
 		}
 	}()
-	New(false).PhaseExit(1, 0, "ghost")
+	New().PhaseExit(1, 0, "ghost")
 }
 
 func TestMessageAccounting(t *testing.T) {
-	tr := New(false)
+	tr := New()
 	tr.Send(1, 0, 1, 100)
 	tr.Send(2, 1, 0, 200)
 	if tr.Messages() != 2 || tr.Bytes() != 300 {
@@ -61,25 +61,8 @@ func TestDisabledTracerDropsEverything(t *testing.T) {
 	}
 }
 
-func TestEventLogRetention(t *testing.T) {
-	withLog := New(true)
-	withLog.Send(1, 0, 1, 64)
-	withLog.Collective(2, 0, "barrier")
-	if len(withLog.Events()) != 2 {
-		t.Fatalf("event log has %d entries, want 2", len(withLog.Events()))
-	}
-	withoutLog := New(false)
-	withoutLog.Send(1, 0, 1, 64)
-	if len(withoutLog.Events()) != 0 {
-		t.Fatal("keepLog=false must not retain events")
-	}
-	if withoutLog.Messages() != 1 {
-		t.Fatal("aggregates must still accumulate")
-	}
-}
-
 func TestSummaryRendering(t *testing.T) {
-	tr := New(false)
+	tr := New()
 	tr.PhaseEnter(0, 0, "alltoall")
 	tr.PhaseExit(4, 0, "alltoall")
 	tr.Send(1, 0, 1, 128)
@@ -87,15 +70,6 @@ func TestSummaryRendering(t *testing.T) {
 	for _, want := range []string{"alltoall", "M=1", "B=128"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("summary missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestKindString(t *testing.T) {
-	kinds := []Kind{KindPhaseEnter, KindPhaseExit, KindSend, KindRecv, KindCollective, Kind(99)}
-	for _, k := range kinds {
-		if k.String() == "" {
-			t.Fatalf("kind %d has empty string", int(k))
 		}
 	}
 }
