@@ -3,24 +3,29 @@
 // problem size, parallelism, DVFS frequency) tuple maps to one predicted
 // Point and one conservative sustained power draw.
 //
-// The power-budget scheduler prices the same points over and over — the
-// admission search on every scheduling edge, the profile the governor
-// consults at every retune decision, the backfill shadow walk probing
-// hypothetical future cluster states, and the relaxed idle-cluster pass
-// all evaluate identical (vector, n, p, f) tuples. core.Model.Predict is
-// pure, so the second and later evaluations are wasted work; this cache
-// turns them into a map lookup. One-off evaluations — the analysis
-// sweeps and the model-surface figures, which read each point once —
-// call Predict directly instead (DESIGN.md "Pricing a point").
+// A job's grid is fixed while it is in the system, yet its points are
+// wanted over and over — the admission search on every scheduling edge,
+// the profile the governor consults at every retune decision, the
+// backfill shadow walk probing hypothetical future cluster states, the
+// relaxed idle-cluster pass and the federation router's per-site quotes
+// all read identical (vector, n, p, f) tuples. core.Model.Predict is
+// pure, so this package evaluates each (owner, n, p) row once, owns it,
+// and counts the evaluations. The scheduler keeps a reference to each row
+// on the job's queue entry after its first lookup and re-reads it there
+// (its hit count here is zero by construction); the federation router
+// re-reads through the memo, a map lookup. One-off evaluations — the
+// analysis sweeps and the model-surface figures, which read each point
+// once — call Predict directly instead (DESIGN.md "Pricing a point").
 //
 // Keying: application vectors hold closures, which Go cannot compare, so
 // the caller supplies an identity token (`owner`) that is stable for the
 // lifetime of the vector — the scheduler and the federation router use
 // the job ID. Rows are evaluated lazily per (owner, n, p) against the
 // machine's whole DVFS ladder in one pass, which matches how every
-// consumer reads them (admission scans ladders, the governor walks them). Invalidation is by owner: the scheduler forgets a job's rows
-// when the job leaves the system, which bounds the cache by the number of
-// in-flight jobs. Nothing else invalidates — machine specs are immutable
+// consumer reads them (admission scans ladders, the governor walks them).
+// Invalidation is by owner: the scheduler forgets a job's rows (and drops
+// its own references) when the job leaves the system, which bounds the
+// cache by the number of in-flight jobs. Nothing else invalidates — machine specs are immutable
 // for the cache's lifetime.
 //
 // A Cache is safe for concurrent use.

@@ -67,31 +67,31 @@ const (
 )
 
 // Best returns the job's best operating point under obj whose marginal
-// power cost fits budget, by the rules of search; ok is false when the
-// job should wait. Most searches of a deep queue end in "no width fits
-// the free ranks": the job's admissibility floor (belowFloor) answers
-// those without touching the grid.
-func (c *AdmitContext) Best(e *entry, budget units.Watts, obj analysis.Objective) (Candidate, bool) {
+// power cost fits budget, by the rules of search — in the scheduler's
+// scratch, valid until the next search — or nil when the job should
+// wait. Most searches of a deep queue end in "no width fits the free
+// ranks": the admissibility floor (belowFloor) answers those off-grid.
+func (c *AdmitContext) Best(e *entry, budget units.Watts, obj analysis.Objective) *Candidate {
 	if budget <= 0 {
-		return Candidate{}, false
+		return nil
 	}
 	refTp, ok := c.s.referenceTp(e)
 	if !ok || (!c.relaxed && c.s.belowFloor(e, c.free, budget)) {
-		return Candidate{}, false
+		return nil
 	}
-	cand, stage := c.search(e, refTp, budget, obj)
-	return cand, stage == stageFeasible
+	cand, _ := c.search(e, refTp, budget, obj)
+	return cand
 }
 
 // search walks the per-pool grids of the job's candidate widths × each
 // pool's DVFS ladder for the best point under the objective whose
 // marginal cost fits the power budget, and reports the stage the walk
-// reached. The grid is the same per-pool enumeration
-// analysis.ForEachOperatingPoint scans offline, but served from the
-// op-cache: every (pool, n, p) row is evaluated once per job lifetime
-// and every later scheduling edge — including the backfill shadow walk,
-// which re-prices the head at each hypothetical future state — is pure
-// lookups.
+// reached; the candidate is nil below stageFeasible, else one of the
+// scheduler's scratch pair, valid until the next search. The grid is the
+// per-pool enumeration analysis.ForEachOperatingPoint scans offline,
+// read off the job's entry (priced): every (pool, n, p) row is evaluated
+// once per job lifetime and every later scheduling edge — the shadow
+// walk re-pricing the head at each future state included — scans it.
 //
 // Pools are scanned in platform order, so equal points keep the earlier
 // pool (for an ee-max policy the winner is the EE-best pool; strictly
@@ -132,24 +132,24 @@ func (c *AdmitContext) Best(e *entry, budget units.Watts, obj analysis.Objective
 // predicted lifetime, not just the budget at now — expressed as a
 // per-candidate narrowing of the budget (narrowToLifetime). A job is
 // never started into a budget window it cannot fit.
-func (c *AdmitContext) search(e *entry, refTp units.Seconds, budget units.Watts, obj analysis.Objective) (Candidate, int) {
+func (c *AdmitContext) search(e *entry, refTp units.Seconds, budget units.Watts, obj analysis.Objective) (*Candidate, int) {
 	s, j, now := c.s, &e.job, c.now
 	maxTp := units.Seconds(float64(refTp) * s.perfSlack())
-	var best, bestDL Candidate
+	best, bestDL := &s.best, &s.bestDL
 	stage, foundDL := stageNone, false
 	var wbuf [maxWidths]int
 	for pi := range s.pools {
 		ps := &s.pools[pi]
 		for _, p := range j.widths(wbuf[:0], c.free[pi]) {
 			stage = max(stage, stageWidth)
-			row, err := ps.cache.Row(j.ID, j.Vector, j.N, p)
-			if err != nil {
+			row, fastest := s.priced(e, pi, p)
+			if row == nil {
 				// Match the offline enumeration: a model failure anywhere in
 				// the grid voids the whole search rather than silently
 				// shrinking it.
-				return Candidate{}, stageModel
+				return nil, stageModel
 			}
-			if !c.relaxed && row.FastestTp() > maxTp {
+			if !c.relaxed && fastest > maxTp {
 				continue
 			}
 			stage = max(stage, stageSlack)
@@ -166,6 +166,9 @@ func (c *AdmitContext) search(e *entry, refTp units.Seconds, budget units.Watts,
 					continue
 				}
 				stage = max(stage, stagePlan)
+				if !permitted(c.rsvs, e, now, pi, p, cost, tp) {
+					continue
+				}
 				pred := row.Pred[fi]
 				pred.Tp = tp
 				cand := Candidate{
@@ -174,15 +177,12 @@ func (c *AdmitContext) search(e *entry, refTp units.Seconds, budget units.Watts,
 					Cost:  cost,
 					row:   row,
 				}
-				if !permitted(c.rsvs, e, now, cand) {
-					continue
-				}
 				if stage < stageFeasible || obj.Better(cand.Point, best.Point) {
-					best, stage = cand, stageFeasible
+					*best, stage = cand, stageFeasible
 				}
-				if j.Deadline > 0 && now+cand.Tp <= j.Arrival+j.Deadline {
+				if j.Deadline > 0 && now+tp <= j.Arrival+j.Deadline {
 					if !foundDL || obj.Better(cand.Point, bestDL.Point) {
-						bestDL, foundDL = cand, true
+						*bestDL, foundDL = cand, true
 					}
 				}
 			}
@@ -190,6 +190,9 @@ func (c *AdmitContext) search(e *entry, refTp units.Seconds, budget units.Watts,
 	}
 	if foundDL {
 		return bestDL, stageFeasible
+	}
+	if stage < stageFeasible {
+		return nil, stage
 	}
 	return best, stage
 }
@@ -200,7 +203,7 @@ func (c *AdmitContext) search(e *entry, refTp units.Seconds, budget units.Watts,
 // any candidate cleared (stageFeasible: a point exists and the policy
 // declined it). Telemetry-only — schedTelemetry.blockReason words the
 // result — so the extra grid walk costs nothing when tracing is off;
-// the rows are op-cache hits either way.
+// the rows are on the entry either way.
 func (c *AdmitContext) blockStage(e *entry) int {
 	refTp, ok := c.s.referenceTp(e)
 	if !ok {
@@ -215,6 +218,33 @@ func (c *AdmitContext) blockStage(e *entry) int {
 type poolFloor struct {
 	p    int         // narrowest slack-eligible width; math.MaxInt when none is
 	cost units.Watts // cheapest marginal draw over the eligible (p, f) points
+}
+
+// pricedRow is one (pool, width) row of a job's grid as its entry holds
+// it: the op-cache's canonical row and its best runtime over the ladder.
+type pricedRow struct {
+	pool, p int
+	row     *opcache.Row // nil: the model fails at this width
+	fastest units.Seconds
+}
+
+// priced returns the job's ladder row at width p of the pool with its
+// fastest runtime, or a nil row where the model does not evaluate. The
+// op-cache, which owns the rows, is asked once per width — by
+// referenceTp, or when free ranks cap a search at a width outside its
+// set — and every later search scans e.grid.
+func (s *Scheduler) priced(e *entry, pool, p int) (*opcache.Row, units.Seconds) {
+	for i := range e.grid {
+		if g := &e.grid[i]; g.p == p && g.pool == pool {
+			return g.row, g.fastest
+		}
+	}
+	g := pricedRow{pool: pool, p: p}
+	if row, err := s.pools[pool].cache.Row(e.job.ID, e.job.Vector, e.job.N, p); err == nil {
+		g.row, g.fastest = row, row.FastestTp()
+	}
+	e.grid = append(e.grid, g)
+	return g.row, g.fastest
 }
 
 // referenceTp returns (pricing the job on first use) the unconstrained
@@ -233,24 +263,17 @@ func (s *Scheduler) referenceTp(e *entry) (units.Seconds, bool) {
 	}
 	j := &e.job
 	e.refTp = -1
-	type pricedRow struct {
-		pool, p int
-		row     *opcache.Row
-	}
-	var grid []pricedRow
 	var wbuf [maxWidths]int
 	ref := units.Seconds(0)
 	for pi := range s.pools {
-		ps := &s.pools[pi]
-		for _, p := range j.widths(wbuf[:0], ps.size) {
-			row, err := ps.cache.Row(j.ID, j.Vector, j.N, p)
-			if err != nil {
+		for _, p := range j.widths(wbuf[:0], s.pools[pi].size) {
+			row, fastest := s.priced(e, pi, p)
+			if row == nil {
 				return 0, false
 			}
-			if tp := row.FastestTp(); ref == 0 || tp < ref {
-				ref = tp
+			if ref == 0 || fastest < ref {
+				ref = fastest
 			}
-			grid = append(grid, pricedRow{pi, p, row})
 		}
 	}
 	if ref <= 0 {
@@ -262,8 +285,8 @@ func (s *Scheduler) referenceTp(e *entry) (units.Seconds, bool) {
 	for pi := range e.floor {
 		e.floor[pi] = poolFloor{p: math.MaxInt, cost: units.Watts(math.Inf(1))}
 	}
-	for _, g := range grid {
-		if g.row.FastestTp() > maxTp {
+	for _, g := range e.grid { // a width only At asked for just loosens the floor
+		if g.row == nil || g.fastest > maxTp {
 			continue
 		}
 		fl := &e.floor[g.pool]

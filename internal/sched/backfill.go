@@ -60,29 +60,30 @@ type reservation struct {
 	extraWatts units.Watts
 }
 
-// permits reports whether admitting job e at candidate c now would keep
-// the reservation intact: the reserved job itself is exempt, jobs whose
-// predicted run does not overlap the reserved occupancy [at, at+dur)
-// never touch it — completion before the reserved start, or (in a
-// shadow probe at a future state) a start after the reserved job has
-// drained — and anything else must fit the spare capacity of its own
-// pool. A nil reservation permits everything.
-func (r *reservation) permits(e *entry, now units.Seconds, c Candidate) bool {
+// permits reports whether admitting job e now on p ranks of pool, at
+// marginal draw cost for a predicted tp, would keep the reservation
+// intact: the reserved job itself is exempt, jobs whose predicted run
+// does not overlap the reserved occupancy [at, at+dur) never touch it —
+// completion before the reserved start, or (in a shadow probe at a
+// future state) a start after the reserved job has drained — and
+// anything else must fit the spare capacity of its own pool. Scalars,
+// because most searched points die here: no Candidate is built for them.
+func (r *reservation) permits(e *entry, now units.Seconds, pool, p int, cost units.Watts, tp units.Seconds) bool {
 	if r == nil || e == r.e {
 		return true
 	}
-	if now+c.Tp <= r.at || now >= r.at+r.dur {
+	if now+tp <= r.at || now >= r.at+r.dur {
 		return true
 	}
-	return c.P <= r.extraRanks[c.Pool] && c.Cost <= r.extraWatts
+	return p <= r.extraRanks[pool] && cost <= r.extraWatts
 }
 
-// permitted reports whether every active reservation permits the
-// candidate — the conservative multi-reservation contract: an admission
-// may delay none of the reserved starts.
-func permitted(rsvs []*reservation, e *entry, now units.Seconds, c Candidate) bool {
+// permitted reports whether every active reservation permits the point
+// — the conservative multi-reservation contract: an admission may delay
+// none of the reserved starts.
+func permitted(rsvs []*reservation, e *entry, now units.Seconds, pool, p int, cost units.Watts, tp units.Seconds) bool {
 	for _, r := range rsvs {
-		if !r.permits(e, now, c) {
+		if !r.permits(e, now, pool, p, cost, tp) {
 			return false
 		}
 	}
@@ -158,11 +159,11 @@ func (b backfillPolicy) Admit(ctx *AdmitContext) {
 	var rsvs []*reservation
 	if rsv := ctx.s.computeReservation(head, b.inner, ctx, nil); rsv != nil {
 		rsvs = append(rsvs, rsv)
-		for e := range ctx.Queued() {
+		for _, e := range ctx.queue { // not Queued: it yields nothing on a full cluster
 			if len(rsvs) >= b.k {
 				break
 			}
-			if e == head {
+			if e == head || ctx.taken(e) {
 				continue
 			}
 			ctx.rsvs = rsvs

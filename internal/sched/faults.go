@@ -288,6 +288,7 @@ func (s *Scheduler) lose(e *entry, reason string) {
 	s.remaining--
 	s.flt.nLost++
 	s.cache.Forget(e.job.ID)
+	e.grid, e.floor = nil, nil
 	if s.tel != nil {
 		s.tel.lost.Inc()
 	}

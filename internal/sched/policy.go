@@ -121,15 +121,19 @@ func (c *AdmitContext) Queued() iter.Seq[*entry] { return c.pending(c.queue) }
 // priority descending, then arrival, then ID.
 func (c *AdmitContext) Prioritized() iter.Seq[*entry] { return c.pending(c.prio) }
 
+// pending stops once no pool has a free rank: Best then finds no width
+// and At too few ranks, so every job skipped is a certain "wait". Ranks
+// only — a zero headroom still admits a zero-cost point.
 func (c *AdmitContext) pending(view []*entry) iter.Seq[*entry] {
 	return func(yield func(*entry) bool) {
+		v := view
 		if c.only != nil {
-			if !c.taken(c.only) {
-				yield(c.only)
-			}
-			return
+			v = []*entry{c.only}
 		}
-		for _, e := range view {
+		for _, e := range v {
+			if c.FreeRanks() == 0 {
+				return
+			}
 			if !c.taken(e) && !yield(e) {
 				return
 			}
@@ -150,20 +154,21 @@ func (c *AdmitContext) taken(e *entry) bool {
 // head returns the first pending job in queue order — insertion order,
 // so a requeued job stands behind everything already waiting, whatever
 // its arrival time. It is the job EASY-style backfill protects with a
-// reservation.
+// reservation — on a full cluster above all, where Queued yields nothing.
 func (c *AdmitContext) head() *entry {
-	for e := range c.Queued() {
-		return e
+	for _, e := range c.queue {
+		if !c.taken(e) {
+			return e
+		}
 	}
 	return nil
 }
 
-// At prices one explicit (pool, p, f) point for the job — a single
-// op-cache lookup after the first evaluation; ok is false when the
-// point is invalid, needs more ranks than the pool has free, exceeds
-// the context's remaining headroom (narrowed, under a cap timeline, to
-// the minimum budget window the job would live through), or would eat
-// an active backfill reservation.
+// At prices one explicit (pool, p, f) point for the job off its entry's
+// grid (priced); ok is false when the point is invalid, needs more ranks
+// than the pool has free, exceeds the context's remaining headroom
+// (narrowed, under a cap timeline, to the minimum budget window the job
+// would live through), or would eat an active backfill reservation.
 func (c *AdmitContext) At(e *entry, pool, p int, f units.Hertz) (Candidate, bool) {
 	if pool < 0 || pool >= len(c.free) || p < 1 || p > c.free[pool] {
 		return Candidate{}, false
@@ -173,23 +178,23 @@ func (c *AdmitContext) At(e *entry, pool, p int, f units.Hertz) (Candidate, bool
 	if fi < 0 {
 		return Candidate{}, false
 	}
-	row, err := ps.cache.Row(j.ID, j.Vector, j.N, p)
-	if err != nil {
+	row, _ := c.s.priced(e, pool, p)
+	if row == nil {
+		return Candidate{}, false
+	}
+	cost, tp := c.s.marginalCost(pool, row.Draw[fi], p), c.s.predTp(e, row, fi)
+	if cost > c.s.narrowToLifetime(c.ctrl, c.now, c.headroom, tp) ||
+		!permitted(c.rsvs, e, c.now, pool, p, cost, tp) {
 		return Candidate{}, false
 	}
 	pred := row.Pred[fi]
-	pred.Tp = c.s.predTp(e, row, fi)
-	cand := Candidate{
+	pred.Tp = tp
+	return Candidate{
 		Pool:  pool,
 		Point: analysis.Point{Pool: ps.name, P: p, Freq: f, N: j.N, Prediction: pred},
-		Cost:  c.s.marginalCost(pool, row.Draw[fi], p),
+		Cost:  cost,
 		row:   row,
-	}
-	if cand.Cost > c.s.narrowToLifetime(c.ctrl, c.now, c.headroom, cand.Tp) ||
-		!permitted(c.rsvs, e, c.now, cand) {
-		return Candidate{}, false
-	}
-	return cand, true
+	}, true
 }
 
 // Admit commits the job at the candidate point, deducting its ranks
@@ -285,8 +290,8 @@ func (eeMaxPolicy) DVFS() bool   { return true }
 
 func (eeMaxPolicy) Admit(ctx *AdmitContext) {
 	for e := range ctx.Prioritized() {
-		if cand, ok := ctx.Best(e, ctx.Headroom(), analysis.MaxEE); ok {
-			ctx.Admit(e, cand)
+		if cand := ctx.Best(e, ctx.Headroom(), analysis.MaxEE); cand != nil {
+			ctx.Admit(e, *cand)
 		}
 	}
 }
@@ -320,16 +325,16 @@ func (fairSharePolicy) Admit(ctx *AdmitContext) {
 		if share > ctx.Headroom() {
 			share = ctx.Headroom()
 		}
-		if cand, ok := ctx.Best(e, share, analysis.MaxEE); ok {
-			ctx.Admit(e, cand)
+		if cand := ctx.Best(e, share, analysis.MaxEE); cand != nil {
+			ctx.Admit(e, *cand)
 		}
 	}
 	// Work conservation: if the shares stranded everything, start the
 	// best single job the full remaining headroom can carry.
 	if len(ctx.admitted) == 0 {
 		for e := range ctx.Prioritized() {
-			if cand, ok := ctx.Best(e, ctx.Headroom(), analysis.MaxEE); ok {
-				ctx.Admit(e, cand)
+			if cand := ctx.Best(e, ctx.Headroom(), analysis.MaxEE); cand != nil {
+				ctx.Admit(e, *cand)
 				return
 			}
 		}

@@ -151,10 +151,12 @@ type Scheduler struct {
 	pools       []poolState
 	largestPool int
 
-	// cache memoizes every model evaluation keyed (pool, job ID, n, p,
-	// f): admission pricing, ladder profiles, the backfill shadow walk
-	// and the governor all read the same rows (internal/opcache).
+	// cache evaluates and owns every ladder row, keyed (pool, job ID, n,
+	// p): each is fetched once into its job's entry (priced) and read
+	// there by admission, the shadow walk, dispatch and the governor.
 	cache *opcache.PlatformCache
+	// best and bestDL are search's result slots, valid until the next search.
+	best, bestDL Candidate
 
 	// lockstep is set when execution noise is off: every rank of a job
 	// then has identical slice timing, so one event chain spans the whole
@@ -214,8 +216,11 @@ type entry struct {
 	// refTp and floor are the job's pricing, set at its first grid search
 	// (referenceTp): the unconstrained fastest runtime — 0 until priced,
 	// negative on a model failure — and the per-pool admissibility floor.
+	// grid holds the rows behind them (priced). s.entries outlives the job,
+	// so finish, reject and lose drop both beside the op-cache's Forget.
 	refTp units.Seconds
 	floor []poolFloor
+	grid  []pricedRow
 }
 
 // runningJob is the execution state of one dispatched job.
@@ -641,6 +646,7 @@ func (s *Scheduler) reject(e *entry, reason string) {
 	e.res.Reason = reason
 	s.remaining--
 	s.cache.Forget(e.job.ID)
+	e.grid, e.floor = nil, nil
 	if s.tel != nil {
 		s.tel.emitReject(e, reason)
 	}
@@ -1095,6 +1101,7 @@ func (s *Scheduler) finish(rj *runningJob) {
 	res.DeadlineMet = rj.e.job.Deadline <= 0 || now <= rj.e.job.Arrival+rj.e.job.Deadline
 	s.remaining--
 	s.cache.Forget(rj.e.job.ID)
+	rj.e.grid, rj.e.floor = nil, nil
 	if s.tel != nil {
 		s.tel.emitFinish(rj)
 	}

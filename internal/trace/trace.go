@@ -70,7 +70,7 @@ func (t *Tracer) PhaseExit(now units.Seconds, rank int, name string) {
 }
 
 // Send records a point-to-point payload leaving a rank.
-func (t *Tracer) Send(now units.Seconds, rank, dst int, bytes units.Bytes) {
+func (t *Tracer) Send(bytes units.Bytes) {
 	if !t.Enabled() {
 		return
 	}

@@ -41,8 +41,8 @@ func TestPhaseExitWithoutEnterPanics(t *testing.T) {
 
 func TestMessageAccounting(t *testing.T) {
 	tr := New()
-	tr.Send(1, 0, 1, 100)
-	tr.Send(2, 1, 0, 200)
+	tr.Send(100)
+	tr.Send(200)
 	if tr.Messages() != 2 || tr.Bytes() != 300 {
 		t.Fatalf("M=%d B=%g", tr.Messages(), tr.Bytes())
 	}
@@ -50,12 +50,12 @@ func TestMessageAccounting(t *testing.T) {
 
 func TestDisabledTracerDropsEverything(t *testing.T) {
 	var tr *Tracer // nil tracer must be safe
-	tr.Send(1, 0, 1, 100)
+	tr.Send(100)
 	if tr.Messages() != 0 || tr.Bytes() != 0 {
 		t.Fatal("nil tracer should count nothing")
 	}
 	zero := &Tracer{} // zero value is disabled
-	zero.Send(1, 0, 1, 100)
+	zero.Send(100)
 	if zero.Messages() != 0 {
 		t.Fatal("disabled tracer should count nothing")
 	}
@@ -65,7 +65,7 @@ func TestSummaryRendering(t *testing.T) {
 	tr := New()
 	tr.PhaseEnter(0, 0, "alltoall")
 	tr.PhaseExit(4, 0, "alltoall")
-	tr.Send(1, 0, 1, 128)
+	tr.Send(128)
 	out := tr.Summary()
 	for _, want := range []string{"alltoall", "M=1", "B=128"} {
 		if !strings.Contains(out, want) {
