@@ -105,7 +105,7 @@ func main() {
 	}
 	fmt.Println(rep)
 	fmt.Printf("energy breakdown: %v\n", rep.Measured)
-	fmt.Printf("phases:\n%s", cl.Tracer().Summary())
+	fmt.Printf("phases:\n%smessages M=%d bytes B=%.4g\n", cl.Tracer().Summary(), rep.M, rep.B)
 	if *counters {
 		fmt.Printf("counters:\n%s", cl.Counters())
 	}

@@ -8,7 +8,8 @@
 //	traceq summary <trace.ndjson>       events per kind, ranked block reasons, violations
 //	traceq merge [site=]a.ndjson ...    deterministic cross-site merge (NDJSON on stdout)
 //
-// Exit codes: 0 success, 1 I/O or query error, 2 usage.
+// Exit codes are internal/cli's: 0 success, 1 I/O or query error, 2
+// usage (the error line, then the command list).
 package main
 
 import (
@@ -19,12 +20,12 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/telemetry"
 	"repro/internal/traceq"
 )
 
-func usage() {
-	fmt.Fprintf(os.Stderr, `usage: traceq <command> [args]
+const usageText = `usage: traceq <command> [args]
 
 commands:
   why <job> <trace.ndjson>      explain one job: lifecycle, ranked block
@@ -38,62 +39,66 @@ commands:
                                 merge traces by sim time into one NDJSON
                                 stream on stdout, stamping Site from the
                                 optional site= label (default: file base
-                                name) on events that carry none
-`)
-	os.Exit(2)
+                                name) on events that carry none`
+
+// usagef is a usage error: what was wrong, then the command list.
+func usagef(format string, args ...any) error {
+	return cli.Usagef("traceq: %s\n%s", fmt.Sprintf(format, args...), usageText)
 }
 
-func fail(err error) {
-	fmt.Fprintf(os.Stderr, "traceq: %v\n", err)
-	os.Exit(1)
-}
-
-func load(path string) []telemetry.Event {
+// load decodes one trace file. Query errors from internal/traceq carry
+// the "traceq:" prefix themselves; file errors get it here.
+func load(path string) ([]telemetry.Event, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		fail(err)
+		return nil, fmt.Errorf("traceq: %w", err)
 	}
 	defer f.Close()
 	evs, err := telemetry.DecodeNDJSON(f)
 	if err != nil {
-		fail(fmt.Errorf("%s: %w", path, err))
+		return nil, fmt.Errorf("traceq: %s: %w", path, err)
 	}
-	return evs
+	return evs, nil
 }
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
+func main() { cli.Main(run) }
+
+func run(args []string, stdout, _ io.Writer) error {
+	if len(args) == 0 {
+		return usagef("missing command")
 	}
-	switch os.Args[1] {
+	switch cmd, args := args[0], args[1:]; cmd {
 	case "why":
-		if len(os.Args) != 4 {
-			usage()
+		if len(args) != 2 {
+			return usagef("why takes a job ID and one trace file")
 		}
-		job, err := strconv.Atoi(os.Args[2])
+		job, err := strconv.Atoi(args[0])
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "traceq: job must be an integer, got %q\n", os.Args[2])
-			usage()
+			return usagef("job must be an integer, got %q", args[0])
 		}
-		if err := traceq.Why(os.Stdout, load(os.Args[3]), job); err != nil {
-			fail(err)
+		evs, err := load(args[1])
+		if err != nil {
+			return err
 		}
+		return traceq.Why(stdout, evs, job)
 	case "critpath", "windows", "summary":
-		if len(os.Args) != 3 {
-			usage()
+		if len(args) != 1 {
+			return usagef("%s takes one trace file", cmd)
+		}
+		evs, err := load(args[0])
+		if err != nil {
+			return err
 		}
 		query := map[string]func(io.Writer, []telemetry.Event) error{
 			"critpath": traceq.Critpath, "windows": traceq.Windows, "summary": traceq.Summary,
-		}[os.Args[1]]
-		if err := query(os.Stdout, load(os.Args[2])); err != nil {
-			fail(err)
-		}
+		}[cmd]
+		return query(stdout, evs)
 	case "merge":
-		if len(os.Args) < 3 {
-			usage()
+		if len(args) == 0 {
+			return usagef("merge takes at least one trace file")
 		}
 		var traces []traceq.NamedTrace
-		for _, arg := range os.Args[2:] {
+		for _, arg := range args {
 			site, path := "", arg
 			if i := strings.Index(arg, "="); i > 0 && !strings.Contains(arg[:i], string(os.PathSeparator)) {
 				site, path = arg[:i], arg[i+1:]
@@ -101,13 +106,14 @@ func main() {
 			if site == "" {
 				site = strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
 			}
-			traces = append(traces, traceq.NamedTrace{Site: site, Events: load(path)})
+			evs, err := load(path)
+			if err != nil {
+				return err
+			}
+			traces = append(traces, traceq.NamedTrace{Site: site, Events: evs})
 		}
-		if err := traceq.Merge(os.Stdout, traces); err != nil {
-			fail(err)
-		}
+		return traceq.Merge(stdout, traces)
 	default:
-		fmt.Fprintf(os.Stderr, "traceq: unknown command %q\n", os.Args[1])
-		usage()
+		return usagef("unknown command %q", cmd)
 	}
 }

@@ -14,6 +14,7 @@
 package app
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 
@@ -41,6 +42,10 @@ type Vector struct {
 	M func(n float64, p int) float64
 	B func(n float64, p int) float64
 }
+
+// MarshalJSON renders the vector as its name: the workload model is Go
+// closures, which encoding/json cannot carry.
+func (v Vector) MarshalJSON() ([]byte, error) { return json.Marshal(v.Name) }
 
 // At evaluates the vector at a concrete problem size and parallelism.
 func (v Vector) At(n float64, p int) core.Workload {

@@ -631,10 +631,9 @@ func (c *Cluster) ReserveLink(now units.Seconds, src, dst int, d units.Seconds) 
 	return start, start + d
 }
 
-// RecordSend accounts a sent message on the sender's counters and trace.
-func (c *Cluster) RecordSend(now units.Seconds, src, dst int, bytes units.Bytes) {
+// RecordSend accounts a sent message on the sender's counters.
+func (c *Cluster) RecordSend(src int, bytes units.Bytes) {
 	c.counters.Rank(c.checkRank(src)).AddMessage(bytes)
-	c.tracer.Send(bytes)
 }
 
 // RecordNetworkBusy attributes network occupancy time to a rank as an

@@ -532,7 +532,7 @@ func TestAbortOpProRata(t *testing.T) {
 	}
 	// Abort half-way: half of each busy component must be credited.
 	k.After(wall/2, func() { c.AbortOp(0) })
-	if err := k.RunCallback(); err != nil {
+	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	ctr := c.Counters().Rank(0)
@@ -563,7 +563,7 @@ func TestAbortOpRankReusable(t *testing.T) {
 		w2 := c.StartCompute(0, 100, 0, 1)
 		k.After(w2, func() { c.CompleteOp(0) })
 	})
-	if err := k.RunCallback(); err != nil {
+	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	ctr := c.Counters().Rank(0)

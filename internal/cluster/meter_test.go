@@ -105,7 +105,7 @@ func TestReadMeterEqualsThreeAccessors(t *testing.T) {
 			checkMeter(t, c, "completed and retuned")
 		})
 	})
-	if err := k.RunCallback(); err != nil {
+	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	checkMeter(t, c, "drained")
@@ -169,7 +169,7 @@ func TestBusySnapshotAllRanksMatchesExplicitList(t *testing.T) {
 			t.Errorf("BusySnapshot() = %+v, BusySnapshot(all) = %+v", got, want)
 		}
 	})
-	if err := c.Kernel().RunCallback(); err != nil {
+	if err := c.Kernel().Run(); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := c.IdlePower(), c.IdlePower(all...); got != want {

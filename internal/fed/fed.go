@@ -225,16 +225,9 @@ func New(cfg Config) (*Federation, error) {
 		return nil, fmt.Errorf("fed: PerfSlack %g, SpillAfter %v and BatchEvery %v must be finite, BatchEvery not negative",
 			cfg.PerfSlack, cfg.SpillAfter, cfg.BatchEvery)
 	}
-	f := &Federation{cfg: cfg, lambda: cfg.GuaranteeFrac}
+	f := &Federation{cfg: cfg, lambda: cfg.GuaranteeFrac, slack: sched.PerfSlack(cfg.PerfSlack)}
 	if f.lambda == 0 {
 		f.lambda = defaultGuaranteeFrac
-	}
-	f.slack = cfg.PerfSlack
-	switch {
-	case f.slack == 0:
-		f.slack = 1.3
-	case f.slack < 1:
-		f.slack = 1
 	}
 	f.cond = sync.NewCond(&f.mu)
 

@@ -7,7 +7,6 @@ import (
 	"repro/internal/app"
 	"repro/internal/core"
 	"repro/internal/machine"
-	"repro/internal/npb"
 	"repro/internal/units"
 )
 
@@ -193,6 +192,3 @@ func Fig4(o Options) (Figure, error) {
 		Notes: notes,
 	}, nil
 }
-
-// npbReportEnergy exists for tests needing direct access to the helper.
-func npbReportEnergy(rep npb.Report) units.Joules { return rep.Measured.Total }

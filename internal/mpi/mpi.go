@@ -185,7 +185,7 @@ func (r *Rank) asyncSend(dst, tag int, payload interface{}, bytes units.Bytes) u
 	wall := units.Seconds(float64(cl.NetworkJitter(raw)) * cl.Alpha())
 	_, end := cl.ReserveLink(now, r.rank, dst, wall)
 
-	cl.RecordSend(now, r.rank, dst, bytes)
+	cl.RecordSend(r.rank, bytes)
 	cl.RecordNetworkBusy(r.rank, raw)
 
 	msg := Message{Src: r.rank, Tag: tag, Data: payload, Bytes: bytes}

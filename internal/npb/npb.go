@@ -50,7 +50,7 @@ type Report struct {
 	// Totals aggregates all ranks' counters (Won+ΔWon, Woff+ΔWoff as
 	// executed, including jitter-free workload counts).
 	Totals perfctr.Counters
-	// M and B are the traced communication totals.
+	// M and B are the communication totals (Totals.Messages, Totals.BytesSent).
 	M int64
 	B float64
 	// FinishTimes per rank (load balance diagnostics).
@@ -67,6 +67,7 @@ func Run(cl *cluster.Cluster, k Kernel) (Report, error) {
 	if err := k.Verify(); err != nil {
 		return Report{}, fmt.Errorf("npb: %s verification failed: %w", k.Name(), err)
 	}
+	totals := cl.Counters().Total()
 	return Report{
 		Kernel:      k.Name(),
 		N:           k.N(),
@@ -74,9 +75,9 @@ func Run(cl *cluster.Cluster, k Kernel) (Report, error) {
 		Makespan:    rt.Makespan(),
 		Measured:    cl.MeasuredEnergy(),
 		True:        cl.TrueEnergy(),
-		Totals:      cl.Counters().Total(),
-		M:           cl.Tracer().Messages(),
-		B:           cl.Tracer().Bytes(),
+		Totals:      totals,
+		M:           totals.Messages,
+		B:           totals.BytesSent,
 		FinishTimes: rt.FinishTimes(),
 	}, nil
 }

@@ -45,7 +45,7 @@ const (
 	PhaseBackfill
 	// PhaseGovernor is one governor retune pass (throttle or boost).
 	PhaseGovernor
-	// PhaseDrain is the kernel event drain — the whole RunCallback.
+	// PhaseDrain is the kernel event drain — the whole sim.Kernel.Run.
 	PhaseDrain
 	numPhases
 )

@@ -453,7 +453,7 @@ func BenchmarkSample(b *testing.B) {
 			p.KeepSampling(func() bool { return n < b.N })
 			b.ReportAllocs()
 			b.ResetTimer()
-			if err := cl.Kernel().RunCallback(); err != nil {
+			if err := cl.Kernel().Run(); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ranks), "ns/rank")

@@ -30,15 +30,17 @@ type Candidate struct {
 	row *opcache.Row
 }
 
-// perfSlack returns the effective admission width-slack factor.
-func (s *Scheduler) perfSlack() float64 {
+// PerfSlack returns the effective admission width-slack factor of a
+// Config.PerfSlack value: zero means 1.3, anything below 1 means 1. The
+// federation router prices sites with the same rule.
+func PerfSlack(v float64) float64 {
 	switch {
-	case s.cfg.PerfSlack == 0:
+	case v == 0:
 		return 1.3
-	case s.cfg.PerfSlack < 1:
+	case v < 1:
 		return 1
 	default:
-		return s.cfg.PerfSlack
+		return v
 	}
 }
 
@@ -134,7 +136,7 @@ func (c *AdmitContext) Best(e *entry, budget units.Watts, obj analysis.Objective
 // never started into a budget window it cannot fit.
 func (c *AdmitContext) search(e *entry, refTp units.Seconds, budget units.Watts, obj analysis.Objective) (*Candidate, int) {
 	s, j, now := c.s, &e.job, c.now
-	maxTp := units.Seconds(float64(refTp) * s.perfSlack())
+	maxTp := units.Seconds(float64(refTp) * PerfSlack(s.cfg.PerfSlack))
 	best, bestDL := &s.best, &s.bestDL
 	stage, foundDL := stageNone, false
 	var wbuf [maxWidths]int
@@ -280,7 +282,7 @@ func (s *Scheduler) referenceTp(e *entry) (units.Seconds, bool) {
 		return 0, false
 	}
 	e.refTp = ref
-	maxTp := units.Seconds(float64(ref) * s.perfSlack())
+	maxTp := units.Seconds(float64(ref) * PerfSlack(s.cfg.PerfSlack))
 	e.floor = make([]poolFloor, len(s.pools))
 	for pi := range e.floor {
 		e.floor[pi] = poolFloor{p: math.MaxInt, cost: units.Watts(math.Inf(1))}

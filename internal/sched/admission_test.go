@@ -315,7 +315,7 @@ func referencePermitted(rsvs []*reservation, e *entry, now units.Seconds, c Cand
 // oracle TestBestMatchesReferenceSearch holds the entry-grid search to.
 func (c *AdmitContext) referenceSearch(e *entry, refTp units.Seconds, budget units.Watts, obj analysis.Objective) (Candidate, int) {
 	s, j, now := c.s, &e.job, c.now
-	maxTp := units.Seconds(float64(refTp) * s.perfSlack())
+	maxTp := units.Seconds(float64(refTp) * PerfSlack(s.cfg.PerfSlack))
 	var best, bestDL Candidate
 	stage, foundDL := stageNone, false
 	var wbuf [maxWidths]int

@@ -42,8 +42,8 @@
 //     admission/completion edge, cutting control latency to zero.
 //
 // Jobs execute as real discrete-event work on the shared cluster, but
-// purely through timer callbacks on the kernel's channel-free fast path
-// (no goroutine per rank): each slice is a cluster.StartCompute/
+// purely through timer callbacks on the kernel's event loop (no Proc is
+// spawned, so no goroutine per rank): each slice is a cluster.StartCompute/
 // StartComm registration retired by CompleteOp at its end event, so
 // per-component busy time, the power trace, and the energy
 // decomposition all come from the same substrate the NPB kernels use,

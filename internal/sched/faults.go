@@ -58,8 +58,6 @@ type faultState struct {
 	deadByPool      []int // per pool: currently failed ranks
 
 	downTime units.Seconds // closed failure intervals, summed
-
-	nFail, nRepair, nKill, nRestart, nCheckpoint, nLost int
 }
 
 // newFaultState sizes the bookkeeping for the run under the normalised
@@ -208,7 +206,7 @@ func (s *Scheduler) failRank(r int, source string) {
 	f.deadSince[r] = now
 	pool := s.cl.PoolOf(r)
 	f.deadByPool[pool]++
-	f.nFail++
+	s.res.Failures++
 	if s.tel != nil {
 		s.tel.emitFail(r, s.pools[pool].name, source)
 	}
@@ -233,7 +231,7 @@ func (s *Scheduler) repairRank(r int) {
 	f.downTime += down
 	pool := s.cl.PoolOf(r)
 	f.deadByPool[pool]--
-	f.nRepair++
+	s.res.Repairs++
 	s.insertFree(pool, r)
 	if s.tel != nil {
 		s.tel.emitRepair(r, s.pools[pool].name, down)
@@ -263,7 +261,7 @@ func (s *Scheduler) killJob(rj *runningJob) {
 	e.res.Energy += rj.energy
 	e.res.WastedEnergy += rj.energy
 	e.saved = rj.lastCkpt
-	s.flt.nKill++
+	s.res.Kills++
 
 	if e.res.Restarts >= s.flt.plan.MaxRetries {
 		if s.tel != nil {
@@ -286,7 +284,6 @@ func (s *Scheduler) lose(e *entry, reason string) {
 	e.res.State = Lost
 	e.res.Reason = reason
 	s.remaining--
-	s.flt.nLost++
 	s.cache.Forget(e.job.ID)
 	e.grid, e.floor = nil, nil
 	if s.tel != nil {
@@ -376,7 +373,7 @@ func (s *Scheduler) armCheckpoint(rj *runningJob) {
 		}
 		rj.lastCkpt = s.absProgress(rj, s.cl.Kernel().Now())
 		rj.e.res.Checkpoints++
-		s.flt.nCheckpoint++
+		s.res.Checkpoints++
 		if s.tel != nil {
 			s.tel.emitCheckpoint(rj)
 		}

@@ -30,10 +30,6 @@ import (
 type governor struct {
 	s *Scheduler
 
-	violations int
-	samples    int
-	peak       units.Watts
-
 	order []*runningJob // sorted()'s reused buffer
 }
 
@@ -49,15 +45,15 @@ const epEpsilon = 1e-9
 
 // onSample runs in kernel context after every recorded power sample.
 func (g *governor) onSample(sm power.Sample) {
-	g.samples++
-	if sm.Total > g.peak {
-		g.peak = sm.Total
+	g.s.res.Samples++
+	if sm.Total > g.s.res.PeakPower {
+		g.s.res.PeakPower = sm.Total
 	}
 	// Audit against the budget in force at the sample's own time: under
 	// a cap timeline every window is judged by the cap at its end.
 	cap := g.s.capAt(sm.T)
 	if float64(sm.Total) > float64(cap)*(1+capEpsilon) {
-		g.violations++
+		g.s.res.CapViolations++
 		if g.s.tel != nil {
 			g.s.tel.emitViolation(sm, cap)
 		}

@@ -47,27 +47,32 @@ func (s JobState) String() string {
 
 // Job is one unit of work submitted to the scheduler: an application
 // vector at a problem size, a width range, and service metadata.
+//
+// The json tags on Job and JobResult are the -json wire schema
+// (snake_case, units suffixed, declaration order). Job must not grow a
+// MarshalJSON: promoted through JobResult it would swallow the record.
 type Job struct {
 	// ID orders jobs and must be unique within one Run.
-	ID int
+	ID int `json:"id"`
 	// Vector is the application-dependent workload model.
-	Vector app.Vector
+	Vector app.Vector `json:"app"`
 	// N is the problem size the vector is evaluated at.
-	N float64
+	N float64 `json:"n"`
 	// MinWidth and MaxWidth bound the rank count; policies pick a
 	// power-of-two width inside [MinWidth, MaxWidth] (moldable jobs).
 	// MinWidth zero means 1. A MinWidth above the cluster size makes
 	// the job Rejected.
-	MinWidth, MaxWidth int
+	MinWidth int `json:"min_width,omitempty"`
+	MaxWidth int `json:"max_width"`
 	// Priority weighs the job in admission ordering and in fair-share
 	// power division; zero means 1.
-	Priority int
+	Priority int `json:"priority,omitempty"`
 	// Arrival is when the job enters the queue (virtual time).
-	Arrival units.Seconds
+	Arrival units.Seconds `json:"arrival_s"`
 	// Deadline, if positive, is the relative completion target; points
 	// that meet Arrival+Deadline are preferred at admission, and misses
 	// are reported in the result.
-	Deadline units.Seconds
+	Deadline units.Seconds `json:"deadline_s,omitempty"`
 }
 
 func (j Job) validate() error {
@@ -133,30 +138,32 @@ func (j *Job) widths(ws []int, free int) []int {
 // JobResult is the per-job accounting record of one schedule.
 type JobResult struct {
 	Job
-	State JobState
+	State JobState `json:"state"`
 	// Reason explains a rejection.
-	Reason string
+	Reason string `json:"reason,omitempty"`
 	// Pool names the platform node pool the job ran in (empty until
 	// dispatch); P and StartFreq are the admitted operating point;
 	// FreqChanges counts governor retunes applied after admission.
-	Pool        string
-	P           int
-	StartFreq   units.Hertz
-	FreqChanges int
+	Pool        string      `json:"pool,omitempty"`
+	P           int         `json:"p,omitempty"`
+	StartFreq   units.Hertz `json:"f_hz,omitempty"`
+	FreqChanges int         `json:"freq_changes,omitempty"`
 	// Backfilled reports that the job was admitted past a blocked queue
 	// head under an active backfill reservation (backfill.go).
-	Backfilled bool
+	Backfilled bool `json:"backfilled,omitempty"`
 	// Start and End bound the execution; Wait is Start − Arrival.
-	Start, End, Wait units.Seconds
+	Start units.Seconds `json:"start_s"`
+	End   units.Seconds `json:"end_s"`
+	Wait  units.Seconds `json:"wait_s"`
 	// Energy is the measured energy attributed to the job: idle power
 	// of its rank set over its runtime plus the active component deltas
 	// of its executed work, integrated piecewise across retunes.
-	Energy units.Joules
+	Energy units.Joules `json:"energy_j"`
 	// ModelEE is the predicted iso-energy-efficiency at the admitted
 	// operating point.
-	ModelEE float64
+	ModelEE float64 `json:"model_ee,omitempty"`
 	// DeadlineMet reports End ≤ Arrival+Deadline for jobs with one.
-	DeadlineMet bool
+	DeadlineMet bool `json:"deadline_met,omitempty"`
 
 	// Fault-injection accounting (zero without Config.Faults).
 	// Restarts counts re-dispatches after a rank failure killed an
@@ -165,10 +172,10 @@ type JobResult struct {
 	// past the last checkpoint at each kill); WastedEnergy is the
 	// measured energy of killed attempts — spent, but buying no
 	// completed job.
-	Restarts     int
-	Checkpoints  int
-	LostWork     units.Seconds
-	WastedEnergy units.Joules
+	Restarts     int           `json:"restarts,omitempty"`
+	Checkpoints  int           `json:"checkpoints,omitempty"`
+	LostWork     units.Seconds `json:"lost_work_s,omitempty"`
+	WastedEnergy units.Joules  `json:"wasted_energy_j,omitempty"`
 }
 
 // TraceConfig shapes SyntheticTrace.

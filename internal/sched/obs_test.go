@@ -53,7 +53,7 @@ func TestObsObservesRun(t *testing.T) {
 		phases[p.Phase] = p
 	}
 	if phases["drain"].Count != 1 {
-		t.Fatalf("drain count = %d, want exactly 1 (the whole RunCallback)", phases["drain"].Count)
+		t.Fatalf("drain count = %d, want exactly 1 (the whole kernel Run)", phases["drain"].Count)
 	}
 	if phases["admission"].Count == 0 {
 		t.Fatal("admission passes were not counted")

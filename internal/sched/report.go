@@ -92,23 +92,19 @@ type Result struct {
 	Availability float64
 }
 
-// collect assembles the Result after the kernel drains.
+// collect closes the ledger after the kernel drains: it starts from
+// s.res (every count booked where it happened) and adds what only a
+// finished run can know. The float folds stay here, in ID order —
+// summing in completion order moves the last bit of TotalEnergy.
 func (s *Scheduler) collect() Result {
-	res := Result{
-		Policy:   s.cfg.Policy.Name(),
-		Platform: s.cfg.Platform.String(),
-		Ranks:    s.cl.Ranks(),
-		Cap:      s.effPlan.CapAt(0),
-
-		Makespan:     s.cl.Wall(),
-		ParkedEnergy: s.parkedEnergy,
-		TotalEnergy:  s.parkedEnergy,
-
-		Samples:       s.gov.samples,
-		CapViolations: s.gov.violations,
-		PeakPower:     s.gov.peak,
-		MeanPower:     s.prof.Profile().MeanTotal(),
-	}
+	res := s.res
+	res.Policy = s.cfg.Policy.Name()
+	res.Platform = s.cfg.Platform.String()
+	res.Ranks = s.cl.Ranks()
+	res.Cap = s.effPlan.CapAt(0)
+	res.Makespan = s.cl.Wall()
+	res.TotalEnergy = res.ParkedEnergy
+	res.MeanPower = s.prof.Profile().MeanTotal()
 	ids := make([]int, 0, len(s.entries))
 	for id := range s.entries {
 		ids = append(ids, id)
@@ -158,13 +154,7 @@ func (s *Scheduler) collect() Result {
 		res.Plan = s.effPlan.String()
 		res.Windows, res.CapUtilisation = s.collectWindows()
 	}
-	res.HeadBypasses = s.headBypasses
 	res.Availability = 1
-	res.Failures = s.flt.nFail
-	res.Repairs = s.flt.nRepair
-	res.Kills = s.flt.nKill
-	res.Restarts = s.flt.nRestart
-	res.Checkpoints = s.flt.nCheckpoint
 	down := float64(s.flt.downTime)
 	for r := range s.flt.dead {
 		// Failures still open when the trace drained are clamped at
@@ -272,70 +262,6 @@ func (s *Scheduler) collectWindows() ([]WindowStat, float64) {
 // machine-readable dumps stay stable if the iota order ever changes.
 func (s JobState) MarshalJSON() ([]byte, error) {
 	return json.Marshal(s.String())
-}
-
-// MarshalJSON flattens the record for the schedrun -json dump, reducing
-// the embedded application vector to its name: the vector's workload
-// model is Go closures, which encoding/json cannot carry (and no
-// consumer could call). Everything else a consumer can act on — the
-// admitted operating point, timings, energy, deadline outcome — is
-// kept, in snake_case with units suffixed.
-func (j JobResult) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		ID          int           `json:"id"`
-		App         string        `json:"app"`
-		N           float64       `json:"n"`
-		MinWidth    int           `json:"min_width,omitempty"`
-		MaxWidth    int           `json:"max_width"`
-		Priority    int           `json:"priority,omitempty"`
-		Arrival     units.Seconds `json:"arrival_s"`
-		Deadline    units.Seconds `json:"deadline_s,omitempty"`
-		State       JobState      `json:"state"`
-		Reason      string        `json:"reason,omitempty"`
-		Pool        string        `json:"pool,omitempty"`
-		P           int           `json:"p,omitempty"`
-		StartFreq   units.Hertz   `json:"f_hz,omitempty"`
-		FreqChanges int           `json:"freq_changes,omitempty"`
-		Backfilled  bool          `json:"backfilled,omitempty"`
-		Start       units.Seconds `json:"start_s"`
-		End         units.Seconds `json:"end_s"`
-		Wait        units.Seconds `json:"wait_s"`
-		Energy      units.Joules  `json:"energy_j"`
-		ModelEE     float64       `json:"model_ee,omitempty"`
-		DeadlineMet bool          `json:"deadline_met,omitempty"`
-
-		Restarts     int           `json:"restarts,omitempty"`
-		Checkpoints  int           `json:"checkpoints,omitempty"`
-		LostWork     units.Seconds `json:"lost_work_s,omitempty"`
-		WastedEnergy units.Joules  `json:"wasted_energy_j,omitempty"`
-	}{
-		ID:          j.ID,
-		App:         j.Vector.Name,
-		N:           j.N,
-		MinWidth:    j.MinWidth,
-		MaxWidth:    j.MaxWidth,
-		Priority:    j.Priority,
-		Arrival:     j.Arrival,
-		Deadline:    j.Deadline,
-		State:       j.State,
-		Reason:      j.Reason,
-		Pool:        j.Pool,
-		P:           j.P,
-		StartFreq:   j.StartFreq,
-		FreqChanges: j.FreqChanges,
-		Backfilled:  j.Backfilled,
-		Start:       j.Start,
-		End:         j.End,
-		Wait:        j.Wait,
-		Energy:      j.Energy,
-		ModelEE:     j.ModelEE,
-		DeadlineMet: j.DeadlineMet,
-
-		Restarts:     j.Restarts,
-		Checkpoints:  j.Checkpoints,
-		LostWork:     j.LostWork,
-		WastedEnergy: j.WastedEnergy,
-	})
 }
 
 // WindowTable renders the per-budget-window accounting of a plan run.

@@ -3,9 +3,11 @@ package sched
 import (
 	"bufio"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/app"
 	"repro/internal/capplan"
 	"repro/internal/faults"
 	"repro/internal/machine"
@@ -183,6 +185,47 @@ func TestResultJSON(t *testing.T) {
 		}
 		if jr.State == Done && (oj.Pool != jr.Pool || oj.P != jr.P || oj.F != jr.StartFreq) {
 			t.Fatalf("job %d operating point marshalled as %+v, want %s/%d/%v", jr.ID, oj, jr.Pool, jr.P, jr.StartFreq)
+		}
+	}
+}
+
+// A job record is its own JSON schema: the struct tags on Job and
+// JobResult are the only description of the -json wire format. The
+// literal was cut from the parent build's hand-written marshaller, and
+// the reflect walk keeps a future field from leaking as "FieldName".
+func TestJobRecordJSONSchema(t *testing.T) {
+	rec := JobResult{
+		Job:   Job{ID: 7, Vector: app.EP(), N: 1.5e6, MinWidth: 2, MaxWidth: 16, Priority: 3, Arrival: 0.25, Deadline: 30},
+		State: Done, Reason: "because", Pool: "SystemG", P: 8, StartFreq: 2.4e9, FreqChanges: 5, Backfilled: true,
+		Start: 1.5, End: 4.75, Wait: 1.25, Energy: 1234.5, ModelEE: 0.875, DeadlineMet: true,
+		Restarts: 2, Checkpoints: 9, LostWork: 0.125, WastedEnergy: 77.5,
+	}
+	const full = `{"id":7,"app":"EP","n":1500000,"min_width":2,"max_width":16,"priority":3,"arrival_s":0.25,"deadline_s":30,` +
+		`"state":"done","reason":"because","pool":"SystemG","p":8,"f_hz":2400000000,"freq_changes":5,"backfilled":true,` +
+		`"start_s":1.5,"end_s":4.75,"wait_s":1.25,"energy_j":1234.5,"model_ee":0.875,"deadline_met":true,` +
+		`"restarts":2,"checkpoints":9,"lost_work_s":0.125,"wasted_energy_j":77.5}`
+	const sparse = `{"id":1,"app":"EP","n":10,"max_width":4,"arrival_s":0,"state":"queued","start_s":0,"end_s":0,"wait_s":0,"energy_j":0}`
+	for _, tc := range []struct {
+		rec  JobResult
+		want string
+	}{
+		{rec, full},
+		{JobResult{Job: Job{ID: 1, Vector: app.EP(), N: 10, MaxWidth: 4}}, sparse},
+	} {
+		got, err := json.Marshal(tc.rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != tc.want {
+			t.Errorf("job %d marshals as\n%s\nwant\n%s", tc.rec.ID, got, tc.want)
+		}
+	}
+	for _, typ := range []reflect.Type{reflect.TypeOf(Job{}), reflect.TypeOf(JobResult{})} {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if tag := f.Tag.Get("json"); !f.Anonymous && (tag == "" || strings.HasPrefix(tag, ",")) {
+				t.Errorf("%s.%s has no json name", typ.Name(), f.Name)
+			}
 		}
 	}
 }

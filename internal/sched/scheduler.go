@@ -117,7 +117,7 @@ type poolState struct {
 // Create one per Run.
 //
 // Execution is purely event-driven: jobs advance through timer callbacks
-// on the simulation kernel's fast path (sim.Kernel.RunCallback), never
+// on the simulation kernel (sim.Kernel.Run with no Proc spawned), never
 // through per-rank goroutines — see runChain below for the execution
 // model. Every budget decision prices against one cap timeline (effPlan)
 // and every job, however dispatched, ends through vacate.
@@ -191,12 +191,10 @@ type Scheduler struct {
 	// boosts never loan watts a reservation holds.
 	rsvs []*reservation
 
-	// headBypasses counts admissions that jumped an earlier-arrived
-	// waiter — the starvation pressure the backfill reservation bounds.
-	headBypasses int
-
-	parkedEnergy units.Joules
-	ran          bool
+	// res is the run's ledger: every count and energy known the moment
+	// it happens is booked here, once (see collect).
+	res Result
+	ran bool
 
 	// idleFloor is the fully parked cluster's draw (every provisioned
 	// rank at its pool's ladder minimum) — the idle-cluster headroom
@@ -584,13 +582,13 @@ func (s *Scheduler) Run(jobs []Job) (Result, error) {
 		k.Schedule(e.job.Arrival, func() { s.arrive(e) })
 	}
 	// Nothing in the scheduler spawns a process: job slices are timer
-	// callbacks, so the whole trace runs on the kernel's channel-free
-	// fast path.
+	// callbacks, so Run's loop never touches a channel or a second
+	// goroutine.
 	var drainT0 int64
 	if s.hst != nil {
 		drainT0 = s.hst.Begin()
 	}
-	if err := k.RunCallback(); err != nil {
+	if err := k.Run(); err != nil {
 		return Result{}, fmt.Errorf("sched: simulation failed: %w", err)
 	}
 	if s.hst != nil {
@@ -601,7 +599,7 @@ func (s *Scheduler) Run(jobs []Job) (Result, error) {
 	// Close the books: whatever every rank dissipated after its last
 	// banking point belongs to the parked pool (no job is running).
 	for r := 0; r < s.cl.Ranks(); r++ {
-		s.parkedEnergy += s.bankMeter(r)
+		s.res.ParkedEnergy += s.bankMeter(r)
 	}
 	return s.collect(), nil
 }
@@ -862,7 +860,7 @@ func (s *Scheduler) admitPass(relaxed bool) int {
 	}
 	ctx := s.liveContext(relaxed)
 	s.cfg.Policy.Admit(ctx)
-	s.headBypasses += ctx.bypasses
+	s.res.HeadBypasses += ctx.bypasses
 	if s.tel != nil {
 		s.tel.bypasses.Add(float64(ctx.bypasses))
 	}
@@ -951,7 +949,7 @@ func (s *Scheduler) start(e *entry, cand Candidate, backfilled bool, queueAfter 
 		workScale: scale,
 	}
 	for _, r := range ranks {
-		s.parkedEnergy += s.retuneRank(r, cand.Freq)
+		s.res.ParkedEnergy += s.retuneRank(r, cand.Freq)
 		s.owner[r] = rj
 	}
 	s.running = append(s.running, rj)
@@ -969,7 +967,7 @@ func (s *Scheduler) start(e *entry, cand Candidate, backfilled bool, queueAfter 
 		s.tel.emitAdmit(rj, cand, backfilled, queueAfter)
 	}
 	if e.res.Restarts > 0 {
-		s.flt.nRestart++
+		s.res.Restarts++
 		if s.tel != nil {
 			s.tel.emitRestart(rj)
 		}

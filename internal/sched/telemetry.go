@@ -71,7 +71,7 @@ func (t *schedTelemetry) blockReason(view *AdmitContext, e *entry) string {
 	case stageNone:
 		return t.ranksReason.get("ranks: no candidate width fits the %d free ranks", view.FreeRanks())
 	case stageWidth:
-		return t.slackReason.get("perf-slack: every width that fits free ranks runs over %.1fx the job's fastest time", t.s.perfSlack())
+		return t.slackReason.get("perf-slack: every width that fits free ranks runs over %.1fx the job's fastest time", PerfSlack(t.s.cfg.PerfSlack))
 	case stageSlack:
 		return t.wattsReason.get("watts: no eligible point fits the %.1f W headroom", float64(view.headroom))
 	case stageBudget:

@@ -8,12 +8,12 @@
 // up to hundreds of ranks while keeping timing derived from the same
 // machine parameters (tc, tm, Ts, Tb) the analytical model uses.
 //
-// Two execution styles share one event queue:
+// Two execution styles share one event queue and one loop (Run):
 //
-//   - Pure event-driven code schedules callbacks with Schedule/After and
-//     drains them with RunCallback: a tight single-goroutine loop over a
+//   - Pure event-driven code schedules callbacks with Schedule/After. With
+//     no process spawned Run is a tight single-goroutine loop over a
 //     value-typed 4-ary heap with no per-event allocation and no channel
-//     operations — the fast path the power-budget scheduler runs on.
+//     operations — what the power-budget scheduler runs on.
 //   - Process-oriented code (Spawn) models blocking behaviour: every
 //     simulated process (Proc) runs in its own goroutine, but exactly one
 //     goroutine — either the kernel loop or a single process — executes
@@ -26,8 +26,8 @@
 // event queue) and reports who was parked and why. When Run returns with
 // unfinished processes — deadlock or Stop — their goroutines are drained
 // (terminated cleanly), so building clusters in a loop never accumulates
-// parked goroutines. A kernel is single-use: once Run or RunCallback
-// returns, create a new kernel rather than running it again.
+// parked goroutines. A kernel is single-use: once Run returns, create a
+// new kernel rather than running it again.
 package sim
 
 import (
@@ -322,35 +322,10 @@ func (k *Kernel) Run() error {
 	return nil
 }
 
-// RunCallback is the pure event-driven fast path: it drains the queue on
-// the caller's goroutine with no handoff machinery, so simulations built
-// solely from Schedule/After callbacks (the power-budget scheduler, timer
-// wheels, samplers) never touch a channel. It falls back to Run when
-// processes have been spawned.
-func (k *Kernel) RunCallback() error {
-	if len(k.procs) > 0 {
-		return k.Run()
-	}
-	if k.running {
-		return fmt.Errorf("sim: kernel already running")
-	}
-	k.running = true
-	defer func() { k.running = false }()
-	err := k.loop()
-	if len(k.procs) == 0 {
-		return err
-	}
-	// A callback spawned processes mid-run. On error, drain their
-	// goroutines before surfacing it (the no-leak guarantee holds on
-	// every exit path); otherwise finish under full Run semantics
-	// (handoffs, deadlock detection, drain).
-	if err != nil {
-		k.drain()
-		return err
-	}
-	k.running = false
-	return k.Run()
-}
+// RunCallback is Run under the name package bench imports. It was once
+// a second, channel-free loop; Run is that loop whenever no process has
+// been spawned.
+func (k *Kernel) RunCallback() error { return k.Run() }
 
 // Stats are cumulative host-side kernel gauges: how much event traffic
 // a run generated and how much pressure it put on the queue. They are
@@ -368,7 +343,7 @@ type Stats struct {
 }
 
 // Stats returns the kernel's cumulative gauges. Valid at any point;
-// most callers read it after Run/RunCallback returns.
+// most callers read it after Run returns.
 func (k *Kernel) Stats() Stats {
 	return Stats{Events: k.nEvents, MaxHeap: k.maxHeap, MaxDrain: k.maxDrain}
 }

@@ -39,7 +39,6 @@ func Why(w io.Writer, evs []telemetry.Event, job int) error {
 	var (
 		seen     bool
 		app      string
-		arriveT  units.Seconds
 		attempts int
 		reasons  = map[string]int{}
 		out      strings.Builder
@@ -56,7 +55,6 @@ func Why(w io.Writer, evs []telemetry.Event, job int) error {
 		}
 		switch ev.Kind {
 		case telemetry.EvArrive:
-			arriveT = ev.T
 			lifecycle = append(lifecycle, fmt.Sprintf("arrive   t=%.3f", float64(ev.T)))
 		case telemetry.EvAttempt:
 			attempts++
@@ -100,7 +98,7 @@ func Why(w io.Writer, evs []telemetry.Event, job int) error {
 		writeRanked(&out, reasons)
 	}
 	out.WriteString("causal admission chain:\n")
-	writeChain(&out, evs, job, arriveT)
+	writeChain(&out, evs, job)
 	_, err := io.WriteString(w, out.String())
 	return err
 }
@@ -112,7 +110,7 @@ const chainLimit = 64
 
 // writeChain renders the enabler chain for job's admission, recursing
 // through the finishes that unblocked each admission in turn.
-func writeChain(out *strings.Builder, evs []telemetry.Event, job int, _ units.Seconds) {
+func writeChain(out *strings.Builder, evs []telemetry.Event, job int) {
 	cur := job
 	for depth := 0; depth < chainLimit; depth++ {
 		ai := findAdmit(evs, cur)
