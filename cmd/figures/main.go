@@ -1,5 +1,6 @@
 // Command figures regenerates the tables and figures of the paper's
-// evaluation section against the simulated clusters.
+// evaluation section against the simulated clusters. It exits 0, 1 if a
+// generator failed, 2 on a usage error (internal/cli's ladder).
 //
 // Measured sweeps run their points across a worker pool (one simulated
 // cluster per point, seeded per point); the model-surface figures 5–9
@@ -14,39 +15,46 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
+	"io"
 
+	"repro/internal/cli"
 	"repro/internal/figures"
 )
 
-func main() {
-	figID := flag.String("fig", "all", "figure id to regenerate, or 'all'")
-	quick := flag.Bool("quick", false, "reduced problem sizes and rank counts")
-	csv := flag.Bool("csv", false, "emit machine-readable CSV instead of tables")
-	seed := flag.Int64("seed", 42, "measurement-noise seed")
-	workers := flag.Int("workers", 0, "concurrent sweep points per figure (0 = GOMAXPROCS, 1 = sequential)")
-	flag.Parse()
+func main() { cli.Main(run) }
 
-	opts := figures.Options{Quick: *quick, Seed: *seed, Workers: *workers}
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	figID := fs.String("fig", "all", "figure id to regenerate, or 'all'")
+	quick := fs.Bool("quick", false, "reduced problem sizes and rank counts")
+	csv := fs.Bool("csv", false, "emit machine-readable CSV instead of tables")
+	seed := fs.Int64("seed", 42, "measurement-noise seed")
+	workers := fs.Int("workers", 0, "concurrent sweep points per figure (0 = GOMAXPROCS, 1 = sequential)")
+	if _, err := cli.Parse(fs, args); err != nil {
+		return err
+	}
+	if *workers < 0 {
+		return cli.Usagef("-workers %d must not be negative", *workers)
+	}
 	gens := figures.All()
 	if *figID != "all" {
 		g, err := figures.ByID(*figID)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return cli.Usage(err)
 		}
 		gens = []figures.Generator{g}
 	}
 	for _, g := range gens {
-		fig, err := g.Run(opts)
+		fig, err := g.Run(figures.Options{Quick: *quick, Seed: *seed, Workers: *workers})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "figure %s: %v\n", g.ID, err)
-			os.Exit(1)
+			return fmt.Errorf("figure %s: %w", g.ID, err)
 		}
 		if *csv {
-			fmt.Printf("# figure %s: %s\n%s", fig.ID, fig.Title, fig.CSV)
+			fmt.Fprintf(stdout, "# figure %s: %s\n%s", fig.ID, fig.Title, fig.CSV)
 		} else {
-			fmt.Println(fig)
+			fmt.Fprintln(stdout, fig)
 		}
 	}
+	return nil
 }

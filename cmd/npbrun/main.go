@@ -1,6 +1,7 @@
 // Command npbrun executes one NAS-style kernel on a simulated
 // power-aware cluster and reports time, energy, counters and the traced
-// communication volume.
+// communication volume. It exits 0, 1 if the run failed, 2 on a usage
+// error (internal/cli's ladder).
 //
 // Usage:
 //
@@ -11,102 +12,57 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
-	"strings"
+	"io"
 
+	"repro/internal/cli"
 	"repro/internal/cluster"
-	"repro/internal/machine"
 	"repro/internal/npb"
-	"repro/internal/npb/cg"
-	"repro/internal/npb/ep"
-	"repro/internal/npb/ft"
-	"repro/internal/npb/is"
-	"repro/internal/npb/mg"
-	"repro/internal/units"
+	"repro/internal/npb/suite"
 )
 
-func makeKernel(bench, class string) (npb.Kernel, error) {
-	switch strings.ToLower(bench) {
-	case "ep":
-		cfg, ok := ep.Classes()[class]
-		if !ok {
-			return nil, fmt.Errorf("ep: unknown class %q", class)
-		}
-		return ep.New(cfg)
-	case "ft":
-		cfg, ok := ft.Classes()[class]
-		if !ok {
-			return nil, fmt.Errorf("ft: unknown class %q", class)
-		}
-		return ft.New(cfg)
-	case "cg":
-		cfg, ok := cg.Classes()[class]
-		if !ok {
-			return nil, fmt.Errorf("cg: unknown class %q", class)
-		}
-		return cg.New(cfg)
-	case "is":
-		cfg, ok := is.Classes()[class]
-		if !ok {
-			return nil, fmt.Errorf("is: unknown class %q", class)
-		}
-		return is.New(cfg)
-	case "mg":
-		cfg, ok := mg.Classes()[class]
-		if !ok {
-			return nil, fmt.Errorf("mg: unknown class %q", class)
-		}
-		return mg.New(cfg)
-	default:
-		return nil, fmt.Errorf("unknown benchmark %q (have ep, ft, cg, is, mg)", bench)
-	}
-}
+func main() { cli.Main(run) }
 
-func main() {
-	bench := flag.String("bench", "ep", "kernel: ep, ft, cg, is, mg")
-	class := flag.String("class", "S", "problem class: T, S, W, A, B")
-	p := flag.Int("p", 4, "number of ranks")
-	clusterName := flag.String("cluster", "systemg", "cluster preset: systemg, dori")
-	freq := flag.Float64("freq", 0, "CPU frequency in Hz (0 = nominal)")
-	noise := flag.Bool("noise", true, "enable hardware-like execution/measurement noise")
-	seed := flag.Int64("seed", 1, "noise seed")
-	counters := flag.Bool("counters", false, "dump per-rank performance counters")
-	flag.Parse()
-
-	spec, ok := machine.Presets()[strings.ToLower(*clusterName)]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown cluster %q\n", *clusterName)
-		os.Exit(2)
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("npbrun", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	bench := fs.String("bench", "ep", "kernel: ep, ft, cg, is, mg")
+	class := fs.String("class", "S", "problem class: T, S, W, A, B")
+	p := fs.Int("p", 4, "number of ranks")
+	platform := cli.MachineFlags(fs, "CPU frequency in Hz (0 = nominal)")
+	noise := fs.Bool("noise", true, "enable hardware-like execution/measurement noise")
+	seed := fs.Int64("seed", 1, "noise seed")
+	counters := fs.Bool("counters", false, "dump per-rank performance counters")
+	if _, err := cli.Parse(fs, args); err != nil {
+		return err
 	}
-	k, err := makeKernel(*bench, *class)
+	spec, freq, err := platform()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return err
 	}
-	cfg := cluster.Config{
-		Spec:  spec,
-		Freq:  units.Hertz(*freq),
-		Ranks: *p,
-		Alpha: k.Alpha(),
-		Seed:  *seed,
+	k, err := suite.New(*bench, *class)
+	if err != nil {
+		return cli.Usage(err)
 	}
+	if *p < 1 {
+		return cli.Usagef("-p %d must be at least 1", *p)
+	}
+	cfg := cluster.Config{Spec: spec, Freq: freq, Ranks: *p, Alpha: k.Alpha(), Seed: *seed}
 	if *noise {
 		cfg.Noise = cluster.DefaultNoise()
 	}
 	cl, err := cluster.New(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	rep, err := npb.Run(cl, k)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Println(rep)
-	fmt.Printf("energy breakdown: %v\n", rep.Measured)
-	fmt.Printf("phases:\n%smessages M=%d bytes B=%.4g\n", cl.Tracer().Summary(), rep.M, rep.B)
+	fmt.Fprintln(stdout, rep)
+	fmt.Fprintf(stdout, "energy breakdown: %v\n", rep.Measured)
+	fmt.Fprintf(stdout, "phases:\n%smessages M=%d bytes B=%.4g\n", cl.Tracer().Summary(), rep.M, rep.B)
 	if *counters {
-		fmt.Printf("counters:\n%s", cl.Counters())
+		fmt.Fprintf(stdout, "counters:\n%s", cl.Counters())
 	}
+	return nil
 }

@@ -1,6 +1,7 @@
 // Command powerpack profiles a kernel run on the simulated cluster the
 // way PowerPack profiles a real node: per-component power sampled on a
-// fixed grid, rendered as a strip chart (Figure 10) or CSV.
+// fixed grid, rendered as a strip chart (Figure 10) or CSV. It exits 0,
+// 1 if the run failed, 2 on a usage error (internal/cli's ladder).
 //
 // Usage:
 //
@@ -10,97 +11,56 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
-	"strings"
+	"io"
 
-	"repro/internal/cluster"
-	"repro/internal/machine"
+	"repro/internal/cli"
 	"repro/internal/npb"
-	"repro/internal/npb/cg"
-	"repro/internal/npb/ep"
-	"repro/internal/npb/ft"
-	"repro/internal/npb/is"
-	"repro/internal/npb/mg"
-	"repro/internal/power"
+	"repro/internal/npb/suite"
 	"repro/internal/units"
 )
 
-func main() {
-	bench := flag.String("bench", "ft", "kernel: ep, ft, cg, is, mg")
-	class := flag.String("class", "T", "problem class: T, S, W, A, B")
-	p := flag.Int("p", 4, "number of ranks")
-	clusterName := flag.String("cluster", "systemg", "cluster preset")
-	interval := flag.Float64("interval", 0, "sampling interval in seconds (0 = auto ~200 samples)")
-	csv := flag.Bool("csv", false, "emit CSV instead of the strip chart")
-	rank := flag.Int("rank", 0, "node (rank) to profile; -1 = whole cluster")
-	seed := flag.Int64("seed", 1, "noise seed")
-	flag.Parse()
+func main() { cli.Main(run) }
 
-	spec, ok := machine.Presets()[strings.ToLower(*clusterName)]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown cluster %q\n", *clusterName)
-		os.Exit(2)
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("powerpack", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	bench := fs.String("bench", "ft", "kernel: ep, ft, cg, is, mg")
+	class := fs.String("class", "T", "problem class: T, S, W, A, B")
+	p := fs.Int("p", 4, "number of ranks")
+	platform := cli.MachineFlags(fs, "")
+	interval := fs.Float64("interval", 0, "sampling interval in seconds (0 = auto ~200 samples)")
+	csv := fs.Bool("csv", false, "emit CSV instead of the strip chart")
+	rank := fs.Int("rank", 0, "node (rank) to profile; -1 = whole cluster")
+	seed := fs.Int64("seed", 1, "noise seed")
+	if _, err := cli.Parse(fs, args); err != nil {
+		return err
 	}
-	mk := func() (npb.Kernel, error) {
-		switch strings.ToLower(*bench) {
-		case "ep":
-			return ep.New(ep.Classes()[*class])
-		case "ft":
-			return ft.New(ft.Classes()[*class])
-		case "cg":
-			return cg.New(cg.Classes()[*class])
-		case "is":
-			return is.New(is.Classes()[*class])
-		case "mg":
-			return mg.New(mg.Classes()[*class])
-		}
-		return nil, fmt.Errorf("unknown benchmark %q", *bench)
+	spec, _, err := platform()
+	if err != nil {
+		return err
 	}
-
-	// Auto-size the interval with a noiseless dry run.
-	sampling := units.Seconds(*interval)
-	if sampling <= 0 {
-		k, err := mk()
-		exitOn(err)
-		dry, err := cluster.New(cluster.Config{Spec: spec, Ranks: *p, Alpha: k.Alpha(), Seed: *seed})
-		exitOn(err)
-		_, err = npb.Run(dry, k)
-		exitOn(err)
-		sampling = units.Seconds(float64(dry.Wall()) / 200)
-		if sampling <= 0 {
-			sampling = units.Millisecond
-		}
+	mk := func() (npb.Kernel, error) { return suite.New(*bench, *class) }
+	switch _, err := mk(); {
+	case err != nil:
+		return cli.Usage(err)
+	case *p < 1:
+		return cli.Usagef("-p %d must be at least 1", *p)
+	case *rank < -1 || *rank >= *p:
+		return cli.Usagef("-rank %d outside [-1, %d)", *rank, *p)
 	}
-
-	k, err := mk()
-	exitOn(err)
-	cl, err := cluster.New(cluster.Config{
-		Spec: spec, Ranks: *p, Alpha: k.Alpha(),
-		Noise: cluster.DefaultNoise(), Seed: *seed,
-	})
-	exitOn(err)
 	var ranks []int
 	if *rank >= 0 {
 		ranks = []int{*rank}
 	}
-	prof, err := power.Attach(cl, sampling, true, ranks...)
-	exitOn(err)
-	rep, err := npb.Run(cl, k)
-	exitOn(err)
-
-	trace := prof.Profile()
-	if *csv {
-		exitOn(trace.WriteCSV(os.Stdout))
-		return
-	}
-	fmt.Printf("%s\n", rep)
-	fmt.Print(trace.Render(96))
-	fmt.Printf("peak %v, mean %v, trace energy %v\n", trace.PeakTotal(), trace.MeanTotal(), trace.Energy())
-}
-
-func exitOn(err error) {
+	rep, trace, err := suite.Profile(mk, spec, *p, units.Seconds(*interval), *seed, ranks...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
+	if *csv {
+		return trace.WriteCSV(stdout)
+	}
+	fmt.Fprintf(stdout, "%s\n", rep)
+	fmt.Fprint(stdout, trace.Render(96))
+	fmt.Fprintf(stdout, "peak %v, mean %v, trace energy %v\n", trace.PeakTotal(), trace.MeanTotal(), trace.Energy())
+	return nil
 }

@@ -233,7 +233,7 @@ func IsoEnergyFunction(spec machine.Spec, v app.Vector, f units.Hertz, ps []int,
 	for _, p := range ps {
 		n, err := IsoEnergyN(spec, v, f, p, target, nMin, nMax)
 		if err != nil {
-			return nil, fmt.Errorf("analysis: p=%d: %w", p, err)
+			return nil, fmt.Errorf("p=%d: %w", p, err)
 		}
 		out[p] = n
 	}

@@ -1,12 +1,13 @@
-// Package cli is the one front door of the scheduler commands: the flag
-// groups schedrun and fedrun share, the run's output lifecycle, and the
-// exit contract. A command is a run(args, stdout, stderr) error that
+// Package cli is the one front door of every command but repolint: the
+// flag groups commands share, the run's output lifecycle, and the exit
+// contract. A command is a run(args, stdout, stderr) error that
 // registers flags on its own FlagSet and returns; Main maps the error's
 // class to the exit ladder, so nothing else calls os.Exit and every
 // deferred close runs on every path. DESIGN.md §14 has the contract.
 package cli
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -19,6 +20,7 @@ import (
 	"strings"
 
 	"repro/internal/capplan"
+	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
@@ -107,6 +109,25 @@ func Parse(fs *flag.FlagSet, args []string, signed ...string) (given map[string]
 		}
 	})
 	return given, err
+}
+
+// MachineFlags registers -cluster and, unless freqUsage is empty, -freq;
+// resolve, called after Parse, returns the preset and the frequency the
+// flags name, 0 Hz meaning the preset's nominal one.
+func MachineFlags(fs *flag.FlagSet, freqUsage string) (resolve func() (machine.Spec, units.Hertz, error)) {
+	presets := machine.Presets()
+	have := strings.Join(slices.Sorted(maps.Keys(presets)), ", ")
+	name, freq := fs.String("cluster", "systemg", "cluster preset: "+have), new(float64)
+	if freqUsage != "" {
+		freq = fs.Float64("freq", 0, freqUsage)
+	}
+	return func() (machine.Spec, units.Hertz, error) {
+		spec, ok := presets[strings.ToLower(*name)]
+		if !ok {
+			return spec, 0, Usagef("-cluster %q: have %s", *name, have)
+		}
+		return spec, cmp.Or(units.Hertz(*freq), spec.BaseFreq), nil
+	}
 }
 
 // TraceFlags registers the synthetic-trace group, -jobs and -seed; jobs,

@@ -66,6 +66,46 @@ func TestParseNumericRule(t *testing.T) {
 	}
 }
 
+// TestMachineFlags: -cluster resolves a preset in any case, 0 Hz is its
+// nominal frequency, a miss is a usage error naming the presets, and an
+// empty freqUsage registers no -freq at all.
+func TestMachineFlags(t *testing.T) {
+	resolve := func(freqUsage string, args ...string) (string, float64, error) {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		platform := MachineFlags(fs, freqUsage)
+		if _, err := Parse(fs, args); err != nil {
+			return "", 0, err
+		}
+		spec, f, err := platform()
+		return spec.Name, float64(f), err
+	}
+	for _, tc := range []struct {
+		args string
+		name string
+		freq float64
+	}{
+		{"", "SystemG", 2.8e9},
+		{"-cluster DORI", "Dori", 2.0e9},
+		{"-cluster dori -freq 1e9", "Dori", 1e9},
+		{"-freq 0", "SystemG", 2.8e9},
+	} {
+		if name, f, err := resolve("Hz", strings.Fields(tc.args)...); err != nil || name != tc.name || f != tc.freq {
+			t.Errorf("%q = %s, %g, %v; want %s, %g", tc.args, name, f, err, tc.name, tc.freq)
+		}
+	}
+	_, _, err := resolve("Hz", "-cluster", "zz")
+	if Exit(err, io.Discard) != 2 || err.Error() != `-cluster "zz": have dori, systemg` {
+		t.Errorf("unknown preset: %v", err)
+	}
+	if _, _, err := resolve("", "-freq", "1e9"); Exit(err, io.Discard) != 2 {
+		t.Errorf("-freq without a usage string: %v, want the flag package's usage error", err)
+	}
+	if name, f, err := resolve(""); err != nil || name != "SystemG" || f != 2.8e9 {
+		t.Errorf("no -freq flag = %s, %g, %v; want the nominal frequency", name, f, err)
+	}
+}
+
 func TestSelect(t *testing.T) {
 	reg := map[string]int{"zeta": 1, "base": 2, "alpha": 3}
 	if all, err := Select("x", "all", reg, "base"); err != nil || fmt.Sprint(all) != "[2 3 1]" {

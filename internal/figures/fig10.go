@@ -2,13 +2,12 @@ package figures
 
 import (
 	"fmt"
+	"strings"
 
-	"repro/internal/cluster"
 	"repro/internal/machine"
 	"repro/internal/npb"
 	"repro/internal/npb/ft"
-	"repro/internal/power"
-	"repro/internal/units"
+	"repro/internal/npb/suite"
 )
 
 // Fig10 reproduces Figure 10: the PowerPack component power profile of a
@@ -18,75 +17,33 @@ import (
 // communication and idle-wait phases.
 func Fig10(o Options) (Figure, error) {
 	spec := machine.SystemG()
-	p := 4
 	cfg := ft.Config{NX: 32, NY: 32, NZ: 32, Iters: 4}
 	if o.Quick {
 		cfg = ft.Config{NX: 16, NY: 16, NZ: 16, Iters: 2}
 	}
-	k, err := ft.New(cfg)
+	// Sample rank 0's node (the paper plots one node) on the auto-sized
+	// grid: a few hundred samples.
+	mk := func() (npb.Kernel, error) { return ft.New(cfg) }
+	rep, trace, err := suite.Profile(mk, spec, 4, 0, o.Seed+1000, 0)
 	if err != nil {
 		return Figure{}, err
 	}
-	cl, err := cluster.New(cluster.Config{
-		Spec:  spec,
-		Ranks: p,
-		Alpha: k.Alpha(),
-		Noise: cluster.DefaultNoise(),
-		Seed:  o.Seed + 1000,
-	})
+	idle, err := spec.Base()
 	if err != nil {
 		return Figure{}, err
 	}
-	// Sample rank 0's node (the paper plots one node) on a grid that
-	// yields a few hundred samples.
-	probe, err := ft.New(cfg)
-	if err != nil {
-		return Figure{}, err
-	}
-	// Dry-run (noiseless clone) to size the sampling interval.
-	dry, err := cluster.New(cluster.Config{Spec: spec, Ranks: p, Alpha: k.Alpha(), Seed: o.Seed + 1000})
-	if err != nil {
-		return Figure{}, err
-	}
-	if _, err := npb.Run(dry, probe); err != nil {
-		return Figure{}, err
-	}
-	interval := units.Seconds(float64(dry.Wall()) / 200)
-	if interval <= 0 {
-		interval = units.Millisecond
-	}
-
-	prof, err := power.Attach(cl, interval, true, 0)
-	if err != nil {
-		return Figure{}, err
-	}
-	rep, err := npb.Run(cl, k)
-	if err != nil {
-		return Figure{}, err
-	}
-	trace := prof.Profile()
-
-	idle := cl.Params(0).PsysIdle
+	var csv strings.Builder
+	_ = trace.WriteCSV(&csv) // a strings.Builder does not fail
 	body := trace.Render(96)
 	body += fmt.Sprintf("\nrun: %v over %v; node idle line at %v; trace peak %v, mean %v\n",
-		rep.Measured.Total, rep.Makespan, idle, trace.PeakTotal(), trace.MeanTotal())
+		rep.Measured.Total, rep.Makespan, idle.PsysIdle, trace.PeakTotal(), trace.MeanTotal())
 	return Figure{
 		ID:    "10",
 		Title: "Component power profile of parallel FFT (one node, PowerPack-style)",
 		Body:  body,
-		CSV:   profileCSV(trace),
+		CSV:   csv.String(),
 		Notes: []string{
 			"paper: component power fluctuates above the idle-state line during execution; CPU carries the activity deltas",
 		},
 	}, nil
-}
-
-func profileCSV(pr power.Profile) string {
-	var b []byte
-	b = append(b, "t_s,cpu_w,mem_w,io_w,other_w,total_w\n"...)
-	for _, s := range pr.Samples {
-		b = append(b, fmt.Sprintf("%.6f,%.3f,%.3f,%.3f,%.3f,%.3f\n",
-			float64(s.T), float64(s.CPU), float64(s.Memory), float64(s.IO), float64(s.Other), float64(s.Total))...)
-	}
-	return string(b)
 }

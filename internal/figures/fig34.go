@@ -38,7 +38,7 @@ func validateKernel(kf kernelFactory, spec machine.Spec, p int, seed int64) (val
 	if err != nil {
 		return validation{}, err
 	}
-	w := app.FromCounters(kf.alpha,
+	w := app.FromCounters(seq.Alpha,
 		seq.Totals.OnChipOps, seq.Totals.OffChipAccesses,
 		par.Totals.OnChipOps, par.Totals.OffChipAccesses,
 		par.M, par.B, p)
@@ -146,7 +146,7 @@ func Fig4(o Options) (Figure, error) {
 			if err != nil {
 				return err
 			}
-			w := app.FromCounters(kf.alpha,
+			w := app.FromCounters(seq.Alpha,
 				seq.Totals.OnChipOps, seq.Totals.OffChipAccesses,
 				seq.Totals.OnChipOps, seq.Totals.OffChipAccesses, 0, 0, 1)
 			pred, err := core.Model{Machine: mp, App: w}.Predict()

@@ -152,9 +152,8 @@ func ByID(id string) (Generator, error) {
 // kernelFactory builds a fresh kernel instance per run (kernels are
 // single-use).
 type kernelFactory struct {
-	name  string
-	alpha float64
-	mk    func() (npb.Kernel, error)
+	name string
+	mk   func() (npb.Kernel, error)
 }
 
 // measured runs the factory's kernel at parallelism p on the given spec
@@ -167,7 +166,7 @@ func (kf kernelFactory) measured(spec machine.Spec, p int, seed int64) (npb.Repo
 	cl, err := cluster.New(cluster.Config{
 		Spec:  spec,
 		Ranks: p,
-		Alpha: kf.alpha,
+		Alpha: k.Alpha(),
 		Noise: cluster.DefaultNoise(),
 		Seed:  seed,
 	})
@@ -188,9 +187,8 @@ func ftFactory(o Options, maxP int) kernelFactory {
 		cfg.NZ = maxP
 	}
 	return kernelFactory{
-		name:  "FT",
-		alpha: 0.86,
-		mk:    func() (npb.Kernel, error) { return ft.New(cfg) },
+		name: "FT",
+		mk:   func() (npb.Kernel, error) { return ft.New(cfg) },
 	}
 }
 
@@ -200,9 +198,8 @@ func epFactory(o Options) kernelFactory {
 		cfg.LogPairs = 14
 	}
 	return kernelFactory{
-		name:  "EP",
-		alpha: 0.93,
-		mk:    func() (npb.Kernel, error) { return ep.New(cfg) },
+		name: "EP",
+		mk:   func() (npb.Kernel, error) { return ep.New(cfg) },
 	}
 }
 
@@ -215,9 +212,8 @@ func cgFactory(o Options) kernelFactory {
 		cfg = cg.Config{N: 512, Nonzer: 4, NIter: 2}
 	}
 	return kernelFactory{
-		name:  "CG",
-		alpha: 0.85,
-		mk:    func() (npb.Kernel, error) { return cg.New(cfg) },
+		name: "CG",
+		mk:   func() (npb.Kernel, error) { return cg.New(cfg) },
 	}
 }
 
@@ -227,9 +223,8 @@ func isFactory(o Options) kernelFactory {
 		cfg = is.Config{LogKeys: 13, LogMaxKey: 10, Buckets: 128, Iters: 2}
 	}
 	return kernelFactory{
-		name:  "IS",
-		alpha: 0.90,
-		mk:    func() (npb.Kernel, error) { return is.New(cfg) },
+		name: "IS",
+		mk:   func() (npb.Kernel, error) { return is.New(cfg) },
 	}
 }
 
@@ -239,8 +234,7 @@ func mgFactory(o Options, depth int) kernelFactory {
 		cfg = mg.Config{Size: 16, Cycles: 2, Depth: depth}
 	}
 	return kernelFactory{
-		name:  "MG",
-		alpha: 0.88,
-		mk:    func() (npb.Kernel, error) { return mg.New(cfg) },
+		name: "MG",
+		mk:   func() (npb.Kernel, error) { return mg.New(cfg) },
 	}
 }

@@ -53,6 +53,8 @@ type Report struct {
 	// M and B are the communication totals (Totals.Messages, Totals.BytesSent).
 	M int64
 	B float64
+	// Alpha is the kernel's overlap factor α, as app.FromCounters takes it.
+	Alpha float64
 	// FinishTimes per rank (load balance diagnostics).
 	FinishTimes []units.Seconds
 }
@@ -72,6 +74,7 @@ func Run(cl *cluster.Cluster, k Kernel) (Report, error) {
 		Kernel:      k.Name(),
 		N:           k.N(),
 		P:           cl.Ranks(),
+		Alpha:       k.Alpha(),
 		Makespan:    rt.Makespan(),
 		Measured:    cl.MeasuredEnergy(),
 		True:        cl.TrueEnergy(),
