@@ -16,6 +16,7 @@ import (
 	"repro/internal/cli"
 	"repro/internal/npb"
 	"repro/internal/npb/suite"
+	"repro/internal/power"
 	"repro/internal/units"
 )
 
@@ -47,6 +48,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return cli.Usagef("-p %d must be at least 1", *p)
 	case *rank < -1 || *rank >= *p:
 		return cli.Usagef("-rank %d outside [-1, %d)", *rank, *p)
+	case *interval != 0 && units.Seconds(*interval) < power.MinInterval:
+		return cli.Usagef("-interval %g below the %v sampling floor", *interval, power.MinInterval)
 	}
 	var ranks []int
 	if *rank >= 0 {

@@ -42,10 +42,13 @@ func TestExitContract(t *testing.T) {
 		{"-interval NaN", 2},
 		{"-interval Inf", 2},
 		{"-interval -1", 2},
+		{"-interval 1e-300", 2}, // below power.MinInterval: the grid would not fit in memory
+		{"-interval 1e-7", 2},
 		{"-nosuchflag", 2},
 		{"-bench ft -p 3", 1},    // FT's grid does not divide by 3
 		{"-bench ep -p 4096", 1}, // more ranks than the preset has
 		{"-bench CG -p 2 -rank 1 -seed 3", 0},
+		{"-bench ep -p 16", 0}, // auto-sized interval clamps to power.MinInterval
 		{"-h", 0},
 	} {
 		code, stdout, stderr := clitest.Run(t, run, strings.Fields(tc.args)...)

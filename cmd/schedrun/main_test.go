@@ -116,6 +116,7 @@ func TestExitContract(t *testing.T) {
 		{"-interval -1", 2},
 		{"-interval NaN", 2},
 		{"-interval Inf", 2},
+		{"-interval 1e-7", 2}, // below power.MinInterval
 		{"-policy ee-max -events " + events + " -rollup NaN", 2},
 		{"-policy ee-max -events " + events + " -rollup Inf", 2},
 		{"-policy ee-max -events " + events + " -rollup -1", 2},

@@ -20,8 +20,9 @@
 //     current operating mix buys the most energy-efficiency per watt),
 //     carbon-min (away from carbon-dirty sites, window by window).
 //   - A RoutePolicy assigns each submitted job to a site in a
-//     deterministic pre-simulation pass, pricing candidate operating
-//     points per site through internal/opcache — ee (best predicted
+//     deterministic pre-simulation pass. Each (site, pool, width) row of
+//     the job is priced once per job by opcache.(*Cache).Eval into one
+//     buffer the router reuses, never through the memo — ee (best predicted
 //     energy-efficiency, with a spill rule when the best site's queue
 //     backlog saturates), jct (earliest predicted completion), rr
 //     (round-robin).

@@ -110,7 +110,7 @@ type siteRun struct {
 	weight      float64
 	ranks       int
 	largestPool int
-	cache       *opcache.PlatformCache // routing-side pricing
+	cache       *opcache.PlatformCache // routing-side pricing (Eval only)
 	idleFloor   units.Watts
 	intensity   []float64 // gCO₂/kWh per grid segment; nil without a signal
 	plan        *capplan.Plan
@@ -149,6 +149,10 @@ type Federation struct {
 
 	decisions []RouteDecision
 	spills    int
+	// rows and widths are the router's per-job buffers (quotes), grown
+	// once and reused for every later job.
+	rows   []pricedRow
+	widths []int
 
 	mu       sync.Mutex
 	cond     *sync.Cond

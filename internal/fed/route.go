@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/opcache"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
 	"repro/internal/units"
@@ -163,7 +164,7 @@ func okQuotes(quotes []Quote) []Quote {
 // assigning every job to a site. Jobs are considered in (arrival, ID)
 // order — the batching a real frontend would apply, with BatchEvery
 // quantising decision times onto batch boundaries — and each decision
-// prices opcache candidate rows per site, asks the route policy, and
+// prices every site's candidate rows once, asks the route policy, and
 // updates the chosen site's backlog estimate. Jobs no site can quote
 // fall back to the site with the widest pool, whose scheduler records
 // the rejection (exactly as a single cluster would have).
@@ -245,32 +246,43 @@ func (f *Federation) route(jobs []sched.Job) error {
 				Dur: dec.Tp, Reason: dec.Reason,
 			})
 		}
-		// Routing rows are dead weight once the decision lands; the
-		// site's scheduler prices from its own cache.
-		for _, s := range f.sites {
-			s.cache.Forget(j.ID)
-		}
 	}
 	return nil
 }
 
-// quotes prices the job at every site. The eligibility reference is the
-// fastest runtime any site's pools offer at any width — shared across
-// sites, mirroring admission's width-slack rule, so a uniformly slow
-// site is simply not eligible for a latency-critical shape. Returns
-// any=false when no width of any pool evaluates at all.
+// pricedRow is one (site, pool, width) evaluation of the job being
+// routed; ok is false when the model rejects the point.
+type pricedRow struct {
+	site, pool, p int
+	ok            bool
+	row           opcache.Row
+}
+
+// quotes prices the job at every site. Each (site, pool, width) row is
+// evaluated once into f.rows, which later jobs reuse. The eligibility
+// reference is the fastest runtime any site's pools offer at any width —
+// shared across sites, mirroring admission's width-slack rule, so a
+// uniformly slow site is simply not eligible for a latency-critical
+// shape. Returns any=false when no width of any pool evaluates at all.
 func (f *Federation) quotes(j sched.Job, work []units.Seconds, now units.Seconds) ([]Quote, bool) {
 	var ref units.Seconds
 	found := false
-	for _, sr := range f.sites {
-		for pi := range sr.site.Platform.Pools {
-			pc := sr.cache.Pool(pi)
-			for _, p := range j.Widths(sr.site.Platform.Pools[pi].Ranks()) {
-				row, err := pc.Row(j.ID, j.Vector, j.N, p)
-				if err != nil {
+	n := 0
+	for si, sr := range f.sites {
+		for pi, pool := range sr.site.Platform.Pools {
+			f.widths = j.Widths(f.widths[:0], pool.Ranks())
+			for _, p := range f.widths {
+				if n == len(f.rows) {
+					f.rows = append(f.rows, pricedRow{})
+				}
+				pr := &f.rows[n]
+				n++
+				pr.site, pr.pool, pr.p = si, pi, p
+				pr.ok = sr.cache.Pool(pi).Eval(&pr.row, j.Vector, j.N, p) == nil
+				if !pr.ok {
 					continue
 				}
-				if ft := row.FastestTp(); !found || ft < ref {
+				if ft := pr.row.FastestTp(); !found || ft < ref {
 					ref, found = ft, true
 				}
 			}
@@ -283,55 +295,53 @@ func (f *Federation) quotes(j sched.Job, work []units.Seconds, now units.Seconds
 
 	quotes := make([]Quote, len(f.sites))
 	refHead := f.maxHeadroom(now)
+	k := 0
 	for si, sr := range f.sites {
 		q := Quote{Site: si, Drain: f.headroom(si, now) / refHead}
 		q.Backlog = units.Seconds(float64(work[si]) / q.Drain)
 		headW := float64(sr.plan.CapAt(now)) - float64(sr.idleFloor)
-		for pi := range sr.site.Platform.Pools {
-			pc := sr.cache.Pool(pi)
-			pool := sr.site.Platform.Pools[pi]
-			idleRank := float64(pc.ParamsAt(0).PsysIdle)
-			for _, p := range j.Widths(pool.Ranks()) {
-				row, err := pc.Row(j.ID, j.Vector, j.N, p)
-				if err != nil {
+		for ; k < n && f.rows[k].site == si; k++ {
+			pr := &f.rows[k]
+			if !pr.ok {
+				continue
+			}
+			row, p := &pr.row, pr.p
+			idleRank := float64(sr.cache.Pool(pr.pool).ParamsAt(0).PsysIdle)
+			// A point is feasible only if the cluster fits under the
+			// site's cap in force right now with the job running:
+			// draw ≤ cap − idle floor + the idle share of the job's
+			// own ranks (running ranks stop parking). A squeezed
+			// site's wide and high-frequency points drop out, so its
+			// feasible-fastest runtime honestly prices the throttle —
+			// and a site squeezed past eligibility is simply not OK
+			// until its window recovers.
+			budget := headW + float64(p)*idleRank
+			var ft units.Seconds
+			feasible := false
+			for fi := range row.Pred {
+				if float64(row.Draw[fi]) > budget {
 					continue
 				}
-				// A point is feasible only if the cluster fits under the
-				// site's cap in force right now with the job running:
-				// draw ≤ cap − idle floor + the idle share of the job's
-				// own ranks (running ranks stop parking). A squeezed
-				// site's wide and high-frequency points drop out, so its
-				// feasible-fastest runtime honestly prices the throttle —
-				// and a site squeezed past eligibility is simply not OK
-				// until its window recovers.
-				budget := headW + float64(p)*idleRank
-				var ft units.Seconds
-				feasible := false
-				for fi := range row.Pred {
-					if float64(row.Draw[fi]) > budget {
-						continue
-					}
-					if !feasible || row.Pred[fi].Tp < ft {
-						ft, feasible = row.Pred[fi].Tp, true
-					}
+				if !feasible || row.Pred[fi].Tp < ft {
+					ft, feasible = row.Pred[fi].Tp, true
 				}
-				if !feasible || ft > maxTp {
+			}
+			if !feasible || ft > maxTp {
+				continue
+			}
+			if !q.OK || ft < q.Fastest {
+				q.Fastest = ft
+			}
+			for fi := range row.Pred {
+				if float64(row.Draw[fi]) > budget {
 					continue
 				}
-				if !q.OK || ft < q.Fastest {
-					q.Fastest = ft
-				}
-				for fi := range row.Pred {
-					if float64(row.Draw[fi]) > budget {
-						continue
-					}
-					if !q.OK || row.Pred[fi].EE > q.EE {
-						q.OK = true
-						q.EE = row.Pred[fi].EE
-						q.Tp = row.Pred[fi].Tp
-						q.P = p
-						q.Pool = pool.PoolName()
-					}
+				if !q.OK || row.Pred[fi].EE > q.EE {
+					q.OK = true
+					q.EE = row.Pred[fi].EE
+					q.Tp = row.Pred[fi].Tp
+					q.P = p
+					q.Pool = sr.site.Platform.Pools[pr.pool].PoolName()
 				}
 			}
 		}

@@ -65,7 +65,8 @@ func New(name, class string) (npb.Kernel, error) {
 // Profile runs a kernel from mk on p noisy ranks of spec under a noisy
 // power meter that samples the given ranks (all, if none) every
 // interval. An interval of 0 sizes the grid to about 200 samples on a
-// noiseless dry run of a second kernel: kernels are single-use.
+// noiseless dry run of a second kernel (kernels are single-use), but no
+// finer than power.MinInterval.
 func Profile(mk func() (npb.Kernel, error), spec machine.Spec, p int, interval units.Seconds, seed int64, ranks ...int) (rep npb.Report, trace power.Profile, err error) {
 	provision := func(noise cluster.NoiseConfig) (k npb.Kernel, cl *cluster.Cluster, err error) {
 		if k, err = mk(); err == nil {
@@ -84,6 +85,7 @@ func Profile(mk func() (npb.Kernel, error), spec machine.Spec, p int, interval u
 		if interval = dry.Wall() / 200; interval <= 0 {
 			interval = units.Millisecond
 		}
+		interval = max(interval, power.MinInterval)
 	}
 	k, cl, err := provision(cluster.DefaultNoise())
 	if err != nil {

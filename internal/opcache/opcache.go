@@ -6,34 +6,35 @@
 // A job's grid is fixed while it is in the system, yet its points are
 // wanted over and over — the admission search on every scheduling edge,
 // the profile the governor consults at every retune decision, the
-// backfill shadow walk probing hypothetical future cluster states, the
-// relaxed idle-cluster pass and the federation router's per-site quotes
-// all read identical (vector, n, p, f) tuples. core.Model.Predict is
-// pure, so this package evaluates each (owner, n, p) row once, owns it,
-// and counts the evaluations. The scheduler keeps a reference to each row
-// on the job's queue entry after its first lookup and re-reads it there
-// (its hit count here is zero by construction); the federation router
-// re-reads through the memo, a map lookup. One-off evaluations — the
-// analysis sweeps and the model-surface figures, which read each point
-// once — call Predict directly instead (DESIGN.md "Pricing a point").
+// backfill shadow walk probing hypothetical future cluster states and
+// the relaxed idle-cluster pass all read identical (vector, n, p, f)
+// tuples. core.Model.Predict is pure, so this package evaluates each
+// (owner, n, p) row once, owns it, and counts the evaluations. The
+// scheduler keeps a reference to each row on the job's queue entry after
+// its first lookup and re-reads it there (its hit count here is zero by
+// construction). A caller that owns its rows — the federation router,
+// which prices each row once per job into one reused buffer — calls Eval
+// instead, which prices into the caller's Row and leaves the memo alone.
+// One-off evaluations — the analysis sweeps and the model-surface
+// figures, which read each point once — call Predict directly (DESIGN.md
+// "Pricing a point").
 //
 // Keying: application vectors hold closures, which Go cannot compare, so
 // the caller supplies an identity token (`owner`) that is stable for the
-// lifetime of the vector — the scheduler and the federation router use
-// the job ID. Rows are evaluated lazily per (owner, n, p) against the
-// machine's whole DVFS ladder in one pass, which matches how every
-// consumer reads them (admission scans ladders, the governor walks them).
-// Invalidation is by owner: the scheduler forgets a job's rows (and drops
-// its own references) when the job leaves the system, which bounds the
-// cache by the number of in-flight jobs. Nothing else invalidates — machine specs are immutable
-// for the cache's lifetime.
+// lifetime of the vector — the scheduler uses the job ID. Rows are
+// evaluated lazily per (owner, n, p) against the machine's whole DVFS
+// ladder in one pass, which matches how every consumer reads them
+// (admission scans ladders, the governor walks them). Invalidation is by
+// owner: the scheduler forgets a job's rows (and drops its own
+// references) when the job leaves the system, which bounds the cache by
+// the number of in-flight jobs. Nothing else invalidates — machine specs
+// are immutable for the cache's lifetime.
 //
-// A Cache is safe for concurrent use.
+// A Cache belongs to one goroutine: every site scheduler builds its own.
 package opcache
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/app"
 	"repro/internal/core"
@@ -87,7 +88,6 @@ type Cache struct {
 	ladder []units.Hertz
 	params []machine.Params // per ladder index
 
-	mu      sync.Mutex
 	rows    map[any]map[rowKey]*Row
 	errs    map[any]map[rowKey]error
 	hits    uint64
@@ -154,36 +154,22 @@ func (c *Cache) LadderIndex(f units.Hertz) int {
 // degenerate workload is priced exactly once.
 func (c *Cache) Row(owner any, v app.Vector, n float64, p int) (*Row, error) {
 	k := rowKey{n: n, p: p}
-	c.mu.Lock()
 	if r, ok := c.rows[owner][k]; ok {
 		c.hits++
-		c.mu.Unlock()
 		return r, nil
 	}
 	if err, ok := c.errs[owner][k]; ok {
 		c.hits++
-		c.mu.Unlock()
 		return nil, err
 	}
 	c.misses++
-	c.mu.Unlock()
-
-	// Evaluate outside the lock: Predict is pure, and recomputing a row
-	// that raced is cheaper than serialising every reader behind one
-	// model evaluation.
-	r, err := c.evaluate(v, n, p)
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err != nil {
+	r := &Row{}
+	if err := c.Eval(r, v, n, p); err != nil {
 		if c.errs[owner] == nil {
 			c.errs[owner] = make(map[rowKey]error)
 		}
 		c.errs[owner][k] = err
 		return nil, err
-	}
-	if prev, ok := c.rows[owner][k]; ok {
-		return prev, nil // a racing worker beat us; keep one canonical row
 	}
 	if c.rows[owner] == nil {
 		c.rows[owner] = make(map[rowKey]*Row)
@@ -209,26 +195,20 @@ func (c *Cache) Point(owner any, v app.Vector, n float64, p, fIdx int) (core.Pre
 // calls it when a job completes or is rejected so the cache stays
 // bounded by the jobs still in the system.
 func (c *Cache) Forget(owner any) {
-	c.mu.Lock()
 	c.forgets++
 	delete(c.rows, owner)
 	delete(c.errs, owner)
-	c.mu.Unlock()
 }
 
 // Stats reports the cache's cumulative hit/miss/forget counters, for
 // tests, performance reports and the host observability layer.
 func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return Stats{Hits: c.hits, Misses: c.misses, Forgets: c.forgets}
 }
 
 // Size returns the number of rows currently held (successful and failed
 // evaluations) — the quantity Forget keeps bounded.
 func (c *Cache) Size() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	n := 0
 	for _, m := range c.rows {
 		n += len(m)
@@ -239,23 +219,34 @@ func (c *Cache) Size() int {
 	return n
 }
 
-// evaluate prices one workload against the whole ladder.
-func (c *Cache) evaluate(v app.Vector, n float64, p int) (*Row, error) {
+// Eval prices v at (n, p) against the whole ladder into r, reusing r's
+// slices when they are long enough — the allocation-free door for a
+// caller that owns its rows. Memo rows are priced by the same function,
+// so the two are bit-identical. Eval neither reads nor fills the memo:
+// Stats and Size do not move. On error r holds a partial evaluation.
+func (c *Cache) Eval(r *Row, v app.Vector, n float64, p int) error {
 	w := v.At(n, p)
-	r := &Row{
-		W:    w,
-		Pred: make([]core.Prediction, len(c.ladder)),
-		Draw: make([]units.Watts, len(c.ladder)),
-	}
+	r.W = w
+	r.Pred = resize(r.Pred, len(c.ladder))
+	r.Draw = resize(r.Draw, len(c.ladder))
 	for i := range c.ladder {
 		pr, err := (core.Model{Machine: c.params[i], App: w}).Predict()
 		if err != nil {
-			return nil, fmt.Errorf("opcache: %s at n=%g p=%d f=%v: %w", v.Name, n, p, c.ladder[i], err)
+			return fmt.Errorf("opcache: %s at n=%g p=%d f=%v: %w", v.Name, n, p, c.ladder[i], err)
 		}
 		r.Pred[i] = pr
 		r.Draw[i] = units.Watts(float64(p) * float64(c.drawPerRank(w, i)))
 	}
-	return r, nil
+	return nil
+}
+
+// resize returns s with length n, reallocating only when its capacity
+// falls short.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // drawPerRank returns the conservative sustained power of one rank

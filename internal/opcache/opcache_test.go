@@ -1,7 +1,6 @@
 package opcache
 
 import (
-	"sync"
 	"testing"
 
 	"repro/internal/app"
@@ -137,31 +136,53 @@ func TestLadderIndex(t *testing.T) {
 	}
 }
 
-// Concurrent readers of overlapping grids must agree on one canonical
-// row per key (run under -race in CI).
-func TestConcurrentReaders(t *testing.T) {
-	c := testCache(t)
-	v := app.FT(20)
-	var wg sync.WaitGroup
-	rows := make([]*Row, 8)
-	for w := 0; w < 8; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for rep := 0; rep < 20; rep++ {
-				r, err := c.Row("shared", v, 1<<18, 4)
-				if err != nil {
-					panic(err)
-				}
-				rows[w] = r
-			}
-		}()
+// Eval into one reused Row must equal a fresh memo row field by field,
+// across two specs with different ladder lengths (long → short → long),
+// fail with Row's exact error text, and never touch the memo.
+func TestEvalMatchesRow(t *testing.T) {
+	g, err := New(machine.SystemG())
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	for w := 1; w < 8; w++ {
-		if rows[w] != rows[0] {
-			t.Fatal("concurrent readers saw different canonical rows")
+	d, err := New(machine.Dori())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(g.Ladder()) <= len(d.Ladder()) {
+		t.Fatalf("fixture needs SystemG's ladder (%d) longer than Dori's (%d)", len(g.Ladder()), len(d.Ladder()))
+	}
+	cg := app.CG(11, 15)
+	bad := cg
+	bad.M = func(n float64, p int) float64 { return -1 }
+
+	var r Row
+	for step, c := range []*Cache{g, d, g} {
+		for _, p := range []int{1, 4, 16} {
+			want, err := c.Row(step, cg, 75000, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before, size := c.Stats(), c.Size()
+			if err := c.Eval(&r, cg, 75000, p); err != nil {
+				t.Fatal(err)
+			}
+			if c.Stats() != before || c.Size() != size {
+				t.Fatalf("step %d p=%d: Eval moved the memo: %+v/%d → %+v/%d", step, p, before, size, c.Stats(), c.Size())
+			}
+			if r.W != want.W || len(r.Pred) != len(want.Pred) || len(r.Draw) != len(want.Draw) {
+				t.Fatalf("step %d p=%d: workload or ladder length differs: %d/%d vs %d/%d",
+					step, p, len(r.Pred), len(r.Draw), len(want.Pred), len(want.Draw))
+			}
+			for i := range want.Pred {
+				if r.Pred[i] != want.Pred[i] || r.Draw[i] != want.Draw[i] {
+					t.Fatalf("step %d p=%d f#%d: Eval %+v/%v, Row %+v/%v", step, p, i, r.Pred[i], r.Draw[i], want.Pred[i], want.Draw[i])
+				}
+			}
+		}
+		_, rowErr := c.Row("bad", bad, 75000, 4)
+		evalErr := c.Eval(&r, bad, 75000, 4)
+		if rowErr == nil || evalErr == nil || rowErr.Error() != evalErr.Error() {
+			t.Fatalf("step %d: Row error %v, Eval error %v", step, rowErr, evalErr)
 		}
 	}
 }

@@ -90,6 +90,11 @@ func (p *Profiler) OnSample(fn func(Sample)) { p.onSample = append(p.onSample, f
 // live) the loop stops and the kernel can drain.
 func (p *Profiler) KeepSampling(alive func() bool) { p.keepAlive = alive }
 
+// MinInterval is the shortest sampling interval Attach accepts. A run
+// schedules makespan/interval samples, so without a floor a tiny
+// interval exhausts memory instead of failing.
+const MinInterval = units.Microsecond
+
 // Attach registers a profiler sampling every interval, aggregating the
 // given ranks (all ranks if none specified). Power is attributed per
 // rank — each rank's utilisation scales its own ΔP — so heterogeneous
@@ -98,8 +103,8 @@ func (p *Profiler) KeepSampling(alive func() bool) { p.keepAlive = alive }
 // only for noiseless profiles. Every rank must lie in [0, cl.Ranks()) and
 // appear once — a repeated rank would be counted twice in every sample.
 func Attach(cl *cluster.Cluster, interval units.Seconds, noisy bool, ranks ...int) (*Profiler, error) {
-	if interval <= 0 {
-		return nil, fmt.Errorf("power: sampling interval must be positive, got %v", interval)
+	if !(interval >= MinInterval) {
+		return nil, fmt.Errorf("power: sampling interval %v below the %v floor", interval, MinInterval)
 	}
 	if len(ranks) == 0 {
 		ranks = make([]int, cl.Ranks())

@@ -223,6 +223,16 @@ func TestAttachValidation(t *testing.T) {
 	if _, err := Attach(cl, -1, false); err == nil {
 		t.Fatal("negative interval must be rejected")
 	}
+	// Positive but below the floor: makespan/interval samples would not
+	// fit in memory, so this is an error rather than an endless grid.
+	for _, tiny := range []units.Seconds{1e-300, MinInterval / 2, units.Seconds(math.NaN())} {
+		if _, err := Attach(cl, tiny, false); err == nil || !strings.Contains(err.Error(), "floor") {
+			t.Fatalf("interval %v: got %v, want the floor error", tiny, err)
+		}
+	}
+	if _, err := Attach(cl, MinInterval, false); err != nil {
+		t.Fatalf("the floor itself must be accepted: %v", err)
+	}
 }
 
 // A rank list comes from the command line (powerpack -rank): a rank the

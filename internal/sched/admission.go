@@ -142,7 +142,7 @@ func (c *AdmitContext) search(e *entry, refTp units.Seconds, budget units.Watts,
 	var wbuf [maxWidths]int
 	for pi := range s.pools {
 		ps := &s.pools[pi]
-		for _, p := range j.widths(wbuf[:0], c.free[pi]) {
+		for _, p := range j.Widths(wbuf[:0], c.free[pi]) {
 			stage = max(stage, stageWidth)
 			row, fastest := s.priced(e, pi, p)
 			if row == nil {
@@ -268,7 +268,7 @@ func (s *Scheduler) referenceTp(e *entry) (units.Seconds, bool) {
 	var wbuf [maxWidths]int
 	ref := units.Seconds(0)
 	for pi := range s.pools {
-		for _, p := range j.widths(wbuf[:0], s.pools[pi].size) {
+		for _, p := range j.Widths(wbuf[:0], s.pools[pi].size) {
 			row, fastest := s.priced(e, pi, p)
 			if row == nil {
 				return 0, false

@@ -321,7 +321,7 @@ func (c *AdmitContext) referenceSearch(e *entry, refTp units.Seconds, budget uni
 	var wbuf [maxWidths]int
 	for pi := range s.pools {
 		ps := &s.pools[pi]
-		for _, p := range j.widths(wbuf[:0], c.free[pi]) {
+		for _, p := range j.Widths(wbuf[:0], c.free[pi]) {
 			stage = max(stage, stageWidth)
 			row, err := ps.cache.Row(j.ID, j.Vector, j.N, p)
 			if err != nil {

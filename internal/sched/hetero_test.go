@@ -152,9 +152,10 @@ func TestHeterogeneousWideJobFallsToLargerPool(t *testing.T) {
 }
 
 // Config.Interval: zero still selects the 25 ms default; negative values
-// are a configuration error rather than a silent sentinel.
+// and positive ones under power.MinInterval are a configuration error
+// rather than a silent sentinel or a late power.Attach failure.
 func TestNegativeIntervalRejected(t *testing.T) {
-	for _, bad := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+	for _, bad := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1), 1e-7} {
 		if _, err := New(Config{Platform: machine.Homogeneous(testSpec()), Ranks: 2, Cap: 500, Interval: units.Seconds(bad)}); err == nil {
 			t.Fatalf("interval %v must be rejected", bad)
 		}

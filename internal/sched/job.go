@@ -114,11 +114,13 @@ func (j *Job) priority() int {
 // pools up to 2^14 ranks fit, a longer enumeration merely allocates.
 const maxWidths = 16
 
-// widths appends to ws the candidate rank counts for the job on a
+// Widths appends to ws the candidate rank counts for the job on a
 // cluster with the given free capacity, ascending: powers of two within
 // [MinWidth, min(MaxWidth, free)], plus the exact bounds when they are
-// not powers of two themselves.
-func (j *Job) widths(ws []int, free int) []int {
+// not powers of two themselves. Admission scans this enumeration, and
+// the federation's router prices the same widths a site's admission
+// would consider.
+func (j *Job) Widths(ws []int, free int) []int {
 	lo, hi := j.minWidth(), min(j.MaxWidth, free)
 	if hi < lo {
 		return ws

@@ -311,6 +311,9 @@ func New(cfg Config) (*Scheduler, error) {
 	if cfg.Interval == 0 {
 		cfg.Interval = 25 * units.Millisecond
 	}
+	if cfg.Interval < power.MinInterval {
+		return nil, fmt.Errorf("sched: sampling interval %v below the %v floor", cfg.Interval, power.MinInterval)
+	}
 	if err := cfg.Platform.Validate(); err != nil {
 		return nil, err
 	}

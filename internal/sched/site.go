@@ -36,12 +36,6 @@ func (s *Scheduler) At(t units.Seconds, fn func()) error {
 	return nil
 }
 
-// Widths enumerates the job's candidate rank counts given free
-// capacity — the same enumeration admission scans, exported so the
-// federation's routing frontend prices the operating points a site's
-// admission would actually consider.
-func (j Job) Widths(free int) []int { return j.widths(nil, free) }
-
 // Snapshot is a point-in-time view of a running scheduler's operating
 // mix — the facts a federated budget-split policy prices when deciding
 // where the next window's watts do the most good.
