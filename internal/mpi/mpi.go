@@ -28,7 +28,13 @@ import (
 // AnySource matches messages from any sender in Recv.
 const AnySource = -1
 
-// Message is a received payload. The receiver takes ownership of Data.
+// Message is a received payload. Data is the sender's value, shared by
+// reference in the simulated address space, as Bcast and Reduce say: the
+// receiver reads it without copying, and a sender that reuses a buffer
+// must not write it until every receiver has consumed it. The NPB
+// kernels reuse their send buffers across iterations and rely on an
+// allreduce, which no rank leaves before every rank enters it, between
+// two writes.
 type Message struct {
 	Src   int
 	Tag   int

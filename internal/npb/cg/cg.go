@@ -151,10 +151,11 @@ func grid(p int) (int, int, error) {
 	return r, c, nil
 }
 
-// blockEntry is one stored nonzero of a local matrix block.
+// blockEntry is one stored nonzero of a local matrix block. Block
+// coordinates are below the matrix order, so 32 bits hold them.
 type blockEntry struct {
-	localRow int
-	localCol int
+	localRow int32
+	localCol int32
 	val      float64
 }
 
@@ -179,16 +180,31 @@ func (k *Kernel) RunRank(rk *mpi.Rank) {
 
 	// --- Matrix block construction (rows R_i × cols C_j). ---
 	rk.PhaseEnter("cg.makea")
-	var entries []blockEntry
-	for lr := 0; lr < rlen; lr++ {
-		g := r0 + lr
-		if g >= c0 && g < c0+clen {
-			entries = append(entries, blockEntry{lr, g - c0, k.diag(g)})
+	inBlock := func(gc int) bool { return gc >= c0 && gc < c0+clen }
+	nnz := 0
+	for g := r0; g < r0+rlen; g++ {
+		if inBlock(g) {
+			nnz++
 		}
 		for _, d := range k.offsets {
-			for _, gc := range []int{(g + d) % n, (g - d + n) % n} {
-				if gc >= c0 && gc < c0+clen {
-					entries = append(entries, blockEntry{lr, gc - c0, k.value(g, gc)})
+			if inBlock((g + d) % n) {
+				nnz++
+			}
+			if inBlock((g - d + n) % n) {
+				nnz++
+			}
+		}
+	}
+	entries := make([]blockEntry, 0, nnz)
+	for lr := 0; lr < rlen; lr++ {
+		g := r0 + lr
+		if inBlock(g) {
+			entries = append(entries, blockEntry{int32(lr), int32(g - c0), k.diag(g)})
+		}
+		for _, d := range k.offsets {
+			for _, gc := range [2]int{(g + d) % n, (g - d + n) % n} {
+				if inBlock(gc) {
+					entries = append(entries, blockEntry{int32(lr), int32(gc - c0), k.value(g, gc)})
 				}
 			}
 		}
@@ -221,25 +237,41 @@ func (k *Kernel) RunRank(rk *mpi.Rank) {
 		partnerC = 2*row + (col & 1)
 	}
 
+	// The matvec's buffers, allocated once per run. sums[0] holds the
+	// local block product and sums[d+1] the row-team partial sum after
+	// doubling step d; the last one also carries the segment shipped to
+	// the transpose partner, and q receives this rank's segment. Peers
+	// read what they receive by reference (mpi.Message), so within one
+	// product each buffer is written once; between two products every
+	// rank passes a dot product's allreduce, which it enters only after
+	// consuming what it received.
+	sums := make([][]float64, 1+log2i(npcols))
+	for i := range sums {
+		sums[i] = make([]float64, rlen)
+	}
+	q := make([]float64, clen)
+
 	// matvec computes q = A·v for a column-distributed v (segment of
-	// length clen), returning the caller's column segment of q.
+	// length clen), returning the caller's column segment of q. The
+	// result is valid until the next call.
 	step := 0
 	matvec := func(v []float64) []float64 {
 		// Local block product: w_partial over rows R_i.
-		w := make([]float64, rlen)
+		w := sums[0]
+		clear(w)
 		for _, e := range entries {
 			w[e.localRow] += e.val * v[e.localCol]
 		}
 		rk.Compute(2*nnzLocal, miss*nnzLocal)
 
 		// Row-team allreduce (recursive doubling over npcols ranks).
-		for dist := 1; dist < npcols; dist *= 2 {
+		for dist, d := 1, 1; dist < npcols; dist, d = dist*2, d+1 {
 			peerCol := col ^ dist
 			peer := row*npcols + peerCol
 			tag := rowTeamTag + step*8 + log2i(dist)
 			msg := rk.SendRecv(peer, tag, w, units.Bytes(8*rlen), peer, tag)
 			pw := msg.Data.([]float64)
-			nw := make([]float64, rlen)
+			nw := sums[d]
 			for i := range w {
 				nw[i] = w[i] + pw[i]
 			}
@@ -251,16 +283,13 @@ func (k *Kernel) RunRank(rk *mpi.Rank) {
 		// receive mine. The partner's segment C_partnerC lies inside my
 		// row range R_row.
 		segStart := partnerC*clen - r0
-		seg := make([]float64, clen)
-		copy(seg, w[segStart:segStart+clen])
+		out := w[segStart : segStart+clen]
 		rk.Compute(segFlops, miss*segFlops)
-		var out []float64
-		if partner == me {
-			out = seg
-		} else {
+		if partner != me {
 			tag := transposeTag + step
-			msg := rk.SendRecv(partner, tag, seg, units.Bytes(8*clen), partner, tag)
-			out = msg.Data.([]float64)
+			msg := rk.SendRecv(partner, tag, out, units.Bytes(8*clen), partner, tag)
+			out = q
+			copy(out, msg.Data.([]float64))
 		}
 		step++
 		return out
@@ -287,12 +316,13 @@ func (k *Kernel) RunRank(rk *mpi.Rank) {
 	for i := range x {
 		x[i] = 1
 	}
+	z := make([]float64, clen)
+	rvec := make([]float64, clen)
+	pvec := make([]float64, clen)
 	for outer := 0; outer < k.cfg.NIter; outer++ {
 		rk.PhaseEnter("cg.solve")
 		// Inner CG: solve A z = x.
-		z := make([]float64, clen)
-		rvec := make([]float64, clen)
-		pvec := make([]float64, clen)
+		clear(z)
 		copy(rvec, x)
 		copy(pvec, x)
 		rk.Compute(2*segFlops, miss*2*segFlops)

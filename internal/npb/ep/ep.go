@@ -24,6 +24,7 @@ const (
 	OpsPerPair = 110.0
 	OffPerPair = 1e-3
 	batchPairs = 1 << 15
+	chunkPairs = 1 << 9 // pairs drawn per Vranlc call
 	annuli     = 10
 )
 
@@ -51,11 +52,6 @@ func Classes() map[string]Config {
 type Kernel struct {
 	cfg   Config
 	pairs int64
-
-	// Per-rank partial results, indexed by rank.
-	sx, sy   []float64
-	accepted []int64
-	counts   [][]int64
 
 	// Reduced results (written by every rank; identical by construction).
 	TotalSx, TotalSy float64
@@ -87,14 +83,6 @@ func (k *Kernel) Alpha() float64 { return 0.93 }
 func (k *Kernel) RunRank(r *mpi.Rank) {
 	p := int64(r.Size())
 	rank := int64(r.Rank())
-	if k.sx == nil {
-		k.sx = make([]float64, p)
-		k.sy = make([]float64, p)
-		k.accepted = make([]int64, p)
-		k.counts = make([][]int64, p)
-	}
-	k.counts[rank] = make([]int64, annuli)
-
 	// Chunk [start, end) of the global pair sequence; each pair consumes
 	// two deviates, so rank state starts at LCG step 2·start.
 	start := rank * k.pairs / p
@@ -104,25 +92,31 @@ func (k *Kernel) RunRank(r *mpi.Rank) {
 	r.PhaseEnter("ep.generate")
 	var sx, sy float64
 	var acc int64
+	var counts [annuli]int64
+	dev := make([]float64, 2*chunkPairs)
 	for done := start; done < end; {
 		batch := end - done
 		if batch > batchPairs {
 			batch = batchPairs
 		}
-		for i := int64(0); i < batch; i++ {
-			x1 := 2*npb.Randlc(&x, npb.LCGMultiplier) - 1
-			x2 := 2*npb.Randlc(&x, npb.LCGMultiplier) - 1
-			t := x1*x1 + x2*x2
-			if t <= 1 {
-				f := math.Sqrt(-2 * math.Log(t) / t)
-				gx := x1 * f
-				gy := x2 * f
-				sx += gx
-				sy += gy
-				acc++
-				l := int(math.Max(math.Abs(gx), math.Abs(gy)))
-				if l < annuli {
-					k.counts[rank][l]++
+		for i := int64(0); i < batch; i += chunkPairs {
+			d := dev[:2*min(chunkPairs, batch-i)]
+			npb.Vranlc(&x, npb.LCGMultiplier, d)
+			for j := 0; j < len(d); j += 2 {
+				x1 := 2*d[j] - 1
+				x2 := 2*d[j+1] - 1
+				t := x1*x1 + x2*x2
+				if t <= 1 {
+					f := math.Sqrt(-2 * math.Log(t) / t)
+					gx := x1 * f
+					gy := x2 * f
+					sx += gx
+					sy += gy
+					acc++
+					l := int(math.Max(math.Abs(gx), math.Abs(gy)))
+					if l < annuli {
+						counts[l]++
+					}
 				}
 			}
 		}
@@ -130,9 +124,6 @@ func (k *Kernel) RunRank(r *mpi.Rank) {
 		r.Compute(OpsPerPair*float64(batch), OffPerPair*float64(batch))
 	}
 	r.PhaseExit("ep.generate")
-	k.sx[rank] = sx
-	k.sy[rank] = sy
-	k.accepted[rank] = acc
 
 	// Closing reductions: annuli counts plus Σx, Σy and the acceptance
 	// count, as one vector allreduce (matches NPB's two MPI_Allreduce
@@ -140,7 +131,7 @@ func (k *Kernel) RunRank(r *mpi.Rank) {
 	r.PhaseEnter("ep.reduce")
 	local := make([]float64, annuli+3)
 	for i := 0; i < annuli; i++ {
-		local[i] = float64(k.counts[rank][i])
+		local[i] = float64(counts[i])
 	}
 	local[annuli] = sx
 	local[annuli+1] = sy

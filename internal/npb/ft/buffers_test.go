@@ -1,0 +1,95 @@
+package ft
+
+import (
+	"reflect"
+	"runtime"
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/machine"
+	"repro/internal/npb"
+)
+
+// run executes k on a fresh p-rank SystemG cluster with fixed noise.
+func run(t *testing.T, k npb.Kernel, p int) npb.Report {
+	t.Helper()
+	cl, err := cluster.New(cluster.Config{Spec: machine.SystemG(), Ranks: p, Alpha: k.Alpha(), Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := npb.Run(cl, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// TestRunMatchesReference pins the slab rewrite to the kernel it
+// replaced: the same numerics, charges and messages give the same
+// report, Parseval energies and checksums to the last bit.
+func TestRunMatchesReference(t *testing.T) {
+	for _, cfg := range []Config{
+		{NX: 16, NY: 16, NZ: 16, Iters: 2},
+		{NX: 32, NY: 8, NZ: 16, Iters: 3, Seed: 314159265},
+	} {
+		for _, p := range []int{1, 2, 4, 8, 16} {
+			ref, err := newRef(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, got := run(t, ref, p), run(t, k, p)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%+v p=%d: report\n got %+v\nwant %+v", cfg, p, got, want)
+			}
+			if k.SpatialEnergy != ref.SpatialEnergy || k.FreqEnergy != ref.FreqEnergy {
+				t.Errorf("%+v p=%d: energies %g/%g, want %g/%g", cfg, p,
+					k.SpatialEnergy, k.FreqEnergy, ref.SpatialEnergy, ref.FreqEnergy)
+			}
+			if !reflect.DeepEqual(k.Checksums, ref.Checksums) {
+				t.Errorf("%+v p=%d: checksums %v, want %v", cfg, p, k.Checksums, ref.Checksums)
+			}
+		}
+	}
+}
+
+// perIteration returns the bytes a p-rank run allocates per iteration
+// beyond the first, for kernels made by mk.
+func perIteration(t *testing.T, mk func(Config) (npb.Kernel, error), p int) uint64 {
+	t.Helper()
+	allocated := func(iters int) uint64 {
+		k, err := mk(Config{NX: 32, NY: 32, NZ: 32, Iters: iters})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run(t, k, p)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	short, long := allocated(1), allocated(9)
+	if long < short {
+		return 0
+	}
+	return (long - short) / 8
+}
+
+// TestRunAllocatesGridOncePerRun: each rank's slab is allocated when
+// the run starts, so an extra iteration costs messages, not grids. The
+// reference kernel, which allocates three grids' worth per iteration,
+// shows the probe can tell the two apart.
+func TestRunAllocatesGridOncePerRun(t *testing.T) {
+	const grid = 16 * 32 * 32 * 32
+	mk := func(cfg Config) (npb.Kernel, error) { return New(cfg) }
+	mkRef := func(cfg Config) (npb.Kernel, error) { return newRef(cfg) }
+	if got := perIteration(t, mk, 4); got > grid/32 {
+		t.Errorf("an iteration allocates %d B, want ≤ %d (1/32 of the %d B grid)", got, grid/32, grid)
+	}
+	if got := perIteration(t, mkRef, 4); got < grid {
+		t.Errorf("reference iteration allocates %d B, want ≥ the %d B grid", got, grid)
+	}
+}

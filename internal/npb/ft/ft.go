@@ -59,21 +59,12 @@ type Kernel struct {
 	cfg Config
 	n   int // total elements
 
-	// Per-rank slabs; index by rank. dz: layout Z ([lz][ny][nx]);
-	// dx: layout X ([lx][ny][nz]); freq: frequency-domain copy of dx;
-	// twid: evolution factors per local frequency element.
-	dz   [][]complex128
-	dx   [][]complex128
-	freq [][]complex128
-	twid [][]float64
-
 	planX, planY, planZ *fftPlan
 
 	// Verification state.
-	SpatialEnergy  float64      // Σ|u|² before the forward transform
-	FreqEnergy     float64      // Σ|ũ|²/n after it
-	Checksums      []complex128 // per-iteration spatial checksums
-	initialChecked bool
+	SpatialEnergy float64      // Σ|u|² before the forward transform
+	FreqEnergy    float64      // Σ|ũ|²/n after it
+	Checksums     []complex128 // per-iteration spatial checksums
 }
 
 // New validates the configuration and prepares a run instance.
@@ -89,7 +80,7 @@ func New(cfg Config) (*Kernel, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = npb.DefaultSeed
 	}
-	k := &Kernel{cfg: cfg, n: cfg.NX * cfg.NY * cfg.NZ}
+	k := &Kernel{cfg: cfg, n: cfg.NX * cfg.NY * cfg.NZ, Checksums: make([]complex128, cfg.Iters)}
 	var err error
 	if k.planX, err = newPlan(cfg.NX); err != nil {
 		return nil, err
@@ -112,6 +103,43 @@ func (k *Kernel) N() float64 { return float64(k.n) }
 // Alpha implements npb.Kernel (paper §V.B.1).
 func (k *Kernel) Alpha() float64 { return 0.86 }
 
+// slab is one rank's share of the grid plus the scratch its transforms
+// and transposes reuse. RunRank allocates it once per run; no iteration
+// allocates a grid-sized buffer.
+type slab struct {
+	dz   []complex128 // layout Z: [lz][ny][nx]
+	dx   []complex128 // layout X: [lx][ny][nz]
+	freq []complex128 // frequency-domain state (layout X), evolved in place
+	twid []float64    // evolution factor per element of freq
+
+	// blocks[q] is the outgoing transpose block for rank q, cut from one
+	// backing array. The receiver reads it by reference (mpi.Message),
+	// so it is rewritten only in the next transpose; an allreduce every
+	// rank enters after unpacking separates any two transposes.
+	blocks [][]complex128
+	pencil []complex128 // one y pencil for fftY
+	dev    []float64    // one x row's LCG deviates, two per element
+}
+
+func newSlab(p, lx, lz, nx, ny, nz int) *slab {
+	local := lz * ny * nx
+	pack := make([]complex128, local)
+	blocks := make([][]complex128, p)
+	bs := local / p
+	for q := range blocks {
+		blocks[q] = pack[q*bs : (q+1)*bs]
+	}
+	return &slab{
+		dz:     make([]complex128, local),
+		dx:     make([]complex128, lx*ny*nz),
+		freq:   make([]complex128, local),
+		twid:   make([]float64, local),
+		blocks: blocks,
+		pencil: make([]complex128, ny),
+		dev:    make([]float64, 2*nx),
+	}
+}
+
 // RunRank implements npb.Kernel.
 func (k *Kernel) RunRank(r *mpi.Rank) {
 	p := r.Size()
@@ -119,34 +147,27 @@ func (k *Kernel) RunRank(r *mpi.Rank) {
 	if k.cfg.NZ%p != 0 || k.cfg.NX%p != 0 {
 		r.Abort("ft: nx=%d and nz=%d must be divisible by p=%d", k.cfg.NX, k.cfg.NZ, p)
 	}
-	if k.dz == nil {
-		k.dz = make([][]complex128, p)
-		k.dx = make([][]complex128, p)
-		k.freq = make([][]complex128, p)
-		k.twid = make([][]float64, p)
-		k.Checksums = make([]complex128, k.cfg.Iters)
-	}
 	nx, ny, nz := k.cfg.NX, k.cfg.NY, k.cfg.NZ
 	lz := nz / p
 	lx := nx / p
 	local := lz * ny * nx
+	s := newSlab(p, lx, lz, nx, ny, nz)
 
 	// --- Initialisation: NPB LCG data, global element order. ---
 	r.PhaseEnter("ft.init")
-	dz := make([]complex128, local)
 	z0 := rank * lz
 	seed := npb.SeedAt(k.cfg.Seed, npb.LCGMultiplier, int64(2*z0*ny*nx))
-	for i := range dz {
-		re := npb.Randlc(&seed, npb.LCGMultiplier)
-		im := npb.Randlc(&seed, npb.LCGMultiplier)
-		dz[i] = complex(re, im)
+	for row := 0; row < local; row += nx {
+		npb.Vranlc(&seed, npb.LCGMultiplier, s.dev)
+		for i := range nx {
+			s.dz[row+i] = complex(s.dev[2*i], s.dev[2*i+1])
+		}
 	}
-	k.dz[rank] = dz
 	r.Compute(initOpsPerElem*float64(local), float64(local))
 
 	// Spatial energy for the Parseval check.
 	var se float64
-	for _, v := range dz {
+	for _, v := range s.dz {
 		se += real(v)*real(v) + imag(v)*imag(v)
 	}
 	r.Compute(4*float64(local), float64(local))
@@ -156,31 +177,28 @@ func (k *Kernel) RunRank(r *mpi.Rank) {
 
 	// --- Forward 3-D FFT. ---
 	r.PhaseEnter("ft.forward")
-	k.fftX(r, rank, true)
-	k.fftY(r, rank, true)
-	k.transposeZX(r, rank)
-	k.fftZ(r, rank, true)
+	k.fftX(r, s, true)
+	k.fftY(r, s, true)
+	k.transposeZX(r, s)
+	k.fftZ(r, s, true)
 	r.PhaseExit("ft.forward")
 
 	// Frequency energy (Parseval: Σ|ũ|² = n·Σ|u|²).
 	var fe float64
-	for _, v := range k.dx[rank] {
+	for _, v := range s.dx {
 		fe += real(v)*real(v) + imag(v)*imag(v)
 	}
 	r.Compute(4*float64(local), float64(local))
 	k.FreqEnergy = mpi.Allreduce(r, fe, 8, func(a, b float64) float64 { return a + b }) / float64(k.n)
 
 	// Keep the frequency-domain state and the evolution factors.
-	freq := make([]complex128, local)
-	copy(freq, k.dx[rank])
-	k.freq[rank] = freq
-	k.initTwiddle(r, rank, lx)
+	copy(s.freq, s.dx)
+	k.initTwiddle(r, s, rank, lx)
 
 	// --- Iterations: evolve in frequency space, inverse FFT, checksum. ---
 	for t := 0; t < k.cfg.Iters; t++ {
 		r.PhaseEnter("ft.evolve")
-		f := k.freq[rank]
-		tw := k.twid[rank]
+		f, tw := s.freq, s.twid
 		for i := range f {
 			f[i] = complex(real(f[i])*tw[i], imag(f[i])*tw[i])
 		}
@@ -189,49 +207,45 @@ func (k *Kernel) RunRank(r *mpi.Rank) {
 
 		r.PhaseEnter("ft.inverse")
 		// Work on a copy so the frequency state evolves cumulatively.
-		scratch := make([]complex128, local)
-		copy(scratch, f)
-		k.dx[rank] = scratch
+		copy(s.dx, f)
 		r.Compute(copyOpsPerElem*float64(local), 2*float64(local))
 
-		k.fftZ(r, rank, false)
-		k.transposeXZ(r, rank)
-		k.fftY(r, rank, false)
-		k.fftX(r, rank, false)
+		k.fftZ(r, s, false)
+		k.transposeXZ(r, s)
+		k.fftY(r, s, false)
+		k.fftX(r, s, false)
 		// Normalise the inverse transform: 1/n once per element.
 		inv := 1 / float64(k.n)
-		dzr := k.dz[rank]
-		for i := range dzr {
-			dzr[i] = complex(real(dzr[i])*inv, imag(dzr[i])*inv)
+		dz := s.dz
+		for i := range dz {
+			dz[i] = complex(real(dz[i])*inv, imag(dz[i])*inv)
 		}
 		r.Compute(2*float64(local), float64(local))
 		r.PhaseExit("ft.inverse")
 
 		r.PhaseEnter("ft.checksum")
-		k.checksum(r, rank, t, lz)
+		k.checksum(r, s, rank, t, lz)
 		r.PhaseExit("ft.checksum")
 	}
 }
 
 // fftX transforms along x: contiguous rows of layout Z.
-func (k *Kernel) fftX(r *mpi.Rank, rank int, forward bool) {
-	nx, ny := k.cfg.NX, k.cfg.NY
-	dz := k.dz[rank]
+func (k *Kernel) fftX(r *mpi.Rank, s *slab, forward bool) {
+	nx := k.cfg.NX
+	dz := s.dz
 	rows := len(dz) / nx
 	for row := 0; row < rows; row++ {
 		k.planX.transform(dz[row*nx:(row+1)*nx], forward)
 	}
-	_ = ny
 	r.Compute(float64(rows)*fftOps(nx), 2*float64(len(dz)))
 }
 
-// fftY transforms along y: stride-nx pencils of layout Z, gathered into a
-// scratch pencil.
-func (k *Kernel) fftY(r *mpi.Rank, rank int, forward bool) {
+// fftY transforms along y: stride-nx pencils of layout Z, gathered into
+// the slab's pencil.
+func (k *Kernel) fftY(r *mpi.Rank, s *slab, forward bool) {
 	nx, ny := k.cfg.NX, k.cfg.NY
-	dz := k.dz[rank]
+	dz, pencil := s.dz, s.pencil
 	lz := len(dz) / (nx * ny)
-	pencil := make([]complex128, ny)
 	for z := 0; z < lz; z++ {
 		base := z * ny * nx
 		for x := 0; x < nx; x++ {
@@ -248,9 +262,9 @@ func (k *Kernel) fftY(r *mpi.Rank, rank int, forward bool) {
 }
 
 // fftZ transforms along z: contiguous pencils of layout X.
-func (k *Kernel) fftZ(r *mpi.Rank, rank int, forward bool) {
+func (k *Kernel) fftZ(r *mpi.Rank, s *slab, forward bool) {
 	nz := k.cfg.NZ
-	dx := k.dx[rank]
+	dx := s.dx
 	pencils := len(dx) / nz
 	for i := 0; i < pencils; i++ {
 		k.planZ.transform(dx[i*nz:(i+1)*nz], forward)
@@ -261,15 +275,13 @@ func (k *Kernel) fftZ(r *mpi.Rank, rank int, forward bool) {
 // transposeZX redistributes layout Z → layout X with a pairwise-exchange
 // all-to-all. Rank q receives, from every rank s, the block covering
 // x ∈ q's range and z ∈ s's range.
-func (k *Kernel) transposeZX(r *mpi.Rank, rank int) {
+func (k *Kernel) transposeZX(r *mpi.Rank, s *slab) {
 	p := r.Size()
 	nx, ny, nz := k.cfg.NX, k.cfg.NY, k.cfg.NZ
 	lz, lx := nz/p, nx/p
-	dz := k.dz[rank]
+	dz, dx := s.dz, s.dx
 
-	blocks := make([][]complex128, p)
-	for q := 0; q < p; q++ {
-		blk := make([]complex128, lx*ny*lz)
+	for q, blk := range s.blocks {
 		x0 := q * lx
 		i := 0
 		for xl := 0; xl < lx; xl++ {
@@ -280,16 +292,13 @@ func (k *Kernel) transposeZX(r *mpi.Rank, rank int) {
 				}
 			}
 		}
-		blocks[q] = blk
 	}
 	r.Compute(packOpsPerElem*float64(len(dz)), float64(len(dz)))
 
-	recv := mpi.Alltoall(r, blocks, units.Bytes(bytesPerElem*lx*ny*lz))
+	recv := mpi.Alltoall(r, s.blocks, units.Bytes(bytesPerElem*lx*ny*lz))
 
-	dx := make([]complex128, lx*ny*nz)
-	for s := 0; s < p; s++ {
-		z0 := s * lz
-		blk := recv[s]
+	for src, blk := range recv {
+		z0 := src * lz
 		i := 0
 		for xl := 0; xl < lx; xl++ {
 			for y := 0; y < ny; y++ {
@@ -300,20 +309,17 @@ func (k *Kernel) transposeZX(r *mpi.Rank, rank int) {
 			}
 		}
 	}
-	k.dx[rank] = dx
 	r.Compute(packOpsPerElem*float64(len(dx)), float64(len(dx)))
 }
 
 // transposeXZ redistributes layout X → layout Z (the inverse exchange).
-func (k *Kernel) transposeXZ(r *mpi.Rank, rank int) {
+func (k *Kernel) transposeXZ(r *mpi.Rank, s *slab) {
 	p := r.Size()
 	nx, ny, nz := k.cfg.NX, k.cfg.NY, k.cfg.NZ
 	lz, lx := nz/p, nx/p
-	dx := k.dx[rank]
+	dz, dx := s.dz, s.dx
 
-	blocks := make([][]complex128, p)
-	for q := 0; q < p; q++ {
-		blk := make([]complex128, lx*ny*lz)
+	for q, blk := range s.blocks {
 		z0 := q * lz
 		i := 0
 		for zl := 0; zl < lz; zl++ {
@@ -324,16 +330,13 @@ func (k *Kernel) transposeXZ(r *mpi.Rank, rank int) {
 				}
 			}
 		}
-		blocks[q] = blk
 	}
 	r.Compute(packOpsPerElem*float64(len(dx)), float64(len(dx)))
 
-	recv := mpi.Alltoall(r, blocks, units.Bytes(bytesPerElem*lx*ny*lz))
+	recv := mpi.Alltoall(r, s.blocks, units.Bytes(bytesPerElem*lx*ny*lz))
 
-	dz := make([]complex128, lz*ny*nx)
-	for s := 0; s < p; s++ {
-		x0 := s * lx
-		blk := recv[s]
+	for src, blk := range recv {
+		x0 := src * lx
 		i := 0
 		for zl := 0; zl < lz; zl++ {
 			for y := 0; y < ny; y++ {
@@ -344,16 +347,15 @@ func (k *Kernel) transposeXZ(r *mpi.Rank, rank int) {
 			}
 		}
 	}
-	k.dz[rank] = dz
 	r.Compute(packOpsPerElem*float64(len(dz)), float64(len(dz)))
 }
 
 // initTwiddle computes the evolution factors exp(−4π²η·|k̄|²) for the
 // rank's layout-X frequency elements.
-func (k *Kernel) initTwiddle(r *mpi.Rank, rank, lx int) {
+func (k *Kernel) initTwiddle(r *mpi.Rank, s *slab, rank, lx int) {
 	nx, ny, nz := k.cfg.NX, k.cfg.NY, k.cfg.NZ
 	x0 := rank * lx
-	tw := make([]float64, lx*ny*nz)
+	tw := s.twid
 	fold := func(i, n int) float64 {
 		if i <= n/2 {
 			return float64(i)
@@ -372,13 +374,12 @@ func (k *Kernel) initTwiddle(r *mpi.Rank, rank, lx int) {
 			}
 		}
 	}
-	k.twid[rank] = tw
 	r.Compute(12*float64(len(tw)), float64(len(tw)))
 }
 
 // checksum samples 1024 deterministic grid points of the layout-Z spatial
 // result and sums them across ranks.
-func (k *Kernel) checksum(r *mpi.Rank, rank, iter, lz int) {
+func (k *Kernel) checksum(r *mpi.Rank, s *slab, rank, iter, lz int) {
 	nx, ny, nz := k.cfg.NX, k.cfg.NY, k.cfg.NZ
 	z0 := rank * lz
 	var local complex128
@@ -388,7 +389,7 @@ func (k *Kernel) checksum(r *mpi.Rank, rank, iter, lz int) {
 		y := (5 * j) % ny
 		z := (7 * j) % nz
 		if z >= z0 && z < z0+lz {
-			local += k.dz[rank][((z-z0)*ny+y)*nx+x]
+			local += s.dz[((z-z0)*ny+y)*nx+x]
 			samples++
 		}
 	}

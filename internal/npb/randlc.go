@@ -91,3 +91,32 @@ func SeedAt(seed, a float64, k int64) float64 {
 	mulMod46(&s, LCGPow(a, k))
 	return s
 }
+
+// Vranlc fills y with the next len(y) deviates of the generator at *x and
+// leaves *x where len(y) calls of Randlc(x, a) would: the same values,
+// bit for bit. It advances the odd and even steps as two independent
+// chains with multiplier a² mod 2^46, so the processor overlaps their
+// latency; the generator is exact integer arithmetic, so two steps by a²
+// are four steps by a.
+func Vranlc(x *float64, a float64, y []float64) {
+	if len(y) == 0 {
+		return
+	}
+	a2 := a
+	mulMod46(&a2, a)
+	odd := *x
+	mulMod46(&odd, a)
+	even := odd
+	mulMod46(&even, a)
+	i := 0
+	for ; i+1 < len(y); i += 2 {
+		y[i], y[i+1] = r46*odd, r46*even
+		*x = even
+		mulMod46(&odd, a2)
+		mulMod46(&even, a2)
+	}
+	if i < len(y) {
+		y[i] = r46 * odd
+		*x = odd
+	}
+}

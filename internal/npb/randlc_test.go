@@ -37,6 +37,32 @@ func TestSeedAtMatchesSequentialSteps(t *testing.T) {
 	}
 }
 
+// TestVranlcMatchesRandlc: every length, odd and even, from seeds
+// across the generator's range gives Randlc's deviates and final state
+// bit for bit.
+func TestVranlcMatchesRandlc(t *testing.T) {
+	for _, seed := range []float64{DefaultSeed, 1, 314159265, SeedAt(DefaultSeed, LCGMultiplier, 1<<40)} {
+		for n := 0; n <= 41; n++ {
+			want := make([]float64, n)
+			x := seed
+			for i := range want {
+				want[i] = Randlc(&x, LCGMultiplier)
+			}
+			got := make([]float64, n)
+			v := seed
+			Vranlc(&v, LCGMultiplier, got)
+			if v != x {
+				t.Fatalf("seed %.0f n=%d: state %.0f, want %.0f", seed, n, v, x)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("seed %.0f n=%d: deviate %d = %v, want %v", seed, n, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestLCGPowIdentity(t *testing.T) {
 	if got := LCGPow(LCGMultiplier, 0); got != 1 {
 		t.Fatalf("a^0 = %g, want 1", got)
