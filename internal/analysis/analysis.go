@@ -8,8 +8,8 @@
 // speedup).
 //
 // Everything here is one-off evaluation and calls core.Model.Predict
-// directly; the memoized path (internal/opcache) belongs to clients that
-// re-read a job's ladder — see DESIGN.md §7 "Pricing a point".
+// directly; whole-ladder rows (internal/opcache's Eval) belong to clients
+// that re-read a job's ladder — see DESIGN.md §7 "Pricing a point".
 package analysis
 
 import (

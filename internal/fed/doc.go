@@ -21,8 +21,8 @@
 //     carbon-min (away from carbon-dirty sites, window by window).
 //   - A RoutePolicy assigns each submitted job to a site in a
 //     deterministic pre-simulation pass. Each (site, pool, width) row of
-//     the job is priced once per job by opcache.(*Cache).Eval into one
-//     buffer the router reuses, never through the memo — ee (best predicted
+//     the job is priced once per job by the site's per-pool
+//     opcache.(*Cache).Eval into one buffer the router reuses — ee (best predicted
 //     energy-efficiency, with a spill rule when the best site's queue
 //     backlog saturates), jct (earliest predicted completion), rr
 //     (round-robin).

@@ -110,7 +110,7 @@ type siteRun struct {
 	weight      float64
 	ranks       int
 	largestPool int
-	cache       *opcache.PlatformCache // routing-side pricing (Eval only)
+	cache       []*opcache.Cache // per pool: the router's evaluators
 	idleFloor   units.Watts
 	intensity   []float64 // gCO₂/kWh per grid segment; nil without a signal
 	plan        *capplan.Plan
@@ -269,7 +269,13 @@ func New(cfg Config) (*Federation, error) {
 			return nil, fmt.Errorf("fed: site %q: negative weight %g", site.Name, site.Weight)
 		}
 		sr := &siteRun{site: site, idx: i, weight: site.Weight}
-		for _, np := range site.Platform.Pools {
+		for pi, np := range site.Platform.Pools {
+			c, err := opcache.New(np.Spec)
+			if err != nil {
+				return nil, fmt.Errorf("fed: site %q: pool %d (%s): %w", site.Name, pi, np.PoolName(), err)
+			}
+			sr.cache = append(sr.cache, c)
+			sr.idleFloor += units.Watts(float64(np.Ranks()) * float64(c.ParamsAt(0).PsysIdle))
 			sr.ranks += np.Ranks()
 			if np.Ranks() > sr.largestPool {
 				sr.largestPool = np.Ranks()
@@ -278,16 +284,6 @@ func New(cfg Config) (*Federation, error) {
 		if sr.weight == 0 {
 			sr.weight = float64(sr.ranks)
 		}
-		cache, err := opcache.NewPlatform(site.Platform)
-		if err != nil {
-			return nil, fmt.Errorf("fed: site %q: %w", site.Name, err)
-		}
-		sr.cache = cache
-		var floor units.Watts
-		for pi, np := range site.Platform.Pools {
-			floor += units.Watts(float64(np.Ranks()) * float64(cache.Pool(pi).ParamsAt(0).PsysIdle))
-		}
-		sr.idleFloor = floor
 		f.sites = append(f.sites, sr)
 	}
 

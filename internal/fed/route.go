@@ -278,7 +278,7 @@ func (f *Federation) quotes(j sched.Job, work []units.Seconds, now units.Seconds
 				pr := &f.rows[n]
 				n++
 				pr.site, pr.pool, pr.p = si, pi, p
-				pr.ok = sr.cache.Pool(pi).Eval(&pr.row, j.Vector, j.N, p) == nil
+				pr.ok = sr.cache[pi].Eval(&pr.row, j.Vector, j.N, p) == nil
 				if !pr.ok {
 					continue
 				}
@@ -306,7 +306,7 @@ func (f *Federation) quotes(j sched.Job, work []units.Seconds, now units.Seconds
 				continue
 			}
 			row, p := &pr.row, pr.p
-			idleRank := float64(sr.cache.Pool(pr.pool).ParamsAt(0).PsysIdle)
+			idleRank := float64(sr.cache[pr.pool].ParamsAt(0).PsysIdle)
 			// A point is feasible only if the cluster fits under the
 			// site's cap in force right now with the job running:
 			// draw ≤ cap − idle floor + the idle share of the job's

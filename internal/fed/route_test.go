@@ -19,8 +19,7 @@ func (f *Federation) referenceQuotes(j sched.Job, work []units.Seconds, now unit
 	var ref units.Seconds
 	found := false
 	for _, sr := range f.sites {
-		for pi := range sr.site.Platform.Pools {
-			pc := sr.cache.Pool(pi)
+		for pi, pc := range sr.cache {
 			for _, p := range j.Widths(nil, sr.site.Platform.Pools[pi].Ranks()) {
 				row, err := pc.Row(j.ID, j.Vector, j.N, p)
 				if err != nil {
@@ -43,8 +42,7 @@ func (f *Federation) referenceQuotes(j sched.Job, work []units.Seconds, now unit
 		q := Quote{Site: si, Drain: f.headroom(si, now) / refHead}
 		q.Backlog = units.Seconds(float64(work[si]) / q.Drain)
 		headW := float64(sr.plan.CapAt(now)) - float64(sr.idleFloor)
-		for pi := range sr.site.Platform.Pools {
-			pc := sr.cache.Pool(pi)
+		for pi, pc := range sr.cache {
 			pool := sr.site.Platform.Pools[pi]
 			idleRank := float64(pc.ParamsAt(0).PsysIdle)
 			for _, p := range j.Widths(nil, pool.Ranks()) {
@@ -181,7 +179,9 @@ func TestQuotesMatchMemoReference(t *testing.T) {
 				for _, j := range trace {
 					want, wantAny := f.referenceQuotes(j, work, now)
 					for _, sr := range f.sites {
-						sr.cache.Forget(j.ID)
+						for _, c := range sr.cache {
+							c.Forget(j.ID)
+						}
 					}
 					got, gotAny := f.quotes(j, work, now)
 					ctx := fmt.Sprintf("%s now=%v work#%d job %d", set.name, now, wi, j.ID)

@@ -123,7 +123,7 @@ func (h *Host) End(p Phase, start int64) {
 }
 
 // SetSources wires the live gauge sources Snapshot polls: the sim
-// kernel's Stats, the platform opcache's aggregate Stats, and the
+// kernel's Stats, the opcache Stats summed over pools, and the
 // per-pool breakdown. The scheduler calls this once per Run.
 func (h *Host) SetSources(kernel func() sim.Stats, cache func() opcache.Stats, pools func() []PoolCache) {
 	if h == nil {

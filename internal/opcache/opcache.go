@@ -1,34 +1,21 @@
-// Package opcache memoizes iso-energy-efficiency model evaluations over
-// the joint operating-point grid of a machine: every (application vector,
+// Package opcache evaluates the iso-energy-efficiency model over the
+// joint operating-point grid of a machine: every (application vector,
 // problem size, parallelism, DVFS frequency) tuple maps to one predicted
 // Point and one conservative sustained power draw.
 //
-// A job's grid is fixed while it is in the system, yet its points are
-// wanted over and over — the admission search on every scheduling edge,
-// the profile the governor consults at every retune decision, the
-// backfill shadow walk probing hypothetical future cluster states and
-// the relaxed idle-cluster pass all read identical (vector, n, p, f)
-// tuples. core.Model.Predict is pure, so this package evaluates each
-// (owner, n, p) row once, owns it, and counts the evaluations. The
-// scheduler keeps a reference to each row on the job's queue entry after
-// its first lookup and re-reads it there (its hit count here is zero by
-// construction). A caller that owns its rows — the federation router,
-// which prices each row once per job into one reused buffer — calls Eval
-// instead, which prices into the caller's Row and leaves the memo alone.
-// One-off evaluations — the analysis sweeps and the model-surface
-// figures, which read each point once — call Predict directly (DESIGN.md
+// Eval prices one (vector, n, p) against the machine's whole DVFS ladder
+// in one pass — how every consumer reads it (admission scans ladders,
+// the governor walks them) — into a Row the caller owns, and counts the
+// evaluation. The scheduler keeps each row on the job's queue entry and
+// drops it when the job leaves; the federation router prices into one
+// reused buffer. One-off evaluations — the analysis sweeps and the
+// model-surface figures — call core.Model.Predict directly (DESIGN.md
 // "Pricing a point").
 //
-// Keying: application vectors hold closures, which Go cannot compare, so
-// the caller supplies an identity token (`owner`) that is stable for the
-// lifetime of the vector — the scheduler uses the job ID. Rows are
-// evaluated lazily per (owner, n, p) against the machine's whole DVFS
-// ladder in one pass, which matches how every consumer reads them
-// (admission scans ladders, the governor walks them). Invalidation is by
-// owner: the scheduler forgets a job's rows (and drops its own
-// references) when the job leaves the system, which bounds the cache by
-// the number of in-flight jobs. Nothing else invalidates — machine specs
-// are immutable for the cache's lifetime.
+// The owner-keyed memo (Row, Point, Forget) has no runtime caller:
+// it stays only for the outside timings in bench/layers.go and goes with
+// them. Vectors hold closures, which Go cannot compare, so its caller
+// supplies an identity token (`owner`), and Forget drops an owner's rows.
 //
 // A Cache belongs to one goroutine: every site scheduler builds its own.
 package opcache
@@ -42,9 +29,9 @@ import (
 	"repro/internal/units"
 )
 
-// Row is the cached evaluation of one (vector, n, p) against every
-// frequency of the machine's DVFS ladder. Slices are indexed by ladder
-// position and must not be mutated by callers.
+// Row is the evaluation of one (vector, n, p) against every frequency of
+// the machine's DVFS ladder. Slices are indexed by ladder position; only
+// Eval writes them.
 type Row struct {
 	// W is the concrete workload v.At(n, p).
 	W core.Workload
@@ -83,7 +70,7 @@ type rowKey struct {
 	p int
 }
 
-// Cache memoizes Rows for one machine specification.
+// Cache evaluates Rows for one machine specification.
 type Cache struct {
 	ladder []units.Hertz
 	params []machine.Params // per ladder index
@@ -95,8 +82,9 @@ type Cache struct {
 	forgets uint64
 }
 
-// Stats are a cache's cumulative counters: rows served from memory vs
-// evaluated, and owner invalidations. HitRate is derived; the zero
+// Stats are a cache's cumulative counters: Misses counts evaluations
+// (every Eval, the memo's miss path included); Hits and Forgets count
+// memo reads and owner invalidations. HitRate is derived; the zero
 // Stats reports 0.
 type Stats struct {
 	Hits, Misses, Forgets uint64
@@ -162,7 +150,6 @@ func (c *Cache) Row(owner any, v app.Vector, n float64, p int) (*Row, error) {
 		c.hits++
 		return nil, err
 	}
-	c.misses++
 	r := &Row{}
 	if err := c.Eval(r, v, n, p); err != nil {
 		if c.errs[owner] == nil {
@@ -191,40 +178,27 @@ func (c *Cache) Point(owner any, v app.Vector, n float64, p, fIdx int) (core.Pre
 	return r.Pred[fIdx], r.Draw[fIdx], nil
 }
 
-// Forget drops every row owned by the given identity — the scheduler
-// calls it when a job completes or is rejected so the cache stays
-// bounded by the jobs still in the system.
+// Forget drops every row owned by the given identity.
 func (c *Cache) Forget(owner any) {
 	c.forgets++
 	delete(c.rows, owner)
 	delete(c.errs, owner)
 }
 
-// Stats reports the cache's cumulative hit/miss/forget counters, for
-// tests, performance reports and the host observability layer.
+// Stats reports the cache's cumulative counters, for tests, performance
+// reports and the host observability layer.
 func (c *Cache) Stats() Stats {
 	return Stats{Hits: c.hits, Misses: c.misses, Forgets: c.forgets}
 }
 
-// Size returns the number of rows currently held (successful and failed
-// evaluations) — the quantity Forget keeps bounded.
-func (c *Cache) Size() int {
-	n := 0
-	for _, m := range c.rows {
-		n += len(m)
-	}
-	for _, m := range c.errs {
-		n += len(m)
-	}
-	return n
-}
-
 // Eval prices v at (n, p) against the whole ladder into r, reusing r's
 // slices when they are long enough — the allocation-free door for a
-// caller that owns its rows. Memo rows are priced by the same function,
-// so the two are bit-identical. Eval neither reads nor fills the memo:
-// Stats and Size do not move. On error r holds a partial evaluation.
+// caller that owns its rows. Each call counts one miss, failed or not.
+// The memo's miss path is this function, so memo rows are bit-identical
+// and counted once; Eval itself neither reads nor fills the memo. On
+// error r holds a partial evaluation.
 func (c *Cache) Eval(r *Row, v app.Vector, n float64, p int) error {
+	c.misses++
 	w := v.At(n, p)
 	r.W = w
 	r.Pred = resize(r.Pred, len(c.ladder))

@@ -95,31 +95,116 @@ func TestDrawEnvelope(t *testing.T) {
 	}
 }
 
-// Forget drops an owner's rows (and only that owner's).
+// Forget drops an owner's rows and only that owner's; an owner with no
+// rows is a no-op.
 func TestForget(t *testing.T) {
 	c := testCache(t)
-	if _, err := c.Row(1, app.EP(), 1e7, 2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Row(2, app.EP(), 1e7, 2); err != nil {
-		t.Fatal(err)
-	}
-	if n := c.Size(); n != 2 {
-		t.Fatalf("size = %d, want 2", n)
+	for _, owner := range []int{1, 2} {
+		if _, err := c.Row(owner, app.EP(), 1e7, 2); err != nil {
+			t.Fatal(err)
+		}
 	}
 	c.Forget(1)
-	if n := c.Size(); n != 1 {
-		t.Fatalf("size after forget = %d, want 1", n)
+	c.Forget("nobody")
+	for _, owner := range []int{2, 1} { // owner 2's row is held, owner 1's is not
+		if _, err := c.Row(owner, app.EP(), 1e7, 2); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := c.Row(1, app.EP(), 1e7, 2); err != nil {
+	if st := c.Stats(); st != (Stats{Hits: 1, Misses: 3, Forgets: 2}) {
+		t.Fatalf("stats = %+v, want owner 2's row read back (1 hit), owner 1's re-evaluated (3 misses), 2 forgets", st)
+	}
+}
+
+// testPoolCaches builds one per-Spec cache per pool of a two-pool
+// platform, the way a caller pricing a heterogeneous platform holds them.
+func testPoolCaches(t *testing.T) []*Cache {
+	t.Helper()
+	pl := machine.Platform{Pools: []machine.NodePool{
+		{Spec: machine.SystemG()},
+		{Spec: machine.Dori()},
+	}}
+	if err := pl.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	st := c.Stats()
-	if st.Misses != 3 {
-		t.Fatalf("forgotten row must re-evaluate: %d misses, want 3", st.Misses)
+	caches := make([]*Cache, len(pl.Pools))
+	for i, np := range pl.Pools {
+		c, err := New(np.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		caches[i] = c
 	}
-	if st.Forgets != 1 {
-		t.Fatalf("forgets = %d, want 1", st.Forgets)
+	return caches
+}
+
+func sumStats(caches []*Cache) Stats {
+	var s Stats
+	for _, c := range caches {
+		s.Add(c.Stats())
+	}
+	return s
+}
+
+// Forgetting a job in every pool's cache drops its rows platform-wide
+// while other jobs' rows survive in every pool.
+func TestPlatformCacheFanOutForget(t *testing.T) {
+	caches := testPoolCaches(t)
+	v := app.EP()
+	// Price both jobs on both pools: four rows held.
+	for _, owner := range []int{1, 2} {
+		for _, c := range caches {
+			if _, err := c.Row(owner, v, 1e7, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, c := range caches {
+		c.Forget(1)
+	}
+	// Job 2's rows survive in every pool: re-reading them is a pure hit.
+	st0 := sumStats(caches)
+	for _, c := range caches {
+		if _, err := c.Row(2, v, 1e7, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st1 := sumStats(caches)
+	if st1.Hits != st0.Hits+2 || st1.Misses != st0.Misses {
+		t.Fatalf("job 2 rows should survive in both pools: hits %d→%d misses %d→%d",
+			st0.Hits, st1.Hits, st0.Misses, st1.Misses)
+	}
+	// Job 1's rows are gone from every pool: re-reading re-evaluates.
+	for _, c := range caches {
+		if _, err := c.Row(1, v, 1e7, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st2 := sumStats(caches)
+	if st2.Hits != st1.Hits || st2.Misses != st1.Misses+2 {
+		t.Fatalf("job 1 rows should have been dropped in both pools: hits %d→%d misses %d→%d",
+			st1.Hits, st2.Hits, st1.Misses, st2.Misses)
+	}
+	if st2.Forgets != 2 {
+		t.Fatalf("forgets = %d, want one per pool", st2.Forgets)
+	}
+}
+
+// Forgetting an unknown owner in every pool's cache is a no-op: the
+// held row is still read back as a hit.
+func TestPlatformCacheForgetUnknownOwner(t *testing.T) {
+	caches := testPoolCaches(t)
+	if _, err := caches[0].Row("job", app.EP(), 1e7, 2); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range caches {
+		c.Forget("nobody")
+	}
+	if _, err := caches[0].Row("job", app.EP(), 1e7, 2); err != nil {
+		t.Fatal(err)
+	}
+	if st := sumStats(caches); st != (Stats{Hits: 1, Misses: 1, Forgets: 2}) {
+		t.Fatalf("stats = %+v, want the held row read back (1 hit, 1 miss) after 2 no-op forgets", st)
 	}
 }
 
@@ -136,9 +221,55 @@ func TestLadderIndex(t *testing.T) {
 	}
 }
 
+// New validates the spec it evaluates against.
+func TestNewRejectsInvalidSpec(t *testing.T) {
+	bad := machine.SystemG()
+	bad.Frequencies = nil
+	if _, err := New(bad); err == nil {
+		t.Fatal("a spec without a DVFS ladder must be rejected")
+	}
+}
+
+// Per-pool counters sum into the platform aggregate the host
+// observability layer reports (Add), and HitRate is hits over lookups.
+func TestPoolStats(t *testing.T) {
+	g := testCache(t)
+	d, err := New(machine.Dori())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := app.EP()
+	// Two lookups on g (miss then hit), one on d (miss), one forget each.
+	for _, c := range []*Cache{g, g, d} {
+		if _, err := c.Row(1, v, 1e7, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.Forget(1)
+	d.Forget(1)
+	st0, st1 := g.Stats(), d.Stats()
+	if st0 != (Stats{Hits: 1, Misses: 1, Forgets: 1}) || st1 != (Stats{Misses: 1, Forgets: 1}) {
+		t.Fatalf("pool stats = %+v and %+v, want 1h/1m/1f and 0h/1m/1f", st0, st1)
+	}
+	var sum Stats
+	sum.Add(st0)
+	sum.Add(st1)
+	if sum != (Stats{Hits: 1, Misses: 2, Forgets: 2}) {
+		t.Fatalf("sum of pools = %+v, want 1h/2m/2f", sum)
+	}
+	if got, want := st0.HitRate(), 0.5; got != want {
+		t.Fatalf("pool 0 hit rate = %g, want %g", got, want)
+	}
+	if (Stats{}).HitRate() != 0 {
+		t.Fatal("hit rate before any lookup must be 0")
+	}
+}
+
 // Eval into one reused Row must equal a fresh memo row field by field,
 // across two specs with different ladder lengths (long → short → long),
-// fail with Row's exact error text, and never touch the memo.
+// and fail with Row's exact error text. Every Eval counts exactly one
+// miss and leaves the memo's row in place; a memo miss, which evaluates
+// through Eval, is counted once, not twice.
 func TestEvalMatchesRow(t *testing.T) {
 	g, err := New(machine.SystemG())
 	if err != nil {
@@ -158,16 +289,23 @@ func TestEvalMatchesRow(t *testing.T) {
 	var r Row
 	for step, c := range []*Cache{g, d, g} {
 		for _, p := range []int{1, 4, 16} {
+			before := c.Stats()
 			want, err := c.Row(step, cg, 75000, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			before, size := c.Stats(), c.Size()
+			if got := c.Stats(); got != (Stats{Hits: before.Hits, Misses: before.Misses + 1, Forgets: before.Forgets}) {
+				t.Fatalf("step %d p=%d: a memo miss moved the counters %+v → %+v, want one miss", step, p, before, got)
+			}
+			before = c.Stats()
 			if err := c.Eval(&r, cg, 75000, p); err != nil {
 				t.Fatal(err)
 			}
-			if c.Stats() != before || c.Size() != size {
-				t.Fatalf("step %d p=%d: Eval moved the memo: %+v/%d → %+v/%d", step, p, before, size, c.Stats(), c.Size())
+			if got := c.Stats(); got != (Stats{Hits: before.Hits, Misses: before.Misses + 1, Forgets: before.Forgets}) {
+				t.Fatalf("step %d p=%d: Eval moved %+v → %+v, want one miss", step, p, before, got)
+			}
+			if again, _ := c.Row(step, cg, 75000, p); again != want {
+				t.Fatalf("step %d p=%d: Eval disturbed the memo's row", step, p)
 			}
 			if r.W != want.W || len(r.Pred) != len(want.Pred) || len(r.Draw) != len(want.Draw) {
 				t.Fatalf("step %d p=%d: workload or ladder length differs: %d/%d vs %d/%d",
@@ -179,10 +317,14 @@ func TestEvalMatchesRow(t *testing.T) {
 				}
 			}
 		}
-		_, rowErr := c.Row("bad", bad, 75000, 4)
+		before := c.Stats().Misses
+		_, rowErr := c.Row(-1-step, bad, 75000, 4) // a fresh owner: a miss
 		evalErr := c.Eval(&r, bad, 75000, 4)
 		if rowErr == nil || evalErr == nil || rowErr.Error() != evalErr.Error() {
 			t.Fatalf("step %d: Row error %v, Eval error %v", step, rowErr, evalErr)
+		}
+		if got := c.Stats().Misses; got != before+2 {
+			t.Fatalf("step %d: a failed memo miss and a failed Eval counted %d misses, want 2", step, got-before)
 		}
 	}
 }

@@ -222,8 +222,8 @@ type poolFloor struct {
 	cost units.Watts // cheapest marginal draw over the eligible (p, f) points
 }
 
-// pricedRow is one (pool, width) row of a job's grid as its entry holds
-// it: the op-cache's canonical row and its best runtime over the ladder.
+// pricedRow is one (pool, width) row of a job's grid: the row the entry
+// owns and its best runtime over the ladder.
 type pricedRow struct {
 	pool, p int
 	row     *opcache.Row // nil: the model fails at this width
@@ -231,10 +231,10 @@ type pricedRow struct {
 }
 
 // priced returns the job's ladder row at width p of the pool with its
-// fastest runtime, or a nil row where the model does not evaluate. The
-// op-cache, which owns the rows, is asked once per width — by
-// referenceTp, or when free ranks cap a search at a width outside its
-// set — and every later search scans e.grid.
+// fastest runtime, or a nil row where the model does not evaluate. A
+// width is evaluated once, into a row the entry owns — by referenceTp,
+// or when free ranks cap a search at a width outside its set — and
+// every later search scans e.grid.
 func (s *Scheduler) priced(e *entry, pool, p int) (*opcache.Row, units.Seconds) {
 	for i := range e.grid {
 		if g := &e.grid[i]; g.p == p && g.pool == pool {
@@ -242,7 +242,7 @@ func (s *Scheduler) priced(e *entry, pool, p int) (*opcache.Row, units.Seconds) 
 		}
 	}
 	g := pricedRow{pool: pool, p: p}
-	if row, err := s.pools[pool].cache.Row(e.job.ID, e.job.Vector, e.job.N, p); err == nil {
+	if row := new(opcache.Row); s.pools[pool].cache.Eval(row, e.job.Vector, e.job.N, p) == nil {
 		g.row, g.fastest = row, row.FastestTp()
 	}
 	e.grid = append(e.grid, g)

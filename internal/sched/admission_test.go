@@ -12,6 +12,7 @@ import (
 	"repro/internal/capplan"
 	"repro/internal/faults"
 	"repro/internal/machine"
+	"repro/internal/opcache"
 	"repro/internal/units"
 )
 
@@ -223,14 +224,15 @@ func heldScheduler(tb testing.TB, free int) *Scheduler {
 		tb.Fatal(err)
 	}
 	holder := epJob(-1, 64-free)
-	prof, err := s.pools[0].cache.Row(holder.ID, holder.Vector, holder.N, 64-free)
-	if err != nil {
-		tb.Fatal(err)
+	he := &entry{job: holder, res: JobResult{Job: holder, State: Running}}
+	prof, _ := s.priced(he, 0, 64-free)
+	if prof == nil {
+		tb.Fatal("the holder does not price")
 	}
 	ps := &s.pools[0]
 	ranks := append([]int(nil), ps.free[free:]...)
 	ps.free = ps.free[:free]
-	s.running = []*runningJob{{e: &entry{job: holder, res: JobResult{Job: holder, State: Running}}, ranks: ranks, prof: prof}}
+	s.running = []*runningJob{{e: he, ranks: ranks, prof: prof}}
 	return s
 }
 
@@ -309,8 +311,8 @@ func referencePermitted(rsvs []*reservation, e *entry, now units.Seconds, c Cand
 	return true
 }
 
-// referenceSearch is the parent commit's search body, verbatim: every
-// row through the op-cache, FastestTp rescanned per width, the Candidate
+// referenceSearch is the parent commit's search body: every row looked
+// up per width (priced), FastestTp rescanned per width, the Candidate
 // built before the reservation gate and passed by value. Test-only — the
 // oracle TestBestMatchesReferenceSearch holds the entry-grid search to.
 func (c *AdmitContext) referenceSearch(e *entry, refTp units.Seconds, budget units.Watts, obj analysis.Objective) (Candidate, int) {
@@ -323,8 +325,8 @@ func (c *AdmitContext) referenceSearch(e *entry, refTp units.Seconds, budget uni
 		ps := &s.pools[pi]
 		for _, p := range j.Widths(wbuf[:0], c.free[pi]) {
 			stage = max(stage, stageWidth)
-			row, err := ps.cache.Row(j.ID, j.Vector, j.N, p)
-			if err != nil {
+			row, _ := s.priced(e, pi, p)
+			if row == nil {
 				return Candidate{}, stageModel
 			}
 			if !c.relaxed && row.FastestTp() > maxTp {
@@ -375,7 +377,7 @@ func (c *AdmitContext) referenceSearch(e *entry, refTp units.Seconds, budget uni
 // clock under a dipping cap plan, fresh and restarted jobs, a job with a
 // non-power-of-two width range, strict and relaxed passes, zero to two
 // reservations — search must reach the stage and pick the very point
-// (same canonical row) the parent's search does, Best must agree with the
+// (same grid row) the parent's search does, Best must agree with the
 // parent's Best, and a deadline must redirect both alike.
 func TestBestMatchesReferenceSearch(t *testing.T) {
 	plan, err := capplan.ParsePlan("0:2400,2:1500,4:2400")
@@ -480,12 +482,14 @@ func TestBestMatchesReferenceSearch(t *testing.T) {
 	}
 }
 
-// s.entries keeps every entry until collect, so an entry that kept its
-// grid past its job's exit would pin every row the run ever priced (the
-// op-cache forgets them; the references would not): whichever way a job
-// leaves — done, rejected at arrival, rejected as infeasible, lost to a
-// failure — its entry holds no pricing afterwards.
+// s.entries keeps every entry until collect, and the entry owns its
+// rows, so an entry that kept its grid past its job's exit would pin
+// every row the run ever priced: whichever way a job leaves — done,
+// rejected at arrival, rejected as infeasible, lost to a failure — its
+// entry holds no pricing afterwards, and pricing cost the parent's
+// evaluations with no memo traffic.
 func TestEntryReleasesRowsWhenTheJobLeaves(t *testing.T) {
+	const parentMisses = 49
 	r := narrowRuntime(t, 4e6)
 	trace := SyntheticTrace(TraceConfig{Jobs: 12, Seed: 5, MaxWidth: 8})
 	trace = append(trace,
@@ -511,14 +515,14 @@ func TestEntryReleasesRowsWhenTheJobLeaves(t *testing.T) {
 			t.Errorf("job %d (%s) still holds %d rows and a %d-pool floor", id, e.res.State, len(e.grid), len(e.floor))
 		}
 	}
-	if st := s.cache.Stats(); st.Forgets != uint64(len(trace)) || s.cache.Size() != 0 {
-		t.Errorf("%d forgets for %d jobs, %d rows left in the op-cache", st.Forgets, len(trace), s.cache.Size())
+	if st := s.cacheStats(); st != (opcache.Stats{Misses: parentMisses}) {
+		t.Errorf("op-cache counters %+v; want the parent's %d evaluations, no hit and no forget", st, parentMisses)
 	}
 }
 
 // A requeue is not an exit: a killed job waits for its repair with its
 // grid intact and restarts from the very row it was first admitted from,
-// so the kill costs the op-cache nothing — as many evaluations as the
+// so the kill costs no pricing — as many evaluations as the
 // same job run fault-free, and no hit.
 func TestRequeuedJobKeepsItsRows(t *testing.T) {
 	r := narrowRuntime(t, 4e6)
@@ -535,7 +539,7 @@ func TestRequeuedJobKeepsItsRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := s.cache.Stats()
+		st := s.cacheStats()
 		if res.Completed != 1 || st.Hits != 0 {
 			t.Fatalf("plan %q: %d done, %d op-cache hits; want the job done and its rows priced once", plan, res.Completed, st.Hits)
 		}
@@ -567,7 +571,7 @@ func TestRequeuedJobKeepsItsRows(t *testing.T) {
 // What the burst speed-up rests on: a search that ends in "wait" — no
 // affordable point, or every affordable point refused by a reservation —
 // and a refused explicit point allocate nothing, for a job whose ID an
-// interface would box (≥ 256) on every op-cache lookup.
+// interface would box (≥ 256).
 func TestBlockedBestDoesNotAllocate(t *testing.T) {
 	s := heldScheduler(t, 5) // hi = 5: a width the floor does not cover, so Best walks the grid
 	j := epJob(1000, 6)      // five of its six ranks keep it within the slack

@@ -4,13 +4,14 @@ import (
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/opcache"
 	"repro/internal/units"
 )
 
 // Admission hands dispatch the row it priced, and prices it once: start
-// performs no op-cache lookup of its own and no scheduling edge asks the
-// cache for a row a second time, so the run evaluates exactly the rows
-// the parent commit did (the literal) and hits none.
+// evaluates nothing of its own and no scheduling edge prices a width its
+// entry already holds, so the run evaluates exactly the rows the parent
+// commit did (the literal) and never touches the memo.
 func TestDispatchUsesAdmittedRow(t *testing.T) {
 	const parentMisses = 337
 	s, err := New(Config{Platform: machine.Homogeneous(machine.SystemG()), Ranks: 64, Cap: 2500, Policy: Backfill(EEMax()), Seed: 1})
@@ -24,19 +25,15 @@ func TestDispatchUsesAdmittedRow(t *testing.T) {
 	if res.Completed != 64 {
 		t.Fatalf("completed %d of 64 jobs", res.Completed)
 	}
-	st := s.cache.Stats()
-	if st.Misses != parentMisses {
-		t.Errorf("misses = %d, want the parent's %d", st.Misses, parentMisses)
-	}
-	if st.Hits != 0 {
-		t.Errorf("hits = %d, want 0: a row is fetched once into its job's entry", st.Hits)
+	if st := s.cacheStats(); st != (opcache.Stats{Misses: parentMisses}) {
+		t.Errorf("op-cache counters %+v, want the parent's %d evaluations, no hit and no forget", st, parentMisses)
 	}
 }
 
 // A job killed by a rank failure is re-priced at its re-admission, and
 // the restarted attempt runs from exactly that row: at every probe the
-// profile of each running job is the canonical row the cache holds for
-// its (job, width).
+// profile of each running job is the row its entry's grid holds for its
+// (pool, width).
 func TestRestartDispatchesFromReadmittedRow(t *testing.T) {
 	s, err := New(Config{
 		Platform: machine.Homogeneous(machine.SystemG()), Ranks: 16, Cap: 900, Policy: Backfill(EEMax()), Seed: 1,
@@ -49,12 +46,8 @@ func TestRestartDispatchesFromReadmittedRow(t *testing.T) {
 	for i := 1; i <= 80; i++ {
 		s.cl.Kernel().Schedule(units.Seconds(0.05*float64(i)), func() {
 			for _, rj := range s.running {
-				j := rj.e.job
-				row, err := s.pools[rj.pool].cache.Row(j.ID, j.Vector, j.N, len(rj.ranks))
-				if err != nil {
-					t.Error(err)
-				} else if rj.prof != row {
-					t.Errorf("job %d runs from a row the cache does not hold", j.ID)
+				if row, _ := s.priced(rj.e, rj.pool, len(rj.ranks)); rj.prof != row {
+					t.Errorf("job %d runs from a row its entry's grid does not hold", rj.e.job.ID)
 				}
 				if rj.e.res.Restarts > 0 {
 					restarted++

@@ -18,10 +18,10 @@
 //     completion), the configured Policy picks which queued jobs start
 //     and at which (pool, p, f) operating point, scanning the same
 //     per-pool grids the offline optimiser uses
-//     (analysis.ForEachOperatingPoint) served from a memoized
-//     operating-point cache (internal/opcache): every (pool, vector, n,
-//     p, f) tuple is priced once per job lifetime and every later
-//     scheduling edge is a lookup. Pool choice is policy-visible and
+//     (analysis.ForEachOperatingPoint), each (pool, width) row priced
+//     once per job by opcache.(*Cache).Eval into the job's queue entry,
+//     which owns it until the job leaves; every later scheduling edge
+//     reads it there. Pool choice is policy-visible and
 //     deterministic — ee-max takes the EE-best pool its slack rule
 //     allows, fifo drains onto the lowest-ranked pool that fits.
 //     Admission is conservative: a job's power cost is its sustained

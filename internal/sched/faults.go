@@ -284,7 +284,6 @@ func (s *Scheduler) lose(e *entry, reason string) {
 	e.res.State = Lost
 	e.res.Reason = reason
 	s.remaining--
-	s.cache.Forget(e.job.ID)
 	e.grid, e.floor = nil, nil
 	if s.tel != nil {
 		s.tel.lost.Inc()

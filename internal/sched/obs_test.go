@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/obs"
+	"repro/internal/opcache"
 	"repro/internal/telemetry"
 )
 
@@ -75,6 +76,34 @@ func TestObsObservesRun(t *testing.T) {
 	}
 	if res.Completed != 48 {
 		t.Fatalf("observed run completed %d of 48 jobs", res.Completed)
+	}
+}
+
+// With two pools the host reports each pool's op-cache counters under
+// the pool's own name, and they sum to the aggregate it reports.
+func TestObsPoolsSumToAggregate(t *testing.T) {
+	pl, err := machine.ParsePlatform("systemg:32,dori:32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	host := obs.NewHost()
+	s, err := New(Config{Platform: pl, Cap: 2500, Policy: Backfill(EEMax()), Seed: 7, Obs: host})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(SyntheticTrace(TraceConfig{Jobs: 48, Seed: 7})); err != nil {
+		t.Fatal(err)
+	}
+	snap := host.Snapshot()
+	if len(snap.Pools) != 2 || snap.Pools[0].Name == "" || snap.Pools[0].Name == snap.Pools[1].Name {
+		t.Fatalf("per-pool gauges = %+v, want two distinctly named pools", snap.Pools)
+	}
+	var sum opcache.Stats
+	for _, p := range snap.Pools {
+		sum.Add(p.Stats)
+	}
+	if sum != snap.Opcache || sum.Misses == 0 {
+		t.Fatalf("pools sum to %+v, the aggregate is %+v", sum, snap.Opcache)
 	}
 }
 

@@ -306,13 +306,12 @@ func TestTightCapBackfillNoPhantomViolations(t *testing.T) {
 	}
 }
 
-// White-box: every repricing is absorbed before it reaches the op-cache.
-// A job's rows are fetched once into its entry (priced) and every later
-// scheduling edge reads them there, so on a contended trace the cache
-// evaluates each row once and is never asked twice — zero hits by
-// construction — and jobs are forgotten as they leave, so it does not
-// grow with trace length. The miss count is the parent commit's, where
-// the same edges re-read the same rows through the cache.
+// White-box: every repricing is absorbed before it reaches the
+// evaluator. A job's rows are priced once into its entry (priced) and
+// every later scheduling edge reads them there, so on a contended trace
+// each row is evaluated once, and the entries drop their rows as jobs
+// leave, so nothing grows with trace length. The evaluation count is the
+// parent commit's, whose memo saw no hit; the memo now sees no traffic.
 func TestOpCacheAbsorbsRepricing(t *testing.T) {
 	const jobs, parentMisses = 24, 96
 	s, err := New(Config{Platform: machine.Homogeneous(testSpec()), Ranks: 16, Cap: 900, Policy: Backfill(EEMax()), Seed: 3})
@@ -322,12 +321,13 @@ func TestOpCacheAbsorbsRepricing(t *testing.T) {
 	if _, err := s.Run(SyntheticTrace(TraceConfig{Jobs: jobs, Seed: 3, MaxWidth: 8})); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.cache.Stats(); st.Hits != 0 || st.Misses != parentMisses || st.Forgets != jobs {
-		t.Fatalf("cache saw %d hits, %d misses, %d forgets; want 0 (each row priced once), %d, %d",
-			st.Hits, st.Misses, st.Forgets, parentMisses, jobs)
+	if st := s.cacheStats(); st != (opcache.Stats{Misses: parentMisses}) {
+		t.Fatalf("op-cache counters %+v; want the parent's %d evaluations, no hit and no forget", st, parentMisses)
 	}
-	if n := s.cache.Size(); n != 0 {
-		t.Fatalf("cache holds %d rows after every job left the system", n)
+	for id, e := range s.entries {
+		if e.grid != nil || e.floor != nil {
+			t.Fatalf("job %d left the system holding %d rows", id, len(e.grid))
+		}
 	}
 }
 
@@ -387,9 +387,9 @@ func TestGovernorThrottle(t *testing.T) {
 	}
 	j := epJob(0, 2)
 	e := &entry{job: j, res: JobResult{Job: j, State: Running}}
-	prof, err := s.pools[0].cache.Row(j.ID, j.Vector, j.N, 2)
-	if err != nil {
-		t.Fatal(err)
+	prof, _ := s.priced(e, 0, 2)
+	if prof == nil {
+		t.Fatal("the job does not price")
 	}
 	top := len(s.pools[0].ladder) - 1
 	rj := &runningJob{e: e, ranks: []int{0, 1}, fIdx: top, admIdx: top, prof: prof}
@@ -650,9 +650,9 @@ func TestGovernorThrottleVictimTieBreak(t *testing.T) {
 	mk := func(id int, ranks []int) *runningJob {
 		j := epJob(id, 2)
 		e := &entry{job: j, res: JobResult{Job: j, State: Running}}
-		prof, err := s.pools[0].cache.Row(j.ID, j.Vector, j.N, 2)
-		if err != nil {
-			t.Fatal(err)
+		prof, _ := s.priced(e, 0, 2)
+		if prof == nil {
+			t.Fatal("the job does not price")
 		}
 		rj := &runningJob{e: e, ranks: ranks, fIdx: top, admIdx: top, prof: prof}
 		for _, r := range ranks {

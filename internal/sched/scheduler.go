@@ -100,8 +100,8 @@ type Config struct {
 }
 
 // poolState is the scheduler-side view of one platform node pool: its
-// spec and ladder, its share of the operating-point cache, and the free
-// ranks it currently holds.
+// spec and ladder, the evaluator that prices its rows into job entries
+// (priced), and the free ranks it currently holds.
 type poolState struct {
 	name    string
 	spec    machine.Spec
@@ -151,10 +151,6 @@ type Scheduler struct {
 	pools       []poolState
 	largestPool int
 
-	// cache evaluates and owns every ladder row, keyed (pool, job ID, n,
-	// p): each is fetched once into its job's entry (priced) and read
-	// there by admission, the shadow walk, dispatch and the governor.
-	cache *opcache.PlatformCache
 	// best and bestDL are search's result slots, valid until the next search.
 	best, bestDL Candidate
 
@@ -214,8 +210,8 @@ type entry struct {
 	// refTp and floor are the job's pricing, set at its first grid search
 	// (referenceTp): the unconstrained fastest runtime — 0 until priced,
 	// negative on a model failure — and the per-pool admissibility floor.
-	// grid holds the rows behind them (priced). s.entries outlives the job,
-	// so finish, reject and lose drop both beside the op-cache's Forget.
+	// grid owns the rows behind them (priced). s.entries outlives the job,
+	// so finish, reject and lose drop both: that is the rows' release.
 	refTp units.Seconds
 	floor []poolFloor
 	grid  []pricedRow
@@ -361,16 +357,11 @@ func New(cfg Config) (*Scheduler, error) {
 	if err != nil {
 		return nil, err
 	}
-	cache, err := opcache.NewPlatform(cfg.Platform)
-	if err != nil {
-		return nil, err
-	}
 
 	s := &Scheduler{
 		cfg:      cfg,
 		cl:       cl,
 		hst:      cfg.Obs,
-		cache:    cache,
 		lockstep: cfg.Noise.ComputeJitter == 0 && cfg.Noise.MemoryJitter == 0,
 		owner:    make([]*runningJob, cfg.Ranks),
 		meters:   make([]rankMeter, cfg.Ranks),
@@ -379,7 +370,10 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 	s.pools = make([]poolState, len(cfg.Platform.Pools))
 	for i, np := range cfg.Platform.Pools {
-		pc := cache.Pool(i)
+		pc, err := opcache.New(np.Spec)
+		if err != nil {
+			return nil, fmt.Errorf("sched: pool %d (%s): %w", i, np.PoolName(), err)
+		}
 		s.pools[i] = poolState{
 			name:    np.PoolName(),
 			spec:    np.Spec,
@@ -552,12 +546,11 @@ func (s *Scheduler) Run(jobs []Job) (Result, error) {
 		// run's own goroutine, never from a concurrent reader.
 		s.hst.SetSources(
 			s.cl.Kernel().Stats,
-			s.cache.Stats,
+			s.cacheStats,
 			func() []obs.PoolCache {
-				pools := make([]obs.PoolCache, s.cache.NumPools())
+				pools := make([]obs.PoolCache, len(s.pools))
 				for i := range pools {
-					name, st := s.cache.PoolStats(i)
-					pools[i] = obs.PoolCache{Name: name, Stats: st}
+					pools[i] = obs.PoolCache{Name: s.pools[i].name, Stats: s.pools[i].cache.Stats()}
 				}
 				return pools
 			},
@@ -646,11 +639,19 @@ func (s *Scheduler) reject(e *entry, reason string) {
 	e.res.State = Rejected
 	e.res.Reason = reason
 	s.remaining--
-	s.cache.Forget(e.job.ID)
 	e.grid, e.floor = nil, nil
 	if s.tel != nil {
 		s.tel.emitReject(e, reason)
 	}
+}
+
+// cacheStats sums the pools' evaluation counters.
+func (s *Scheduler) cacheStats() opcache.Stats {
+	var st opcache.Stats
+	for i := range s.pools {
+		st.Add(s.pools[i].cache.Stats())
+	}
+	return st
 }
 
 // tryAdmit asks the policy for admissions against the current cluster
@@ -1101,7 +1102,6 @@ func (s *Scheduler) finish(rj *runningJob) {
 	res.Energy += rj.energy
 	res.DeadlineMet = rj.e.job.Deadline <= 0 || now <= rj.e.job.Arrival+rj.e.job.Deadline
 	s.remaining--
-	s.cache.Forget(rj.e.job.ID)
 	rj.e.grid, rj.e.floor = nil, nil
 	if s.tel != nil {
 		s.tel.emitFinish(rj)
