@@ -61,9 +61,34 @@ type mailbox struct {
 	waitArrival units.Seconds // arrival time of the matched envelope
 }
 
+// String describes the pending receive for a deadlock report; the
+// rank parks with ParkFor(box), so nothing is formatted unless Run
+// reports the rank stuck.
+func (b *mailbox) String() string {
+	return fmt.Sprintf("Recv(src=%d, tag=%d)", b.waitSrc, b.waitTag)
+}
+
 // match reports whether an envelope satisfies a (src, tag) receive.
 func match(e envelope, src, tag int) bool {
 	return (src == AnySource || e.msg.Src == src) && e.msg.Tag == tag
+}
+
+// delivery is one message in flight. Its kernel event calls run, the
+// method value of fire bound when the delivery is made, and fire puts
+// the delivery back on the runtime's free list, so a message allocates
+// nothing once the list holds as many deliveries as are ever in flight.
+type delivery struct {
+	rt  *Runtime
+	dst int
+	e   envelope
+	run func()
+}
+
+func (d *delivery) fire() {
+	rt := d.rt
+	rt.deliver(d.dst, d.e)
+	d.e = envelope{} // the mailbox holds the payload now
+	rt.free = append(rt.free, d)
 }
 
 // Runtime couples a provisioned cluster with rank mailboxes.
@@ -71,6 +96,7 @@ type Runtime struct {
 	cl     *cluster.Cluster
 	boxes  []*mailbox
 	finish []units.Seconds
+	free   []*delivery
 	ran    bool
 }
 
@@ -194,10 +220,17 @@ func (r *Rank) asyncSend(dst, tag int, payload interface{}, bytes units.Bytes) u
 	cl.RecordSend(r.rank, bytes)
 	cl.RecordNetworkBusy(r.rank, raw)
 
-	msg := Message{Src: r.rank, Tag: tag, Data: payload, Bytes: bytes}
-	cl.Kernel().Schedule(end, func() {
-		r.rt.deliver(dst, envelope{msg: msg, arrival: end})
-	})
+	var d *delivery
+	if n := len(r.rt.free); n > 0 {
+		d = r.rt.free[n-1]
+		r.rt.free = r.rt.free[:n-1]
+	} else {
+		d = &delivery{rt: r.rt}
+		d.run = d.fire
+	}
+	d.dst = dst
+	d.e = envelope{msg: Message{Src: r.rank, Tag: tag, Data: payload, Bytes: bytes}, arrival: end}
+	cl.Kernel().Schedule(end, d.run)
 	return end
 }
 
@@ -240,7 +273,7 @@ func (r *Rank) Recv(src, tag int) Message {
 	box.waitSrc = src
 	box.waitTag = tag
 	box.waiter = r.proc
-	r.proc.Park(fmt.Sprintf("Recv(src=%d, tag=%d)", src, tag))
+	r.proc.ParkFor(box)
 	// We were woken by deliver, so a matching envelope exists. Take the
 	// oldest match to preserve MPI's non-overtaking order.
 	for i, e := range box.queue {

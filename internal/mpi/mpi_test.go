@@ -1,13 +1,17 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/machine"
+	"repro/internal/sim"
 	"repro/internal/units"
 )
 
@@ -180,6 +184,51 @@ func TestDeadlockReportNamesRanks(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("want deadlock error")
+	}
+}
+
+// TestDeadlockReportNamesTheReceive: a receive that is never matched
+// ends Run with a *sim.DeadlockError whose entry names the rank and
+// the (src, tag) it waits on, formatted when the report is built.
+func TestDeadlockReportNamesTheReceive(t *testing.T) {
+	rt := newRuntime(t, 2)
+	err := rt.Run(func(r *Rank) {
+		if r.Rank() == 1 {
+			r.Recv(0, 7)
+		}
+	})
+	var dl *sim.DeadlockError
+	if !errors.As(err, &dl) {
+		t.Fatalf("want *sim.DeadlockError, got %v", err)
+	}
+	if want := []string{"rank1: Recv(src=0, tag=7)"}; !reflect.DeepEqual(dl.Parked, want) {
+		t.Fatalf("parked %q, want %q", dl.Parked, want)
+	}
+}
+
+// TestSendRecvAllocatesPerRunNotPerMessage: a message in flight is a
+// pooled delivery and a blocked receive formats nothing, so a 2-rank
+// nil-payload ping-pong allocates the same at 10 and 1010 rounds.
+func TestSendRecvAllocatesPerRunNotPerMessage(t *testing.T) {
+	mallocs := func(rounds int) uint64 {
+		rt := newRuntime(t, 2)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := rt.Run(func(r *Rank) {
+			peer := 1 - r.Rank()
+			for range rounds {
+				r.SendRecv(peer, 3, nil, 8, peer, 3)
+			}
+		})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	short, long := mallocs(10), mallocs(1010)
+	if long > short+10 {
+		t.Fatalf("1000 more rounds allocate %d more times, want ≤ 10 (per run, not per message)", long-short)
 	}
 }
 

@@ -56,22 +56,26 @@ func TestRunMatchesReference(t *testing.T) {
 	}
 }
 
+// allocated returns the bytes one p-rank run of the given length
+// allocates, for a kernel made by mk.
+func allocated(t *testing.T, mk func(Config) (npb.Kernel, error), p, iters int) uint64 {
+	t.Helper()
+	k, err := mk(Config{NX: 32, NY: 32, NZ: 32, Iters: iters})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run(t, k, p)
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
 // perIteration returns the bytes a p-rank run allocates per iteration
 // beyond the first, for kernels made by mk.
 func perIteration(t *testing.T, mk func(Config) (npb.Kernel, error), p int) uint64 {
 	t.Helper()
-	allocated := func(iters int) uint64 {
-		k, err := mk(Config{NX: 32, NY: 32, NZ: 32, Iters: iters})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		run(t, k, p)
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
-	}
-	short, long := allocated(1), allocated(9)
+	short, long := allocated(t, mk, p, 1), allocated(t, mk, p, 9)
 	if long < short {
 		return 0
 	}
@@ -79,15 +83,21 @@ func perIteration(t *testing.T, mk func(Config) (npb.Kernel, error), p int) uint
 }
 
 // TestRunAllocatesGridOncePerRun: each rank's slab is allocated when
-// the run starts, so an extra iteration costs messages, not grids. The
-// reference kernel, which allocates three grids' worth per iteration,
-// shows the probe can tell the two apart.
+// the run starts, so an extra iteration costs messages, not grids, and
+// a whole run allocates the spatial grid, the frequency state and the
+// transpose blocks — three grids — plus what the cluster and the
+// messages need. The reference kernel, which allocates three grids'
+// worth per iteration, shows the probe can tell the two apart.
 func TestRunAllocatesGridOncePerRun(t *testing.T) {
 	const grid = 16 * 32 * 32 * 32
 	mk := func(cfg Config) (npb.Kernel, error) { return New(cfg) }
 	mkRef := func(cfg Config) (npb.Kernel, error) { return newRef(cfg) }
 	if got := perIteration(t, mk, 4); got > grid/32 {
 		t.Errorf("an iteration allocates %d B, want ≤ %d (1/32 of the %d B grid)", got, grid/32, grid)
+	}
+	got := allocated(t, mk, 4, 9)
+	if got > 16*grid/5 {
+		t.Errorf("a 9-iteration run allocates %d B (%.2f grids), want ≤ 3.2 grids", got, float64(got)/grid)
 	}
 	if got := perIteration(t, mkRef, 4); got < grid {
 		t.Errorf("reference iteration allocates %d B, want ≥ the %d B grid", got, grid)

@@ -107,3 +107,62 @@ func TestFFTOpsFormula(t *testing.T) {
 		t.Fatalf("fftOps(1024) = %g", got)
 	}
 }
+
+// sameBits reports whether two complex slices are equal bit for bit.
+func sameBits(a, b []complex128) bool {
+	for i := range a {
+		if math.Float64bits(real(a[i])) != math.Float64bits(real(b[i])) ||
+			math.Float64bits(imag(a[i])) != math.Float64bits(imag(b[i])) {
+			return false
+		}
+	}
+	return len(a) == len(b)
+}
+
+// TestTransformMatchesReference pins transform, and transformRows at
+// widths 1, 3 and 64, to refTransform bit for bit in both directions:
+// the kernel's FFTs may be restructured, never re-rounded.
+func TestTransformMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for n := 2; n <= 256; n *= 2 {
+		plan, err := newPlan(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, forward := range []bool{true, false} {
+			orig := make([]complex128, n)
+			for i := range orig {
+				orig[i] = complex(rng.Float64()-0.5, rng.Float64()-0.5)
+			}
+			got := append([]complex128(nil), orig...)
+			want := append([]complex128(nil), orig...)
+			plan.transform(got, forward)
+			refTransform(plan, want, forward)
+			if !sameBits(got, want) {
+				t.Errorf("n=%d forward=%v: transform differs from refTransform", n, forward)
+			}
+
+			for _, width := range []int{1, 3, 64} {
+				rows := make([]complex128, n*width)
+				for i := range rows {
+					rows[i] = complex(rng.Float64()-0.5, rng.Float64()-0.5)
+				}
+				want := make([]complex128, len(rows))
+				column := make([]complex128, n)
+				for x := 0; x < width; x++ {
+					for y := range column {
+						column[y] = rows[y*width+x]
+					}
+					refTransform(plan, column, forward)
+					for y, v := range column {
+						want[y*width+x] = v
+					}
+				}
+				plan.transformRows(rows, width, forward)
+				if !sameBits(rows, want) {
+					t.Errorf("n=%d width=%d forward=%v: transformRows differs from refTransform", n, width, forward)
+				}
+			}
+		}
+	}
+}

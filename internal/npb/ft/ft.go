@@ -61,6 +61,12 @@ type Kernel struct {
 
 	planX, planY, planZ *fftPlan
 
+	// decay[s] is the evolution factor exp(−4π²η·s) for the squared
+	// wavenumber s = kx²+ky²+kz², exact in integers; sqX, sqY and sqZ
+	// hold each axis's folded squares.
+	decay         []float64
+	sqX, sqY, sqZ []int
+
 	// Verification state.
 	SpatialEnergy float64      // Σ|u|² before the forward transform
 	FreqEnergy    float64      // Σ|ũ|²/n after it
@@ -91,7 +97,26 @@ func New(cfg Config) (*Kernel, error) {
 	if k.planZ, err = newPlan(cfg.NZ); err != nil {
 		return nil, err
 	}
+	k.sqX, k.sqY, k.sqZ = foldedSquares(cfg.NX), foldedSquares(cfg.NY), foldedSquares(cfg.NZ)
+	k.decay = make([]float64, k.sqX[cfg.NX/2]+k.sqY[cfg.NY/2]+k.sqZ[cfg.NZ/2]+1)
+	for s := range k.decay {
+		k.decay[s] = math.Exp(-4 * math.Pi * math.Pi * eta * float64(s))
+	}
 	return k, nil
+}
+
+// foldedSquares returns k² for each index of an n-point axis, where the
+// wavenumber k folds indices above n/2 to negative frequencies.
+func foldedSquares(n int) []int {
+	sq := make([]int, n)
+	for i := range sq {
+		k := i
+		if i > n/2 {
+			k = i - n
+		}
+		sq[i] = k * k
+	}
+	return sq
 }
 
 // Name implements npb.Kernel.
@@ -103,21 +128,25 @@ func (k *Kernel) N() float64 { return float64(k.n) }
 // Alpha implements npb.Kernel (paper §V.B.1).
 func (k *Kernel) Alpha() float64 { return 0.86 }
 
+// tileWidth is the number of z pencils the inverse z-FFT transforms
+// before scattering them into the transpose blocks: the pencils share
+// y and have consecutive x, so each z writes one run of tileWidth
+// adjacent block elements.
+const tileWidth = 8
+
 // slab is one rank's share of the grid plus the scratch its transforms
 // and transposes reuse. RunRank allocates it once per run; no iteration
 // allocates a grid-sized buffer.
 type slab struct {
-	dz   []complex128 // layout Z: [lz][ny][nx]
-	dx   []complex128 // layout X: [lx][ny][nz]
-	freq []complex128 // frequency-domain state (layout X), evolved in place
-	twid []float64    // evolution factor per element of freq
+	dz   []complex128 // layout Z: [lz][ny][nx], the spatial grid
+	freq []complex128 // layout X: [lx][ny][nz], the frequency state, evolved in place
 
 	// blocks[q] is the outgoing transpose block for rank q, cut from one
 	// backing array. The receiver reads it by reference (mpi.Message),
 	// so it is rewritten only in the next transpose; an allreduce every
 	// rank enters after unpacking separates any two transposes.
 	blocks [][]complex128
-	pencil []complex128 // one y pencil for fftY
+	tile   []complex128 // ≤ tileWidth z pencils of the inverse z-FFT
 	dev    []float64    // one x row's LCG deviates, two per element
 }
 
@@ -131,11 +160,9 @@ func newSlab(p, lx, lz, nx, ny, nz int) *slab {
 	}
 	return &slab{
 		dz:     make([]complex128, local),
-		dx:     make([]complex128, lx*ny*nz),
 		freq:   make([]complex128, local),
-		twid:   make([]float64, local),
 		blocks: blocks,
-		pencil: make([]complex128, ny),
+		tile:   make([]complex128, min(tileWidth, lx)*nz),
 		dev:    make([]float64, 2*nx),
 	}
 }
@@ -180,37 +207,33 @@ func (k *Kernel) RunRank(r *mpi.Rank) {
 	k.fftX(r, s, true)
 	k.fftY(r, s, true)
 	k.transposeZX(r, s)
-	k.fftZ(r, s, true)
+	k.fftZ(r, s)
 	r.PhaseExit("ft.forward")
 
 	// Frequency energy (Parseval: Σ|ũ|² = n·Σ|u|²).
 	var fe float64
-	for _, v := range s.dx {
+	for _, v := range s.freq {
 		fe += real(v)*real(v) + imag(v)*imag(v)
 	}
 	r.Compute(4*float64(local), float64(local))
 	k.FreqEnergy = mpi.Allreduce(r, fe, 8, func(a, b float64) float64 { return a + b }) / float64(k.n)
 
-	// Keep the frequency-domain state and the evolution factors.
-	copy(s.freq, s.dx)
-	k.initTwiddle(r, s, rank, lx)
+	// The evolution factors come from k.decay; this charges computing
+	// one per local frequency element, as NPB does.
+	r.Compute(12*float64(local), float64(local))
 
 	// --- Iterations: evolve in frequency space, inverse FFT, checksum. ---
 	for t := 0; t < k.cfg.Iters; t++ {
 		r.PhaseEnter("ft.evolve")
-		f, tw := s.freq, s.twid
-		for i := range f {
-			f[i] = complex(real(f[i])*tw[i], imag(f[i])*tw[i])
-		}
+		k.evolve(s.freq, rank*lx, lx)
 		r.Compute(evolveOpsPerElem*float64(local), 2*float64(local))
 		r.PhaseExit("ft.evolve")
 
 		r.PhaseEnter("ft.inverse")
-		// Work on a copy so the frequency state evolves cumulatively.
-		copy(s.dx, f)
+		// The z-FFT works on copies of the frequency state's pencils so
+		// the state evolves cumulatively.
 		r.Compute(copyOpsPerElem*float64(local), 2*float64(local))
-
-		k.fftZ(r, s, false)
+		k.inverseZ(r, s)
 		k.transposeXZ(r, s)
 		k.fftY(r, s, false)
 		k.fftX(r, s, false)
@@ -240,46 +263,70 @@ func (k *Kernel) fftX(r *mpi.Rank, s *slab, forward bool) {
 	r.Compute(float64(rows)*fftOps(nx), 2*float64(len(dz)))
 }
 
-// fftY transforms along y: stride-nx pencils of layout Z, gathered into
-// the slab's pencil.
+// fftY transforms along y: the ny×nx plane of each local z, one
+// butterfly across whole x rows at a time.
 func (k *Kernel) fftY(r *mpi.Rank, s *slab, forward bool) {
 	nx, ny := k.cfg.NX, k.cfg.NY
-	dz, pencil := s.dz, s.pencil
-	lz := len(dz) / (nx * ny)
+	dz := s.dz
+	plane := nx * ny
+	lz := len(dz) / plane
 	for z := 0; z < lz; z++ {
-		base := z * ny * nx
-		for x := 0; x < nx; x++ {
-			for y := 0; y < ny; y++ {
-				pencil[y] = dz[base+y*nx+x]
-			}
-			k.planY.transform(pencil, forward)
-			for y := 0; y < ny; y++ {
-				dz[base+y*nx+x] = pencil[y]
-			}
-		}
+		k.planY.transformRows(dz[z*plane:(z+1)*plane], nx, forward)
 	}
 	r.Compute(float64(lz*nx)*fftOps(ny), 4*float64(len(dz)))
 }
 
-// fftZ transforms along z: contiguous pencils of layout X.
-func (k *Kernel) fftZ(r *mpi.Rank, s *slab, forward bool) {
+// fftZ transforms the frequency state along z: its contiguous pencils.
+func (k *Kernel) fftZ(r *mpi.Rank, s *slab) {
 	nz := k.cfg.NZ
-	dx := s.dx
-	pencils := len(dx) / nz
+	freq := s.freq
+	pencils := len(freq) / nz
 	for i := 0; i < pencils; i++ {
-		k.planZ.transform(dx[i*nz:(i+1)*nz], forward)
+		k.planZ.transform(freq[i*nz:(i+1)*nz], true)
 	}
-	r.Compute(float64(pencils)*fftOps(nz), 2*float64(len(dx)))
+	r.Compute(float64(pencils)*fftOps(nz), 2*float64(len(freq)))
+}
+
+// inverseZ is the inverse z-FFT fused with transposeXZ's pack: it
+// copies the frequency state's pencils into the tile, transforms them
+// there and scatters them into the outgoing blocks, leaving the state
+// untouched. Its charges are the copy's (made by the caller), the
+// z-FFT's and the pack's.
+func (k *Kernel) inverseZ(r *mpi.Rank, s *slab) {
+	p := r.Size()
+	nx, ny, nz := k.cfg.NX, k.cfg.NY, k.cfg.NZ
+	lz, lx := nz/p, nx/p
+	freq, tile := s.freq, s.tile
+	tw := len(tile) / nz
+	for y := 0; y < ny; y++ {
+		for x0 := 0; x0 < lx; x0 += tw {
+			for t := 0; t < tw; t++ {
+				pencil := tile[t*nz : (t+1)*nz]
+				copy(pencil, freq[((x0+t)*ny+y)*nz:])
+				k.planZ.transform(pencil, false)
+			}
+			// Block q holds z ∈ q's range as [zl][y][xl].
+			for z := 0; z < nz; z++ {
+				dst := s.blocks[z/lz][((z%lz)*ny+y)*lx+x0:][:tw]
+				for t := range dst {
+					dst[t] = tile[t*nz+z]
+				}
+			}
+		}
+	}
+	local := float64(len(freq))
+	r.Compute(float64(lx*ny)*fftOps(nz), 2*local)
+	r.Compute(packOpsPerElem*local, local)
 }
 
 // transposeZX redistributes layout Z → layout X with a pairwise-exchange
-// all-to-all. Rank q receives, from every rank s, the block covering
-// x ∈ q's range and z ∈ s's range.
+// all-to-all, unpacking into the frequency state. Rank q receives, from
+// every rank s, the block covering x ∈ q's range and z ∈ s's range.
 func (k *Kernel) transposeZX(r *mpi.Rank, s *slab) {
 	p := r.Size()
 	nx, ny, nz := k.cfg.NX, k.cfg.NY, k.cfg.NZ
 	lz, lx := nz/p, nx/p
-	dz, dx := s.dz, s.dx
+	dz, freq := s.dz, s.freq
 
 	for q, blk := range s.blocks {
 		x0 := q * lx
@@ -303,35 +350,22 @@ func (k *Kernel) transposeZX(r *mpi.Rank, s *slab) {
 		for xl := 0; xl < lx; xl++ {
 			for y := 0; y < ny; y++ {
 				for zl := 0; zl < lz; zl++ {
-					dx[(xl*ny+y)*nz+z0+zl] = blk[i]
+					freq[(xl*ny+y)*nz+z0+zl] = blk[i]
 					i++
 				}
 			}
 		}
 	}
-	r.Compute(packOpsPerElem*float64(len(dx)), float64(len(dx)))
+	r.Compute(packOpsPerElem*float64(len(freq)), float64(len(freq)))
 }
 
-// transposeXZ redistributes layout X → layout Z (the inverse exchange).
+// transposeXZ redistributes layout X → layout Z (the inverse exchange)
+// from the blocks inverseZ packed.
 func (k *Kernel) transposeXZ(r *mpi.Rank, s *slab) {
 	p := r.Size()
 	nx, ny, nz := k.cfg.NX, k.cfg.NY, k.cfg.NZ
 	lz, lx := nz/p, nx/p
-	dz, dx := s.dz, s.dx
-
-	for q, blk := range s.blocks {
-		z0 := q * lz
-		i := 0
-		for zl := 0; zl < lz; zl++ {
-			for y := 0; y < ny; y++ {
-				for xl := 0; xl < lx; xl++ {
-					blk[i] = dx[(xl*ny+y)*nz+z0+zl]
-					i++
-				}
-			}
-		}
-	}
-	r.Compute(packOpsPerElem*float64(len(dx)), float64(len(dx)))
+	dz := s.dz
 
 	recv := mpi.Alltoall(r, s.blocks, units.Bytes(bytesPerElem*lx*ny*lz))
 
@@ -350,31 +384,22 @@ func (k *Kernel) transposeXZ(r *mpi.Rank, s *slab) {
 	r.Compute(packOpsPerElem*float64(len(dz)), float64(len(dz)))
 }
 
-// initTwiddle computes the evolution factors exp(−4π²η·|k̄|²) for the
-// rank's layout-X frequency elements.
-func (k *Kernel) initTwiddle(r *mpi.Rank, s *slab, rank, lx int) {
-	nx, ny, nz := k.cfg.NX, k.cfg.NY, k.cfg.NZ
-	x0 := rank * lx
-	tw := s.twid
-	fold := func(i, n int) float64 {
-		if i <= n/2 {
-			return float64(i)
-		}
-		return float64(i - n)
-	}
+// evolve multiplies the layout-X frequency state, x ∈ [x0, x0+lx), by
+// its evolution factors exp(−4π²η·|k̄|²).
+func (k *Kernel) evolve(freq []complex128, x0, lx int) {
+	ny, nz := k.cfg.NY, k.cfg.NZ
 	i := 0
 	for xl := 0; xl < lx; xl++ {
-		kx := fold(x0+xl, nx)
 		for y := 0; y < ny; y++ {
-			ky := fold(y, ny)
-			for z := 0; z < nz; z++ {
-				kz := fold(z, nz)
-				tw[i] = math.Exp(-4 * math.Pi * math.Pi * eta * (kx*kx + ky*ky + kz*kz))
-				i++
+			sxy := k.sqX[x0+xl] + k.sqY[y]
+			row := freq[i : i+nz]
+			for z, sz := range k.sqZ {
+				f := k.decay[sxy+sz]
+				row[z] = complex(real(row[z])*f, imag(row[z])*f)
 			}
+			i += nz
 		}
 	}
-	r.Compute(12*float64(len(tw)), float64(len(tw)))
 }
 
 // checksum samples 1024 deterministic grid points of the layout-Z spatial

@@ -9,8 +9,9 @@ import (
 )
 
 // refKernel is FT as it was before its buffers moved into a per-rank
-// slab: every iteration allocates its transpose blocks and grids. It is
-// the oracle the rewritten kernel must match bit for bit.
+// slab: every iteration allocates its transpose blocks and grids, the
+// y-FFT gathers stride-nx pencils and every transform runs refTransform.
+// It is the oracle the rewritten kernel must match bit for bit.
 type refKernel struct {
 	cfg Config
 	n   int // total elements
@@ -35,6 +36,34 @@ func (k *refKernel) Name() string   { return "FT" }
 func (k *refKernel) N() float64     { return float64(k.n) }
 func (k *refKernel) Alpha() float64 { return 0.86 }
 func (k *refKernel) Verify() error  { return nil }
+
+// refTransform is the radix-2 loop fftPlan.transform ran before it had
+// an inverse twiddle table: the inverse conjugates each forward twiddle
+// in the butterfly. It reads only the plan's permutation and forward
+// twiddles, so a change to transform cannot move the oracle with it.
+func refTransform(p *fftPlan, data []complex128, forward bool) {
+	for i, j := range p.rev {
+		if i < j {
+			data[i], data[j] = data[j], data[i]
+		}
+	}
+	for size := 2; size <= p.n; size <<= 1 {
+		half := size >> 1
+		step := p.n / size
+		for start := 0; start < p.n; start += size {
+			for k := 0; k < half; k++ {
+				w := p.twiddle[k*step]
+				if !forward {
+					w = complex(real(w), -imag(w))
+				}
+				a := data[start+k]
+				b := data[start+k+half] * w
+				data[start+k] = a + b
+				data[start+k+half] = a - b
+			}
+		}
+	}
+}
 
 // newRef takes New's validation, defaults and FFT plans.
 func newRef(cfg Config) (*refKernel, error) {
@@ -151,7 +180,7 @@ func (k *refKernel) fftX(r *mpi.Rank, rank int, forward bool) {
 	dz := k.dz[rank]
 	rows := len(dz) / nx
 	for row := 0; row < rows; row++ {
-		k.planX.transform(dz[row*nx:(row+1)*nx], forward)
+		refTransform(k.planX, dz[row*nx:(row+1)*nx], forward)
 	}
 	_ = ny
 	r.Compute(float64(rows)*fftOps(nx), 2*float64(len(dz)))
@@ -170,7 +199,7 @@ func (k *refKernel) fftY(r *mpi.Rank, rank int, forward bool) {
 			for y := 0; y < ny; y++ {
 				pencil[y] = dz[base+y*nx+x]
 			}
-			k.planY.transform(pencil, forward)
+			refTransform(k.planY, pencil, forward)
 			for y := 0; y < ny; y++ {
 				dz[base+y*nx+x] = pencil[y]
 			}
@@ -185,7 +214,7 @@ func (k *refKernel) fftZ(r *mpi.Rank, rank int, forward bool) {
 	dx := k.dx[rank]
 	pencils := len(dx) / nz
 	for i := 0; i < pencils; i++ {
-		k.planZ.transform(dx[i*nz:(i+1)*nz], forward)
+		refTransform(k.planZ, dx[i*nz:(i+1)*nz], forward)
 	}
 	r.Compute(float64(pencils)*fftOps(nz), 2*float64(len(dx)))
 }

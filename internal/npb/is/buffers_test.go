@@ -1,0 +1,97 @@
+package is
+
+import (
+	"reflect"
+	"runtime"
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/machine"
+	"repro/internal/npb"
+)
+
+// run executes k on a fresh p-rank SystemG cluster with fixed noise.
+func run(t *testing.T, k npb.Kernel, p int) npb.Report {
+	t.Helper()
+	cl, err := cluster.New(cluster.Config{Spec: machine.SystemG(), Ranks: p, Alpha: k.Alpha(), Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := npb.Run(cl, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// TestRunMatchesReference pins the per-run buffers to the body they
+// replaced: the same report, key sums, sorted count and per-rank checks
+// to the last bit, at power-of-two and odd rank counts.
+func TestRunMatchesReference(t *testing.T) {
+	for _, cfg := range []Config{
+		{LogKeys: 14, LogMaxKey: 11, Buckets: 256, Iters: 3},
+		{LogKeys: 13, LogMaxKey: 10, Buckets: 128, Iters: 2, Seed: 314159265},
+	} {
+		for _, p := range []int{1, 2, 3, 4, 8, 16} {
+			ref, err := newRef(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, got := run(t, ref, p), run(t, k, p)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%+v p=%d: report\n got %+v\nwant %+v", cfg, p, got, want)
+			}
+			if !reflect.DeepEqual(*k, ref.Kernel) {
+				t.Errorf("%+v p=%d: results %+v, want %+v", cfg, p, *k, ref.Kernel)
+			}
+			if err := k.Verify(); err != nil {
+				t.Errorf("%+v p=%d: %v", cfg, p, err)
+			}
+		}
+	}
+}
+
+const logKeys = 16
+
+// perIteration returns the bytes a p-rank run allocates per repetition
+// beyond the first, for kernels made by mk.
+func perIteration(t *testing.T, mk func(Config) (npb.Kernel, error), p int) uint64 {
+	t.Helper()
+	allocated := func(iters int) uint64 {
+		k, err := mk(Config{LogKeys: logKeys, LogMaxKey: 14, Buckets: 256, Iters: iters})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run(t, k, p)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	short, long := allocated(1), allocated(5)
+	if long < short {
+		return 0
+	}
+	return (long - short) / 4
+}
+
+// TestRunAllocatesKeysOncePerRun: the send blocks are cut from one
+// per-run buffer and the sorted range is reused, so an extra repetition
+// costs the histogram allreduce and messages, not keys. The reference
+// body, which grows its send blocks and allocates its sorted range every
+// repetition, shows the probe can tell the two apart.
+func TestRunAllocatesKeysOncePerRun(t *testing.T) {
+	const keys = 4 << logKeys // int32 keys across all ranks
+	mk := func(cfg Config) (npb.Kernel, error) { return New(cfg) }
+	mkRef := func(cfg Config) (npb.Kernel, error) { return newRef(cfg) }
+	if got := perIteration(t, mk, 4); got > keys/8 {
+		t.Errorf("a repetition allocates %d B, want ≤ %d (1/8 of the %d B of keys)", got, keys/8, keys)
+	}
+	if got := perIteration(t, mkRef, 4); got < keys {
+		t.Errorf("reference repetition allocates %d B, want ≥ the %d B of keys", got, keys)
+	}
+}

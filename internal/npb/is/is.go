@@ -8,7 +8,7 @@ package is
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/mpi"
 	"repro/internal/npb"
@@ -122,6 +122,17 @@ func (k *Kernel) RunRank(r *mpi.Rank) {
 	buckets := int64(k.cfg.Buckets)
 	bucketShift := uint(k.cfg.LogMaxKey) - uint(log2i(int(buckets)))
 
+	// Per-run buffers. The send blocks are cut from pack, sized every
+	// repetition by the local bucket counts; the receivers read them by
+	// reference (mpi.Message) and copy them into their own sorted range
+	// before entering the next repetition's histogram allreduce, the
+	// one thing between two writes of pack. The received range is the
+	// same size every repetition, so sorted is allocated once.
+	owner := make([]int64, buckets)
+	pack := make([]int32, nLocal)
+	outBlocks := make([][]int32, p)
+	perDst := make([]int64, p)
+	sizes := make([]units.Bytes, p)
 	var sorted []int32
 	for iter := 0; iter < k.cfg.Iters; iter++ {
 		// --- Local histogram + global bucket counts. ---
@@ -142,7 +153,6 @@ func (k *Kernel) RunRank(r *mpi.Rank) {
 		r.PhaseExit("is.histogram")
 
 		// --- Bucket → rank assignment by balanced prefix. ---
-		owner := make([]int64, buckets)
 		var running, target int64
 		target = (k.nKeys + p - 1) / p
 		who := int64(0)
@@ -157,15 +167,19 @@ func (k *Kernel) RunRank(r *mpi.Rank) {
 
 		// --- Redistribute keys. ---
 		r.PhaseEnter("is.exchange")
-		outBlocks := make([][]int32, p)
-		for i := range outBlocks {
-			outBlocks[i] = []int32{}
+		clear(perDst)
+		for b, n := range hist {
+			perDst[owner[b]] += n
+		}
+		var off int64
+		for i, n := range perDst {
+			outBlocks[i] = pack[off : off : off+n]
+			off += n
 		}
 		for _, key := range keys {
 			dst := owner[int64(key)>>bucketShift]
 			outBlocks[dst] = append(outBlocks[dst], key)
 		}
-		sizes := make([]units.Bytes, p)
 		for i, blk := range outBlocks {
 			sizes[i] = units.Bytes(keyBytes * len(blk))
 		}
@@ -179,11 +193,14 @@ func (k *Kernel) RunRank(r *mpi.Rank) {
 		for _, blk := range recv {
 			total += len(blk)
 		}
-		sorted = make([]int32, 0, total)
+		if cap(sorted) < total {
+			sorted = make([]int32, 0, total)
+		}
+		sorted = sorted[:0]
 		for _, blk := range recv {
 			sorted = append(sorted, blk...)
 		}
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+		slices.Sort(sorted)
 		r.Compute(sortOpsPerKey*float64(total)*float64(log2i(max(2, total))), 2*float64(total))
 		r.PhaseExit("is.sort")
 	}

@@ -20,7 +20,9 @@
 //     at any moment. Control is handed off through unbuffered channels,
 //     so execution is sequential and, for a fixed seed, bit-for-bit
 //     deterministic. Processes block by parking; other processes wake
-//     them by scheduling events.
+//     them by scheduling events. Each process binds its wake event once,
+//     at spawn, so a handoff (Sleep, SleepUntil, Park and UnparkAt)
+//     allocates nothing.
 //
 // The kernel detects global deadlock (parked processes with an empty
 // event queue) and reports who was parked and why. When Run returns with
@@ -308,7 +310,7 @@ func (k *Kernel) Run() error {
 	var parked []string
 	for _, p := range k.procs {
 		if !p.done && p.parked {
-			parked = append(parked, fmt.Sprintf("%s: %s", p.name, p.reason))
+			parked = append(parked, p.name+": "+p.parkReason())
 		}
 	}
 	k.drain()
@@ -388,9 +390,11 @@ type Proc struct {
 	k      *Kernel
 	name   string
 	resume chan struct{}
+	wake   func() // the handoff event, bound once at spawn
 	done   bool
 	parked bool
 	reason string
+	why    fmt.Stringer // ParkFor's reason, formatted only for a report
 }
 
 // Name returns the process name given at Spawn.
@@ -413,6 +417,7 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 // SpawnAt creates a process that starts at virtual time t ≥ now.
 func (k *Kernel) SpawnAt(t units.Seconds, name string, fn func(p *Proc)) *Proc {
 	p := &Proc{k: k, name: name, resume: make(chan struct{})}
+	p.wake = func() { k.handoff(p) }
 	k.procs = append(k.procs, p)
 	k.live++
 	go func() {
@@ -432,7 +437,7 @@ func (k *Kernel) SpawnAt(t units.Seconds, name string, fn func(p *Proc)) *Proc {
 		}
 		fn(p)
 	}()
-	k.Schedule(t, func() { k.handoff(p) })
+	k.Schedule(t, p.wake)
 	return p
 }
 
@@ -471,7 +476,7 @@ func (p *Proc) Sleep(d units.Seconds) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: %s: negative sleep %v", p.name, d))
 	}
-	p.k.After(d, func() { p.k.handoff(p) })
+	p.k.After(d, p.wake)
 	p.block()
 }
 
@@ -480,22 +485,37 @@ func (p *Proc) SleepUntil(t units.Seconds) {
 	if t < p.k.now {
 		panic(fmt.Sprintf("sim: %s: sleep until %v before now %v", p.name, t, p.k.now))
 	}
-	p.k.Schedule(t, func() { p.k.handoff(p) })
+	p.k.Schedule(t, p.wake)
 	p.block()
 }
 
 // Park suspends the process indefinitely with a human-readable reason
 // (shown in deadlock reports). Another process must wake it with
 // UnparkAt. Exactly one UnparkAt must follow each Park.
-func (p *Proc) Park(reason string) {
+func (p *Proc) Park(reason string) { p.park(reason, nil) }
+
+// ParkFor is Park with a reason that is formatted only if a deadlock
+// report names the process, so a park that is woken formats nothing.
+// why must still describe the wait when Run returns.
+func (p *Proc) ParkFor(why fmt.Stringer) { p.park("", why) }
+
+func (p *Proc) park(reason string, why fmt.Stringer) {
 	if p.parked {
 		panic(fmt.Sprintf("sim: %s: park while already parked", p.name))
 	}
 	p.parked = true
-	p.reason = reason
+	p.reason, p.why = reason, why
 	p.block()
 	p.parked = false
-	p.reason = ""
+	p.reason, p.why = "", nil
+}
+
+// parkReason is the reason a deadlock report gives for a parked p.
+func (p *Proc) parkReason() string {
+	if p.why != nil {
+		return p.why.String()
+	}
+	return p.reason
 }
 
 // UnparkAt schedules the parked process p to resume at virtual time
@@ -509,6 +529,6 @@ func (p *Proc) UnparkAt(t units.Seconds) {
 		panic(fmt.Sprintf("sim: unpark of finished process %s", p.name))
 	}
 	p.parked = false // claim the wake so double-unpark is caught here
-	p.reason = ""
-	p.k.Schedule(t, func() { p.k.handoff(p) })
+	p.reason, p.why = "", nil
+	p.k.Schedule(t, p.wake)
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -533,4 +534,55 @@ func TestUnparkNotParkedPanics(t *testing.T) {
 		victim.UnparkAt(p.Now())
 	})
 	_ = k.Run()
+}
+
+// waitReason is a ParkFor reason: formatted only for a deadlock report.
+type waitReason struct{ slot int }
+
+func (w *waitReason) String() string { return fmt.Sprintf("waiting on slot %d", w.slot) }
+
+// TestProcHandoffsAllocateNothing pins the handoff contract: every
+// process builds its wake event once, at spawn, so a Sleep, a
+// SleepUntil and a Park or ParkFor woken by UnparkAt allocate nothing
+// once the event heap has grown to its working size.
+func TestProcHandoffsAllocateNothing(t *testing.T) {
+	k := NewKernel(1)
+	allocs := -1.0
+	k.Spawn("cycler", func(p *Proc) {
+		unpark := func() { p.UnparkAt(k.Now() + 1) }
+		why := &waitReason{slot: 3}
+		cycle := func() {
+			p.Sleep(1)
+			p.SleepUntil(p.Now() + 1)
+			k.After(0, unpark)
+			p.Park("waiting for the unpark event")
+			k.After(0, unpark)
+			p.ParkFor(why)
+		}
+		cycle()
+		allocs = testing.AllocsPerRun(100, cycle)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("a Sleep/SleepUntil/Park/ParkFor cycle allocates %v times, want 0", allocs)
+	}
+}
+
+// TestParkForReasonInDeadlockReport: a ParkFor reason is formatted when
+// the report is built, from the Stringer's state at that moment.
+func TestParkForReasonInDeadlockReport(t *testing.T) {
+	k := NewKernel(1)
+	why := &waitReason{slot: 1}
+	k.Spawn("stuck", func(p *Proc) { p.ParkFor(why) })
+	k.Spawn("bumper", func(p *Proc) { p.Sleep(1); why.slot = 2 })
+	err := k.Run()
+	var dl *DeadlockError
+	if !errors.As(err, &dl) {
+		t.Fatalf("want *DeadlockError, got %v", err)
+	}
+	if want := []string{"stuck: waiting on slot 2"}; !reflect.DeepEqual(dl.Parked, want) {
+		t.Fatalf("parked %q, want %q", dl.Parked, want)
+	}
 }

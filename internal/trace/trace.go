@@ -18,7 +18,13 @@ import (
 type Tracer struct {
 	phaseTime map[string]units.Seconds
 	phaseHits map[string]int64
-	open      map[string][]units.Seconds // per phase stack of enter times (keyed by rank+name)
+	open      map[phaseKey][]units.Seconds // per (rank, phase) stack of enter times
+}
+
+// phaseKey names one rank's open region.
+type phaseKey struct {
+	rank int
+	name string
 }
 
 // New returns an empty tracer.
@@ -26,22 +32,20 @@ func New() *Tracer {
 	return &Tracer{
 		phaseTime: make(map[string]units.Seconds),
 		phaseHits: make(map[string]int64),
-		open:      make(map[string][]units.Seconds),
+		open:      make(map[phaseKey][]units.Seconds),
 	}
 }
 
-func phaseKey(rank int, name string) string { return fmt.Sprintf("%d\x00%s", rank, name) }
-
 // PhaseEnter marks a rank entering a named region at time now.
 func (t *Tracer) PhaseEnter(now units.Seconds, rank int, name string) {
-	key := phaseKey(rank, name)
+	key := phaseKey{rank, name}
 	t.open[key] = append(t.open[key], now)
 }
 
 // PhaseExit marks a rank leaving a named region; the enclosing PhaseEnter
 // must exist. Time spent is accumulated under the phase name across ranks.
 func (t *Tracer) PhaseExit(now units.Seconds, rank int, name string) {
-	key := phaseKey(rank, name)
+	key := phaseKey{rank, name}
 	stack := t.open[key]
 	if len(stack) == 0 {
 		panic(fmt.Sprintf("trace: rank %d exits phase %q it never entered", rank, name))

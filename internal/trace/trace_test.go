@@ -50,3 +50,17 @@ func TestSummaryRendering(t *testing.T) {
 		}
 	}
 }
+
+// TestPhaseEnterExitAllocateNothing: open regions are keyed by a
+// (rank, name) struct, so re-entering a known region allocates nothing.
+func TestPhaseEnterExitAllocateNothing(t *testing.T) {
+	tr := New()
+	cycle := func() {
+		tr.PhaseEnter(0, 3, "ft.inverse")
+		tr.PhaseExit(1, 3, "ft.inverse")
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("an enter/exit pair allocates %v times, want 0", allocs)
+	}
+}
