@@ -62,7 +62,7 @@ type mailbox struct {
 }
 
 // String describes the pending receive for a deadlock report; the
-// rank parks with ParkFor(box), so nothing is formatted unless Run
+// rank parks with Park(box), so nothing is formatted unless Run
 // reports the rank stuck.
 func (b *mailbox) String() string {
 	return fmt.Sprintf("Recv(src=%d, tag=%d)", b.waitSrc, b.waitTag)
@@ -273,7 +273,7 @@ func (r *Rank) Recv(src, tag int) Message {
 	box.waitSrc = src
 	box.waitTag = tag
 	box.waiter = r.proc
-	r.proc.ParkFor(box)
+	r.proc.Park(box)
 	// We were woken by deliver, so a matching envelope exists. Take the
 	// oldest match to preserve MPI's non-overtaking order.
 	for i, e := range box.queue {

@@ -57,10 +57,10 @@ func TestRunMatchesReference(t *testing.T) {
 }
 
 // allocated returns the bytes one p-rank run of the given length
-// allocates, for a kernel made by mk.
-func allocated(t *testing.T, mk func(Config) (npb.Kernel, error), p, iters int) uint64 {
+// allocates on an n³ grid, for a kernel made by mk.
+func allocated(t *testing.T, mk func(Config) (npb.Kernel, error), n, p, iters int) uint64 {
 	t.Helper()
-	k, err := mk(Config{NX: 32, NY: 32, NZ: 32, Iters: iters})
+	k, err := mk(Config{NX: n, NY: n, NZ: n, Iters: iters})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +71,11 @@ func allocated(t *testing.T, mk func(Config) (npb.Kernel, error), p, iters int) 
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// perIteration returns the bytes a p-rank run allocates per iteration
-// beyond the first, for kernels made by mk.
+// perIteration returns the bytes a p-rank run on a 32³ grid allocates
+// per iteration beyond the first, for kernels made by mk.
 func perIteration(t *testing.T, mk func(Config) (npb.Kernel, error), p int) uint64 {
 	t.Helper()
-	short, long := allocated(t, mk, p, 1), allocated(t, mk, p, 9)
+	short, long := allocated(t, mk, 32, p, 1), allocated(t, mk, 32, p, 9)
 	if long < short {
 		return 0
 	}
@@ -85,9 +85,11 @@ func perIteration(t *testing.T, mk func(Config) (npb.Kernel, error), p int) uint
 // TestRunAllocatesGridOncePerRun: each rank's slab is allocated when
 // the run starts, so an extra iteration costs messages, not grids, and
 // a whole run allocates the spatial grid, the frequency state and the
-// transpose blocks — three grids — plus what the cluster and the
-// messages need. The reference kernel, which allocates three grids'
-// worth per iteration, shows the probe can tell the two apart.
+// transpose blocks — three grids. The whole-run bound is taken on the
+// growth from a 16³ to a 32³ run, so what the cluster, the runtime and
+// the messages allocate whatever the grid size cancels out. The
+// reference kernel, which allocates three grids' worth per iteration,
+// shows the probe can tell the two apart.
 func TestRunAllocatesGridOncePerRun(t *testing.T) {
 	const grid = 16 * 32 * 32 * 32
 	mk := func(cfg Config) (npb.Kernel, error) { return New(cfg) }
@@ -95,9 +97,10 @@ func TestRunAllocatesGridOncePerRun(t *testing.T) {
 	if got := perIteration(t, mk, 4); got > grid/32 {
 		t.Errorf("an iteration allocates %d B, want ≤ %d (1/32 of the %d B grid)", got, grid/32, grid)
 	}
-	got := allocated(t, mk, 4, 9)
-	if got > 16*grid/5 {
-		t.Errorf("a 9-iteration run allocates %d B (%.2f grids), want ≤ 3.2 grids", got, float64(got)/grid)
+	const growth = grid - 16*16*16*16 // bytes one grid gains from 16³ to 32³
+	grown := int64(allocated(t, mk, 32, 4, 9)) - int64(allocated(t, mk, 16, 4, 9))
+	if grown > 16*growth/5 {
+		t.Errorf("a 9-iteration run grows by %d B from 16³ to 32³ (%.2f grids' growth), want ≤ 3.2", grown, float64(grown)/growth)
 	}
 	if got := perIteration(t, mkRef, 4); got < grid {
 		t.Errorf("reference iteration allocates %d B, want ≥ the %d B grid", got, grid)

@@ -1,6 +1,7 @@
 package ft
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -164,5 +165,31 @@ func TestTransformMatchesReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// BenchmarkPencil times one contiguous pencil through transform and
+// through transformRows at width 1, the two ways fftX and fftZ could
+// run it.
+func BenchmarkPencil(b *testing.B) {
+	for _, n := range []int{64, 256} {
+		plan, err := newPlan(n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		data := make([]complex128, n)
+		for i := range data {
+			data[i] = complex(float64(i%7), float64(i%5))
+		}
+		b.Run(fmt.Sprintf("transform/n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				plan.transform(data, i&1 == 0)
+			}
+		})
+		b.Run(fmt.Sprintf("rows1/n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				plan.transformRows(data, 1, i&1 == 0)
+			}
+		})
 	}
 }

@@ -310,7 +310,7 @@ func (k *Kernel) Run() error {
 	var parked []string
 	for _, p := range k.procs {
 		if !p.done && p.parked {
-			parked = append(parked, p.name+": "+p.parkReason())
+			parked = append(parked, p.name+": "+p.why.String())
 		}
 	}
 	k.drain()
@@ -393,8 +393,7 @@ type Proc struct {
 	wake   func() // the handoff event, bound once at spawn
 	done   bool
 	parked bool
-	reason string
-	why    fmt.Stringer // ParkFor's reason, formatted only for a report
+	why    fmt.Stringer // Park's reason, formatted only for a report
 }
 
 // Name returns the process name given at Spawn.
@@ -489,33 +488,20 @@ func (p *Proc) SleepUntil(t units.Seconds) {
 	p.block()
 }
 
-// Park suspends the process indefinitely with a human-readable reason
-// (shown in deadlock reports). Another process must wake it with
-// UnparkAt. Exactly one UnparkAt must follow each Park.
-func (p *Proc) Park(reason string) { p.park(reason, nil) }
-
-// ParkFor is Park with a reason that is formatted only if a deadlock
-// report names the process, so a park that is woken formats nothing.
-// why must still describe the wait when Run returns.
-func (p *Proc) ParkFor(why fmt.Stringer) { p.park("", why) }
-
-func (p *Proc) park(reason string, why fmt.Stringer) {
+// Park suspends the process indefinitely. Another process must wake it
+// with UnparkAt; exactly one UnparkAt must follow each Park. why is
+// formatted only if a deadlock report names the process, so it must
+// still describe the wait when Run returns, and a park that is woken
+// formats nothing.
+func (p *Proc) Park(why fmt.Stringer) {
 	if p.parked {
 		panic(fmt.Sprintf("sim: %s: park while already parked", p.name))
 	}
 	p.parked = true
-	p.reason, p.why = reason, why
+	p.why = why
 	p.block()
 	p.parked = false
-	p.reason, p.why = "", nil
-}
-
-// parkReason is the reason a deadlock report gives for a parked p.
-func (p *Proc) parkReason() string {
-	if p.why != nil {
-		return p.why.String()
-	}
-	return p.reason
+	p.why = nil
 }
 
 // UnparkAt schedules the parked process p to resume at virtual time
@@ -529,6 +515,6 @@ func (p *Proc) UnparkAt(t units.Seconds) {
 		panic(fmt.Sprintf("sim: unpark of finished process %s", p.name))
 	}
 	p.parked = false // claim the wake so double-unpark is caught here
-	p.reason, p.why = "", nil
+	p.why = nil
 	p.k.Schedule(t, p.wake)
 }

@@ -99,7 +99,7 @@ func TestParkUnpark(t *testing.T) {
 	var got units.Seconds
 	var consumer *Proc
 	consumer = k.Spawn("consumer", func(p *Proc) {
-		p.Park("waiting for producer")
+		p.Park(reason("waiting for producer"))
 		got = p.Now()
 	})
 	k.Spawn("producer", func(p *Proc) {
@@ -116,8 +116,8 @@ func TestParkUnpark(t *testing.T) {
 
 func TestDeadlockDetection(t *testing.T) {
 	k := NewKernel(1)
-	k.Spawn("stuck-a", func(p *Proc) { p.Park("waiting for godot") })
-	k.Spawn("stuck-b", func(p *Proc) { p.Park("also waiting") })
+	k.Spawn("stuck-a", func(p *Proc) { p.Park(reason("waiting for godot")) })
+	k.Spawn("stuck-b", func(p *Proc) { p.Park(reason("also waiting")) })
 	err := k.Run()
 	var dl *DeadlockError
 	if !errors.As(err, &dl) {
@@ -330,8 +330,8 @@ func TestRunDrainsDeadlockedGoroutines(t *testing.T) {
 	before := goroutineCount()
 	for i := 0; i < 20; i++ {
 		k := NewKernel(int64(i))
-		k.Spawn("stuck-a", func(p *Proc) { p.Park("waiting forever") })
-		k.Spawn("stuck-b", func(p *Proc) { p.Park("also waiting") })
+		k.Spawn("stuck-a", func(p *Proc) { p.Park(reason("waiting forever")) })
+		k.Spawn("stuck-b", func(p *Proc) { p.Park(reason("also waiting")) })
 		var dl *DeadlockError
 		if err := k.Run(); !errors.As(err, &dl) {
 			t.Fatalf("want DeadlockError, got %v", err)
@@ -373,7 +373,7 @@ func TestDrainRunsProcessDefers(t *testing.T) {
 	cleaned := false
 	k.Spawn("careful", func(p *Proc) {
 		defer func() { cleaned = true }()
-		p.Park("never woken")
+		p.Park(reason("never woken"))
 	})
 	var dl *DeadlockError
 	if err := k.Run(); !errors.As(err, &dl) {
@@ -393,7 +393,7 @@ func TestDrainSurvivesBlockingDefers(t *testing.T) {
 		k := NewKernel(int64(i))
 		k.Spawn("nested", func(p *Proc) {
 			defer p.Sleep(1) // blocks during the abort unwind
-			p.Park("never woken")
+			p.Park(reason("never woken"))
 		})
 		var dl *DeadlockError
 		if err := k.Run(); !errors.As(err, &dl) {
@@ -416,7 +416,7 @@ func TestRunCallbackErrorPathDrains(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		k := NewKernel(int64(i))
 		k.Schedule(1, func() {
-			k.Spawn("parked", func(p *Proc) { p.Park("waiting forever") })
+			k.Spawn("parked", func(p *Proc) { p.Park(reason("waiting forever")) })
 			k.Spawn("bomb", func(p *Proc) {
 				p.Sleep(1)
 				panic("boom")
@@ -536,15 +536,23 @@ func TestUnparkNotParkedPanics(t *testing.T) {
 	_ = k.Run()
 }
 
-// waitReason is a ParkFor reason: formatted only for a deadlock report.
+// reason is a constant Park reason. Converting a constant to an
+// interface does not allocate.
+type reason string
+
+func (r reason) String() string { return string(r) }
+
+// waitReason is a Park reason whose text is built only for a deadlock
+// report.
 type waitReason struct{ slot int }
 
 func (w *waitReason) String() string { return fmt.Sprintf("waiting on slot %d", w.slot) }
 
 // TestProcHandoffsAllocateNothing pins the handoff contract: every
 // process builds its wake event once, at spawn, so a Sleep, a
-// SleepUntil and a Park or ParkFor woken by UnparkAt allocate nothing
-// once the event heap has grown to its working size.
+// SleepUntil and a Park woken by UnparkAt (its reason a constant or a
+// pointer) allocate nothing once the event heap has grown to its
+// working size.
 func TestProcHandoffsAllocateNothing(t *testing.T) {
 	k := NewKernel(1)
 	allocs := -1.0
@@ -555,9 +563,9 @@ func TestProcHandoffsAllocateNothing(t *testing.T) {
 			p.Sleep(1)
 			p.SleepUntil(p.Now() + 1)
 			k.After(0, unpark)
-			p.Park("waiting for the unpark event")
+			p.Park(reason("waiting for the unpark event"))
 			k.After(0, unpark)
-			p.ParkFor(why)
+			p.Park(why)
 		}
 		cycle()
 		allocs = testing.AllocsPerRun(100, cycle)
@@ -566,16 +574,16 @@ func TestProcHandoffsAllocateNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	if allocs != 0 {
-		t.Fatalf("a Sleep/SleepUntil/Park/ParkFor cycle allocates %v times, want 0", allocs)
+		t.Fatalf("a Sleep/SleepUntil/Park cycle allocates %v times, want 0", allocs)
 	}
 }
 
-// TestParkForReasonInDeadlockReport: a ParkFor reason is formatted when
-// the report is built, from the Stringer's state at that moment.
-func TestParkForReasonInDeadlockReport(t *testing.T) {
+// TestParkReasonInDeadlockReport: a Park reason is formatted when the
+// report is built, from the Stringer's state at that moment.
+func TestParkReasonInDeadlockReport(t *testing.T) {
 	k := NewKernel(1)
 	why := &waitReason{slot: 1}
-	k.Spawn("stuck", func(p *Proc) { p.ParkFor(why) })
+	k.Spawn("stuck", func(p *Proc) { p.Park(why) })
 	k.Spawn("bumper", func(p *Proc) { p.Sleep(1); why.slot = 2 })
 	err := k.Run()
 	var dl *DeadlockError
