@@ -3,7 +3,6 @@
 //
 //	go run ./cmd/repolint ./...         # the whole tree, as CI does
 //	go run ./cmd/repolint ./internal/sched ./cmd/...
-//	go run ./cmd/repolint -fix ./...    # also apply suggested fixes
 //
 // The analyzers and the invariants they encode — detmaprange, simclock,
 // telguard, unitmix — are documented in internal/lint and DESIGN.md §10,
@@ -11,10 +10,10 @@
 // hatches.
 //
 // Exit code contract (pinned by cmd/repolint tests): 0 when the tree is
-// clean, 1 on any diagnostic (even if -fix repaired it), 2 on usage or
-// load errors. The binary runs standalone rather than as a `go vet
-// -vettool`: the vettool wire protocol needs x/tools' unitchecker,
-// which this offline-buildable module deliberately does not depend on.
+// clean, 1 on any diagnostic, 2 on usage or load errors. The binary
+// runs standalone rather than as a `go vet -vettool`: the vettool wire
+// protocol needs x/tools' unitchecker, which this offline-buildable
+// module deliberately does not depend on.
 package main
 
 import (
@@ -30,10 +29,8 @@ func main() {
 }
 
 func run() int {
-	fix := flag.Bool("fix", false, "apply suggested fixes in place")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: repolint [-fix] package-patterns...\n")
-		flag.PrintDefaults()
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: repolint package-patterns...\n")
 	}
 	flag.Parse()
 	patterns := flag.Args()
@@ -79,19 +76,6 @@ func run() int {
 	for _, d := range diags {
 		pos := loader.Fset.Position(d.Pos)
 		fmt.Printf("%s:%d:%d: %s [%s]\n", pos.Filename, pos.Line, pos.Column, d.Message, d.Analyzer)
-		for _, f := range d.Fixes {
-			fmt.Printf("\tsuggested fix: %s\n", f.Message)
-		}
-	}
-	if *fix {
-		written, err := lint.ApplyFixes(loader.Fset, pkgs, diags)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "repolint: fix:", err)
-			return 2
-		}
-		for _, name := range written {
-			fmt.Printf("fixed: %s\n", name)
-		}
 	}
 	if len(diags) > 0 {
 		return 1

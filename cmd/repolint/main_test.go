@@ -131,59 +131,7 @@ func Oops() int { return undefinedIdent }
 	if out, code := runLint(t, bin, root, "./broken"); code != 2 {
 		t.Errorf("type-error exit code = %d, want 2\n%s", code, out)
 	}
-}
-
-// TestFixRewritesMapRange exercises -fix end to end: the suggested
-// sort-keys rewrite is applied in place — inserting the "sort" import
-// the file lacks, exactly once even with two fixes in the file — and
-// the rewritten module re-runs clean (exit 1 reflects findings, not
-// post-fix state; the clean re-run also proves the fixed file still
-// type-checks).
-func TestFixRewritesMapRange(t *testing.T) {
-	bin := buildBinary(t)
-	root := writeModule(t, map[string]string{
-		"internal/sched/sched.go": `package sched
-
-import (
-	"fmt"
-	"strings"
-)
-
-func Dump(m map[int]string) {
-	for k, v := range m {
-		fmt.Println(k, strings.ToUpper(v))
-	}
-}
-
-func Keys(m map[string]int) {
-	for k := range m {
-		fmt.Println(k)
-	}
-}
-`,
-	})
-	out, code := runLint(t, bin, root, "-fix", "./...")
-	if code != 1 {
-		t.Fatalf("exit code = %d, want 1 (findings existed)\n%s", code, out)
-	}
-	if !strings.Contains(out, "fixed: ") {
-		t.Fatalf("expected a fixed: line\n%s", out)
-	}
-	src, err := os.ReadFile(filepath.Join(root, "internal", "sched", "sched.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(src), "sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })") {
-		t.Fatalf("fix not applied:\n%s", src)
-	}
-	if n := strings.Count(string(src), "\"sort\""); n != 1 {
-		t.Fatalf("want the sort import inserted exactly once, got %d:\n%s", n, src)
-	}
-	if !strings.Contains(string(src), "\t\"fmt\"\n\t\"sort\"\n\t\"strings\"\n") {
-		t.Fatalf("sort import not in sorted position in the group:\n%s", src)
-	}
-	out, code = runLint(t, bin, root, "./...")
-	if code != 0 {
-		t.Fatalf("post-fix run: exit code = %d, want 0\n%s", code, out)
+	if out, code := runLint(t, bin, root, "-fix", "./..."); code != 2 {
+		t.Errorf("unknown -fix flag exit code = %d, want 2\n%s", code, out)
 	}
 }

@@ -99,6 +99,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *reserve < 1 {
 		return cli.Usagef("-reserve %d must be at least 1", *reserve)
 	}
+	if *ranks < 1 {
+		return cli.Usagef("-ranks %d must be at least 1", *ranks)
+	}
+	if *repeat < 1 {
+		return cli.Usagef("-repeat %d must be at least 1", *repeat)
+	}
 	plan, timeline, err := budget.Plan(given)
 	if err != nil {
 		return err
@@ -175,7 +181,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if len(platform.Pools) > 1 && given["ranks"] {
 		return cli.Usagef("-ranks cannot resize a multi-pool platform; size each pool instead, e.g. -cluster systemg:32,dori:32")
 	}
-	if len(platform.Pools) > 1 || clusterRanks == 0 {
+	if len(platform.Pools) > 1 {
 		clusterRanks = platform.TotalRanks()
 	}
 
@@ -330,7 +336,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var results []sched.Result
 	for _, pol := range policies {
 		var res sched.Result
-		for r := max(*repeat, 1); r > 0; r-- {
+		for r := *repeat; r > 0; r-- {
 			if res, err = once(pol, telemetryOn && r == 1); err != nil {
 				return err
 			}

@@ -93,6 +93,9 @@ func TestExitContract(t *testing.T) {
 		{"-cluster systemg:0", 2},
 		{"-jobs -1", 2},
 		{"-ranks -4", 2},
+		{"-ranks 0 -cap 100000", 2}, // not the whole 325-node preset
+		{"-repeat 0", 2},
+		{"-repeat -1", 2},
 		{"-reserve 0", 2},
 		{"-cap NaN", 2},
 		{"-cap Inf", 2},
@@ -113,6 +116,9 @@ func TestExitContract(t *testing.T) {
 		{"-mtbf 3 -mttr 1 -ckpt -1", 2},
 		{"-mtbf 3 -mttr 1 -ckpt NaN", 2},
 		{"-mtbf 3 -mttr 1 -restartcost Inf", 2},
+		// Sub-µs fault time scales: each run would draw makespan/scale events.
+		{"-jobs 3 -mtbf 1e-300 -mttr 1e-300", 2},
+		{"-jobs 3 -ckpt 1e-300 -mtbf 1 -mttr 1", 2},
 		{"-interval -1", 2},
 		{"-interval NaN", 2},
 		{"-interval Inf", 2},

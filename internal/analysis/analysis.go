@@ -3,9 +3,8 @@
 // 5–9, the iso-energy-efficiency function (how fast must the problem grow
 // to hold EE constant as p scales — the energy analogue of Grama's
 // isoefficiency function), the power-constrained operating-point
-// optimiser motivating the paper's title, and the baselines the paper
-// compares against (performance isoefficiency; Ge & Cameron power-aware
-// speedup).
+// optimiser motivating the paper's title, and the performance
+// isoefficiency baseline the paper compares against.
 //
 // Everything here is one-off evaluation and calls core.Model.Predict
 // directly; whole-ladder rows (internal/opcache's Eval) belong to clients
@@ -314,10 +313,6 @@ func (o Objective) Better(a, b Point) bool {
 	}
 }
 
-// DefaultParallelisms is the power-of-two sweep 1..MaxRanks used when a
-// caller passes no explicit parallelism list.
-func DefaultParallelisms(spec machine.Spec) []int { return powersOfTwo(spec.MaxRanks()) }
-
 // powersOfTwo lists 1, 2, 4, … up to max — the default sweep of a
 // machine or of one pool's deployed core count.
 func powersOfTwo(max int) []int {
@@ -408,27 +403,4 @@ func OptimizeUnderPowerBudgetBy(pl machine.Platform, v app.Vector, n float64, ps
 // concrete: the fastest operating point that respects the budget.
 func OptimizeUnderPowerBudget(pl machine.Platform, v app.Vector, n float64, ps []int, budget units.Watts) (OperatingPoint, error) {
 	return OptimizeUnderPowerBudgetBy(pl, v, n, ps, budget, MinTime)
-}
-
-// PowerAwareSpeedup is the Ge & Cameron baseline: speedup of the parallel
-// run at frequency f relative to the sequential run at the machine's
-// nominal frequency, exposing the performance price of DVFS states.
-func PowerAwareSpeedup(spec machine.Spec, v app.Vector, n float64, p int, f units.Hertz) (float64, error) {
-	base, err := spec.Base()
-	if err != nil {
-		return 0, err
-	}
-	seq := core.Model{Machine: base, App: v.At(n, 1)}
-	t1 := seq.SequentialTime()
-
-	mp, err := spec.AtFrequency(f)
-	if err != nil {
-		return 0, err
-	}
-	par := core.Model{Machine: mp, App: v.At(n, p)}
-	tp := par.ParallelTime()
-	if tp <= 0 {
-		return 0, errors.New("analysis: degenerate parallel time")
-	}
-	return float64(t1) / float64(tp), nil
 }

@@ -296,27 +296,6 @@ func TestPerformanceIsoVsEnergyIso(t *testing.T) {
 	}
 }
 
-func TestPowerAwareSpeedup(t *testing.T) {
-	v := app.EP()
-	n := 1e8
-	// EP at p=16, full frequency: speedup ≈ 16.
-	s, err := PowerAwareSpeedup(sysG, v, n, 16, 2.8*units.GHz)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s < 14 || s > 16.5 {
-		t.Fatalf("EP power-aware speedup at 2.8GHz = %g, want ≈16", s)
-	}
-	// At reduced frequency the speedup must drop (compute-bound EP).
-	sLow, err := PowerAwareSpeedup(sysG, v, n, 16, 2.0*units.GHz)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sLow >= s {
-		t.Fatalf("lower frequency should reduce speedup: %g vs %g", sLow, s)
-	}
-}
-
 // coreModel is a tiny helper returning EE for (machine, vector, n, p).
 func coreModel(mp machine.Params, v app.Vector, n float64, p int) (float64, error) {
 	pr, err := core.Model{Machine: mp, App: v.At(n, p)}.Predict()
@@ -345,7 +324,7 @@ func TestForEachOperatingPointGrid(t *testing.T) {
 	if err := ForEachOperatingPoint(machine.Homogeneous(sysG), app.EP(), 1e8, nil, func(Point) { visits++ }); err != nil {
 		t.Fatal(err)
 	}
-	if want := len(DefaultParallelisms(sysG)) * len(sysG.Frequencies); visits != want {
+	if want := len(powersOfTwo(sysG.MaxRanks())) * len(sysG.Frequencies); visits != want {
 		t.Fatalf("default sweep visited %d points, want %d", visits, want)
 	}
 }
@@ -388,8 +367,8 @@ func TestForEachOperatingPointPerPoolGrids(t *testing.T) {
 	}
 }
 
-func TestDefaultParallelisms(t *testing.T) {
-	ps := DefaultParallelisms(sysG)
+func TestPowersOfTwo(t *testing.T) {
+	ps := powersOfTwo(sysG.MaxRanks())
 	if ps[0] != 1 {
 		t.Fatalf("sweep must start at 1: %v", ps)
 	}

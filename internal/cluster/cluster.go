@@ -6,7 +6,8 @@
 //   - a discrete-event kernel (virtual time),
 //   - one machine-dependent parameter vector per rank (tc, tm, Ts, Tb,
 //     ΔPc, ΔPm, Psys-idle at the selected DVFS frequency),
-//   - a point-to-point network cost model with per-NIC serialisation,
+//   - one rank per node, each with its own NIC, and a point-to-point
+//     network cost model with per-NIC serialisation,
 //   - per-rank performance counters and a TAU-style tracer, and
 //   - per-component busy-time accounting from which measured energy and
 //     instantaneous power are derived.
@@ -43,31 +44,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/units"
 )
-
-// Placement selects how ranks map to physical nodes.
-type Placement int
-
-const (
-	// Scatter places one rank per node (each rank owns a full NIC and a
-	// full node idle-power share). This matches the paper's per-processor
-	// energy model and is the default.
-	Scatter Placement = iota
-	// Pack fills each node's cores before using the next node; ranks on
-	// one node share the node NIC, and intra-node messages travel at
-	// shared-memory speed.
-	Pack
-)
-
-func (p Placement) String() string {
-	switch p {
-	case Scatter:
-		return "scatter"
-	case Pack:
-		return "pack"
-	default:
-		return fmt.Sprintf("placement(%d)", int(p))
-	}
-}
 
 // NoiseConfig controls stochastic perturbations. Zero value = noiseless.
 type NoiseConfig struct {
@@ -122,8 +98,6 @@ type Config struct {
 	Net netmodel.Model
 	// Alpha is the computational overlap factor α ∈ (0,1]; zero means 1.
 	Alpha float64
-	// Placement maps ranks to nodes (default Scatter).
-	Placement Placement
 	// Noise enables stochastic perturbation.
 	Noise NoiseConfig
 	// Seed drives all randomness (kernel events, execution noise,
@@ -145,9 +119,8 @@ type Cluster struct {
 	counters *perfctr.Set
 	tracer   *trace.Tracer
 
-	rankNode []int           // rank → node index
-	txNICs   []*sim.Resource // per-node NIC transmit channel
-	rxNICs   []*sim.Resource // per-node NIC receive channel
+	txNICs []*sim.Resource // per-rank NIC transmit channel
+	rxNICs []*sim.Resource // per-rank NIC receive channel
 
 	execRNG  *rand.Rand
 	measRNG  *rand.Rand
@@ -214,9 +187,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.PoolFreqs != nil && len(cfg.PoolFreqs) != len(platform.Pools) {
 		return nil, fmt.Errorf("cluster: %d PoolFreqs for %d pools", len(cfg.PoolFreqs), len(platform.Pools))
 	}
-	if cfg.Placement == Pack && multi {
-		return nil, fmt.Errorf("cluster: Pack placement supports only one-pool platforms (ranks map to nodes per pool under Scatter)")
-	}
 
 	// Each pool's ladder is evaluated once; the initial operating point
 	// and every later retune index into it (see paramsAt).
@@ -242,24 +212,17 @@ func New(cfg Config) (*Cluster, error) {
 		poolParams[i] = *mp
 	}
 
-	capacity := platform.TotalRanks()
-	if cfg.Placement == Pack {
-		capacity = platform.Pools[0].MaxRanks()
-	}
-	if cfg.Ranks > capacity {
-		return nil, fmt.Errorf("cluster: %d ranks exceed %s capacity %d under %v placement",
-			cfg.Ranks, platform, capacity, cfg.Placement)
+	if capacity := platform.TotalRanks(); cfg.Ranks > capacity {
+		return nil, fmt.Errorf("cluster: %d ranks exceed %s capacity %d (one rank per node)",
+			cfg.Ranks, platform, capacity)
 	}
 
 	params := make([]machine.Params, cfg.Ranks)
 	rankPool := make([]int, cfg.Ranks)
 	for r := range params {
-		pi := 0
-		if cfg.Placement != Pack {
-			var err error
-			if pi, err = platform.PoolOf(r); err != nil {
-				return nil, err
-			}
+		pi, err := platform.PoolOf(r)
+		if err != nil {
+			return nil, err
 		}
 		params[r] = poolParams[pi]
 		rankPool[r] = pi
@@ -283,28 +246,19 @@ func New(cfg Config) (*Cluster, error) {
 		tracer:   trace.New(),
 		execRNG:  rand.New(rand.NewSource(cfg.Seed ^ 0x5eed0001)),
 		measRNG:  rand.New(rand.NewSource(cfg.Seed ^ 0x5eed0002)),
-		// Intra-node transfers at shared-memory speed: negligible
-		// start-up, ~an order of magnitude more bandwidth than the NIC.
+		// Self-copies at shared-memory speed: negligible start-up, ~an
+		// order of magnitude more bandwidth than the NIC.
 		shmModel: netmodel.Hockney{
 			Ts: params[0].Ts / 10,
 			Tb: params[0].Tb / 10,
 		},
 	}
 
-	c.rankNode = make([]int, cfg.Ranks)
-	coresPerNode := 1
-	if cfg.Placement == Pack {
-		coresPerNode = platform.Pools[0].Spec.CoresPerNode
-	}
-	nNodes := (cfg.Ranks + coresPerNode - 1) / coresPerNode
-	c.txNICs = make([]*sim.Resource, nNodes)
-	c.rxNICs = make([]*sim.Resource, nNodes)
-	for n := 0; n < nNodes; n++ {
-		c.txNICs[n] = sim.NewResource(fmt.Sprintf("nic%d.tx", n))
-		c.rxNICs[n] = sim.NewResource(fmt.Sprintf("nic%d.rx", n))
-	}
-	for r := 0; r < cfg.Ranks; r++ {
-		c.rankNode[r] = r / coresPerNode
+	c.txNICs = make([]*sim.Resource, cfg.Ranks)
+	c.rxNICs = make([]*sim.Resource, cfg.Ranks)
+	for r := range c.txNICs {
+		c.txNICs[r] = sim.NewResource(fmt.Sprintf("nic%d.tx", r))
+		c.rxNICs[r] = sim.NewResource(fmt.Sprintf("nic%d.rx", r))
 	}
 	c.inflight = make([]inflightOp, cfg.Ranks)
 	c.opActive = make([]bool, cfg.Ranks)
@@ -412,17 +366,15 @@ func (c *Cluster) Tracer() *trace.Tracer { return c.tracer }
 // Net returns the interconnect cost model in use.
 func (c *Cluster) Net() netmodel.Model { return c.net }
 
-// NodeOf returns the node index hosting a rank.
-func (c *Cluster) NodeOf(rank int) int { return c.rankNode[c.checkRank(rank)] }
+// TxNIC returns the transmit channel of a rank's NIC. Each rank runs on
+// its own node, so it owns its NIC. NICs are full duplex: a node can send
+// and receive concurrently, but two concurrent receives at one node
+// serialise (likewise sends), which is how network contention emerges
+// under unbalanced patterns.
+func (c *Cluster) TxNIC(rank int) *sim.Resource { return c.txNICs[c.checkRank(rank)] }
 
-// TxNIC returns the transmit channel of a rank's node NIC. NICs are full
-// duplex: a node can send and receive concurrently, but two concurrent
-// sends from one node serialise (likewise receives), which is how network
-// contention emerges under Pack placement or unbalanced patterns.
-func (c *Cluster) TxNIC(rank int) *sim.Resource { return c.txNICs[c.NodeOf(rank)] }
-
-// RxNIC returns the receive channel of a rank's node NIC.
-func (c *Cluster) RxNIC(rank int) *sim.Resource { return c.rxNICs[c.NodeOf(rank)] }
+// RxNIC returns the receive channel of a rank's NIC.
+func (c *Cluster) RxNIC(rank int) *sim.Resource { return c.rxNICs[c.checkRank(rank)] }
 
 // checkRank is on every operation's path; the panic lives in badRank so
 // the check itself inlines.
@@ -591,15 +543,11 @@ func (c *Cluster) StartIO(rank int, d units.Seconds) units.Seconds {
 	return wall
 }
 
-// MessageTime prices a message from src to dst (unscaled by α): intra-node
-// messages use the shared-memory model, inter-node ones the interconnect.
+// MessageTime prices a message from src to dst (unscaled by α). A
+// self-copy runs at memory bandwidth, priced as half a shared-memory
+// transfer; every other message crosses the interconnect.
 func (c *Cluster) MessageTime(src, dst int, bytes units.Bytes) units.Seconds {
-	if c.rankNode[c.checkRank(src)] == c.rankNode[c.checkRank(dst)] && src != dst {
-		return c.shmModel.MessageTime(bytes)
-	}
-	if src == dst {
-		// Local copy at memory bandwidth: treat as shared-memory transfer
-		// without start-up.
+	if c.checkRank(src) == c.checkRank(dst) {
 		return c.shmModel.MessageTime(bytes) / 2
 	}
 	return c.net.MessageTime(bytes)
@@ -612,16 +560,14 @@ func (c *Cluster) NetworkJitter(d units.Seconds) units.Seconds {
 
 // ReserveLink atomically books the sender's transmit channel and the
 // receiver's receive channel for a common interval of length d starting
-// no earlier than now; the interval begins when both are free. Intra-node
-// and self messages do not occupy the NIC. It returns the transfer
-// interval.
+// no earlier than now; the interval begins when both are free. A self
+// message does not occupy the NIC. It returns the transfer interval.
 func (c *Cluster) ReserveLink(now units.Seconds, src, dst int, d units.Seconds) (start, end units.Seconds) {
-	if c.NodeOf(src) == c.NodeOf(dst) {
-		// Same node: shared-memory transfer does not occupy the NIC.
+	if c.checkRank(src) == c.checkRank(dst) {
 		return now, now + d
 	}
-	tx := c.TxNIC(src)
-	rx := c.RxNIC(dst)
+	tx := c.txNICs[src]
+	rx := c.rxNICs[dst]
 	start = tx.EarliestStart(now)
 	if s2 := rx.EarliestStart(now); s2 > start {
 		start = s2
@@ -637,8 +583,8 @@ func (c *Cluster) RecordSend(src int, bytes units.Bytes) {
 }
 
 // RecordNetworkBusy attributes network occupancy time to a rank as an
-// instantaneous counter update. Callers that sleep through the transfer
-// on the same rank should prefer CommAlpha, which attributes the busy
+// instantaneous counter update. Callers that model the transfer as the
+// rank's operation should prefer StartComm, which attributes the busy
 // time pro rata over the transfer interval so power sampling sees
 // sustained occupancy instead of a spike at the operation boundary.
 func (c *Cluster) RecordNetworkBusy(rank int, d units.Seconds) {
@@ -646,20 +592,11 @@ func (c *Cluster) RecordNetworkBusy(rank int, d units.Seconds) {
 	c.noteEnd(c.kernel.Now())
 }
 
-// CommAlpha occupies a rank's network interface for busy time d while the
-// calling process sleeps the α-overlapped wall time α·d, mirroring
-// ComputeAlpha: the busy time is registered as an in-flight operation so
-// BusySnapshot attributes it pro rata over the transfer instead of as a
-// spike at the boundary. alpha must lie in (0,1].
-func (c *Cluster) CommAlpha(p *sim.Proc, rank int, d units.Seconds, alpha float64) {
-	wall := c.StartComm(rank, d, alpha)
-	p.Sleep(wall)
-	c.CompleteOp(rank)
-}
-
-// StartComm is the process-free counterpart of CommAlpha: register the
-// in-flight network occupancy and return the α-overlapped wall time; the
-// caller must run CompleteOp(rank) at its end.
+// StartComm occupies a rank's network interface for busy time d over the
+// α-overlapped wall time α·d it returns: the busy time is registered as
+// an in-flight operation so BusySnapshot attributes it pro rata over the
+// transfer instead of as a spike at the boundary. The caller must run
+// CompleteOp(rank) at its end. alpha must lie in (0,1].
 func (c *Cluster) StartComm(rank int, d units.Seconds, alpha float64) units.Seconds {
 	if d < 0 {
 		panic(fmt.Sprintf("cluster: negative network time %v", d))

@@ -56,16 +56,9 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Spec: testSpec(), Ranks: 1, Alpha: -0.1}); err == nil {
 		t.Error("alpha<0 must fail")
 	}
-	// Scatter placement: at most one rank per node.
+	// One rank per node: at most as many ranks as nodes.
 	if _, err := New(Config{Spec: testSpec(), Ranks: 17}); err == nil {
-		t.Error("17 ranks on 16 nodes (scatter) must fail")
-	}
-	// Pack placement: up to cores×nodes ranks.
-	if _, err := New(Config{Spec: testSpec(), Ranks: 64, Placement: Pack}); err != nil {
-		t.Errorf("64 ranks packed on 16×4 cores should fit: %v", err)
-	}
-	if _, err := New(Config{Spec: testSpec(), Ranks: 65, Placement: Pack}); err == nil {
-		t.Error("65 ranks packed on 64 cores must fail")
+		t.Error("17 ranks on 16 nodes must fail")
 	}
 	// PoolFreqs length mismatch.
 	if _, err := New(Config{Spec: testSpec(), Ranks: 1, PoolFreqs: []units.Hertz{1 * units.GHz, 2 * units.GHz}}); err == nil {
@@ -110,20 +103,23 @@ func TestFreqConflictsWithPlatform(t *testing.T) {
 	if got := c.Params(4).Freq; got != 1*units.GHz {
 		t.Fatalf("pool 1 frequency %v, want its 1 GHz base", got)
 	}
-	// Pack placement packs cores within one node type only.
-	if _, err := New(Config{Platform: testPlatform(), Ranks: 8, Placement: Pack}); err == nil {
-		t.Fatal("Pack on a multi-pool platform must be rejected")
-	}
 }
 
-// Satellite regression: network occupancy attributed through CommAlpha
-// accrues pro rata over the transfer interval — a mid-transfer snapshot
-// sees sustained draw, not a spike at the operation boundary.
-func TestCommAlphaProRata(t *testing.T) {
-	c := mustNew(t, Config{Spec: testSpec(), Ranks: 1})
+// comm occupies rank 0's network for busy time d at overlap alpha:
+// StartComm, a sleep through the returned wall time, CompleteOp.
+func comm(c *Cluster, d units.Seconds, alpha float64) {
 	c.Kernel().Spawn("comm", func(p *sim.Proc) {
-		c.CommAlpha(p, 0, 2, 1) // 2 s of network occupancy, α=1
+		p.Sleep(c.StartComm(0, d, alpha))
+		c.CompleteOp(0)
 	})
+}
+
+// Network occupancy attributed through StartComm accrues pro rata over
+// the transfer interval — a mid-transfer snapshot sees sustained draw,
+// not a spike at the operation boundary.
+func TestStartCommProRata(t *testing.T) {
+	c := mustNew(t, Config{Spec: testSpec(), Ranks: 1})
+	comm(c, 2, 1) // 2 s of network occupancy, α=1
 	var mid units.Seconds
 	c.Kernel().After(1, func() { mid = c.BusySnapshot(0).Network })
 	if err := c.Kernel().Run(); err != nil {
@@ -140,9 +136,7 @@ func TestCommAlphaProRata(t *testing.T) {
 	// busy time does not: halfway through the 1 s transfer window the
 	// snapshot carries half of the 2 s occupancy.
 	o := mustNew(t, Config{Spec: testSpec(), Ranks: 1})
-	o.Kernel().Spawn("comm", func(p *sim.Proc) {
-		o.CommAlpha(p, 0, 2, 0.5)
-	})
+	comm(o, 2, 0.5)
 	var half units.Seconds
 	o.Kernel().After(0.5, func() { half = o.BusySnapshot(0).Network })
 	if err := o.Kernel().Run(); err != nil {
@@ -267,60 +261,61 @@ func TestIOAccess(t *testing.T) {
 	}
 }
 
-func TestMessageTimePlacement(t *testing.T) {
-	// Packed: ranks 0,1 share node 0; rank 4 is on node 1.
-	c := mustNew(t, Config{Spec: testSpec(), Ranks: 8, Placement: Pack})
-	if c.NodeOf(0) != 0 || c.NodeOf(3) != 0 || c.NodeOf(4) != 1 {
-		t.Fatalf("unexpected placement: %d %d %d", c.NodeOf(0), c.NodeOf(3), c.NodeOf(4))
-	}
-	inter := c.MessageTime(0, 4, 1000)
-	intra := c.MessageTime(0, 1, 1000)
-	if intra >= inter {
-		t.Fatalf("intra-node (%v) should beat inter-node (%v)", intra, inter)
-	}
-	self := c.MessageTime(0, 0, 1000)
-	if self >= intra {
-		t.Fatalf("self-copy (%v) should beat intra-node (%v)", self, intra)
-	}
-	// Scatter: every rank has its own node.
-	s := mustNew(t, Config{Spec: testSpec(), Ranks: 8})
-	if s.NodeOf(1) != 1 {
-		t.Fatalf("scatter should place rank 1 on node 1, got %d", s.NodeOf(1))
-	}
-	// Inter-node time follows Hockney.
+func TestMessageTimeSelfCopyAndInterconnect(t *testing.T) {
+	// Every rank has its own node: a message between two ranks costs the
+	// Hockney time, a self-copy half a shared-memory transfer.
+	c := mustNew(t, Config{Spec: testSpec(), Ranks: 8})
 	want := netmodel.Hockney{Ts: 10 * units.Microsecond, Tb: 1 * units.Nanosecond}.MessageTime(1000)
-	if got := s.MessageTime(0, 1, 1000); math.Abs(float64(got-want)) > 1e-15 {
-		t.Fatalf("inter-node time %v, want %v", got, want)
+	for _, dst := range []int{1, 4, 7} {
+		if got := c.MessageTime(0, dst, 1000); math.Abs(float64(got-want)) > 1e-15 {
+			t.Fatalf("0→%d time %v, want %v", dst, got, want)
+		}
+	}
+	self := c.MessageTime(3, 3, 1000)
+	shm := netmodel.Hockney{Ts: 1 * units.Microsecond, Tb: 0.1 * units.Nanosecond}.MessageTime(1000)
+	if math.Abs(float64(self-shm/2)) > 1e-15 {
+		t.Fatalf("self-copy %v, want %v", self, shm/2)
+	}
+	if self >= want {
+		t.Fatalf("self-copy (%v) should beat the interconnect (%v)", self, want)
 	}
 }
 
-func TestSharedNICSerialisesPacked(t *testing.T) {
-	c := mustNew(t, Config{Spec: testSpec(), Ranks: 8, Placement: Pack})
-	if c.TxNIC(0) != c.TxNIC(1) {
-		t.Fatal("packed ranks 0,1 must share a NIC")
-	}
-	if c.TxNIC(0) == c.TxNIC(4) {
-		t.Fatal("ranks on different nodes must not share a NIC")
+func TestNICSerialisesReceiver(t *testing.T) {
+	c := mustNew(t, Config{Spec: testSpec(), Ranks: 8})
+	if c.TxNIC(0) == c.TxNIC(1) || c.RxNIC(0) == c.RxNIC(1) {
+		t.Fatal("distinct ranks must not share a NIC")
 	}
 	if c.TxNIC(0) == c.RxNIC(0) {
 		t.Fatal("NICs are full duplex: tx and rx are distinct channels")
 	}
-	// Two packed ranks sending off-node at once share the tx channel.
-	ends := make([]units.Seconds, 2)
-	for i := 0; i < 2; i++ {
-		i := i
-		c.Kernel().Spawn("sender", func(p *sim.Proc) {
-			d := c.MessageTime(i, 4+i, 1000)
-			_, end := c.ReserveLink(p.Now(), i, 4+i, d)
-			p.SleepUntil(end)
-			ends[i] = p.Now()
-		})
+	// sendAll starts one message per (src, dst) pair at t=0 and returns
+	// when each one ends.
+	sendAll := func(pairs [][2]int) []units.Seconds {
+		c := mustNew(t, Config{Spec: testSpec(), Ranks: 8})
+		ends := make([]units.Seconds, len(pairs))
+		for i, sd := range pairs {
+			i, src, dst := i, sd[0], sd[1]
+			c.Kernel().Spawn("sender", func(p *sim.Proc) {
+				d := c.MessageTime(src, dst, 1000)
+				_, end := c.ReserveLink(p.Now(), src, dst, d)
+				p.SleepUntil(end)
+				ends[i] = p.Now()
+			})
+		}
+		if err := c.Kernel().Run(); err != nil {
+			t.Fatal(err)
+		}
+		return ends
 	}
-	if err := c.Kernel().Run(); err != nil {
-		t.Fatal(err)
+	d := c.MessageTime(0, 4, 1000)
+	// Two ranks sending to one receiver serialise on its rx channel.
+	if ends := sendAll([][2]int{{0, 4}, {1, 4}}); math.Max(float64(ends[0]), float64(ends[1])) != float64(2*d) {
+		t.Fatalf("sends into one receiver end at %v, want one at %v", ends, 2*d)
 	}
-	if ends[0] == ends[1] {
-		t.Fatalf("concurrent sends from one node must serialise: %v", ends)
+	// Distinct senders to distinct receivers proceed in parallel.
+	if ends := sendAll([][2]int{{0, 4}, {1, 5}}); ends[0] != d || ends[1] != d {
+		t.Fatalf("disjoint sends end at %v, want both at %v", ends, d)
 	}
 }
 

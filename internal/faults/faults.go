@@ -95,6 +95,12 @@ func (p *Plan) RatesFor(pool string) (PoolRates, bool) {
 	return wild, haveWild
 }
 
+// minScale is the shortest positive MTBF, MTTR or checkpoint interval
+// Validate accepts — the 1 µs floor power.MinInterval sets for sampling.
+// A run draws makespan/scale failures, repairs or checkpoints, so
+// without a floor a tiny scale stalls the run instead of failing it.
+const minScale = units.Microsecond
+
 // Validate checks the plan's internal consistency.
 func (p *Plan) Validate() error {
 	for _, s := range p.Scripted {
@@ -122,6 +128,12 @@ func (p *Plan) Validate() error {
 		if r.MTTR <= 0 || !units.Finite(r.MTTR) {
 			return fmt.Errorf("faults: pool %q MTTR %v must be positive and finite", r.Pool, r.MTTR)
 		}
+		if r.MTBF < minScale {
+			return fmt.Errorf("faults: pool %q MTBF %v below the %v floor", r.Pool, r.MTBF, minScale)
+		}
+		if r.MTTR < minScale {
+			return fmt.Errorf("faults: pool %q MTTR %v below the %v floor", r.Pool, r.MTTR, minScale)
+		}
 	}
 	for _, e := range p.Emergencies {
 		if !units.Finite(e.Start, e.End) || !units.Finite(e.Cap) {
@@ -142,6 +154,9 @@ func (p *Plan) Validate() error {
 	}
 	if p.CheckpointEvery < 0 || !units.Finite(p.CheckpointEvery) {
 		return fmt.Errorf("faults: negative or non-finite checkpoint interval %v", p.CheckpointEvery)
+	}
+	if p.CheckpointEvery > 0 && p.CheckpointEvery < minScale {
+		return fmt.Errorf("faults: checkpoint interval %v below the %v floor", p.CheckpointEvery, minScale)
 	}
 	if p.RestartCost < 0 || !units.Finite(p.RestartCost) {
 		return fmt.Errorf("faults: negative or non-finite restart cost %v", p.RestartCost)

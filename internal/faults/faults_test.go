@@ -245,6 +245,42 @@ func TestValidateCatchesBadPlans(t *testing.T) {
 	}
 }
 
+// TestTimescaleFloor: a positive MTBF, MTTR or checkpoint interval below
+// 1 µs is rejected by every way a plan is built — Validate, the spec
+// string, the CSV file and a With override — because a run draws
+// makespan/scale events from it. The floor itself, a zero checkpoint
+// interval (off) and any restart cost stay legal.
+func TestTimescaleFloor(t *testing.T) {
+	for _, c := range []struct {
+		plan Plan
+		ok   bool
+	}{
+		{Plan{Rates: []PoolRates{{Pool: "*", MTBF: 1e-300, MTTR: 1}}}, false},
+		{Plan{Rates: []PoolRates{{Pool: "*", MTBF: 1, MTTR: 1e-300}}}, false},
+		{Plan{Rates: []PoolRates{{Pool: "dori", MTBF: 9.99e-7, MTTR: 1}}}, false},
+		{Plan{CheckpointEvery: 1e-300}, false},
+		{Plan{CheckpointEvery: 1e-9}, false},
+		{Plan{Rates: []PoolRates{{Pool: "*", MTBF: 1e-6, MTTR: 1e-6}}, CheckpointEvery: 1e-6}, true},
+		{Plan{CheckpointEvery: 0, RestartCost: 0}, true},
+		{Plan{RestartCost: 1e-300}, true},
+	} {
+		var csvBuf bytes.Buffer
+		if err := c.plan.WriteCSV(&csvBuf); err != nil {
+			t.Fatal(err)
+		}
+		_, parseErr := ParsePlan(c.plan.String())
+		_, csvErr := ReadCSV(&csvBuf)
+		_, withErr := (&Plan{}).With(c.plan.items()...)
+		for _, err := range []error{c.plan.Validate(), parseErr, csvErr, withErr} {
+			if (err == nil) != c.ok {
+				t.Errorf("%q: error %v, want ok=%v", c.plan.String(), err, c.ok)
+			} else if err != nil && !strings.Contains(err.Error(), "below the 1µs floor") {
+				t.Errorf("%q: error %q does not name the floor", c.plan.String(), err)
+			}
+		}
+	}
+}
+
 // TestGrammarEdges pins what the single builder decides: presence, not
 // zero, marks an mtbf/mttr half; whitespace around keys, values and
 // sub-fields is ignored; a repeated knob or half is last-wins.

@@ -1,8 +1,7 @@
 // Package fit provides the least-squares machinery used to derive model
 // parameters from measurements, reproducing the paper's methodology: the
 // machine vector comes from microbenchmarks (LMbench's lat_mem_rd for tm,
-// MPPTest for Ts/Tb) and the application vectors from fitted workload
-// models (§IV.B, §V.A).
+// MPPTest for Ts/Tb, and measured ΔPc(f) points for γ; §IV.B).
 package fit
 
 import (
@@ -97,33 +96,6 @@ func solve(a [][]float64, b []float64) ([]float64, error) {
 	return beta, nil
 }
 
-// RSquared returns the coefficient of determination of predictions
-// against observations.
-func RSquared(predicted, observed []float64) (float64, error) {
-	if len(predicted) != len(observed) || len(predicted) == 0 {
-		return 0, fmt.Errorf("fit: length mismatch %d vs %d", len(predicted), len(observed))
-	}
-	var mean float64
-	for _, v := range observed {
-		mean += v
-	}
-	mean /= float64(len(observed))
-	var ssRes, ssTot float64
-	for i := range observed {
-		d := observed[i] - predicted[i]
-		ssRes += d * d
-		t := observed[i] - mean
-		ssTot += t * t
-	}
-	if ssTot == 0 {
-		if ssRes == 0 {
-			return 1, nil
-		}
-		return 0, errors.New("fit: constant observations with nonzero residual")
-	}
-	return 1 - ssRes/ssTot, nil
-}
-
 // Linear fits y = a + b·x and returns (a, b). This is the MPPTest-style
 // fit recovering the Hockney parameters from ping-pong times: a = Ts,
 // b = Tb when x is the message size in bytes.
@@ -163,43 +135,4 @@ func PowerLaw(x, y []float64) (c, gamma float64, err error) {
 		return 0, 0, err
 	}
 	return math.Exp(a), b, nil
-}
-
-// Basis is a named feature function for workload-model fitting, e.g.
-// n·log2(n) or n·√p.
-type Basis struct {
-	Name string
-	Eval func(n float64, p int) float64
-}
-
-// FitWorkload fits measured workload totals w(n,p) to a linear
-// combination of basis functions and returns the coefficients and R².
-// Observations are (n, p, w) triples.
-func FitWorkload(basis []Basis, ns []float64, ps []int, w []float64) ([]float64, float64, error) {
-	if len(ns) != len(ps) || len(ns) != len(w) {
-		return nil, 0, fmt.Errorf("fit: mismatched observation arrays %d/%d/%d", len(ns), len(ps), len(w))
-	}
-	rows := make([][]float64, len(ns))
-	for i := range ns {
-		row := make([]float64, len(basis))
-		for j, b := range basis {
-			row[j] = b.Eval(ns[i], ps[i])
-		}
-		rows[i] = row
-	}
-	beta, err := OLS(rows, w)
-	if err != nil {
-		return nil, 0, err
-	}
-	pred := make([]float64, len(w))
-	for i, row := range rows {
-		for j, c := range beta {
-			pred[i] += c * row[j]
-		}
-	}
-	r2, err := RSquared(pred, w)
-	if err != nil {
-		return nil, 0, err
-	}
-	return beta, r2, nil
 }

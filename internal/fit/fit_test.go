@@ -126,59 +126,6 @@ func TestOLSErrors(t *testing.T) {
 	}
 }
 
-func TestRSquared(t *testing.T) {
-	obs := []float64{1, 2, 3, 4}
-	if r2, err := RSquared(obs, obs); err != nil || r2 != 1 {
-		t.Fatalf("perfect fit R² = %g, %v", r2, err)
-	}
-	pred := []float64{2.5, 2.5, 2.5, 2.5} // mean predictor
-	if r2, err := RSquared(pred, obs); err != nil || math.Abs(r2) > 1e-12 {
-		t.Fatalf("mean predictor R² = %g, %v", r2, err)
-	}
-	if _, err := RSquared([]float64{1}, []float64{1, 2}); err == nil {
-		t.Fatal("length mismatch must error")
-	}
-}
-
-func TestFitWorkloadRecoversCoefficients(t *testing.T) {
-	// w(n,p) = 5·n·log2(n) + 12·n + 4·n·√p — an FT-like workload model.
-	basis := []Basis{
-		{"n·log2(n)", func(n float64, p int) float64 { return n * math.Log2(n) }},
-		{"n", func(n float64, p int) float64 { return n }},
-		{"n·√p", func(n float64, p int) float64 { return n * math.Sqrt(float64(p)) }},
-	}
-	var ns []float64
-	var ps []int
-	var w []float64
-	for _, n := range []float64{1 << 10, 1 << 12, 1 << 14, 1 << 16} {
-		for _, p := range []int{1, 4, 16, 64} {
-			ns = append(ns, n)
-			ps = append(ps, p)
-			w = append(w, 5*n*math.Log2(n)+12*n+4*n*math.Sqrt(float64(p)))
-		}
-	}
-	beta, r2, err := FitWorkload(basis, ns, ps, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{5, 12, 4}
-	for i := range want {
-		if math.Abs(beta[i]-want[i])/want[i] > 1e-6 {
-			t.Fatalf("beta = %v, want %v", beta, want)
-		}
-	}
-	if r2 < 0.999999 {
-		t.Fatalf("R² = %g for exact data", r2)
-	}
-}
-
-func TestFitWorkloadMismatchedArrays(t *testing.T) {
-	basis := []Basis{{"n", func(n float64, p int) float64 { return n }}}
-	if _, _, err := FitWorkload(basis, []float64{1}, []int{1, 2}, []float64{1}); err == nil {
-		t.Fatal("mismatched arrays must error")
-	}
-}
-
 // Property: OLS on exactly-generated data recovers the coefficients for
 // any well-conditioned random design.
 func TestOLSRecoveryProperty(t *testing.T) {

@@ -62,15 +62,9 @@ func (p *Pass) Fset() *token.FileSet { return p.Pkg.Fset }
 // TypesInfo returns the package's type-check results.
 func (p *Pass) TypesInfo() *types.Info { return p.Pkg.Info }
 
-// Report records a diagnostic.
-func (p *Pass) Report(d Diagnostic) {
-	d.Analyzer = p.Analyzer.Name
-	*p.diags = append(*p.diags, d)
-}
-
 // Reportf records a diagnostic at pos with a formatted message.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
+	*p.diags = append(*p.diags, Diagnostic{Analyzer: p.Analyzer.Name, Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
 // Exempt reports whether pos sits on (or directly under) a line carrying
@@ -87,25 +81,11 @@ func (p *Pass) Exempt(pos token.Pos, tag string) bool {
 	return tags[line] == tag || tags[line-1] == tag
 }
 
-// A TextEdit replaces the source range [Pos, End) with NewText.
-type TextEdit struct {
-	Pos, End token.Pos
-	NewText  []byte
-}
-
-// A SuggestedFix is a mechanical rewrite that would resolve the
-// diagnostic; cmd/repolint -fix applies them.
-type SuggestedFix struct {
-	Message string
-	Edits   []TextEdit
-}
-
 // A Diagnostic is one finding.
 type Diagnostic struct {
 	Analyzer string
 	Pos      token.Pos
 	Message  string
-	Fixes    []SuggestedFix
 }
 
 // Run applies every applicable analyzer to every package and returns

@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // DetMapRange returns the detmaprange analyzer restricted to the given
@@ -20,8 +19,8 @@ import (
 //
 //   - the loop ignores both iteration variables (len-style counting);
 //   - the body only collects keys/values into a slice that a later
-//     statement in the same block sorts (the canonical rewrite — the
-//     suggested fix produces it);
+//     statement in the same block sorts (the canonical rewrite the
+//     diagnostic asks for);
 //   - the body only accumulates into integer scalars (+=, ++, |=, &=,
 //     ^=), deletes the ranged key, or writes m[k] itself — operations
 //     whose result is independent of visit order. Floating-point
@@ -80,15 +79,8 @@ func runDetMapRange(pass *Pass) error {
 				pass.Reportf(rng.Pos(), "range over map %s: %s", exprString(pass.Fset(), rng.X), msg)
 				continue
 			}
-			d := Diagnostic{
-				Pos: rng.Pos(),
-				Message: fmt.Sprintf("iteration over map %s is order-dependent in a deterministic package; collect and sort the keys (or annotate //lint:orderinsensitive)",
-					exprString(pass.Fset(), rng.X)),
-			}
-			if fix, ok := sortKeysFix(pass, f, rng, tv.Type); ok {
-				d.Fixes = append(d.Fixes, fix)
-			}
-			pass.Report(d)
+			pass.Reportf(rng.Pos(), "iteration over map %s is order-dependent in a deterministic package; collect and sort the keys (or annotate //lint:orderinsensitive)",
+				exprString(pass.Fset(), rng.X))
 		}
 	}
 	return nil
@@ -307,60 +299,4 @@ func accumulationKind(info *types.Info, lhs ast.Expr) string {
 	default:
 		return unexemptable
 	}
-}
-
-// sortKeysFix builds the mechanical collect-keys-and-sort rewrite for a
-// `for k[, v] := range m` loop with an ordered basic key type.
-func sortKeysFix(pass *Pass, f *ast.File, rng *ast.RangeStmt, mapType types.Type) (SuggestedFix, bool) {
-	if rng.Tok != token.DEFINE {
-		return SuggestedFix{}, false
-	}
-	key, ok := rng.Key.(*ast.Ident)
-	if !ok || key.Name == "_" {
-		return SuggestedFix{}, false
-	}
-	kt := mapType.Underlying().(*types.Map).Key()
-	kb, ok := kt.Underlying().(*types.Basic)
-	if !ok || kb.Info()&types.IsOrdered == 0 {
-		return SuggestedFix{}, false
-	}
-	qual := func(p *types.Package) string {
-		if p == pass.Pkg.Types {
-			return ""
-		}
-		return p.Name()
-	}
-	mtxt := exprString(pass.Fset(), rng.X)
-	pos := pass.Fset().Position(rng.Pos())
-	indent := strings.Repeat("\t", (pos.Column-1+7)/8)
-	if src, ok := pass.Pkg.Src[pos.Filename]; ok {
-		// Recover the exact leading whitespace of the range line.
-		start := pos.Offset
-		for start > 0 && src[start-1] != '\n' {
-			start--
-		}
-		indent = string(src[start:pos.Offset])
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "keys := make([]%s, 0, len(%s))\n", types.TypeString(kt, qual), mtxt)
-	fmt.Fprintf(&b, "%sfor %s := range %s {\n", indent, key.Name, mtxt)
-	fmt.Fprintf(&b, "%s\tkeys = append(keys, %s)\n%s}\n", indent, key.Name, indent)
-	fmt.Fprintf(&b, "%ssort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })\n", indent)
-	fmt.Fprintf(&b, "%sfor _, %s := range keys {", indent, key.Name)
-	if v, ok := rng.Value.(*ast.Ident); ok && v.Name != "_" {
-		fmt.Fprintf(&b, "\n%s\t%s := %s[%s]", indent, v.Name, mtxt, key.Name)
-	}
-	fix := SuggestedFix{
-		Message: "collect the keys, sort, and iterate the sorted slice",
-		Edits: []TextEdit{{
-			Pos:     rng.Pos(),
-			End:     rng.Body.Lbrace + 1,
-			NewText: []byte(b.String()),
-		}},
-	}
-	if imp, ok := addImportEdit(f, "sort"); ok {
-		fix.Message += ` (also adds the "sort" import)`
-		fix.Edits = append(fix.Edits, imp)
-	}
-	return fix, true
 }

@@ -24,7 +24,7 @@
 // # Why a local framework instead of golang.org/x/tools/go/analysis
 //
 // The analyzers are written in the style of x/tools/go/analysis
-// (Analyzer, Pass, Diagnostic, SuggestedFix, // want fixture tests) so
+// (Analyzer, Pass, Diagnostic, // want fixture tests) so
 // that they can be ported mechanically if that dependency becomes
 // available. This module, however, builds offline with a stdlib-only
 // dependency set, so the few pieces of the framework the analyzers need

@@ -1,9 +1,7 @@
 package lint
 
 import (
-	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -34,73 +32,6 @@ func TestTelGuardFixtures(t *testing.T) {
 func TestUnitMixFixtures(t *testing.T) {
 	RunFixtures(t, fixtureRoot(t), UnitMix("units"),
 		"um/use", "um/defs", "um/units")
-}
-
-// TestDetMapRangeSuggestedFix applies the sort-keys rewrite to a copy
-// of the fixme fixture and asserts both the mechanical output and that
-// the rewritten package re-analyzes clean.
-func TestDetMapRangeSuggestedFix(t *testing.T) {
-	tmp := t.TempDir()
-	src, err := os.ReadFile(filepath.Join(fixtureRoot(t), "det", "fixme", "fixme.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Join(tmp, "det", "fixme")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	file := filepath.Join(dir, "fixme.go")
-	if err := os.WriteFile(file, src, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	load := func() ([]*Package, []Diagnostic) {
-		t.Helper()
-		loader := &Loader{SrcRoot: tmp}
-		pkg, err := loader.Load("det/fixme")
-		if err != nil {
-			t.Fatalf("load: %v", err)
-		}
-		diags, err := Run([]*Analyzer{DetMapRange("fixme")}, []*Package{pkg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return []*Package{pkg}, diags
-	}
-
-	pkgs, diags := load()
-	if len(diags) != 1 || len(diags[0].Fixes) != 1 {
-		t.Fatalf("want exactly one diagnostic with one fix, got %+v", diags)
-	}
-	written, err := ApplyFixes(pkgs[0].Fset, pkgs, diags)
-	if err != nil {
-		t.Fatalf("apply: %v", err)
-	}
-	if len(written) != 1 || written[0] != file {
-		t.Fatalf("wrote %v, want %v", written, file)
-	}
-
-	got, err := os.ReadFile(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, wantLine := range []string{
-		"import \"sort\"",
-		"keys := make([]int, 0, len(m))",
-		"for k := range m {",
-		"keys = append(keys, k)",
-		"sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })",
-		"for _, k := range keys {",
-		"v := m[k]",
-	} {
-		if !strings.Contains(string(got), wantLine) {
-			t.Errorf("rewritten file missing %q:\n%s", wantLine, got)
-		}
-	}
-
-	if _, diags := load(); len(diags) != 0 {
-		t.Errorf("rewritten package still flagged: %+v", diags)
-	}
 }
 
 // TestRepoIsClean is the repolint-on-itself smoke: the default suite

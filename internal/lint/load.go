@@ -20,7 +20,6 @@ type Package struct {
 	Fset      *token.FileSet
 	Files     []*ast.File
 	Filenames []string // parallel to Files
-	Src       map[string][]byte
 	Types     *types.Package
 	Info      *types.Info
 
@@ -212,7 +211,6 @@ func (l *Loader) load(path string) (*Package, error) {
 	pkg := &Package{
 		Path: path,
 		Fset: l.Fset,
-		Src:  make(map[string][]byte),
 	}
 	for _, ent := range entries {
 		name := ent.Name()
@@ -236,7 +234,6 @@ func (l *Loader) load(path string) (*Package, error) {
 		}
 		pkg.Files = append(pkg.Files, f)
 		pkg.Filenames = append(pkg.Filenames, filename)
-		pkg.Src[filename] = src
 	}
 	if len(pkg.Files) == 0 {
 		return nil, fmt.Errorf("%s: no Go files in %s", path, dir)

@@ -1,7 +1,6 @@
-// Package fixme is the suggested-fix fixture: the fix test applies
-// detmaprange's sort-keys rewrite to a copy of this file and asserts
-// the mechanical output — including that the rewrite inserts the "sort"
-// import this file deliberately lacks.
+// Package fixme is a detection fixture: a key-and-value map range with
+// nothing order-insensitive about it gets detmaprange's generic
+// collect-and-sort diagnostic.
 package fixme
 
 import "fmt"

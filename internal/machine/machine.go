@@ -100,14 +100,6 @@ func (p Params) CPI() float64 {
 	return float64(p.Tc) * float64(p.Freq)
 }
 
-// NetBandwidth returns the asymptotic interconnect bandwidth implied by Tb.
-func (p Params) NetBandwidth() units.Bytes {
-	if p.Tb <= 0 {
-		return units.Bytes(math.Inf(1))
-	}
-	return units.Bytes(1 / float64(p.Tb))
-}
-
 // Spec describes a homogeneous power-aware cluster node type and how its
 // parameter vector scales with the DVFS frequency. It is the durable
 // description; Params is one evaluated operating point.
@@ -235,8 +227,7 @@ func MissFraction(workingSet, cache units.Bytes) float64 {
 
 // AtFrequency evaluates the machine-dependent vector at frequency f,
 // applying tc = CPI/f and the power-frequency law. f need not be on the
-// DVFS ladder (the model is continuous in f); use NearestFrequency to
-// snap to a real operating point.
+// DVFS ladder (the model is continuous in f).
 func (s Spec) AtFrequency(f units.Hertz) (Params, error) {
 	if err := s.Validate(); err != nil {
 		return Params{}, err
@@ -302,18 +293,6 @@ func (s Spec) MustBase() Params {
 		panic(err)
 	}
 	return p
-}
-
-// NearestFrequency snaps f to the closest DVFS operating point.
-func (s Spec) NearestFrequency(f units.Hertz) units.Hertz {
-	best := s.Frequencies[0]
-	bestD := math.Abs(float64(f - best))
-	for _, cand := range s.Frequencies[1:] {
-		if d := math.Abs(float64(f - cand)); d < bestD {
-			best, bestD = cand, d
-		}
-	}
-	return best
 }
 
 // MinFrequency returns the lowest DVFS operating point.

@@ -170,23 +170,6 @@ func TestValidateCatchesBadSpecs(t *testing.T) {
 	}
 }
 
-func TestNearestFrequency(t *testing.T) {
-	s := SystemG()
-	cases := []struct {
-		in, want units.Hertz
-	}{
-		{2.75 * units.GHz, 2.8 * units.GHz},
-		{2.05 * units.GHz, 2.0 * units.GHz},
-		{1.0 * units.GHz, 2.0 * units.GHz},
-		{9.9 * units.GHz, 2.8 * units.GHz},
-	}
-	for _, c := range cases {
-		if got := s.NearestFrequency(c.in); got != c.want {
-			t.Errorf("NearestFrequency(%v) = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
-
 func TestMaxRanks(t *testing.T) {
 	s := SystemG()
 	if got, want := s.MaxRanks(), 8*325; got != want {
@@ -219,19 +202,6 @@ func TestFrequencyMonotonicityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestNetBandwidth(t *testing.T) {
-	p := SystemG().MustBase()
-	bw := float64(p.NetBandwidth())
-	want := 5e9 // 0.2 ns/byte → 5 GB/s
-	if math.Abs(bw-want)/want > 1e-9 {
-		t.Fatalf("bandwidth = %g B/s, want %g", bw, want)
-	}
-	p.Tb = 0
-	if !math.IsInf(float64(p.NetBandwidth()), 1) {
-		t.Fatal("zero Tb should imply infinite bandwidth")
 	}
 }
 

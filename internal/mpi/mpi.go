@@ -9,11 +9,11 @@
 // the pairwise-exchange all-to-all used by the FT benchmark costs
 // (p−1)·(Ts + m·Tb), the value the paper's FT analysis assumes.
 //
-// Collectives follow the classic MPICH algorithm choices (binomial
-// broadcast/reduce, recursive-doubling allreduce, ring allgather,
-// pairwise-exchange alltoall), all built on the Send/Recv primitives so
-// that the TAU-style tracer observes every message (the model parameters
-// M and B fall out of the trace).
+// The collectives are the three the NPB kernels call, with the classic
+// MPICH algorithm choices (recursive-doubling allreduce, pairwise-exchange
+// alltoall and alltoallv), all built on the Send/Recv primitives so that
+// the TAU-style tracer observes every message (the model parameters M and
+// B fall out of the trace).
 package mpi
 
 import (
@@ -29,7 +29,7 @@ import (
 const AnySource = -1
 
 // Message is a received payload. Data is the sender's value, shared by
-// reference in the simulated address space, as Bcast and Reduce say: the
+// reference in the simulated address space, as Allreduce says: the
 // receiver reads it without copying, and a sender that reuses a buffer
 // must not write it until every receiver has consumed it. The NPB
 // kernels reuse their send buffers across iterations and rely on an

@@ -232,7 +232,10 @@ func TestSendRecvAllocatesPerRunNotPerMessage(t *testing.T) {
 	}
 }
 
-func TestBarrierSynchronises(t *testing.T) {
+// TestAllreduceSynchronises pins the contract mpi.Message's buffer reuse
+// relies on: no rank leaves an allreduce before every rank has entered it.
+func TestAllreduceSynchronises(t *testing.T) {
+	sum := func(a, b float64) float64 { return a + b }
 	for _, p := range []int{1, 2, 3, 4, 7, 8} {
 		p := p
 		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
@@ -241,67 +244,20 @@ func TestBarrierSynchronises(t *testing.T) {
 			err := rt.Run(func(r *Rank) {
 				// Stagger arrival: rank i works i·10µs.
 				r.Compute(float64(r.Rank())*10000, 0)
-				r.Barrier()
+				Allreduce(r, 1.0, 8, sum)
 				after[r.Rank()] = r.Now()
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Nobody may leave the barrier before the slowest arrival.
+			// Nobody may leave the allreduce before the slowest arrival.
 			slowest := units.Seconds(float64(p-1) * 10e-6)
 			for i, ts := range after {
 				if ts < slowest {
-					t.Errorf("rank %d left barrier at %v before slowest arrival %v", i, ts, slowest)
+					t.Errorf("rank %d left allreduce at %v before slowest arrival %v", i, ts, slowest)
 				}
 			}
 		})
-	}
-}
-
-func TestBcastAllSizes(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 5, 8, 13} {
-		for root := 0; root < p; root += 2 {
-			rt := newRuntime(t, p)
-			got := make([]int, p)
-			err := rt.Run(func(r *Rank) {
-				payload := -1
-				if r.Rank() == root {
-					payload = 4242
-				}
-				v := r.Bcast(root, payload, 8)
-				got[r.Rank()] = v.(int)
-			})
-			if err != nil {
-				t.Fatalf("p=%d root=%d: %v", p, root, err)
-			}
-			for i, v := range got {
-				if v != 4242 {
-					t.Fatalf("p=%d root=%d rank=%d got %d", p, root, i, v)
-				}
-			}
-		}
-	}
-}
-
-func TestReduceSum(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 4, 6, 8, 9} {
-		rt := newRuntime(t, p)
-		var rootVal float64
-		err := rt.Run(func(r *Rank) {
-			v, isRoot := Reduce(r, 0, float64(r.Rank()+1), 8, func(a, b float64) float64 { return a + b })
-			if isRoot {
-				mu.Lock()
-				rootVal = v
-				mu.Unlock()
-			}
-		})
-		if err != nil {
-			t.Fatalf("p=%d: %v", p, err)
-		}
-		want := float64(p*(p+1)) / 2
-		if rootVal != want {
-			t.Fatalf("p=%d: sum = %g, want %g", p, rootVal, want)
-		}
 	}
 }
 
@@ -354,27 +310,6 @@ func TestAllreduceVector(t *testing.T) {
 	}
 }
 
-func TestAllgatherRing(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 4, 7, 8} {
-		rt := newRuntime(t, p)
-		boards := make([][]int, p)
-		err := rt.Run(func(r *Rank) {
-			out := Allgather(r, r.Rank()*100, 8)
-			boards[r.Rank()] = out
-		})
-		if err != nil {
-			t.Fatalf("p=%d: %v", p, err)
-		}
-		for rank, b := range boards {
-			for i, v := range b {
-				if v != i*100 {
-					t.Fatalf("p=%d rank=%d slot %d = %d", p, rank, i, v)
-				}
-			}
-		}
-	}
-}
-
 func TestAlltoallData(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 4, 6, 8} {
 		rt := newRuntime(t, p)
@@ -400,7 +335,7 @@ func TestAlltoallData(t *testing.T) {
 }
 
 func TestAlltoallPairwiseTiming(t *testing.T) {
-	// On a noiseless cluster with scatter placement, pairwise exchange of
+	// On a noiseless cluster with one rank per node, pairwise exchange of
 	// m-byte blocks among p ranks costs (p−1)(Ts + m·Tb) plus the local
 	// self-copy — the cost the paper assumes for FT (§V.B.1).
 	p := 8
@@ -451,31 +386,6 @@ func TestAlltoallvData(t *testing.T) {
 				if v != from {
 					t.Fatalf("rank=%d from=%d: bad content %v", rank, from, block)
 				}
-			}
-		}
-	}
-}
-
-func TestGather(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 5, 8} {
-		rt := newRuntime(t, p)
-		var rootView []string
-		err := rt.Run(func(r *Rank) {
-			out := Gather(r, 0, fmt.Sprintf("blk%d", r.Rank()), 16)
-			if r.Rank() == 0 {
-				mu.Lock()
-				rootView = out
-				mu.Unlock()
-			} else if out != nil {
-				t.Errorf("non-root rank %d got non-nil gather result", r.Rank())
-			}
-		})
-		if err != nil {
-			t.Fatalf("p=%d: %v", p, err)
-		}
-		for i, s := range rootView {
-			if s != fmt.Sprintf("blk%d", i) {
-				t.Fatalf("p=%d: slot %d = %q", p, i, s)
 			}
 		}
 	}
@@ -588,6 +498,51 @@ func TestCollectivesBackToBackIsolation(t *testing.T) {
 		b := Allreduce(r, 2.0, 8, sum)
 		if a != float64(p) || b != float64(2*p) {
 			t.Errorf("rank %d: a=%g b=%g", r.Rank(), a, b)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestCollectivesOfDifferentKindsBackToBack(t *testing.T) {
+	// Allreduce → Alltoall → Alltoallv → Allreduce at a non-power-of-two
+	// p, each call with its own payloads: a message matched by the wrong
+	// call would show up as a wrong value on some rank.
+	p := 6
+	rt := newRuntime(t, p)
+	sum := func(a, b float64) float64 { return a + b }
+	err := rt.Run(func(r *Rank) {
+		me := r.Rank()
+		if got, want := Allreduce(r, float64(me+1), 8, sum), float64(p*(p+1)/2); got != want {
+			t.Errorf("rank %d: first allreduce = %g, want %g", me, got, want)
+		}
+		send := make([]int, p)
+		for i := range send {
+			send[i] = 1000 + me*10 + i
+		}
+		for from, v := range Alltoall(r, send, 8) {
+			if want := 1000 + from*10 + me; v != want {
+				t.Errorf("rank %d: alltoall block from %d = %d, want %d", me, from, v, want)
+			}
+		}
+		blocks := make([][]int, p)
+		sizes := make([]units.Bytes, p)
+		for i := range blocks {
+			blocks[i] = make([]int, i+1)
+			for j := range blocks[i] {
+				blocks[i][j] = 2000 + me*10 + i
+			}
+			sizes[i] = units.Bytes(8 * (i + 1))
+		}
+		for from, b := range Alltoallv(r, blocks, sizes) {
+			want := 2000 + from*10 + me
+			if len(b) != me+1 || b[0] != want || b[len(b)-1] != want {
+				t.Errorf("rank %d: alltoallv block from %d = %v, want %d × %d", me, from, b, me+1, want)
+			}
+		}
+		if got, want := Allreduce(r, float64(100*me), 8, sum), float64(100*p*(p-1)/2); got != want {
+			t.Errorf("rank %d: last allreduce = %g, want %g", me, got, want)
 		}
 	})
 	if err != nil {

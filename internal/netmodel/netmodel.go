@@ -96,9 +96,3 @@ func (Zero) MessageTime(size units.Bytes) units.Seconds {
 func InfiniBand40G() Hockney {
 	return Hockney{Ts: 2.6 * units.Microsecond, Tb: 0.2 * units.Nanosecond}
 }
-
-// GigabitEthernet returns the Hockney parameters used for Dori's 1 Gb/s
-// Ethernet.
-func GigabitEthernet() Hockney {
-	return Hockney{Ts: 50 * units.Microsecond, Tb: 8 * units.Nanosecond}
-}

@@ -27,9 +27,6 @@ func TestHockneyValidate(t *testing.T) {
 	if err := InfiniBand40G().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := GigabitEthernet().Validate(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestHockneyNegativeSizePanics(t *testing.T) {
@@ -84,17 +81,10 @@ func TestZero(t *testing.T) {
 }
 
 func TestPresetBandwidths(t *testing.T) {
-	// 40 Gb/s → 0.2 ns per byte; 1 Gb/s → 8 ns per byte.
+	// 40 Gb/s → 0.2 ns per byte.
 	ib := InfiniBand40G()
 	if math.Abs(float64(ib.Tb)-0.2e-9) > 1e-15 {
 		t.Fatalf("IB Tb = %v", ib.Tb)
-	}
-	ge := GigabitEthernet()
-	if math.Abs(float64(ge.Tb)-8e-9) > 1e-15 {
-		t.Fatalf("GigE Tb = %v", ge.Tb)
-	}
-	if ge.Ts <= ib.Ts {
-		t.Fatal("Ethernet latency should exceed InfiniBand latency")
 	}
 }
 
