@@ -32,7 +32,7 @@ const (
 type Config struct {
 	// LogPairs is the NPB "M" parameter: the run draws 2^LogPairs pairs.
 	LogPairs int
-	// Seed is the LCG seed; zero selects the NPB default.
+	// Seed is the LCG seed, an integer in [1, 2^46); 0 selects the default.
 	Seed float64
 }
 
@@ -64,8 +64,9 @@ func New(cfg Config) (*Kernel, error) {
 	if cfg.LogPairs < 4 || cfg.LogPairs > 36 {
 		return nil, fmt.Errorf("ep: LogPairs %d outside [4,36]", cfg.LogPairs)
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = npb.DefaultSeed
+	var err error
+	if cfg.Seed, err = npb.ResolveSeed(cfg.Seed); err != nil {
+		return nil, fmt.Errorf("ep: %w", err)
 	}
 	return &Kernel{cfg: cfg, pairs: 1 << uint(cfg.LogPairs)}, nil
 }

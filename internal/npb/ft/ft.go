@@ -83,11 +83,11 @@ func New(cfg Config) (*Kernel, error) {
 	if cfg.Iters < 1 {
 		return nil, fmt.Errorf("ft: iterations %d < 1", cfg.Iters)
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = npb.DefaultSeed
+	var err error
+	if cfg.Seed, err = npb.ResolveSeed(cfg.Seed); err != nil {
+		return nil, fmt.Errorf("ft: %w", err)
 	}
 	k := &Kernel{cfg: cfg, n: cfg.NX * cfg.NY * cfg.NZ, Checksums: make([]complex128, cfg.Iters)}
-	var err error
 	if k.planX, err = newPlan(cfg.NX); err != nil {
 		return nil, err
 	}

@@ -76,8 +76,9 @@ func New(cfg Config) (*Kernel, error) {
 	if cfg.Iters < 1 {
 		return nil, fmt.Errorf("is: iters %d < 1", cfg.Iters)
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = npb.DefaultSeed
+	var err error
+	if cfg.Seed, err = npb.ResolveSeed(cfg.Seed); err != nil {
+		return nil, fmt.Errorf("is: %w", err)
 	}
 	return &Kernel{cfg: cfg, nKeys: 1 << uint(cfg.LogKeys), maxKey: 1 << uint(cfg.LogMaxKey)}, nil
 }

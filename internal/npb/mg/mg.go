@@ -75,8 +75,9 @@ func New(cfg Config) (*Kernel, error) {
 	if cfg.Cycles < 1 {
 		return nil, fmt.Errorf("mg: cycles %d < 1", cfg.Cycles)
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = npb.DefaultSeed
+	var err error
+	if cfg.Seed, err = npb.ResolveSeed(cfg.Seed); err != nil {
+		return nil, fmt.Errorf("mg: %w", err)
 	}
 	return &Kernel{cfg: cfg}, nil
 }

@@ -1,6 +1,7 @@
 package npb
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -103,5 +104,116 @@ func TestUniformityRough(t *testing.T) {
 	}
 	if variance < 0.08 || variance > 0.09 {
 		t.Fatalf("variance %g far from 1/12", variance)
+	}
+}
+
+// splitMulMod46 is the generator's classic double-precision body, kept
+// as an oracle: x·a mod 2^46 from four 23-bit partial products, exact
+// in float64 for x and a in [0, 2^46).
+func splitMulMod46(x, a float64) float64 {
+	const r23 = 1.0 / (1 << 23)
+	const t23 = 1 << 23
+	const t46 = t23 * t23
+	// Break a and x into 23-bit halves: a = 2^23·a1 + a2, x = 2^23·x1+x2.
+	a1 := float64(int64(r23 * a))
+	a2 := a - t23*a1
+	x1 := float64(int64(r23 * x))
+	x2 := x - t23*x1
+	// z = a1·x2 + a2·x1 (mod 2^23), then lower 46 bits of a·x.
+	t1 := a1*x2 + a2*x1
+	t2 := float64(int64(r23 * t1))
+	z := t1 - t23*t2
+	t3 := t23*z + a2*x2
+	t4 := float64(int64(r46 * t3))
+	return t3 - t46*t4
+}
+
+// splitRandlc is Randlc on the oracle.
+func splitRandlc(x *float64, a float64) float64 {
+	*x = splitMulMod46(*x, a)
+	return r46 * *x
+}
+
+// checkSplit steps Randlc and the oracle once from x with multiplier a
+// and reports any difference in deviate or state.
+func checkSplit(t *testing.T, x, a float64) bool {
+	t.Helper()
+	got, want := x, x
+	gv, wv := Randlc(&got, a), splitRandlc(&want, a)
+	if got != want || gv != wv {
+		t.Errorf("x=%.0f a=%.0f: Randlc gives state %.0f deviate %v, split multiply %.0f %v", x, a, got, gv, want, wv)
+		return false
+	}
+	return true
+}
+
+// TestGeneratorMatchesSplitMultiply pins the integer generator to the
+// classic float split-multiply: single steps over random 46-bit
+// states and multipliers, the domain's boundary states, jumps, and
+// Vranlc at every length up to 41.
+func TestGeneratorMatchesSplitMultiply(t *testing.T) {
+	aSq := splitMulMod46(LCGMultiplier, LCGMultiplier)
+	for _, a := range []float64{LCGMultiplier, aSq} {
+		for _, x := range []float64{1, mask46} {
+			checkSplit(t, x, a)
+		}
+		f := func(raw uint64) bool { return checkSplit(t, float64(max(raw&mask46, 1)), a) }
+		if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	odd := func(rawX, rawA uint64) bool {
+		return checkSplit(t, float64(max(rawX&mask46, 1)), float64(rawA&mask46|1))
+	}
+	if err := quick.Check(odd, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	if got := LCGPow(LCGMultiplier, 2); got != aSq {
+		t.Errorf("LCGPow(a, 2) = %.0f, split multiply gives %.0f", got, aSq)
+	}
+	for _, seed := range []float64{DefaultSeed, 1, mask46} {
+		for n := 0; n <= 41; n++ {
+			if msg := vranlcVsSplit(seed, n); msg != "" {
+				t.Fatal(msg)
+			}
+		}
+	}
+}
+
+// vranlcVsSplit draws n deviates from seed through Vranlc and through
+// the oracle and describes the first difference, or returns "".
+func vranlcVsSplit(seed float64, n int) string {
+	got := make([]float64, n)
+	v, x := seed, seed
+	Vranlc(&v, LCGMultiplier, got)
+	for i, g := range got {
+		if w := splitRandlc(&x, LCGMultiplier); g != w {
+			return fmt.Sprintf("seed %.0f n=%d: deviate %d = %v, split multiply %v", seed, n, i, g, w)
+		}
+	}
+	if v != x {
+		return fmt.Sprintf("seed %.0f n=%d: state %.0f, split multiply %.0f", seed, n, v, x)
+	}
+	return ""
+}
+
+// FuzzVranlc checks Vranlc against the split-multiply oracle from any
+// seed in the generator's domain, up to 4096 deviates.
+func FuzzVranlc(f *testing.F) {
+	f.Add(uint64(DefaultSeed), uint16(1024))
+	f.Add(uint64(mask46), uint16(7))
+	f.Fuzz(func(t *testing.T, rawSeed uint64, rawLen uint16) {
+		if msg := vranlcVsSplit(float64(max(rawSeed&mask46, 1)), int(rawLen)%4097); msg != "" {
+			t.Fatal(msg)
+		}
+	})
+}
+
+// BenchmarkVranlc draws 1024 deviates per op, EP's chunk.
+func BenchmarkVranlc(b *testing.B) {
+	y := make([]float64, 1024)
+	x := DefaultSeed
+	for i := 0; i < b.N; i++ {
+		Vranlc(&x, LCGMultiplier, y)
 	}
 }
