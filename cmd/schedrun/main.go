@@ -10,8 +10,9 @@
 // the exit contract are internal/cli's; DESIGN.md §14 describes them.
 // What is schedrun's own:
 //
-//   - -cluster is a preset ("systemg") sized by -ranks, or a mixed pool
-//     list ("systemg:32,dori:32") that sizes itself.
+//   - -cluster is a preset ("systemg") sized by -ranks, or pools with
+//     node counts ("systemg:16", "systemg:32,dori:32") that size
+//     themselves; -ranks may still size a single counted pool.
 //   - -capfile reads the budget timeline from a t_s,cap_w CSV and
 //     -capdump writes the active one back out, so an exported plan
 //     re-imports to the identical schedule. Timeline runs print a
@@ -172,16 +173,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return cli.Usage(err)
 	}
-	// A multi-pool platform defines the cluster exactly (every pool's
-	// node count); the -ranks default only sizes a bare single preset,
-	// whose full node count is far larger than a useful demo cluster.
-	// Truncating a mixed platform to a rank prefix would silently strip
-	// the later pools, so -ranks and multi-pool are mutually exclusive.
+	// Pools with node counts define the cluster; -ranks, given, may
+	// still take a prefix of a single pool. The -ranks default sizes a
+	// bare preset, whose full node count is far larger than a useful
+	// demo cluster. Truncating a mixed platform to a rank prefix would
+	// silently strip the later pools, so -ranks and multi-pool are
+	// mutually exclusive.
 	clusterRanks := *ranks
 	if len(platform.Pools) > 1 && given["ranks"] {
 		return cli.Usagef("-ranks cannot resize a multi-pool platform; size each pool instead, e.g. -cluster systemg:32,dori:32")
 	}
-	if len(platform.Pools) > 1 {
+	if len(platform.Pools) > 1 || (platform.Pools[0].Nodes > 0 && !given["ranks"]) {
 		clusterRanks = platform.TotalRanks()
 	}
 

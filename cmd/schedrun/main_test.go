@@ -141,6 +141,7 @@ func TestExitContract(t *testing.T) {
 		// Verdicts.
 		{"-jobs 16 -ranks 16 -cap 900 -mtbf 0.5 -mttr 0.2 -retries 0", 4},
 		{"-jobs 0", 0},
+		{"-cluster systemg:16", 0}, // sized by its node count, not the -ranks default
 	} {
 		code, _, stderr := clitest.Run(t, run, append([]string{"-jobs", "4"}, strings.Fields(tc.args)...)...)
 		if code != tc.code {
@@ -156,6 +157,27 @@ func TestExitContract(t *testing.T) {
 			}
 		case lines != 1 && !strings.Contains(stderr, "Usage of"): // the flag package appends its usage text
 			t.Errorf("schedrun %s: want exactly one stderr line, got %d:\n%s", tc.args, lines, stderr)
+		}
+	}
+}
+
+// TestClusterNodeCountSizesCluster: a pool with a node count sizes the
+// cluster unless -ranks is given; a bare preset is sized by -ranks.
+func TestClusterNodeCountSizesCluster(t *testing.T) {
+	for _, tc := range []struct {
+		args, want string
+	}{
+		{"-cluster systemg:128", "SystemG:128/128 ranks"},
+		{"-cluster systemg:128 -ranks 16", "SystemG:128/16 ranks"},
+		{"-cluster systemg", "SystemG/64 ranks"},
+	} {
+		args := append([]string{"-jobs", "4", "-cap", "5000", "-policy", "fifo"}, strings.Fields(tc.args)...)
+		code, stdout, stderr := clitest.Run(t, run, args...)
+		if code != 0 {
+			t.Fatalf("schedrun %s: exit %d: %s", tc.args, code, stderr)
+		}
+		if head, _, _ := strings.Cut(stdout, "\n"); !strings.Contains(head, tc.want) {
+			t.Errorf("schedrun %s: header %q, want %q", tc.args, head, tc.want)
 		}
 	}
 }

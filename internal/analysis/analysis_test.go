@@ -324,7 +324,7 @@ func TestForEachOperatingPointGrid(t *testing.T) {
 	if err := ForEachOperatingPoint(machine.Homogeneous(sysG), app.EP(), 1e8, nil, func(Point) { visits++ }); err != nil {
 		t.Fatal(err)
 	}
-	if want := len(powersOfTwo(sysG.MaxRanks())) * len(sysG.Frequencies); visits != want {
+	if want := len(powersOfTwo(machine.Homogeneous(sysG).Pools[0].MaxRanks())) * len(sysG.Frequencies); visits != want {
 		t.Fatalf("default sweep visited %d points, want %d", visits, want)
 	}
 }
@@ -368,7 +368,8 @@ func TestForEachOperatingPointPerPoolGrids(t *testing.T) {
 }
 
 func TestPowersOfTwo(t *testing.T) {
-	ps := powersOfTwo(sysG.MaxRanks())
+	maxRanks := machine.Homogeneous(sysG).Pools[0].MaxRanks()
+	ps := powersOfTwo(maxRanks)
 	if ps[0] != 1 {
 		t.Fatalf("sweep must start at 1: %v", ps)
 	}
@@ -377,7 +378,7 @@ func TestPowersOfTwo(t *testing.T) {
 			t.Fatalf("not a power-of-two sweep: %v", ps)
 		}
 	}
-	if ps[len(ps)-1] > sysG.MaxRanks() {
+	if ps[len(ps)-1] > maxRanks {
 		t.Fatalf("sweep exceeds cluster size: %v", ps)
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/units"
 )
 
 // Vector is a symbolic application-dependent parameter vector: workload
@@ -326,6 +325,3 @@ func ByName(name string) (Vector, error) {
 		return Vector{}, fmt.Errorf("app: unknown application %q (have ft, ep, cg, is, mg)", name)
 	}
 }
-
-// Bytes16 is a convenience for element sizes in closed forms.
-const Bytes16 = units.Bytes(16)

@@ -339,9 +339,6 @@ func (p *Plan) MaxFrom(t units.Seconds) units.Watts {
 // MinCap returns the lowest cap anywhere on the timeline.
 func (p *Plan) MinCap() units.Watts { return p.MinOver(0, units.Seconds(math.Inf(1))) }
 
-// MaxCap returns the highest cap anywhere on the timeline.
-func (p *Plan) MaxCap() units.Watts { return p.MaxFrom(0) }
-
 // End returns the start of the final segment — after it the cap is
 // constant forever, so a scheduler that cannot place a job beyond End
 // never will.

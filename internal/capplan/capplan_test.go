@@ -82,8 +82,8 @@ func TestConstantAndExtremes(t *testing.T) {
 		t.Fatal("constant plan has no breakpoints")
 	}
 	sq := squeeze(t)
-	if sq.MinCap() != 1500 || sq.MaxCap() != 2500 {
-		t.Fatalf("extremes: min %v max %v", sq.MinCap(), sq.MaxCap())
+	if sq.MinCap() != 1500 || sq.MaxFrom(0) != 2500 {
+		t.Fatalf("extremes: min %v max %v", sq.MinCap(), sq.MaxFrom(0))
 	}
 }
 

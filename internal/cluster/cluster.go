@@ -6,8 +6,8 @@
 //   - a discrete-event kernel (virtual time),
 //   - one machine-dependent parameter vector per rank (tc, tm, Ts, Tb,
 //     ΔPc, ΔPm, Psys-idle at the selected DVFS frequency),
-//   - one rank per node, each with its own NIC, and a point-to-point
-//     network cost model with per-NIC serialisation,
+//   - one rank per node, each with its own full-duplex NIC, and a
+//     point-to-point network cost model with per-NIC serialisation,
 //   - per-rank performance counters and a TAU-style tracer, and
 //   - per-component busy-time accounting from which measured energy and
 //     instantaneous power are derived.
@@ -119,8 +119,13 @@ type Cluster struct {
 	counters *perfctr.Set
 	tracer   *trace.Tracer
 
-	txNICs []*sim.Resource // per-rank NIC transmit channel
-	rxNICs []*sim.Resource // per-rank NIC receive channel
+	// Per-rank NIC channels, as the time each is next free. NICs are
+	// full duplex: a node sends and receives concurrently, but two
+	// sends from one node (or two receives at one node) serialise,
+	// which is how network contention emerges under unbalanced
+	// patterns.
+	txFree []units.Seconds
+	rxFree []units.Seconds
 
 	execRNG  *rand.Rand
 	measRNG  *rand.Rand
@@ -154,8 +159,8 @@ type energyBank struct {
 // sampling can attribute its busy time pro rata over [start, end] instead
 // of as an instantaneous spike.
 type inflightOp struct {
-	start, end        units.Seconds
-	dc, dm, dio, dnet units.Seconds // total component attributions of the op
+	start, end   units.Seconds
+	dc, dm, dnet units.Seconds // total component attributions of the op
 }
 
 // New validates the configuration and provisions the cluster.
@@ -254,12 +259,8 @@ func New(cfg Config) (*Cluster, error) {
 		},
 	}
 
-	c.txNICs = make([]*sim.Resource, cfg.Ranks)
-	c.rxNICs = make([]*sim.Resource, cfg.Ranks)
-	for r := range c.txNICs {
-		c.txNICs[r] = sim.NewResource(fmt.Sprintf("nic%d.tx", r))
-		c.rxNICs[r] = sim.NewResource(fmt.Sprintf("nic%d.rx", r))
-	}
+	c.txFree = make([]units.Seconds, cfg.Ranks)
+	c.rxFree = make([]units.Seconds, cfg.Ranks)
 	c.inflight = make([]inflightOp, cfg.Ranks)
 	c.opActive = make([]bool, cfg.Ranks)
 	c.banks = make([]energyBank, cfg.Ranks)
@@ -342,17 +343,8 @@ func (c *Cluster) Ranks() int { return len(c.params) }
 // Params returns the machine vector of a rank.
 func (c *Cluster) Params(rank int) machine.Params { return c.params[c.checkRank(rank)] }
 
-// Platform returns the provisioned node-pool layout.
-func (c *Cluster) Platform() machine.Platform { return c.platform }
-
 // PoolOf returns the index of the platform pool hosting a rank.
 func (c *Cluster) PoolOf(rank int) int { return c.rankPool[c.checkRank(rank)] }
-
-// SpecOf returns the node-type spec of the pool hosting a rank — the
-// ladder SetRankFrequency retunes the rank against.
-func (c *Cluster) SpecOf(rank int) machine.Spec {
-	return c.platform.Pools[c.rankPool[c.checkRank(rank)]].Spec
-}
 
 // Alpha returns the configured overlap factor.
 func (c *Cluster) Alpha() float64 { return c.alpha }
@@ -362,19 +354,6 @@ func (c *Cluster) Counters() *perfctr.Set { return c.counters }
 
 // Tracer exposes the TAU-style tracer.
 func (c *Cluster) Tracer() *trace.Tracer { return c.tracer }
-
-// Net returns the interconnect cost model in use.
-func (c *Cluster) Net() netmodel.Model { return c.net }
-
-// TxNIC returns the transmit channel of a rank's NIC. Each rank runs on
-// its own node, so it owns its NIC. NICs are full duplex: a node can send
-// and receive concurrently, but two concurrent receives at one node
-// serialise (likewise sends), which is how network contention emerges
-// under unbalanced patterns.
-func (c *Cluster) TxNIC(rank int) *sim.Resource { return c.txNICs[c.checkRank(rank)] }
-
-// RxNIC returns the receive channel of a rank's NIC.
-func (c *Cluster) RxNIC(rank int) *sim.Resource { return c.rxNICs[c.checkRank(rank)] }
 
 // checkRank is on every operation's path; the panic lives in badRank so
 // the check itself inlines.
@@ -414,27 +393,19 @@ func (c *Cluster) noteEnd(t units.Seconds) {
 // time (with execution jitter) while counters accumulate the un-overlapped
 // busy times used by the energy model.
 func (c *Cluster) Compute(p *sim.Proc, rank int, onChip, offChip float64) {
-	c.ComputeAlpha(p, rank, onChip, offChip, c.alpha)
-}
-
-// ComputeAlpha is Compute with an explicit overlap factor, for callers
-// that multiplex workloads with different α onto one shared cluster (the
-// power-budget scheduler runs one job per rank set, each with its own
-// application vector). alpha must lie in (0,1].
-func (c *Cluster) ComputeAlpha(p *sim.Proc, rank int, onChip, offChip, alpha float64) {
-	wall := c.StartCompute(rank, onChip, offChip, alpha)
+	wall := c.StartCompute(rank, onChip, offChip, c.alpha)
 	p.Sleep(wall)
 	c.CompleteOp(rank)
 }
 
 // StartCompute begins an α-overlapped compute operation on a rank at the
-// current virtual time without a backing process: it performs exactly the
-// counter and in-flight registration ComputeAlpha does before sleeping
-// and returns the operation's wall-clock duration. The caller must
-// arrange for CompleteOp(rank) to run wall later — typically from a
-// scheduled kernel event. This is the event-driven fast path the
-// power-budget scheduler executes job slices on; ComputeAlpha is
-// StartCompute + Sleep + CompleteOp.
+// current virtual time without a backing process: it registers the
+// counters and the in-flight operation and returns the operation's
+// wall-clock duration. The caller must arrange for CompleteOp(rank) to
+// run wall later — typically from a scheduled kernel event. This is the
+// event-driven fast path the power-budget scheduler executes job slices
+// on, each job with its own α ∈ (0,1]; Compute is StartCompute at the
+// cluster's α + Sleep + CompleteOp.
 func (c *Cluster) StartCompute(rank int, onChip, offChip, alpha float64) units.Seconds {
 	if onChip < 0 || offChip < 0 {
 		panic(fmt.Sprintf("cluster: negative workload (%g,%g)", onChip, offChip))
@@ -461,8 +432,8 @@ func (c *Cluster) StartCompute(rank int, onChip, offChip, alpha float64) units.S
 	return wall
 }
 
-// CompleteOp retires the in-flight operation StartCompute/StartComm/
-// StartIO registered on a rank: component busy times are credited to the
+// CompleteOp retires the in-flight operation StartCompute/StartComm
+// registered on a rank: component busy times are credited to the
 // rank's counters and the measured makespan advances to now. It must run
 // at the operation's end time.
 func (c *Cluster) CompleteOp(rank int) {
@@ -476,7 +447,6 @@ func (c *Cluster) CompleteOp(rank int) {
 	ctr := c.counters.Rank(r)
 	ctr.ComputeTime += op.dc
 	ctr.MemoryTime += op.dm
-	ctr.IOTime += op.dio
 	ctr.NetworkTime += op.dnet
 	c.noteEnd(c.kernel.Now())
 }
@@ -510,37 +480,8 @@ func (c *Cluster) AbortOp(rank int) {
 	ctr := c.counters.Rank(r)
 	ctr.ComputeTime += units.Seconds(frac * float64(op.dc))
 	ctr.MemoryTime += units.Seconds(frac * float64(op.dm))
-	ctr.IOTime += units.Seconds(frac * float64(op.dio))
 	ctr.NetworkTime += units.Seconds(frac * float64(op.dnet))
 	c.noteEnd(c.kernel.Now())
-}
-
-// IOAccess models a flat I/O access of the given device time (paper
-// §VI.B: "a simple, flat model for I/O accesses"). The benchmarks of the
-// paper do not exercise it, but the component is wired through the energy
-// model for completeness.
-func (c *Cluster) IOAccess(p *sim.Proc, rank int, d units.Seconds) {
-	wall := c.StartIO(rank, d)
-	p.Sleep(wall)
-	c.CompleteOp(rank)
-}
-
-// StartIO is the process-free counterpart of IOAccess: register the
-// in-flight I/O operation and return its wall time; the caller must run
-// CompleteOp(rank) at its end.
-func (c *Cluster) StartIO(rank int, d units.Seconds) units.Seconds {
-	if d < 0 {
-		panic(fmt.Sprintf("cluster: negative I/O time %v", d))
-	}
-	r := c.checkRank(rank)
-	if c.opActive[r] {
-		panic(fmt.Sprintf("cluster: rank %d already has an operation in flight", r))
-	}
-	wall := units.Seconds(c.alpha * float64(d))
-	now := c.kernel.Now()
-	c.inflight[r] = inflightOp{start: now, end: now + wall, dio: d}
-	c.opActive[r] = true
-	return wall
 }
 
 // MessageTime prices a message from src to dst (unscaled by α). A
@@ -566,15 +507,10 @@ func (c *Cluster) ReserveLink(now units.Seconds, src, dst int, d units.Seconds) 
 	if c.checkRank(src) == c.checkRank(dst) {
 		return now, now + d
 	}
-	tx := c.txNICs[src]
-	rx := c.rxNICs[dst]
-	start = tx.EarliestStart(now)
-	if s2 := rx.EarliestStart(now); s2 > start {
-		start = s2
-	}
-	tx.ReserveAt(start, d)
-	rx.ReserveAt(start, d)
-	return start, start + d
+	start = max(now, c.txFree[src], c.rxFree[dst])
+	end = start + d
+	c.txFree[src], c.rxFree[dst] = end, end
+	return start, end
 }
 
 // RecordSend accounts a sent message on the sender's counters.

@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/machine"
 	"repro/internal/netmodel"
@@ -245,22 +247,6 @@ func TestParallelIdleEnergyScalesWithRanks(t *testing.T) {
 	}
 }
 
-func TestIOAccess(t *testing.T) {
-	spec := testSpec()
-	spec.DeltaPio = 5
-	c := mustNew(t, Config{Spec: spec, Ranks: 1})
-	c.Kernel().Spawn("r0", func(p *sim.Proc) {
-		c.IOAccess(p, 0, 2)
-	})
-	if err := c.Kernel().Run(); err != nil {
-		t.Fatal(err)
-	}
-	rep := c.TrueEnergy()
-	if math.Abs(float64(rep.IO)-10) > 1e-9 { // 5W × 2s
-		t.Fatalf("IO energy = %v, want 10 J", rep.IO)
-	}
-}
-
 func TestMessageTimeSelfCopyAndInterconnect(t *testing.T) {
 	// Every rank has its own node: a message between two ranks costs the
 	// Hockney time, a self-copy half a shared-memory transfer.
@@ -283,12 +269,6 @@ func TestMessageTimeSelfCopyAndInterconnect(t *testing.T) {
 
 func TestNICSerialisesReceiver(t *testing.T) {
 	c := mustNew(t, Config{Spec: testSpec(), Ranks: 8})
-	if c.TxNIC(0) == c.TxNIC(1) || c.RxNIC(0) == c.RxNIC(1) {
-		t.Fatal("distinct ranks must not share a NIC")
-	}
-	if c.TxNIC(0) == c.RxNIC(0) {
-		t.Fatal("NICs are full duplex: tx and rx are distinct channels")
-	}
 	// sendAll starts one message per (src, dst) pair at t=0 and returns
 	// when each one ends.
 	sendAll := func(pairs [][2]int) []units.Seconds {
@@ -313,9 +293,83 @@ func TestNICSerialisesReceiver(t *testing.T) {
 	if ends := sendAll([][2]int{{0, 4}, {1, 4}}); math.Max(float64(ends[0]), float64(ends[1])) != float64(2*d) {
 		t.Fatalf("sends into one receiver end at %v, want one at %v", ends, 2*d)
 	}
-	// Distinct senders to distinct receivers proceed in parallel.
+	// One sender to two receivers serialises on its tx channel.
+	if ends := sendAll([][2]int{{0, 4}, {0, 5}}); math.Max(float64(ends[0]), float64(ends[1])) != float64(2*d) {
+		t.Fatalf("two sends from one rank end at %v, want one at %v", ends, 2*d)
+	}
+	// Distinct senders to distinct receivers proceed in parallel: ranks
+	// do not share a NIC.
 	if ends := sendAll([][2]int{{0, 4}, {1, 5}}); ends[0] != d || ends[1] != d {
 		t.Fatalf("disjoint sends end at %v, want both at %v", ends, d)
+	}
+	// NICs are full duplex: an exchange does not wait on itself.
+	if ends := sendAll([][2]int{{0, 4}, {4, 0}}); ends[0] != d || ends[1] != d {
+		t.Fatalf("exchange ends at %v, want both at %v", ends, d)
+	}
+}
+
+// Two transfers booked at once on one link serialise: the second starts
+// when the first ends.
+func TestNICSerialises(t *testing.T) {
+	c := mustNew(t, Config{Spec: testSpec(), Ranks: 2})
+	for i, want := range []units.Seconds{10, 20} {
+		if start, end := c.ReserveLink(0, 0, 1, 10); start != want-10 || end != want {
+			t.Fatalf("transfer %d = [%v,%v], want [%v,%v]", i, start, end, want-10, want)
+		}
+	}
+	// A self message never occupies the NIC.
+	if start, end := c.ReserveLink(0, 1, 1, 5); start != 0 || end != 5 {
+		t.Fatalf("self message = [%v,%v], want [0,5]", start, end)
+	}
+}
+
+// A link idle since its last transfer starts the next one at once.
+func TestNICIdleGap(t *testing.T) {
+	c := mustNew(t, Config{Spec: testSpec(), Ranks: 2})
+	c.ReserveLink(0, 0, 1, 5) // [0,5], then idle [5,15]
+	if start, end := c.ReserveLink(15, 0, 1, 5); start != 15 || end != 20 {
+		t.Fatalf("second transfer = [%v,%v], want [15,20]", start, end)
+	}
+}
+
+// Property: over any sequence of transfers between random ranks, each
+// starts at the first instant both its channels are free and no earlier
+// than now, lasts exactly its duration, and no channel carries two
+// transfers at once — so a channel's busy time is the sum of its
+// transfers' durations.
+func TestNICReservationProperty(t *testing.T) {
+	const ranks = 4
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		c := mustNew(t, Config{Spec: testSpec(), Ranks: ranks})
+		var txEnd, rxEnd, txBusy, rxBusy, txSum, rxSum [ranks]units.Seconds
+		now := units.Seconds(0)
+		for i := 0; i < 50; i++ {
+			src, dst := rng.Intn(ranks), rng.Intn(ranks)
+			if src == dst {
+				continue
+			}
+			d := units.Seconds(rng.Float64() * 3)
+			now += units.Seconds(rng.Float64()) // time advances between calls
+			start, end := c.ReserveLink(now, src, dst, d)
+			if start != max(now, txEnd[src], rxEnd[dst]) || end != start+d {
+				return false
+			}
+			txEnd[src], rxEnd[dst] = end, end
+			txBusy[src] += end - start
+			rxBusy[dst] += end - start
+			txSum[src] += d
+			rxSum[dst] += d
+		}
+		for r := range ranks {
+			if math.Abs(float64(txBusy[r]-txSum[r])) > 1e-9 || math.Abs(float64(rxBusy[r]-rxSum[r])) > 1e-9 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -399,8 +453,8 @@ func TestHeterogeneousPlatform(t *testing.T) {
 	if c.PoolOf(0) != 0 || c.PoolOf(3) != 0 || c.PoolOf(4) != 1 || c.PoolOf(7) != 1 {
 		t.Fatalf("rank→pool map wrong: %d %d %d %d", c.PoolOf(0), c.PoolOf(3), c.PoolOf(4), c.PoolOf(7))
 	}
-	if c.SpecOf(0).Name != "test" || c.SpecOf(4).Name != "slowtest" {
-		t.Fatalf("SpecOf: %s, %s", c.SpecOf(0).Name, c.SpecOf(4).Name)
+	if a, b := c.platform.Pools[c.PoolOf(0)].Spec.Name, c.platform.Pools[c.PoolOf(4)].Spec.Name; a != "test" || b != "slowtest" {
+		t.Fatalf("rank specs: %s, %s", a, b)
 	}
 	var endFast, endSlow units.Seconds
 	c.Kernel().Spawn("fast", func(p *sim.Proc) {
@@ -511,7 +565,7 @@ func TestSetRankFrequencyPerPool(t *testing.T) {
 
 func TestComputeAlphaValidation(t *testing.T) {
 	c := mustNew(t, Config{Spec: testSpec(), Ranks: 1})
-	c.Kernel().Spawn("bad", func(p *sim.Proc) { c.ComputeAlpha(p, 0, 1, 0, 1.5) })
+	c.Kernel().Spawn("bad", func(p *sim.Proc) { c.StartCompute(0, 1, 0, 1.5) })
 	if err := c.Kernel().Run(); err == nil {
 		t.Fatal("α outside (0,1] must abort the run")
 	}

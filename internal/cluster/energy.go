@@ -216,7 +216,6 @@ func (c *Cluster) addBusy(b *ComponentBusy, r int, now units.Seconds) {
 		}
 		b.Compute += units.Seconds(frac * float64(fl.dc))
 		b.Memory += units.Seconds(frac * float64(fl.dm))
-		b.IO += units.Seconds(frac * float64(fl.dio))
 		b.Network += units.Seconds(frac * float64(fl.dnet))
 	}
 }

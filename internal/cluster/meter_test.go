@@ -77,7 +77,7 @@ func TestReadMeterEqualsThreeAccessors(t *testing.T) {
 
 	wall := c.StartCompute(0, 3e6, 7e4, 0.9)   // SystemG pool
 	wall4 := c.StartCompute(4, 1e6, 2e4, 0.75) // Dori pool
-	c.StartIO(1, 3*units.Millisecond)
+	c.StartComm(1, 3*units.Millisecond, 1)
 	comm := c.StartComm(5, 2*units.Millisecond, 0.9)
 	k.After(wall/3, func() {
 		checkMeter(t, c, "mid-op")
@@ -120,8 +120,8 @@ func TestReadMeterEqualsThreeAccessors(t *testing.T) {
 func TestLadderTableMatchesAtFrequency(t *testing.T) {
 	for _, pl := range []machine.Platform{presetPlatform(), testPlatform(), machine.Homogeneous(testSpec())} {
 		c := mustNew(t, Config{Platform: pl, Ranks: pl.TotalRanks()})
+		r := 0 // the pool's first rank
 		for pi, np := range pl.Pools {
-			r, _ := pl.RankRange(pi)
 			ladder := np.Spec.Frequencies
 			offLadder := (ladder[0] + ladder[len(ladder)-1]) / 2 * 1.0123
 			// Walk down, then up, so every on-ladder call is effective.
@@ -151,6 +151,7 @@ func TestLadderTableMatchesAtFrequency(t *testing.T) {
 			if err := c.SetRankFrequency(r, -1); err == nil {
 				t.Errorf("%s: negative frequency must still fail", np.PoolName())
 			}
+			r += np.Ranks()
 		}
 	}
 }

@@ -198,16 +198,6 @@ func (m Model) Predict() (Prediction, error) {
 	return pr, nil
 }
 
-// EE is a convenience for the headline metric; it panics on invalid
-// inputs (use Predict for error handling).
-func (m Model) EE() float64 {
-	pr, err := m.Predict()
-	if err != nil {
-		panic(err)
-	}
-	return pr.EE
-}
-
 // MeasuredEE computes iso-energy-efficiency from two measured energies:
 // EE = E1/Ep (Eq. 2). It returns an error if either is non-positive.
 func MeasuredEE(e1, ep units.Joules) (float64, error) {

@@ -263,6 +263,13 @@ func TestFrequencyScalingDirection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ee := func(mp machine.Params, app Workload) float64 {
+		pr, err := Model{Machine: mp, App: app}.Predict()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pr.EE
+	}
 	// CG-like: memory-heavy base workload with compute-dominated parallel
 	// overhead (extra vector operations for the 2-D decomposition). This
 	// is the §V.B.3 regime: EEF = Eo/E1 falls as f rises because the
@@ -278,8 +285,8 @@ func TestFrequencyScalingDirection(t *testing.T) {
 			P: p,
 		}
 	}
-	eeLow := Model{Machine: lowP, App: cgApp(16)}.EE()
-	eeHigh := Model{Machine: highP, App: cgApp(16)}.EE()
+	eeLow := ee(lowP, cgApp(16))
+	eeHigh := ee(highP, cgApp(16))
 	if eeHigh <= eeLow {
 		t.Fatalf("CG-like: EE(2.8GHz)=%g should exceed EE(2.0GHz)=%g", eeHigh, eeLow)
 	}
@@ -295,8 +302,8 @@ func TestFrequencyScalingDirection(t *testing.T) {
 			P: p,
 		}
 	}
-	eeLowFT := Model{Machine: lowP, App: ftApp(64)}.EE()
-	eeHighFT := Model{Machine: highP, App: ftApp(64)}.EE()
+	eeLowFT := ee(lowP, ftApp(64))
+	eeHighFT := ee(highP, ftApp(64))
 	relDiff := math.Abs(eeHighFT-eeLowFT) / eeLowFT
 	if relDiff > 0.25 {
 		t.Fatalf("FT-like: EE should be much less frequency sensitive, got %.3g rel. change (%g vs %g)", relDiff, eeLowFT, eeHighFT)

@@ -24,9 +24,6 @@ type Site struct {
 	// Platform is the site's node-pool layout; the whole platform is
 	// provisioned.
 	Platform machine.Platform
-	// Weight is the site's static budget share weight; zero means the
-	// platform's total rank count (capacity-proportional).
-	Weight float64
 	// Local, when set, is a site-local cap ceiling (a facility feed, a
 	// contract limit): the federated share is clamped to it in every
 	// window.
@@ -70,15 +67,12 @@ type Config struct {
 	// SpillAfter is the backlog threshold the EE route's spill rule
 	// fires at; zero means 1 s, negative disables spilling.
 	SpillAfter units.Seconds
-	// Policy, Interval, EdgeRetune, PerfSlack and Seed configure every
-	// site's scheduler exactly as in sched.Config (the same seed at
-	// every site keeps a 1-site federation byte-identical to the bare
-	// scheduler).
-	Policy     sched.Policy
-	Interval   units.Seconds
-	EdgeRetune bool
-	PerfSlack  float64
-	Seed       int64
+	// Policy, PerfSlack and Seed configure every site's scheduler
+	// exactly as in sched.Config (the same seed at every site keeps a
+	// 1-site federation byte-identical to the bare scheduler).
+	Policy    sched.Policy
+	PerfSlack float64
+	Seed      int64
 	// Telemetry, when non-nil, receives the frontend's EvRoute stream
 	// (stamped with job arrival times). Per-site schedulers run
 	// concurrently and are deliberately not wired to it — use
@@ -107,8 +101,7 @@ const (
 type siteRun struct {
 	site        Site
 	idx         int
-	weight      float64
-	ranks       int
+	ranks       int // the site's static budget share weight
 	largestPool int
 	cache       []*opcache.Cache // per pool: the router's evaluators
 	idleFloor   units.Watts
@@ -265,10 +258,7 @@ func New(cfg Config) (*Federation, error) {
 		if site.Faults != nil && len(site.Faults.Emergencies) > 0 {
 			return nil, fmt.Errorf("fed: site %q fault plan carries power emergencies; model site derating with Site.Local instead (emergencies would fork the site's cap timeline away from the federation's negotiated plan)", site.Name)
 		}
-		if site.Weight < 0 {
-			return nil, fmt.Errorf("fed: site %q: negative weight %g", site.Name, site.Weight)
-		}
-		sr := &siteRun{site: site, idx: i, weight: site.Weight}
+		sr := &siteRun{site: site, idx: i}
 		for pi, np := range site.Platform.Pools {
 			c, err := opcache.New(np.Spec)
 			if err != nil {
@@ -281,22 +271,16 @@ func New(cfg Config) (*Federation, error) {
 				sr.largestPool = np.Ranks()
 			}
 		}
-		if sr.weight == 0 {
-			sr.weight = float64(sr.ranks)
-		}
 		f.sites = append(f.sites, sr)
 	}
 
 	var wsum float64
 	for _, sr := range f.sites {
-		wsum += sr.weight
-	}
-	if wsum <= 0 {
-		return nil, fmt.Errorf("fed: total site weight is zero")
+		wsum += float64(sr.ranks)
 	}
 	f.shares = make([]float64, len(f.sites))
 	for i, sr := range f.sites {
-		f.shares[i] = sr.weight / wsum
+		f.shares[i] = float64(sr.ranks) / wsum
 	}
 
 	f.buildGrid()
@@ -423,7 +407,7 @@ func (f *Federation) discretionary(g int, states []sched.Snapshot) []float64 {
 	for i, sr := range f.sites {
 		ctx.Sites[i] = SiteFacts{
 			Name:      sr.site.Name,
-			Weight:    sr.weight,
+			Weight:    float64(sr.ranks),
 			Ranks:     sr.ranks,
 			HasCarbon: sr.intensity != nil,
 		}
@@ -518,14 +502,12 @@ func (f *Federation) buildPlans() error {
 func (f *Federation) buildSchedulers() error {
 	for _, sr := range f.sites {
 		scfg := sched.Config{
-			Platform:   sr.site.Platform,
-			Plan:       sr.plan,
-			Faults:     sr.site.Faults,
-			Policy:     f.cfg.Policy,
-			Interval:   f.cfg.Interval,
-			EdgeRetune: f.cfg.EdgeRetune,
-			PerfSlack:  f.cfg.PerfSlack,
-			Seed:       f.cfg.Seed,
+			Platform:  sr.site.Platform,
+			Plan:      sr.plan,
+			Faults:    sr.site.Faults,
+			Policy:    f.cfg.Policy,
+			PerfSlack: f.cfg.PerfSlack,
+			Seed:      f.cfg.Seed,
 		}
 		if f.cfg.SiteTelemetry != nil {
 			scfg.Telemetry = f.cfg.SiteTelemetry(sr.site.Name)

@@ -455,7 +455,7 @@ func TestLocalCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatalf("east plan %q: %v", res.Sites[0].Result.Plan, err)
 	}
-	if got := p.MaxCap(); got != 500 {
+	if got := p.MaxFrom(0); got != 500 {
 		t.Errorf("east cap %v, want clamped to local ceiling 500", got)
 	}
 	if res.CapViolations != 0 {
@@ -476,7 +476,6 @@ func TestConfigErrors(t *testing.T) {
 		{"bad lambda", Config{Sites: []Site{site()}, Budget: capplan.Constant(900), GuaranteeFrac: 1.5}, "GuaranteeFrac"},
 		{"unnamed site", Config{Sites: []Site{{Platform: mustPlatform(t, "systemg:16")}}, Budget: capplan.Constant(900)}, "has no name"},
 		{"duplicate site", Config{Sites: []Site{site(), site()}, Budget: capplan.Constant(2000)}, "duplicate site name"},
-		{"negative weight", Config{Sites: []Site{{Name: "east", Platform: mustPlatform(t, "systemg:16"), Weight: -1}}, Budget: capplan.Constant(900)}, "negative weight"},
 		{"bad carbon signal", Config{
 			Sites:  []Site{{Name: "east", Platform: mustPlatform(t, "systemg:16"), Carbon: []capplan.Sample{{T: 0.5, Value: 100}}}},
 			Budget: capplan.Constant(900),

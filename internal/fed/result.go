@@ -84,7 +84,7 @@ func (f *Federation) merge() Result {
 	for _, sr := range f.sites {
 		s := SiteResult{
 			Site:   sr.site.Name,
-			Weight: sr.weight,
+			Weight: float64(sr.ranks),
 			Jobs:   len(sr.jobs),
 			Result: sr.res,
 		}

@@ -95,11 +95,6 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// CPI returns the cycles-per-instruction implied by Tc and Freq.
-func (p Params) CPI() float64 {
-	return float64(p.Tc) * float64(p.Freq)
-}
-
 // Spec describes a homogeneous power-aware cluster node type and how its
 // parameter vector scales with the DVFS frequency. It is the durable
 // description; Params is one evaluated operating point.
@@ -203,9 +198,6 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// MaxRanks returns the total number of processor cores in the cluster.
-func (s Spec) MaxRanks() int { return s.CoresPerNode * s.Nodes }
-
 // MissFraction is the saturating cache model shared by the kernels and
 // the closed-form application vectors: the fraction of counted accesses
 // that reach main memory for a reused working set of the given size.
@@ -297,6 +289,3 @@ func (s Spec) MustBase() Params {
 
 // MinFrequency returns the lowest DVFS operating point.
 func (s Spec) MinFrequency() units.Hertz { return s.Frequencies[0] }
-
-// MaxFrequency returns the highest DVFS operating point.
-func (s Spec) MaxFrequency() units.Hertz { return s.Frequencies[len(s.Frequencies)-1] }

@@ -27,7 +27,7 @@ func TestAtFrequencyTc(t *testing.T) {
 	if math.Abs(float64(p.Tc-wantTc)) > 1e-18 {
 		t.Fatalf("Tc = %v, want %v", p.Tc, wantTc)
 	}
-	if got := p.CPI(); math.Abs(got-s.CPI) > 1e-12 {
+	if got := float64(p.Tc) * float64(p.Freq); math.Abs(got-s.CPI) > 1e-12 {
 		t.Fatalf("CPI round trip = %v, want %v", got, s.CPI)
 	}
 }
@@ -171,9 +171,11 @@ func TestValidateCatchesBadSpecs(t *testing.T) {
 }
 
 func TestMaxRanks(t *testing.T) {
-	s := SystemG()
-	if got, want := s.MaxRanks(), 8*325; got != want {
+	if got, want := Homogeneous(SystemG()).Pools[0].MaxRanks(), 8*325; got != want {
 		t.Fatalf("MaxRanks = %d, want %d", got, want)
+	}
+	if got, want := (NodePool{Spec: SystemG(), Nodes: 16}).MaxRanks(), 8*16; got != want {
+		t.Fatalf("16-node pool MaxRanks = %d, want %d", got, want)
 	}
 }
 
@@ -228,11 +230,8 @@ func TestPlatform(t *testing.T) {
 	if _, err := pl.PoolOf(40); err == nil {
 		t.Fatal("rank beyond capacity must error")
 	}
-	if s, err := pl.SpecOf(8); err != nil || s.Name != "SystemG" {
-		t.Fatalf("SpecOf(8) = %v, %v; want SystemG", s.Name, err)
-	}
-	if lo, hi := pl.RankRange(1); lo != 8 || hi != 40 {
-		t.Fatalf("RankRange(1) = [%d,%d), want [8,40)", lo, hi)
+	if pi, _ := pl.PoolOf(8); pl.Pools[pi].Spec.Name != "SystemG" {
+		t.Fatalf("rank 8 runs on %s, want SystemG", pl.Pools[pi].Spec.Name)
 	}
 	if got, want := pl.String(), "Dori:8+SystemG:32"; got != want {
 		t.Fatalf("String = %q, want %q", got, want)
@@ -250,8 +249,8 @@ func TestPlatform(t *testing.T) {
 	if h.String() != "SystemG" || h.TotalRanks() != SystemG().Nodes {
 		t.Fatalf("Homogeneous: %q, %d ranks", h.String(), h.TotalRanks())
 	}
-	if h.Pools[0].MaxRanks() != SystemG().MaxRanks() {
-		t.Fatalf("pool MaxRanks %d want %d", h.Pools[0].MaxRanks(), SystemG().MaxRanks())
+	if want := SystemG().CoresPerNode * SystemG().Nodes; h.Pools[0].MaxRanks() != want {
+		t.Fatalf("pool MaxRanks %d want %d", h.Pools[0].MaxRanks(), want)
 	}
 
 	// Validation failures: no pools, duplicate names, negative counts.

@@ -63,8 +63,7 @@ func (np NodePool) NodeCount() int {
 func (np NodePool) Ranks() int { return np.NodeCount() }
 
 // MaxRanks returns the pool's total core count (NodeCount × cores per
-// node) — the bound of offline scalability sweeps, matching
-// Spec.MaxRanks for an undeployed spec.
+// node) — the bound of offline scalability sweeps.
 func (np NodePool) MaxRanks() int { return np.NodeCount() * np.Spec.CoresPerNode }
 
 // Homogeneous wraps a single node type as a one-pool platform — the
@@ -121,24 +120,6 @@ func (pl Platform) PoolOf(rank int) (int, error) {
 		r -= np.Ranks()
 	}
 	return 0, fmt.Errorf("machine: rank %d beyond platform capacity %d", rank, pl.TotalRanks())
-}
-
-// SpecOf returns the node-type spec hosting a global rank.
-func (pl Platform) SpecOf(rank int) (Spec, error) {
-	i, err := pl.PoolOf(rank)
-	if err != nil {
-		return Spec{}, err
-	}
-	return pl.Pools[i].Spec, nil
-}
-
-// RankRange returns the half-open global rank interval [lo, hi) pool i
-// supplies.
-func (pl Platform) RankRange(i int) (lo, hi int) {
-	for k := 0; k < i; k++ {
-		lo += pl.Pools[k].Ranks()
-	}
-	return lo, lo + pl.Pools[i].Ranks()
 }
 
 // String renders the platform label: the explicit Name when set, the

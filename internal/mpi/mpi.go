@@ -113,9 +113,6 @@ func New(cl *cluster.Cluster) *Runtime {
 	}
 }
 
-// Cluster returns the underlying simulated machine.
-func (rt *Runtime) Cluster() *cluster.Cluster { return rt.cl }
-
 // Size returns the number of ranks.
 func (rt *Runtime) Size() int { return rt.cl.Ranks() }
 
@@ -167,9 +164,6 @@ func (r *Rank) Rank() int { return r.rank }
 // Size returns the number of ranks.
 func (r *Rank) Size() int { return r.rt.Size() }
 
-// Proc exposes the underlying simulated process.
-func (r *Rank) Proc() *sim.Proc { return r.proc }
-
 // Now returns the current virtual time.
 func (r *Rank) Now() units.Seconds { return r.proc.Now() }
 
@@ -183,11 +177,6 @@ func (r *Rank) Compute(onChip, offChip float64) {
 // for cache-capacity-aware access counting.
 func (r *Rank) Machine() machine.Params {
 	return r.rt.cl.Params(r.rank)
-}
-
-// IOAccess models a flat I/O access (paper §VI.B).
-func (r *Rank) IOAccess(d units.Seconds) {
-	r.rt.cl.IOAccess(r.proc, r.rank, d)
 }
 
 // PhaseEnter marks the start of a named region for tracing/profiling.

@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -402,7 +403,7 @@ func TestTracerCountsMessages(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Pairwise exchange: each rank sends p−1 blocks of 100 B.
-	total := rt.Cluster().Counters().Total()
+	total := rt.cl.Counters().Total()
 	wantM := int64(p * (p - 1))
 	if got := total.Messages; got != wantM {
 		t.Fatalf("M = %d, want %d", got, wantM)
@@ -423,7 +424,7 @@ func TestCountersMatchTracer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := rt.Cluster().Counters().Total()
+	total := rt.cl.Counters().Total()
 	if total.OnChipOps != float64(p)*1000 {
 		t.Fatalf("on-chip total %g", total.OnChipOps)
 	}
@@ -454,7 +455,7 @@ func TestFinishTimesAndMakespan(t *testing.T) {
 	if rt.Makespan() != ft[2] {
 		t.Fatalf("makespan %v != slowest rank %v", rt.Makespan(), ft[2])
 	}
-	if w := rt.Cluster().Wall(); math.Abs(float64(w-ft[2])) > 1e-15 {
+	if w := rt.cl.Wall(); math.Abs(float64(w-ft[2])) > 1e-15 {
 		t.Fatalf("cluster wall %v != makespan %v", w, ft[2])
 	}
 }
@@ -469,10 +470,11 @@ func TestPhaseTracing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Each rank spends 1ms in "compute"; phase time sums over ranks.
-	got := rt.Cluster().Tracer().PhaseTime("compute")
-	if math.Abs(float64(got-2*units.Millisecond)) > 1e-12 {
-		t.Fatalf("phase time = %v, want 2ms", got)
+	// Each rank spends 1ms in "compute"; phase time sums over ranks and
+	// the phase was entered twice.
+	sum := rt.cl.Tracer().Summary()
+	if got := strings.Fields(strings.Split(sum, "\n")[1]); len(got) != 3 || got[0] != "compute" || got[1] != "2ms" || got[2] != "2" {
+		t.Fatalf("phase row = %q, want compute 2ms 2:\n%s", got, sum)
 	}
 }
 

@@ -23,7 +23,9 @@ package cg
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
+	"repro/internal/app"
 	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/units"
@@ -111,8 +113,8 @@ func (k *Kernel) Name() string { return "CG" }
 // N implements npb.Kernel: the matrix order.
 func (k *Kernel) N() float64 { return float64(k.cfg.N) }
 
-// Alpha implements npb.Kernel (paper §V.B.3).
-func (k *Kernel) Alpha() float64 { return 0.85 }
+// Alpha implements npb.Kernel with app.CG's α (paper Table 2).
+func (k *Kernel) Alpha() float64 { return app.CG(0, 0).Alpha }
 
 // value returns the symmetric off-diagonal entry linking rows a and b
 // (a ≠ b), a deterministic positive value bounded so rows stay
@@ -245,7 +247,7 @@ func (k *Kernel) RunRank(rk *mpi.Rank) {
 	// product each buffer is written once; between two products every
 	// rank passes a dot product's allreduce, which it enters only after
 	// consuming what it received.
-	sums := make([][]float64, 1+log2i(npcols))
+	sums := make([][]float64, bits.Len(uint(npcols)))
 	for i := range sums {
 		sums[i] = make([]float64, rlen)
 	}
@@ -268,7 +270,7 @@ func (k *Kernel) RunRank(rk *mpi.Rank) {
 		for dist, d := 1, 1; dist < npcols; dist, d = dist*2, d+1 {
 			peerCol := col ^ dist
 			peer := row*npcols + peerCol
-			tag := rowTeamTag + step*8 + log2i(dist)
+			tag := rowTeamTag + step*8 + bits.Len(uint(dist)) - 1
 			msg := rk.SendRecv(peer, tag, w, units.Bytes(8*rlen), peer, tag)
 			pw := msg.Data.([]float64)
 			nw := sums[d]
@@ -371,15 +373,6 @@ func (k *Kernel) RunRank(rk *mpi.Rank) {
 		}
 		rk.PhaseExit("cg.zeta")
 	}
-}
-
-func log2i(v int) int {
-	k := 0
-	for v > 1 {
-		v >>= 1
-		k++
-	}
-	return k
 }
 
 // Verify implements npb.Kernel: the solver must actually have solved the

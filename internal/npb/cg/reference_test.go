@@ -249,3 +249,13 @@ func (k *refKernel) RunRank(rk *mpi.Rank) {
 		rk.PhaseExit("cg.zeta")
 	}
 }
+
+// log2i is the loop the kernel used before math/bits: ⌊log2 v⌋ for v ≥ 1.
+func log2i(v int) int {
+	k := 0
+	for v > 1 {
+		v >>= 1
+		k++
+	}
+	return k
+}

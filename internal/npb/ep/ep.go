@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/app"
 	"repro/internal/mpi"
 	"repro/internal/npb"
 )
@@ -77,8 +78,8 @@ func (k *Kernel) Name() string { return "EP" }
 // N implements npb.Kernel: the model problem size is the pair count.
 func (k *Kernel) N() float64 { return float64(k.pairs) }
 
-// Alpha implements npb.Kernel (paper §V.B.2).
-func (k *Kernel) Alpha() float64 { return 0.93 }
+// Alpha implements npb.Kernel with app.EP's α (paper Table 2).
+func (k *Kernel) Alpha() float64 { return app.EP().Alpha }
 
 // RunRank implements npb.Kernel.
 func (k *Kernel) RunRank(r *mpi.Rank) {
@@ -96,10 +97,7 @@ func (k *Kernel) RunRank(r *mpi.Rank) {
 	var counts [annuli]int64
 	dev := make([]float64, 2*chunkPairs)
 	for done := start; done < end; {
-		batch := end - done
-		if batch > batchPairs {
-			batch = batchPairs
-		}
+		batch := min(end-done, batchPairs)
 		for i := int64(0); i < batch; i += chunkPairs {
 			d := dev[:2*min(chunkPairs, batch-i)]
 			npb.Vranlc(&x, npb.LCGMultiplier, d)

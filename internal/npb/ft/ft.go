@@ -18,6 +18,7 @@ import (
 	"math"
 	"math/cmplx"
 
+	"repro/internal/app"
 	"repro/internal/mpi"
 	"repro/internal/npb"
 	"repro/internal/units"
@@ -106,14 +107,12 @@ func New(cfg Config) (*Kernel, error) {
 }
 
 // foldedSquares returns k² for each index of an n-point axis, where the
-// wavenumber k folds indices above n/2 to negative frequencies.
+// wavenumber k folds indices above n/2 to negative frequencies, so
+// |k| = min(i, n−i).
 func foldedSquares(n int) []int {
 	sq := make([]int, n)
 	for i := range sq {
-		k := i
-		if i > n/2 {
-			k = i - n
-		}
+		k := min(i, n-i)
 		sq[i] = k * k
 	}
 	return sq
@@ -125,8 +124,8 @@ func (k *Kernel) Name() string { return "FT" }
 // N implements npb.Kernel: total grid points.
 func (k *Kernel) N() float64 { return float64(k.n) }
 
-// Alpha implements npb.Kernel (paper §V.B.1).
-func (k *Kernel) Alpha() float64 { return 0.86 }
+// Alpha implements npb.Kernel with app.FT's α (paper Table 2).
+func (k *Kernel) Alpha() float64 { return app.FT(0).Alpha }
 
 // tileWidth is the number of z pencils the inverse z-FFT transforms
 // before scattering them into the transpose blocks: the pencils share

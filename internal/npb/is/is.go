@@ -8,8 +8,10 @@ package is
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
+	"repro/internal/app"
 	"repro/internal/mpi"
 	"repro/internal/npb"
 	"repro/internal/units"
@@ -89,8 +91,8 @@ func (k *Kernel) Name() string { return "IS" }
 // N implements npb.Kernel: total key count.
 func (k *Kernel) N() float64 { return float64(k.nKeys) }
 
-// Alpha implements npb.Kernel.
-func (k *Kernel) Alpha() float64 { return 0.90 }
+// Alpha implements npb.Kernel with app.IS's α (paper Table 2).
+func (k *Kernel) Alpha() float64 { return app.IS(0, 0).Alpha }
 
 // RunRank implements npb.Kernel.
 func (k *Kernel) RunRank(r *mpi.Rank) {
@@ -104,7 +106,7 @@ func (k *Kernel) RunRank(r *mpi.Rank) {
 	if rank < k.nKeys%p {
 		nLocal++
 	}
-	start := rank*(k.nKeys/p) + min64(rank, k.nKeys%p)
+	start := rank*(k.nKeys/p) + min(rank, k.nKeys%p)
 
 	// --- Key generation from the NPB LCG. ---
 	r.PhaseEnter("is.generate")
@@ -121,7 +123,7 @@ func (k *Kernel) RunRank(r *mpi.Rank) {
 	k.KeySumIn = mpi.Allreduce(r, sumIn, 8, func(a, b float64) float64 { return a + b })
 
 	buckets := int64(k.cfg.Buckets)
-	bucketShift := uint(k.cfg.LogMaxKey) - uint(log2i(int(buckets)))
+	bucketShift := uint(k.cfg.LogMaxKey) - uint(bits.Len(uint(buckets))-1)
 
 	// Per-run buffers. The send blocks are cut from pack, sized every
 	// repetition by the local bucket counts; the receivers read them by
@@ -202,7 +204,7 @@ func (k *Kernel) RunRank(r *mpi.Rank) {
 			sorted = append(sorted, blk...)
 		}
 		slices.Sort(sorted)
-		r.Compute(sortOpsPerKey*float64(total)*float64(log2i(max(2, total))), 2*float64(total))
+		r.Compute(sortOpsPerKey*float64(total)*float64(bits.Len(uint(max(2, total)))-1), 2*float64(total))
 		r.PhaseExit("is.sort")
 	}
 
@@ -262,27 +264,4 @@ func (k *Kernel) Verify() error {
 		}
 	}
 	return nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func log2i(v int) int {
-	k := 0
-	for v > 1 {
-		v >>= 1
-		k++
-	}
-	return k
 }

@@ -155,3 +155,21 @@ func (k *refKernel) RunRank(r *mpi.Rank) {
 	k.boundaryOK[rank] = boundary
 	r.PhaseExit("is.verify")
 }
+
+// min64 and log2i are the helpers the kernel used before the min builtin
+// and math/bits.
+func min64(a, b int64) int64 {
+	if a < b {
+		return a
+	}
+	return b
+}
+
+func log2i(v int) int {
+	k := 0
+	for v > 1 {
+		v >>= 1
+		k++
+	}
+	return k
+}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/app"
 	"repro/internal/mpi"
 	"repro/internal/npb"
 	"repro/internal/units"
@@ -91,8 +92,8 @@ func (k *Kernel) N() float64 {
 	return s * s * s
 }
 
-// Alpha implements npb.Kernel.
-func (k *Kernel) Alpha() float64 { return 0.88 }
+// Alpha implements npb.Kernel with app.MG's α (paper Table 2).
+func (k *Kernel) Alpha() float64 { return app.MG(0).Alpha }
 
 // MaxDepth returns the deepest usable hierarchy for grid size N on p
 // ranks: every level needs ≥ 2 local planes and ≥ 4 global edge length.
@@ -101,10 +102,7 @@ func MaxDepth(size, p int) int {
 	for s := size; s >= 8 && s/2 >= 2*p; s /= 2 {
 		depth++
 	}
-	if depth == 0 {
-		depth = 1
-	}
-	return depth
+	return max(depth, 1)
 }
 
 // idx addresses (z, y, x) in a slab with ghost planes: z ∈ [-1, planes].

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/app"
 	"repro/internal/machine"
 	"repro/internal/npb"
 	"repro/internal/npb/cg"
@@ -25,6 +26,26 @@ func classes() map[string][]string {
 		"cg": slices.Sorted(maps.Keys(cg.Classes())),
 		"is": slices.Sorted(maps.Keys(is.Classes())),
 		"mg": slices.Sorted(maps.Keys(mg.Classes())),
+	}
+}
+
+// TestAlphaIsTheModels: α has one home, the application vector (paper
+// Table 2); every catalogued kernel provisions its cluster with it.
+func TestAlphaIsTheModels(t *testing.T) {
+	for _, b := range catalogue {
+		v, err := app.ByName(b.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, class := range classes()[b.name] {
+			k, err := b.new(b.name, class)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if k.Alpha() != v.Alpha {
+				t.Errorf("%s class %s: kernel α %g, app α %g", b.name, class, k.Alpha(), v.Alpha)
+			}
+		}
 	}
 }
 

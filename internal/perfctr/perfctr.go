@@ -81,11 +81,6 @@ func (c *Counters) Add(other Counters) {
 	c.IOTime += other.IOTime
 }
 
-// BusyTime returns the total attributed busy time across components.
-func (c Counters) BusyTime() units.Seconds {
-	return c.ComputeTime + c.MemoryTime + c.NetworkTime + c.IOTime
-}
-
 // Set is an indexed collection of per-rank counters, e.g. one per MPI rank.
 // It is dense: rank r's counters live at index r of a slice grown on
 // demand (nil = rank never touched).
@@ -115,17 +110,6 @@ func (s *Set) add(rank int) {
 		s.byRank = append(s.byRank, make([]*Counters, rank+1-len(s.byRank))...)
 	}
 	s.byRank[rank] = &Counters{}
-}
-
-// Ranks returns the rank ids present, ascending.
-func (s *Set) Ranks() []int {
-	var out []int
-	for r, c := range s.byRank {
-		if c != nil {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // Total aggregates all ranks, yielding the "all" totals of Eq. 15

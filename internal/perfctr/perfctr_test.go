@@ -1,10 +1,28 @@
 package perfctr
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// ranksOf lists the ranks the String table has a row for, in row order.
+func ranksOf(s *Set) []int {
+	var out []int
+	for _, line := range strings.Split(s.String(), "\n")[1:] {
+		f := strings.Fields(line)
+		if len(f) == 0 || f[0] == "total" {
+			continue
+		}
+		r, err := strconv.Atoi(f[0])
+		if err != nil {
+			panic(err)
+		}
+		out = append(out, r)
+	}
+	return out
+}
 
 func TestAddAndTotal(t *testing.T) {
 	s := NewSet()
@@ -31,7 +49,7 @@ func TestRanksSorted(t *testing.T) {
 	for _, r := range []int{5, 1, 3} {
 		s.Rank(r).AddCompute(1)
 	}
-	got := s.Ranks()
+	got := ranksOf(s)
 	if len(got) != 3 || got[0] != 1 || got[1] != 3 || got[2] != 5 {
 		t.Fatalf("ranks = %v", got)
 	}
@@ -52,13 +70,6 @@ func TestNegativePanics(t *testing.T) {
 			}()
 			f(&Counters{})
 		}()
-	}
-}
-
-func TestBusyTime(t *testing.T) {
-	c := Counters{ComputeTime: 1, MemoryTime: 2, NetworkTime: 3, IOTime: 4}
-	if c.BusyTime() != 10 {
-		t.Fatalf("busy = %v", c.BusyTime())
 	}
 }
 
@@ -107,7 +118,7 @@ func TestNegativeRankPanics(t *testing.T) {
 			}()
 			s.Rank(-1)
 		}()
-		if got := s.Ranks(); len(got) != 0 {
+		if got := ranksOf(s); len(got) != 0 {
 			t.Errorf("a rejected rank left entries behind: %v", got)
 		}
 	}
@@ -116,18 +127,18 @@ func TestNegativeRankPanics(t *testing.T) {
 // Sparse use: only touched ranks exist, however far apart they are.
 func TestSparseRanks(t *testing.T) {
 	s := NewSet()
-	if got := s.Ranks(); len(got) != 0 {
+	if got := ranksOf(s); len(got) != 0 {
 		t.Fatalf("empty set has ranks %v", got)
 	}
 	s.Rank(1000).AddCompute(7)
-	if got := s.Ranks(); len(got) != 1 || got[0] != 1000 {
+	if got := ranksOf(s); len(got) != 1 || got[0] != 1000 {
 		t.Fatalf("ranks = %v, want [1000]", got)
 	}
 	if s.Rank(1000) != s.Rank(1000) {
 		t.Fatal("Rank must return the same counters on every call")
 	}
 	s.Rank(3).AddCompute(1)
-	if got := s.Ranks(); len(got) != 2 || got[0] != 3 || got[1] != 1000 {
+	if got := ranksOf(s); len(got) != 2 || got[0] != 3 || got[1] != 1000 {
 		t.Fatalf("ranks = %v, want [3 1000]", got)
 	}
 	if total := s.Total(); total.OnChipOps != 8 {

@@ -48,7 +48,6 @@ func TestProfileIntegratesToTrueEnergy(t *testing.T) {
 		r := r
 		cl.Kernel().Spawn("rank", func(p *sim.Proc) {
 			cl.Compute(p, r, 5e7, 1e5) // 50ms CPU + 10ms memory
-			cl.IOAccess(p, r, 20*units.Millisecond)
 		})
 	}
 	if err := cl.Kernel().Run(); err != nil {

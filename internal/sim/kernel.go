@@ -26,10 +26,10 @@
 //
 // The kernel detects global deadlock (parked processes with an empty
 // event queue) and reports who was parked and why. When Run returns with
-// unfinished processes — deadlock or Stop — their goroutines are drained
-// (terminated cleanly), so building clusters in a loop never accumulates
-// parked goroutines. A kernel is single-use: once Run returns, create a
-// new kernel rather than running it again.
+// unfinished processes — deadlock or a process failure — their
+// goroutines are drained (terminated cleanly), so building clusters in a
+// loop never accumulates parked goroutines. A kernel is single-use: once
+// Run returns, create a new kernel rather than running it again.
 package sim
 
 import (
@@ -136,15 +136,13 @@ type Kernel struct {
 
 	yield chan struct{} // proc → kernel: "I have blocked or finished"
 
-	procs     []*Proc
-	live      int // procs spawned and not yet finished (incl. parked)
-	running   bool
-	stopped   bool
-	draining  bool // Run is terminating leftover process goroutines
-	procErr   error
-	rng       *rand.Rand
-	maxEvents int64 // safety valve against runaway simulations; 0 = unlimited
-	nEvents   int64
+	procs    []*Proc
+	live     int // procs spawned and not yet finished (incl. parked)
+	running  bool
+	draining bool // Run is terminating leftover process goroutines
+	procErr  error
+	rng      *rand.Rand
+	nEvents  int64
 
 	// cancelled holds the seqs of events revoked via Timer.Cancel. The
 	// heap is not rebuilt on cancel; the loop discards a popped event
@@ -174,10 +172,6 @@ func (k *Kernel) Now() units.Seconds { return k.now }
 // RNG returns the kernel's deterministic random stream. It must only be
 // used from kernel context (event callbacks or running processes).
 func (k *Kernel) RNG() *rand.Rand { return k.rng }
-
-// SetMaxEvents bounds the number of events Run will process; exceeding the
-// bound makes Run return an error. Zero means unlimited.
-func (k *Kernel) SetMaxEvents(n int64) { k.maxEvents = n }
 
 // LiveProcs returns the number of spawned processes that have not finished.
 func (k *Kernel) LiveProcs() int { return k.live }
@@ -230,12 +224,6 @@ func (t Timer) Cancel() {
 	t.k.cancelled[t.seq] = struct{}{}
 }
 
-// ScheduleTimer is Schedule returning a cancellable handle.
-func (k *Kernel) ScheduleTimer(t units.Seconds, fn func()) Timer {
-	k.Schedule(t, fn)
-	return Timer{k: k, seq: k.seq}
-}
-
 // AfterTimer is After returning a cancellable handle.
 func (k *Kernel) AfterTimer(d units.Seconds, fn func()) Timer {
 	k.After(d, fn)
@@ -254,10 +242,10 @@ func (e *DeadlockError) Error() string {
 }
 
 // loop is the shared event pump: pop, advance the clock, fire. Cancelled
-// events are discarded before they count against the event budget or
-// move the clock — a cancelled timer leaves no trace on the simulation.
+// events are discarded before they are counted or move the clock — a
+// cancelled timer leaves no trace on the simulation.
 func (k *Kernel) loop() error {
-	for len(k.events) > 0 && !k.stopped {
+	for len(k.events) > 0 {
 		e := k.events.pop()
 		if len(k.cancelled) > 0 {
 			if _, dead := k.cancelled[e.seq]; dead {
@@ -266,9 +254,6 @@ func (k *Kernel) loop() error {
 			}
 		}
 		k.nEvents++
-		if k.maxEvents > 0 && k.nEvents > k.maxEvents {
-			return fmt.Errorf("sim: event budget %d exhausted at t=%v (runaway simulation?)", k.maxEvents, k.now)
-		}
 		if k.nEvents > 1 && e.t == k.lastEvT {
 			k.curDrain++
 		} else {
@@ -292,10 +277,10 @@ func (k *Kernel) loop() error {
 	return nil
 }
 
-// Run processes events until none remain, a process panics, or Stop is
-// called. It returns a *DeadlockError if processes are still parked when
-// the event queue drains, and the recovered error if a process failed.
-// Whatever the outcome, every spawned process goroutine has terminated by
+// Run processes events until none remain or a process panics. It
+// returns a *DeadlockError if processes are still parked when the event
+// queue drains, and the recovered error if a process failed. Whatever
+// the outcome, every spawned process goroutine has terminated by
 // the time Run returns; the kernel must not be run again afterwards.
 func (k *Kernel) Run() error {
 	if k.running {
@@ -350,12 +335,6 @@ func (k *Kernel) Stats() Stats {
 	return Stats{Events: k.nEvents, MaxHeap: k.maxHeap, MaxDrain: k.maxDrain}
 }
 
-// Stop makes Run return after the current event completes. Intended for
-// simulations with a natural cut-off (e.g. a fixed measurement window).
-// Processes still pending at that point are terminated before Run
-// returns; the kernel cannot be resumed.
-func (k *Kernel) Stop() { k.stopped = true }
-
 // abortSignal unwinds a process goroutine during drain. It is raised by
 // block when the kernel is draining and swallowed by the Spawn wrapper's
 // recover, so user code's defers still run.
@@ -395,12 +374,6 @@ type Proc struct {
 	parked bool
 	why    fmt.Stringer // Park's reason, formatted only for a report
 }
-
-// Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
-// Kernel returns the owning kernel.
-func (p *Proc) Kernel() *Kernel { return p.k }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() units.Seconds { return p.k.now }

@@ -162,49 +162,17 @@ func TestLiveProcs(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	k := NewKernel(1)
-	fired := 0
-	var tick func()
-	tick = func() {
-		fired++
-		if fired == 3 {
-			k.Stop()
-		}
-		k.After(1, tick)
-	}
-	k.After(1, tick)
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 3 {
-		t.Fatalf("fired %d, want 3", fired)
-	}
-}
-
-func TestMaxEvents(t *testing.T) {
-	k := NewKernel(1)
-	k.SetMaxEvents(10)
-	var loop func()
-	loop = func() { k.After(1, loop) }
-	k.After(1, loop)
-	err := k.Run()
-	if err == nil || !strings.Contains(err.Error(), "budget") {
-		t.Fatalf("want event-budget error, got %v", err)
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	run := func(seed int64) string {
 		k := NewKernel(seed)
 		var log []string
 		for i := 0; i < 4; i++ {
-			i := i
-			k.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+			name := fmt.Sprintf("p%d", i)
+			k.Spawn(name, func(p *Proc) {
 				for j := 0; j < 5; j++ {
 					d := units.Seconds(k.RNG().Float64())
 					p.Sleep(d)
-					log = append(log, fmt.Sprintf("%s@%.9f", p.Name(), float64(p.Now())))
+					log = append(log, fmt.Sprintf("%s@%.9f", name, float64(p.Now())))
 				}
 			})
 		}
@@ -228,82 +196,6 @@ func TestNegativeSleepPanics(t *testing.T) {
 	k.Spawn("bad", func(p *Proc) { p.Sleep(-1) })
 	if err := k.Run(); err == nil || !strings.Contains(err.Error(), "negative sleep") {
 		t.Fatalf("want negative-sleep panic, got %v", err)
-	}
-}
-
-func TestResourceSerialises(t *testing.T) {
-	k := NewKernel(1)
-	nic := NewResource("nic0")
-	ends := make([]units.Seconds, 2)
-	for i := 0; i < 2; i++ {
-		i := i
-		k.Spawn(fmt.Sprintf("sender%d", i), func(p *Proc) {
-			_, end := nic.Use(p, 10)
-			ends[i] = end
-		})
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// Both start at t=0 logically, but the NIC serialises them.
-	if ends[0] != 10 || ends[1] != 20 {
-		t.Fatalf("ends = %v, want [10 20]", ends)
-	}
-	if nic.BusyTime() != 20 {
-		t.Fatalf("busy = %v, want 20", nic.BusyTime())
-	}
-	if nic.Uses() != 2 {
-		t.Fatalf("uses = %d, want 2", nic.Uses())
-	}
-}
-
-func TestResourceIdleGap(t *testing.T) {
-	k := NewKernel(1)
-	r := NewResource("link")
-	k.Spawn("a", func(p *Proc) {
-		r.Use(p, 5) // [0,5]
-		p.Sleep(10) // resource idle [5,15]
-		start, end := r.Use(p, 5)
-		if start != 15 || end != 20 {
-			t.Errorf("second use = [%v,%v], want [15,20]", start, end)
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: for any set of reservation durations, a resource's total busy
-// time equals the sum of durations and reservations never overlap.
-func TestResourceReservationProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		r := NewResource("x")
-		now := units.Seconds(0)
-		var lastEnd units.Seconds
-		var total units.Seconds
-		for i := 0; i < 50; i++ {
-			d := units.Seconds(rng.Float64() * 3)
-			now += units.Seconds(rng.Float64()) // time advances between calls
-			start, end := r.Reserve(now, d)
-			ddiff := float64((end - start) - d)
-			if ddiff < 0 {
-				ddiff = -ddiff
-			}
-			if start < lastEnd || start < now || ddiff > 1e-9 {
-				return false
-			}
-			lastEnd = end
-			total += d
-		}
-		diff := float64(r.BusyTime() - total)
-		if diff < 0 {
-			diff = -diff
-		}
-		return diff < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -345,17 +237,20 @@ func TestRunDrainsDeadlockedGoroutines(t *testing.T) {
 	}
 }
 
-// Run via Stop() must likewise drain sleeping processes and processes
-// whose start event never fired.
+// A Run stopped early by a failing process must likewise drain sleeping
+// processes and processes whose start event never fired.
 func TestRunDrainsStoppedGoroutines(t *testing.T) {
 	before := goroutineCount()
 	for i := 0; i < 20; i++ {
 		k := NewKernel(int64(i))
 		k.Spawn("sleeper", func(p *Proc) { p.Sleep(1000) })
 		k.SpawnAt(500, "late", func(p *Proc) { p.Sleep(1) })
-		k.Schedule(1, k.Stop)
-		if err := k.Run(); err != nil {
-			t.Fatal(err)
+		k.Spawn("bomb", func(p *Proc) {
+			p.Sleep(1)
+			panic("stop")
+		})
+		if err := k.Run(); err == nil || !strings.Contains(err.Error(), "stop") {
+			t.Fatalf("want the failing process's error, got %v", err)
 		}
 		if n := k.LiveProcs(); n != 0 {
 			t.Fatalf("LiveProcs = %d after stopped Run, want 0", n)
@@ -409,8 +304,8 @@ func TestDrainSurvivesBlockingDefers(t *testing.T) {
 }
 
 // RunCallback must drain mid-run-spawned processes on its error path
-// too: a proc panic (or budget trip) with another proc parked must not
-// leak the parked goroutine.
+// too: a proc panic with another proc parked must not leak the parked
+// goroutine.
 func TestRunCallbackErrorPathDrains(t *testing.T) {
 	before := goroutineCount()
 	for i := 0; i < 10; i++ {
@@ -436,7 +331,7 @@ func TestRunCallbackErrorPathDrains(t *testing.T) {
 }
 
 // RunCallback drains pure event-driven simulations and preserves event
-// ordering, Stop, and the event budget exactly like Run.
+// ordering exactly like Run.
 func TestRunCallback(t *testing.T) {
 	k := NewKernel(1)
 	var order []int
@@ -454,15 +349,6 @@ func TestRunCallback(t *testing.T) {
 		if order[j] > order[j-1] {
 			t.Fatalf("events out of time order: %v", order[:j+1])
 		}
-	}
-
-	k2 := NewKernel(1)
-	k2.SetMaxEvents(5)
-	var loop func()
-	loop = func() { k2.After(1, loop) }
-	k2.After(1, loop)
-	if err := k2.RunCallback(); err == nil || !strings.Contains(err.Error(), "budget") {
-		t.Fatalf("want event-budget error, got %v", err)
 	}
 }
 

@@ -9,7 +9,7 @@ func TestTimerCancelSkipsEvent(t *testing.T) {
 	k := NewKernel(1)
 	var order []string
 	k.Schedule(1, func() { order = append(order, "a") })
-	tm := k.ScheduleTimer(2, func() { order = append(order, "b") })
+	tm := k.AfterTimer(2, func() { order = append(order, "b") })
 	k.Schedule(3, func() { order = append(order, "c") })
 	tm.Cancel()
 	if err := k.Run(); err != nil {
@@ -39,20 +39,22 @@ func TestTimerCancelFromCallback(t *testing.T) {
 
 func TestTimerCancelledEventsDontCountOrAdvanceClock(t *testing.T) {
 	k := NewKernel(1)
-	k.SetMaxEvents(2)
 	var last float64
 	k.Schedule(1, func() { last = 1 })
-	tm := k.ScheduleTimer(2, func() { t.Error("cancelled event fired") })
+	tm := k.AfterTimer(2, func() { t.Error("cancelled event fired") })
 	tm2 := k.AfterTimer(3, func() { t.Error("cancelled event fired") })
 	k.Schedule(4, func() { last = 4 })
 	tm.Cancel()
 	tm2.Cancel()
-	// 2 live events under a budget of 2: cancelled pops must not count.
 	if err := k.Run(); err != nil {
-		t.Fatalf("cancelled events counted against the event budget: %v", err)
+		t.Fatal(err)
 	}
-	if last != 4 {
-		t.Fatalf("last = %v, want 4", last)
+	// 2 live events fired: cancelled pops must not count.
+	if n := k.Stats().Events; n != 2 {
+		t.Fatalf("Stats().Events = %d, want 2 (cancelled events counted)", n)
+	}
+	if last != 4 || k.Now() != 4 {
+		t.Fatalf("last = %v, Now = %v; want 4, 4", last, k.Now())
 	}
 }
 
@@ -84,7 +86,7 @@ func TestTimerCancelOneOfSameTime(t *testing.T) {
 	timers := make([]Timer, 5)
 	for i := 0; i < 5; i++ {
 		i := i
-		timers[i] = k.ScheduleTimer(1, func() { order = append(order, i) })
+		timers[i] = k.AfterTimer(1, func() { order = append(order, i) })
 	}
 	timers[2].Cancel()
 	if err := k.Run(); err != nil {

@@ -28,7 +28,6 @@ type Metrics struct {
 	headerDone bool
 	err        error
 	lastT      units.Seconds
-	rows       int
 }
 
 // NewMetrics returns an empty registry.
@@ -55,14 +54,6 @@ func (c *Counter) Add(d float64) {
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Value returns the current count.
-func (c *Counter) Value() float64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
 // Gauge is an instantaneous value.
 type Gauge struct {
 	name string
@@ -75,14 +66,6 @@ func (g *Gauge) Set(v float64) {
 		return
 	}
 	g.v = v
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
 }
 
 // Histogram counts observations into cumulative ≤-bound buckets
@@ -108,31 +91,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 	h.inf++
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.inf
-}
-
-// Quantile returns an upper bound on the q-quantile of the observed
-// distribution (the smallest bucket bound whose cumulative count covers
-// q), or the largest finite bound when the quantile falls in the
-// overflow bucket. Zero observations return 0.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil || h.inf == 0 {
-		return 0
-	}
-	target := q * h.inf
-	for i, c := range h.counts {
-		if c >= target {
-			return h.bounds[i]
-		}
-	}
-	return h.bounds[len(h.bounds)-1]
 }
 
 // registered reports whether a metric name is taken.
@@ -257,8 +215,8 @@ func (m *Metrics) header() string {
 }
 
 // Sample writes one row of the time series at sim time t. Sampling with
-// no writer set still advances rate baselines (counters stay readable
-// without exporting). Write errors are sticky and returned
+// no writer set still advances rate baselines (WriteProm reads the
+// registry without a CSV stream). Write errors are sticky and returned
 // from Err; sampling continues no-op afterwards.
 func (m *Metrics) Sample(t units.Seconds) {
 	if m == nil {
@@ -300,15 +258,6 @@ func (m *Metrics) Sample(t units.Seconds) {
 		c.prevV = c.v
 	}
 	m.lastT = t
-	m.rows++
-}
-
-// Rows returns how many rows were sampled.
-func (m *Metrics) Rows() int {
-	if m == nil {
-		return 0
-	}
-	return m.rows
 }
 
 // Err returns the sticky stream error, if any.

@@ -130,14 +130,8 @@ func TestMetricsCSV(t *testing.T) {
 	if lines[2] != "4.000000,1,10,3,1,1,1,2,20.5" {
 		t.Fatalf("row 2: %s", lines[2])
 	}
-	if m.Rows() != 2 || m.Err() != nil {
-		t.Fatalf("Rows=%d Err=%v", m.Rows(), m.Err())
-	}
-	if got := h.Quantile(0.5); got != 1 {
-		t.Fatalf("median upper bound = %g, want 1", got)
-	}
-	if got := h.Quantile(0.99); got != 10 {
-		t.Fatalf("p99 upper bound = %g, want 10 (overflow clamps to largest bound)", got)
+	if err := m.Err(); err != nil {
+		t.Fatalf("Err = %v", err)
 	}
 }
 

@@ -56,11 +56,6 @@ func (t *Tracer) PhaseExit(now units.Seconds, rank int, name string) {
 	t.phaseHits[name]++
 }
 
-// PhaseTime returns the accumulated time (summed over ranks) for a phase.
-func (t *Tracer) PhaseTime(name string) units.Seconds {
-	return t.phaseTime[name]
-}
-
 // Phases returns the recorded phase names, sorted.
 func (t *Tracer) Phases() []string {
 	out := make([]string, 0, len(t.phaseTime))

@@ -11,7 +11,7 @@ func TestPhaseAccumulation(t *testing.T) {
 	tr.PhaseExit(10, 0, "compute")
 	tr.PhaseEnter(5, 1, "compute")
 	tr.PhaseExit(9, 1, "compute")
-	if got := tr.PhaseTime("compute"); got != 14 {
+	if got := tr.phaseTime["compute"]; got != 14 {
 		t.Fatalf("phase time = %v, want 14", got)
 	}
 	if phases := tr.Phases(); len(phases) != 1 || phases[0] != "compute" {
@@ -25,7 +25,7 @@ func TestNestedPhases(t *testing.T) {
 	tr.PhaseEnter(2, 0, "outer") // recursive re-entry of the same phase
 	tr.PhaseExit(3, 0, "outer")
 	tr.PhaseExit(10, 0, "outer")
-	if got := tr.PhaseTime("outer"); got != 11 { // (3−2) + (10−0)
+	if got := tr.phaseTime["outer"]; got != 11 { // (3−2) + (10−0)
 		t.Fatalf("nested phase time = %v, want 11", got)
 	}
 }
