@@ -98,20 +98,6 @@ func TestExitContract(t *testing.T) {
 		{[]string{"-spill", "-1", "-split", "static-share", "-route", "ee"}, 0},
 		{[]string{"-jobs", "0", "-split", "static-share", "-route", "ee"}, 0},
 	} {
-		code, _, stderr := clitest.Run(t, run, append([]string{"-jobs", "4"}, tc.args...)...)
-		if code != tc.code {
-			t.Errorf("fedrun %q: exit %d, want %d (stderr %q)", tc.args, code, tc.code, stderr)
-		}
-		lines := strings.Count(stderr, "\n")
-		switch {
-		case strings.Contains(stderr, "goroutine"):
-			t.Errorf("fedrun %q: stderr carries a goroutine dump:\n%s", tc.args, stderr)
-		case tc.code == 0:
-			if stderr != "" {
-				t.Errorf("fedrun %q: want a silent stderr, got %q", tc.args, stderr)
-			}
-		case lines != 1 && !strings.Contains(stderr, "Usage of"): // the flag package appends its usage text
-			t.Errorf("fedrun %q: want exactly one stderr line, got %d:\n%s", tc.args, lines, stderr)
-		}
+		clitest.Exit(t, run, tc.code, append([]string{"-jobs", "4"}, tc.args...)...)
 	}
 }

@@ -38,21 +38,8 @@ func TestExitContract(t *testing.T) {
 		{"-quick -fig 10 -workers 64", 0}, // more workers than sweep points
 		{"-h", 0},
 	} {
-		code, stdout, stderr := clitest.Run(t, run, strings.Fields(tc.args)...)
-		if code != tc.code {
-			t.Errorf("figures %s: exit %d, want %d (stderr %q)", tc.args, code, tc.code, stderr)
-		}
-		switch lines := strings.Count(stderr, "\n"); {
-		case strings.Contains(stderr, "goroutine"):
-			t.Errorf("figures %s: stderr carries a goroutine dump:\n%s", tc.args, stderr)
-		case tc.code == 0:
-			if (stderr != "") != (tc.args == "-h") {
-				t.Errorf("figures %s: unexpected stderr %q", tc.args, stderr)
-			}
-		case stdout != "":
+		if stdout := clitest.Exit(t, run, tc.code, strings.Fields(tc.args)...); tc.code != 0 && stdout != "" {
 			t.Errorf("figures %s: exit %d wrote to stdout: %q", tc.args, tc.code, stdout)
-		case lines != 1 && !strings.Contains(stderr, "Usage of"): // the flag package appends its usage text
-			t.Errorf("figures %s: want exactly one stderr line, got %d:\n%s", tc.args, lines, stderr)
 		}
 	}
 }

@@ -13,18 +13,15 @@
 //   - -cluster is a preset ("systemg") sized by -ranks, or pools with
 //     node counts ("systemg:16", "systemg:32,dori:32") that size
 //     themselves; -ranks may still size a single counted pool.
-//   - -capfile reads the budget timeline from a t_s,cap_w CSV and
-//     -capdump writes the active one back out, so an exported plan
-//     re-imports to the identical schedule. Timeline runs print a
-//     per-window table.
+//   - -capplan and -faults (internal/capplan, internal/faults) take
+//     each plan's one textual form: the spec the header prints back
+//     ("under cap plan …", "faults: …"), so a header line reruns to the
+//     identical schedule. A fault knob or pool half named twice is
+//     last-wins, so an appended item overrides the plan's own. Timeline
+//     runs print a per-window table.
 //   - -backfill wraps every policy in EASY reservations (sched.Backfill);
 //     -reserve K holds them for the first K blocked jobs and implies it.
 //     A wrapped policy can be named directly: -policy backfill+ee-max.
-//   - -faults / -faultfile give a fault plan (internal/faults);
-//     -mtbf/-mttr (always together), -retries, -ckpt and -restartcost
-//     are appended to its record list, so they override the plan's own
-//     values. Power emergencies reshape the effective cap, so -capdump
-//     refuses fault runs.
 //   - -trace (Chrome trace JSON), -events (NDJSON, or a -rollup CSV),
 //     -metrics (CSV) and -audit (internal/traceq text) record one
 //     schedule's decision stream, so they need -policy NAME; with
@@ -34,7 +31,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -61,17 +57,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	seed, trace := cli.TraceFlags(fs, 64)
 	budget := cli.BudgetFlags(fs, 2500, "cluster power cap in watts",
 		"capplan", "time-varying cap plan as start:watts windows, e.g. 0:2500,3600:1500,7200:2500 (excludes -cap)")
-	budget.FileFlag(fs, "capfile", "read the cap plan from a t_s,cap_w CSV file (excludes -cap and -capplan)")
 	ranks := fs.Int("ranks", 64, "cluster size in ranks (ignored when -cluster lists explicit pool sizes)")
 	clusterName := fs.String("cluster", "systemg", "platform: a preset (systemg, dori) or mixed pools like systemg:32,dori:32")
-	capDump := fs.String("capdump", "", "write the active cap plan to this CSV file (requires -capplan or -capfile)")
-	faultSpec := fs.String("faults", "", "fault-injection plan spec, e.g. fail=3@10,mtbf=*:900,mttr=*:120,retries=2,ckpt=30 (excludes -faultfile)")
-	faultFile := fs.String("faultfile", "", "read the fault plan from a kind,subject,t0_s,t1_s,value CSV file (excludes -faults)")
-	mtbf := fs.Float64("mtbf", 0, "wildcard mean time between failures in seconds for every pool (needs -mttr)")
-	mttr := fs.Float64("mttr", 0, "wildcard mean time to repair in seconds for every pool (needs -mtbf)")
-	retries := fs.Int("retries", 3, "retry cap: a job killed after this many restarts is permanently lost")
-	ckpt := fs.Float64("ckpt", 0, "checkpoint interval in seconds (0 disables periodic checkpoints)")
-	restartCost := fs.Float64("restartcost", 0, "restart surcharge in seconds added to every resumed attempt")
+	faultSpec := fs.String("faults", "", "fault-injection plan spec, e.g. fail=3@10,mtbf=*:900,mttr=*:120,retries=2,ckpt=30")
 	policy := fs.String("policy", "all", "policy to run: fifo, ee-max, fair-share, backfill+<name>, or all")
 	backfill := fs.Bool("backfill", false, "wrap every selected policy in EASY backfill reservations")
 	reserve := fs.Int("reserve", 1, "hold backfill reservations for the first K blocked jobs (K>1 implies -backfill)")
@@ -111,61 +99,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	// The fault plan is its spec or file plus one record per knob flag
-	// given; faults' last-wins rule makes the flags override the plan, so
-	// a CSV plan reruns with another retry cap without editing the file.
-	// A plan made of -mtbf/-mttr alone starts from the -retries default.
 	var fplan *faults.Plan
-	switch {
-	case *faultSpec != "" && *faultFile != "":
-		return cli.Usagef("-faults and -faultfile are mutually exclusive")
-	case *faultSpec != "":
-		fplan, err = faults.ParsePlan(*faultSpec)
-		err = cli.Usage(err)
-	case *faultFile != "":
-		fplan, err = cli.ReadFile(*faultFile, faults.ReadCSV)
-	case given["mtbf"]:
-		fplan = &faults.Plan{MaxRetries: *retries}
-	}
-	if err != nil {
-		return err
-	}
-	if given["mtbf"] != given["mttr"] {
-		return cli.Usagef("-mtbf and -mttr must be given together: a failure process without a repair rate (or vice versa) is underspecified")
-	}
-	var knobs []faults.Item
-	for _, k := range []struct {
-		flag string
-		item faults.Item
-	}{
-		{"mtbf", faults.Item{Kind: "mtbf", Subject: "*", Value: *mtbf}},
-		{"mttr", faults.Item{Kind: "mttr", Subject: "*", Value: *mttr}},
-		{"retries", faults.Item{Kind: "retries", Value: float64(*retries)}},
-		{"ckpt", faults.Item{Kind: "ckpt", Value: *ckpt}},
-		{"restartcost", faults.Item{Kind: "restart", Value: *restartCost}},
-	} {
-		if given[k.flag] {
-			knobs = append(knobs, k.item)
-		}
-	}
-	if fplan == nil && len(knobs) > 0 {
-		return cli.Usagef("-retries/-ckpt/-restartcost tune a fault plan; give one with -faults, -faultfile or -mtbf/-mttr")
-	}
-	if fplan != nil {
-		if fplan, err = fplan.With(knobs...); err != nil {
+	if *faultSpec != "" {
+		if fplan, err = faults.ParsePlan(*faultSpec); err != nil {
 			return cli.Usage(err)
-		}
-	}
-	if *capDump != "" {
-		if !timeline {
-			return cli.Usagef("-capdump needs -capplan or -capfile")
-		}
-		if fplan != nil {
-			return cli.Usagef("-capdump exports the budget timeline alone and cannot combine with fault injection: power emergencies reshape the effective cap")
-		}
-		var out cli.Outputs
-		if err := errors.Join(plan.WriteCSV(out.Create(*capDump)), out.Close()); err != nil {
-			return err
 		}
 	}
 

@@ -16,23 +16,21 @@ const chaosPlan = "fail=0@0.3,repair=0@0.8,emer=1.2-1.8:700,retries=3,ckpt=0.1,r
 // to stdout) of the CI smoke invocations, byte for byte, against
 // goldens cut from the parent build.
 func TestTranscripts(t *testing.T) {
-	planCSV := filepath.Join(t.TempDir(), "plan.csv")
 	squeeze := []string{"-jobs", "16", "-ranks", "16", "-reserve", "2"}
 	chaos := []string{"-jobs", "16", "-ranks", "16", "-cap", "900"}
 	for _, tc := range []struct {
 		golden string
 		args   []string
 	}{
-		{"squeeze", append(squeeze, "-capplan", "0:900,1:650,2:900", "-capdump", planCSV)},
-		// The dumped plan re-imports to the identical transcript.
-		{"squeeze", append(squeeze, "-capfile", planCSV)},
+		{"squeeze", append(squeeze, "-capplan", "0:900,1:650,2:900")},
 		{"constant", []string{"-jobs", "16", "-ranks", "16", "-cap", "900", "-policy", "backfill+ee-max"}},
 		{"chaos-fifo", append(chaos, "-policy", "fifo", "-faults", chaosPlan)},
 		{"chaos-ee-max", append(chaos, "-policy", "ee-max", "-faults", chaosPlan)},
 		{"chaos-backfill", append(chaos, "-policy", "backfill+ee-max", "-faults", chaosPlan)},
-		// The knob flags alone, and overriding a CSV plan's retries=3.
-		{"mtbf-flags", append(chaos, "-policy", "backfill+ee-max", "-mtbf", "3", "-mttr", "0.15", "-retries", "8", "-ckpt", "0.1")},
-		{"faultfile-override", append(chaos, "-policy", "ee-max", "-faultfile", "testdata/faults.csv", "-retries", "1")},
+		// A wildcard failure process, and an appended item overriding the
+		// plan's own retries=3.
+		{"mtbf-flags", append(chaos, "-policy", "backfill+ee-max", "-faults", "mtbf=*:3,mttr=*:0.15,retries=8,ckpt=0.1")},
+		{"faultfile-override", append(chaos, "-policy", "ee-max", "-faults", chaosPlan+",retries=1")},
 	} {
 		code, stdout, stderr := clitest.Run(t, run, append(tc.args, "-json", "-")...)
 		if code != 0 || stderr != "" {
@@ -55,30 +53,19 @@ func TestFlagsGolden(t *testing.T) {
 
 // TestExitContract is the ladder as a table: a flag value no schedule
 // can be built from exits 2 with exactly one stderr line, a file that
-// cannot be read or written exits 1, lost jobs exit 4.
+// cannot be written exits 1, lost jobs exit 4.
 func TestExitContract(t *testing.T) {
 	dir := t.TempDir()
 	missing := filepath.Join(dir, "missing", "file")
-	planCSV, events := filepath.Join(dir, "plan.csv"), filepath.Join(dir, "e.ndjson")
-	if err := os.WriteFile(planCSV, []byte("t_s,cap_w\n0,2500\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	events := filepath.Join(dir, "e.ndjson")
 	for _, tc := range []struct {
 		args string
 		code int
 	}{
 		// Contradictory combinations.
-		{"-capplan 0:900 -capfile x.csv", 2},
 		{"-cap 900 -capplan 0:900", 2},
-		{"-cap 900 -capfile " + planCSV, 2},
-		{"-faults retries=1 -faultfile testdata/faults.csv", 2},
-		{"-mtbf 3", 2},
-		{"-mttr 3", 2},
-		{"-retries 2", 2},
-		{"-ckpt 0.1", 2},
-		{"-restartcost 0.1", 2},
-		{"-capdump " + filepath.Join(dir, "p.csv"), 2},
-		{"-capplan 0:2500 -mtbf 3 -mttr 1 -capdump " + filepath.Join(dir, "p.csv"), 2},
+		{"-faults mtbf=*:3", 2}, // a failure process without a repair rate
+		{"-faults mttr=*:3", 2},
 		{"-cluster systemg:32,dori:32 -ranks 16", 2},
 		{"-trace " + filepath.Join(dir, "t.json"), 2},
 		{"-events " + filepath.Join(dir, "e.ndjson"), 2},
@@ -109,16 +96,14 @@ func TestExitContract(t *testing.T) {
 		{"-faults mtbf=*:NaN,mttr=*:1", 2},
 		{"-faults mtbf=*:0,mttr=*:1", 2},
 		{"-faults fail=99@1", 2}, // a rank the cluster does not have
-		{"-mtbf 0 -mttr 1", 2},
-		{"-mtbf -1 -mttr 1", 2},
-		{"-mtbf NaN -mttr 1", 2},
-		{"-mtbf 3 -mttr 1 -retries -1", 2},
-		{"-mtbf 3 -mttr 1 -ckpt -1", 2},
-		{"-mtbf 3 -mttr 1 -ckpt NaN", 2},
-		{"-mtbf 3 -mttr 1 -restartcost Inf", 2},
+		{"-faults mtbf=*:-1,mttr=*:1", 2},
+		{"-faults mtbf=*:3,mttr=*:1,retries=-1", 2},
+		{"-faults mtbf=*:3,mttr=*:1,ckpt=-1", 2},
+		{"-faults mtbf=*:3,mttr=*:1,ckpt=NaN", 2},
+		{"-faults mtbf=*:3,mttr=*:1,restart=Inf", 2},
 		// Sub-µs fault time scales: each run would draw makespan/scale events.
-		{"-jobs 3 -mtbf 1e-300 -mttr 1e-300", 2},
-		{"-jobs 3 -ckpt 1e-300 -mtbf 1 -mttr 1", 2},
+		{"-jobs 3 -faults mtbf=*:1e-300,mttr=*:1e-300", 2},
+		{"-jobs 3 -faults ckpt=1e-300,mtbf=*:1,mttr=*:1", 2},
 		{"-interval -1", 2},
 		{"-interval NaN", 2},
 		{"-interval Inf", 2},
@@ -129,35 +114,17 @@ func TestExitContract(t *testing.T) {
 		{"-nosuchflag", 2},
 		{"-jobs many", 2},
 		// Files.
-		{"-capfile " + missing, 1},
-		{"-capfile testdata/faults.csv", 1}, // not a cap plan
-		{"-faultfile " + missing, 1},
-		{"-capplan 0:2500 -capdump " + missing, 1},
 		{"-policy ee-max -events " + missing, 1},
 		{"-policy ee-max -trace " + missing, 1},
 		{"-policy ee-max -metrics " + missing, 1},
 		{"-json " + missing, 1},
 		{"-cpuprofile " + missing, 1},
 		// Verdicts.
-		{"-jobs 16 -ranks 16 -cap 900 -mtbf 0.5 -mttr 0.2 -retries 0", 4},
+		{"-jobs 16 -ranks 16 -cap 900 -faults mtbf=*:0.5,mttr=*:0.2,retries=0", 4},
 		{"-jobs 0", 0},
 		{"-cluster systemg:16", 0}, // sized by its node count, not the -ranks default
 	} {
-		code, _, stderr := clitest.Run(t, run, append([]string{"-jobs", "4"}, strings.Fields(tc.args)...)...)
-		if code != tc.code {
-			t.Errorf("schedrun %s: exit %d, want %d (stderr %q)", tc.args, code, tc.code, stderr)
-		}
-		lines := strings.Count(stderr, "\n")
-		switch {
-		case strings.Contains(stderr, "goroutine"):
-			t.Errorf("schedrun %s: stderr carries a goroutine dump:\n%s", tc.args, stderr)
-		case tc.code == 0 || tc.code > 2:
-			if stderr != "" {
-				t.Errorf("schedrun %s: want a silent stderr, got %q", tc.args, stderr)
-			}
-		case lines != 1 && !strings.Contains(stderr, "Usage of"): // the flag package appends its usage text
-			t.Errorf("schedrun %s: want exactly one stderr line, got %d:\n%s", tc.args, lines, stderr)
-		}
+		clitest.Exit(t, run, tc.code, append([]string{"-jobs", "4"}, strings.Fields(tc.args)...)...)
 	}
 }
 

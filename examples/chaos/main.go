@@ -126,9 +126,9 @@ func main() {
 		}
 	}
 
-	// The CLI runs the same matrix: schedrun -faults "fail=3@10,..." or
-	// -faultfile plan.csv (-mtbf/-mttr for a wildcard process), exits 3
-	// on any violation and 4 on any permanently lost job.
+	// The CLI runs the same matrix: schedrun -faults "fail=3@10,..."
+	// (mtbf=*:S,mttr=*:S for a wildcard process) exits 3 on any
+	// violation and 4 on any permanently lost job.
 	fmt.Println("CLI recipe: go run ./cmd/schedrun -jobs 24 -ranks 16 -cap 900 \\")
 	fmt.Printf("    -policy backfill+ee-max -faults %q\n", spec)
 }

@@ -12,9 +12,9 @@
 // cap), Steps (explicit demand-response windows), Diurnal (a day-shaped
 // squeeze sampled onto a step grid), and FromSignal (an external price
 // or carbon-intensity series mapped to watts through a budget rule).
-// ParsePlan/String and ReadCSV/WriteCSV round-trip plans through CLI
-// flags and trace files, and ParseSignal reads an external series; all
-// three readers are one (time, value) pair reader over two tokenizers.
+// A plan's one textual form is the "start:watts,…" list ParsePlan reads
+// and String prints; ParseSignal reads an external series in the same
+// (time, value) pair grammar.
 //
 // The scheduler-facing queries are CapAt (the instantaneous budget, the
 // violation audit's reference), MinOver (the minimum cap across a time
@@ -25,10 +25,8 @@
 package capplan
 
 import (
-	"encoding/csv"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"strconv"
@@ -368,32 +366,18 @@ func (p *Plan) Next(t units.Seconds) (at units.Seconds, cap units.Watts, ok bool
 	return p.segs[i].Start, p.segs[i].Cap, true
 }
 
-// join renders every segment as start<kv>watts, sep between segments —
-// the one writer under String and WriteCSV.
-func (p *Plan) join(kv, sep string) string {
-	parts := make([]string, len(p.segs))
-	for i, sg := range p.segs {
-		parts[i] = fmt.Sprintf("%g%s%g", float64(sg.Start), kv, float64(sg.Cap))
-	}
-	return strings.Join(parts, sep)
-}
-
 // String renders the timeline in the "start:watts,start:watts" form
 // ParsePlan accepts, e.g. "0:2500,3600:1500,7200:2500".
-func (p *Plan) String() string { return p.join(":", ",") }
-
-// pair reads one (time, value) sample from its two raw fields — the
-// one number reader under ParsePlan, ParseSignal and ReadCSV.
-func pair(t, v string) (Sample, error) {
-	tf, err0 := strconv.ParseFloat(strings.TrimSpace(t), 64)
-	vf, err1 := strconv.ParseFloat(strings.TrimSpace(v), 64)
-	if err0 != nil || err1 != nil {
-		return Sample{}, fmt.Errorf("capplan: bad numbers in sample %q, %q", t, v)
+func (p *Plan) String() string {
+	parts := make([]string, len(p.segs))
+	for i, sg := range p.segs {
+		parts[i] = fmt.Sprintf("%g:%g", float64(sg.Start), float64(sg.Cap))
 	}
-	return Sample{T: units.Seconds(tf), Value: vf}, nil
+	return strings.Join(parts, ",")
 }
 
-// pairs reads the comma-separated "t:value" list grammar.
+// pairs reads the comma-separated "t:value" list grammar — the one
+// reader under ParsePlan and ParseSignal.
 func pairs(s string) ([]Sample, error) {
 	var out []Sample
 	for _, part := range strings.Split(s, ",") {
@@ -401,31 +385,30 @@ func pairs(s string) ([]Sample, error) {
 		if !ok {
 			return nil, fmt.Errorf("capplan: %q in %q is not t:value", strings.TrimSpace(part), s)
 		}
-		smp, err := pair(t, v)
-		if err != nil {
-			return nil, err
+		tf, err0 := strconv.ParseFloat(strings.TrimSpace(t), 64)
+		vf, err1 := strconv.ParseFloat(strings.TrimSpace(v), 64)
+		if err0 != nil || err1 != nil {
+			return nil, fmt.Errorf("capplan: bad numbers in sample %q, %q", t, v)
 		}
-		out = append(out, smp)
+		out = append(out, Sample{T: units.Seconds(tf), Value: vf})
 	}
 	return out, nil
-}
-
-// fromPairs reads each sample as a (start, watts) window.
-func fromPairs(ps []Sample, err error) (*Plan, error) {
-	if err != nil {
-		return nil, err
-	}
-	segs := make([]Segment, len(ps))
-	for i, s := range ps {
-		segs[i] = Segment{Start: s.T, Cap: units.Watts(s.Value)}
-	}
-	return Steps(segs...)
 }
 
 // ParsePlan builds a plan from a comma-separated "start:watts" list,
 // e.g. "0:2500,3600:1500,7200:2500" — a 2500 W budget squeezed to
 // 1500 W between hours one and two.
-func ParsePlan(s string) (*Plan, error) { return fromPairs(pairs(s)) }
+func ParsePlan(s string) (*Plan, error) {
+	ps, err := pairs(s)
+	if err != nil {
+		return nil, err
+	}
+	segs := make([]Segment, len(ps))
+	for i, smp := range ps {
+		segs[i] = Segment{Start: smp.T, Cap: units.Watts(smp.Value)}
+	}
+	return Steps(segs...)
+}
 
 // ParseSignal reads an external series in the same "t:value,…" grammar
 // (a carbon-intensity curve, a price trace) and validates it.
@@ -435,37 +418,4 @@ func ParseSignal(s string) ([]Sample, error) {
 		return nil, err
 	}
 	return signal, ValidateSignal(signal)
-}
-
-// WriteCSV emits the timeline as "t_s,cap_w" rows — the external-trace
-// interchange format ReadCSV accepts back.
-func (p *Plan) WriteCSV(w io.Writer) error {
-	_, err := fmt.Fprintf(w, "t_s,cap_w\n%s\n", p.join(",", "\n"))
-	return err
-}
-
-// ReadCSV parses a "t_s,cap_w" trace (header optional) into a plan —
-// the import path for externally logged budget or tariff series.
-func ReadCSV(r io.Reader) (*Plan, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = 2
-	cr.TrimLeadingSpace = true
-	var ps []Sample
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			return fromPairs(ps, nil)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("capplan: reading plan CSV: %w", err)
-		}
-		if len(ps) == 0 && strings.EqualFold(strings.TrimSpace(rec[0]), "t_s") {
-			continue // header row
-		}
-		smp, err := pair(rec[0], rec[1])
-		if err != nil {
-			return nil, err
-		}
-		ps = append(ps, smp)
-	}
 }

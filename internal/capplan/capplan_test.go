@@ -156,14 +156,10 @@ func TestValidation(t *testing.T) {
 			t.Errorf("case %d: invalid plan accepted: %v", i, segs)
 		}
 	}
-	// Every other way in goes through the same check.
+	// The spec goes through the same check.
 	for _, spec := range []string{"0:NaN", "0:+Inf", "0:100,NaN:90", "0:100,Inf:90"} {
 		if _, err := ParsePlan(spec); err == nil {
 			t.Errorf("ParsePlan(%q) accepted a non-finite plan", spec)
-		}
-		csv := "t_s,cap_w\n" + strings.NewReplacer(":", ",", ",", "\n").Replace(spec) + "\n"
-		if _, err := ReadCSV(strings.NewReader(csv)); err == nil {
-			t.Errorf("ReadCSV(%q) accepted a non-finite plan", csv)
 		}
 	}
 	nanBudget := func(v, lo, hi float64) units.Watts { return units.Watts(math.NaN()) }
@@ -258,39 +254,14 @@ func TestParseAndStringRoundTrip(t *testing.T) {
 	if back.String() != p.String() {
 		t.Fatalf("round trip mutated the plan: %q vs %q", back.String(), p.String())
 	}
-	for _, bad := range []string{"", "10:100", "0:100,abc", "0:0", "0:100,50", "0:100,,200:50"} {
+	// A hand-written spelling prints canonically.
+	if hand, err := ParsePlan(" 0:900, 10:650.0"); err != nil || hand.String() != "0:900,10:650" {
+		t.Fatalf("hand-written plan = %v, %v", hand, err)
+	}
+	for _, bad := range []string{"", "10:100", "0:abc", "0:100,abc", "0:0", "0:100,50", "0:100,,200:50"} {
 		if _, err := ParsePlan(bad); err == nil {
 			t.Errorf("ParsePlan(%q) accepted", bad)
 		}
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	p := squeeze(t)
-	var b strings.Builder
-	if err := p.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCSV(strings.NewReader(b.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.String() != p.String() {
-		t.Fatalf("CSV round trip mutated the plan: %q vs %q", back.String(), p.String())
-	}
-	// Headerless files parse too.
-	noHeader, err := ReadCSV(strings.NewReader("0,900\n10,650\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if noHeader.String() != "0:900,10:650" {
-		t.Fatalf("headerless parse: %q", noHeader.String())
-	}
-	if _, err := ReadCSV(strings.NewReader("t_s,cap_w\n0,abc\n")); err == nil {
-		t.Fatal("bad CSV row must be rejected")
-	}
-	if _, err := ReadCSV(strings.NewReader("")); err == nil {
-		t.Fatal("empty CSV must be rejected")
 	}
 }
 
@@ -327,10 +298,10 @@ func TestValidateSignal(t *testing.T) {
 	}
 }
 
-// TestFromSignalCSVRoundTrip pins the interchange path for derived
-// plans: a signal-driven plan with non-integral caps survives both the
-// CSV and the String/ParsePlan round trips bit-exactly.
-func TestFromSignalCSVRoundTrip(t *testing.T) {
+// TestFromSignalSpecRoundTrip pins the interchange path for derived
+// plans: a signal-driven plan with non-integral caps survives the
+// String/ParsePlan round trip bit-exactly.
+func TestFromSignalSpecRoundTrip(t *testing.T) {
 	signal := []Sample{
 		{T: 0, Value: 20},
 		{T: 97.25, Value: 45},
@@ -346,26 +317,12 @@ func TestFromSignalCSVRoundTrip(t *testing.T) {
 		t.Fatalf("fixture lost its point: cap %v is integral", got)
 	}
 
-	var b strings.Builder
-	if err := p.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCSV(strings.NewReader(b.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Segments()) != len(p.Segments()) {
-		t.Fatalf("CSV round trip changed segment count")
-	}
-	for i, sg := range back.Segments() {
-		if want := p.Segments()[i]; sg != want {
-			t.Errorf("CSV round trip segment %d: %+v, want %+v (bit-exact)", i, sg, want)
-		}
-	}
-
 	reparsed, err := ParsePlan(p.String())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(reparsed.Segments()) != len(p.Segments()) {
+		t.Fatalf("String round trip changed segment count")
 	}
 	for i, sg := range reparsed.Segments() {
 		if want := p.Segments()[i]; sg != want {
@@ -460,6 +417,7 @@ func TestParseSignal(t *testing.T) {
 func FuzzParsePlan(f *testing.F) {
 	f.Add("0:2500,3600:1500,7200:2500")
 	f.Add(" 0: 900 ,1e-7:650.5")
+	f.Add("0:900,\t1:650.0,2:9e2")
 	f.Fuzz(func(t *testing.T, spec string) {
 		p, err := ParsePlan(spec)
 		if err != nil {
@@ -468,25 +426,6 @@ func FuzzParsePlan(f *testing.F) {
 		back, err := ParsePlan(p.String())
 		if err != nil || !reflect.DeepEqual(back, p) {
 			t.Fatalf("ParsePlan(%q) = %q, which reparses to %v, %v", spec, p, back, err)
-		}
-	})
-}
-
-func FuzzReadCSV(f *testing.F) {
-	f.Add("t_s,cap_w\n0,900\n10,650\n")
-	f.Add("0, 900\n 10,650\n")
-	f.Fuzz(func(t *testing.T, data string) {
-		p, err := ReadCSV(strings.NewReader(data))
-		if err != nil {
-			return
-		}
-		var b strings.Builder
-		if err := p.WriteCSV(&b); err != nil {
-			t.Fatal(err)
-		}
-		back, err := ReadCSV(strings.NewReader(b.String()))
-		if err != nil || !reflect.DeepEqual(back, p) {
-			t.Fatalf("ReadCSV(%q) = %q, which re-reads as %v, %v", data, p, back, err)
 		}
 	})
 }

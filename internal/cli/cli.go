@@ -145,63 +145,36 @@ func TraceFlags(fs *flag.FlagSet, n int) (seed *int64, jobs func() ([]sched.Job,
 	}
 }
 
-// Budget is the power-budget flag group: a constant -cap, or a timeline
-// from a spec flag or (optionally) a CSV file flag — exactly one source.
+// Budget is the power-budget flag group: a constant -cap or a timeline
+// spec flag — exactly one source.
 type Budget struct {
-	cap                *float64
-	specFlag, fileFlag string
-	spec, file         *string
+	cap  *float64
+	spec *string
 }
 
 // BudgetFlags registers -cap and the timeline spec flag under the name
 // and usage the command gives it.
 func BudgetFlags(fs *flag.FlagSet, cap float64, capUsage, specFlag, specUsage string) *Budget {
 	return &Budget{
-		cap:      fs.Float64("cap", cap, capUsage),
-		specFlag: specFlag,
-		spec:     fs.String(specFlag, "", specUsage),
-		file:     new(string),
+		cap:  fs.Float64("cap", cap, capUsage),
+		spec: fs.String(specFlag, "", specUsage),
 	}
-}
-
-// FileFlag adds the CSV-file source to the group.
-func (b *Budget) FileFlag(fs *flag.FlagSet, name, usage string) {
-	b.fileFlag, b.file = name, fs.String(name, "", usage)
 }
 
 // Plan resolves the group to the budget timeline; timeline reports
-// whether it came from a spec or file rather than the constant -cap.
+// whether it came from the spec rather than the constant -cap.
 func (b *Budget) Plan(given map[string]bool) (plan *capplan.Plan, timeline bool, err error) {
-	switch {
-	case *b.spec != "" && *b.file != "":
-		err = Usagef("-%s and -%s are mutually exclusive", b.specFlag, b.fileFlag)
-	case *b.spec != "":
-		plan, err = capplan.ParsePlan(*b.spec)
-		err = Usage(err)
-	case *b.file != "":
-		plan, err = ReadFile(*b.file, capplan.ReadCSV)
-	default:
+	if *b.spec == "" {
 		plan, err = capplan.Steps(capplan.Segment{Cap: units.Watts(*b.cap)})
 		return plan, false, Usage(err)
 	}
-	if err == nil && given["cap"] {
-		err = Usagef("-cap cannot combine with a budget timeline; put the constant in the plan's first window instead")
+	if plan, err = capplan.ParsePlan(*b.spec); err != nil {
+		return nil, false, Usage(err)
 	}
-	if err != nil {
-		return nil, false, err
+	if given["cap"] {
+		return nil, false, Usagef("-cap cannot combine with a budget timeline; put the constant in the plan's first window instead")
 	}
 	return plan, true, nil
-}
-
-// ReadFile opens path, parses it and closes it.
-func ReadFile[T any](path string, parse func(io.Reader) (T, error)) (T, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	defer f.Close()
-	return parse(f)
 }
 
 // Sweep returns a registry's whole contents in name order, with the

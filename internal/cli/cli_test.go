@@ -121,11 +121,6 @@ func TestSelect(t *testing.T) {
 }
 
 func TestBudget(t *testing.T) {
-	dir := t.TempDir()
-	csv := filepath.Join(dir, "plan.csv")
-	if err := os.WriteFile(csv, []byte("0,900\n1,650\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
 		args     string
 		plan     string
@@ -135,19 +130,14 @@ func TestBudget(t *testing.T) {
 		{"", "0:2500", false, 0},
 		{"-cap 900", "0:900", false, 0},
 		{"-plan 0:900,1:650", "0:900,1:650", true, 0},
-		{"-file " + csv, "0:900,1:650", true, 0},
 		{"-cap NaN", "", false, 2},
 		{"-cap 0", "", false, 2},
 		{"-plan bogus", "", false, 2},
-		{"-plan 0:900 -file " + csv, "", false, 2},
 		{"-cap 900 -plan 0:900", "", false, 2},
-		{"-cap 900 -file " + csv, "", false, 2},
-		{"-file " + filepath.Join(dir, "missing.csv"), "", false, 1},
 	} {
 		fs := flag.NewFlagSet("t", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		b := BudgetFlags(fs, 2500, "cap", "plan", "plan spec")
-		b.FileFlag(fs, "file", "plan file")
 		given, err := Parse(fs, strings.Fields(tc.args))
 		var got string
 		var timeline bool

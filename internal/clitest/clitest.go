@@ -17,6 +17,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -78,4 +79,29 @@ func Golden(t *testing.T, name, got string) {
 				name, path, i+1, line(g, i), line(w, i))
 		}
 	}
+}
+
+// Exit runs one row of a command's exit table and checks the stream
+// rules of the exit ladder: the run exits want and never dumps
+// goroutines; on exit 0, 3 or 4 stderr is silent (-h prints its usage
+// there instead); on exit 1 or 2 it is exactly one line, unless the flag
+// package appended its usage text. It returns stdout for rules of the
+// command's own.
+func Exit(t *testing.T, run Func, want int, args ...string) (stdout string) {
+	t.Helper()
+	code, stdout, stderr := Run(t, run, args...)
+	if code != want {
+		t.Errorf("%q: exit %d, want %d (stderr %q)", args, code, want, stderr)
+	}
+	switch lines := strings.Count(stderr, "\n"); {
+	case strings.Contains(stderr, "goroutine"):
+		t.Errorf("%q: stderr carries a goroutine dump:\n%s", args, stderr)
+	case want == 0 || want > 2:
+		if (stderr != "") != slices.Contains(args, "-h") {
+			t.Errorf("%q: unexpected stderr %q", args, stderr)
+		}
+	case lines != 1 && !strings.Contains(stderr, "Usage of"): // the flag package appends its usage text
+		t.Errorf("%q: want exactly one stderr line, got %d:\n%s", args, lines, stderr)
+	}
+	return stdout
 }

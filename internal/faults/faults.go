@@ -9,19 +9,15 @@
 // same (seed, plan) pair always reproduces the same fault schedule and
 // therefore the same bit-identical simulation.
 //
-// Outside the program a plan is a flat list of (kind, subject, t0, t1,
-// value) records (Item). The spec string ("fail=3@10,mtbf=*:900,…") and
-// the CSV file are two tokenizations of that list over one table of
-// per-kind forms, String and WriteCSV its two renderings, and one
-// builder turns records into a validated Plan — so both spellings accept
-// and reject the same plans, round-trip, and command-line overrides are
-// just more records (With).
+// Outside the program a plan has one textual form, the spec string
+// ("fail=3@10,mtbf=*:900,…") that ParsePlan reads and String prints.
+// Both walk one table of per-kind forms over a flat list of (kind,
+// subject, t0, t1, value) records, and one builder turns the records
+// into a validated Plan; a knob or pool half named twice is last-wins.
 package faults
 
 import (
-	"encoding/csv"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"strconv"
@@ -205,8 +201,8 @@ func (p *Plan) EffectiveCaps(base *capplan.Plan) (*capplan.Plan, error) {
 	return capplan.Steps(segs...)
 }
 
-// Item is one record of a plan, in the shape of a CSV row.
-type Item struct {
+// item is one record of a plan.
+type item struct {
 	// Kind is fail, repair, mtbf, mttr, emer, retries, ckpt or restart.
 	Kind string
 	// Subject is the rank (fail, repair) or the pool (mtbf, mttr).
@@ -220,7 +216,7 @@ type Item struct {
 
 // forms gives each kind's value syntax in the spec grammar: S is the
 // subject, 0 and 1 the times, V the value, any other byte a literal
-// separator. The same letters name the CSV columns a kind's row fills.
+// separator.
 var forms = map[string]string{
 	"fail": "S@0", "repair": "S@0",
 	"mtbf": "S:V", "mttr": "S:V",
@@ -228,17 +224,8 @@ var forms = map[string]string{
 	"retries": "V", "ckpt": "V", "restart": "V",
 }
 
-// csvHeader is the canonical column set of the CSV form; csvCol maps a
-// form letter to its column.
-const csvHeader = "kind,subject,t0_s,t1_s,value"
-
-var csvCol = map[byte]int{'S': 1, '0': 2, '1': 3, 'V': 4}
-
-// csvKind is how the CSV form spells emer.
-const csvKind = "emergency"
-
 // num is the numeric sub-field a form letter names.
-func (it *Item) num(field byte) *float64 {
+func (it *item) num(field byte) *float64 {
 	switch field {
 	case '0':
 		return &it.T0
@@ -249,7 +236,7 @@ func (it *Item) num(field byte) *float64 {
 }
 
 // set stores one raw sub-field, trimmed, under its form letter.
-func (it *Item) set(field byte, raw string) (err error) {
+func (it *item) set(field byte, raw string) (err error) {
 	if raw = strings.TrimSpace(raw); field == 'S' {
 		it.Subject = raw
 	} else if *it.num(field), err = strconv.ParseFloat(raw, 64); err != nil {
@@ -258,41 +245,41 @@ func (it *Item) set(field byte, raw string) (err error) {
 	return err
 }
 
-// get renders the sub-field under a form letter. A spec never spells a
-// negative exponent or a negative zero: the "-" would read back as an
-// emer window separator.
-func (it Item) get(field byte, spec bool) string {
+// get renders the sub-field under a form letter, never as a negative
+// exponent or a negative zero: the "-" would read back as an emer window
+// separator.
+func (it item) get(field byte) string {
 	if field == 'S' {
 		return it.Subject
 	}
 	v := *it.num(field) + 0 // -0 + 0 is +0
 	s := strconv.FormatFloat(v, 'g', -1, 64)
-	if spec && strings.Contains(s, "e-") {
+	if strings.Contains(s, "e-") {
 		s = strconv.FormatFloat(v, 'f', -1, 64)
 	}
 	return s
 }
 
 // items enumerates the plan as records, zero-valued knobs omitted — the
-// one list String and WriteCSV render.
-func (p *Plan) items() []Item {
-	var items []Item
+// list String renders.
+func (p *Plan) items() []item {
+	var items []item
 	for _, s := range p.Scripted {
 		kind := "fail"
 		if s.Repair {
 			kind = "repair"
 		}
-		items = append(items, Item{Kind: kind, Subject: strconv.Itoa(s.Rank), T0: float64(s.T)})
+		items = append(items, item{Kind: kind, Subject: strconv.Itoa(s.Rank), T0: float64(s.T)})
 	}
 	for _, r := range p.Rates {
 		items = append(items,
-			Item{Kind: "mtbf", Subject: r.Pool, Value: float64(r.MTBF)},
-			Item{Kind: "mttr", Subject: r.Pool, Value: float64(r.MTTR)})
+			item{Kind: "mtbf", Subject: r.Pool, Value: float64(r.MTBF)},
+			item{Kind: "mttr", Subject: r.Pool, Value: float64(r.MTTR)})
 	}
 	for _, e := range p.Emergencies {
-		items = append(items, Item{Kind: "emer", T0: float64(e.Start), T1: float64(e.End), Value: float64(e.Cap)})
+		items = append(items, item{Kind: "emer", T0: float64(e.Start), T1: float64(e.End), Value: float64(e.Cap)})
 	}
-	for _, knob := range []Item{{Kind: "retries", Value: float64(p.MaxRetries)},
+	for _, knob := range []item{{Kind: "retries", Value: float64(p.MaxRetries)},
 		{Kind: "ckpt", Value: float64(p.CheckpointEvery)}, {Kind: "restart", Value: float64(p.RestartCost)}} {
 		if knob.Value != 0 {
 			items = append(items, knob)
@@ -301,10 +288,10 @@ func (p *Plan) items() []Item {
 	return items
 }
 
-// build is the one constructor behind ParsePlan, ReadCSV and With. A
-// repeated knob or pool half is last-wins; a pool keeps the position of
-// its first mention; presence, not a zero value, marks an mtbf/mttr half.
-func build(items []Item) (*Plan, error) {
+// build turns ParsePlan's records into a validated plan. A repeated knob
+// or pool half is last-wins; a pool keeps the position of its first
+// mention; presence, not a zero value, marks an mtbf/mttr half.
+func build(items []item) (*Plan, error) {
 	p := &Plan{}
 	var have [][2]bool // per p.Rates entry: mtbf given, mttr given
 	for _, it := range items {
@@ -340,8 +327,6 @@ func build(items []Item) (*Plan, error) {
 			p.CheckpointEvery = units.Seconds(it.Value)
 		case "restart":
 			p.RestartCost = units.Seconds(it.Value)
-		default:
-			return nil, fmt.Errorf("faults: unknown item kind %q", it.Kind)
 		}
 	}
 	for i, r := range p.Rates {
@@ -355,14 +340,6 @@ func build(items []Item) (*Plan, error) {
 	return p, nil
 }
 
-// With rebuilds the plan with items appended to its record list, so a
-// knob or pool half named again replaces the plan's own value (build's
-// last-wins rule) — how command-line flags override a plan read from a
-// spec or file.
-func (p *Plan) With(items ...Item) (*Plan, error) {
-	return build(append(p.items(), items...))
-}
-
 // String renders the plan in the spec grammar ParsePlan accepts, so
 // ParsePlan(p.String()) reproduces p.
 func (p *Plan) String() string {
@@ -373,8 +350,8 @@ func (p *Plan) String() string {
 		}
 		b.WriteString(it.Kind + "=")
 		for _, c := range []byte(forms[it.Kind]) {
-			if _, field := csvCol[c]; field {
-				b.WriteString(it.get(c, true))
+			if strings.IndexByte("S01V", c) >= 0 {
+				b.WriteString(it.get(c))
 			} else {
 				b.WriteByte(c)
 			}
@@ -400,13 +377,13 @@ func (p *Plan) String() string {
 // names an MTBF must also name an MTTR (and vice versa). A knob or pool
 // half given twice is last-wins ("retries=1,retries=2" retries twice).
 func ParsePlan(spec string) (*Plan, error) {
-	items := make([]Item, 0, strings.Count(spec, ",")+1)
+	items := make([]item, 0, strings.Count(spec, ",")+1)
 	for _, field := range strings.Split(spec, ",") {
 		if field = strings.TrimSpace(field); field == "" {
 			continue
 		}
 		key, val, ok := strings.Cut(field, "=")
-		it := Item{Kind: strings.TrimSpace(key)}
+		it := item{Kind: strings.TrimSpace(key)}
 		form, known := forms[it.Kind]
 		if !ok || !known {
 			return nil, fmt.Errorf("faults: item %q is not a known key=value", field)
@@ -420,68 +397,6 @@ func ParsePlan(spec string) (*Plan, error) {
 				}
 			}
 			if err := it.set(form[i], raw); err != nil {
-				return nil, err
-			}
-		}
-		items = append(items, it)
-	}
-	return build(items)
-}
-
-// WriteCSV renders the plan as CSV, one row per item:
-//
-//	kind      subject  t0_s  t1_s  value
-//	fail      rank     t     —     —
-//	repair    rank     t     —     —
-//	mtbf      pool     —     —     seconds, then the pool's mttr row
-//	emergency —        t0    t1    watts
-//	retries   —        —     —     n
-//	ckpt      —        —     —     seconds
-//	restart   —        —     —     seconds
-//
-// ReadCSV(WriteCSV(p)) reproduces p.
-func (p *Plan) WriteCSV(w io.Writer) error {
-	rows := [][]string{strings.Split(csvHeader, ",")}
-	for _, it := range p.items() {
-		row := make([]string, 5)
-		for _, c := range []byte(forms[it.Kind]) {
-			if col, field := csvCol[c]; field {
-				row[col] = it.get(c, false)
-			}
-		}
-		if row[0] = it.Kind; it.Kind == "emer" {
-			row[0] = csvKind
-		}
-		rows = append(rows, row)
-	}
-	return csv.NewWriter(w).WriteAll(rows) // flushes
-}
-
-// ReadCSV parses the WriteCSV form. The header row is recognised and
-// skipped when present; columns a kind does not use are ignored.
-func ReadCSV(r io.Reader) (*Plan, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = 5
-	cr.TrimLeadingSpace = true
-	recs, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("faults: csv: %v", err)
-	}
-	if len(recs) > 0 && strings.EqualFold(recs[0][0], "kind") {
-		recs = recs[1:]
-	}
-	var items []Item
-	for _, rec := range recs {
-		it := Item{Kind: strings.TrimSpace(rec[0])}
-		if it.Kind == csvKind {
-			it.Kind = "emer"
-		}
-		form, known := forms[it.Kind]
-		if !known {
-			return nil, fmt.Errorf("faults: csv: unknown kind %q", rec[0])
-		}
-		for i := 0; i < len(form); i += 2 {
-			if err := it.set(form[i], rec[csvCol[form[i]]]); err != nil {
 				return nil, err
 			}
 		}

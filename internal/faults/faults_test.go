@@ -1,7 +1,6 @@
 package faults
 
 import (
-	"bytes"
 	"math"
 	"reflect"
 	"strings"
@@ -118,33 +117,6 @@ func TestRatesForExactBeatsWildcard(t *testing.T) {
 	}
 }
 
-func TestCSVRoundTrip(t *testing.T) {
-	p := testPlan()
-	var buf bytes.Buffer
-	if err := p.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(buf.String(), csvHeader+"\n") {
-		t.Fatalf("csv missing header: %q", buf.String())
-	}
-	got, err := ReadCSV(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("ReadCSV: %v\ncsv:\n%s", err, buf.String())
-	}
-	if !reflect.DeepEqual(got, p) {
-		t.Fatalf("csv round trip:\n got %+v\nwant %+v\ncsv:\n%s", got, p, buf.String())
-	}
-	// Headerless CSV parses too (a hand-written file).
-	body := strings.SplitN(buf.String(), "\n", 2)[1]
-	got2, err := ReadCSV(strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got2, p) {
-		t.Fatal("headerless csv differs")
-	}
-}
-
 func TestEffectiveCapsNoEmergenciesSamePointer(t *testing.T) {
 	base := capplan.Constant(2500)
 	p := &Plan{Scripted: []Scripted{{Rank: 0, T: 1}}}
@@ -246,9 +218,8 @@ func TestValidateCatchesBadPlans(t *testing.T) {
 }
 
 // TestTimescaleFloor: a positive MTBF, MTTR or checkpoint interval below
-// 1 µs is rejected by every way a plan is built — Validate, the spec
-// string, the CSV file and a With override — because a run draws
-// makespan/scale events from it. The floor itself, a zero checkpoint
+// 1 µs is rejected both by Validate and by the spec string, because a
+// run draws makespan/scale events from it. The floor itself, a zero checkpoint
 // interval (off) and any restart cost stay legal.
 func TestTimescaleFloor(t *testing.T) {
 	for _, c := range []struct {
@@ -264,14 +235,8 @@ func TestTimescaleFloor(t *testing.T) {
 		{Plan{CheckpointEvery: 0, RestartCost: 0}, true},
 		{Plan{RestartCost: 1e-300}, true},
 	} {
-		var csvBuf bytes.Buffer
-		if err := c.plan.WriteCSV(&csvBuf); err != nil {
-			t.Fatal(err)
-		}
 		_, parseErr := ParsePlan(c.plan.String())
-		_, csvErr := ReadCSV(&csvBuf)
-		_, withErr := (&Plan{}).With(c.plan.items()...)
-		for _, err := range []error{c.plan.Validate(), parseErr, csvErr, withErr} {
+		for _, err := range []error{c.plan.Validate(), parseErr} {
 			if (err == nil) != c.ok {
 				t.Errorf("%q: error %v, want ok=%v", c.plan.String(), err, c.ok)
 			} else if err != nil && !strings.Contains(err.Error(), "below the 1µs floor") {
@@ -287,9 +252,6 @@ func TestTimescaleFloor(t *testing.T) {
 func TestGrammarEdges(t *testing.T) {
 	if _, err := ParsePlan("mtbf=*:0,mttr=*:1"); err == nil || !strings.Contains(err.Error(), "MTBF 0s must be positive") {
 		t.Errorf("a zero MTBF is a present, invalid half: got %v", err)
-	}
-	if _, err := ReadCSV(strings.NewReader("mtbf,*,,,0\nmttr,*,,,1\n")); err == nil || !strings.Contains(err.Error(), "MTBF 0s must be positive") {
-		t.Errorf("csv: a zero MTBF is a present, invalid half: got %v", err)
 	}
 	spaced, err := ParsePlan(" fail = 3 @ 1 , mtbf= * : 900 ,mttr=*: 120, emer = 2 - 4 : 600 ,retries= 2 ")
 	if err != nil {
@@ -319,33 +281,26 @@ func TestGrammarEdges(t *testing.T) {
 	}
 }
 
-// TestWithOverrides is schedrun's override path: records appended to a
-// plan's own list replace its knobs and wildcard halves, keep its exact
-// per-pool entries, and pass through the same validation.
+// TestWithOverrides: items appended to a plan's spec replace its knobs
+// and wildcard halves, keep its exact per-pool entries, and pass through
+// the same validation — how a plan reruns with another retry cap or
+// failure rate without retyping the rest.
 func TestWithOverrides(t *testing.T) {
-	p, err := ParsePlan("fail=0@1,mtbf=*:900,mttr=*:120,mtbf=dori:5,mttr=dori:1,retries=3,ckpt=30")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := p.With(
-		Item{Kind: "mtbf", Subject: "*", Value: 3}, Item{Kind: "mttr", Subject: "*", Value: 0.15},
-		Item{Kind: "retries", Value: 8}, Item{Kind: "restart", Value: 0.5})
+	const base = "fail=0@1,mtbf=*:900,mttr=*:120,mtbf=dori:5,mttr=dori:1,retries=3,ckpt=30"
+	got, err := ParsePlan(base + ",mtbf=*:3,mttr=*:0.15,retries=8,restart=0.5")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := "fail=0@1,mtbf=*:3,mttr=*:0.15,mtbf=dori:5,mttr=dori:1,retries=8,ckpt=30,restart=0.5"; got.String() != want {
 		t.Errorf("overridden plan = %q, want %q", got, want)
 	}
-	if same, err := p.With(); err != nil || !reflect.DeepEqual(same, p) {
-		t.Errorf("With() = %v, %v; want the plan unchanged", same, err)
-	}
-	for _, bad := range []Item{
-		{Kind: "retries", Value: -1}, {Kind: "ckpt", Value: math.NaN()},
-		{Kind: "mtbf", Subject: "new", Value: 5}, // a half without its pair
-		{Kind: "bogus"},
+	for _, bad := range []string{
+		"retries=-1", "ckpt=NaN",
+		"mtbf=new:5", // a half without its pair
+		"bogus=1",
 	} {
-		if _, err := p.With(bad); err == nil {
-			t.Errorf("With(%+v) accepted", bad)
+		if _, err := ParsePlan(base + "," + bad); err == nil {
+			t.Errorf("%s appended to the plan accepted", bad)
 		}
 	}
 }
@@ -354,6 +309,7 @@ func FuzzParsePlan(f *testing.F) {
 	f.Add(testPlan().String())
 	f.Add("fail=3@10,repair=3@60,mtbf=*:900,mttr=*:120,emer=20-40:600,retries=2,ckpt=30,restart=5")
 	f.Add(" fail = 3 @ 1 ,retries=1,retries=2,emer=0.00001-1:5,ckpt=-0")
+	f.Add("fail= 3 @1,mtbf=ab:5,mttr=ab:1,emer=0-1:600")
 	f.Fuzz(func(t *testing.T, spec string) {
 		p, err := ParsePlan(spec)
 		if err != nil {
@@ -362,29 +318,6 @@ func FuzzParsePlan(f *testing.F) {
 		back, err := ParsePlan(p.String())
 		if err != nil || !reflect.DeepEqual(back, p) {
 			t.Fatalf("ParsePlan(%q) = %q, which reparses to %v, %v", spec, p, back, err)
-		}
-	})
-}
-
-func FuzzReadCSV(f *testing.F) {
-	var seed bytes.Buffer
-	if err := testPlan().WriteCSV(&seed); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed.String())
-	f.Add("fail, 3 ,1,,\nmtbf,\"a,b\",,,5\nmttr,\"a,b\",,,1\nemergency,,0,1,600\n")
-	f.Fuzz(func(t *testing.T, data string) {
-		p, err := ReadCSV(strings.NewReader(data))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := p.WriteCSV(&buf); err != nil {
-			t.Fatal(err)
-		}
-		back, err := ReadCSV(&buf)
-		if err != nil || !reflect.DeepEqual(back, p) {
-			t.Fatalf("ReadCSV(%q) = %q, which re-reads as %v, %v", data, p, back, err)
 		}
 	})
 }

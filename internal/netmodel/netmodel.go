@@ -12,7 +12,6 @@
 package netmodel
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/units"
@@ -42,14 +41,6 @@ func (h Hockney) MessageTime(size units.Bytes) units.Seconds {
 		panic(fmt.Sprintf("netmodel: negative message size %v", size))
 	}
 	return h.Ts + units.Seconds(float64(size)*float64(h.Tb))
-}
-
-// Validate reports whether the parameters are physical.
-func (h Hockney) Validate() error {
-	if h.Ts < 0 || h.Tb < 0 {
-		return errors.New("netmodel: Hockney parameters must be non-negative")
-	}
-	return nil
 }
 
 // LogGP is the Culler et al. extension separating sender overhead (O),

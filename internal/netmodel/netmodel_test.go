@@ -20,15 +20,6 @@ func TestHockneyLinear(t *testing.T) {
 	}
 }
 
-func TestHockneyValidate(t *testing.T) {
-	if err := (Hockney{Ts: -1}).Validate(); err == nil {
-		t.Fatal("negative Ts must fail validation")
-	}
-	if err := InfiniBand40G().Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestHockneyNegativeSizePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -36,7 +36,6 @@ const (
 	Microsecond Seconds = 1e-6
 	Millisecond Seconds = 1e-3
 
-	KHz Hertz = 1e3
 	MHz Hertz = 1e6
 	GHz Hertz = 1e9
 
