@@ -254,14 +254,34 @@ func TestParseAndStringRoundTrip(t *testing.T) {
 	if back.String() != p.String() {
 		t.Fatalf("round trip mutated the plan: %q vs %q", back.String(), p.String())
 	}
-	// A hand-written spelling prints canonically.
-	if hand, err := ParsePlan(" 0:900, 10:650.0"); err != nil || hand.String() != "0:900,10:650" {
-		t.Fatalf("hand-written plan = %v, %v", hand, err)
-	}
-	for _, bad := range []string{"", "10:100", "0:abc", "0:100,abc", "0:0", "0:100,50", "0:100,,200:50"} {
+	for _, bad := range []string{"", "10:100", "0:100,abc", "0:0", "0:100,50", "0:100,,200:50"} {
 		if _, err := ParsePlan(bad); err == nil {
 			t.Errorf("ParsePlan(%q) accepted", bad)
 		}
+	}
+}
+
+// TestHandWrittenSpec pins the spec as an interchange form: a plan built
+// in code survives String/ParsePlan, a hand-written spelling prints
+// canonically, and a non-numeric cap is rejected.
+func TestHandWrittenSpec(t *testing.T) {
+	p := squeeze(t)
+	back, err := ParsePlan(p.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back.Segments(), p.Segments()) {
+		t.Fatalf("spec round trip mutated the plan: %q vs %q", back.String(), p.String())
+	}
+	hand, err := ParsePlan(" 0:900, 10:650.0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hand.String() != "0:900,10:650" {
+		t.Fatalf("hand-written plan prints %q", hand.String())
+	}
+	if _, err := ParsePlan("0:abc"); err == nil {
+		t.Fatal("non-numeric cap must be rejected")
 	}
 }
 
