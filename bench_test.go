@@ -416,8 +416,9 @@ func BenchmarkSchedule(b *testing.B) {
 // normal disabled-telemetry path (every emit site short-circuits on one
 // nil test; DESIGN.md §9), each other variant the same schedule with
 // that exporter streaming to io.Discard. ns/job, B/job and allocs/job
-// against the "off" row are what a schedrun -events/-rollup/-trace user
-// pays for looking; the events metric is the stream's length.
+// against the "off" row are what a schedrun -events/-rollup user pays
+// for looking (chrometrace prices the sink traceq chrome folds the
+// stream through); the events metric is the stream's length.
 func BenchmarkScheduleTelemetry(b *testing.B) {
 	const jobs = 1024
 	trace := sched.SyntheticTrace(sched.TraceConfig{Jobs: jobs, Seed: 1})

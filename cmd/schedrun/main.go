@@ -22,10 +22,11 @@
 //   - -backfill wraps every policy in EASY reservations (sched.Backfill);
 //     -reserve K holds them for the first K blocked jobs and implies it.
 //     A wrapped policy can be named directly: -policy backfill+ee-max.
-//   - -trace (Chrome trace JSON), -events (NDJSON, or a -rollup CSV),
-//     -metrics (CSV) and -audit (internal/traceq text) record one
+//   - -events (NDJSON, or a -rollup CSV) and -metrics (CSV) record one
 //     schedule's decision stream, so they need -policy NAME; with
-//     -repeat N they record the final repetition only.
+//     -repeat N they record the final repetition only. Every other view
+//     of the stream is a cmd/traceq fold over the NDJSON: traceq chrome
+//     for a Perfetto trace, traceq why and traceq summary for the text.
 //   - -repeat, -cpuprofile and -memprofile profile the scheduler hot
 //     path without a test binary; the table reports the last repetition.
 package main
@@ -37,7 +38,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 
 	"repro/internal/cli"
 	"repro/internal/faults"
@@ -45,7 +45,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
-	"repro/internal/traceq"
 	"repro/internal/units"
 )
 
@@ -66,10 +65,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	interval := fs.Float64("interval", 0, "governor sampling interval in seconds (0 = the 25ms default; negative is rejected)")
 	edge := fs.Bool("edge", false, "retune on admission/completion edges in addition to the sampling grid")
 	detail := fs.Bool("detail", false, "print per-job tables")
-	tracePath := fs.String("trace", "", "write a Chrome trace-event JSON timeline (Perfetto) to this file (needs -policy NAME)")
 	eventsPath := fs.String("events", "", "write the decision event stream as NDJSON to this file (needs -policy NAME)")
 	metricsPath := fs.String("metrics", "", "write sim-time metrics as CSV to this file (needs -policy NAME)")
-	audit := fs.String("audit", "", `print a decision audit: "summary", "all", or a job ID (needs -policy NAME)`)
 	jsonPath := cli.JSONFlag(fs)
 	verbose := fs.Bool("v", false, "print a one-line host-side summary (wall time, events/s, opcache hit rate, allocations) after each policy run")
 	rollup := fs.Float64("rollup", 0, "aggregate -events into sim-time buckets of this width in seconds: a bounded-memory CSV rollup instead of raw NDJSON")
@@ -143,18 +140,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// The telemetry flags record one schedule's decision stream; an
 	// interleaving of several independent schedules would attribute
 	// events to the wrong run, so they demand a single named policy.
-	telemetryOn := *tracePath != "" || *eventsPath != "" || *metricsPath != "" || *audit != ""
+	telemetryOn := *eventsPath != "" || *metricsPath != ""
 	if telemetryOn && len(policies) > 1 {
-		return cli.Usagef("-trace/-events/-metrics/-audit record a single schedule; select one policy with -policy NAME")
+		return cli.Usagef("-events/-metrics record a single schedule; select one policy with -policy NAME")
 	}
 	if *rollup > 0 && *eventsPath == "" {
 		return cli.Usagef("-rollup aggregates the -events stream; give it a destination with -events FILE")
-	}
-	auditJob := -1
-	if *audit != "" && *audit != "summary" && *audit != "all" {
-		if auditJob, err = strconv.Atoi(*audit); err != nil || auditJob < 0 {
-			return cli.Usagef("-audit %q: want \"summary\", \"all\", or a job ID", *audit)
-		}
 	}
 
 	if timeline {
@@ -193,14 +184,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	// once runs one repetition of one policy's schedule, leaving its
-	// observers in mem and host. Telemetry records only the final
+	// host-side observer in host. Telemetry records only the final
 	// repetition (record): repetitions are identical, and the earlier
 	// ones exist purely as a profiling workload that should stay free of
 	// sink I/O.
-	var mem *telemetry.MemorySink
 	var host *obs.Host
 	once := func(pol sched.Policy, record bool) (sched.Result, error) {
-		mem, host = nil, nil
+		host = nil
 		cfg := sched.Config{
 			Platform:   platform,
 			Ranks:      clusterRanks,
@@ -229,13 +219,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 				cfg.Telemetry.AddSink(rs)
 			} else if *eventsPath != "" {
 				cfg.Telemetry.AddSink(telemetry.NewNDJSONSink(out.Create(*eventsPath)))
-			}
-			if *tracePath != "" {
-				cfg.Telemetry.AddSink(telemetry.NewChromeTraceSink(out.Create(*tracePath)))
-			}
-			if *audit != "" {
-				mem = telemetry.NewMemorySink()
-				cfg.Telemetry.AddSink(mem)
 			}
 			if *metricsPath != "" {
 				cfg.Telemetry.Metrics().StreamCSV(out.Create(*metricsPath))
@@ -286,31 +269,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		if *detail {
 			fmt.Fprintf(stdout, "== %s ==\n%s\n", res.Policy, res.JobTable())
-		}
-		if mem != nil {
-			// "all" is every job's why, then the summary; an ID is that
-			// job's why alone.
-			var ids []int
-			if auditJob >= 0 {
-				ids = []int{auditJob}
-			} else if *audit == "all" {
-				for _, j := range res.Jobs {
-					ids = append(ids, j.ID)
-				}
-			}
-			evs := mem.Events()
-			for _, id := range ids {
-				if err := traceq.Why(stdout, evs, id); err != nil {
-					return err
-				}
-				fmt.Fprintln(stdout)
-			}
-			if auditJob < 0 {
-				if err := traceq.Summary(stdout, evs); err != nil {
-					return err
-				}
-				fmt.Fprintln(stdout)
-			}
 		}
 	}
 

@@ -67,13 +67,9 @@ func TestExitContract(t *testing.T) {
 		{"-faults mtbf=*:3", 2}, // a failure process without a repair rate
 		{"-faults mttr=*:3", 2},
 		{"-cluster systemg:32,dori:32 -ranks 16", 2},
-		{"-trace " + filepath.Join(dir, "t.json"), 2},
 		{"-events " + filepath.Join(dir, "e.ndjson"), 2},
 		{"-metrics " + filepath.Join(dir, "m.csv"), 2},
-		{"-audit summary", 2},
 		{"-policy ee-max -rollup 0.25", 2},
-		{"-policy ee-max -audit bogus", 2},
-		{"-policy ee-max -audit -3", 2},
 		// Malformed or out-of-range values.
 		{"-policy bogus", 2},
 		{"-cluster bogus", 2},
@@ -115,7 +111,6 @@ func TestExitContract(t *testing.T) {
 		{"-jobs many", 2},
 		// Files.
 		{"-policy ee-max -events " + missing, 1},
-		{"-policy ee-max -trace " + missing, 1},
 		{"-policy ee-max -metrics " + missing, 1},
 		{"-json " + missing, 1},
 		{"-cpuprofile " + missing, 1},

@@ -1,11 +1,13 @@
 // Command traceq queries NDJSON decision traces offline (the logs
-// schedrun -events and fedrun -events write). It is a thin CLI over
+// schedrun -events and fedrun -events write): every view of a run's
+// decisions is a fold over that one stream. It is a thin CLI over
 // internal/traceq:
 //
 //	traceq why <job> <trace.ndjson>     one job's causal admission chain
 //	traceq critpath <trace.ndjson>      longest dependency chain to makespan
 //	traceq windows <trace.ndjson>       per-cap-window rollup table
 //	traceq summary <trace.ndjson>       events per kind, ranked block reasons, violations
+//	traceq chrome <trace.ndjson>        Chrome trace-event JSON for Perfetto on stdout
 //	traceq merge [site=]a.ndjson ...    deterministic cross-site merge (NDJSON on stdout)
 //
 // Exit codes are internal/cli's: 0 success, 1 I/O or query error, 2
@@ -35,6 +37,8 @@ commands:
   windows <trace.ndjson>        per-cap-window rollup table
   summary <trace.ndjson>        stream-wide totals: events per kind,
                                 ranked block reasons, cap violations
+  chrome <trace.ndjson>         the stream as Chrome trace-event JSON on
+                                stdout (open it in ui.perfetto.dev)
   merge [site=]a.ndjson [site=]b.ndjson ...
                                 merge traces by sim time into one NDJSON
                                 stream on stdout, stamping Site from the
@@ -73,15 +77,15 @@ func run(args []string, stdout, _ io.Writer) error {
 			return usagef("why takes a job ID and one trace file")
 		}
 		job, err := strconv.Atoi(args[0])
-		if err != nil {
-			return usagef("job must be an integer, got %q", args[0])
+		if err != nil || job < 0 {
+			return usagef("job must be a non-negative integer, got %q", args[0])
 		}
 		evs, err := load(args[1])
 		if err != nil {
 			return err
 		}
 		return traceq.Why(stdout, evs, job)
-	case "critpath", "windows", "summary":
+	case "critpath", "windows", "summary", "chrome":
 		if len(args) != 1 {
 			return usagef("%s takes one trace file", cmd)
 		}
@@ -91,6 +95,7 @@ func run(args []string, stdout, _ io.Writer) error {
 		}
 		query := map[string]func(io.Writer, []telemetry.Event) error{
 			"critpath": traceq.Critpath, "windows": traceq.Windows, "summary": traceq.Summary,
+			"chrome": traceq.Chrome,
 		}[cmd]
 		return query(stdout, evs)
 	case "merge":

@@ -10,15 +10,18 @@ import (
 )
 
 // events is the scheduler's golden NDJSON stream (faults, a cap plan,
-// backfill reservations); worstWaiter is the admitted job with the
+// backfill reservations), chromeTrace the Chrome trace a sink attached
+// to the same run wrote; worstWaiter is the admitted job with the
 // largest wait_s in it.
 const (
 	events      = "../../internal/sched/testdata/golden_events.ndjson"
+	chromeTrace = "../../internal/sched/testdata/golden_trace.json"
 	worstWaiter = "23"
 )
 
 // TestTranscripts pins the four queries' stdout over the golden stream,
-// byte for byte, against goldens cut from the parent build.
+// byte for byte, against goldens cut from the parent build, and the
+// chrome fold against the in-run sink's golden.
 func TestTranscripts(t *testing.T) {
 	for _, tc := range []struct {
 		golden string
@@ -34,6 +37,17 @@ func TestTranscripts(t *testing.T) {
 			t.Fatalf("%s: exit %d, stderr %q", tc.golden, code, stderr)
 		}
 		clitest.Golden(t, tc.golden, stdout)
+	}
+	want, err := os.ReadFile(chromeTrace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, stderr := clitest.Run(t, run, "chrome", events)
+	if code != 0 || stderr != "" {
+		t.Fatalf("chrome: exit %d, stderr %q", code, stderr)
+	}
+	if stdout != string(want) {
+		t.Errorf("chrome over %s differs from %s (%d vs %d bytes)", events, chromeTrace, len(stdout), len(want))
 	}
 }
 
@@ -71,11 +85,17 @@ func TestExitContract(t *testing.T) {
 	dir := t.TempDir()
 	missing := filepath.Join(dir, "missing.ndjson")
 	garbled, empty := filepath.Join(dir, "garbled.ndjson"), filepath.Join(dir, "empty.ndjson")
-	if err := os.WriteFile(garbled, []byte("{bad\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(empty, nil, 0o644); err != nil {
-		t.Fatal(err)
+	// overflow decodes, but its admit time is past what a float holds in
+	// trace microseconds.
+	overflow := filepath.Join(dir, "overflow.ndjson")
+	for path, body := range map[string]string{
+		garbled:  "{bad\n",
+		empty:    "",
+		overflow: `{"t":-5,"ev":"finish","job":1}` + "\n" + `{"t":1e308,"ev":"admit","job":1,"wait_s":1e308}` + "\n",
+	} {
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, tc := range []struct {
 		args string
@@ -86,6 +106,7 @@ func TestExitContract(t *testing.T) {
 		{"why many " + events, 2},
 		{"why " + events, 2},
 		{"why 1 " + events + " " + events, 2},
+		{"why -1 " + events, 2}, // telemetry.NoJob, the ID of every system event
 		{"critpath", 2},
 		{"windows " + events + " " + events, 2},
 		{"merge", 2},
@@ -93,12 +114,14 @@ func TestExitContract(t *testing.T) {
 		{"merge east=" + events + " west=" + missing, 1},
 		{"critpath " + garbled, 1},
 		{"why 99999 " + events, 1}, // a job the trace never mentions
+		{"chrome " + overflow, 1},
 		// An empty trace: no job to explain, no finish to walk back from;
 		// the two tables render empty.
 		{"why 1 " + empty, 1},
 		{"critpath " + empty, 1},
 		{"windows " + empty, 0},
 		{"summary " + empty, 0},
+		{"chrome " + empty, 0},
 		{"merge " + empty, 0},
 	} {
 		code, _, stderr := clitest.Run(t, run, strings.Fields(tc.args)...)

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/capplan"
 	"repro/internal/telemetry"
+	"repro/internal/traceq"
 	"repro/internal/units"
 )
 
@@ -17,13 +18,13 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata/golde
 // goldenStreams runs the one scenario the stream goldens are cut from —
 // 96 jobs on systemg:16,dori:16 under a two-window plan, scripted and
 // MTBF faults with checkpoints and an emergency, backfill+ee-max with
-// edge retunes, seed 1 — with every exporter attached, and returns each
-// stream's bytes plus the retained events.
-func goldenStreams(t *testing.T) (streams map[string]*bytes.Buffer, events []telemetry.Event) {
+// edge retunes, seed 1 — with every in-run exporter attached, and
+// returns each stream's bytes. The Chrome trace is not among them: it
+// is a fold over the NDJSON stream.
+func goldenStreams(t *testing.T) (streams map[string]*bytes.Buffer) {
 	t.Helper()
 	streams = map[string]*bytes.Buffer{
 		"golden_events.ndjson": {},
-		"golden_trace.json":    {},
 		"golden_metrics.csv":   {},
 		"golden_rollup.csv":    {},
 	}
@@ -31,13 +32,7 @@ func goldenStreams(t *testing.T) (streams map[string]*bytes.Buffer, events []tel
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := telemetry.NewMemorySink()
-	rec := telemetry.New(
-		telemetry.NewNDJSONSink(streams["golden_events.ndjson"]),
-		telemetry.NewChromeTraceSink(streams["golden_trace.json"]),
-		rollup,
-		mem,
-	)
+	rec := telemetry.New(telemetry.NewNDJSONSink(streams["golden_events.ndjson"]), rollup)
 	rec.Metrics().StreamCSV(streams["golden_metrics.csv"])
 
 	cfg := Config{
@@ -66,20 +61,48 @@ func goldenStreams(t *testing.T) (streams map[string]*bytes.Buffer, events []tel
 	if err := rec.Metrics().Err(); err != nil {
 		t.Fatal(err)
 	}
-	return streams, mem.Events()
+	return streams
 }
 
 // The four exporter streams are pinned byte for byte: the goldens were
 // cut from the encoding/json + fmt encoders, so any encoder change must
-// reproduce every escape, float form and omitted field exactly.
+// reproduce every escape, float form and omitted field exactly. The
+// Chrome trace is pinned as what traceq chrome makes of the decoded
+// NDJSON stream, and replaying that stream into a rollup sink must give
+// the in-run rollup: both are folds over the one event stream.
 func TestStreamGoldens(t *testing.T) {
-	streams, events := goldenStreams(t)
+	streams := goldenStreams(t)
+	decoded, err := telemetry.DecodeNDJSON(bytes.NewReader(streams["golden_events.ndjson"].Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams["golden_trace.json"] = new(bytes.Buffer)
+	if err := traceq.Chrome(streams["golden_trace.json"], decoded); err != nil {
+		t.Fatal(err)
+	}
+	var rollup bytes.Buffer
+	rs, err := telemetry.NewRollupSink(&rollup, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range decoded {
+		if err := rs.Write(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rollup.Bytes(), streams["golden_rollup.csv"].Bytes()) {
+		t.Errorf("rollup of the decoded NDJSON differs from the in-run rollup (first difference at byte %d)",
+			firstDiff(rollup.Bytes(), streams["golden_rollup.csv"].Bytes()))
+	}
 
 	// The scenario is only a pin if it reaches every kind a single-site
 	// scheduler emits on a noise-free run (EvRoute is the federation
 	// frontend's, EvViolation needs a noisy meter).
 	seen := map[telemetry.Kind]bool{}
-	for _, ev := range events {
+	for _, ev := range decoded {
 		seen[ev.Kind] = true
 	}
 	for k := telemetry.EvArrive; k <= telemetry.EvEmergency; k++ {

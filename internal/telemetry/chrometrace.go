@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bufio"
+	"cmp"
 	"io"
 
 	"repro/internal/units"
@@ -121,8 +122,13 @@ func (s *ChromeTraceSink) begin(head string, pid int) *jbuf {
 	return b.raw(head).int(int64(pid))
 }
 
-// emit writes the event rendered in s.ev.
+// emit writes the event rendered in s.ev, unless it holds a number JSON
+// cannot carry (a sim time past ~1.8e302 s overflows µs): that fails
+// the sink for good.
 func (s *ChromeTraceSink) emit() {
+	if s.err == nil {
+		s.err = cmp.Or(s.ev.err, s.args.err)
+	}
 	if s.err == nil {
 		_, s.err = s.w.Write(s.ev.b)
 	}

@@ -2,7 +2,9 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"reflect"
 	"strings"
@@ -175,9 +177,10 @@ func TestKindByName(t *testing.T) {
 }
 
 // FuzzDecodeNDJSON feeds the decoder arbitrary bytes: it never panics,
-// and a stream it accepts re-encodes through NDJSONSink to bytes that
+// a stream it accepts re-encodes through NDJSONSink to bytes that
 // decode to the same events (modulo what the format cannot carry — see
-// decoded). Seeded with the first line of every kind in the scheduler's
+// decoded), and folds through ChromeTraceSink to valid JSON or an
+// error. Seeded with the first line of every kind in the scheduler's
 // golden event stream, plus its opening lines as one multi-line input.
 func FuzzDecodeNDJSON(f *testing.F) {
 	golden, err := os.ReadFile("../sched/testdata/golden_events.ndjson")
@@ -195,6 +198,7 @@ func FuzzDecodeNDJSON(f *testing.F) {
 	}
 	f.Add([]byte(`{"t":-0,"ev":"arrive","rank":3,"ranks":[],"job":-1,"w":-0,"app":"\ud800"}` + "\r\n\n"))
 	f.Add([]byte("{\"t\":0,\"ev\":\"arrive\"}\nnot json"))
+	f.Add([]byte(`{"t":-5,"ev":"finish","job":1}` + "\n" + `{"t":1e308,"ev":"admit","job":1,"wait_s":1e308}`))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		evs, err := DecodeNDJSON(bytes.NewReader(in))
 		if err != nil {
@@ -219,5 +223,21 @@ func FuzzDecodeNDJSON(f *testing.F) {
 				t.Fatalf("event %d changed across a re-encode:\n got %+v\nwant %+v", i, again[i], want)
 			}
 		}
+		buf.Reset()
+		if chromeFold(&buf, evs) == nil && !json.Valid(buf.Bytes()) {
+			t.Fatalf("Chrome trace of %d decoded events is not JSON:\n%s", len(evs), buf.Bytes())
+		}
 	})
+}
+
+// chromeFold replays evs through a ChromeTraceSink into w, returning the
+// first error.
+func chromeFold(w io.Writer, evs []Event) error {
+	s := NewChromeTraceSink(w)
+	for _, ev := range evs {
+		if err := s.Write(ev); err != nil {
+			return err
+		}
+	}
+	return s.Close()
 }

@@ -1,9 +1,12 @@
 // Package telemetry is the scheduler's observability layer (DESIGN.md
 // §9): a structured, sim-time-stamped event stream explaining every
 // scheduling decision, a metrics registry sampled on scheduling edges,
-// and streaming exporters — NDJSON event logs and Chrome trace-event
-// JSON whose tracks open directly in Perfetto. The text view of a
-// stream (any job's lifecycle, the run's totals) is internal/traceq's.
+// and streaming exporters. The NDJSON event log is the run's one record
+// of its decisions; every other view is a fold over it in
+// internal/traceq — the Chrome trace-event JSON that opens directly in
+// Perfetto (rendered by this package's ChromeTraceSink) and the text
+// views (any job's lifecycle, the run's totals). Besides it, only the
+// bounded-memory rollup and the metrics CSV are written in the run.
 //
 // The contract that keeps it free when unused: a nil *Recorder is a
 // valid recorder whose methods are no-ops, and every emit site in the
@@ -306,10 +309,10 @@ func (s siteSink) Write(ev Event) error {
 
 func (s siteSink) Close() error { return s.inner.Close() }
 
-// MemorySink retains the whole event stream in memory — the backing
-// store of schedrun -audit's traceq queries and of the tests. Ranks slices are copied so
-// retained events stay valid after the scheduler mutates its free
-// lists.
+// MemorySink retains the whole event stream in memory, for callers
+// that query a run without an NDJSON round trip (the tests). Ranks
+// slices are copied so retained events stay valid after the scheduler
+// mutates its free lists.
 type MemorySink struct {
 	events []Event
 }

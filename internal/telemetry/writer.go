@@ -22,8 +22,9 @@ import (
 // encoding/json itself.
 type jbuf struct {
 	b []byte
-	// err is the first value float could not render (NaN, ±Inf), as the
-	// error encoding/json reports for it; reset clears it.
+	// err is the first value float or fixed could not render as JSON
+	// (NaN, ±Inf), as the error encoding/json reports for it; reset
+	// clears it.
 	err error
 }
 
@@ -69,11 +70,19 @@ func (j *jbuf) esc(s string) *jbuf {
 // latch err.
 func (j *jbuf) float(f float64) *jbuf {
 	b, ok := appendFloat(j.b, f)
-	if !ok && j.err == nil {
-		j.err = &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	if !ok {
+		j.latch(f)
 	}
 	j.b = b
 	return j
+}
+
+// latch records f as the value JSON cannot carry, unless err already
+// holds an earlier one.
+func (j *jbuf) latch(f float64) {
+	if j.err == nil {
+		j.err = &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
 }
 
 // floatMemo holds the last value memoFloat rendered and its text.
@@ -115,8 +124,13 @@ func (j *jbuf) optInt(key string, v int) {
 	}
 }
 
-// fixed appends f with prec decimals (fmt's %.<prec>f).
+// fixed appends f with prec decimals (fmt's %.<prec>f). NaN and ±Inf
+// latch err as float does but still append fmt's text, which the CSV
+// writers print.
 func (j *jbuf) fixed(f float64, prec int) *jbuf {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		j.latch(f)
+	}
 	j.b = strconv.AppendFloat(j.b, f, 'f', prec, 64)
 	return j
 }

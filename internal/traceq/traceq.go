@@ -12,6 +12,7 @@
 //     peak power, violations per budget window).
 //   - Summary: stream-wide totals — events per kind, ranked block
 //     reasons, violations.
+//   - Chrome: the stream as Chrome trace-event JSON for Perfetto.
 //   - Merge: a deterministic cross-site merge of federated traces
 //     keyed by Event.Site.
 //
@@ -407,6 +408,22 @@ func Summary(w io.Writer, evs []telemetry.Event) error {
 	}
 	_, err := io.WriteString(w, out.String())
 	return err
+}
+
+// Chrome writes evs as Chrome trace-event JSON (open it in
+// https://ui.perfetto.dev): byte for byte what a ChromeTraceSink
+// attached to the run would have written.
+func Chrome(w io.Writer, evs []telemetry.Event) error {
+	sink := telemetry.NewChromeTraceSink(w)
+	for i := range evs {
+		if err := sink.Write(evs[i]); err != nil {
+			return fmt.Errorf("traceq: chrome: event %d (%s): %w", i+1, evs[i].Kind, err)
+		}
+	}
+	if err := sink.Close(); err != nil {
+		return fmt.Errorf("traceq: chrome: %w", err)
+	}
+	return nil
 }
 
 // NamedTrace is one input to Merge: a site label and its decoded

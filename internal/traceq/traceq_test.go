@@ -71,8 +71,8 @@ func lifecycle() []telemetry.Event {
 	}
 }
 
-// The lifecycle lines of an admitted and a rejected job — what schedrun
-// -audit ID prints.
+// The lifecycle lines of an admitted and a rejected job — what traceq
+// why ID prints.
 func TestWhyLifecycleLines(t *testing.T) {
 	for job, wants := range map[int][]string{
 		0: {"job 0 (FT):", "arrive   t=0.000", "admit    t=0.000 pool=cpu p=4 f=2.40GHz",
