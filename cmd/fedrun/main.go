@@ -143,7 +143,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 					rec.AddSink(telemetry.WithSite(site, telemetry.NewNDJSONSink(f)))
 				}
 				if srv != nil {
-					rec.AddSink(obs.NewPublisher(srv, site, hostFor(site), rec.Metrics(), 0))
+					rec.AddSink(obs.NewPublisher(srv, site, hostFor(site), rec.Metrics()))
 				}
 				return rec
 			}

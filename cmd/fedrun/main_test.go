@@ -85,6 +85,8 @@ func TestExitContract(t *testing.T) {
 		{[]string{"-local", "west=0:5"}, 2},
 		{[]string{"-sites", "a=systemg:16;a=systemg:16"}, 2},
 		{[]string{"-sites", "=systemg:16"}, 2},
+		// Over the platform rank bound: refused before any rank is built.
+		{[]string{"-sites", "east=systemg:99999999999", "-cap", "1e15", "-split", "static-share", "-route", "ee", "-jobs", "2"}, 2},
 		{[]string{"-batch", "-1"}, 2},
 		{[]string{"-batch", "NaN"}, 2},
 		{[]string{"-slack", "NaN"}, 2},

@@ -240,7 +240,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			if cfg.Telemetry == nil {
 				cfg.Telemetry = out.Recorder()
 			}
-			cfg.Telemetry.AddSink(obs.NewPublisher(srv, pol.Name(), host, cfg.Telemetry.Metrics(), 0))
+			cfg.Telemetry.AddSink(obs.NewPublisher(srv, pol.Name(), host, cfg.Telemetry.Metrics()))
 		}
 		// What New rejects is a flag value: the cap, the platform, a
 		// fault plan scripting a rank the cluster does not have.

@@ -74,6 +74,7 @@ func TestExitContract(t *testing.T) {
 		{"-policy bogus", 2},
 		{"-cluster bogus", 2},
 		{"-cluster systemg:0", 2},
+		{"-cluster systemg:99999999999 -jobs 3", 2}, // over the platform rank bound
 		{"-jobs -1", 2},
 		{"-ranks -4", 2},
 		{"-ranks 0 -cap 100000", 2}, // not the whole 325-node preset

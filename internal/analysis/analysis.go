@@ -239,80 +239,6 @@ func IsoEnergyFunction(spec machine.Spec, v app.Vector, f units.Hertz, ps []int,
 	return out, nil
 }
 
-// OperatingPoint is a power-constrained optimiser recommendation.
-type OperatingPoint struct {
-	Point
-	Feasible bool
-}
-
-// Objective selects the figure of merit a power-constrained search
-// optimises over the joint (p, f) grid.
-type Objective int
-
-const (
-	// MinTime picks the shortest predicted runtime (the original
-	// OptimizeUnderPowerBudget behaviour).
-	MinTime Objective = iota
-	// MaxEE picks the highest iso-energy-efficiency — the admission
-	// objective of the sched package's EE-aware policies.
-	MaxEE
-	// MinEnergy picks the lowest predicted parallel energy Ep.
-	MinEnergy
-)
-
-func (o Objective) String() string {
-	switch o {
-	case MinTime:
-		return "min-time"
-	case MaxEE:
-		return "max-ee"
-	case MinEnergy:
-		return "min-energy"
-	default:
-		return fmt.Sprintf("objective(%d)", int(o))
-	}
-}
-
-// Better reports whether a beats b under the objective. Ties cascade
-// through the secondary metrics and finally fall to lower frequency and
-// smaller p, so a grid scan always selects one deterministic winner
-// regardless of enumeration order — admission decisions made from this
-// comparison replay identically across runs.
-//
-// MaxEE compares EE in half-percent bins rather than raw floats: EE
-// differences below that are model noise (EP's EE is ≈ 1 at every
-// frequency, FT's moves in the fourth decimal across the ladder), and
-// latching onto them would trade real joules for phantom efficiency.
-// Within a bin, lower predicted energy wins — EE picks the shape
-// (parallelism, where overhead genuinely moves EE), energy picks the
-// frequency.
-func (o Objective) Better(a, b Point) bool {
-	type keyed struct{ k1, k2, k3 float64 }
-	key := func(pt Point) keyed {
-		switch o {
-		case MaxEE:
-			return keyed{-math.Round(pt.EE * 200), float64(pt.Ep), float64(pt.Tp)}
-		case MinEnergy:
-			return keyed{float64(pt.Ep), float64(pt.Tp), -pt.EE}
-		default: // MinTime
-			return keyed{float64(pt.Tp), float64(pt.Ep), -pt.EE}
-		}
-	}
-	ka, kb := key(a), key(b)
-	switch {
-	case ka.k1 != kb.k1:
-		return ka.k1 < kb.k1
-	case ka.k2 != kb.k2:
-		return ka.k2 < kb.k2
-	case ka.k3 != kb.k3:
-		return ka.k3 < kb.k3
-	case a.Freq != b.Freq:
-		return a.Freq < b.Freq
-	default:
-		return a.P < b.P
-	}
-}
-
 // powersOfTwo lists 1, 2, 4, … up to max — the default sweep of a
 // machine or of one pool's deployed core count.
 func powersOfTwo(max int) []int {
@@ -368,39 +294,52 @@ func ForEachOperatingPoint(pl machine.Platform, v app.Vector, n float64, ps []in
 	return nil
 }
 
-// OptimizeUnderPowerBudgetBy searches the platform's per-pool (p, f)
+// OptimizeUnderPowerBudget searches the platform's per-pool (p, f)
 // grids — every parallelism in ps against each pool's whole DVFS ladder
-// — and returns the operating point optimising the objective among those
-// whose average system power stays within budget. Parallelisms beyond a
-// pool's size are skipped for that pool rather than recommended, and
-// ties break deterministically (see Objective.Better; equal points from
-// different pools keep the earlier pool). A nil ps sweeps powers of two
-// up to each pool's size.
-func OptimizeUnderPowerBudgetBy(pl machine.Platform, v app.Vector, n float64, ps []int, budget units.Watts, obj Objective) (OperatingPoint, error) {
+// — and returns the fastest operating point whose average system power
+// stays within budget: "power-constrained parallel computation" made
+// concrete. Parallelisms beyond a pool's size are skipped for that pool
+// rather than recommended, and ties break deterministically (see
+// faster; equal points from different pools keep the earlier pool). A
+// nil ps sweeps powers of two up to each pool's size.
+func OptimizeUnderPowerBudget(pl machine.Platform, v app.Vector, n float64, ps []int, budget units.Watts) (Point, error) {
 	if budget <= 0 {
-		return OperatingPoint{}, fmt.Errorf("analysis: power budget %v must be positive", budget)
+		return Point{}, fmt.Errorf("analysis: power budget %v must be positive", budget)
 	}
-	best := OperatingPoint{}
+	var best Point
+	found := false
 	err := ForEachOperatingPoint(pl, v, n, ps, func(pt Point) {
 		if pt.AvgPower > budget {
 			return
 		}
-		if !best.Feasible || obj.Better(pt, best.Point) {
-			best = OperatingPoint{Point: pt, Feasible: true}
+		if !found || faster(pt, best) {
+			best, found = pt, true
 		}
 	})
 	if err != nil {
-		return OperatingPoint{}, err
+		return Point{}, err
 	}
-	if !best.Feasible {
-		return best, fmt.Errorf("analysis: no (p, f) meets the %v budget for %s at n=%g", budget, v.Name, n)
+	if !found {
+		return Point{}, fmt.Errorf("analysis: no (p, f) meets the %v budget for %s at n=%g", budget, v.Name, n)
 	}
 	return best, nil
 }
 
-// OptimizeUnderPowerBudget is OptimizeUnderPowerBudgetBy with the
-// MinTime objective — "power-constrained parallel computation" made
-// concrete: the fastest operating point that respects the budget.
-func OptimizeUnderPowerBudget(pl machine.Platform, v app.Vector, n float64, ps []int, budget units.Watts) (OperatingPoint, error) {
-	return OptimizeUnderPowerBudgetBy(pl, v, n, ps, budget, MinTime)
+// faster reports whether a beats b as a power-budget recommendation:
+// shorter predicted runtime, then lower energy Ep, then higher EE, and
+// finally lower frequency and smaller p, so a grid scan selects one
+// deterministic winner regardless of enumeration order.
+func faster(a, b Point) bool {
+	switch {
+	case a.Tp != b.Tp:
+		return a.Tp < b.Tp
+	case a.Ep != b.Ep:
+		return a.Ep < b.Ep
+	case a.EE != b.EE:
+		return a.EE > b.EE
+	case a.Freq != b.Freq:
+		return a.Freq < b.Freq
+	default:
+		return a.P < b.P
+	}
 }

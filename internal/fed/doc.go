@@ -31,8 +31,9 @@
 // against revisable per-site plans. Un-negotiated future windows carry
 // the guaranteed floor; at each global breakpoint every site pauses at
 // a common sim-time barrier, the last arriver re-derives the *next*
-// window's caps from the reported operating mixes (capplan.SetCaps,
-// raise-only), and all sites resume. Raising a floor can never
+// window's caps from each site's reported mix efficiency
+// (sched.Scheduler.MixEE, handed to the policy as SplitContext.MixEE;
+// capplan.SetCaps, raise-only), and all sites resume. Raising a floor can never
 // manufacture a violation, so the zero-violation guarantee survives
 // re-negotiation; negotiating one window ahead keeps the scheduler's
 // pre-drop throttle edges and control-cap lookahead exact. See

@@ -156,13 +156,13 @@ type Federation struct {
 
 // barrier is one negotiation rendezvous: every site pauses at sim time
 // t; the last arriver divides global window `window` from the reported
-// states and releases the rest.
+// mix efficiencies and releases the rest.
 type barrier struct {
 	t        units.Seconds
 	window   int
 	arrived  int
 	released bool
-	states   []sched.Snapshot
+	mixEE    []float64
 }
 
 // Run executes the federated schedule: route every job to a site, run
@@ -395,22 +395,10 @@ func (f *Federation) capFor(i, g int, d []float64) units.Watts {
 // discretionary asks the split policy to divide segment g and
 // normalises the answer: negatives clamp to zero, and a degenerate
 // division (wrong length, all-zero) falls back to the static shares.
-func (f *Federation) discretionary(g int, states []sched.Snapshot) []float64 {
-	ctx := SplitContext{
-		T0:     f.cuts[g],
-		T1:     f.segEnd(g),
-		Global: f.global[g],
-		Window: f.gwin[g],
-		Sites:  make([]SiteFacts, len(f.sites)),
-		States: states,
-	}
+func (f *Federation) discretionary(g int, mixEE []float64) []float64 {
+	ctx := SplitContext{Sites: make([]SiteFacts, len(f.sites)), MixEE: mixEE}
 	for i, sr := range f.sites {
-		ctx.Sites[i] = SiteFacts{
-			Name:      sr.site.Name,
-			Weight:    float64(sr.ranks),
-			Ranks:     sr.ranks,
-			HasCarbon: sr.intensity != nil,
-		}
+		ctx.Sites[i] = SiteFacts{Weight: float64(sr.ranks), HasCarbon: sr.intensity != nil}
 		if sr.intensity != nil {
 			ctx.Sites[i].Intensity = sr.intensity[g]
 		}
@@ -530,7 +518,7 @@ func (f *Federation) buildSchedulers() error {
 		f.barriers[b] = barrier{
 			t:      bps[b],
 			window: b + 2,
-			states: make([]sched.Snapshot, len(f.sites)),
+			mixEE:  make([]float64, len(f.sites)),
 		}
 	}
 	for _, sr := range f.sites {
@@ -539,7 +527,7 @@ func (f *Federation) buildSchedulers() error {
 			b := b
 			t := f.barriers[b].t
 			if err := sr.sched.At(t, func() {
-				f.await(b, sr.idx, sr.sched.Snapshot())
+				f.await(b, sr.idx, sr.sched.MixEE())
 			}); err != nil {
 				return fmt.Errorf("fed: site %q barrier: %w", sr.site.Name, err)
 			}
@@ -554,14 +542,14 @@ func (f *Federation) buildSchedulers() error {
 // this function, so the plan revision races with no reader — and
 // releases the rest. A failed site aborts every pending and future
 // barrier instead of deadlocking the survivors.
-func (f *Federation) await(b, site int, snap sched.Snapshot) {
+func (f *Federation) await(b, site int, mixEE float64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.failed {
 		return
 	}
 	bar := &f.barriers[b]
-	bar.states[site] = snap
+	bar.mixEE[site] = mixEE
 	bar.arrived++
 	if bar.arrived == len(f.sites) {
 		f.negotiate(bar)
@@ -597,7 +585,7 @@ func (f *Federation) negotiate(bar *barrier) {
 		if f.gwin[g] != bar.window {
 			continue
 		}
-		d := f.discretionary(g, bar.states)
+		d := f.discretionary(g, bar.mixEE)
 		for i, sr := range f.sites {
 			if err := sr.plan.SetCaps(f.cuts[g], f.segEnd(g), f.capFor(i, g, d)); err != nil {
 				// Unreachable by construction (negotiated ≥ floor,

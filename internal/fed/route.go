@@ -23,32 +23,26 @@ type Quote struct {
 	// of the job's fastest runtime across the whole federation — a slow
 	// site cannot grade itself on a curve).
 	OK bool
-	// EE, Tp, P and Pool describe the EE-best eligible point.
-	EE   float64
-	Tp   units.Seconds
-	P    int
-	Pool string
+	// EE, Tp and P describe the EE-best eligible point.
+	EE float64
+	Tp units.Seconds
+	P  int
 	// Fastest is the quickest eligible runtime the site offers.
 	Fastest units.Seconds
 	// Backlog is the router's estimate of how long the site needs to
 	// clear the occupancy already routed to it: outstanding work
 	// (Σ Tp·P/ranks, drained between decisions at the site's drain
-	// rate) divided by the drain factor in force at Now — a throttled
-	// site takes proportionally longer to clear the same work.
-	Backlog units.Seconds
-	// Drain is the site's drain factor at Now, in (0, 1]: cap headroom
-	// over the idle floor relative to the best-provisioned site. It
-	// prices backlogs and JCT's service-time estimate, which is what
+	// rate) divided by the site's drain factor at the decision time —
+	// its cap headroom over the idle floor relative to the
+	// best-provisioned site, in (0, 1]. A throttled site takes
+	// proportionally longer to clear the same work, which is what
 	// couples the budget split's cap shaping back into placement.
-	// Exactly 1 with one site or equal caps.
-	Drain float64
+	Backlog units.Seconds
 }
 
-// RouteContext is one routing decision: the job, the batch-quantised
-// decision time, and one Quote per site (in site order).
+// RouteContext is one routing decision: one Quote per site (in site
+// order) and the spill threshold.
 type RouteContext struct {
-	Now    units.Seconds
-	Job    sched.Job
 	Quotes []Quote
 	// SpillAfter is the backlog threshold the spill rule fires at;
 	// negative disables spilling.
@@ -219,9 +213,7 @@ func (f *Federation) route(jobs []sched.Job) error {
 		quotes, any := f.quotes(j, work, now)
 		site, reason := -1, ""
 		if any {
-			site, reason = f.cfg.Route.Pick(&RouteContext{
-				Now: now, Job: j, Quotes: quotes, SpillAfter: spill,
-			})
+			site, reason = f.cfg.Route.Pick(&RouteContext{Quotes: quotes, SpillAfter: spill})
 		}
 		dec := RouteDecision{Job: j.ID, App: j.Vector.Name, Reason: reason}
 		if site >= 0 && site < len(quotes) {
@@ -297,8 +289,8 @@ func (f *Federation) quotes(j sched.Job, work []units.Seconds, now units.Seconds
 	refHead := f.maxHeadroom(now)
 	k := 0
 	for si, sr := range f.sites {
-		q := Quote{Site: si, Drain: f.headroom(si, now) / refHead}
-		q.Backlog = units.Seconds(float64(work[si]) / q.Drain)
+		drain := f.headroom(si, now) / refHead
+		q := Quote{Site: si, Backlog: units.Seconds(float64(work[si]) / drain)}
 		headW := float64(sr.plan.CapAt(now)) - float64(sr.idleFloor)
 		for ; k < n && f.rows[k].site == si; k++ {
 			pr := &f.rows[k]
@@ -341,7 +333,6 @@ func (f *Federation) quotes(j sched.Job, work []units.Seconds, now units.Seconds
 					q.EE = row.Pred[fi].EE
 					q.Tp = row.Pred[fi].Tp
 					q.P = p
-					q.Pool = sr.site.Platform.Pools[pr.pool].PoolName()
 				}
 			}
 		}

@@ -39,8 +39,8 @@ func (f *Federation) referenceQuotes(j sched.Job, work []units.Seconds, now unit
 	quotes := make([]Quote, len(f.sites))
 	refHead := f.maxHeadroom(now)
 	for si, sr := range f.sites {
-		q := Quote{Site: si, Drain: f.headroom(si, now) / refHead}
-		q.Backlog = units.Seconds(float64(work[si]) / q.Drain)
+		drain := f.headroom(si, now) / refHead
+		q := Quote{Site: si, Backlog: units.Seconds(float64(work[si]) / drain)}
 		headW := float64(sr.plan.CapAt(now)) - float64(sr.idleFloor)
 		for pi, pc := range sr.cache {
 			pool := sr.site.Platform.Pools[pi]
@@ -76,7 +76,6 @@ func (f *Federation) referenceQuotes(j sched.Job, work []units.Seconds, now unit
 						q.EE = row.Pred[fi].EE
 						q.Tp = row.Pred[fi].Tp
 						q.P = p
-						q.Pool = pool.PoolName()
 					}
 				}
 			}

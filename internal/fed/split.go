@@ -1,39 +1,26 @@
 package fed
 
-import (
-	"repro/internal/sched"
-	"repro/internal/units"
-)
-
 // SiteFacts are the per-site constants a SplitPolicy may price when
-// dividing one budget window: identity, weight, capacity, and the
-// site's carbon intensity over the window.
+// dividing one budget window: the site's weight (its rank count) and
+// its carbon intensity over the window.
 type SiteFacts struct {
-	Name   string
 	Weight float64
-	Ranks  int
 	// Intensity is the site's carbon intensity (gCO₂eq/kWh) over the
 	// window; meaningful only when HasCarbon is set.
 	Intensity float64
 	HasCarbon bool
 }
 
-// SplitContext is one budget-window division problem: the window's
-// bounds and global budget, the per-site facts, and — when the policy
-// runs at a re-negotiation barrier — each site's live operating mix.
+// SplitContext is one budget-window division problem: the per-site
+// facts and — when the policy runs at a re-negotiation barrier — each
+// site's live operating-mix efficiency.
 type SplitContext struct {
-	// T0 and T1 bound the window; T1 is +Inf for the final one.
-	T0, T1 units.Seconds
-	// Global is the global budget in force over the window.
-	Global units.Watts
-	// Window is the global budget window's index.
-	Window int
 	// Sites holds one entry per federation site, in site order.
 	Sites []SiteFacts
-	// States holds each site's operating mix at the barrier this
+	// MixEE holds each site's sched.Scheduler.MixEE at the barrier this
 	// division runs at, indexed like Sites. Nil when the window is
 	// divided at construction time (before any site has run).
-	States []sched.Snapshot
+	MixEE []float64
 }
 
 // SplitPolicy divides the discretionary part of a global budget window
@@ -44,9 +31,10 @@ type SplitContext struct {
 // on it.
 type SplitPolicy interface {
 	Name() string
-	// Static reports that Shares never reads ctx.States. Static
-	// policies are divided fully at construction time: no revisable
-	// plans, no barriers, maximum cross-site parallelism.
+	// Static reports that Shares never reads ctx.MixEE, the context's
+	// only live input. Static policies are divided fully at
+	// construction time: no revisable plans, no barriers, maximum
+	// cross-site parallelism.
 	Static() bool
 	Shares(ctx SplitContext) []float64
 }
@@ -89,12 +77,12 @@ type greedyEE struct{}
 func (greedyEE) Name() string { return "greedy-ee" }
 func (greedyEE) Static() bool { return false }
 func (greedyEE) Shares(ctx SplitContext) []float64 {
-	if ctx.States == nil {
+	if ctx.MixEE == nil {
 		return staticWeights(ctx.Sites)
 	}
 	d := make([]float64, len(ctx.Sites))
 	for i, s := range ctx.Sites {
-		d[i] = s.Weight * (greedyEEBias + ctx.States[i].MixEE)
+		d[i] = s.Weight * (greedyEEBias + ctx.MixEE[i])
 	}
 	return d
 }

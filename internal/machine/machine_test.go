@@ -284,10 +284,15 @@ func TestParsePlatform(t *testing.T) {
 	if pl.TotalRanks() != Dori().Nodes {
 		t.Fatalf("bare preset ranks = %d, want %d", pl.TotalRanks(), Dori().Nodes)
 	}
-	for _, bad := range []string{"", "nosuch", "systemg:0", "systemg:-3", "systemg:x", "systemg,,dori"} {
+	for _, bad := range []string{"", "nosuch", "systemg:0", "systemg:-3", "systemg:x", "systemg,,dori",
+		"systemg:99999999999", "systemg:1048576,dori:1"} {
 		if _, err := ParsePlatform(bad); err == nil {
 			t.Fatalf("ParsePlatform(%q) must fail", bad)
 		}
+	}
+	// The rank bound is inclusive and counts the whole platform.
+	if _, err := ParsePlatform("systemg:1048575,dori:1"); err != nil {
+		t.Fatalf("a platform at the rank bound must parse: %v", err)
 	}
 }
 
@@ -319,7 +324,7 @@ func TestParamsValidate(t *testing.T) {
 // (every pool's name and deployed count): a bare preset in a pool list
 // keeps Nodes 0 ("the preset's size") where its label spells the count.
 func FuzzParsePlatform(f *testing.F) {
-	for _, seed := range []string{"systemg", "dori", "systemg:32,dori:4", " SystemG:8 , dori", "systemg:0", "systemg,systemg"} {
+	for _, seed := range []string{"systemg", "dori", "systemg:32,dori:4", " SystemG:8 , dori", "systemg:0", "systemg,systemg", "systemg:99999999999"} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, spec string) {

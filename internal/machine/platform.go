@@ -72,13 +72,21 @@ func Homogeneous(spec Spec) Platform {
 	return Platform{Name: spec.Name, Pools: []NodePool{{Spec: spec}}}
 }
 
-// Validate checks every pool and the pool-name uniqueness the rank
-// numbering relies on.
+// maxPlatformRanks bounds a platform's total rank count at 2²⁰, about
+// 3000× SystemG's 325 nodes. Layers above allocate per-rank state up
+// front (the cluster's rank tables, the scheduler's free lists), so an
+// unbounded count from a command line would exhaust memory before any
+// check downstream could refuse it.
+const maxPlatformRanks = 1 << 20
+
+// Validate checks every pool, the pool-name uniqueness the rank
+// numbering relies on, and the platform's rank bound.
 func (pl Platform) Validate() error {
 	if len(pl.Pools) == 0 {
 		return errors.New("machine: platform needs at least one node pool")
 	}
 	seen := make(map[string]bool, len(pl.Pools))
+	total := 0
 	for i, np := range pl.Pools {
 		if err := np.Spec.Validate(); err != nil {
 			return fmt.Errorf("machine: pool %d: %w", i, err)
@@ -89,6 +97,10 @@ func (pl Platform) Validate() error {
 		if np.NodeCount() <= 0 {
 			return fmt.Errorf("machine: pool %d (%s): no nodes", i, np.PoolName())
 		}
+		if np.Ranks() > maxPlatformRanks-total {
+			return fmt.Errorf("machine: platform exceeds %d ranks at pool %d (%s, %d nodes)", maxPlatformRanks, i, np.PoolName(), np.NodeCount())
+		}
+		total += np.Ranks()
 		name := np.PoolName()
 		if seen[name] {
 			return fmt.Errorf("machine: duplicate pool name %q", name)

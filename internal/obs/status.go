@@ -129,17 +129,19 @@ type statusPayload struct {
 	Host       Snapshot `json:"host"`
 }
 
+// publishEvery is how many events a Publisher counts between publishes.
+const publishEvery = 4096
+
 // Publisher is a telemetry.Sink that periodically publishes a run's
-// live status to a StatusServer: every Every events it snapshots the
-// host counters and the sim-time metrics registry on the simulation's
-// own goroutine and hands the marshalled bytes to the server. Close
-// publishes a final "done" snapshot.
+// live status to a StatusServer: every publishEvery events it snapshots
+// the host counters and the sim-time metrics registry on the
+// simulation's own goroutine and hands the marshalled bytes to the
+// server. Close publishes a final "done" snapshot.
 type Publisher struct {
 	srv   *StatusServer
 	label string
 	host  *Host
 	met   *telemetry.Metrics
-	every int64
 	n     int64
 	lastT units.Seconds
 }
@@ -147,20 +149,16 @@ type Publisher struct {
 var _ telemetry.Sink = (*Publisher)(nil)
 
 // NewPublisher builds a publisher for one run. host and met may each
-// be nil (the corresponding section is omitted). every ≤ 0 defaults
-// to 4096 events per publish.
-func NewPublisher(srv *StatusServer, label string, host *Host, met *telemetry.Metrics, every int64) *Publisher {
-	if every <= 0 {
-		every = 4096
-	}
-	return &Publisher{srv: srv, label: label, host: host, met: met, every: every}
+// be nil (the corresponding section is omitted).
+func NewPublisher(srv *StatusServer, label string, host *Host, met *telemetry.Metrics) *Publisher {
+	return &Publisher{srv: srv, label: label, host: host, met: met}
 }
 
-// Write counts the event and publishes on every Nth.
+// Write counts the event and publishes on every publishEvery-th.
 func (p *Publisher) Write(ev telemetry.Event) error {
 	p.n++
 	p.lastT = ev.T
-	if p.n%p.every == 0 {
+	if p.n%publishEvery == 0 {
 		p.publish(false)
 	}
 	return nil

@@ -78,9 +78,9 @@ func TestStatusServer(t *testing.T) {
 	}
 }
 
-// Publisher is a telemetry sink: it publishes every Nth event and a
-// final done=true snapshot at Close, carrying host and sim-metrics
-// sections.
+// Publisher is a telemetry sink: it publishes a final done=true
+// snapshot at Close that counts every event, carrying host and
+// sim-metrics sections.
 func TestPublisher(t *testing.T) {
 	srv, err := ListenStatus("127.0.0.1:0")
 	if err != nil {
@@ -93,7 +93,7 @@ func TestPublisher(t *testing.T) {
 	met := telemetry.NewMetrics()
 	met.Counter("jobs_admitted").Add(3)
 
-	pub := NewPublisher(srv, "ee-max", host, met, 2)
+	pub := NewPublisher(srv, "ee-max", host, met)
 	rec := telemetry.New(pub)
 	for i := 0; i < 5; i++ {
 		rec.Emit(telemetry.Event{Kind: telemetry.EvAttempt, Job: i})

@@ -68,12 +68,43 @@ const (
 	stageFeasible            // … without delaying a reserved start
 )
 
-// Best returns the job's best operating point under obj whose marginal
-// power cost fits budget, by the rules of search — in the scheduler's
-// scratch, valid until the next search — or nil when the job should
-// wait. Most searches of a deep queue end in "no width fits the free
-// ranks": the admissibility floor (belowFloor) answers those off-grid.
-func (c *AdmitContext) Best(e *entry, budget units.Watts, obj analysis.Objective) *Candidate {
+// eeBetter reports whether a beats b as an admission point: the
+// admission objective is maximum iso-energy-efficiency. Ties cascade
+// through energy and runtime and finally fall to lower frequency and
+// smaller p, so a grid scan always selects one deterministic winner
+// regardless of enumeration order — admission decisions made from this
+// comparison replay identically across runs.
+//
+// EE is compared in half-percent bins rather than raw floats: EE
+// differences below that are model noise (EP's EE is ≈ 1 at every
+// frequency, FT's moves in the fourth decimal across the ladder), and
+// latching onto them would trade real joules for phantom efficiency.
+// Within a bin, lower predicted energy wins — EE picks the shape
+// (parallelism, where overhead genuinely moves EE), energy picks the
+// frequency.
+func eeBetter(a, b analysis.Point) bool {
+	ea, eb := math.Round(a.EE*200), math.Round(b.EE*200)
+	switch {
+	case ea != eb:
+		return ea > eb
+	case a.Ep != b.Ep:
+		return a.Ep < b.Ep
+	case a.Tp != b.Tp:
+		return a.Tp < b.Tp
+	case a.Freq != b.Freq:
+		return a.Freq < b.Freq
+	default:
+		return a.P < b.P
+	}
+}
+
+// Best returns the job's EE-best operating point (eeBetter) whose
+// marginal power cost fits budget, by the rules of search — in the
+// scheduler's scratch, valid until the next search — or nil when the
+// job should wait. Most searches of a deep queue end in "no width fits
+// the free ranks": the admissibility floor (belowFloor) answers those
+// off-grid.
+func (c *AdmitContext) Best(e *entry, budget units.Watts) *Candidate {
 	if budget <= 0 {
 		return nil
 	}
@@ -81,24 +112,24 @@ func (c *AdmitContext) Best(e *entry, budget units.Watts, obj analysis.Objective
 	if !ok || (!c.relaxed && c.s.belowFloor(e, c.free, budget)) {
 		return nil
 	}
-	cand, _ := c.search(e, refTp, budget, obj)
+	cand, _ := c.search(e, refTp, budget)
 	return cand
 }
 
 // search walks the per-pool grids of the job's candidate widths × each
-// pool's DVFS ladder for the best point under the objective whose
-// marginal cost fits the power budget, and reports the stage the walk
-// reached; the candidate is nil below stageFeasible, else one of the
-// scheduler's scratch pair, valid until the next search. The grid is the
-// per-pool enumeration analysis.ForEachOperatingPoint scans offline,
+// pool's DVFS ladder for the EE-best point (eeBetter) whose marginal
+// cost fits the power budget, and reports the stage the walk reached;
+// the candidate is nil below stageFeasible, else one of the scheduler's
+// scratch pair, valid until the next search. The grid is the per-pool
+// enumeration analysis.ForEachOperatingPoint scans offline,
 // read off the job's entry (priced): every (pool, n, p) row is evaluated
 // once per job lifetime and every later scheduling edge — the shadow
 // walk re-pricing the head at each future state included — scans it.
 //
 // Pools are scanned in platform order, so equal points keep the earlier
-// pool (for an ee-max policy the winner is the EE-best pool; strictly
-// better later-pool points do displace earlier ones). Three rules shape
-// the selection before the objective decides:
+// pool (the winner is the EE-best pool; strictly better later-pool
+// points do displace earlier ones). Three rules shape the selection
+// before eeBetter decides:
 //
 //   - Width slack. Maximising EE alone degenerates to p=1 (a serial
 //     run has no parallel overhead, EE = 1) and would trade arbitrary
@@ -134,7 +165,7 @@ func (c *AdmitContext) Best(e *entry, budget units.Watts, obj analysis.Objective
 // predicted lifetime, not just the budget at now — expressed as a
 // per-candidate narrowing of the budget (narrowToLifetime). A job is
 // never started into a budget window it cannot fit.
-func (c *AdmitContext) search(e *entry, refTp units.Seconds, budget units.Watts, obj analysis.Objective) (*Candidate, int) {
+func (c *AdmitContext) search(e *entry, refTp units.Seconds, budget units.Watts) (*Candidate, int) {
 	s, j, now := c.s, &e.job, c.now
 	maxTp := units.Seconds(float64(refTp) * PerfSlack(s.cfg.PerfSlack))
 	best, bestDL := &s.best, &s.bestDL
@@ -179,11 +210,11 @@ func (c *AdmitContext) search(e *entry, refTp units.Seconds, budget units.Watts,
 					Cost:  cost,
 					row:   row,
 				}
-				if stage < stageFeasible || obj.Better(cand.Point, best.Point) {
+				if stage < stageFeasible || eeBetter(cand.Point, best.Point) {
 					*best, stage = cand, stageFeasible
 				}
 				if j.Deadline > 0 && now+tp <= j.Arrival+j.Deadline {
-					if !foundDL || obj.Better(cand.Point, bestDL.Point) {
+					if !foundDL || eeBetter(cand.Point, bestDL.Point) {
 						*bestDL, foundDL = cand, true
 					}
 				}
@@ -211,7 +242,7 @@ func (c *AdmitContext) blockStage(e *entry) int {
 	if !ok {
 		return stageUnpriced
 	}
-	_, stage := c.search(e, refTp, c.headroom, analysis.MaxEE)
+	_, stage := c.search(e, refTp, c.headroom)
 	return stage
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/app"
 	"repro/internal/capplan"
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/machine"
 	"repro/internal/opcache"
@@ -161,7 +162,7 @@ func TestFloorNeverRejectsAnAdmissibleJob(t *testing.T) {
 					ctx.free[pi] = rng.Intn(s.pools[pi].size + 1)
 				}
 				ctx.headroom = units.Watts(1 + rng.Float64()*1200)
-				ok := ctx.Best(e, ctx.headroom, analysis.MaxEE) != nil
+				ok := ctx.Best(e, ctx.headroom) != nil
 				stage := ctx.blockStage(e)
 				if feasible := stage == stageFeasible; ok != feasible {
 					t.Fatalf("job %d free=%v budget=%v now=%v: Best=%t but the unfiltered walk ends at stage %d",
@@ -311,11 +312,41 @@ func referencePermitted(rsvs []*reservation, e *entry, now units.Seconds, c Cand
 	return true
 }
 
+// TestEEBetterOrder pins the admission comparator's key order: EE in
+// half-percent bins, then lower Ep, then lower Tp, then lower frequency
+// and smaller p. Each case is checked in both argument orders, so the
+// order is strict and a full tie picks neither.
+func TestEEBetterOrder(t *testing.T) {
+	pt := func(ee float64, ep units.Joules, tp units.Seconds, f units.Hertz, p int) analysis.Point {
+		return analysis.Point{P: p, Freq: f, Prediction: core.Prediction{EE: ee, Ep: ep, Tp: tp}}
+	}
+	const lo, hi = 2.0 * units.GHz, 2.8 * units.GHz
+	for _, tc := range []struct {
+		name string
+		a, b analysis.Point // a must win, or tie when same is set
+		same bool
+	}{
+		{"higher EE bin wins over energy and time", pt(0.80, 900, 90, hi, 8), pt(0.70, 100, 10, lo, 1), false},
+		{"within one bin the lower Ep wins", pt(0.8001, 100, 50, hi, 8), pt(0.8020, 110, 10, lo, 1), false},
+		{"equal bin and Ep: the lower Tp wins", pt(0.80, 100, 10, hi, 8), pt(0.80, 100, 20, lo, 1), false},
+		{"equal prediction: the lower frequency wins", pt(0.80, 100, 10, lo, 8), pt(0.80, 100, 10, hi, 1), false},
+		{"equal prediction and f: the smaller p wins", pt(0.80, 100, 10, lo, 4), pt(0.80, 100, 10, lo, 8), false},
+		{"identical points tie", pt(0.80, 100, 10, lo, 4), pt(0.80, 100, 10, lo, 4), true},
+	} {
+		if got := eeBetter(tc.a, tc.b); got == tc.same {
+			t.Errorf("%s: eeBetter(a, b) = %v", tc.name, got)
+		}
+		if eeBetter(tc.b, tc.a) {
+			t.Errorf("%s: eeBetter(b, a) = true", tc.name)
+		}
+	}
+}
+
 // referenceSearch is the parent commit's search body: every row looked
 // up per width (priced), FastestTp rescanned per width, the Candidate
 // built before the reservation gate and passed by value. Test-only — the
 // oracle TestBestMatchesReferenceSearch holds the entry-grid search to.
-func (c *AdmitContext) referenceSearch(e *entry, refTp units.Seconds, budget units.Watts, obj analysis.Objective) (Candidate, int) {
+func (c *AdmitContext) referenceSearch(e *entry, refTp units.Seconds, budget units.Watts) (Candidate, int) {
 	s, j, now := c.s, &e.job, c.now
 	maxTp := units.Seconds(float64(refTp) * PerfSlack(s.cfg.PerfSlack))
 	var best, bestDL Candidate
@@ -355,11 +386,11 @@ func (c *AdmitContext) referenceSearch(e *entry, refTp units.Seconds, budget uni
 				if !referencePermitted(c.rsvs, e, now, cand) {
 					continue
 				}
-				if stage < stageFeasible || obj.Better(cand.Point, best.Point) {
+				if stage < stageFeasible || eeBetter(cand.Point, best.Point) {
 					best, stage = cand, stageFeasible
 				}
 				if j.Deadline > 0 && now+cand.Tp <= j.Arrival+j.Deadline {
-					if !foundDL || obj.Better(cand.Point, bestDL.Point) {
+					if !foundDL || eeBetter(cand.Point, bestDL.Point) {
 						bestDL, foundDL = cand, true
 					}
 				}
@@ -443,8 +474,8 @@ func TestBestMatchesReferenceSearch(t *testing.T) {
 				}
 				label := fmt.Sprintf("job %d free=%v budget=%v now=%v relaxed=%t rsvs=%d", j.ID, ctx.free, ctx.headroom, ctx.now, ctx.relaxed, len(ctx.rsvs))
 
-				want, wantStage := ctx.referenceSearch(e, refTp, ctx.headroom, analysis.MaxEE)
-				got, gotStage := ctx.search(e, refTp, ctx.headroom, analysis.MaxEE)
+				want, wantStage := ctx.referenceSearch(e, refTp, ctx.headroom)
+				got, gotStage := ctx.search(e, refTp, ctx.headroom)
 				if gotStage != wantStage || (got != nil) != (wantStage == stageFeasible) {
 					t.Fatalf("%s: search reached stage %d (candidate %t), the reference stage %d", label, gotStage, got != nil, wantStage)
 				}
@@ -456,7 +487,7 @@ func TestBestMatchesReferenceSearch(t *testing.T) {
 				// The parent's Best: the floor, then the search.
 				wantBest := ctx.relaxed || !s.belowFloor(e, ctx.free, ctx.headroom)
 				wantBest = wantBest && wantStage == stageFeasible
-				if best := ctx.Best(e, ctx.headroom, analysis.MaxEE); (best != nil) != wantBest || (best != nil && *best != want) {
+				if best := ctx.Best(e, ctx.headroom); (best != nil) != wantBest || (best != nil && *best != want) {
 					t.Fatalf("%s: Best admits %t, the reference %t", label, best != nil, wantBest)
 				}
 				switch {
@@ -468,7 +499,7 @@ func TestBestMatchesReferenceSearch(t *testing.T) {
 				if j.Deadline > 0 && wantStage == stageFeasible {
 					dl := e.job.Deadline
 					e.job.Deadline = 0
-					if plain, _ := ctx.referenceSearch(e, refTp, ctx.headroom, analysis.MaxEE); plain != want {
+					if plain, _ := ctx.referenceSearch(e, refTp, ctx.headroom); plain != want {
 						redirected++
 					}
 					e.job.Deadline = dl
@@ -588,13 +619,13 @@ func TestBlockedBestDoesNotAllocate(t *testing.T) {
 	} {
 		ctx := s.liveContext(false)
 		ctx.headroom, ctx.rsvs = tc.headroom, tc.rsvs
-		if ctx.Best(e, ctx.headroom, analysis.MaxEE) != nil { // prices the job
+		if ctx.Best(e, ctx.headroom) != nil { // prices the job
 			t.Fatalf("%s: the job is not blocked", tc.label)
 		}
 		if stage := ctx.blockStage(e); stage != tc.stage {
 			t.Fatalf("%s: blocked at stage %d, want %d", tc.label, stage, tc.stage)
 		}
-		if n := testing.AllocsPerRun(100, func() { ctx.Best(e, ctx.headroom, analysis.MaxEE) }); n != 0 {
+		if n := testing.AllocsPerRun(100, func() { ctx.Best(e, ctx.headroom) }); n != 0 {
 			t.Errorf("%s: a blocked Best allocates %v objects, want 0", tc.label, n)
 		}
 		if n := testing.AllocsPerRun(100, func() { ctx.At(e, 0, 4, s.pools[0].ladder[0]) }); n != 0 {
@@ -615,7 +646,7 @@ type yieldCount struct {
 
 func (y *yieldCount) Admit(ctx *AdmitContext) {
 	y.Policy.Admit(ctx)
-	y.free = ctx.FreeRanks()
+	y.free = ctx.freeRanks()
 	for range ctx.Queued() {
 		y.queued++
 	}

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/machine"
 	"repro/internal/units"
 )
 
@@ -86,33 +85,6 @@ func (s *Scheduler) liveContext(relaxed bool) *AdmitContext {
 	}
 }
 
-// NumPools returns how many node pools the platform has.
-func (c *AdmitContext) NumPools() int { return len(c.s.pools) }
-
-// PoolSpec returns the node-type spec of pool i.
-func (c *AdmitContext) PoolSpec(i int) machine.Spec { return c.s.pools[i].spec }
-
-// PoolSize returns the provisioned rank count of pool i.
-func (c *AdmitContext) PoolSize(i int) int { return c.s.pools[i].size }
-
-// FreeRanks returns the ranks not yet claimed in any pool, including by
-// admissions already made through this context.
-func (c *AdmitContext) FreeRanks() int {
-	n := 0
-	for _, f := range c.free {
-		n += f
-	}
-	return n
-}
-
-// FreeRanksIn returns pool i's unclaimed ranks, including admissions
-// already made through this context.
-func (c *AdmitContext) FreeRanksIn(i int) int { return c.free[i] }
-
-// Headroom returns the power still available under the cap after the
-// draws of running jobs and of admissions already made here.
-func (c *AdmitContext) Headroom() units.Watts { return c.headroom }
-
 // Queued yields the waiting jobs in queue (insertion) order, skipping
 // those already admitted through this context.
 func (c *AdmitContext) Queued() iter.Seq[*entry] { return c.pending(c.queue) }
@@ -131,7 +103,7 @@ func (c *AdmitContext) pending(view []*entry) iter.Seq[*entry] {
 			v = []*entry{c.only}
 		}
 		for _, e := range v {
-			if c.FreeRanks() == 0 {
+			if c.freeRanks() == 0 {
 				return
 			}
 			if !c.taken(e) && !yield(e) {
@@ -149,6 +121,16 @@ func (c *AdmitContext) taken(e *entry) bool {
 		return len(c.admitted) > 0
 	}
 	return e.taken
+}
+
+// freeRanks counts the ranks not yet claimed in any pool, including by
+// admissions already made through this context.
+func (c *AdmitContext) freeRanks() int {
+	n := 0
+	for _, f := range c.free {
+		n += f
+	}
+	return n
 }
 
 // head returns the first pending job in queue order — insertion order,
@@ -261,12 +243,13 @@ func (fifoPolicy) DVFS() bool   { return false }
 
 func (fifoPolicy) Admit(ctx *AdmitContext) {
 	for e := range ctx.Queued() {
-		for pi := 0; pi < ctx.NumPools(); pi++ {
-			p := min(e.job.MaxWidth, ctx.PoolSize(pi))
-			if p < e.job.minWidth() || p > ctx.FreeRanksIn(pi) {
+		for pi := range ctx.s.pools {
+			pool := &ctx.s.pools[pi]
+			p := min(e.job.MaxWidth, pool.size)
+			if p < e.job.minWidth() || p > ctx.free[pi] {
 				continue
 			}
-			if cand, ok := ctx.At(e, pi, p, ctx.PoolSpec(pi).BaseFreq); ok {
+			if cand, ok := ctx.At(e, pi, p, pool.spec.BaseFreq); ok {
 				ctx.Admit(e, cand)
 				break
 			}
@@ -290,7 +273,7 @@ func (eeMaxPolicy) DVFS() bool   { return true }
 
 func (eeMaxPolicy) Admit(ctx *AdmitContext) {
 	for e := range ctx.Prioritized() {
-		if cand := ctx.Best(e, ctx.Headroom(), analysis.MaxEE); cand != nil {
+		if cand := ctx.Best(e, ctx.headroom); cand != nil {
 			ctx.Admit(e, *cand)
 		}
 	}
@@ -319,13 +302,13 @@ func (fairSharePolicy) Admit(ctx *AdmitContext) {
 	if total == 0 {
 		return
 	}
-	whole := ctx.Headroom()
+	whole := ctx.headroom
 	for e := range ctx.Prioritized() {
 		share := units.Watts(float64(whole) * float64(e.job.priority()) / float64(total))
-		if share > ctx.Headroom() {
-			share = ctx.Headroom()
+		if share > ctx.headroom {
+			share = ctx.headroom
 		}
-		if cand := ctx.Best(e, share, analysis.MaxEE); cand != nil {
+		if cand := ctx.Best(e, share); cand != nil {
 			ctx.Admit(e, *cand)
 		}
 	}
@@ -333,7 +316,7 @@ func (fairSharePolicy) Admit(ctx *AdmitContext) {
 	// best single job the full remaining headroom can carry.
 	if len(ctx.admitted) == 0 {
 		for e := range ctx.Prioritized() {
-			if cand := ctx.Best(e, ctx.Headroom(), analysis.MaxEE); cand != nil {
+			if cand := ctx.Best(e, ctx.headroom); cand != nil {
 				ctx.Admit(e, *cand)
 				return
 			}

@@ -69,7 +69,7 @@ func (t *schedTelemetry) blockReason(view *AdmitContext, e *entry) string {
 	case stageModel:
 		return "model: a grid row fails to evaluate"
 	case stageNone:
-		return t.ranksReason.get("ranks: no candidate width fits the %d free ranks", view.FreeRanks())
+		return t.ranksReason.get("ranks: no candidate width fits the %d free ranks", view.freeRanks())
 	case stageWidth:
 		return t.slackReason.get("perf-slack: every width that fits free ranks runs over %.1fx the job's fastest time", PerfSlack(t.s.cfg.PerfSlack))
 	case stageSlack:
