@@ -55,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	batch := fs.Float64("batch", 0, "ingest batching period in seconds (0 routes at exact arrivals)")
 	spill := fs.Float64("spill", 0, "backlog threshold in seconds for the ee route's spill rule (0 = the 1 s default, negative disables)")
 	slack := fs.Float64("slack", 0, "eligibility slack: a site must quote within this factor of the fastest site (0 = the 1.3 default; raise it to route onto much slower platforms)")
-	policy := fs.String("policy", "ee-max", "site scheduler policy: fifo, ee-max, fair-share, or backfill+<name>")
+	policy := fs.String("policy", "ee-max", "site scheduler policy: fifo, ee-max, fair-share, backfill+<name>, or backfillK+<name> (K ≥ 2 reservations)")
 	detail := fs.Bool("detail", false, "print per-site and routing tables for every combination")
 	jsonPath := cli.JSONFlag(fs)
 	eventsPrefix := fs.String("events", "", "write per-site decision streams as NDJSON to PREFIX-<site>.ndjson plus the routing stream to PREFIX-route.ndjson (needs a single -split and -route)")

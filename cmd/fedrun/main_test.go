@@ -60,6 +60,8 @@ func TestExitContract(t *testing.T) {
 		{[]string{"-split", "bogus"}, 2},
 		{[]string{"-route", "bogus"}, 2},
 		{[]string{"-policy", "bogus"}, 2},
+		{[]string{"-policy", "backfill1+ee-max"}, 2}, // Name never prints K = 1
+		{[]string{"-policy", "backfill0+fifo"}, 2},
 		{[]string{"-carbon", "north=0:100"}, 2},
 		{[]string{"-local", "north=0:2000"}, 2},
 		// Malformed specs.
@@ -99,6 +101,8 @@ func TestExitContract(t *testing.T) {
 		// empty trace is a run.
 		{[]string{"-spill", "-1", "-split", "static-share", "-route", "ee"}, 0},
 		{[]string{"-jobs", "0", "-split", "static-share", "-route", "ee"}, 0},
+		// Every name the scheduler prints runs, K reservations included.
+		{[]string{"-jobs", "8", "-split", "static-share", "-route", "ee", "-policy", "backfill2+ee-max"}, 0},
 	} {
 		clitest.Exit(t, run, tc.code, append([]string{"-jobs", "4"}, tc.args...)...)
 	}

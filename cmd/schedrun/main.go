@@ -21,7 +21,7 @@
 //     runs print a per-window table.
 //   - -backfill wraps every policy in EASY reservations (sched.Backfill);
 //     -reserve K holds them for the first K blocked jobs and implies it.
-//     A wrapped policy can be named directly: -policy backfill+ee-max.
+//     -policy takes a wrapped name as the table prints it: backfill2+ee-max.
 //   - -events (NDJSON, or a -rollup CSV) and -metrics (CSV) record one
 //     schedule's decision stream, so they need -policy NAME; with
 //     -repeat N they record the final repetition only. Every other view
@@ -59,7 +59,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	ranks := fs.Int("ranks", 64, "cluster size in ranks (ignored when -cluster lists explicit pool sizes)")
 	clusterName := fs.String("cluster", "systemg", "platform: a preset (systemg, dori) or mixed pools like systemg:32,dori:32")
 	faultSpec := fs.String("faults", "", "fault-injection plan spec, e.g. fail=3@10,mtbf=*:900,mttr=*:120,retries=2,ckpt=30")
-	policy := fs.String("policy", "all", "policy to run: fifo, ee-max, fair-share, backfill+<name>, or all")
+	policy := fs.String("policy", "all", "policy to run: fifo, ee-max, fair-share, backfill+<name>, backfillK+<name> (K ≥ 2 reservations), or all")
 	backfill := fs.Bool("backfill", false, "wrap every selected policy in EASY backfill reservations")
 	reserve := fs.Int("reserve", 1, "hold backfill reservations for the first K blocked jobs (K>1 implies -backfill)")
 	interval := fs.Float64("interval", 0, "governor sampling interval in seconds (0 = the 25ms default; negative is rejected)")
@@ -68,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	eventsPath := fs.String("events", "", "write the decision event stream as NDJSON to this file (needs -policy NAME)")
 	metricsPath := fs.String("metrics", "", "write sim-time metrics as CSV to this file (needs -policy NAME)")
 	jsonPath := cli.JSONFlag(fs)
-	verbose := fs.Bool("v", false, "print a one-line host-side summary (wall time, events/s, opcache hit rate, allocations) after each policy run")
+	verbose := fs.Bool("v", false, "print a one-line host-side summary (wall time, events/s, opcache evaluations, allocations) after each policy run")
 	rollup := fs.Float64("rollup", 0, "aggregate -events into sim-time buckets of this width in seconds: a bounded-memory CSV rollup instead of raw NDJSON")
 	statusAddr := fs.String("status", "", "serve live run status over HTTP on this address (e.g. :8080 or 127.0.0.1:0): JSON at /status.json, Prometheus text at /metrics")
 	repeat := fs.Int("repeat", 1, "run each policy's schedule N times (profiling workload)")
@@ -285,7 +285,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	fmt.Fprint(stdout, sched.ComparisonTable(results))
-	if timeline || (fplan != nil && len(fplan.Emergencies) > 0) {
+	if timeline {
 		for _, r := range results {
 			fmt.Fprintf(stdout, "\nbudget windows — %s (cap utilisation %.1f%%):\n%s",
 				r.Policy, r.CapUtilisation*100, r.WindowTable())

@@ -9,15 +9,19 @@ import (
 	"repro/internal/clitest"
 )
 
-// chaosPlan is the chaos-smoke CI job's fault plan.
-const chaosPlan = "fail=0@0.3,repair=0@0.8,emer=1.2-1.8:700,retries=3,ckpt=0.1,restart=0.02"
+// chaosCaps and chaosPlan are the chaos-smoke CI job's cap plan (a
+// 700 W clamp over [1.2, 1.8) s) and fault plan.
+const (
+	chaosCaps = "0:900,1.2:700,1.8:900"
+	chaosPlan = "fail=0@0.3,repair=0@0.8,retries=3,ckpt=0.1,restart=0.02"
+)
 
 // TestTranscripts pins stdout and the -json dump ("-json -" appends it
 // to stdout) of the CI smoke invocations, byte for byte, against
 // goldens cut from the parent build.
 func TestTranscripts(t *testing.T) {
 	squeeze := []string{"-jobs", "16", "-ranks", "16", "-reserve", "2"}
-	chaos := []string{"-jobs", "16", "-ranks", "16", "-cap", "900"}
+	chaos := []string{"-jobs", "16", "-ranks", "16", "-capplan", chaosCaps}
 	for _, tc := range []struct {
 		golden string
 		args   []string
@@ -29,7 +33,7 @@ func TestTranscripts(t *testing.T) {
 		{"chaos-backfill", append(chaos, "-policy", "backfill+ee-max", "-faults", chaosPlan)},
 		// A wildcard failure process, and an appended item overriding the
 		// plan's own retries=3.
-		{"mtbf-flags", append(chaos, "-policy", "backfill+ee-max", "-faults", "mtbf=*:3,mttr=*:0.15,retries=8,ckpt=0.1")},
+		{"mtbf-flags", []string{"-jobs", "16", "-ranks", "16", "-cap", "900", "-policy", "backfill+ee-max", "-faults", "mtbf=*:3,mttr=*:0.15,retries=8,ckpt=0.1"}},
 		{"faultfile-override", append(chaos, "-policy", "ee-max", "-faults", chaosPlan+",retries=1")},
 	} {
 		code, stdout, stderr := clitest.Run(t, run, append(tc.args, "-json", "-")...)
@@ -72,6 +76,8 @@ func TestExitContract(t *testing.T) {
 		{"-policy ee-max -rollup 0.25", 2},
 		// Malformed or out-of-range values.
 		{"-policy bogus", 2},
+		{"-policy backfill1+ee-max", 2}, // Name never prints K = 1
+		{"-policy backfill0+fifo", 2},
 		{"-cluster bogus", 2},
 		{"-cluster systemg:0", 2},
 		{"-cluster systemg:99999999999 -jobs 3", 2}, // over the platform rank bound
@@ -90,6 +96,7 @@ func TestExitContract(t *testing.T) {
 		{"-capplan 0:NaN", 2},
 		{"-capplan 5:900", 2},
 		{"-faults bogus", 2},
+		{"-faults emer=1-2:700", 2}, // a cap clamp is a -capplan window
 		{"-faults mtbf=*:NaN,mttr=*:1", 2},
 		{"-faults mtbf=*:0,mttr=*:1", 2},
 		{"-faults fail=99@1", 2}, // a rank the cluster does not have
@@ -118,6 +125,8 @@ func TestExitContract(t *testing.T) {
 		// Verdicts.
 		{"-jobs 16 -ranks 16 -cap 900 -faults mtbf=*:0.5,mttr=*:0.2,retries=0", 4},
 		{"-jobs 0", 0},
+		// Every policy name the table prints runs, K reservations included.
+		{"-jobs 8 -ranks 16 -policy backfill2+ee-max", 0},
 		{"-cluster systemg:16", 0}, // sized by its node count, not the -ranks default
 	} {
 		clitest.Exit(t, run, tc.code, append([]string{"-jobs", "4"}, strings.Fields(tc.args)...)...)

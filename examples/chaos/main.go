@@ -4,9 +4,8 @@
 //
 // The paper's machines are assumed healthy; real power-constrained
 // clusters are not. internal/faults describes what goes wrong — scripted
-// "rank 3 dies at t=10" events, per-pool MTBF/MTTR exponential
-// failure/repair processes, and transient power emergencies that clamp
-// the effective cap — and the scheduler degrades gracefully: a rank
+// "rank 3 dies at t=10" events and per-pool MTBF/MTTR exponential
+// failure/repair processes — and the scheduler degrades gracefully: a rank
 // failure kills the jobs running on it mid-phase, killed jobs resume
 // from their last periodic checkpoint (re-executing the work since it,
 // plus a restart surcharge) under a capped retry budget, and every
@@ -24,17 +23,20 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/capplan"
 	"repro/internal/faults"
 	"repro/internal/machine"
 	"repro/internal/sched"
 	"repro/internal/units"
 )
 
-func run(plan *faults.Plan, pol sched.Policy, trace []sched.Job) sched.Result {
+// run schedules the trace on 16 SystemG ranks under the budget and the
+// fault plan.
+func run(budget *capplan.Plan, plan *faults.Plan, pol sched.Policy, trace []sched.Job) sched.Result {
 	s, err := sched.New(sched.Config{
 		Platform: machine.Homogeneous(machine.SystemG()),
 		Ranks:    16,
-		Cap:      900,
+		Plan:     budget,
 		Policy:   pol,
 		Seed:     1,
 		Faults:   plan,
@@ -54,7 +56,8 @@ func main() {
 	// The fault-free run sets the yardstick (and its makespan scales the
 	// fault plans below, so the walkthrough is robust to model changes).
 	trace := sched.SyntheticTrace(sched.TraceConfig{Jobs: 24, Seed: 1})
-	base := run(nil, sched.Backfill(sched.EEMax()), trace)
+	flat := capplan.Constant(900)
+	base := run(flat, nil, sched.Backfill(sched.EEMax()), trace)
 	mk := base.Makespan
 	fmt.Printf("healthy fleet: %d done in %v, %v per job, availability %.4f\n\n",
 		base.Completed, base.Makespan, base.EnergyPerJob, base.Availability)
@@ -74,7 +77,7 @@ func main() {
 		CheckpointEvery: mk / 20,
 		RestartCost:     mk / 100,
 	}
-	one := run(scripted, sched.Backfill(sched.EEMax()), trace)
+	one := run(flat, scripted, sched.Backfill(sched.EEMax()), trace)
 	fmt.Printf("one scripted failure (plan %q):\n", scripted)
 	fmt.Printf("  %d kill, %d restart, %d checkpoints; lost work %v, wasted energy %v\n",
 		one.Kills, one.Restarts, one.Checkpoints, one.LostWork, one.WastedEnergy)
@@ -92,8 +95,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	churn := run(churnPlan, sched.Backfill(sched.EEMax()), trace)
-	replay := run(churnPlan, sched.Backfill(sched.EEMax()), trace)
+	churn := run(flat, churnPlan, sched.Backfill(sched.EEMax()), trace)
+	replay := run(flat, churnPlan, sched.Backfill(sched.EEMax()), trace)
 	if churn.Makespan != replay.Makespan || churn.Failures != replay.Failures ||
 		churn.Restarts != replay.Restarts || churn.TotalEnergy != replay.TotalEnergy {
 		log.Fatal("replay diverged — fault injection must be deterministic per (seed, plan)")
@@ -104,22 +107,21 @@ func main() {
 	fmt.Printf("  replay is bit-identical: makespan %v, energy %v\n\n", replay.Makespan, replay.TotalEnergy)
 
 	// Step 4 — a power emergency: the utility caps the feed at 700 W for
-	// the middle third of the run. The clamp is folded into the
-	// effective cap timeline, so admission, the governor and the audit
-	// all price against it — zero violations against the cap actually in
-	// force, exactly as under a capplan squeeze.
-	emer := &faults.Plan{
-		Emergencies: []faults.Emergency{{Start: mk / 3, End: 2 * mk / 3, Cap: 700}},
-		MaxRetries:  1,
+	// the middle third of the run. A clamp is a window of the cap plan,
+	// so admission, the governor and the audit all price against it —
+	// zero violations against the cap in force.
+	squeeze, err := capplan.ParsePlan(fmt.Sprintf("0:900,%g:700,%g:900", float64(mk/3), float64(2*mk/3)))
+	if err != nil {
+		log.Fatal(err)
 	}
-	dr := run(emer, sched.Backfill(sched.EEMax()), trace)
-	fmt.Printf("power emergency (%s): violations %d against the effective plan %s\n",
+	dr := run(squeeze, &faults.Plan{MaxRetries: 1}, sched.Backfill(sched.EEMax()), trace)
+	fmt.Printf("power emergency (%s): violations %d against the plan %s\n",
 		units.Watts(700), dr.CapViolations, dr.Plan)
 	fmt.Printf("budget windows (cap utilisation %.1f%%):\n%s\n", dr.CapUtilisation*100, dr.WindowTable())
 
 	for _, res := range []sched.Result{one, churn, dr} {
 		if res.CapViolations != 0 {
-			log.Fatalf("%s violated the effective cap %d times", res.Policy, res.CapViolations)
+			log.Fatalf("%s violated the cap %d times", res.Policy, res.CapViolations)
 		}
 		if got := res.Completed + res.Rejected + res.JobsLost; got != len(trace) {
 			log.Fatalf("%s stranded jobs: %d terminal of %d", res.Policy, got, len(trace))

@@ -1,7 +1,8 @@
 // Package faults describes deterministic fault-injection plans for the
 // power-budget scheduler: node failure/repair processes, scripted fault
-// events, and transient power emergencies that slam the effective cap
-// below the configured budget timeline.
+// events, and the retry and checkpoint/restart rules a killed job runs
+// under. A cap clamp is not a fault: it is a window of the budget's cap
+// plan (internal/capplan).
 //
 // A Plan is pure data — it never touches a clock or an RNG itself. The
 // stochastic part (per-pool MTBF/MTTR exponential draws) is sampled by
@@ -19,11 +20,9 @@ package faults
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
-	"repro/internal/capplan"
 	"repro/internal/units"
 )
 
@@ -44,23 +43,12 @@ type PoolRates struct {
 	MTTR units.Seconds
 }
 
-// Emergency is a transient power emergency: over [Start, End) the
-// effective cluster cap is clamped to at most Cap watts, regardless of
-// what the budget timeline allows.
-type Emergency struct {
-	Start units.Seconds
-	End   units.Seconds
-	Cap   units.Watts
-}
-
 // Plan is a complete fault-injection configuration.
 type Plan struct {
 	// Scripted fail/repair events, applied verbatim.
 	Scripted []Scripted
 	// Rates are per-pool stochastic failure processes.
 	Rates []PoolRates
-	// Emergencies clamp the effective cap for their windows.
-	Emergencies []Emergency
 
 	// MaxRetries bounds how many times a killed job is resubmitted
 	// before it is declared permanently lost.
@@ -131,20 +119,6 @@ func (p *Plan) Validate() error {
 			return fmt.Errorf("faults: pool %q MTTR %v below the %v floor", r.Pool, r.MTTR, minScale)
 		}
 	}
-	for _, e := range p.Emergencies {
-		if !units.Finite(e.Start, e.End) || !units.Finite(e.Cap) {
-			return fmt.Errorf("faults: emergency [%v,%v) at %v W has a non-finite bound or cap", e.Start, e.End, e.Cap)
-		}
-		if e.Start < 0 {
-			return fmt.Errorf("faults: emergency starting at negative time %v", e.Start)
-		}
-		if e.End <= e.Start {
-			return fmt.Errorf("faults: emergency window [%v,%v) is empty", e.Start, e.End)
-		}
-		if e.Cap <= 0 {
-			return fmt.Errorf("faults: emergency cap %v W must be positive", e.Cap)
-		}
-	}
 	if p.MaxRetries < 0 {
 		return fmt.Errorf("faults: negative retry cap %d", p.MaxRetries)
 	}
@@ -160,77 +134,30 @@ func (p *Plan) Validate() error {
 	return nil
 }
 
-// EffectiveCaps composes the plan's emergencies over a budget timeline:
-// the returned plan's cap at any instant is min(base cap, every active
-// emergency cap). With no emergencies the base plan is returned
-// unchanged (same pointer), so the no-fault path keeps its exact object
-// identity. base must be non-nil; callers without a timeline wrap their
-// constant cap in capplan.Constant first.
-func (p *Plan) EffectiveCaps(base *capplan.Plan) (*capplan.Plan, error) {
-	if len(p.Emergencies) == 0 {
-		return base, nil
-	}
-	// The composed timeline's breakpoints are the base plan's segment
-	// starts plus every emergency boundary.
-	cuts := []units.Seconds{0} // Breakpoints omits the t=0 segment start
-	cuts = append(cuts, base.Breakpoints()...)
-	for _, e := range p.Emergencies {
-		cuts = append(cuts, e.Start, e.End)
-	}
-	sort.Slice(cuts, func(a, b int) bool { return cuts[a] < cuts[b] })
-	var segs []capplan.Segment
-	for _, t := range cuts {
-		if t < 0 {
-			continue
-		}
-		if len(segs) > 0 && segs[len(segs)-1].Start == t {
-			continue // dedup
-		}
-		cap := base.CapAt(t)
-		for _, e := range p.Emergencies {
-			if e.Start <= t && t < e.End && e.Cap < cap {
-				cap = e.Cap
-			}
-		}
-		// Merge with the previous segment when the cap is unchanged.
-		if len(segs) > 0 && segs[len(segs)-1].Cap == cap {
-			continue
-		}
-		segs = append(segs, capplan.Segment{Start: t, Cap: cap})
-	}
-	return capplan.Steps(segs...)
-}
-
 // item is one record of a plan.
 type item struct {
-	// Kind is fail, repair, mtbf, mttr, emer, retries, ckpt or restart.
+	// Kind is fail, repair, mtbf, mttr, retries, ckpt or restart.
 	Kind string
 	// Subject is the rank (fail, repair) or the pool (mtbf, mttr).
 	Subject string
-	// T0 is the event time (fail, repair); T0 and T1 bound an emer window.
-	T0, T1 float64
-	// Value is seconds (mtbf, mttr, ckpt, restart), watts (emer) or a
-	// count (retries).
+	// T0 is the event time (fail, repair).
+	T0 float64
+	// Value is seconds (mtbf, mttr, ckpt, restart) or a count (retries).
 	Value float64
 }
 
 // forms gives each kind's value syntax in the spec grammar: S is the
-// subject, 0 and 1 the times, V the value, any other byte a literal
-// separator.
+// subject, 0 the time, V the value, any other byte a literal separator.
 var forms = map[string]string{
 	"fail": "S@0", "repair": "S@0",
 	"mtbf": "S:V", "mttr": "S:V",
-	"emer":    "0-1:V",
 	"retries": "V", "ckpt": "V", "restart": "V",
 }
 
 // num is the numeric sub-field a form letter names.
 func (it *item) num(field byte) *float64 {
-	switch field {
-	case '0':
+	if field == '0' {
 		return &it.T0
-	case '1':
-		return &it.T1
 	}
 	return &it.Value
 }
@@ -245,19 +172,12 @@ func (it *item) set(field byte, raw string) (err error) {
 	return err
 }
 
-// get renders the sub-field under a form letter, never as a negative
-// exponent or a negative zero: the "-" would read back as an emer window
-// separator.
+// get renders the sub-field under a form letter.
 func (it item) get(field byte) string {
 	if field == 'S' {
 		return it.Subject
 	}
-	v := *it.num(field) + 0 // -0 + 0 is +0
-	s := strconv.FormatFloat(v, 'g', -1, 64)
-	if strings.Contains(s, "e-") {
-		s = strconv.FormatFloat(v, 'f', -1, 64)
-	}
-	return s
+	return strconv.FormatFloat(*it.num(field), 'g', -1, 64)
 }
 
 // items enumerates the plan as records, zero-valued knobs omitted — the
@@ -275,9 +195,6 @@ func (p *Plan) items() []item {
 		items = append(items,
 			item{Kind: "mtbf", Subject: r.Pool, Value: float64(r.MTBF)},
 			item{Kind: "mttr", Subject: r.Pool, Value: float64(r.MTTR)})
-	}
-	for _, e := range p.Emergencies {
-		items = append(items, item{Kind: "emer", T0: float64(e.Start), T1: float64(e.End), Value: float64(e.Cap)})
 	}
 	for _, knob := range []item{{Kind: "retries", Value: float64(p.MaxRetries)},
 		{Kind: "ckpt", Value: float64(p.CheckpointEvery)}, {Kind: "restart", Value: float64(p.RestartCost)}} {
@@ -316,8 +233,6 @@ func build(items []item) (*Plan, error) {
 			} else {
 				p.Rates[i].MTTR, have[i][1] = units.Seconds(it.Value), true
 			}
-		case "emer":
-			p.Emergencies = append(p.Emergencies, Emergency{Start: units.Seconds(it.T0), End: units.Seconds(it.T1), Cap: units.Watts(it.Value)})
 		case "retries":
 			if it.Value != math.Trunc(it.Value) || math.Abs(it.Value) > math.MaxInt32 {
 				return nil, fmt.Errorf("faults: retry cap %g is not a whole number", it.Value)
@@ -350,7 +265,7 @@ func (p *Plan) String() string {
 		}
 		b.WriteString(it.Kind + "=")
 		for _, c := range []byte(forms[it.Kind]) {
-			if strings.IndexByte("S01V", c) >= 0 {
+			if strings.IndexByte("S0V", c) >= 0 {
 				b.WriteString(it.get(c))
 			} else {
 				b.WriteByte(c)
@@ -366,13 +281,12 @@ func (p *Plan) String() string {
 //	repair=R@T    rank R is repaired at T seconds
 //	mtbf=POOL:S   pool POOL ("*" = all) draws failures at mean S seconds
 //	mttr=POOL:S   pool POOL draws repairs at mean S seconds
-//	emer=T0-T1:W  power emergency: effective cap ≤ W over [T0, T1)
 //	retries=N     resubmit a killed job at most N times
 //	ckpt=S        checkpoint every job each S seconds
 //	restart=S     restart surcharge of S seconds re-executed work
 //
 // Items are comma-separated, e.g.
-// "fail=3@10,repair=3@60,mtbf=*:900,mttr=*:120,emer=20-40:600,retries=2,ckpt=30,restart=5";
+// "fail=3@10,repair=3@60,mtbf=*:900,mttr=*:120,retries=2,ckpt=30,restart=5";
 // whitespace around items, keys and sub-fields is ignored. A pool that
 // names an MTBF must also name an MTTR (and vice versa). A knob or pool
 // half given twice is last-wins ("retries=1,retries=2" retries twice).
@@ -392,7 +306,7 @@ func ParsePlan(spec string) (*Plan, error) {
 			raw := val
 			if i+1 < len(form) {
 				if raw, val, ok = strings.Cut(val, form[i+1:i+2]); !ok {
-					want := strings.NewReplacer("S", "SUBJECT", "0", "T0", "1", "T1", "V", "VALUE").Replace(form)
+					want := strings.NewReplacer("S", "SUBJECT", "0", "T", "V", "VALUE").Replace(form)
 					return nil, fmt.Errorf("faults: item %q wants %s=%s", field, it.Kind, want)
 				}
 			}

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/capplan"
 	"repro/internal/units"
 )
 
@@ -20,9 +19,6 @@ func testPlan() *Plan {
 		Rates: []PoolRates{
 			{Pool: "systemg", MTBF: 900, MTTR: 120},
 			{Pool: "*", MTBF: 3600, MTTR: 60},
-		},
-		Emergencies: []Emergency{
-			{Start: 20, End: 40, Cap: 600},
 		},
 		MaxRetries:      2,
 		CheckpointEvery: 30,
@@ -47,7 +43,7 @@ func TestSpecRoundTrip(t *testing.T) {
 }
 
 func TestParsePlanGrammar(t *testing.T) {
-	p, err := ParsePlan("fail=3@10,repair=3@60,mtbf=*:900,mttr=*:120,emer=20-40:600,retries=2,ckpt=30,restart=5")
+	p, err := ParsePlan("fail=3@10,repair=3@60,mtbf=*:900,mttr=*:120,retries=2,ckpt=30,restart=5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,9 +53,6 @@ func TestParsePlanGrammar(t *testing.T) {
 	r, ok := p.RatesFor("anything")
 	if !ok || r.MTBF != 900 || r.MTTR != 120 {
 		t.Fatalf("wildcard rates = %+v ok=%v", r, ok)
-	}
-	if len(p.Emergencies) != 1 || p.Emergencies[0].Cap != 600 {
-		t.Fatalf("emergencies = %+v", p.Emergencies)
 	}
 	if p.MaxRetries != 2 || p.CheckpointEvery != 30 || p.RestartCost != 5 {
 		t.Fatalf("knobs = %+v", p)
@@ -77,9 +70,7 @@ func TestParsePlanErrors(t *testing.T) {
 		"mtbf=a:900",        // mtbf without mttr
 		"mttr=a:120",        // mttr without mtbf
 		"mtbf=a:0,mttr=a:1", // non-positive MTBF
-		"emer=40-20:600",    // empty window
-		"emer=0-10:0",       // non-positive cap
-		"emer=10:600",       // missing range
+		"emer=1-2:700",      // a cap clamp is a cap-plan window, not a fault
 		"retries=-1",
 		"ckpt=-1",
 		"restart=-1",
@@ -89,9 +80,6 @@ func TestParsePlanErrors(t *testing.T) {
 		"mtbf=*:NaN,mttr=*:1",
 		"mtbf=*:1,mttr=*:NaN",
 		"mtbf=*:Inf,mttr=*:1",
-		"emer=0-10:NaN",
-		"emer=0-Inf:600",
-		"emer=NaN-10:600",
 		"ckpt=NaN",
 		"restart=Inf",
 	} {
@@ -117,69 +105,6 @@ func TestRatesForExactBeatsWildcard(t *testing.T) {
 	}
 }
 
-func TestEffectiveCapsNoEmergenciesSamePointer(t *testing.T) {
-	base := capplan.Constant(2500)
-	p := &Plan{Scripted: []Scripted{{Rank: 0, T: 1}}}
-	eff, err := p.EffectiveCaps(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eff != base {
-		t.Fatal("no emergencies must return the base plan unchanged")
-	}
-}
-
-func TestEffectiveCapsComposition(t *testing.T) {
-	base, err := capplan.Steps(
-		capplan.Segment{Start: 0, Cap: 2500},
-		capplan.Segment{Start: 100, Cap: 1500},
-		capplan.Segment{Start: 200, Cap: 2500},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &Plan{Emergencies: []Emergency{
-		{Start: 50, End: 150, Cap: 1000},
-		{Start: 120, End: 130, Cap: 800}, // nested, deeper clamp
-	}}
-	eff, err := p.EffectiveCaps(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		t    units.Seconds
-		want units.Watts
-	}{
-		{0, 2500},   // before anything
-		{49, 2500},  // just before the emergency
-		{50, 1000},  // emergency clamps below base
-		{100, 1000}, // base drops to 1500, emergency still lower
-		{120, 800},  // nested deeper emergency
-		{130, 1000}, // back to the outer emergency
-		{150, 1500}, // emergency over, base window rules
-		{200, 2500}, // base recovers
-	} {
-		if got := eff.CapAt(tc.t); got != tc.want {
-			t.Errorf("CapAt(%v) = %v, want %v", tc.t, got, tc.want)
-		}
-	}
-}
-
-func TestEffectiveCapsEmergencyAboveBaseIsNoop(t *testing.T) {
-	base := capplan.Constant(1000)
-	p := &Plan{Emergencies: []Emergency{{Start: 10, End: 20, Cap: 5000}}}
-	eff, err := p.EffectiveCaps(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := eff.CapAt(15); got != 1000 {
-		t.Fatalf("CapAt(15) = %v, want base 1000", got)
-	}
-	if got := eff.MinCap(); got != 1000 {
-		t.Fatalf("MinCap = %v, want 1000", got)
-	}
-}
-
 func TestValidateCatchesBadPlans(t *testing.T) {
 	nan, inf := units.Seconds(math.NaN()), units.Seconds(math.Inf(1))
 	bad := []*Plan{
@@ -189,9 +114,6 @@ func TestValidateCatchesBadPlans(t *testing.T) {
 		{Rates: []PoolRates{{Pool: "a", MTBF: 1, MTTR: 1}, {Pool: "a", MTBF: 2, MTTR: 2}}},
 		{Rates: []PoolRates{{Pool: "a", MTBF: 0, MTTR: 1}}},
 		{Rates: []PoolRates{{Pool: "a", MTBF: 1, MTTR: 0}}},
-		{Emergencies: []Emergency{{Start: -1, End: 1, Cap: 1}}},
-		{Emergencies: []Emergency{{Start: 5, End: 5, Cap: 1}}},
-		{Emergencies: []Emergency{{Start: 0, End: 1, Cap: 0}}},
 		{MaxRetries: -1},
 		{CheckpointEvery: -1},
 		{RestartCost: -1},
@@ -200,10 +122,6 @@ func TestValidateCatchesBadPlans(t *testing.T) {
 		{Rates: []PoolRates{{Pool: "a", MTBF: nan, MTTR: 1}}},
 		{Rates: []PoolRates{{Pool: "a", MTBF: 1, MTTR: nan}}},
 		{Rates: []PoolRates{{Pool: "a", MTBF: inf, MTTR: 1}}},
-		{Emergencies: []Emergency{{Start: nan, End: 1, Cap: 1}}},
-		{Emergencies: []Emergency{{Start: 0, End: inf, Cap: 1}}},
-		{Emergencies: []Emergency{{Start: 0, End: 1, Cap: units.Watts(nan)}}},
-		{Emergencies: []Emergency{{Start: 0, End: 1, Cap: units.Watts(inf)}}},
 		{CheckpointEvery: nan},
 		{RestartCost: inf},
 	}
@@ -253,11 +171,11 @@ func TestGrammarEdges(t *testing.T) {
 	if _, err := ParsePlan("mtbf=*:0,mttr=*:1"); err == nil || !strings.Contains(err.Error(), "MTBF 0s must be positive") {
 		t.Errorf("a zero MTBF is a present, invalid half: got %v", err)
 	}
-	spaced, err := ParsePlan(" fail = 3 @ 1 , mtbf= * : 900 ,mttr=*: 120, emer = 2 - 4 : 600 ,retries= 2 ")
+	spaced, err := ParsePlan(" fail = 3 @ 1 , mtbf= * : 900 ,mttr=*: 120, restart = 0.5 ,retries= 2 ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "fail=3@1,mtbf=*:900,mttr=*:120,emer=2-4:600,retries=2"; spaced.String() != want {
+	if want := "fail=3@1,mtbf=*:900,mttr=*:120,retries=2,restart=0.5"; spaced.String() != want {
 		t.Errorf("spaced spec = %q, want %q", spaced, want)
 	}
 	last, err := ParsePlan("retries=1,mtbf=*:5,mttr=*:1,ckpt=3,retries=2,mtbf=*:7,ckpt=4")
@@ -270,14 +188,13 @@ func TestGrammarEdges(t *testing.T) {
 	if _, err := ParsePlan("retries=2.5"); err == nil {
 		t.Error("a fractional retry cap parsed")
 	}
-	// Sub-1e-4 times render without an exponent, whose "-" would read
-	// back as the emer window separator.
-	tiny, err := ParsePlan("emer=0.00001-0.00002:600")
+	// Sub-1e-4 values render with an exponent and read back exactly.
+	tiny, err := ParsePlan("fail=1@0.00001,restart=0.00002")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if back, err := ParsePlan(tiny.String()); err != nil || !reflect.DeepEqual(back, tiny) {
-		t.Errorf("tiny emergency %q does not round-trip: %v", tiny, err)
+		t.Errorf("tiny plan %q does not round-trip: %v", tiny, err)
 	}
 }
 
@@ -307,9 +224,9 @@ func TestWithOverrides(t *testing.T) {
 
 func FuzzParsePlan(f *testing.F) {
 	f.Add(testPlan().String())
-	f.Add("fail=3@10,repair=3@60,mtbf=*:900,mttr=*:120,emer=20-40:600,retries=2,ckpt=30,restart=5")
-	f.Add(" fail = 3 @ 1 ,retries=1,retries=2,emer=0.00001-1:5,ckpt=-0")
-	f.Add("fail= 3 @1,mtbf=ab:5,mttr=ab:1,emer=0-1:600")
+	f.Add("fail=3@10,repair=3@60,mtbf=*:900,mttr=*:120,retries=2,ckpt=30,restart=5")
+	f.Add(" fail = 3 @ 1 ,retries=1,retries=2,restart=0.00001,ckpt=-0")
+	f.Add("fail= 3 @1,mtbf=ab:5,mttr=ab:1")
 	f.Fuzz(func(t *testing.T, spec string) {
 		p, err := ParsePlan(spec)
 		if err != nil {

@@ -34,10 +34,6 @@ type Site struct {
 	// merged result and steers the carbon-min split policy.
 	Carbon []capplan.Sample
 	// Faults optionally injects the site's failure/repair processes.
-	// Power emergencies are rejected here: an emergency forks the
-	// scheduler's effective cap timeline away from the federation's
-	// negotiated plan, which re-negotiation must be able to revise in
-	// place. Model site-level derating with Local instead.
 	Faults *faults.Plan
 }
 
@@ -254,9 +250,6 @@ func New(cfg Config) (*Federation, error) {
 					return nil, fmt.Errorf("fed: site %q carbon sample %d: negative intensity %g", site.Name, si, s.Value)
 				}
 			}
-		}
-		if site.Faults != nil && len(site.Faults.Emergencies) > 0 {
-			return nil, fmt.Errorf("fed: site %q fault plan carries power emergencies; model site derating with Site.Local instead (emergencies would fork the site's cap timeline away from the federation's negotiated plan)", site.Name)
 		}
 		sr := &siteRun{site: site, idx: i}
 		for pi, np := range site.Platform.Pools {

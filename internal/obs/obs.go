@@ -248,16 +248,18 @@ func (h *Host) Snapshot() Snapshot {
 
 // Summary renders the one-line host report schedrun -v prints:
 //
-//	wall=0.42s events/s=812k opcache=93.2% hit (12034h/871m/240f) alloc=84.1MB gc=3 | admission 12.1ms/210 …
+//	wall=0.42s events/s=812k opcache=871 evals alloc=84.1MB gc=3 | admission 12.1ms/210 …
+//
+// opcache counts row evaluations (Stats.Misses): runtime pricing
+// never hits the memo.
 func (h *Host) Summary() string {
 	if h == nil {
 		return ""
 	}
 	s := h.Snapshot()
 	var b strings.Builder
-	fmt.Fprintf(&b, "wall=%.3fs events/s=%s opcache=%.1f%% hit (%dh/%dm/%df) alloc=%s gc=%d",
-		s.WallSeconds, humanCount(s.EventsPerSec), 100*s.HitRate,
-		s.Opcache.Hits, s.Opcache.Misses, s.Opcache.Forgets,
+	fmt.Fprintf(&b, "wall=%.3fs events/s=%s opcache=%d evals alloc=%s gc=%d",
+		s.WallSeconds, humanCount(s.EventsPerSec), s.Opcache.Misses,
 		humanBytes(s.AllocBytes), s.NumGC)
 	sep := " | "
 	for _, p := range s.Phases {

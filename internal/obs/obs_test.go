@@ -133,7 +133,7 @@ func TestSummaryFormat(t *testing.T) {
 	h.End(PhaseAdmission, h.Begin())
 	h.RunEnd()
 	s := h.Summary()
-	for _, want := range []string{"wall=", "events/s=", "opcache=75.0% hit (3h/1m/0f)", "alloc=", "gc=", "admission "} {
+	for _, want := range []string{"wall=", "events/s=", "opcache=1 evals", "alloc=", "gc=", "admission "} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("Summary %q misses %q", s, want)
 		}

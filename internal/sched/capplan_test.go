@@ -56,9 +56,7 @@ func TestPlanConfigValidation(t *testing.T) {
 
 // Acceptance: a bare Cap and a one-segment Plan are two spellings of one
 // budget — the schedule and its JSON dump must be bit-identical, window
-// accounting aside, for every policy family. With a power emergency on
-// top both spellings report the effective timeline, so nothing is set
-// aside at all.
+// accounting aside, for every policy family.
 func TestOneSegmentPlanMatchesConstantCap(t *testing.T) {
 	trace := SyntheticTrace(TraceConfig{Jobs: 24, Seed: 11, MaxWidth: 8})
 	run := func(cfg Config) Result {
@@ -100,15 +98,6 @@ func TestOneSegmentPlanMatchesConstantCap(t *testing.T) {
 		b.Plan, b.Windows, b.CapUtilisation = "", nil, 0
 		compareResults(t, label, a, b)
 		sameJSON(label, a, b)
-
-		byCap.Faults = mustFaultPlan(t, "emer=0.2-0.5:700")
-		byPlan.Faults = byCap.Faults
-		a, b = run(byCap), run(byPlan)
-		if !strings.Contains(a.Plan, "700") || len(a.Windows) < 2 {
-			t.Fatalf("%s: a bare cap under an emergency reports plan %q and %d windows", label, a.Plan, len(a.Windows))
-		}
-		compareResults(t, label+" under an emergency", a, b)
-		sameJSON(label+" under an emergency", a, b)
 	}
 }
 

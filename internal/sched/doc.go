@@ -62,12 +62,15 @@
 // The budget is one cap timeline (capplan.Plan): Config.Cap, the paper's
 // fixed constraint, is shorthand for a one-window plan and Config.Plan
 // spells out a time-varying one (demand-response windows, diurnal
-// tariffs, carbon-intensity series). Admission charges each job's
+// tariffs, carbon-intensity series); a grid power emergency that clamps
+// the cap mid-run is a window of it, and fault injection (Config.Faults)
+// never changes it. Admission charges each job's
 // envelope against the minimum cap over its predicted lifetime, the
 // backfill shadow walk reserves against the timeline, every breakpoint
 // is a first-class scheduling edge (the governor throttles one sampling
 // interval ahead of each downward step and boosts/re-admits on rises),
 // and the audit judges every sample by the cap in force at its own
 // instant — see DESIGN.md §8 and the per-window accounting in
-// Result.Windows.
+// Result.Windows. The energy books close at the sampling horizon, so
+// Result.TotalEnergy is the integral of the measured power profile.
 package sched

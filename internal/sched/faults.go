@@ -14,7 +14,7 @@ import (
 // (internal/faults): rank failures and repairs threaded through the
 // event kernel, mid-phase job kills with checkpoint/restart accounting,
 // and the graceful-degradation rules that keep every surviving decision
-// deterministic and under the effective cap.
+// deterministic and under the cap.
 //
 // The contract with the rest of the scheduler:
 //
@@ -24,14 +24,14 @@ import (
 //     pair reproduces the same fault schedule bit for bit.
 //   - Byte-identity without faults. A nil Config.Faults is normalised
 //     to the empty plan at New, under which no hook finds work (nothing
-//     scripted, no rates to draw from, no emergencies, no checkpoint
-//     interval); TestEmptyFaultPlanMatchesNil and the fault-free goldens
-//     pin it. What is reported stays keyed on the caller's config: the
-//     fault metrics are registered only when a plan was given.
-//   - Zero violations. Power emergencies are folded into the effective
-//     cap timeline at construction (Scheduler.effPlan), so admission,
-//     the governor and the violation audit all price against the
-//     clamped budget — the zero-violation argument is unchanged.
+//     scripted, no rates to draw from, no checkpoint interval);
+//     TestEmptyFaultPlanMatchesNil and the fault-free goldens pin it.
+//     What is reported stays keyed on the caller's config: the fault
+//     metrics are registered only when a plan was given.
+//   - Zero violations. Faults never touch the budget: admission, the
+//     governor and the violation audit price against the one cap
+//     timeline (Scheduler.capPlan), so the zero-violation argument is
+//     unchanged. A mid-run cap clamp is a window of that timeline.
 //   - Liveness. A failure either requeues its jobs (retry cap willing)
 //     or loses them; a queued job that can never run on the surviving
 //     capacity is finalised rather than parked forever, while capacity
@@ -109,10 +109,9 @@ func (s *Scheduler) repairAhead(now units.Seconds) bool {
 }
 
 // scheduleFaults arms every fault event at Run: scripted fail/repair
-// events verbatim, one MTBF failure chain per rank of every pool with a
-// stochastic rate, and a telemetry marker at each power-emergency
-// boundary (the cap clamp itself lives in the effective timeline).
-// Chains guard on s.remaining so a drained trace stops drawing.
+// events verbatim and one MTBF failure chain per rank of every pool with
+// a stochastic rate. Chains guard on s.remaining so a drained trace
+// stops drawing.
 func (s *Scheduler) scheduleFaults() {
 	k, plan := s.cl.Kernel(), s.flt.plan
 	for _, ev := range plan.Scripted {
@@ -134,19 +133,6 @@ func (s *Scheduler) scheduleFaults() {
 			continue
 		}
 		s.armFailure(r, rates)
-	}
-	for _, e := range plan.Emergencies {
-		e := e
-		k.Schedule(e.Start, func() {
-			if s.remaining > 0 && s.tel != nil {
-				s.tel.emitEmergency(e.Cap, "begin")
-			}
-		})
-		k.Schedule(e.End, func() {
-			if s.remaining > 0 && s.tel != nil {
-				s.tel.emitEmergency(s.controlCap(k.Now()), "end")
-			}
-		})
 	}
 }
 

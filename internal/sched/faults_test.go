@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/capplan"
 	"repro/internal/faults"
 	"repro/internal/machine"
 	"repro/internal/telemetry"
@@ -77,20 +78,24 @@ func TestEmptyFaultPlanMatchesNil(t *testing.T) {
 	}
 }
 
-// Chaos matrix: fault plans spanning scripted kills, stochastic
-// MTBF/MTTR processes and power emergencies, crossed with the policy
-// families and both platform shapes. Every combination must finish with
-// zero cap violations, every job in a terminal state, and a bit-identical
-// schedule on replay — determinism is per (seed, plan), not best-effort.
+// Chaos matrix: fault plans spanning scripted kills and stochastic
+// MTBF/MTTR processes, one of them under a mid-run cap clamp, crossed
+// with the policy families and both platform shapes. Every combination
+// must finish with zero cap violations, every job in a terminal state,
+// and a bit-identical schedule on replay — determinism is per (seed,
+// plan), not best-effort.
 func TestChaosMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("36 fault-injected schedules")
 	}
 	trace := SyntheticTrace(TraceConfig{Jobs: 32, Seed: 1})
-	plans := []struct{ label, spec string }{
-		{"scripted", "fail=1@0.1,fail=5@0.25,repair=1@0.5,repair=5@0.8,fail=2@0.9,repair=2@1.2,retries=3,ckpt=0.1,restart=0.02"},
-		{"mtbf", "mtbf=*:1.5,mttr=*:0.2,retries=4,ckpt=0.15,restart=0.05"},
-		{"emergency", "emer=0.2-0.6:1300,fail=0@0.3,repair=0@0.7,retries=2,ckpt=0.1"},
+	plans := []struct {
+		label, spec string
+		squeeze     bool // clamp the cap to 1300 W over [0.2, 0.6) s
+	}{
+		{"scripted", "fail=1@0.1,fail=5@0.25,repair=1@0.5,repair=5@0.8,fail=2@0.9,repair=2@1.2,retries=3,ckpt=0.1,restart=0.02", false},
+		{"mtbf", "mtbf=*:1.5,mttr=*:0.2,retries=4,ckpt=0.15,restart=0.05", false},
+		{"squeeze", "fail=0@0.3,repair=0@0.7,retries=2,ckpt=0.1", true},
 	}
 	platforms := []struct {
 		label    string
@@ -117,6 +122,13 @@ func TestChaosMatrix(t *testing.T) {
 					Policy:   pol,
 					Seed:     1,
 					Faults:   plan,
+				}
+				if pl.squeeze {
+					cfg.Cap, cfg.Plan = 0, mustSteps(t,
+						capplan.Segment{Start: 0, Cap: pf.cap},
+						capplan.Segment{Start: 0.2, Cap: 1300},
+						capplan.Segment{Start: 0.6, Cap: pf.cap},
+					)
 				}
 				run := func() Result {
 					s, err := New(cfg)
@@ -308,27 +320,35 @@ func TestRetryCapExhaustedJobLost(t *testing.T) {
 	}
 }
 
-// A power emergency clamps the effective cap mid-run: the audit must
-// judge every sample against the clamped timeline and find zero
-// violations, the result must expose the effective plan, and the stream
-// must carry both emergency boundary markers.
+// A power emergency is a window of the cap plan: with a rank failing
+// inside the 1100 W clamp, the audit must judge every sample against
+// the clamped timeline and find zero violations, the result must carry
+// the plan and its window ledger, and the stream must carry the plan
+// edges into and out of the clamp.
 func TestEmergencyEffectiveCap(t *testing.T) {
 	trace := SyntheticTrace(TraceConfig{Jobs: 32, Seed: 1})
 	cfg := Config{
 		Platform: machine.Homogeneous(machine.SystemG()),
 		Ranks:    32,
-		Cap:      1500,
-		Policy:   Backfill(EEMax()),
-		Seed:     1,
-		Faults:   mustFaultPlan(t, "emer=0.3-0.9:1100,retries=1"),
+		Plan: mustSteps(t,
+			capplan.Segment{Start: 0, Cap: 1500},
+			capplan.Segment{Start: 0.3, Cap: 1100},
+			capplan.Segment{Start: 0.9, Cap: 1500},
+		),
+		Policy: Backfill(EEMax()),
+		Seed:   1,
+		Faults: mustFaultPlan(t, "fail=2@0.5,repair=2@0.7,retries=1,ckpt=0.1"),
 	}
 	res, events := tracedRun(t, cfg, trace)
 
 	if res.CapViolations != 0 {
-		t.Fatalf("%d violations against the effective cap", res.CapViolations)
+		t.Fatalf("%d violations against the cap plan", res.CapViolations)
 	}
-	if res.Plan == "" || !strings.Contains(res.Plan, "1100") {
-		t.Fatalf("result plan %q does not render the emergency window", res.Plan)
+	if res.Failures != 1 || res.Repairs != 1 {
+		t.Fatalf("%d failures and %d repairs, want one of each inside the clamp", res.Failures, res.Repairs)
+	}
+	if res.Plan != "0:1500,0.3:1100,0.9:1500" {
+		t.Fatalf("result plan %q, want the configured one", res.Plan)
 	}
 	var clamped *WindowStat
 	for i := range res.Windows {
@@ -346,14 +366,14 @@ func TestEmergencyEffectiveCap(t *testing.T) {
 	if clamped.Start != 0.3 {
 		t.Fatalf("clamped window starts at %v, want 0.3", clamped.Start)
 	}
-	marks := 0
+	edges := map[units.Seconds]units.Watts{}
 	for _, ev := range events {
-		if ev.Kind == telemetry.EvEmergency {
-			marks++
+		if ev.Kind == telemetry.EvPlanEdge && ev.Reason != "pre-drop" {
+			edges[ev.T] = ev.Cap
 		}
 	}
-	if marks != 2 {
-		t.Fatalf("%d emergency markers, want begin and end", marks)
+	if edges[0.3] != 1100 || edges[0.9] != 1500 {
+		t.Fatalf("plan edges %v, want 1100 W at 0.3 s and 1500 W at 0.9 s", edges)
 	}
 }
 

@@ -16,8 +16,9 @@ import (
 var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata/golden_* stream files from this run")
 
 // goldenStreams runs the one scenario the stream goldens are cut from —
-// 96 jobs on systemg:16,dori:16 under a two-window plan, scripted and
-// MTBF faults with checkpoints and an emergency, backfill+ee-max with
+// 96 jobs on systemg:16,dori:16 under a four-window plan (a 1050 W
+// clamp over [0.8, 1.1) s, then a lower tail), scripted and MTBF faults
+// with checkpoints, backfill+ee-max with
 // edge retunes, seed 1 — with every in-run exporter attached, and
 // returns each stream's bytes. The Chrome trace is not among them: it
 // is a fold over the NDJSON stream.
@@ -39,10 +40,12 @@ func goldenStreams(t *testing.T) (streams map[string]*bytes.Buffer) {
 		Platform: mustPlatform(t, "systemg:16,dori:16"),
 		Plan: mustSteps(t,
 			capplan.Segment{Start: 0, Cap: 1400},
+			capplan.Segment{Start: 0.8, Cap: 1050},
+			capplan.Segment{Start: 1.1, Cap: 1400},
 			capplan.Segment{Start: 1.5, Cap: 1150},
 		),
 		Faults: mustFaultPlan(t,
-			"fail=3@0.2,repair=3@0.6,mtbf=*:30,mttr=*:0.3,emer=0.8-1.1:1050,retries=3,ckpt=0.1,restart=0.02"),
+			"fail=3@0.2,repair=3@0.6,mtbf=*:30,mttr=*:0.3,retries=3,ckpt=0.1,restart=0.02"),
 		Policy:     Backfill(EEMax()),
 		EdgeRetune: true,
 		Seed:       1,
@@ -105,7 +108,7 @@ func TestStreamGoldens(t *testing.T) {
 	for _, ev := range decoded {
 		seen[ev.Kind] = true
 	}
-	for k := telemetry.EvArrive; k <= telemetry.EvEmergency; k++ {
+	for k := telemetry.EvArrive; k <= telemetry.EvRestart; k++ {
 		if !seen[k] && k != telemetry.EvViolation && k != telemetry.EvReject {
 			t.Errorf("golden scenario emits no %s event", k)
 		}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/capplan"
@@ -19,10 +20,12 @@ func TestLedgerAgreesWithIndependentCounts(t *testing.T) {
 		Platform: mustPlatform(t, "systemg:16,dori:16"),
 		Plan: mustSteps(t,
 			capplan.Segment{Start: 0, Cap: 1400},
+			capplan.Segment{Start: 0.8, Cap: 1050},
+			capplan.Segment{Start: 1.1, Cap: 1400},
 			capplan.Segment{Start: 1.5, Cap: 1150},
 		),
 		Faults: mustFaultPlan(t,
-			"fail=3@0.2,repair=3@0.6,mtbf=*:30,mttr=*:0.3,emer=0.8-1.1:1050,retries=1,ckpt=0.1,restart=0.02"),
+			"fail=3@0.2,repair=3@0.6,mtbf=*:30,mttr=*:0.3,retries=1,ckpt=0.1,restart=0.02"),
 		Policy:     Backfill(EEMax()),
 		EdgeRetune: true,
 		NoisyMeter: true,
@@ -80,5 +83,47 @@ func TestLedgerAgreesWithIndependentCounts(t *testing.T) {
 	}
 	if res.PeakPower != peak || peak == 0 {
 		t.Errorf("PeakPower = %v, largest sample %v", res.PeakPower, peak)
+	}
+}
+
+// The energy identity: with a noise-free meter, the energy the ledger
+// attributes (every job's plus the parked pool's) is the integral of the
+// measured power profile, whatever kernel events fire after the trace
+// drains — a plan breakpoint an hour out, pending MTBF/MTTR draws, an
+// embedder's callback (a federation barrier) — since the books close at
+// the sampling horizon.
+func TestTotalEnergyMatchesMeasuredProfile(t *testing.T) {
+	systemg := mustPlatform(t, "systemg:16")
+	for _, c := range []struct {
+		name  string
+		cfg   Config
+		after units.Seconds // an At callback this long past the start, or 0
+	}{
+		{"constant cap", Config{Platform: systemg, Cap: 900, Policy: EEMax()}, 0},
+		{"breakpoint after the drain", Config{Platform: systemg, Policy: EEMax(),
+			Plan: mustSteps(t, capplan.Segment{Start: 0, Cap: 900}, capplan.Segment{Start: 3600, Cap: 850})}, 0},
+		{"mtbf", Config{Platform: systemg, Cap: 900, Policy: Backfill(EEMax()),
+			Faults: mustFaultPlan(t, "mtbf=*:3,mttr=*:0.15,retries=8,ckpt=0.1")}, 0},
+		{"callback after the drain", Config{Platform: systemg, Cap: 900, Policy: EEMax()}, 100},
+	} {
+		c.cfg.Seed = 1
+		s, err := New(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.after > 0 {
+			if err := s.At(c.after, func() {}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := s.Run(SyntheticTrace(TraceConfig{Jobs: 16, Seed: 1}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		measured := s.prof.Profile().Energy()
+		if rel := math.Abs(float64(res.TotalEnergy-measured)) / float64(measured); !(rel <= 1e-9) {
+			t.Errorf("%s: TotalEnergy %v (parked %v), measured %v: relative gap %.3g",
+				c.name, res.TotalEnergy, res.ParkedEnergy, measured, rel)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"iter"
+	"strconv"
 	"strings"
 
 	"repro/internal/analysis"
@@ -325,16 +326,26 @@ func (fairSharePolicy) Admit(ctx *AdmitContext) {
 }
 
 // ParsePolicy resolves a policy name as the command lines spell it,
-// case-insensitively: a shipped policy, or "backfill+<name>" for one
-// wrapped in EASY backfill reservations.
+// case-insensitively: exactly what Name prints — a shipped policy,
+// "backfill+<name>" for one wrapped in EASY backfill reservations, or
+// "backfillK+<name>" (K ≥ 2) for one holding K reservations.
 func ParsePolicy(name string) (Policy, error) {
-	inner, wrapped := strings.CutPrefix(strings.ToLower(name), "backfill+")
-	p, ok := Policies()[inner]
-	if !ok {
-		return nil, fmt.Errorf("unknown policy %q (have fifo, ee-max, fair-share, backfill+<name>)", name)
+	want := strings.ToLower(name)
+	inner, k := want, 0
+	if head, rest, ok := strings.Cut(want, "+"); ok {
+		inner, k = rest, 1
+		if digits := strings.TrimPrefix(head, "backfill"); digits != "" {
+			k, _ = strconv.Atoi(digits)
+		}
 	}
-	if wrapped {
-		p = Backfill(p)
+	p, ok := Policies()[inner]
+	if ok && k > 0 {
+		p = BackfillN(p, k)
+	}
+	// A spelling Name would print differently (backfill1+, backfill02+,
+	// fifo+ee-max) names no policy.
+	if !ok || p.Name() != want {
+		return nil, fmt.Errorf("unknown policy %q (have fifo, ee-max, fair-share, backfill+<name>, backfillK+<name> for K ≥ 2)", name)
 	}
 	return p, nil
 }

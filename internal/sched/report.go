@@ -20,8 +20,8 @@ type Result struct {
 	// Cap is the power budget in force at t = 0: the constant cap, or
 	// the cap timeline's initial window.
 	Cap units.Watts
-	// Plan labels the effective cap timeline in ParsePlan form; empty
-	// when the run was given a bare Config.Cap and no power emergency.
+	// Plan labels the cap timeline in ParsePlan form; empty when the
+	// run was given a bare Config.Cap.
 	Plan string
 	// Windows holds per-budget-window accounting whenever Plan is set
 	// (capped to the sampled makespan): energy, violations, and cap
@@ -101,7 +101,7 @@ func (s *Scheduler) collect() Result {
 	res.Policy = s.cfg.Policy.Name()
 	res.Platform = s.cfg.Platform.String()
 	res.Ranks = s.cl.Ranks()
-	res.Cap = s.effPlan.CapAt(0)
+	res.Cap = s.capPlan.CapAt(0)
 	res.Makespan = s.cl.Wall()
 	res.TotalEnergy = res.ParkedEnergy
 	res.MeanPower = s.prof.Profile().MeanTotal()
@@ -145,13 +145,11 @@ func (s *Scheduler) collect() Result {
 			}
 		}
 	}
-	// A run whose budget was spelled as a timeline — by the caller, or by
-	// a power emergency clamping a bare cap — carries the window ledger.
-	if s.cfg.Plan != nil || len(s.flt.plan.Emergencies) > 0 {
-		// The effective timeline (budget plan clamped by any power
-		// emergencies) is what every decision and audit priced against,
-		// so the window accounting slices along it.
-		res.Plan = s.effPlan.String()
+	// A run whose budget was spelled as a timeline carries the window
+	// ledger, sliced along the plan every decision and audit priced
+	// against.
+	if s.cfg.Plan != nil {
+		res.Plan = s.capPlan.String()
 		res.Windows, res.CapUtilisation = s.collectWindows()
 	}
 	res.Availability = 1
@@ -212,7 +210,7 @@ func (s *Scheduler) collectWindows() ([]WindowStat, float64) {
 		return nil, 0
 	}
 	horizon := prof.Samples[len(prof.Samples)-1].T
-	segs := s.effPlan.Segments()
+	segs := s.capPlan.Segments()
 	var stats []WindowStat
 	for i, sg := range segs {
 		// A segment starting exactly at the last sample time still owns

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/app"
@@ -31,6 +32,34 @@ func TestBackfillNWrapping(t *testing.T) {
 	}
 	if bf2.DVFS() != EEMax().DVFS() {
 		t.Fatal("DVFS must delegate to the inner policy")
+	}
+}
+
+// ParsePolicy reads back every name a policy prints — each shipped
+// policy bare, under Backfill and under BackfillN with 2 and 3
+// reservations — case-insensitively, and nothing else of that shape.
+func TestParsePolicyRoundTrip(t *testing.T) {
+	for _, inner := range Policies() {
+		for _, p := range []Policy{inner, Backfill(inner), BackfillN(inner, 2), BackfillN(inner, 3)} {
+			for _, name := range []string{p.Name(), strings.ToUpper(p.Name())} {
+				got, err := ParsePolicy(name)
+				if err != nil {
+					t.Errorf("ParsePolicy(%q): %v", name, err)
+				} else if got != p {
+					t.Errorf("ParsePolicy(%q) = %s, want %s", name, got.Name(), p.Name())
+				}
+			}
+		}
+	}
+	for _, name := range []string{
+		"", "bogus", "backfill", "backfill+", "backfill+bogus",
+		"backfill1+ee-max", "backfill0+fifo", "backfill-2+ee-max", "backfill02+ee-max",
+		"backfill 2+ee-max", "backfillx+ee-max", "2+ee-max", "ee-max+fifo",
+		"backfill+backfill+ee-max", "backfill2+backfill+ee-max",
+	} {
+		if p, err := ParsePolicy(name); err == nil {
+			t.Errorf("ParsePolicy(%q) accepted as %s", name, p.Name())
+		}
 	}
 }
 

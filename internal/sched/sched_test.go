@@ -204,12 +204,17 @@ func TestLockstepMatchesPerRankChains(t *testing.T) {
 	compareResults(t, "one chain vs per-rank chains", plain, run(base, false))
 
 	// Scripted mid-phase failures of two ranks, each repaired, with
-	// checkpoints, a restart surcharge and an emergency window on top.
+	// checkpoints, a restart surcharge and a 700 W cap window on top.
 	span := float64(plain.Makespan)
 	churn := base
+	churn.Cap, churn.Plan = 0, mustSteps(t,
+		capplan.Segment{Start: 0, Cap: base.Cap},
+		capplan.Segment{Start: units.Seconds(0.35 * span), Cap: 700},
+		capplan.Segment{Start: units.Seconds(0.55 * span), Cap: base.Cap},
+	)
 	churn.Faults = mustFaultPlan(t, fmt.Sprintf(
-		"fail=0@%g,repair=0@%g,fail=5@%g,repair=5@%g,emer=%g-%g:700,retries=4,ckpt=%g,restart=%g",
-		0.21*span, 0.29*span, 0.47*span, 0.58*span, 0.35*span, 0.55*span, 0.03*span, 0.004*span))
+		"fail=0@%g,repair=0@%g,fail=5@%g,repair=5@%g,retries=4,ckpt=%g,restart=%g",
+		0.21*span, 0.29*span, 0.47*span, 0.58*span, 0.03*span, 0.004*span))
 	one, perRank := run(churn, true), run(churn, false)
 	compareResults(t, "one chain vs per-rank chains under kills", one, perRank)
 	if one.Kills == 0 || one.Restarts == 0 || one.Checkpoints == 0 || one.LostWork <= 0 || one.WastedEnergy <= 0 {
@@ -402,7 +407,7 @@ func TestGovernorThrottle(t *testing.T) {
 	}
 	// Lower the cap below the current predicted draw: the governor must
 	// shed power by stepping the job down, never below the floor.
-	s.effPlan = capplan.Constant(s.predictedTotal() - 1)
+	s.capPlan = capplan.Constant(s.predictedTotal() - 1)
 	g := &governor{s: s}
 	g.throttle()
 	if rj.fIdx >= top {
@@ -416,7 +421,7 @@ func TestGovernorThrottle(t *testing.T) {
 		t.Fatal("retunes not recorded")
 	}
 	// An impossible cap drains to the ladder floor and stops (no loop).
-	s.effPlan = capplan.Constant(1)
+	s.capPlan = capplan.Constant(1)
 	g.throttle()
 	if rj.fIdx != 0 {
 		t.Fatalf("throttle should bottom out at the ladder floor, got fIdx=%d", rj.fIdx)
@@ -665,7 +670,7 @@ func TestGovernorThrottleVictimTieBreak(t *testing.T) {
 	a, b := mk(0, []int{0, 1}), mk(1, []int{2, 3})
 	s.running = []*runningJob{a, b}
 	s.pools[0].free = nil
-	s.effPlan = capplan.Constant(s.predictedTotal() - 1) // one step from either job suffices
+	s.capPlan = capplan.Constant(s.predictedTotal() - 1) // one step from either job suffices
 	g := &governor{s: s}
 	g.throttle()
 	if a.fIdx != top || b.fIdx != top-1 {

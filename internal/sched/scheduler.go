@@ -43,19 +43,18 @@ type Config struct {
 	// every breakpoint as a scheduling edge (throttling ahead of a drop,
 	// boosting and re-admitting on a rise), and the violation audit
 	// compares each sample to the cap in force at the sample's time.
-	// Set exactly one of Cap and Plan. A run given a Plan (or whose
-	// fault plan adds a power emergency) also reports Result.Plan,
-	// Windows and CapUtilisation.
+	// Set exactly one of Cap and Plan. A run given a Plan also reports
+	// Result.Plan, Windows and CapUtilisation. A mid-run cap clamp (a
+	// grid emergency, a demand-response event) is a window of the Plan.
 	Plan *capplan.Plan
-	// Faults, when set, injects deterministic node failures, repairs and
-	// power emergencies into the run (internal/faults): scripted
-	// fail/repair events, per-pool MTBF/MTTR exponential processes drawn
-	// from an explicit-source RNG seeded by Seed, and emergency windows
-	// that clamp the effective cap below the configured budget. Rank
-	// failures kill the jobs running on them mid-phase; killed jobs are
-	// resubmitted under the plan's retry cap with a checkpoint/restart
-	// cost model. Nil (the default) keeps every schedule byte-identical
-	// to a fault-free run — pinned by the golden tests.
+	// Faults, when set, injects deterministic node failures and repairs
+	// into the run (internal/faults): scripted fail/repair events and
+	// per-pool MTBF/MTTR exponential processes drawn from an
+	// explicit-source RNG seeded by Seed. Rank failures kill the jobs
+	// running on them mid-phase; killed jobs are resubmitted under the
+	// plan's retry cap with a checkpoint/restart cost model. Nil (the
+	// default) keeps every schedule byte-identical to a fault-free run —
+	// pinned by the golden tests.
 	Faults *faults.Plan
 	// Policy picks operating points at admission (default EEMax).
 	Policy Policy
@@ -120,7 +119,7 @@ type poolState struct {
 // Execution is purely event-driven: jobs advance through timer callbacks
 // on the simulation kernel (sim.Kernel.Run with no Proc spawned), never
 // through per-rank goroutines — see runChain below for the execution
-// model. Every budget decision prices against one cap timeline (effPlan)
+// model. Every budget decision prices against one cap timeline (capPlan)
 // and every job, however dispatched, ends through vacate.
 type Scheduler struct {
 	cfg  Config
@@ -135,12 +134,11 @@ type Scheduler struct {
 	// tel, enforced by telguard).
 	hst *obs.Host
 
-	// effPlan is the cap timeline every budget decision prices against:
-	// Config.Plan, or the one-window plan of a bare Config.Cap, composed
-	// with the fault plan's power emergencies (faults.Plan.EffectiveCaps).
-	// With no emergencies it is Config.Plan itself — same pointer, which
-	// is how a federation's revisions of that plan reach the scheduler.
-	effPlan *capplan.Plan
+	// capPlan is the cap timeline every budget decision prices against:
+	// Config.Plan itself — same pointer, which is how a federation's
+	// revisions of that plan reach the scheduler — or the one-window
+	// plan of a bare Config.Cap.
+	capPlan *capplan.Plan
 	// flt is the fault-injection state of Config.Faults, or of the empty
 	// plan when that is nil — never nil (internal/sched/faults.go).
 	flt *faultState
@@ -338,8 +336,8 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 	fplan := cfg.Faults
 	if fplan == nil {
-		// No fault plan is the empty one: nothing scripted, no rates,
-		// no emergencies — every fault hook then finds nothing to do.
+		// No fault plan is the empty one: nothing scripted, no rates —
+		// every fault hook then finds nothing to do.
 		fplan = &faults.Plan{}
 	}
 	if err := fplan.Validate(); err != nil {
@@ -398,15 +396,12 @@ func New(cfg Config) (*Scheduler, error) {
 		s.largestPool = max(s.largestPool, s.pools[i].size)
 	}
 	s.idleFloor = floor
-	if s.effPlan, err = fplan.EffectiveCaps(plan); err != nil {
-		return nil, err
-	}
+	s.capPlan = plan
 	s.flt = newFaultState(s, fplan)
-	// The tightest effective window (budget timeline clamped by any
-	// power emergency) is the binding constraint: a budget below the
+	// The tightest window is the binding constraint: a budget below the
 	// idle floor anywhere on the timeline guarantees violations while
 	// that window is in force.
-	if minCap := s.effPlan.MinCap(); minCap < floor {
+	if minCap := s.capPlan.MinCap(); minCap < floor {
 		return nil, fmt.Errorf("sched: cap %v is below the cluster idle floor %v (%d ranks parked at each pool's ladder minimum) — no schedule can satisfy it",
 			minCap, floor, cfg.Ranks)
 	}
@@ -416,7 +411,7 @@ func New(cfg Config) (*Scheduler, error) {
 // capAt is the instantaneous power budget at time t — the reference the
 // violation audit compares measured samples against.
 func (s *Scheduler) capAt(t units.Seconds) units.Watts {
-	return s.effPlan.CapAt(t)
+	return s.capPlan.CapAt(t)
 }
 
 // controlCap is the budget the control plane enforces at time t: the
@@ -427,7 +422,7 @@ func (s *Scheduler) capAt(t units.Seconds) units.Watts {
 // means every instant a measurement window covers was already held
 // under the cap the window is judged against.
 func (s *Scheduler) controlCap(t units.Seconds) units.Watts {
-	return s.effPlan.MinOver(t, t+s.cfg.Interval)
+	return s.capPlan.MinOver(t, t+s.cfg.Interval)
 }
 
 // narrowToLifetime is the min-over-lifetime admission rule: a budget
@@ -440,7 +435,7 @@ func (s *Scheduler) controlCap(t units.Seconds) units.Watts {
 // for policies the governor cannot retune (fifo has no DVFS to throttle
 // at the step). A flat timeline never dips, so the budget is unchanged.
 func (s *Scheduler) narrowToLifetime(ctrl units.Watts, now units.Seconds, budget units.Watts, tp units.Seconds) units.Watts {
-	if red := ctrl - s.effPlan.MinOver(now, now+tp+s.cfg.Interval); red > 0 {
+	if red := ctrl - s.capPlan.MinOver(now, now+tp+s.cfg.Interval); red > 0 {
 		return budget - red
 	}
 	return budget
@@ -544,7 +539,21 @@ func (s *Scheduler) Run(jobs []Job) (Result, error) {
 		prof.OnSample(s.tel.onSample)
 	}
 	prof.OnSample(s.gov.onSample)
-	prof.KeepSampling(func() bool { return s.remaining > 0 })
+	// The sampling grid runs until the first tick after the trace
+	// drains. That tick is the run's horizon, where the books close:
+	// whatever a rank dissipated since its last banking point belongs to
+	// the parked pool, and events that fire later (a plan edge past the
+	// makespan, a pending MTBF draw, a federation barrier) add nothing,
+	// so TotalEnergy is the integral of the measured power profile.
+	prof.KeepSampling(func() bool {
+		if s.remaining > 0 {
+			return true
+		}
+		for r := 0; r < s.cl.Ranks(); r++ {
+			s.res.ParkedEnergy += s.bankMeter(r)
+		}
+		return false
+	})
 	if s.hst != nil {
 		// Host-side gauges: Snapshot polls these live sources on the
 		// run's own goroutine, never from a concurrent reader.
@@ -568,9 +577,9 @@ func (s *Scheduler) Run(jobs []Job) (Result, error) {
 	// cap, and at a rise the freed budget should reach the queue and the
 	// running jobs immediately rather than at the next sample.
 	s.schedulePlanEdges()
-	// Fault events (scripted fail/repair, MTBF chains, emergency
-	// markers) are armed after the plan edges so a fault and an edge at
-	// the same instant fire in a fixed order.
+	// Fault events (scripted fail/repair, MTBF chains) are armed after
+	// the plan edges so a fault and an edge at the same instant fire in
+	// a fixed order.
 	s.scheduleFaults()
 
 	// Arrival events are scheduled in submission order so that same-time
@@ -594,12 +603,6 @@ func (s *Scheduler) Run(jobs []Job) (Result, error) {
 	if s.hst != nil {
 		s.hst.End(obs.PhaseDrain, drainT0)
 		s.hst.RunEnd()
-	}
-
-	// Close the books: whatever every rank dissipated after its last
-	// banking point belongs to the parked pool (no job is running).
-	for r := 0; r < s.cl.Ranks(); r++ {
-		s.res.ParkedEnergy += s.bankMeter(r)
 	}
 	return s.collect(), nil
 }
@@ -699,8 +702,8 @@ func (s *Scheduler) tryAdmit() {
 		// (the "waiting beats crawling" rule, admission.go). Skip the
 		// relaxed pass in that case and let the breakpoint edges rerun
 		// this one.
-		betterAhead := now < s.effPlan.End() &&
-			s.effPlan.MaxFrom(now) > s.controlCap(now)
+		betterAhead := now < s.capPlan.End() &&
+			s.capPlan.MaxFrom(now) > s.controlCap(now)
 		if !betterAhead {
 			admitted = s.admitPass(true)
 		}
@@ -711,7 +714,7 @@ func (s *Scheduler) tryAdmit() {
 			// repair will restore. Rejecting the rest now (rather than at
 			// the final breakpoint) keeps a short trace from idling the
 			// sampler across a long timeline.
-			planAhead := now < s.effPlan.End()
+			planAhead := now < s.capPlan.End()
 			repairAhead := s.repairAhead(now)
 			for _, e := range s.queue {
 				switch {
@@ -731,7 +734,7 @@ func (s *Scheduler) tryAdmit() {
 
 // feasibleEver reports whether the configured policy would start the
 // job, relaxed, on an otherwise idle cluster in the current or any
-// future effective-cap window — the park-or-reject test for an idle,
+// future cap window — the park-or-reject test for an idle,
 // blocked queue. Each probe prices the window's own min-over-lifetime
 // narrowing, so a window is only counted feasible if the job also
 // clears whatever follows it. Under fault injection the probe's
@@ -753,7 +756,7 @@ func (s *Scheduler) feasibleEver(e *entry, now units.Seconds) bool {
 		if _, ok := s.shadowCandidate(s.cfg.Policy, e, free, s.controlCap(t)-s.idleFloor, t, true, nil); ok {
 			return true
 		}
-		next, _, ok := s.effPlan.Next(t)
+		next, _, ok := s.capPlan.Next(t)
 		if !ok {
 			return false
 		}
@@ -774,16 +777,16 @@ func (s *Scheduler) schedulePlanEdges() {
 		preDrop bool
 	}
 	var edges []edge
-	prev := s.effPlan.CapAt(0)
-	for _, bp := range s.effPlan.Breakpoints() {
-		next := s.effPlan.CapAt(bp)
+	prev := s.capPlan.CapAt(0)
+	for _, bp := range s.capPlan.Breakpoints() {
+		next := s.capPlan.CapAt(bp)
 		// A revisable plan's caps can be raised after this walk runs
 		// (federated re-negotiation), so the construction-time
 		// classification of a step as a non-drop may be stale — arm the
 		// pre-throttle at every breakpoint instead. A pre-drop edge only
 		// sheds draw already over the incoming control cap, so the extra
 		// edges are exact no-ops wherever the step turns out not to drop.
-		if next < prev || s.effPlan.IsRevisable() {
+		if next < prev || s.capPlan.IsRevisable() {
 			pre := bp - s.cfg.Interval
 			if pre < 0 {
 				pre = 0

@@ -290,7 +290,7 @@ func (t *schedTelemetry) emitPlanEdge(preDrop bool) {
 	if preDrop {
 		reason = "pre-drop"
 	} else {
-		i, _ := t.s.effPlan.WindowAt(now)
+		i, _ := t.s.capPlan.WindowAt(now)
 		reason = fmt.Sprintf("window %d", i)
 	}
 	t.rec.Emit(telemetry.Event{
@@ -390,16 +390,5 @@ func (t *schedTelemetry) emitRestart(rj *runningJob) {
 		Pool: t.s.pools[rj.pool].name,
 		P:    rj.e.res.Restarts,
 		EE:   rj.base,
-	})
-}
-
-// emitEmergency marks a power-emergency boundary; Cap is the effective
-// cap now in force, which the cap timeline already encodes.
-func (t *schedTelemetry) emitEmergency(cap units.Watts, which string) {
-	t.rec.Emit(telemetry.Event{
-		Kind:   telemetry.EvEmergency,
-		Job:    telemetry.NoJob,
-		Cap:    cap,
-		Reason: which,
 	})
 }

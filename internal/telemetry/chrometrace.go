@@ -335,12 +335,6 @@ func (s *ChromeTraceSink) Write(ev Event) error {
 		s.meta(pidJobs, ev.Job, job)
 		a.raw(`{"attempt":`).int(int64(ev.P)).raw(`,"resume_from":`).fixed(ev.EE, 4).raw("}")
 		s.instant(pidJobs, ev.Job, text("restart"), ev.T, a.b)
-
-	case EvEmergency:
-		s.meta(pidScheduler, tidFaults, text("faults"))
-		a.raw(`{"cap_w":`).fixed(float64(ev.Cap), 1).raw("}")
-		s.instant(pidScheduler, tidFaults, label{text: "emergency ", tail: ev.Reason}, ev.T, a.b)
-		s.watts("cap_w", ev.T, ev.Cap, 1)
 	}
 	return s.err
 }

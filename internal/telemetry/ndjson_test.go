@@ -149,10 +149,16 @@ func TestNDJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// oldEmergency is a record of a kind earlier builds emitted: a cap
+// clamp is now a plan window, so it decodes as an unknown kind.
+const oldEmergency = `{"t":0.8,"ev":"emergency","cap_w":1050,"reason":"begin"}` + "\n"
+
 func TestDecodeNDJSONErrors(t *testing.T) {
-	if _, err := DecodeNDJSON(strings.NewReader("{\"t\":0,\"ev\":\"nope\"}\n")); err == nil ||
-		!strings.Contains(err.Error(), "line 1") {
-		t.Fatalf("unknown kind = %v, want a line-1 error", err)
+	for _, in := range []string{"{\"t\":0,\"ev\":\"nope\"}\n", oldEmergency} {
+		if _, err := DecodeNDJSON(strings.NewReader(in)); err == nil ||
+			!strings.Contains(err.Error(), "line 1") {
+			t.Fatalf("unknown kind in %q = %v, want a line-1 error", in, err)
+		}
 	}
 	if _, err := DecodeNDJSON(strings.NewReader("{\"t\":0,\"ev\":\"arrive\"}\nnot json\n")); err == nil ||
 		!strings.Contains(err.Error(), "line 2") {
@@ -198,6 +204,7 @@ func FuzzDecodeNDJSON(f *testing.F) {
 	}
 	f.Add([]byte(`{"t":-0,"ev":"arrive","rank":3,"ranks":[],"job":-1,"w":-0,"app":"\ud800"}` + "\r\n\n"))
 	f.Add([]byte("{\"t\":0,\"ev\":\"arrive\"}\nnot json"))
+	f.Add([]byte(oldEmergency))
 	f.Add([]byte(`{"t":-5,"ev":"finish","job":1}` + "\n" + `{"t":1e308,"ev":"admit","job":1,"wait_s":1e308}`))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		evs, err := DecodeNDJSON(bytes.NewReader(in))

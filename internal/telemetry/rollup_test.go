@@ -35,9 +35,9 @@ func TestRollupGolden(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	want := "t0_s,arrive,attempt,admit,reject,finish,reserve,throttle,boost,retune,plan_edge,sample,violation,fail,repair,kill,checkpoint,restart,emergency,route,wait_max_s,energy_j,power_max_w\n" +
-		"0.000000,1,1,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0.2,0,0\n" +
-		"2.000000,0,0,0,0,1,0,0,0,0,0,1,0,0,0,0,0,0,0,0,0,10,1200\n" +
+	want := "t0_s,arrive,attempt,admit,reject,finish,reserve,throttle,boost,retune,plan_edge,sample,violation,fail,repair,kill,checkpoint,restart,route,wait_max_s,energy_j,power_max_w\n" +
+		"0.000000,1,1,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0.2,0,0\n" +
+		"2.000000,0,0,0,0,1,0,0,0,0,0,1,0,0,0,0,0,0,0,0,10,1200\n" +
 		"# totals: events=5 arrive=1 attempt=1 admit=1 finish=1 sample=1\n" +
 		"# wait_s: n=1 p50=0.2 p90=0.2 p99=0.2 max=0.2 (reservoir 512)\n" +
 		"# block-reasons: \"watts\"=1\n"

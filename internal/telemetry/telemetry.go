@@ -92,9 +92,6 @@ const (
 	// EvRestart: a previously killed job was re-dispatched; P is its
 	// retry ordinal, EE the checkpointed fraction it resumes from.
 	EvRestart
-	// EvEmergency: a power-emergency boundary; Cap is the effective cap
-	// now in force, Reason "begin" or "end".
-	EvEmergency
 	// EvRoute: the federation frontend routed a job to a site; Site
 	// names it, EE is the predicted energy-efficiency the choice was
 	// priced at, Dur the predicted runtime there, Reason the routing
@@ -122,7 +119,6 @@ var kindNames = [...]string{
 	EvKill:       "kill",
 	EvCheckpoint: "checkpoint",
 	EvRestart:    "restart",
-	EvEmergency:  "emergency",
 	EvRoute:      "route",
 }
 

@@ -263,7 +263,6 @@ func TestChromeTraceEscapesHostileText(t *testing.T) {
 			{T: 1, Kind: EvAttempt, Job: 3, App: h, Reason: h, Queue: 1},
 			{T: 2, Kind: EvAdmit, Job: 3, App: h, Pool: h, P: 1, Ranks: []int{0}},
 			{T: 3, Kind: EvPlanEdge, Job: NoJob, Cap: 100, Reason: h},
-			{T: 4, Kind: EvEmergency, Job: NoJob, Cap: 90, Reason: h},
 		}
 		for _, ev := range evs {
 			if err := s.Write(ev); err != nil {
@@ -291,7 +290,7 @@ func TestChromeTraceEscapesHostileText(t *testing.T) {
 		if h != "" {
 			job, edge = "j3 "+valid, "plan edge ("+valid+")"
 		}
-		for _, want := range []string{"blocked " + job, job, edge, "emergency " + valid} {
+		for _, want := range []string{"blocked " + job, job, edge} {
 			if !names[want] {
 				t.Errorf("hostile text %q: no trace event named %q in\n%s", h, want, buf.String())
 			}

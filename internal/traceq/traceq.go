@@ -144,10 +144,6 @@ func writeChain(out *strings.Builder, evs []telemetry.Event, job int) {
 			fmt.Fprintf(out, "  job %d admitted at t=%.3f (waited %.3fs) ← unblocked by repair of rank %d\n",
 				cur, float64(adm.T), float64(adm.Wait), ev.Rank)
 			return
-		case telemetry.EvEmergency:
-			fmt.Fprintf(out, "  job %d admitted at t=%.3f (waited %.3fs) ← unblocked by emergency %s\n",
-				cur, float64(adm.T), float64(adm.Wait), ev.Reason)
-			return
 		}
 	}
 }
@@ -165,7 +161,7 @@ func findAdmit(evs []telemetry.Event, job int) int {
 
 // findEnabler returns the index of the nearest event before admitIdx,
 // at the same sim time, whose kind can unblock an admission pass —
-// finish, plan-edge, repair or emergency — or -1.
+// finish, plan-edge or repair — or -1.
 func findEnabler(evs []telemetry.Event, admitIdx int) int {
 	t := evs[admitIdx].T
 	for i := admitIdx - 1; i >= 0; i-- {
@@ -173,7 +169,7 @@ func findEnabler(evs []telemetry.Event, admitIdx int) int {
 			return -1
 		}
 		switch evs[i].Kind {
-		case telemetry.EvFinish, telemetry.EvPlanEdge, telemetry.EvRepair, telemetry.EvEmergency:
+		case telemetry.EvFinish, telemetry.EvPlanEdge, telemetry.EvRepair:
 			return i
 		}
 	}
