@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/units"
 )
@@ -48,16 +49,20 @@ func Allreduce[T any](r *Rank, value T, bytes units.Bytes, combine func(dst, src
 	rem := p - pof2
 
 	acc := value
+	// Each partial a rank sends (at most log2(pof2)+1) gets its own
+	// cell, written once and sent by pointer (see Message).
+	cells := make([]T, 0, bits.Len(uint(pof2)))
+	post := func() *T { cells = append(cells, acc); return &cells[len(cells)-1] }
 	// Fold the tail ranks into the leading pof2 ranks.
 	newRank := -1
 	switch {
 	case r.rank < 2*rem && r.rank%2 == 0:
 		// Even ranks in the front block send to their odd neighbour and
 		// sit out the doubling phase.
-		r.Send(r.rank+1, tag, acc, bytes)
+		r.Send(r.rank+1, tag, post(), bytes)
 	case r.rank < 2*rem:
 		msg := r.Recv(r.rank-1, tag)
-		acc = combine(acc, msg.Data.(T))
+		acc = combine(acc, *msg.Data.(*T))
 		newRank = r.rank / 2
 	default:
 		newRank = r.rank - rem
@@ -72,8 +77,8 @@ func Allreduce[T any](r *Rank, value T, bytes units.Bytes, combine func(dst, src
 			} else {
 				partner = partnerNew + rem
 			}
-			msg := r.SendRecv(partner, tag, acc, bytes, partner, tag)
-			acc = combine(acc, msg.Data.(T))
+			msg := r.SendRecv(partner, tag, post(), bytes, partner, tag)
+			acc = combine(acc, *msg.Data.(*T))
 		}
 	}
 
@@ -81,18 +86,19 @@ func Allreduce[T any](r *Rank, value T, bytes units.Bytes, combine func(dst, src
 	switch {
 	case r.rank < 2*rem && r.rank%2 == 0:
 		msg := r.Recv(r.rank+1, tag)
-		acc = msg.Data.(T)
+		acc = *msg.Data.(*T)
 	case r.rank < 2*rem:
-		r.Send(r.rank-1, tag, acc, bytes)
+		r.Send(r.rank-1, tag, post(), bytes)
 	}
 	return acc
 }
 
 // Alltoall performs a personalised all-to-all exchange: send[i] goes to
-// rank i; the result's element j is the block rank j sent here. It uses
-// the pairwise-exchange algorithm (the one the paper's FT analysis prices
-// with the Hockney model): p−1 full-duplex rounds, each exchanging one
-// block, for a total cost of (p−1)·(Ts + m·Tb) per rank.
+// rank i as &send[i], so the slot and its block fall under Message's
+// by-reference rule; the result's element j is the block rank j sent
+// here. It uses the pairwise-exchange algorithm (the one the paper's FT
+// analysis prices with the Hockney model): p−1 full-duplex rounds, each
+// exchanging one block, for a total cost of (p−1)·(Ts + m·Tb) per rank.
 func Alltoall[T any](r *Rank, send []T, blockBytes units.Bytes) []T {
 	p := r.Size()
 	if len(send) != p {
@@ -100,7 +106,7 @@ func Alltoall[T any](r *Rank, send []T, blockBytes units.Bytes) []T {
 	}
 	tag := r.nextCollTag(kindAlltoall)
 	out := make([]T, p)
-	out[r.rank] = send[r.rank] // self block: local copy, priced below
+	out[r.rank] = send[r.rank] // self block: a local copy, priced below if p > 1
 	if p == 1 {
 		return out
 	}
@@ -110,14 +116,14 @@ func Alltoall[T any](r *Rank, send []T, blockBytes units.Bytes) []T {
 	for i := 1; i < p; i++ {
 		dst := (r.rank + i) % p
 		src := (r.rank - i + p) % p
-		msg := r.SendRecv(dst, tag, send[dst], blockBytes, src, tag)
-		out[src] = msg.Data.(T)
+		msg := r.SendRecv(dst, tag, &send[dst], blockBytes, src, tag)
+		out[src] = *msg.Data.(*T)
 	}
 	return out
 }
 
 // Alltoallv is the varying-size personalised exchange used by the IS
-// bucket sort: block i of size sizes[i] bytes goes to rank i.
+// bucket sort: block i of size sizes[i] bytes goes to rank i as &send[i].
 func Alltoallv[T any](r *Rank, send []T, sizes []units.Bytes) []T {
 	p := r.Size()
 	if len(send) != p || len(sizes) != p {
@@ -134,8 +140,8 @@ func Alltoallv[T any](r *Rank, send []T, sizes []units.Bytes) []T {
 	for i := 1; i < p; i++ {
 		dst := (r.rank + i) % p
 		src := (r.rank - i + p) % p
-		msg := r.SendRecv(dst, tag, send[dst], sizes[dst], src, tag)
-		out[src] = msg.Data.(T)
+		msg := r.SendRecv(dst, tag, &send[dst], sizes[dst], src, tag)
+		out[src] = *msg.Data.(*T)
 	}
 	return out
 }

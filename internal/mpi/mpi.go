@@ -31,10 +31,12 @@ const AnySource = -1
 // Message is a received payload. Data is the sender's value, shared by
 // reference in the simulated address space, as Allreduce says: the
 // receiver reads it without copying, and a sender that reuses a buffer
-// must not write it until every receiver has consumed it. The NPB
-// kernels reuse their send buffers across iterations and rely on an
-// allreduce, which no rank leaves before every rank enters it, between
-// two writes.
+// must not write it until every receiver has consumed it. In-tree
+// senders pass a pointer to a slot under the same rule, as boxing a
+// pointer allocates nothing, and receivers dereference it. The NPB
+// kernels reuse their send buffers and slots across iterations and
+// rely on an allreduce, which no rank leaves before every rank enters
+// it, between two writes.
 type Message struct {
 	Src   int
 	Tag   int

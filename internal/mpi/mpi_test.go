@@ -551,3 +551,113 @@ func TestCollectivesOfDifferentKindsBackToBack(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// perRankCall returns how many more mallocs a p-rank run of 1010 calls
+// of call makes than a run of 10, per rank and call: what a run
+// allocates once cancels out.
+func perRankCall(t *testing.T, p int, call func(r *Rank)) float64 {
+	t.Helper()
+	mallocs := func(calls int) uint64 {
+		rt := newRuntime(t, p)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := rt.Run(func(r *Rank) {
+			for range calls {
+				call(r)
+			}
+		})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	return (float64(mallocs(1010)) - float64(mallocs(10))) / float64(1000*p)
+}
+
+// TestCollectivesSendPointersNotBoxedPayloads: a collective sends
+// pointers to storage it already owns, so an allreduce allocates its
+// cells once per call and an alltoall its result slice, not a boxed
+// payload per message (about log2 p and p per rank per call). The
+// bound leaves 1 % for the Go runtime's own mallocs.
+func TestCollectivesSendPointersNotBoxedPayloads(t *testing.T) {
+	const slack = 1.01
+	sum := func(a, b float64) float64 { return a + b }
+	for _, p := range []int{2, 6, 8} {
+		if got := perRankCall(t, p, func(r *Rank) { Allreduce(r, float64(r.Rank()+1), 8, sum) }); got > slack {
+			t.Errorf("p=%d: Allreduce[float64] allocates %.2f times per rank per call, want ≤ 1", p, got)
+		}
+	}
+	const p = 4
+	blocks := make([][][]complex128, p)
+	for i := range blocks {
+		blocks[i] = make([][]complex128, p)
+		for j := range blocks[i] {
+			blocks[i][j] = []complex128{complex(float64(i), float64(j))}
+		}
+	}
+	if got := perRankCall(t, p, func(r *Rank) { Alltoall(r, blocks[r.Rank()], 16) }); got > slack {
+		t.Errorf("p=%d: Alltoall[[]complex128] allocates %.2f times per rank per call, want ≤ 1", p, got)
+	}
+}
+
+// noisyRuntime is newRuntime with the default execution and network
+// noise, so ranks drift apart by different amounts on every call.
+func noisyRuntime(t *testing.T, ranks int) *Runtime {
+	t.Helper()
+	cl, err := cluster.New(cluster.Config{Spec: testSpec(), Ranks: ranks, Noise: cluster.DefaultNoise(), Seed: int64(ranks)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return New(cl)
+}
+
+// TestPointerPayloadsSurviveSkewedRanks pins the contract the pointer
+// payloads rely on. Back-to-back allreduces with rank-dependent work
+// between them must each see exactly the partials of their own call.
+// And an alltoall send slot rewritten by a fast rank after the
+// following allreduce must reach every receiver as the old block in
+// the first round and as the new block in the second.
+func TestPointerPayloadsSurviveSkewedRanks(t *testing.T) {
+	sum := func(a, b float64) float64 { return a + b }
+	for _, p := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16} {
+		rt := noisyRuntime(t, p)
+		err := rt.Run(func(r *Rank) {
+			me := r.Rank()
+			for call := range 50 {
+				r.Compute(float64((me*7+call)%5)*1e4, float64(me%3)*10)
+				got := Allreduce(r, float64((me+1)*(call+1)), 8, sum)
+				if want := float64((call + 1) * p * (p + 1) / 2); got != want {
+					t.Errorf("p=%d rank %d call %d: allreduce = %g, want %g", p, me, call, got, want)
+				}
+			}
+			send := make([][]int, p)
+			for i := range send {
+				send[i] = []int{100*me + i}
+			}
+			for round := range 2 {
+				if me != 0 {
+					r.Compute(float64(me)*1e5, 0) // rank 0 runs ahead
+				}
+				for from, b := range Alltoall(r, send, 8) {
+					want := 100*from + me
+					if from == 0 && round == 1 {
+						want = 5000 + me
+					}
+					if len(b) != 1 || b[0] != want {
+						t.Errorf("p=%d round %d rank %d: block from %d = %v, want [%d]", p, round+1, me, from, b, want)
+					}
+				}
+				Allreduce(r, 1.0, 8, sum)
+				if me == 0 {
+					for i := range send {
+						send[i] = []int{5000 + i} // a new block in the slot
+					}
+				}
+			}
+		})
+		if err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
+	}
+}

@@ -56,11 +56,11 @@ func TestRunMatchesReference(t *testing.T) {
 
 const order = 16384
 
-// perIteration returns the bytes a p-rank run allocates per outer
-// iteration beyond the first, for kernels made by mk.
-func perIteration(t *testing.T, mk func(Config) (npb.Kernel, error), p int) uint64 {
+// perIteration returns the bytes and the mallocs a p-rank run allocates
+// per outer iteration beyond the first, for kernels made by mk.
+func perIteration(t *testing.T, mk func(Config) (npb.Kernel, error), p int) (bytes, mallocs uint64) {
 	t.Helper()
-	allocated := func(iters int) uint64 {
+	allocated := func(iters int) (bytes, mallocs uint64) {
 		k, err := mk(Config{N: order, Nonzer: 4, NIter: iters})
 		if err != nil {
 			t.Fatal(err)
@@ -69,28 +69,40 @@ func perIteration(t *testing.T, mk func(Config) (npb.Kernel, error), p int) uint
 		runtime.ReadMemStats(&before)
 		run(t, k, p)
 		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
+		return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
 	}
-	short, long := allocated(1), allocated(5)
-	if long < short {
-		return 0
+	per := func(short, long uint64) uint64 {
+		if long < short {
+			return 0
+		}
+		return (long - short) / 4
 	}
-	return (long - short) / 4
+	b1, m1 := allocated(1)
+	b5, m5 := allocated(5)
+	return per(b1, b5), per(m1, m5)
 }
 
 // TestRunAllocatesVectorsOncePerRun: the CG vectors and the matvec's
 // partial sums and segments are allocated when the run starts, so an
-// outer iteration's 26 products cost messages, not vectors. The
-// reference kernel allocates at least one order-length vector per
-// product, which shows the probe can tell the two apart.
+// outer iteration's 26 products cost messages, not vectors, and a
+// message costs no malloc. The reference kernel allocates at least one
+// order-length vector per product, which shows the probe can tell the
+// two apart.
 func TestRunAllocatesVectorsOncePerRun(t *testing.T) {
 	const vector = 8 * order
+	const allreduces = 2*cgInnerSteps + 4 // dot products and the residual norm
 	mk := func(cfg Config) (npb.Kernel, error) { return New(cfg) }
 	mkRef := func(cfg Config) (npb.Kernel, error) { return newRef(cfg) }
-	if got := perIteration(t, mk, 4); got > 4*vector {
+	got, mallocs := perIteration(t, mk, 4)
+	if got > 4*vector {
 		t.Errorf("an outer iteration allocates %d B, want ≤ %d (four %d B vectors)", got, 4*vector, vector)
 	}
-	if got := perIteration(t, mkRef, 4); got < (cgInnerSteps+1)*vector {
+	// Messages carry pointers, so what is left per rank is each
+	// allreduce's cells, plus one of slack.
+	if want := uint64(4 * (allreduces + 1)); mallocs > want {
+		t.Errorf("an outer iteration allocates %d times, want ≤ %d (one per rank and allreduce)", mallocs, want)
+	}
+	if got, _ := perIteration(t, mkRef, 4); got < (cgInnerSteps+1)*vector {
 		t.Errorf("reference outer iteration allocates %d B, want ≥ %d", got, (cgInnerSteps+1)*vector)
 	}
 }

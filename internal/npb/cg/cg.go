@@ -243,15 +243,17 @@ func (k *Kernel) RunRank(rk *mpi.Rank) {
 	// local block product and sums[d+1] the row-team partial sum after
 	// doubling step d; the last one also carries the segment shipped to
 	// the transpose partner, and q receives this rank's segment. Peers
-	// read what they receive by reference (mpi.Message), so within one
-	// product each buffer is written once; between two products every
-	// rank passes a dot product's allreduce, which it enters only after
-	// consuming what it received.
+	// are sent &sums[d] and &seg, the shipped segment's header, and read
+	// through them by reference (mpi.Message), so within one product
+	// each is written once; between two products every rank passes a
+	// dot product's allreduce, which it enters only after consuming
+	// what it received.
 	sums := make([][]float64, bits.Len(uint(npcols)))
 	for i := range sums {
 		sums[i] = make([]float64, rlen)
 	}
 	q := make([]float64, clen)
+	var seg []float64
 
 	// matvec computes q = A·v for a column-distributed v (segment of
 	// length clen), returning the caller's column segment of q. The
@@ -271,8 +273,8 @@ func (k *Kernel) RunRank(rk *mpi.Rank) {
 			peerCol := col ^ dist
 			peer := row*npcols + peerCol
 			tag := rowTeamTag + step*8 + bits.Len(uint(dist)) - 1
-			msg := rk.SendRecv(peer, tag, w, units.Bytes(8*rlen), peer, tag)
-			pw := msg.Data.([]float64)
+			msg := rk.SendRecv(peer, tag, &sums[d-1], units.Bytes(8*rlen), peer, tag)
+			pw := *msg.Data.(*[]float64)
 			nw := sums[d]
 			for i := range w {
 				nw[i] = w[i] + pw[i]
@@ -289,9 +291,10 @@ func (k *Kernel) RunRank(rk *mpi.Rank) {
 		rk.Compute(segFlops, miss*segFlops)
 		if partner != me {
 			tag := transposeTag + step
-			msg := rk.SendRecv(partner, tag, out, units.Bytes(8*clen), partner, tag)
+			seg = out
+			msg := rk.SendRecv(partner, tag, &seg, units.Bytes(8*clen), partner, tag)
 			out = q
-			copy(out, msg.Data.([]float64))
+			copy(out, *msg.Data.(*[]float64))
 		}
 		step++
 		return out

@@ -128,19 +128,18 @@ func (k *Kernel) RunRank(r *mpi.Rank) {
 	// count, as one vector allreduce (matches NPB's two MPI_Allreduce
 	// calls closely enough for M/B accounting).
 	r.PhaseEnter("ep.reduce")
-	local := make([]float64, annuli+3)
+	var local [annuli + 3]float64
 	for i := 0; i < annuli; i++ {
 		local[i] = float64(counts[i])
 	}
 	local[annuli] = sx
 	local[annuli+1] = sy
 	local[annuli+2] = float64(acc)
-	sum := func(a, b []float64) []float64 {
-		out := make([]float64, len(a))
+	sum := func(a, b [annuli + 3]float64) [annuli + 3]float64 {
 		for i := range a {
-			out[i] = a[i] + b[i]
+			a[i] += b[i]
 		}
-		return out
+		return a
 	}
 	global := mpi.Allreduce(r, local, 8*(annuli+3), sum)
 	// Reduction arithmetic: ⌈log2 p⌉ vector adds.

@@ -56,9 +56,9 @@ func TestRunMatchesReference(t *testing.T) {
 	}
 }
 
-// allocated returns the bytes one p-rank run of the given length
-// allocates on an n³ grid, for a kernel made by mk.
-func allocated(t *testing.T, mk func(Config) (npb.Kernel, error), n, p, iters int) uint64 {
+// allocated returns the bytes and the mallocs one p-rank run of the
+// given length allocates on an n³ grid, for a kernel made by mk.
+func allocated(t *testing.T, mk func(Config) (npb.Kernel, error), n, p, iters int) (bytes, mallocs uint64) {
 	t.Helper()
 	k, err := mk(Config{NX: n, NY: n, NZ: n, Iters: iters})
 	if err != nil {
@@ -68,18 +68,22 @@ func allocated(t *testing.T, mk func(Config) (npb.Kernel, error), n, p, iters in
 	runtime.ReadMemStats(&before)
 	run(t, k, p)
 	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
+	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
 }
 
-// perIteration returns the bytes a p-rank run on a 32³ grid allocates
-// per iteration beyond the first, for kernels made by mk.
-func perIteration(t *testing.T, mk func(Config) (npb.Kernel, error), p int) uint64 {
+// perIteration returns the bytes and the mallocs a p-rank run on a 32³
+// grid allocates per iteration beyond the first, for kernels made by mk.
+func perIteration(t *testing.T, mk func(Config) (npb.Kernel, error), p int) (bytes, mallocs uint64) {
 	t.Helper()
-	short, long := allocated(t, mk, 32, p, 1), allocated(t, mk, 32, p, 9)
-	if long < short {
-		return 0
+	per := func(short, long uint64) uint64 {
+		if long < short {
+			return 0
+		}
+		return (long - short) / 8
 	}
-	return (long - short) / 8
+	b1, m1 := allocated(t, mk, 32, p, 1)
+	b9, m9 := allocated(t, mk, 32, p, 9)
+	return per(b1, b9), per(m1, m9)
 }
 
 // TestRunAllocatesGridOncePerRun: each rank's slab is allocated when
@@ -94,15 +98,23 @@ func TestRunAllocatesGridOncePerRun(t *testing.T) {
 	const grid = 16 * 32 * 32 * 32
 	mk := func(cfg Config) (npb.Kernel, error) { return New(cfg) }
 	mkRef := func(cfg Config) (npb.Kernel, error) { return newRef(cfg) }
-	if got := perIteration(t, mk, 4); got > grid/32 {
+	got, mallocs := perIteration(t, mk, 4)
+	if got > grid/32 {
 		t.Errorf("an iteration allocates %d B, want ≤ %d (1/32 of the %d B grid)", got, grid/32, grid)
 	}
+	// Per rank: the alltoall's result and the checksum's cells, plus one
+	// of slack; a block travels as a pointer to its slot.
+	if mallocs > 4*3 {
+		t.Errorf("an iteration allocates %d times, want ≤ %d (two per rank)", mallocs, 4*3)
+	}
 	const growth = grid - 16*16*16*16 // bytes one grid gains from 16³ to 32³
-	grown := int64(allocated(t, mk, 32, 4, 9)) - int64(allocated(t, mk, 16, 4, 9))
+	b32, _ := allocated(t, mk, 32, 4, 9)
+	b16, _ := allocated(t, mk, 16, 4, 9)
+	grown := int64(b32) - int64(b16)
 	if grown > 16*growth/5 {
 		t.Errorf("a 9-iteration run grows by %d B from 16³ to 32³ (%.2f grids' growth), want ≤ 3.2", grown, float64(grown)/growth)
 	}
-	if got := perIteration(t, mkRef, 4); got < grid {
+	if got, _ := perIteration(t, mkRef, 4); got < grid {
 		t.Errorf("reference iteration allocates %d B, want ≥ the %d B grid", got, grid)
 	}
 }

@@ -418,8 +418,8 @@ func (k *Kernel) checksum(r *mpi.Rank, s *slab, rank, iter, lz int) {
 		}
 	}
 	r.Compute(checksumOps*float64(samples), float64(samples))
-	sum := mpi.Allreduce(r, []float64{real(local), imag(local)}, 16,
-		func(a, b []float64) []float64 { return []float64{a[0] + b[0], a[1] + b[1]} })
+	sum := mpi.Allreduce(r, [2]float64{real(local), imag(local)}, 16,
+		func(a, b [2]float64) [2]float64 { return [2]float64{a[0] + b[0], a[1] + b[1]} })
 	k.Checksums[iter] = complex(sum[0], sum[1])
 }
 

@@ -57,11 +57,11 @@ func TestRunMatchesReference(t *testing.T) {
 
 const logKeys = 16
 
-// perIteration returns the bytes a p-rank run allocates per repetition
-// beyond the first, for kernels made by mk.
-func perIteration(t *testing.T, mk func(Config) (npb.Kernel, error), p int) uint64 {
+// perIteration returns the bytes and the mallocs a p-rank run allocates
+// per repetition beyond the first, for kernels made by mk.
+func perIteration(t *testing.T, mk func(Config) (npb.Kernel, error), p int) (bytes, mallocs uint64) {
 	t.Helper()
-	allocated := func(iters int) uint64 {
+	allocated := func(iters int) (bytes, mallocs uint64) {
 		k, err := mk(Config{LogKeys: logKeys, LogMaxKey: 14, Buckets: 256, Iters: iters})
 		if err != nil {
 			t.Fatal(err)
@@ -70,13 +70,17 @@ func perIteration(t *testing.T, mk func(Config) (npb.Kernel, error), p int) uint
 		runtime.ReadMemStats(&before)
 		run(t, k, p)
 		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
+		return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
 	}
-	short, long := allocated(1), allocated(5)
-	if long < short {
-		return 0
+	per := func(short, long uint64) uint64 {
+		if long < short {
+			return 0
+		}
+		return (long - short) / 4
 	}
-	return (long - short) / 4
+	b1, m1 := allocated(1)
+	b5, m5 := allocated(5)
+	return per(b1, b5), per(m1, m5)
 }
 
 // TestRunAllocatesKeysOncePerRun: the send blocks are cut from one
@@ -88,10 +92,17 @@ func TestRunAllocatesKeysOncePerRun(t *testing.T) {
 	const keys = 4 << logKeys // int32 keys across all ranks
 	mk := func(cfg Config) (npb.Kernel, error) { return New(cfg) }
 	mkRef := func(cfg Config) (npb.Kernel, error) { return newRef(cfg) }
-	if got := perIteration(t, mk, 4); got > keys/8 {
+	got, mallocs := perIteration(t, mk, 4)
+	if got > keys/8 {
 		t.Errorf("a repetition allocates %d B, want ≤ %d (1/8 of the %d B of keys)", got, keys/8, keys)
 	}
-	if got := perIteration(t, mkRef, 4); got < keys {
+	// Per rank: the histogram, its allreduce's cells and two combined
+	// sums, and the alltoallv's result, plus one of slack; a block
+	// travels as a pointer to its slot.
+	if mallocs > 4*6 {
+		t.Errorf("a repetition allocates %d times, want ≤ %d (five per rank)", mallocs, 4*6)
+	}
+	if got, _ := perIteration(t, mkRef, 4); got < keys {
 		t.Errorf("reference repetition allocates %d B, want ≥ the %d B of keys", got, keys)
 	}
 }

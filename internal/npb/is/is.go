@@ -26,6 +26,9 @@ const (
 	keyBytes      = 4
 )
 
+// noKeys is the ring boundary check's maximum of an empty range.
+var noKeys int32 = -1
+
 // Config sizes an IS instance.
 type Config struct {
 	// LogKeys: the run sorts 2^LogKeys keys.
@@ -226,17 +229,18 @@ func (k *Kernel) RunRank(r *mpi.Rank) {
 	k.KeySumOut = mpi.Allreduce(r, sumOut, 8, func(a, b float64) float64 { return a + b })
 	k.TotalSorted = mpi.Allreduce(r, int64(len(sorted)), 8, func(a, b int64) int64 { return a + b })
 
-	// Boundary check with the right neighbour (ring).
-	var myMax int32 = -1
+	// Boundary check with the right neighbour (ring). myMax is sent by
+	// pointer (mpi.Message); sorted is not written again, noKeys never.
+	myMax := &noKeys
 	if len(sorted) > 0 {
-		myMax = sorted[len(sorted)-1]
+		myMax = &sorted[len(sorted)-1]
 	}
 	boundary := true
 	if p > 1 {
 		right := (rank + 1) % p
 		left := (rank - 1 + p) % p
 		msg := r.SendRecv(int(right), 77, myMax, 4, int(left), 77)
-		leftMax := msg.Data.(int32)
+		leftMax := *msg.Data.(*int32)
 		if rank > 0 && len(sorted) > 0 && leftMax > sorted[0] {
 			boundary = false
 		}

@@ -210,19 +210,19 @@ func (k *Kernel) exchangeHalo(r *mpi.Rank, lv *level, field []float64) {
 	}
 	up := (r.Rank() + 1) % p
 	down := (r.Rank() - 1 + p) % p
-	topPlane := make([]float64, planeLen)
-	copy(topPlane, field[lv.idx(lv.planes-1, 0, 0):lv.idx(lv.planes-1, 0, 0)+planeLen])
-	botPlane := make([]float64, planeLen)
-	copy(botPlane, field[lv.idx(0, 0, 0):lv.idx(0, 0, 0)+planeLen])
+	// Top and bottom plane: one escaping pair, sent by pointer (mpi.Message).
+	planes := [2][]float64{make([]float64, planeLen), make([]float64, planeLen)}
+	copy(planes[0], field[lv.idx(lv.planes-1, 0, 0):lv.idx(lv.planes-1, 0, 0)+planeLen])
+	copy(planes[1], field[lv.idx(0, 0, 0):lv.idx(0, 0, 0)+planeLen])
 	r.Compute(float64(2*planeLen), float64(2*planeLen))
 
 	tag := haloTagBase + lv.s
 	// Send my top plane up, receive my lower ghost from below.
-	msg := r.SendRecv(up, tag, topPlane, units.Bytes(8*planeLen), down, tag)
-	copy(field[lv.idx(-1, 0, 0):lv.idx(-1, 0, 0)+planeLen], msg.Data.([]float64))
+	msg := r.SendRecv(up, tag, &planes[0], units.Bytes(8*planeLen), down, tag)
+	copy(field[lv.idx(-1, 0, 0):lv.idx(-1, 0, 0)+planeLen], *msg.Data.(*[]float64))
 	// Send my bottom plane down, receive my upper ghost from above.
-	msg = r.SendRecv(down, tag+1, botPlane, units.Bytes(8*planeLen), up, tag+1)
-	copy(field[lv.idx(lv.planes, 0, 0):lv.idx(lv.planes, 0, 0)+planeLen], msg.Data.([]float64))
+	msg = r.SendRecv(down, tag+1, &planes[1], units.Bytes(8*planeLen), up, tag+1)
+	copy(field[lv.idx(lv.planes, 0, 0):lv.idx(lv.planes, 0, 0)+planeLen], *msg.Data.(*[]float64))
 	r.Compute(float64(2*planeLen), float64(2*planeLen))
 }
 
