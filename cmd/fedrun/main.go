@@ -35,7 +35,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
-	"repro/internal/units"
 )
 
 func main() { cli.Main(run) }
@@ -52,15 +51,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	split := fs.String("split", "all", "budget-split policy: static-share, greedy-ee, carbon-min, or all")
 	route := fs.String("route", "all", "job-route policy: ee, jct, rr, or all")
 	lambda := fs.Float64("lambda", 0, "guaranteed fraction λ of every window divided by static shares (0 = the 0.5 default)")
-	batch := fs.Float64("batch", 0, "ingest batching period in seconds (0 routes at exact arrivals)")
-	spill := fs.Float64("spill", 0, "backlog threshold in seconds for the ee route's spill rule (0 = the 1 s default, negative disables)")
-	slack := fs.Float64("slack", 0, "eligibility slack: a site must quote within this factor of the fastest site (0 = the 1.3 default; raise it to route onto much slower platforms)")
 	policy := fs.String("policy", "ee-max", "site scheduler policy: fifo, ee-max, fair-share, backfill+<name>, or backfillK+<name> (K ≥ 2 reservations)")
 	detail := fs.Bool("detail", false, "print per-site and routing tables for every combination")
 	jsonPath := cli.JSONFlag(fs)
 	eventsPrefix := fs.String("events", "", "write per-site decision streams as NDJSON to PREFIX-<site>.ndjson plus the routing stream to PREFIX-route.ndjson (needs a single -split and -route)")
 	statusAddr := fs.String("status", "", "serve live per-site run status over HTTP on this address (e.g. :8080): JSON at /status.json, Prometheus text at /metrics")
-	given, err := cli.Parse(fs, args, "spill")
+	given, err := cli.Parse(fs, args)
 	if err != nil {
 		return err
 	}
@@ -113,9 +109,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			Split:         sp,
 			Route:         rt,
 			GuaranteeFrac: *lambda,
-			BatchEvery:    units.Seconds(*batch),
-			SpillAfter:    units.Seconds(*spill),
-			PerfSlack:     *slack,
 			Policy:        pol,
 			Seed:          *seed,
 		}

@@ -89,17 +89,10 @@ func TestExitContract(t *testing.T) {
 		{[]string{"-sites", "=systemg:16"}, 2},
 		// Over the platform rank bound: refused before any rank is built.
 		{[]string{"-sites", "east=systemg:99999999999", "-cap", "1e15", "-split", "static-share", "-route", "ee", "-jobs", "2"}, 2},
-		{[]string{"-batch", "-1"}, 2},
-		{[]string{"-batch", "NaN"}, 2},
-		{[]string{"-slack", "NaN"}, 2},
-		{[]string{"-slack", "Inf"}, 2},
-		{[]string{"-spill", "NaN"}, 2},
 		// Files.
 		{[]string{"-split", "greedy-ee", "-route", "ee", "-events", missing}, 1},
 		{[]string{"-json", missing}, 1},
-		// A negative -spill is a value (it disables spilling), and an
-		// empty trace is a run.
-		{[]string{"-spill", "-1", "-split", "static-share", "-route", "ee"}, 0},
+		// An empty trace is a run.
 		{[]string{"-jobs", "0", "-split", "static-share", "-route", "ee"}, 0},
 		// Every name the scheduler prints runs, K reservations included.
 		{[]string{"-jobs", "8", "-split", "static-share", "-route", "ee", "-policy", "backfill2+ee-max"}, 0},

@@ -19,9 +19,10 @@
 //     identical schedule. A fault knob or pool half named twice is
 //     last-wins, so an appended item overrides the plan's own. Timeline
 //     runs print a per-window table.
-//   - -backfill wraps every policy in EASY reservations (sched.Backfill);
-//     -reserve K holds them for the first K blocked jobs and implies it.
-//     -policy takes a wrapped name as the table prints it: backfill2+ee-max.
+//   - -policy takes a name as the table prints it, backfill2+ee-max
+//     included (EASY reservations for the first 2 blocked jobs,
+//     sched.BackfillN). "all" sweeps the shipped policies, and a wrapper
+//     prefix applies to the sweep: backfill+all, backfill2+all.
 //   - -events (NDJSON, or a -rollup CSV) and -metrics (CSV) record one
 //     schedule's decision stream, so they need -policy NAME; with
 //     -repeat N they record the final repetition only. Every other view
@@ -38,6 +39,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 
 	"repro/internal/cli"
 	"repro/internal/faults"
@@ -60,8 +62,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	clusterName := fs.String("cluster", "systemg", "platform: a preset (systemg, dori) or mixed pools like systemg:32,dori:32")
 	faultSpec := fs.String("faults", "", "fault-injection plan spec, e.g. fail=3@10,mtbf=*:900,mttr=*:120,retries=2,ckpt=30")
 	policy := fs.String("policy", "all", "policy to run: fifo, ee-max, fair-share, backfill+<name>, backfillK+<name> (K ≥ 2 reservations), or all")
-	backfill := fs.Bool("backfill", false, "wrap every selected policy in EASY backfill reservations")
-	reserve := fs.Int("reserve", 1, "hold backfill reservations for the first K blocked jobs (K>1 implies -backfill)")
 	interval := fs.Float64("interval", 0, "governor sampling interval in seconds (0 = the 25ms default; negative is rejected)")
 	edge := fs.Bool("edge", false, "retune on admission/completion edges in addition to the sampling grid")
 	detail := fs.Bool("detail", false, "print per-job tables")
@@ -81,9 +81,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	jobs, err := trace()
 	if err != nil {
 		return err
-	}
-	if *reserve < 1 {
-		return cli.Usagef("-reserve %d must be at least 1", *reserve)
 	}
 	if *ranks < 1 {
 		return cli.Usagef("-ranks %d must be at least 1", *ranks)
@@ -121,20 +118,21 @@ func run(args []string, stdout, stderr io.Writer) error {
 		clusterRanks = platform.TotalRanks()
 	}
 
+	// "all", bare or after a wrapper prefix, sweeps the shipped policies.
+	names := []string{*policy}
+	if i := strings.LastIndex(*policy, "+") + 1; (*policy)[i:] == "all" {
+		names, _ = cli.Sweep(sched.Policies(), "fifo")
+		for k := range names {
+			names[k] = (*policy)[:i] + names[k]
+		}
+	}
 	var policies []sched.Policy
-	if *policy == "all" {
-		_, policies = cli.Sweep(sched.Policies(), "fifo")
-	} else {
-		p, err := sched.ParsePolicy(*policy)
+	for _, name := range names {
+		p, err := sched.ParsePolicy(name)
 		if err != nil {
 			return cli.Usagef("-policy: %v, or all", err)
 		}
-		policies = []sched.Policy{p}
-	}
-	if *backfill || *reserve > 1 {
-		for i, p := range policies {
-			policies[i] = sched.BackfillN(p, *reserve)
-		}
+		policies = append(policies, p)
 	}
 
 	// The telemetry flags record one schedule's decision stream; an

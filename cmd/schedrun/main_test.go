@@ -20,7 +20,7 @@ const (
 // to stdout) of the CI smoke invocations, byte for byte, against
 // goldens cut from the parent build.
 func TestTranscripts(t *testing.T) {
-	squeeze := []string{"-jobs", "16", "-ranks", "16", "-reserve", "2"}
+	squeeze := []string{"-jobs", "16", "-ranks", "16", "-policy", "backfill2+all"}
 	chaos := []string{"-jobs", "16", "-ranks", "16", "-capplan", chaosCaps}
 	for _, tc := range []struct {
 		golden string
@@ -78,6 +78,9 @@ func TestExitContract(t *testing.T) {
 		{"-policy bogus", 2},
 		{"-policy backfill1+ee-max", 2}, // Name never prints K = 1
 		{"-policy backfill0+fifo", 2},
+		{"-policy backfill0+all", 2},
+		{"-policy fifo+all", 2},
+		{"-policy backfillall", 2},
 		{"-cluster bogus", 2},
 		{"-cluster systemg:0", 2},
 		{"-cluster systemg:99999999999 -jobs 3", 2}, // over the platform rank bound
@@ -86,7 +89,6 @@ func TestExitContract(t *testing.T) {
 		{"-ranks 0 -cap 100000", 2}, // not the whole 325-node preset
 		{"-repeat 0", 2},
 		{"-repeat -1", 2},
-		{"-reserve 0", 2},
 		{"-cap NaN", 2},
 		{"-cap Inf", 2},
 		{"-cap 0", 2},
@@ -127,6 +129,7 @@ func TestExitContract(t *testing.T) {
 		{"-jobs 0", 0},
 		// Every policy name the table prints runs, K reservations included.
 		{"-jobs 8 -ranks 16 -policy backfill2+ee-max", 0},
+		{"-jobs 8 -ranks 16 -policy backfill+all", 0},
 		{"-cluster systemg:16", 0}, // sized by its node count, not the -ranks default
 	} {
 		clitest.Exit(t, run, tc.code, append([]string{"-jobs", "4"}, strings.Fields(tc.args)...)...)

@@ -15,6 +15,8 @@
 package main
 
 import (
+	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -50,19 +52,46 @@ func usagef(format string, args ...any) error {
 	return cli.Usagef("traceq: %s\n%s", fmt.Sprintf(format, args...), usageText)
 }
 
-// load decodes one trace file. Query errors from internal/traceq carry
-// the "traceq:" prefix themselves; file errors get it here.
+// load decodes one trace file and refuses one whose time runs
+// backwards, from the previous event or from sim time 0: every fold
+// walks the stream in sim-time order. Query errors from internal/traceq
+// carry the "traceq:" prefix themselves; file errors get it here.
 func load(path string) ([]telemetry.Event, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("traceq: %w", err)
 	}
-	defer f.Close()
-	evs, err := telemetry.DecodeNDJSON(f)
+	evs, err := telemetry.DecodeNDJSON(bytes.NewReader(data))
 	if err != nil {
 		return nil, fmt.Errorf("traceq: %s: %w", path, err)
 	}
+	last := 0.0
+	for i, ev := range evs {
+		if float64(ev.T) < last {
+			return nil, fmt.Errorf("traceq: %s: line %d: time runs backwards from %gs to %gs",
+				path, lineOf(data, i), last, float64(ev.T))
+		}
+		last = float64(ev.T)
+	}
 	return evs, nil
+}
+
+// lineOf is the 1-based line of the i-th event in an NDJSON stream:
+// the decoder skips blank lines, so this counts them back in.
+func lineOf(data []byte, i int) (line int) {
+	sc := bufio.NewScanner(bytes.NewReader(data))
+	sc.Buffer(nil, len(data)+1)
+	for sc.Scan() {
+		line++
+		if len(sc.Bytes()) == 0 {
+			continue
+		}
+		if i == 0 {
+			break
+		}
+		i--
+	}
+	return line
 }
 
 func main() { cli.Main(run) }

@@ -86,12 +86,17 @@ func TestExitContract(t *testing.T) {
 	missing := filepath.Join(dir, "missing.ndjson")
 	garbled, empty := filepath.Join(dir, "garbled.ndjson"), filepath.Join(dir, "empty.ndjson")
 	// overflow decodes, but its admit time is past what a float holds in
-	// trace microseconds.
+	// trace microseconds. backwards and negative decode too, but their
+	// time is out of order: critpath over backwards would otherwise
+	// print a -0.5 s run.
 	overflow := filepath.Join(dir, "overflow.ndjson")
+	backwards, negative := filepath.Join(dir, "backwards.ndjson"), filepath.Join(dir, "negative.ndjson")
 	for path, body := range map[string]string{
-		garbled:  "{bad\n",
-		empty:    "",
-		overflow: `{"t":-5,"ev":"finish","job":1}` + "\n" + `{"t":1e308,"ev":"admit","job":1,"wait_s":1e308}` + "\n",
+		garbled:   "{bad\n",
+		empty:     "",
+		overflow:  `{"t":0,"ev":"finish","job":1}` + "\n" + `{"t":1e308,"ev":"admit","job":1,"wait_s":1e308}` + "\n",
+		backwards: `{"t":1,"ev":"admit","job":1}` + "\n" + `{"t":0.5,"ev":"finish","job":1}` + "\n",
+		negative:  `{"t":-5,"ev":"finish","job":1}` + "\n",
 	} {
 		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
@@ -115,6 +120,9 @@ func TestExitContract(t *testing.T) {
 		{"critpath " + garbled, 1},
 		{"why 99999 " + events, 1}, // a job the trace never mentions
 		{"chrome " + overflow, 1},
+		{"critpath " + backwards, 1},
+		{"merge " + events + " " + backwards, 1},
+		{"summary " + negative, 1},
 		// An empty trace: no job to explain, no finish to walk back from;
 		// the two tables render empty.
 		{"why 1 " + empty, 1},
@@ -141,5 +149,13 @@ func TestExitContract(t *testing.T) {
 		case tc.code == 1 && rest != "":
 			t.Errorf("traceq %s: want exactly one stderr line, got:\n%s", tc.args, stderr)
 		}
+	}
+	// A time-order refusal names the file and the line, blank lines
+	// counted.
+	if err := os.WriteFile(backwards, []byte("\n"+`{"t":1,"ev":"admit","job":1}`+"\n\n"+`{"t":0.5,"ev":"finish","job":1}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, stderr := clitest.Run(t, run, "critpath", backwards); !strings.Contains(stderr, backwards+": line 4: time runs backwards from 1s to 0.5s") {
+		t.Errorf("critpath over a backwards stream: stderr %q", stderr)
 	}
 }

@@ -84,9 +84,8 @@ func Main(run func(args []string, stdout, stderr io.Writer) error) {
 }
 
 // Parse parses args and returns which flags were given. It applies the
-// one numeric rule every float flag obeys: the value is finite and,
-// unless the flag is named in signed, not negative.
-func Parse(fs *flag.FlagSet, args []string, signed ...string) (given map[string]bool, err error) {
+// one numeric rule every float flag obeys: finite and not negative.
+func Parse(fs *flag.FlagSet, args []string) (given map[string]bool, err error) {
 	switch perr := fs.Parse(args); {
 	case errors.Is(perr, flag.ErrHelp):
 		return nil, &exitError{code: 0}
@@ -100,11 +99,11 @@ func Parse(fs *flag.FlagSet, args []string, signed ...string) (given map[string]
 		if !ok || err != nil {
 			return
 		}
-		if v, isFloat := g.Get().(float64); !isFloat {
-			return
-		} else if !units.Finite(v) {
+		switch v, isFloat := g.Get().(float64); {
+		case !isFloat:
+		case !units.Finite(v):
 			err = Usagef("-%s %g must be finite", f.Name, v)
-		} else if v < 0 && !slices.Contains(signed, f.Name) {
+		case v < 0:
 			err = Usagef("-%s %g must not be negative", f.Name, v)
 		}
 	})

@@ -44,17 +44,15 @@ func TestParseNumericRule(t *testing.T) {
 		fs := flag.NewFlagSet("t", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		fs.Float64("rate", 1, "")
-		fs.Float64("spill", 0, "")
 		fs.Int("n", 0, "")
-		return Parse(fs, args, "spill")
+		return Parse(fs, args)
 	}
-	given, err := parse("-rate", "2", "-spill", "-1", "-n", "-5")
-	if err != nil || !given["rate"] || !given["spill"] || given["nosuch"] {
+	given, err := parse("-rate", "2", "-n", "-5")
+	if err != nil || !given["rate"] || !given["n"] || given["nosuch"] {
 		t.Fatalf("valid flags: given %v, err %v", given, err)
 	}
 	for _, bad := range [][]string{
 		{"-rate", "NaN"}, {"-rate", "Inf"}, {"-rate", "-Inf"}, {"-rate", "-1"},
-		{"-spill", "NaN"}, {"-spill", "-Inf"}, // signed still means finite
 		{"-nosuch"}, {"-n", "x"},
 	} {
 		if _, err := parse(bad...); Exit(err, io.Discard) != 2 {

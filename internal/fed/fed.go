@@ -56,19 +56,11 @@ type Config struct {
 	// site's guaranteed floor, which must cover its idle power draw.
 	// The remaining 1−λ is the policy's discretionary share.
 	GuaranteeFrac float64
-	// BatchEvery quantises routing decision times onto batch
-	// boundaries, modelling an ingest frontend that accumulates
-	// submissions; zero routes at exact arrival times.
-	BatchEvery units.Seconds
-	// SpillAfter is the backlog threshold the EE route's spill rule
-	// fires at; zero means 1 s, negative disables spilling.
-	SpillAfter units.Seconds
-	// Policy, PerfSlack and Seed configure every site's scheduler
-	// exactly as in sched.Config (the same seed at every site keeps a
-	// 1-site federation byte-identical to the bare scheduler).
-	Policy    sched.Policy
-	PerfSlack float64
-	Seed      int64
+	// Policy and Seed configure every site's scheduler exactly as in
+	// sched.Config (the same seed at every site keeps a 1-site
+	// federation byte-identical to the bare scheduler).
+	Policy sched.Policy
+	Seed   int64
 	// Telemetry, when non-nil, receives the frontend's EvRoute stream
 	// (stamped with job arrival times). Per-site schedulers run
 	// concurrently and are deliberately not wired to it — use
@@ -88,10 +80,7 @@ type Config struct {
 	SiteObs func(site string) *obs.Host
 }
 
-const (
-	defaultGuaranteeFrac = 0.5
-	defaultSpillAfter    = units.Seconds(1.0)
-)
+const defaultGuaranteeFrac = 0.5
 
 // siteRun is the per-site execution state.
 type siteRun struct {
@@ -114,7 +103,6 @@ type siteRun struct {
 type Federation struct {
 	cfg    Config
 	lambda float64
-	slack  float64
 	sites  []*siteRun
 
 	// The negotiation grid: cuts are the segment starts of every
@@ -214,11 +202,7 @@ func New(cfg Config) (*Federation, error) {
 	if !(cfg.GuaranteeFrac >= 0 && cfg.GuaranteeFrac <= 1) { // NaN fails too
 		return nil, fmt.Errorf("fed: GuaranteeFrac %g outside (0, 1]", cfg.GuaranteeFrac)
 	}
-	if !units.Finite(cfg.PerfSlack, float64(cfg.SpillAfter), float64(cfg.BatchEvery)) || cfg.BatchEvery < 0 {
-		return nil, fmt.Errorf("fed: PerfSlack %g, SpillAfter %v and BatchEvery %v must be finite, BatchEvery not negative",
-			cfg.PerfSlack, cfg.SpillAfter, cfg.BatchEvery)
-	}
-	f := &Federation{cfg: cfg, lambda: cfg.GuaranteeFrac, slack: sched.PerfSlack(cfg.PerfSlack)}
+	f := &Federation{cfg: cfg, lambda: cfg.GuaranteeFrac}
 	if f.lambda == 0 {
 		f.lambda = defaultGuaranteeFrac
 	}
@@ -483,12 +467,11 @@ func (f *Federation) buildPlans() error {
 func (f *Federation) buildSchedulers() error {
 	for _, sr := range f.sites {
 		scfg := sched.Config{
-			Platform:  sr.site.Platform,
-			Plan:      sr.plan,
-			Faults:    sr.site.Faults,
-			Policy:    f.cfg.Policy,
-			PerfSlack: f.cfg.PerfSlack,
-			Seed:      f.cfg.Seed,
+			Platform: sr.site.Platform,
+			Plan:     sr.plan,
+			Faults:   sr.site.Faults,
+			Policy:   f.cfg.Policy,
+			Seed:     f.cfg.Seed,
 		}
 		if f.cfg.SiteTelemetry != nil {
 			scfg.Telemetry = f.cfg.SiteTelemetry(sr.site.Name)

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/capplan"
 	"repro/internal/faults"
@@ -277,57 +278,50 @@ func TestCarbonMinBeatsStaticShare(t *testing.T) {
 
 // identicalSites builds a 2-site federation of equal platforms — the
 // routing-policy unit fixture.
-func identicalSites(t *testing.T, route RoutePolicy, spill units.Seconds) Config {
+func identicalSites(t *testing.T, route RoutePolicy) Config {
 	t.Helper()
 	return Config{
 		Sites: []Site{
 			{Name: "east", Platform: mustPlatform(t, "systemg:16")},
 			{Name: "west", Platform: mustPlatform(t, "systemg:16")},
 		},
-		Budget:     capplan.Constant(1800),
-		Route:      route,
-		SpillAfter: spill,
-		Seed:       3,
+		Budget: capplan.Constant(1800),
+		Route:  route,
+		Seed:   3,
 	}
 }
 
-// TestRouteEESpill pins the spill rule both ways: a tight threshold
-// diverts backlog to the second site, and a negative threshold disables
-// spilling so ties all land on the first site.
+// TestRouteEESpill pins the spill rule at its 1 s threshold: 24 jobs
+// 5 ms apart back the first site up past it (six spill), diverting jobs
+// to the second, while every ee-best decision between identical sites
+// tie-breaks to the first.
 func TestRouteEESpill(t *testing.T) {
 	trace := sched.SyntheticTrace(sched.TraceConfig{Jobs: 24, Seed: 5, MaxWidth: 16})
 
-	res, err := Run(identicalSites(t, RouteEE(), 0.05), trace)
+	res, err := Run(identicalSites(t, RouteEE()), trace)
 	if err != nil {
 		t.Fatalf("%v", err)
 	}
 	if res.Spills == 0 {
-		t.Errorf("tight threshold produced no spills")
+		t.Errorf("a backlog past %v produced no spills", spillAfter)
 	}
-	var sawSpill bool
+	spills := 0
 	for _, d := range res.Routing {
-		if strings.HasPrefix(d.Reason, "spill:") {
-			sawSpill = true
+		switch {
+		case strings.HasPrefix(d.Reason, "spill:"):
+			spills++
+			if !strings.HasSuffix(d.Reason, " over 1s") || d.Site != "west" {
+				t.Errorf("job %d: spill %q to %s, want one over 1s to west", d.Job, d.Reason, d.Site)
+			}
+		case d.Reason == "ee-best" && d.Site != "east":
+			t.Errorf("job %d: identical sites must tie-break to the first site, got %s", d.Job, d.Site)
 		}
 	}
-	if !sawSpill {
-		t.Errorf("no routing decision carries a spill reason")
+	if spills != res.Spills {
+		t.Errorf("%d decisions carry a spill reason, result counts %d", spills, res.Spills)
 	}
 	if res.Sites[0].Jobs == 0 || res.Sites[1].Jobs == 0 {
 		t.Errorf("spilling left a site empty: %d / %d", res.Sites[0].Jobs, res.Sites[1].Jobs)
-	}
-
-	res, err = Run(identicalSites(t, RouteEE(), -1), trace)
-	if err != nil {
-		t.Fatalf("%v", err)
-	}
-	if res.Spills != 0 {
-		t.Errorf("negative SpillAfter still spilled %d jobs", res.Spills)
-	}
-	for _, d := range res.Routing {
-		if d.Reason == "ee-best" && d.Site != "east" {
-			t.Errorf("job %d: identical sites must tie-break to the first site, got %s", d.Job, d.Site)
-		}
 	}
 }
 
@@ -335,7 +329,7 @@ func TestRouteEESpill(t *testing.T) {
 // sites.
 func TestRouteRRCycles(t *testing.T) {
 	trace := sched.SyntheticTrace(sched.TraceConfig{Jobs: 12, Seed: 5, MaxWidth: 16})
-	res, err := Run(identicalSites(t, RouteRR(), 0), trace)
+	res, err := Run(identicalSites(t, RouteRR()), trace)
 	if err != nil {
 		t.Fatalf("%v", err)
 	}
@@ -358,7 +352,7 @@ func TestRouteRRCycles(t *testing.T) {
 // identical sites receive work.
 func TestRouteJCTBalances(t *testing.T) {
 	trace := sched.SyntheticTrace(sched.TraceConfig{Jobs: 24, Seed: 5, MaxWidth: 16})
-	res, err := Run(identicalSites(t, RouteJCT(), 0), trace)
+	res, err := Run(identicalSites(t, RouteJCT()), trace)
 	if err != nil {
 		t.Fatalf("%v", err)
 	}
@@ -378,7 +372,7 @@ func TestRouteTelemetry(t *testing.T) {
 	trace := sched.SyntheticTrace(sched.TraceConfig{Jobs: 8, Seed: 5, MaxWidth: 16})
 	mem := telemetry.NewMemorySink()
 	rec := telemetry.New(mem)
-	cfg := identicalSites(t, RouteEE(), 0)
+	cfg := identicalSites(t, RouteEE())
 	cfg.Telemetry = rec
 	res, err := Run(cfg, trace)
 	if err != nil {
@@ -414,7 +408,7 @@ func TestRouteTelemetry(t *testing.T) {
 // nothing under a generous retry cap.
 func TestSiteFaults(t *testing.T) {
 	trace := sched.SyntheticTrace(sched.TraceConfig{Jobs: 16, Seed: 5, MaxWidth: 16})
-	cfg := identicalSites(t, RouteRR(), 0)
+	cfg := identicalSites(t, RouteRR())
 	cfg.Sites[0].Faults = &faults.Plan{
 		Scripted: []faults.Scripted{
 			{Rank: 0, T: 0.3},
@@ -441,13 +435,85 @@ func TestSiteFaults(t *testing.T) {
 	}
 }
 
+// TestSiteFailureProcesses runs an MTBF/MTTR failure process at one of
+// two round-robin-fed sites under greedy-ee (revisable plans and a
+// sim-time barrier at 1 s) and static-share (barrier-free). Kills at
+// one site must not stall the other at the barrier, every job must
+// reach exactly one terminal state (this plan loses some), the merged
+// counts must be the sites' sums, no cap is violated, and a replay is
+// bit-identical.
+func TestSiteFailureProcesses(t *testing.T) {
+	trace := sched.SyntheticTrace(sched.TraceConfig{Jobs: 32, Seed: 5, MaxWidth: 16})
+	plan, err := faults.ParsePlan("mtbf=*:2,mttr=*:0.2,retries=2,ckpt=0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, split := range []func() SplitPolicy{GreedyEE, StaticShare} {
+		run := func() Result {
+			cfg := identicalSites(t, RouteRR())
+			cfg.Budget, cfg.Split = mustPlan(t, "0:1800,1:1500,2.2:1800"), split()
+			cfg.Sites[0].Faults = plan
+			done := make(chan struct{})
+			var res Result
+			var err error
+			go func() {
+				defer close(done)
+				res, err = Run(cfg, trace)
+			}()
+			select {
+			case <-done:
+			case <-time.After(time.Minute):
+				t.Fatalf("%s: Run did not return: a site is stuck at a barrier", cfg.Split.Name())
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", cfg.Split.Name(), err)
+			}
+			return res
+		}
+		res := run()
+		if res.Sites[0].Result.Kills == 0 || res.JobsLost == 0 {
+			t.Fatalf("%s: the failure process killed %d jobs and lost %d; the fixture needs both",
+				res.Split, res.Sites[0].Result.Kills, res.JobsLost)
+		}
+		if res.CapViolations != 0 {
+			t.Errorf("%s: %d cap violations", res.Split, res.CapViolations)
+		}
+		states := map[int]sched.JobState{}
+		var completed, rejected, lost int
+		for _, s := range res.Sites {
+			completed += s.Result.Completed
+			rejected += s.Result.Rejected
+			lost += s.Result.JobsLost
+			for _, j := range s.Result.Jobs {
+				if _, dup := states[j.ID]; dup {
+					t.Errorf("%s: job %d reported by two sites", res.Split, j.ID)
+				}
+				states[j.ID] = j.State
+			}
+		}
+		for _, j := range trace {
+			if st, ok := states[j.ID]; !ok || (st != sched.Done && st != sched.Rejected && st != sched.Lost) {
+				t.Errorf("%s: job %d ends %v (reported %v)", res.Split, j.ID, st, ok)
+			}
+		}
+		if res.Completed != completed || res.Rejected != rejected || res.JobsLost != lost ||
+			completed+rejected+lost != len(trace) {
+			t.Errorf("%s: merged %d/%d/%d done/rejected/lost, sites sum to %d/%d/%d of %d jobs",
+				res.Split, res.Completed, res.Rejected, res.JobsLost, completed, rejected, lost, len(trace))
+		}
+		if a, b := mustJSON(t, res), mustJSON(t, run()); string(a) != string(b) {
+			t.Errorf("%s: replay differs", res.Split)
+		}
+	}
+}
+
 // TestSiteEnergyMatchesMeasuredProfile: a negotiation barrier that
 // fires after the sites have drained adds no energy to either site's
 // books — each site's TotalEnergy is its measured power integral, which
 // the per-window ledger slices (Σ window energy over [0, horizon]).
 func TestSiteEnergyMatchesMeasuredProfile(t *testing.T) {
 	trace := sched.SyntheticTrace(sched.TraceConfig{Jobs: 24, Seed: 3, MaxWidth: 16})
-	cfg := identicalSites(t, RouteRR(), 0)
+	cfg := identicalSites(t, RouteRR())
 	cfg.Split = GreedyEE()
 	const late = 30 // the second barrier, long after the trace drains
 	cfg.Budget = mustPlan(t, "0:1800,1:1500,30:1800,60:1700")
@@ -476,7 +542,7 @@ func TestSiteEnergyMatchesMeasuredProfile(t *testing.T) {
 // ceiling caps the site's timeline below its federated share.
 func TestLocalCeiling(t *testing.T) {
 	trace := sched.SyntheticTrace(sched.TraceConfig{Jobs: 8, Seed: 5, MaxWidth: 16})
-	cfg := identicalSites(t, RouteRR(), 0)
+	cfg := identicalSites(t, RouteRR())
 	cfg.Sites[0].Local = capplan.Constant(500) // share would be 900
 	res, err := Run(cfg, trace)
 	if err != nil {
@@ -518,11 +584,6 @@ func TestConfigErrors(t *testing.T) {
 		{"budget below idle floor", Config{Sites: []Site{site()}, Budget: capplan.Constant(100)}, "below its idle floor"},
 		// Non-finite knobs pass every later range comparison.
 		{"NaN lambda", Config{Sites: []Site{site()}, Budget: capplan.Constant(900), GuaranteeFrac: math.NaN()}, "GuaranteeFrac"},
-		{"NaN slack", Config{Sites: []Site{site()}, Budget: capplan.Constant(900), PerfSlack: math.NaN()}, "must be finite"},
-		{"Inf slack", Config{Sites: []Site{site()}, Budget: capplan.Constant(900), PerfSlack: math.Inf(1)}, "must be finite"},
-		{"NaN spill", Config{Sites: []Site{site()}, Budget: capplan.Constant(900), SpillAfter: units.Seconds(math.NaN())}, "must be finite"},
-		{"Inf batch", Config{Sites: []Site{site()}, Budget: capplan.Constant(900), BatchEvery: units.Seconds(math.Inf(1))}, "must be finite"},
-		{"negative batch", Config{Sites: []Site{site()}, Budget: capplan.Constant(900), BatchEvery: -1}, "BatchEvery not negative"},
 		{"NaN carbon", Config{
 			Sites:  []Site{{Name: "east", Platform: mustPlatform(t, "systemg:16"), Carbon: []capplan.Sample{{T: 0, Value: math.NaN()}}}},
 			Budget: capplan.Constant(900),
@@ -544,7 +605,7 @@ func TestConfigErrors(t *testing.T) {
 func TestDuplicateJobIDs(t *testing.T) {
 	trace := sched.SyntheticTrace(sched.TraceConfig{Jobs: 4, Seed: 5})
 	trace[3].ID = trace[0].ID
-	_, err := Run(identicalSites(t, RouteEE(), 0), trace)
+	_, err := Run(identicalSites(t, RouteEE()), trace)
 	if err == nil || !strings.Contains(err.Error(), "duplicate job ID") {
 		t.Fatalf("got %v, want duplicate job ID error", err)
 	}

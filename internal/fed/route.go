@@ -40,29 +40,23 @@ type Quote struct {
 	Backlog units.Seconds
 }
 
-// RouteContext is one routing decision: one Quote per site (in site
-// order) and the spill threshold.
-type RouteContext struct {
-	Quotes []Quote
-	// SpillAfter is the backlog threshold the spill rule fires at;
-	// negative disables spilling.
-	SpillAfter units.Seconds
-}
-
-// RoutePolicy picks the site for one job. Pick returns the chosen
-// site's index, or a negative index to decline (the router then falls
-// back to the widest site, which records the rejection). A reason
-// prefixed "spill:" counts as a spill in the merged result. Policies
-// may carry state across calls (round-robin does), so one instance
-// serves exactly one Run.
+// RoutePolicy picks the site for one job from one Quote per site (in
+// site order). Pick returns the chosen site's index, or a negative index
+// to decline (the router then falls back to the widest site, which
+// records the rejection). A reason prefixed "spill:" counts as a spill
+// in the merged result. Policies may carry state across calls
+// (round-robin does), so one instance serves exactly one Run.
 type RoutePolicy interface {
 	Name() string
-	Pick(ctx *RouteContext) (site int, reason string)
+	Pick(quotes []Quote) (site int, reason string)
 }
+
+// spillAfter is the backlog threshold the EE route's spill rule fires at.
+const spillAfter = units.Seconds(1.0)
 
 // RouteEE routes each job to the site quoting the best predicted
 // energy-efficiency, with a spill rule: when that site's backlog
-// exceeds SpillAfter, the job spills to the next-best site whose
+// exceeds spillAfter (1 s), the job spills to the next-best site whose
 // backlog is under the threshold (staying put if every alternative is
 // just as saturated).
 func RouteEE() RoutePolicy { return routeEE{} }
@@ -70,17 +64,17 @@ func RouteEE() RoutePolicy { return routeEE{} }
 type routeEE struct{}
 
 func (routeEE) Name() string { return "ee" }
-func (routeEE) Pick(ctx *RouteContext) (int, string) {
-	ok := okQuotes(ctx.Quotes)
+func (routeEE) Pick(quotes []Quote) (int, string) {
+	ok := okQuotes(quotes)
 	if len(ok) == 0 {
 		return -1, ""
 	}
 	sort.SliceStable(ok, func(a, b int) bool { return ok[a].EE > ok[b].EE })
 	best := ok[0]
-	if ctx.SpillAfter >= 0 && best.Backlog > ctx.SpillAfter {
+	if best.Backlog > spillAfter {
 		for _, q := range ok[1:] {
-			if q.Backlog <= ctx.SpillAfter {
-				return q.Site, fmt.Sprintf("spill: best site backlog %v over %v", best.Backlog, ctx.SpillAfter)
+			if q.Backlog <= spillAfter {
+				return q.Site, fmt.Sprintf("spill: best site backlog %v over %v", best.Backlog, spillAfter)
 			}
 		}
 	}
@@ -95,10 +89,10 @@ func RouteJCT() RoutePolicy { return routeJCT{} }
 type routeJCT struct{}
 
 func (routeJCT) Name() string { return "jct" }
-func (routeJCT) Pick(ctx *RouteContext) (int, string) {
+func (routeJCT) Pick(quotes []Quote) (int, string) {
 	bestSite, found := -1, false
 	var bestDone units.Seconds
-	for _, q := range ctx.Quotes {
+	for _, q := range quotes {
 		if !q.OK {
 			continue
 		}
@@ -121,11 +115,11 @@ func RouteRR() RoutePolicy { return &routeRR{} }
 type routeRR struct{ next int }
 
 func (*routeRR) Name() string { return "rr" }
-func (r *routeRR) Pick(ctx *RouteContext) (int, string) {
-	n := len(ctx.Quotes)
+func (r *routeRR) Pick(quotes []Quote) (int, string) {
+	n := len(quotes)
 	for k := 0; k < n; k++ {
 		i := (r.next + k) % n
-		if ctx.Quotes[i].OK {
+		if quotes[i].OK {
 			r.next = i + 1
 			return i, "round-robin"
 		}
@@ -156,12 +150,11 @@ func okQuotes(quotes []Quote) []Quote {
 
 // route is the ingest frontend: a deterministic pre-simulation pass
 // assigning every job to a site. Jobs are considered in (arrival, ID)
-// order — the batching a real frontend would apply, with BatchEvery
-// quantising decision times onto batch boundaries — and each decision
-// prices every site's candidate rows once, asks the route policy, and
-// updates the chosen site's backlog estimate. Jobs no site can quote
-// fall back to the site with the widest pool, whose scheduler records
-// the rejection (exactly as a single cluster would have).
+// order, each decided at its arrival time: a decision prices every
+// site's candidate rows once, asks the route policy, and updates the
+// chosen site's backlog estimate. Jobs no site can quote fall back to
+// the site with the widest pool, whose scheduler records the rejection
+// (exactly as a single cluster would have).
 func (f *Federation) route(jobs []sched.Job) error {
 	ordered := append([]sched.Job(nil), jobs...)
 	sort.SliceStable(ordered, func(a, b int) bool {
@@ -178,10 +171,6 @@ func (f *Federation) route(jobs []sched.Job) error {
 		seen[j.ID] = true
 	}
 
-	spill := f.cfg.SpillAfter
-	if spill == 0 {
-		spill = defaultSpillAfter
-	}
 	if f.cfg.Telemetry != nil {
 		// Routing happens before any kernel exists; detach any stale
 		// clock so EvRoute events carry the arrival stamp set below.
@@ -195,25 +184,20 @@ func (f *Federation) route(jobs []sched.Job) error {
 	work := make([]units.Seconds, len(f.sites))
 	var last units.Seconds
 	for _, j := range ordered {
-		now := j.Arrival
-		if f.cfg.BatchEvery > 0 {
-			n := int(float64(j.Arrival) / float64(f.cfg.BatchEvery))
-			now = units.Seconds(float64(n) * float64(f.cfg.BatchEvery))
-		}
-		if now > last {
+		if j.Arrival > last {
 			for i := range work {
-				if d := f.drained(i, last, now); d >= work[i] {
+				if d := f.drained(i, last, j.Arrival); d >= work[i] {
 					work[i] = 0
 				} else {
 					work[i] -= d
 				}
 			}
-			last = now
+			last = j.Arrival
 		}
-		quotes, any := f.quotes(j, work, now)
+		quotes, any := f.quotes(j, work, j.Arrival)
 		site, reason := -1, ""
 		if any {
-			site, reason = f.cfg.Route.Pick(&RouteContext{Quotes: quotes, SpillAfter: spill})
+			site, reason = f.cfg.Route.Pick(quotes)
 		}
 		dec := RouteDecision{Job: j.ID, App: j.Vector.Name, Reason: reason}
 		if site >= 0 && site < len(quotes) {
@@ -283,7 +267,7 @@ func (f *Federation) quotes(j sched.Job, work []units.Seconds, now units.Seconds
 	if !found {
 		return nil, false
 	}
-	maxTp := units.Seconds(float64(ref) * f.slack)
+	maxTp := units.Seconds(float64(ref) * sched.PerfSlack)
 
 	quotes := make([]Quote, len(f.sites))
 	refHead := f.maxHeadroom(now)

@@ -34,7 +34,7 @@ func (f *Federation) referenceQuotes(j sched.Job, work []units.Seconds, now unit
 	if !found {
 		return nil, false
 	}
-	maxTp := units.Seconds(float64(ref) * f.slack)
+	maxTp := units.Seconds(float64(ref) * sched.PerfSlack)
 
 	quotes := make([]Quote, len(f.sites))
 	refHead := f.maxHeadroom(now)
@@ -130,12 +130,9 @@ func TestQuotesMatchMemoReference(t *testing.T) {
 			{Name: "c", Platform: mustPlatform(t, "dori:16")},
 		},
 		Budget: mustPlan(t, "0:2400,1:1900,2.5:2400"),
-		// No slack: the eligible runtime bound is exactly the fastest
-		// row's, so the bound's boundary is priced on every job.
-		PerfSlack: 1,
-		Seed:      2,
+		Seed:   2,
 	}
-	squeezed := identicalSites(t, RouteEE(), 0)
+	squeezed := identicalSites(t, RouteEE())
 	squeezed.Sites[1].Local = capplan.Constant(400) // just above its ~389 W idle floor
 	sets := []struct {
 		name     string
@@ -227,7 +224,7 @@ func (f *Federation) bufferFailsMidway() bool {
 
 // TestQuotesAllocatesOnlyTheQuoteSlice pins the router's steady state:
 // once the row buffer has grown, pricing a job allocates only the
-// returned []Quote (a RoutePolicy may keep ctx.Quotes).
+// returned []Quote (a RoutePolicy may keep the slice it is handed).
 func TestQuotesAllocatesOnlyTheQuoteSlice(t *testing.T) {
 	f, err := New(benchSites(t))
 	if err != nil {

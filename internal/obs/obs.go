@@ -185,10 +185,9 @@ type Snapshot struct {
 	Kernel KernelSnapshot  `json:"kernel"`
 	Phases []PhaseSnapshot `json:"phases"`
 
-	// Opcache aggregates hit/miss/forget over every pool; HitRate is
-	// hits/(hits+misses). Pools is the per-pool breakdown.
+	// Opcache aggregates hit/miss/forget over every pool; Pools is the
+	// per-pool breakdown.
 	Opcache opcache.Stats `json:"opcache"`
-	HitRate float64       `json:"opcache_hit_rate"`
 	Pools   []PoolCache   `json:"pools,omitempty"`
 
 	// Allocation and GC deltas since RunStart.
@@ -230,7 +229,6 @@ func (h *Host) Snapshot() Snapshot {
 	}
 	if h.cache != nil {
 		snap.Opcache = h.cache()
-		snap.HitRate = snap.Opcache.HitRate()
 	}
 	if h.pools != nil {
 		snap.Pools = h.pools()

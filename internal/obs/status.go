@@ -197,9 +197,7 @@ func writeHostProm(b *strings.Builder, label string, pl *statusPayload) {
 	g("obs_kernel_events", float64(h.Kernel.Events))
 	g("obs_kernel_heap_max", float64(h.Kernel.HeapMax))
 	g("obs_kernel_drain_max", float64(h.Kernel.DrainMax))
-	g("obs_opcache_hits", float64(h.Opcache.Hits))
 	g("obs_opcache_misses", float64(h.Opcache.Misses))
-	g("obs_opcache_forgets", float64(h.Opcache.Forgets))
 	g("obs_alloc_bytes", float64(h.AllocBytes))
 	g("obs_heap_bytes", float64(h.HeapBytes))
 	g("obs_num_gc", float64(h.NumGC))

@@ -84,8 +84,7 @@ type Cache struct {
 
 // Stats are a cache's cumulative counters: Misses counts evaluations
 // (every Eval, the memo's miss path included); Hits and Forgets count
-// memo reads and owner invalidations. HitRate is derived; the zero
-// Stats reports 0.
+// memo reads and owner invalidations.
 type Stats struct {
 	Hits, Misses, Forgets uint64
 }
@@ -95,14 +94,6 @@ func (s *Stats) Add(o Stats) {
 	s.Hits += o.Hits
 	s.Misses += o.Misses
 	s.Forgets += o.Forgets
-}
-
-// HitRate returns hits/(hits+misses) in [0,1], or 0 before any lookup.
-func (s Stats) HitRate() float64 {
-	if t := s.Hits + s.Misses; t > 0 {
-		return float64(s.Hits) / float64(t)
-	}
-	return 0
 }
 
 // New validates the spec and prepares a cache over its DVFS ladder.

@@ -231,7 +231,7 @@ func TestNewRejectsInvalidSpec(t *testing.T) {
 }
 
 // Per-pool counters sum into the platform aggregate the host
-// observability layer reports (Add), and HitRate is hits over lookups.
+// observability layer reports (Add).
 func TestPoolStats(t *testing.T) {
 	g := testCache(t)
 	d, err := New(machine.Dori())
@@ -256,12 +256,6 @@ func TestPoolStats(t *testing.T) {
 	sum.Add(st1)
 	if sum != (Stats{Hits: 1, Misses: 2, Forgets: 2}) {
 		t.Fatalf("sum of pools = %+v, want 1h/2m/2f", sum)
-	}
-	if got, want := st0.HitRate(), 0.5; got != want {
-		t.Fatalf("pool 0 hit rate = %g, want %g", got, want)
-	}
-	if (Stats{}).HitRate() != 0 {
-		t.Fatal("hit rate before any lookup must be 0")
 	}
 }
 

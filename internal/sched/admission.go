@@ -30,19 +30,10 @@ type Candidate struct {
 	row *opcache.Row
 }
 
-// PerfSlack returns the effective admission width-slack factor of a
-// Config.PerfSlack value: zero means 1.3, anything below 1 means 1. The
-// federation router prices sites with the same rule.
-func PerfSlack(v float64) float64 {
-	switch {
-	case v == 0:
-		return 1.3
-	case v < 1:
-		return 1
-	default:
-		return v
-	}
-}
+// PerfSlack is the admission width-slack factor: a width is eligible
+// only if its best runtime stays within PerfSlack × the job's fastest
+// (search). The federation router prices sites with the same rule.
+const PerfSlack = 1.3
 
 // marginalCost converts a cached absolute job draw (opcache.Row.Draw) to
 // the admission currency measured against headroom: the draw minus the
@@ -167,7 +158,7 @@ func (c *AdmitContext) Best(e *entry, budget units.Watts) *Candidate {
 // never started into a budget window it cannot fit.
 func (c *AdmitContext) search(e *entry, refTp units.Seconds, budget units.Watts) (*Candidate, int) {
 	s, j, now := c.s, &e.job, c.now
-	maxTp := units.Seconds(float64(refTp) * PerfSlack(s.cfg.PerfSlack))
+	maxTp := units.Seconds(float64(refTp) * PerfSlack)
 	best, bestDL := &s.best, &s.bestDL
 	stage, foundDL := stageNone, false
 	var wbuf [maxWidths]int
@@ -313,7 +304,7 @@ func (s *Scheduler) referenceTp(e *entry) (units.Seconds, bool) {
 		return 0, false
 	}
 	e.refTp = ref
-	maxTp := units.Seconds(float64(ref) * PerfSlack(s.cfg.PerfSlack))
+	maxTp := units.Seconds(float64(ref) * PerfSlack)
 	e.floor = make([]poolFloor, len(s.pools))
 	for pi := range e.floor {
 		e.floor[pi] = poolFloor{p: math.MaxInt, cost: units.Watts(math.Inf(1))}

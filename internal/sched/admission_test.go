@@ -348,7 +348,7 @@ func TestEEBetterOrder(t *testing.T) {
 // oracle TestBestMatchesReferenceSearch holds the entry-grid search to.
 func (c *AdmitContext) referenceSearch(e *entry, refTp units.Seconds, budget units.Watts) (Candidate, int) {
 	s, j, now := c.s, &e.job, c.now
-	maxTp := units.Seconds(float64(refTp) * PerfSlack(s.cfg.PerfSlack))
+	maxTp := units.Seconds(float64(refTp) * PerfSlack)
 	var best, bestDL Candidate
 	stage, foundDL := stageNone, false
 	var wbuf [maxWidths]int

@@ -93,30 +93,15 @@ func permitted(rsvs []*reservation, e *entry, now units.Seconds, pool, p int, co
 // Backfill wraps an admission policy with EASY-style reservations: the
 // queue head is tried first with the full free capacity; if it cannot
 // start, a reservation is computed for it and the inner policy backfills
-// the remaining queue under that constraint. Wrapping an already-wrapped
-// policy returns it unchanged (its reservation count included).
-func Backfill(inner Policy) Policy {
-	if bf, ok := inner.(backfillPolicy); ok {
-		return bf
-	}
-	return backfillPolicy{inner: inner, k: 1}
-}
+// the remaining queue under that constraint.
+func Backfill(inner Policy) Policy { return backfillPolicy{inner: inner, k: 1} }
 
 // BackfillN is the conservative multi-reservation variant ("Reservations
 // K"): the first k blocked jobs each get a reservation, computed in
 // arrival order with every earlier reservation's start and predicted
 // completion replayed in the shadow timeline, and an admission must
-// delay none of the reserved starts. k = 1 is exactly Backfill;
-// re-wrapping a backfill policy adjusts its reservation count.
-func BackfillN(inner Policy, k int) Policy {
-	if k < 1 {
-		k = 1
-	}
-	if bf, ok := inner.(backfillPolicy); ok {
-		inner = bf.inner
-	}
-	return backfillPolicy{inner: inner, k: k}
-}
+// delay none of the reserved starts. k = 1 is exactly Backfill.
+func BackfillN(inner Policy, k int) Policy { return backfillPolicy{inner: inner, k: max(k, 1)} }
 
 type backfillPolicy struct {
 	inner Policy

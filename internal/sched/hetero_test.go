@@ -160,13 +160,6 @@ func TestNegativeIntervalRejected(t *testing.T) {
 			t.Fatalf("interval %v must be rejected", bad)
 		}
 	}
-	// A NaN slack would make every width slack-eligible (fastest > NaN
-	// is false); ±Inf are no bound at all or an empty one.
-	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if _, err := New(Config{Platform: machine.Homogeneous(testSpec()), Ranks: 2, Cap: 500, PerfSlack: bad}); err == nil {
-			t.Fatalf("PerfSlack %v must be rejected", bad)
-		}
-	}
 	s, err := New(Config{Platform: machine.Homogeneous(testSpec()), Ranks: 2, Cap: 500})
 	if err != nil {
 		t.Fatal(err)

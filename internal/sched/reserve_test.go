@@ -22,14 +22,6 @@ func TestBackfillNWrapping(t *testing.T) {
 	if BackfillN(EEMax(), 0) != BackfillN(EEMax(), 1) {
 		t.Fatal("k<1 must normalise to 1")
 	}
-	// Backfill preserves a wrapper's reservation count; BackfillN
-	// adjusts it.
-	if Backfill(bf2) != bf2 {
-		t.Fatal("Backfill must keep an existing wrapper unchanged")
-	}
-	if BackfillN(bf2, 3) != BackfillN(EEMax(), 3) {
-		t.Fatal("BackfillN must re-wrap the inner policy with the new count")
-	}
 	if bf2.DVFS() != EEMax().DVFS() {
 		t.Fatal("DVFS must delegate to the inner policy")
 	}

@@ -594,14 +594,14 @@ func TestBackfillDeterministic(t *testing.T) {
 	}
 }
 
-// Wrapping is idempotent and composes the report name.
+// Wrapping composes the report name and delegates DVFS.
 func TestBackfillWrapping(t *testing.T) {
 	bf := Backfill(EEMax())
 	if bf.Name() != "backfill+ee-max" {
 		t.Fatalf("name %q", bf.Name())
 	}
-	if Backfill(bf) != bf {
-		t.Fatal("double wrapping must be a no-op")
+	if Backfill(EEMax()) != BackfillN(EEMax(), 1) {
+		t.Fatal("Backfill must be BackfillN with one reservation")
 	}
 	if bf.DVFS() != EEMax().DVFS() || Backfill(FIFO()).DVFS() != FIFO().DVFS() {
 		t.Fatal("DVFS must delegate to the inner policy")

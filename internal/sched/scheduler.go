@@ -89,12 +89,6 @@ type Config struct {
 	// unobserved one. Nil (the default) compiles every site to an
 	// untaken branch, the same discipline as Telemetry.
 	Obs *obs.Host
-	// PerfSlack bounds how much service quality an EE-optimising
-	// admission may trade away: a width is only eligible if its best
-	// runtime over the DVFS ladder stays within PerfSlack × the job's
-	// unconstrained fastest runtime (admission.go). Zero means 1.3;
-	// NaN and ±Inf are rejected.
-	PerfSlack float64
 	// Seed drives all randomness.
 	Seed int64
 }
@@ -308,9 +302,6 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 	if cfg.Interval < power.MinInterval {
 		return nil, fmt.Errorf("sched: sampling interval %v below the %v floor", cfg.Interval, power.MinInterval)
-	}
-	if !units.Finite(cfg.PerfSlack) {
-		return nil, fmt.Errorf("sched: PerfSlack %g must be finite", cfg.PerfSlack)
 	}
 	if err := cfg.Platform.Validate(); err != nil {
 		return nil, err

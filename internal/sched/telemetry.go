@@ -40,11 +40,14 @@ type schedTelemetry struct {
 
 	// The block reasons that carry a number, each keeping its last
 	// rendering: an edge replays every blocked job against one free-rank
-	// count, slack and headroom, so nearly every call repeats the
-	// previous one's argument.
-	ranksReason              reasonMemo[int]
-	slackReason, wattsReason reasonMemo[float64]
+	// count and headroom, so nearly every call repeats the previous
+	// one's argument.
+	ranksReason reasonMemo[int]
+	wattsReason reasonMemo[float64]
 }
+
+// slackReason is the perf-slack block reason, PerfSlack spelled out.
+const slackReason = "perf-slack: every width that fits free ranks runs over 1.3x the job's fastest time"
 
 // reasonMemo formats a one-argument reason once per distinct run of
 // its argument.
@@ -71,7 +74,7 @@ func (t *schedTelemetry) blockReason(view *AdmitContext, e *entry) string {
 	case stageNone:
 		return t.ranksReason.get("ranks: no candidate width fits the %d free ranks", view.freeRanks())
 	case stageWidth:
-		return t.slackReason.get("perf-slack: every width that fits free ranks runs over %.1fx the job's fastest time", PerfSlack(t.s.cfg.PerfSlack))
+		return slackReason
 	case stageSlack:
 		return t.wattsReason.get("watts: no eligible point fits the %.1f W headroom", float64(view.headroom))
 	case stageBudget:
