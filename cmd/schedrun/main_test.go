@@ -127,6 +127,13 @@ func TestExitContract(t *testing.T) {
 		// Verdicts.
 		{"-jobs 16 -ranks 16 -cap 900 -faults mtbf=*:0.5,mttr=*:0.2,retries=0", 4},
 		{"-jobs 0", 0},
+		// The default 64-job trace holds a 2000 W and a 3000 W cap (a
+		// violation exits 3); sched's goldens hold it at 2500 W.
+		{"-jobs 64 -cap 2000 -policy fifo", 0},
+		{"-jobs 64 -cap 2000 -policy ee-max", 0},
+		{"-jobs 64 -cap 3000 -policy fifo", 0},
+		{"-jobs 64 -cap 3000 -policy ee-max", 0},
+		{"-jobs 64 -cap 3000 -policy backfill+ee-max", 0},
 		// Every policy name the table prints runs, K reservations included.
 		{"-jobs 8 -ranks 16 -policy backfill2+ee-max", 0},
 		{"-jobs 8 -ranks 16 -policy backfill+all", 0},

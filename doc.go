@@ -13,7 +13,7 @@
 //   - internal/analysis, internal/figures — scaling studies and the
 //     regeneration of every figure in the paper's evaluation
 //
-// See README.md for a tour, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for paper-vs-measured results. The benchmarks in
-// bench_test.go regenerate each figure: go test -bench=Figure -benchtime 1x
+// See README.md for a tour and DESIGN.md for the system inventory.
+// go run ./cmd/figures regenerates every figure; bash bench/run.sh times
+// the paper path and the scheduler.
 package repro

@@ -93,9 +93,6 @@ type Config struct {
 	// Ranks is the number of MPI ranks to provision — a prefix of the
 	// platform's global rank numbering.
 	Ranks int
-	// Net overrides the network model; nil derives Hockney{Ts,Tb} from
-	// the rank-0 machine vector.
-	Net netmodel.Model
 	// Alpha is the computational overlap factor α ∈ (0,1]; zero means 1.
 	Alpha float64
 	// Noise enables stochastic perturbation.
@@ -115,7 +112,7 @@ type Cluster struct {
 	kernel   *sim.Kernel
 	params   []machine.Params // rank → current vector
 	alpha    float64
-	net      netmodel.Model
+	net      netmodel.Hockney // Eq. 17's Ts + m·Tb, from the rank-0 vector
 	counters *perfctr.Set
 	tracer   *trace.Tracer
 
@@ -130,7 +127,7 @@ type Cluster struct {
 	execRNG  *rand.Rand
 	measRNG  *rand.Rand
 	wallEnd  units.Seconds // latest completion over all recorded operations
-	shmModel netmodel.Model
+	shmModel netmodel.Hockney
 
 	inflight []inflightOp // per rank: the operation currently executing
 	opActive []bool       // per rank: an operation is in flight (guards Start/CompleteOp pairing)
@@ -233,11 +230,6 @@ func New(cfg Config) (*Cluster, error) {
 		rankPool[r] = pi
 	}
 
-	net := cfg.Net
-	if net == nil {
-		net = netmodel.Hockney{Ts: params[0].Ts, Tb: params[0].Tb}
-	}
-
 	c := &Cluster{
 		cfg:      cfg,
 		platform: platform,
@@ -246,7 +238,7 @@ func New(cfg Config) (*Cluster, error) {
 		kernel:   sim.NewKernel(cfg.Seed),
 		params:   params,
 		alpha:    cfg.Alpha,
-		net:      net,
+		net:      netmodel.Hockney{Ts: params[0].Ts, Tb: params[0].Tb},
 		counters: perfctr.NewSet(),
 		tracer:   trace.New(),
 		execRNG:  rand.New(rand.NewSource(cfg.Seed ^ 0x5eed0001)),

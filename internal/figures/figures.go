@@ -1,8 +1,8 @@
 // Package figures regenerates every table and figure of the paper's
 // evaluation (§II, §IV, §V) against the simulated clusters. Each
 // generator returns a Figure with rendered text and CSV data; cmd/figures
-// prints them and the root bench harness exercises them one per
-// testing.B benchmark (see DESIGN.md §4 for the experiment index).
+// prints them and bench/'s paper_figures workload times them (see
+// DESIGN.md §4 for the experiment index).
 //
 // The measured figures (2–4, 10) run one simulated cluster per sweep
 // point across Options.Workers; the model surfaces (5–9) are

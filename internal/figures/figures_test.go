@@ -1,13 +1,43 @@
 package figures
 
 import (
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-// quick regenerates every figure with reduced sizes; the full-scale
-// versions run under the root bench harness.
+// quick regenerates every figure with reduced sizes; the paper-scale
+// versions are cmd/figures' and the paper_figures benchmark workload's.
 func quick() Options { return Options{Quick: true, Seed: 42} }
+
+// column returns the named column of a figure CSV as floats, one per row.
+func column(t *testing.T, csv, name string) []float64 {
+	t.Helper()
+	lines := strings.Split(strings.TrimSpace(csv), "\n")
+	col := -1
+	for i, h := range strings.Split(lines[0], ",") {
+		if h == name {
+			col = i
+		}
+	}
+	if col < 0 {
+		t.Fatalf("column %q not in %q", name, lines[0])
+	}
+	var out []float64
+	for _, line := range lines[1:] {
+		parts := strings.Split(line, ",")
+		if len(parts) <= col {
+			t.Fatalf("CSV row %q has no column %q", line, name)
+		}
+		v, err := strconv.ParseFloat(parts[col], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, v)
+	}
+	return out
+}
 
 func TestAllGeneratorsQuick(t *testing.T) {
 	for _, g := range All() {
@@ -72,17 +102,9 @@ func TestFig3AccuracyIsReasonable(t *testing.T) {
 	}
 	// Every row's error must stay below 20% even in quick mode (the
 	// paper's full-scale bound is 5%; quick sizes are noisier).
-	for _, line := range strings.Split(strings.TrimSpace(fig.CSV), "\n")[1:] {
-		parts := strings.Split(line, ",")
-		if len(parts) < 4 {
-			t.Fatalf("bad CSV row %q", line)
-		}
-		var relErr float64
-		if _, err := fmtSscan(parts[3], &relErr); err != nil {
-			t.Fatal(err)
-		}
+	for i, relErr := range column(t, fig.CSV, "rel_error") {
 		if relErr > 0.20 {
-			t.Fatalf("%s error %.1f%% too high", parts[0], relErr*100)
+			t.Fatalf("row %d: error %.1f%% too high", i, relErr*100)
 		}
 	}
 }
@@ -92,14 +114,23 @@ func TestFig7EPStaysNearOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, line := range strings.Split(strings.TrimSpace(fig.CSV), "\n")[1:] {
-		parts := strings.Split(line, ",")
-		var ee float64
-		if _, err := fmtSscan(parts[3], &ee); err != nil {
-			t.Fatal(err)
-		}
+	for i, ee := range column(t, fig.CSV, "ee") {
 		if ee < 0.97 {
-			t.Fatalf("EP EE %g below 0.97 in %q", ee, line)
+			t.Fatalf("row %d: EP EE %g below 0.97", i, ee)
+		}
+	}
+}
+
+// Figure 2a's energy_eff is E1/Ep measured on noisy simulated runs: it
+// must be a plausible efficiency, never NaN.
+func TestFig2aMeasuredEEPlausible(t *testing.T) {
+	fig, err := Fig2a(Options{Quick: true, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ee := range column(t, fig.CSV, "energy_eff") {
+		if ee <= 0 || ee > 1.2 || math.IsNaN(ee) {
+			t.Fatalf("row %d: implausible measured EE %g", i, ee)
 		}
 	}
 }

@@ -45,44 +45,10 @@ func TestHockneyMonotoneAndSubadditive(t *testing.T) {
 	}
 }
 
-func TestLogGP(t *testing.T) {
-	l := LogGP{L: 1e-6, O: 2e-6, G: 1e-9}
-	if got := l.MessageTime(0); got != 3e-6 {
-		t.Fatalf("0B = %v, want O+L", got)
-	}
-	got := l.MessageTime(1)
-	if math.Abs(float64(got)-3e-6) > 1e-15 {
-		t.Fatalf("1B = %v, want O+L", got)
-	}
-	got = l.MessageTime(1001)
-	want := 3e-6 + 1000e-9
-	if math.Abs(float64(got)-want) > 1e-15 {
-		t.Fatalf("1001B = %v, want %v", got, want)
-	}
-}
-
-func TestZero(t *testing.T) {
-	var z Zero
-	if z.MessageTime(1e9) != 0 {
-		t.Fatal("zero model must price everything at 0")
-	}
-	if z.Name() != "zero" {
-		t.Fatal("name")
-	}
-}
-
 func TestPresetBandwidths(t *testing.T) {
 	// 40 Gb/s → 0.2 ns per byte.
 	ib := InfiniBand40G()
 	if math.Abs(float64(ib.Tb)-0.2e-9) > 1e-15 {
 		t.Fatalf("IB Tb = %v", ib.Tb)
-	}
-}
-
-func TestNames(t *testing.T) {
-	for _, m := range []Model{Hockney{}, LogGP{}, Zero{}} {
-		if m.Name() == "" {
-			t.Fatalf("%T: empty name", m)
-		}
 	}
 }

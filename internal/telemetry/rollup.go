@@ -3,6 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -207,19 +208,15 @@ func (r *reservoir) observe(v float64) {
 	}
 }
 
-// quantile returns the nearest-rank q-quantile of the retained sample
-// (0 with no observations).
+// quantile returns the nearest-rank q-quantile, q ∈ (0, 1], of the
+// retained sample: its ⌈q·n⌉-th smallest value (0 with no observations).
 func (r *reservoir) quantile(q float64) float64 {
 	if len(r.vals) == 0 {
 		return 0
 	}
 	sorted := append([]float64(nil), r.vals...)
 	sort.Float64s(sorted)
-	i := int(q * float64(len(sorted)))
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
+	return sorted[int(math.Ceil(q*float64(len(sorted))))-1]
 }
 
 // topK is a space-saving (Metwally et al.) frequent-items table: at

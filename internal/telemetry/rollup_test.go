@@ -147,6 +147,35 @@ func TestRollupBoundedMemory(t *testing.T) {
 	}
 }
 
+// Footer quantiles are nearest-rank: the ⌈q·n⌉-th smallest retained
+// value, the rule sched's P95Wait uses.
+func TestReservoirQuantileNearestRank(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		q    float64
+		want float64
+	}{
+		{0, 0.5, 0},
+		{1, 0.5, 1},
+		{1, 0.99, 1},
+		{4, 0.25, 1},
+		{4, 0.50, 2},
+		{4, 0.90, 4},
+		{10, 0.90, 9},
+		{101, 0.50, 51},
+		{101, 0.99, 100},
+	} {
+		var r reservoir
+		r.init(512)
+		for v := tc.n; v >= 1; v-- { // out of order: quantile sorts
+			r.observe(float64(v))
+		}
+		if got := r.quantile(tc.q); got != tc.want {
+			t.Errorf("p%g of 1..%d = %g, want %g", tc.q*100, tc.n, got, tc.want)
+		}
+	}
+}
+
 // The reservoir is a pure function of the observation sequence, and
 // the top-K table evicts deterministically.
 func TestRollupFooterDeterminism(t *testing.T) {
