@@ -112,7 +112,7 @@ type Cluster struct {
 	kernel   *sim.Kernel
 	params   []machine.Params // rank → current vector
 	alpha    float64
-	net      netmodel.Hockney // Eq. 17's Ts + m·Tb, from the rank-0 vector
+	nets     []netmodel.Hockney // pool → Eq. 17's Ts + m·Tb (no DVFS point changes them)
 	counters *perfctr.Set
 	tracer   *trace.Tracer
 
@@ -124,10 +124,9 @@ type Cluster struct {
 	txFree []units.Seconds
 	rxFree []units.Seconds
 
-	execRNG  *rand.Rand
-	measRNG  *rand.Rand
-	wallEnd  units.Seconds // latest completion over all recorded operations
-	shmModel netmodel.Hockney
+	execRNG *rand.Rand
+	measRNG *rand.Rand
+	wallEnd units.Seconds // latest completion over all recorded operations
 
 	inflight []inflightOp // per rank: the operation currently executing
 	opActive []bool       // per rank: an operation is in flight (guards Start/CompleteOp pairing)
@@ -194,6 +193,7 @@ func New(cfg Config) (*Cluster, error) {
 	// and every later retune index into it (see paramsAt).
 	ladders := make([][]machine.Params, len(platform.Pools))
 	poolParams := make([]machine.Params, len(platform.Pools))
+	nets := make([]netmodel.Hockney, len(platform.Pools))
 	for i, np := range platform.Pools {
 		ladder, err := np.Spec.LadderParams()
 		if err != nil {
@@ -212,6 +212,7 @@ func New(cfg Config) (*Cluster, error) {
 			return nil, err
 		}
 		poolParams[i] = *mp
+		nets[i] = netmodel.Hockney{Ts: mp.Ts, Tb: mp.Tb}
 	}
 
 	if capacity := platform.TotalRanks(); cfg.Ranks > capacity {
@@ -238,17 +239,11 @@ func New(cfg Config) (*Cluster, error) {
 		kernel:   sim.NewKernel(cfg.Seed),
 		params:   params,
 		alpha:    cfg.Alpha,
-		net:      netmodel.Hockney{Ts: params[0].Ts, Tb: params[0].Tb},
+		nets:     nets,
 		counters: perfctr.NewSet(),
 		tracer:   trace.New(),
 		execRNG:  rand.New(rand.NewSource(cfg.Seed ^ 0x5eed0001)),
 		measRNG:  rand.New(rand.NewSource(cfg.Seed ^ 0x5eed0002)),
-		// Self-copies at shared-memory speed: negligible start-up, ~an
-		// order of magnitude more bandwidth than the NIC.
-		shmModel: netmodel.Hockney{
-			Ts: params[0].Ts / 10,
-			Tb: params[0].Tb / 10,
-		},
 	}
 
 	c.txFree = make([]units.Seconds, cfg.Ranks)
@@ -478,12 +473,18 @@ func (c *Cluster) AbortOp(rank int) {
 
 // MessageTime prices a message from src to dst (unscaled by α). A
 // self-copy runs at memory bandwidth, priced as half a shared-memory
-// transfer; every other message crosses the interconnect.
+// transfer: negligible start-up and ~an order of magnitude more
+// bandwidth than its pool's NIC, so a tenth of the pool's Ts and Tb.
+// Every other message crosses the interconnect at its endpoints' pool
+// vectors, the slower of each (max Ts, max Tb) when the pools differ.
 func (c *Cluster) MessageTime(src, dst int, bytes units.Bytes) units.Seconds {
-	if c.checkRank(src) == c.checkRank(dst) {
-		return c.shmModel.MessageTime(bytes) / 2
+	s, d := c.checkRank(src), c.checkRank(dst)
+	h := c.nets[c.rankPool[s]]
+	if s == d {
+		return netmodel.Hockney{Ts: h.Ts / 10, Tb: h.Tb / 10}.MessageTime(bytes) / 2
 	}
-	return c.net.MessageTime(bytes)
+	o := c.nets[c.rankPool[d]]
+	return netmodel.Hockney{Ts: max(h.Ts, o.Ts), Tb: max(h.Tb, o.Tb)}.MessageTime(bytes)
 }
 
 // NetworkJitter perturbs a message duration with the configured jitter.

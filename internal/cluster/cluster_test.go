@@ -267,6 +267,39 @@ func TestMessageTimeSelfCopyAndInterconnect(t *testing.T) {
 	}
 }
 
+func TestMessageTimePerPool(t *testing.T) {
+	// Ranks 0–1 are SystemG, 2–3 Dori: a message is priced with its
+	// endpoints' pool vectors, the slower of each when they differ.
+	pf, err := machine.ParsePlatform("systemg:2,dori:2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := mustNew(t, Config{Platform: pf, Ranks: 4})
+	sg, dori := machine.SystemG(), machine.Dori()
+	if sg.Ts >= dori.Ts || sg.Tb >= dori.Tb {
+		t.Fatalf("presets changed: SystemG (%v, %v) is no longer faster than Dori (%v, %v)", sg.Ts, sg.Tb, dori.Ts, dori.Tb)
+	}
+	hockney := func(ts, tb units.Seconds) units.Seconds {
+		return netmodel.Hockney{Ts: ts, Tb: tb}.MessageTime(1000)
+	}
+	for _, tc := range []struct {
+		name     string
+		src, dst int
+		want     units.Seconds
+	}{
+		{"SystemG↔SystemG", 0, 1, hockney(sg.Ts, sg.Tb)},
+		{"Dori↔Dori", 2, 3, hockney(dori.Ts, dori.Tb)},
+		{"SystemG→Dori", 1, 2, hockney(max(sg.Ts, dori.Ts), max(sg.Tb, dori.Tb))},
+		{"Dori→SystemG", 3, 0, hockney(max(sg.Ts, dori.Ts), max(sg.Tb, dori.Tb))},
+		{"SystemG self-copy", 1, 1, hockney(sg.Ts/10, sg.Tb/10) / 2},
+		{"Dori self-copy", 2, 2, hockney(dori.Ts/10, dori.Tb/10) / 2},
+	} {
+		if got := c.MessageTime(tc.src, tc.dst, 1000); got != tc.want {
+			t.Errorf("%s (%d→%d): %v, want %v", tc.name, tc.src, tc.dst, got, tc.want)
+		}
+	}
+}
+
 func TestNICSerialisesReceiver(t *testing.T) {
 	c := mustNew(t, Config{Spec: testSpec(), Ranks: 8})
 	// sendAll starts one message per (src, dst) pair at t=0 and returns

@@ -7,13 +7,14 @@ import (
 	"repro/internal/app"
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/npb"
 	"repro/internal/units"
 )
 
-// validation runs a kernel serially and at parallelism p, builds the
-// application-dependent vector from the measured counters and trace
-// (paper §IV.B), predicts the parallel energy with Eq. 15 and compares
-// against the PowerPack-style measurement.
+// validation is one kernel's model check at parallelism p: the
+// application-dependent vector built from the measured counters and
+// trace (paper §IV.B), the parallel energy Eq. 15 predicts from it, and
+// the PowerPack-style measurement it is compared against.
 type validation struct {
 	Kernel    string
 	P         int
@@ -24,12 +25,13 @@ type validation struct {
 	EEMeas    float64
 }
 
-func validateKernel(kf kernelFactory, spec machine.Spec, p int, seed int64) (validation, error) {
-	seq, err := kf.measured(spec, 1, seed)
-	if err != nil {
-		return validation{}, fmt.Errorf("%s serial: %w", kf.name, err)
-	}
-	par, err := kf.measured(spec, p, seed+1)
+// validateKernel measures kf at parallelism p under the given noise seed
+// against seq, the kernel's serial report on spec. The prediction reads
+// only seq's α and counter totals, which no noise seed changes, so one
+// serial run serves every p (TestCountersIgnoreNoiseSeed in internal/npb
+// pins this); EEMeas also reads its measured energy.
+func validateKernel(kf kernelFactory, seq npb.Report, spec machine.Spec, p int, seed int64) (validation, error) {
+	par, err := kf.measured(spec, p, seed)
 	if err != nil {
 		return validation{}, fmt.Errorf("%s p=%d: %w", kf.name, p, err)
 	}
@@ -80,8 +82,12 @@ func Fig3(o Options) (Figure, error) {
 	// render in suite order.
 	vals := make([]validation, len(factories))
 	if err := parEach(o, len(factories), func(i int) error {
-		v, err := validateKernel(factories[i], dori, p, o.Seed+300+int64(i)*17)
-		vals[i] = v
+		seed := o.Seed + 300 + int64(i)*17
+		seq, err := factories[i].measured(dori, 1, seed)
+		if err != nil {
+			return fmt.Errorf("%s serial: %w", factories[i].name, err)
+		}
+		vals[i], err = validateKernel(factories[i], seq, dori, p, seed+1)
 		return err
 	}); err != nil {
 		return Figure{}, err
@@ -125,23 +131,26 @@ func Fig4(o Options) (Figure, error) {
 	maxP := ps[len(ps)-1]
 	factories := []kernelFactory{epFactory(o), ftFactory(o, maxP), cgFactory(o)}
 
-	// The (benchmark, p) grid is embarrassingly parallel: every cell is
-	// one or two independent simulations with cell-specific seeds.
-	// Flatten it, fan the cells across the workers, then render the rows
-	// in the original order.
+	// One serial run per kernel (paper §IV.B) feeds its p = 1 check and
+	// every p ≥ 2 cell. Each cell is then one simulation with its own
+	// seed: fan the cells across the workers, then render the rows in
+	// the original order.
+	seqs := make([]npb.Report, len(factories))
+	if err := parEach(o, len(factories), func(i int) (err error) {
+		seqs[i], err = factories[i].measured(sysG, 1, o.Seed+400+int64(i)*31)
+		return err
+	}); err != nil {
+		return Figure{}, err
+	}
 	errMat := make([][]float64, len(factories))
 	for i := range errMat {
 		errMat[i] = make([]float64, len(ps))
 	}
 	if err := parEach(o, len(factories)*len(ps), func(cell int) error {
 		i, pi := cell/len(ps), cell%len(ps)
-		kf, p := factories[i], ps[pi]
+		kf, p, seq := factories[i], ps[pi], seqs[i]
 		if p == 1 {
 			// Serial check: predict E1 from the sequential counters.
-			seq, err := kf.measured(sysG, 1, o.Seed+400+int64(i)*31)
-			if err != nil {
-				return err
-			}
 			mp, err := sysG.Base()
 			if err != nil {
 				return err
@@ -156,7 +165,7 @@ func Fig4(o Options) (Figure, error) {
 			errMat[i][pi] = core.PredictionError(pred.E1, seq.Measured.Total)
 			return nil
 		}
-		v, err := validateKernel(kf, sysG, p, o.Seed+400+int64(i)*31+int64(p))
+		v, err := validateKernel(kf, seq, sysG, p, o.Seed+400+int64(i)*31+int64(p)+1)
 		if err != nil {
 			return err
 		}

@@ -394,3 +394,59 @@ var errNonPositive = &nonPositiveErr{}
 type nonPositiveErr struct{}
 
 func (*nonPositiveErr) Error() string { return "non-positive energy" }
+
+// TestCountersIgnoreNoiseSeed pins what lets Fig. 4 count each kernel's
+// serial application vector once: a kernel's counter totals,
+// communication totals and α are its workload, registered before any
+// noise touches the run, so two noise seeds agree on them while the
+// measured energy (which the noise does reach) differs.
+func TestCountersIgnoreNoiseSeed(t *testing.T) {
+	kernels := []struct {
+		name string
+		mk   func() (npb.Kernel, error)
+	}{
+		{"EP", func() (npb.Kernel, error) { return ep.New(ep.Config{LogPairs: 14}) }},
+		{"FT", func() (npb.Kernel, error) { return ft.New(ft.Config{NX: 16, NY: 16, NZ: 16, Iters: 2}) }},
+		{"CG", func() (npb.Kernel, error) { return cg.New(cg.Config{N: 512, Nonzer: 4, NIter: 2}) }},
+		{"IS", func() (npb.Kernel, error) {
+			return is.New(is.Config{LogKeys: 13, LogMaxKey: 10, Buckets: 128, Iters: 2})
+		}},
+		{"MG", func() (npb.Kernel, error) { return mg.New(mg.Config{Size: 16, Cycles: 2}) }},
+	}
+	run := func(mk func() (npb.Kernel, error), p int, seed int64) npb.Report {
+		t.Helper()
+		k, err := mk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, err := cluster.New(cluster.Config{
+			Spec:  machine.SystemG(),
+			Ranks: p,
+			Alpha: k.Alpha(),
+			Noise: cluster.DefaultNoise(),
+			Seed:  seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := npb.Run(cl, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	for _, kc := range kernels {
+		for _, p := range []int{1, 4} {
+			a, b := run(kc.mk, p, 11), run(kc.mk, p, 12)
+			if a.Totals.OnChipOps != b.Totals.OnChipOps || a.Totals.OffChipAccesses != b.Totals.OffChipAccesses ||
+				a.M != b.M || a.B != b.B || a.Alpha != b.Alpha {
+				t.Errorf("%s p=%d: workload differs across seeds: on %v/%v off %v/%v M %d/%d B %g/%g α %g/%g",
+					kc.name, p, a.Totals.OnChipOps, b.Totals.OnChipOps,
+					a.Totals.OffChipAccesses, b.Totals.OffChipAccesses, a.M, b.M, a.B, b.B, a.Alpha, b.Alpha)
+			}
+			if a.Measured.Total == b.Measured.Total {
+				t.Errorf("%s p=%d: measured energy %v is the same at both seeds; the run is noiseless", kc.name, p, a.Measured.Total)
+			}
+		}
+	}
+}
