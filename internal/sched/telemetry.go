@@ -10,7 +10,10 @@ import (
 
 // schedTelemetry binds a telemetry.Recorder to one scheduler run: the
 // metric handles registered at Run plus the emit helpers the scheduling
-// edges call. Scheduler.tel is nil when Config.Telemetry is nil, and
+// edges call. Counters of what the event stream records (admissions,
+// retunes, faults, …) and the wait histogram are filled by the
+// registry from the stream itself; only what no event carries is kept
+// here. Scheduler.tel is nil when Config.Telemetry is nil, and
 // every emit site is guarded on that pointer, so the disabled path
 // constructs no events, formats no reasons, and allocates nothing — the
 // golden tests pin the resulting schedules byte-identical.
@@ -18,25 +21,11 @@ type schedTelemetry struct {
 	s   *Scheduler
 	rec *telemetry.Recorder
 
-	admitted   *telemetry.Counter
-	rejected   *telemetry.Counter
-	finished   *telemetry.Counter
 	bypasses   *telemetry.Counter
-	retunes    *telemetry.Counter
-	violations *telemetry.Counter
+	lost       *telemetry.Counter // nil without Config.Faults
 	queueDepth *telemetry.Gauge
 	headroomW  *telemetry.Gauge
 	freeRanks  []*telemetry.Gauge
-	waitHist   *telemetry.Histogram
-
-	// Fault metrics, registered only under Config.Faults so the metrics
-	// CSV header of a fault-free run is unchanged.
-	fails       *telemetry.Counter
-	repairs     *telemetry.Counter
-	kills       *telemetry.Counter
-	restarts    *telemetry.Counter
-	checkpoints *telemetry.Counter
-	lost        *telemetry.Counter
 
 	// The block reasons that carry a number, each keeping its last
 	// rendering: an edge replays every blocked job against one free-rank
@@ -96,39 +85,37 @@ func newSchedTelemetry(s *Scheduler, rec *telemetry.Recorder) *schedTelemetry {
 		return nil
 	}
 	rec.SetClock(s.cl.Kernel())
+	// Registration order is the metrics CSV's column order.
 	m := rec.Metrics()
-	t := &schedTelemetry{
-		s:          s,
-		rec:        rec,
-		admitted:   m.Counter("admitted"),
-		rejected:   m.Counter("rejected"),
-		finished:   m.Counter("finished"),
-		bypasses:   m.Counter("head_bypasses"),
-		retunes:    m.RateCounter("rank_retunes"),
-		violations: m.Counter("cap_violations"),
-		queueDepth: m.Gauge("queue_depth"),
-		headroomW:  m.Gauge("headroom_w"),
-		// Wait-time buckets span sub-interval admissions out to long
-		// plan-window parks (seconds).
-		waitHist: m.Histogram("wait_s", 0.01, 0.1, 1, 10, 60, 600),
-	}
+	m.Counter("admitted", telemetry.EvAdmit)
+	m.Counter("rejected", telemetry.EvReject)
+	m.Counter("finished", telemetry.EvFinish)
+	t := &schedTelemetry{s: s, rec: rec, bypasses: m.Counter("head_bypasses")}
+	m.RateCounter("rank_retunes", telemetry.EvRankRetune)
+	m.Counter("cap_violations", telemetry.EvViolation)
+	// Wait-time buckets span sub-interval admissions out to long
+	// plan-window parks (seconds).
+	m.WaitHistogram("wait_s", 0.01, 0.1, 1, 10, 60, 600)
+	t.queueDepth = m.Gauge("queue_depth")
+	t.headroomW = m.Gauge("headroom_w")
 	t.freeRanks = make([]*telemetry.Gauge, len(s.pools))
 	for i := range s.pools {
 		t.freeRanks[i] = m.Gauge("free_" + s.pools[i].name)
 	}
+	// Fault metrics, registered only under Config.Faults so the metrics
+	// CSV header of a fault-free run is unchanged.
 	if s.cfg.Faults != nil {
-		t.fails = m.Counter("rank_failures")
-		t.repairs = m.Counter("rank_repairs")
-		t.kills = m.Counter("job_kills")
-		t.restarts = m.Counter("job_restarts")
-		t.checkpoints = m.Counter("checkpoints")
+		m.Counter("rank_failures", telemetry.EvFail)
+		m.Counter("rank_repairs", telemetry.EvRepair)
+		m.Counter("job_kills", telemetry.EvKill)
+		m.Counter("job_restarts", telemetry.EvRestart)
+		m.Counter("checkpoints", telemetry.EvCheckpoint)
 		t.lost = m.Counter("jobs_lost")
 	}
 	// Every effective per-rank frequency change — admission dispatch,
 	// governor retune, parking at finish — becomes a hardware-level
 	// event under the decision that caused it.
 	s.cl.OnRetune(func(rank int, from, to units.Hertz) {
-		t.retunes.Inc()
 		t.rec.Emit(telemetry.Event{
 			Kind:     telemetry.EvRankRetune,
 			Job:      telemetry.NoJob,
@@ -193,7 +180,6 @@ func (t *schedTelemetry) emitArrive(e *entry) {
 
 // emitReject records a job that can never run.
 func (t *schedTelemetry) emitReject(e *entry, reason string) {
-	t.rejected.Inc()
 	t.rec.Emit(telemetry.Event{
 		Kind:   telemetry.EvReject,
 		Job:    e.job.ID,
@@ -206,8 +192,6 @@ func (t *schedTelemetry) emitReject(e *entry, reason string) {
 // predicted cost and runtime, and the cluster state left behind.
 // queueAfter is the queue depth once this admission is pruned.
 func (t *schedTelemetry) emitAdmit(rj *runningJob, cand Candidate, backfilled bool, queueAfter int) {
-	t.admitted.Inc()
-	t.waitHist.Observe(float64(rj.e.res.Wait))
 	ps := &t.s.pools[cand.Pool]
 	t.rec.Emit(telemetry.Event{
 		Kind:       telemetry.EvAdmit,
@@ -230,7 +214,6 @@ func (t *schedTelemetry) emitAdmit(rj *runningJob, cand Candidate, backfilled bo
 
 // emitFinish records a completion and the capacity it released.
 func (t *schedTelemetry) emitFinish(rj *runningJob) {
-	t.finished.Inc()
 	res := &rj.e.res
 	ps := &t.s.pools[rj.pool]
 	t.rec.Emit(telemetry.Event{
@@ -306,7 +289,6 @@ func (t *schedTelemetry) emitPlanEdge(preDrop bool) {
 
 // emitViolation records a measured sample exceeding its cap.
 func (t *schedTelemetry) emitViolation(sm power.Sample, cap units.Watts) {
-	t.violations.Inc()
 	t.rec.Emit(telemetry.Event{
 		Kind:  telemetry.EvViolation,
 		Job:   telemetry.NoJob,
@@ -317,7 +299,6 @@ func (t *schedTelemetry) emitViolation(sm power.Sample, cap units.Watts) {
 
 // emitFail records a rank going down; source is "scripted" or "mtbf".
 func (t *schedTelemetry) emitFail(rank int, pool, source string) {
-	t.fails.Inc()
 	t.rec.Emit(telemetry.Event{
 		Kind:   telemetry.EvFail,
 		Job:    telemetry.NoJob,
@@ -329,7 +310,6 @@ func (t *schedTelemetry) emitFail(rank int, pool, source string) {
 
 // emitRepair records a rank coming back after down seconds.
 func (t *schedTelemetry) emitRepair(rank int, pool string, down units.Seconds) {
-	t.repairs.Inc()
 	t.rec.Emit(telemetry.Event{
 		Kind: telemetry.EvRepair,
 		Job:  telemetry.NoJob,
@@ -343,7 +323,6 @@ func (t *schedTelemetry) emitRepair(rank int, pool string, down units.Seconds) {
 // discarded since the last checkpoint, the attempt's wasted energy, and
 // whether the job requeued or is permanently lost.
 func (t *schedTelemetry) emitKill(rj *runningJob, lost units.Seconds, wasted units.Joules, reason string) {
-	t.kills.Inc()
 	t.rec.Emit(telemetry.Event{
 		Kind:   telemetry.EvKill,
 		Job:    rj.e.job.ID,
@@ -360,7 +339,6 @@ func (t *schedTelemetry) emitKill(rj *runningJob, lost units.Seconds, wasted uni
 // earlier and the surviving capacity can never rerun it). Rendered as
 // a kill with no attempt attached.
 func (t *schedTelemetry) emitLost(e *entry, reason string) {
-	t.kills.Inc()
 	t.rec.Emit(telemetry.Event{
 		Kind:   telemetry.EvKill,
 		Job:    e.job.ID,
@@ -372,7 +350,6 @@ func (t *schedTelemetry) emitLost(e *entry, reason string) {
 // emitCheckpoint records a periodic checkpoint; EE carries the saved
 // absolute progress fraction.
 func (t *schedTelemetry) emitCheckpoint(rj *runningJob) {
-	t.checkpoints.Inc()
 	t.rec.Emit(telemetry.Event{
 		Kind: telemetry.EvCheckpoint,
 		Job:  rj.e.job.ID,
@@ -385,7 +362,6 @@ func (t *schedTelemetry) emitCheckpoint(rj *runningJob) {
 // emitRestart records a killed job's re-dispatch: P is the attempt
 // ordinal, EE the checkpointed fraction it resumes from.
 func (t *schedTelemetry) emitRestart(rj *runningJob) {
-	t.restarts.Inc()
 	t.rec.Emit(telemetry.Event{
 		Kind: telemetry.EvRestart,
 		Job:  rj.e.job.ID,

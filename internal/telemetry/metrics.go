@@ -18,10 +18,17 @@ import (
 // registry holds current values only, never the series), which is the
 // same discipline the event sinks follow and what lets a million-job
 // trace export metrics without holding them.
+//
+// A recorder's registry also tallies every event the recorder emits,
+// before any sink sees it. Counters registered with event kinds and the
+// wait histogram read that tally, so what a stream already records is
+// counted once, by the same rule the rollup and traceq count it with,
+// and is current whenever a sink reads the registry mid-stream.
 type Metrics struct {
 	counters []*Counter
 	gauges   []*Gauge
 	hists    []*Histogram
+	stream   Tally
 
 	w          io.Writer
 	row        jbuf
@@ -37,6 +44,9 @@ func NewMetrics() *Metrics { return &Metrics{} }
 type Counter struct {
 	name string
 	v    float64
+	// of lists the event kinds whose stream count the counter adds
+	// to v.
+	of []Kind
 	// rate adds a <name>_per_s column: the delta since the previous
 	// sample over the elapsed sim time (retunes/sec, admissions/sec).
 	rate  bool
@@ -125,26 +135,38 @@ func (m *Metrics) checkNew(name string) {
 	}
 }
 
-// Counter registers a counter column. A nil registry returns a nil
-// counter whose methods are no-ops (the disabled path).
-func (m *Metrics) Counter(name string) *Counter {
+// Counter registers a counter column. Given event kinds, the counter
+// also counts every event of those kinds the registry's recorder emits.
+// A nil registry returns a nil counter whose methods are no-ops (the
+// disabled path).
+func (m *Metrics) Counter(name string, of ...Kind) *Counter {
 	if m == nil {
 		return nil
 	}
 	m.checkNew(name)
-	c := &Counter{name: name}
+	c := &Counter{name: name, of: of}
 	m.counters = append(m.counters, c)
 	return c
 }
 
 // RateCounter registers a counter that additionally reports its
 // per-sim-second rate between samples as a <name>_per_s column.
-func (m *Metrics) RateCounter(name string) *Counter {
-	c := m.Counter(name)
+func (m *Metrics) RateCounter(name string, of ...Kind) *Counter {
+	c := m.Counter(name, of...)
 	if c != nil {
 		c.rate = true
 	}
 	return c
+}
+
+// value is c's count: what was added to it plus the stream events of
+// its kinds.
+func (m *Metrics) value(c *Counter) float64 {
+	v := c.v
+	for _, k := range c.of {
+		v += float64(m.stream.Counts[k])
+	}
+	return v
 }
 
 // Gauge registers a gauge column.
@@ -179,6 +201,20 @@ func (m *Metrics) Histogram(name string, bounds ...float64) *Histogram {
 	}
 	m.hists = append(m.hists, h)
 	return h
+}
+
+// WaitHistogram registers a histogram, as Histogram does, that
+// observes the queue wait of every admission the registry's recorder
+// emits. A registry has at most one.
+func (m *Metrics) WaitHistogram(name string, bounds ...float64) *Histogram {
+	if m == nil {
+		return nil
+	}
+	if m.stream.waits != nil {
+		panic(fmt.Sprintf("telemetry: wait histogram %q registered beside %q", name, m.stream.waits.name))
+	}
+	m.stream.waits = m.Histogram(name, bounds...)
+	return m.stream.waits
 }
 
 // StreamCSV sets the writer sampled rows stream to. Call it after
@@ -230,11 +266,12 @@ func (m *Metrics) Sample(t units.Seconds) {
 		}
 		b.fixed(float64(t), 6)
 		for _, c := range m.counters {
-			b.raw(",").g(c.v)
+			v := m.value(c)
+			b.raw(",").g(v)
 			if c.rate {
 				rate := 0.0
 				if dt > 0 {
-					rate = (c.v - c.prevV) / dt
+					rate = (v - c.prevV) / dt
 				}
 				b.raw(",").g(rate)
 			}
@@ -255,7 +292,7 @@ func (m *Metrics) Sample(t units.Seconds) {
 	}
 	m.headerDone = true
 	for _, c := range m.counters {
-		c.prevV = c.v
+		c.prevV = m.value(c)
 	}
 	m.lastT = t
 }

@@ -18,7 +18,7 @@ func (m *Metrics) WriteProm(w io.Writer, labels string) error {
 	}
 	var b strings.Builder
 	for _, c := range m.counters {
-		fmt.Fprintf(&b, "# TYPE %s counter\n%s%s %g\n", c.name, c.name, promLabels(labels, ""), c.v)
+		fmt.Fprintf(&b, "# TYPE %s counter\n%s%s %g\n", c.name, c.name, promLabels(labels, ""), m.value(c))
 	}
 	for _, g := range m.gauges {
 		fmt.Fprintf(&b, "# TYPE %s gauge\n%s%s %g\n", g.name, g.name, promLabels(labels, ""), g.v)

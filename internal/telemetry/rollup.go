@@ -11,18 +11,14 @@ import (
 	"repro/internal/units"
 )
 
-// numKinds is the size of the Kind taxonomy (kindNames is the
-// authoritative list).
-const numKinds = len(kindNames)
-
 // RollupSink is the bounded-memory degradation of the full-fidelity
 // event stream: instead of one line per event it aggregates events
 // into fixed-width sim-time buckets and streams one CSV row per
 // non-empty bucket, keeping only O(1) state regardless of trace
-// length — the current bucket's counters, a fixed-size reservoir
-// sample of admission waits, and a bounded top-K table of block
-// reasons. A 1M-job trace that would produce gigabytes of NDJSON
-// rolls up into kilobytes without ever retaining an event.
+// length — the current bucket's and the whole stream's Tally, a
+// fixed-size reservoir sample of admission waits, and a bounded top-K
+// table of block reasons. A 1M-job trace that would produce gigabytes
+// of NDJSON rolls up into kilobytes without ever retaining an event.
 //
 // The output is deterministic for a given event stream (the reservoir
 // RNG is explicitly seeded; the top-K table breaks ties
@@ -48,15 +44,7 @@ type RollupSink struct {
 	open bool  // a bucket is accumulating
 	idx  int64 // its index (floor(t/bucket))
 
-	counts   [numKinds]int64
-	energy   units.Joules
-	powerMax units.Watts
-	waitMax  units.Seconds // current bucket's max admission wait
-
-	totals    [numKinds]int64
-	events    int64
-	waitAllN  int64
-	waitAllMx units.Seconds
+	cur, total Tally // the open bucket's and the stream's
 
 	res  reservoir
 	topk topK
@@ -97,33 +85,15 @@ func (s *RollupSink) Write(ev Event) error {
 	}
 	if !s.open {
 		s.open = true
-		s.idx = idx
-		// counts/energy/powerMax/waitMax were zeroed by flushBucket.
+		s.idx = idx // cur was zeroed by flushBucket
 	}
-	k := int(ev.Kind)
-	if k < numKinds {
-		s.counts[k]++
-		s.totals[k]++
-	}
-	s.events++
-	switch ev.Kind {
-	case EvAdmit:
-		if ev.Wait > s.waitMax {
-			s.waitMax = ev.Wait
-		}
-		if ev.Wait > s.waitAllMx {
-			s.waitAllMx = ev.Wait
-		}
-		s.waitAllN++
+	s.cur.Add(&ev)
+	s.total.Add(&ev)
+	if ev.Kind == EvAdmit {
 		s.res.observe(float64(ev.Wait))
-	case EvAttempt:
+	}
+	if ev.Kind == EvAttempt {
 		s.topk.observe(ev.Reason)
-	case EvFinish:
-		s.energy += ev.Energy
-	case EvSample, EvViolation:
-		if ev.Power > s.powerMax {
-			s.powerMax = ev.Power
-		}
 	}
 	return s.err
 }
@@ -140,18 +110,15 @@ func (s *RollupSink) flushBucket() {
 		s.header = true
 	}
 	b.fixed(float64(s.idx)*s.bucket, 6)
-	for _, c := range s.counts {
+	for _, c := range s.cur.Counts {
 		b.raw(",").int(c)
 	}
-	b.raw(",").g(float64(s.waitMax)).raw(",").g(float64(s.energy)).raw(",").g(float64(s.powerMax)).raw("\n")
+	b.raw(",").g(float64(s.cur.WaitMax)).raw(",").g(float64(s.cur.Energy)).raw(",").g(float64(s.cur.Peak)).raw("\n")
 	if _, err := s.w.Write(b.b); err != nil && s.err == nil {
 		s.err = err
 	}
 	s.open = false
-	s.counts = [numKinds]int64{}
-	s.energy = 0
-	s.powerMax = 0
-	s.waitMax = 0
+	s.cur = Tally{}
 }
 
 // Close flushes the final bucket and writes the summary footer.
@@ -160,19 +127,19 @@ func (s *RollupSink) Close() error {
 		s.flushBucket()
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "# totals: events=%d", s.events)
-	for k, n := range kindNames {
-		if s.totals[k] > 0 {
-			fmt.Fprintf(&b, " %s=%d", n, s.totals[k])
+	fmt.Fprintf(&b, "# totals: events=%d", s.total.Events)
+	for k, n := range s.total.Counts {
+		if n > 0 {
+			fmt.Fprintf(&b, " %s=%d", Kind(k), n)
 		}
 	}
 	b.WriteByte('\n')
 	fmt.Fprintf(&b, "# wait_s: n=%d p50=%g p90=%g p99=%g max=%g (reservoir %d)\n",
-		s.waitAllN, s.res.quantile(0.50), s.res.quantile(0.90), s.res.quantile(0.99),
-		float64(s.waitAllMx), reservoirSize)
+		s.total.Counts[EvAdmit], s.res.quantile(0.50), s.res.quantile(0.90), s.res.quantile(0.99),
+		float64(s.total.WaitMax), reservoirSize)
 	b.WriteString("# block-reasons:")
-	for _, e := range s.topk.ranked() {
-		fmt.Fprintf(&b, " %q=%d", e.key, e.count)
+	for _, e := range Rank(s.topk.counts) {
+		fmt.Fprintf(&b, " %q=%d", e.Key, e.Count)
 	}
 	b.WriteByte('\n')
 	if _, err := io.WriteString(s.w, b.String()); err != nil && s.err == nil {
@@ -229,11 +196,6 @@ type topK struct {
 	counts map[string]int64
 }
 
-type topKEntry struct {
-	key   string
-	count int64
-}
-
 func (t *topK) init(cap int) {
 	t.cap = cap
 	t.counts = make(map[string]int64, cap)
@@ -258,19 +220,4 @@ func (t *topK) observe(key string) {
 	}
 	delete(t.counts, victim)
 	t.counts[key] = min + 1
-}
-
-// ranked returns the table sorted by count descending, key ascending.
-func (t *topK) ranked() []topKEntry {
-	out := make([]topKEntry, 0, len(t.counts))
-	for k, c := range t.counts {
-		out = append(out, topKEntry{key: k, count: c})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].count != out[j].count {
-			return out[i].count > out[j].count
-		}
-		return out[i].key < out[j].key
-	})
-	return out
 }

@@ -229,7 +229,7 @@ func (r *Recorder) AddSink(s Sink) {
 func (r *Recorder) Enabled() bool { return r != nil }
 
 // Metrics returns the recorder's metrics registry, creating it on first
-// use.
+// use. The registry tallies the events emitted from then on.
 func (r *Recorder) Metrics() *Metrics {
 	if r == nil {
 		return nil
@@ -240,7 +240,8 @@ func (r *Recorder) Metrics() *Metrics {
 	return r.metrics
 }
 
-// Emit stamps ev with the current sim time and writes it to every sink.
+// Emit stamps ev with the current sim time, tallies it into the metrics
+// registry, if there is one, and writes it to every sink.
 // Sink errors are sticky: the first is kept (Err) and later writes to
 // the failed stream are suppressed by the sink's own error state, but
 // emission to the remaining sinks continues — observability must never
@@ -251,6 +252,9 @@ func (r *Recorder) Emit(ev Event) {
 	}
 	if r.clock != nil {
 		ev.T = r.clock.Now()
+	}
+	if r.metrics != nil {
+		r.metrics.stream.Add(&ev)
 	}
 	for _, s := range r.sinks {
 		if err := s.Write(ev); err != nil && r.err == nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -135,6 +136,50 @@ func TestMetricsCSV(t *testing.T) {
 	}
 }
 
+// sinkFunc adapts a function to a Sink.
+type sinkFunc func(Event) error
+
+func (f sinkFunc) Write(ev Event) error { return f(ev) }
+func (f sinkFunc) Close() error         { return nil }
+
+// Counters given event kinds and the wait histogram count the
+// recorder's stream. An event is counted before any sink sees it, so a
+// sink that reads the registry mid-stream (the status publisher) finds
+// it counted.
+func TestMetricsCountTheStream(t *testing.T) {
+	r := New()
+	m := r.Metrics()
+	admitted := m.Counter("admitted", EvAdmit)
+	m.RateCounter("moves", EvThrottle, EvBoost)
+	m.Counter("bypasses").Add(2)
+	m.WaitHistogram("wait_s", 1)
+	var buf bytes.Buffer
+	m.StreamCSV(&buf)
+	var seen []float64
+	r.AddSink(sinkFunc(func(Event) error {
+		seen = append(seen, m.value(admitted))
+		return nil
+	}))
+	for _, ev := range []Event{
+		{Kind: EvAdmit, Wait: 0.5},
+		{Kind: EvThrottle},
+		{Kind: EvBoost},
+		{Kind: EvAdmit, Wait: 3},
+		{Kind: EvFinish},
+	} {
+		r.Emit(ev)
+	}
+	m.Sample(2)
+	if want := []float64{1, 1, 1, 2, 2}; !slices.Equal(seen, want) {
+		t.Fatalf("admitted as sinks saw it: %v, want %v", seen, want)
+	}
+	want := "t_s,admitted,moves,moves_per_s,bypasses,wait_s_le_1,wait_s_count,wait_s_sum\n" +
+		"2.000000,2,2,1,2,1,2,3.5\n"
+	if buf.String() != want {
+		t.Fatalf("metrics CSV:\n%s\nwant:\n%s", buf.String(), want)
+	}
+}
+
 func TestMetricsRegistrationPanics(t *testing.T) {
 	m := NewMetrics()
 	m.Counter("x")
@@ -143,6 +188,11 @@ func TestMetricsRegistrationPanics(t *testing.T) {
 	mustPanic(t, "post-header", func() { m.Counter("late") })
 	mustPanic(t, "unsorted bounds", func() { NewMetrics().Histogram("h", 5, 1) })
 	mustPanic(t, "no bounds", func() { NewMetrics().Histogram("h") })
+	mustPanic(t, "second wait histogram", func() {
+		m := NewMetrics()
+		m.WaitHistogram("a", 1)
+		m.WaitHistogram("b", 1)
+	})
 }
 
 func mustPanic(t *testing.T, what string, f func()) {

@@ -41,7 +41,7 @@ func Why(w io.Writer, evs []telemetry.Event, job int) error {
 		seen     bool
 		app      string
 		attempts int
-		reasons  = map[string]int{}
+		reasons  = map[string]int64{}
 		out      strings.Builder
 	)
 	var lifecycle []string
@@ -268,28 +268,18 @@ func Critpath(w io.Writer, evs []telemetry.Event) error {
 
 // Windows writes the per-cap-window rollup: the trace partitioned at
 // its plan-edge boundaries (one open-ended window when the trace has
-// none), with per-window decision counts, energy and peak power.
+// none), with each window's telemetry.Tally — decision counts, energy,
+// peak power and mean admission wait. Events are assigned to windows in
+// one pass, so the stream must be in sim-time order, as load ensures.
 func Windows(w io.Writer, evs []telemetry.Event) error {
 	type window struct {
-		from  units.Seconds
-		cap   units.Watts
-		until units.Seconds // exclusive; last window runs to +inf
-
-		admits, finishes, rejects int
-		throttles, boosts         int
-		violations                int
-		energy                    units.Joules
-		peak                      units.Watts
-		waitSum                   float64
-		waited                    int
+		from units.Seconds
+		cap  units.Watts
+		telemetry.Tally
 	}
 	var wins []window
-	var endT units.Seconds
 	for i := range evs {
 		ev := &evs[i]
-		if ev.T > endT {
-			endT = ev.T
-		}
 		// "pre-drop" edges are the governor's early throttle warning,
 		// not a window boundary; the boundary edge follows at the
 		// breakpoint itself.
@@ -313,47 +303,12 @@ func Windows(w io.Writer, evs []telemetry.Event) error {
 		}
 		wins = append([]window{first}, wins...)
 	}
-	for i := range wins {
-		if i+1 < len(wins) {
-			wins[i].until = wins[i+1].from
-		} else {
-			wins[i].until = endT + 1
-		}
-	}
-	at := func(t units.Seconds) *window {
-		for i := len(wins) - 1; i >= 0; i-- {
-			if t >= wins[i].from {
-				return &wins[i]
-			}
-		}
-		return &wins[0]
-	}
+	cur := 0
 	for i := range evs {
-		ev := &evs[i]
-		wn := at(ev.T)
-		switch ev.Kind {
-		case telemetry.EvAdmit:
-			wn.admits++
-			wn.waitSum += float64(ev.Wait)
-			if ev.Wait > 0 {
-				wn.waited++
-			}
-		case telemetry.EvFinish:
-			wn.finishes++
-			wn.energy += ev.Energy
-		case telemetry.EvReject:
-			wn.rejects++
-		case telemetry.EvThrottle:
-			wn.throttles++
-		case telemetry.EvBoost:
-			wn.boosts++
-		case telemetry.EvViolation:
-			wn.violations++
-		case telemetry.EvSample:
-			if ev.Power > wn.peak {
-				wn.peak = ev.Power
-			}
+		for cur+1 < len(wins) && evs[i].T >= wins[cur+1].from {
+			cur++
 		}
+		wins[cur].Add(&evs[i])
 	}
 	var out strings.Builder
 	out.WriteString("window            cap_w  admit finish reject thr/bst viol  energy_j  peak_w  mean_wait_s\n")
@@ -361,16 +316,18 @@ func Windows(w io.Writer, evs []telemetry.Event) error {
 		wn := &wins[i]
 		until := "end"
 		if i+1 < len(wins) {
-			until = fmt.Sprintf("%.2f", float64(wn.until))
+			until = fmt.Sprintf("%.2f", float64(wins[i+1].from))
 		}
+		admits := wn.Counts[telemetry.EvAdmit]
 		meanWait := 0.0
-		if wn.admits > 0 {
-			meanWait = wn.waitSum / float64(wn.admits)
+		if admits > 0 {
+			meanWait = float64(wn.WaitSum) / float64(admits)
 		}
 		fmt.Fprintf(&out, "%7.2f→%-8s %6.0f  %5d %6d %6d %3d/%-3d %4d %9.1f %7.1f %12.3f\n",
 			float64(wn.from), until, float64(wn.cap),
-			wn.admits, wn.finishes, wn.rejects, wn.throttles, wn.boosts,
-			wn.violations, float64(wn.energy), float64(wn.peak), meanWait)
+			admits, wn.Counts[telemetry.EvFinish], wn.Counts[telemetry.EvReject],
+			wn.Counts[telemetry.EvThrottle], wn.Counts[telemetry.EvBoost],
+			wn.Counts[telemetry.EvViolation], float64(wn.Energy), float64(wn.Peak), meanWait)
 	}
 	_, err := io.WriteString(w, out.String())
 	return err
@@ -380,17 +337,17 @@ func Windows(w io.Writer, evs []telemetry.Event) error {
 // reasons ranked by frequency, and the violation count — the ten-second
 // answer to "what did this run do".
 func Summary(w io.Writer, evs []telemetry.Event) error {
-	var counts [256]int // indexed by telemetry.Kind (a uint8)
-	reasons := map[string]int{}
+	var t telemetry.Tally
+	reasons := map[string]int64{}
 	for i := range evs {
-		counts[evs[i].Kind]++
+		t.Add(&evs[i])
 		if evs[i].Kind == telemetry.EvAttempt && evs[i].Reason != "" {
 			reasons[evs[i].Reason]++
 		}
 	}
 	var out strings.Builder
-	fmt.Fprintf(&out, "events: %d total\n", len(evs))
-	for k, n := range counts {
+	fmt.Fprintf(&out, "events: %d total\n", t.Events)
+	for k, n := range t.Counts {
 		if n > 0 {
 			fmt.Fprintf(&out, "  %-10s %d\n", telemetry.Kind(k), n)
 		}
@@ -399,7 +356,7 @@ func Summary(w io.Writer, evs []telemetry.Event) error {
 		out.WriteString("blocked-on (admission attempts):\n")
 		writeRanked(&out, reasons)
 	}
-	if v := counts[telemetry.EvViolation]; v > 0 {
+	if v := t.Counts[telemetry.EvViolation]; v > 0 {
 		fmt.Fprintf(&out, "cap violations: %d\n", v)
 	}
 	_, err := io.WriteString(w, out.String())
@@ -462,21 +419,11 @@ func Merge(w io.Writer, traces []NamedTrace) error {
 	return sink.Close()
 }
 
-// writeRanked renders a reason histogram, one line per reason, by count
-// descending, then lexicographically.
-func writeRanked(out *strings.Builder, m map[string]int) {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if m[keys[i]] != m[keys[j]] {
-			return m[keys[i]] > m[keys[j]]
-		}
-		return keys[i] < keys[j]
-	})
-	for _, k := range keys {
-		fmt.Fprintf(out, "    %4d× %s\n", m[k], k)
+// writeRanked renders a reason histogram, one line per reason, in
+// telemetry.Rank's order.
+func writeRanked(out *strings.Builder, m map[string]int64) {
+	for _, r := range telemetry.Rank(m) {
+		fmt.Fprintf(out, "    %4d× %s\n", r.Count, r.Key)
 	}
 }
 

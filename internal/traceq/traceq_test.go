@@ -2,10 +2,17 @@ package traceq
 
 import (
 	"bytes"
+	"io"
+	"maps"
+	"math"
+	"os"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/telemetry"
+	"repro/internal/units"
 )
 
 // synthetic builds the canonical two-job dependency: job 0 admitted on
@@ -259,4 +266,161 @@ func TestMerge(t *testing.T) {
 	if len(evs) != 4 || evs[0].T > evs[1].T || evs[1].T > evs[2].T || evs[2].T > evs[3].T {
 		t.Fatalf("merged stream not time-ordered: %+v", evs)
 	}
+}
+
+// goldenEvents is the scheduler's golden event stream, as NDJSON.
+const goldenEvents = "../sched/testdata/golden_events.ndjson"
+
+// The three views that count the stream — the rollup's totals footer,
+// summary's per-kind counts and the column sums of windows — agree on
+// the golden stream, so no window boundary drops or double-counts an
+// event.
+func TestCountingViewsAgree(t *testing.T) {
+	data, err := os.ReadFile(goldenEvents)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, err := telemetry.DecodeNDJSON(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// kind → count, from the rollup's "# totals:" footer; energy from
+	// the sum of its bucket rows' energy_j column.
+	var rollup bytes.Buffer
+	rs, err := telemetry.NewRollupSink(&rollup, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range evs {
+		if err := rs.Write(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fromRollup := map[string]int64{}
+	var rollupEnergy float64
+	lines := strings.Split(strings.TrimRight(rollup.String(), "\n"), "\n")
+	header := strings.Split(lines[0], ",")
+	energyCol := slices.Index(header, "energy_j")
+	for _, line := range lines[1:] {
+		if totals, ok := strings.CutPrefix(line, "# totals: "); ok {
+			for _, kv := range strings.Fields(totals) {
+				k, v, _ := strings.Cut(kv, "=")
+				fromRollup[k] = mustInt(t, v)
+			}
+		} else if !strings.HasPrefix(line, "#") {
+			rollupEnergy += mustFloat(t, strings.Split(line, ",")[energyCol])
+		}
+	}
+
+	var summary bytes.Buffer
+	if err := Summary(&summary, evs); err != nil {
+		t.Fatal(err)
+	}
+	fromSummary := map[string]int64{}
+	for _, line := range strings.Split(summary.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && strings.HasPrefix(line, "  ") && !strings.HasSuffix(f[0], "×") {
+			fromSummary[f[0]] = mustInt(t, f[1])
+		}
+	}
+	if fromSummary["arrive"] == 0 {
+		t.Fatalf("summary parsed to %v:\n%s", fromSummary, summary.String())
+	}
+	fromSummary["events"] = int64(len(evs))
+	if !maps.Equal(fromRollup, fromSummary) {
+		t.Fatalf("rollup totals %v\n != summary counts %v", fromRollup, fromSummary)
+	}
+
+	var windows bytes.Buffer
+	if err := Windows(&windows, evs); err != nil {
+		t.Fatal(err)
+	}
+	fromWindows := map[string]int64{}
+	var windowsEnergy float64
+	rows := strings.Split(strings.TrimRight(windows.String(), "\n"), "\n")[1:]
+	for _, row := range rows {
+		// window cap admit finish reject thr/bst viol energy peak wait
+		f := strings.Fields(row)
+		thr, bst, _ := strings.Cut(f[5], "/")
+		for k, v := range map[string]string{
+			"admit": f[2], "finish": f[3], "reject": f[4], "throttle": thr, "boost": bst, "violation": f[6],
+		} {
+			fromWindows[k] += mustInt(t, v)
+		}
+		windowsEnergy += mustFloat(t, f[7])
+	}
+	for k, n := range fromWindows {
+		if n != fromSummary[k] {
+			t.Errorf("windows count %d %s events, summary %d", n, k, fromSummary[k])
+		}
+	}
+	// Each window's energy prints to 0.1 J.
+	if d := math.Abs(windowsEnergy - rollupEnergy); d > 0.05*float64(len(rows)) || rollupEnergy == 0 {
+		t.Errorf("windows energy %.1f J, rollup buckets %.3f J", windowsEnergy, rollupEnergy)
+	}
+}
+
+func mustInt(t *testing.T, s string) int64 {
+	t.Helper()
+	n, err := strconv.ParseInt(s, 10, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+func mustFloat(t *testing.T, s string) float64 {
+	t.Helper()
+	f, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// FuzzQueries runs every query over arbitrary decoded streams in
+// sim-time order (what cmd/traceq's load admits): each may return an
+// error, none may panic. Seeded with the first line of every kind in
+// the scheduler's golden event stream, plus its opening lines as one
+// multi-line input.
+func FuzzQueries(f *testing.F) {
+	golden, err := os.ReadFile(goldenEvents)
+	if err != nil {
+		f.Fatal(err)
+	}
+	lines := bytes.SplitAfter(golden, []byte("\n"))
+	f.Add(bytes.Join(lines[:16], nil))
+	seen := map[telemetry.Kind]bool{}
+	for _, line := range lines {
+		if evs, err := telemetry.DecodeNDJSON(bytes.NewReader(line)); err == nil && len(evs) == 1 && !seen[evs[0].Kind] {
+			seen[evs[0].Kind] = true
+			f.Add(line)
+		}
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		evs, err := telemetry.DecodeNDJSON(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		var last units.Seconds
+		for _, ev := range evs {
+			if ev.T < last {
+				return
+			}
+			last = ev.T
+		}
+		job := 0
+		if len(evs) > 0 {
+			job = evs[0].Job
+		}
+		_ = Why(io.Discard, evs, job)
+		_ = Critpath(io.Discard, evs)
+		_ = Windows(io.Discard, evs)
+		_ = Summary(io.Discard, evs)
+		_ = Chrome(io.Discard, evs)
+		_ = Merge(io.Discard, []NamedTrace{{Site: "a", Events: evs}, {Site: "b", Events: evs}})
+	})
 }
