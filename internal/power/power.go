@@ -228,32 +228,6 @@ func (pr Profile) Energy() units.Joules {
 	return e
 }
 
-// EnergyBetween integrates the trace over [t0, t1]: each sampling
-// window contributes its average power over its overlap with the span,
-// so windows straddling an endpoint count pro rata. Callers slicing a
-// trace along external boundaries — the scheduler's per-budget-window
-// accounting under a cap timeline — use this instead of re-binning
-// samples.
-func (pr Profile) EnergyBetween(t0, t1 units.Seconds) units.Joules {
-	var e units.Joules
-	prev := units.Seconds(0)
-	for _, s := range pr.Samples {
-		lo, hi := prev, s.T
-		prev = s.T
-		if hi <= t0 || lo >= t1 {
-			continue
-		}
-		if lo < t0 {
-			lo = t0
-		}
-		if hi > t1 {
-			hi = t1
-		}
-		e += units.Energy(s.Total, hi-lo)
-	}
-	return e
-}
-
 // PeakTotal returns the maximum total power observed.
 func (pr Profile) PeakTotal() units.Watts {
 	var peak units.Watts

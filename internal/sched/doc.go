@@ -70,7 +70,8 @@
 // is a first-class scheduling edge (the governor throttles one sampling
 // interval ahead of each downward step and boosts/re-admits on rises),
 // and the audit judges every sample by the cap in force at its own
-// instant — see DESIGN.md §8 and the per-window accounting in
-// Result.Windows. The energy books close at the sampling horizon, so
-// Result.TotalEnergy is the integral of the measured power profile.
+// instant, booking it into the window ledger (Result.Windows) as it
+// samples — see DESIGN.md §8. The energy books close at the sampling
+// horizon, so Result.TotalEnergy is the integral of the measured power
+// profile.
 package sched

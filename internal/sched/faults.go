@@ -267,10 +267,8 @@ func (s *Scheduler) killJob(rj *runningJob) {
 
 // lose finalises a job as permanently lost to failures.
 func (s *Scheduler) lose(e *entry, reason string) {
-	e.res.State = Lost
 	e.res.Reason = reason
-	s.remaining--
-	e.grid, e.floor = nil, nil
+	s.leave(e, Lost)
 	if s.tel != nil {
 		s.tel.lost.Inc()
 	}

@@ -31,6 +31,11 @@ type governor struct {
 	s *Scheduler
 
 	order []*runningJob // sorted()'s reused buffer
+
+	// last and lastWin are where the next sampling window starts: the
+	// previous sample's time and plan window (both 0 before the first).
+	last    units.Seconds
+	lastWin int
 }
 
 // capEpsilon absorbs float rounding when auditing samples against the
@@ -43,21 +48,35 @@ const capEpsilon = 1e-9
 // forever (every sample walked the job up a step that bought nothing).
 const epEpsilon = 1e-9
 
-// onSample runs in kernel context after every recorded power sample.
+// onSample runs in kernel context after every recorded power sample: it
+// is the run's one audit, booked into the window ledger as it samples.
 func (g *governor) onSample(sm power.Sample) {
-	g.s.res.Samples++
 	if sm.Total > g.s.res.PeakPower {
 		g.s.res.PeakPower = sm.Total
 	}
 	// Audit against the budget in force at the sample's own time: under
-	// a cap timeline every window is judged by the cap at its end.
-	cap := g.s.capAt(sm.T)
-	if float64(sm.Total) > float64(cap)*(1+capEpsilon) {
-		g.s.res.CapViolations++
+	// a cap timeline every window is judged by the cap at its end, and a
+	// sample on a breakpoint belongs to the window it opens.
+	i, seg := g.s.capPlan.WindowAt(sm.T)
+	ws := g.s.res.Windows
+	ws[i].Samples++
+	if float64(sm.Total) > float64(seg.Cap)*(1+capEpsilon) {
+		ws[i].Violations++
 		if g.s.tel != nil {
-			g.s.tel.emitViolation(sm, cap)
+			g.s.tel.emitViolation(sm, seg.Cap)
 		}
 	}
+	// The sampling window (last, sm.T] drew sm.Total: each plan window it
+	// overlaps gets its share pro rata, in sample order, so every Energy
+	// is bit for bit the profile's integral over its window.
+	for j := g.lastWin; j < len(ws) && ws[j].Start < sm.T; j++ {
+		end := sm.T
+		if j+1 < len(ws) && ws[j+1].Start < end {
+			end = ws[j+1].Start
+		}
+		ws[j].Energy += units.Energy(sm.Total, end-max(g.last, ws[j].Start))
+	}
+	g.last, g.lastWin = sm.T, i
 	if !g.s.cfg.Policy.DVFS() {
 		return
 	}

@@ -3,7 +3,9 @@ package sched
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -63,13 +65,13 @@ type Result struct {
 	// reservation protecting it).
 	BackfilledJobs int
 	HeadBypasses   int
-	// DeadlineMisses counts completed jobs that finished past their
-	// deadline (rejected jobs with deadlines also count as misses).
+	// DeadlineMisses counts jobs with a deadline that did not finish by
+	// it: completed late, rejected or lost.
 	DeadlineMisses int
 
-	// Governor audit: power samples taken, samples exceeding the cap,
-	// peak and time-weighted mean measured draw, and total frequency
-	// retunes applied.
+	// Governor audit: power samples taken and samples exceeding the cap
+	// (the sums of the window ledger), peak and time-weighted mean
+	// measured draw, and total frequency retunes applied.
 	Samples       int
 	CapViolations int
 	PeakPower     units.Watts
@@ -105,11 +107,8 @@ func (s *Scheduler) collect() Result {
 	res.Makespan = s.cl.Wall()
 	res.TotalEnergy = res.ParkedEnergy
 	res.MeanPower = s.prof.Profile().MeanTotal()
-	ids := make([]int, 0, len(s.entries))
-	for id := range s.entries {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
+	ids := slices.AppendSeq(make([]int, 0, len(s.entries)), maps.Keys(s.entries))
+	slices.Sort(ids)
 
 	var waits []units.Seconds
 	var energy units.Joules
@@ -121,33 +120,19 @@ func (s *Scheduler) collect() Result {
 		res.FreqChanges += r.FreqChanges
 		res.LostWork += r.LostWork
 		res.WastedEnergy += r.WastedEnergy
-		switch r.State {
-		case Done:
-			res.Completed++
+		if r.State == Done {
 			waits = append(waits, r.Wait)
 			energy += r.Energy
 			ee += r.ModelEE
-			if r.Backfilled {
-				res.BackfilledJobs++
-			}
-			if r.Deadline > 0 && !r.DeadlineMet {
-				res.DeadlineMisses++
-			}
-		case Rejected:
-			res.Rejected++
-			if r.Deadline > 0 {
-				res.DeadlineMisses++
-			}
-		case Lost:
-			res.JobsLost++
-			if r.Deadline > 0 {
-				res.DeadlineMisses++
-			}
 		}
 	}
-	// A run whose budget was spelled as a timeline carries the window
-	// ledger, sliced along the plan every decision and audit priced
-	// against.
+	for _, w := range res.Windows {
+		res.Samples += w.Samples
+		res.CapViolations += w.Violations
+	}
+	// Only a run whose budget was spelled as a timeline reports its
+	// window ledger.
+	res.Windows = nil
 	if s.cfg.Plan != nil {
 		res.Plan = s.capPlan.String()
 		res.Windows, res.CapUtilisation = s.collectWindows()
@@ -201,9 +186,9 @@ type WindowStat struct {
 	Utilisation float64
 }
 
-// collectWindows slices the profiler trace along the plan's breakpoints
-// (up to the last sample — windows the schedule never reached are
-// dropped) and computes the overall time-weighted cap utilisation.
+// collectWindows closes the window ledger at the sampling horizon (the
+// last sample), dropping windows the schedule never reached, and
+// returns it with the overall time-weighted cap utilisation.
 func (s *Scheduler) collectWindows() ([]WindowStat, float64) {
 	prof := s.prof.Profile()
 	if len(prof.Samples) == 0 {
@@ -211,47 +196,32 @@ func (s *Scheduler) collectWindows() ([]WindowStat, float64) {
 	}
 	horizon := prof.Samples[len(prof.Samples)-1].T
 	segs := s.capPlan.Segments()
-	var stats []WindowStat
-	for i, sg := range segs {
+	stats := s.res.Windows
+	var capIntegral float64
+	for i := range stats {
 		// A segment starting exactly at the last sample time still owns
 		// that boundary sample (the audit judges a breakpoint sample by
 		// the new window), so only segments strictly beyond the horizon
 		// are dropped.
-		if sg.Start > horizon {
+		if stats[i].Start > horizon {
+			stats = stats[:i]
 			break
 		}
-		end := horizon
-		if i+1 < len(segs) && segs[i+1].Start < end {
-			end = segs[i+1].Start
+		w := &stats[i]
+		w.End, w.Cap = horizon, segs[i].Cap
+		if i+1 < len(segs) {
+			w.End = min(horizon, segs[i+1].Start)
 		}
-		w := WindowStat{Start: sg.Start, End: end, Cap: sg.Cap}
-		w.Energy = prof.EnergyBetween(sg.Start, end)
-		if dt := end - sg.Start; dt > 0 {
+		if dt := w.End - w.Start; dt > 0 {
 			w.MeanPower = units.Power(w.Energy, dt)
-			w.Utilisation = float64(w.MeanPower) / float64(sg.Cap)
+			w.Utilisation = float64(w.MeanPower) / float64(w.Cap)
 		}
-		stats = append(stats, w)
-	}
-	var capIntegral float64
-	for _, w := range stats {
 		capIntegral += float64(w.Cap) * float64(w.End-w.Start)
-	}
-	// Attribute each sample to the window its audit time falls in —
-	// the same rule the governor's violation audit applies.
-	for _, sm := range prof.Samples {
-		for i := range stats {
-			if sm.T >= stats[i].Start && (sm.T < stats[i].End || i == len(stats)-1) {
-				stats[i].Samples++
-				if float64(sm.Total) > float64(stats[i].Cap)*(1+capEpsilon) {
-					stats[i].Violations++
-				}
-				break
-			}
-		}
 	}
 	util := 0.0
 	if capIntegral > 0 {
-		util = float64(prof.EnergyBetween(0, horizon)) / capIntegral
+		// No sampling window ends past the horizon: this is ∫P over it.
+		util = float64(prof.Energy()) / capIntegral
 	}
 	return stats, util
 }

@@ -413,9 +413,9 @@ func TestGovernorThrottle(t *testing.T) {
 	if rj.fIdx >= top {
 		t.Fatalf("throttle did not step down: fIdx=%d", rj.fIdx)
 	}
-	if s.predictedTotal() > s.capAt(0) && rj.fIdx != 0 {
+	if s.predictedTotal() > s.capPlan.CapAt(0) && rj.fIdx != 0 {
 		t.Fatalf("throttle stopped early: predicted %v > cap %v at fIdx=%d",
-			s.predictedTotal(), s.capAt(0), rj.fIdx)
+			s.predictedTotal(), s.capPlan.CapAt(0), rj.fIdx)
 	}
 	if e.res.FreqChanges == 0 {
 		t.Fatal("retunes not recorded")

@@ -164,7 +164,7 @@ type Scheduler struct {
 	// admission passes iterate both in place.
 	queue, prio []*entry
 	running     []*runningJob
-	remaining   int   // jobs not yet Done/Rejected
+	remaining   int   // jobs that have not left (see leave)
 	freeBuf     []int // backs freeByPool's snapshot
 
 	// blocked records that the latest admission pass left jobs queued:
@@ -203,8 +203,7 @@ type entry struct {
 	// refTp and floor are the job's pricing, set at its first grid search
 	// (referenceTp): the unconstrained fastest runtime — 0 until priced,
 	// negative on a model failure — and the per-pool admissibility floor.
-	// grid owns the rows behind them (priced). s.entries outlives the job,
-	// so finish, reject and lose drop both: that is the rows' release.
+	// grid owns the rows behind them (priced); leave drops both.
 	refTp units.Seconds
 	floor []poolFloor
 	grid  []pricedRow
@@ -388,6 +387,10 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 	s.idleFloor = floor
 	s.capPlan = plan
+	// The window ledger the audit books: one slot per plan segment.
+	for _, sg := range plan.Segments() {
+		s.res.Windows = append(s.res.Windows, WindowStat{Start: sg.Start})
+	}
 	s.flt = newFaultState(s, fplan)
 	// The tightest window is the binding constraint: a budget below the
 	// idle floor anywhere on the timeline guarantees violations while
@@ -397,12 +400,6 @@ func New(cfg Config) (*Scheduler, error) {
 			minCap, floor, cfg.Ranks)
 	}
 	return s, nil
-}
-
-// capAt is the instantaneous power budget at time t — the reference the
-// violation audit compares measured samples against.
-func (s *Scheduler) capAt(t units.Seconds) units.Watts {
-	return s.capPlan.CapAt(t)
 }
 
 // controlCap is the budget the control plane enforces at time t: the
@@ -634,12 +631,34 @@ func (s *Scheduler) prune() {
 
 // reject finalises a job that can never run.
 func (s *Scheduler) reject(e *entry, reason string) {
-	e.res.State = Rejected
 	e.res.Reason = reason
-	s.remaining--
-	e.grid, e.floor = nil, nil
+	s.leave(e, Rejected)
 	if s.tel != nil {
 		s.tel.emitReject(e, reason)
+	}
+}
+
+// leave is the one exit of finish, reject and lose: it sets and books
+// the terminal state and drops the entry's pricing rows (s.entries
+// outlives the job, so that is the rows' release).
+func (s *Scheduler) leave(e *entry, state JobState) {
+	e.res.State = state
+	s.remaining--
+	e.grid, e.floor = nil, nil
+	switch state {
+	case Done:
+		s.res.Completed++
+		if e.res.Backfilled {
+			s.res.BackfilledJobs++
+		}
+	case Rejected:
+		s.res.Rejected++
+	case Lost:
+		s.res.JobsLost++
+	}
+	// Only finish sets DeadlineMet: a rejected or lost job missed it.
+	if e.job.Deadline > 0 && !e.res.DeadlineMet {
+		s.res.DeadlineMisses++
 	}
 }
 
@@ -715,7 +734,7 @@ func (s *Scheduler) tryAdmit() {
 				case repairAhead:
 					s.finalize(e, "no operating point fits the surviving capacity, even after every pending repair")
 				default:
-					s.finalize(e, fmt.Sprintf("no operating point fits cap %v even on an idle cluster", s.capAt(now)))
+					s.finalize(e, fmt.Sprintf("no operating point fits cap %v even on an idle cluster", s.capPlan.CapAt(now)))
 				}
 			}
 			s.prune()
@@ -1094,13 +1113,11 @@ func (s *Scheduler) finish(rj *runningJob) {
 	s.vacate(rj, false)
 
 	res := &rj.e.res
-	res.State = Done
 	res.End = now
 	// += not =: earlier killed attempts already banked their energy.
 	res.Energy += rj.energy
 	res.DeadlineMet = rj.e.job.Deadline <= 0 || now <= rj.e.job.Arrival+rj.e.job.Deadline
-	s.remaining--
-	rj.e.grid, rj.e.floor = nil, nil
+	s.leave(rj.e, Done)
 	if s.tel != nil {
 		s.tel.emitFinish(rj)
 	}

@@ -136,7 +136,7 @@ func (t *schedTelemetry) onSample(sm power.Sample) {
 		Kind:  telemetry.EvSample,
 		Job:   telemetry.NoJob,
 		Power: sm.Total,
-		Cap:   t.s.capAt(sm.T),
+		Cap:   t.s.capPlan.CapAt(sm.T),
 	})
 }
 
