@@ -228,6 +228,14 @@ func (pr Profile) Energy() units.Joules {
 	return e
 }
 
+// EnergyIn is the share of the sampling window (since, s.T] that falls
+// in [t0, t1]: pro rata where the window straddles an endpoint, zero
+// where it misses the span. Summed sample by sample it slices a trace
+// along external boundaries, as the scheduler's window ledger does.
+func (s Sample) EnergyIn(since, t0, t1 units.Seconds) units.Joules {
+	return units.Energy(s.Total, max(min(s.T, t1)-max(since, t0), 0))
+}
+
 // PeakTotal returns the maximum total power observed.
 func (pr Profile) PeakTotal() units.Watts {
 	var peak units.Watts

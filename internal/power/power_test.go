@@ -366,6 +366,51 @@ func TestOnSampleMultipleSubscribers(t *testing.T) {
 	}
 }
 
+// Summing Sample.EnergyIn slices the integrated trace along arbitrary
+// boundaries: whole-span equals Energy, windows straddling an endpoint
+// contribute pro rata, disjoint slices sum back to the total, and
+// out-of-range spans integrate to zero.
+func TestEnergyBetween(t *testing.T) {
+	pr := Profile{
+		Interval: 1,
+		Samples: []Sample{
+			{T: 1, Total: 100}, // window (0,1] at 100 W
+			{T: 2, Total: 200}, // window (1,2] at 200 W
+			{T: 3, Total: 50},  // window (2,3] at 50 W
+		},
+	}
+	between := func(t0, t1 units.Seconds) units.Joules {
+		var e units.Joules
+		prev := units.Seconds(0)
+		for _, s := range pr.Samples {
+			e += s.EnergyIn(prev, t0, t1)
+			prev = s.T
+		}
+		return e
+	}
+	if got, want := float64(between(0, 3)), float64(pr.Energy()); got != want {
+		t.Fatalf("whole span: %g vs Energy() %g", got, want)
+	}
+	if got := float64(between(0, 1)); got != 100 {
+		t.Fatalf("first window: %g", got)
+	}
+	// [0.5, 2.5] = 0.5×100 + 1×200 + 0.5×50 = 275.
+	if got := float64(between(0.5, 2.5)); math.Abs(got-275) > 1e-12 {
+		t.Fatalf("straddling span: %g, want 275", got)
+	}
+	// Disjoint slices partition the total.
+	sum := float64(between(0, 1.7) + between(1.7, 3))
+	if math.Abs(sum-350) > 1e-12 {
+		t.Fatalf("partition: %g, want 350", sum)
+	}
+	if between(5, 9) != 0 || between(-3, 0) != 0 {
+		t.Fatal("out-of-range spans must integrate to zero")
+	}
+	if between(2, 2) != 0 {
+		t.Fatal("empty span must integrate to zero")
+	}
+}
+
 // systemGCluster provisions n noise-free SystemG ranks (past the
 // preset's 325 nodes for the scaling tier).
 func systemGCluster(tb testing.TB, n int) *cluster.Cluster {

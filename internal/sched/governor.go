@@ -71,10 +71,10 @@ func (g *governor) onSample(sm power.Sample) {
 	// is bit for bit the profile's integral over its window.
 	for j := g.lastWin; j < len(ws) && ws[j].Start < sm.T; j++ {
 		end := sm.T
-		if j+1 < len(ws) && ws[j+1].Start < end {
+		if j+1 < len(ws) {
 			end = ws[j+1].Start
 		}
-		ws[j].Energy += units.Energy(sm.Total, end-max(g.last, ws[j].Start))
+		ws[j].Energy += sm.EnergyIn(g.last, ws[j].Start, end)
 	}
 	g.last, g.lastWin = sm.T, i
 	if !g.s.cfg.Policy.DVFS() {
