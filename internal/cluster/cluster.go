@@ -441,8 +441,8 @@ func (c *Cluster) CompleteOp(rank int) {
 // AbortOp cancels the in-flight operation on a rank mid-way — the fault
 // layer's path for killing a job's ops when the rank (or a sibling rank
 // of the same job) dies. Busy time is credited pro rata to the fraction
-// of the op's wall clock that elapsed, matching how BusySnapshot
-// attributes in-flight work, so the energy integral stays continuous
+// of the op's wall clock that elapsed, matching how the meters (rankBusy)
+// attribute in-flight work, so the energy integral stays continuous
 // through a kill. The instruction counters keep the full work registered
 // at Start: the work was issued, the abort threw it away — which is
 // exactly the lost-work story the fault accounting tells. A rank with
@@ -523,7 +523,7 @@ func (c *Cluster) RecordNetworkBusy(rank int, d units.Seconds) {
 
 // StartComm occupies a rank's network interface for busy time d over the
 // α-overlapped wall time α·d it returns: the busy time is registered as
-// an in-flight operation so BusySnapshot attributes it pro rata over the
+// an in-flight operation so the meters attribute it pro rata over the
 // transfer instead of as a spike at the boundary. The caller must run
 // CompleteOp(rank) at its end. alpha must lie in (0,1].
 func (c *Cluster) StartComm(rank int, d units.Seconds, alpha float64) units.Seconds {

@@ -123,14 +123,14 @@ func TestStartCommProRata(t *testing.T) {
 	c := mustNew(t, Config{Spec: testSpec(), Ranks: 1})
 	comm(c, 2, 1) // 2 s of network occupancy, α=1
 	var mid units.Seconds
-	c.Kernel().After(1, func() { mid = c.BusySnapshot(0).Network })
+	c.Kernel().After(1, func() { mid = c.ReadMeter(0).Busy.Network })
 	if err := c.Kernel().Run(); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(float64(mid-1)) > 1e-12 {
 		t.Fatalf("mid-transfer network busy = %v, want 1s (pro rata)", mid)
 	}
-	if got := c.BusySnapshot(0).Network; math.Abs(float64(got-2)) > 1e-12 {
+	if got := c.ReadMeter(0).Busy.Network; math.Abs(float64(got-2)) > 1e-12 {
 		t.Fatalf("final network busy = %v, want 2s", got)
 	}
 
@@ -140,7 +140,7 @@ func TestStartCommProRata(t *testing.T) {
 	o := mustNew(t, Config{Spec: testSpec(), Ranks: 1})
 	comm(o, 2, 0.5)
 	var half units.Seconds
-	o.Kernel().After(0.5, func() { half = o.BusySnapshot(0).Network })
+	o.Kernel().After(0.5, func() { half = o.ReadMeter(0).Busy.Network })
 	if err := o.Kernel().Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -450,32 +450,29 @@ func TestMeasuredVsTrueEnergyNoiseMagnitude(t *testing.T) {
 	}
 }
 
-func TestBusySnapshotAndIdlePower(t *testing.T) {
+// Each rank's meter reads its own busy time and its own idle power.
+func TestMeterBusyAndIdlePowerPerRank(t *testing.T) {
 	c := mustNew(t, Config{Spec: testSpec(), Ranks: 2})
 	c.Kernel().Spawn("r0", func(p *sim.Proc) { c.Compute(p, 0, 1e6, 0) })
 	c.Kernel().Spawn("r1", func(p *sim.Proc) { c.Compute(p, 1, 0, 1e4) })
 	if err := c.Kernel().Run(); err != nil {
 		t.Fatal(err)
 	}
-	all := c.BusySnapshot()
-	if math.Abs(float64(all.Compute-1*units.Millisecond)) > 1e-12 {
-		t.Fatalf("compute busy = %v, want 1ms", all.Compute)
+	b0, b1 := c.ReadMeter(0).Busy, c.ReadMeter(1).Busy
+	if math.Abs(float64(b0.Compute-1*units.Millisecond)) > 1e-12 {
+		t.Fatalf("rank 0 compute busy = %v, want 1ms", b0.Compute)
 	}
-	if math.Abs(float64(all.Memory-1*units.Millisecond)) > 1e-12 {
-		t.Fatalf("memory busy = %v, want 1ms", all.Memory)
+	if b0.Memory != 0 {
+		t.Fatalf("rank 0 memory busy = %v, want 0", b0.Memory)
 	}
-	only0 := c.BusySnapshot(0)
-	if only0.Memory != 0 {
-		t.Fatalf("rank 0 memory busy = %v, want 0", only0.Memory)
-	}
-	delta := all.BusySince(only0)
+	delta := b1.BusySince(b0)
 	if math.Abs(float64(delta.Memory-1*units.Millisecond)) > 1e-12 {
 		t.Fatalf("delta memory = %v", delta.Memory)
 	}
-	if got := c.IdlePower(); got != 200 {
+	if got := c.Params(0).PsysIdle + c.Params(1).PsysIdle; got != 200 {
 		t.Fatalf("idle power = %v, want 200 W", got)
 	}
-	if got := c.IdlePower(0); got != 100 {
+	if got := c.Params(0).PsysIdle; got != 100 {
 		t.Fatalf("idle power rank0 = %v, want 100 W", got)
 	}
 }

@@ -63,7 +63,7 @@ func (c *Cluster) EnergySince(rank int, since units.Seconds, base ComponentBusy)
 // a single busy snapshot taken at the current virtual time.
 type MeterReading struct {
 	// Busy is the rank's cumulative per-component busy time, in-flight
-	// work attributed pro rata (BusySnapshot of the one rank).
+	// work attributed pro rata.
 	Busy ComponentBusy
 	// Retunes counts the effective SetRankFrequency changes the rank has
 	// absorbed; samplers compare counts to detect windows that span an
@@ -152,9 +152,9 @@ func (c *Cluster) MeasuredEnergy() EnergyReport {
 	return rep
 }
 
-// ComponentBusy is a snapshot of cumulative per-component busy time summed
-// over a set of ranks; the power profiler differentiates consecutive
-// snapshots to obtain component utilisation within a sampling window.
+// ComponentBusy is a snapshot of one rank's cumulative per-component busy
+// time; the power profiler differentiates consecutive snapshots to obtain
+// component utilisation within a sampling window.
 type ComponentBusy struct {
 	Compute units.Seconds
 	Memory  units.Seconds
@@ -172,42 +172,21 @@ func (b ComponentBusy) BusySince(prev ComponentBusy) ComponentBusy {
 	}
 }
 
-// BusySnapshot sums cumulative busy times over the given ranks (all ranks
-// if none specified) as of the current virtual time, attributing
-// in-progress operations pro rata so power sampling sees sustained load
-// rather than spikes at operation boundaries.
-func (c *Cluster) BusySnapshot(ranks ...int) ComponentBusy {
-	now := c.kernel.Now()
-	var b ComponentBusy
-	if len(ranks) == 0 {
-		for r := range c.params {
-			c.addBusy(&b, r, now)
-		}
-	}
-	for _, r := range ranks {
-		c.addBusy(&b, c.checkRank(r), now)
-	}
-	return b
-}
-
-// rankBusy is BusySnapshot for one (already checked) rank — the reader
-// under every per-rank meter.
+// rankBusy returns rank r's cumulative busy times as of the current
+// virtual time — the counters of retired operations, then the in-flight
+// operation pro rata, so power sampling sees sustained load rather than
+// spikes at operation boundaries. It is the reader under every per-rank
+// meter; r must already be checked.
 func (c *Cluster) rankBusy(r int) ComponentBusy {
-	var b ComponentBusy
-	c.addBusy(&b, r, c.kernel.Now())
-	return b
-}
-
-// addBusy adds rank r's cumulative busy times as of now to b: the
-// counters of retired operations, then the in-flight operation pro rata.
-func (c *Cluster) addBusy(b *ComponentBusy, r int, now units.Seconds) {
 	ctr := c.counters.Rank(r)
-	b.Compute += ctr.ComputeTime
-	b.Memory += ctr.MemoryTime
-	b.IO += ctr.IOTime
-	b.Network += ctr.NetworkTime
+	b := ComponentBusy{
+		Compute: ctr.ComputeTime,
+		Memory:  ctr.MemoryTime,
+		IO:      ctr.IOTime,
+		Network: ctr.NetworkTime,
+	}
 	if fl := &c.inflight[r]; fl.end > fl.start {
-		frac := float64(now-fl.start) / float64(fl.end-fl.start)
+		frac := float64(c.kernel.Now()-fl.start) / float64(fl.end-fl.start)
 		if frac < 0 {
 			frac = 0
 		}
@@ -218,18 +197,5 @@ func (c *Cluster) addBusy(b *ComponentBusy, r int, now units.Seconds) {
 		b.Memory += units.Seconds(frac * float64(fl.dm))
 		b.Network += units.Seconds(frac * float64(fl.dnet))
 	}
-}
-
-// IdlePower sums Psys-idle over the given ranks (all if none specified).
-func (c *Cluster) IdlePower(ranks ...int) units.Watts {
-	var w units.Watts
-	if len(ranks) == 0 {
-		for r := range c.params {
-			w += c.params[r].PsysIdle
-		}
-	}
-	for _, r := range ranks {
-		w += c.params[c.checkRank(r)].PsysIdle
-	}
-	return w
+	return b
 }

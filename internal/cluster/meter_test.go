@@ -22,7 +22,7 @@ func presetPlatform() machine.Platform {
 func oldRetuneCount(c *Cluster, r int) int64 { return c.retunes[r] }
 
 func oldEnergySince(c *Cluster, r int, since units.Seconds, base ComponentBusy) (idle, cpu, mem, io units.Joules, cur ComponentBusy) {
-	cur = c.BusySnapshot(r)
+	cur = c.rankBusy(r)
 	mp := c.params[r]
 	idle = units.Energy(mp.PsysIdle, c.kernel.Now()-since)
 	cpu = units.Energy(mp.DeltaPc, cur.Compute-base.Compute)
@@ -46,7 +46,7 @@ func checkMeter(t *testing.T, c *Cluster, at string) {
 		got := c.ReadMeter(r)
 		idle, cpu, mem, io := oldComponentEnergyTotals(c, r)
 		want := MeterReading{
-			Busy: c.BusySnapshot(r), Retunes: oldRetuneCount(c, r),
+			Busy: c.rankBusy(r), Retunes: oldRetuneCount(c, r),
 			Idle: idle, CPU: cpu, Memory: mem, IO: io,
 		}
 		if got != want {
@@ -153,28 +153,6 @@ func TestLadderTableMatchesAtFrequency(t *testing.T) {
 			}
 			r += np.Ranks()
 		}
-	}
-}
-
-// With no ranks named, BusySnapshot and IdlePower cover every rank — the
-// same sums as naming them all.
-func TestBusySnapshotAllRanksMatchesExplicitList(t *testing.T) {
-	c := mustNew(t, Config{Platform: presetPlatform(), Ranks: 8})
-	all := make([]int, c.Ranks())
-	for r := range all {
-		all[r] = r
-		c.StartCompute(r, float64(1e5*(r+1)), float64(1e3*(r+1)), 1)
-	}
-	c.Kernel().After(20*units.Microsecond, func() {
-		if got, want := c.BusySnapshot(), c.BusySnapshot(all...); got != want {
-			t.Errorf("BusySnapshot() = %+v, BusySnapshot(all) = %+v", got, want)
-		}
-	})
-	if err := c.Kernel().Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := c.IdlePower(), c.IdlePower(all...); got != want {
-		t.Errorf("IdlePower() = %v, IdlePower(all) = %v", got, want)
 	}
 }
 

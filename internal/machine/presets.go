@@ -8,8 +8,8 @@ import "repro/internal/units"
 // Ethernet on Dori; γ = 2 on SystemG). Power constants are calibrated to
 // PowerPack-published component measurements for 2011-era server nodes and
 // are documented here because the paper's camera-ready lists them only in
-// garbled form; see DESIGN.md §2 for the substitution rationale. Absolute
-// Joule outputs therefore track the paper in shape, not in exact value.
+// garbled form (DESIGN.md §1). Absolute Joule outputs therefore track
+// the paper in shape, not in exact value.
 
 // SystemG models one core's share of a SystemG node: Mac Pro, two 4-core
 // 2.8 GHz Intel Xeon processors, 8 GB RAM, Mellanox 40 Gb/s InfiniBand.

@@ -62,7 +62,11 @@ func TestProfileIntegratesToTrueEnergy(t *testing.T) {
 	// that horizon plus the active component energies.
 	last := pr.Samples[len(pr.Samples)-1].T
 	truth := cl.TrueEnergy()
-	want := float64(truth.CPU+truth.Memory+truth.IO) + float64(cl.IdlePower())*float64(last)
+	var idle units.Watts
+	for r := 0; r < cl.Ranks(); r++ {
+		idle += cl.Params(r).PsysIdle
+	}
+	want := float64(truth.CPU+truth.Memory+truth.IO) + float64(idle)*float64(last)
 	if math.Abs(got-want)/want > 1e-9 {
 		t.Fatalf("profile energy %g J != busy+idle energy %g J", got, want)
 	}
