@@ -71,6 +71,7 @@ type Profiler struct {
 
 	onSample  []func(Sample)
 	keepAlive func() bool
+	tickFn    func() // p.tick, bound once so re-arming a sample allocates nothing
 }
 
 // OnSample registers fn to run in kernel context immediately after each
@@ -130,7 +131,8 @@ func Attach(cl *cluster.Cluster, interval units.Seconds, noisy bool, ranks ...in
 		p.prev[i] = cl.ReadMeter(r)
 		p.params[i] = cl.Params(r)
 	}
-	cl.Kernel().After(interval, p.tick)
+	p.tickFn = p.tick
+	cl.Kernel().After(interval, p.tickFn)
 	return p, nil
 }
 
@@ -141,7 +143,7 @@ func (p *Profiler) tick() {
 	// tick after the last process exits captures the trailing window),
 	// or while a KeepSampling subscriber still wants samples.
 	if p.cl.Kernel().LiveProcs() > 0 || (p.keepAlive != nil && p.keepAlive()) {
-		p.cl.Kernel().After(p.interval, p.tick)
+		p.cl.Kernel().After(p.interval, p.tickFn)
 	}
 }
 

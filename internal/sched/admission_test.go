@@ -266,16 +266,70 @@ func blockedScheduler(tb testing.TB, depth int) *Scheduler {
 	return s
 }
 
-// A blocked pass allocates for its context and the head's shadow walk,
-// never per queued job: the count is independent of queue depth.
+// A blocked pass allocates only what it keeps, never per queued job: the
+// head's reservation, its extraRanks and the list s.rsvs holds it in. Its
+// context, admitted list and shadow walk reuse the scheduler's pass
+// scratch (11 objects at every depth before they did, 3 after).
 func TestBlockedPassAllocationsIndependentOfDepth(t *testing.T) {
 	allocs := func(depth int) float64 {
 		s := blockedScheduler(t, depth)
 		return testing.AllocsPerRun(20, func() { s.admitPass(false) })
 	}
-	shallow, deep := allocs(16), allocs(1024)
-	if shallow != deep {
-		t.Fatalf("a blocked pass allocates %v times at depth 16 but %v at depth 1024", shallow, deep)
+	shallow, mid, deep := allocs(16), allocs(64), allocs(1024)
+	if shallow != deep || mid != deep {
+		t.Fatalf("a blocked pass allocates %v times at depth 16, %v at 64 and %v at 1024", shallow, mid, deep)
+	}
+	if mid > 3 {
+		t.Fatalf("a blocked pass allocates %v objects, want at most the kept reservation's 3", mid)
+	}
+}
+
+// reentrant is a policy whose admission opens a second pass on the
+// scheduler — what a start that reached tryAdmit would do.
+type reentrant struct{ Policy }
+
+func (r reentrant) Admit(ctx *AdmitContext) { ctx.s.admitPass(false) }
+
+// A pass owns the scheduler's one live context until it returns: a pass
+// nested in it panics instead of overwriting the context it runs on.
+func TestNestedAdmissionPassPanics(t *testing.T) {
+	s := blockedScheduler(t, 4)
+	s.cfg.Policy = reentrant{s.cfg.Policy}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a nested admission pass ran on the live context")
+		}
+	}()
+	s.admitPass(false)
+}
+
+// A Backfill wrapping a Backfill probes its inner policy with a second
+// shadow walk inside the first. A walk takes the pass scratch's buffers
+// and probe, and a nested one finds them gone and grows its own, so the
+// composition schedules exactly as the parent commit did (the literals).
+func TestNestedBackfillSchedulesAsBefore(t *testing.T) {
+	for _, tc := range []struct {
+		pol        Policy
+		makespan   units.Seconds
+		energy     units.Joules
+		backfilled int
+	}{
+		{BackfillN(Backfill(FIFO()), 2), 1.6947597087929565, 3461.854071984129, 22},
+		{Backfill(Backfill(EEMax())), 1.7076241539229906, 3487.3419366947373, 26},
+	} {
+		s, err := New(Config{Platform: machine.Homogeneous(machine.SystemG()), Ranks: 64, Cap: 2500, Policy: tc.pol, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Run(SyntheticTrace(TraceConfig{Jobs: 64, Seed: 1}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Completed != 64 || res.Makespan != tc.makespan || res.TotalEnergy != tc.energy || res.BackfilledJobs != tc.backfilled {
+			t.Errorf("%s: %d done, makespan %v, energy %v, %d backfilled; the parent's 64, %v, %v, %d",
+				tc.pol.Name(), res.Completed, float64(res.Makespan), float64(res.TotalEnergy), res.BackfilledJobs,
+				float64(tc.makespan), float64(tc.energy), tc.backfilled)
+		}
 	}
 }
 

@@ -1,8 +1,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/units"
@@ -195,59 +196,33 @@ func (b backfillPolicy) Admit(ctx *AdmitContext) {
 // when there is nothing running to wait for or the job is infeasible
 // even on the drained cluster.
 func (s *Scheduler) computeReservation(head *entry, inner Policy, ctx *AdmitContext, prior []*reservation) *reservation {
-	var t0 int64
 	if s.hst != nil {
-		t0 = s.hst.Begin()
+		defer s.hst.End(obs.PhaseBackfill, s.hst.Begin())
 	}
-	r := s.shadowWalk(head, inner, ctx, prior)
-	if s.hst != nil {
-		s.hst.End(obs.PhaseBackfill, t0)
-	}
-	return r
-}
-
-// shadowWalk is computeReservation's body, split out so the host phase
-// timer wraps every return path.
-func (s *Scheduler) shadowWalk(head *entry, inner Policy, ctx *AdmitContext, prior []*reservation) *reservation {
-	type event struct {
-		t     units.Seconds
-		id    int
-		pool  int
-		ranks int
-		watts units.Watts
-	}
-	evs := make([]event, 0, len(s.running)+len(ctx.admitted)+2*len(prior))
+	w := s.takeShadow()
+	evs, free := w.evs[:0], w.free[:0]
+	defer func() { w.evs, w.free, s.shadow = evs, free, w }()
 	for _, rj := range s.running {
-		evs = append(evs, event{
-			t:     s.predictedEnd(rj),
-			id:    rj.e.job.ID,
-			pool:  rj.pool,
-			ranks: rj.width(),
-			watts: rj.prof.Draw[rj.fIdx] - units.Watts(float64(rj.width())*float64(s.pools[rj.pool].idleMin)),
-		})
+		idle := units.Watts(float64(len(rj.ranks)) * float64(s.pools[rj.pool].idleMin))
+		evs = append(evs, shadowEvent{t: s.predictedEndAt(rj, rj.fIdx), id: rj.e.job.ID, pool: rj.pool, ranks: len(rj.ranks), watts: rj.prof.Draw[rj.fIdx] - idle})
 	}
 	for _, adm := range ctx.admitted {
-		evs = append(evs, event{t: ctx.now + adm.cand.Tp, id: adm.e.job.ID, pool: adm.cand.Pool, ranks: adm.cand.P, watts: adm.cand.Cost})
+		evs = append(evs, shadowEvent{t: ctx.now + adm.cand.Tp, id: adm.e.job.ID, pool: adm.cand.Pool, ranks: adm.cand.P, watts: adm.cand.Cost})
 	}
 	for _, r := range prior {
 		// An earlier reservation occupies its promised capacity between
 		// its reserved start and its predicted completion.
-		evs = append(evs, event{t: r.at, id: r.e.job.ID, pool: r.pool, ranks: -r.p, watts: -r.cost})
-		evs = append(evs, event{t: r.at + r.dur, id: r.e.job.ID, pool: r.pool, ranks: r.p, watts: r.cost})
+		evs = append(evs, shadowEvent{t: r.at, id: r.e.job.ID, pool: r.pool, ranks: -r.p, watts: -r.cost})
+		evs = append(evs, shadowEvent{t: r.at + r.dur, id: r.e.job.ID, pool: r.pool, ranks: r.p, watts: r.cost})
 	}
 	if len(evs) == 0 {
 		return nil
 	}
-	sort.Slice(evs, func(a, b int) bool {
-		if evs[a].t != evs[b].t {
-			return evs[a].t < evs[b].t
-		}
-		if evs[a].id != evs[b].id {
-			return evs[a].id < evs[b].id
-		}
-		return evs[a].ranks < evs[b].ranks // a reservation's start precedes its own release
+	slices.SortFunc(evs, func(a, b shadowEvent) int {
+		return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.id, b.id),
+			cmp.Compare(a.ranks, b.ranks)) // a reservation's start precedes its own release
 	})
-	free, watts := append([]int(nil), ctx.free...), ctx.headroom
+	free, watts := append(free, ctx.free...), ctx.headroom
 	for i, e := range evs {
 		free[e.pool] += e.ranks
 		watts += e.watts
@@ -258,7 +233,7 @@ func (s *Scheduler) shadowWalk(head *entry, inner Policy, ctx *AdmitContext, pri
 		// event's own time, not at now.
 		avail := watts + (s.controlCap(e.t) - s.controlCap(ctx.now))
 		relaxed := ctx.relaxed || i == len(evs)-1
-		if cand, ok := s.shadowCandidate(inner, head, free, avail, e.t, relaxed, prior); ok {
+		if cand, ok := s.shadowCandidate(w, inner, head, free, avail, e.t, relaxed, prior); ok {
 			extra := append([]int(nil), free...)
 			extra[cand.Pool] -= cand.P
 			return &reservation{
@@ -276,21 +251,54 @@ func (s *Scheduler) shadowWalk(head *entry, inner Policy, ctx *AdmitContext, pri
 	return nil
 }
 
+// shadowEvent is one step of the shadow walk: job id's ranks return to
+// pool and its marginal draw to the budget at t (a prior reservation's
+// start takes them).
+type shadowEvent struct {
+	t           units.Seconds
+	id          int
+	pool, ranks int
+	watts       units.Watts
+}
+
+// shadowScratch is the storage shadow walks reuse from pass to pass: the
+// events, the running free ranks, and the probe context with its
+// one-entry queue (shadowCandidate).
+type shadowScratch struct {
+	evs  []shadowEvent
+	free []int
+	ctx  AdmitContext
+	one  [1]*entry
+}
+
+// takeShadow lends out the walk scratch until the borrower puts it back
+// in s.shadow. A walk nested in a probe — a Backfill wrapping a Backfill
+// — finds it lent and gets storage of its own.
+func (s *Scheduler) takeShadow() (w *shadowScratch) {
+	if w, s.shadow = s.shadow, nil; w == nil {
+		w = new(shadowScratch)
+	}
+	return w
+}
+
 // shadowCandidate asks the inner policy whether it would start job e on
 // a hypothetical cluster with the given per-pool free ranks and power
 // headroom at virtual time at, and with which candidate. Earlier
 // reservations constrain the probe exactly as they constrain real
-// admissions. The probe context never mutates scheduler state.
-func (s *Scheduler) shadowCandidate(inner Policy, e *entry, free []int, watts units.Watts, at units.Seconds, relaxed bool, prior []*reservation) (Candidate, bool) {
-	one := []*entry{e}
-	sctx := &AdmitContext{
+// admissions. The probe runs on w's context and never mutates scheduler
+// state.
+func (s *Scheduler) shadowCandidate(w *shadowScratch, inner Policy, e *entry, free []int, watts units.Watts, at units.Seconds, relaxed bool, prior []*reservation) (Candidate, bool) {
+	w.one[0] = e
+	sctx := &w.ctx
+	*sctx = AdmitContext{
 		s:        s,
 		now:      at,
 		ctrl:     s.controlCap(at),
-		free:     append([]int(nil), free...),
+		free:     append(sctx.free[:0], free...),
 		headroom: watts,
-		queue:    one,
-		prio:     one,
+		queue:    w.one[:],
+		prio:     w.one[:],
+		admitted: sctx.admitted[:0],
 		relaxed:  relaxed,
 		shadow:   true,
 		rsvs:     prior,

@@ -115,7 +115,6 @@ func (s *Scheduler) repairAhead(now units.Seconds) bool {
 func (s *Scheduler) scheduleFaults() {
 	k, plan := s.cl.Kernel(), s.flt.plan
 	for _, ev := range plan.Scripted {
-		ev := ev
 		k.Schedule(ev.T, func() {
 			if s.remaining <= 0 {
 				return
@@ -340,7 +339,8 @@ func (s *Scheduler) absProgress(rj *runningJob, now units.Seconds) float64 {
 	return abs
 }
 
-// armCheckpoint schedules the job's next periodic checkpoint. The
+// armCheckpoint schedules the job's next periodic checkpoint, binding
+// the attempt's callback on first use so re-arming allocates nothing. The
 // checkpoint itself is a free snapshot — the cost model charges the
 // restart side (work since the last checkpoint is re-executed, plus
 // the plan's restart surcharge), matching the paper-style accounting
@@ -350,18 +350,21 @@ func (s *Scheduler) armCheckpoint(rj *runningJob) {
 	if every <= 0 {
 		return
 	}
-	rj.ckptTimer = s.cl.Kernel().AfterTimer(every, func() {
-		if rj.killed {
-			return
+	if rj.ckpt == nil {
+		rj.ckpt = func() {
+			if rj.killed {
+				return
+			}
+			rj.lastCkpt = s.absProgress(rj, s.cl.Kernel().Now())
+			rj.e.res.Checkpoints++
+			s.res.Checkpoints++
+			if s.tel != nil {
+				s.tel.emitCheckpoint(rj)
+			}
+			s.armCheckpoint(rj)
 		}
-		rj.lastCkpt = s.absProgress(rj, s.cl.Kernel().Now())
-		rj.e.res.Checkpoints++
-		s.res.Checkpoints++
-		if s.tel != nil {
-			s.tel.emitCheckpoint(rj)
-		}
-		s.armCheckpoint(rj)
-	})
+	}
+	rj.ckptTimer = s.cl.Kernel().AfterTimer(every, rj.ckpt)
 }
 
 // predTp is the admission-side predicted runtime of job e at ladder

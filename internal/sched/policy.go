@@ -70,20 +70,32 @@ type admission struct {
 }
 
 // liveContext opens a context on the cluster's current state, for an
-// admission pass or the telemetry edge's block-reason replay. Its free
-// ranks are the scheduler's one scratch slice: one live context at a time.
+// admission pass or the telemetry edge's block-reason replay. It is the
+// scheduler's one live context, reused with its free ranks and admitted
+// list and valid until the next call; opening it while a pass runs on it
+// — a pass nested in admitPass → start — panics.
 func (s *Scheduler) liveContext(relaxed bool) *AdmitContext {
+	if s.inPass {
+		panic("sched: admission context opened inside an admission pass")
+	}
 	now := s.cl.Kernel().Now()
-	return &AdmitContext{
+	c := &s.live
+	free := c.free[:0]
+	for i := range s.pools {
+		free = append(free, len(s.pools[i].free))
+	}
+	*c = AdmitContext{
 		s:        s,
 		now:      now,
 		ctrl:     s.controlCap(now),
-		free:     s.freeByPool(),
+		free:     free,
 		headroom: s.headroom(),
 		queue:    s.queue,
 		prio:     s.prio,
+		admitted: c.admitted[:0],
 		relaxed:  relaxed,
 	}
+	return c
 }
 
 // Queued yields the waiting jobs in queue (insertion) order, skipping

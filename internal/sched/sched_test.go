@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/capplan"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/machine"
 	"repro/internal/opcache"
 	"repro/internal/units"
@@ -227,9 +229,9 @@ func TestLockstepMatchesPerRankChains(t *testing.T) {
 }
 
 // Dispatching a noise-free job costs three objects — the rank set, the
-// runningJob and the first phase's completion closure — as it did when
-// the lockstep path was its own function: the single chain lives inside
-// the runningJob.
+// runningJob and its chain's completion callback, bound once and re-armed
+// by every phase — as it did when the lockstep path was its own
+// function: the single chain lives inside the runningJob.
 func TestDispatchAllocations(t *testing.T) {
 	s, err := New(Config{Platform: machine.Homogeneous(testSpec()), Ranks: 8, Cap: 2000})
 	if err != nil {
@@ -258,6 +260,68 @@ func TestDispatchAllocations(t *testing.T) {
 	dispatch() // size the running list and price the op-cache row
 	if got := testing.AllocsPerRun(100, dispatch); got != 3 {
 		t.Fatalf("dispatching a noise-free job allocates %v objects, want 3", got)
+	}
+}
+
+// jobMallocs dispatches job j alone, by hand, on a fresh scheduler built
+// from cfg, cut into slices compute/comm slices and checkpointed ckpts
+// times, and runs the kernel until the job finishes (no profiler is
+// attached, so its events are the job's own). It returns the objects the
+// dispatch and the run allocated.
+func jobMallocs(t *testing.T, cfg Config, j Job, slices, ckpts int) uint64 {
+	t.Helper()
+	if ckpts > 0 {
+		cfg.Faults = &faults.Plan{}
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &entry{job: j, res: JobResult{Job: j, State: Queued}}
+	cand, ok := s.liveContext(false).At(e, 0, j.MaxWidth, testSpec().BaseFreq)
+	if !ok {
+		t.Fatal("no candidate at the base frequency")
+	}
+	s.cfg.Interval = cand.Tp / units.Seconds(slices) // start cuts Tp into Tp/Interval slices
+	if ckpts > 0 {
+		s.flt.plan.CheckpointEvery = cand.Tp / units.Seconds(float64(ckpts)+0.5)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s.start(e, cand, false, 0)
+	cut := s.running[0].slices
+	err = s.cl.Kernel().Run()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cut != slices || e.res.State != Done || e.res.Checkpoints != ckpts {
+		t.Fatalf("the job ran %d slices and %d checkpoints to state %v; want %d, %d and done",
+			cut, e.res.Checkpoints, e.res.State, slices, ckpts)
+	}
+	return after.Mallocs - before.Mallocs
+}
+
+// Every recurring callback of a running job is bound once, at dispatch:
+// a job's allocations do not depend on how many phase events its chains
+// fire — on the lockstep path or on the per-rank one — or on how many
+// checkpoints it takes.
+func TestJobAllocationsIndependentOfEventCount(t *testing.T) {
+	j := epJob(0, 4)
+	lockstep := Config{Platform: machine.Homogeneous(testSpec()), Ranks: 8, Cap: 2000}
+	noisy := lockstep
+	noisy.Noise = cluster.DefaultNoise()
+	for _, tc := range []struct {
+		label string
+		cfg   Config
+	}{{"lockstep", lockstep}, {"per-rank", noisy}} {
+		if few, many := jobMallocs(t, tc.cfg, j, 4, 0), jobMallocs(t, tc.cfg, j, 512, 0); few != many {
+			t.Errorf("%s: a job allocates %d objects at 4 slices but %d at 512", tc.label, few, many)
+		}
+	}
+	if few, many := jobMallocs(t, lockstep, j, 64, 1), jobMallocs(t, lockstep, j, 64, 100); few != many {
+		t.Errorf("a job allocates %d objects with 1 checkpoint but %d with 100", few, many)
 	}
 }
 

@@ -164,8 +164,7 @@ type Scheduler struct {
 	// admission passes iterate both in place.
 	queue, prio []*entry
 	running     []*runningJob
-	remaining   int   // jobs that have not left (see leave)
-	freeBuf     []int // backs freeByPool's snapshot
+	remaining   int // jobs that have not left (see leave)
 
 	// blocked records that the latest admission pass left jobs queued:
 	// until the next arrival or completion no admission can succeed, so
@@ -179,6 +178,14 @@ type Scheduler struct {
 	// wrapper or the head is startable. The governor consults them so
 	// boosts never loan watts a reservation holds.
 	rsvs []*reservation
+
+	// Admission scratch, so a blocked pass allocates only the
+	// reservations it keeps: live is the one live context (liveContext),
+	// inPass marks a pass running on it, and shadow is the shadow walk's
+	// storage while no walk holds it (takeShadow).
+	live   AdmitContext
+	inPass bool
+	shadow *shadowScratch
 
 	// res is the run's ledger: every count and energy known the moment
 	// it happens is booked here, once (see collect).
@@ -242,13 +249,15 @@ type runningJob struct {
 
 	// Fault-injection state (zero-valued without Config.Faults): killed
 	// marks an attempt a rank failure aborted; the chains' timers and
-	// ckptTimer are the pending kernel events a kill must cancel; base
+	// ckptTimer are the pending kernel events a kill must cancel, and
+	// ckpt the checkpoint callback ckptTimer re-arms (bound once); base
 	// is the absolute progress fraction this attempt resumed from,
 	// lastCkpt the latest checkpointed absolute fraction; workScale
 	// stretches the model runtime of a resumed attempt (remaining work
 	// plus restart surcharge over the full run — 0 or 1 means unscaled).
 	killed    bool
 	ckptTimer sim.Timer
+	ckpt      func()
 	base      float64
 	lastCkpt  float64
 	workScale float64
@@ -257,14 +266,15 @@ type runningJob struct {
 // chain is one event chain of a running job: ranks[lo:hi] step through
 // the slice sequence together, one kernel event per phase.
 type chain struct {
-	rj     *runningJob // back-pointer, so a phase event holds the chain alone
+	rj     *runningJob
 	lo, hi int
 	slice  int       // next/current slice index
 	inComm bool      // current phase is the comm half of the slice
 	timer  sim.Timer // the pending phase completion
+	// done is the chain's phase completion (phaseDone), bound once at
+	// dispatch: every phase re-arms it, so a phase allocates nothing.
+	done func()
 }
-
-func (rj *runningJob) width() int { return len(rj.ranks) }
 
 // fracAt is the model-predicted fraction of the attempt completed by
 // now: progress plus the stretch since the last repricing, at the
@@ -358,7 +368,6 @@ func New(cfg Config) (*Scheduler, error) {
 		owner:    make([]*runningJob, cfg.Ranks),
 		meters:   make([]rankMeter, cfg.Ranks),
 		entries:  make(map[int]*entry),
-		freeBuf:  make([]int, len(cfg.Platform.Pools)),
 	}
 	s.pools = make([]poolState, len(cfg.Platform.Pools))
 	for i, np := range cfg.Platform.Pools {
@@ -429,15 +438,6 @@ func (s *Scheduler) narrowToLifetime(ctrl units.Watts, now units.Seconds, budget
 	return budget
 }
 
-// freeByPool snapshots each pool's free-rank count into the scheduler's
-// one scratch slice, valid until the next call (liveContext).
-func (s *Scheduler) freeByPool() []int {
-	for i := range s.pools {
-		s.freeBuf[i] = len(s.pools[i].free)
-	}
-	return s.freeBuf
-}
-
 // ladderOf returns the DVFS ladder of the pool hosting a running job.
 func (s *Scheduler) ladderOf(rj *runningJob) []units.Hertz {
 	return s.pools[rj.pool].ladder
@@ -475,11 +475,6 @@ func (s *Scheduler) headroom() units.Watts {
 func (s *Scheduler) predictedEndAt(rj *runningJob, idx int) units.Seconds {
 	now := s.cl.Kernel().Now()
 	return now + units.Seconds((1-rj.fracAt(now))*float64(scaledTp(rj, idx)))
-}
-
-// predictedEnd is predictedEndAt at the job's current frequency.
-func (s *Scheduler) predictedEnd(rj *runningJob) units.Seconds {
-	return s.predictedEndAt(rj, rj.fIdx)
 }
 
 // bankMeter integrates rank r's energy since its last banking point at
@@ -575,7 +570,6 @@ func (s *Scheduler) Run(jobs []Job) (Result, error) {
 	// events FIFO).
 	k := s.cl.Kernel()
 	for _, e := range ordered {
-		e := e
 		k.Schedule(e.job.Arrival, func() { s.arrive(e) })
 	}
 	// Nothing in the scheduler spawns a process: job slices are timer
@@ -753,6 +747,8 @@ func (s *Scheduler) tryAdmit() {
 // restore, so a job wide enough only for the healed cluster parks
 // instead of dying.
 func (s *Scheduler) feasibleEver(e *entry, now units.Seconds) bool {
+	w := s.takeShadow()
+	defer func() { s.shadow = w }()
 	free := make([]int, len(s.pools))
 	for i := range s.pools {
 		free[i] = s.pools[i].size
@@ -763,7 +759,7 @@ func (s *Scheduler) feasibleEver(e *entry, now units.Seconds) bool {
 		}
 	}
 	for t := now; ; {
-		if _, ok := s.shadowCandidate(s.cfg.Policy, e, free, s.controlCap(t)-s.idleFloor, t, true, nil); ok {
+		if _, ok := s.shadowCandidate(w, s.cfg.Policy, e, free, s.controlCap(t)-s.idleFloor, t, true, nil); ok {
 			return true
 		}
 		next, _, ok := s.capPlan.Next(t)
@@ -859,27 +855,23 @@ func (s *Scheduler) edgeRetune() {
 	if !s.cfg.EdgeRetune || s.gov == nil || !s.cfg.Policy.DVFS() {
 		return
 	}
-	var t0 int64
 	if s.hst != nil {
-		t0 = s.hst.Begin()
+		defer s.hst.End(obs.PhaseGovernor, s.hst.Begin())
 	}
 	s.gov.throttle()
 	if len(s.running) > 0 {
 		s.gov.boost()
-	}
-	if s.hst != nil {
-		s.hst.End(obs.PhaseGovernor, t0)
 	}
 }
 
 // admitPass runs one policy admission round; it returns how many jobs
 // were started.
 func (s *Scheduler) admitPass(relaxed bool) int {
-	var t0 int64
 	if s.hst != nil {
-		t0 = s.hst.Begin()
+		defer s.hst.End(obs.PhaseAdmission, s.hst.Begin())
 	}
 	ctx := s.liveContext(relaxed)
+	s.inPass = true
 	s.cfg.Policy.Admit(ctx)
 	s.res.HeadBypasses += ctx.bypasses
 	if s.tel != nil {
@@ -895,9 +887,7 @@ func (s *Scheduler) admitPass(relaxed bool) int {
 	if len(ctx.admitted) > 0 {
 		s.prune()
 	}
-	if s.hst != nil {
-		s.hst.End(obs.PhaseAdmission, t0)
-	}
+	s.inPass = false
 	return len(ctx.admitted)
 }
 
@@ -995,17 +985,15 @@ func (s *Scheduler) start(e *entry, cand Candidate, backfilled bool, queueAfter 
 	}
 	s.armCheckpoint(rj)
 
-	if s.lockstep {
-		rj.chains = rj.one[:]
-		rj.chains[0] = chain{rj: rj, hi: len(ranks)}
-	} else {
-		rj.chains = make([]chain, len(ranks))
-		for i := range rj.chains {
-			rj.chains[i] = chain{rj: rj, lo: i, hi: i + 1}
-		}
+	span := len(ranks) // lockstep: one chain over the whole rank set
+	rj.chains = rj.one[:]
+	if !s.lockstep {
+		span, rj.chains = 1, make([]chain, len(ranks))
 	}
 	for i := range rj.chains {
-		s.runChain(&rj.chains[i])
+		c := &rj.chains[i]
+		*c = chain{rj: rj, lo: i * span, hi: (i + 1) * span, done: func() { s.phaseDone(c) }}
+		s.runChain(c)
 	}
 }
 
@@ -1028,24 +1016,29 @@ func (s *Scheduler) runChain(c *chain) {
 			wall = s.cl.StartCompute(r, rj.sliceOn, rj.sliceOff, rj.alpha)
 		}
 	}
-	c.timer = s.cl.Kernel().AfterTimer(wall, func() {
-		rj := c.rj // read through c: the closure captures only s and c
-		if rj.killed {
-			return
-		}
-		for _, r := range rj.ranks[c.lo:c.hi] {
-			s.cl.CompleteOp(r)
-		}
-		if c.advance() {
-			s.runChain(c)
-			return
-		}
-		s.cl.NoteWall(s.cl.Kernel().Now())
-		rj.left -= c.hi - c.lo
-		if rj.left == 0 {
-			s.finish(rj)
-		}
-	})
+	c.timer = s.cl.Kernel().AfterTimer(wall, c.done)
+}
+
+// phaseDone is a chain's phase-completion event: retire the phase on
+// every rank of the span, then start the next one — or, after the last,
+// count the span out of the job and finish it with its last chain.
+func (s *Scheduler) phaseDone(c *chain) {
+	rj := c.rj
+	if rj.killed {
+		return
+	}
+	for _, r := range rj.ranks[c.lo:c.hi] {
+		s.cl.CompleteOp(r)
+	}
+	if c.advance() {
+		s.runChain(c)
+		return
+	}
+	s.cl.NoteWall(s.cl.Kernel().Now())
+	rj.left -= c.hi - c.lo
+	if rj.left == 0 {
+		s.finish(rj)
+	}
 }
 
 // advance moves the chain past the phase that just completed and

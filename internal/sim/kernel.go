@@ -12,8 +12,10 @@
 //
 //   - Pure event-driven code schedules callbacks with Schedule/After. With
 //     no process spawned Run is a tight single-goroutine loop over a
-//     value-typed 4-ary heap with no per-event allocation and no channel
-//     operations — what the power-budget scheduler runs on.
+//     value-typed 4-ary heap with no channel operations — what the
+//     power-budget scheduler runs on. The kernel allocates nothing per
+//     event; callers keep it so by binding each recurring callback once
+//     (a chain's phase completion, the profiler's tick) and re-arming it.
 //   - Process-oriented code (Spawn) models blocking behaviour: every
 //     simulated process (Proc) runs in its own goroutine, but exactly one
 //     goroutine — either the kernel loop or a single process — executes
@@ -44,8 +46,10 @@ import (
 // event is a scheduled callback. Events with equal time fire in schedule
 // (FIFO) order, which keeps runs deterministic. Events are held by value
 // in the kernel's heap slice: pushing reuses the slice's spare capacity
-// (the popped tail slots act as the free list), so steady-state
-// scheduling allocates nothing beyond the callback closure itself.
+// (the popped tail slots act as the free list), so scheduling allocates
+// nothing of its own. A caller that re-arms a recurring callback binds
+// it once and passes the same func value every time — a closure or
+// method value built per call is one allocation per event.
 type event struct {
 	t   units.Seconds
 	seq int64
