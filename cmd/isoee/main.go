@@ -97,7 +97,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		pr, err := core.Model{Machine: mp, App: vector.At(*n, *p)}.Predict()
+		pr, err := (&core.Model{Machine: mp, App: vector.At(*n, *p)}).Predict()
 		if err != nil {
 			return err
 		}

@@ -40,7 +40,7 @@ func main() {
 		}
 		fmt.Printf("%8v", f)
 		for _, s := range studies {
-			pr, err := core.Model{Machine: mp, App: s.vec.At(s.n, p)}.Predict()
+			pr, err := (&core.Model{Machine: mp, App: s.vec.At(s.n, p)}).Predict()
 			if err != nil {
 				log.Fatal(err)
 			}

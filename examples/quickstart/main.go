@@ -31,7 +31,7 @@ func main() {
 	// 3. Evaluate the model chain (Eq. 13, 15, 19, 21) per p.
 	fmt.Printf("%6s %12s %12s %10s %10s %10s\n", "p", "Tp", "Ep", "speedup", "EEF", "EE")
 	for _, p := range []int{1, 2, 4, 8, 16, 32, 64, 128} {
-		pr, err := core.Model{Machine: mp, App: ftVec.At(n, p)}.Predict()
+		pr, err := (&core.Model{Machine: mp, App: ftVec.At(n, p)}).Predict()
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -63,7 +63,7 @@ func main() {
 			seq.Totals.OnChipOps, seq.Totals.OffChipAccesses,
 			par.Totals.OnChipOps, par.Totals.OffChipAccesses,
 			par.M, par.B, p)
-		pred, err := core.Model{Machine: mp, App: w}.Predict()
+		pred, err := (&core.Model{Machine: mp, App: w}).Predict()
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -91,7 +91,7 @@ func (s Surface) fill(v app.Vector, cols []column) (Surface, error) {
 		eeRow := make([]float64, len(cols))
 		ptRow := make([]Point, len(cols))
 		for j, c := range cols {
-			pr, err := core.Model{Machine: c.mp, App: v.At(c.n, p)}.Predict()
+			pr, err := (&core.Model{Machine: c.mp, App: v.At(c.n, p)}).Predict()
 			if err != nil {
 				at := fmt.Sprintf("f=%v", c.mp.Freq)
 				if s.ColKind == "n" {
@@ -189,7 +189,7 @@ func isoN(name string, metric func(core.Prediction) float64, spec machine.Spec, 
 		return 0, err
 	}
 	at := func(n float64) (float64, error) {
-		pr, err := core.Model{Machine: mp, App: v.At(n, p)}.Predict()
+		pr, err := (&core.Model{Machine: mp, App: v.At(n, p)}).Predict()
 		if err != nil {
 			return 0, err
 		}
@@ -280,7 +280,7 @@ func ForEachOperatingPoint(pl machine.Platform, v app.Vector, n float64, ps []in
 			seen = true
 			w := v.At(n, p)
 			for _, mp := range ladder {
-				pr, err := core.Model{Machine: mp, App: w}.Predict()
+				pr, err := (&core.Model{Machine: mp, App: w}).Predict()
 				if err != nil {
 					return fmt.Errorf("analysis: %s at pool %s p=%d f=%v: %w", v.Name, np.PoolName(), p, mp.Freq, err)
 				}

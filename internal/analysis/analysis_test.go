@@ -63,7 +63,7 @@ func TestSurfacesMatchDirectPredict(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pr, err := core.Model{Machine: mp, App: v.At(n, p)}.Predict()
+		pr, err := (&core.Model{Machine: mp, App: v.At(n, p)}).Predict()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -295,7 +295,7 @@ func TestPerformanceIsoVsEnergyIso(t *testing.T) {
 
 // coreModel is a tiny helper returning EE for (machine, vector, n, p).
 func coreModel(mp machine.Params, v app.Vector, n float64, p int) (float64, error) {
-	pr, err := core.Model{Machine: mp, App: v.At(n, p)}.Predict()
+	pr, err := (&core.Model{Machine: mp, App: v.At(n, p)}).Predict()
 	if err != nil {
 		return 0, err
 	}

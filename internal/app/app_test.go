@@ -99,7 +99,7 @@ func TestPaperShapeFindings(t *testing.T) {
 	sysG := machine.SystemG()
 	mp := sysG.MustBase()
 	ee := func(v Vector, n float64, p int) float64 {
-		pr, err := core.Model{Machine: mp, App: v.At(n, p)}.Predict()
+		pr, err := (&core.Model{Machine: mp, App: v.At(n, p)}).Predict()
 		if err != nil {
 			t.Fatalf("%s: %v", v.Name, err)
 		}
@@ -145,7 +145,7 @@ func TestPaperShapeFindings(t *testing.T) {
 		t.Fatal(err)
 	}
 	eeAt := func(v Vector, n float64, p int, m machine.Params) float64 {
-		pr, err := core.Model{Machine: m, App: v.At(n, p)}.Predict()
+		pr, err := (&core.Model{Machine: m, App: v.At(n, p)}).Predict()
 		if err != nil {
 			t.Fatalf("%s: %v", v.Name, err)
 		}
@@ -178,7 +178,7 @@ func TestEEMonotoneInPProperty(t *testing.T) {
 		n := 1e5 + math.Mod(math.Abs(rawN), 1e7)
 		prev := math.Inf(1)
 		for _, p := range []int{1, 4, 16, 64} {
-			pr, err := core.Model{Machine: mp, App: v.At(n, p)}.Predict()
+			pr, err := (&core.Model{Machine: mp, App: v.At(n, p)}).Predict()
 			if err != nil {
 				return false
 			}

@@ -117,7 +117,7 @@ type Prediction struct {
 
 // sequentialComponents returns the un-overlapped component times of the
 // sequential execution.
-func (m Model) sequentialComponents() (tc, tm units.Seconds) {
+func (m *Model) sequentialComponents() (tc, tm units.Seconds) {
 	tc = units.Seconds(m.App.WOn * float64(m.Machine.Tc))
 	tm = units.Seconds(m.App.WOff * float64(m.Machine.Tm))
 	return tc, tm
@@ -125,14 +125,14 @@ func (m Model) sequentialComponents() (tc, tm units.Seconds) {
 
 // SequentialTime returns the real (overlapped) sequential execution time
 // T1 = α(Won·tc + Woff·tm + Tio) (Eq. 5–6).
-func (m Model) SequentialTime() units.Seconds {
+func (m *Model) SequentialTime() units.Seconds {
 	tc, tm := m.sequentialComponents()
 	return units.Seconds(m.App.Alpha * float64(tc+tm+m.App.TIO))
 }
 
 // SequentialEnergy returns E1 (Eq. 13): idle power over the real
 // execution time plus the component activity deltas.
-func (m Model) SequentialEnergy() units.Joules {
+func (m *Model) SequentialEnergy() units.Joules {
 	tc, tm := m.sequentialComponents()
 	e := units.Energy(m.Machine.PsysIdle, m.SequentialTime())
 	e += units.Energy(m.Machine.DeltaPc, tc)
@@ -143,14 +143,14 @@ func (m Model) SequentialEnergy() units.Joules {
 
 // CommTime returns the total accumulated network time over all
 // processors, M·Ts + B·Tb (Eq. 17, Hockney).
-func (m Model) CommTime() units.Seconds {
+func (m *Model) CommTime() units.Seconds {
 	return units.Seconds(m.App.M*float64(m.Machine.Ts) + m.App.B*float64(m.Machine.Tb))
 }
 
 // ParallelTime returns the per-processor real execution time Tp under the
 // homogeneous-distribution assumption (Eq. 10): every processor carries
 // 1/p of the total workload, overhead and communication.
-func (m Model) ParallelTime() units.Seconds {
+func (m *Model) ParallelTime() units.Seconds {
 	p := float64(m.App.P)
 	compute := (m.App.WOn + m.App.DWOn) / p * float64(m.Machine.Tc)
 	mem := (m.App.WOff + m.App.DWOff) / p * float64(m.Machine.Tm)
@@ -162,7 +162,7 @@ func (m Model) ParallelTime() units.Seconds {
 // ParallelEnergy returns Ep (Eq. 15/18): all p processors burn idle power
 // for the parallel wall time, while the total (sequential + overhead)
 // workloads burn the component deltas.
-func (m Model) ParallelEnergy() units.Joules {
+func (m *Model) ParallelEnergy() units.Joules {
 	p := float64(m.App.P)
 	e := units.Joules(p * float64(m.Machine.PsysIdle) * float64(m.ParallelTime()))
 	e += units.Energy(m.Machine.DeltaPc, units.Seconds((m.App.WOn+m.App.DWOn)*float64(m.Machine.Tc)))
@@ -172,7 +172,7 @@ func (m Model) ParallelEnergy() units.Joules {
 }
 
 // Predict evaluates the whole model chain.
-func (m Model) Predict() (Prediction, error) {
+func (m *Model) Predict() (Prediction, error) {
 	if err := m.Machine.Validate(); err != nil {
 		return Prediction{}, err
 	}

@@ -163,12 +163,12 @@ func TestValidation(t *testing.T) {
 	// …and machine errors.
 	badMach := testParams()
 	badMach.Tc = 0
-	if _, err := (Model{Machine: badMach, App: good}).Predict(); err == nil {
+	if _, err := (&Model{Machine: badMach, App: good}).Predict(); err == nil {
 		t.Error("Predict must reject invalid machine vector")
 	}
 	// …and degenerate zero-energy workloads.
 	zero := Workload{Alpha: 1, P: 1}
-	if _, err := (Model{Machine: testParams(), App: zero}).Predict(); err == nil {
+	if _, err := (&Model{Machine: testParams(), App: zero}).Predict(); err == nil {
 		t.Error("Predict must reject zero-work workloads")
 	}
 }
@@ -195,7 +195,7 @@ func TestEEBoundsAndMonotonicityProperty(t *testing.T) {
 		app2 := app
 		app2.DWOn *= 2
 		app2.M += 100
-		pr2, err := (Model{Machine: mp, App: app2}).Predict()
+		pr2, err := (&Model{Machine: mp, App: app2}).Predict()
 		if err != nil {
 			return false
 		}
@@ -214,7 +214,7 @@ func TestEEIdentityProperty(t *testing.T) {
 		w := 1e6 + math.Mod(math.Abs(rawW), 1e9)
 		mm := math.Mod(math.Abs(rawM), 1e5)
 		app := Workload{Alpha: 0.85, WOn: w, WOff: w / 100, DWOn: w / 10, M: mm, B: mm * 1000, P: p}
-		pr, err := (Model{Machine: mp, App: app}).Predict()
+		pr, err := (&Model{Machine: mp, App: app}).Predict()
 		if err != nil {
 			return false
 		}
@@ -264,7 +264,7 @@ func TestFrequencyScalingDirection(t *testing.T) {
 		t.Fatal(err)
 	}
 	ee := func(mp machine.Params, app Workload) float64 {
-		pr, err := Model{Machine: mp, App: app}.Predict()
+		pr, err := (&Model{Machine: mp, App: app}).Predict()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,7 +318,7 @@ func TestHeteroMatchesHomogeneousWhenIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := (Model{Machine: mp, App: app}).Predict()
+	pr, err := (&Model{Machine: mp, App: app}).Predict()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func pinned(t *testing.T, what string, got, want float64) {
 // predict is core.Model.Predict that fails the test on error.
 func predict(t *testing.T, mp machine.Params, w core.Workload) core.Prediction {
 	t.Helper()
-	pr, err := core.Model{Machine: mp, App: w}.Predict()
+	pr, err := (&core.Model{Machine: mp, App: w}).Predict()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func validateKernel(kf kernelFactory, seq npb.Report, spec machine.Spec, p int, 
 		seq.Totals.OnChipOps, seq.Totals.OffChipAccesses,
 		par.Totals.OnChipOps, par.Totals.OffChipAccesses,
 		par.M, par.B, p)
-	pred, err := core.Model{Machine: mp, App: w}.Predict()
+	pred, err := (&core.Model{Machine: mp, App: w}).Predict()
 	if err != nil {
 		return validation{}, fmt.Errorf("%s model: %w", kf.name, err)
 	}
@@ -158,7 +158,7 @@ func Fig4(o Options) (Figure, error) {
 			w := app.FromCounters(seq.Alpha,
 				seq.Totals.OnChipOps, seq.Totals.OffChipAccesses,
 				seq.Totals.OnChipOps, seq.Totals.OffChipAccesses, 0, 0, 1)
-			pred, err := core.Model{Machine: mp, App: w}.Predict()
+			pred, err := (&core.Model{Machine: mp, App: w}).Predict()
 			if err != nil {
 				return err
 			}

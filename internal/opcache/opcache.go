@@ -7,10 +7,10 @@
 // in one pass — how every consumer reads it (admission scans ladders,
 // the governor walks them) — into a Row the caller owns, and counts the
 // evaluation. The scheduler keeps each row on the job's queue entry and
-// drops it when the job leaves; the federation router prices into one
-// reused buffer. One-off evaluations — the analysis sweeps and the
-// model-surface figures — call core.Model.Predict directly (DESIGN.md
-// "Pricing a point").
+// reuses it for a later job once this one leaves; the federation router
+// prices into one reused buffer. One-off evaluations — the analysis
+// sweeps and the model-surface figures — call core.Model.Predict
+// directly (DESIGN.md "Pricing a point").
 //
 // The owner-keyed memo (Row, Point, Forget) has no runtime caller:
 // it stays only for the outside timings in bench/layers.go and goes with
@@ -57,9 +57,9 @@ func (r *Row) PartialTp(fi int, frac float64) units.Seconds {
 // width-slack rules (sched admission, fed routing) compare widths by.
 func (r *Row) FastestTp() units.Seconds {
 	min := r.Pred[0].Tp
-	for _, pr := range r.Pred[1:] {
-		if pr.Tp < min {
-			min = pr.Tp
+	for i := 1; i < len(r.Pred); i++ { // by index: a ranged copy is 11 words
+		if r.Pred[i].Tp < min {
+			min = r.Pred[i].Tp
 		}
 	}
 	return min
@@ -194,8 +194,10 @@ func (c *Cache) Eval(r *Row, v app.Vector, n float64, p int) error {
 	r.W = w
 	r.Pred = resize(r.Pred, len(c.ladder))
 	r.Draw = resize(r.Draw, len(c.ladder))
+	m := core.Model{App: w}
 	for i := range c.ladder {
-		pr, err := (core.Model{Machine: c.params[i], App: w}).Predict()
+		m.Machine = c.params[i]
+		pr, err := m.Predict()
 		if err != nil {
 			return fmt.Errorf("opcache: %s at n=%g p=%d f=%v: %w", v.Name, n, p, c.ladder[i], err)
 		}

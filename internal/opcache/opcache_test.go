@@ -34,7 +34,7 @@ func TestRowMatchesDirectPredict(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := (core.Model{Machine: mp, App: v.At(n, p)}).Predict()
+			want, err := (&core.Model{Machine: mp, App: v.At(n, p)}).Predict()
 			if err != nil {
 				t.Fatal(err)
 			}

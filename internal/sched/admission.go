@@ -254,9 +254,9 @@ type pricedRow struct {
 
 // priced returns the job's ladder row at width p of the pool with its
 // fastest runtime, or a nil row where the model does not evaluate. A
-// width is evaluated once, into a row the entry owns — by referenceTp,
-// or when free ranks cap a search at a width outside its set — and
-// every later search scans e.grid.
+// width is evaluated once — by referenceTp, or when free ranks cap a
+// search at a width outside its set — into the top spare row, which the
+// entry keeps unless the model fails; every later search scans e.grid.
 func (s *Scheduler) priced(e *entry, pool, p int) (*opcache.Row, units.Seconds) {
 	for i := range e.grid {
 		if g := &e.grid[i]; g.p == p && g.pool == pool {
@@ -264,8 +264,14 @@ func (s *Scheduler) priced(e *entry, pool, p int) (*opcache.Row, units.Seconds) 
 		}
 	}
 	g := pricedRow{pool: pool, p: p}
-	if row := new(opcache.Row); s.pools[pool].cache.Eval(row, e.job.Vector, e.job.N, p) == nil {
-		g.row, g.fastest = row, row.FastestTp()
+	if len(s.spare) == 0 {
+		s.spare = append(s.spare, new(opcache.Row))
+	}
+	if row := s.spare[len(s.spare)-1]; s.pools[pool].cache.Eval(row, e.job.Vector, e.job.N, p) == nil {
+		g.row, g.fastest, s.spare = row, row.FastestTp(), s.spare[:len(s.spare)-1]
+	}
+	if n := len(s.spareGrids); e.grid == nil && n > 0 {
+		e.grid, s.spareGrids = s.spareGrids[n-1], s.spareGrids[:n-1]
 	}
 	e.grid = append(e.grid, g)
 	return g.row, g.fastest

@@ -10,6 +10,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/app"
 	"repro/internal/capplan"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/machine"
@@ -603,6 +604,102 @@ func TestEntryReleasesRowsWhenTheJobLeaves(t *testing.T) {
 	if st := s.cacheStats(); st != (opcache.Stats{Misses: parentMisses}) {
 		t.Errorf("op-cache counters %+v; want the parent's %d evaluations, no hit and no forget", st, parentMisses)
 	}
+}
+
+// A recycled row is never a live one. On a noisy, faulted run over a
+// mixed platform, an At hook at every 20 ms finds the spare lists free
+// of duplicates (a row or grid handed out twice would be priced over
+// while held) and disjoint from every running job's row and every
+// queued or running entry's grid and grid backing; reservations hold no
+// rows at all.
+func TestSpareRowsAreNeverLive(t *testing.T) {
+	pl, err := machine.ParsePlatform("systemg:8,dori:8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{
+		Platform: pl, Cap: 1500, Policy: Backfill(EEMax()), EdgeRetune: true, Noise: cluster.DefaultNoise(), Seed: 3,
+		Faults: mustFaultPlan(t, "mtbf=*:2,mttr=*:0.2,retries=2,ckpt=0.1"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	backing := func(g []pricedRow) *pricedRow { return &g[:cap(g)][0] }
+	checks, shared := 0, 0
+	for i := 1; i <= 1000; i++ {
+		err := s.At(units.Seconds(i)*20*units.Millisecond, func() {
+			now := s.cl.Kernel().Now()
+			spare, grids := map[*opcache.Row]bool{}, map[*pricedRow]bool{}
+			for _, r := range s.spare {
+				if spare[r] {
+					t.Fatalf("t=%v: row %p is on the spare list twice", now, r)
+				}
+				spare[r] = true
+			}
+			for _, g := range s.spareGrids {
+				if grids[backing(g)] {
+					t.Fatalf("t=%v: a grid backing is on the spare list twice", now)
+				}
+				grids[backing(g)] = true
+			}
+			live := func(e *entry, who string) {
+				if e.grid != nil && grids[backing(e.grid)] {
+					t.Fatalf("t=%v: %s job %d's grid backing is spare", now, who, e.job.ID)
+				}
+				for _, g := range e.grid {
+					if spare[g.row] {
+						t.Fatalf("t=%v: %s job %d's (pool %d, p=%d) row is spare", now, who, e.job.ID, g.pool, g.p)
+					}
+				}
+			}
+			for _, rj := range s.running {
+				if spare[rj.prof] {
+					t.Fatalf("t=%v: running job %d's row is spare", now, rj.e.job.ID)
+				}
+				live(rj.e, "running")
+			}
+			for _, e := range s.queue {
+				live(e, "queued")
+			}
+			checks++
+			if len(spare) > 0 && len(grids) > 0 && len(s.running)+len(s.queue) > 0 {
+				shared++
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := s.Run(SyntheticTrace(TraceConfig{Jobs: 96, Seed: 3, MeanInterarrival: 50 * units.Millisecond, MaxWidth: 8}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Kills == 0 || res.Completed == 0 || shared < 100 {
+		t.Fatalf("%d kills, %d done, %d of %d checks with spare rows beside live jobs; want every path exercised",
+			res.Kills, res.Completed, shared, checks)
+	}
+}
+
+// Rows are recycled, so the rows a run allocates track the jobs live at
+// once, not the trace: every entry has left when Run returns, so the
+// spare list then holds every row the run made. Doubling a steady
+// trace must not double it.
+func TestRowsTrackLiveJobsNotTraceLength(t *testing.T) {
+	made := func(jobs int) int {
+		s, err := New(Config{Platform: machine.Homogeneous(testSpec()), Ranks: 64, Cap: 2500, Policy: Backfill(EEMax()), Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(SyntheticTrace(TraceConfig{Jobs: jobs, Seed: 1, MeanInterarrival: 50 * units.Millisecond})); err != nil {
+			t.Fatal(err)
+		}
+		return len(s.spare)
+	}
+	short, long := made(1024), made(2048)
+	if short == 0 || 2*long > 3*short {
+		t.Fatalf("%d rows for 1024 jobs, %d for 2048; want well under double", short, long)
+	}
+	t.Logf("%d rows for 1024 jobs, %d for 2048", short, long)
 }
 
 // A requeue is not an exit: a killed job waits for its repair with its

@@ -217,11 +217,7 @@ func (g *governor) relinquish() {
 		return
 	}
 	for _, rj := range g.sorted() {
-		floor := rj.eeIdx
-		if rj.admIdx > floor {
-			floor = rj.admIdx
-		}
-		if rj.fIdx > floor {
+		if floor := max(rj.eeIdx, rj.admIdx); rj.fIdx > floor {
 			g.retune(rj, floor, "relinquish loaned watts to admission")
 		}
 	}

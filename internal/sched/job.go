@@ -227,10 +227,7 @@ func SyntheticTrace(cfg TraceConfig) []Job {
 	for i := 0; i < cfg.Jobs; i++ {
 		sh := shapes[rng.Intn(len(shapes))]
 		n := sh.nLo * math.Exp(rng.Float64()*math.Log(sh.nHi/sh.nLo))
-		width := 1 << (3 + rng.Intn(3)) // 8..32
-		if width > cfg.MaxWidth {
-			width = cfg.MaxWidth
-		}
+		width := min(1<<(3+rng.Intn(3)), cfg.MaxWidth) // 8..32
 		j := Job{
 			ID:       i,
 			Vector:   sh.vec,

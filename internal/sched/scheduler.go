@@ -187,6 +187,11 @@ type Scheduler struct {
 	inPass bool
 	shadow *shadowScratch
 
+	// spare holds the rows no entry owns, and spareGrids the emptied
+	// grid backings, that leave returns for priced to reuse.
+	spare      []*opcache.Row
+	spareGrids [][]pricedRow
+
 	// res is the run's ledger: every count and energy known the moment
 	// it happens is booked here, once (see collect).
 	res Result
@@ -210,7 +215,7 @@ type entry struct {
 	// refTp and floor are the job's pricing, set at its first grid search
 	// (referenceTp): the unconstrained fastest runtime — 0 until priced,
 	// negative on a model failure — and the per-pool admissibility floor.
-	// grid owns the rows behind them (priced); leave drops both.
+	// grid owns the rows behind them (priced); leave recycles them.
 	refTp units.Seconds
 	floor []poolFloor
 	grid  []pricedRow
@@ -565,13 +570,11 @@ func (s *Scheduler) Run(jobs []Job) (Result, error) {
 	// a fixed order.
 	s.scheduleFaults()
 
-	// Arrival events are scheduled in submission order so that same-time
-	// arrivals enqueue deterministically (the kernel fires equal-time
-	// events FIFO).
+	// Arrivals fire in time order, same-time ones in submission order
+	// (the stable sort), and the kernel holds only the next one.
 	k := s.cl.Kernel()
-	for _, e := range ordered {
-		k.Schedule(e.job.Arrival, func() { s.arrive(e) })
-	}
+	slices.SortStableFunc(ordered, func(a, b *entry) int { return cmp.Compare(a.job.Arrival, b.job.Arrival) })
+	k.ScheduleSeries(len(ordered), func(i int) units.Seconds { return ordered[i].job.Arrival }, func(i int) { s.arrive(ordered[i]) })
 	// Nothing in the scheduler spawns a process: job slices are timer
 	// callbacks, so Run's loop never touches a channel or a second
 	// goroutine.
@@ -633,11 +636,19 @@ func (s *Scheduler) reject(e *entry, reason string) {
 }
 
 // leave is the one exit of finish, reject and lose: it sets and books
-// the terminal state and drops the entry's pricing rows (s.entries
-// outlives the job, so that is the rows' release).
+// the terminal state and moves the entry's pricing rows to the spare
+// list for priced to reuse (s.entries outlives the job).
 func (s *Scheduler) leave(e *entry, state JobState) {
 	e.res.State = state
 	s.remaining--
+	for _, g := range e.grid {
+		if g.row != nil {
+			s.spare = append(s.spare, g.row)
+		}
+	}
+	if e.grid != nil {
+		s.spareGrids = append(s.spareGrids, e.grid[:0])
+	}
 	e.grid, e.floor = nil, nil
 	switch state {
 	case Done:
@@ -793,11 +804,7 @@ func (s *Scheduler) schedulePlanEdges() {
 		// sheds draw already over the incoming control cap, so the extra
 		// edges are exact no-ops wherever the step turns out not to drop.
 		if next < prev || s.capPlan.IsRevisable() {
-			pre := bp - s.cfg.Interval
-			if pre < 0 {
-				pre = 0
-			}
-			edges = append(edges, edge{t: pre, preDrop: true})
+			edges = append(edges, edge{t: max(bp-s.cfg.Interval, 0), preDrop: true})
 		}
 		edges = append(edges, edge{t: bp})
 		prev = next
@@ -926,13 +933,7 @@ func (s *Scheduler) start(e *entry, cand Candidate, backfilled bool, queueAfter 
 		perComm = units.Seconds(float64(perComm) * scale)
 	}
 
-	slices := int(float64(cand.Tp)/float64(s.cfg.Interval) + 0.5)
-	if slices < 4 {
-		slices = 4
-	}
-	if slices > 512 {
-		slices = 512
-	}
+	slices := min(max(int(float64(cand.Tp)/float64(s.cfg.Interval)+0.5), 4), 512)
 
 	eeIdx := 0
 	for i := range prof.Pred {

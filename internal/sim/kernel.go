@@ -16,6 +16,10 @@
 //     power-budget scheduler runs on. The kernel allocates nothing per
 //     event; callers keep it so by binding each recurring callback once
 //     (a chain's phase completion, the profiler's tick) and re-arming it.
+//     ScheduleSeries queues a whole sorted series (a trace's arrivals)
+//     one event at a time, so the heap holds live events and the next
+//     arrival, not the trace; a cancelled Timer leaves a tombstone the
+//     loop meets in key order, so no pop probes a set.
 //   - Process-oriented code (Spawn) models blocking behaviour: every
 //     simulated process (Proc) runs in its own goroutine, but exactly one
 //     goroutine — either the kernel loop or a single process — executes
@@ -148,11 +152,12 @@ type Kernel struct {
 	rng      *rand.Rand
 	nEvents  int64
 
-	// cancelled holds the seqs of events revoked via Timer.Cancel. The
-	// heap is not rebuilt on cancel; the loop discards a popped event
-	// whose seq is in this set before it can fire. Lazily allocated so
-	// simulations that never cancel pay nothing.
-	cancelled map[int64]struct{}
+	// tombs holds the (t, seq) keys of events revoked via Timer.Cancel,
+	// as a second heap. The event heap is not rebuilt on cancel: events
+	// pop in strictly increasing key order, so the loop discards a popped
+	// event whose key tops tombs and drops tombstones below it (cancels
+	// of events that had already fired).
+	tombs eventHeap
 
 	// Always-on host-side gauges (a compare or two per event — see
 	// Stats). They never feed back into the simulation.
@@ -184,18 +189,56 @@ func (k *Kernel) LiveProcs() int { return k.live }
 // fn must not block; to model blocking behaviour, use a Proc.
 // Scheduling in the past is an error the kernel reports at Run time.
 func (k *Kernel) Schedule(t units.Seconds, fn func()) {
-	if t < k.now {
-		// Clamp, but surface the bug: scheduling in the past would break
-		// causality silently. Panic is appropriate here — this is a
-		// programming error inside the simulator's callers, not an input
-		// error.
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, k.now))
-	}
 	k.seq++
-	k.events.push(event{t: t, seq: k.seq, fn: fn})
+	k.push(event{t: t, seq: k.seq, fn: fn})
+}
+
+// push queues e, whose seq the caller has taken.
+func (k *Kernel) push(e event) {
+	if e.t < k.now {
+		// Surface the bug: scheduling in the past would break causality
+		// silently. Panic is appropriate here — this is a programming
+		// error inside the simulator's callers, not an input error.
+		panic(fmt.Sprintf("sim: schedule at %v before now %v", e.t, k.now))
+	}
+	k.events.push(e)
 	if n := len(k.events); n > k.maxHeap {
 		k.maxHeap = n
 	}
+}
+
+// ScheduleSeries does what n Schedule calls, fn(i) at at(i) for i in
+// [0, n), made now would do, but holds only the next one in the heap:
+// it takes the seq block those calls would have taken, and firing i
+// queues i+1 under its own seq, so every callback fires at the same
+// (t, seq) key and in the same order. The times must not decrease.
+func (k *Kernel) ScheduleSeries(n int, at func(i int) units.Seconds, fn func(i int)) {
+	if n <= 0 {
+		return
+	}
+	sr := &series{k: k, base: k.seq + 1, n: n, at: at, fn: fn}
+	sr.next = sr.fire
+	k.seq += int64(n)
+	k.push(event{t: at(0), seq: sr.base, fn: sr.next})
+}
+
+// series is the state of one ScheduleSeries: i is the index the queued
+// event fires, base its seq at index 0, next its event bound once.
+type series struct {
+	k    *Kernel
+	base int64
+	i, n int
+	at   func(int) units.Seconds
+	fn   func(int)
+	next func()
+}
+
+func (sr *series) fire() {
+	i := sr.i
+	if sr.i++; sr.i < sr.n {
+		sr.k.push(event{t: sr.at(sr.i), seq: sr.base + int64(sr.i), fn: sr.next})
+	}
+	sr.fn(i)
 }
 
 // After registers fn to run d from now.
@@ -209,11 +252,12 @@ func (k *Kernel) After(d units.Seconds, fn func()) {
 // Timer is a handle to one scheduled event that can be revoked before it
 // fires. The zero Timer is valid and Cancel on it is a no-op, so holders
 // need no nil checks for "never armed". Cancelling an event that has
-// already fired (or was already cancelled) is also a no-op: the fired
-// event's seq can never be popped again, so the stale tombstone is
-// harmless and is reclaimed when the queue drains.
+// already fired (or was already cancelled) is also a no-op: its key lies
+// below every key still to pop, so the stale tombstone is dropped at
+// the next pop, or when the queue drains.
 type Timer struct {
 	k   *Kernel
+	t   units.Seconds
 	seq int64
 }
 
@@ -222,16 +266,13 @@ func (t Timer) Cancel() {
 	if t.k == nil || t.seq == 0 {
 		return
 	}
-	if t.k.cancelled == nil {
-		t.k.cancelled = make(map[int64]struct{})
-	}
-	t.k.cancelled[t.seq] = struct{}{}
+	t.k.tombs.push(event{t: t.t, seq: t.seq})
 }
 
 // AfterTimer is After returning a cancellable handle.
 func (k *Kernel) AfterTimer(d units.Seconds, fn func()) Timer {
 	k.After(d, fn)
-	return Timer{k: k, seq: k.seq}
+	return Timer{k: k, t: k.now + d, seq: k.seq}
 }
 
 // DeadlockError reports a simulation that ended with parked processes.
@@ -251,9 +292,12 @@ func (e *DeadlockError) Error() string {
 func (k *Kernel) loop() error {
 	for len(k.events) > 0 {
 		e := k.events.pop()
-		if len(k.cancelled) > 0 {
-			if _, dead := k.cancelled[e.seq]; dead {
-				delete(k.cancelled, e.seq)
+		if len(k.tombs) > 0 && !e.before(&k.tombs[0]) {
+			for len(k.tombs) > 0 && k.tombs[0].before(&e) {
+				k.tombs.pop()
+			}
+			if len(k.tombs) > 0 && k.tombs[0].seq == e.seq {
+				k.tombs.pop()
 				continue
 			}
 		}
@@ -273,10 +317,10 @@ func (k *Kernel) loop() error {
 			return k.procErr
 		}
 	}
-	// Tombstones for events cancelled after firing can never be popped;
+	// Tombstones for events cancelled after firing can never be met;
 	// reclaim them once the queue drains.
 	if len(k.events) == 0 {
-		k.cancelled = nil
+		k.tombs = nil
 	}
 	return nil
 }

@@ -1,8 +1,13 @@
 package sim
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/units"
 )
 
 func TestTimerCancelSkipsEvent(t *testing.T) {
@@ -75,7 +80,7 @@ func TestTimerZeroAndPostFireCancelAreNoops(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("n = %d, want 2", n)
 	}
-	if k.cancelled != nil {
+	if k.tombs != nil {
 		t.Fatal("tombstones not reclaimed after queue drained")
 	}
 }
@@ -99,6 +104,66 @@ func TestTimerCancelOneOfSameTime(t *testing.T) {
 	for i := range want {
 		if order[i] != want[i] {
 			t.Fatalf("order = %v, want %v", order, want)
+		}
+	}
+}
+
+// Tombstones against a replay of the same schedule: timers and
+// cancellers armed up front on a small time grid (so ties, cancels
+// before and after the fire, and double cancels are common); a timer
+// fires exactly when no canceller for it popped first.
+func TestTimerCancelMatchesReplay(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 300; trial++ {
+		k := NewKernel(1)
+		type armed struct {
+			t      units.Seconds
+			target int // -1: a timer; else the timer this cancels
+		}
+		var evs []armed
+		var timers []Timer
+		var fired []int
+		for i := 0; i < 40; i++ {
+			at := units.Seconds(r.Intn(8))
+			if len(timers) == 0 || r.Intn(2) == 0 {
+				id := len(timers)
+				evs = append(evs, armed{t: at, target: -1})
+				timers = append(timers, k.AfterTimer(at, func() { fired = append(fired, id) }))
+				continue
+			}
+			target := r.Intn(len(timers))
+			evs = append(evs, armed{t: at, target: target})
+			k.Schedule(at, func() { timers[target].Cancel() })
+		}
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		// Replay: pop order is (t, arming order).
+		order := make([]int, len(evs))
+		for i := range order {
+			order[i] = i
+		}
+		sort.SliceStable(order, func(a, b int) bool { return evs[order[a]].t < evs[order[b]].t })
+		var want []int
+		cancelled := map[int]bool{}
+		timerID := make([]int, len(evs))
+		for i, id := 0, 0; i < len(evs); i++ {
+			if evs[i].target < 0 {
+				timerID[i], id = id, id+1
+			}
+		}
+		for _, i := range order {
+			if evs[i].target >= 0 {
+				cancelled[evs[i].target] = true
+			} else if !cancelled[timerID[i]] {
+				want = append(want, timerID[i])
+			}
+		}
+		if !slices.Equal(fired, want) {
+			t.Fatalf("trial %d: fired %v, want %v", trial, fired, want)
+		}
+		if k.tombs != nil {
+			t.Fatalf("trial %d: %d tombstones left after the drain", trial, len(k.tombs))
 		}
 	}
 }
