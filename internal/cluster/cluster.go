@@ -29,8 +29,9 @@
 // DVFS ladder is evaluated once into a table (machine.Spec.LadderParams):
 // an operation half reads the rank's vector in place, a retune is a table
 // lookup (Spec.AtFrequency only for an off-ladder frequency), and every
-// meter — the DVFS energy banks, EnergySince, ReadMeter — derives from
-// one busy-time reader, so the meter is cheap enough to leave on.
+// meter — the DVFS energy banks, EnergySince, StepMeter — derives from
+// one busy-time reader, so the meter is cheap enough to leave on. A
+// per-rank touch count lets StepMeter skip a rank nothing changed.
 package cluster
 
 import (
@@ -132,6 +133,7 @@ type Cluster struct {
 	opActive []bool       // per rank: an operation is in flight (guards Start/CompleteOp pairing)
 	banks    []energyBank // per rank: energy banked at past operating points
 	retunes  []int64      // per rank: effective frequency changes absorbed
+	touches  []int64      // per rank: busy-counter and vector changes (StepMeter)
 
 	// onRetune observers fire after every effective SetRankFrequency (a
 	// call that changed nothing fires nothing) — the hardware-level
@@ -252,6 +254,7 @@ func New(cfg Config) (*Cluster, error) {
 	c.opActive = make([]bool, cfg.Ranks)
 	c.banks = make([]energyBank, cfg.Ranks)
 	c.retunes = make([]int64, cfg.Ranks)
+	c.touches = make([]int64, cfg.Ranks)
 	return c, nil
 }
 
@@ -291,6 +294,7 @@ func (c *Cluster) SetRankFrequency(rank int, f units.Hertz) error {
 	c.bankRank(r)
 	c.params[r] = *mp
 	c.retunes[r]++
+	c.touches[r]++
 	for _, fn := range c.onRetune {
 		fn(r, from, f)
 	}
@@ -431,6 +435,7 @@ func (c *Cluster) CompleteOp(rank int) {
 	op := c.inflight[r]
 	c.inflight[r] = inflightOp{}
 	c.opActive[r] = false
+	c.touches[r]++
 	ctr := c.counters.Rank(r)
 	ctr.ComputeTime += op.dc
 	ctr.MemoryTime += op.dm
@@ -455,6 +460,7 @@ func (c *Cluster) AbortOp(rank int) {
 	op := c.inflight[r]
 	c.inflight[r] = inflightOp{}
 	c.opActive[r] = false
+	c.touches[r]++
 	frac := 1.0
 	if op.end > op.start {
 		frac = float64(c.kernel.Now()-op.start) / float64(op.end-op.start)
@@ -517,7 +523,9 @@ func (c *Cluster) RecordSend(src int, bytes units.Bytes) {
 // time pro rata over the transfer interval so power sampling sees
 // sustained occupancy instead of a spike at the operation boundary.
 func (c *Cluster) RecordNetworkBusy(rank int, d units.Seconds) {
-	c.counters.Rank(c.checkRank(rank)).NetworkTime += d
+	r := c.checkRank(rank)
+	c.counters.Rank(r).NetworkTime += d
+	c.touches[r]++
 	c.noteEnd(c.kernel.Now())
 }
 

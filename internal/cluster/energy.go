@@ -37,7 +37,7 @@ func (e EnergyReport) String() string {
 // attributes in-flight operations pro rata, so the deltas are monotone
 // even across a mid-operation banking point. Every per-rank meter sits on
 // this one reader: the cluster's own DVFS energy banks (bankRank),
-// external per-rank meters (EnergySince) and the profiler's ReadMeter.
+// external per-rank meters (EnergySince) and the profiler's StepMeter.
 func (c *Cluster) componentEnergySince(r int, since units.Seconds, base ComponentBusy) (idle, cpu, mem, io units.Joules, cur ComponentBusy) {
 	cur = c.rankBusy(r)
 	mp := &c.params[r]
@@ -59,42 +59,70 @@ func (c *Cluster) EnergySince(rank int, since units.Seconds, base ComponentBusy)
 	return idle + cpu + mem + io, cur
 }
 
-// MeterReading is one reading of a rank's meter, everything derived from
-// a single busy snapshot taken at the current virtual time.
-type MeterReading struct {
-	// Busy is the rank's cumulative per-component busy time, in-flight
-	// work attributed pro rata.
-	Busy ComponentBusy
-	// Retunes counts the effective SetRankFrequency changes the rank has
-	// absorbed; samplers compare counts to detect windows that span an
-	// operating-point change.
-	Retunes int64
-	// Idle, CPU, Memory and IO are the rank's cumulative energy
-	// decomposition from provisioning to now, piecewise-exact across DVFS
-	// retunes: the banked segments priced at their own operating points
-	// plus the tail at the current vector. Differencing consecutive
-	// readings gives exact window energies no matter how many retunes the
-	// window spans — the power profiler's correction path rests on this
-	// (Idle is the lumped Psys-idle integral; the rest are per category).
+// Meter is one reader's running reading of a rank's meter, advanced in
+// place by StepMeter: the reading it took last (unexported) and what the
+// last step measured over the window since the step before. A zero Meter
+// reads from provisioning.
+type Meter struct {
+	// Busy is the busy time the rank accrued in the last stepped window,
+	// in-flight work attributed pro rata. Idle, CPU, Memory and IO are
+	// the window's exact component energies, piecewise across DVFS
+	// retunes: each segment priced at its own operating point (Idle is
+	// the lumped Psys-idle integral). A MeterQuiet step leaves all five
+	// as they were.
+	Busy                  ComponentBusy
 	Idle, CPU, Memory, IO units.Joules
+
+	// busy and idle…io are the cumulative readings at the last step;
+	// touches and retunes the rank's counts then.
+	busy               ComponentBusy
+	touches, retunes   int64
+	idle, cpu, mem, io units.Joules
 }
 
-// ReadMeter reads rank r's meter. The busy snapshot is a pure function of
-// the rank's counters, its in-flight operation and the clock, so deriving
-// the energies from the same snapshot Busy reports is bit-identical to
-// taking one snapshot per quantity — and a third of the work.
-func (c *Cluster) ReadMeter(rank int) MeterReading {
+// MeterStep is what StepMeter found in a rank's window.
+type MeterStep uint8
+
+const (
+	// MeterQuiet: nothing touched the rank and nothing is in flight, so
+	// its busy time and active energies are those of the last step; only
+	// the idle integral advanced.
+	MeterQuiet MeterStep = iota
+	// MeterSteady: the rank kept one operating point; Busy is exact and
+	// the window's power is its vector's idle plus ΔP × utilisation.
+	MeterSteady
+	// MeterRetuned: the window spans ≥ 1 effective retune; Busy and the
+	// window energies are exact, and only the energies price it right.
+	MeterRetuned
+)
+
+// StepMeter advances m to rank r's reading now. A rank with nothing in
+// flight whose touch count has not moved since m's last step costs one
+// idle product: every mutator of its busy counters or vector bumps the
+// count (StartCompute and StartComm need not — the operation stays in
+// flight until CompleteOp or AbortOp bumps it). Any other rank takes one
+// busy snapshot and its cumulative energies, differenced against m in
+// place. Each cumulative quantity is the expression a full reading
+// evaluates, so consecutive steps difference bit-identical readings.
+// Busy counters written through Counters() bypass the count.
+func (c *Cluster) StepMeter(rank int, m *Meter) MeterStep {
 	r := c.checkRank(rank)
 	bk := &c.banks[r]
-	idle, cpu, mem, io, cur := c.componentEnergySince(r, bk.tBase, bk.busyBase)
-	return MeterReading{
-		Busy:    cur,
-		Retunes: c.retunes[r],
-		Idle:    bk.idle + idle,
-		CPU:     bk.cpu + cpu,
-		Memory:  bk.mem + mem,
-		IO:      bk.io + io,
+	if !c.opActive[r] && c.touches[r] == m.touches {
+		m.idle = bk.idle + units.Energy(c.params[r].PsysIdle, c.kernel.Now()-bk.tBase)
+		return MeterQuiet
 	}
+	idle, cpu, mem, io, cur := c.componentEnergySince(r, bk.tBase, bk.busyBase)
+	idle, cpu, mem, io = bk.idle+idle, bk.cpu+cpu, bk.mem+mem, bk.io+io
+	m.Busy = cur.BusySince(m.busy)
+	m.Idle, m.CPU, m.Memory, m.IO = idle-m.idle, cpu-m.cpu, mem-m.mem, io-m.io
+	m.busy, m.idle, m.cpu, m.mem, m.io = cur, idle, cpu, mem, io
+	m.touches = c.touches[r]
+	if m.retunes == c.retunes[r] {
+		return MeterSteady
+	}
+	m.retunes = c.retunes[r]
+	return MeterRetuned
 }
 
 // energy computes the exact (noise-free) energy decomposition. Each rank

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/machine"
@@ -14,6 +16,33 @@ func presetPlatform() machine.Platform {
 		{Spec: machine.SystemG(), Nodes: 4},
 		{Spec: machine.Dori(), Nodes: 4},
 	}}
+}
+
+// MeterReading is one full reading of a rank's meter, everything derived
+// from a single busy snapshot taken at the current virtual time:
+// cumulative busy time, the retune count, and the cumulative energy
+// decomposition from provisioning to now, piecewise-exact across DVFS
+// retunes (Idle is the lumped Psys-idle integral).
+type MeterReading struct {
+	Busy                  ComponentBusy
+	Retunes               int64
+	Idle, CPU, Memory, IO units.Joules
+}
+
+// ReadMeter is the full reading StepMeter replaced, kept here as the
+// step's reference: differencing two readings is what a step must return.
+func (c *Cluster) ReadMeter(rank int) MeterReading {
+	r := c.checkRank(rank)
+	bk := &c.banks[r]
+	idle, cpu, mem, io, cur := c.componentEnergySince(r, bk.tBase, bk.busyBase)
+	return MeterReading{
+		Busy:    cur,
+		Retunes: c.retunes[r],
+		Idle:    bk.idle + idle,
+		CPU:     bk.cpu + cpu,
+		Memory:  bk.mem + mem,
+		IO:      bk.io + io,
+	}
 }
 
 // The three accessors ReadMeter replaced, kept here as its reference:
@@ -114,6 +143,114 @@ func TestReadMeterEqualsThreeAccessors(t *testing.T) {
 	}
 }
 
+// meterScript drives rank r through a random script of the six meter
+// mutators until the given time: operations completed at their end or
+// aborted part-way, instantaneous network busy time, and bursts of
+// retunes (ineffective ones included), with gaps that leave whole
+// sampling windows quiet and others that pack several retunes into one.
+func meterScript(c *Cluster, r int, rng *rand.Rand, interval, until units.Seconds) {
+	k := c.Kernel()
+	ladder := c.platform.Pools[c.rankPool[r]].Spec.Frequencies
+	var end units.Seconds // the in-flight operation's end
+	var act func()
+	next := func(gap units.Seconds) {
+		if k.Now()+gap < until {
+			k.After(gap, act)
+		}
+	}
+	act = func() {
+		gap := units.Seconds(rng.ExpFloat64()*0.5) * interval
+		switch x := rng.Intn(10); {
+		case x < 2: // a retune burst
+			for n := 1 + rng.Intn(3); n > 0; n-- {
+				if err := c.SetRankFrequency(r, ladder[rng.Intn(len(ladder))]); err != nil {
+					panic(err)
+				}
+			}
+			gap /= 4
+		case x < 3:
+			c.RecordNetworkBusy(r, units.Seconds(rng.Float64())*interval)
+		case x < 4: // a quiet stretch of several windows
+			gap = units.Seconds(2+rng.Intn(4)) * interval
+		case c.opActive[r] && x < 7:
+			gap = max(end-k.Now(), 0)
+			k.After(gap, func() { c.CompleteOp(r) })
+		case c.opActive[r]:
+			c.AbortOp(r)
+		case x < 7:
+			end = k.Now() + c.StartCompute(r, rng.Float64()*5e6, rng.Float64()*5e3, 0.5+rng.Float64()/2)
+		default:
+			end = k.Now() + c.StartComm(r, units.Seconds(3*rng.Float64())*interval, 0.5+rng.Float64()/2)
+		}
+		next(gap)
+	}
+	next(units.Seconds(rng.Float64()) * interval)
+}
+
+// Over random per-rank scripts of the six mutators, every StepMeter
+// equals differencing two ReadMeter readings bit for bit: a quiet step
+// only where the full reading did not move, a retuned one exactly where
+// the retune count did, and the step's own reading the full one.
+func TestStepMeterMatchesReadMeter(t *testing.T) {
+	const clusters, interval, horizon = 40, units.Millisecond, 40 * units.Millisecond
+	var kinds [3]int
+	multi := 0 // windows spanning two or more effective retunes
+	for seed := range int64(clusters) {
+		c := mustNew(t, Config{Platform: presetPlatform(), Ranks: 8, Alpha: 0.9, Seed: seed})
+		rng := rand.New(rand.NewSource(seed))
+		for r := 0; r < c.Ranks(); r++ {
+			meterScript(c, r, rng, interval, horizon)
+		}
+		meters := make([]Meter, c.Ranks())
+		prev := make([]MeterReading, c.Ranks())
+		var sample func()
+		sample = func() {
+			for r := range meters {
+				m, p := &meters[r], &prev[r]
+				got, cur := c.StepMeter(r, m), c.ReadMeter(r)
+				kinds[got]++
+				if cur.Retunes-p.Retunes >= 2 {
+					multi++
+				}
+				want := MeterSteady
+				if cur.Retunes != p.Retunes {
+					want = MeterRetuned
+				}
+				at := fmt.Sprintf("seed %d rank %d at %v", seed, r, c.Kernel().Now())
+				switch {
+				case got == MeterQuiet:
+					if moved := (MeterReading{Busy: cur.Busy, Retunes: cur.Retunes, Idle: p.Idle, CPU: cur.CPU, Memory: cur.Memory, IO: cur.IO}); moved != *p {
+						t.Fatalf("%s: quiet step, but the reading moved from %+v to %+v", at, *p, cur)
+					}
+				case got != want:
+					t.Fatalf("%s: step %d, want %d (retunes %d → %d)", at, got, want, p.Retunes, cur.Retunes)
+				case m.Busy != cur.Busy.BusySince(p.Busy) || m.Idle != cur.Idle-p.Idle || m.CPU != cur.CPU-p.CPU ||
+					m.Memory != cur.Memory-p.Memory || m.IO != cur.IO-p.IO:
+					t.Fatalf("%s: window %+v, readings differ by busy %+v, energies %v %v %v %v", at, *m,
+						cur.Busy.BusySince(p.Busy), cur.Idle-p.Idle, cur.CPU-p.CPU, cur.Memory-p.Memory, cur.IO-p.IO)
+				}
+				if own := (MeterReading{Busy: m.busy, Retunes: m.retunes, Idle: m.idle, CPU: m.cpu, Memory: m.mem, IO: m.io}); own != cur {
+					t.Fatalf("%s: the step's reading %+v, ReadMeter %+v", at, own, cur)
+				}
+				*p = cur
+			}
+			if c.Kernel().Now() < horizon+4*interval {
+				c.Kernel().After(interval, sample)
+			}
+		}
+		sample() // a zero Meter reads from provisioning
+		if err := c.Kernel().Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if kinds[MeterQuiet] == 0 || kinds[MeterSteady] == 0 || kinds[MeterRetuned] == 0 || multi == 0 {
+		t.Fatalf("the scripts missed a case: %d quiet, %d steady, %d retuned steps, %d multi-retune windows",
+			kinds[MeterQuiet], kinds[MeterSteady], kinds[MeterRetuned], multi)
+	}
+	t.Logf("%d scripts: %d quiet, %d steady, %d retuned steps, %d multi-retune windows",
+		clusters*8, kinds[MeterQuiet], kinds[MeterSteady], kinds[MeterRetuned], multi)
+}
+
 // The ladder table is a cache of Spec.AtFrequency, not a restriction:
 // every ladder frequency of every pool, and an off-ladder one, retunes a
 // rank to exactly the vector AtFrequency returns.
@@ -166,6 +303,7 @@ func TestRankPlaneDoesNotAllocate(t *testing.T) {
 	i := 0
 	var sink float64
 	var base ComponentBusy
+	meters := make([]Meter, c.Ranks())
 	for name, fn := range map[string]func(){
 		"StartCompute+CompleteOp": func() {
 			sink += float64(c.StartCompute(i%64, 1e6, 1e4, 0.9))
@@ -186,6 +324,7 @@ func TestRankPlaneDoesNotAllocate(t *testing.T) {
 			sink += float64(e)
 		},
 		"ReadMeter": func() { sink += float64(c.ReadMeter(i % 64).Idle) },
+		"StepMeter": func() { sink += float64(c.StepMeter(i%64, &meters[i%64])) },
 	} {
 		if got := testing.AllocsPerRun(200, func() { fn(); i++ }); got != 0 {
 			t.Errorf("%s: %v allocs per call, want 0", name, got)

@@ -92,11 +92,13 @@ func Profile(mk func() (npb.Kernel, error), spec machine.Spec, p int, interval u
 		return rep, trace, err
 	}
 	prof, err := power.Attach(cl, interval, true, ranks...)
-	if err == nil {
-		rep, err = npb.Run(cl, k)
-	}
 	if err != nil {
 		return rep, trace, err
 	}
-	return rep, prof.Profile(), nil
+	tr := power.Profile{Interval: interval}
+	prof.OnSample(func(s power.Sample) { tr.Samples = append(tr.Samples, s) })
+	if rep, err = npb.Run(cl, k); err != nil {
+		return rep, trace, err
+	}
+	return rep, tr, nil
 }

@@ -17,10 +17,12 @@
 // exceed 1 (compressed wall time), mirroring how measured component
 // power can exceed nominal active power during dense phases.
 //
-// A sample costs one cluster.ReadMeter per tracked rank — busy snapshot,
-// retune count and cumulative energies from a single snapshot — against
-// the previous reading kept per rank, and allocates nothing beyond the
-// trace's own growth.
+// A sample costs one cluster.StepMeter per tracked rank, which advances
+// the rank's reading in place: a rank nothing touched since the last
+// sample adds its idle floor, and only busy or retuned ranks take a busy
+// snapshot. The profiler keeps no trace — a caller that wants one
+// subscribes with OnSample — so a sample allocates nothing and a run's
+// memory does not grow with its makespan.
 package power
 
 import (
@@ -43,31 +45,27 @@ type Sample struct {
 	Total  units.Watts
 }
 
-// Profile is a completed power trace.
+// Profile is a power trace, as an OnSample subscriber collects it.
 type Profile struct {
 	Interval units.Seconds
-	Ranks    []int // ranks aggregated into the trace
 	Samples  []Sample
 }
 
-// Profiler samples a cluster while its kernel runs. Attach it before
-// Kernel().Run(); read Profile() afterwards.
+// Profiler samples a cluster while its kernel runs. Attach it, and
+// subscribe with OnSample, before Kernel().Run().
 type Profiler struct {
 	cl       *cluster.Cluster
 	interval units.Seconds
 	ranks    []int
 	noisy    bool
 
-	// prev is each tracked rank's meter reading at the previous sample:
-	// the busy baseline of the utilisation formula, and for the
-	// retune-correction path the cumulative piecewise-exact component
-	// energies and the rank's retune count (see record).
-	prev []cluster.MeterReading
+	// meters is each tracked rank's running meter reading, stepped in
+	// place at every sample (see record).
+	meters []cluster.Meter
 	// params is each tracked rank's machine vector, refreshed when the
-	// rank's retune count moves — the only way a vector changes.
-	params  []machine.Params
-	prevT   units.Seconds
-	samples []Sample
+	// rank's window spans a retune — the only way a vector changes.
+	params []machine.Params
+	prevT  units.Seconds
 
 	onSample  []func(Sample)
 	keepAlive func() bool
@@ -75,9 +73,10 @@ type Profiler struct {
 }
 
 // OnSample registers fn to run in kernel context immediately after each
-// sample is recorded — the subscription point for runtime controllers
-// (the sched package's DVFS governor closes its control loop here) and
-// passive observers (the telemetry recorder). Subscribers run in
+// sample is taken — the subscription point for runtime controllers
+// (the sched package's DVFS governor closes its control loop here),
+// passive observers (the telemetry recorder) and a caller that keeps the
+// trace (append each sample to a Profile). Subscribers run in
 // registration order, so a controller registered before an observer acts
 // before the observer records — registration order is part of the
 // control-plane contract, not an accident of last-wins.
@@ -125,10 +124,10 @@ func Attach(cl *cluster.Cluster, interval units.Seconds, noisy bool, ranks ...in
 	}
 	p := &Profiler{cl: cl, interval: interval, ranks: ranks, noisy: noisy}
 	p.prevT = cl.Kernel().Now()
-	p.prev = make([]cluster.MeterReading, len(ranks))
+	p.meters = make([]cluster.Meter, len(ranks))
 	p.params = make([]machine.Params, len(ranks))
 	for i, r := range ranks {
-		p.prev[i] = cl.ReadMeter(r)
+		cl.StepMeter(r, &p.meters[i])
 		p.params[i] = cl.Params(r)
 	}
 	p.tickFn = p.tick
@@ -155,18 +154,24 @@ func (p *Profiler) record() {
 	}
 	s := Sample{T: now}
 	for i, r := range p.ranks {
-		// One reading per rank per sample: busy baseline, retune count
-		// and cumulative energies all come from the same snapshot.
-		cur, prev, mp := p.cl.ReadMeter(r), &p.prev[i], &p.params[i]
-		if cur.Retunes == prev.Retunes {
-			// Steady window: the rank kept one machine vector, so the
-			// classic utilisation formula is exact.
-			d := cur.Busy.BusySince(prev.Busy)
+		m, mp := &p.meters[i], &p.params[i]
+		switch p.cl.StepMeter(r, m) {
+		case cluster.MeterQuiet:
+			// Nothing touched the rank: the steady formula with zero
+			// busy time, bit for bit (x + ΔP·0/dt == x).
+			s.CPU += mp.PcIdle
+			s.Memory += mp.PmIdle
+			s.IO += mp.PioIdle
+			s.Other += mp.Pother
+		case cluster.MeterSteady:
+			// The rank kept one machine vector, so the classic
+			// utilisation formula is exact.
+			d := &m.Busy
 			s.CPU += mp.PcIdle + units.Watts(float64(mp.DeltaPc)*float64(d.Compute)/float64(dt))
 			s.Memory += mp.PmIdle + units.Watts(float64(mp.DeltaPm)*float64(d.Memory)/float64(dt))
 			s.IO += mp.PioIdle + units.Watts(float64(mp.DeltaPio)*float64(d.IO)/float64(dt))
 			s.Other += mp.Pother
-		} else {
+		case cluster.MeterRetuned:
 			// The window spans ≥1 DVFS retune: pricing the whole window's
 			// busy time and idle power at window-end parameters would
 			// misread it (a rank handed from a low-frequency job to a
@@ -178,17 +183,16 @@ func (p *Profiler) record() {
 			// split it across components in the window-end vector's
 			// proportions (the split is cosmetic, the total is exact).
 			*mp = p.cl.Params(r)
-			idleRate := float64(cur.Idle-prev.Idle) / float64(dt)
+			idleRate := float64(m.Idle) / float64(dt)
 			share := 1.0
 			if mp.PsysIdle > 0 {
 				share = idleRate / float64(mp.PsysIdle)
 			}
-			s.CPU += units.Watts(float64(mp.PcIdle)*share + float64(cur.CPU-prev.CPU)/float64(dt))
-			s.Memory += units.Watts(float64(mp.PmIdle)*share + float64(cur.Memory-prev.Memory)/float64(dt))
-			s.IO += units.Watts(float64(mp.PioIdle)*share + float64(cur.IO-prev.IO)/float64(dt))
+			s.CPU += units.Watts(float64(mp.PcIdle)*share + float64(m.CPU)/float64(dt))
+			s.Memory += units.Watts(float64(mp.PmIdle)*share + float64(m.Memory)/float64(dt))
+			s.IO += units.Watts(float64(mp.PioIdle)*share + float64(m.IO)/float64(dt))
 			s.Other += units.Watts(float64(mp.Pother) * share)
 		}
-		*prev = cur
 	}
 	p.prevT = now
 	if p.noisy {
@@ -198,7 +202,6 @@ func (p *Profiler) record() {
 		s.Other = p.meter(s.Other)
 	}
 	s.Total = s.CPU + s.Memory + s.IO + s.Other
-	p.samples = append(p.samples, s)
 	for _, fn := range p.onSample {
 		fn(s)
 	}
@@ -211,11 +214,6 @@ func (p *Profiler) meter(w units.Watts) units.Watts {
 		f = 0
 	}
 	return units.Watts(float64(w) * f)
-}
-
-// Profile returns the recorded trace. Call after Kernel().Run().
-func (p *Profiler) Profile() Profile {
-	return Profile{Interval: p.interval, Ranks: p.ranks, Samples: p.samples}
 }
 
 // Energy integrates the trace: Σ sample-power × window. For noiseless

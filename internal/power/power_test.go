@@ -35,6 +35,13 @@ func testSpec() machine.Spec {
 	}
 }
 
+// trace subscribes a Profile to prof: every sample it takes, in order.
+func trace(prof *Profiler) *Profile {
+	pr := &Profile{Interval: prof.interval}
+	prof.OnSample(func(s Sample) { pr.Samples = append(pr.Samples, s) })
+	return pr
+}
+
 func TestProfileIntegratesToTrueEnergy(t *testing.T) {
 	cl, err := cluster.New(cluster.Config{Spec: testSpec(), Ranks: 2})
 	if err != nil {
@@ -44,6 +51,7 @@ func TestProfileIntegratesToTrueEnergy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pr := trace(prof)
 	for r := 0; r < 2; r++ {
 		r := r
 		cl.Kernel().Spawn("rank", func(p *sim.Proc) {
@@ -53,7 +61,6 @@ func TestProfileIntegratesToTrueEnergy(t *testing.T) {
 	if err := cl.Kernel().Run(); err != nil {
 		t.Fatal(err)
 	}
-	pr := prof.Profile()
 	if len(pr.Samples) == 0 {
 		t.Fatal("no samples recorded")
 	}
@@ -81,13 +88,13 @@ func TestSamplePowersAreDecomposed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pr := trace(prof)
 	cl.Kernel().Spawn("r0", func(p *sim.Proc) {
 		cl.Compute(p, 0, 1e8, 0) // pure CPU, 100ms
 	})
 	if err := cl.Kernel().Run(); err != nil {
 		t.Fatal(err)
 	}
-	pr := prof.Profile()
 	// During a full-utilisation CPU window: CPU = idle 40 + Δ 20 = 60 W,
 	// memory stays at idle 20 W, other flat 30 W, io idle 10 W.
 	s := pr.Samples[len(pr.Samples)/2]
@@ -114,6 +121,7 @@ func TestIdleTailShowsIdlePower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pr := trace(prof)
 	cl.Kernel().Spawn("r0", func(p *sim.Proc) {
 		cl.Compute(p, 0, 1e7, 0) // 10ms busy
 		p.Sleep(90 * units.Millisecond)
@@ -121,7 +129,6 @@ func TestIdleTailShowsIdlePower(t *testing.T) {
 	if err := cl.Kernel().Run(); err != nil {
 		t.Fatal(err)
 	}
-	pr := prof.Profile()
 	lastSample := pr.Samples[len(pr.Samples)-1]
 	wantIdle := 40.0 + 20 + 10 + 30
 	if math.Abs(float64(lastSample.Total)-wantIdle) > 1e-9 {
@@ -138,13 +145,13 @@ func TestPeakAndMean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pr := trace(prof)
 	cl.Kernel().Spawn("r0", func(p *sim.Proc) {
 		cl.Compute(p, 0, 5e7, 0)
 	})
 	if err := cl.Kernel().Run(); err != nil {
 		t.Fatal(err)
 	}
-	pr := prof.Profile()
 	if pr.PeakTotal() < pr.MeanTotal() {
 		t.Fatalf("peak %v < mean %v", pr.PeakTotal(), pr.MeanTotal())
 	}
@@ -162,11 +169,11 @@ func TestCSVAndRender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pr := trace(prof)
 	cl.Kernel().Spawn("r0", func(p *sim.Proc) { cl.Compute(p, 0, 2e7, 1e4) })
 	if err := cl.Kernel().Run(); err != nil {
 		t.Fatal(err)
 	}
-	pr := prof.Profile()
 	var sb strings.Builder
 	if err := pr.WriteCSV(&sb); err != nil {
 		t.Fatal(err)
@@ -198,11 +205,11 @@ func TestNoisyMeter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pr := trace(prof)
 	cl.Kernel().Spawn("r0", func(p *sim.Proc) { cl.Compute(p, 0, 1e8, 0) })
 	if err := cl.Kernel().Run(); err != nil {
 		t.Fatal(err)
 	}
-	pr := prof.Profile()
 	// Samples in identical full-load windows should differ (meter noise)…
 	mid := pr.Samples[len(pr.Samples)/2]
 	next := pr.Samples[len(pr.Samples)/2+1]
@@ -277,12 +284,12 @@ func TestSubsetRanks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pr := trace(prof)
 	cl.Kernel().Spawn("r0", func(p *sim.Proc) { p.Sleep(50 * units.Millisecond) })
 	cl.Kernel().Spawn("r1", func(p *sim.Proc) { cl.Compute(p, 1, 5e7, 0) })
 	if err := cl.Kernel().Run(); err != nil {
 		t.Fatal(err)
 	}
-	pr := prof.Profile()
 	// Rank 0 idles, so its trace must show pure idle power even though
 	// rank 1 is busy.
 	for _, s := range pr.Samples {
@@ -303,6 +310,7 @@ func TestOnSampleAndKeepSampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pr := trace(prof)
 	var seen []Sample
 	prof.OnSample(func(s Sample) { seen = append(seen, s) })
 	stop := 20 * units.Millisecond
@@ -313,7 +321,7 @@ func TestOnSampleAndKeepSampling(t *testing.T) {
 	if err := cl.Kernel().Run(); err != nil {
 		t.Fatal(err)
 	}
-	samples := prof.Profile().Samples
+	samples := pr.Samples
 	if len(seen) != len(samples) {
 		t.Fatalf("subscriber saw %d of %d samples", len(seen), len(samples))
 	}
@@ -340,6 +348,7 @@ func TestOnSampleMultipleSubscribers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pr := trace(prof)
 	var order []string
 	first, second := 0, 0
 	prof.OnSample(func(Sample) {
@@ -356,7 +365,7 @@ func TestOnSampleMultipleSubscribers(t *testing.T) {
 	if err := cl.Kernel().Run(); err != nil {
 		t.Fatal(err)
 	}
-	n := len(prof.Profile().Samples)
+	n := len(pr.Samples)
 	if n == 0 {
 		t.Fatal("no samples recorded")
 	}
@@ -427,17 +436,21 @@ func systemGCluster(tb testing.TB, n int) *cluster.Cluster {
 	return cl
 }
 
-// A sample reads each rank's meter in place: with room in the trace, a
-// 64-rank record allocates nothing — steady windows and windows that
-// span a retune alike.
+// A sample steps each rank's meter in place and keeps no trace: a
+// 64-rank record allocates nothing — quiet ranks, ranks with an
+// operation in flight, and windows that span a retune alike.
 func TestRecordDoesNotAllocate(t *testing.T) {
 	cl := systemGCluster(t, 64)
 	p, err := Attach(cl, 25*units.Millisecond, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	n := 0
+	p.OnSample(func(Sample) { n++ })
+	for r := 0; r < 64; r += 3 {
+		cl.StartCompute(r, 1e9, 1e6, 0.9) // in flight for the whole test
+	}
 	const runs = 100
-	p.samples = make([]Sample, 0, 2*runs+2)
 	ladder := machine.SystemG().Frequencies
 	i := 0
 	record := func() {
@@ -455,8 +468,35 @@ func TestRecordDoesNotAllocate(t *testing.T) {
 	if got := testing.AllocsPerRun(runs, record); got != 0 {
 		t.Fatalf("record allocates %v per 64-rank sample, want 0", got)
 	}
-	if len(p.samples) != runs+1 {
-		t.Fatalf("%d samples recorded, want %d", len(p.samples), runs+1)
+	if n != runs+1 {
+		t.Fatalf("%d samples delivered, want %d", n, runs+1)
+	}
+}
+
+// A KeepSampling run's allocations do not grow with its sample count:
+// the profiler keeps folds, not a trace.
+func TestSamplingMemoryIsFlat(t *testing.T) {
+	run := func(samples int) float64 {
+		return testing.AllocsPerRun(1, func() {
+			cl := systemGCluster(t, 16)
+			p, err := Attach(cl, 25*units.Millisecond, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			p.OnSample(func(Sample) { n++ })
+			p.KeepSampling(func() bool { return n < samples })
+			cl.Kernel().Spawn("work", func(proc *sim.Proc) { cl.Compute(proc, 3, 1e9, 1e6) })
+			if err := cl.Kernel().Run(); err != nil {
+				t.Fatal(err)
+			}
+			if n != samples {
+				t.Fatalf("%d samples, want %d", n, samples)
+			}
+		})
+	}
+	if one, two := run(2000), run(4000); two > one {
+		t.Fatalf("doubling the samples raised the run's allocations from %v to %v", one, two)
 	}
 }
 

@@ -311,7 +311,11 @@ func (s *Scheduler) referenceTp(e *entry) (units.Seconds, bool) {
 	}
 	e.refTp = ref
 	maxTp := units.Seconds(float64(ref) * PerfSlack)
-	e.floor = make([]poolFloor, len(s.pools))
+	if n := len(s.spareFloors); n > 0 {
+		e.floor, s.spareFloors = s.spareFloors[n-1], s.spareFloors[:n-1]
+	} else {
+		e.floor = make([]poolFloor, len(s.pools))
+	}
 	for pi := range e.floor {
 		e.floor[pi] = poolFloor{p: math.MaxInt, cost: units.Watts(math.Inf(1))}
 	}

@@ -642,9 +642,19 @@ func TestSpareRowsAreNeverLive(t *testing.T) {
 				}
 				grids[backing(g)] = true
 			}
+			floors := map[*poolFloor]bool{}
+			for _, f := range s.spareFloors {
+				if floors[&f[0]] {
+					t.Fatalf("t=%v: a floor backing is on the spare list twice", now)
+				}
+				floors[&f[0]] = true
+			}
 			live := func(e *entry, who string) {
 				if e.grid != nil && grids[backing(e.grid)] {
 					t.Fatalf("t=%v: %s job %d's grid backing is spare", now, who, e.job.ID)
+				}
+				if e.floor != nil && floors[&e.floor[0]] {
+					t.Fatalf("t=%v: %s job %d's floor backing is spare", now, who, e.job.ID)
 				}
 				for _, g := range e.grid {
 					if spare[g.row] {
@@ -662,7 +672,7 @@ func TestSpareRowsAreNeverLive(t *testing.T) {
 				live(e, "queued")
 			}
 			checks++
-			if len(spare) > 0 && len(grids) > 0 && len(s.running)+len(s.queue) > 0 {
+			if len(spare) > 0 && len(grids) > 0 && len(floors) > 0 && len(s.running)+len(s.queue) > 0 {
 				shared++
 			}
 		})
@@ -680,12 +690,12 @@ func TestSpareRowsAreNeverLive(t *testing.T) {
 	}
 }
 
-// Rows are recycled, so the rows a run allocates track the jobs live at
-// once, not the trace: every entry has left when Run returns, so the
-// spare list then holds every row the run made. Doubling a steady
-// trace must not double it.
+// Rows and floors are recycled, so the ones a run allocates track the
+// jobs live at once, not the trace: every entry has left when Run
+// returns, so the spare lists then hold every row and floor the run
+// made. Doubling a steady trace must not double either.
 func TestRowsTrackLiveJobsNotTraceLength(t *testing.T) {
-	made := func(jobs int) int {
+	made := func(jobs int) (rows, floors int) {
 		s, err := New(Config{Platform: machine.Homogeneous(testSpec()), Ranks: 64, Cap: 2500, Policy: Backfill(EEMax()), Seed: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -693,13 +703,17 @@ func TestRowsTrackLiveJobsNotTraceLength(t *testing.T) {
 		if _, err := s.Run(SyntheticTrace(TraceConfig{Jobs: jobs, Seed: 1, MeanInterarrival: 50 * units.Millisecond})); err != nil {
 			t.Fatal(err)
 		}
-		return len(s.spare)
+		return len(s.spare), len(s.spareFloors)
 	}
-	short, long := made(1024), made(2048)
+	short, shortFloors := made(1024)
+	long, longFloors := made(2048)
 	if short == 0 || 2*long > 3*short {
 		t.Fatalf("%d rows for 1024 jobs, %d for 2048; want well under double", short, long)
 	}
-	t.Logf("%d rows for 1024 jobs, %d for 2048", short, long)
+	if shortFloors == 0 || 2*longFloors > 3*shortFloors {
+		t.Fatalf("%d floors for 1024 jobs, %d for 2048; want well under double", shortFloors, longFloors)
+	}
+	t.Logf("%d rows and %d floors for 1024 jobs, %d and %d for 2048", short, shortFloors, long, longFloors)
 }
 
 // A requeue is not an exit: a killed job waits for its repair with its

@@ -33,9 +33,12 @@ type governor struct {
 	order []*runningJob // sorted()'s reused buffer
 
 	// last and lastWin are where the next sampling window starts: the
-	// previous sample's time and plan window (both 0 before the first).
+	// previous sample's time and plan window (both 0 before the first);
+	// after the run, last is the sampling horizon. energy is the
+	// measured power integral over [0, last], folded sample by sample.
 	last    units.Seconds
 	lastWin int
+	energy  units.Joules
 }
 
 // capEpsilon absorbs float rounding when auditing samples against the
@@ -76,6 +79,7 @@ func (g *governor) onSample(sm power.Sample) {
 		}
 		ws[j].Energy += sm.EnergyIn(g.last, ws[j].Start, end)
 	}
+	g.energy += units.Energy(sm.Total, sm.T-g.last)
 	g.last, g.lastWin = sm.T, i
 	if !g.s.cfg.Policy.DVFS() {
 		return
@@ -155,7 +159,7 @@ func (g *governor) boost() {
 		changed := false
 		for _, rj := range g.sorted() {
 			next := rj.fIdx + 1
-			if next >= len(g.s.ladderOf(rj)) {
+			if next >= len(g.s.pools[rj.pool].ladder) {
 				continue
 			}
 			eeGain := rj.prof.Pred[next].EE > rj.prof.Pred[rj.fIdx].EE+1e-12
@@ -237,7 +241,7 @@ func (g *governor) retune(rj *runningJob, idx int, why string) {
 	}
 	now := g.s.cl.Kernel().Now()
 	rj.progress, rj.pricedAt = rj.fracAt(now), now
-	f := g.s.ladderOf(rj)[idx]
+	f := g.s.pools[rj.pool].ladder[idx]
 	for _, r := range rj.ranks {
 		rj.energy += g.s.retuneRank(r, f)
 	}

@@ -14,7 +14,7 @@ import (
 // happens — so its second derivation is the event stream: on a fault +
 // cap-plan run with a noisy meter (the only source of cap violations),
 // recount every booked figure from the retained events, from the
-// per-job records, and from the retained power profile.
+// per-job records, and from the power profile the sample events carry.
 func TestLedgerAgreesWithIndependentCounts(t *testing.T) {
 	// The 44th tick of the 25 ms sampling grid, summed as the kernel
 	// sums it: a breakpoint exactly on a sample time. The one at
@@ -120,7 +120,7 @@ func TestLedgerAgreesWithIndependentCounts(t *testing.T) {
 	}
 
 	// The window ledger against the profile it audited.
-	samples := s.prof.Profile().Samples
+	samples := streamProfile(mem)
 	if !sampledAt(samples, onGrid) {
 		t.Fatalf("no sample at %v: the fixture lost its breakpoint sample", onGrid)
 	}
@@ -155,6 +155,18 @@ func TestLedgerAgreesWithIndependentCounts(t *testing.T) {
 	if res.PeakPower != peak || peak == 0 {
 		t.Errorf("PeakPower = %v, largest sample %v", res.PeakPower, peak)
 	}
+}
+
+// streamProfile rebuilds a run's power profile from its own event
+// stream: every sample event carries the sample's time and total draw.
+func streamProfile(mem *telemetry.MemorySink) []power.Sample {
+	var samples []power.Sample
+	for _, ev := range mem.Events() {
+		if ev.Kind == telemetry.EvSample {
+			samples = append(samples, power.Sample{T: ev.T, Total: ev.Power})
+		}
+	}
+	return samples
 }
 
 // windowOracle re-derives the window ledger from the retained profile
@@ -229,6 +241,8 @@ func TestTotalEnergyMatchesMeasuredProfile(t *testing.T) {
 		{"callback after the drain", Config{Platform: systemg, Cap: 900, Policy: EEMax()}, 100},
 	} {
 		c.cfg.Seed = 1
+		mem := telemetry.NewMemorySink()
+		c.cfg.Telemetry = telemetry.New(mem)
 		s, err := New(c.cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -245,7 +259,7 @@ func TestTotalEnergyMatchesMeasuredProfile(t *testing.T) {
 		if c.cfg.Plan != nil && len(res.Windows) != 1 {
 			t.Errorf("%s: %d windows, want only the one the run reached", c.name, len(res.Windows))
 		}
-		measured := s.prof.Profile().Energy()
+		measured := power.Profile{Samples: streamProfile(mem)}.Energy()
 		if rel := math.Abs(float64(res.TotalEnergy-measured)) / float64(measured); !(rel <= 1e-9) {
 			t.Errorf("%s: TotalEnergy %v (parked %v), measured %v: relative gap %.3g",
 				c.name, res.TotalEnergy, res.ParkedEnergy, measured, rel)

@@ -106,11 +106,12 @@ func (s *Scheduler) collect() Result {
 	res.Cap = s.capPlan.CapAt(0)
 	res.Makespan = s.cl.Wall()
 	res.TotalEnergy = res.ParkedEnergy
-	res.MeanPower = s.prof.Profile().MeanTotal()
+	res.MeanPower = units.Power(s.gov.energy, s.gov.last) // 0 if never sampled
 	ids := slices.AppendSeq(make([]int, 0, len(s.entries)), maps.Keys(s.entries))
 	slices.Sort(ids)
 
 	var waits []units.Seconds
+	var waited units.Seconds
 	var energy units.Joules
 	var ee float64
 	for _, id := range ids {
@@ -121,7 +122,7 @@ func (s *Scheduler) collect() Result {
 		res.LostWork += r.LostWork
 		res.WastedEnergy += r.WastedEnergy
 		if r.State == Done {
-			waits = append(waits, r.Wait)
+			waits, waited = append(waits, r.Wait), waited+r.Wait
 			energy += r.Energy
 			ee += r.ModelEE
 		}
@@ -152,11 +153,7 @@ func (s *Scheduler) collect() Result {
 	if res.Completed > 0 {
 		res.EnergyPerJob = units.Joules(float64(energy) / float64(res.Completed))
 		res.MeanEE = ee / float64(res.Completed)
-		var sum units.Seconds
-		for _, w := range waits {
-			sum += w
-		}
-		res.MeanWait = units.Seconds(float64(sum) / float64(res.Completed))
+		res.MeanWait = units.Seconds(float64(waited) / float64(res.Completed))
 		sort.Slice(waits, func(a, b int) bool { return waits[a] < waits[b] })
 		res.MaxWait = waits[len(waits)-1]
 		res.P95Wait = waits[int(math.Ceil(0.95*float64(len(waits))))-1]
@@ -190,11 +187,10 @@ type WindowStat struct {
 // last sample), dropping windows the schedule never reached, and
 // returns it with the overall time-weighted cap utilisation.
 func (s *Scheduler) collectWindows() ([]WindowStat, float64) {
-	prof := s.prof.Profile()
-	if len(prof.Samples) == 0 {
+	horizon := s.gov.last
+	if horizon == 0 {
 		return nil, 0
 	}
-	horizon := prof.Samples[len(prof.Samples)-1].T
 	segs := s.capPlan.Segments()
 	stats := s.res.Windows
 	var capIntegral float64
@@ -221,7 +217,7 @@ func (s *Scheduler) collectWindows() ([]WindowStat, float64) {
 	util := 0.0
 	if capIntegral > 0 {
 		// No sampling window ends past the horizon: this is ∫P over it.
-		util = float64(prof.Energy()) / capIntegral
+		util = float64(s.gov.energy) / capIntegral
 	}
 	return stats, util
 }

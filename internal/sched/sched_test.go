@@ -15,6 +15,8 @@ import (
 	"repro/internal/faults"
 	"repro/internal/machine"
 	"repro/internal/opcache"
+	"repro/internal/power"
+	"repro/internal/telemetry"
 	"repro/internal/units"
 )
 
@@ -413,7 +415,9 @@ func TestPoliciesRespectCapAndEnergyBooks(t *testing.T) {
 		pols["backfill+"+name] = Backfill(pol)
 	}
 	for name, pol := range pols {
-		s, err := New(Config{Platform: machine.Homogeneous(testSpec()), Ranks: 16, Cap: 900, Policy: pol, Seed: 3})
+		mem := telemetry.NewMemorySink()
+		s, err := New(Config{Platform: machine.Homogeneous(testSpec()), Ranks: 16, Cap: 900, Policy: pol, Seed: 3,
+			Telemetry: telemetry.New(mem)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -438,7 +442,7 @@ func TestPoliciesRespectCapAndEnergyBooks(t *testing.T) {
 		if got, want := float64(jobsE+res.ParkedEnergy), float64(res.TotalEnergy); math.Abs(got-want) > 1e-6*want {
 			t.Errorf("%s: ledger mismatch: jobs+parked %g vs total %g", name, got, want)
 		}
-		traceE := float64(s.prof.Profile().Energy())
+		traceE := float64(power.Profile{Samples: streamProfile(mem)}.Energy())
 		if diff := math.Abs(traceE - float64(res.TotalEnergy)); diff > 0.02*traceE {
 			t.Errorf("%s: attributed energy %v vs profiled %g J differs by %.2f%%",
 				name, res.TotalEnergy, traceE, diff/traceE*100)

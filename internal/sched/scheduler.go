@@ -116,10 +116,9 @@ type poolState struct {
 // model. Every budget decision prices against one cap timeline (capPlan)
 // and every job, however dispatched, ends through vacate.
 type Scheduler struct {
-	cfg  Config
-	cl   *cluster.Cluster
-	prof *power.Profiler
-	gov  *governor
+	cfg Config
+	cl  *cluster.Cluster
+	gov *governor
 	// tel is the telemetry glue, nil when Config.Telemetry is nil;
 	// every emit site guards on it (internal/sched/telemetry.go).
 	tel *schedTelemetry
@@ -187,10 +186,11 @@ type Scheduler struct {
 	inPass bool
 	shadow *shadowScratch
 
-	// spare holds the rows no entry owns, and spareGrids the emptied
-	// grid backings, that leave returns for priced to reuse.
-	spare      []*opcache.Row
-	spareGrids [][]pricedRow
+	// spare holds the rows no entry owns, and spareGrids and spareFloors
+	// the grid and floor backings, that leave returns for reuse.
+	spare       []*opcache.Row
+	spareGrids  [][]pricedRow
+	spareFloors [][]poolFloor
 
 	// res is the run's ledger: every count and energy known the moment
 	// it happens is booked here, once (see collect).
@@ -443,11 +443,6 @@ func (s *Scheduler) narrowToLifetime(ctrl units.Watts, now units.Seconds, budget
 	return budget
 }
 
-// ladderOf returns the DVFS ladder of the pool hosting a running job.
-func (s *Scheduler) ladderOf(rj *runningJob) []units.Hertz {
-	return s.pools[rj.pool].ladder
-}
-
 // predictedTotal is the model-side sustained cluster draw: parked idle
 // (per pool, at that pool's ladder minimum) plus every running job's
 // conservative draw at its current frequency. The admission and
@@ -518,7 +513,6 @@ func (s *Scheduler) Run(jobs []Job) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	s.prof = prof
 	s.gov = &governor{s: s}
 	if s.cfg.Telemetry.Enabled() {
 		s.tel = newSchedTelemetry(s, s.cfg.Telemetry)
@@ -648,6 +642,9 @@ func (s *Scheduler) leave(e *entry, state JobState) {
 	}
 	if e.grid != nil {
 		s.spareGrids = append(s.spareGrids, e.grid[:0])
+	}
+	if e.floor != nil {
+		s.spareFloors = append(s.spareFloors, e.floor)
 	}
 	e.grid, e.floor = nil, nil
 	switch state {
@@ -1083,7 +1080,7 @@ func (s *Scheduler) vacate(rj *runningJob, abort bool) {
 		}
 		alive = make([]int, 0, len(rj.ranks))
 	}
-	park := s.ladderOf(rj)[0]
+	park := s.pools[rj.pool].ladder[0]
 	for _, r := range rj.ranks {
 		if abort {
 			s.cl.AbortOp(r)

@@ -252,7 +252,7 @@ func (t *schedTelemetry) emitRetune(rj *runningJob, from, to int, why string) {
 	if to > from {
 		kind = telemetry.EvBoost
 	}
-	ladder := t.s.ladderOf(rj)
+	ladder := t.s.pools[rj.pool].ladder
 	t.rec.Emit(telemetry.Event{
 		Kind:      kind,
 		Job:       rj.e.job.ID,
