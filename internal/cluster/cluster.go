@@ -8,8 +8,10 @@
 //     ΔPc, ΔPm, Psys-idle at the selected DVFS frequency),
 //   - one rank per node, each with its own full-duplex NIC, and a
 //     point-to-point network cost model with per-NIC serialisation,
-//   - per-rank performance counters and a TAU-style tracer, and
-//   - per-component busy-time accounting from which measured energy and
+//   - per-rank performance counters (workload counts) and a TAU-style
+//     tracer, and
+//   - a per-rank ledger of compute and memory busy time — the two active
+//     deltas the energy model prices — from which measured energy and
 //     instantaneous power are derived.
 //
 // Timing semantics follow the paper's performance model (Eq. 5–6): an
@@ -114,7 +116,7 @@ type Cluster struct {
 	params   []machine.Params // rank → current vector
 	alpha    float64
 	nets     []netmodel.Hockney // pool → Eq. 17's Ts + m·Tb (no DVFS point changes them)
-	counters *perfctr.Set
+	counters perfctr.Set
 	tracer   *trace.Tracer
 
 	// Per-rank NIC channels, as the time each is next free. NICs are
@@ -129,11 +131,12 @@ type Cluster struct {
 	measRNG *rand.Rand
 	wallEnd units.Seconds // latest completion over all recorded operations
 
-	inflight []inflightOp // per rank: the operation currently executing
-	opActive []bool       // per rank: an operation is in flight (guards Start/CompleteOp pairing)
-	banks    []energyBank // per rank: energy banked at past operating points
-	retunes  []int64      // per rank: effective frequency changes absorbed
-	touches  []int64      // per rank: busy-counter and vector changes (StepMeter)
+	busy     []ComponentBusy // per rank: busy time of retired operations
+	inflight []inflightOp    // per rank: the operation currently executing
+	opActive []bool          // per rank: an operation is in flight (guards Start/CompleteOp pairing)
+	banks    []energyBank    // per rank: energy banked at past operating points
+	retunes  []int64         // per rank: effective frequency changes absorbed
+	touches  []int64         // per rank: busy-ledger and vector changes (StepMeter)
 
 	// onRetune observers fire after every effective SetRankFrequency (a
 	// call that changed nothing fires nothing) — the hardware-level
@@ -148,17 +151,17 @@ type Cluster struct {
 // All-zero banks (no mid-run frequency change) reproduce the original
 // single-operating-point accounting bit for bit.
 type energyBank struct {
-	idle, cpu, mem, io units.Joules
-	tBase              units.Seconds // idle power integrated up to here
-	busyBase           ComponentBusy // busy time priced up to here
+	idle, cpu, mem units.Joules
+	tBase          units.Seconds // idle power integrated up to here
+	busyBase       ComponentBusy // busy time priced up to here
 }
 
 // inflightOp describes an operation in progress on a rank so that power
 // sampling can attribute its busy time pro rata over [start, end] instead
 // of as an instantaneous spike.
 type inflightOp struct {
-	start, end   units.Seconds
-	dc, dm, dnet units.Seconds // total component attributions of the op
+	start, end units.Seconds
+	dc, dm     units.Seconds // total component attributions of the op
 }
 
 // New validates the configuration and provisions the cluster.
@@ -242,7 +245,7 @@ func New(cfg Config) (*Cluster, error) {
 		params:   params,
 		alpha:    cfg.Alpha,
 		nets:     nets,
-		counters: perfctr.NewSet(),
+		counters: make(perfctr.Set, cfg.Ranks),
 		tracer:   trace.New(),
 		execRNG:  rand.New(rand.NewSource(cfg.Seed ^ 0x5eed0001)),
 		measRNG:  rand.New(rand.NewSource(cfg.Seed ^ 0x5eed0002)),
@@ -250,6 +253,7 @@ func New(cfg Config) (*Cluster, error) {
 
 	c.txFree = make([]units.Seconds, cfg.Ranks)
 	c.rxFree = make([]units.Seconds, cfg.Ranks)
+	c.busy = make([]ComponentBusy, cfg.Ranks)
 	c.inflight = make([]inflightOp, cfg.Ranks)
 	c.opActive = make([]bool, cfg.Ranks)
 	c.banks = make([]energyBank, cfg.Ranks)
@@ -316,11 +320,10 @@ func (c *Cluster) OnRetune(fn func(rank int, from, to units.Hertz)) {
 // change is priced at the outgoing power deltas.
 func (c *Cluster) bankRank(r int) {
 	bk := &c.banks[r]
-	idle, cpu, mem, io, cur := c.componentEnergySince(r, bk.tBase, bk.busyBase)
+	idle, cpu, mem, cur := c.componentEnergySince(r, bk.tBase, bk.busyBase)
 	bk.idle += idle
 	bk.cpu += cpu
 	bk.mem += mem
-	bk.io += io
 	bk.tBase = c.kernel.Now()
 	bk.busyBase = cur
 }
@@ -341,7 +344,7 @@ func (c *Cluster) PoolOf(rank int) int { return c.rankPool[c.checkRank(rank)] }
 func (c *Cluster) Alpha() float64 { return c.alpha }
 
 // Counters exposes the per-rank performance counters.
-func (c *Cluster) Counters() *perfctr.Set { return c.counters }
+func (c *Cluster) Counters() perfctr.Set { return c.counters }
 
 // Tracer exposes the TAU-style tracer.
 func (c *Cluster) Tracer() *trace.Tracer { return c.tracer }
@@ -381,8 +384,8 @@ func (c *Cluster) noteEnd(t units.Seconds) {
 
 // Compute executes onChip instructions and offChip memory accesses on the
 // rank's core: the process sleeps α·(onChip·tc + offChip·tm) of virtual
-// time (with execution jitter) while counters accumulate the un-overlapped
-// busy times used by the energy model.
+// time (with execution jitter) while the busy ledger accumulates the
+// un-overlapped busy times used by the energy model.
 func (c *Cluster) Compute(p *sim.Proc, rank int, onChip, offChip float64) {
 	wall := c.StartCompute(rank, onChip, offChip, c.alpha)
 	p.Sleep(wall)
@@ -412,7 +415,7 @@ func (c *Cluster) StartCompute(rank int, onChip, offChip, alpha float64) units.S
 	dc := c.jitter(units.Seconds(onChip*float64(mp.Tc)), c.cfg.Noise.ComputeJitter)
 	dm := c.jitter(units.Seconds(offChip*float64(mp.Tm)), c.cfg.Noise.MemoryJitter)
 
-	ctr := c.counters.Rank(r)
+	ctr := &c.counters[r]
 	ctr.AddCompute(onChip)
 	ctr.AddMemory(offChip)
 
@@ -425,8 +428,8 @@ func (c *Cluster) StartCompute(rank int, onChip, offChip, alpha float64) units.S
 
 // CompleteOp retires the in-flight operation StartCompute/StartComm
 // registered on a rank: component busy times are credited to the
-// rank's counters and the measured makespan advances to now. It must run
-// at the operation's end time.
+// rank's busy ledger and the measured makespan advances to now. It must
+// run at the operation's end time.
 func (c *Cluster) CompleteOp(rank int) {
 	r := c.checkRank(rank)
 	if !c.opActive[r] {
@@ -436,10 +439,9 @@ func (c *Cluster) CompleteOp(rank int) {
 	c.inflight[r] = inflightOp{}
 	c.opActive[r] = false
 	c.touches[r]++
-	ctr := c.counters.Rank(r)
-	ctr.ComputeTime += op.dc
-	ctr.MemoryTime += op.dm
-	ctr.NetworkTime += op.dnet
+	b := &c.busy[r]
+	b.Compute += op.dc
+	b.Memory += op.dm
 	c.noteEnd(c.kernel.Now())
 }
 
@@ -470,10 +472,9 @@ func (c *Cluster) AbortOp(rank int) {
 			frac = 1
 		}
 	}
-	ctr := c.counters.Rank(r)
-	ctr.ComputeTime += units.Seconds(frac * float64(op.dc))
-	ctr.MemoryTime += units.Seconds(frac * float64(op.dm))
-	ctr.NetworkTime += units.Seconds(frac * float64(op.dnet))
+	b := &c.busy[r]
+	b.Compute += units.Seconds(frac * float64(op.dc))
+	b.Memory += units.Seconds(frac * float64(op.dm))
 	c.noteEnd(c.kernel.Now())
 }
 
@@ -514,26 +515,15 @@ func (c *Cluster) ReserveLink(now units.Seconds, src, dst int, d units.Seconds) 
 
 // RecordSend accounts a sent message on the sender's counters.
 func (c *Cluster) RecordSend(src int, bytes units.Bytes) {
-	c.counters.Rank(c.checkRank(src)).AddMessage(bytes)
+	c.counters[c.checkRank(src)].AddMessage(bytes)
 }
 
-// RecordNetworkBusy attributes network occupancy time to a rank as an
-// instantaneous counter update. Callers that model the transfer as the
-// rank's operation should prefer StartComm, which attributes the busy
-// time pro rata over the transfer interval so power sampling sees
-// sustained occupancy instead of a spike at the operation boundary.
-func (c *Cluster) RecordNetworkBusy(rank int, d units.Seconds) {
-	r := c.checkRank(rank)
-	c.counters.Rank(r).NetworkTime += d
-	c.touches[r]++
-	c.noteEnd(c.kernel.Now())
-}
-
-// StartComm occupies a rank's network interface for busy time d over the
-// α-overlapped wall time α·d it returns: the busy time is registered as
-// an in-flight operation so the meters attribute it pro rata over the
-// transfer instead of as a spike at the boundary. The caller must run
-// CompleteOp(rank) at its end. alpha must lie in (0,1].
+// StartComm occupies a rank with a transfer of network time d for the
+// α-overlapped wall time α·d it returns. The transfer is the rank's
+// in-flight operation but prices no active delta (NIC power is in the
+// flat Pother term), so it only holds the rank and, at its CompleteOp,
+// extends the makespan. The caller must run CompleteOp(rank) at its end.
+// alpha must lie in (0,1].
 func (c *Cluster) StartComm(rank int, d units.Seconds, alpha float64) units.Seconds {
 	if d < 0 {
 		panic(fmt.Sprintf("cluster: negative network time %v", d))
@@ -547,14 +537,14 @@ func (c *Cluster) StartComm(rank int, d units.Seconds, alpha float64) units.Seco
 	}
 	wall := units.Seconds(alpha * float64(d))
 	now := c.kernel.Now()
-	c.inflight[r] = inflightOp{start: now, end: now + wall, dnet: d}
+	c.inflight[r] = inflightOp{start: now, end: now + wall}
 	c.opActive[r] = true
 	return wall
 }
 
 // NoteWall extends the measured makespan to t if t is later than every
-// completion recorded so far. The MPI runtime calls it when ranks finish
-// or unblock so that pure waiting (no counter activity) still counts
+// completion recorded so far. The MPI runtime calls it when ranks send,
+// finish or unblock so that communication and pure waiting still count
 // toward wall time.
 func (c *Cluster) NoteWall(t units.Seconds) { c.noteEnd(t) }
 

@@ -116,39 +116,35 @@ func comm(c *Cluster, d units.Seconds, alpha float64) {
 	})
 }
 
-// Network occupancy attributed through StartComm accrues pro rata over
-// the transfer interval — a mid-transfer snapshot sees sustained draw,
-// not a spike at the operation boundary.
+// A StartComm transfer holds the rank for α·d of wall time and prices
+// no active delta: the rank's busy time stays zero through the transfer
+// and its energy is idle power over the makespan it extends.
 func TestStartCommProRata(t *testing.T) {
-	c := mustNew(t, Config{Spec: testSpec(), Ranks: 1})
-	comm(c, 2, 1) // 2 s of network occupancy, α=1
-	var mid units.Seconds
-	c.Kernel().After(1, func() { mid = c.ReadMeter(0).Busy.Network })
-	if err := c.Kernel().Run(); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(float64(mid-1)) > 1e-12 {
-		t.Fatalf("mid-transfer network busy = %v, want 1s (pro rata)", mid)
-	}
-	if got := c.ReadMeter(0).Busy.Network; math.Abs(float64(got-2)) > 1e-12 {
-		t.Fatalf("final network busy = %v, want 2s", got)
-	}
-
-	// With overlap α=0.5 the wall interval halves but the attributed
-	// busy time does not: halfway through the 1 s transfer window the
-	// snapshot carries half of the 2 s occupancy.
-	o := mustNew(t, Config{Spec: testSpec(), Ranks: 1})
-	comm(o, 2, 0.5)
-	var half units.Seconds
-	o.Kernel().After(0.5, func() { half = o.ReadMeter(0).Busy.Network })
-	if err := o.Kernel().Run(); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(float64(half-1)) > 1e-12 {
-		t.Fatalf("α-overlapped mid-transfer network busy = %v, want 1s", half)
-	}
-	if math.Abs(float64(o.Wall()-1)) > 1e-12 {
-		t.Fatalf("wall = %v, want 1s (α-scaled)", o.Wall())
+	for _, alpha := range []float64{1, 0.5} {
+		c := mustNew(t, Config{Spec: testSpec(), Ranks: 1})
+		comm(c, 2, alpha) // 2 s of network time
+		var mid MeterReading
+		c.Kernel().After(units.Seconds(alpha), func() {
+			mid = c.ReadMeter(0)
+			defer func() {
+				if recover() == nil {
+					t.Errorf("α=%g: a second operation mid-transfer must panic", alpha)
+				}
+			}()
+			c.StartCompute(0, 1, 0, 1)
+		})
+		if err := c.Kernel().Run(); err != nil {
+			t.Fatal(err)
+		}
+		if mid.Busy != (ComponentBusy{}) || mid.CPU != 0 || mid.Memory != 0 {
+			t.Fatalf("α=%g: mid-transfer reading %+v, want no busy time or active energy", alpha, mid)
+		}
+		if math.Abs(float64(c.Wall())-2*alpha) > 1e-12 {
+			t.Fatalf("α=%g: wall = %v, want %gs (α-scaled)", alpha, c.Wall(), 2*alpha)
+		}
+		if e := c.TrueEnergy(); e.Total != e.Idle || e.Idle != units.Energy(c.Params(0).PsysIdle, c.Wall()) {
+			t.Fatalf("α=%g: energy %v, want idle power over the wall", alpha, e)
+		}
 	}
 }
 
@@ -166,8 +162,7 @@ func TestComputeTiming(t *testing.T) {
 	if math.Abs(float64(c.Wall()-want)) > 1e-15 {
 		t.Fatalf("wall = %v, want %v", c.Wall(), want)
 	}
-	ctr := c.Counters().Rank(0)
-	if ctr.OnChipOps != 1000 || ctr.OffChipAccesses != 10 {
+	if ctr := c.Counters()[0]; ctr.OnChipOps != 1000 || ctr.OffChipAccesses != 10 {
 		t.Fatalf("counters = %+v", ctr)
 	}
 }
@@ -186,12 +181,12 @@ func TestComputeOverlapAlpha(t *testing.T) {
 		t.Fatalf("wall = %v, want %v", c.Wall(), want)
 	}
 	// …but busy-time attribution is not (Eq. 9 uses full Won·tc).
-	ctr := c.Counters().Rank(0)
-	if math.Abs(float64(ctr.ComputeTime-1*units.Microsecond)) > 1e-15 {
-		t.Fatalf("compute busy = %v, want 1µs", ctr.ComputeTime)
+	b := c.busy[0]
+	if math.Abs(float64(b.Compute-1*units.Microsecond)) > 1e-15 {
+		t.Fatalf("compute busy = %v, want 1µs", b.Compute)
 	}
-	if math.Abs(float64(ctr.MemoryTime-1*units.Microsecond)) > 1e-15 {
-		t.Fatalf("memory busy = %v, want 1µs", ctr.MemoryTime)
+	if math.Abs(float64(b.Memory-1*units.Microsecond)) > 1e-15 {
+		t.Fatalf("memory busy = %v, want 1µs", b.Memory)
 	}
 }
 
@@ -614,16 +609,16 @@ func TestAbortOpProRata(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	ctr := c.Counters().Rank(0)
-	if math.Abs(float64(ctr.ComputeTime-500*units.Nanosecond)) > 1e-15 {
-		t.Fatalf("compute busy = %v, want 500ns", ctr.ComputeTime)
+	b := c.busy[0]
+	if math.Abs(float64(b.Compute-500*units.Nanosecond)) > 1e-15 {
+		t.Fatalf("compute busy = %v, want 500ns", b.Compute)
 	}
-	if math.Abs(float64(ctr.MemoryTime-500*units.Nanosecond)) > 1e-15 {
-		t.Fatalf("memory busy = %v, want 500ns", ctr.MemoryTime)
+	if math.Abs(float64(b.Memory-500*units.Nanosecond)) > 1e-15 {
+		t.Fatalf("memory busy = %v, want 500ns", b.Memory)
 	}
 	// The issued instruction counts stay whole — that work was lost, not
 	// unissued.
-	if ctr.OnChipOps != 1000 || ctr.OffChipAccesses != 10 {
+	if ctr := c.Counters()[0]; ctr.OnChipOps != 1000 || ctr.OffChipAccesses != 10 {
 		t.Fatalf("counters = %+v", ctr)
 	}
 	// Makespan advanced to the abort time.
@@ -645,18 +640,16 @@ func TestAbortOpRankReusable(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	ctr := c.Counters().Rank(0)
 	// 25% of (1µs + 1µs) + full 100ns compute.
-	if math.Abs(float64(ctr.ComputeTime-350*units.Nanosecond)) > 1e-15 {
-		t.Fatalf("compute busy = %v, want 350ns", ctr.ComputeTime)
+	if got := c.busy[0].Compute; math.Abs(float64(got-350*units.Nanosecond)) > 1e-15 {
+		t.Fatalf("compute busy = %v, want 350ns", got)
 	}
 }
 
 func TestAbortOpIdleRankNoop(t *testing.T) {
 	c := mustNew(t, Config{Spec: testSpec(), Ranks: 1})
 	c.AbortOp(0) // nothing in flight: must not panic
-	ctr := c.Counters().Rank(0)
-	if ctr.ComputeTime != 0 || ctr.MemoryTime != 0 {
-		t.Fatalf("counters changed on idle abort: %+v", ctr)
+	if b := c.busy[0]; b != (ComponentBusy{}) {
+		t.Fatalf("busy ledger changed on idle abort: %+v", b)
 	}
 }

@@ -10,7 +10,8 @@ import (
 // EnergyReport is the PowerPack-style whole-run energy measurement,
 // decomposed per component as in the paper's Eq. 7–9: total system energy
 // is idle-state energy over the whole execution plus the active deltas of
-// each component.
+// each component. The simulated workloads do no disk I/O (the paper's
+// benchmarks are not disk intensive, §IV.B), so no ΔPio term accrues.
 type EnergyReport struct {
 	Wall  units.Seconds // measured makespan (α-overlapped wall time)
 	Ranks int
@@ -18,7 +19,6 @@ type EnergyReport struct {
 	Idle   units.Joules // Σ_ranks Psys-idle · Wall
 	CPU    units.Joules // Σ_ranks ΔPc · compute busy time
 	Memory units.Joules // Σ_ranks ΔPm · memory busy time
-	IO     units.Joules // Σ_ranks ΔPio · I/O busy time
 	Total  units.Joules
 }
 
@@ -26,7 +26,7 @@ type EnergyReport struct {
 func (e EnergyReport) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "wall=%v ranks=%d total=%v", e.Wall, e.Ranks, e.Total)
-	fmt.Fprintf(&b, " (idle=%v cpu=%v mem=%v io=%v)", e.Idle, e.CPU, e.Memory, e.IO)
+	fmt.Fprintf(&b, " (idle=%v cpu=%v mem=%v)", e.Idle, e.CPU, e.Memory)
 	return b.String()
 }
 
@@ -38,14 +38,13 @@ func (e EnergyReport) String() string {
 // even across a mid-operation banking point. Every per-rank meter sits on
 // this one reader: the cluster's own DVFS energy banks (bankRank),
 // external per-rank meters (EnergySince) and the profiler's StepMeter.
-func (c *Cluster) componentEnergySince(r int, since units.Seconds, base ComponentBusy) (idle, cpu, mem, io units.Joules, cur ComponentBusy) {
+func (c *Cluster) componentEnergySince(r int, since units.Seconds, base ComponentBusy) (idle, cpu, mem units.Joules, cur ComponentBusy) {
 	cur = c.rankBusy(r)
 	mp := &c.params[r]
 	idle = units.Energy(mp.PsysIdle, c.kernel.Now()-since)
 	cpu = units.Energy(mp.DeltaPc, cur.Compute-base.Compute)
 	mem = units.Energy(mp.DeltaPm, cur.Memory-base.Memory)
-	io = units.Energy(mp.DeltaPio, cur.IO-base.IO)
-	return idle, cpu, mem, io, cur
+	return idle, cpu, mem, cur
 }
 
 // EnergySince returns the total energy rank r dissipated since a banking
@@ -55,8 +54,8 @@ func (c *Cluster) componentEnergySince(r int, since units.Seconds, base Componen
 // retunes (the sched package's per-job meters) bank with this before
 // every SetRankFrequency.
 func (c *Cluster) EnergySince(rank int, since units.Seconds, base ComponentBusy) (units.Joules, ComponentBusy) {
-	idle, cpu, mem, io, cur := c.componentEnergySince(c.checkRank(rank), since, base)
-	return idle + cpu + mem + io, cur
+	idle, cpu, mem, cur := c.componentEnergySince(c.checkRank(rank), since, base)
+	return idle + cpu + mem, cur
 }
 
 // Meter is one reader's running reading of a rank's meter, advanced in
@@ -65,19 +64,19 @@ func (c *Cluster) EnergySince(rank int, since units.Seconds, base ComponentBusy)
 // reads from provisioning.
 type Meter struct {
 	// Busy is the busy time the rank accrued in the last stepped window,
-	// in-flight work attributed pro rata. Idle, CPU, Memory and IO are
-	// the window's exact component energies, piecewise across DVFS
-	// retunes: each segment priced at its own operating point (Idle is
-	// the lumped Psys-idle integral). A MeterQuiet step leaves all five
-	// as they were.
-	Busy                  ComponentBusy
-	Idle, CPU, Memory, IO units.Joules
+	// in-flight work attributed pro rata. Idle, CPU and Memory are the
+	// window's exact component energies, piecewise across DVFS retunes:
+	// each segment priced at its own operating point (Idle is the lumped
+	// Psys-idle integral). A MeterQuiet step leaves all four as they
+	// were.
+	Busy              ComponentBusy
+	Idle, CPU, Memory units.Joules
 
-	// busy and idle…io are the cumulative readings at the last step;
+	// busy and idle…mem are the cumulative readings at the last step;
 	// touches and retunes the rank's counts then.
-	busy               ComponentBusy
-	touches, retunes   int64
-	idle, cpu, mem, io units.Joules
+	busy             ComponentBusy
+	touches, retunes int64
+	idle, cpu, mem   units.Joules
 }
 
 // MeterStep is what StepMeter found in a rank's window.
@@ -98,13 +97,12 @@ const (
 
 // StepMeter advances m to rank r's reading now. A rank with nothing in
 // flight whose touch count has not moved since m's last step costs one
-// idle product: every mutator of its busy counters or vector bumps the
+// idle product: every mutator of its busy ledger or vector bumps the
 // count (StartCompute and StartComm need not — the operation stays in
 // flight until CompleteOp or AbortOp bumps it). Any other rank takes one
 // busy snapshot and its cumulative energies, differenced against m in
 // place. Each cumulative quantity is the expression a full reading
 // evaluates, so consecutive steps difference bit-identical readings.
-// Busy counters written through Counters() bypass the count.
 func (c *Cluster) StepMeter(rank int, m *Meter) MeterStep {
 	r := c.checkRank(rank)
 	bk := &c.banks[r]
@@ -112,11 +110,11 @@ func (c *Cluster) StepMeter(rank int, m *Meter) MeterStep {
 		m.idle = bk.idle + units.Energy(c.params[r].PsysIdle, c.kernel.Now()-bk.tBase)
 		return MeterQuiet
 	}
-	idle, cpu, mem, io, cur := c.componentEnergySince(r, bk.tBase, bk.busyBase)
-	idle, cpu, mem, io = bk.idle+idle, bk.cpu+cpu, bk.mem+mem, bk.io+io
+	idle, cpu, mem, cur := c.componentEnergySince(r, bk.tBase, bk.busyBase)
+	idle, cpu, mem = bk.idle+idle, bk.cpu+cpu, bk.mem+mem
 	m.Busy = cur.BusySince(m.busy)
-	m.Idle, m.CPU, m.Memory, m.IO = idle-m.idle, cpu-m.cpu, mem-m.mem, io-m.io
-	m.busy, m.idle, m.cpu, m.mem, m.io = cur, idle, cpu, mem, io
+	m.Idle, m.CPU, m.Memory = idle-m.idle, cpu-m.cpu, mem-m.mem
+	m.busy, m.idle, m.cpu, m.mem = cur, idle, cpu, mem
 	m.touches = c.touches[r]
 	if m.retunes == c.retunes[r] {
 		return MeterSteady
@@ -147,9 +145,8 @@ func (c *Cluster) energy() EnergyReport {
 		rep.Idle += bk.idle + units.Energy(mp.PsysIdle, idleTail)
 		rep.CPU += bk.cpu + units.Energy(mp.DeltaPc, busy.Compute-bk.busyBase.Compute)
 		rep.Memory += bk.mem + units.Energy(mp.DeltaPm, busy.Memory-bk.busyBase.Memory)
-		rep.IO += bk.io + units.Energy(mp.DeltaPio, busy.IO-bk.busyBase.IO)
 	}
-	rep.Total = rep.Idle + rep.CPU + rep.Memory + rep.IO
+	rep.Total = rep.Idle + rep.CPU + rep.Memory
 	return rep
 }
 
@@ -174,45 +171,32 @@ func (c *Cluster) MeasuredEnergy() EnergyReport {
 		rep.Idle = perturb(rep.Idle)
 		rep.CPU = perturb(rep.CPU)
 		rep.Memory = perturb(rep.Memory)
-		rep.IO = perturb(rep.IO)
-		rep.Total = rep.Idle + rep.CPU + rep.Memory + rep.IO
+		rep.Total = rep.Idle + rep.CPU + rep.Memory
 	}
 	return rep
 }
 
-// ComponentBusy is a snapshot of one rank's cumulative per-component busy
-// time; the power profiler differentiates consecutive snapshots to obtain
-// component utilisation within a sampling window.
+// ComponentBusy is a snapshot of one rank's cumulative busy time in the
+// two components whose active deltas the energy model prices; the power
+// profiler differentiates consecutive snapshots to obtain component
+// utilisation within a sampling window.
 type ComponentBusy struct {
 	Compute units.Seconds
 	Memory  units.Seconds
-	IO      units.Seconds
-	Network units.Seconds
 }
 
 // BusySince subtracts an earlier snapshot.
 func (b ComponentBusy) BusySince(prev ComponentBusy) ComponentBusy {
-	return ComponentBusy{
-		Compute: b.Compute - prev.Compute,
-		Memory:  b.Memory - prev.Memory,
-		IO:      b.IO - prev.IO,
-		Network: b.Network - prev.Network,
-	}
+	return ComponentBusy{Compute: b.Compute - prev.Compute, Memory: b.Memory - prev.Memory}
 }
 
 // rankBusy returns rank r's cumulative busy times as of the current
-// virtual time — the counters of retired operations, then the in-flight
+// virtual time — the ledger of retired operations, then the in-flight
 // operation pro rata, so power sampling sees sustained load rather than
 // spikes at operation boundaries. It is the reader under every per-rank
 // meter; r must already be checked.
 func (c *Cluster) rankBusy(r int) ComponentBusy {
-	ctr := c.counters.Rank(r)
-	b := ComponentBusy{
-		Compute: ctr.ComputeTime,
-		Memory:  ctr.MemoryTime,
-		IO:      ctr.IOTime,
-		Network: ctr.NetworkTime,
-	}
+	b := c.busy[r]
 	if fl := &c.inflight[r]; fl.end > fl.start {
 		frac := float64(c.kernel.Now()-fl.start) / float64(fl.end-fl.start)
 		if frac < 0 {
@@ -223,7 +207,6 @@ func (c *Cluster) rankBusy(r int) ComponentBusy {
 		}
 		b.Compute += units.Seconds(frac * float64(fl.dc))
 		b.Memory += units.Seconds(frac * float64(fl.dm))
-		b.Network += units.Seconds(frac * float64(fl.dnet))
 	}
 	return b
 }

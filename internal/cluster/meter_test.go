@@ -24,9 +24,9 @@ func presetPlatform() machine.Platform {
 // decomposition from provisioning to now, piecewise-exact across DVFS
 // retunes (Idle is the lumped Psys-idle integral).
 type MeterReading struct {
-	Busy                  ComponentBusy
-	Retunes               int64
-	Idle, CPU, Memory, IO units.Joules
+	Busy              ComponentBusy
+	Retunes           int64
+	Idle, CPU, Memory units.Joules
 }
 
 // ReadMeter is the full reading StepMeter replaced, kept here as the
@@ -34,14 +34,13 @@ type MeterReading struct {
 func (c *Cluster) ReadMeter(rank int) MeterReading {
 	r := c.checkRank(rank)
 	bk := &c.banks[r]
-	idle, cpu, mem, io, cur := c.componentEnergySince(r, bk.tBase, bk.busyBase)
+	idle, cpu, mem, cur := c.componentEnergySince(r, bk.tBase, bk.busyBase)
 	return MeterReading{
 		Busy:    cur,
 		Retunes: c.retunes[r],
 		Idle:    bk.idle + idle,
 		CPU:     bk.cpu + cpu,
 		Memory:  bk.mem + mem,
-		IO:      bk.io + io,
 	}
 }
 
@@ -50,20 +49,19 @@ func (c *Cluster) ReadMeter(rank int) MeterReading {
 // vector and bank, exactly as they did.
 func oldRetuneCount(c *Cluster, r int) int64 { return c.retunes[r] }
 
-func oldEnergySince(c *Cluster, r int, since units.Seconds, base ComponentBusy) (idle, cpu, mem, io units.Joules, cur ComponentBusy) {
+func oldEnergySince(c *Cluster, r int, since units.Seconds, base ComponentBusy) (idle, cpu, mem units.Joules, cur ComponentBusy) {
 	cur = c.rankBusy(r)
 	mp := c.params[r]
 	idle = units.Energy(mp.PsysIdle, c.kernel.Now()-since)
 	cpu = units.Energy(mp.DeltaPc, cur.Compute-base.Compute)
 	mem = units.Energy(mp.DeltaPm, cur.Memory-base.Memory)
-	io = units.Energy(mp.DeltaPio, cur.IO-base.IO)
-	return idle, cpu, mem, io, cur
+	return idle, cpu, mem, cur
 }
 
-func oldComponentEnergyTotals(c *Cluster, r int) (idle, cpu, mem, io units.Joules) {
+func oldComponentEnergyTotals(c *Cluster, r int) (idle, cpu, mem units.Joules) {
 	bk := c.banks[r]
-	ti, tc, tm, tio, _ := oldEnergySince(c, r, bk.tBase, bk.busyBase)
-	return bk.idle + ti, bk.cpu + tc, bk.mem + tm, bk.io + tio
+	ti, tc, tm, _ := oldEnergySince(c, r, bk.tBase, bk.busyBase)
+	return bk.idle + ti, bk.cpu + tc, bk.mem + tm
 }
 
 // checkMeter compares one reading of every rank, and an EnergySince from
@@ -73,19 +71,19 @@ func checkMeter(t *testing.T, c *Cluster, at string) {
 	t.Helper()
 	for r := 0; r < c.Ranks(); r++ {
 		got := c.ReadMeter(r)
-		idle, cpu, mem, io := oldComponentEnergyTotals(c, r)
+		idle, cpu, mem := oldComponentEnergyTotals(c, r)
 		want := MeterReading{
 			Busy: c.rankBusy(r), Retunes: oldRetuneCount(c, r),
-			Idle: idle, CPU: cpu, Memory: mem, IO: io,
+			Idle: idle, CPU: cpu, Memory: mem,
 		}
 		if got != want {
 			t.Errorf("%s: rank %d: ReadMeter = %+v, three accessors = %+v", at, r, got, want)
 		}
-		base := ComponentBusy{Compute: 1e-7, Memory: 2e-7, IO: 3e-7}
+		base := ComponentBusy{Compute: 1e-7, Memory: 2e-7}
 		e, cur := c.EnergySince(r, 1e-7, base)
-		oi, oc, om, oio, ocur := oldEnergySince(c, r, 1e-7, base)
-		if e != oi+oc+om+oio || cur != ocur {
-			t.Errorf("%s: rank %d: EnergySince = (%v, %+v), reference (%v, %+v)", at, r, e, cur, oi+oc+om+oio, ocur)
+		oi, oc, om, ocur := oldEnergySince(c, r, 1e-7, base)
+		if e != oi+oc+om || cur != ocur {
+			t.Errorf("%s: rank %d: EnergySince = (%v, %+v), reference (%v, %+v)", at, r, e, cur, oi+oc+om, ocur)
 		}
 	}
 }
@@ -143,11 +141,11 @@ func TestReadMeterEqualsThreeAccessors(t *testing.T) {
 	}
 }
 
-// meterScript drives rank r through a random script of the six meter
-// mutators until the given time: operations completed at their end or
-// aborted part-way, instantaneous network busy time, and bursts of
-// retunes (ineffective ones included), with gaps that leave whole
-// sampling windows quiet and others that pack several retunes into one.
+// meterScript drives rank r through a random script of the five meter
+// mutators until the given time: compute and transfer operations
+// completed at their end or aborted part-way, and bursts of retunes
+// (ineffective ones included), with gaps that leave whole sampling
+// windows quiet and others that pack several retunes into one.
 func meterScript(c *Cluster, r int, rng *rand.Rand, interval, until units.Seconds) {
 	k := c.Kernel()
 	ladder := c.platform.Pools[c.rankPool[r]].Spec.Frequencies
@@ -168,8 +166,6 @@ func meterScript(c *Cluster, r int, rng *rand.Rand, interval, until units.Second
 				}
 			}
 			gap /= 4
-		case x < 3:
-			c.RecordNetworkBusy(r, units.Seconds(rng.Float64())*interval)
 		case x < 4: // a quiet stretch of several windows
 			gap = units.Seconds(2+rng.Intn(4)) * interval
 		case c.opActive[r] && x < 7:
@@ -187,7 +183,7 @@ func meterScript(c *Cluster, r int, rng *rand.Rand, interval, until units.Second
 	next(units.Seconds(rng.Float64()) * interval)
 }
 
-// Over random per-rank scripts of the six mutators, every StepMeter
+// Over random per-rank scripts of the five mutators, every StepMeter
 // equals differencing two ReadMeter readings bit for bit: a quiet step
 // only where the full reading did not move, a retuned one exactly where
 // the retune count did, and the step's own reading the full one.
@@ -219,17 +215,17 @@ func TestStepMeterMatchesReadMeter(t *testing.T) {
 				at := fmt.Sprintf("seed %d rank %d at %v", seed, r, c.Kernel().Now())
 				switch {
 				case got == MeterQuiet:
-					if moved := (MeterReading{Busy: cur.Busy, Retunes: cur.Retunes, Idle: p.Idle, CPU: cur.CPU, Memory: cur.Memory, IO: cur.IO}); moved != *p {
+					if moved := (MeterReading{Busy: cur.Busy, Retunes: cur.Retunes, Idle: p.Idle, CPU: cur.CPU, Memory: cur.Memory}); moved != *p {
 						t.Fatalf("%s: quiet step, but the reading moved from %+v to %+v", at, *p, cur)
 					}
 				case got != want:
 					t.Fatalf("%s: step %d, want %d (retunes %d → %d)", at, got, want, p.Retunes, cur.Retunes)
 				case m.Busy != cur.Busy.BusySince(p.Busy) || m.Idle != cur.Idle-p.Idle || m.CPU != cur.CPU-p.CPU ||
-					m.Memory != cur.Memory-p.Memory || m.IO != cur.IO-p.IO:
-					t.Fatalf("%s: window %+v, readings differ by busy %+v, energies %v %v %v %v", at, *m,
-						cur.Busy.BusySince(p.Busy), cur.Idle-p.Idle, cur.CPU-p.CPU, cur.Memory-p.Memory, cur.IO-p.IO)
+					m.Memory != cur.Memory-p.Memory:
+					t.Fatalf("%s: window %+v, readings differ by busy %+v, energies %v %v %v", at, *m,
+						cur.Busy.BusySince(p.Busy), cur.Idle-p.Idle, cur.CPU-p.CPU, cur.Memory-p.Memory)
 				}
-				if own := (MeterReading{Busy: m.busy, Retunes: m.retunes, Idle: m.idle, CPU: m.cpu, Memory: m.mem, IO: m.io}); own != cur {
+				if own := (MeterReading{Busy: m.busy, Retunes: m.retunes, Idle: m.idle, CPU: m.cpu, Memory: m.mem}); own != cur {
 					t.Fatalf("%s: the step's reading %+v, ReadMeter %+v", at, own, cur)
 				}
 				*p = cur
@@ -293,13 +289,10 @@ func TestLadderTableMatchesAtFrequency(t *testing.T) {
 	}
 }
 
-// The per-event paths allocate nothing once a rank's counters exist.
+// The per-event paths allocate nothing.
 func TestRankPlaneDoesNotAllocate(t *testing.T) {
 	c := mustNew(t, Config{Spec: machine.SystemG(), Ranks: 64, Alpha: 0.9})
 	ladder := machine.SystemG().Frequencies
-	for r := 0; r < c.Ranks(); r++ {
-		c.Counters().Rank(r) // first touch allocates the rank's counters
-	}
 	i := 0
 	var sink float64
 	var base ComponentBusy

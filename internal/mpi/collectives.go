@@ -100,47 +100,44 @@ func Allreduce[T any](r *Rank, value T, bytes units.Bytes, combine func(dst, src
 // analysis prices with the Hockney model): p−1 full-duplex rounds, each
 // exchanging one block, for a total cost of (p−1)·(Ts + m·Tb) per rank.
 func Alltoall[T any](r *Rank, send []T, blockBytes units.Bytes) []T {
-	p := r.Size()
-	if len(send) != p {
+	if p := r.Size(); len(send) != p {
 		panic(fmt.Sprintf("mpi: alltoall needs %d blocks, got %d", p, len(send)))
 	}
-	tag := r.nextCollTag(kindAlltoall)
-	out := make([]T, p)
-	out[r.rank] = send[r.rank] // self block: a local copy, priced below if p > 1
-	if p == 1 {
-		return out
-	}
-	// Price the local memcpy of the self block.
-	self := r.rt.cl.MessageTime(r.rank, r.rank, blockBytes)
-	r.proc.Sleep(units.Seconds(float64(self) * r.rt.cl.Alpha()))
-	for i := 1; i < p; i++ {
-		dst := (r.rank + i) % p
-		src := (r.rank - i + p) % p
-		msg := r.SendRecv(dst, tag, &send[dst], blockBytes, src, tag)
-		out[src] = *msg.Data.(*T)
-	}
-	return out
+	return pairwise(r, send, blockBytes, nil)
 }
 
 // Alltoallv is the varying-size personalised exchange used by the IS
 // bucket sort: block i of size sizes[i] bytes goes to rank i as &send[i].
 func Alltoallv[T any](r *Rank, send []T, sizes []units.Bytes) []T {
-	p := r.Size()
-	if len(send) != p || len(sizes) != p {
+	if p := r.Size(); len(send) != p || len(sizes) != p {
 		panic(fmt.Sprintf("mpi: alltoallv needs %d blocks and sizes, got %d/%d", p, len(send), len(sizes)))
 	}
+	return pairwise(r, send, 0, sizes)
+}
+
+// pairwise is the exchange under Alltoall and Alltoallv: block i is
+// sizes[i] bytes, or block bytes when sizes is nil. The self block is a
+// local copy, priced as one.
+func pairwise[T any](r *Rank, send []T, block units.Bytes, sizes []units.Bytes) []T {
+	size := func(i int) units.Bytes {
+		if sizes == nil {
+			return block
+		}
+		return sizes[i]
+	}
+	p := r.Size()
 	tag := r.nextCollTag(kindAlltoall)
 	out := make([]T, p)
 	out[r.rank] = send[r.rank]
 	if p == 1 {
 		return out
 	}
-	self := r.rt.cl.MessageTime(r.rank, r.rank, sizes[r.rank])
+	self := r.rt.cl.MessageTime(r.rank, r.rank, size(r.rank))
 	r.proc.Sleep(units.Seconds(float64(self) * r.rt.cl.Alpha()))
 	for i := 1; i < p; i++ {
 		dst := (r.rank + i) % p
 		src := (r.rank - i + p) % p
-		msg := r.SendRecv(dst, tag, &send[dst], sizes[dst], src, tag)
+		msg := r.SendRecv(dst, tag, &send[dst], size(dst), src, tag)
 		out[src] = *msg.Data.(*T)
 	}
 	return out

@@ -56,11 +56,10 @@ type envelope struct {
 type mailbox struct {
 	queue []envelope
 
-	waiting     bool
-	waitSrc     int
-	waitTag     int
-	waiter      *sim.Proc
-	waitArrival units.Seconds // arrival time of the matched envelope
+	waiting bool
+	waitSrc int
+	waitTag int
+	waiter  *sim.Proc
 }
 
 // String describes the pending receive for a deadlock report; the
@@ -209,7 +208,7 @@ func (r *Rank) asyncSend(dst, tag int, payload interface{}, bytes units.Bytes) u
 	_, end := cl.ReserveLink(now, r.rank, dst, wall)
 
 	cl.RecordSend(r.rank, bytes)
-	cl.RecordNetworkBusy(r.rank, raw)
+	cl.NoteWall(now)
 
 	var d *delivery
 	if n := len(r.rt.free); n > 0 {
@@ -230,7 +229,6 @@ func (rt *Runtime) deliver(dst int, e envelope) {
 	box := rt.boxes[dst]
 	if box.waiting && match(e, box.waitSrc, box.waitTag) {
 		box.waiting = false
-		box.waitArrival = e.arrival
 		box.queue = append(box.queue, e)
 		box.waiter.UnparkAt(e.arrival)
 		return

@@ -3,9 +3,11 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"io"
+	"maps"
 	"net"
 	"net/http"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -21,7 +23,8 @@ import (
 //
 //	/            text index
 //	/status.json JSON object keyed by run label (policy or site name)
-//	/metrics     Prometheus text: sim-time registry + host counters
+//	/metrics     Prometheus text: sim-time registry + host counters,
+//	             each family's TYPE line once, every run's samples under it
 type StatusServer struct {
 	ln  net.Listener
 	srv *http.Server
@@ -68,22 +71,13 @@ func (s *StatusServer) Publish(label string, snapJSON []byte, prom []byte) {
 	s.mu.Unlock()
 }
 
-func (s *StatusServer) labels() []string {
-	names := make([]string, 0, len(s.json))
-	for n := range s.json {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 func (s *StatusServer) handleIndex(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path != "/" {
 		http.NotFound(w, r)
 		return
 	}
 	s.mu.Lock()
-	names := s.labels()
+	names := slices.Sorted(maps.Keys(s.json))
 	s.mu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintf(w, "repro live run status — %d run(s): %s\nendpoints: /status.json /metrics\n",
@@ -92,12 +86,8 @@ func (s *StatusServer) handleIndex(w http.ResponseWriter, r *http.Request) {
 
 func (s *StatusServer) handleJSON(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
-	obj := make(map[string]json.RawMessage, len(s.json))
-	for k, v := range s.json {
-		obj[k] = v
-	}
+	buf, err := json.MarshalIndent(s.json, "", "  ")
 	s.mu.Unlock()
-	buf, err := json.MarshalIndent(obj, "", "  ")
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -106,16 +96,32 @@ func (s *StatusServer) handleJSON(w http.ResponseWriter, _ *http.Request) {
 	w.Write(append(buf, '\n'))
 }
 
+// handleProm merges the runs' texts into one exposition, which declares
+// each family once: a TYPE line, then the family's samples from every
+// run in label order. Untyped samples lead.
 func (s *StatusServer) handleProm(w http.ResponseWriter, _ *http.Request) {
+	var types []string          // TYPE lines, first-seen order
+	fams := map[string]string{} // TYPE line → its samples
 	s.mu.Lock()
-	names := s.labels()
-	var out []byte
-	for _, n := range names {
-		out = append(out, s.prom[n]...)
+	for _, n := range slices.Sorted(maps.Keys(s.prom)) {
+		typ := ""
+		for _, line := range strings.SplitAfter(string(s.prom[n]), "\n") {
+			if !strings.HasPrefix(line, "# TYPE ") {
+				fams[typ] += line
+				continue
+			}
+			typ = line
+			if _, seen := fams[typ]; !seen {
+				fams[typ], types = "", append(types, typ)
+			}
+		}
 	}
 	s.mu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.Write(out)
+	io.WriteString(w, fams[""])
+	for _, typ := range types {
+		io.WriteString(w, typ+fams[typ])
+	}
 }
 
 // statusPayload is the JSON shape one run publishes.

@@ -128,3 +128,56 @@ func TestPublisher(t *testing.T) {
 		}
 	}
 }
+
+// /metrics is one valid exposition however many runs publish: each
+// family's TYPE line appears once, and every run's samples of the family
+// follow it before the next family starts.
+func TestMetricsDeclareEachFamilyOnce(t *testing.T) {
+	srv, err := ListenStatus("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for _, label := range []string{"ee-max", "fifo"} {
+		host := NewHost()
+		host.RunStart()
+		host.End(PhaseAdmission, host.Begin())
+		met := telemetry.NewMetrics()
+		met.Counter("jobs_admitted").Add(1)
+		met.Histogram("wait_s", 1, 10).Observe(2)
+		pub := NewPublisher(srv, label, host, met)
+		host.RunEnd()
+		pub.Close()
+	}
+
+	prom := get(t, fmt.Sprintf("http://%s/metrics", srv.Addr()))
+	declared := map[string]bool{}
+	family := ""
+	runs := map[string]map[string]bool{} // family → runs with a sample of it
+	for _, line := range strings.Split(strings.TrimSuffix(prom, "\n"), "\n") {
+		if f := strings.Fields(line); strings.HasPrefix(line, "# TYPE ") && len(f) == 4 {
+			if declared[f[2]] {
+				t.Fatalf("family %s declared twice:\n%s", f[2], prom)
+			}
+			declared[f[2]], family = true, f[2]
+			runs[family] = map[string]bool{}
+			continue
+		}
+		if family == "" || !strings.HasPrefix(line, family) {
+			t.Fatalf("sample %q outside its family (current %q):\n%s", line, family, prom)
+		}
+		for _, run := range []string{"ee-max", "fifo"} {
+			if strings.Contains(line, `run="`+run+`"`) {
+				runs[family][run] = true
+			}
+		}
+	}
+	for _, f := range []string{"jobs_admitted", "wait_s", "obs_wall_seconds", "obs_phase_seconds", "obs_phase_count"} {
+		if len(runs[f]) != 2 {
+			t.Errorf("family %s has samples of runs %v, want both", f, runs[f])
+		}
+	}
+	if n := strings.Count(prom, "obs_phase_count{"); n != 2*int(numPhases) {
+		t.Errorf("%d obs_phase_count samples, want %d", n, 2*int(numPhases))
+	}
+}

@@ -7,9 +7,11 @@
 // parallel overheads ΔWon, ΔWoff — plus the communication counts M and B
 // otherwise obtained through TAU/PMPI.
 //
-// Like the hardware they stand in for, the counters are meant to stay on
-// for the whole run, so the per-operation lookup (Set.Rank) is kept to an
-// index and a nil check.
+// The counters hold workload counts only; the busy time the energy model
+// prices is the cluster's own ledger. Like the hardware they stand in
+// for, they stay on for the whole run: a Set is one dense slot per rank,
+// made when the cluster is provisioned, so an operation's lookup is an
+// index.
 package perfctr
 
 import (
@@ -36,12 +38,6 @@ type Counters struct {
 
 	// BytesSent counts payload bytes sent by this rank (B share).
 	BytesSent float64
-
-	// Busy-time attribution, filled by the cluster as the rank executes.
-	ComputeTime units.Seconds
-	MemoryTime  units.Seconds
-	NetworkTime units.Seconds
-	IOTime      units.Seconds
 }
 
 // AddCompute records w on-chip instructions.
@@ -75,63 +71,26 @@ func (c *Counters) Add(other Counters) {
 	c.OffChipAccesses += other.OffChipAccesses
 	c.Messages += other.Messages
 	c.BytesSent += other.BytesSent
-	c.ComputeTime += other.ComputeTime
-	c.MemoryTime += other.MemoryTime
-	c.NetworkTime += other.NetworkTime
-	c.IOTime += other.IOTime
 }
 
-// Set is an indexed collection of per-rank counters, e.g. one per MPI rank.
-// It is dense: rank r's counters live at index r of a slice grown on
-// demand (nil = rank never touched).
-type Set struct {
-	byRank []*Counters
-}
-
-// NewSet returns an empty counter set.
-func NewSet() *Set { return &Set{} }
-
-// Rank returns (allocating if needed) the counters for a rank. Ranks are
-// non-negative; a negative rank panics. The hit path inlines; a first
-// touch goes through add.
-func (s *Set) Rank(rank int) *Counters {
-	if uint(rank) >= uint(len(s.byRank)) || s.byRank[rank] == nil {
-		s.add(rank)
-	}
-	return s.byRank[rank]
-}
-
-// add grows the set to hold rank and allocates its counters.
-func (s *Set) add(rank int) {
-	if rank < 0 {
-		panic(fmt.Sprintf("perfctr: negative rank %d", rank))
-	}
-	if rank >= len(s.byRank) {
-		s.byRank = append(s.byRank, make([]*Counters, rank+1-len(s.byRank))...)
-	}
-	s.byRank[rank] = &Counters{}
-}
+// Set holds one rank's counters at each index, e.g. one per MPI rank.
+type Set []Counters
 
 // Total aggregates all ranks, yielding the "all" totals of Eq. 15
 // (Won+ΔWon as the total on-chip workload over all processors, etc.).
-func (s *Set) Total() Counters {
+func (s Set) Total() Counters {
 	var total Counters
-	for _, c := range s.byRank {
-		if c != nil {
-			total.Add(*c)
-		}
+	for i := range s {
+		total.Add(s[i])
 	}
 	return total
 }
 
 // String renders a compact table for logs and CLI output.
-func (s *Set) String() string {
+func (s Set) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%6s %14s %14s %10s %14s\n", "rank", "on-chip", "off-chip", "msgs", "bytes")
-	for r, c := range s.byRank {
-		if c == nil {
-			continue
-		}
+	for r, c := range s {
 		fmt.Fprintf(&b, "%6d %14.4g %14.4g %10d %14.4g\n", r, c.OnChipOps, c.OffChipAccesses, c.Messages, c.BytesSent)
 	}
 	t := s.Total()

@@ -4,9 +4,9 @@
 // application's execution window, and integrates energy.
 //
 // Component power in a window follows the paper's energy decomposition
-// (Eq. 8–9): each component draws its idle power continuously plus its
-// active delta scaled by the component's utilisation in the window
-// (utilisation = busy time attributed in the window / window length).
+// (Eq. 8–9): each component draws its idle power, and CPU and memory add
+// their active deltas scaled by utilisation (busy time in the window /
+// window length); no workload does disk I/O, and the NIC is in "other".
 // Windows that span a DVFS retune are priced piecewise from the
 // cluster's energy banks — each segment at the operating point it
 // actually ran at — so rank turnover between jobs at different
@@ -40,7 +40,7 @@ type Sample struct {
 	T      units.Seconds // end of the sampling window
 	CPU    units.Watts
 	Memory units.Watts
-	IO     units.Watts
+	IO     units.Watts // I/O subsystem at idle (no workload does disk I/O)
 	Other  units.Watts // motherboard, fans, NIC, PSU share (flat)
 	Total  units.Watts
 }
@@ -169,7 +169,7 @@ func (p *Profiler) record() {
 			d := &m.Busy
 			s.CPU += mp.PcIdle + units.Watts(float64(mp.DeltaPc)*float64(d.Compute)/float64(dt))
 			s.Memory += mp.PmIdle + units.Watts(float64(mp.DeltaPm)*float64(d.Memory)/float64(dt))
-			s.IO += mp.PioIdle + units.Watts(float64(mp.DeltaPio)*float64(d.IO)/float64(dt))
+			s.IO += mp.PioIdle
 			s.Other += mp.Pother
 		case cluster.MeterRetuned:
 			// The window spans ≥1 DVFS retune: pricing the whole window's
@@ -190,7 +190,7 @@ func (p *Profiler) record() {
 			}
 			s.CPU += units.Watts(float64(mp.PcIdle)*share + float64(m.CPU)/float64(dt))
 			s.Memory += units.Watts(float64(mp.PmIdle)*share + float64(m.Memory)/float64(dt))
-			s.IO += units.Watts(float64(mp.PioIdle)*share + float64(m.IO)/float64(dt))
+			s.IO += units.Watts(float64(mp.PioIdle) * share)
 			s.Other += units.Watts(float64(mp.Pother) * share)
 		}
 	}

@@ -211,16 +211,15 @@ func SyntheticTrace(cfg TraceConfig) []Job {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	type shape struct {
-		vec        app.Vector
-		nLo, nHi   float64
-		logUniform bool
+		vec      app.Vector
+		nLo, nHi float64 // N is log-uniform on [nLo, nHi]
 	}
 	shapes := []shape{
-		{app.FT(4), 1 << 16, 1 << 19, true},
-		{app.EP(), 1e7, 1e8, true},
-		{app.CG(11, 3), 2e4, 1e5, true},
-		{app.IS(1024, 4), 1 << 16, 1 << 20, true},
-		{app.MG(2), 1 << 15, 1 << 18, true},
+		{app.FT(4), 1 << 16, 1 << 19},
+		{app.EP(), 1e7, 1e8},
+		{app.CG(11, 3), 2e4, 1e5},
+		{app.IS(1024, 4), 1 << 16, 1 << 20},
+		{app.MG(2), 1 << 15, 1 << 18},
 	}
 	jobs := make([]Job, 0, max(cfg.Jobs, 0)) // a negative count is an empty trace, not a panic
 	var t units.Seconds
