@@ -396,7 +396,8 @@ func (c *Cluster) Compute(p *sim.Proc, rank int, onChip, offChip float64) {
 // current virtual time without a backing process: it registers the
 // counters and the in-flight operation and returns the operation's
 // wall-clock duration. The caller must arrange for CompleteOp(rank) to
-// run wall later — typically from a scheduled kernel event. This is the
+// run wall later or after — typically from a scheduled kernel event; the
+// rank is held until then, its op read whole past the end. This is the
 // event-driven fast path the power-budget scheduler executes job slices
 // on, each job with its own α ∈ (0,1]; Compute is StartCompute at the
 // cluster's α + Sleep + CompleteOp.
@@ -429,7 +430,7 @@ func (c *Cluster) StartCompute(rank int, onChip, offChip, alpha float64) units.S
 // CompleteOp retires the in-flight operation StartCompute/StartComm
 // registered on a rank: component busy times are credited to the
 // rank's busy ledger and the measured makespan advances to now. It must
-// run at the operation's end time.
+// run at or after the operation's end time.
 func (c *Cluster) CompleteOp(rank int) {
 	r := c.checkRank(rank)
 	if !c.opActive[r] {
@@ -463,18 +464,15 @@ func (c *Cluster) AbortOp(rank int) {
 	c.inflight[r] = inflightOp{}
 	c.opActive[r] = false
 	c.touches[r]++
-	frac := 1.0
-	if op.end > op.start {
-		frac = float64(c.kernel.Now()-op.start) / float64(op.end-op.start)
-		if frac < 0 {
-			frac = 0
-		} else if frac > 1 {
-			frac = 1
+	if op.dc != 0 || op.dm != 0 { // an op that prices nothing credits +0
+		frac := 1.0
+		if op.end > op.start {
+			frac = min(max(float64(c.kernel.Now()-op.start)/float64(op.end-op.start), 0), 1)
 		}
+		b := &c.busy[r]
+		b.Compute += units.Seconds(frac * float64(op.dc))
+		b.Memory += units.Seconds(frac * float64(op.dm))
 	}
-	b := &c.busy[r]
-	b.Compute += units.Seconds(frac * float64(op.dc))
-	b.Memory += units.Seconds(frac * float64(op.dm))
 	c.noteEnd(c.kernel.Now())
 }
 
@@ -523,7 +521,8 @@ func (c *Cluster) RecordSend(src int, bytes units.Bytes) {
 // in-flight operation but prices no active delta (NIC power is in the
 // flat Pother term), so it only holds the rank and, at its CompleteOp,
 // extends the makespan. The caller must run CompleteOp(rank) at its end.
-// alpha must lie in (0,1].
+// alpha must lie in (0,1]. Only package bench calls it: a scheduler
+// slice holds its compute op through its comm time instead.
 func (c *Cluster) StartComm(rank int, d units.Seconds, alpha float64) units.Seconds {
 	if d < 0 {
 		panic(fmt.Sprintf("cluster: negative network time %v", d))

@@ -119,7 +119,7 @@ func comm(c *Cluster, d units.Seconds, alpha float64) {
 // A StartComm transfer holds the rank for α·d of wall time and prices
 // no active delta: the rank's busy time stays zero through the transfer
 // and its energy is idle power over the makespan it extends.
-func TestStartCommProRata(t *testing.T) {
+func TestStartCommHoldsRankWithoutBusyTime(t *testing.T) {
 	for _, alpha := range []float64{1, 0.5} {
 		c := mustNew(t, Config{Spec: testSpec(), Ranks: 1})
 		comm(c, 2, alpha) // 2 s of network time

@@ -99,9 +99,9 @@ const (
 // flight whose touch count has not moved since m's last step costs one
 // idle product: every mutator of its busy ledger or vector bumps the
 // count (StartCompute and StartComm need not — the operation stays in
-// flight until CompleteOp or AbortOp bumps it). Any other rank takes one
-// busy snapshot and its cumulative energies, differenced against m in
-// place. Each cumulative quantity is the expression a full reading
+// flight, past its end too, until CompleteOp or AbortOp bumps it). Any
+// other rank takes one busy snapshot and its cumulative energies,
+// differenced against m in place. Each cumulative quantity is the expression a full reading
 // evaluates, so consecutive steps difference bit-identical readings.
 func (c *Cluster) StepMeter(rank int, m *Meter) MeterStep {
 	r := c.checkRank(rank)
@@ -193,18 +193,13 @@ func (b ComponentBusy) BusySince(prev ComponentBusy) ComponentBusy {
 // rankBusy returns rank r's cumulative busy times as of the current
 // virtual time — the ledger of retired operations, then the in-flight
 // operation pro rata, so power sampling sees sustained load rather than
-// spikes at operation boundaries. It is the reader under every per-rank
-// meter; r must already be checked.
+// spikes at operation boundaries. An op read past its end counts whole,
+// and one that prices nothing (a StartComm transfer) adds nothing. It is
+// the reader under every per-rank meter; r must already be checked.
 func (c *Cluster) rankBusy(r int) ComponentBusy {
 	b := c.busy[r]
-	if fl := &c.inflight[r]; fl.end > fl.start {
-		frac := float64(c.kernel.Now()-fl.start) / float64(fl.end-fl.start)
-		if frac < 0 {
-			frac = 0
-		}
-		if frac > 1 {
-			frac = 1
-		}
+	if fl := &c.inflight[r]; (fl.dc != 0 || fl.dm != 0) && fl.end > fl.start {
+		frac := min(max(float64(c.kernel.Now()-fl.start)/float64(fl.end-fl.start), 0), 1)
 		b.Compute += units.Seconds(frac * float64(fl.dc))
 		b.Memory += units.Seconds(frac * float64(fl.dm))
 	}

@@ -143,7 +143,8 @@ func TestReadMeterEqualsThreeAccessors(t *testing.T) {
 
 // meterScript drives rank r through a random script of the five meter
 // mutators until the given time: compute and transfer operations
-// completed at their end or aborted part-way, and bursts of retunes
+// completed at their end or held past it (as a slice's compute op is
+// through its comm time) or aborted part-way, and bursts of retunes
 // (ineffective ones included), with gaps that leave whole sampling
 // windows quiet and others that pack several retunes into one.
 func meterScript(c *Cluster, r int, rng *rand.Rand, interval, until units.Seconds) {
@@ -170,6 +171,9 @@ func meterScript(c *Cluster, r int, rng *rand.Rand, interval, until units.Second
 			gap = units.Seconds(2+rng.Intn(4)) * interval
 		case c.opActive[r] && x < 7:
 			gap = max(end-k.Now(), 0)
+			if rng.Intn(2) == 0 {
+				gap += units.Seconds(rng.Float64()) * interval
+			}
 			k.After(gap, func() { c.CompleteOp(r) })
 		case c.opActive[r]:
 			c.AbortOp(r)
@@ -360,4 +364,156 @@ func BenchmarkRetune(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// heldReading is one reading a held-op script takes of a rank: a
+// StepMeter step, the full ReadMeter and an EnergySince from the rank's
+// previous reading.
+type heldReading struct {
+	rank              int
+	at                units.Seconds
+	step              MeterStep
+	busy              ComponentBusy
+	idle, cpu, memory units.Joules
+	full              MeterReading
+	since             units.Joules
+	cur               ComponentBusy
+}
+
+// heldScript runs every rank of c through slices compute ops, each
+// followed by d of network time at its op's α, as the scheduler once did
+// (held false: CompleteOp at the op's end, then StartComm(d) and its
+// CompleteOp) or does now (held: one CompleteOp at end + α·d). Reads,
+// retunes and aborts land at random in each slice's span [start, end +
+// α·d], the exact ends included, and each rank's next slice starts a gap
+// after its last one completed or was aborted. Each rank draws its script
+// from its own stream, in its own events only, so both forms run the
+// same script. It returns every reading, the tail hits (reads, retunes,
+// aborts inside a comm time) and the drained cluster's energy and wall.
+func heldScript(c *Cluster, seed int64, slices int, held bool) (reads []heldReading, tail [3]int, rep EnergyReport) {
+	k := c.Kernel()
+	for r := 0; r < c.Ranks(); r++ {
+		rng := rand.New(rand.NewSource(seed*int64(c.Ranks()) + int64(r)))
+		ladder := c.platform.Pools[c.rankPool[r]].Spec.Frequencies
+		var m Meter
+		var since units.Seconds
+		var base ComponentBusy
+		gen, left := 0, slices
+		var start func()
+		finish := func() {
+			gen++
+			if left--; left > 0 {
+				k.After(units.Seconds(rng.Intn(3))*units.Seconds(rng.Float64())*units.Millisecond, start)
+			}
+		}
+		start = func() {
+			mine, t0 := gen, k.Now()
+			alpha := 0.5 + rng.Float64()/2
+			end := t0 + c.StartCompute(r, rng.Float64()*2e6, rng.Float64()*2e3, alpha)
+			var d units.Seconds
+			if rng.Intn(4) > 0 {
+				d = units.Seconds(rng.Float64()) * units.Millisecond
+			}
+			span := end
+			if d > 0 {
+				span += units.Seconds(alpha * float64(d))
+			}
+			inTail := func() int {
+				if now := k.Now(); now > end && now < span {
+					return 1
+				}
+				return 0
+			}
+			for n := rng.Intn(6); n > 0; n-- {
+				at := min(t0+units.Seconds(rng.Float64())*(span-t0), span)
+				switch rng.Intn(4) {
+				case 0:
+					at = end
+				case 1:
+					at = span
+				}
+				switch x, f := rng.Intn(6), ladder[rng.Intn(len(ladder))]; {
+				case x < 3:
+					k.Schedule(at, func() {
+						step := c.StepMeter(r, &m)
+						e, cur := c.EnergySince(r, since, base)
+						reads = append(reads, heldReading{r, k.Now(), step, m.Busy, m.Idle, m.CPU, m.Memory, c.ReadMeter(r), e, cur})
+						since, base = k.Now(), cur
+						tail[0] += inTail()
+					})
+				case x < 5:
+					k.Schedule(at, func() {
+						if err := c.SetRankFrequency(r, f); err != nil {
+							panic(err)
+						}
+						tail[1] += inTail()
+					})
+				default:
+					k.Schedule(at, func() {
+						if gen == mine {
+							tail[2] += inTail()
+							c.AbortOp(r)
+							finish()
+						}
+					})
+				}
+			}
+			done := func() {
+				if gen == mine {
+					c.CompleteOp(r)
+					finish()
+				}
+			}
+			switch {
+			case held || d == 0:
+				k.Schedule(span, done)
+			default:
+				k.Schedule(end, func() {
+					if gen == mine {
+						c.CompleteOp(r)
+						k.After(c.StartComm(r, d, alpha), done)
+					}
+				})
+			}
+		}
+		k.After(units.Seconds(rng.Float64())*units.Millisecond, start)
+	}
+	if err := k.Run(); err != nil {
+		panic(err)
+	}
+	return reads, tail, c.TrueEnergy()
+}
+
+// Holding a slice's compute op in flight through the comm time after it
+// reads exactly as completing it at its end and running the comm time as
+// a StartComm transfer: over random scripts on both preset pools, under
+// execution noise, every StepMeter step, full reading and EnergySince
+// is ==, and so are the drained cluster's energy and makespan. The
+// makespan is compared drained only: mid-tail, the two-op form has
+// already noted the compute end.
+func TestHeldOpMatchesCompleteThenComm(t *testing.T) {
+	var hits [3]int
+	for seed := range int64(20) {
+		cfg := Config{Platform: presetPlatform(), Ranks: 8, Alpha: 0.9, Noise: DefaultNoise(), Seed: seed}
+		was, _, wasRep := heldScript(mustNew(t, cfg), seed, 12, false)
+		got, tail, gotRep := heldScript(mustNew(t, cfg), seed, 12, true)
+		if len(got) != len(was) {
+			t.Fatalf("seed %d: %d readings held, %d completed then transferred", seed, len(got), len(was))
+		}
+		for i := range got {
+			if got[i] != was[i] {
+				t.Fatalf("seed %d: reading %d held %+v, completed then transferred %+v", seed, i, got[i], was[i])
+			}
+		}
+		if gotRep != wasRep {
+			t.Fatalf("seed %d: drained energy held %v, completed then transferred %v", seed, gotRep, wasRep)
+		}
+		for i := range hits {
+			hits[i] += tail[i]
+		}
+	}
+	if hits[0] == 0 || hits[1] == 0 || hits[2] == 0 {
+		t.Fatalf("the scripts missed the comm time: %d reads, %d retunes, %d aborts inside it", hits[0], hits[1], hits[2])
+	}
+	t.Logf("inside a comm time: %d reads, %d retunes, %d aborts", hits[0], hits[1], hits[2])
 }

@@ -611,7 +611,11 @@ func TestEntryReleasesRowsWhenTheJobLeaves(t *testing.T) {
 // of duplicates (a row or grid handed out twice would be priced over
 // while held) and disjoint from every running job's row and every
 // queued or running entry's grid and grid backing; reservations hold no
-// rows at all.
+// rows at all. The same holds for event chains: no spare chain belongs to
+// a running job, and a chain fires only for the live job that holds it,
+// at most once per slice of that job — so a killed job's chain, once
+// reused, never fires for its old job (its cancelled event would fire
+// for the new one, one slice too many, or for the killed one).
 func TestSpareRowsAreNeverLive(t *testing.T) {
 	pl, err := machine.ParsePlatform("systemg:8,dori:8")
 	if err != nil {
@@ -626,6 +630,29 @@ func TestSpareRowsAreNeverLive(t *testing.T) {
 	}
 	backing := func(g []pricedRow) *pricedRow { return &g[:cap(g)][0] }
 	checks, shared := 0, 0
+	// watch wraps a chain's bound completion (from the next slice it
+	// arms on) with the firing check; held is the job each chain was
+	// last seen running for, fired how often it fired for that job.
+	watched, held, fired := map[*chain]bool{}, map[*chain]*runningJob{}, map[*chain]int{}
+	reusedAfterKill := 0
+	watch := func(c *chain) {
+		if watched[c] {
+			return
+		}
+		watched[c] = true
+		inner := c.done
+		c.done = func() {
+			rj := c.rj
+			if held[c] != rj {
+				held[c], fired[c] = rj, 0
+			}
+			if fired[c]++; rj.killed || s.owner[rj.ranks[c.lo]] != rj || fired[c] > rj.slices {
+				t.Fatalf("t=%v: a chain fired for job %d (killed %v, owns its ranks %v) its slice %d of %d",
+					s.cl.Kernel().Now(), rj.e.job.ID, rj.killed, s.owner[rj.ranks[c.lo]] == rj, fired[c], rj.slices)
+			}
+			inner()
+		}
+	}
 	for i := 1; i <= 1000; i++ {
 		err := s.At(units.Seconds(i)*20*units.Millisecond, func() {
 			now := s.cl.Kernel().Now()
@@ -662,11 +689,31 @@ func TestSpareRowsAreNeverLive(t *testing.T) {
 					}
 				}
 			}
+			chains := map[*chain]bool{}
+			for _, c := range s.spareChains {
+				if chains[c] {
+					t.Fatalf("t=%v: a chain is on the spare list twice", now)
+				}
+				chains[c] = true
+				watch(c)
+			}
 			for _, rj := range s.running {
 				if spare[rj.prof] {
 					t.Fatalf("t=%v: running job %d's row is spare", now, rj.e.job.ID)
 				}
 				live(rj.e, "running")
+				for _, c := range rj.chains {
+					if chains[c] || c.rj != rj {
+						t.Fatalf("t=%v: running job %d holds a chain that is spare (%v) or another job's", now, rj.e.job.ID, chains[c])
+					}
+					if last := held[c]; last != rj {
+						if last != nil && last.killed {
+							reusedAfterKill++
+						}
+						held[c], fired[c] = rj, 0
+					}
+					watch(c)
+				}
 			}
 			for _, e := range s.queue {
 				live(e, "queued")
@@ -684,9 +731,9 @@ func TestSpareRowsAreNeverLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Kills == 0 || res.Completed == 0 || shared < 100 {
-		t.Fatalf("%d kills, %d done, %d of %d checks with spare rows beside live jobs; want every path exercised",
-			res.Kills, res.Completed, shared, checks)
+	if res.Kills == 0 || res.Completed == 0 || shared < 100 || reusedAfterKill == 0 {
+		t.Fatalf("%d kills, %d done, %d of %d checks with spare rows beside live jobs, %d chains seen reused after a kill; want every path exercised",
+			res.Kills, res.Completed, shared, checks, reusedAfterKill)
 	}
 }
 

@@ -43,8 +43,8 @@
 //
 // Jobs execute as real discrete-event work on the shared cluster, but
 // purely through timer callbacks on the kernel's event loop (no Proc is
-// spawned, so no goroutine per rank): each slice is a cluster.StartCompute/
-// StartComm registration retired by CompleteOp at its end event, so
+// spawned, so no goroutine per rank): each slice is a cluster.StartCompute
+// held through its comm time and retired by CompleteOp at one event, so
 // per-component busy time, the power trace, and the energy
 // decomposition all come from the same substrate the NPB kernels use,
 // and a governor frequency change re-prices the remaining slices

@@ -364,7 +364,8 @@ func (s *Scheduler) armCheckpoint(rj *runningJob) {
 			s.armCheckpoint(rj)
 		}
 	}
-	rj.ckptTimer = s.cl.Kernel().AfterTimer(every, rj.ckpt)
+	k := s.cl.Kernel()
+	rj.ckptTimer = k.ScheduleTimer(k.Now()+every, rj.ckpt)
 }
 
 // predTp is the admission-side predicted runtime of job e at ladder

@@ -230,10 +230,10 @@ func TestLockstepMatchesPerRankChains(t *testing.T) {
 	}
 }
 
-// Dispatching a noise-free job costs three objects — the rank set, the
-// runningJob and its chain's completion callback, bound once and re-armed
-// by every phase — as it did when the lockstep path was its own
-// function: the single chain lives inside the runningJob.
+// Dispatching a noise-free job costs two objects, the rank set and the
+// runningJob: its one chain, with the completion callback every slice
+// re-arms, comes off the scheduler's spare list, and the slice backing
+// the job's chain list lives inside the runningJob.
 func TestDispatchAllocations(t *testing.T) {
 	s, err := New(Config{Platform: machine.Homogeneous(testSpec()), Ranks: 8, Cap: 2000})
 	if err != nil {
@@ -251,26 +251,38 @@ func TestDispatchAllocations(t *testing.T) {
 		s.start(e, cand, false, 0)
 		// Undo it by hand, without running the kernel (the armed event
 		// never fires) and without vacate's free-list merge, so the
-		// count is start's alone.
-		for _, r := range s.running[0].ranks {
+		// count is start's alone; the chain goes back to the spare list
+		// as vacate returns it.
+		rj := s.running[0]
+		for _, r := range rj.ranks {
 			s.cl.CompleteOp(r)
 			s.retuneRank(r, ps.ladder[0])
 			s.owner[r] = nil
 		}
+		s.spareChains = append(s.spareChains, rj.chains...)
 		ps.free, s.running = append(ps.free[:0], free...), s.running[:0]
 	}
-	dispatch() // size the running list and price the op-cache row
-	if got := testing.AllocsPerRun(100, dispatch); got != 3 {
-		t.Fatalf("dispatching a noise-free job allocates %v objects, want 3", got)
+	dispatch() // size the running list, price the op-cache row, make the chain
+	if got := testing.AllocsPerRun(100, dispatch); got != 2 {
+		t.Fatalf("dispatching a noise-free job allocates %v objects, want 2", got)
 	}
 }
 
-// jobMallocs dispatches job j alone, by hand, on a fresh scheduler built
-// from cfg, cut into slices compute/comm slices and checkpointed ckpts
-// times, and runs the kernel until the job finishes (no profiler is
-// attached, so its events are the job's own). It returns the objects the
-// dispatch and the run allocated.
-func jobMallocs(t *testing.T, cfg Config, j Job, slices, ckpts int) uint64 {
+// aloneRun is what runAlone measured: the objects the dispatch and the
+// run allocated, the kernel events the run fired, the job's per-slice
+// comm time and its end.
+type aloneRun struct {
+	mallocs   uint64
+	events    int64
+	sliceComm units.Seconds
+	end       units.Seconds
+}
+
+// runAlone dispatches job j alone, by hand, on a fresh scheduler built
+// from cfg, cut into slices slices and checkpointed ckpts times, and
+// runs the kernel until the job finishes (no profiler is attached, so
+// its events are the job's own).
+func runAlone(t *testing.T, cfg Config, j Job, slices, ckpts int) aloneRun {
 	t.Helper()
 	if ckpts > 0 {
 		cfg.Faults = &faults.Plan{}
@@ -292,17 +304,41 @@ func jobMallocs(t *testing.T, cfg Config, j Job, slices, ckpts int) uint64 {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	s.start(e, cand, false, 0)
-	cut := s.running[0].slices
+	rj := s.running[0]
 	err = s.cl.Kernel().Run()
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cut != slices || e.res.State != Done || e.res.Checkpoints != ckpts {
+	if rj.slices != slices || e.res.State != Done || e.res.Checkpoints != ckpts {
 		t.Fatalf("the job ran %d slices and %d checkpoints to state %v; want %d, %d and done",
-			cut, e.res.Checkpoints, e.res.State, slices, ckpts)
+			rj.slices, e.res.Checkpoints, e.res.State, slices, ckpts)
 	}
-	return after.Mallocs - before.Mallocs
+	return aloneRun{after.Mallocs - before.Mallocs, s.cl.Kernel().Stats().Events, rj.sliceComm, e.res.End}
+}
+
+// A slice is one kernel event whatever its comm share: the compute op
+// stays in flight through the α-scaled comm time after it, so a noisy
+// p-rank job — one chain per rank — fires p events per slice with a
+// comm share or without one.
+func TestOneEventPerSlice(t *testing.T) {
+	const p, slices = 4, 32
+	cfg := Config{Platform: machine.Homogeneous(testSpec()), Ranks: 8, Cap: 2000, Noise: cluster.DefaultNoise()}
+	comm := Job{ID: 0, Vector: app.FT(4), N: 1 << 18, MaxWidth: p}
+	quiet := comm
+	none := func(float64, int) float64 { return 0 }
+	quiet.Vector.M, quiet.Vector.B = none, none
+	with, without := runAlone(t, cfg, comm, slices, 0), runAlone(t, cfg, quiet, slices, 0)
+	if with.sliceComm <= 0 || without.sliceComm != 0 {
+		t.Fatalf("per-slice comm %v and %v; want a share and none", with.sliceComm, without.sliceComm)
+	}
+	if with.end <= without.end {
+		t.Fatalf("the comm share did not lengthen the job: it ends at %v, %v without", with.end, without.end)
+	}
+	if with.events != p*slices || without.events != p*slices {
+		t.Fatalf("a %d-rank job of %d slices fired %d events with a comm share and %d without; want %d",
+			p, slices, with.events, without.events, p*slices)
+	}
 }
 
 // Every recurring callback of a running job is bound once, at dispatch:
@@ -318,11 +354,11 @@ func TestJobAllocationsIndependentOfEventCount(t *testing.T) {
 		label string
 		cfg   Config
 	}{{"lockstep", lockstep}, {"per-rank", noisy}} {
-		if few, many := jobMallocs(t, tc.cfg, j, 4, 0), jobMallocs(t, tc.cfg, j, 512, 0); few != many {
+		if few, many := runAlone(t, tc.cfg, j, 4, 0).mallocs, runAlone(t, tc.cfg, j, 512, 0).mallocs; few != many {
 			t.Errorf("%s: a job allocates %d objects at 4 slices but %d at 512", tc.label, few, many)
 		}
 	}
-	if few, many := jobMallocs(t, lockstep, j, 64, 1), jobMallocs(t, lockstep, j, 64, 100); few != many {
+	if few, many := runAlone(t, lockstep, j, 64, 1).mallocs, runAlone(t, lockstep, j, 64, 100).mallocs; few != many {
 		t.Errorf("a job allocates %d objects with 1 checkpoint but %d with 100", few, many)
 	}
 }

@@ -187,10 +187,12 @@ type Scheduler struct {
 	shadow *shadowScratch
 
 	// spare holds the rows no entry owns, and spareGrids and spareFloors
-	// the grid and floor backings, that leave returns for reuse.
+	// the grid and floor backings, that leave returns for reuse, as
+	// vacate returns chains to spareChains (no more chains than ranks).
 	spare       []*opcache.Row
 	spareGrids  [][]pricedRow
 	spareFloors [][]poolFloor
+	spareChains []*chain
 
 	// res is the run's ledger: every count and energy known the moment
 	// it happens is booked here, once (see collect).
@@ -241,9 +243,9 @@ type runningJob struct {
 
 	// chains are the job's event chains, partitioning ranks: one over the
 	// whole rank set in lockstep (backed by one, so the common shape
-	// allocates nothing), else one per rank.
-	chains []chain
-	one    [1]chain
+	// allocates no slice), else one per rank; vacate recycles them.
+	chains []*chain
+	one    [1]*chain
 
 	// progress and pricedAt are the shadow-time bookkeeping backfill
 	// reservations rest on: progress is the model-predicted fraction of
@@ -269,15 +271,15 @@ type runningJob struct {
 }
 
 // chain is one event chain of a running job: ranks[lo:hi] step through
-// the slice sequence together, one kernel event per phase.
+// the slice sequence together, one kernel event per slice.
 type chain struct {
 	rj     *runningJob
 	lo, hi int
-	slice  int       // next/current slice index
-	inComm bool      // current phase is the comm half of the slice
-	timer  sim.Timer // the pending phase completion
-	// done is the chain's phase completion (phaseDone), bound once at
-	// dispatch: every phase re-arms it, so a phase allocates nothing.
+	slice  int       // current slice index
+	timer  sim.Timer // the pending slice completion
+	// done is the chain's slice completion (sliceDone), bound once when
+	// the chain is made: every slice and every job that reuses it re-arms
+	// it, so neither allocates.
 	done func()
 }
 
@@ -366,13 +368,14 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 
 	s := &Scheduler{
-		cfg:      cfg,
-		cl:       cl,
-		hst:      cfg.Obs,
-		lockstep: cfg.Noise.ComputeJitter == 0 && cfg.Noise.MemoryJitter == 0,
-		owner:    make([]*runningJob, cfg.Ranks),
-		meters:   make([]rankMeter, cfg.Ranks),
-		entries:  make(map[int]*entry),
+		cfg:         cfg,
+		cl:          cl,
+		hst:         cfg.Obs,
+		lockstep:    cfg.Noise.ComputeJitter == 0 && cfg.Noise.MemoryJitter == 0,
+		owner:       make([]*runningJob, cfg.Ranks),
+		meters:      make([]rankMeter, cfg.Ranks),
+		entries:     make(map[int]*entry),
+		spareChains: make([]*chain, 0, cfg.Ranks), // a chain spans ≥ 1 rank
 	}
 	s.pools = make([]poolState, len(cfg.Platform.Pools))
 	for i, np := range cfg.Platform.Pools {
@@ -986,70 +989,63 @@ func (s *Scheduler) start(e *entry, cand Candidate, backfilled bool, queueAfter 
 	span := len(ranks) // lockstep: one chain over the whole rank set
 	rj.chains = rj.one[:]
 	if !s.lockstep {
-		span, rj.chains = 1, make([]chain, len(ranks))
+		span, rj.chains = 1, make([]*chain, len(ranks))
 	}
 	for i := range rj.chains {
-		c := &rj.chains[i]
-		*c = chain{rj: rj, lo: i * span, hi: (i + 1) * span, done: func() { s.phaseDone(c) }}
+		var c *chain
+		if n := len(s.spareChains); n > 0 {
+			c, s.spareChains = s.spareChains[n-1], s.spareChains[:n-1]
+		} else {
+			made := new(chain)
+			made.done = func() { s.sliceDone(made) }
+			c = made
+		}
+		c.rj, c.lo, c.hi, c.slice = rj, i*span, (i+1)*span, 0
+		rj.chains[i] = c
 		s.runChain(c)
 	}
 }
 
-// runChain starts the chain's next phase on every rank of its span and
+// runChain starts the chain's next slice on every rank of its span and
 // completes it with one kernel event. Ranks that share a chain have
 // identical slice timing — the paper's p processors each doing W/p of a
 // phase in step — so the last rank's wall time is every rank's; a noisy
 // run gives each rank its own chain because jitter desynchronises them.
 // Jitter is drawn when each operation starts, in rank order at every
-// shared instant, so runs stay deterministic for a fixed seed. Each
-// phase reads the ranks' current machine vectors, so a governor retune
-// between phases re-prices the remaining work automatically.
+// shared instant, so runs stay deterministic for a fixed seed. As Eq. 10
+// sums a slice, its op is held through the α-scaled comm time after it,
+// which prices nothing. Each slice reads the ranks' current machine
+// vectors, so a governor retune between slices re-prices the rest.
 func (s *Scheduler) runChain(c *chain) {
 	rj := c.rj
 	var wall units.Seconds
 	for _, r := range rj.ranks[c.lo:c.hi] {
-		if c.inComm {
-			wall = s.cl.StartComm(r, rj.sliceComm, rj.alpha)
-		} else {
-			wall = s.cl.StartCompute(r, rj.sliceOn, rj.sliceOff, rj.alpha)
-		}
+		wall = s.cl.StartCompute(r, rj.sliceOn, rj.sliceOff, rj.alpha)
 	}
-	c.timer = s.cl.Kernel().AfterTimer(wall, c.done)
+	k := s.cl.Kernel()
+	end := k.Now() + wall
+	if rj.sliceComm > 0 {
+		end += units.Seconds(rj.alpha * float64(rj.sliceComm))
+	}
+	c.timer = k.ScheduleTimer(end, c.done)
 }
 
-// phaseDone is a chain's phase-completion event: retire the phase on
+// sliceDone is a chain's slice-completion event: retire the slice on
 // every rank of the span, then start the next one — or, after the last,
 // count the span out of the job and finish it with its last chain.
-func (s *Scheduler) phaseDone(c *chain) {
+func (s *Scheduler) sliceDone(c *chain) {
 	rj := c.rj
-	if rj.killed {
-		return
-	}
 	for _, r := range rj.ranks[c.lo:c.hi] {
 		s.cl.CompleteOp(r)
 	}
-	if c.advance() {
+	if c.slice++; c.slice < rj.slices {
 		s.runChain(c)
 		return
 	}
-	s.cl.NoteWall(s.cl.Kernel().Now())
 	rj.left -= c.hi - c.lo
 	if rj.left == 0 {
 		s.finish(rj)
 	}
-}
-
-// advance moves the chain past the phase that just completed and
-// reports whether work remains: compute → comm (when the job has a comm
-// share) → next slice's compute.
-func (c *chain) advance() bool {
-	if !c.inComm && c.rj.sliceComm > 0 {
-		c.inComm = true
-		return true
-	}
-	c.inComm = false
-	c.slice++
-	return c.slice < c.rj.slices
 }
 
 // retuneRank switches rank r to frequency f and returns the energy it
@@ -1066,20 +1062,21 @@ func (s *Scheduler) retuneRank(r int, f units.Hertz) units.Joules {
 
 // vacate takes a job off the cluster, at completion or — abort — at a
 // kill: bank its energy, park its ranks at their pool's ladder minimum,
-// and return the ones still alive to the free list. An abort also
-// cancels the job's pending phase events and aborts the in-flight
-// hardware ops pro rata.
+// return the ones still alive to the free list and its chains to the
+// spare list. An abort first cancels the chains' pending events and
+// aborts the in-flight hardware ops pro rata.
 func (s *Scheduler) vacate(rj *runningJob, abort bool) {
 	rj.ckptTimer.Cancel()
 	// A kill releases a fresh slice, not an in-place filter: telemetry
 	// still reports the job's full rank set after the release.
 	alive := rj.ranks
 	if abort {
-		for i := range rj.chains {
-			rj.chains[i].timer.Cancel()
+		for _, c := range rj.chains {
+			c.timer.Cancel()
 		}
 		alive = make([]int, 0, len(rj.ranks))
 	}
+	s.spareChains = append(s.spareChains, rj.chains...)
 	park := s.pools[rj.pool].ladder[0]
 	for _, r := range rj.ranks {
 		if abort {
@@ -1096,7 +1093,7 @@ func (s *Scheduler) vacate(rj *runningJob, abort bool) {
 	s.running = slices.Delete(s.running, i, i+1)
 }
 
-// finish runs in the completion event of a job's last phase: vacate the
+// finish runs in the completion event of a job's last slice: vacate the
 // cluster, close the job's record, and give the policy the freed
 // capacity.
 func (s *Scheduler) finish(rj *runningJob) {

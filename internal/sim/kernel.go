@@ -269,10 +269,10 @@ func (t Timer) Cancel() {
 	t.k.tombs.push(event{t: t.t, seq: t.seq})
 }
 
-// AfterTimer is After returning a cancellable handle.
-func (k *Kernel) AfterTimer(d units.Seconds, fn func()) Timer {
-	k.After(d, fn)
-	return Timer{k: k, t: k.now + d, seq: k.seq}
+// ScheduleTimer is Schedule returning a cancellable handle.
+func (k *Kernel) ScheduleTimer(t units.Seconds, fn func()) Timer {
+	k.Schedule(t, fn)
+	return Timer{k: k, t: t, seq: k.seq}
 }
 
 // DeadlockError reports a simulation that ended with parked processes.

@@ -14,7 +14,7 @@ func TestTimerCancelSkipsEvent(t *testing.T) {
 	k := NewKernel(1)
 	var order []string
 	k.Schedule(1, func() { order = append(order, "a") })
-	tm := k.AfterTimer(2, func() { order = append(order, "b") })
+	tm := k.ScheduleTimer(2, func() { order = append(order, "b") })
 	k.Schedule(3, func() { order = append(order, "c") })
 	tm.Cancel()
 	if err := k.Run(); err != nil {
@@ -33,7 +33,7 @@ func TestTimerCancelFromCallback(t *testing.T) {
 	var tm Timer
 	fired := false
 	k.Schedule(1, func() { tm.Cancel() })
-	tm = k.AfterTimer(5, func() { fired = true })
+	tm = k.ScheduleTimer(5, func() { fired = true })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -46,8 +46,8 @@ func TestTimerCancelledEventsDontCountOrAdvanceClock(t *testing.T) {
 	k := NewKernel(1)
 	var last float64
 	k.Schedule(1, func() { last = 1 })
-	tm := k.AfterTimer(2, func() { t.Error("cancelled event fired") })
-	tm2 := k.AfterTimer(3, func() { t.Error("cancelled event fired") })
+	tm := k.ScheduleTimer(2, func() { t.Error("cancelled event fired") })
+	tm2 := k.ScheduleTimer(3, func() { t.Error("cancelled event fired") })
 	k.Schedule(4, func() { last = 4 })
 	tm.Cancel()
 	tm2.Cancel()
@@ -69,7 +69,7 @@ func TestTimerZeroAndPostFireCancelAreNoops(t *testing.T) {
 
 	k := NewKernel(1)
 	n := 0
-	tm := k.AfterTimer(1, func() { n++ })
+	tm := k.ScheduleTimer(1, func() { n++ })
 	k.Schedule(2, func() {
 		tm.Cancel() // already fired: no-op
 	})
@@ -91,7 +91,7 @@ func TestTimerCancelOneOfSameTime(t *testing.T) {
 	timers := make([]Timer, 5)
 	for i := 0; i < 5; i++ {
 		i := i
-		timers[i] = k.AfterTimer(1, func() { order = append(order, i) })
+		timers[i] = k.ScheduleTimer(1, func() { order = append(order, i) })
 	}
 	timers[2].Cancel()
 	if err := k.Run(); err != nil {
@@ -128,7 +128,7 @@ func TestTimerCancelMatchesReplay(t *testing.T) {
 			if len(timers) == 0 || r.Intn(2) == 0 {
 				id := len(timers)
 				evs = append(evs, armed{t: at, target: -1})
-				timers = append(timers, k.AfterTimer(at, func() { fired = append(fired, id) }))
+				timers = append(timers, k.ScheduleTimer(at, func() { fired = append(fired, id) }))
 				continue
 			}
 			target := r.Intn(len(timers))
