@@ -88,9 +88,10 @@ type Host struct {
 
 	// Live stat sources, wired by the scheduler at Run start. Polled
 	// by Snapshot on the owning goroutine only.
-	kernel func() sim.Stats
-	cache  func() opcache.Stats
-	pools  func() []PoolCache
+	kernel    func() sim.Stats
+	cache     func() opcache.Stats
+	pools     func() []PoolCache
+	admission func() AdmissionWork
 }
 
 // NewHost returns an enabled host observer. A nil *Host is the
@@ -123,15 +124,17 @@ func (h *Host) End(p Phase, start int64) {
 }
 
 // SetSources wires the live gauge sources Snapshot polls: the sim
-// kernel's Stats, the opcache Stats summed over pools, and the
-// per-pool breakdown. The scheduler calls this once per Run.
-func (h *Host) SetSources(kernel func() sim.Stats, cache func() opcache.Stats, pools func() []PoolCache) {
+// kernel's Stats, the opcache Stats summed over pools, the per-pool
+// breakdown and the admission work counts. The scheduler calls this
+// once per Run.
+func (h *Host) SetSources(kernel func() sim.Stats, cache func() opcache.Stats, pools func() []PoolCache, admission func() AdmissionWork) {
 	if h == nil {
 		return
 	}
 	h.kernel = kernel
 	h.cache = cache
 	h.pools = pools
+	h.admission = admission
 }
 
 // RunStart marks the beginning of the observed run: the wall-clock
@@ -165,6 +168,22 @@ type KernelSnapshot struct {
 	DrainMax int64 `json:"drain_max"`
 }
 
+// AdmissionWork counts what the admission layer did, deterministic per
+// (trace, config): a pass's cost as counts beside its wall time.
+type AdmissionWork struct {
+	// Best counts candidate searches asked for (sched.AdmitContext.Best).
+	Best int64 `json:"best"`
+	// FloorFit counts those the admissibility floor refused because no
+	// pool's floor fits the free ranks and budget; FloorReserved those it
+	// refused because every pool that fits would delay a reserved start.
+	FloorFit      int64 `json:"floor_fit"`
+	FloorReserved int64 `json:"floor_reserved"`
+	// Searches counts the grid walks the floor let through, and Rows the
+	// (pool, width) rows they read.
+	Searches int64 `json:"searches"`
+	Rows     int64 `json:"rows"`
+}
+
 // PhaseSnapshot is one phase's tally with its name attached.
 type PhaseSnapshot struct {
 	Phase string `json:"phase"`
@@ -189,6 +208,8 @@ type Snapshot struct {
 	// per-pool breakdown.
 	Opcache opcache.Stats `json:"opcache"`
 	Pools   []PoolCache   `json:"pools,omitempty"`
+
+	Admission AdmissionWork `json:"admission"`
 
 	// Allocation and GC deltas since RunStart.
 	AllocBytes uint64 `json:"alloc_bytes"`
@@ -233,6 +254,9 @@ func (h *Host) Snapshot() Snapshot {
 	if h.pools != nil {
 		snap.Pools = h.pools()
 	}
+	if h.admission != nil {
+		snap.Admission = h.admission()
+	}
 	var m1 runtime.MemStats
 	runtime.ReadMemStats(&m1)
 	if h.started {
@@ -246,10 +270,12 @@ func (h *Host) Snapshot() Snapshot {
 
 // Summary renders the one-line host report schedrun -v prints:
 //
-//	wall=0.42s events/s=812k opcache=871 evals alloc=84.1MB gc=3 | admission 12.1ms/210 …
+//	wall=0.42s events/s=812k opcache=871 evals alloc=84.1MB gc=3 | admission 12.1ms/210 … | best=9120 floor=8011+702 searches=407 rows=1530
 //
 // opcache counts row evaluations (Stats.Misses): runtime pricing
-// never hits the memo.
+// never hits the memo. The last group is AdmissionWork, its floor
+// refusals as ranks-and-budget + reservation; it is left out when no
+// Best call was counted.
 func (h *Host) Summary() string {
 	if h == nil {
 		return ""
@@ -266,6 +292,9 @@ func (h *Host) Summary() string {
 		}
 		fmt.Fprintf(&b, "%s%s %.1fms/%d", sep, p.Phase, 1e3*p.Seconds, p.Count)
 		sep = " "
+	}
+	if a := s.Admission; a.Best > 0 {
+		fmt.Fprintf(&b, " | best=%d floor=%d+%d searches=%d rows=%d", a.Best, a.FloorFit, a.FloorReserved, a.Searches, a.Rows)
 	}
 	return b.String()
 }

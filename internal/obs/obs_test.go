@@ -14,7 +14,7 @@ import (
 func TestNilHostIsFreeAndSafe(t *testing.T) {
 	var h *Host
 	h.End(PhaseAdmission, h.Begin())
-	h.SetSources(nil, nil, nil)
+	h.SetSources(nil, nil, nil, nil)
 	h.RunStart()
 	h.RunEnd()
 	if s := h.Summary(); s != "" {
@@ -82,6 +82,9 @@ func TestSnapshotSources(t *testing.T) {
 		func() []PoolCache {
 			return []PoolCache{{Name: "SystemG", Stats: opcache.Stats{Hits: 9, Misses: 1, Forgets: 2}}}
 		},
+		func() AdmissionWork {
+			return AdmissionWork{Best: 10, FloorFit: 6, FloorReserved: 3, Searches: 1, Rows: 4}
+		},
 	)
 	h.RunStart()
 	sink := make([]byte, 1<<16) // force some allocation inside the run
@@ -98,6 +101,9 @@ func TestSnapshotSources(t *testing.T) {
 	if len(snap.Pools) != 1 || snap.Pools[0].Name != "SystemG" {
 		t.Fatalf("pools snapshot = %+v", snap.Pools)
 	}
+	if snap.Admission != (AdmissionWork{Best: 10, FloorFit: 6, FloorReserved: 3, Searches: 1, Rows: 4}) {
+		t.Fatalf("admission snapshot = %+v", snap.Admission)
+	}
 	if snap.WallSeconds < 0 {
 		t.Fatalf("wall seconds %g negative", snap.WallSeconds)
 	}
@@ -113,7 +119,8 @@ func TestSnapshotSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{`"wall_s"`, `"events_per_s"`, `"kernel"`, `"heap_max"`, `"opcache"`, `"alloc_bytes"`} {
+	for _, key := range []string{`"wall_s"`, `"events_per_s"`, `"kernel"`, `"heap_max"`, `"opcache"`, `"alloc_bytes"`,
+		`"admission"`, `"best"`, `"floor_fit"`, `"floor_reserved"`, `"searches"`, `"rows"`} {
 		if !strings.Contains(string(buf), key) {
 			t.Fatalf("snapshot JSON misses %s: %s", key, buf)
 		}
@@ -128,12 +135,16 @@ func TestSummaryFormat(t *testing.T) {
 		func() sim.Stats { return sim.Stats{Events: 1000} },
 		func() opcache.Stats { return opcache.Stats{Hits: 3, Misses: 1} },
 		nil,
+		func() AdmissionWork {
+			return AdmissionWork{Best: 10, FloorFit: 6, FloorReserved: 3, Searches: 1, Rows: 4}
+		},
 	)
 	h.RunStart()
 	h.End(PhaseAdmission, h.Begin())
 	h.RunEnd()
 	s := h.Summary()
-	for _, want := range []string{"wall=", "events/s=", "opcache=1 evals", "alloc=", "gc=", "admission "} {
+	for _, want := range []string{"wall=", "events/s=", "opcache=1 evals", "alloc=", "gc=", "admission ",
+		" | best=10 floor=6+3 searches=1 rows=4"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("Summary %q misses %q", s, want)
 		}

@@ -92,17 +92,19 @@ func eeBetter(a, b analysis.Point) bool {
 // Best returns the job's EE-best operating point (eeBetter) whose
 // marginal power cost fits budget, by the rules of search — in the
 // scheduler's scratch, valid until the next search — or nil when the
-// job should wait. Most searches of a deep queue end in "no width fits
-// the free ranks": the admissibility floor (belowFloor) answers those
-// off-grid.
+// job should wait. The admissibility floor (belowFloor) answers off-grid
+// nearly every job a deep queue holds back: no width fits the free
+// ranks and budget, or every one would delay a reserved start.
 func (c *AdmitContext) Best(e *entry, budget units.Watts) *Candidate {
+	c.s.work.Best++
 	if budget <= 0 {
 		return nil
 	}
 	refTp, ok := c.s.referenceTp(e)
-	if !ok || (!c.relaxed && c.s.belowFloor(e, c.free, budget)) {
+	if !ok || (!c.relaxed && c.belowFloor(e, budget)) {
 		return nil
 	}
+	c.s.work.Searches++
 	cand, _ := c.search(e, refTp, budget)
 	return cand
 }
@@ -112,10 +114,8 @@ func (c *AdmitContext) Best(e *entry, budget units.Watts) *Candidate {
 // cost fits the power budget, and reports the stage the walk reached;
 // the candidate is nil below stageFeasible, else one of the scheduler's
 // scratch pair, valid until the next search. The grid is the per-pool
-// enumeration analysis.ForEachOperatingPoint scans offline,
-// read off the job's entry (priced): every (pool, n, p) row is evaluated
-// once per job lifetime and every later scheduling edge — the shadow
-// walk re-pricing the head at each future state included — scans it.
+// enumeration analysis.ForEachOperatingPoint scans offline, its rows
+// priced once per job onto the entry (priced) for every edge to rescan.
 //
 // Pools are scanned in platform order, so equal points keep the earlier
 // pool (the winner is the EE-best pool; strictly better later-pool
@@ -166,6 +166,7 @@ func (c *AdmitContext) search(e *entry, refTp units.Seconds, budget units.Watts)
 		ps := &s.pools[pi]
 		for _, p := range j.Widths(wbuf[:0], c.free[pi]) {
 			stage = max(stage, stageWidth)
+			s.work.Rows++
 			row, fastest := s.priced(e, pi, p)
 			if row == nil {
 				// Match the offline enumeration: a model failure anywhere in
@@ -233,15 +234,18 @@ func (c *AdmitContext) blockStage(e *entry) int {
 	if !ok {
 		return stageUnpriced
 	}
+	rows := c.s.work.Rows // a replay is not admission work
 	_, stage := c.search(e, refTp, c.headroom)
+	c.s.work.Rows = rows
 	return stage
 }
 
 // poolFloor is one pool's share of a job's admissibility floor: what
 // any slack-eligible point of the job in that pool needs at least.
 type poolFloor struct {
-	p    int         // narrowest slack-eligible width; math.MaxInt when none is
-	cost units.Watts // cheapest marginal draw over the eligible (p, f) points
+	p    int           // narrowest slack-eligible width; math.MaxInt when none is
+	cost units.Watts   // cheapest marginal draw over the eligible (p, f) points
+	tp   units.Seconds // shortest predicted runtime over them
 }
 
 // pricedRow is one (pool, width) row of a job's grid: the row the entry
@@ -254,9 +258,8 @@ type pricedRow struct {
 
 // priced returns the job's ladder row at width p of the pool with its
 // fastest runtime, or a nil row where the model does not evaluate. A
-// width is evaluated once — by referenceTp, or when free ranks cap a
-// search at a width outside its set — into the top spare row, which the
-// entry keeps unless the model fails; every later search scans e.grid.
+// width is evaluated once, into the top spare row, which the entry keeps
+// unless the model fails; one priced after referenceTp loosens the floor.
 func (s *Scheduler) priced(e *entry, pool, p int) (*opcache.Row, units.Seconds) {
 	for i := range e.grid {
 		if g := &e.grid[i]; g.p == p && g.pool == pool {
@@ -274,6 +277,9 @@ func (s *Scheduler) priced(e *entry, pool, p int) (*opcache.Row, units.Seconds) 
 		e.grid, s.spareGrids = s.spareGrids[n-1], s.spareGrids[:n-1]
 	}
 	e.grid = append(e.grid, g)
+	if e.floor != nil {
+		s.loosen(e, g)
+	}
 	return g.row, g.fastest
 }
 
@@ -283,10 +289,9 @@ func (s *Scheduler) priced(e *entry, pool, p int) (*opcache.Row, units.Seconds) 
 // model failure anywhere voids the job's search, exactly like the
 // per-candidate rule in Best.
 //
-// The same rows fix the job's admissibility floor for its lifetime:
-// slack eligibility compares a row to the reference, and a point's cost
-// is a property of the row — neither moves with cluster state, restarts
-// or the cap timeline.
+// The same rows fix the job's admissibility floor: eligibility, cost and
+// runtime are a row's, which no cluster state, restart or cap timeline
+// moves, so a width priced later only loosens it.
 func (s *Scheduler) referenceTp(e *entry) (units.Seconds, bool) {
 	if e.refTp != 0 {
 		return e.refTp, e.refTp > 0
@@ -310,48 +315,70 @@ func (s *Scheduler) referenceTp(e *entry) (units.Seconds, bool) {
 		return 0, false
 	}
 	e.refTp = ref
-	maxTp := units.Seconds(float64(ref) * PerfSlack)
 	if n := len(s.spareFloors); n > 0 {
 		e.floor, s.spareFloors = s.spareFloors[n-1], s.spareFloors[:n-1]
 	} else {
 		e.floor = make([]poolFloor, len(s.pools))
 	}
 	for pi := range e.floor {
-		e.floor[pi] = poolFloor{p: math.MaxInt, cost: units.Watts(math.Inf(1))}
+		e.floor[pi] = poolFloor{p: math.MaxInt, cost: units.Watts(math.Inf(1)), tp: units.Seconds(math.Inf(1))}
 	}
 	for _, g := range e.grid { // a width only At asked for just loosens the floor
-		if g.row == nil || g.fastest > maxTp {
-			continue
-		}
-		fl := &e.floor[g.pool]
-		fl.p = min(fl.p, g.p)
-		for _, draw := range g.row.Draw {
-			fl.cost = min(fl.cost, s.marginalCost(g.pool, draw, g.p))
-		}
+		s.loosen(e, g)
 	}
 	return ref, true
 }
 
-// belowFloor reports that no slack-eligible point of a priced job can
-// fit the given free ranks and budget — a necessary condition read off
-// the cached floor in O(pools), never a verdict the grid walk would
-// contradict. Only the widths referenceTp priced are covered: free ranks
-// that cap the range at an unpriced width (neither a power of two nor a
-// bound of the job's range) send the search to the grid.
-func (s *Scheduler) belowFloor(e *entry, free []int, budget units.Watts) bool {
+// loosen lowers the floor to cover row g's points if g is slack-eligible.
+func (s *Scheduler) loosen(e *entry, g pricedRow) {
+	if g.row == nil || g.fastest > units.Seconds(float64(e.refTp)*PerfSlack) {
+		return
+	}
+	fl := &e.floor[g.pool]
+	fl.p = min(fl.p, g.p)
+	for fi, draw := range g.row.Draw {
+		fl.cost = min(fl.cost, s.marginalCost(g.pool, draw, g.p))
+		fl.tp = min(fl.tp, g.row.Pred[fi].Tp)
+	}
+}
+
+// belowFloor reports, and books in work, that no slack-eligible point of
+// the priced job passes search's gates here, in O(pools × reservations):
+// no pool's floor fits the free ranks and budget, or each that does fails
+// a reservation (fresh jobs only: predTp is not a restarted job's rows').
+// Every gate is monotone in the floor's (p, cost, Tp), so the floor never
+// refuses what the grid walk admits. Free ranks that cap the range at the
+// one width referenceTp skips (the top of Job.Widths) price it first, as
+// the search would, leaving a model failure there to the search.
+func (c *AdmitContext) belowFloor(e *entry, budget units.Watts) bool {
 	lo := e.job.minWidth()
-	for pi, fl := range e.floor {
-		top := min(e.job.MaxWidth, s.pools[pi].size)
-		hi := min(top, free[pi])
+	fresh := e.saved == 0 && e.res.Restarts == 0
+	reserved := false
+	for pi := range e.floor {
+		top := min(e.job.MaxWidth, c.s.pools[pi].size)
+		hi := min(top, c.free[pi])
 		if hi < lo {
 			continue
 		}
 		if hi != lo && hi != top && hi&(hi-1) != 0 {
-			return false
+			if row, _ := c.s.priced(e, pi, hi); row == nil {
+				return false
+			}
 		}
-		if hi >= fl.p && budget >= fl.cost {
-			return false
+		fl := &e.floor[pi]
+		if hi < fl.p || budget < fl.cost {
+			continue
 		}
+		if fresh && !permitted(c.rsvs, e, c.now, pi, fl.p, fl.cost, fl.tp) {
+			reserved = true
+			continue
+		}
+		return false
+	}
+	if reserved {
+		c.s.work.FloorReserved++
+	} else {
+		c.s.work.FloorFit++
 	}
 	return true
 }

@@ -34,15 +34,23 @@ func (a *queueAudit) Admit(ctx *AdmitContext) {
 	a.Policy.Admit(ctx)
 }
 
-// check compares the maintained priority view to the reference the
-// scheduler used to rebuild per pass — a stable sort of the live queue
-// by (priority desc, arrival, ID) — and asserts no pass left a taken
-// bit behind.
-func (a *queueAudit) check(s *Scheduler) {
-	a.t.Helper()
-	want := append([]*entry(nil), s.queue...)
-	sort.SliceStable(want, func(x, y int) bool {
-		jx, jy := &want[x].job, &want[y].job
+// waitingIn returns the view's live entries — the ones its readers yield —
+// in its order.
+func waitingIn(view []*entry) []*entry {
+	var out []*entry
+	for _, e := range view {
+		if e.res.State == Queued {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// prioritySorted is the reference order of the priority view: a stable
+// sort by (priority desc, arrival, ID), in place.
+func prioritySorted(es []*entry) []*entry {
+	sort.SliceStable(es, func(x, y int) bool {
+		jx, jy := &es[x].job, &es[y].job
 		if jx.priority() != jy.priority() {
 			return jx.priority() > jy.priority()
 		}
@@ -51,18 +59,26 @@ func (a *queueAudit) check(s *Scheduler) {
 		}
 		return jx.ID < jy.ID
 	})
-	if !slices.Equal(s.prio, want) {
+	return es
+}
+
+// check compares the maintained priority view to the reference the
+// scheduler used to rebuild per pass — a stable sort of the live queue
+// by (priority desc, arrival, ID) — and asserts no pass left a taken
+// bit behind.
+func (a *queueAudit) check(s *Scheduler) {
+	a.t.Helper()
+	want := prioritySorted(waitingIn(s.queue))
+	if prio := waitingIn(s.prio); !slices.Equal(prio, want) {
 		a.t.Fatalf("%s: pass %d: priority view diverged from the sorted queue (%d vs %d entries)",
-			a.label, a.passes, len(s.prio), len(want))
+			a.label, a.passes, len(prio), len(want))
+	}
+	if len(want) != s.queued {
+		a.t.Fatalf("%s: pass %d: %d live entries, the waiting count says %d", a.label, a.passes, len(want), s.queued)
 	}
 	for _, e := range s.entries {
 		if e.taken {
 			a.t.Fatalf("%s: pass %d: job %d still marked taken after its pass", a.label, a.passes, e.job.ID)
-		}
-	}
-	for _, e := range s.queue {
-		if e.res.State != Queued {
-			a.t.Fatalf("%s: pass %d: job %d is %s but still queued", a.label, a.passes, e.job.ID, e.res.State)
 		}
 	}
 }
@@ -108,8 +124,8 @@ func TestPriorityViewMatchesSortedQueue(t *testing.T) {
 						t.Fatalf("%s: %v", audit.label, err)
 					}
 					audit.check(s)
-					if len(s.queue) != 0 || len(s.prio) != 0 {
-						t.Fatalf("%s: %d/%d entries left queued after the run", audit.label, len(s.queue), len(s.prio))
+					if n, m := len(waitingIn(s.queue)), len(waitingIn(s.prio)); n != 0 || m != 0 || s.queued != 0 {
+						t.Fatalf("%s: %d/%d entries (count %d) left queued after the run", audit.label, n, m, s.queued)
 					}
 					if audit.passes < len(trace) {
 						t.Fatalf("%s: only %d passes audited", audit.label, audit.passes)
@@ -123,11 +139,129 @@ func TestPriorityViewMatchesSortedQueue(t *testing.T) {
 	}
 }
 
+// viewAudit wraps the configured policy and, at the start of every live
+// admission pass, checks what the lazily compacted views yield against
+// the eager queue they replaced: the jobs still waiting from the last
+// pass in their order, then the newcomers — arrivals and requeues — in
+// the order they were filed.
+type viewAudit struct {
+	Policy
+	t     *testing.T
+	label string
+	eager []*entry       // the last pass's waiting jobs, in queue order
+	seen  map[*entry]int // each one's restarts at that pass
+	// passes counts audited passes, stale those that found dead slots in
+	// the views, and requeues the requeued jobs found at the tail.
+	passes, stale, requeues int
+}
+
+func (a *viewAudit) Admit(ctx *AdmitContext) {
+	if !ctx.shadow {
+		a.check(ctx)
+	}
+	a.Policy.Admit(ctx)
+}
+
+func (a *viewAudit) check(ctx *AdmitContext) {
+	a.t.Helper()
+	s := ctx.s
+	a.passes++
+	if len(s.queue) > s.queued {
+		a.stale++
+	}
+	// A copy of the pass's context with a rank free, so the views yield
+	// the whole queue.
+	view := *ctx
+	view.free = []int{1}
+	queued := slices.Collect(view.Queued())
+	once := map[*entry]bool{}
+	for _, e := range queued {
+		if once[e] || e.res.State != Queued {
+			a.t.Fatalf("%s: pass %d: Queued yields job %d (%s) twice or not waiting", a.label, a.passes, e.job.ID, e.res.State)
+		}
+		once[e] = true
+	}
+	for _, e := range s.entries {
+		if e.res.State == Queued && e.job.Arrival < ctx.now && !once[e] {
+			a.t.Fatalf("%s: pass %d: waiting job %d is missing from Queued", a.label, a.passes, e.job.ID)
+		}
+	}
+	var want []*entry
+	kept := map[*entry]bool{}
+	for _, e := range a.eager {
+		if e.res.State == Queued && e.res.Restarts == a.seen[e] {
+			want, kept[e] = append(want, e), true
+		}
+	}
+	for _, e := range queued {
+		if !kept[e] {
+			want = append(want, e)
+			if _, ok := a.seen[e]; ok && e.res.Restarts > a.seen[e] {
+				a.requeues++
+			}
+		}
+	}
+	if !slices.Equal(queued, want) {
+		a.t.Fatalf("%s: pass %d: Queued is not the eager queue order (%d vs %d jobs)", a.label, a.passes, len(queued), len(want))
+	}
+	if len(queued) != s.queued {
+		a.t.Fatalf("%s: pass %d: %d jobs yielded, the waiting count says %d", a.label, a.passes, len(queued), s.queued)
+	}
+	if prio := slices.Collect(view.Prioritized()); !slices.Equal(prio, prioritySorted(slices.Clone(want))) {
+		a.t.Fatalf("%s: pass %d: Prioritized is not the eager queue's priority order", a.label, a.passes)
+	}
+	a.eager = queued
+	for _, e := range queued {
+		a.seen[e] = e.res.Restarts
+	}
+}
+
+// The lazy views are invisible: under fault churn (requeues re-enter at
+// the tail while their old slots may still be uncompacted), every live
+// pass's Queued and Prioritized yield each waiting job exactly once, in
+// the order eager pruning kept, and a requeued job once, behind every
+// job already waiting.
+func TestLazyViewsYieldEachWaiterOnce(t *testing.T) {
+	trace := SyntheticTrace(TraceConfig{Jobs: 48, Seed: 3})
+	churn := mustFaultPlan(t, "mtbf=*:1.5,mttr=*:0.2,retries=4,ckpt=0.15,restart=0.05")
+	stale, requeues := 0, 0
+	for _, inner := range []func() Policy{FIFO, EEMax, FairShare} {
+		for _, k := range []int{0, 1, 3} {
+			for _, pf := range []string{"systemg:32", "systemg:16,dori:16"} {
+				pol := inner()
+				if k > 0 {
+					pol = BackfillN(pol, k)
+				}
+				audit := &viewAudit{Policy: pol, t: t, label: pol.Name() + "/" + pf, seen: map[*entry]int{}}
+				s, err := New(Config{Platform: mustPlatform(t, pf), Cap: 1600, Policy: audit, Seed: 3, Faults: churn})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := s.Run(trace)
+				if err != nil {
+					t.Fatalf("%s: %v", audit.label, err)
+				}
+				if res.Restarts == 0 || audit.passes < len(trace) {
+					t.Fatalf("%s: %d restarts over %d audited passes; want the requeue path exercised", audit.label, res.Restarts, audit.passes)
+				}
+				stale += audit.stale
+				requeues += audit.requeues
+			}
+		}
+	}
+	if stale == 0 || requeues == 0 {
+		t.Fatalf("%d passes over dead slots, %d requeues seen at the tail; want both", stale, requeues)
+	}
+}
+
 // The admissibility floor is a necessary condition only: whenever the
 // unfiltered grid walk (blockStage's replay) finds a feasible point,
 // Best — floor included — must find one too, and vice versa. Random
 // free-rank and budget states, fresh and restarted jobs (scaled
-// predTp), under a cap timeline whose dip narrows the budget.
+// predTp), zero to two reservations (the job's own among them), under a
+// cap timeline whose dip narrows the budget. Free ranks land on
+// non-power-of-two widths too: the first such state prices the width,
+// and every later one reads it off the loosened floor.
 func TestFloorNeverRejectsAnAdmissibleJob(t *testing.T) {
 	plan, err := capplan.ParsePlan("0:2400,2:1500,4:2400")
 	if err != nil {
@@ -150,7 +284,8 @@ func TestFloorNeverRejectsAnAdmissibleJob(t *testing.T) {
 		rng := rand.New(rand.NewSource(11))
 		trace := SyntheticTrace(TraceConfig{Jobs: 24, Seed: 9})
 		trace = append(trace, Job{ID: 100, Vector: app.EP(), N: 1e7, MinWidth: 3, MaxWidth: 12})
-		floored, admitted := 0, 0
+		other := &entry{job: epJob(-1, 8)}
+		admitted, late := 0, 0
 		for i, j := range trace {
 			e := &entry{job: j, res: JobResult{Job: j, State: Queued}}
 			if i%3 == 0 {
@@ -163,21 +298,45 @@ func TestFloorNeverRejectsAnAdmissibleJob(t *testing.T) {
 					ctx.free[pi] = rng.Intn(s.pools[pi].size + 1)
 				}
 				ctx.headroom = units.Watts(1 + rng.Float64()*1200)
+				for n := rng.Intn(3); n > 0; n-- {
+					rsv := &reservation{
+						e:          other,
+						at:         ctx.now + units.Seconds(rng.Float64()*3),
+						dur:        units.Seconds(rng.Float64() * 2),
+						extraWatts: units.Watts(rng.Float64() * 600),
+					}
+					if rng.Intn(8) == 0 {
+						rsv.e = e // the job's own promise exempts it
+					}
+					for pi := range s.pools {
+						rsv.extraRanks = append(rsv.extraRanks, rng.Intn(s.pools[pi].size+1))
+					}
+					ctx.rsvs = append(ctx.rsvs, rsv)
+				}
+				// A non-power-of-two width inside the job's range, priced by an
+				// earlier state: the loosened floor answers it.
+				for pi, f := range ctx.free {
+					hi := min(j.MaxWidth, s.pools[pi].size, f)
+					if hi > j.minWidth() && hi < min(j.MaxWidth, s.pools[pi].size) && hi&(hi-1) != 0 &&
+						slices.ContainsFunc(e.grid, func(g pricedRow) bool { return g.pool == pi && g.p == hi }) {
+						late++
+						break
+					}
+				}
 				ok := ctx.Best(e, ctx.headroom) != nil
 				stage := ctx.blockStage(e)
 				if feasible := stage == stageFeasible; ok != feasible {
-					t.Fatalf("job %d free=%v budget=%v now=%v: Best=%t but the unfiltered walk ends at stage %d",
-						j.ID, ctx.free, ctx.headroom, ctx.now, ok, stage)
+					t.Fatalf("job %d free=%v budget=%v now=%v rsvs=%d: Best=%t but the unfiltered walk ends at stage %d",
+						j.ID, ctx.free, ctx.headroom, ctx.now, len(ctx.rsvs), ok, stage)
 				}
 				if ok {
 					admitted++
-				} else if s.belowFloor(e, ctx.free, ctx.headroom) {
-					floored++
 				}
 			}
 		}
-		if floored == 0 || admitted == 0 {
-			t.Fatalf("%s: states too one-sided to test the floor (%d floored, %d admitted)", platform, floored, admitted)
+		if w := s.work; w.FloorFit == 0 || w.FloorReserved == 0 || admitted == 0 || late == 0 {
+			t.Fatalf("%s: states too one-sided to test the floor (%d refused for ranks or budget, %d for a reservation, %d admitted, %d on a late-priced width)",
+				platform, w.FloorFit, w.FloorReserved, admitted, late)
 		}
 	}
 }
@@ -539,9 +698,9 @@ func TestBestMatchesReferenceSearch(t *testing.T) {
 				if got != nil && *got != want {
 					t.Fatalf("%s: search picked %+v, the reference %+v", label, *got, want)
 				}
-				// The parent's Best: the floor, then the search.
-				wantBest := ctx.relaxed || !s.belowFloor(e, ctx.free, ctx.headroom)
-				wantBest = wantBest && wantStage == stageFeasible
+				// Best is the floor, then the search: the floor only refuses
+				// what the reference search would.
+				wantBest := wantStage == stageFeasible
 				if best := ctx.Best(e, ctx.headroom); (best != nil) != wantBest || (best != nil && *best != want) {
 					t.Fatalf("%s: Best admits %t, the reference %t", label, best != nil, wantBest)
 				}
@@ -646,9 +805,11 @@ func TestSpareRowsAreNeverLive(t *testing.T) {
 			if held[c] != rj {
 				held[c], fired[c] = rj, 0
 			}
-			if fired[c]++; rj.killed || s.owner[rj.ranks[c.lo]] != rj || fired[c] > rj.slices {
-				t.Fatalf("t=%v: a chain fired for job %d (killed %v, owns its ranks %v) its slice %d of %d",
-					s.cl.Kernel().Now(), rj.e.job.ID, rj.killed, s.owner[rj.ranks[c.lo]] == rj, fired[c], rj.slices)
+			// A kill vacates the attempt's ranks (s.owner), so a chain firing
+			// for a killed attempt fires for ranks it no longer owns.
+			if fired[c]++; s.owner[rj.ranks[c.lo]] != rj || fired[c] > rj.slices {
+				t.Fatalf("t=%v: a chain fired for job %d (owns its ranks %v) its slice %d of %d",
+					s.cl.Kernel().Now(), rj.e.job.ID, s.owner[rj.ranks[c.lo]] == rj, fired[c], rj.slices)
 			}
 			inner()
 		}
@@ -707,7 +868,9 @@ func TestSpareRowsAreNeverLive(t *testing.T) {
 						t.Fatalf("t=%v: running job %d holds a chain that is spare (%v) or another job's", now, rj.e.job.ID, chains[c])
 					}
 					if last := held[c]; last != rj {
-						if last != nil && last.killed {
+						// The last holder no longer owns its ranks; with ranks
+						// still to count out, it was killed, not finished.
+						if last != nil && s.owner[last.ranks[0]] != last && last.left > 0 {
 							reusedAfterKill++
 						}
 						held[c], fired[c] = rj, 0
@@ -813,10 +976,10 @@ func TestRequeuedJobKeepsItsRows(t *testing.T) {
 
 // What the burst speed-up rests on: a search that ends in "wait" — no
 // affordable point, or every affordable point refused by a reservation —
-// and a refused explicit point allocate nothing, for a job whose ID an
-// interface would box (≥ 256).
+// the floor's refusal of the same job, and a refused explicit point
+// allocate nothing, for a job whose ID an interface would box (≥ 256).
 func TestBlockedBestDoesNotAllocate(t *testing.T) {
-	s := heldScheduler(t, 5) // hi = 5: a width the floor does not cover, so Best walks the grid
+	s := heldScheduler(t, 5) // hi = 5: the first Best prices it, later ones read the loosened floor
 	j := epJob(1000, 6)      // five of its six ranks keep it within the slack
 	e := &entry{job: j, res: JobResult{Job: j, State: Queued}}
 	wall := &reservation{e: &entry{}, at: 0, dur: 1e9, extraRanks: []int{0}}
@@ -839,6 +1002,9 @@ func TestBlockedBestDoesNotAllocate(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(100, func() { ctx.Best(e, ctx.headroom) }); n != 0 {
 			t.Errorf("%s: a blocked Best allocates %v objects, want 0", tc.label, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { ctx.search(e, e.refTp, ctx.headroom) }); n != 0 {
+			t.Errorf("%s: a blocked search allocates %v objects, want 0", tc.label, n)
 		}
 		if n := testing.AllocsPerRun(100, func() { ctx.At(e, 0, 4, s.pools[0].ladder[0]) }); n != 0 {
 			t.Errorf("%s: a refused At allocates %v objects, want 0", tc.label, n)
@@ -888,7 +1054,7 @@ func TestAdmissionStopsWhenNoRankIsFree(t *testing.T) {
 				t.Errorf("%s: with %d ranks left Queued yields %d jobs and Prioritized %d, want none",
 					label, y.free, y.queued, y.prioritized)
 			}
-			for _, e := range s.queue {
+			for _, e := range waitingIn(s.queue) {
 				if e.refTp != 0 || e.grid != nil {
 					t.Errorf("%s: job %d was priced behind a full cluster", label, e.job.ID)
 				}

@@ -149,7 +149,7 @@ func (b backfillPolicy) Admit(ctx *AdmitContext) {
 			if len(rsvs) >= b.k {
 				break
 			}
-			if e == head || ctx.taken(e) {
+			if e == head || !ctx.waiting(e) {
 				continue
 			}
 			ctx.rsvs = rsvs

@@ -94,7 +94,7 @@ func TestReleaseRanksDoesNotAllocate(t *testing.T) {
 				if !ok {
 					t.Fatalf("%s: no candidate at width %d on pool %d", platform, w, pool)
 				}
-				s.start(e, cand, false, 0)
+				s.start(e, cand, false)
 				rj := s.running[len(s.running)-1]
 				for _, r := range rj.ranks {
 					s.cl.CompleteOp(r) // the kernel never runs: retire the first phase by hand

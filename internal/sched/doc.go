@@ -16,17 +16,17 @@
 //
 //   - An admission controller. When capacity frees up (job arrival or
 //     completion), the configured Policy picks which queued jobs start
-//     and at which (pool, p, f) operating point, scanning the same
-//     per-pool grids the offline optimiser uses
-//     (analysis.ForEachOperatingPoint), each (pool, width) row priced
-//     once per job by opcache.(*Cache).Eval into the job's queue entry,
-//     which owns it until the job leaves; every later scheduling edge
-//     reads it there. Pool choice is policy-visible and
-//     deterministic — ee-max takes the EE-best pool its slack rule
-//     allows, fifo drains onto the lowest-ranked pool that fits.
-//     Admission is conservative: a job's power cost is its sustained
-//     worst-case draw (envelope over its pool's ladder, computed in
-//     opcache), so the measured cluster draw can never exceed the cap
+//     and at which (pool, p, f) operating point, scanning the per-pool
+//     grids the offline optimiser uses (analysis.ForEachOperatingPoint),
+//     each (pool, width) row priced once per job by opcache.(*Cache).Eval
+//     into the job's queue entry, which owns it until the job leaves. A
+//     floor kept beside the rows refuses in O(pools) a job no grid walk
+//     could start, reservations included, and the queue views compact
+//     lazily. Pool choice is policy-visible and deterministic — ee-max
+//     takes the EE-best pool its slack rule allows, fifo the lowest-ranked
+//     pool that fits. Admission is conservative: a job's power cost is its
+//     sustained worst-case draw (envelope over its pool's ladder, computed
+//     in opcache), so the measured cluster draw can never exceed the cap
 //     between control actions.
 //
 //   - A runtime DVFS governor. A power.Profiler samples the simulated

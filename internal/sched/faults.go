@@ -231,8 +231,6 @@ func (s *Scheduler) repairRank(r int) {
 // once the retry cap is spent.
 func (s *Scheduler) killJob(rj *runningJob) {
 	now := s.cl.Kernel().Now()
-	rj.killed = true
-
 	e := rj.e
 	// Work since the last checkpoint is re-executed on restart; price it
 	// at the admitted operating point.
@@ -259,6 +257,7 @@ func (s *Scheduler) killJob(rj *runningJob) {
 		s.tel.emitKill(rj, lost, rj.energy, "requeue")
 	}
 	e.res.Restarts++
+	s.prune(true) // a slot left from its last wait would revive with the state
 	e.res.State = Queued
 	e.res.Backfilled = false
 	s.enqueue(e)
@@ -278,6 +277,7 @@ func (s *Scheduler) lose(e *entry, reason string) {
 // when the job already ran and was killed — it consumed cluster time
 // and energy, which "rejected" would misreport.
 func (s *Scheduler) finalize(e *entry, reason string) {
+	s.queued--
 	if e.res.Restarts > 0 || e.saved > 0 {
 		if s.tel != nil {
 			s.tel.emitLost(e, reason)
@@ -352,9 +352,6 @@ func (s *Scheduler) armCheckpoint(rj *runningJob) {
 	}
 	if rj.ckpt == nil {
 		rj.ckpt = func() {
-			if rj.killed {
-				return
-			}
 			rj.lastCkpt = s.absProgress(rj, s.cl.Kernel().Now())
 			rj.e.res.Checkpoints++
 			s.res.Checkpoints++

@@ -283,6 +283,41 @@ func TestCheckpointRestartAccounting(t *testing.T) {
 	}
 }
 
+// A kill cancels the attempt's pending checkpoint (vacate), so no
+// checkpoint fires for a killed attempt: on the event stream of an MTBF
+// churn run, each job checkpoints only between an admit and its kill or
+// finish — a checkpoint while the job waits to restart would save
+// progress no rank is making.
+func TestNoCheckpointAfterKill(t *testing.T) {
+	cfg := Config{
+		Platform: mustPlatform(t, "systemg:16,dori:16"),
+		Cap:      1800,
+		Policy:   Backfill(EEMax()),
+		Seed:     1,
+		Faults:   mustFaultPlan(t, "mtbf=*:1.5,mttr=*:0.2,retries=4,ckpt=0.05,restart=0.05"),
+	}
+	res, events := tracedRun(t, cfg, SyntheticTrace(TraceConfig{Jobs: 32, Seed: 1}))
+	running := map[int]bool{}
+	ckpts := 0
+	for _, ev := range events {
+		switch ev.Kind {
+		case telemetry.EvAdmit:
+			running[ev.Job] = true
+		case telemetry.EvKill, telemetry.EvFinish:
+			running[ev.Job] = false
+		case telemetry.EvCheckpoint:
+			if !running[ev.Job] {
+				t.Fatalf("t=%v: job %d checkpointed while not running", ev.T, ev.Job)
+			}
+			ckpts++
+		}
+	}
+	if res.Kills == 0 || res.Restarts == 0 || ckpts != res.Checkpoints || ckpts == 0 {
+		t.Fatalf("%d kills, %d restarts, %d checkpoint events for %d checkpoints; want kills of checkpointing jobs",
+			res.Kills, res.Restarts, ckpts, res.Checkpoints)
+	}
+}
+
 // The same kill with the retry cap at zero and no repair: the job is
 // permanently lost, reported as Lost (not Rejected — it consumed cluster
 // time), and the rest of the trace completes on the surviving capacity.

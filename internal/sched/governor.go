@@ -150,7 +150,7 @@ func (g *governor) throttle() {
 //     costs the whole cluster's idle energy — so the governor races to
 //     idle: any step up the ladder that fits under the cap is taken.
 func (g *governor) boost() {
-	drain := len(g.s.queue) == 0
+	drain := g.s.queued == 0
 	blocked := g.s.blocked
 	if !drain && !blocked {
 		return
@@ -217,7 +217,7 @@ func (g *governor) boost() {
 // more spent on starting queued work at an efficient point than on
 // overclocking running work past its EE optimum.
 func (g *governor) relinquish() {
-	if len(g.s.queue) == 0 {
+	if g.s.queued == 0 {
 		return
 	}
 	for _, rj := range g.sorted() {

@@ -79,6 +79,37 @@ func TestObsObservesRun(t *testing.T) {
 	}
 }
 
+// The admission work counts are deterministic per (trace, config) and
+// count admission only: a telemetry run, whose edges replay every
+// blocked job's search for its block reason, counts the same work as a
+// bare one. Every Best call is refused by the floor, searched, or
+// unpriced, and a search reads at least one row.
+func TestAdmissionWorkCounts(t *testing.T) {
+	work := func(rec *telemetry.Recorder) obs.AdmissionWork {
+		host := obs.NewHost()
+		s, err := New(Config{
+			Platform: machine.Homogeneous(machine.SystemG()), Ranks: 64, Cap: 2500, Policy: Backfill(EEMax()), Seed: 7,
+			Obs: host, Telemetry: rec,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(SyntheticTrace(TraceConfig{Jobs: 96, Seed: 7})); err != nil {
+			t.Fatal(err)
+		}
+		return host.Snapshot().Admission
+	}
+	bare := work(nil)
+	if traced := work(telemetry.New(telemetry.NewMemorySink())); traced != bare {
+		t.Fatalf("a traced run counts %+v, the bare run %+v", traced, bare)
+	}
+	w := bare
+	if w.FloorFit == 0 || w.FloorReserved == 0 || w.Searches == 0 || w.Rows < w.Searches ||
+		w.Best < w.FloorFit+w.FloorReserved+w.Searches {
+		t.Fatalf("admission work %+v: want both floor refusals, searches reading rows, and Best covering them", w)
+	}
+}
+
 // With two pools the host reports each pool's op-cache counters under
 // the pool's own name, and they sum to the aggregate it reports.
 func TestObsPoolsSumToAggregate(t *testing.T) {

@@ -90,7 +90,7 @@ func (s *Scheduler) liveContext(relaxed bool) *AdmitContext {
 		ctrl:     s.controlCap(now),
 		free:     free,
 		headroom: s.headroom(),
-		queue:    s.queue,
+		queue:    s.queue[s.first:],
 		prio:     s.prio,
 		admitted: c.admitted[:0],
 		relaxed:  relaxed,
@@ -119,21 +119,21 @@ func (c *AdmitContext) pending(view []*entry) iter.Seq[*entry] {
 			if c.freeRanks() == 0 {
 				return
 			}
-			if !c.taken(e) && !yield(e) {
+			if c.waiting(e) && !yield(e) {
 				return
 			}
 		}
 	}
 }
 
-// taken reports whether e was already admitted through this context. A
-// live pass marks the entry itself; a shadow probe, whose single entry
-// belongs to the pass that spawned it, counts its one possible admission.
-func (c *AdmitContext) taken(e *entry) bool {
+// waiting reports whether e is a live slot (Scheduler.queue) not yet
+// admitted through this context: marked on the entry in a live pass, the
+// one possible admission of a shadow probe's single entry.
+func (c *AdmitContext) waiting(e *entry) bool {
 	if c.shadow {
-		return len(c.admitted) > 0
+		return len(c.admitted) == 0
 	}
-	return e.taken
+	return e.res.State == Queued && !e.taken
 }
 
 // freeRanks counts the ranks not yet claimed in any pool, including by
@@ -152,7 +152,7 @@ func (c *AdmitContext) freeRanks() int {
 // reservation — on a full cluster above all, where Queued yields nothing.
 func (c *AdmitContext) head() *entry {
 	for _, e := range c.queue {
-		if !c.taken(e) {
+		if c.waiting(e) {
 			return e
 		}
 	}
@@ -199,7 +199,7 @@ func (c *AdmitContext) At(e *entry, pool, p int, f units.Hertz) (Candidate, bool
 // free capacity, panics: policies are in-package and this is a logic
 // error.
 func (c *AdmitContext) Admit(e *entry, cand Candidate) {
-	if c.taken(e) {
+	if !c.waiting(e) {
 		panic("sched: job admitted twice in one pass")
 	}
 	if cand.P > c.free[cand.Pool] || cand.Cost > c.headroom {
@@ -226,7 +226,7 @@ func (c *AdmitContext) Admit(e *entry, cand Candidate) {
 	if !c.shadow {
 		j := &e.job
 		for _, q := range c.queue {
-			if !q.taken && q != e &&
+			if c.waiting(q) && q != e &&
 				(q.job.Arrival < j.Arrival || (q.job.Arrival == j.Arrival && q.job.ID < j.ID)) {
 				c.bypasses++
 				break

@@ -248,7 +248,7 @@ func TestDispatchAllocations(t *testing.T) {
 	ps := &s.pools[0]
 	free := append([]int(nil), ps.free...)
 	dispatch := func() {
-		s.start(e, cand, false, 0)
+		s.start(e, cand, false)
 		// Undo it by hand, without running the kernel (the armed event
 		// never fires) and without vacate's free-list merge, so the
 		// count is start's alone; the chain goes back to the spare list
@@ -303,7 +303,7 @@ func runAlone(t *testing.T, cfg Config, j Job, slices, ckpts int) aloneRun {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	s.start(e, cand, false, 0)
+	s.start(e, cand, false)
 	rj := s.running[0]
 	err = s.cl.Kernel().Run()
 	runtime.ReadMemStats(&after)
@@ -737,8 +737,8 @@ func TestGovernorBoostFlatEnergyLadderNoChurn(t *testing.T) {
 	rj := &runningJob{e: e, ranks: []int{0, 1}, fIdx: 0, admIdx: 0, prof: lp}
 	s.running = []*runningJob{rj}
 	s.pools[0].free = []int{2, 3}
-	s.queue = []*entry{{job: epJob(1, 1)}} // contended: not drain mode
-	s.blocked = true                       // loanable watts on offer
+	s.enqueue(&entry{job: epJob(1, 1)}) // contended: not drain mode
+	s.blocked = true                    // loanable watts on offer
 	g := &governor{s: s}
 	g.boost()
 	if rj.fIdx != 0 || e.res.FreqChanges != 0 {

@@ -157,13 +157,15 @@ type Scheduler struct {
 
 	entries map[int]*entry
 	// queue holds the arrived, waiting jobs in insertion order; requeues
-	// re-enter at the tail. prio, the priority view, holds the same
-	// entries ordered (priority desc, Arrival, ID): fully keyed, so
-	// insertion-independent. enqueue and prune are their only writers;
-	// admission passes iterate both in place.
-	queue, prio []*entry
-	running     []*runningJob
-	remaining   int // jobs that have not left (see leave)
+	// re-enter at the tail. prio holds the same entries ordered (priority
+	// desc, Arrival, ID), so insertion-independent. A job that stops
+	// waiting keeps its slot, which readers skip (State is no longer
+	// Queued), until prune finds half the slots dead; queued counts the
+	// live ones, queue[:first] is dead. Only enqueue and prune write slots.
+	queue, prio   []*entry
+	queued, first int
+	running       []*runningJob
+	remaining     int // jobs that have not left (see leave)
 
 	// blocked records that the latest admission pass left jobs queued:
 	// until the next arrival or completion no admission can succeed, so
@@ -193,6 +195,8 @@ type Scheduler struct {
 	spareGrids  [][]pricedRow
 	spareFloors [][]poolFloor
 	spareChains []*chain
+
+	work obs.AdmissionWork // what admission did, in counts
 
 	// res is the run's ledger: every count and energy known the moment
 	// it happens is booked here, once (see collect).
@@ -254,15 +258,12 @@ type runningJob struct {
 	progress float64
 	pricedAt units.Seconds
 
-	// Fault-injection state (zero-valued without Config.Faults): killed
-	// marks an attempt a rank failure aborted; the chains' timers and
-	// ckptTimer are the pending kernel events a kill must cancel, and
-	// ckpt the checkpoint callback ckptTimer re-arms (bound once); base
-	// is the absolute progress fraction this attempt resumed from,
-	// lastCkpt the latest checkpointed absolute fraction; workScale
-	// stretches the model runtime of a resumed attempt (remaining work
-	// plus restart surcharge over the full run — 0 or 1 means unscaled).
-	killed    bool
+	// Fault-injection state (zero-valued without Config.Faults): a kill
+	// cancels the chains' timers and ckptTimer (vacate), whose checkpoint
+	// callback ckpt is bound once; base is the absolute progress fraction
+	// this attempt resumed from, lastCkpt the latest checkpointed one;
+	// workScale stretches a resumed attempt's model runtime (remaining
+	// work plus restart surcharge over the full run — 0 or 1: unscaled).
 	ckptTimer sim.Timer
 	ckpt      func()
 	base      float64
@@ -552,6 +553,7 @@ func (s *Scheduler) Run(jobs []Job) (Result, error) {
 				}
 				return pools
 			},
+			func() obs.AdmissionWork { return s.work },
 		)
 		s.hst.RunStart()
 	}
@@ -605,6 +607,7 @@ func (s *Scheduler) arrive(e *entry) {
 // enqueue appends a waiting job to the queue and files it in the
 // priority view.
 func (s *Scheduler) enqueue(e *entry) {
+	s.queued++
 	s.queue = append(s.queue, e)
 	i, _ := slices.BinarySearchFunc(s.prio, e, func(a, b *entry) int {
 		return cmp.Or(
@@ -615,12 +618,19 @@ func (s *Scheduler) enqueue(e *entry) {
 	s.prio = slices.Insert(s.prio, i, e)
 }
 
-// prune drops every job that stopped waiting — started, rejected or
-// lost — from the queue and the priority view.
-func (s *Scheduler) prune() {
-	left := func(e *entry) bool { return e.res.State != Queued }
-	s.queue = slices.DeleteFunc(s.queue, left)
-	s.prio = slices.DeleteFunc(s.prio, left)
+// prune drops the slots of jobs that stopped waiting, keeping the live
+// ones' order — unless forced, once half the slots are dead, so a job
+// that stops waiting costs amortised O(1).
+func (s *Scheduler) prune(force bool) {
+	for s.first < len(s.queue) && s.queue[s.first].res.State != Queued {
+		s.first++
+	}
+	if force || 2*s.queued <= len(s.queue) {
+		left := func(e *entry) bool { return e.res.State != Queued }
+		s.queue = slices.DeleteFunc(s.queue, left)
+		s.prio = slices.DeleteFunc(s.prio, left)
+		s.first = 0
+	}
 }
 
 // reject finalises a job that can never run.
@@ -692,7 +702,7 @@ func (s *Scheduler) tryAdmit() {
 	// cluster state.
 	s.rsvs = nil
 	defer func() {
-		s.blocked = len(s.queue) > 0
+		s.blocked = s.queued > 0
 		s.edgeRetune()
 		// The edge snapshot (blocked-job attempts, metrics row) is
 		// taken after edgeRetune so it reflects the settled state.
@@ -700,7 +710,7 @@ func (s *Scheduler) tryAdmit() {
 			s.tel.edge()
 		}
 	}()
-	if len(s.queue) == 0 {
+	if s.queued == 0 {
 		return
 	}
 	if s.gov != nil {
@@ -733,6 +743,7 @@ func (s *Scheduler) tryAdmit() {
 			repairAhead := s.repairAhead(now)
 			for _, e := range s.queue {
 				switch {
+				case e.res.State != Queued:
 				case (planAhead || repairAhead) && s.feasibleEver(e, now):
 				case planAhead:
 					s.finalize(e, "no operating point fits any budget window, even on an idle cluster")
@@ -742,7 +753,7 @@ func (s *Scheduler) tryAdmit() {
 					s.finalize(e, fmt.Sprintf("no operating point fits cap %v even on an idle cluster", s.capPlan.CapAt(now)))
 				}
 			}
-			s.prune()
+			s.prune(false)
 		}
 	}
 }
@@ -885,24 +896,20 @@ func (s *Scheduler) admitPass(relaxed bool) int {
 		s.tel.bypasses.Add(float64(ctx.bypasses))
 	}
 
-	for i, adm := range ctx.admitted {
-		// Admitted jobs stay in s.queue until the prune below, so the
-		// post-admission depth subtracts the starts already dispatched.
+	for _, adm := range ctx.admitted {
 		adm.e.taken = false
-		s.start(adm.e, adm.cand, adm.backfilled, len(s.queue)-(i+1))
+		s.queued--
+		s.start(adm.e, adm.cand, adm.backfilled)
 	}
-	if len(ctx.admitted) > 0 {
-		s.prune()
-	}
+	s.prune(false)
 	s.inPass = false
 	return len(ctx.admitted)
 }
 
 // start dispatches a job onto the lowest free ranks of the candidate's
 // pool at the candidate operating point and launches its event-driven
-// execution. queueAfter is the queue depth once this admission is
-// pruned (telemetry labelling only).
-func (s *Scheduler) start(e *entry, cand Candidate, backfilled bool, queueAfter int) {
+// execution.
+func (s *Scheduler) start(e *entry, cand Candidate, backfilled bool) {
 	now := s.cl.Kernel().Now()
 	j := e.job
 	ps := &s.pools[cand.Pool]
@@ -976,7 +983,7 @@ func (s *Scheduler) start(e *entry, cand Candidate, backfilled bool, queueAfter 
 	e.res.Backfilled = backfilled
 
 	if s.tel != nil {
-		s.tel.emitAdmit(rj, cand, backfilled, queueAfter)
+		s.tel.emitAdmit(rj, cand, backfilled)
 	}
 	if e.res.Restarts > 0 {
 		s.res.Restarts++

@@ -150,16 +150,21 @@ func (t *schedTelemetry) edge() {
 	// replay and the gauges.
 	view := t.s.liveContext(false)
 	view.rsvs = t.s.rsvs
-	for i, e := range t.s.queue {
+	behind := t.s.queued // jobs at or behind this one
+	for _, e := range t.s.queue[t.s.first:] {
+		if e.res.State != Queued {
+			continue
+		}
 		t.rec.Emit(telemetry.Event{
 			Kind:   telemetry.EvAttempt,
 			Job:    e.job.ID,
 			App:    e.job.Vector.Name,
 			Reason: t.blockReason(view, e),
-			Queue:  len(t.s.queue) - i, // jobs at or behind this one
+			Queue:  behind,
 		})
+		behind--
 	}
-	t.queueDepth.Set(float64(len(t.s.queue)))
+	t.queueDepth.Set(float64(t.s.queued))
 	t.headroomW.Set(float64(view.headroom))
 	for i, free := range view.free {
 		t.freeRanks[i].Set(float64(free))
@@ -174,7 +179,7 @@ func (t *schedTelemetry) emitArrive(e *entry) {
 		Job:   e.job.ID,
 		App:   e.job.Vector.Name,
 		P:     e.job.MaxWidth,
-		Queue: len(t.s.queue),
+		Queue: t.s.queued,
 	})
 }
 
@@ -190,8 +195,7 @@ func (t *schedTelemetry) emitReject(e *entry, reason string) {
 
 // emitAdmit records a dispatch: the chosen operating point, its
 // predicted cost and runtime, and the cluster state left behind.
-// queueAfter is the queue depth once this admission is pruned.
-func (t *schedTelemetry) emitAdmit(rj *runningJob, cand Candidate, backfilled bool, queueAfter int) {
+func (t *schedTelemetry) emitAdmit(rj *runningJob, cand Candidate, backfilled bool) {
 	ps := &t.s.pools[cand.Pool]
 	t.rec.Emit(telemetry.Event{
 		Kind:       telemetry.EvAdmit,
@@ -207,7 +211,7 @@ func (t *schedTelemetry) emitAdmit(rj *runningJob, cand Candidate, backfilled bo
 		Dur:        cand.Tp,
 		Headroom:   t.s.headroom(),
 		Free:       len(ps.free),
-		Queue:      queueAfter,
+		Queue:      t.s.queued,
 		Backfilled: backfilled,
 	})
 }
@@ -227,7 +231,7 @@ func (t *schedTelemetry) emitFinish(rj *runningJob) {
 		Energy:   res.Energy,
 		Headroom: t.s.headroom(),
 		Free:     len(ps.free),
-		Queue:    len(t.s.queue),
+		Queue:    t.s.queued,
 	})
 }
 
