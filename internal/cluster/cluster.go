@@ -137,11 +137,6 @@ type Cluster struct {
 	banks    []energyBank    // per rank: energy banked at past operating points
 	retunes  []int64         // per rank: effective frequency changes absorbed
 	touches  []int64         // per rank: busy-ledger and vector changes (StepMeter)
-
-	// onRetune observers fire after every effective SetRankFrequency (a
-	// call that changed nothing fires nothing) — the hardware-level
-	// counterpart of the scheduler's decision events.
-	onRetune []func(rank int, from, to units.Hertz)
 }
 
 // energyBank accumulates the energy a rank dissipated at earlier DVFS
@@ -283,11 +278,12 @@ func paramsAt(spec *machine.Spec, ladder []machine.Params, f units.Hertz) (*mach
 // later operations use the new vector. Energy dissipated so far is banked
 // at the outgoing parameters so TrueEnergy/MeasuredEnergy stay exact
 // across the change — the banking is pool-agnostic, so heterogeneous
-// retunes account exactly too.
+// retunes account exactly too. Nothing observes the change: the
+// scheduler decision that made it (admit, boost, throttle, finish or
+// kill) is its record.
 func (c *Cluster) SetRankFrequency(rank int, f units.Hertz) error {
 	r := c.checkRank(rank)
-	from := c.params[r].Freq
-	if from == f {
+	if c.params[r].Freq == f {
 		return nil
 	}
 	pi := c.rankPool[r]
@@ -299,18 +295,7 @@ func (c *Cluster) SetRankFrequency(rank int, f units.Hertz) error {
 	c.params[r] = *mp
 	c.retunes[r]++
 	c.touches[r]++
-	for _, fn := range c.onRetune {
-		fn(r, from, f)
-	}
 	return nil
-}
-
-// OnRetune registers an observer of effective per-rank frequency
-// changes. Observers run synchronously after the change is applied (the
-// rank's vector and retune count already reflect it) and must not
-// retune ranks themselves.
-func (c *Cluster) OnRetune(fn func(rank int, from, to units.Hertz)) {
-	c.onRetune = append(c.onRetune, fn)
 }
 
 // bankRank integrates rank r's energy since its last banking point at the

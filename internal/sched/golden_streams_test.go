@@ -36,6 +36,27 @@ func goldenStreams(t *testing.T) (streams map[string]*bytes.Buffer) {
 	rec := telemetry.New(telemetry.NewNDJSONSink(streams["golden_events.ndjson"]), rollup)
 	rec.Metrics().StreamCSV(streams["golden_metrics.csv"])
 
+	cfg, trace := goldenScenario(t, rec)
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(trace); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Metrics().Err(); err != nil {
+		t.Fatal(err)
+	}
+	return streams
+}
+
+// goldenScenario is the stream goldens' configuration and trace,
+// recording into rec.
+func goldenScenario(t *testing.T, rec *telemetry.Recorder) (Config, []Job) {
+	t.Helper()
 	cfg := Config{
 		Platform: mustPlatform(t, "systemg:16,dori:16"),
 		Plan: mustSteps(t,
@@ -51,20 +72,7 @@ func goldenStreams(t *testing.T) (streams map[string]*bytes.Buffer) {
 		Seed:       1,
 		Telemetry:  rec,
 	}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run(SyntheticTrace(TraceConfig{Jobs: 96, Seed: 1, MaxWidth: 16, MeanInterarrival: 80 * units.Millisecond})); err != nil {
-		t.Fatal(err)
-	}
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := rec.Metrics().Err(); err != nil {
-		t.Fatal(err)
-	}
-	return streams
+	return cfg, SyntheticTrace(TraceConfig{Jobs: 96, Seed: 1, MaxWidth: 16, MeanInterarrival: 80 * units.Millisecond})
 }
 
 // The four exporter streams are pinned byte for byte: the goldens were
@@ -103,13 +111,17 @@ func TestStreamGoldens(t *testing.T) {
 
 	// The scenario is only a pin if it reaches every kind a single-site
 	// scheduler emits on a noise-free run (EvRoute is the federation
-	// frontend's, EvViolation needs a noisy meter).
+	// frontend's, EvViolation needs a noisy meter, and EvRankRetune is
+	// no longer emitted: the decisions carry their rank moves).
 	seen := map[telemetry.Kind]bool{}
 	for _, ev := range decoded {
 		seen[ev.Kind] = true
 	}
+	if seen[telemetry.EvRankRetune] {
+		t.Error("golden scenario emits a per-rank retune event")
+	}
 	for k := telemetry.EvArrive; k <= telemetry.EvRestart; k++ {
-		if !seen[k] && k != telemetry.EvViolation && k != telemetry.EvReject {
+		if !seen[k] && k != telemetry.EvViolation && k != telemetry.EvReject && k != telemetry.EvRankRetune {
 			t.Errorf("golden scenario emits no %s event", k)
 		}
 	}

@@ -75,9 +75,8 @@ func (t *schedTelemetry) blockReason(view *AdmitContext, e *entry) string {
 	}
 }
 
-// newSchedTelemetry wires the recorder into a run: sim-time clock,
-// metrics registry, and the cluster's hardware retune hook. Called from
-// Run before any event can fire.
+// newSchedTelemetry wires the recorder into a run: sim-time clock and
+// metrics registry. Called from Run before any event can fire.
 func newSchedTelemetry(s *Scheduler, rec *telemetry.Recorder) *schedTelemetry {
 	if rec == nil {
 		// Callers hold the Enabled() guard; a nil glue keeps every
@@ -91,7 +90,6 @@ func newSchedTelemetry(s *Scheduler, rec *telemetry.Recorder) *schedTelemetry {
 	m.Counter("rejected", telemetry.EvReject)
 	m.Counter("finished", telemetry.EvFinish)
 	t := &schedTelemetry{s: s, rec: rec, bypasses: m.Counter("head_bypasses")}
-	m.RateCounter("rank_retunes", telemetry.EvRankRetune)
 	m.Counter("cap_violations", telemetry.EvViolation)
 	// Wait-time buckets span sub-interval admissions out to long
 	// plan-window parks (seconds).
@@ -112,18 +110,6 @@ func newSchedTelemetry(s *Scheduler, rec *telemetry.Recorder) *schedTelemetry {
 		m.Counter("checkpoints", telemetry.EvCheckpoint)
 		t.lost = m.Counter("jobs_lost")
 	}
-	// Every effective per-rank frequency change — admission dispatch,
-	// governor retune, parking at finish — becomes a hardware-level
-	// event under the decision that caused it.
-	s.cl.OnRetune(func(rank int, from, to units.Hertz) {
-		t.rec.Emit(telemetry.Event{
-			Kind:     telemetry.EvRankRetune,
-			Job:      telemetry.NoJob,
-			Rank:     rank,
-			FreqFrom: from,
-			Freq:     to,
-		})
-	})
 	return t
 }
 
@@ -194,7 +180,8 @@ func (t *schedTelemetry) emitReject(e *entry, reason string) {
 }
 
 // emitAdmit records a dispatch: the chosen operating point, its
-// predicted cost and runtime, and the cluster state left behind.
+// predicted cost and runtime, and the cluster state left behind. Its
+// ranks leave the park frequency, where every free rank sits.
 func (t *schedTelemetry) emitAdmit(rj *runningJob, cand Candidate, backfilled bool) {
 	ps := &t.s.pools[cand.Pool]
 	t.rec.Emit(telemetry.Event{
@@ -204,6 +191,7 @@ func (t *schedTelemetry) emitAdmit(rj *runningJob, cand Candidate, backfilled bo
 		Pool:       ps.name,
 		P:          cand.P,
 		Ranks:      rj.ranks,
+		FreqFrom:   ps.ladder[0],
 		Freq:       cand.Freq,
 		Watts:      cand.Cost,
 		EE:         cand.EE,
@@ -216,7 +204,8 @@ func (t *schedTelemetry) emitAdmit(rj *runningJob, cand Candidate, backfilled bo
 	})
 }
 
-// emitFinish records a completion and the capacity it released.
+// emitFinish records a completion, its ranks parked, and the capacity
+// it released.
 func (t *schedTelemetry) emitFinish(rj *runningJob) {
 	res := &rj.e.res
 	ps := &t.s.pools[rj.pool]
@@ -227,6 +216,8 @@ func (t *schedTelemetry) emitFinish(rj *runningJob) {
 		Pool:     ps.name,
 		P:        res.FreqChanges,
 		Ranks:    rj.ranks,
+		FreqFrom: ps.ladder[rj.fIdx],
+		Freq:     ps.ladder[0],
 		Dur:      res.End - res.Start,
 		Energy:   res.Energy,
 		Headroom: t.s.headroom(),
@@ -249,8 +240,8 @@ func (t *schedTelemetry) emitReserve(rsv *reservation) {
 	})
 }
 
-// emitRetune records a governor ladder move with its before/after
-// operating points.
+// emitRetune records a governor ladder move of the job's ranks with
+// its before/after operating points.
 func (t *schedTelemetry) emitRetune(rj *runningJob, from, to int, why string) {
 	kind := telemetry.EvThrottle
 	if to > from {
@@ -262,6 +253,7 @@ func (t *schedTelemetry) emitRetune(rj *runningJob, from, to int, why string) {
 		Job:       rj.e.job.ID,
 		App:       rj.e.job.Vector.Name,
 		Pool:      t.s.pools[rj.pool].name,
+		Ranks:     rj.ranks,
 		FreqFrom:  ladder[from],
 		Freq:      ladder[to],
 		WattsFrom: rj.prof.Draw[from],
@@ -325,17 +317,21 @@ func (t *schedTelemetry) emitRepair(rank int, pool string, down units.Seconds) {
 
 // emitKill records a rank failure aborting a running attempt: the work
 // discarded since the last checkpoint, the attempt's wasted energy, and
-// whether the job requeued or is permanently lost.
+// whether the job requeued or is permanently lost. Its ranks, the dead
+// one included, are parked.
 func (t *schedTelemetry) emitKill(rj *runningJob, lost units.Seconds, wasted units.Joules, reason string) {
+	ps := &t.s.pools[rj.pool]
 	t.rec.Emit(telemetry.Event{
-		Kind:   telemetry.EvKill,
-		Job:    rj.e.job.ID,
-		App:    rj.e.job.Vector.Name,
-		Pool:   t.s.pools[rj.pool].name,
-		Ranks:  rj.ranks,
-		Dur:    lost,
-		Energy: wasted,
-		Reason: reason,
+		Kind:     telemetry.EvKill,
+		Job:      rj.e.job.ID,
+		App:      rj.e.job.Vector.Name,
+		Pool:     ps.name,
+		Ranks:    rj.ranks,
+		FreqFrom: ps.ladder[rj.fIdx],
+		Freq:     ps.ladder[0],
+		Dur:      lost,
+		Energy:   wasted,
+		Reason:   reason,
 	})
 }
 

@@ -13,7 +13,8 @@ import (
 // natural axes onto three synthetic processes:
 //
 //	pid 1 "ranks"     — one thread per global rank; B/E spans are job
-//	                    occupancy, instants are hardware retunes.
+//	                    occupancy, instants are retunes drawn from
+//	                    the decisions that made them.
 //	pid 2 "jobs"      — one thread per job; a "wait" span from arrival
 //	                    to admission/rejection, a "run" span to finish,
 //	                    an "X" block for a backfill reservation at its
@@ -239,6 +240,7 @@ func (s *ChromeTraceSink) Write(ev Event) error {
 			s.count(label{text: "free_", tail: ev.Pool}, ev.T, `{"ranks":`, ev.Free)
 		}
 		s.count(text("queue_depth"), ev.T, `{"jobs":`, ev.Queue)
+		s.rankRetunes(&ev)
 
 	case EvReject:
 		s.meta(pidJobs, ev.Job, job)
@@ -257,6 +259,7 @@ func (s *ChromeTraceSink) Write(ev Event) error {
 		if ev.Pool != "" {
 			s.count(label{text: "free_", tail: ev.Pool}, ev.T, `{"ranks":`, ev.Free)
 		}
+		s.rankRetunes(&ev)
 
 	case EvReserve:
 		s.meta(pidJobs, ev.Job, job)
@@ -278,11 +281,7 @@ func (s *ChromeTraceSink) Write(ev Event) error {
 		s.instant(pidJobs, ev.Job, text(name), ev.T, a.b)
 		s.meta(pidScheduler, tidGovernor, text("governor"))
 		s.instant(pidScheduler, tidGovernor, jobLabel(governed, &ev), ev.T, a.b)
-
-	case EvRankRetune:
-		s.meta(pidRanks, ev.Rank, numbered("rank ", ev.Rank))
-		a.raw(`{"f_from_ghz":`).fixed(inGHz(ev.FreqFrom), 3).raw(`,"f_ghz":`).fixed(inGHz(ev.Freq), 3).raw("}")
-		s.instant(pidRanks, ev.Rank, text("retune"), ev.T, a.b)
+		s.rankRetunes(&ev)
 
 	case EvPlanEdge:
 		s.meta(pidScheduler, tidPlan, text("plan"))
@@ -325,6 +324,7 @@ func (s *ChromeTraceSink) Write(ev Event) error {
 		a.reset().raw(`{"lost_work_s":`).fixed(float64(ev.Dur), 3).raw(`,"wasted_j":`).fixed(float64(ev.Energy), 1).
 			raw(`,"reason":`).str(ev.Reason).raw("}")
 		s.instant(pidJobs, ev.Job, text("killed"), ev.T, a.b)
+		s.rankRetunes(&ev)
 
 	case EvCheckpoint:
 		s.meta(pidJobs, ev.Job, job)
@@ -337,6 +337,20 @@ func (s *ChromeTraceSink) Write(ev Event) error {
 		s.instant(pidJobs, ev.Job, text("restart"), ev.T, a.b)
 	}
 	return s.err
+}
+
+// rankRetunes draws a decision's move FreqFrom → Freq as one "retune"
+// instant per rank of ev.Ranks, and none when the decision left the
+// frequency where it was (an admission at the park frequency).
+func (s *ChromeTraceSink) rankRetunes(ev *Event) {
+	if ev.FreqFrom == ev.Freq {
+		return
+	}
+	a := s.args.reset().raw(`{"f_from_ghz":`).fixed(inGHz(ev.FreqFrom), 3).raw(`,"f_ghz":`).fixed(inGHz(ev.Freq), 3).raw("}")
+	for _, r := range ev.Ranks {
+		s.meta(pidRanks, r, numbered("rank ", r))
+		s.instant(pidRanks, r, text("retune"), ev.T, a.b)
+	}
 }
 
 // endWait closes the job's "wait" span if one is open.

@@ -18,12 +18,11 @@ import (
 type NDJSONSink struct {
 	w    *bufio.Writer
 	line jbuf
-	// One sim instant stamps several events and one governor retune
-	// emits a line per rank at the same frequencies, so the last
-	// rendering of each is kept.
-	t, freqFrom, freq floatMemo
-	n                 int
-	err               error
+	// One sim instant stamps several events, so the last rendering of
+	// the time is kept.
+	t   floatMemo
+	n   int
+	err error
 }
 
 // NewNDJSONSink wraps w in a buffered NDJSON event writer.
@@ -95,12 +94,8 @@ func (s *NDJSONSink) render(ev *Event) {
 	if len(ev.Ranks) > 0 {
 		l.raw("]")
 	}
-	if ev.FreqFrom != 0 {
-		l.raw(`,"f_from_hz":`).memoFloat(&s.freqFrom, float64(ev.FreqFrom))
-	}
-	if ev.Freq != 0 {
-		l.raw(`,"f_hz":`).memoFloat(&s.freq, float64(ev.Freq))
-	}
+	l.optFloat(`,"f_from_hz":`, float64(ev.FreqFrom))
+	l.optFloat(`,"f_hz":`, float64(ev.Freq))
 	l.optFloat(`,"w_from":`, float64(ev.WattsFrom))
 	l.optFloat(`,"w":`, float64(ev.Watts))
 	l.optFloat(`,"cap_w":`, float64(ev.Cap))

@@ -153,6 +153,10 @@ func TestNDJSONRoundTrip(t *testing.T) {
 // clamp is now a plan window, so it decodes as an unknown kind.
 const oldEmergency = `{"t":0.8,"ev":"emergency","cap_w":1050,"reason":"begin"}` + "\n"
 
+// oldRetune is a per-rank retune line as earlier scheduler streams
+// carried it; the kind still decodes.
+const oldRetune = `{"t":0,"ev":"retune","rank":0,"f_from_hz":2000000000,"f_hz":2800000000}` + "\n"
+
 func TestDecodeNDJSONErrors(t *testing.T) {
 	for _, in := range []string{"{\"t\":0,\"ev\":\"nope\"}\n", oldEmergency} {
 		if _, err := DecodeNDJSON(strings.NewReader(in)); err == nil ||
@@ -187,7 +191,8 @@ func TestKindByName(t *testing.T) {
 // decode to the same events (modulo what the format cannot carry — see
 // decoded), and folds through ChromeTraceSink to valid JSON or an
 // error. Seeded with the first line of every kind in the scheduler's
-// golden event stream, plus its opening lines as one multi-line input.
+// golden event stream, plus its opening lines as one multi-line input,
+// and with a per-rank retune line, the kind older streams carry.
 func FuzzDecodeNDJSON(f *testing.F) {
 	golden, err := os.ReadFile("../sched/testdata/golden_events.ndjson")
 	if err != nil {
@@ -202,6 +207,7 @@ func FuzzDecodeNDJSON(f *testing.F) {
 			f.Add(line)
 		}
 	}
+	f.Add([]byte(oldRetune))
 	f.Add([]byte(`{"t":-0,"ev":"arrive","rank":3,"ranks":[],"job":-1,"w":-0,"app":"\ud800"}` + "\r\n\n"))
 	f.Add([]byte("{\"t\":0,\"ev\":\"arrive\"}\nnot json"))
 	f.Add([]byte(oldEmergency))

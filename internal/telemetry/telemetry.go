@@ -45,28 +45,29 @@ const (
 	// the binding constraint (ranks, perf-slack, watts, plan-min-cap,
 	// reservation, policy, model).
 	EvAttempt
-	// EvAdmit: the job was admitted and dispatched at (Pool, P, Freq);
-	// Watts is the candidate's marginal draw, Dur its predicted
-	// runtime, Wait its queue wait, Backfilled whether it jumped a
-	// blocked head under a reservation.
+	// EvAdmit: the job was admitted and dispatched at (Pool, P, Freq)
+	// onto Ranks, parked at FreqFrom; Watts is the candidate's marginal
+	// draw, Dur its predicted runtime, Wait its queue wait, Backfilled
+	// whether it jumped a blocked head under a reservation.
 	EvAdmit
 	// EvReject: the job can never run; Reason explains why.
 	EvReject
-	// EvFinish: the job completed; Energy is its attributed energy,
-	// Dur its measured runtime, P its retune count at completion.
+	// EvFinish: the job completed and its Ranks park (FreqFrom → Freq);
+	// Energy is its attributed energy, Dur its measured runtime, P its
+	// retune count at completion.
 	EvFinish
 	// EvReserve: backfill promised the blocked job (Pool, P, Watts) at
 	// future start At for predicted duration Dur.
 	EvReserve
-	// EvThrottle: the governor stepped the job down its pool's ladder
-	// (FreqFrom → Freq); WattsFrom/Watts are the predicted draw before
-	// and after.
+	// EvThrottle: the governor stepped the job's Ranks down its pool's
+	// ladder (FreqFrom → Freq); WattsFrom/Watts are the predicted draw
+	// before and after.
 	EvThrottle
 	// EvBoost: the governor stepped the job up the ladder; fields as
 	// EvThrottle. Reason distinguishes boost from relinquish.
 	EvBoost
-	// EvRankRetune: one rank's hardware vector changed (admission set,
-	// governor retune, or parking); Rank is the global rank.
+	// EvRankRetune: rank Rank moved FreqFrom → Freq. No longer
+	// emitted: the decisions above carry their ranks' moves.
 	EvRankRetune
 	// EvPlanEdge: a cap-timeline breakpoint edge fired; Cap is the cap
 	// now in force, Reason is "pre-drop" for the early throttle edge.
@@ -84,7 +85,8 @@ const (
 	// EvKill: a rank failure killed the job mid-run; Dur is the work
 	// lost since its last checkpoint (seconds of re-execution), Energy
 	// the energy the dead attempt had already consumed, Reason whether
-	// the job requeued or is permanently lost.
+	// the job requeued or is permanently lost. Ranks park as at
+	// EvFinish; a job lost while queued has none.
 	EvKill
 	// EvCheckpoint: the job took a periodic checkpoint; EE carries its
 	// saved progress fraction.
@@ -151,8 +153,8 @@ type Event struct {
 	// Ranks is the job's rank set. It aliases scheduler state: valid
 	// only during Sink.Write — copy to retain.
 	Ranks []int
-	// FreqFrom/Freq bound an operating-point change; Freq alone is the
-	// admitted frequency of EvAdmit.
+	// FreqFrom/Freq bound the operating-point change the event made on
+	// Ranks (or on Rank, for EvRankRetune).
 	FreqFrom, Freq units.Hertz
 	// WattsFrom/Watts are predicted draws before/after a retune, or
 	// the marginal cost of an admission/reservation.

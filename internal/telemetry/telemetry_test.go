@@ -256,19 +256,85 @@ func TestNDJSONSink(t *testing.T) {
 func lifecycle() []Event {
 	return []Event{
 		{T: 0, Kind: EvArrive, Job: 0, App: "FT", P: 4, Queue: 1},
-		{T: 0, Kind: EvAdmit, Job: 0, App: "FT", Pool: "cpu", P: 4, Freq: 2.4e9,
+		{T: 0, Kind: EvAdmit, Job: 0, App: "FT", Pool: "cpu", P: 4, FreqFrom: 1.6e9, Freq: 2.4e9,
 			Watts: 400, EE: 0.9, Ranks: []int{0, 1, 2, 3}, Headroom: 100, Free: 4, Queue: 0},
-		{T: 0.5, Kind: EvRankRetune, Job: NoJob, Rank: 1, FreqFrom: 2.4e9, Freq: 2.0e9},
 		{T: 1, Kind: EvArrive, Job: 1, App: "EP", P: 64, Queue: 1},
 		{T: 1, Kind: EvReject, Job: 1, App: "EP", Reason: "needs 64 ranks, platform has 8"},
 		{T: 2, Kind: EvPlanEdge, Job: NoJob, Cap: 300, Reason: "pre-drop"},
-		{T: 2, Kind: EvThrottle, Job: 0, App: "FT", FreqFrom: 2.4e9, Freq: 2.0e9,
+		{T: 2, Kind: EvThrottle, Job: 0, App: "FT", Ranks: []int{0, 1, 2, 3}, FreqFrom: 2.4e9, Freq: 2.0e9,
 			WattsFrom: 400, Watts: 300, Reason: "cap step to 300W"},
 		{T: 2.5, Kind: EvSample, Job: NoJob, Power: 290, Cap: 300},
 		{T: 3, Kind: EvViolation, Job: NoJob, Power: 310, Cap: 300},
 		{T: 4, Kind: EvReserve, Job: 2, At: 6, Dur: 3, Pool: "cpu", P: 2, Watts: 100},
-		{T: 6, Kind: EvFinish, Job: 0, App: "FT", Pool: "cpu", P: 2, Dur: 6,
+		{T: 6, Kind: EvFinish, Job: 0, App: "FT", Pool: "cpu", P: 2, Dur: 6, FreqFrom: 2.0e9, Freq: 1.6e9,
 			Energy: 2000, Ranks: []int{0, 1, 2, 3}, Headroom: 300, Free: 8},
+	}
+}
+
+// The rank rows' retune instants are drawn from the decisions that move
+// ranks — admit, boost, throttle, finish, kill — one per rank of the
+// event, and none when the decision leaves the frequency where it was
+// or carries no ranks.
+func TestChromeTraceDrawsRankRetunes(t *testing.T) {
+	type instant struct {
+		ts       float64
+		rank     int
+		from, to float64 // GHz
+	}
+	for _, tc := range []struct {
+		name string
+		ev   Event
+		want []instant
+	}{
+		{"admit", Event{T: 1, Kind: EvAdmit, Job: 0, Ranks: []int{4, 5}, FreqFrom: 2e9, Freq: 2.8e9},
+			[]instant{{1e6, 4, 2, 2.8}, {1e6, 5, 2, 2.8}}},
+		{"admit at park", Event{T: 1, Kind: EvAdmit, Job: 0, Ranks: []int{4, 5}, FreqFrom: 2e9, Freq: 2e9}, nil},
+		{"boost", Event{T: 2, Kind: EvBoost, Job: 0, Ranks: []int{3}, FreqFrom: 2.4e9, Freq: 2.8e9},
+			[]instant{{2e6, 3, 2.4, 2.8}}},
+		{"throttle", Event{T: 2, Kind: EvThrottle, Job: 0, Ranks: []int{3}, FreqFrom: 2.8e9, Freq: 2.4e9},
+			[]instant{{2e6, 3, 2.8, 2.4}}},
+		{"finish", Event{T: 3, Kind: EvFinish, Job: 0, Ranks: []int{0, 7}, FreqFrom: 2.4e9, Freq: 2e9},
+			[]instant{{3e6, 0, 2.4, 2}, {3e6, 7, 2.4, 2}}},
+		{"kill", Event{T: 4, Kind: EvKill, Job: 0, Ranks: []int{6}, FreqFrom: 2.8e9, Freq: 2e9},
+			[]instant{{4e6, 6, 2.8, 2}}},
+		{"kill in queue", Event{T: 4, Kind: EvKill, Job: 0, Reason: "lost"}, nil},
+		{"not a decision", Event{T: 5, Kind: EvReserve, Job: 0, Ranks: []int{1}, FreqFrom: 2e9, Freq: 2.8e9}, nil},
+		{"per-rank event", Event{T: 5, Kind: EvRankRetune, Job: NoJob, Rank: 1, FreqFrom: 2e9, Freq: 2.8e9}, nil},
+	} {
+		var buf bytes.Buffer
+		s := NewChromeTraceSink(&buf)
+		if err := s.Write(tc.ev); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var trace struct {
+			TraceEvents []struct {
+				Ph, Name string
+				Pid, Tid int
+				Ts       float64
+				Args     struct {
+					From float64 `json:"f_from_ghz"`
+					To   float64 `json:"f_ghz"`
+				}
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var got []instant
+		for _, e := range trace.TraceEvents {
+			if e.Pid == pidRanks && e.Ph == "i" {
+				if e.Name != "retune" {
+					t.Errorf("%s: rank instant named %q", tc.name, e.Name)
+				}
+				got = append(got, instant{e.Ts, e.Tid, e.Args.From, e.Args.To})
+			}
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: rank retunes %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

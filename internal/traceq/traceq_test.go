@@ -381,11 +381,16 @@ func mustFloat(t *testing.T, s string) float64 {
 	return f
 }
 
+// oldRetune is a per-rank retune line as earlier scheduler streams
+// carried it.
+const oldRetune = `{"t":0,"ev":"retune","rank":0,"f_from_hz":2000000000,"f_hz":2800000000}` + "\n"
+
 // FuzzQueries runs every query over arbitrary decoded streams in
 // sim-time order (what cmd/traceq's load admits): each may return an
 // error, none may panic. Seeded with the first line of every kind in
 // the scheduler's golden event stream, plus its opening lines as one
-// multi-line input.
+// multi-line input, and with a per-rank retune line as older streams
+// carry it.
 func FuzzQueries(f *testing.F) {
 	golden, err := os.ReadFile(goldenEvents)
 	if err != nil {
@@ -400,6 +405,7 @@ func FuzzQueries(f *testing.F) {
 			f.Add(line)
 		}
 	}
+	f.Add([]byte(oldRetune))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		evs, err := telemetry.DecodeNDJSON(bytes.NewReader(in))
 		if err != nil {
