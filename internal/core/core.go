@@ -28,6 +28,11 @@
 // energy than sequential); EE falls toward 0 as parallel overhead energy
 // grows. The network's power delta is ignored (Eq. 11→12: measured
 // ΔP_NIC was insignificant on both of the paper's clusters).
+//
+// The chain is implemented once, in PredictValidated, which computes T1
+// and Tp once each for E1 and Ep. Model.Predict validates both vectors
+// and calls it; opcache calls it per ladder point, having validated the
+// ladder once per spec and the workload once per row.
 package core
 
 import (
@@ -115,63 +120,30 @@ type Prediction struct {
 	AvgPower units.Watts
 }
 
-// sequentialComponents returns the un-overlapped component times of the
-// sequential execution.
-func (m *Model) sequentialComponents() (tc, tm units.Seconds) {
-	tc = units.Seconds(m.App.WOn * float64(m.Machine.Tc))
-	tm = units.Seconds(m.App.WOff * float64(m.Machine.Tm))
-	return tc, tm
+// commTime is M·Ts + B·Tb (Eq. 17, Hockney).
+func commTime(mp *machine.Params, w *Workload) units.Seconds {
+	return units.Seconds(w.M*float64(mp.Ts) + w.B*float64(mp.Tb))
 }
 
 // SequentialTime returns the real (overlapped) sequential execution time
-// T1 = α(Won·tc + Woff·tm + Tio) (Eq. 5–6).
+// T1 (Eq. 5–6).
 func (m *Model) SequentialTime() units.Seconds {
-	tc, tm := m.sequentialComponents()
-	return units.Seconds(m.App.Alpha * float64(tc+tm+m.App.TIO))
+	var pr Prediction
+	_ = PredictValidated(&pr, &m.Machine, &m.App) // T1 is set on error too
+	return pr.T1
 }
 
-// SequentialEnergy returns E1 (Eq. 13): idle power over the real
-// execution time plus the component activity deltas.
+// SequentialEnergy returns E1 (Eq. 13).
 func (m *Model) SequentialEnergy() units.Joules {
-	tc, tm := m.sequentialComponents()
-	e := units.Energy(m.Machine.PsysIdle, m.SequentialTime())
-	e += units.Energy(m.Machine.DeltaPc, tc)
-	e += units.Energy(m.Machine.DeltaPm, tm)
-	e += units.Energy(m.Machine.DeltaPio, m.App.TIO)
-	return e
+	var pr Prediction
+	_ = PredictValidated(&pr, &m.Machine, &m.App) // E1 is set on error too
+	return pr.E1
 }
 
-// CommTime returns the total accumulated network time over all
-// processors, M·Ts + B·Tb (Eq. 17, Hockney).
-func (m *Model) CommTime() units.Seconds {
-	return units.Seconds(m.App.M*float64(m.Machine.Ts) + m.App.B*float64(m.Machine.Tb))
-}
+// CommTime returns the network time summed over all processors (Eq. 17).
+func (m *Model) CommTime() units.Seconds { return commTime(&m.Machine, &m.App) }
 
-// ParallelTime returns the per-processor real execution time Tp under the
-// homogeneous-distribution assumption (Eq. 10): every processor carries
-// 1/p of the total workload, overhead and communication.
-func (m *Model) ParallelTime() units.Seconds {
-	p := float64(m.App.P)
-	compute := (m.App.WOn + m.App.DWOn) / p * float64(m.Machine.Tc)
-	mem := (m.App.WOff + m.App.DWOff) / p * float64(m.Machine.Tm)
-	comm := float64(m.CommTime()) / p
-	io := float64(m.App.TIO) / p
-	return units.Seconds(m.App.Alpha * (compute + mem + comm + io))
-}
-
-// ParallelEnergy returns Ep (Eq. 15/18): all p processors burn idle power
-// for the parallel wall time, while the total (sequential + overhead)
-// workloads burn the component deltas.
-func (m *Model) ParallelEnergy() units.Joules {
-	p := float64(m.App.P)
-	e := units.Joules(p * float64(m.Machine.PsysIdle) * float64(m.ParallelTime()))
-	e += units.Energy(m.Machine.DeltaPc, units.Seconds((m.App.WOn+m.App.DWOn)*float64(m.Machine.Tc)))
-	e += units.Energy(m.Machine.DeltaPm, units.Seconds((m.App.WOff+m.App.DWOff)*float64(m.Machine.Tm)))
-	e += units.Energy(m.Machine.DeltaPio, m.App.TIO)
-	return e
-}
-
-// Predict evaluates the whole model chain.
+// Predict validates both vectors and evaluates the whole model chain.
 func (m *Model) Predict() (Prediction, error) {
 	if err := m.Machine.Validate(); err != nil {
 		return Prediction{}, err
@@ -180,22 +152,51 @@ func (m *Model) Predict() (Prediction, error) {
 		return Prediction{}, err
 	}
 	var pr Prediction
-	pr.T1 = m.SequentialTime()
-	pr.Tp = m.ParallelTime()
-	pr.E1 = m.SequentialEnergy()
-	pr.Ep = m.ParallelEnergy()
-	pr.Eo = pr.Ep - pr.E1
-	if pr.E1 <= 0 {
-		return Prediction{}, errors.New("core: sequential energy is non-positive; degenerate workload")
-	}
-	pr.EEF = float64(pr.Eo) / float64(pr.E1)
-	pr.EE = 1 / (1 + pr.EEF)
-	if pr.Tp > 0 {
-		pr.Speedup = float64(pr.T1) / float64(pr.Tp)
-		pr.PE = pr.Speedup / float64(m.App.P)
-		pr.AvgPower = units.Power(pr.Ep, pr.Tp)
+	if err := PredictValidated(&pr, &m.Machine, &m.App); err != nil {
+		return Prediction{}, err
 	}
 	return pr, nil
+}
+
+// PredictValidated evaluates the model chain into pr for vectors the
+// caller has validated. Its one error is a degenerate workload, which
+// leaves pr's times and energies set.
+func PredictValidated(pr *Prediction, mp *machine.Params, w *Workload) error {
+	// T1 = α(Won·tc + Woff·tm + Tio) (Eq. 5–6); E1 (Eq. 13) is idle
+	// power over T1 plus the component activity deltas.
+	tc := units.Seconds(w.WOn * float64(mp.Tc))
+	tm := units.Seconds(w.WOff * float64(mp.Tm))
+	t1 := units.Seconds(w.Alpha * float64(tc+tm+w.TIO))
+	e1 := units.Energy(mp.PsysIdle, t1)
+	e1 += units.Energy(mp.DeltaPc, tc)
+	e1 += units.Energy(mp.DeltaPm, tm)
+	e1 += units.Energy(mp.DeltaPio, w.TIO)
+	// Tp (Eq. 10): each of the p processors carries 1/p of the total
+	// workload, overhead and communication. Ep (Eq. 15/18): p·Psys-idle
+	// over Tp plus the total workloads' component deltas.
+	p := float64(w.P)
+	compute := (w.WOn + w.DWOn) / p * float64(mp.Tc)
+	mem := (w.WOff + w.DWOff) / p * float64(mp.Tm)
+	comm := float64(commTime(mp, w)) / p
+	io := float64(w.TIO) / p
+	tp := units.Seconds(w.Alpha * (compute + mem + comm + io))
+	ep := units.Joules(p * float64(mp.PsysIdle) * float64(tp))
+	ep += units.Energy(mp.DeltaPc, units.Seconds((w.WOn+w.DWOn)*float64(mp.Tc)))
+	ep += units.Energy(mp.DeltaPm, units.Seconds((w.WOff+w.DWOff)*float64(mp.Tm)))
+	ep += units.Energy(mp.DeltaPio, w.TIO)
+	pr.T1, pr.Tp, pr.E1, pr.Ep, pr.Eo = t1, tp, e1, ep, ep-e1
+	if e1 <= 0 {
+		return errors.New("core: sequential energy is non-positive; degenerate workload")
+	}
+	pr.EEF = float64(pr.Eo) / float64(e1)
+	pr.EE = 1 / (1 + pr.EEF)
+	pr.Speedup, pr.PE, pr.AvgPower = 0, 0, 0
+	if tp > 0 {
+		pr.Speedup = float64(t1) / float64(tp)
+		pr.PE = pr.Speedup / p
+		pr.AvgPower = units.Power(ep, tp)
+	}
+	return nil
 }
 
 // MeasuredEE computes iso-energy-efficiency from two measured energies:

@@ -372,3 +372,21 @@ func TestHeteroValidation(t *testing.T) {
 		t.Error("invalid machine vector must error")
 	}
 }
+
+var sinkEE float64
+
+// BenchmarkPredict times one validated evaluation of the model chain
+// (a CG-like workload at p = 64 on SystemG's base frequency): the cost
+// every one-off Predict caller pays per point.
+func BenchmarkPredict(b *testing.B) {
+	m := Model{Machine: machine.SystemG().MustBase(), App: Workload{
+		Alpha: 0.9, WOn: 3e10, WOff: 2e8, DWOn: 1e9, DWOff: -1e6, M: 4e4, B: 6e8, P: 64,
+	}}
+	for b.Loop() {
+		pr, err := m.Predict()
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkEE += pr.EE
+	}
+}

@@ -20,9 +20,10 @@
 //     current operating mix buys the most energy-efficiency per watt),
 //     carbon-min (away from carbon-dirty sites, window by window).
 //   - A RoutePolicy assigns each submitted job to a site in a
-//     deterministic pre-simulation pass. Each (site, pool, width) row of
-//     the job is priced once per job by the site's per-pool
-//     opcache.(*Cache).Eval into one buffer the router reuses — ee (best predicted
+//     deterministic pre-simulation pass. Pools with equal ladder tables
+//     share one router opcache.Cache, so each (ladder table, width) row
+//     of the job is priced once per job, into buffers the router reuses,
+//     and read by every site that runs it — ee (best predicted
 //     energy-efficiency, with a spill rule when the best site's queue
 //     backlog saturates), jct (earliest predicted completion), rr
 //     (round-robin).

@@ -3,6 +3,7 @@ package fed
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -88,7 +89,7 @@ type siteRun struct {
 	idx         int
 	ranks       int // the site's static budget share weight
 	largestPool int
-	cache       []*opcache.Cache // per pool: the router's evaluators
+	cache       []*opcache.Cache // per pool: the router's evaluators, shared by equal ladder tables
 	idleFloor   units.Watts
 	intensity   []float64 // gCO₂/kWh per grid segment; nil without a signal
 	plan        *capplan.Plan
@@ -126,10 +127,12 @@ type Federation struct {
 
 	decisions []RouteDecision
 	spills    int
-	// rows and widths are the router's per-job buffers (quotes), grown
-	// once and reused for every later job.
+	// rows, offers, widths and quoted are the router's per-job buffers
+	// (quotes), grown once and reused for every later job.
 	rows   []pricedRow
+	offers []offer
 	widths []int
+	quoted []Quote
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -207,7 +210,9 @@ func New(cfg Config) (*Federation, error) {
 		f.lambda = defaultGuaranteeFrac
 	}
 	f.cond = sync.NewCond(&f.mu)
+	f.quoted = make([]Quote, len(cfg.Sites))
 
+	var routers []*opcache.Cache // one per distinct ladder table
 	for i, site := range cfg.Sites {
 		if site.Name == "" {
 			return nil, fmt.Errorf("fed: site %d has no name", i)
@@ -240,6 +245,11 @@ func New(cfg Config) (*Federation, error) {
 			c, err := opcache.New(np.Spec)
 			if err != nil {
 				return nil, fmt.Errorf("fed: site %q: pool %d (%s): %w", site.Name, pi, np.PoolName(), err)
+			}
+			if k := slices.IndexFunc(routers, c.SameLadder); k >= 0 {
+				c = routers[k]
+			} else {
+				routers = append(routers, c)
 			}
 			sr.cache = append(sr.cache, c)
 			sr.idleFloor += units.Watts(float64(np.Ranks()) * float64(c.ParamsAt(0).PsysIdle))

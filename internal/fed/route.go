@@ -2,6 +2,8 @@ package fed
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -45,7 +47,8 @@ type Quote struct {
 // to decline (the router then falls back to the widest site, which
 // records the rejection). A reason prefixed "spill:" counts as a spill
 // in the merged result. Policies may carry state across calls
-// (round-robin does), so one instance serves exactly one Run.
+// (round-robin does), so one instance serves exactly one Run. quotes is
+// the router's buffer, valid only during the call.
 type RoutePolicy interface {
 	Name() string
 	Pick(quotes []Quote) (site int, reason string)
@@ -65,20 +68,29 @@ type routeEE struct{}
 
 func (routeEE) Name() string { return "ee" }
 func (routeEE) Pick(quotes []Quote) (int, string) {
-	ok := okQuotes(quotes)
-	if len(ok) == 0 {
+	best := bestEE(quotes, -1, units.Seconds(math.Inf(1)))
+	if best < 0 {
 		return -1, ""
 	}
-	sort.SliceStable(ok, func(a, b int) bool { return ok[a].EE > ok[b].EE })
-	best := ok[0]
-	if best.Backlog > spillAfter {
-		for _, q := range ok[1:] {
-			if q.Backlog <= spillAfter {
-				return q.Site, fmt.Sprintf("spill: best site backlog %v over %v", best.Backlog, spillAfter)
-			}
+	if b := quotes[best].Backlog; b > spillAfter {
+		if alt := bestEE(quotes, best, spillAfter); alt >= 0 {
+			return quotes[alt].Site, fmt.Sprintf("spill: best site backlog %v over %v", b, spillAfter)
 		}
 	}
-	return best.Site, "ee-best"
+	return quotes[best].Site, "ee-best"
+}
+
+// bestEE returns the eligible quote other than skip with backlog at most
+// maxBacklog and the highest EE, the earlier site on a tie; -1 if none.
+func bestEE(quotes []Quote, skip int, maxBacklog units.Seconds) int {
+	best := -1
+	for i := range quotes {
+		q := &quotes[i]
+		if i != skip && q.OK && q.Backlog <= maxBacklog && (best < 0 || q.EE > quotes[best].EE) {
+			best = i
+		}
+	}
+	return best
 }
 
 // RouteJCT routes each job to the site with the earliest predicted
@@ -137,17 +149,6 @@ func RoutePolicies() map[string]func() RoutePolicy {
 	}
 }
 
-// okQuotes filters to the sites that quoted an eligible point.
-func okQuotes(quotes []Quote) []Quote {
-	ok := make([]Quote, 0, len(quotes))
-	for _, q := range quotes {
-		if q.OK {
-			ok = append(ok, q)
-		}
-	}
-	return ok
-}
-
 // route is the ingest frontend: a deterministic pre-simulation pass
 // assigning every job to a site. Jobs are considered in (arrival, ID)
 // order, each decided at its arrival time: a decision prices every
@@ -182,6 +183,7 @@ func (f *Federation) route(jobs []sched.Job) error {
 	// fraction of the best-provisioned site — so quotes price a
 	// throttled site's queue honestly even across plan breakpoints.
 	work := make([]units.Seconds, len(f.sites))
+	f.decisions = slices.Grow(f.decisions, len(ordered))
 	var last units.Seconds
 	for _, j := range ordered {
 		if j.Arrival > last {
@@ -226,35 +228,55 @@ func (f *Federation) route(jobs []sched.Job) error {
 	return nil
 }
 
-// pricedRow is one (site, pool, width) evaluation of the job being
+// pricedRow is one (router cache, width) evaluation of the job being
 // routed; ok is false when the model rejects the point.
 type pricedRow struct {
-	site, pool, p int
-	ok            bool
-	row           opcache.Row
+	cache *opcache.Cache
+	p     int
+	ok    bool
+	row   opcache.Row
 }
 
-// quotes prices the job at every site. Each (site, pool, width) row is
-// evaluated once into f.rows, which later jobs reuse. The eligibility
-// reference is the fastest runtime any site's pools offer at any width —
-// shared across sites, mirroring admission's width-slack rule, so a
-// uniformly slow site is simply not eligible for a latency-critical
-// shape. Returns any=false when no width of any pool evaluates at all.
+// offer is one (site, pool, width) of the job, priced by f.rows[row].
+type offer struct{ site, row int }
+
+// quotes prices the job at every site: each (router cache, width) row
+// once into f.rows, read by every site running that cache, the width's
+// workload vector copied from its first row. The eligibility reference
+// is the fastest runtime any site's pools offer at any width — shared
+// across sites, mirroring admission's width-slack rule, so a uniformly
+// slow site is simply not eligible for a latency-critical shape. Returns
+// any=false when no width of any pool evaluates at all.
 func (f *Federation) quotes(j sched.Job, work []units.Seconds, now units.Seconds) ([]Quote, bool) {
 	var ref units.Seconds
 	found := false
 	n := 0
+	f.offers = f.offers[:0]
 	for si, sr := range f.sites {
 		for pi, pool := range sr.site.Platform.Pools {
 			f.widths = j.Widths(f.widths[:0], pool.Ranks())
 			for _, p := range f.widths {
+				k, w := 0, -1
+				for ; k < n && (f.rows[k].cache != sr.cache[pi] || f.rows[k].p != p); k++ {
+					if f.rows[k].p == p {
+						w = k
+					}
+				}
+				f.offers = append(f.offers, offer{site: si, row: k})
+				if k < n {
+					continue
+				}
 				if n == len(f.rows) {
 					f.rows = append(f.rows, pricedRow{})
 				}
 				pr := &f.rows[n]
 				n++
-				pr.site, pr.pool, pr.p = si, pi, p
-				pr.ok = sr.cache[pi].Eval(&pr.row, j.Vector, j.N, p) == nil
+				pr.cache, pr.p = sr.cache[pi], p
+				if w < 0 {
+					pr.ok = pr.cache.Eval(&pr.row, j.Vector.At(j.N, p)) == nil
+				} else {
+					pr.ok = pr.cache.Eval(&pr.row, f.rows[w].row.W) == nil
+				}
 				if !pr.ok {
 					continue
 				}
@@ -269,20 +291,19 @@ func (f *Federation) quotes(j sched.Job, work []units.Seconds, now units.Seconds
 	}
 	maxTp := units.Seconds(float64(ref) * sched.PerfSlack)
 
-	quotes := make([]Quote, len(f.sites))
 	refHead := f.maxHeadroom(now)
 	k := 0
 	for si, sr := range f.sites {
 		drain := f.headroom(si, now) / refHead
 		q := Quote{Site: si, Backlog: units.Seconds(float64(work[si]) / drain)}
 		headW := float64(sr.plan.CapAt(now)) - float64(sr.idleFloor)
-		for ; k < n && f.rows[k].site == si; k++ {
-			pr := &f.rows[k]
+		for ; k < len(f.offers) && f.offers[k].site == si; k++ {
+			pr := &f.rows[f.offers[k].row]
 			if !pr.ok {
 				continue
 			}
 			row, p := &pr.row, pr.p
-			idleRank := float64(sr.cache[pr.pool].ParamsAt(0).PsysIdle)
+			idleRank := float64(pr.cache.ParamsAt(0).PsysIdle)
 			// A point is feasible only if the cluster fits under the
 			// site's cap in force right now with the job running:
 			// draw ≤ cap − idle floor + the idle share of the job's
@@ -320,9 +341,9 @@ func (f *Federation) quotes(j sched.Job, work []units.Seconds, now units.Seconds
 				}
 			}
 		}
-		quotes[si] = q
+		f.quoted[si] = q
 	}
-	return quotes, true
+	return f.quoted, true
 }
 
 // headroom is site i's job-power headroom at sim time t under its

@@ -2,11 +2,15 @@ package fed
 
 import (
 	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/app"
 	"repro/internal/capplan"
 	"repro/internal/obs"
+	"repro/internal/opcache"
 	"repro/internal/sched"
 	"repro/internal/units"
 )
@@ -210,12 +214,12 @@ func TestQuotesMatchMemoReference(t *testing.T) {
 }
 
 // bufferFailsMidway reports whether the row buffer holds a failed row
-// between two evaluated rows of the same pool — called right after
-// quotes, whose rows form the buffer's prefix.
+// between two evaluated rows of the same router cache — called right
+// after quotes, whose rows form the buffer's prefix.
 func (f *Federation) bufferFailsMidway() bool {
 	for k := 1; k+1 < len(f.rows); k++ {
 		a, b, c := f.rows[k-1], f.rows[k], f.rows[k+1]
-		if !b.ok && a.ok && c.ok && a.site == c.site && a.pool == c.pool {
+		if !b.ok && a.ok && c.ok && a.cache == b.cache && b.cache == c.cache {
 			return true
 		}
 	}
@@ -223,8 +227,8 @@ func (f *Federation) bufferFailsMidway() bool {
 }
 
 // TestQuotesAllocatesOnlyTheQuoteSlice pins the router's steady state:
-// once the row buffer has grown, pricing a job allocates only the
-// returned []Quote (a RoutePolicy may keep the slice it is handed).
+// once its buffers have grown, pricing a job allocates nothing — the
+// []Quote it returns is the federation's own, valid until the next job.
 func TestQuotesAllocatesOnlyTheQuoteSlice(t *testing.T) {
 	f, err := New(benchSites(t))
 	if err != nil {
@@ -236,8 +240,124 @@ func TestQuotesAllocatesOnlyTheQuoteSlice(t *testing.T) {
 		f.quotes(j, work, 0)
 	}
 	j := trace[5]
-	if allocs := testing.AllocsPerRun(100, func() { f.quotes(j, work, 1) }); allocs > 1 {
-		t.Fatalf("quotes allocates %.1f times per job, want ≤ 1", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { f.quotes(j, work, 1) }); allocs != 0 {
+		t.Fatalf("quotes allocates %.1f times per job, want 0", allocs)
+	}
+}
+
+// The built-in policies pick without allocating (the EE route's spill
+// path words its reason, so the quotes here do not spill).
+func TestPickAllocatesNothing(t *testing.T) {
+	quotes := []Quote{
+		{Site: 0, OK: true, EE: 0.7, Backlog: 0.2, Fastest: 3},
+		{Site: 1},
+		{Site: 2, OK: true, EE: 0.9, Backlog: 0.5, Fastest: 4},
+	}
+	for name, mk := range RoutePolicies() {
+		pol := mk()
+		if allocs := testing.AllocsPerRun(100, func() { pol.Pick(quotes) }); allocs != 0 {
+			t.Errorf("%s: Pick allocates %.1f times, want 0", name, allocs)
+		}
+	}
+}
+
+// referenceEEPick is the EE route as it read with a filtered copy of the
+// eligible quotes and a stable sort by descending EE: the oracle
+// TestRouteEEMatchesStableSort holds the allocation-free scan to.
+func referenceEEPick(quotes []Quote) (int, string) {
+	var ok []Quote
+	for _, q := range quotes {
+		if q.OK {
+			ok = append(ok, q)
+		}
+	}
+	if len(ok) == 0 {
+		return -1, ""
+	}
+	sort.SliceStable(ok, func(a, b int) bool { return ok[a].EE > ok[b].EE })
+	best := ok[0]
+	if best.Backlog > spillAfter {
+		for _, q := range ok[1:] {
+			if q.Backlog <= spillAfter {
+				return q.Site, fmt.Sprintf("spill: best site backlog %v over %v", best.Backlog, spillAfter)
+			}
+		}
+	}
+	return best.Site, "ee-best"
+}
+
+// The EE route picks what the stable sort picked — ties on EE broken by
+// site order, for the best site and for the spill target alike — over
+// random quote sets drawn from few EE and backlog values so ties and
+// spills are common.
+func TestRouteEEMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	ee := []float64{0.5, 0.7, 0.7, 0.9}
+	backlog := []units.Seconds{0, 0.5, 1, 1.5, 3}
+	spills, ties := 0, 0
+	for trial := 0; trial < 20000; trial++ {
+		quotes := make([]Quote, 1+rng.Intn(6))
+		for i := range quotes {
+			quotes[i] = Quote{Site: i, OK: rng.Intn(4) > 0, EE: ee[rng.Intn(len(ee))], Backlog: backlog[rng.Intn(len(backlog))]}
+		}
+		wantSite, wantReason := referenceEEPick(quotes)
+		gotSite, gotReason := RouteEE().Pick(quotes)
+		if gotSite != wantSite || gotReason != wantReason {
+			t.Fatalf("quotes %+v: picked %d %q, the stable sort %d %q", quotes, gotSite, gotReason, wantSite, wantReason)
+		}
+		if strings.HasPrefix(gotReason, "spill:") {
+			spills++
+		}
+		if len(quotes) > 1 && quotes[0].OK && quotes[1].OK && quotes[0].EE == quotes[1].EE {
+			ties++
+		}
+	}
+	if spills == 0 || ties == 0 {
+		t.Fatalf("%d spills, %d ties: the edge cases were not drawn", spills, ties)
+	}
+}
+
+// Pools whose ladder tables are equal share one router cache, so on the
+// fed_sites pair (east systemg:32, west systemg:16,dori:16) a job of
+// widths 1…16 is priced in 10 rows, not 15, and its workload vector is
+// evaluated once per width, not once per row.
+func TestRouterPricesEachLadderTableOnce(t *testing.T) {
+	f, err := New(benchSites(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	routers := map[*opcache.Cache]bool{}
+	for _, sr := range f.sites {
+		for _, c := range sr.cache {
+			routers[c] = true
+		}
+	}
+	if len(routers) != 2 {
+		t.Fatalf("%d router caches over SystemG, SystemG and Dori pools, want 2", len(routers))
+	}
+	misses := func() uint64 {
+		var n uint64
+		for c := range routers {
+			n += c.Stats().Misses
+		}
+		return n
+	}
+	calls := 0
+	work := make([]units.Seconds, len(f.sites))
+	for _, j := range sched.SyntheticTrace(sched.TraceConfig{Jobs: 32, Seed: 9, MaxWidth: 16}) {
+		j.MinWidth, j.MaxWidth = 1, 16
+		won := j.Vector.WOn
+		j.Vector.WOn = func(n float64, p int) float64 { calls++; return won(n, p) }
+		before, calls0 := misses(), calls
+		if _, ok := f.quotes(j, work, 0); !ok {
+			t.Fatalf("job %d does not price", j.ID)
+		}
+		if got := misses() - before; got != 10 {
+			t.Fatalf("job %d: %d router evaluations, want 10", j.ID, got)
+		}
+		if got := calls - calls0; got != 5 {
+			t.Fatalf("job %d: %d workload evaluations, want 5 (one per width)", j.ID, got)
+		}
 	}
 }
 

@@ -3,14 +3,16 @@
 // problem size, parallelism, DVFS frequency) tuple maps to one predicted
 // Point and one conservative sustained power draw.
 //
-// Eval prices one (vector, n, p) against the machine's whole DVFS ladder
-// in one pass — how every consumer reads it (admission scans ladders,
-// the governor walks them) — into a Row the caller owns, and counts the
-// evaluation. The scheduler keeps each row on the job's queue entry and
-// reuses it for a later job once this one leaves; the federation router
-// prices into one reused buffer. One-off evaluations — the analysis
-// sweeps and the model-surface figures — call core.Model.Predict
-// directly (DESIGN.md "Pricing a point").
+// Eval prices one workload vector — a vector at (n, p), which callers
+// evaluate once per width — against the machine's whole DVFS ladder in
+// one validated pass, how every consumer reads it (admission scans
+// ladders, the governor walks them), into a Row the caller owns, and
+// counts the evaluation. The scheduler keeps each row on the job's queue
+// entry and reuses it for a later job once this one leaves; the
+// federation router prices into one reused buffer, its pools sharing a
+// Cache wherever their ladder tables are equal (SameLadder). One-off
+// evaluations — the analysis sweeps and the model-surface figures — call
+// core.Model.Predict directly (DESIGN.md "Pricing a point").
 //
 // The owner-keyed memo (Row, Point, Forget) has no runtime caller:
 // it stays only for the outside timings in bench/layers.go and goes with
@@ -22,6 +24,7 @@ package opcache
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/app"
 	"repro/internal/core"
@@ -117,6 +120,10 @@ func (c *Cache) Ladder() []units.Hertz { return c.ladder }
 // ParamsAt returns the machine vector at ladder index i.
 func (c *Cache) ParamsAt(i int) machine.Params { return c.params[i] }
 
+// SameLadder reports whether o prices every row exactly as c does: their
+// ladder tables are equal, whatever the specs' names and node counts.
+func (c *Cache) SameLadder(o *Cache) bool { return slices.Equal(c.params, o.params) }
+
 // LadderIndex maps a frequency to its ladder position, or -1.
 func (c *Cache) LadderIndex(f units.Hertz) int {
 	for i, g := range c.ladder {
@@ -142,7 +149,7 @@ func (c *Cache) Row(owner any, v app.Vector, n float64, p int) (*Row, error) {
 		return nil, err
 	}
 	r := &Row{}
-	if err := c.Eval(r, v, n, p); err != nil {
+	if err := c.Eval(r, v.At(n, p)); err != nil {
 		if c.errs[owner] == nil {
 			c.errs[owner] = make(map[rowKey]error)
 		}
@@ -182,27 +189,28 @@ func (c *Cache) Stats() Stats {
 	return Stats{Hits: c.hits, Misses: c.misses, Forgets: c.forgets}
 }
 
-// Eval prices v at (n, p) against the whole ladder into r, reusing r's
-// slices when they are long enough — the allocation-free door for a
-// caller that owns its rows. Each call counts one miss, failed or not.
-// The memo's miss path is this function, so memo rows are bit-identical
-// and counted once; Eval itself neither reads nor fills the memo. On
-// error r holds a partial evaluation.
-func (c *Cache) Eval(r *Row, v app.Vector, n float64, p int) error {
+// Eval prices workload w — a vector evaluated at (n, p) — against the
+// whole ladder into r, reusing r's slices when they are long enough: the
+// allocation-free door for a caller that owns its rows. w is validated
+// once, and each point goes to core.PredictValidated. Each call counts
+// one miss, failed or not. The memo's miss path is this function, so
+// memo rows are bit-identical and counted once; Eval neither reads nor
+// fills the memo. On error r holds a partial evaluation.
+func (c *Cache) Eval(r *Row, w core.Workload) error {
 	c.misses++
-	w := v.At(n, p)
 	r.W = w
 	r.Pred = resize(r.Pred, len(c.ladder))
 	r.Draw = resize(r.Draw, len(c.ladder))
-	m := core.Model{App: w}
-	for i := range c.ladder {
-		m.Machine = c.params[i]
-		pr, err := m.Predict()
-		if err != nil {
-			return fmt.Errorf("opcache: %s at n=%g p=%d f=%v: %w", v.Name, n, p, c.ladder[i], err)
+	if err := w.Validate(); err != nil {
+		return fmt.Errorf("opcache: p=%d: %w", w.P, err)
+	}
+	p := float64(w.P)
+	wc, wm := (w.WOn+w.DWOn)/p, (w.WOff+w.DWOff)/p // drawPerRank's per-rank work
+	for i := range c.params {
+		if err := core.PredictValidated(&r.Pred[i], &c.params[i], &r.W); err != nil {
+			return fmt.Errorf("opcache: p=%d f=%v: %w", w.P, c.ladder[i], err)
 		}
-		r.Pred[i] = pr
-		r.Draw[i] = units.Watts(float64(p) * float64(c.drawPerRank(w, i)))
+		r.Draw[i] = units.Watts(p * float64(c.drawPerRank(w.Alpha, wc, wm, i)))
 	}
 	return nil
 }
@@ -217,10 +225,10 @@ func resize[T any](s []T, n int) []T {
 }
 
 // drawPerRank returns the conservative sustained power of one rank
-// executing workload w (already evaluated at the job's (n, p)) at ladder
-// index fi: the rank's idle power at that frequency plus the largest
-// active-delta draw any compute/memory utilisation mix the job can
-// exhibit produces.
+// executing a workload of overlap α and per-rank work wc = (Won+ΔWon)/p,
+// wm = (Woff+ΔWoff)/p at ladder index fi: the rank's idle power at that
+// frequency plus the largest active-delta draw any compute/memory
+// utilisation mix the job can exhibit produces.
 //
 // The active term is the paper's Eq. 8–9 read as an instantaneous rate:
 // during a compute slice of per-rank busy times (dc, dm), wall time is
@@ -236,17 +244,16 @@ func resize[T any](s []T, n int) []T {
 // draw of any sampling window is a convex mix of states this envelope
 // dominates. Communication and idle phases only dilute utilisation, so
 // they never exceed it.
-func (c *Cache) drawPerRank(w core.Workload, fi int) units.Watts {
-	mp := c.params[fi]
-	p := float64(w.P)
-	dm := (w.WOff + w.DWOff) / p * float64(mp.Tm)
+func (c *Cache) drawPerRank(alpha, wc, wm float64, fi int) units.Watts {
+	mp := &c.params[fi]
+	dm := wm * float64(mp.Tm)
 	active := 0.0
 	for _, g := range [3]int{0, fi, len(c.params) - 1} {
-		dc := (w.WOn + w.DWOn) / p * float64(c.params[g].Tc)
+		dc := wc * float64(c.params[g].Tc)
 		if dc+dm <= 0 {
 			continue
 		}
-		a := (dc*float64(mp.DeltaPc) + dm*float64(mp.DeltaPm)) / (w.Alpha * (dc + dm))
+		a := (dc*float64(mp.DeltaPc) + dm*float64(mp.DeltaPm)) / (alpha * (dc + dm))
 		if a > active {
 			active = a
 		}

@@ -1,11 +1,16 @@
 package opcache
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/app"
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/units"
 )
 
 func testCache(t *testing.T) *Cache {
@@ -292,7 +297,7 @@ func TestEvalMatchesRow(t *testing.T) {
 				t.Fatalf("step %d p=%d: a memo miss moved the counters %+v → %+v, want one miss", step, p, before, got)
 			}
 			before = c.Stats()
-			if err := c.Eval(&r, cg, 75000, p); err != nil {
+			if err := c.Eval(&r, cg.At(75000, p)); err != nil {
 				t.Fatal(err)
 			}
 			if got := c.Stats(); got != (Stats{Hits: before.Hits, Misses: before.Misses + 1, Forgets: before.Forgets}) {
@@ -313,7 +318,7 @@ func TestEvalMatchesRow(t *testing.T) {
 		}
 		before := c.Stats().Misses
 		_, rowErr := c.Row(-1-step, bad, 75000, 4) // a fresh owner: a miss
-		evalErr := c.Eval(&r, bad, 75000, 4)
+		evalErr := c.Eval(&r, bad.At(75000, 4))
 		if rowErr == nil || evalErr == nil || rowErr.Error() != evalErr.Error() {
 			t.Fatalf("step %d: Row error %v, Eval error %v", step, rowErr, evalErr)
 		}
@@ -389,6 +394,134 @@ func TestPartialTp(t *testing.T) {
 		half := row.PartialTp(i, 0.5)
 		if float64(half) != 0.5*float64(row.Pred[i].Tp) {
 			t.Fatalf("fi=%d: PartialTp(0.5) = %v, want half of %v", i, half, row.Pred[i].Tp)
+		}
+	}
+}
+
+// refDrawPerRank is drawPerRank as it read before Eval hoisted the
+// per-rank work out of the ladder loop: the per-rank compute term is
+// re-derived for each of the three ladder indices of every point. It is
+// the oracle TestEvalMatchesPerPointPredict holds Row.Draw to.
+func refDrawPerRank(params []machine.Params, w core.Workload, fi int) units.Watts {
+	mp := params[fi]
+	p := float64(w.P)
+	dm := (w.WOff + w.DWOff) / p * float64(mp.Tm)
+	active := 0.0
+	for _, g := range [3]int{0, fi, len(params) - 1} {
+		dc := (w.WOn + w.DWOn) / p * float64(params[g].Tc)
+		if dc+dm <= 0 {
+			continue
+		}
+		a := (dc*float64(mp.DeltaPc) + dm*float64(mp.DeltaPm)) / (w.Alpha * (dc + dm))
+		if a > active {
+			active = a
+		}
+	}
+	return mp.PsysIdle + units.Watts(active)
+}
+
+// Eval's one validated ladder pass must equal, bit for bit, a validated
+// core.Model.Predict at every ladder point, and its draw the per-point
+// reference formula — over both presets, the five NPB vectors, every
+// width 1…128 and 50 log-uniform problem sizes per vector (the synthetic
+// trace's ranges).
+func TestEvalMatchesPerPointPredict(t *testing.T) {
+	shapes := []struct {
+		v        app.Vector
+		nLo, nHi float64
+	}{
+		{app.EP(), 1e7, 1e8},
+		{app.FT(4), 1 << 16, 1 << 19},
+		{app.CG(11, 3), 2e4, 1e5},
+		{app.IS(1024, 4), 1 << 16, 1 << 20},
+		{app.MG(2), 1 << 15, 1 << 18},
+	}
+	rng := rand.New(rand.NewSource(54))
+	var r Row
+	rows := 0
+	for _, spec := range []machine.Spec{machine.SystemG(), machine.Dori()} {
+		c, err := New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		params, err := spec.LadderParams()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sh := range shapes {
+			for k := 0; k < 50; k++ {
+				n := math.Ceil(sh.nLo * math.Exp(rng.Float64()*math.Log(sh.nHi/sh.nLo)))
+				for p := 1; p <= 128; p++ {
+					w := sh.v.At(n, p)
+					if err := c.Eval(&r, w); err != nil {
+						t.Fatalf("%s %s n=%g p=%d: %v", spec.Name, sh.v.Name, n, p, err)
+					}
+					for i := range params {
+						want, err := (&core.Model{Machine: params[i], App: w}).Predict()
+						if err != nil {
+							t.Fatalf("%s %s n=%g p=%d f#%d: Eval priced what Predict rejects: %v", spec.Name, sh.v.Name, n, p, i, err)
+						}
+						if r.Pred[i] != want {
+							t.Fatalf("%s %s n=%g p=%d f#%d:\n Eval    %+v\n Predict %+v", spec.Name, sh.v.Name, n, p, i, r.Pred[i], want)
+						}
+						if d := units.Watts(float64(p) * float64(refDrawPerRank(params, w, i))); r.Draw[i] != d {
+							t.Fatalf("%s %s n=%g p=%d f#%d: draw %v, reference %v", spec.Name, sh.v.Name, n, p, i, r.Draw[i], d)
+						}
+					}
+					rows++
+				}
+			}
+		}
+	}
+	if rows != 2*5*50*128 {
+		t.Fatalf("compared %d rows", rows)
+	}
+}
+
+// A workload Predict rejects — α outside (0, 1], a negative message
+// count, a sequential energy that is not positive — fails Eval too, with
+// Predict's reason; and a reused row priced after a failure, or with no
+// parallel time after a row that had some, is whole.
+func TestEvalRejectsWhatPredictRejects(t *testing.T) {
+	c := testCache(t)
+	good := app.CG(11, 15).At(75000, 8)
+	bad := map[string]core.Workload{}
+	for _, alpha := range []float64{0, -0.5, 1.5} {
+		w := good
+		w.Alpha = alpha
+		bad[fmt.Sprintf("alpha=%g", alpha)] = w
+	}
+	negM := good
+	negM.M = -1
+	bad["negative M"] = negM
+	bad["E1 = 0"] = core.Workload{Alpha: 1, P: 8} // no work: valid, degenerate
+	mp := c.ParamsAt(0)
+	var r Row
+	for name, w := range bad {
+		_, predictErr := (&core.Model{Machine: mp, App: w}).Predict()
+		evalErr := c.Eval(&r, w)
+		if predictErr == nil || evalErr == nil || !strings.HasSuffix(evalErr.Error(), predictErr.Error()) {
+			t.Fatalf("%s: Predict error %v, Eval error %v", name, predictErr, evalErr)
+		}
+		if err := c.Eval(&r, good); err != nil {
+			t.Fatal(err)
+		}
+		for i := range c.Ladder() {
+			want, err := (&core.Model{Machine: c.ParamsAt(i), App: good}).Predict()
+			if err != nil || r.Pred[i] != want {
+				t.Fatalf("after %s: f#%d Eval %+v, Predict %+v (%v)", name, i, r.Pred[i], want, err)
+			}
+		}
+	}
+	// No parallel time prices no speedup, even into a row that held one.
+	idle := core.Workload{Alpha: 1, WOn: 1e9, DWOn: -1e9, P: 8}
+	if err := c.Eval(&r, idle); err != nil {
+		t.Fatal(err)
+	}
+	for i := range c.Ladder() {
+		want, err := (&core.Model{Machine: c.ParamsAt(i), App: idle}).Predict()
+		if err != nil || r.Pred[i] != want {
+			t.Fatalf("zero Tp: f#%d Eval %+v, Predict %+v (%v)", i, r.Pred[i], want, err)
 		}
 	}
 }

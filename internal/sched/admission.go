@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/analysis"
+	"repro/internal/core"
 	"repro/internal/opcache"
 	"repro/internal/units"
 )
@@ -260,17 +261,25 @@ type pricedRow struct {
 // fastest runtime, or a nil row where the model does not evaluate. A
 // width is evaluated once, into the top spare row, which the entry keeps
 // unless the model fails; one priced after referenceTp loosens the floor.
+// The workload vector at p is the job's once: a row another pool priced
+// at p hands over its W.
 func (s *Scheduler) priced(e *entry, pool, p int) (*opcache.Row, units.Seconds) {
+	var w core.Workload
 	for i := range e.grid {
 		if g := &e.grid[i]; g.p == p && g.pool == pool {
 			return g.row, g.fastest
+		} else if g.p == p && g.row != nil {
+			w = g.row.W
 		}
+	}
+	if w.P != p {
+		w = e.job.Vector.At(e.job.N, p)
 	}
 	g := pricedRow{pool: pool, p: p}
 	if len(s.spare) == 0 {
 		s.spare = append(s.spare, new(opcache.Row))
 	}
-	if row := s.spare[len(s.spare)-1]; s.pools[pool].cache.Eval(row, e.job.Vector, e.job.N, p) == nil {
+	if row := s.spare[len(s.spare)-1]; s.pools[pool].cache.Eval(row, w) == nil {
 		g.row, g.fastest, s.spare = row, row.FastestTp(), s.spare[:len(s.spare)-1]
 	}
 	if n := len(s.spareGrids); e.grid == nil && n > 0 {

@@ -1119,3 +1119,45 @@ func BenchmarkAdmitPassBlockedQueue(b *testing.B) {
 		})
 	}
 }
+
+// A width priced in the second pool of systemg:8,dori:8 copies the
+// workload vector the first pool's row holds, so the job's vector is
+// evaluated once per width, not once per (pool, width); and every row
+// of the grid equals a fresh Eval in its own pool's cache.
+func TestPricedEvaluatesAWidthsWorkloadOnce(t *testing.T) {
+	pl, err := machine.ParsePlatform("systemg:8,dori:8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Platform: pl, Cap: 1500, Policy: Backfill(EEMax()), Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cg := app.CG(11, 15)
+	calls := 0
+	v := cg
+	v.WOn = func(n float64, p int) float64 { calls++; return cg.WOn(n, p) }
+	j := Job{ID: 1, Vector: v, N: 75000, MaxWidth: 8}
+	e := &entry{job: j, res: JobResult{Job: j, State: Queued}}
+	if _, ok := s.referenceTp(e); !ok {
+		t.Fatal("the job does not price")
+	}
+	widths := j.Widths(nil, 8)
+	if len(e.grid) != 2*len(widths) || calls != len(widths) {
+		t.Fatalf("%d rows priced with %d workload evaluations, want %d rows and %d (one per width)",
+			len(e.grid), calls, 2*len(widths), len(widths))
+	}
+	for _, g := range e.grid {
+		c, err := opcache.New(pl.Pools[g.pool].Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fresh opcache.Row
+		if err := c.Eval(&fresh, cg.At(j.N, g.p)); err != nil {
+			t.Fatal(err)
+		}
+		if g.row.W != fresh.W || !slices.Equal(g.row.Pred, fresh.Pred) || !slices.Equal(g.row.Draw, fresh.Draw) {
+			t.Fatalf("pool %d p=%d: the grid's row differs from a fresh Eval", g.pool, g.p)
+		}
+	}
+}

@@ -28,21 +28,13 @@ const (
 	Lost
 )
 
+var stateNames = [...]string{Queued: "queued", Running: "running", Done: "done", Rejected: "rejected", Lost: "lost"}
+
 func (s JobState) String() string {
-	switch s {
-	case Queued:
-		return "queued"
-	case Running:
-		return "running"
-	case Done:
-		return "done"
-	case Rejected:
-		return "rejected"
-	case Lost:
-		return "lost"
-	default:
-		return fmt.Sprintf("state(%d)", int(s))
+	if s >= 0 && int(s) < len(stateNames) {
+		return stateNames[s]
 	}
+	return fmt.Sprintf("state(%d)", int(s))
 }
 
 // Job is one unit of work submitted to the scheduler: an application

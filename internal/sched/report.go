@@ -110,7 +110,8 @@ func (s *Scheduler) collect() Result {
 	ids := slices.AppendSeq(make([]int, 0, len(s.entries)), maps.Keys(s.entries))
 	slices.Sort(ids)
 
-	var waits []units.Seconds
+	res.Jobs = slices.Grow(res.Jobs, len(ids))
+	waits := make([]units.Seconds, 0, len(ids))
 	var waited units.Seconds
 	var energy units.Joules
 	var ee float64
