@@ -1,5 +1,5 @@
 // Command traceq queries NDJSON decision traces offline (the logs
-// schedrun -events and fedrun -events write): every view of a run's
+// schedrun -events writes, per site under -sites): every view of a run's
 // decisions is a fold over that one stream. It is a thin CLI over
 // internal/traceq:
 //

@@ -1,6 +1,7 @@
 // Package cli is the one front door of every command but repolint: the
-// flag groups commands share, the run's output lifecycle, and the exit
-// contract. A command is a run(args, stdout, stderr) error that
+// exit contract and numeric flag rule they all share, the -cluster/-freq
+// group of the model commands, and schedrun's flag groups and output
+// lifecycle. A command is a run(args, stdout, stderr) error that
 // registers flags on its own FlagSet and returns; Main maps the error's
 // class to the exit ladder, so nothing else calls os.Exit and every
 // deferred close runs on every path. DESIGN.md §14 has the contract.
@@ -131,10 +132,10 @@ func MachineFlags(fs *flag.FlagSet, freqUsage string) (resolve func() (machine.S
 
 // TraceFlags registers the synthetic-trace group, -jobs and -seed; jobs,
 // called after Parse, generates the default trace. Its jobs are
-// moldable, so one trace serves any platform and a 1-site fedrun sees
-// the trace schedrun does.
-func TraceFlags(fs *flag.FlagSet, n int) (seed *int64, jobs func() ([]sched.Job, error)) {
-	count := fs.Int("jobs", n, "number of jobs in the synthetic trace")
+// moldable, so one trace serves any platform and a 1-site federation
+// sees the trace the bare scheduler does.
+func TraceFlags(fs *flag.FlagSet) (seed *int64, jobs func() ([]sched.Job, error)) {
+	count := fs.Int("jobs", 64, "number of jobs in the synthetic trace")
 	seed = fs.Int64("seed", 1, "trace and simulation seed")
 	return seed, func() ([]sched.Job, error) {
 		if *count < 0 {
@@ -144,24 +145,23 @@ func TraceFlags(fs *flag.FlagSet, n int) (seed *int64, jobs func() ([]sched.Job,
 	}
 }
 
-// Budget is the power-budget flag group: a constant -cap or a timeline
-// spec flag — exactly one source.
+// Budget is the power-budget flag group: a constant -cap or a -capplan
+// timeline — exactly one source: one cluster's, or a federation's.
 type Budget struct {
 	cap  *float64
 	spec *string
 }
 
-// BudgetFlags registers -cap and the timeline spec flag under the name
-// and usage the command gives it.
-func BudgetFlags(fs *flag.FlagSet, cap float64, capUsage, specFlag, specUsage string) *Budget {
+// BudgetFlags registers -cap and -capplan.
+func BudgetFlags(fs *flag.FlagSet) *Budget {
 	return &Budget{
-		cap:  fs.Float64("cap", cap, capUsage),
-		spec: fs.String(specFlag, "", specUsage),
+		cap:  fs.Float64("cap", 2500, "power cap in watts: the cluster's, or under -sites the global budget"),
+		spec: fs.String("capplan", "", "time-varying cap plan as start:watts windows, e.g. 0:2500,3600:1500,7200:2500 (excludes -cap); under -sites the global budget"),
 	}
 }
 
 // Plan resolves the group to the budget timeline; timeline reports
-// whether it came from the spec rather than the constant -cap.
+// whether it came from -capplan rather than the constant -cap.
 func (b *Budget) Plan(given map[string]bool) (plan *capplan.Plan, timeline bool, err error) {
 	if *b.spec == "" {
 		plan, err = capplan.Steps(capplan.Segment{Cap: units.Watts(*b.cap)})
@@ -198,11 +198,6 @@ func Select[V any](flagName, val string, registry map[string]V, baseline string)
 		return nil, Usagef("-%s %q: have %s, all", flagName, val, strings.Join(names, ", "))
 	}
 	return all, nil
-}
-
-// JSONFlag registers -json.
-func JSONFlag(fs *flag.FlagSet) *string {
-	return fs.String("json", "", `write machine-readable results as JSON to this file ("-" = stdout)`)
 }
 
 // WriteJSON writes the indented results to path ("-" = stdout, "" = off).

@@ -127,15 +127,15 @@ func TestBudget(t *testing.T) {
 	}{
 		{"", "0:2500", false, 0},
 		{"-cap 900", "0:900", false, 0},
-		{"-plan 0:900,1:650", "0:900,1:650", true, 0},
+		{"-capplan 0:900,1:650", "0:900,1:650", true, 0},
 		{"-cap NaN", "", false, 2},
 		{"-cap 0", "", false, 2},
-		{"-plan bogus", "", false, 2},
-		{"-cap 900 -plan 0:900", "", false, 2},
+		{"-capplan bogus", "", false, 2},
+		{"-cap 900 -capplan 0:900", "", false, 2},
 	} {
 		fs := flag.NewFlagSet("t", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
-		b := BudgetFlags(fs, 2500, "cap", "plan", "plan spec")
+		b := BudgetFlags(fs)
 		given, err := Parse(fs, strings.Fields(tc.args))
 		var got string
 		var timeline bool

@@ -73,18 +73,20 @@ type Workload struct {
 // overheads ΔWon/ΔWoff may be negative — the paper's own CG fit has a
 // negative ΔWoff because per-processor working sets start fitting in
 // cache — but the total parallel workloads must stay non-negative.
+// Every bound is written as the negation of the valid range, so a NaN,
+// which fails every comparison, is rejected too.
 func (w Workload) Validate() error {
 	switch {
-	case w.Alpha <= 0 || w.Alpha > 1:
+	case !(w.Alpha > 0 && w.Alpha <= 1):
 		return fmt.Errorf("core: overlap factor α=%g outside (0,1]", w.Alpha)
-	case w.WOn < 0 || w.WOff < 0:
-		return errors.New("core: negative sequential workload")
-	case w.WOn+w.DWOn < 0 || w.WOff+w.DWOff < 0:
-		return errors.New("core: negative total parallel workload (overhead below -W)")
-	case w.M < 0 || w.B < 0:
-		return errors.New("core: negative communication volume")
-	case w.TIO < 0:
-		return errors.New("core: negative I/O time")
+	case !(w.WOn >= 0 && w.WOff >= 0):
+		return errors.New("core: negative or NaN sequential workload")
+	case !(w.WOn+w.DWOn >= 0 && w.WOff+w.DWOff >= 0):
+		return errors.New("core: negative or NaN total parallel workload (overhead below -W)")
+	case !(w.M >= 0 && w.B >= 0):
+		return errors.New("core: negative or NaN communication volume")
+	case !(w.TIO >= 0):
+		return errors.New("core: negative or NaN I/O time")
 	case w.P < 1:
 		return fmt.Errorf("core: processor count %d < 1", w.P)
 	}

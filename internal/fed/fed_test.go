@@ -611,7 +611,7 @@ func TestDuplicateJobIDs(t *testing.T) {
 	}
 }
 
-// TestComparisonTable smoke-tests the fedrun rendering over a small
+// TestComparisonTable smoke-tests the schedrun -sites table over a small
 // policy sweep.
 func TestComparisonTable(t *testing.T) {
 	trace := sched.SyntheticTrace(sched.TraceConfig{Jobs: 8, Seed: 5, MaxWidth: 16})

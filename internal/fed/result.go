@@ -150,7 +150,7 @@ func (r Result) RoutingTable() string {
 }
 
 // ComparisonTable renders a head-to-head over policy combinations run
-// on the same sites and trace — the fedrun CLI's output.
+// on the same sites and trace — what schedrun -sites prints.
 func ComparisonTable(results []Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-14s %-4s %9s %5s %4s %4s %12s %12s %10s %6s %7s\n",

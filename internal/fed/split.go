@@ -134,7 +134,7 @@ func (carbonMin) Shares(ctx SplitContext) []float64 {
 }
 
 // SplitPolicies returns the built-in budget-split policies by name —
-// the registry cmd/fedrun selects from.
+// the registry schedrun -split selects from.
 func SplitPolicies() map[string]func() SplitPolicy {
 	return map[string]func() SplitPolicy{
 		"static-share": StaticShare,

@@ -76,20 +76,21 @@ type Params struct {
 	Pother  units.Watts
 }
 
-// Validate reports whether the vector is physically sensible.
+// Validate reports whether the vector is physically sensible. Each
+// bound is the negation of the valid range, so NaN fails it.
 func (p Params) Validate() error {
 	switch {
-	case p.Freq <= 0:
+	case !(p.Freq > 0):
 		return fmt.Errorf("machine: frequency %v must be positive", p.Freq)
-	case p.Tc <= 0:
+	case !(p.Tc > 0):
 		return fmt.Errorf("machine: tc %v must be positive", p.Tc)
-	case p.Tm <= 0:
+	case !(p.Tm > 0):
 		return fmt.Errorf("machine: tm %v must be positive", p.Tm)
-	case p.Ts < 0 || p.Tb < 0:
+	case !(p.Ts >= 0 && p.Tb >= 0):
 		return errors.New("machine: network parameters must be non-negative")
-	case p.DeltaPc < 0 || p.DeltaPm < 0 || p.DeltaPio < 0:
+	case !(p.DeltaPc >= 0 && p.DeltaPm >= 0 && p.DeltaPio >= 0):
 		return errors.New("machine: power deltas must be non-negative")
-	case p.PsysIdle <= 0:
+	case !(p.PsysIdle > 0):
 		return errors.New("machine: system idle power must be positive")
 	}
 	return nil

@@ -15,11 +15,11 @@ import (
 	"repro/internal/units"
 )
 
-// StatusServer is the opt-in live run-status endpoint behind
-// schedrun/fedrun -status. It serves pre-marshalled snapshots only —
-// HTTP handlers never touch live scheduler state, so the simulation
-// goroutines publish under a mutex and the server stays race-free by
-// construction:
+// StatusServer is the opt-in live run-status endpoint behind schedrun
+// -status, labelled per policy or, under -sites, per site. It serves
+// pre-marshalled snapshots only — HTTP handlers never touch live
+// scheduler state, so the simulation goroutines publish under a mutex
+// and the server stays race-free by construction:
 //
 //	/            text index
 //	/status.json JSON object keyed by run label (policy or site name)

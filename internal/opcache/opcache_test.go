@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -522,6 +523,37 @@ func TestEvalRejectsWhatPredictRejects(t *testing.T) {
 		want, err := (&core.Model{Machine: c.ParamsAt(i), App: idle}).Predict()
 		if err != nil || r.Pred[i] != want {
 			t.Fatalf("zero Tp: f#%d Eval %+v, Predict %+v (%v)", i, r.Pred[i], want, err)
+		}
+	}
+}
+
+// TestNaNIsRejected: NaN fails every comparison, so a bound written as
+// "x < 0" lets it through. A NaN in any field of the workload vector is
+// an error from Workload.Validate, Model.Predict and Eval, and a NaN in
+// any field of the machine vector the model reads is an error from
+// Params.Validate and Model.Predict.
+func TestNaNIsRejected(t *testing.T) {
+	c := testCache(t)
+	good := app.CG(11, 15).At(75000, 8)
+	good.TIO = 0.1
+	mp := c.ParamsAt(0)
+	if _, err := (&core.Model{Machine: mp, App: good}).Predict(); err != nil {
+		t.Fatal(err)
+	}
+	var r Row
+	for _, field := range []string{"Alpha", "WOn", "WOff", "DWOn", "DWOff", "M", "B", "TIO"} {
+		w := good
+		reflect.ValueOf(&w).Elem().FieldByName(field).SetFloat(math.NaN())
+		_, predictErr := (&core.Model{Machine: mp, App: w}).Predict()
+		if w.Validate() == nil || predictErr == nil || c.Eval(&r, w) == nil {
+			t.Errorf("workload %s = NaN: Validate %v, Predict %v, Eval %v", field, w.Validate(), predictErr, c.Eval(&r, w))
+		}
+	}
+	for _, field := range []string{"Freq", "Tc", "Tm", "Ts", "Tb", "DeltaPc", "DeltaPm", "DeltaPio", "PsysIdle"} {
+		p := mp
+		reflect.ValueOf(&p).Elem().FieldByName(field).SetFloat(math.NaN())
+		if _, err := (&core.Model{Machine: p, App: good}).Predict(); p.Validate() == nil || err == nil {
+			t.Errorf("machine %s = NaN: Validate %v, Predict %v", field, p.Validate(), err)
 		}
 	}
 }

@@ -289,7 +289,7 @@ func (r *Recorder) Close() error {
 }
 
 // siteSink stamps events with a federation site name before
-// forwarding — the per-site trace wiring fedrun's -events uses so
+// forwarding — the per-site trace wiring schedrun -sites -events uses so
 // cross-site merges (traceq merge) can key on Event.Site.
 type siteSink struct {
 	site  string
