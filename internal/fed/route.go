@@ -184,8 +184,9 @@ func (f *Federation) route(jobs []sched.Job) error {
 	// throttled site's queue honestly even across plan breakpoints.
 	work := make([]units.Seconds, len(f.sites))
 	f.decisions = slices.Grow(f.decisions, len(ordered))
+	dest := make([]int, len(ordered))
 	var last units.Seconds
-	for _, j := range ordered {
+	for i, j := range ordered {
 		if j.Arrival > last {
 			for i := range work {
 				if d := f.drained(i, last, j.Arrival); d >= work[i] {
@@ -213,9 +214,8 @@ func (f *Federation) route(jobs []sched.Job) error {
 			site = f.widestSite()
 			dec.Reason = "no-fit: no site quotes an eligible operating point"
 		}
-		sr := f.sites[site]
-		sr.jobs = append(sr.jobs, j)
-		dec.Site = sr.site.Name
+		dest[i] = site
+		dec.Site = f.sites[site].site.Name
 		f.decisions = append(f.decisions, dec)
 		if f.cfg.Telemetry != nil {
 			f.cfg.Telemetry.Emit(telemetry.Event{
@@ -224,6 +224,17 @@ func (f *Federation) route(jobs []sched.Job) error {
 				Dur: dec.Tp, Reason: dec.Reason,
 			})
 		}
+	}
+	// Each site's jobs, in routing order, are an exact-size part of one array.
+	all := make([]sched.Job, 0, len(ordered))
+	for si, sr := range f.sites {
+		start := len(all)
+		for i, d := range dest {
+			if d == si {
+				all = append(all, ordered[i])
+			}
+		}
+		sr.jobs = all[start:len(all):len(all)]
 	}
 	return nil
 }

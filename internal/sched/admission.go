@@ -158,7 +158,7 @@ func (c *AdmitContext) Best(e *entry, budget units.Watts) *Candidate {
 // per-candidate narrowing of the budget (narrowToLifetime). A job is
 // never started into a budget window it cannot fit.
 func (c *AdmitContext) search(e *entry, refTp units.Seconds, budget units.Watts) (*Candidate, int) {
-	s, j, now := c.s, &e.job, c.now
+	s, j, now := c.s, &e.res.Job, c.now
 	maxTp := units.Seconds(float64(refTp) * PerfSlack)
 	best, bestDL := &s.best, &s.bestDL
 	stage, foundDL := stageNone, false
@@ -273,7 +273,7 @@ func (s *Scheduler) priced(e *entry, pool, p int) (*opcache.Row, units.Seconds) 
 		}
 	}
 	if w.P != p {
-		w = e.job.Vector.At(e.job.N, p)
+		w = e.res.Vector.At(e.res.N, p)
 	}
 	g := pricedRow{pool: pool, p: p}
 	if len(s.spare) == 0 {
@@ -305,7 +305,7 @@ func (s *Scheduler) referenceTp(e *entry) (units.Seconds, bool) {
 	if e.refTp != 0 {
 		return e.refTp, e.refTp > 0
 	}
-	j := &e.job
+	j := &e.res.Job
 	e.refTp = -1
 	var wbuf [maxWidths]int
 	ref := units.Seconds(0)
@@ -360,11 +360,11 @@ func (s *Scheduler) loosen(e *entry, g pricedRow) {
 // one width referenceTp skips (the top of Job.Widths) price it first, as
 // the search would, leaving a model failure there to the search.
 func (c *AdmitContext) belowFloor(e *entry, budget units.Watts) bool {
-	lo := e.job.minWidth()
+	lo := e.res.minWidth()
 	fresh := e.saved == 0 && e.res.Restarts == 0
 	reserved := false
 	for pi := range e.floor {
-		top := min(e.job.MaxWidth, c.s.pools[pi].size)
+		top := min(e.res.MaxWidth, c.s.pools[pi].size)
 		hi := min(top, c.free[pi])
 		if hi < lo {
 			continue

@@ -141,10 +141,18 @@ func (b backfillPolicy) Admit(ctx *AdmitContext) {
 	// jobs, each shadow walk replaying the earlier reservations. A job
 	// that can start right now under the reservations so far is simply
 	// started — it needs no promise.
-	head := ctx.head()
+	// The outermost live pass keeps its reservations in the scheduler's
+	// slots; a Backfill nested in it, or one probed in a shadow walk,
+	// allocates its own.
+	own := !ctx.shadow && !ctx.reserving
 	var rsvs []*reservation
-	if rsv := ctx.s.computeReservation(head, b.inner, ctx, nil); rsv != nil {
-		rsvs = append(rsvs, rsv)
+	if own {
+		rsvs = ctx.s.rsvSlots[:0]
+	}
+	ctx.reserving = true
+	head := ctx.head()
+	var ok bool
+	if rsvs, ok = ctx.s.computeReservation(head, b.inner, ctx, rsvs); ok {
 		for _, e := range ctx.queue { // not Queued: it yields nothing on a full cluster
 			if len(rsvs) >= b.k {
 				break
@@ -160,10 +168,11 @@ func (b backfillPolicy) Admit(ctx *AdmitContext) {
 			if len(ctx.admitted) > before {
 				continue // startable now; no reservation needed
 			}
-			if rsv := ctx.s.computeReservation(e, b.inner, ctx, rsvs); rsv != nil {
-				rsvs = append(rsvs, rsv)
-			}
+			rsvs, _ = ctx.s.computeReservation(e, b.inner, ctx, rsvs)
 		}
+	}
+	if own {
+		ctx.s.rsvSlots = rsvs
 	}
 	if !ctx.shadow {
 		ctx.s.rsvs = rsvs
@@ -192,10 +201,12 @@ func (b backfillPolicy) Admit(ctx *AdmitContext) {
 // starts the job defines the reservation. At the final event the
 // cluster is fully drained, so the probe relaxes the width-slack rule
 // exactly as tryAdmit does on an idle cluster — any job feasible at all
-// is guaranteed a reservation, which is the liveness bound. Returns nil
-// when there is nothing running to wait for or the job is infeasible
-// even on the drained cluster.
-func (s *Scheduler) computeReservation(head *entry, inner Policy, ctx *AdmitContext, prior []*reservation) *reservation {
+// is guaranteed a reservation, which is the liveness bound. It returns
+// prior with the reservation appended — written into the slot past
+// prior's end when its backing holds one — or prior and false when
+// there is nothing running to wait for or the job is infeasible even on
+// the drained cluster.
+func (s *Scheduler) computeReservation(head *entry, inner Policy, ctx *AdmitContext, prior []*reservation) ([]*reservation, bool) {
 	if s.hst != nil {
 		defer s.hst.End(obs.PhaseBackfill, s.hst.Begin())
 	}
@@ -204,19 +215,19 @@ func (s *Scheduler) computeReservation(head *entry, inner Policy, ctx *AdmitCont
 	defer func() { w.evs, w.free, s.shadow = evs, free, w }()
 	for _, rj := range s.running {
 		idle := units.Watts(float64(len(rj.ranks)) * float64(s.pools[rj.pool].idleMin))
-		evs = append(evs, shadowEvent{t: s.predictedEndAt(rj, rj.fIdx), id: rj.e.job.ID, pool: rj.pool, ranks: len(rj.ranks), watts: rj.prof.Draw[rj.fIdx] - idle})
+		evs = append(evs, shadowEvent{t: s.predictedEndAt(rj, rj.fIdx), id: rj.e.res.ID, pool: rj.pool, ranks: len(rj.ranks), watts: rj.prof.Draw[rj.fIdx] - idle})
 	}
 	for _, adm := range ctx.admitted {
-		evs = append(evs, shadowEvent{t: ctx.now + adm.cand.Tp, id: adm.e.job.ID, pool: adm.cand.Pool, ranks: adm.cand.P, watts: adm.cand.Cost})
+		evs = append(evs, shadowEvent{t: ctx.now + adm.cand.Tp, id: adm.e.res.ID, pool: adm.cand.Pool, ranks: adm.cand.P, watts: adm.cand.Cost})
 	}
 	for _, r := range prior {
 		// An earlier reservation occupies its promised capacity between
 		// its reserved start and its predicted completion.
-		evs = append(evs, shadowEvent{t: r.at, id: r.e.job.ID, pool: r.pool, ranks: -r.p, watts: -r.cost})
-		evs = append(evs, shadowEvent{t: r.at + r.dur, id: r.e.job.ID, pool: r.pool, ranks: r.p, watts: r.cost})
+		evs = append(evs, shadowEvent{t: r.at, id: r.e.res.ID, pool: r.pool, ranks: -r.p, watts: -r.cost})
+		evs = append(evs, shadowEvent{t: r.at + r.dur, id: r.e.res.ID, pool: r.pool, ranks: r.p, watts: r.cost})
 	}
 	if len(evs) == 0 {
-		return nil
+		return prior, false
 	}
 	slices.SortFunc(evs, func(a, b shadowEvent) int {
 		return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.id, b.id),
@@ -234,9 +245,16 @@ func (s *Scheduler) computeReservation(head *entry, inner Policy, ctx *AdmitCont
 		avail := watts + (s.controlCap(e.t) - s.controlCap(ctx.now))
 		relaxed := ctx.relaxed || i == len(evs)-1
 		if cand, ok := s.shadowCandidate(w, inner, head, free, avail, e.t, relaxed, prior); ok {
-			extra := append([]int(nil), free...)
+			var r *reservation
+			if n := len(prior); n < cap(prior) {
+				r = prior[:n+1][n]
+			}
+			if r == nil {
+				r = new(reservation)
+			}
+			extra := append(r.extraRanks[:0], free...)
 			extra[cand.Pool] -= cand.P
-			return &reservation{
+			*r = reservation{
 				e:          head,
 				at:         e.t,
 				dur:        cand.Tp,
@@ -246,9 +264,10 @@ func (s *Scheduler) computeReservation(head *entry, inner Policy, ctx *AdmitCont
 				extraRanks: extra,
 				extraWatts: avail - cand.Cost,
 			}
+			return append(prior, r), true
 		}
 	}
-	return nil
+	return prior, false
 }
 
 // shadowEvent is one step of the shadow walk: job id's ranks return to

@@ -47,7 +47,7 @@ func TestRestartDispatchesFromReadmittedRow(t *testing.T) {
 		s.cl.Kernel().Schedule(units.Seconds(0.05*float64(i)), func() {
 			for _, rj := range s.running {
 				if row, _ := s.priced(rj.e, rj.pool, len(rj.ranks)); rj.prof != row {
-					t.Errorf("job %d runs from a row its entry's grid does not hold", rj.e.job.ID)
+					t.Errorf("job %d runs from a row its entry's grid does not hold", rj.e.res.ID)
 				}
 				if rj.e.res.Restarts > 0 {
 					restarted++
@@ -89,7 +89,7 @@ func TestReleaseRanksDoesNotAllocate(t *testing.T) {
 			for _, w := range widths {
 				j := epJob(id, w)
 				id++
-				e := &entry{job: j, res: JobResult{Job: j}}
+				e := &entry{res: &JobResult{Job: j}}
 				cand, ok := s.liveContext(false).At(e, pool, w, s.pools[pool].ladder[0])
 				if !ok {
 					t.Fatalf("%s: no candidate at width %d on pool %d", platform, w, pool)

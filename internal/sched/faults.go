@@ -250,12 +250,14 @@ func (s *Scheduler) killJob(rj *runningJob) {
 		if s.tel != nil {
 			s.tel.emitKill(rj, lost, rj.energy, "lost")
 		}
+		s.recycle(rj)
 		s.lose(e, fmt.Sprintf("rank failed and retry cap %d is exhausted", s.flt.plan.MaxRetries))
 		return
 	}
 	if s.tel != nil {
 		s.tel.emitKill(rj, lost, rj.energy, "requeue")
 	}
+	s.recycle(rj)
 	e.res.Restarts++
 	s.prune(true) // a slot left from its last wait would revive with the state
 	e.res.State = Queued

@@ -2,10 +2,13 @@ package sched
 
 import (
 	"fmt"
+	"hash/fnv"
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/capplan"
+	"repro/internal/cluster"
 	"repro/internal/faults"
 	"repro/internal/machine"
 	"repro/internal/telemetry"
@@ -543,5 +546,48 @@ func TestMTBFRepairPendingParksRigidJobs(t *testing.T) {
 	}
 	if res.CapViolations != 0 {
 		t.Errorf("%d cap violations", res.CapViolations)
+	}
+}
+
+// Kill → requeue → restart on recycled storage: on a noisy (per-rank
+// chains), checkpointed, MTBF-faulted run, every attempt draws its
+// running-job record, rank set, chain list and checkpoint callback from
+// what finished and killed attempts returned, so the run makes no more
+// records than it has ranks while it restarts many more attempts. The
+// Result — every count, float and per-job record, folded into an FNV
+// digest — is the one the parent commit computed with a fresh record per
+// attempt.
+func TestRecycledAttemptsKeepTheFaultedSchedule(t *testing.T) {
+	s, err := New(Config{
+		Platform: mustPlatform(t, "systemg:16,dori:16"), Cap: 1800, Policy: Backfill(EEMax()), EdgeRetune: true,
+		Noise: cluster.DefaultNoise(), Seed: 11,
+		Faults: mustFaultPlan(t, "mtbf=*:1.5,mttr=*:0.2,retries=4,ckpt=0.1,restart=0.05"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run(SyntheticTrace(TraceConfig{Jobs: 96, Seed: 11, MaxWidth: 16}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	bits := func(x float64) uint64 { return math.Float64bits(x) }
+	for _, j := range res.Jobs {
+		fmt.Fprintf(h, "%d %v %s %d %x %d %x %x %x %d %d %x %x %t|", j.ID, j.State, j.Pool, j.P, bits(float64(j.StartFreq)), j.FreqChanges,
+			bits(float64(j.Start)), bits(float64(j.End)), bits(float64(j.Energy)),
+			j.Restarts, j.Checkpoints, bits(float64(j.LostWork)), bits(float64(j.WastedEnergy)), j.Backfilled)
+	}
+	got := fmt.Sprintf("done=%d lost=%d rej=%d kills=%d restarts=%d ckpts=%d makespan=%v energy=%v wasted=%v lostwork=%v retunes=%d bypass=%d digest=%016x",
+		res.Completed, res.JobsLost, res.Rejected, res.Kills, res.Restarts, res.Checkpoints, float64(res.Makespan), float64(res.TotalEnergy),
+		float64(res.WastedEnergy), float64(res.LostWork), res.FreqChanges, res.HeadBypasses, h.Sum64())
+	const parent = "done=82 lost=14 rej=0 kills=111 restarts=97 ckpts=407 makespan=14.648266653635632 energy=15281.183376782128 " +
+		"wasted=3013.9262209771478 lostwork=4.285657205681258 retunes=304 bypass=165 digest=1fc6c2f4570b2200"
+	if got != parent {
+		t.Errorf("faulted noisy run:\n got %s\nwant %s", got, parent)
+	}
+	// Every attempt ended in a finish or a kill, which returned its record.
+	if made := len(s.spareJobs); made > s.cl.Ranks() || made >= res.Restarts {
+		t.Errorf("%d running-job records made for %d attempts (%d restarts) on %d ranks; want them recycled",
+			made, res.Completed+res.Kills, res.Restarts, s.cl.Ranks())
 	}
 }

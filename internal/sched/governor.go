@@ -116,10 +116,10 @@ func (g *governor) throttle() {
 			}
 			sv := rj.prof.Draw[rj.fIdx] - rj.prof.Draw[rj.fIdx-1]
 			if victim == nil ||
-				rj.e.job.priority() < victim.e.job.priority() ||
-				(rj.e.job.priority() == victim.e.job.priority() &&
+				rj.e.res.priority() < victim.e.res.priority() ||
+				(rj.e.res.priority() == victim.e.res.priority() &&
 					(sv > saving ||
-						(sv == saving && rj.e.job.ID > victim.e.job.ID))) {
+						(sv == saving && rj.e.res.ID > victim.e.res.ID))) {
 				victim, saving = rj, sv
 			}
 		}
@@ -255,7 +255,7 @@ func (g *governor) retune(rj *runningJob, idx int, why string) {
 func (g *governor) sorted() []*runningJob {
 	g.order = append(g.order[:0], g.s.running...)
 	slices.SortFunc(g.order, func(a, b *runningJob) int {
-		ja, jb := &a.e.job, &b.e.job
+		ja, jb := &a.e.res.Job, &b.e.res.Job
 		if c := cmp.Compare(jb.priority(), ja.priority()); c != 0 {
 			return c
 		}

@@ -14,7 +14,7 @@ func shuffledFleet(n int, seed int64) []*runningJob {
 	rng := rand.New(rand.NewSource(seed))
 	fleet := make([]*runningJob, n)
 	for i, id := range rng.Perm(n) {
-		fleet[i] = &runningJob{e: &entry{job: Job{ID: id, Priority: rng.Intn(5) - 1}}}
+		fleet[i] = &runningJob{e: &entry{res: &JobResult{Job: Job{ID: id, Priority: rng.Intn(5) - 1}}}}
 	}
 	return fleet
 }
@@ -24,7 +24,7 @@ func shuffledFleet(n int, seed int64) []*runningJob {
 func sortSliceOrder(running []*runningJob) []*runningJob {
 	out := append([]*runningJob(nil), running...)
 	sort.Slice(out, func(a, b int) bool {
-		ja, jb := out[a].e.job, out[b].e.job
+		ja, jb := out[a].e.res.Job, out[b].e.res.Job
 		if ja.priority() != jb.priority() {
 			return ja.priority() > jb.priority()
 		}

@@ -58,6 +58,9 @@ type AdmitContext struct {
 	// future cluster state (backfill.go); shadow passes never touch the
 	// scheduler's counters.
 	shadow bool
+	// reserving is set once a Backfill pass runs on the context, so one
+	// nested in it keeps its reservations out of the scheduler's slots.
+	reserving bool
 	// bypasses counts admissions in this pass that jumped an
 	// earlier-arrived waiter.
 	bypasses int
@@ -168,7 +171,7 @@ func (c *AdmitContext) At(e *entry, pool, p int, f units.Hertz) (Candidate, bool
 	if pool < 0 || pool >= len(c.free) || p < 1 || p > c.free[pool] {
 		return Candidate{}, false
 	}
-	j, ps := &e.job, &c.s.pools[pool]
+	j, ps := &e.res.Job, &c.s.pools[pool]
 	fi := ps.cache.LadderIndex(f)
 	if fi < 0 {
 		return Candidate{}, false
@@ -224,10 +227,10 @@ func (c *AdmitContext) Admit(e *entry, cand Candidate) {
 		}
 	}
 	if !c.shadow {
-		j := &e.job
+		j := &e.res.Job
 		for _, q := range c.queue {
 			if c.waiting(q) && q != e &&
-				(q.job.Arrival < j.Arrival || (q.job.Arrival == j.Arrival && q.job.ID < j.ID)) {
+				(q.res.Arrival < j.Arrival || (q.res.Arrival == j.Arrival && q.res.ID < j.ID)) {
 				c.bypasses++
 				break
 			}
@@ -258,8 +261,8 @@ func (fifoPolicy) Admit(ctx *AdmitContext) {
 	for e := range ctx.Queued() {
 		for pi := range ctx.s.pools {
 			pool := &ctx.s.pools[pi]
-			p := min(e.job.MaxWidth, pool.size)
-			if p < e.job.minWidth() || p > ctx.free[pi] {
+			p := min(e.res.MaxWidth, pool.size)
+			if p < e.res.minWidth() || p > ctx.free[pi] {
 				continue
 			}
 			if cand, ok := ctx.At(e, pi, p, pool.spec.BaseFreq); ok {
@@ -310,14 +313,14 @@ func (fairSharePolicy) DVFS() bool   { return true }
 func (fairSharePolicy) Admit(ctx *AdmitContext) {
 	total := 0
 	for e := range ctx.Prioritized() {
-		total += e.job.priority()
+		total += e.res.priority()
 	}
 	if total == 0 {
 		return
 	}
 	whole := ctx.headroom
 	for e := range ctx.Prioritized() {
-		share := units.Watts(float64(whole) * float64(e.job.priority()) / float64(total))
+		share := units.Watts(float64(whole) * float64(e.res.priority()) / float64(total))
 		if share > ctx.headroom {
 			share = ctx.headroom
 		}

@@ -3,9 +3,7 @@ package sched
 import (
 	"encoding/json"
 	"fmt"
-	"maps"
 	"math"
-	"slices"
 	"sort"
 	"strings"
 
@@ -107,17 +105,13 @@ func (s *Scheduler) collect() Result {
 	res.Makespan = s.cl.Wall()
 	res.TotalEnergy = res.ParkedEnergy
 	res.MeanPower = units.Power(s.gov.energy, s.gov.last) // 0 if never sampled
-	ids := slices.AppendSeq(make([]int, 0, len(s.entries)), maps.Keys(s.entries))
-	slices.Sort(ids)
-
-	res.Jobs = slices.Grow(res.Jobs, len(ids))
-	waits := make([]units.Seconds, 0, len(ids))
+	res.Jobs = s.results
+	waits := make([]units.Seconds, 0, res.Completed)
 	var waited units.Seconds
 	var energy units.Joules
 	var ee float64
-	for _, id := range ids {
-		r := s.entries[id].res
-		res.Jobs = append(res.Jobs, r)
+	for i := range res.Jobs {
+		r := &res.Jobs[i]
 		res.TotalEnergy += r.Energy
 		res.FreqChanges += r.FreqChanges
 		res.LostWork += r.LostWork

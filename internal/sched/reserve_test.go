@@ -67,7 +67,7 @@ func TestMultiReservationWhiteBox(t *testing.T) {
 		}
 		// All eight ranks busy with one running job.
 		lj := epJob(100, 8)
-		le := &entry{job: lj, res: JobResult{Job: lj, State: Running}}
+		le := &entry{res: &JobResult{Job: lj, State: Running}}
 		prof, _ := s.priced(le, 0, 8)
 		if prof == nil {
 			t.Fatal("the running job does not price")
@@ -79,9 +79,7 @@ func TestMultiReservationWhiteBox(t *testing.T) {
 		// backfill, so each of the first K gets a reservation.
 		for id := 0; id < 3; id++ {
 			j := Job{ID: id, Vector: app.EP(), N: 1e7, MinWidth: 8, MaxWidth: 8}
-			e := &entry{job: j, res: JobResult{Job: j, State: Queued}}
-			s.entries[id] = e
-			s.enqueue(e)
+			s.enqueue(&entry{res: &JobResult{Job: j, State: Queued}})
 		}
 		s.tryAdmit()
 		want := k
@@ -93,8 +91,8 @@ func TestMultiReservationWhiteBox(t *testing.T) {
 		}
 		prevAt := units.Seconds(-1)
 		for i, rsv := range s.rsvs {
-			if rsv.e.job.ID != i {
-				t.Fatalf("k=%d: reservation %d is for job %d, want arrival order", k, i, rsv.e.job.ID)
+			if rsv.e.res.ID != i {
+				t.Fatalf("k=%d: reservation %d is for job %d, want arrival order", k, i, rsv.e.res.ID)
 			}
 			if rsv.at <= prevAt {
 				t.Fatalf("k=%d: reservation %d start %v does not ascend past %v", k, i, rsv.at, prevAt)

@@ -230,17 +230,18 @@ func TestLockstepMatchesPerRankChains(t *testing.T) {
 	}
 }
 
-// Dispatching a noise-free job costs two objects, the rank set and the
-// runningJob: its one chain, with the completion callback every slice
-// re-arms, comes off the scheduler's spare list, and the slice backing
-// the job's chain list lives inside the runningJob.
+// Dispatching a noise-free job allocates nothing: its runningJob, with
+// the rank set it grew, comes off the scheduler's spare list as does its
+// one chain, with the completion callback every slice re-arms, and the
+// slice backing the job's chain list lives inside the runningJob (two
+// objects before running jobs were recycled).
 func TestDispatchAllocations(t *testing.T) {
 	s, err := New(Config{Platform: machine.Homogeneous(testSpec()), Ranks: 8, Cap: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	j := epJob(0, 4)
-	e := &entry{job: j, res: JobResult{Job: j}}
+	e := &entry{res: &JobResult{Job: j}}
 	cand, ok := s.liveContext(false).At(e, 0, 4, testSpec().BaseFreq)
 	if !ok {
 		t.Fatal("no candidate at the base frequency")
@@ -251,8 +252,8 @@ func TestDispatchAllocations(t *testing.T) {
 		s.start(e, cand, false)
 		// Undo it by hand, without running the kernel (the armed event
 		// never fires) and without vacate's free-list merge, so the
-		// count is start's alone; the chain goes back to the spare list
-		// as vacate returns it.
+		// count is start's alone; the chain and the record go back to
+		// their spare lists as vacate and finish return them.
 		rj := s.running[0]
 		for _, r := range rj.ranks {
 			s.cl.CompleteOp(r)
@@ -260,11 +261,12 @@ func TestDispatchAllocations(t *testing.T) {
 			s.owner[r] = nil
 		}
 		s.spareChains = append(s.spareChains, rj.chains...)
+		s.recycle(rj)
 		ps.free, s.running = append(ps.free[:0], free...), s.running[:0]
 	}
-	dispatch() // size the running list, price the op-cache row, make the chain
-	if got := testing.AllocsPerRun(100, dispatch); got != 2 {
-		t.Fatalf("dispatching a noise-free job allocates %v objects, want 2", got)
+	dispatch() // size the running list, price the op-cache row, make the chain and the record
+	if got := testing.AllocsPerRun(100, dispatch); got != 0 {
+		t.Fatalf("dispatching a noise-free job allocates %v objects, want none", got)
 	}
 }
 
@@ -291,7 +293,7 @@ func runAlone(t *testing.T, cfg Config, j Job, slices, ckpts int) aloneRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &entry{job: j, res: JobResult{Job: j, State: Queued}}
+	e := &entry{res: &JobResult{Job: j, State: Queued}}
 	cand, ok := s.liveContext(false).At(e, 0, j.MaxWidth, testSpec().BaseFreq)
 	if !ok {
 		t.Fatal("no candidate at the base frequency")
@@ -431,9 +433,9 @@ func TestOpCacheAbsorbsRepricing(t *testing.T) {
 	if st := s.cacheStats(); st != (opcache.Stats{Misses: parentMisses}) {
 		t.Fatalf("op-cache counters %+v; want the parent's %d evaluations, no hit and no forget", st, parentMisses)
 	}
-	for id, e := range s.entries {
+	for _, e := range s.entries {
 		if e.grid != nil || e.floor != nil {
-			t.Fatalf("job %d left the system holding %d rows", id, len(e.grid))
+			t.Fatalf("job %d left the system holding %d rows", e.res.ID, len(e.grid))
 		}
 	}
 }
@@ -495,7 +497,7 @@ func TestGovernorThrottle(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := epJob(0, 2)
-	e := &entry{job: j, res: JobResult{Job: j, State: Running}}
+	e := &entry{res: &JobResult{Job: j, State: Running}}
 	prof, _ := s.priced(e, 0, 2)
 	if prof == nil {
 		t.Fatal("the job does not price")
@@ -722,7 +724,7 @@ func TestGovernorBoostFlatEnergyLadderNoChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := epJob(0, 2)
-	e := &entry{job: j, res: JobResult{Job: j, State: Running}}
+	e := &entry{res: &JobResult{Job: j, State: Running}}
 	n := len(s.pools[0].ladder)
 	lp := &opcache.Row{
 		Pred: make([]core.Prediction, n),
@@ -737,8 +739,8 @@ func TestGovernorBoostFlatEnergyLadderNoChurn(t *testing.T) {
 	rj := &runningJob{e: e, ranks: []int{0, 1}, fIdx: 0, admIdx: 0, prof: lp}
 	s.running = []*runningJob{rj}
 	s.pools[0].free = []int{2, 3}
-	s.enqueue(&entry{job: epJob(1, 1)}) // contended: not drain mode
-	s.blocked = true                    // loanable watts on offer
+	s.enqueue(&entry{res: &JobResult{Job: epJob(1, 1)}}) // contended: not drain mode
+	s.blocked = true                                     // loanable watts on offer
 	g := &governor{s: s}
 	g.boost()
 	if rj.fIdx != 0 || e.res.FreqChanges != 0 {
@@ -758,7 +760,7 @@ func TestGovernorThrottleVictimTieBreak(t *testing.T) {
 	top := len(s.pools[0].ladder) - 1
 	mk := func(id int, ranks []int) *runningJob {
 		j := epJob(id, 2)
-		e := &entry{job: j, res: JobResult{Job: j, State: Running}}
+		e := &entry{res: &JobResult{Job: j, State: Running}}
 		prof, _ := s.priced(e, 0, 2)
 		if prof == nil {
 			t.Fatal("the job does not price")

@@ -155,7 +155,11 @@ type Scheduler struct {
 	owner  []*runningJob
 	meters []rankMeter
 
-	entries map[int]*entry
+	// entries and results are the trace, built once by Run in ID order:
+	// entries[i].res points at results[i], which collect returns as
+	// Result.Jobs — a job's record is written in place, never copied.
+	entries []entry
+	results []JobResult
 	// queue holds the arrived, waiting jobs in insertion order; requeues
 	// re-enter at the tail. prio holds the same entries ordered (priority
 	// desc, Arrival, ID), so insertion-independent. A job that stops
@@ -190,11 +194,16 @@ type Scheduler struct {
 
 	// spare holds the rows no entry owns, and spareGrids and spareFloors
 	// the grid and floor backings, that leave returns for reuse, as
-	// vacate returns chains to spareChains (no more chains than ranks).
+	// vacate returns chains to spareChains (no more chains than ranks)
+	// and finish and killJob return running jobs, with their rank sets,
+	// chain lists and checkpoint callbacks, to spareJobs.
 	spare       []*opcache.Row
 	spareGrids  [][]pricedRow
 	spareFloors [][]poolFloor
 	spareChains []*chain
+	spareJobs   []*runningJob
+	// rsvSlots is the storage of the live pass's reservations (backfill.go).
+	rsvSlots []*reservation
 
 	work obs.AdmissionWork // what admission did, in counts
 
@@ -209,9 +218,10 @@ type Scheduler struct {
 	idleFloor units.Watts
 }
 
+// entry is a job's scheduler-side state for the whole run; res points
+// at its record in Scheduler.results, and res.Job is the job itself.
 type entry struct {
-	job Job
-	res JobResult
+	res *JobResult
 	// saved is the checkpointed progress fraction a killed job resumes
 	// from at its next dispatch (0 without checkpointing: start over).
 	saved float64
@@ -375,7 +385,6 @@ func New(cfg Config) (*Scheduler, error) {
 		lockstep:    cfg.Noise.ComputeJitter == 0 && cfg.Noise.MemoryJitter == 0,
 		owner:       make([]*runningJob, cfg.Ranks),
 		meters:      make([]rankMeter, cfg.Ranks),
-		entries:     make(map[int]*entry),
 		spareChains: make([]*chain, 0, cfg.Ranks), // a chain spans ≥ 1 rank
 	}
 	s.pools = make([]poolState, len(cfg.Platform.Pools))
@@ -499,17 +508,27 @@ func (s *Scheduler) Run(jobs []Job) (Result, error) {
 	}
 	s.ran = true
 
-	ordered := make([]*entry, 0, len(jobs))
 	for _, j := range jobs {
 		if err := j.validate(); err != nil {
 			return Result{}, err
 		}
-		if _, dup := s.entries[j.ID]; dup {
-			return Result{}, fmt.Errorf("sched: duplicate job ID %d", j.ID)
+	}
+	// The records in ID order, then the entries pointing into them;
+	// ordered lists the entries in submission order.
+	s.entries, s.results = make([]entry, len(jobs)), make([]JobResult, len(jobs))
+	for i, j := range jobs {
+		s.results[i] = JobResult{Job: j, State: Queued}
+	}
+	slices.SortFunc(s.results, func(a, b JobResult) int { return cmp.Compare(a.ID, b.ID) })
+	for k := range s.entries {
+		if s.entries[k].res = &s.results[k]; k > 0 && s.results[k-1].ID == s.results[k].ID {
+			return Result{}, fmt.Errorf("sched: duplicate job ID %d", s.results[k].ID)
 		}
-		e := &entry{job: j, res: JobResult{Job: j, State: Queued}}
-		s.entries[j.ID] = e
-		ordered = append(ordered, e)
+	}
+	ordered := make([]*entry, len(jobs)) // submission order
+	for i, j := range jobs {
+		k, _ := slices.BinarySearchFunc(s.results, j.ID, func(r JobResult, id int) int { return cmp.Compare(r.ID, id) })
+		ordered[i] = &s.entries[k]
 	}
 	s.remaining = len(jobs)
 
@@ -572,8 +591,8 @@ func (s *Scheduler) Run(jobs []Job) (Result, error) {
 	// Arrivals fire in time order, same-time ones in submission order
 	// (the stable sort), and the kernel holds only the next one.
 	k := s.cl.Kernel()
-	slices.SortStableFunc(ordered, func(a, b *entry) int { return cmp.Compare(a.job.Arrival, b.job.Arrival) })
-	k.ScheduleSeries(len(ordered), func(i int) units.Seconds { return ordered[i].job.Arrival }, func(i int) { s.arrive(ordered[i]) })
+	slices.SortStableFunc(ordered, func(a, b *entry) int { return cmp.Compare(a.res.Arrival, b.res.Arrival) })
+	k.ScheduleSeries(len(ordered), func(i int) units.Seconds { return ordered[i].res.Arrival }, func(i int) { s.arrive(ordered[i]) })
 	// Nothing in the scheduler spawns a process: job slices are timer
 	// callbacks, so Run's loop never touches a channel or a second
 	// goroutine.
@@ -593,8 +612,8 @@ func (s *Scheduler) Run(jobs []Job) (Result, error) {
 
 // arrive runs in kernel context at a job's arrival time.
 func (s *Scheduler) arrive(e *entry) {
-	if e.job.minWidth() > s.largestPool {
-		s.reject(e, fmt.Sprintf("needs %d ranks, largest pool has %d", e.job.minWidth(), s.largestPool))
+	if e.res.minWidth() > s.largestPool {
+		s.reject(e, fmt.Sprintf("needs %d ranks, largest pool has %d", e.res.minWidth(), s.largestPool))
 		return
 	}
 	s.enqueue(e)
@@ -611,9 +630,9 @@ func (s *Scheduler) enqueue(e *entry) {
 	s.queue = append(s.queue, e)
 	i, _ := slices.BinarySearchFunc(s.prio, e, func(a, b *entry) int {
 		return cmp.Or(
-			cmp.Compare(b.job.priority(), a.job.priority()),
-			cmp.Compare(a.job.Arrival, b.job.Arrival),
-			cmp.Compare(a.job.ID, b.job.ID))
+			cmp.Compare(b.res.priority(), a.res.priority()),
+			cmp.Compare(a.res.Arrival, b.res.Arrival),
+			cmp.Compare(a.res.ID, b.res.ID))
 	})
 	s.prio = slices.Insert(s.prio, i, e)
 }
@@ -672,7 +691,7 @@ func (s *Scheduler) leave(e *entry, state JobState) {
 		s.res.JobsLost++
 	}
 	// Only finish sets DeadlineMet: a rejected or lost job missed it.
-	if e.job.Deadline > 0 && !e.res.DeadlineMet {
+	if e.res.Deadline > 0 && !e.res.DeadlineMet {
 		s.res.DeadlineMisses++
 	}
 }
@@ -911,10 +930,18 @@ func (s *Scheduler) admitPass(relaxed bool) int {
 // execution.
 func (s *Scheduler) start(e *entry, cand Candidate, backfilled bool) {
 	now := s.cl.Kernel().Now()
-	j := e.job
 	ps := &s.pools[cand.Pool]
 	prof := cand.row
-	ranks := append([]int(nil), ps.free[:cand.P]...)
+	// The record comes off the spare list with the storage its last
+	// attempt grew: rank set, chain list and bound checkpoint callback.
+	var rj *runningJob
+	if n := len(s.spareJobs); n > 0 {
+		rj, s.spareJobs = s.spareJobs[n-1], s.spareJobs[:n-1]
+	} else {
+		rj = new(runningJob)
+	}
+	ranks := append(rj.ranks[:0], ps.free[:cand.P]...)
+	chains, ckpt := rj.chains[:0], rj.ckpt
 	// Shift down rather than reslice past the prefix: the free list keeps
 	// its base, so the buffer releaseRanks later swaps into scratch still
 	// has the pool's full capacity and the merge never reallocates.
@@ -948,7 +975,7 @@ func (s *Scheduler) start(e *entry, cand Candidate, backfilled bool) {
 			eeIdx = i
 		}
 	}
-	rj := &runningJob{
+	*rj = runningJob{
 		e:         e,
 		pool:      cand.Pool,
 		ranks:     ranks,
@@ -966,6 +993,7 @@ func (s *Scheduler) start(e *entry, cand Candidate, backfilled bool) {
 		base:      e.saved,
 		lastCkpt:  e.saved,
 		workScale: scale,
+		ckpt:      ckpt,
 	}
 	for _, r := range ranks {
 		s.res.ParkedEnergy += s.retuneRank(r, cand.Freq)
@@ -978,7 +1006,7 @@ func (s *Scheduler) start(e *entry, cand Candidate, backfilled bool) {
 	e.res.P = cand.P
 	e.res.StartFreq = cand.Freq
 	e.res.Start = now
-	e.res.Wait = now - j.Arrival
+	e.res.Wait = now - e.res.Arrival
 	e.res.ModelEE = cand.EE
 	e.res.Backfilled = backfilled
 
@@ -996,7 +1024,10 @@ func (s *Scheduler) start(e *entry, cand Candidate, backfilled bool) {
 	span := len(ranks) // lockstep: one chain over the whole rank set
 	rj.chains = rj.one[:]
 	if !s.lockstep {
-		span, rj.chains = 1, make([]*chain, len(ranks))
+		if cap(chains) < len(ranks) {
+			chains = make([]*chain, len(ranks))
+		}
+		span, rj.chains = 1, chains[:len(ranks)]
 	}
 	for i := range rj.chains {
 		var c *chain
@@ -1074,14 +1105,10 @@ func (s *Scheduler) retuneRank(r int, f units.Hertz) units.Joules {
 // aborts the in-flight hardware ops pro rata.
 func (s *Scheduler) vacate(rj *runningJob, abort bool) {
 	rj.ckptTimer.Cancel()
-	// A kill releases a fresh slice, not an in-place filter: telemetry
-	// still reports the job's full rank set after the release.
-	alive := rj.ranks
 	if abort {
 		for _, c := range rj.chains {
 			c.timer.Cancel()
 		}
-		alive = make([]int, 0, len(rj.ranks))
 	}
 	s.spareChains = append(s.spareChains, rj.chains...)
 	park := s.pools[rj.pool].ladder[0]
@@ -1091,13 +1118,24 @@ func (s *Scheduler) vacate(rj *runningJob, abort bool) {
 		}
 		rj.energy += s.retuneRank(r, park)
 		s.owner[r] = nil
+		// A kill frees the survivors one by one, leaving the rank set
+		// whole: telemetry still reports it after the release.
 		if abort && !s.flt.dead[r] {
-			alive = append(alive, r)
+			s.insertFree(rj.pool, r)
 		}
 	}
-	s.releaseRanks(rj.pool, alive)
+	if !abort {
+		s.releaseRanks(rj.pool, rj.ranks)
+	}
 	i := slices.Index(s.running, rj)
 	s.running = slices.Delete(s.running, i, i+1)
+}
+
+// recycle returns a vacated job's record to the spare list once its
+// last reader, the finish or kill event, is done with it.
+func (s *Scheduler) recycle(rj *runningJob) {
+	rj.e, rj.prof = nil, nil // a stale reader fails loudly
+	s.spareJobs = append(s.spareJobs, rj)
 }
 
 // finish runs in the completion event of a job's last slice: vacate the
@@ -1107,15 +1145,16 @@ func (s *Scheduler) finish(rj *runningJob) {
 	now := s.cl.Kernel().Now()
 	s.vacate(rj, false)
 
-	res := &rj.e.res
+	res := rj.e.res
 	res.End = now
 	// += not =: earlier killed attempts already banked their energy.
 	res.Energy += rj.energy
-	res.DeadlineMet = rj.e.job.Deadline <= 0 || now <= rj.e.job.Arrival+rj.e.job.Deadline
+	res.DeadlineMet = res.Deadline <= 0 || now <= res.Arrival+res.Deadline
 	s.leave(rj.e, Done)
 	if s.tel != nil {
 		s.tel.emitFinish(rj)
 	}
+	s.recycle(rj)
 
 	s.tryAdmit()
 }

@@ -143,8 +143,8 @@ func (t *schedTelemetry) edge() {
 		}
 		t.rec.Emit(telemetry.Event{
 			Kind:   telemetry.EvAttempt,
-			Job:    e.job.ID,
-			App:    e.job.Vector.Name,
+			Job:    e.res.ID,
+			App:    e.res.Vector.Name,
 			Reason: t.blockReason(view, e),
 			Queue:  behind,
 		})
@@ -162,9 +162,9 @@ func (t *schedTelemetry) edge() {
 func (t *schedTelemetry) emitArrive(e *entry) {
 	t.rec.Emit(telemetry.Event{
 		Kind:  telemetry.EvArrive,
-		Job:   e.job.ID,
-		App:   e.job.Vector.Name,
-		P:     e.job.MaxWidth,
+		Job:   e.res.ID,
+		App:   e.res.Vector.Name,
+		P:     e.res.MaxWidth,
 		Queue: t.s.queued,
 	})
 }
@@ -173,8 +173,8 @@ func (t *schedTelemetry) emitArrive(e *entry) {
 func (t *schedTelemetry) emitReject(e *entry, reason string) {
 	t.rec.Emit(telemetry.Event{
 		Kind:   telemetry.EvReject,
-		Job:    e.job.ID,
-		App:    e.job.Vector.Name,
+		Job:    e.res.ID,
+		App:    e.res.Vector.Name,
 		Reason: reason,
 	})
 }
@@ -186,8 +186,8 @@ func (t *schedTelemetry) emitAdmit(rj *runningJob, cand Candidate, backfilled bo
 	ps := &t.s.pools[cand.Pool]
 	t.rec.Emit(telemetry.Event{
 		Kind:       telemetry.EvAdmit,
-		Job:        rj.e.job.ID,
-		App:        rj.e.job.Vector.Name,
+		Job:        rj.e.res.ID,
+		App:        rj.e.res.Vector.Name,
 		Pool:       ps.name,
 		P:          cand.P,
 		Ranks:      rj.ranks,
@@ -207,12 +207,12 @@ func (t *schedTelemetry) emitAdmit(rj *runningJob, cand Candidate, backfilled bo
 // emitFinish records a completion, its ranks parked, and the capacity
 // it released.
 func (t *schedTelemetry) emitFinish(rj *runningJob) {
-	res := &rj.e.res
+	res := rj.e.res
 	ps := &t.s.pools[rj.pool]
 	t.rec.Emit(telemetry.Event{
 		Kind:     telemetry.EvFinish,
-		Job:      rj.e.job.ID,
-		App:      rj.e.job.Vector.Name,
+		Job:      rj.e.res.ID,
+		App:      rj.e.res.Vector.Name,
 		Pool:     ps.name,
 		P:        res.FreqChanges,
 		Ranks:    rj.ranks,
@@ -230,8 +230,8 @@ func (t *schedTelemetry) emitFinish(rj *runningJob) {
 func (t *schedTelemetry) emitReserve(rsv *reservation) {
 	t.rec.Emit(telemetry.Event{
 		Kind:  telemetry.EvReserve,
-		Job:   rsv.e.job.ID,
-		App:   rsv.e.job.Vector.Name,
+		Job:   rsv.e.res.ID,
+		App:   rsv.e.res.Vector.Name,
 		Pool:  t.s.pools[rsv.pool].name,
 		P:     rsv.p,
 		Watts: rsv.cost,
@@ -250,8 +250,8 @@ func (t *schedTelemetry) emitRetune(rj *runningJob, from, to int, why string) {
 	ladder := t.s.pools[rj.pool].ladder
 	t.rec.Emit(telemetry.Event{
 		Kind:      kind,
-		Job:       rj.e.job.ID,
-		App:       rj.e.job.Vector.Name,
+		Job:       rj.e.res.ID,
+		App:       rj.e.res.Vector.Name,
 		Pool:      t.s.pools[rj.pool].name,
 		Ranks:     rj.ranks,
 		FreqFrom:  ladder[from],
@@ -323,8 +323,8 @@ func (t *schedTelemetry) emitKill(rj *runningJob, lost units.Seconds, wasted uni
 	ps := &t.s.pools[rj.pool]
 	t.rec.Emit(telemetry.Event{
 		Kind:     telemetry.EvKill,
-		Job:      rj.e.job.ID,
-		App:      rj.e.job.Vector.Name,
+		Job:      rj.e.res.ID,
+		App:      rj.e.res.Vector.Name,
 		Pool:     ps.name,
 		Ranks:    rj.ranks,
 		FreqFrom: ps.ladder[rj.fIdx],
@@ -341,8 +341,8 @@ func (t *schedTelemetry) emitKill(rj *runningJob, lost units.Seconds, wasted uni
 func (t *schedTelemetry) emitLost(e *entry, reason string) {
 	t.rec.Emit(telemetry.Event{
 		Kind:   telemetry.EvKill,
-		Job:    e.job.ID,
-		App:    e.job.Vector.Name,
+		Job:    e.res.ID,
+		App:    e.res.Vector.Name,
 		Reason: reason,
 	})
 }
@@ -352,8 +352,8 @@ func (t *schedTelemetry) emitLost(e *entry, reason string) {
 func (t *schedTelemetry) emitCheckpoint(rj *runningJob) {
 	t.rec.Emit(telemetry.Event{
 		Kind: telemetry.EvCheckpoint,
-		Job:  rj.e.job.ID,
-		App:  rj.e.job.Vector.Name,
+		Job:  rj.e.res.ID,
+		App:  rj.e.res.Vector.Name,
 		Pool: t.s.pools[rj.pool].name,
 		EE:   rj.lastCkpt,
 	})
@@ -364,8 +364,8 @@ func (t *schedTelemetry) emitCheckpoint(rj *runningJob) {
 func (t *schedTelemetry) emitRestart(rj *runningJob) {
 	t.rec.Emit(telemetry.Event{
 		Kind: telemetry.EvRestart,
-		Job:  rj.e.job.ID,
-		App:  rj.e.job.Vector.Name,
+		Job:  rj.e.res.ID,
+		App:  rj.e.res.Vector.Name,
 		Pool: t.s.pools[rj.pool].name,
 		P:    rj.e.res.Restarts,
 		EE:   rj.base,
