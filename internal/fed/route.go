@@ -184,9 +184,8 @@ func (f *Federation) route(jobs []sched.Job) error {
 	// throttled site's queue honestly even across plan breakpoints.
 	work := make([]units.Seconds, len(f.sites))
 	f.decisions = slices.Grow(f.decisions, len(ordered))
-	dest := make([]int, len(ordered))
 	var last units.Seconds
-	for i, j := range ordered {
+	for _, j := range ordered {
 		if j.Arrival > last {
 			for i := range work {
 				if d := f.drained(i, last, j.Arrival); d >= work[i] {
@@ -214,7 +213,6 @@ func (f *Federation) route(jobs []sched.Job) error {
 			site = f.widestSite()
 			dec.Reason = "no-fit: no site quotes an eligible operating point"
 		}
-		dest[i] = site
 		dec.Site = f.sites[site].site.Name
 		f.decisions = append(f.decisions, dec)
 		if f.cfg.Telemetry != nil {
@@ -227,10 +225,10 @@ func (f *Federation) route(jobs []sched.Job) error {
 	}
 	// Each site's jobs, in routing order, are an exact-size part of one array.
 	all := make([]sched.Job, 0, len(ordered))
-	for si, sr := range f.sites {
+	for _, sr := range f.sites {
 		start := len(all)
-		for i, d := range dest {
-			if d == si {
+		for i, dec := range f.decisions {
+			if dec.Site == sr.site.Name {
 				all = append(all, ordered[i])
 			}
 		}

@@ -1214,3 +1214,97 @@ func TestPricedEvaluatesAWidthsWorkloadOnce(t *testing.T) {
 		}
 	}
 }
+
+// bypassAudit wraps the configured policy and recounts each live pass's
+// head bypasses by their definition, a walk of the whole queue per
+// admission: the k-th admission jumped a waiter if some job neither
+// admitted before it in the pass nor itself arrived earlier, (Arrival,
+// ID) ordered, and is still queued.
+type bypassAudit struct {
+	Policy
+	t              *testing.T
+	passes, counts int
+}
+
+func (a *bypassAudit) Admit(ctx *AdmitContext) {
+	a.Policy.Admit(ctx)
+	if ctx.shadow {
+		return
+	}
+	want := 0
+	for k, adm := range ctx.admitted {
+		j := &adm.e.res.Job
+		for _, q := range ctx.s.queue {
+			taken := slices.ContainsFunc(ctx.admitted[:k+1], func(b admission) bool { return b.e == q })
+			if q.res.State == Queued && !taken &&
+				(q.res.Arrival < j.Arrival || (q.res.Arrival == j.Arrival && q.res.ID < j.ID)) {
+				want++
+				break
+			}
+		}
+	}
+	if ctx.bypasses != want {
+		a.t.Fatalf("pass %d: %d head bypasses counted, %d by definition", a.passes, ctx.bypasses, want)
+	}
+	a.passes++
+	a.counts += want
+}
+
+// The head-bypass count reads the earliest waiter off the arrival view
+// instead of walking the queue per admission; on random traces — ties on
+// arrival that only the ID breaks, submitted out of ID order, and fault
+// churn that requeues jobs behind later arrivals — every pass counts
+// what the walk counts, and so does the run.
+func TestHeadBypassesMatchTheQueueWalk(t *testing.T) {
+	churn := mustFaultPlan(t, "mtbf=*:1.5,mttr=*:0.2,retries=4,ckpt=0.15,restart=0.05")
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		trace := SyntheticTrace(TraceConfig{Jobs: 40, Seed: seed, MaxWidth: 16})
+		for i := 0; i < 8; i++ {
+			twin := trace[rng.Intn(len(trace))]
+			twin.ID = -1 - i
+			trace = append(trace, twin)
+		}
+		rng.Shuffle(len(trace), func(i, j int) { trace[i], trace[j] = trace[j], trace[i] })
+		for _, pol := range []Policy{FIFO(), EEMax(), FairShare(), Backfill(EEMax()), BackfillN(FIFO(), 3)} {
+			audit := &bypassAudit{Policy: pol, t: t}
+			s, err := New(Config{Platform: mustPlatform(t, "systemg:16,dori:16"), Cap: 1800, Policy: audit, Seed: seed, Faults: churn})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.Run(trace)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.HeadBypasses != audit.counts || res.Restarts == 0 || audit.counts == 0 {
+				t.Fatalf("seed %d %s: %d bypasses reported, %d by definition over %d passes, %d restarts; want equal, with requeues",
+					seed, pol.Name(), res.HeadBypasses, audit.counts, audit.passes, res.Restarts)
+			}
+		}
+	}
+}
+
+// A job arriving at the same instant as an earlier-submitted one, with a
+// smaller ID, files ahead of it in the arrival view — behind prune's dead
+// prefix if that job already started. Here A starts at once, X1 and X2
+// keep the queue from compacting, B lands ahead of A, and C, admitted
+// when P ends, jumps B alone: a bypass only a view that moves its dead
+// prefix back for B counts.
+func TestHeadBypassBehindAStartedTwin(t *testing.T) {
+	rigid := func(id, w int, n float64) Job {
+		return Job{ID: id, Vector: app.EP(), N: n, MinWidth: w, MaxWidth: w}
+	}
+	trace := []Job{rigid(0, 8, 1e6), rigid(100, 16, 1e7), rigid(101, 16, 1e7), rigid(10, 8, 1e8), rigid(1, 16, 1e7), rigid(50, 8, 1e7)}
+	audit := &bypassAudit{Policy: EEMax(), t: t}
+	s, err := New(Config{Platform: machine.Homogeneous(testSpec()), Ranks: 16, Cap: 2500, Policy: audit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != len(trace) || res.HeadBypasses != audit.counts || audit.counts == 0 {
+		t.Fatalf("%d of %d done, %d head bypasses reported, %d by definition", res.Completed, len(trace), res.HeadBypasses, audit.counts)
+	}
+}

@@ -118,6 +118,11 @@ func (b backfillPolicy) Name() string {
 func (b backfillPolicy) DVFS() bool { return b.inner.DVFS() }
 
 func (b backfillPolicy) Admit(ctx *AdmitContext) {
+	// The outermost live pass writes its reservations over the last
+	// pass's (Scheduler.rsvs); a Backfill nested in it, or probed in a
+	// shadow walk, allocates its own.
+	own := !ctx.shadow && !ctx.reserving
+	ctx.reserving = true
 	// Phase 1: start queue heads in arrival order while they fit. Each
 	// head in turn gets an exclusive pass over the whole remaining
 	// capacity — nothing bypasses it while it is startable.
@@ -141,18 +146,13 @@ func (b backfillPolicy) Admit(ctx *AdmitContext) {
 	// jobs, each shadow walk replaying the earlier reservations. A job
 	// that can start right now under the reservations so far is simply
 	// started — it needs no promise.
-	// The outermost live pass keeps its reservations in the scheduler's
-	// slots; a Backfill nested in it, or one probed in a shadow walk,
-	// allocates its own.
-	own := !ctx.shadow && !ctx.reserving
 	var rsvs []*reservation
 	if own {
-		rsvs = ctx.s.rsvSlots[:0]
+		rsvs = ctx.s.rsvs[:0]
 	}
-	ctx.reserving = true
 	head := ctx.head()
-	var ok bool
-	if rsvs, ok = ctx.s.computeReservation(head, b.inner, ctx, rsvs); ok {
+	rsvs, ok := ctx.s.computeReservation(head, b.inner, ctx, rsvs)
+	if ok {
 		for _, e := range ctx.queue { // not Queued: it yields nothing on a full cluster
 			if len(rsvs) >= b.k {
 				break
@@ -170,9 +170,6 @@ func (b backfillPolicy) Admit(ctx *AdmitContext) {
 			}
 			rsvs, _ = ctx.s.computeReservation(e, b.inner, ctx, rsvs)
 		}
-	}
-	if own {
-		ctx.s.rsvSlots = rsvs
 	}
 	if !ctx.shadow {
 		ctx.s.rsvs = rsvs

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/opcache"
+	"repro/internal/telemetry"
 	"repro/internal/units"
 )
 
@@ -246,18 +247,18 @@ func (s *Scheduler) killJob(rj *runningJob) {
 	e.saved = rj.lastCkpt
 	s.res.Kills++
 
+	outcome := "requeue"
 	if e.res.Restarts >= s.flt.plan.MaxRetries {
-		if s.tel != nil {
-			s.tel.emitKill(rj, lost, rj.energy, "lost")
-		}
-		s.recycle(rj)
+		outcome = "lost"
+	}
+	if s.tel != nil {
+		s.tel.emitKill(rj, lost, rj.energy, outcome)
+	}
+	s.spareJobs = append(s.spareJobs, rj) // its last reader is done
+	if outcome == "lost" {
 		s.lose(e, fmt.Sprintf("rank failed and retry cap %d is exhausted", s.flt.plan.MaxRetries))
 		return
 	}
-	if s.tel != nil {
-		s.tel.emitKill(rj, lost, rj.energy, "requeue")
-	}
-	s.recycle(rj)
 	e.res.Restarts++
 	s.prune(true) // a slot left from its last wait would revive with the state
 	e.res.State = Queued
@@ -282,7 +283,7 @@ func (s *Scheduler) finalize(e *entry, reason string) {
 	s.queued--
 	if e.res.Restarts > 0 || e.saved > 0 {
 		if s.tel != nil {
-			s.tel.emitLost(e, reason)
+			s.tel.emitDrop(telemetry.EvKill, e, reason)
 		}
 		s.lose(e, reason)
 		return

@@ -58,8 +58,7 @@ type AdmitContext struct {
 	// future cluster state (backfill.go); shadow passes never touch the
 	// scheduler's counters.
 	shadow bool
-	// reserving is set once a Backfill pass runs on the context, so one
-	// nested in it keeps its reservations out of the scheduler's slots.
+	// reserving marks a Backfill running on the context (backfill.go).
 	reserving bool
 	// bypasses counts admissions in this pass that jumped an
 	// earlier-arrived waiter.
@@ -227,11 +226,14 @@ func (c *AdmitContext) Admit(e *entry, cand Candidate) {
 		}
 	}
 	if !c.shadow {
-		j := &e.res.Job
-		for _, q := range c.queue {
-			if c.waiting(q) && q != e &&
-				(q.res.Arrival < j.Arrival || (q.res.Arrival == j.Arrival && q.res.ID < j.ID)) {
-				c.bypasses++
+		// e jumps an earlier-arrived waiter unless it is the earliest: the
+		// first waiter past prune's dead prefix of the arrival view, where
+		// only the jobs this pass already took can stand in the way.
+		for _, q := range c.s.arrivals[c.s.early:] {
+			if c.waiting(q) {
+				if q != e {
+					c.bypasses++
+				}
 				break
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -261,7 +262,7 @@ func TestDispatchAllocations(t *testing.T) {
 			s.owner[r] = nil
 		}
 		s.spareChains = append(s.spareChains, rj.chains...)
-		s.recycle(rj)
+		s.spareJobs = append(s.spareJobs, rj)
 		ps.free, s.running = append(ps.free[:0], free...), s.running[:0]
 	}
 	dispatch() // size the running list, price the op-cache row, make the chain and the record
@@ -795,5 +796,32 @@ func TestSchedulerSingleUse(t *testing.T) {
 	}
 	if _, err := s.Run(nil); err == nil {
 		t.Fatal("second Run must fail")
+	}
+}
+
+// Run builds the trace once: Result.Jobs is the record array in ID order
+// whatever the submission order, same-time arrivals still queue in
+// submission order, and a repeated ID fails the run.
+func TestRunOrdersRecordsByIDAndArrivalsBySubmission(t *testing.T) {
+	run := func(jobs []Job) (Result, error) {
+		s, err := New(Config{Platform: machine.Homogeneous(testSpec()), Ranks: 8, Cap: 2000, Policy: FIFO()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.Run(jobs)
+	}
+	res, err := run([]Job{epJob(5, 8), epJob(2, 8), epJob(9, 8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ids := []int{res.Jobs[0].ID, res.Jobs[1].ID, res.Jobs[2].ID}; !slices.Equal(ids, []int{2, 5, 9}) {
+		t.Fatalf("records in order %v, want by ID", ids)
+	}
+	if res.Jobs[1].Wait != 0 || res.Jobs[0].Wait <= 0 || res.Jobs[2].Wait <= res.Jobs[0].Wait {
+		t.Fatalf("waits %v (job 2), %v (job 5), %v (job 9); want job 5, submitted first, started first, then 2, then 9",
+			res.Jobs[0].Wait, res.Jobs[1].Wait, res.Jobs[2].Wait)
+	}
+	if _, err := run([]Job{epJob(1, 8), epJob(7, 8), epJob(1, 8)}); err == nil || !strings.Contains(err.Error(), "duplicate job ID 1") {
+		t.Fatalf("a repeated ID ran: %v", err)
 	}
 }

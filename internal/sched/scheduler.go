@@ -155,21 +155,23 @@ type Scheduler struct {
 	owner  []*runningJob
 	meters []rankMeter
 
-	// entries and results are the trace, built once by Run in ID order:
-	// entries[i].res points at results[i], which collect returns as
-	// Result.Jobs — a job's record is written in place, never copied.
+	// entries and results are the trace, built once by Run: the entries
+	// in arrival order, each pointing at its record in results — in ID
+	// order, Result.Jobs itself.
 	entries []entry
 	results []JobResult
 	// queue holds the arrived, waiting jobs in insertion order; requeues
 	// re-enter at the tail. prio holds the same entries ordered (priority
-	// desc, Arrival, ID), so insertion-independent. A job that stops
-	// waiting keeps its slot, which readers skip (State is no longer
-	// Queued), until prune finds half the slots dead; queued counts the
-	// live ones, queue[:first] is dead. Only enqueue and prune write slots.
-	queue, prio   []*entry
-	queued, first int
-	running       []*runningJob
-	remaining     int // jobs that have not left (see leave)
+	// desc, Arrival, ID), so insertion-independent, and arrivals ordered
+	// (Arrival, ID), the head-bypass order. A job that stops waiting keeps
+	// its slot, which readers skip (State is no longer Queued), until
+	// prune finds half the slots dead; queued counts the live ones, and
+	// queue[:first] and arrivals[:early] are dead. Only enqueue and prune
+	// write slots.
+	queue, prio, arrivals []*entry
+	queued, first, early  int
+	running               []*runningJob
+	remaining             int // jobs that have not left (see leave)
 
 	// blocked records that the latest admission pass left jobs queued:
 	// until the next arrival or completion no admission can succeed, so
@@ -202,8 +204,6 @@ type Scheduler struct {
 	spareFloors [][]poolFloor
 	spareChains []*chain
 	spareJobs   []*runningJob
-	// rsvSlots is the storage of the live pass's reservations (backfill.go).
-	rsvSlots []*reservation
 
 	work obs.AdmissionWork // what admission did, in counts
 
@@ -218,8 +218,7 @@ type Scheduler struct {
 	idleFloor units.Watts
 }
 
-// entry is a job's scheduler-side state for the whole run; res points
-// at its record in Scheduler.results, and res.Job is the job itself.
+// entry is a job's scheduler-side state; res.Job is the job itself.
 type entry struct {
 	res *JobResult
 	// saved is the checkpointed progress fraction a killed job resumes
@@ -508,27 +507,21 @@ func (s *Scheduler) Run(jobs []Job) (Result, error) {
 	}
 	s.ran = true
 
-	for _, j := range jobs {
+	// The records in ID order, the entries pointing into them in
+	// submission order.
+	s.entries, s.results = make([]entry, len(jobs)), make([]JobResult, len(jobs))
+	for i, j := range jobs {
 		if err := j.validate(); err != nil {
 			return Result{}, err
 		}
-	}
-	// The records in ID order, then the entries pointing into them;
-	// ordered lists the entries in submission order.
-	s.entries, s.results = make([]entry, len(jobs)), make([]JobResult, len(jobs))
-	for i, j := range jobs {
 		s.results[i] = JobResult{Job: j, State: Queued}
 	}
 	slices.SortFunc(s.results, func(a, b JobResult) int { return cmp.Compare(a.ID, b.ID) })
-	for k := range s.entries {
-		if s.entries[k].res = &s.results[k]; k > 0 && s.results[k-1].ID == s.results[k].ID {
-			return Result{}, fmt.Errorf("sched: duplicate job ID %d", s.results[k].ID)
-		}
-	}
-	ordered := make([]*entry, len(jobs)) // submission order
 	for i, j := range jobs {
 		k, _ := slices.BinarySearchFunc(s.results, j.ID, func(r JobResult, id int) int { return cmp.Compare(r.ID, id) })
-		ordered[i] = &s.entries[k]
+		if s.entries[i].res = &s.results[k]; k+1 < len(jobs) && s.results[k+1].ID == j.ID {
+			return Result{}, fmt.Errorf("sched: duplicate job ID %d", j.ID)
+		}
 	}
 	s.remaining = len(jobs)
 
@@ -591,8 +584,8 @@ func (s *Scheduler) Run(jobs []Job) (Result, error) {
 	// Arrivals fire in time order, same-time ones in submission order
 	// (the stable sort), and the kernel holds only the next one.
 	k := s.cl.Kernel()
-	slices.SortStableFunc(ordered, func(a, b *entry) int { return cmp.Compare(a.res.Arrival, b.res.Arrival) })
-	k.ScheduleSeries(len(ordered), func(i int) units.Seconds { return ordered[i].res.Arrival }, func(i int) { s.arrive(ordered[i]) })
+	slices.SortStableFunc(s.entries, func(a, b entry) int { return cmp.Compare(a.res.Arrival, b.res.Arrival) })
+	k.ScheduleSeries(len(s.entries), func(i int) units.Seconds { return s.entries[i].res.Arrival }, func(i int) { s.arrive(&s.entries[i]) })
 	// Nothing in the scheduler spawns a process: job slices are timer
 	// callbacks, so Run's loop never touches a channel or a second
 	// goroutine.
@@ -629,12 +622,17 @@ func (s *Scheduler) enqueue(e *entry) {
 	s.queued++
 	s.queue = append(s.queue, e)
 	i, _ := slices.BinarySearchFunc(s.prio, e, func(a, b *entry) int {
-		return cmp.Or(
-			cmp.Compare(b.res.priority(), a.res.priority()),
-			cmp.Compare(a.res.Arrival, b.res.Arrival),
-			cmp.Compare(a.res.ID, b.res.ID))
+		return cmp.Or(cmp.Compare(b.res.priority(), a.res.priority()), arrivalOrder(a, b))
 	})
 	s.prio = slices.Insert(s.prio, i, e)
+	// A same-instant arrival with a smaller ID lands ahead of early.
+	i, _ = slices.BinarySearchFunc(s.arrivals, e, arrivalOrder)
+	s.arrivals, s.early = slices.Insert(s.arrivals, i, e), min(s.early, i)
+}
+
+// arrivalOrder orders entries by (Arrival, ID).
+func arrivalOrder(a, b *entry) int {
+	return cmp.Or(cmp.Compare(a.res.Arrival, b.res.Arrival), cmp.Compare(a.res.ID, b.res.ID))
 }
 
 // prune drops the slots of jobs that stopped waiting, keeping the live
@@ -644,11 +642,15 @@ func (s *Scheduler) prune(force bool) {
 	for s.first < len(s.queue) && s.queue[s.first].res.State != Queued {
 		s.first++
 	}
+	for s.early < len(s.arrivals) && s.arrivals[s.early].res.State != Queued {
+		s.early++
+	}
 	if force || 2*s.queued <= len(s.queue) {
 		left := func(e *entry) bool { return e.res.State != Queued }
 		s.queue = slices.DeleteFunc(s.queue, left)
 		s.prio = slices.DeleteFunc(s.prio, left)
-		s.first = 0
+		s.arrivals = slices.DeleteFunc(s.arrivals, left)
+		s.first, s.early = 0, 0
 	}
 }
 
@@ -657,7 +659,7 @@ func (s *Scheduler) reject(e *entry, reason string) {
 	e.res.Reason = reason
 	s.leave(e, Rejected)
 	if s.tel != nil {
-		s.tel.emitReject(e, reason)
+		s.tel.emitDrop(telemetry.EvReject, e, reason)
 	}
 }
 
@@ -719,7 +721,7 @@ func (s *Scheduler) tryAdmit() {
 	// Every scheduling edge invalidates the previous pass's
 	// reservations; a Backfill policy re-derives them from the fresh
 	// cluster state.
-	s.rsvs = nil
+	s.rsvs = s.rsvs[:0] // their storage is the next pass's (backfill.go)
 	defer func() {
 		s.blocked = s.queued > 0
 		s.edgeRetune()
@@ -932,8 +934,7 @@ func (s *Scheduler) start(e *entry, cand Candidate, backfilled bool) {
 	now := s.cl.Kernel().Now()
 	ps := &s.pools[cand.Pool]
 	prof := cand.row
-	// The record comes off the spare list with the storage its last
-	// attempt grew: rank set, chain list and bound checkpoint callback.
+	// A spare record keeps its rank set, chain list and ckpt callback.
 	var rj *runningJob
 	if n := len(s.spareJobs); n > 0 {
 		rj, s.spareJobs = s.spareJobs[n-1], s.spareJobs[:n-1]
@@ -967,7 +968,7 @@ func (s *Scheduler) start(e *entry, cand Candidate, backfilled bool) {
 		perComm = units.Seconds(float64(perComm) * scale)
 	}
 
-	slices := min(max(int(float64(cand.Tp)/float64(s.cfg.Interval)+0.5), 4), 512)
+	n := min(max(int(float64(cand.Tp)/float64(s.cfg.Interval)+0.5), 4), 512)
 
 	eeIdx := 0
 	for i := range prof.Pred {
@@ -984,10 +985,10 @@ func (s *Scheduler) start(e *entry, cand Candidate, backfilled bool) {
 		eeIdx:     eeIdx,
 		prof:      prof,
 		alpha:     w.Alpha,
-		sliceOn:   perOn / float64(slices),
-		sliceOff:  perOff / float64(slices),
-		sliceComm: units.Seconds(float64(perComm) / float64(slices)),
-		slices:    slices,
+		sliceOn:   perOn / float64(n),
+		sliceOff:  perOff / float64(n),
+		sliceComm: units.Seconds(float64(perComm) / float64(n)),
+		slices:    n,
 		left:      cand.P,
 		pricedAt:  now,
 		base:      e.saved,
@@ -1024,10 +1025,7 @@ func (s *Scheduler) start(e *entry, cand Candidate, backfilled bool) {
 	span := len(ranks) // lockstep: one chain over the whole rank set
 	rj.chains = rj.one[:]
 	if !s.lockstep {
-		if cap(chains) < len(ranks) {
-			chains = make([]*chain, len(ranks))
-		}
-		span, rj.chains = 1, chains[:len(ranks)]
+		span, rj.chains = 1, slices.Grow(chains, len(ranks))[:len(ranks)]
 	}
 	for i := range rj.chains {
 		var c *chain
@@ -1131,13 +1129,6 @@ func (s *Scheduler) vacate(rj *runningJob, abort bool) {
 	s.running = slices.Delete(s.running, i, i+1)
 }
 
-// recycle returns a vacated job's record to the spare list once its
-// last reader, the finish or kill event, is done with it.
-func (s *Scheduler) recycle(rj *runningJob) {
-	rj.e, rj.prof = nil, nil // a stale reader fails loudly
-	s.spareJobs = append(s.spareJobs, rj)
-}
-
 // finish runs in the completion event of a job's last slice: vacate the
 // cluster, close the job's record, and give the policy the freed
 // capacity.
@@ -1154,7 +1145,7 @@ func (s *Scheduler) finish(rj *runningJob) {
 	if s.tel != nil {
 		s.tel.emitFinish(rj)
 	}
-	s.recycle(rj)
+	s.spareJobs = append(s.spareJobs, rj) // its last reader is done
 
 	s.tryAdmit()
 }

@@ -169,10 +169,12 @@ func (t *schedTelemetry) emitArrive(e *entry) {
 	})
 }
 
-// emitReject records a job that can never run.
-func (t *schedTelemetry) emitReject(e *entry, reason string) {
+// emitDrop records a job that can never run: rejected (EvReject), or,
+// once killed earlier, lost while queued (EvKill with no attempt
+// attached: the surviving capacity can never rerun it).
+func (t *schedTelemetry) emitDrop(kind telemetry.Kind, e *entry, reason string) {
 	t.rec.Emit(telemetry.Event{
-		Kind:   telemetry.EvReject,
+		Kind:   kind,
 		Job:    e.res.ID,
 		App:    e.res.Vector.Name,
 		Reason: reason,
@@ -332,18 +334,6 @@ func (t *schedTelemetry) emitKill(rj *runningJob, lost units.Seconds, wasted uni
 		Dur:      lost,
 		Energy:   wasted,
 		Reason:   reason,
-	})
-}
-
-// emitLost records a queued job finalised as lost (it was killed
-// earlier and the surviving capacity can never rerun it). Rendered as
-// a kill with no attempt attached.
-func (t *schedTelemetry) emitLost(e *entry, reason string) {
-	t.rec.Emit(telemetry.Event{
-		Kind:   telemetry.EvKill,
-		Job:    e.res.ID,
-		App:    e.res.Vector.Name,
-		Reason: reason,
 	})
 }
 
