@@ -978,7 +978,7 @@ func runMallocs(t *testing.T, jobs int) uint64 {
 // steady trace adds only the amortised growth of a few run-long slices
 // (the kernel's event heap, the spare lists); the difference was 19 308
 // objects before running jobs, rank sets and reservations were recycled.
-func TestRunAllocationsIndependentOfTraceLength(t *testing.T) {
+func TestRunAllocatesNothingPerJob(t *testing.T) {
 	const slack = 64
 	short, long := runMallocs(t, 1024), runMallocs(t, 4096)
 	if long > short+slack {
@@ -1263,7 +1263,7 @@ func (a *bypassAudit) Admit(ctx *AdmitContext) {
 // arrival that only the ID breaks, submitted out of ID order, and fault
 // churn that requeues jobs behind later arrivals — every pass counts
 // what the walk counts, and so does the run.
-func TestHeadBypassesMatchTheQueueWalk(t *testing.T) {
+func TestHeadBypassesMatchQueueWalk(t *testing.T) {
 	churn := mustFaultPlan(t, "mtbf=*:1.5,mttr=*:0.2,retries=4,ckpt=0.15,restart=0.05")
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -1321,7 +1321,7 @@ func TestHeadBypassBehindAStartedTwin(t *testing.T) {
 // the strict pass, and the relaxed pass starts it at the paper's point:
 // the fastest (analysis.Faster: Tp, then Ep, then EE) of every point of
 // its grid the cap affords — not the EE-best, which for EP is a crawl.
-func TestRelaxedAdmissionIsTheFastestPointUnderTheCap(t *testing.T) {
+func TestRelaxedAdmissionIsFastestUnderCap(t *testing.T) {
 	s, err := New(Config{Platform: machine.Homogeneous(testSpec()), Ranks: 16, Cap: 480, Policy: EEMax()})
 	if err != nil {
 		t.Fatal(err)

@@ -557,7 +557,7 @@ func TestMTBFRepairPendingParksRigidJobs(t *testing.T) {
 // Result — every count, float and per-job record, folded into an FNV
 // digest — is the one the parent commit computed with a fresh record per
 // attempt.
-func TestRecycledAttemptsKeepTheFaultedSchedule(t *testing.T) {
+func TestRecycledAttemptsKeepSchedule(t *testing.T) {
 	s, err := New(Config{
 		Platform: mustPlatform(t, "systemg:16,dori:16"), Cap: 1800, Policy: Backfill(EEMax()), EdgeRetune: true,
 		Noise: cluster.DefaultNoise(), Seed: 2,

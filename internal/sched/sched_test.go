@@ -802,7 +802,7 @@ func TestSchedulerSingleUse(t *testing.T) {
 // Run builds the trace once: Result.Jobs is the record array in ID order
 // whatever the submission order, same-time arrivals still queue in
 // submission order, and a repeated ID fails the run.
-func TestRunOrdersRecordsByIDAndArrivalsBySubmission(t *testing.T) {
+func TestRunTraceOrder(t *testing.T) {
 	run := func(jobs []Job) (Result, error) {
 		s, err := New(Config{Platform: machine.Homogeneous(testSpec()), Ranks: 8, Cap: 2000, Policy: FIFO()})
 		if err != nil {
