@@ -782,7 +782,9 @@ func TestEntryReleasesRowsWhenTheJobLeaves(t *testing.T) {
 // a running job, and a chain fires only for the live job that holds it,
 // at most once per slice of that job — so a killed job's chain, once
 // reused, never fires for its old job (its cancelled event would fire
-// for the new one, one slice too many, or for the killed one).
+// for the new one, one slice too many, or for the killed one). Spare
+// running-job records are likewise never running or owning a rank, and
+// one is seen running again after a kill.
 func TestSpareRowsAreNeverLive(t *testing.T) {
 	pl, err := machine.ParsePlatform("systemg:8,dori:8")
 	if err != nil {

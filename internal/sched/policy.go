@@ -226,9 +226,9 @@ func (c *AdmitContext) Admit(e *entry, cand Candidate) {
 		}
 	}
 	if !c.shadow {
-		// e jumps an earlier-arrived waiter unless it is the earliest: the
-		// first waiter past prune's dead prefix of the arrival view, where
-		// only the jobs this pass already took can stand in the way.
+		// e jumps an earlier waiter unless it is the first one past
+		// prune's dead prefix of the arrival view; the scan skips only
+		// jobs this pass took and uncompacted dead slots behind them.
 		for _, q := range c.s.arrivals[c.s.early:] {
 			if c.waiting(q) {
 				if q != e {
