@@ -978,7 +978,7 @@ func runMallocs(t *testing.T, jobs int) uint64 {
 // two run-long arrays, and its running-job record, rank set, chains,
 // pricing rows and reservations are recycled storage. So quadrupling a
 // steady trace adds only the amortised growth of a few run-long slices
-// (the kernel's event heap, the spare lists); the difference was 19 308
+// (the kernel's event heap, the spare lists); the difference was 19 311
 // objects before running jobs, rank sets and reservations were recycled.
 func TestRunAllocatesNothingPerJob(t *testing.T) {
 	const slack = 64
