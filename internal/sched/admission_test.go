@@ -426,14 +426,18 @@ func blockedScheduler(tb testing.TB, depth int) *Scheduler {
 }
 
 // A blocked pass allocates nothing, at any queue depth: its context,
-// admitted list and shadow walk reuse the scheduler's pass scratch, and
-// the head's reservation, its extraRanks and the list s.rsvs holds it in
-// reuse the scheduler's reservation slots (11 objects at every depth
-// before the scratch, 3 before the slots).
+// admitted list and shadow walk reuse the scheduler's pass scratch, the
+// head's reservation and its extraRanks come off the spare list the
+// edge refills from the last pass's, and s.rsvs reuses the last pass's
+// list (11 objects at every depth before the scratch, 3 before the
+// recycling).
 func TestBlockedPassAllocationsIndependentOfDepth(t *testing.T) {
 	allocs := func(depth int) float64 {
 		s := blockedScheduler(t, depth)
-		return testing.AllocsPerRun(20, func() { s.admitPass(false) })
+		return testing.AllocsPerRun(20, func() {
+			s.spareRsvs, s.rsvs = append(s.spareRsvs, s.rsvs...), s.rsvs[:0] // as tryAdmit
+			s.admitPass(false)
+		})
 	}
 	shallow, mid, deep := allocs(16), allocs(64), allocs(1024)
 	if shallow != deep || mid != deep {
@@ -1260,11 +1264,10 @@ func (a *bypassAudit) Admit(ctx *AdmitContext) {
 	a.counts += want
 }
 
-// The head-bypass count reads the earliest waiter off the arrival view
-// instead of walking the queue per admission; on random traces — ties on
-// arrival that only the ID breaks, submitted out of ID order, and fault
-// churn that requeues jobs behind later arrivals — every pass counts
-// what the walk counts, and so does the run.
+// The head-bypass count agrees with its definition on random traces —
+// ties on arrival that only the ID breaks, submitted out of ID order,
+// and fault churn that requeues jobs behind later arrivals: every pass
+// counts what the audit's walk counts, and so does the run.
 func TestHeadBypassesMatchQueueWalk(t *testing.T) {
 	churn := mustFaultPlan(t, "mtbf=*:1.5,mttr=*:0.2,retries=4,ckpt=0.15,restart=0.05")
 	for seed := int64(1); seed <= 6; seed++ {
@@ -1294,31 +1297,6 @@ func TestHeadBypassesMatchQueueWalk(t *testing.T) {
 	}
 }
 
-// A job arriving at the same instant as an earlier-submitted one, with a
-// smaller ID, files ahead of it in the arrival view — behind prune's dead
-// prefix if that job already started. Here A starts at once, X1 and X2
-// keep the queue from compacting, B lands ahead of A, and C, admitted
-// when P ends, jumps B alone: a bypass only a view that moves its dead
-// prefix back for B counts.
-func TestHeadBypassBehindAStartedTwin(t *testing.T) {
-	rigid := func(id, w int, n float64) Job {
-		return Job{ID: id, Vector: app.EP(), N: n, MinWidth: w, MaxWidth: w}
-	}
-	trace := []Job{rigid(0, 8, 1e6), rigid(100, 16, 1e7), rigid(101, 16, 1e7), rigid(10, 8, 1e8), rigid(1, 16, 1e7), rigid(50, 8, 1e7)}
-	audit := &bypassAudit{Policy: EEMax(), t: t}
-	s, err := New(Config{Platform: machine.Homogeneous(testSpec()), Ranks: 16, Cap: 2500, Policy: audit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run(trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Completed != len(trace) || res.HeadBypasses != audit.counts || audit.counts == 0 {
-		t.Fatalf("%d of %d done, %d head bypasses reported, %d by definition", res.Completed, len(trace), res.HeadBypasses, audit.counts)
-	}
-}
-
 // On an idle cluster a job no slack-eligible point fits waits through
 // the strict pass, and the relaxed pass starts it at the paper's point:
 // the fastest (analysis.Faster: Tp, then Ep, then EE) of every point of
@@ -1330,7 +1308,6 @@ func TestRelaxedAdmissionIsFastestUnderCap(t *testing.T) {
 	}
 	j := epJob(0, 16)
 	e := &entry{res: &JobResult{Job: j, State: Queued}}
-	s.queued++
 	s.enqueue(e)
 	headroom := s.headroom()
 	if s.admitPass(false) != 0 {

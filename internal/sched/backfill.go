@@ -118,11 +118,6 @@ func (b backfillPolicy) Name() string {
 func (b backfillPolicy) DVFS() bool { return b.inner.DVFS() }
 
 func (b backfillPolicy) Admit(ctx *AdmitContext) {
-	// The outermost live pass writes its reservations over the last
-	// pass's (Scheduler.rsvs); a Backfill nested in it, or probed in a
-	// shadow walk, allocates its own.
-	own := !ctx.shadow && !ctx.reserving
-	ctx.reserving = true
 	// Phase 1: start queue heads in arrival order while they fit. Each
 	// head in turn gets an exclusive pass over the whole remaining
 	// capacity — nothing bypasses it while it is startable.
@@ -147,8 +142,11 @@ func (b backfillPolicy) Admit(ctx *AdmitContext) {
 	// that can start right now under the reservations so far is simply
 	// started — it needs no promise.
 	var rsvs []*reservation
-	if own {
-		rsvs = ctx.s.rsvs[:0]
+	if !ctx.shadow {
+		// The list's storage is the last pass's, lent until this pass
+		// hands its own list back below: a Backfill nested in this one
+		// finds it lent and grows a list of its own.
+		rsvs, ctx.s.rsvs = ctx.s.rsvs[:0], nil
 	}
 	head := ctx.head()
 	rsvs, ok := ctx.s.computeReservation(head, b.inner, ctx, rsvs)
@@ -199,10 +197,9 @@ func (b backfillPolicy) Admit(ctx *AdmitContext) {
 // cluster is fully drained, so the probe relaxes the width-slack rule
 // exactly as tryAdmit does on an idle cluster — any job feasible at all
 // is guaranteed a reservation, which is the liveness bound. It returns
-// prior with the reservation appended — written into the slot past
-// prior's end when its backing holds one — or prior and false when
-// there is nothing running to wait for or the job is infeasible even on
-// the drained cluster.
+// prior with the reservation, a spare one when the last pass left any,
+// appended, or prior and false when there is nothing running to wait
+// for or the job is infeasible even on the drained cluster.
 func (s *Scheduler) computeReservation(head *entry, inner Policy, ctx *AdmitContext, prior []*reservation) ([]*reservation, bool) {
 	if s.hst != nil {
 		defer s.hst.End(obs.PhaseBackfill, s.hst.Begin())
@@ -243,10 +240,9 @@ func (s *Scheduler) computeReservation(head *entry, inner Policy, ctx *AdmitCont
 		relaxed := ctx.relaxed || i == len(evs)-1
 		if cand, ok := s.shadowCandidate(w, inner, head, free, avail, e.t, relaxed, prior); ok {
 			var r *reservation
-			if n := len(prior); n < cap(prior) {
-				r = prior[:n+1][n]
-			}
-			if r == nil {
+			if n := len(s.spareRsvs); n > 0 {
+				r, s.spareRsvs = s.spareRsvs[n-1], s.spareRsvs[:n-1]
+			} else {
 				r = new(reservation)
 			}
 			extra := append(r.extraRanks[:0], free...)

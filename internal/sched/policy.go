@@ -58,8 +58,6 @@ type AdmitContext struct {
 	// future cluster state (backfill.go); shadow passes never touch the
 	// scheduler's counters.
 	shadow bool
-	// reserving marks a Backfill running on the context (backfill.go).
-	reserving bool
 	// bypasses counts admissions in this pass that jumped an
 	// earlier-arrived waiter.
 	bypasses int
@@ -226,14 +224,11 @@ func (c *AdmitContext) Admit(e *entry, cand Candidate) {
 		}
 	}
 	if !c.shadow {
-		// e jumps an earlier waiter unless it is the first one past
-		// prune's dead prefix of the arrival view; the scan skips only
-		// jobs this pass took and uncompacted dead slots behind them.
-		for _, q := range c.s.arrivals[c.s.early:] {
-			if c.waiting(q) {
-				if q != e {
-					c.bypasses++
-				}
+		j := &e.res.Job
+		for _, q := range c.queue {
+			if c.waiting(q) && q != e &&
+				(q.res.Arrival < j.Arrival || (q.res.Arrival == j.Arrival && q.res.ID < j.ID)) {
+				c.bypasses++
 				break
 			}
 		}

@@ -162,16 +162,14 @@ type Scheduler struct {
 	results []JobResult
 	// queue holds the arrived, waiting jobs in insertion order; requeues
 	// re-enter at the tail. prio holds the same entries ordered (priority
-	// desc, Arrival, ID), so insertion-independent, and arrivals ordered
-	// (Arrival, ID), the head-bypass order. A job that stops waiting keeps
-	// its slot, which readers skip (State is no longer Queued), until
-	// prune finds half the slots dead; queued counts the live ones, and
-	// queue[:first] and arrivals[:early] are dead. Only enqueue and prune
-	// write slots.
-	queue, prio, arrivals []*entry
-	queued, first, early  int
-	running               []*runningJob
-	remaining             int // jobs that have not left (see leave)
+	// desc, Arrival, ID), so insertion-independent. A job that stops
+	// waiting keeps its slot, which readers skip (State is no longer
+	// Queued), until prune finds half the slots dead; queued counts the
+	// live ones, queue[:first] is dead. Only enqueue and prune write slots.
+	queue, prio   []*entry
+	queued, first int
+	running       []*runningJob
+	remaining     int // jobs that have not left (see leave)
 
 	// blocked records that the latest admission pass left jobs queued:
 	// until the next arrival or completion no admission can succeed, so
@@ -186,8 +184,7 @@ type Scheduler struct {
 	// boosts never loan watts a reservation holds.
 	rsvs []*reservation
 
-	// Admission scratch, so a blocked pass allocates only the
-	// reservations it keeps: live is the one live context (liveContext),
+	// Admission scratch, so a blocked pass allocates nothing: live is the one live context (liveContext),
 	// inPass marks a pass running on it, and shadow is the shadow walk's
 	// storage while no walk holds it (takeShadow).
 	live   AdmitContext
@@ -198,12 +195,15 @@ type Scheduler struct {
 	// the grid and floor backings, that leave returns for reuse, as
 	// vacate returns chains to spareChains (no more chains than ranks)
 	// and finish and killJob return running jobs, with their rank sets,
-	// chain lists and checkpoint callbacks, to spareJobs.
+	// chain lists and checkpoint callbacks, to spareJobs; tryAdmit
+	// returns the last pass's reservations, with their per-pool
+	// extraRanks, to spareRsvs.
 	spare       []*opcache.Row
 	spareGrids  [][]pricedRow
 	spareFloors [][]poolFloor
 	spareChains []*chain
 	spareJobs   []*runningJob
+	spareRsvs   []*reservation
 
 	work obs.AdmissionWork // what admission did, in counts
 
@@ -622,17 +622,12 @@ func (s *Scheduler) enqueue(e *entry) {
 	s.queued++
 	s.queue = append(s.queue, e)
 	i, _ := slices.BinarySearchFunc(s.prio, e, func(a, b *entry) int {
-		return cmp.Or(cmp.Compare(b.res.priority(), a.res.priority()), arrivalOrder(a, b))
+		return cmp.Or(
+			cmp.Compare(b.res.priority(), a.res.priority()),
+			cmp.Compare(a.res.Arrival, b.res.Arrival),
+			cmp.Compare(a.res.ID, b.res.ID))
 	})
 	s.prio = slices.Insert(s.prio, i, e)
-	// A same-instant arrival with a smaller ID lands ahead of early.
-	i, _ = slices.BinarySearchFunc(s.arrivals, e, arrivalOrder)
-	s.arrivals, s.early = slices.Insert(s.arrivals, i, e), min(s.early, i)
-}
-
-// arrivalOrder orders entries by (Arrival, ID).
-func arrivalOrder(a, b *entry) int {
-	return cmp.Or(cmp.Compare(a.res.Arrival, b.res.Arrival), cmp.Compare(a.res.ID, b.res.ID))
 }
 
 // prune drops the slots of jobs that stopped waiting, keeping the live
@@ -642,15 +637,11 @@ func (s *Scheduler) prune(force bool) {
 	for s.first < len(s.queue) && s.queue[s.first].res.State != Queued {
 		s.first++
 	}
-	for s.early < len(s.arrivals) && s.arrivals[s.early].res.State != Queued {
-		s.early++
-	}
 	if force || 2*s.queued <= len(s.queue) {
 		left := func(e *entry) bool { return e.res.State != Queued }
 		s.queue = slices.DeleteFunc(s.queue, left)
 		s.prio = slices.DeleteFunc(s.prio, left)
-		s.arrivals = slices.DeleteFunc(s.arrivals, left)
-		s.first, s.early = 0, 0
+		s.first = 0
 	}
 }
 
@@ -720,8 +711,8 @@ func (s *Scheduler) cacheStats() opcache.Stats {
 func (s *Scheduler) tryAdmit() {
 	// Every scheduling edge invalidates the previous pass's
 	// reservations; a Backfill policy re-derives them from the fresh
-	// cluster state.
-	s.rsvs = s.rsvs[:0] // their storage is the next pass's (backfill.go)
+	// cluster state, in their storage.
+	s.spareRsvs, s.rsvs = append(s.spareRsvs, s.rsvs...), s.rsvs[:0]
 	defer func() {
 		s.blocked = s.queued > 0
 		s.edgeRetune()
