@@ -300,7 +300,7 @@ func ForEachOperatingPoint(pl machine.Platform, v app.Vector, n float64, ps []in
 // stays within budget: "power-constrained parallel computation" made
 // concrete. Parallelisms beyond a pool's size are skipped for that pool
 // rather than recommended, and ties break deterministically (see
-// Faster; equal points from different pools keep the earlier pool). A
+// faster; equal points from different pools keep the earlier pool). A
 // nil ps sweeps powers of two up to each pool's size.
 func OptimizeUnderPowerBudget(pl machine.Platform, v app.Vector, n float64, ps []int, budget units.Watts) (Point, error) {
 	if budget <= 0 {
@@ -312,7 +312,7 @@ func OptimizeUnderPowerBudget(pl machine.Platform, v app.Vector, n float64, ps [
 		if pt.AvgPower > budget {
 			return
 		}
-		if !found || Faster(pt, best) {
+		if !found || faster(pt, best) {
 			best, found = pt, true
 		}
 	})
@@ -325,12 +325,11 @@ func OptimizeUnderPowerBudget(pl machine.Platform, v app.Vector, n float64, ps [
 	return best, nil
 }
 
-// Faster reports whether a beats b as a power-budget recommendation:
+// faster reports whether a beats b as a power-budget recommendation:
 // shorter predicted runtime, then lower energy Ep, then higher EE, and
 // finally lower frequency and smaller p, so a grid scan selects one
-// deterministic winner regardless of enumeration order. The scheduler's
-// relaxed admission pass, on an idle cluster, ranks by it too.
-func Faster(a, b Point) bool {
+// deterministic winner regardless of enumeration order.
+func faster(a, b Point) bool {
 	switch {
 	case a.Tp != b.Tp:
 		return a.Tp < b.Tp

@@ -435,11 +435,11 @@ func TestObjectiveBetterDeterministicTieBreak(t *testing.T) {
 	b := Point{P: 4, Freq: 2.8 * units.GHz}
 	// Identical predictions: the lower frequency must win regardless of
 	// argument order, then the smaller p.
-	if !Faster(a, b) || Faster(b, a) {
+	if !faster(a, b) || faster(b, a) {
 		t.Fatal("tie must break to the lower frequency")
 	}
 	c := Point{P: 8, Freq: 2.0 * units.GHz}
-	if !Faster(a, c) || Faster(c, a) {
+	if !faster(a, c) || faster(c, a) {
 		t.Fatal("tie at equal frequency must break to the smaller p")
 	}
 }

@@ -141,8 +141,8 @@ func (c *AdmitContext) Best(e *entry, budget units.Watts) *Candidate {
 //     locally but loses fleet-wide: the degraded run occupies ranks
 //     and watts that delay every other queued job, a price the per-job
 //     comparison cannot see.) A relaxed pass drops the rule when the
-//     whole cluster is idle and waiting could never help (tryAdmit),
-//     and ranks by analysis.Faster, the paper's fastest-under-the-cap.
+//     whole cluster is idle and waiting could never help — see
+//     Scheduler.tryAdmit.
 //   - Deadlines. Among eligible points, ones that meet the job's
 //     deadline (when it has one) win over ones that do not.
 //
@@ -162,10 +162,6 @@ func (c *AdmitContext) search(e *entry, refTp units.Seconds, budget units.Watts)
 	maxTp := units.Seconds(float64(refTp) * PerfSlack)
 	best, bestDL := &s.best, &s.bestDL
 	stage, foundDL := stageNone, false
-	better := eeBetter
-	if c.relaxed && !c.shadow {
-		better = analysis.Faster
-	}
 	var wbuf [maxWidths]int
 	for pi := range s.pools {
 		ps := &s.pools[pi]
@@ -207,11 +203,11 @@ func (c *AdmitContext) search(e *entry, refTp units.Seconds, budget units.Watts)
 					Cost:  cost,
 					row:   row,
 				}
-				if stage < stageFeasible || better(cand.Point, best.Point) {
+				if stage < stageFeasible || eeBetter(cand.Point, best.Point) {
 					*best, stage = cand, stageFeasible
 				}
 				if j.Deadline > 0 && now+tp <= j.Arrival+j.Deadline {
-					if !foundDL || better(cand.Point, bestDL.Point) {
+					if !foundDL || eeBetter(cand.Point, bestDL.Point) {
 						*bestDL, foundDL = cand, true
 					}
 				}

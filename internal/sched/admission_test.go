@@ -560,20 +560,15 @@ func TestEEBetterOrder(t *testing.T) {
 	}
 }
 
-// referenceSearch is the pre-grid search body: every row looked up per
-// width (priced), FastestTp rescanned per width, the Candidate built
-// before the reservation gate and passed by value — and, as search, a
-// live relaxed pass ranked by analysis.Faster. Test-only — the oracle
-// TestBestMatchesReferenceSearch holds the entry-grid search to.
+// referenceSearch is the parent commit's search body: every row looked
+// up per width (priced), FastestTp rescanned per width, the Candidate
+// built before the reservation gate and passed by value. Test-only — the
+// oracle TestBestMatchesReferenceSearch holds the entry-grid search to.
 func (c *AdmitContext) referenceSearch(e *entry, refTp units.Seconds, budget units.Watts) (Candidate, int) {
 	s, j, now := c.s, &e.res.Job, c.now
 	maxTp := units.Seconds(float64(refTp) * PerfSlack)
 	var best, bestDL Candidate
 	stage, foundDL := stageNone, false
-	better := eeBetter
-	if c.relaxed && !c.shadow {
-		better = analysis.Faster
-	}
 	var wbuf [maxWidths]int
 	for pi := range s.pools {
 		ps := &s.pools[pi]
@@ -609,11 +604,11 @@ func (c *AdmitContext) referenceSearch(e *entry, refTp units.Seconds, budget uni
 				if !referencePermitted(c.rsvs, e, now, cand) {
 					continue
 				}
-				if stage < stageFeasible || better(cand.Point, best.Point) {
+				if stage < stageFeasible || eeBetter(cand.Point, best.Point) {
 					best, stage = cand, stageFeasible
 				}
 				if j.Deadline > 0 && now+cand.Tp <= j.Arrival+j.Deadline {
-					if !foundDL || better(cand.Point, bestDL.Point) {
+					if !foundDL || eeBetter(cand.Point, bestDL.Point) {
 						bestDL, foundDL = cand, true
 					}
 				}
@@ -629,11 +624,10 @@ func (c *AdmitContext) referenceSearch(e *entry, refTp units.Seconds, budget uni
 // The differential oracle for the entry-grid search: on random cluster
 // states — free ranks (non-power-of-two and zero included), budgets and
 // clock under a dipping cap plan, fresh and restarted jobs, a job with a
-// non-power-of-two width range, strict and relaxed (live and shadow)
-// passes, zero to two reservations — search must reach the stage and
-// pick the very point (same grid row) the reference search does, Best
-// must agree with the reference's Best, and a deadline must redirect
-// both alike.
+// non-power-of-two width range, strict and relaxed passes, zero to two
+// reservations — search must reach the stage and pick the very point
+// (same grid row) the parent's search does, Best must agree with the
+// parent's Best, and a deadline must redirect both alike.
 func TestBestMatchesReferenceSearch(t *testing.T) {
 	plan, err := capplan.ParsePlan("0:2400,2:1500,4:2400")
 	if err != nil {
@@ -664,9 +658,7 @@ func TestBestMatchesReferenceSearch(t *testing.T) {
 				e.saved, e.res.Restarts = 0.4, 1
 			}
 			for trial := 0; trial < 200; trial++ {
-				// Relaxed trials alternate the live pass (ranked by
-				// analysis.Faster) and a shadow probe (eeBetter).
-				ctx := &AdmitContext{s: s, now: units.Seconds(rng.Float64() * 5), free: make([]int, len(s.pools)), relaxed: trial%4 == 3, shadow: trial%8 == 7}
+				ctx := &AdmitContext{s: s, now: units.Seconds(rng.Float64() * 5), free: make([]int, len(s.pools)), relaxed: trial%4 == 3}
 				ctx.ctrl = s.controlCap(ctx.now)
 				for pi := range ctx.free {
 					ctx.free[pi] = rng.Intn(s.pools[pi].size + 1)
@@ -1294,52 +1286,5 @@ func TestHeadBypassesMatchQueueWalk(t *testing.T) {
 					seed, pol.Name(), res.HeadBypasses, audit.counts, audit.passes, res.Restarts)
 			}
 		}
-	}
-}
-
-// On an idle cluster a job no slack-eligible point fits waits through
-// the strict pass, and the relaxed pass starts it at the paper's point:
-// the fastest (analysis.Faster: Tp, then Ep, then EE) of every point of
-// its grid the cap affords — not the EE-best, which for EP is a crawl.
-func TestRelaxedAdmissionIsFastestUnderCap(t *testing.T) {
-	s, err := New(Config{Platform: machine.Homogeneous(testSpec()), Ranks: 16, Cap: 480, Policy: EEMax()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j := epJob(0, 16)
-	e := &entry{res: &JobResult{Job: j, State: Queued}}
-	s.enqueue(e)
-	headroom := s.headroom()
-	if s.admitPass(false) != 0 {
-		t.Fatal("the strict pass started a job no slack-eligible point fits")
-	}
-	if s.admitPass(true) != 1 {
-		t.Fatal("the relaxed pass started nothing on an idle cluster")
-	}
-	var fastest, eeBest analysis.Point
-	found := false
-	ps := &s.pools[0]
-	for _, p := range j.Widths(nil, ps.size) {
-		row, _ := s.priced(e, 0, p)
-		for fi, f := range ps.ladder {
-			if s.marginalCost(0, row.Draw[fi], p) > headroom {
-				continue
-			}
-			pt := analysis.Point{Pool: ps.name, P: p, Freq: f, N: j.N, Prediction: row.Pred[fi]}
-			if !found || analysis.Faster(pt, fastest) {
-				fastest = pt
-			}
-			if !found || eeBetter(pt, eeBest) {
-				eeBest = pt
-			}
-			found = true
-		}
-	}
-	got := e.res
-	if !found || got.P != fastest.P || got.StartFreq != fastest.Freq {
-		t.Fatalf("relaxed admission at p=%d f=%v; the fastest affordable point is p=%d f=%v", got.P, got.StartFreq, fastest.P, fastest.Freq)
-	}
-	if eeBest.P == fastest.P && eeBest.Freq == fastest.Freq {
-		t.Fatalf("the EE-best point p=%d f=%v is the fastest too: the case pins nothing", eeBest.P, eeBest.Freq)
 	}
 }

@@ -560,13 +560,13 @@ func TestMTBFRepairPendingParksRigidJobs(t *testing.T) {
 func TestRecycledAttemptsKeepSchedule(t *testing.T) {
 	s, err := New(Config{
 		Platform: mustPlatform(t, "systemg:16,dori:16"), Cap: 1800, Policy: Backfill(EEMax()), EdgeRetune: true,
-		Noise: cluster.DefaultNoise(), Seed: 2,
-		Faults: mustFaultPlan(t, "mtbf=*:6,mttr=*:0.2,retries=6,ckpt=0.1,restart=0.05"),
+		Noise: cluster.DefaultNoise(), Seed: 11,
+		Faults: mustFaultPlan(t, "mtbf=*:1.5,mttr=*:0.2,retries=4,ckpt=0.1,restart=0.05"),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run(SyntheticTrace(TraceConfig{Jobs: 96, Seed: 2, MaxWidth: 16}))
+	res, err := s.Run(SyntheticTrace(TraceConfig{Jobs: 96, Seed: 11, MaxWidth: 16}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -580,8 +580,8 @@ func TestRecycledAttemptsKeepSchedule(t *testing.T) {
 	got := fmt.Sprintf("done=%d lost=%d rej=%d kills=%d restarts=%d ckpts=%d makespan=%v energy=%v wasted=%v lostwork=%v retunes=%d bypass=%d digest=%016x",
 		res.Completed, res.JobsLost, res.Rejected, res.Kills, res.Restarts, res.Checkpoints, float64(res.Makespan), float64(res.TotalEnergy),
 		float64(res.WastedEnergy), float64(res.LostWork), res.FreqChanges, res.HeadBypasses, h.Sum64())
-	const parent = "done=94 lost=2 rej=0 kills=41 restarts=39 ckpts=142 makespan=12.87112132962101 energy=14044.32107751889 " +
-		"wasted=2417.7585004944453 lostwork=1.64726464114948 retunes=148 bypass=122 digest=a59ced01ab086d00"
+	const parent = "done=82 lost=14 rej=0 kills=111 restarts=97 ckpts=407 makespan=14.648266653635632 energy=15281.183376782128 " +
+		"wasted=3013.9262209771478 lostwork=4.285657205681258 retunes=304 bypass=165 digest=1fc6c2f4570b2200"
 	if got != parent {
 		t.Errorf("faulted noisy run:\n got %s\nwant %s", got, parent)
 	}
