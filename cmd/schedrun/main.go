@@ -6,8 +6,9 @@
 // least as fast as the FIFO baseline while spending less energy per job
 // and never exceeding the cap. With -sites the trace runs on a
 // federation (internal/fed): jobs are routed to sites whose schedulers
-// run concurrently under caps a split policy carves from the global
-// budget, and the table races split × route pairs under one -policy.
+// run concurrently, in lockstep epochs between budget breakpoints,
+// under caps a split policy carves from the global budget, and the
+// table races split × route pairs under one -policy.
 //
 // The flag groups and the exit contract are internal/cli's; DESIGN.md
 // §14 describes them. Each mode refuses the flags only the other reads.

@@ -67,10 +67,10 @@ func Steps(segs ...Segment) (*Plan, error) {
 // Revisable builds a plan like Steps whose segment caps may later be
 // raised in place with SetCaps — the substrate for federated budget
 // re-negotiation, where un-negotiated future windows start at a
-// guaranteed floor and each barrier raises them to their negotiated
+// guaranteed floor and each epoch end raises them to their negotiated
 // share. Every query reads the caps currently in force; callers own
-// the synchronisation contract (the federation only revises while
-// every consumer of the plan is paused at a sim-time barrier).
+// the synchronisation contract (the federation only revises between
+// epochs, while every consumer of the plan is paused).
 func Revisable(segs ...Segment) (*Plan, error) {
 	p, err := Steps(segs...)
 	if err != nil {

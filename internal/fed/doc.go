@@ -6,10 +6,10 @@
 // carbon-intensity signal, and optional fault plan (ParseSites reads the
 // command-line spelling). New validates the configuration and builds
 // every site's scheduler — what it rejects is configuration — and Run
-// executes every site concurrently (one goroutine + sim.Kernel per
-// site) and merges the per-site results deterministically: schedules
-// depend only on (seed, sites, plans, jobs), never on goroutine
-// interleaving or GOMAXPROCS.
+// executes every site concurrently in lockstep epochs (one goroutine +
+// sim.Kernel per site per epoch) and merges the per-site results
+// deterministically: schedules depend only on (seed, sites, plans,
+// jobs), never on goroutine interleaving or GOMAXPROCS.
 //
 // Two policy axes shape a federated run:
 //
@@ -30,14 +30,14 @@
 //
 // Re-negotiation: policies that read live site state (greedy-ee) run
 // against revisable per-site plans. Un-negotiated future windows carry
-// the guaranteed floor; at each global breakpoint every site pauses at
-// a common sim-time barrier, the last arriver re-derives the *next*
-// window's caps from each site's reported mix efficiency
-// (sched.Scheduler.MixEE, handed to the policy as SplitContext.MixEE;
-// capplan.SetCaps, raise-only), and all sites resume. Raising a floor can never
-// manufacture a violation, so the zero-violation guarantee survives
-// re-negotiation; negotiating one window ahead keeps the scheduler's
-// pre-drop throttle edges and control-cap lookahead exact. See
-// DESIGN.md §12 for the architecture and the determinism/barrier
-// contract.
+// the guaranteed floor. Each global breakpoint ends an epoch: every
+// site's kernel has fired its events before it (sched.Scheduler.Advance)
+// and is paused, and the frontend re-derives the *next* window's caps
+// from each site's mix efficiency (sched.Scheduler.MixEE, handed to the
+// policy as SplitContext.MixEE; capplan.SetCaps, raise-only) before the
+// next epoch starts. Raising a floor can never manufacture a violation,
+// so the zero-violation guarantee survives re-negotiation; negotiating
+// one window ahead keeps the scheduler's pre-drop throttle edges and
+// control-cap lookahead exact. See DESIGN.md §12 for the architecture
+// and the determinism contract.
 package fed

@@ -86,7 +86,6 @@ const defaultGuaranteeFrac = 0.5
 // siteRun is the per-site execution state.
 type siteRun struct {
 	site        Site
-	idx         int
 	ranks       int // the site's static budget share weight
 	largestPool int
 	cache       []*opcache.Cache // per pool: the router's evaluators, shared by equal ladder tables
@@ -95,8 +94,6 @@ type siteRun struct {
 	plan        *capplan.Plan
 	sched       *sched.Scheduler
 	jobs        []sched.Job
-	res         sched.Result
-	err         error
 }
 
 // Federation is one assembled run: a validated configuration with every
@@ -118,10 +115,11 @@ type Federation struct {
 	gwin   []int
 	shares []float64
 
-	// dynamic marks the re-negotiated path: revisable plans plus
-	// sim-time barriers at global breakpoints. Static policies (and
-	// 1-site or ≤2-window runs, where nothing is left to re-negotiate)
-	// run barrier-free.
+	// dynamic marks the re-negotiated path: revisable plans, and an
+	// epoch end at every global breakpoint but the last, where the
+	// window after next is divided. Static policies (and 1-site or
+	// ≤2-window runs, where nothing is left to re-negotiate) divide
+	// every window at construction and run one epoch.
 	dynamic bool
 	nGlobal int
 
@@ -133,23 +131,6 @@ type Federation struct {
 	offers []offer
 	widths []int
 	quoted []Quote
-
-	mu       sync.Mutex
-	cond     *sync.Cond
-	barriers []barrier
-	failed   bool
-	failErr  error
-}
-
-// barrier is one negotiation rendezvous: every site pauses at sim time
-// t; the last arriver divides global window `window` from the reported
-// mix efficiencies and releases the rest.
-type barrier struct {
-	t        units.Seconds
-	window   int
-	arrived  int
-	released bool
-	mixEE    []float64
 }
 
 // Run executes the federated schedule: route every job to a site, run
@@ -164,19 +145,34 @@ func Run(cfg Config, jobs []sched.Job) (Result, error) {
 	return f.Run(jobs)
 }
 
-// Run routes the jobs and runs the sites; a Federation runs once.
+// Run routes the jobs and runs the sites in lockstep epochs; a
+// Federation runs once. On the dynamic path an epoch ends where each
+// global window w ≥ 1 but the last starts, and window w+1 is divided
+// there, one ahead (windows 0 and 1 were divided at construction); the
+// final epoch runs to +∞.
 func (f *Federation) Run(jobs []sched.Job) (Result, error) {
 	if err := f.route(jobs); err != nil {
 		return Result{}, err
 	}
-	f.runSites()
 	for _, sr := range f.sites {
-		if sr.err != nil {
-			return Result{}, fmt.Errorf("fed: site %q: %w", sr.site.Name, sr.err)
+		if err := sr.sched.Arm(sr.jobs); err != nil {
+			return Result{}, fmt.Errorf("fed: site %q: %w", sr.site.Name, err)
 		}
 	}
-	if f.failErr != nil {
-		return Result{}, f.failErr
+	var ends []units.Seconds
+	if f.dynamic {
+		ends = f.cfg.Budget.Breakpoints()[:f.nGlobal-2]
+	}
+	for j, t := range ends {
+		if err := f.advance(t); err != nil {
+			return Result{}, err
+		}
+		if err := f.negotiate(j + 2); err != nil {
+			return Result{}, err
+		}
+	}
+	if err := f.advance(units.Seconds(math.Inf(1))); err != nil {
+		return Result{}, err
 	}
 	return f.merge(), nil
 }
@@ -209,7 +205,6 @@ func New(cfg Config) (*Federation, error) {
 	if f.lambda == 0 {
 		f.lambda = defaultGuaranteeFrac
 	}
-	f.cond = sync.NewCond(&f.mu)
 	f.quoted = make([]Quote, len(cfg.Sites))
 
 	var routers []*opcache.Cache // one per distinct ladder table
@@ -240,7 +235,7 @@ func New(cfg Config) (*Federation, error) {
 				}
 			}
 		}
-		sr := &siteRun{site: site, idx: i}
+		sr := &siteRun{site: site}
 		for pi, np := range site.Platform.Pools {
 			c, err := opcache.New(np.Spec)
 			if err != nil {
@@ -435,7 +430,7 @@ func (f *Federation) checkFloors() error {
 // global windows (the scheduler's pre-drop edges and control-cap
 // lookahead read one window ahead, so window w must be final before
 // any site enters window w−1) and floor the rest, to be raised at the
-// barriers.
+// epoch ends.
 func (f *Federation) buildPlans() error {
 	segs := make([][]capplan.Segment, len(f.sites))
 	for i := range f.sites {
@@ -467,13 +462,7 @@ func (f *Federation) buildPlans() error {
 	return nil
 }
 
-// buildSchedulers constructs every site's scheduler and, on the
-// dynamic path, arms the negotiation barriers: one per global
-// breakpoint t_1 … t_{k−1}, where the barrier at t_j divides window
-// j+1 (windows 0 and 1 were divided at construction). Barrier
-// callbacks are registered before Run arms anything, so at a shared
-// instant the kernel fires the barrier before the site's own plan-edge
-// or arrival events — the revision lands before anyone reads the cap.
+// buildSchedulers constructs every site's scheduler.
 func (f *Federation) buildSchedulers() error {
 	for _, sr := range f.sites {
 		scfg := sched.Config{
@@ -495,113 +484,53 @@ func (f *Federation) buildSchedulers() error {
 		}
 		sr.sched = s
 	}
-	if !f.dynamic {
-		return nil
+	return nil
+}
+
+// advance runs every site's own kernel up to, but excluding, sim time
+// t, one goroutine per site. Nothing is shared while they run, so the
+// schedules cannot depend on the interleaving; the first site in site
+// order whose Advance errs names the error.
+func (f *Federation) advance(t units.Seconds) error {
+	errs := make([]error, len(f.sites))
+	var wg sync.WaitGroup
+	for i, sr := range f.sites {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = sr.sched.Advance(t)
+		}()
 	}
-	bps := f.cfg.Budget.Breakpoints()
-	f.barriers = make([]barrier, f.nGlobal-2)
-	for b := range f.barriers {
-		f.barriers[b] = barrier{
-			t:      bps[b],
-			window: b + 2,
-			mixEE:  make([]float64, len(f.sites)),
-		}
-	}
-	for _, sr := range f.sites {
-		sr := sr
-		for b := range f.barriers {
-			b := b
-			t := f.barriers[b].t
-			if err := sr.sched.At(t, func() {
-				f.await(b, sr.idx, sr.sched.MixEE())
-			}); err != nil {
-				return fmt.Errorf("fed: site %q barrier: %w", sr.site.Name, err)
-			}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("fed: site %q: %w", f.sites[i].site.Name, err)
 		}
 	}
 	return nil
 }
 
-// await is the barrier protocol, called from each site's kernel
-// goroutine at the barrier's sim time. The last site to arrive runs
-// the negotiation — every other site is then provably paused inside
-// this function, so the plan revision races with no reader — and
-// releases the rest. A failed site aborts every pending and future
-// barrier instead of deadlocking the survivors.
-func (f *Federation) await(b, site int, mixEE float64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.failed {
-		return
+// negotiate divides global window w from the sites' live operating
+// mixes and raises each site's floored segments to the negotiated caps.
+// It runs between epochs with every site paused, so no site reads a
+// plan while it is revised, and its inputs are sim-time state only.
+func (f *Federation) negotiate(w int) error {
+	mixEE := make([]float64, len(f.sites))
+	for i, sr := range f.sites {
+		mixEE[i] = sr.sched.MixEE()
 	}
-	bar := &f.barriers[b]
-	bar.mixEE[site] = mixEE
-	bar.arrived++
-	if bar.arrived == len(f.sites) {
-		f.negotiate(bar)
-		bar.released = true
-		f.cond.Broadcast()
-		return
-	}
-	for !bar.released && !f.failed {
-		f.cond.Wait()
-	}
-}
-
-// fail marks the federation failed and wakes every waiter. Sites still
-// paused resume against their un-raised floors — harmless, since the
-// run's results are discarded in favour of the error.
-func (f *Federation) fail(err error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.failed = true
-	if f.failErr == nil {
-		f.failErr = err
-	}
-	f.cond.Broadcast()
-}
-
-// negotiate divides the barrier's global window from the sites'
-// reported operating mixes and raises each site's floored segments to
-// the negotiated caps. Runs under f.mu with every site paused; inputs
-// are sim-time state only, so the division is identical no matter
-// which goroutine arrives last.
-func (f *Federation) negotiate(bar *barrier) {
 	for g := range f.cuts {
-		if f.gwin[g] != bar.window {
+		if f.gwin[g] != w {
 			continue
 		}
-		d := f.discretionary(g, bar.mixEE)
+		d := f.discretionary(g, mixEE)
 		for i, sr := range f.sites {
+			// Unreachable by construction: a negotiated cap is at
+			// least the floor, and the bounds are grid-aligned.
 			if err := sr.plan.SetCaps(f.cuts[g], f.segEnd(g), f.capFor(i, g, d)); err != nil {
-				// Unreachable by construction (negotiated ≥ floor,
-				// grid-aligned bounds); surface rather than panic the
-				// kernel goroutine.
-				f.failed = true
-				if f.failErr == nil {
-					f.failErr = fmt.Errorf("fed: renegotiating site %q window %d: %w", sr.site.Name, bar.window, err)
-				}
-				return
+				return fmt.Errorf("fed: renegotiating site %q window %d: %w", sr.site.Name, w, err)
 			}
 		}
 	}
-}
-
-// runSites executes every site's schedule concurrently and waits.
-func (f *Federation) runSites() {
-	var wg sync.WaitGroup
-	for _, sr := range f.sites {
-		wg.Add(1)
-		go func(sr *siteRun) {
-			defer wg.Done()
-			res, err := sr.sched.Run(sr.jobs)
-			if err != nil {
-				sr.err = err
-				f.fail(err)
-				return
-			}
-			sr.res = res
-		}(sr)
-	}
-	wg.Wait()
+	return nil
 }

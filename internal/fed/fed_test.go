@@ -121,7 +121,7 @@ func twoSiteConfig(t *testing.T, split SplitPolicy, route RoutePolicy) Config {
 // TestDeterminism pins the bit-identity contract: the same
 // (seed, sites, plans, jobs) produces the same merged result across
 // repeated runs and across GOMAXPROCS values, including on the dynamic
-// (barrier re-negotiation) path.
+// (epoch re-negotiation) path.
 func TestDeterminism(t *testing.T) {
 	trace := sched.SyntheticTrace(sched.TraceConfig{Jobs: 24, Seed: 3, MaxWidth: 16})
 	run := func() []byte {
@@ -436,9 +436,9 @@ func TestSiteFaults(t *testing.T) {
 }
 
 // TestSiteFailureProcesses runs an MTBF/MTTR failure process at one of
-// two round-robin-fed sites under greedy-ee (revisable plans and a
-// sim-time barrier at 1 s) and static-share (barrier-free). Kills at
-// one site must not stall the other at the barrier, every job must
+// two round-robin-fed sites under greedy-ee (revisable plans and an
+// epoch end at 1 s) and static-share (one epoch). Kills at one site
+// must not stall the other at the epoch end, every job must
 // reach exactly one terminal state (this plan loses some), the merged
 // counts must be the sites' sums, no cap is violated, and a replay is
 // bit-identical.
@@ -463,7 +463,7 @@ func TestSiteFailureProcesses(t *testing.T) {
 			select {
 			case <-done:
 			case <-time.After(time.Minute):
-				t.Fatalf("%s: Run did not return: a site is stuck at a barrier", cfg.Split.Name())
+				t.Fatalf("%s: Run did not return: a site is stuck at an epoch end", cfg.Split.Name())
 			}
 			if err != nil {
 				t.Fatalf("%s: %v", cfg.Split.Name(), err)
@@ -507,15 +507,15 @@ func TestSiteFailureProcesses(t *testing.T) {
 	}
 }
 
-// TestSiteEnergyMatchesMeasuredProfile: a negotiation barrier that
-// fires after the sites have drained adds no energy to either site's
+// TestSiteEnergyMatchesMeasuredProfile: an epoch end (a negotiation)
+// after the sites have drained adds no energy to either site's
 // books — each site's TotalEnergy is its measured power integral, which
 // the per-window ledger slices (Σ window energy over [0, horizon]).
 func TestSiteEnergyMatchesMeasuredProfile(t *testing.T) {
 	trace := sched.SyntheticTrace(sched.TraceConfig{Jobs: 24, Seed: 3, MaxWidth: 16})
 	cfg := identicalSites(t, RouteRR())
 	cfg.Split = GreedyEE()
-	const late = 30 // the second barrier, long after the trace drains
+	const late = 30 // the second epoch end, long after the trace drains
 	cfg.Budget = mustPlan(t, "0:1800,1:1500,30:1800,60:1700")
 	res, err := Run(cfg, trace)
 	if err != nil {
@@ -524,7 +524,7 @@ func TestSiteEnergyMatchesMeasuredProfile(t *testing.T) {
 	for _, site := range res.Sites {
 		r := site.Result
 		if r.Makespan >= late || r.Completed == 0 {
-			t.Fatalf("%s: makespan %v with %d done; the fixture needs a drained site before the %vs barrier",
+			t.Fatalf("%s: makespan %v with %d done; the fixture needs a drained site before the %vs epoch end",
 				site.Site, r.Makespan, r.Completed, late)
 		}
 		var measured units.Joules

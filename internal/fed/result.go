@@ -70,7 +70,8 @@ type Result struct {
 	CapViolations                 int
 }
 
-// merge assembles the federated Result from the finished sites.
+// merge closes every finished site's run and assembles the federated
+// Result.
 func (f *Federation) merge() Result {
 	r := Result{
 		Split:         f.cfg.Split.Name(),
@@ -82,14 +83,15 @@ func (f *Federation) merge() Result {
 	}
 	var energy units.Joules
 	for _, sr := range f.sites {
+		res := sr.sched.Result()
 		s := SiteResult{
 			Site:   sr.site.Name,
 			Weight: float64(sr.ranks),
 			Jobs:   len(sr.jobs),
-			Result: sr.res,
+			Result: res,
 		}
 		if sr.intensity != nil {
-			for i, w := range sr.res.Windows {
+			for i, w := range res.Windows {
 				if i >= len(sr.intensity) {
 					break
 				}
@@ -98,16 +100,16 @@ func (f *Federation) merge() Result {
 		}
 		r.Sites = append(r.Sites, s)
 
-		if sr.res.Makespan > r.Makespan {
-			r.Makespan = sr.res.Makespan
+		if res.Makespan > r.Makespan {
+			r.Makespan = res.Makespan
 		}
-		r.TotalEnergy += sr.res.TotalEnergy
+		r.TotalEnergy += res.TotalEnergy
 		r.Carbon += s.Carbon
-		r.Completed += sr.res.Completed
-		r.Rejected += sr.res.Rejected
-		r.JobsLost += sr.res.JobsLost
-		r.CapViolations += sr.res.CapViolations
-		energy += units.Joules(float64(sr.res.EnergyPerJob) * float64(sr.res.Completed))
+		r.Completed += res.Completed
+		r.Rejected += res.Rejected
+		r.JobsLost += res.JobsLost
+		r.CapViolations += res.CapViolations
+		energy += units.Joules(float64(res.EnergyPerJob) * float64(res.Completed))
 	}
 	if r.Completed > 0 {
 		r.EnergyPerJob = units.Joules(float64(energy) / float64(r.Completed))

@@ -12,13 +12,13 @@ type SiteFacts struct {
 }
 
 // SplitContext is one budget-window division problem: the per-site
-// facts and — when the policy runs at a re-negotiation barrier — each
-// site's live operating-mix efficiency.
+// facts and — when the policy runs between epochs — each site's live
+// operating-mix efficiency.
 type SplitContext struct {
 	// Sites holds one entry per federation site, in site order.
 	Sites []SiteFacts
-	// MixEE holds each site's sched.Scheduler.MixEE at the barrier this
-	// division runs at, indexed like Sites. Nil when the window is
+	// MixEE holds each site's sched.Scheduler.MixEE at the epoch end
+	// this division runs at, indexed like Sites. Nil when the window is
 	// divided at construction time (before any site has run).
 	MixEE []float64
 }
@@ -33,7 +33,7 @@ type SplitPolicy interface {
 	Name() string
 	// Static reports that Shares never reads ctx.MixEE, the context's
 	// only live input. Static policies are divided fully at
-	// construction time: no revisable plans, no barriers, maximum
+	// construction time: no revisable plans and one epoch, maximum
 	// cross-site parallelism.
 	Static() bool
 	Shares(ctx SplitContext) []float64
@@ -68,8 +68,8 @@ const greedyEEBias = 0.05
 // GreedyEE steers discretionary watts toward the sites whose current
 // operating mix buys the most model energy-efficiency per watt:
 // shares proportional to weight × (bias + MixEE). It reads live site
-// state, so it re-negotiates at every global breakpoint through the
-// barrier protocol; before any state exists it divides statically.
+// state, so it re-negotiates at every global breakpoint, between
+// epochs; before any state exists it divides statically.
 func GreedyEE() SplitPolicy { return greedyEE{} }
 
 type greedyEE struct{}

@@ -45,7 +45,8 @@ const (
 	PhaseBackfill
 	// PhaseGovernor is one governor retune pass (throttle or boost).
 	PhaseGovernor
-	// PhaseDrain is the kernel event drain — the whole sim.Kernel.Run.
+	// PhaseDrain is the kernel event drain — one sched.Scheduler.Advance
+	// (a bare Run is one; a federated site runs one per epoch).
 	PhaseDrain
 	numPhases
 )

@@ -770,7 +770,7 @@ func TestEntryReleasesRowsWhenTheJobLeaves(t *testing.T) {
 }
 
 // A recycled row is never a live one. On a noisy, faulted run over a
-// mixed platform, an At hook at every 20 ms finds the spare lists free
+// mixed platform, a kernel probe every 20 ms finds the spare lists free
 // of duplicates (a row or grid handed out twice would be priced over
 // while held) and disjoint from every running job's row and every
 // queued or running entry's grid and grid backing; reservations hold no
@@ -831,7 +831,7 @@ func TestSpareRowsAreNeverLive(t *testing.T) {
 		}
 	}
 	for i := 1; i <= 1000; i++ {
-		err := s.At(units.Seconds(i)*20*units.Millisecond, func() {
+		s.cl.Kernel().Schedule(units.Seconds(i)*20*units.Millisecond, func() {
 			now := s.cl.Kernel().Now()
 			spare, grids := map[*opcache.Row]bool{}, map[*pricedRow]bool{}
 			for _, r := range s.spare {
@@ -912,9 +912,6 @@ func TestSpareRowsAreNeverLive(t *testing.T) {
 				shared++
 			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
 	res, err := s.Run(SyntheticTrace(TraceConfig{Jobs: 96, Seed: 3, MeanInterarrival: 50 * units.Millisecond, MaxWidth: 8}))
 	if err != nil {

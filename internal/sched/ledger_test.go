@@ -223,22 +223,22 @@ func sampledAt(samples []power.Sample, t units.Seconds) bool {
 // The energy identity: with a noise-free meter, the energy the ledger
 // attributes (every job's plus the parked pool's) is the integral of the
 // measured power profile, whatever kernel events fire after the trace
-// drains — a plan breakpoint an hour out, pending MTBF/MTTR draws, an
-// embedder's callback (a federation barrier) — since the books close at
-// the sampling horizon.
+// drains — a plan breakpoint an hour out, pending MTBF/MTTR draws — and
+// wherever an embedder pauses the run (a federation epoch's end), since
+// the books close at the sampling horizon.
 func TestTotalEnergyMatchesMeasuredProfile(t *testing.T) {
 	systemg := mustPlatform(t, "systemg:16")
 	for _, c := range []struct {
 		name  string
 		cfg   Config
-		after units.Seconds // an At callback this long past the start, or 0
+		pause units.Seconds // an Advance this long past the start, or 0
 	}{
 		{"constant cap", Config{Platform: systemg, Cap: 900, Policy: EEMax()}, 0},
 		{"breakpoint after the drain", Config{Platform: systemg, Policy: EEMax(),
 			Plan: mustSteps(t, capplan.Segment{Start: 0, Cap: 900}, capplan.Segment{Start: 3600, Cap: 850})}, 0},
 		{"mtbf", Config{Platform: systemg, Cap: 900, Policy: Backfill(EEMax()),
 			Faults: mustFaultPlan(t, "mtbf=*:3,mttr=*:0.15,retries=8,ckpt=0.1")}, 0},
-		{"callback after the drain", Config{Platform: systemg, Cap: 900, Policy: EEMax()}, 100},
+		{"pause after the drain", Config{Platform: systemg, Cap: 900, Policy: EEMax()}, 100},
 	} {
 		c.cfg.Seed = 1
 		mem := telemetry.NewMemorySink()
@@ -247,14 +247,17 @@ func TestTotalEnergyMatchesMeasuredProfile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c.after > 0 {
-			if err := s.At(c.after, func() {}); err != nil {
+		if err := s.Arm(SyntheticTrace(TraceConfig{Jobs: 16, Seed: 1})); err != nil {
+			t.Fatal(err)
+		}
+		for _, at := range []units.Seconds{c.pause, units.Seconds(math.Inf(1))} {
+			if err := s.Advance(at); err != nil {
 				t.Fatal(err)
 			}
 		}
-		res, err := s.Run(SyntheticTrace(TraceConfig{Jobs: 16, Seed: 1}))
-		if err != nil {
-			t.Fatal(err)
+		res := s.Result()
+		if c.pause > 0 && res.Makespan >= c.pause {
+			t.Fatalf("%s: makespan %v; the fixture needs the pause after the drain", c.name, res.Makespan)
 		}
 		if c.cfg.Plan != nil && len(res.Windows) != 1 {
 			t.Errorf("%s: %d windows, want only the one the run reached", c.name, len(res.Windows))

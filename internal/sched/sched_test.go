@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"reflect"
@@ -178,6 +179,69 @@ func compareResults(t *testing.T, label string, a, b Result) {
 	a.Jobs, b.Jobs = nil, nil
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("%s: fleet results differ:\n%+v\n%+v", label, a, b)
+	}
+}
+
+// Pausing a run changes nothing: Arm, Advance at instants before the
+// first arrival, on a plan edge, on an arrival, between events and past
+// the horizon, then Result, reproduce Run's Result (deeply equal but
+// for the jobs' input records, whose Vector holds funcs) and its
+// decision stream byte for byte — under a constant cap, a cap plan, an
+// MTBF fault process and execution noise.
+func TestPausedRunEqualsRun(t *testing.T) {
+	trace := SyntheticTrace(TraceConfig{Jobs: 48, Seed: 5, MaxWidth: 8, MeanInterarrival: 60 * units.Millisecond})
+	constant := Config{Platform: mustPlatform(t, "systemg:16"), Cap: 900, Policy: Backfill(EEMax()), Seed: 5}
+	plan, mtbf, noisy := constant, constant, constant
+	plan.Cap, plan.Plan = 0, mustSteps(t,
+		capplan.Segment{Start: 0, Cap: 900},
+		capplan.Segment{Start: 0.8, Cap: 700},
+		capplan.Segment{Start: 1.5, Cap: 900})
+	mtbf.Faults = mustFaultPlan(t, "mtbf=*:2,mttr=*:0.2,retries=4,ckpt=0.1")
+	noisy.Noise = cluster.DefaultNoise()
+	inf := units.Seconds(math.Inf(1))
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{{"constant cap", constant}, {"cap plan", plan}, {"mtbf", mtbf}, {"noise", noisy}} {
+		run := func(pauses ...units.Seconds) (Result, []byte) {
+			var events bytes.Buffer
+			rec := telemetry.New(telemetry.NewNDJSONSink(&events))
+			cfg := c.cfg
+			cfg.Telemetry = rec
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var res Result
+			if pauses == nil {
+				if res, err = s.Run(trace); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				if err := s.Arm(trace); err != nil {
+					t.Fatal(err)
+				}
+				for _, at := range pauses {
+					if err := s.Advance(at); err != nil {
+						t.Fatal(err)
+					}
+				}
+				res = s.Result()
+			}
+			if err := rec.Close(); err != nil {
+				t.Fatal(err)
+			}
+			return res, events.Bytes()
+		}
+		want, wantEvents := run()
+		if want.Completed == 0 || len(wantEvents) == 0 {
+			t.Fatalf("%s: %d done, %d stream bytes; the fixture needs a run", c.name, want.Completed, len(wantEvents))
+		}
+		got, gotEvents := run(0, trace[3].Arrival, 0.8, 1.234567, want.Makespan/2, 2*want.Makespan, inf, inf)
+		compareResults(t, c.name+": paused vs Run", got, want)
+		if !bytes.Equal(gotEvents, wantEvents) {
+			t.Errorf("%s: the paused run's stream differs from Run's at byte %d", c.name, firstDiff(gotEvents, wantEvents))
+		}
 	}
 }
 

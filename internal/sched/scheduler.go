@@ -3,6 +3,7 @@ package sched
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -209,8 +210,8 @@ type Scheduler struct {
 
 	// res is the run's ledger: every count and energy known the moment
 	// it happens is booked here, once (see collect).
-	res Result
-	ran bool
+	res   Result
+	armed bool
 
 	// idleFloor is the fully parked cluster's draw (every provisioned
 	// rank at its pool's ladder minimum) — the idle-cluster headroom
@@ -499,20 +500,32 @@ func (s *Scheduler) bankMeter(r int) units.Joules {
 	return e
 }
 
-// Run executes the trace to completion and returns the fleet accounting.
-// A Scheduler is single-use.
+// Run executes the trace to completion and returns the fleet accounting:
+// Arm, Advance(+Inf), Result. A Scheduler is single-use.
 func (s *Scheduler) Run(jobs []Job) (Result, error) {
-	if s.ran {
-		return Result{}, fmt.Errorf("sched: scheduler already ran; create a new one per trace")
+	if err := s.Arm(jobs); err != nil {
+		return Result{}, err
 	}
-	s.ran = true
+	if err := s.Advance(units.Seconds(math.Inf(1))); err != nil {
+		return Result{}, err
+	}
+	return s.Result(), nil
+}
+
+// Arm validates the trace and queues the run's events — arrivals, plan
+// edges, faults and the sampling grid — without firing any.
+func (s *Scheduler) Arm(jobs []Job) error {
+	if s.armed {
+		return fmt.Errorf("sched: scheduler already ran; create a new one per trace")
+	}
+	s.armed = true
 
 	// The records in ID order, the entries pointing into them in
 	// submission order.
 	s.entries, s.results = make([]entry, len(jobs)), make([]JobResult, len(jobs))
 	for i, j := range jobs {
 		if err := j.validate(); err != nil {
-			return Result{}, err
+			return err
 		}
 		s.results[i] = JobResult{Job: j, State: Queued}
 	}
@@ -520,14 +533,14 @@ func (s *Scheduler) Run(jobs []Job) (Result, error) {
 	for i, j := range jobs {
 		k, _ := slices.BinarySearchFunc(s.results, j.ID, func(r JobResult, id int) int { return cmp.Compare(r.ID, id) })
 		if s.entries[i].res = &s.results[k]; k+1 < len(jobs) && s.results[k+1].ID == j.ID {
-			return Result{}, fmt.Errorf("sched: duplicate job ID %d", j.ID)
+			return fmt.Errorf("sched: duplicate job ID %d", j.ID)
 		}
 	}
 	s.remaining = len(jobs)
 
 	prof, err := power.Attach(s.cl, s.cfg.Interval, s.cfg.NoisyMeter)
 	if err != nil {
-		return Result{}, err
+		return err
 	}
 	s.gov = &governor{s: s}
 	if s.cfg.Telemetry.Enabled() {
@@ -541,7 +554,7 @@ func (s *Scheduler) Run(jobs []Job) (Result, error) {
 	// drains. That tick is the run's horizon, where the books close:
 	// whatever a rank dissipated since its last banking point belongs to
 	// the parked pool, and events that fire later (a plan edge past the
-	// makespan, a pending MTBF draw, a federation barrier) add nothing,
+	// makespan, a pending MTBF draw) or a pause in Advance add nothing,
 	// so TotalEnergy is the integral of the measured power profile.
 	prof.KeepSampling(func() bool {
 		if s.remaining > 0 {
@@ -586,21 +599,37 @@ func (s *Scheduler) Run(jobs []Job) (Result, error) {
 	k := s.cl.Kernel()
 	slices.SortStableFunc(s.entries, func(a, b entry) int { return cmp.Compare(a.res.Arrival, b.res.Arrival) })
 	k.ScheduleSeries(len(s.entries), func(i int) units.Seconds { return s.entries[i].res.Arrival }, func(i int) { s.arrive(&s.entries[i]) })
-	// Nothing in the scheduler spawns a process: job slices are timer
-	// callbacks, so Run's loop never touches a channel or a second
-	// goroutine.
+	return nil
+}
+
+// Advance fires the Armed run's events due before sim time t and
+// leaves the rest queued, so Advance at ascending instants and then at
+// +Inf fires what one Run does, in the same order. Between calls the
+// scheduler is paused and coherent: an embedder may read MixEE and
+// raise a revisable plan's windows the run has not reached. Nothing in
+// the scheduler spawns a process — job slices are timer callbacks — so
+// the kernel's loop never touches a channel or a second goroutine.
+func (s *Scheduler) Advance(t units.Seconds) error {
 	var drainT0 int64
 	if s.hst != nil {
 		drainT0 = s.hst.Begin()
 	}
-	if err := k.Run(); err != nil {
-		return Result{}, fmt.Errorf("sched: simulation failed: %w", err)
+	if err := s.cl.Kernel().RunUntil(t); err != nil {
+		return fmt.Errorf("sched: simulation failed: %w", err)
 	}
 	if s.hst != nil {
 		s.hst.End(obs.PhaseDrain, drainT0)
+	}
+	return nil
+}
+
+// Result closes the run and returns its fleet accounting. Call it once,
+// after Advance(+Inf).
+func (s *Scheduler) Result() Result {
+	if s.hst != nil {
 		s.hst.RunEnd()
 	}
-	return s.collect(), nil
+	return s.collect()
 }
 
 // arrive runs in kernel context at a job's arrival time.

@@ -8,7 +8,8 @@
 // up to hundreds of ranks while keeping timing derived from the same
 // machine parameters (tc, tm, Ts, Tb) the analytical model uses.
 //
-// Two execution styles share one event queue and one loop (Run):
+// Two execution styles share one event queue and one loop (Run, or
+// RunUntil for a run paused between instants):
 //
 //   - Pure event-driven code schedules callbacks with Schedule/After. With
 //     no process spawned Run is a tight single-goroutine loop over a
@@ -40,6 +41,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -286,11 +288,12 @@ func (e *DeadlockError) Error() string {
 		e.Time, len(e.Parked), strings.Join(e.Parked, "; "))
 }
 
-// loop is the shared event pump: pop, advance the clock, fire. Cancelled
-// events are discarded before they are counted or move the clock — a
-// cancelled timer leaves no trace on the simulation.
-func (k *Kernel) loop() error {
-	for len(k.events) > 0 {
+// loop is the shared event pump: pop, advance the clock, fire, while
+// the next event is due before until. Cancelled events are discarded
+// before they are counted or move the clock — a cancelled timer leaves
+// no trace on the simulation.
+func (k *Kernel) loop(until units.Seconds) error {
+	for len(k.events) > 0 && k.events[0].t < until {
 		e := k.events.pop()
 		if len(k.tombs) > 0 && !e.before(&k.tombs[0]) {
 			for len(k.tombs) > 0 && k.tombs[0].before(&e) {
@@ -337,7 +340,7 @@ func (k *Kernel) Run() error {
 	k.running = true
 	defer func() { k.running = false }()
 
-	err := k.loop()
+	err := k.loop(units.Seconds(math.Inf(1)))
 
 	// Snapshot the deadlock report before draining clears the park flags.
 	var parked []string
@@ -355,6 +358,20 @@ func (k *Kernel) Run() error {
 		return &DeadlockError{Time: k.now, Parked: parked}
 	}
 	return nil
+}
+
+// RunUntil fires the events due before t in (t, seq) order, those a
+// callback schedules before t included, and leaves the rest queued and
+// the clock at the last one fired: a run paused at ascending instants
+// fires what one Run does. A process parked across a pause would hold
+// its goroutine between calls, so a kernel with one is refused.
+func (k *Kernel) RunUntil(t units.Seconds) error {
+	if k.running || k.live > 0 {
+		return fmt.Errorf("sim: RunUntil needs an idle kernel with no live process (running %v, %d live)", k.running, k.live)
+	}
+	k.running = true
+	defer func() { k.running = false }()
+	return k.loop(t)
 }
 
 // RunCallback is Run under the name package bench imports. It was once

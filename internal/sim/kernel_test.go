@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -45,6 +46,55 @@ func TestSameTimeFIFO(t *testing.T) {
 		if v != i {
 			t.Fatalf("same-time events not FIFO: %v", order)
 		}
+	}
+}
+
+// RunUntil fires only what is due before its instant: events at t and
+// later stay queued, and a later call fires them in (t, seq) order, a
+// cancelled one among them skipped; an event a callback schedules
+// before t fires in the same call. A kernel with a live process is
+// refused with an error, not a hang.
+func TestRunUntilLeavesTheInstantQueued(t *testing.T) {
+	k := NewKernel(1)
+	var order []string
+	log := func(s string) func() { return func() { order = append(order, s) } }
+	k.Schedule(2, log("b"))
+	k.Schedule(1, func() {
+		order = append(order, "a")
+		k.Schedule(1.5, func() {
+			order = append(order, "a'")
+			k.Schedule(2, log("d")) // after b and c in seq order
+		})
+	})
+	k.Schedule(2, log("c"))
+	k.ScheduleTimer(2, log("cancelled")).Cancel()
+	k.Schedule(3, log("e"))
+	if err := k.RunUntil(2); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(order, " "); got != "a a'" || k.Now() != 1.5 {
+		t.Fatalf("RunUntil(2) fired %q, now %v; want \"a a'\" at 1.5", got, k.Now())
+	}
+	if err := k.RunUntil(2); err != nil || len(order) != 2 {
+		t.Fatalf("a second RunUntil(2) fired %v (err %v); want nothing", order[2:], err)
+	}
+	if err := k.RunUntil(units.Seconds(math.Inf(1))); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(order, " "); got != "a a' b c d e" || k.Now() != 3 {
+		t.Fatalf("fired %q, now %v; want \"a a' b c d e\" at 3", got, k.Now())
+	}
+	if ev := k.Stats().Events; ev != 6 {
+		t.Fatalf("%d events fired, want 6", ev)
+	}
+
+	k = NewKernel(1)
+	k.Spawn("p", func(p *Proc) {})
+	if err := k.RunUntil(1); err == nil || !strings.Contains(err.Error(), "live process") {
+		t.Fatalf("RunUntil with a live process: err %v", err)
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
 	}
 }
 
